@@ -1,6 +1,5 @@
 module Prng = Dtr_util.Prng
 module Lexico = Dtr_cost.Lexico
-module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
 
 type schedule = {
@@ -29,33 +28,40 @@ type report = {
   accepted : int;
 }
 
-(* Propose one two-arc move on [w] using the Algorithm-2 candidate
-   machinery with a cost ranking. *)
-let propose rng cfg ~costs_cmp ~n_arcs w =
-  let ranking = Neighborhood.rank_by_cost ~cmp:costs_cmp n_arcs in
+(* Propose one two-arc move on the context's current [cls] weights,
+   ranked by the live cost rows (Problem.ctx_arc_cmp_h/_l — the same
+   orderings as Objective.link_costs_h/_l), as a change list. *)
+let propose rng cfg problem ctx ~cls ~n_arcs =
+  let cmp =
+    match cls with
+    | `H -> Problem.ctx_arc_cmp_h problem ctx
+    | `L -> Problem.ctx_arc_cmp_l problem ctx
+  in
+  let ranking = Neighborhood.rank_by_cost ~cmp n_arcs in
   let a, b =
     Neighborhood.candidate_sets rng ~tau:cfg.Search_config.tau ~m:1 ~ranking
   in
   match Neighborhood.moves rng ~a ~b with
-  | [] -> Array.copy w
+  | [] -> []
   | move :: _ ->
       let step = Prng.int_incl rng 1 cfg.Search_config.max_step in
-      Neighborhood.apply move ~step w
+      let w = Problem.ctx_weights_view ctx cls in
+      Problem.weight_changes w (Neighborhood.apply move ~step w)
 
-(* One annealing phase: minimize [energy] by mutating the class chosen
-   by [mutate].  Returns the accepted-move count.  With an enabled
-   [trace], one [Anneal_step] event is recorded per Metropolis proposal
-   ([detail] = phase ordinal, [value] = current temperature,
-   [counts0] = the run's counter baselines). *)
+(* One annealing phase: minimize [energy] of the objective by moving
+   [cls]'s weights, one probe per proposal against [ctx] (which must
+   be synchronized with [current]); accepted probes are committed.
+   Returns the accepted-move count.  With an enabled [trace], one
+   [Anneal_step] event is recorded per Metropolis proposal ([detail] =
+   phase ordinal, [value] = current temperature, [counts0] = the run's
+   counter baselines). *)
 let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
-    rng schedule ~energy ~mutate ~current ~best =
+    rng cfg schedule problem ctx ~cls ~energy ~current ~best =
   let eval0, full0, delta0 = counts0 in
+  let n_arcs = Dtr_graph.Graph.arc_count problem.Problem.graph in
   (* The incumbent's energy is cached and refreshed only on acceptance
-     (it was already computed as the candidate's energy then), instead
-     of recomputing [energy !current] on every proposal.  Cached and
-     recomputed values are the same float, so the trajectory is
-     bit-identical. *)
-  let e_cur = ref (energy !current) in
+     (it was already computed as the candidate's energy then). *)
+  let e_cur = ref (energy (Problem.objective !current)) in
   let e0 = Float.max 1e-9 !e_cur in
   let t = ref (schedule.t0_ratio *. e0) in
   let t_min = !t *. schedule.t_min_ratio in
@@ -65,19 +71,23 @@ let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
     for _ = 1 to schedule.moves_per_temp do
       incr step;
       let before = Problem.objective !current in
-      let cand = mutate rng !current in
-      let e_cand = energy cand in
+      let changes = propose rng cfg problem ctx ~cls ~n_arcs in
+      let d = Problem.eval_delta problem ctx ~cls ~changes in
+      let e_cand = energy (Problem.delta_objective d) in
       let delta = e_cand -. !e_cur in
       let accept =
         delta <= 0. || Prng.float rng 1.0 < exp (-.delta /. !t)
       in
       if accept then begin
-        current := cand;
+        current := Problem.commit_delta problem ctx d;
         e_cur := e_cand;
         incr accepted;
-        if Lexico.lt ~rel_tol:1e-9 (Problem.objective cand) (Problem.objective !best)
-        then best := cand
-      end;
+        if
+          Lexico.lt ~rel_tol:1e-9 (Problem.objective !current)
+            (Problem.objective !best)
+        then best := !current
+      end
+      else Problem.abort_delta ctx d;
       if Trace.enabled trace then begin
         let e, f, d = Problem.domain_eval_counts () in
         Trace.emit trace ~kind:Trace.Anneal_step ~iteration:!step ~detail
@@ -123,45 +133,25 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
   let best = ref !current in
   (* Phase 1: anneal W_H against the primary cost. *)
-  let mutate_h rng (sol : Problem.solution) =
-    let costs = Objective.link_costs_h problem.Problem.model sol.Problem.result in
-    let wh =
-      propose rng cfg
-        ~costs_cmp:(fun a b -> Lexico.compare costs.(a) costs.(b))
-        ~n_arcs:m sol.Problem.wh
-    in
-    Problem.combine problem
-      ~h:(Problem.route_h problem wh)
-      ~l:(Problem.l_routing_of sol)
-  in
   let acc1 =
-    anneal_phase ~trace ~detail:0 ~counts0 rng schedule
-      ~energy:(fun s -> (Problem.objective s).Lexico.primary)
-      ~mutate:mutate_h ~current ~best
+    anneal_phase ~trace ~detail:0 ~counts0 rng cfg schedule problem
+      (Problem.ctx_of_solution problem !current)
+      ~cls:`H
+      ~energy:(fun o -> o.Lexico.primary)
+      ~current ~best
   in
   phase_done ~detail:0 !best;
   (* Fix the best W_H found, then anneal W_L against Φ_L. *)
   current :=
-    Problem.combine problem
-      ~h:(Problem.h_routing_of !best)
-      ~l:(Problem.l_routing_of !current);
+    Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
   if Lexico.lt ~rel_tol:1e-9 (Problem.objective !current) (Problem.objective !best)
   then best := !current;
-  let mutate_l rng (sol : Problem.solution) =
-    let costs = Objective.link_costs_l sol.Problem.result in
-    let wl =
-      propose rng cfg
-        ~costs_cmp:(fun a b -> Float.compare costs.(a) costs.(b))
-        ~n_arcs:m sol.Problem.wl
-    in
-    Problem.combine problem
-      ~h:(Problem.h_routing_of sol)
-      ~l:(Problem.route_l problem wl)
-  in
   let acc2 =
-    anneal_phase ~trace ~detail:1 ~counts0 rng schedule
-      ~energy:(fun s -> (Problem.objective s).Lexico.secondary)
-      ~mutate:mutate_l ~current ~best
+    anneal_phase ~trace ~detail:1 ~counts0 rng cfg schedule problem
+      (Problem.ctx_of_solution problem !current)
+      ~cls:`L
+      ~energy:(fun o -> o.Lexico.secondary)
+      ~current ~best
   in
   phase_done ~detail:1 !best;
   {

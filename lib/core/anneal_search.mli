@@ -7,8 +7,9 @@
     and phase 2 anneals the low-priority weights against [Φ_L] — which
     cannot change the primary cost, so each phase is a well-posed
     scalar annealing problem.  Moves are the same two-arc Algorithm-2
-    moves; acceptance is Metropolis with a geometric cooling
-    schedule. *)
+    moves, each priced as one probe against a live evaluation context
+    ({!Problem.eval_delta}); acceptance is Metropolis with a geometric
+    cooling schedule. *)
 
 type schedule = {
   t0_ratio : float;

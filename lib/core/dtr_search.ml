@@ -204,7 +204,8 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
   (* Long-lived incremental context, kept synchronized with [current];
      rebuilt (cheaply, reusing the solution's DAGs) whenever [current]
-     is replaced by a full evaluation instead of a committed delta. *)
+     is replaced by a full evaluation (the routine hand-offs and the
+     refinement restarts) instead of a committed delta. *)
   let ctx = ref (Problem.ctx_of_solution problem !current) in
   let best = ref !current in
   let robust = cfg.Search_config.robust in
@@ -347,9 +348,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
 
   (* Routine 2: freeze the best W_H, optimize W_L. *)
   current :=
-    Problem.combine problem
-      ~h:(Problem.h_routing_of !best)
-      ~l:(Problem.l_routing_of !current);
+    Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
   ctx := Problem.ctx_of_solution problem !current;
   consider_best ~iteration:0 ~detail:1 ~moved:true ~count:false;
   stall := 0;

@@ -1,11 +1,8 @@
 module Graph = Dtr_graph.Graph
-module Spf = Dtr_graph.Spf
 module Matrix = Dtr_traffic.Matrix
 module Objective = Dtr_routing.Objective
 module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
-module Loads = Dtr_routing.Loads
-module Weights = Dtr_routing.Weights
 module Lexico = Dtr_cost.Lexico
 
 type t = {
@@ -24,30 +21,10 @@ let create ~graph ~th ~tl ~model =
     invalid_arg "Problem.create: graph must be strongly connected";
   { graph; th; tl; model; dest_mode = Eval_ctx.All }
 
-(* Demand mode: destinations that sink positive demand in any of the
-   given matrices.  Full evaluations restrict their SPF sweeps to these
-   (bitwise-identically: demandless destinations contribute nothing),
-   which is what makes from-scratch evaluations affordable on the
-   large presets. *)
-let active_for t matrices =
-  match t.dest_mode with
-  | Eval_ctx.All -> None
-  | Eval_ctx.Demand ->
-      let act = Array.make (Graph.node_count t.graph) false in
-      List.iter (fun m -> Matrix.iter m (fun _ dst _ -> act.(dst) <- true)) matrices;
-      Some act
-
 type solution = {
   wh : int array;
   wl : int array;
   result : Objective.result;
-}
-
-type class_routing = {
-  w : int array;
-  dags : Spf.dag array;
-  loads : float array;
-  mutable sla_cache : Evaluate.sla option;
 }
 
 let objective s = s.result.Objective.objective
@@ -136,113 +113,62 @@ let reset_evaluations () =
   c.dc_full <- 0;
   c.dc_delta <- 0
 
-let spf_sweep t ~w ~matrices =
-  match active_for t matrices with
-  | None -> Spf.all_destinations t.graph ~weights:w
-  | Some active -> Spf.for_destinations t.graph ~weights:w ~active
+(* ------------------------------------------------------------------ *)
+(* Evaluation.
 
-let route_with t matrix w =
-  Weights.validate t.graph w;
-  let w = Array.copy w in
-  let dags = spf_sweep t ~w ~matrices:[ matrix ] in
-  let loads = Loads.of_matrix t.graph ~dags matrix in
-  { w; dags; loads; sla_cache = None }
+   One engine, {!Eval_ctx}, evaluates every weight setting and every
+   candidate, with class 0 = H and class 1 = L (for STR both classes
+   alias one weight vector, so one probe moves both).  [eval_dtr] and
+   [eval_str] build a context from scratch and materialize it; a [ctx]
+   keeps one live for the search loops, which price candidates as
+   probes against it.  Under the SLA model Λ comes from the
+   high-priority DAGs and Φ_H row — the context's, or a probe's own
+   when it moves W_H — through the one delay walk, Evaluate.sla_of. *)
 
-let route_h t w = route_with t t.th w
+(* A context's current state as a solution.  O(arcs): the solution
+   snapshots the context's arrays, which later commits replace rather
+   than mutate.  [sla], when given, is the state's Λ costing. *)
+let materialize t ec ~str ?sla () =
+  let wh = Eval_ctx.weights ec 0 in
+  let wl = if str then wh else Eval_ctx.weights ec 1 in
+  let ev = Eval_ctx.to_evaluate ec in
+  { wh; wl; result = Objective.of_eval t.model ev ~th:t.th ?sla () }
 
-let route_l t w = route_with t t.tl w
-
-let routing_weights r = Array.copy r.w
-
-let combine_raw t ~h ~l =
-  let eval =
-    Evaluate.assemble t.graph ~dags_h:h.dags ~h_loads:h.loads ~dags_l:l.dags
-      ~l_loads:l.loads
-  in
-  let result =
-    match t.model with
-    | Objective.Load -> Objective.of_eval t.model eval ~th:t.th ()
-    | Objective.Sla params -> (
-        match h.sla_cache with
-        | Some sla -> Objective.of_eval t.model eval ~th:t.th ~sla ()
-        | None ->
-            let sla = Evaluate.evaluate_sla params eval ~th:t.th in
-            h.sla_cache <- Some sla;
-            Objective.of_eval t.model eval ~th:t.th ~sla ())
-  in
-  { wh = h.w; wl = l.w; result }
-
-let combine t ~h ~l =
+let evaluate t ~str ~weights =
   count_full ();
-  combine_raw t ~h ~l
-
-let eval_dtr t ~wh ~wl = combine t ~h:(route_h t wh) ~l:(route_l t wl)
-
-let eval_str_raw t ~w =
-  Weights.validate t.graph w;
-  let w = Array.copy w in
-  let dags = spf_sweep t ~w ~matrices:[ t.th; t.tl ] in
-  let h_loads = Loads.of_matrix t.graph ~dags t.th in
-  let l_loads = Loads.of_matrix t.graph ~dags t.tl in
-  let eval =
-    Evaluate.assemble t.graph ~dags_h:dags ~h_loads ~dags_l:dags ~l_loads
+  let ec =
+    Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights
+      ~matrices:[| t.th; t.tl |]
   in
-  let result = Objective.of_eval t.model eval ~th:t.th () in
-  { wh = w; wl = w; result }
+  materialize t ec ~str ()
 
-let eval_str t ~w =
-  count_full ();
-  eval_str_raw t ~w
+(* Physically equal vectors would form one weight group; a DTR setting
+   keeps two even when the caller passes one array twice. *)
+let eval_dtr t ~wh ~wl =
+  let wl = if wl == wh then Array.copy wl else wl in
+  evaluate t ~str:false ~weights:[| wh; wl |]
+
+let eval_str t ~w = evaluate t ~str:true ~weights:[| w; w |]
 
 let is_str s = s.wh == s.wl
-
-let h_routing_of s =
-  {
-    w = s.wh;
-    dags = s.result.Objective.eval.Evaluate.dags_h;
-    loads = s.result.Objective.eval.Evaluate.h_loads;
-    sla_cache = s.result.Objective.sla;
-  }
-
-let l_routing_of s =
-  {
-    w = s.wl;
-    dags = s.result.Objective.eval.Evaluate.dags_l;
-    loads = s.result.Objective.eval.Evaluate.l_loads;
-    sla_cache = None;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Incremental evaluation.
-
-   A [ctx] wraps an {!Eval_ctx.t} with class 0 = H, class 1 = L (for
-   STR both classes alias one weight vector, so one probe moves both).
-   [eval_delta] evaluates single candidates as probes whenever the
-   objective is reachable incrementally, and falls back to a full
-   evaluation when it is not: under the SLA model a high-priority
-   weight change moves the delay of every H path, so Λ cannot be
-   patched from per-arc Φ deltas — the per-pair delays must be
-   re-walked, which is what the full evaluation does anyway. *)
 
 type cls = [ `H | `L ]
 
 module Vhash = Dtr_util.Vhash
 
 type ctx = {
-  mutable ec : Eval_ctx.t;
+  ec : Eval_ctx.t;
   c_str : bool;
   mutable c_sla : Evaluate.sla option;
-      (* delay/penalty evaluation of the context's CURRENT high-priority
-         routing; invalidated whenever a commit moves W_H *)
+      (* delay/penalty evaluation of the context's current high-priority
+         routing; every commit that moves W_H installs its probe's own *)
   mutable c_version : int;  (* bumps on every commit *)
   mutable c_log : (int * int array) list;
       (* newest-first (version, arcs whose per-arc rows that commit
-         moved); bounded, cleared on full-fallback commits so readers
-         see the gap and fall back to a full recompute *)
+         moved); bounded, so a reader lagging past it recomputes *)
   mutable c_key : int option;
       (* Zobrist base key of the current weight vectors (both classes),
-         shifted per change on probe commits; None until first demanded
-         or after a full-fallback commit *)
+         shifted per change on commits; None until first demanded *)
 }
 
 let ec_of_solution t s =
@@ -312,15 +238,7 @@ let ctx_base_key ctx =
 
 let ctx_base_key_fresh ctx = compute_base_key ctx
 
-let clone_ctx _t ctx =
-  {
-    ec = Eval_ctx.clone ctx.ec;
-    c_str = ctx.c_str;
-    c_sla = ctx.c_sla;
-    c_version = ctx.c_version;
-    c_log = ctx.c_log;
-    c_key = ctx.c_key;
-  }
+let clone_ctx _t ctx = { ctx with ec = Eval_ctx.clone ctx.ec }
 
 let sync_ctx ~src ~dst =
   if src.c_str <> dst.c_str then
@@ -342,16 +260,12 @@ let ctx_sla params t ctx =
       sla
 
 let ctx_solution t ctx =
-  let ev = Eval_ctx.to_evaluate ctx.ec in
-  let wh = Eval_ctx.weights ctx.ec 0 in
-  let wl = if ctx.c_str then wh else Eval_ctx.weights ctx.ec 1 in
-  let result =
+  let sla =
     match t.model with
-    | Objective.Load -> Objective.of_eval t.model ev ~th:t.th ()
-    | Objective.Sla params ->
-        Objective.of_eval t.model ev ~th:t.th ~sla:(ctx_sla params t ctx) ()
+    | Objective.Load -> None
+    | Objective.Sla params -> Some (ctx_sla params t ctx)
   in
-  { wh; wl; result }
+  materialize t ctx.ec ~str:ctx.c_str ?sla ()
 
 let weight_changes base w' =
   if Array.length base <> Array.length w' then
@@ -365,8 +279,9 @@ let weight_changes base w' =
 type delta = {
   d_cls : cls;
   d_changes : (int * int) list;  (* the candidate's (arc, weight) changes *)
-  d_probe : Eval_ctx.probe option;  (* incremental path *)
-  d_full : solution option;  (* fallback path *)
+  d_probe : Eval_ctx.probe;
+  d_sla : Evaluate.sla option;
+      (* the candidate's own Λ costing, when it moves W_H (SLA model) *)
   d_objective : Lexico.t;
   d_phi_h : float;
   d_phi_l : float;
@@ -378,64 +293,36 @@ let delta_phi_h d = d.d_phi_h
 
 let delta_phi_l d = d.d_phi_l
 
-let apply_changes w changes =
-  let w' = Array.copy w in
-  List.iter (fun (a, v) -> w'.(a) <- v) changes;
-  w'
-
 let eval_delta ?(count = true) t ctx ~cls ~changes =
-  let probe_path ~lambda =
-    if count then count_delta ();
-    let klass = match cls with `H -> 0 | `L -> 1 in
-    let p = Eval_ctx.probe ctx.ec ~klass ~changes in
-    let phi = Eval_ctx.probe_phi p in
-    let primary = match lambda with None -> phi.(0) | Some l -> l in
-    {
-      d_cls = cls;
-      d_changes = changes;
-      d_probe = Some p;
-      d_full = None;
-      d_objective = Lexico.make ~primary ~secondary:phi.(1);
-      d_phi_h = phi.(0);
-      d_phi_l = phi.(1);
-    }
-  in
-  let full sol =
-    let ev = sol.result.Objective.eval in
-    {
-      d_cls = cls;
-      d_changes = changes;
-      d_probe = None;
-      d_full = Some sol;
-      d_objective = sol.result.Objective.objective;
-      d_phi_h = ev.Evaluate.phi_h;
-      d_phi_l = ev.Evaluate.phi_l;
-    }
-  in
-  match t.model with
-  | Objective.Load -> probe_path ~lambda:None
-  | Objective.Sla params ->
-      if ctx.c_str then
-        (* Any STR change moves the high-priority routing. *)
-        let w = apply_changes (Eval_ctx.weights ctx.ec 0) changes in
-        full (if count then eval_str t ~w else eval_str_raw t ~w)
-      else if cls = `L then
-        (* W_L cannot affect the H routing, so Λ is the cached value and
-           only the secondary Φ_L needs the probe. *)
-        probe_path ~lambda:(Some (ctx_sla params t ctx).Evaluate.lambda)
-      else
-        (* FindH under SLA: fall back (see the module comment above). *)
-        let wh = apply_changes (Eval_ctx.weights ctx.ec 0) changes in
-        let l =
-          {
-            w = Eval_ctx.weights ctx.ec 1;
-            dags = Eval_ctx.dags ctx.ec 1;
-            loads = Eval_ctx.loads ctx.ec 1;
-            sla_cache = None;
-          }
+  if count then count_delta ();
+  let klass = match cls with `H -> 0 | `L -> 1 in
+  let p = Eval_ctx.probe ctx.ec ~klass ~changes in
+  let phi = Eval_ctx.probe_phi p in
+  let d_sla, primary =
+    match t.model with
+    | Objective.Load -> (None, phi.(0))
+    | Objective.Sla params when ctx.c_str || cls = `H ->
+        (* The candidate moves the H routing, so every H path delay may
+           move: walk the probe's own DAGs under its own Φ_H row. *)
+        let sla =
+          Evaluate.sla_of params t.graph ~th:t.th
+            ~dags_h:(Eval_ctx.probe_dags ctx.ec p 0)
+            ~phi_h_per_arc:(Eval_ctx.probe_phi_row ctx.ec p 0)
         in
-        full
-          ((if count then combine else combine_raw) t ~h:(route_h t wh) ~l)
+        (Some sla, sla.Evaluate.lambda)
+    | Objective.Sla params ->
+        (* W_L cannot affect the H routing: Λ is the context's. *)
+        (None, (ctx_sla params t ctx).Evaluate.lambda)
+  in
+  {
+    d_cls = cls;
+    d_changes = changes;
+    d_probe = p;
+    d_sla;
+    d_objective = Lexico.make ~primary ~secondary:phi.(1);
+    d_phi_h = phi.(0);
+    d_phi_l = phi.(1);
+  }
 
 (* Arc rankings for neighborhood construction, read from the live
    context's rows (shared, replaced-not-mutated on commit) instead of
@@ -500,26 +387,15 @@ let trim_log log =
   take log_bound log
 
 let commit_delta t ctx d =
-  match (d.d_probe, d.d_full) with
-  | Some p, _ ->
-      shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
-      let touched = Array.of_list (Eval_ctx.probe_touched p) in
-      Eval_ctx.commit ctx.ec p;
-      ctx.c_version <- ctx.c_version + 1;
-      ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
-      if ctx.c_str || d.d_cls = `H then ctx.c_sla <- None;
-      ctx_solution t ctx
-  | None, Some sol ->
-      ctx.ec <- ec_of_solution t sol;
-      ctx.c_sla <- sol.result.Objective.sla;
-      ctx.c_version <- ctx.c_version + 1;
-      ctx.c_log <- [];
-      ctx.c_key <- None;
-      sol
-  | None, None -> assert false
+  shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
+  let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
+  Eval_ctx.commit ctx.ec d.d_probe;
+  ctx.c_version <- ctx.c_version + 1;
+  ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
+  (match d.d_sla with Some _ as sla -> ctx.c_sla <- sla | None -> ());
+  ctx_solution t ctx
 
-let abort_delta ctx d =
-  match d.d_probe with Some p -> Eval_ctx.abort ctx.ec p | None -> ()
+let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe
 
 (* ------------------------------------------------------------------ *)
 (* Failure-robust pricing: one single-link sweep against the context's

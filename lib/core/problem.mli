@@ -1,5 +1,7 @@
 (** A weight-optimization problem instance: network, the two traffic
-    matrices, and the objective model. *)
+    matrices, and the objective model — and the one place the searches
+    evaluate weight settings.  Every evaluation, from scratch or
+    incremental, runs on {!Dtr_routing.Eval_ctx}. *)
 
 type t = {
   graph : Dtr_graph.Graph.t;
@@ -35,37 +37,15 @@ type solution = {
 val objective : solution -> Dtr_cost.Lexico.t
 
 val eval_dtr : t -> wh:int array -> wl:int array -> solution
-(** Evaluate a dual setting (the arrays are defensively copied). *)
+(** Evaluate a dual setting from scratch: build an
+    {!Dtr_routing.Eval_ctx} under the problem's [dest_mode] and
+    materialize it, as {!ctx_solution} does (the arrays are
+    defensively copied). *)
 
 val eval_str : t -> w:int array -> solution
 (** Evaluate a single-topology setting ([wh == wl] in the result). *)
 
 val is_str : solution -> bool
-
-type class_routing
-(** One traffic class's routing state (weights, shortest-path DAGs,
-    arc loads) — the reusable half of an evaluation when a search pass
-    mutates only the other class's weights. *)
-
-val route_h : t -> int array -> class_routing
-(** Route the high-priority matrix on the given weights. *)
-
-val route_l : t -> int array -> class_routing
-(** Route the low-priority matrix on the given weights. *)
-
-val routing_weights : class_routing -> int array
-(** The weight vector the routing was computed from (fresh copy). *)
-
-val combine : t -> h:class_routing -> l:class_routing -> solution
-(** Assemble a solution from per-class routings.  Under the SLA model
-    the delay/penalty computation is cached inside the high-priority
-    routing, so re-combining the same [h] with many [l] candidates
-    (FindL) costs only the low-priority Fortz sum. *)
-
-val h_routing_of : solution -> class_routing
-(** Recover the (cached) high-priority routing of a solution. *)
-
-val l_routing_of : solution -> class_routing
 
 (** {2 Incremental evaluation}
 
@@ -83,10 +63,12 @@ val l_routing_of : solution -> class_routing
     Protocol: take any number of probes from the same context state
     (apply/undo — probes never modify the context), then
     {!commit_delta} the winner (advancing the context) or
-    {!abort_delta} the rest.  Under the SLA model a high-priority
-    change re-prices every H path delay, which per-arc deltas cannot
-    express, so those probes transparently fall back to a full
-    evaluation (and committing one resynchronizes the context). *)
+    {!abort_delta} the rest.  Every candidate is a probe.  Under the
+    SLA model a change that moves [W_H] (any STR change, any [`H]
+    change) may move every H path delay, so its probe re-walks the
+    delays over its own H DAGs and Φ_H row
+    ({!Dtr_routing.Evaluate.sla_of}); a [`L] change leaves Λ as the
+    context's. *)
 
 type ctx
 (** Live evaluation state of an incumbent solution. *)
@@ -119,9 +101,8 @@ val ctx_changes_since : ctx -> since:int -> int array option
     moved in the commits after version [since]: [Some [||]] when the
     context is still at [since], [Some arcs] (possibly with
     duplicates across commits) when the bounded commit log covers the
-    whole range, [None] when it does not — a full-fallback commit
-    intervened, or the reader lags more than the log holds — and the
-    caller must recompute from scratch.  Rankings sorted by
+    whole range, [None] when it does not — the reader lags more than
+    the log holds — and the caller must recompute from scratch.  Rankings sorted by
     {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l} can be repaired from exactly
     this set: untouched arcs' cost rows are unchanged, so their
     relative order is preserved. *)
@@ -136,8 +117,7 @@ val ctx_base_key : ctx -> int
 
 val ctx_base_key_fresh : ctx -> int
 (** The same key recomputed from scratch (test/reference oracle for
-    {!ctx_base_key}; also the fallback after full-evaluation
-    commits). *)
+    {!ctx_base_key}; also its first computation). *)
 
 val clone_ctx : t -> ctx -> ctx
 (** A context evaluating identically to [ctx] but owning its mutable
@@ -148,10 +128,9 @@ val clone_ctx : t -> ctx -> ctx
 
 val sync_ctx : src:ctx -> dst:ctx -> unit
 (** Resynchronize a clone with its original by blitting the shared-row
-    spine (no re-evaluation).  Sound even after [src] was rebuilt by a
-    full-evaluation fallback commit: contexts of one problem share
-    shapes, and demand is weight-independent (strong connectivity), so
-    the blit reproduces [src]'s evaluation state exactly.
+    spine (no re-evaluation): commits replace rows and never rebuild
+    the context, so the blit reproduces [src]'s evaluation state
+    exactly.
     @raise Invalid_argument on incompatible contexts. *)
 
 val ctx_arc_cmp_h : t -> ctx -> int -> int -> int
@@ -180,11 +159,11 @@ type delta
 val eval_delta :
   ?count:bool -> t -> ctx -> cls:cls -> changes:(int * int) list -> delta
 (** Evaluate the candidate obtained by applying [changes] to [cls]'s
-    current weight vector.  Counted under {!delta_evaluations} when the
-    incremental path is taken, under {!full_evaluations} otherwise.
-    [~count:false] suppresses both counters: the scan engine uses it to
-    re-derive an already-counted winner against the main context, so
-    reported evaluation counts stay independent of [--scan-jobs]. *)
+    current weight vector, as a probe against the context.  Counted
+    under {!delta_evaluations}; [~count:false] suppresses the count:
+    the scan engine uses it to re-derive an already-counted winner
+    against the main context, so reported evaluation counts stay
+    independent of [--scan-jobs]. *)
 
 val delta_objective : delta -> Dtr_cost.Lexico.t
 
@@ -194,7 +173,9 @@ val delta_phi_h : delta -> float
 val delta_phi_l : delta -> float
 
 val commit_delta : t -> ctx -> delta -> solution
-(** Install a candidate and return it as a full solution.  Only deltas
+(** Install a candidate and return it as a full solution
+    ({!ctx_solution}).  The context advances by one version and logs
+    the arcs the probe touched; it is never rebuilt.  Only deltas
     evaluated against the context's current state may be committed.
     @raise Invalid_argument on a stale delta. *)
 
@@ -242,8 +223,9 @@ val evaluations : unit -> int
     concurrently (e.g. under {!Multistart}). *)
 
 val full_evaluations : unit -> int
-(** The subset of {!evaluations} performed from scratch
-    ({!eval_str}, {!eval_dtr}, {!combine}, and delta fallbacks). *)
+(** The subset of {!evaluations} performed from scratch: the
+    {!eval_str} and {!eval_dtr} calls (a search's start, hand-offs
+    and restarts). *)
 
 val delta_evaluations : unit -> int
 (** The subset of {!evaluations} performed incrementally. *)

@@ -279,6 +279,27 @@ let probe_phi p = Array.copy p.p_phi
 
 let probe_touched p = p.p_touched
 
+(* Probe views for costing a candidate beyond Φ (the SLA delay walk):
+   the probe holds rows only for what it moved, the context supplies
+   the rest — so both views are only meaningful while the probe is
+   current. *)
+let check_probe t p name k =
+  if k < 0 || k >= class_count t then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name);
+  if p.generation <> t.generation then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name)
+
+let probe_dags t p k =
+  check_probe t p "probe_dags" k;
+  let gi = t.class_group.(k) in
+  if gi = p.group then p.p_dags else t.group_dags.(gi)
+
+let probe_phi_row t p k =
+  check_probe t p "probe_phi_row" k;
+  match List.assoc_opt k p.p_phi_rows with
+  | Some row -> row
+  | None -> t.phi_per_arc.(k)
+
 (* Shared patch tail of {!probe} and {!fail_probe}: given re-projected
    per-destination contributions (tagged by class) and the arcs whose
    contribution moved, rebuild the affected load totals, the residual-

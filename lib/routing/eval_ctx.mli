@@ -87,6 +87,19 @@ val probe_touched : probe -> int list
     is what lets callers repair sorted-by-cost arc rankings
     incrementally instead of re-sorting all arcs. *)
 
+val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
+(** A class's per-destination DAGs as the probe would leave them (the
+    probe's own for the probed weight group, the context's otherwise;
+    treat as immutable).  With {!probe_phi_row}, this is what the SLA
+    delay walk ({!Evaluate.sla_of}) needs to price a candidate that
+    moves the high-priority routing, mirroring {!failure_dags}.
+    @raise Invalid_argument on a class out of range or a stale probe. *)
+
+val probe_phi_row : t -> probe -> int -> float array
+(** A class's per-arc Fortz costs as the probe would leave them
+    (shared; treat as immutable), mirroring {!failure_phi_row}.
+    @raise Invalid_argument on a class out of range or a stale probe. *)
+
 val commit : t -> probe -> unit
 (** Install a probe.  Only probes taken from the current state may be
     committed; committing advances the state.

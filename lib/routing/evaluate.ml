@@ -79,10 +79,10 @@ type sla = {
   worst_delay : float;
 }
 
-let evaluate_sla params t ~th =
-  let arc_delay = Delay.arc_delays params t.graph ~phi_h_per_arc:t.phi_h_per_arc in
+let sla_of params g ~th ~dags_h ~phi_h_per_arc =
+  let arc_delay = Delay.arc_delays params g ~phi_h_per_arc in
   let pairs = List.map (fun (s, d, _) -> (s, d)) (Matrix.pairs th) in
-  let raw = Delay.pair_delays t.graph ~dags:t.dags_h ~arc_delay ~pairs in
+  let raw = Delay.pair_delays g ~dags:dags_h ~arc_delay ~pairs in
   (* Encode a severed pair as an infinite delay: the penalty (and so
      Λ) becomes infinite — any routing that reconnects the pair
      compares strictly better — without aborting the sweep. *)
@@ -112,3 +112,6 @@ let evaluate_sla params t ~th =
     unreachable = !unreachable;
     worst_delay = !worst;
   }
+
+let evaluate_sla params t ~th =
+  sla_of params t.graph ~th ~dags_h:t.dags_h ~phi_h_per_arc:t.phi_h_per_arc

@@ -71,3 +71,17 @@ val evaluate_sla : Dtr_cost.Sla.params -> t -> th:Dtr_traffic.Matrix.t -> sla
     disconnected pair does not raise: it contributes an infinite
     penalty (so any reconnecting routing compares strictly better) and
     is counted in [unreachable]. *)
+
+val sla_of :
+  Dtr_cost.Sla.params ->
+  Dtr_graph.Graph.t ->
+  th:Dtr_traffic.Matrix.t ->
+  dags_h:Dtr_graph.Spf.dag array ->
+  phi_h_per_arc:float array ->
+  sla
+(** {!evaluate_sla} from the high-priority routing alone: per-arc
+    delays from the [Φ_{H,l}] row (Eq. 3), expected pair delays walked
+    over [dags_h], and the Λ fold (Eq. 4).  The one SLA costing of
+    every evaluation path — full evaluations, incremental probes
+    ({!Eval_ctx.probe_dags}, {!Eval_ctx.probe_phi_row}) and failure
+    probes — so all three price Λ bitwise alike. *)

@@ -1,9 +1,7 @@
 module Graph = Dtr_graph.Graph
-module Spf = Dtr_graph.Spf
 module Dijkstra = Dtr_graph.Dijkstra
 module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
-module Sla = Dtr_cost.Sla
 module Pool = Dtr_util.Pool
 module Metrics = Dtr_util.Metrics
 
@@ -24,25 +22,6 @@ type outcome = { cost : Lexico.t; unreachable_pairs : int }
 
 let is_finite o = o.unreachable_pairs = 0
 
-(* Λ of the post-failure high-priority routing, mirroring
-   Evaluate.evaluate_sla term for term: same pair list, same penalty
-   fold order, and arc delays computed from the patched Φ_H row —
-   failed arcs keep a (cheap, unread) delay entry that no surviving
-   DAG walks. *)
-let sla_lambda params g ~th ~dags_h ~phi_h_per_arc =
-  let arc_delay = Delay.arc_delays params g ~phi_h_per_arc in
-  let pairs = List.map (fun (s, d, _) -> (s, d)) (Matrix.pairs th) in
-  let raw = Delay.pair_delays g ~dags:dags_h ~arc_delay ~pairs in
-  List.fold_left
-    (fun lambda (_, _, pd) ->
-      let d =
-        match pd with
-        | Delay.Reachable x -> x
-        | Delay.Unreachable -> Float.infinity
-      in
-      lambda +. Sla.penalty params ~delay:d)
-    0. raw
-
 let price ~model ~th ctx f =
   let unreachable_pairs = Eval_ctx.failure_unreachable f in
   if unreachable_pairs > 0 then begin
@@ -55,12 +34,14 @@ let price ~model ~th ctx f =
       match model with
       | Objective.Load -> Lexico.make ~primary:phi.(0) ~secondary:phi.(1)
       | Objective.Sla params ->
-          let lambda =
-            sla_lambda params (Eval_ctx.graph ctx) ~th
+          (* Failed arcs keep a (cheap, unread) delay entry that no
+             surviving DAG walks. *)
+          let sla =
+            Evaluate.sla_of params (Eval_ctx.graph ctx) ~th
               ~dags_h:(Eval_ctx.failure_dags ctx f 0)
               ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
           in
-          Lexico.make ~primary:lambda ~secondary:phi.(1)
+          Lexico.make ~primary:sla.Evaluate.lambda ~secondary:phi.(1)
     in
     { cost; unreachable_pairs = 0 }
   end

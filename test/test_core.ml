@@ -1,7 +1,6 @@
 (* Tests for Dtr_core: the search configuration, the Algorithm-2
-   neighborhood, the problem wrapper with per-class routing caches, and
-   the DTR/STR searches themselves (on small instances with small
-   budgets). *)
+   neighborhood, the problem wrapper, and the DTR/STR searches
+   themselves (on small instances with small budgets). *)
 
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
@@ -190,31 +189,6 @@ let test_problem_defensive_copies () =
   w.(0) <- 1;
   Alcotest.(check int) "solution unaffected" 15 s.Problem.wh.(0)
 
-let test_problem_combine_matches_eval () =
-  let p = ring_problem () in
-  let wh = Weights.uniform p.Problem.graph 12 in
-  let wl = Weights.uniform p.Problem.graph 20 in
-  let direct = Problem.eval_dtr p ~wh ~wl in
-  let combined =
-    Problem.combine p ~h:(Problem.route_h p wh) ~l:(Problem.route_l p wl)
-  in
-  checkf "same objective primary" (Problem.objective direct).Lexico.primary
-    (Problem.objective combined).Lexico.primary;
-  checkf "same objective secondary" (Problem.objective direct).Lexico.secondary
-    (Problem.objective combined).Lexico.secondary
-
-let test_problem_sla_cache () =
-  let p = ring_problem ~model:(Objective.Sla Dtr_cost.Sla.default) () in
-  let wh = Weights.uniform p.Problem.graph 12 in
-  let h = Problem.route_h p wh in
-  let l1 = Problem.route_l p (Weights.uniform p.Problem.graph 10) in
-  let l2 = Problem.route_l p (Weights.uniform p.Problem.graph 20) in
-  let s1 = Problem.combine p ~h ~l:l1 in
-  let s2 = Problem.combine p ~h ~l:l2 in
-  match (s1.Problem.result.Objective.sla, s2.Problem.result.Objective.sla) with
-  | Some a, Some b -> Alcotest.(check bool) "cache shared" true (a == b)
-  | _ -> Alcotest.fail "expected sla results"
-
 let test_problem_evaluation_counter () =
   let p = ring_problem () in
   Problem.reset_evaluations ();
@@ -222,12 +196,6 @@ let test_problem_evaluation_counter () =
   ignore (Problem.eval_str p ~w);
   ignore (Problem.eval_str p ~w);
   Alcotest.(check int) "two evaluations" 2 (Problem.evaluations ())
-
-let test_problem_routing_weights_copy () =
-  let p = ring_problem () in
-  let w = Weights.uniform p.Problem.graph 9 in
-  let r = Problem.route_h p w in
-  Alcotest.(check (array int)) "weights preserved" w (Problem.routing_weights r)
 
 (* ------------------------------------------------------------------ *)
 (* Dtr_search / Str_search *)
@@ -657,13 +625,8 @@ let () =
             test_problem_eval_dtr_distinct;
           Alcotest.test_case "defensive copies" `Quick
             test_problem_defensive_copies;
-          Alcotest.test_case "combine matches eval" `Quick
-            test_problem_combine_matches_eval;
-          Alcotest.test_case "sla cache shared" `Quick test_problem_sla_cache;
           Alcotest.test_case "evaluation counter" `Quick
             test_problem_evaluation_counter;
-          Alcotest.test_case "routing weights copy" `Quick
-            test_problem_routing_weights_copy;
         ] );
       ( "search",
         [

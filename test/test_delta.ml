@@ -1,9 +1,8 @@
 (* Property tests for the incremental evaluation engine: Spf_delta
    against from-scratch SPF, Eval_ctx probes/commits/aborts against
-   from-scratch Multi/Evaluate, and the Problem-level ctx API against
-   eval_str/eval_dtr — on random topologies under random single-weight
-   change sequences, to 1e-12 (the engine is in fact built to be
-   bitwise-identical). *)
+   from-scratch Multi/Evaluate, and the Problem-level API (full
+   evaluations, probes, commits) against Objective.evaluate — on random
+   topologies under random weight-change sequences, bitwise. *)
 
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
@@ -318,12 +317,49 @@ let test_eval_ctx_three_classes () =
     eval_ctx_three_classes
 
 (* ------------------------------------------------------------------ *)
-(* Problem-level delta API vs eval_str / eval_dtr *)
+(* Problem-level API vs a from-scratch reference
+
+   Problem evaluates everything on Eval_ctx, so the reference is
+   Objective.evaluate: Evaluate.evaluate's SPF sweeps and load
+   projection, and the SLA costing on top — none of the context's
+   delta screening, re-projection or row patching. *)
 
 let check_lex ~what a b =
   if Lexico.compare a b <> 0 then
     Alcotest.failf "%s: ⟨%.17g, %.17g⟩ vs ⟨%.17g, %.17g⟩" what
       a.Lexico.primary a.Lexico.secondary b.Lexico.primary b.Lexico.secondary
+
+let reference problem ~wh ~wl =
+  (Objective.evaluate problem.Problem.model problem.Problem.graph ~wh ~wl
+     ~th:problem.Problem.th ~tl:problem.Problem.tl)
+    .Objective.objective
+
+(* One to three changes on distinct arcs, each to a value the arc does
+   not hold. *)
+let random_changes rng w =
+  let rec go acc k =
+    if k = 0 then acc
+    else
+      let arc, v = random_change rng w in
+      if List.mem_assoc arc acc then go acc k else go ((arc, v) :: acc) (k - 1)
+  in
+  go [] (Prng.int_incl rng 1 3)
+
+let apply w changes =
+  let w' = Array.copy w in
+  List.iter (fun (a, v) -> w'.(a) <- v) changes;
+  w'
+
+(* A commit leaves the context's bookkeeping readable incrementally:
+   the commit log covers it, and the shifted memo base key equals the
+   rehash. *)
+let check_commit_bookkeeping ~what ctx ~since =
+  (match Problem.ctx_changes_since ctx ~since with
+  | Some _ -> ()
+  | None -> Alcotest.failf "%s: commit log lost the commit" what);
+  Alcotest.(check int)
+    (what ^ ": base key") (Problem.ctx_base_key_fresh ctx)
+    (Problem.ctx_base_key ctx)
 
 let problem_delta_matches seed =
   let g = random_graph seed in
@@ -332,56 +368,62 @@ let problem_delta_matches seed =
   List.iter
     (fun model ->
       let problem = Problem.create ~graph:g ~th ~tl ~model in
-      (* STR context. *)
+      (* STR context: every change moves both classes. *)
       let w0 = Weights.random rng g in
       let sol = ref (Problem.eval_str problem ~w:w0) in
+      check_lex ~what:"eval_str" (Problem.objective !sol)
+        (reference problem ~wh:w0 ~wl:w0);
       let ctx = Problem.ctx_of_solution problem !sol in
+      ignore (Problem.ctx_base_key ctx);
       for _ = 1 to 3 do
-        let w = !sol.Problem.wh in
-        let arc, v = random_change rng w in
-        let d = Problem.eval_delta problem ctx ~cls:`H ~changes:[ (arc, v) ] in
-        let w' = Array.copy w in
-        w'.(arc) <- v;
-        let scratch = Problem.eval_str problem ~w:w' in
+        let changes = random_changes rng !sol.Problem.wh in
+        let w' = apply !sol.Problem.wh changes in
+        let expected = reference problem ~wh:w' ~wl:w' in
+        let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
         check_lex ~what:"STR probe objective" (Problem.delta_objective d)
-          (Problem.objective scratch);
+          expected;
         (* Reject path: context still evaluates the base exactly. *)
         Problem.abort_delta ctx d;
-        let again = Problem.eval_delta problem ctx ~cls:`H ~changes:[ (arc, v) ] in
+        let again = Problem.eval_delta problem ctx ~cls:`H ~changes in
         check_lex ~what:"STR probe after abort" (Problem.delta_objective again)
-          (Problem.objective scratch);
+          expected;
+        let since = Problem.ctx_version ctx in
         let committed = Problem.commit_delta problem ctx again in
         check_lex ~what:"STR committed objective" (Problem.objective committed)
-          (Problem.objective scratch);
+          expected;
         Alcotest.(check bool) "committed solution is STR" true
           (Problem.is_str committed);
+        check_commit_bookkeeping ~what:"STR commit" ctx ~since;
         sol := committed
       done;
-      (* DTR context, both classes. *)
+      (* DTR context: a run of interleaved H and L commits. *)
       let wh0 = Weights.random rng g and wl0 = Weights.random rng g in
       let sol = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
+      check_lex ~what:"eval_dtr" (Problem.objective !sol)
+        (reference problem ~wh:wh0 ~wl:wl0);
       let ctx = Problem.ctx_of_solution problem !sol in
-      List.iter
-        (fun cls ->
-          let base =
-            match cls with `H -> !sol.Problem.wh | `L -> !sol.Problem.wl
-          in
-          let arc, v = random_change rng base in
-          let d = Problem.eval_delta problem ctx ~cls ~changes:[ (arc, v) ] in
-          let w' = Array.copy base in
-          w'.(arc) <- v;
-          let scratch =
-            match cls with
-            | `H -> Problem.eval_dtr problem ~wh:w' ~wl:!sol.Problem.wl
-            | `L -> Problem.eval_dtr problem ~wh:!sol.Problem.wh ~wl:w'
-          in
-          check_lex ~what:"DTR probe objective" (Problem.delta_objective d)
-            (Problem.objective scratch);
-          let committed = Problem.commit_delta problem ctx d in
-          check_lex ~what:"DTR committed objective"
-            (Problem.objective committed) (Problem.objective scratch);
-          sol := committed)
-        [ `H; `L ])
+      ignore (Problem.ctx_base_key ctx);
+      for _ = 1 to 6 do
+        let cls = if Prng.bool rng then `H else `L in
+        let wh = !sol.Problem.wh and wl = !sol.Problem.wl in
+        let changes =
+          random_changes rng (match cls with `H -> wh | `L -> wl)
+        in
+        let expected =
+          match cls with
+          | `H -> reference problem ~wh:(apply wh changes) ~wl
+          | `L -> reference problem ~wh ~wl:(apply wl changes)
+        in
+        let d = Problem.eval_delta problem ctx ~cls ~changes in
+        check_lex ~what:"DTR probe objective" (Problem.delta_objective d)
+          expected;
+        let since = Problem.ctx_version ctx in
+        let committed = Problem.commit_delta problem ctx d in
+        check_lex ~what:"DTR committed objective" (Problem.objective committed)
+          expected;
+        check_commit_bookkeeping ~what:"DTR commit" ctx ~since;
+        sol := committed
+      done)
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
   true
 

@@ -499,8 +499,8 @@ let test_anneal_one_eval_per_move () =
     Anneal_search.run ~schedule:light_schedule (Prng.create 21) tiny_config p
   in
   let spent = Problem.evaluations () - eval0 in
-  (* 1 initial eval_dtr + 1 recombination between phases + exactly one
-     combine per proposed move: with the incumbent's energy cached,
+  (* 1 initial eval_dtr + 1 re-evaluation between phases + exactly one
+     probe per proposed move: with the incumbent's energy cached,
      nothing else evaluates. *)
   let temps = phase_temps light_schedule in
   let expected =
