@@ -117,25 +117,24 @@ let make spec =
   in
   { graph; th; tl; spec }
 
+(* Large presets route only toward destinations that sink demand:
+   DAGs for the ~30-100 PoP destinations instead of all 1k-10k nodes,
+   with the same loads, since inactive destinations carry no demand.
+   Every matrix evaluated on an instance is covered because both
+   classes came from the same PoP set. *)
+let dest_mode inst =
+  match inst.spec.topology with
+  | Large _ -> Eval_ctx.Demand
+  | _ -> Eval_ctx.All
+
 let reference_avg_utilization inst =
   let mid = (Weights.min_weight + Weights.max_weight) / 2 in
   let w = Array.make (Graph.arc_count inst.graph) mid in
-  match inst.spec.topology with
-  | Large _ ->
-      (* Demand-only context: DAGs for the ~30-100 PoP destinations
-         instead of all 1k-10k nodes — same utilizations, since
-         inactive destinations carry no demand. *)
-      let ctx =
-        Eval_ctx.create ~dest_mode:Eval_ctx.Demand inst.graph
-          ~weights:[| w; w |]
-          ~matrices:[| inst.th; inst.tl |]
-      in
-      Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
-  | _ ->
-      let eval =
-        Evaluate.evaluate inst.graph ~wh:w ~wl:w ~th:inst.th ~tl:inst.tl
-      in
-      Evaluate.avg_utilization eval
+  let ctx =
+    Eval_ctx.create ~dest_mode:(dest_mode inst) inst.graph ~weights:[| w; w |]
+      ~matrices:[| inst.th; inst.tl |]
+  in
+  Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
 
 let scale_to_utilization inst ~target =
   if target <= 0. then invalid_arg "Scenario.scale_to_utilization: bad target";
@@ -148,11 +147,7 @@ let scale_to_utilization inst ~target =
   }
 
 let problem inst ~model =
-  let p = Dtr_core.Problem.create ~graph:inst.graph ~th:inst.th ~tl:inst.tl ~model in
-  match inst.spec.topology with
-  | Large _ ->
-      (* Searches on the large tier route only toward destinations
-         that sink demand; every matrix the problem evaluates is
-         covered because both classes came from the same PoP set. *)
-      { p with Dtr_core.Problem.dest_mode = Dtr_routing.Eval_ctx.Demand }
-  | _ -> p
+  {
+    (Dtr_core.Problem.create ~graph:inst.graph ~th:inst.th ~tl:inst.tl ~model) with
+    Dtr_core.Problem.dest_mode = dest_mode inst;
+  }
