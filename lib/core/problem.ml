@@ -127,8 +127,8 @@ let reset_evaluations () =
 
 (* A context's current state as a solution.  O(arcs): the solution
    snapshots the context's arrays, which later commits replace rather
-   than mutate.  [sla], when given, is the state's Λ costing. *)
-let materialize t ec ~str ?sla () =
+   than mutate.  [sla] is the state's Λ costing when already known. *)
+let materialize t ec ~str ~sla =
   let wh = Eval_ctx.weights ec 0 in
   let wl = if str then wh else Eval_ctx.weights ec 1 in
   let ev = Eval_ctx.to_evaluate ec in
@@ -140,7 +140,7 @@ let evaluate t ~str ~weights =
     Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights
       ~matrices:[| t.th; t.tl |]
   in
-  materialize t ec ~str ()
+  materialize t ec ~str ~sla:None
 
 (* Physically equal vectors would form one weight group; a DTR setting
    keeps two even when the caller passes one array twice. *)
@@ -265,7 +265,7 @@ let ctx_solution t ctx =
     | Objective.Load -> None
     | Objective.Sla params -> Some (ctx_sla params t ctx)
   in
-  materialize t ctx.ec ~str:ctx.c_str ?sla ()
+  materialize t ctx.ec ~str:ctx.c_str ~sla
 
 let weight_changes base w' =
   if Array.length base <> Array.length w' then
