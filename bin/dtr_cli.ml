@@ -363,6 +363,28 @@ let topo_cmd =
 (* ------------------------------------------------------------------ *)
 (* optimize                                                           *)
 
+(* --metrics FILE, shared by both optimize paths: enable the registry
+   before [run], then write the Prometheus text, its JSON mirror and
+   the manifest [run] returns as a sidecar. *)
+let with_metrics metrics_file run =
+  let module Metrics = Dtr_util.Metrics in
+  if metrics_file <> None then begin
+    Metrics.set_enabled true;
+    Metrics.reset ()
+  end;
+  let manifest = run () in
+  match metrics_file with
+  | None -> ()
+  | Some path ->
+      let put p s =
+        let oc = open_out p in
+        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
+      in
+      put path (Metrics.to_prometheus ());
+      put (path ^ ".json") (Metrics.to_json ());
+      Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
+      Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path
+
 (* Large-preset path: one STR + DTR search-bench run on the 1k-10k
    tier.  Outcome lines (objectives, improvements, evaluations, memo
    counters) go to stdout — deterministic in (preset, seed, config)
@@ -414,15 +436,16 @@ let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
       ~progress:(fun s -> Printf.eprintf "%s\n%!" s)
       ~trace ~model p
   in
+  let manifest =
+    Dtr_core.Manifest.to_json ~seed ~restarts
+      ~model:(Objective.model_name model)
+      ~topology:p.Dtr_topology.Large.name ~config:cfg ()
+  in
   (match trace_file with
   | None -> ()
   | Some path ->
       Option.iter close_out trace_oc;
-      Dtr_core.Manifest.write
-        ~path:(path ^ ".manifest.json")
-        (Dtr_core.Manifest.to_json ~seed ~restarts
-           ~model:(Objective.model_name model)
-           ~topology:p.Dtr_topology.Large.name ~config:cfg ());
+      Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
       Printf.printf "trace written to %s\n" path);
   List.iter
     (fun (r : Search_bench.row) ->
@@ -438,12 +461,14 @@ let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
         r.Search_bench.memo_hits r.Search_bench.memo_misses)
     rows;
   Printf.eprintf "%s%!"
-    (Dtr_util.Table.to_string (Search_bench.table rows))
+    (Dtr_util.Table.to_string (Search_bench.table rows));
+  manifest
 
 let optimize_cmd =
   let run topology model fraction density util preset seed restarts jobs
       scan_jobs robust alpha top_k time_budget search_iters init_weights
       save_weights trace_file trace_no_time metrics_file trace_sample =
+    with_metrics metrics_file @@ fun () ->
     match preset with
     | `Large p ->
         optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
@@ -451,7 +476,6 @@ let optimize_cmd =
           ~init_weights ~save_weights ~trace_file ~trace_no_time ~trace_sample
     | `Budget preset ->
     let module Trace = Dtr_core.Trace in
-    let module Metrics = Dtr_util.Metrics in
     let preset = with_scan_jobs preset scan_jobs in
     let preset = with_robust preset robust ~alpha ~top_k in
     let preset = with_trace_sample preset trace_sample in
@@ -465,37 +489,14 @@ let optimize_cmd =
     if restarts > 1 && (w0 <> None || stop <> None) then
       failwith "--init-weights/--time-budget require --restarts 1";
     ignore search_iters;
-    if metrics_file <> None then begin
-      Metrics.set_enabled true;
-      Metrics.reset ()
-    end;
     let spec = make_spec topology fraction density seed in
     let inst = Scenario.make spec in
     (* One provenance record shared by every artifact of this run. *)
-    let manifest () =
+    let manifest =
       Dtr_core.Manifest.to_json ~seed ~jobs ~restarts
         ~model:(Objective.model_name model)
         ~topology:(Scenario.topology_name topology)
         ~config:preset ~graph:inst.Scenario.graph ()
-    in
-    let write_artifacts () =
-      (match metrics_file with
-      | None -> ()
-      | Some path ->
-          let put p s =
-            let oc = open_out p in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc s)
-          in
-          put path (Metrics.to_prometheus ());
-          put (path ^ ".json") (Metrics.to_json ());
-          Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ());
-          Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path);
-      match trace_file with
-      | None -> ()
-      | Some path ->
-          Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") (manifest ())
     in
     Printf.printf "scenario: %s topology, %s cost, f=%.0f%%, k=%.0f%%, target util %.2f\n%!"
       (Scenario.topology_name topology)
@@ -527,6 +528,7 @@ let optimize_cmd =
       | None -> ()
       | Some path ->
           Option.iter close_out trace_oc;
+          Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
           let curve name evs =
             let c = Trace.convergence evs in
             print_endline
@@ -597,8 +599,7 @@ let optimize_cmd =
           (List.filter (fun (e : Trace.event) -> e.Trace.restart = 0) evs)
         ~dtr_evs:
           (List.filter (fun (e : Trace.event) -> e.Trace.restart = 1) evs);
-      save_dtr point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best;
-      write_artifacts ()
+      save_dtr point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best
     end
     else begin
       (* Multi-start: same PRNG derivation as Compare.run_point, with
@@ -656,9 +657,9 @@ let optimize_cmd =
            ~den:dtr.Multistart.objective.Lexico.secondary);
       print_convergence ~str_evs:(Trace.events str_ring)
         ~dtr_evs:(Trace.events dtr_ring);
-      save_dtr dtr.Multistart.best;
-      write_artifacts ()
-    end
+      save_dtr dtr.Multistart.best
+    end;
+    manifest
   in
   let restarts_arg =
     Arg.(
