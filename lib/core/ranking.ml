@@ -15,7 +15,8 @@
    tiebreak), so the sorted permutation is unique — any procedure that
    produces *a* sorted array produces *the* sorted array.  Untouched
    arcs' cost rows are unchanged (commits patch per-arc quantities only
-   at touched indices and replace rows rather than mutate them), so
+   at touched indices and replace rows rather than mutate them; an SLA
+   arc delay is a function of its own arc's Φ_H entry alone), so
    their relative order under the new comparator equals their cached
    order and the stable partition of the cached array is a sorted run;
    the re-sorted touched arcs form the other; merging two sorted runs

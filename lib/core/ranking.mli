@@ -10,9 +10,9 @@
     and merges them back in O(m).
 
     A cache is valid for one context (physical identity) and falls
-    back to a full sort whenever the context was rebuilt by a
-    full-evaluation commit, the reader lags past the context's bounded
-    commit log, or the context changed identity.  Callers must treat
+    back to a full sort whenever the reader lags past the context's
+    bounded commit log or the context changed identity (a search
+    starts a new context after every full evaluation).  Callers must treat
     the returned array as read-only; it stays valid until the next
     [arcs] call on the same cache. *)
 
