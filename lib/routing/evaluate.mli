@@ -36,10 +36,8 @@ val assemble :
   dags_l:Dtr_graph.Spf.dag array ->
   l_loads:float array ->
   t
-(** Build the evaluation from precomputed per-class routings; lets a
-    local-search pass that mutates only one class reuse the other
-    class's shortest-path DAGs and loads.  The load arrays are not
-    copied. *)
+(** Build the evaluation from precomputed per-class routings (the
+    costing half of {!evaluate}).  The load arrays are not copied. *)
 
 val utilization : t -> float array
 (** Per-arc [(H_l + L_l) / C_l]. *)
