@@ -1,25 +1,30 @@
 (** Incremental shortest-path recomputation after arc-weight changes.
 
-    Local search probes thousands of single-weight changes per
+    Local search probes thousands of one- and two-weight changes per
     iteration; rebuilding all [N] destination DAGs
     ({!Spf.all_destinations}) for each probe wastes almost all of that
     work, because a change to arc [(u, v)] can only affect destinations
-    whose distance labels actually move.  {!update} screens every
-    destination in O(1) against the previous labels and then either
+    whose labels or next hops actually move.  {!update} screens every
+    destination in O(1) per change against the previous labels, keeps
+    each clean destination's dag (physically shared), and repairs every
+    other one under the whole change batch at once (Ramalingam–Reps):
 
-    - keeps the previous dag (physically shared) when provably
-      unaffected,
-    - patches only node [u]'s ECMP next-hop set when distances are
-      provably unchanged (a weight drop landing exactly on the current
-      shortest distance, or a raise of one of several tight arcs), or
-    - reruns a single-destination Dijkstra (with buffers reused from
-      the {!workspace}) when distances may move.
+    - mark the nodes whose every old shortest path uses a raised or
+      suppressed arc;
+    - re-settle only those nodes and the ones a dropped arc improves,
+      with a bucket-queue Dijkstra seeded from the unaffected frontier
+      that skips suppressed arcs;
+    - recompute next-hop sets only at nodes whose label moved, their
+      in-neighbours over arcs that were or became tight, and the tails
+      of changed arcs, sharing every other set;
+    - merge the moved nodes into the previous traversal order, sharing
+      the order and the labels when no label moves.
 
     Results are structurally identical to a from-scratch
-    {!Spf.all_destinations} under the new weights: distance labels are
-    the unique shortest distances, and next-hop sets and traversal
-    orders are built by the very same {!Spf.of_dist} /
-    {!Spf.node_next_arcs} code. *)
+    {!Spf.all_destinations} under the new weights, for any batch:
+    labels are the unique shortest distances, next-hop sets come from
+    the same {!Spf.node_next_arcs}, and the order is the same
+    (distance desc, id asc) permutation. *)
 
 type change = {
   arc : int;  (** arc id whose weight changed *)
@@ -29,8 +34,8 @@ type change = {
 
 type workspace = Dijkstra.workspace
 (** Reusable scratch arena (settled set, bucket queue) for the
-    per-destination Dijkstra reruns; shared with {!Dijkstra}'s own
-    sweeps so one arena serves both full and delta evaluation. *)
+    repairs; shared with {!Dijkstra}'s own sweeps so one arena serves
+    both full and delta evaluation. *)
 
 val workspace : unit -> workspace
 
@@ -49,7 +54,9 @@ val update :
     [prev]; [prev] itself is never mutated (with no effective change
     it is returned as-is).  [weights] must be the full new weight
     vector and [changes] the arcs on which it differs from the vector
-    [prev] was computed with.  [?active] restricts the screen to the
+    [prev] was computed with; a change may fail an arc
+    ([after = Dijkstra.suppressed]) or restore one ([before]
+    suppressed).  [?active] restricts the screen to the
     flagged destinations (for demand-only contexts whose [prev] holds
     placeholder dags elsewhere); inactive destinations always keep
     their previous dag and are never reported dirty.

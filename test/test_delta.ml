@@ -8,6 +8,8 @@ module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
 module Spf_delta = Dtr_graph.Spf_delta
+module Dijkstra = Dtr_graph.Dijkstra
+module Metrics = Dtr_util.Metrics
 module Matrix = Dtr_traffic.Matrix
 module Gravity = Dtr_traffic.Gravity
 module Highpri = Dtr_traffic.Highpri
@@ -84,6 +86,65 @@ let check_dag_equal ~what expected actual =
 (* ------------------------------------------------------------------ *)
 (* Spf_delta vs from-scratch SPF *)
 
+let dag_equal a b =
+  a.Spf.dst = b.Spf.dst && a.Spf.dist = b.Spf.dist
+  && a.Spf.order_desc = b.Spf.order_desc
+  && a.Spf.next_arcs = b.Spf.next_arcs
+
+(* Apply the batch [edits] (arc, new weight; distinct arcs) to [w] in
+   place, push it through [Spf_delta.update] from [prev] and check the
+   result: every active dag equals the from-scratch one, its distances
+   equal Bellman-Ford's (which shares no kernel with either), the dirty
+   list is ascending and names exactly the destinations whose dag
+   differs from [prev], and every other dag is [prev]'s, shared. *)
+let check_batch ?active ~what ~ws g w prev edits =
+  let changes =
+    List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits
+  in
+  List.iter (fun (arc, v) -> w.(arc) <- v) edits;
+  let next, dirty = Spf_delta.update ~ws ?active g ~weights:w ~prev ~changes in
+  let scratch =
+    match active with
+    | None -> Spf.all_destinations g ~weights:w
+    | Some a -> Spf.for_destinations g ~weights:w ~active:a
+  in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  if not (ascending dirty) then Alcotest.failf "%s: dirty list not ascending" what;
+  Array.iteri
+    (fun t expected ->
+      let what = Printf.sprintf "%s dst %d" what t in
+      let is_active = match active with None -> true | Some a -> a.(t) in
+      if is_active then begin
+        check_dag_equal ~what expected next.(t);
+        Alcotest.(check (array int))
+          (what ^ ": bellman-ford")
+          (Dijkstra.bellman_ford_to g ~weights:w ~dst:t)
+          next.(t).Spf.dist
+      end;
+      let differs = is_active && not (dag_equal prev.(t) expected) in
+      if List.mem t dirty <> differs then
+        Alcotest.failf "%s: dirty=%b but dag differs=%b" what (List.mem t dirty)
+          differs;
+      if (not differs) && next.(t) != prev.(t) then
+        Alcotest.failf "%s: clean dag not shared" what)
+    scratch;
+  next
+
+(* [k] distinct random arcs with random new weights in the OSPF range:
+   raises and drops mix freely. *)
+let random_batch rng w k =
+  let rec go acc =
+    if List.length acc = k then acc
+    else begin
+      let arc, v = random_change rng w in
+      if List.mem_assoc arc acc then go acc else go ((arc, v) :: acc)
+    end
+  in
+  go []
+
 let spf_delta_matches_scratch seed =
   let g = random_graph seed in
   let rng = Prng.create (seed * 7 + 1) in
@@ -91,29 +152,9 @@ let spf_delta_matches_scratch seed =
   let dags = ref (Spf.all_destinations g ~weights:w) in
   let ws = Spf_delta.workspace () in
   for step = 1 to 8 do
-    let arc, v = random_change rng w in
-    let before = w.(arc) in
-    w.(arc) <- v;
-    let next, dirty =
-      Spf_delta.update ~ws g ~weights:w ~prev:!dags
-        ~changes:[ { Spf_delta.arc; before; after = v } ]
-    in
-    let scratch = Spf.all_destinations g ~weights:w in
-    Array.iteri
-      (fun t expected ->
-        check_dag_equal ~what:(Printf.sprintf "seed %d step %d dst %d" seed step t)
-          expected next.(t))
-      scratch;
-    (* Non-dirty destinations must be the previous dags, shared. *)
-    Array.iteri
-      (fun t dag ->
-        if not (List.mem t dirty) then
-          Alcotest.(check bool)
-            (Printf.sprintf "clean dst %d shared" t)
-            true
-            (dag == !dags.(t)))
-      next;
-    dags := next
+    dags :=
+      check_batch ~what:(Printf.sprintf "seed %d step %d" seed step) ~ws g w !dags
+        [ random_change rng w ]
   done;
   true
 
@@ -141,29 +182,200 @@ let spf_delta_two_changes seed =
     done;
     !v
   in
-  let b1 = w.(a1) and b2 = w.(a2) in
-  w.(a1) <- v1;
-  w.(a2) <- v2;
-  let next, _dirty =
-    Spf_delta.update g ~weights:w ~prev:dags
-      ~changes:
-        [
-          { Spf_delta.arc = a1; before = b1; after = v1 };
-          { Spf_delta.arc = a2; before = b2; after = v2 };
-        ]
-  in
-  let scratch = Spf.all_destinations g ~weights:w in
-  Array.iteri
-    (fun t expected ->
-      check_dag_equal ~what:(Printf.sprintf "2ch seed %d dst %d" seed t) expected
-        next.(t))
-    scratch;
+  ignore
+    (check_batch ~what:(Printf.sprintf "2ch seed %d" seed) ~ws:(Spf_delta.workspace ())
+       g w dags [ (a1, v1); (a2, v2) ]);
   true
 
 let test_spf_delta_two_changes () =
   QCheck.Test.make ~name:"Spf_delta.update handles two-arc moves" ~count:15
     QCheck.(int_range 0 10_000)
     spf_delta_two_changes
+
+(* ------------------------------------------------------------------ *)
+(* Bounded repair under change batches *)
+
+let prop_repair_batches =
+  QCheck.Test.make ~name:"repair = scratch on 1-3 change batches" ~count:25
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Prng.create ((seed * 17) + 5) in
+      let w = Weights.random rng g in
+      let ws = Spf_delta.workspace () in
+      let dags = ref (Spf.all_destinations g ~weights:w) in
+      for step = 1 to 12 do
+        let edits = random_batch rng w (1 + Prng.int rng 3) in
+        dags :=
+          check_batch ~what:(Printf.sprintf "seed %d step %d" seed step) ~ws g w
+            !dags edits
+      done;
+      true)
+
+(* Raise every tight out-arc of one node at once (each alone would
+   leave the others tight), optionally with a drop into that node in
+   the same batch while its label rises. *)
+let prop_repair_tight_out_arcs =
+  QCheck.Test.make ~name:"repair: all tight out-arcs raised, drop into riser"
+    ~count:25
+    QCheck.(pair (int_range 0 10_000) bool)
+    (fun (seed, with_drop) ->
+      let g = random_graph seed in
+      let rng = Prng.create ((seed * 19) + 3) in
+      let w = Weights.random rng g in
+      let ws = Spf_delta.workspace () in
+      let dags = Spf.all_destinations g ~weights:w in
+      let n = Graph.node_count g in
+      let t = Prng.int rng n in
+      (* The node with the most tight out-arcs towards [t]. *)
+      let x = ref (-1) in
+      for v = 0 to n - 1 do
+        let k = Array.length dags.(t).Spf.next_arcs.(v) in
+        if k > 0 && (!x < 0 || k > Array.length dags.(t).Spf.next_arcs.(!x)) then
+          x := v
+      done;
+      let x = !x in
+      let raises =
+        Array.to_list
+          (Array.map (fun a -> (a, w.(a) + 1 + Prng.int rng 5)) dags.(t).Spf.next_arcs.(x))
+      in
+      let drop =
+        if not with_drop then []
+        else
+          List.filter_map
+            (fun a ->
+              if w.(a) > 1 && not (List.mem_assoc a raises) then
+                Some (a, 1 + Prng.int rng (w.(a) - 1))
+              else None)
+            (Array.to_list (Graph.in_arcs g x))
+          |> function
+          | [] -> []
+          | d :: _ -> [ d ]
+      in
+      ignore
+        (check_batch ~what:(Printf.sprintf "seed %d dst %d node %d" seed t x) ~ws g
+           w dags (raises @ drop));
+      true)
+
+(* Single-link failures (both arcs suppressed) and their restoration,
+   on random graphs and on a dumbbell, where every link is a bridge
+   whose failure strands nodes. *)
+let test_repair_link_failures () =
+  let graphs =
+    [ ("dumbbell", Dtr_topology.Classic.dumbbell 3); ("ring", Dtr_topology.Classic.ring 7) ]
+    @ List.map (fun seed -> (Printf.sprintf "random %d" seed, random_graph seed)) [ 1; 2; 3 ]
+  in
+  List.iter
+    (fun (name, g) ->
+      let rng = Prng.create 41 in
+      let w = Weights.random rng g in
+      let ws = Spf_delta.workspace () in
+      let base = Spf.all_destinations g ~weights:w in
+      Array.iter
+        (fun (a, b) ->
+          let arcs = if a = b then [ a ] else [ a; b ] in
+          let what = Printf.sprintf "%s link %d/%d" name a b in
+          let saved = List.map (fun x -> (x, w.(x))) arcs in
+          let failed =
+            check_batch ~what:(what ^ " fail") ~ws g w base
+              (List.map (fun x -> (x, Dijkstra.suppressed)) arcs)
+          in
+          let restored =
+            check_batch ~what:(what ^ " restore") ~ws g w failed saved
+          in
+          Array.iteri
+            (fun t dag ->
+              if not (dag_equal dag base.(t)) then
+                Alcotest.failf "%s: restore does not round-trip at %d" what t)
+            restored)
+        (Graph.undirected_link_pairs g))
+    graphs;
+  (* The dumbbell's bottleneck really strands nodes. *)
+  let g = Dtr_topology.Classic.dumbbell 3 in
+  let w = Array.make (Graph.arc_count g) 1 in
+  let hub = Option.get (Graph.find_arc g ~src:3 ~dst:4) in
+  let back = Option.get (Graph.find_arc g ~src:4 ~dst:3) in
+  let failed =
+    check_batch ~what:"bottleneck" ~ws:(Spf_delta.workspace ()) g w
+      (Spf.all_destinations g ~weights:w)
+      [ (hub, Dijkstra.suppressed); (back, Dijkstra.suppressed) ]
+  in
+  Alcotest.(check bool) "left leaf cut off from right hub" true
+    (failed.(4).Spf.dist.(0) = Dijkstra.unreachable)
+
+let prop_repair_active =
+  QCheck.Test.make ~name:"repair: ?active subsets" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Prng.create ((seed * 23) + 9) in
+      let w = Weights.random rng g in
+      let active = Array.init (Graph.node_count g) (fun _ -> Prng.int rng 2 = 0) in
+      let ws = Spf_delta.workspace () in
+      let dags = ref (Spf.for_destinations g ~weights:w ~active) in
+      for step = 1 to 8 do
+        let edits = random_batch rng w (1 + Prng.int rng 3) in
+        dags :=
+          check_batch ~active ~what:(Printf.sprintf "seed %d step %d" seed step) ~ws
+            g w !dags edits
+      done;
+      true)
+
+(* A graph of a few hundred nodes: longer paths and wider repairs than
+   the 14-node fixtures. *)
+let test_repair_large_graph () =
+  let rng = Prng.create 2024 in
+  let g =
+    Dtr_topology.Random_topo.generate rng
+      { Dtr_topology.Random_topo.default with nodes = 220; links = 480 }
+  in
+  Alcotest.(check bool) "connected" true (Graph.is_strongly_connected g);
+  let w = Weights.random rng g in
+  let ws = Spf_delta.workspace () in
+  let dags = ref (Spf.all_destinations g ~weights:w) in
+  for step = 1 to 6 do
+    let edits = random_batch rng w (1 + Prng.int rng 3) in
+    dags := check_batch ~what:(Printf.sprintf "220 nodes step %d" step) ~ws g w !dags edits
+  done;
+  let a, b = (Graph.undirected_link_pairs g).(7) in
+  ignore
+    (check_batch ~what:"220 nodes failure" ~ws g w !dags
+       [ (a, Dijkstra.suppressed); (b, Dijkstra.suppressed) ])
+
+(* Work counters: every dirty destination is counted once, as moving
+   labels or next-hop sets only, and repairs settle labels. *)
+let test_repair_counters () =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
+  let counter name = Metrics.counter_value (Metrics.counter ~help:"" name) in
+  let g = random_graph 5 in
+  let rng = Prng.create 77 in
+  let w = Weights.random rng g in
+  let ws = Spf_delta.workspace () in
+  let dags = ref (Spf.all_destinations g ~weights:w) in
+  let dirty_total = ref 0 and runs0 = counter "dtr_spf_runs_total" in
+  for _ = 1 to 20 do
+    let changes =
+      List.map
+        (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v })
+        (random_batch rng w 2)
+    in
+    List.iter (fun c -> w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
+    let next, dirty = Spf_delta.update ~ws g ~weights:w ~prev:!dags ~changes in
+    dirty_total := !dirty_total + List.length dirty;
+    dags := next
+  done;
+  Alcotest.(check int) "updates" 20 (counter "dtr_spf_delta_updates_total");
+  Alcotest.(check int) "labels moved + next hops only = dirty" !dirty_total
+    (counter "dtr_spf_delta_rebuilds_total" + counter "dtr_spf_delta_patches_total");
+  Alcotest.(check bool) "repairs settle labels" true
+    (counter "dtr_spf_delta_settled_total" > 0);
+  Alcotest.(check int) "no full SPF runs" runs0 (counter "dtr_spf_runs_total")
 
 (* ------------------------------------------------------------------ *)
 (* Loads helper *)
@@ -471,6 +683,13 @@ let () =
         [
           QCheck_alcotest.to_alcotest (test_spf_delta_property ());
           QCheck_alcotest.to_alcotest (test_spf_delta_two_changes ());
+          QCheck_alcotest.to_alcotest prop_repair_batches;
+          QCheck_alcotest.to_alcotest prop_repair_tight_out_arcs;
+          Alcotest.test_case "repair: link failures and restores" `Quick
+            test_repair_link_failures;
+          QCheck_alcotest.to_alcotest prop_repair_active;
+          Alcotest.test_case "repair: 220-node graph" `Quick test_repair_large_graph;
+          Alcotest.test_case "repair work counters" `Quick test_repair_counters;
         ] );
       ( "loads",
         [
