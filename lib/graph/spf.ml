@@ -45,24 +45,37 @@ let of_dist g ~weights ~dst ~dist =
         if v = dst || dist.(v) = Dijkstra.unreachable then [||]
         else node_next_arcs g ~weights ~dist v)
   in
-  let reachable_count = ref 0 in
+  (* Decreasing distance, ties by increasing node id, by one counting
+     pass: [slot.(far - d)] is the next free position for distance [d],
+     and ids are placed in ascending order.  O(n + far), the order of
+     the Dial sweep that produced [dist]. *)
+  let reachable v = v <> dst && dist.(v) <> Dijkstra.unreachable in
+  let count = ref 0 and far = ref 0 in
   for v = 0 to n - 1 do
-    if v <> dst && dist.(v) <> Dijkstra.unreachable then incr reachable_count
-  done;
-  let order_desc = Array.make !reachable_count 0 in
-  let pos = ref 0 in
-  for v = 0 to n - 1 do
-    if v <> dst && dist.(v) <> Dijkstra.unreachable then begin
-      order_desc.(!pos) <- v;
-      incr pos
+    if reachable v then begin
+      incr count;
+      if dist.(v) > !far then far := dist.(v)
     end
   done;
-  (* Sort by decreasing distance, ties by increasing node id. *)
-  Array.sort
-    (fun a b ->
-      let c = compare dist.(b) dist.(a) in
-      if c <> 0 then c else compare a b)
-    order_desc;
+  let far = !far in
+  let slot = Array.make (far + 1) 0 in
+  for v = 0 to n - 1 do
+    if reachable v then slot.(far - dist.(v)) <- slot.(far - dist.(v)) + 1
+  done;
+  let start = ref 0 in
+  for b = 0 to far do
+    let c = slot.(b) in
+    slot.(b) <- !start;
+    start := !start + c
+  done;
+  let order_desc = Array.make !count 0 in
+  for v = 0 to n - 1 do
+    if reachable v then begin
+      let b = far - dist.(v) in
+      order_desc.(slot.(b)) <- v;
+      slot.(b) <- slot.(b) + 1
+    end
+  done;
   { dst; dist; next_arcs; order_desc }
 
 let to_destination g ~weights ~dst =

@@ -27,17 +27,17 @@ val to_destination : Graph.t -> weights:int array -> dst:int -> dag
 val of_dist : Graph.t -> weights:int array -> dst:int -> dist:int array -> dag
 (** Build the DAG from an already-computed distance array (as from
     {!Dijkstra.distances_to}); the array is owned by the returned dag.
-    Exposed so {!Spf_delta} can rebuild single destinations with its
-    own (buffer-reusing) Dijkstra while sharing this exact
-    construction, keeping incremental results structurally identical
-    to {!to_destination}. *)
+    The construction behind every full sweep: next-hop sets by
+    {!node_next_arcs}, and [order_desc] by one counting pass over the
+    distances, O(n + max distance) like the Dial sweep that produced
+    them. *)
 
 val node_next_arcs :
   Graph.t -> weights:int array -> dist:int array -> int -> int array
 (** The ECMP next-hop arc set of one node, filtered from its out-arcs
     in arc-id order: all arcs [(v, u)] with [w(v,u) + dist(u) =
     dist(v)].  The per-node step of {!of_dist}, exposed for
-    {!Spf_delta}'s membership-only patches. *)
+    {!Spf_delta}'s repairs. *)
 
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array

@@ -389,6 +389,37 @@ let prop_spf_next_arcs_decrease_distance =
       done;
       !ok)
 
+(* [order_desc] is exactly the (distance desc, id asc) sort of the
+   reachable non-destination nodes, over wide weight ranges and with
+   failed arcs leaving nodes unreachable. *)
+let prop_spf_order_desc_sorted =
+  QCheck.Test.make ~name:"order_desc = (dist desc, id asc) sort" ~count:100
+    (QCheck.make QCheck.Gen.(pair random_graph_gen (int_range 1 1000)))
+    (fun (params, wmax) ->
+      let g, w = build_random params in
+      let rng = Prng.create wmax in
+      let w =
+        Array.map
+          (fun _ ->
+            if Prng.int rng 8 = 0 then Dijkstra.suppressed else 1 + Prng.int rng wmax)
+          w
+      in
+      let n = Graph.node_count g in
+      let ok = ref true in
+      for dst = 0 to n - 1 do
+        let dag = Spf.to_destination g ~weights:w ~dst in
+        let dist = dag.Spf.dist in
+        let expected =
+          List.init n Fun.id
+          |> List.filter (fun v -> v <> dst && dist.(v) <> Dijkstra.unreachable)
+          |> List.sort (fun a b ->
+                 let c = compare dist.(b) dist.(a) in
+                 if c <> 0 then c else compare a b)
+        in
+        if Array.to_list dag.Spf.order_desc <> expected then ok := false
+      done;
+      !ok)
+
 let prop_spf_reachable_nodes_have_next_arcs =
   QCheck.Test.make ~name:"reachable non-destination nodes have a next hop"
     ~count:100 (QCheck.make random_graph_gen) (fun params ->
@@ -468,6 +499,7 @@ let () =
             test_spf_first_path_unreachable;
           qc prop_spf_next_arcs_decrease_distance;
           qc prop_spf_reachable_nodes_have_next_arcs;
+          qc prop_spf_order_desc_sorted;
           qc prop_spf_path_count_matches_enumeration;
         ] );
     ]
