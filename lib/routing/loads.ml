@@ -65,11 +65,12 @@ let destination_loads g ~dag ~demand_to_dst =
 let destination_demand ?(drop_unroutable = false) ~dag tm =
   let n = Matrix.size tm in
   let t = dag.Spf.dst in
-  let demand = Array.make n 0. in
-  let any = ref false in
   (* Column walk in ascending source order: O(column entries) on a
      sparse matrix, and identical to the former full row scan (zero
-     entries contributed nothing). *)
+     entries contributed nothing).  [iter_col] yields positive entries
+     only, so the row is allocated at the first routable one and a
+     demand-free destination allocates nothing. *)
+  let demand = ref [||] in
   Matrix.iter_col tm t (fun s r ->
       if s <> t then begin
         if dag.Spf.dist.(s) = Dijkstra.unreachable then begin
@@ -77,11 +78,11 @@ let destination_demand ?(drop_unroutable = false) ~dag tm =
             invalid_arg (Printf.sprintf "Loads.of_matrix: no path %d -> %d" s t)
         end
         else begin
-          demand.(s) <- r;
-          any := true
+          if Array.length !demand = 0 then demand := Array.make n 0.;
+          !demand.(s) <- r
         end
       end);
-  if !any then Some demand else None
+  if Array.length !demand = 0 then None else Some !demand
 
 let of_matrix ?(drop_unroutable = false) g ~dags tm =
   let n = Graph.node_count g in
