@@ -37,6 +37,11 @@ let suppressed = Dijkstra.suppressed
 (* One effective change with its arc's endpoints resolved. *)
 type edit = { id : int; u : int; v : int; before : int; after : int }
 
+(* An arc of weight [w] whose head is labelled [head] lies on a
+   shortest path from its tail, labelled [tail]. *)
+let tight w ~head ~tail =
+  w <> suppressed && head <> unreachable && w + head = tail
+
 (* The O(1) screen, from the previous labels alone: can the change
    alter this destination's dag at all?  A drop matters only if the
    arc's new cost reaches [u]'s old label (equality merely adds the arc
@@ -47,11 +52,9 @@ type edit = { id : int; u : int; v : int; before : int; after : int }
    change is clean; any other one differs from [prev] after the batch
    (a moved label, a lost tight arc or a gained one). *)
 let touches dist e =
-  let dv = dist.(e.v) in
-  dv <> unreachable
-  &&
-  let du = dist.(e.u) in
-  if e.after < e.before then e.after + dv <= du else e.before + dv = du
+  let dv = dist.(e.v) and du = dist.(e.u) in
+  if e.after < e.before then dv <> unreachable && e.after + dv <= du
+  else tight e.before ~head:dv ~tail:du
 
 (* Reachable nodes with distance [da] and id [a] precede those with
    [db] and [b] in [order_desc]. *)
@@ -150,8 +153,8 @@ let repair g ~weights ~edits ~settles (settled, q) dag =
   in
   Array.iter
     (fun e ->
-      if e.after > e.before && d.(e.v) <> unreachable && e.before + d.(e.v) = d.(e.u)
-      then examine e.u)
+      if e.after > e.before && tight e.before ~head:d.(e.v) ~tail:d.(e.u) then
+        examine e.u)
     edits;
   let rec propagate () =
     match !pending with
@@ -160,8 +163,8 @@ let repair g ~weights ~edits ~settles (settled, q) dag =
         pending := rest;
         for k = in_off.(x) to in_off.(x + 1) - 1 do
           let id = in_ids.(k) in
-          let z = srcs.(id) and w = old_weight id in
-          if lab.(z) <> unreachable && w <> suppressed && w + d.(x) = d.(z)
+          let z = srcs.(id) in
+          if lab.(z) <> unreachable && tight (old_weight id) ~head:d.(x) ~tail:d.(z)
           then examine z
         done;
         propagate ()
@@ -218,9 +221,6 @@ let repair g ~weights ~edits ~settles (settled, q) dag =
       next_arcs.(x) <-
         (if x = t || dist.(x) = unreachable then [||]
          else Spf.node_next_arcs g ~weights ~dist x)
-  in
-  let tight w ~head ~tail =
-    w <> suppressed && head <> unreachable && w + head = tail
   in
   Array.iter (fun e -> refresh e.u) edits;
   List.iter
@@ -286,8 +286,7 @@ let update ?ws ?active g ~weights ~prev ~changes =
     let ws = match ws with Some w -> w | None -> workspace () in
     let n = Graph.node_count g in
     let dags = Array.copy prev in
-    let dirty = ref [] and relabeled = ref 0 and count = ref 0 in
-    let settles = ref 0 in
+    let dirty = ref [] and relabeled = ref 0 and settles = ref 0 in
     let is_active =
       match active with None -> fun _ -> true | Some a -> fun t -> a.(t)
     in
@@ -298,17 +297,17 @@ let update ?ws ?active g ~weights ~prev ~changes =
           repair g ~weights ~edits ~settles (Dijkstra.repair_scratch ws n) dag
         in
         if next.Spf.dist != dag.Spf.dist then incr relabeled;
-        incr count;
         dags.(t) <- next;
         dirty := t :: !dirty
       end
     done;
     if Metrics.enabled () then begin
+      let count = List.length !dirty in
       Metrics.incr_counter m_updates;
       Metrics.add m_rebuilds !relabeled;
-      Metrics.add m_patches (!count - !relabeled);
+      Metrics.add m_patches (count - !relabeled);
       Metrics.add m_settled !settles;
-      Metrics.observe m_dirty (float_of_int !count)
+      Metrics.observe m_dirty (float_of_int count)
     end;
     (dags, !dirty)
   end
