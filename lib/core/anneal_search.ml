@@ -28,6 +28,9 @@ type report = {
   accepted : int;
 }
 
+(* A run's own evaluations so far: full ones and probes. *)
+type counts = { mutable fulls : int; mutable deltas : int }
+
 (* Propose one two-arc move on the context's current [cls] weights,
    ranked by the live cost rows (Problem.ctx_arc_cmp_h/_l — the same
    orderings as Objective.link_costs_h/_l), as a change list. *)
@@ -51,13 +54,12 @@ let propose rng cfg problem ctx ~cls ~n_arcs =
 (* One annealing phase: minimize [energy] of the objective by moving
    [cls]'s weights, one probe per proposal against [ctx] (which must
    be synchronized with [current]); accepted probes are committed.
-   Returns the accepted-move count.  With an enabled [trace], one
-   [Anneal_step] event is recorded per Metropolis proposal ([detail] =
-   phase ordinal, [value] = current temperature, [counts0] = the run's
-   counter baselines). *)
-let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
-    rng cfg schedule problem ctx ~cls ~energy ~current ~best =
-  let eval0, full0, delta0 = counts0 in
+   Every probe is counted in [counts].  Returns the accepted-move
+   count.  With an enabled [trace], one [Anneal_step] event is
+   recorded per Metropolis proposal ([detail] = phase ordinal, [value]
+   = current temperature). *)
+let anneal_phase ~trace ~detail ~counts rng cfg schedule problem ctx ~cls
+    ~energy ~current ~best =
   let n_arcs = Dtr_graph.Graph.arc_count problem.Problem.graph in
   (* The incumbent's energy is cached and refreshed only on acceptance
      (it was already computed as the candidate's energy then). *)
@@ -72,6 +74,7 @@ let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
       incr step;
       let before = Problem.objective !current in
       let changes = propose rng cfg problem ctx ~cls ~n_arcs in
+      counts.deltas <- counts.deltas + 1;
       let d = Problem.eval_delta problem ctx ~cls ~changes in
       let e_cand = energy (Problem.delta_objective d) in
       let delta = e_cand -. !e_cur in
@@ -88,16 +91,14 @@ let anneal_phase ?(trace = Trace.disabled) ?(detail = 0) ?(counts0 = (0, 0, 0))
         then best := !current
       end
       else Problem.abort_delta ctx d;
-      if Trace.enabled trace then begin
-        let e, f, d = Problem.domain_eval_counts () in
+      if Trace.enabled trace then
         Trace.emit trace ~kind:Trace.Anneal_step ~iteration:!step ~detail
           ~accepted:accept
           ~before:(Trace.pair before)
           ~after:(Trace.pair (Problem.objective !current))
           ~best:(Trace.pair (Problem.objective !best))
-          ~evaluations:(e - eval0) ~full:(f - full0) ~delta:(d - delta0)
-          ~value:!t ()
-      end
+          ~evaluations:(counts.fulls + counts.deltas) ~full:counts.fulls
+          ~delta:counts.deltas ~value:!t ()
     done;
     t := !t *. schedule.cooling
   done;
@@ -107,14 +108,13 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
     problem =
   Search_config.validate cfg;
   validate_schedule schedule;
-  let ((eval0, full0, delta0) as counts0) = Problem.domain_eval_counts () in
+  let counts = { fulls = 0; deltas = 0 } in
   let phase_done ~detail best =
     if Trace.enabled trace then begin
-      let e, f, d = Problem.domain_eval_counts () in
       let b = Trace.pair (Problem.objective best) in
       Trace.emit trace ~kind:Trace.Phase_done ~iteration:0 ~detail ~before:b
-        ~after:b ~best:b ~evaluations:(e - eval0) ~full:(f - full0)
-        ~delta:(d - delta0) ()
+        ~after:b ~best:b ~evaluations:(counts.fulls + counts.deltas)
+        ~full:counts.fulls ~delta:counts.deltas ()
     end
   in
   let mid = (Weights.min_weight + Weights.max_weight) / 2 in
@@ -130,11 +130,12 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   | Some (wh, wl) ->
       Weights.validate problem.Problem.graph wh;
       Weights.validate problem.Problem.graph wl);
+  counts.fulls <- counts.fulls + 1;
   let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
   let best = ref !current in
   (* Phase 1: anneal W_H against the primary cost. *)
   let acc1 =
-    anneal_phase ~trace ~detail:0 ~counts0 rng cfg schedule problem
+    anneal_phase ~trace ~detail:0 ~counts rng cfg schedule problem
       (Problem.ctx_of_solution problem !current)
       ~cls:`H
       ~energy:(fun o -> o.Lexico.primary)
@@ -142,12 +143,13 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   in
   phase_done ~detail:0 !best;
   (* Fix the best W_H found, then anneal W_L against Φ_L. *)
+  counts.fulls <- counts.fulls + 1;
   current :=
     Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
   if Lexico.lt ~rel_tol:1e-9 (Problem.objective !current) (Problem.objective !best)
   then best := !current;
   let acc2 =
-    anneal_phase ~trace ~detail:1 ~counts0 rng cfg schedule problem
+    anneal_phase ~trace ~detail:1 ~counts rng cfg schedule problem
       (Problem.ctx_of_solution problem !current)
       ~cls:`L
       ~energy:(fun o -> o.Lexico.secondary)
@@ -157,6 +159,6 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   {
     best = !best;
     objective = Problem.objective !best;
-    evaluations = Problem.domain_evaluations () - eval0;
+    evaluations = counts.fulls + counts.deltas;
     accepted = acc1 + acc2;
   }

@@ -104,17 +104,15 @@ let neighbor_vectors ?ht_arc ?ht_cand rng cfg ~ranking w =
    repaired incrementally from the arcs the last commits touched
    (Ranking.arcs — bitwise the full sort) instead of an O(m log m)
    re-sort per pass. *)
-let ranking_of ?rcache ~reference ~cmp ctx n_arcs =
+let ranking_of ?rcache ~cmp ctx n_arcs =
   match rcache with
-  | Some r -> Ranking.arcs ~reference r ctx ~cmp n_arcs
+  | Some r -> Ranking.arcs r ctx ~cmp n_arcs
   | None -> Neighborhood.rank_by_cost ~cmp n_arcs
 
 let find_h_ctx scan ?memo ?trace ?rcache ?ht_arc ?ht_cand rng cfg problem ctx
     sol =
   let ranking =
-    ranking_of ?rcache ~reference:cfg.Search_config.reference_loops
-      ~cmp:(Problem.ctx_arc_cmp_h problem ctx)
-      ctx
+    ranking_of ?rcache ~cmp:(Problem.ctx_arc_cmp_h problem ctx) ctx
       (Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
   let vectors =
@@ -126,9 +124,7 @@ let find_h_ctx scan ?memo ?trace ?rcache ?ht_arc ?ht_cand rng cfg problem ctx
 let find_l_ctx scan ?memo ?trace ?rcache ?ht_arc ?ht_cand rng cfg problem ctx
     sol =
   let ranking =
-    ranking_of ?rcache ~reference:cfg.Search_config.reference_loops
-      ~cmp:(Problem.ctx_arc_cmp_l problem ctx)
-      ctx
+    ranking_of ?rcache ~cmp:(Problem.ctx_arc_cmp_l problem ctx) ctx
       (Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
   let vectors =
@@ -157,7 +153,6 @@ let default_w0 problem =
 
 let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
-  let eval0, full0, delta0 = Problem.domain_eval_counts () in
   let probe_trace =
     if cfg.Search_config.trace_probes then
       Trace.sample cfg.Search_config.trace_sample trace
@@ -194,13 +189,19 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     | None -> ()
     | Some f -> if f () then stopped := true
   in
-  Scan.with_engine ~reference:cfg.Search_config.reference_loops
-    ~jobs:cfg.Search_config.scan_jobs problem
-  @@ fun scan ->
+  Scan.with_engine ~jobs:cfg.Search_config.scan_jobs problem @@ fun scan ->
   (* Per-run memo shared by all three routines: FindH and FindL
      candidates key on the full (W_H, W_L) pair, so revisits across
      phases and diversification jumps hit too. *)
   let memo = Vmemo.create () in
+  (* The run counts its own evaluations: full ones and its
+     diversification deltas here, scan candidates in the engine. *)
+  let fulls = ref 0 and deltas = ref 0 in
+  let counts () =
+    let delta = !deltas + Scan.evaluations scan in
+    (!fulls + delta, !fulls, delta)
+  in
+  incr fulls;
   let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
   (* Long-lived incremental context, kept synchronized with [current];
      rebuilt (cheaply, reusing the solution's DAGs) whenever [current]
@@ -226,35 +227,34 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
      trajectory (see Trace).  [detail] is the routine ordinal. *)
   let tell kind ~iteration ~detail ~before ~prev =
     if Trace.enabled trace then begin
-      let e, f, d = Problem.domain_eval_counts () in
+      let e, f, d = counts () in
       Trace.emit trace ~kind ~iteration ~detail
         ~accepted:(not (prev == !current))
         ~before:(Trace.pair before)
         ~after:(Trace.pair (Problem.objective !current))
         ~best:(Trace.pair (Problem.objective !best))
-        ~evaluations:(e - eval0) ~full:(f - full0) ~delta:(d - delta0)
-        ~memo_hits:(Vmemo.hits memo) ~memo_misses:(Vmemo.misses memo) ()
+        ~evaluations:e ~full:f ~delta:d ~memo_hits:(Vmemo.hits memo)
+        ~memo_misses:(Vmemo.misses memo) ()
     end
   in
   let phase_done ~iteration ~detail =
     if Trace.enabled trace then begin
-      let e, f, d = Problem.domain_eval_counts () in
+      let e, f, d = counts () in
       let b = Trace.pair (Problem.objective !best) in
       Trace.emit trace ~kind:Trace.Phase_done ~iteration ~detail ~before:b
-        ~after:b ~best:b ~evaluations:(e - eval0) ~full:(f - full0)
-        ~delta:(d - delta0) ~memo_hits:(Vmemo.hits memo)
-        ~memo_misses:(Vmemo.misses memo) ()
+        ~after:b ~best:b ~evaluations:e ~full:f ~delta:d
+        ~memo_hits:(Vmemo.hits memo) ~memo_misses:(Vmemo.misses memo) ()
     end
   in
   let tell_sweep ~iteration ~detail ~normal ~(rp : Problem.robust_price)
       ~accepted =
     if Trace.enabled trace then begin
-      let e, f, d = Problem.domain_eval_counts () in
+      let e, f, d = counts () in
       Trace.emit trace ~kind:Trace.Robust_sweep ~iteration ~detail
         ~accepted ~before:(Trace.pair normal)
         ~after:(Trace.pair rp.Problem.rp_objective) ~best:(Trace.pair !best_j)
-        ~evaluations:(e - eval0) ~full:(f - full0) ~delta:(d - delta0)
-        ~memo_hits:(Vmemo.hits memo) ~memo_misses:(Vmemo.misses memo)
+        ~evaluations:e ~full:f ~delta:d ~memo_hits:(Vmemo.hits memo)
+        ~memo_misses:(Vmemo.misses memo)
         ~value:rp.Problem.rp_penalty.Lexico.primary ()
     end
   in
@@ -333,6 +333,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
           Weights.perturb rng ~fraction:cfg.Search_config.g1 !current.Problem.wh
         in
         let changes = Problem.weight_changes !current.Problem.wh wh in
+        incr deltas;
         let d = Problem.eval_delta problem !ctx ~cls:`H ~changes in
         let prev = !current in
         current := Problem.commit_delta problem !ctx d;
@@ -347,6 +348,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   phase_done ~iteration:cfg.Search_config.n_iters ~detail:0;
 
   (* Routine 2: freeze the best W_H, optimize W_L. *)
+  incr fulls;
   current :=
     Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
   ctx := Problem.ctx_of_solution problem !current;
@@ -368,6 +370,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
           Weights.perturb rng ~fraction:cfg.Search_config.g2 !current.Problem.wl
         in
         let changes = Problem.weight_changes !current.Problem.wl wl in
+        incr deltas;
         let d = Problem.eval_delta problem !ctx ~cls:`L ~changes in
         let prev = !current in
         current := Problem.commit_delta problem !ctx d;
@@ -412,6 +415,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
           Weights.perturb rng ~fraction:cfg.Search_config.g3 !best.Problem.wl
         in
         let prev = !current in
+        incr fulls;
         current := Problem.eval_dtr problem ~wh ~wl;
         ctx := Problem.ctx_of_solution problem !current;
         stall := 0;
@@ -424,10 +428,11 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   phase_objectives := (Refine, !best_j) :: !phase_objectives;
   phase_done ~iteration:cfg.Search_config.k_iters ~detail:2;
 
+  let evaluations, _, _ = counts () in
   {
     best = !best;
     objective = !best_j;
-    evaluations = Problem.domain_evaluations () - eval0;
+    evaluations;
     improvements = !improvements;
     memo_hits = Vmemo.hits memo;
     memo_misses = Vmemo.misses memo;

@@ -69,10 +69,10 @@ let config_json (c : Search_config.t) =
           r.Search_config.top_k
   in
   Printf.sprintf
-    "{\"n_iters\":%d,\"k_iters\":%d,\"m_neighbors\":%d,\"diversify_after\":%d,\"g1\":%s,\"g2\":%s,\"g3\":%s,\"tau\":%s,\"max_step\":%d,\"scan_probability\":%s,\"seed_split\":%d,\"scan_jobs\":%d,\"trace_probes\":%b,\"trace_sample\":%d,\"robust\":%s}"
+    "{\"n_iters\":%d,\"k_iters\":%d,\"m_neighbors\":%d,\"diversify_after\":%d,\"g1\":%s,\"g2\":%s,\"g3\":%s,\"tau\":%s,\"max_step\":%d,\"scan_probability\":%s,\"scan_jobs\":%d,\"trace_probes\":%b,\"trace_sample\":%d,\"robust\":%s}"
     c.n_iters c.k_iters c.m_neighbors c.diversify_after (float_str c.g1)
     (float_str c.g2) (float_str c.g3) (float_str c.tau) c.max_step
-    (float_str c.scan_probability) c.seed_split c.scan_jobs c.trace_probes
+    (float_str c.scan_probability) c.scan_jobs c.trace_probes
     c.trace_sample robust
 
 let to_json ?seed ?jobs ?restarts ?model ?topology ?config ?graph () =

@@ -30,7 +30,6 @@ let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
     problem =
   if restarts < 1 then invalid_arg "Multistart.run: restarts must be >= 1";
   Search_config.validate cfg;
-  let eval0 = Problem.evaluations () in
   (* All per-restart streams are split off the master before dispatch,
      in restart order: the streams are a function of the master seed
      alone, never of worker scheduling. *)
@@ -45,17 +44,19 @@ let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
     Array.init restarts (fun _ ->
         if Trace.enabled trace then Trace.ring () else Trace.disabled)
   in
+  (* A restart returns its result and its search's evaluation count. *)
   let run_one index =
     let rng = rngs.(index) in
     let trace = rings.(index) in
-    let solution =
+    let solution, evaluations =
       match algo with
       | Str ->
           let w0 =
             if index = 0 then mid_weights problem
             else Weights.random rng problem.Problem.graph
           in
-          (Str_search.run ~w0 ~trace rng cfg problem).Str_search.best
+          let r = Str_search.run ~w0 ~trace rng cfg problem in
+          (r.Str_search.best, r.Str_search.evaluations)
       | Dtr | Anneal ->
           let w0 =
             if index = 0 then (mid_weights problem, mid_weights problem)
@@ -65,16 +66,20 @@ let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
               (wh, wl)
           in
           if algo = Dtr then
-            (Dtr_search.run ~w0 ~trace rng cfg problem).Dtr_search.best
-          else (Anneal_search.run ~w0 ~trace rng cfg problem).Anneal_search.best
+            let r = Dtr_search.run ~w0 ~trace rng cfg problem in
+            (r.Dtr_search.best, r.Dtr_search.evaluations)
+          else
+            let r = Anneal_search.run ~w0 ~trace rng cfg problem in
+            (r.Anneal_search.best, r.Anneal_search.evaluations)
     in
-    { index; objective = Problem.objective solution; solution }
+    ({ index; objective = Problem.objective solution; solution }, evaluations)
   in
-  let restart_results =
+  let outcomes =
     match pool with
     | Some p -> Pool.map p restarts ~f:run_one
     | None -> Pool.run ~jobs restarts ~f:run_one
   in
+  let restart_results = Array.map fst outcomes in
   (if Trace.enabled trace then
      let best_obj = ref restart_results.(0).objective in
      Array.iteri
@@ -102,5 +107,5 @@ let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
     objective = best.objective;
     best_index = best.index;
     restarts = restart_results;
-    evaluations = Problem.evaluations () - eval0;
+    evaluations = Array.fold_left (fun acc (_, e) -> acc + e) 0 outcomes;
   }

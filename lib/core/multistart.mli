@@ -32,8 +32,8 @@ type report = {
   best_index : int;  (** which restart won *)
   restarts : restart array;  (** every restart, in index order *)
   evaluations : int;
-      (** total objective evaluations across all restarts (exact even
-          under the pool: the counters are atomic) *)
+      (** total objective evaluations across all restarts: the sum of
+          their search reports' counts, identical for every [jobs] *)
 }
 
 val run :

@@ -29,20 +29,9 @@ type solution = {
 
 let objective s = s.result.Objective.objective
 
-(* Evaluation accounting.  Two levels:
-
-   - process-wide totals, kept in [Atomic.t] so concurrent searches on
-     a domain pool never lose increments;
-   - per-domain counters (domain-local storage, single-writer, no
-     contention), which the search loops difference to report their
-     own effort — a delta of the *global* counter would absorb
-     whatever other domains evaluated concurrently, making report
-     fields like [Str_search.report.evaluations] depend on
-     scheduling. *)
-
-let eval_count = Atomic.make 0
-let full_count = Atomic.make 0
-let delta_count = Atomic.make 0
+(* Work counters for [--metrics] and the benchmark: process-wide and
+   off by default.  A search run counts its own evaluations (its
+   report's [evaluations]) where it makes them. *)
 
 module Metrics = Dtr_util.Metrics
 
@@ -53,65 +42,6 @@ let m_full =
 let m_delta =
   Metrics.counter ~help:"Incremental (delta) objective evaluations."
     "dtr_eval_delta_total"
-
-type domain_counts = {
-  mutable dc_eval : int;
-  mutable dc_full : int;
-  mutable dc_delta : int;
-}
-
-let domain_counts_key =
-  Domain.DLS.new_key (fun () -> { dc_eval = 0; dc_full = 0; dc_delta = 0 })
-
-let count_full () =
-  Atomic.incr eval_count;
-  Atomic.incr full_count;
-  Metrics.incr_counter m_full;
-  let c = Domain.DLS.get domain_counts_key in
-  c.dc_eval <- c.dc_eval + 1;
-  c.dc_full <- c.dc_full + 1
-
-let count_delta () =
-  Atomic.incr eval_count;
-  Atomic.incr delta_count;
-  Metrics.incr_counter m_delta;
-  let c = Domain.DLS.get domain_counts_key in
-  c.dc_eval <- c.dc_eval + 1;
-  c.dc_delta <- c.dc_delta + 1
-
-let evaluations () = Atomic.get eval_count
-
-let full_evaluations () = Atomic.get full_count
-
-let delta_evaluations () = Atomic.get delta_count
-
-let domain_evaluations () = (Domain.DLS.get domain_counts_key).dc_eval
-
-(* Transfer plumbing for the parallel scan engine: a scan task
-   measures its own domain's counter delta, rolls it back, and the
-   engine re-adds the per-task deltas on the calling domain in task
-   order — so a report's [evaluations] field is identical for every
-   [--scan-jobs].  The process-wide atomics are never adjusted (they
-   counted the work exactly once, wherever it ran). *)
-
-let domain_eval_counts () =
-  let c = Domain.DLS.get domain_counts_key in
-  (c.dc_eval, c.dc_full, c.dc_delta)
-
-let move_domain_counts ~eval ~full ~delta =
-  let c = Domain.DLS.get domain_counts_key in
-  c.dc_eval <- c.dc_eval + eval;
-  c.dc_full <- c.dc_full + full;
-  c.dc_delta <- c.dc_delta + delta
-
-let reset_evaluations () =
-  Atomic.set eval_count 0;
-  Atomic.set full_count 0;
-  Atomic.set delta_count 0;
-  let c = Domain.DLS.get domain_counts_key in
-  c.dc_eval <- 0;
-  c.dc_full <- 0;
-  c.dc_delta <- 0
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation.
@@ -135,7 +65,7 @@ let materialize t ec ~str ~sla =
   { wh; wl; result = Objective.of_eval t.model ev ~th:t.th ?sla () }
 
 let evaluate t ~str ~weights =
-  count_full ();
+  Metrics.incr_counter m_full;
   let ec =
     Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights
       ~matrices:[| t.th; t.tl |]
@@ -294,7 +224,7 @@ let delta_phi_h d = d.d_phi_h
 let delta_phi_l d = d.d_phi_l
 
 let eval_delta ?(count = true) t ctx ~cls ~changes =
-  if count then count_delta ();
+  if count then Metrics.incr_counter m_delta;
   let klass = match cls with `H -> 0 | `L -> 1 in
   let p = Eval_ctx.probe ctx.ec ~klass ~changes in
   let phi = Eval_ctx.probe_phi p in

@@ -40,7 +40,8 @@ val eval_dtr : t -> wh:int array -> wl:int array -> solution
 (** Evaluate a dual setting from scratch: build an
     {!Dtr_routing.Eval_ctx} under the problem's [dest_mode] and
     materialize it, as {!ctx_solution} does (the arrays are
-    defensively copied). *)
+    defensively copied).  Counted in the [dtr_eval_full_total]
+    metric. *)
 
 val eval_str : t -> w:int array -> solution
 (** Evaluate a single-topology setting ([wh == wl] in the result). *)
@@ -159,11 +160,11 @@ type delta
 val eval_delta :
   ?count:bool -> t -> ctx -> cls:cls -> changes:(int * int) list -> delta
 (** Evaluate the candidate obtained by applying [changes] to [cls]'s
-    current weight vector, as a probe against the context.  Counted
-    under {!delta_evaluations}; [~count:false] suppresses the count:
-    the scan engine uses it to re-derive an already-counted winner
-    against the main context, so reported evaluation counts stay
-    independent of [--scan-jobs]. *)
+    current weight vector, as a probe against the context.  Counted in
+    the [dtr_eval_delta_total] metric; [~count:false] suppresses the
+    count: the scan engine uses it to re-derive an already-counted
+    winner against the main context, so the metric counts each
+    evaluated candidate once for every [--scan-jobs]. *)
 
 val delta_objective : delta -> Dtr_cost.Lexico.t
 
@@ -214,40 +215,3 @@ val robust_price :
     weights, aggregated into the robust objective.  [normal] is the
     caller's current normal-cost objective (already known to every
     search loop; not recomputed).  Pure: the context is unchanged. *)
-
-val evaluations : unit -> int
-(** Process-wide count of objective evaluations performed through this
-    module (monotonic; used to report search effort).  Total: every
-    full and every delta evaluation counts once.  Kept in an
-    [Atomic.t], so the count stays exact when several domains evaluate
-    concurrently (e.g. under {!Multistart}). *)
-
-val full_evaluations : unit -> int
-(** The subset of {!evaluations} performed from scratch: the
-    {!eval_str} and {!eval_dtr} calls (a search's start, hand-offs
-    and restarts). *)
-
-val delta_evaluations : unit -> int
-(** The subset of {!evaluations} performed incrementally. *)
-
-val domain_evaluations : unit -> int
-(** Evaluations performed by the {e calling domain} only.  The search
-    loops difference this counter for their reports, so a report's
-    [evaluations] field covers exactly that search's own work and is
-    identical whether the search ran alone or beside others on a
-    domain pool. *)
-
-val domain_eval_counts : unit -> int * int * int
-(** The calling domain's [(total, full, delta)] counters.  Plumbing
-    for {!Scan}: a worker task differences these around its chunk,
-    rolls its own counters back ({!move_domain_counts} with negative
-    amounts), and the engine re-adds the deltas on the calling domain
-    — keeping per-report counts independent of [--scan-jobs]. *)
-
-val move_domain_counts : eval:int -> full:int -> delta:int -> unit
-(** Adjust the calling domain's counters by the given (possibly
-    negative) amounts.  The process-wide atomics are untouched. *)
-
-val reset_evaluations : unit -> unit
-(** Reset the process-wide totals and the calling domain's local
-    counter.  Call only while no other domain is evaluating. *)

@@ -100,29 +100,26 @@ let repair t ~cmp ~changed n_arcs =
     t.scratch <- old_ids
   end
 
-let arcs ?(reference = false) t ctx ~cmp n_arcs =
-  if reference then Neighborhood.rank_by_cost ~cmp n_arcs
-  else begin
-    let fresh () =
-      t.owner <- Some ctx;
-      t.version <- Problem.ctx_version ctx;
-      t.ids <- Neighborhood.rank_by_cost ~cmp n_arcs;
-      if Array.length t.flags <> n_arcs then begin
-        t.flags <- Array.make n_arcs false;
-        t.scratch <- Array.make n_arcs 0
-      end;
-      t.ids
-    in
-    match t.owner with
-    | Some owner when owner == ctx && Array.length t.ids = n_arcs -> (
-        let v = Problem.ctx_version ctx in
-        if v = t.version then t.ids
-        else
-          match Problem.ctx_changes_since ctx ~since:t.version with
-          | None -> fresh ()
-          | Some changed ->
-              repair t ~cmp ~changed n_arcs;
-              t.version <- v;
-              t.ids)
-    | _ -> fresh ()
-  end
+let arcs t ctx ~cmp n_arcs =
+  let fresh () =
+    t.owner <- Some ctx;
+    t.version <- Problem.ctx_version ctx;
+    t.ids <- Neighborhood.rank_by_cost ~cmp n_arcs;
+    if Array.length t.flags <> n_arcs then begin
+      t.flags <- Array.make n_arcs false;
+      t.scratch <- Array.make n_arcs 0
+    end;
+    t.ids
+  in
+  match t.owner with
+  | Some owner when owner == ctx && Array.length t.ids = n_arcs -> (
+      let v = Problem.ctx_version ctx in
+      if v = t.version then t.ids
+      else
+        match Problem.ctx_changes_since ctx ~since:t.version with
+        | None -> fresh ()
+        | Some changed ->
+            repair t ~cmp ~changed n_arcs;
+            t.version <- v;
+            t.ids)
+  | _ -> fresh ()

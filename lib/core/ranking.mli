@@ -21,13 +21,10 @@ type t
 val create : unit -> t
 (** An empty cache (no context, no ranking). *)
 
-val arcs :
-  ?reference:bool -> t -> Problem.ctx -> cmp:(int -> int -> int) -> int -> int array
+val arcs : t -> Problem.ctx -> cmp:(int -> int -> int) -> int -> int array
 (** [arcs t ctx ~cmp n_arcs] is bitwise
     [Neighborhood.rank_by_cost ~cmp n_arcs] for the context's current
     cost rows, served from the repaired cache when possible.  [cmp]
     must be freshly derived from [ctx] (e.g.
     {!Problem.ctx_arc_cmp_h}[ problem ctx] this iteration — the
-    closures snapshot live rows, which commits replace).
-    [~reference:true] (the {!Search_config.t.reference_loops} oracle)
-    bypasses the cache entirely and full-sorts a fresh array. *)
+    closures snapshot live rows, which commits replace). *)

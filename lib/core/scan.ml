@@ -26,35 +26,37 @@ type summary = { objective : Lexico.t; phi_h : float; phi_l : float }
 type t = {
   problem : Problem.t;
   pool : Pool.t option;
-  reference : bool;
-      (* oracle mode: rehash the base memo key from scratch every scan
-         instead of reading the context's incrementally shifted key *)
   mutable clones : Problem.ctx array;
       (* one per worker, allocated on the first parallel scan and
          resynchronized (blits, no re-evaluation) before every later
          one — clones are reused across iterations, not reallocated *)
   mutable scans : int;
       (* scans served so far; the [iteration] stamp of probe events *)
+  mutable evaluations : int;
+      (* candidates evaluated (memo misses) over all scans, counted on
+         the calling domain *)
 }
 
-let create ?(reference = false) ~jobs problem =
+let create ~jobs problem =
   if jobs < 1 then invalid_arg "Scan.create: jobs must be positive";
   {
     problem;
     pool = (if jobs = 1 then None else Some (Pool.create ~jobs));
-    reference;
     clones = [||];
     scans = 0;
+    evaluations = 0;
   }
 
 let jobs t = match t.pool with None -> 1 | Some p -> Pool.jobs p
+
+let evaluations t = t.evaluations
 
 let shutdown t =
   (match t.pool with None -> () | Some p -> Pool.shutdown p);
   t.clones <- [||]
 
-let with_engine ?reference ~jobs problem f =
-  let t = create ?reference ~jobs problem in
+let with_engine ~jobs problem f =
+  let t = create ~jobs problem in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 (* Memo keys: one Zobrist hash covering BOTH weight vectors — the
@@ -65,15 +67,12 @@ let with_engine ?reference ~jobs problem f =
    both cell sets shift.  The base key is the context's cached one,
    maintained by two shifts per changed arc across probe commits
    (Problem.ctx_base_key) — identical to the from-scratch rehash of
-   both vectors, which [reference] forces for the oracle tests. *)
-let candidate_keys ?(reference = false) ctx ~cls ~changes_of n =
+   both vectors (Problem.ctx_base_key_fresh). *)
+let candidate_keys ctx ~cls ~changes_of n =
   let str = Problem.ctx_is_str ctx in
   let wh = Problem.ctx_weights_view ctx `H in
   let wl = Problem.ctx_weights_view ctx `L in
-  let base =
-    if reference then Problem.ctx_base_key_fresh ctx
-    else Problem.ctx_base_key ctx
-  in
+  let base = Problem.ctx_base_key ctx in
   let shift_change key (arc, after) =
     if str then
       let key = Vhash.shift key ~cls:0 ~arc ~before:wh.(arc) ~after in
@@ -96,7 +95,7 @@ let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
     match memo with
     | None -> [||]
     | Some m ->
-        let keys = candidate_keys ~reference:t.reference ctx ~cls ~changes_of n in
+        let keys = candidate_keys ctx ~cls ~changes_of n in
         for i = 0 to n - 1 do
           match Vmemo.find m keys.(i) with
           | Some s -> results.(i) <- Some s
@@ -127,6 +126,7 @@ let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
     results.(i) <- Some s
   in
   let k = Array.length miss in
+  t.evaluations <- t.evaluations + k;
   if Metrics.enabled () then begin
     Metrics.incr_counter m_dispatches;
     Metrics.add m_candidates n;
@@ -140,31 +140,12 @@ let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
       if Array.length t.clones = 0 then
         t.clones <- Array.init jobs (fun _ -> Problem.clone_ctx t.problem ctx)
       else Array.iter (fun c -> Problem.sync_ctx ~src:ctx ~dst:c) t.clones;
-      (* Contiguous balanced chunks; every task measures its own
-         domain-counter delta, rolls it back, and returns it so the
-         engine can re-add the total on the calling domain — reported
-         evaluation counts are identical for every jobs value. *)
-      let counts =
-        Pool.map pool jobs ~f:(fun j ->
-            let clone = t.clones.(j) in
-            let e0, f0, d0 = Problem.domain_eval_counts () in
-            let lo = j * k / jobs and hi = (j + 1) * k / jobs in
-            for idx = lo to hi - 1 do
-              eval_one clone miss.(idx)
-            done;
-            let e1, f1, d1 = Problem.domain_eval_counts () in
-            let de = e1 - e0 and df = f1 - f0 and dd = d1 - d0 in
-            Problem.move_domain_counts ~eval:(-de) ~full:(-df) ~delta:(-dd);
-            (de, df, dd))
-      in
-      let te = ref 0 and tf = ref 0 and td = ref 0 in
-      Array.iter
-        (fun (e, f, d) ->
-          te := !te + e;
-          tf := !tf + f;
-          td := !td + d)
-        counts;
-      Problem.move_domain_counts ~eval:!te ~full:!tf ~delta:!td
+      (* Contiguous balanced chunks, one per worker clone. *)
+      ignore
+        (Pool.map pool jobs ~f:(fun j ->
+             for idx = j * k / jobs to ((j + 1) * k / jobs) - 1 do
+               eval_one t.clones.(j) miss.(idx)
+             done))
   | _ -> Array.iter (eval_one ctx) miss);
   (match memo with
   | None -> ()
@@ -192,7 +173,7 @@ let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
 let commit t ctx ~cls ~changes =
   (* The winner was evaluated (and counted) as a summary — possibly on
      a worker's clone or out of the memo; re-derive its delta against
-     the main context without recounting.  Probes are deterministic
+     the main context without recounting it in the metrics.  Probes are deterministic
      functions of the context's value state, so this reproduces the
      winning candidate bitwise. *)
   let d = Problem.eval_delta ~count:false t.problem ctx ~cls ~changes in

@@ -16,9 +16,8 @@
     against, so the summaries (and everything folded from them) are
     identical for every [jobs] value.  Memo lookups and insertions
     happen on the calling domain in candidate order, so hit/miss
-    patterns are scheduling-independent too; evaluation counters are
-    measured per task, rolled back, and re-added on the calling
-    domain in task order. *)
+    patterns — and the engine's evaluation count — are
+    scheduling-independent too. *)
 
 type summary = {
   objective : Dtr_cost.Lexico.t;
@@ -31,21 +30,21 @@ type t
 (** An engine: an optional worker pool plus per-worker context clones,
     reused across iterations of one search run. *)
 
-val create : ?reference:bool -> jobs:int -> Problem.t -> t
-(** [reference] (default [false], see
-    {!Search_config.t.reference_loops}) forces the pre-incremental
-    memo keying: the base Zobrist hash of both weight vectors is
-    recomputed from scratch every scan instead of read from the
-    context's incrementally maintained key — bit-identical keys, so
-    identical memo hits and counters; exists as the test oracle.
-    @raise Invalid_argument if [jobs < 1]. *)
+val create : jobs:int -> Problem.t -> t
+(** @raise Invalid_argument if [jobs < 1]. *)
 
 val jobs : t -> int
+
+val evaluations : t -> int
+(** Candidates this engine has evaluated so far: the memo misses of
+    every {!evaluate} call (every candidate, without a memo).  A search
+    run adds it to its own full and delta evaluations for its report;
+    {!commit} does not count. *)
 
 val shutdown : t -> unit
 (** Join the worker domains and drop the clones.  Idempotent. *)
 
-val with_engine : ?reference:bool -> jobs:int -> Problem.t -> (t -> 'a) -> 'a
+val with_engine : jobs:int -> Problem.t -> (t -> 'a) -> 'a
 (** Run [f] on a fresh engine, shutting it down on exit (normal or
     exceptional).  [jobs = 1] spawns no domains: scans degenerate to
     the plain sequential loop. *)
@@ -80,4 +79,4 @@ val commit :
 (** Install a winning candidate into the main context and return it as
     a solution.  The candidate is re-derived against the context by an
     {e uncounted} probe (its evaluation was already counted when the
-    scan summarized it), so evaluation reports stay jobs-invariant. *)
+    scan summarized it), so evaluation counts stay jobs-invariant. *)

@@ -15,12 +15,10 @@ type t = {
   tau : float;
   max_step : int;
   scan_probability : float;
-  seed_split : int;
   scan_jobs : int;
   trace_probes : bool;
   trace_sample : int;
   robust : robust option;
-  reference_loops : bool;
 }
 
 let paper =
@@ -35,12 +33,10 @@ let paper =
     tau = 1.5;
     max_step = 5;
     scan_probability = 0.;
-    seed_split = 0;
     scan_jobs = 1;
     trace_probes = true;
     trace_sample = 1;
     robust = None;
-    reference_loops = false;
   }
 
 let default =

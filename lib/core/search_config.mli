@@ -37,7 +37,6 @@ type t = {
           (the Fortz–Thorup move).  Compensates for running orders of
           magnitude fewer iterations than the paper's N = 300 000;
           set to 0. for the literal Algorithm 2 neighborhood. *)
-  seed_split : int;  (** stream id so sub-searches decorrelate *)
   scan_jobs : int;
       (** worker domains for the neighborhood-scan engine ({!Scan})
           inside one search run; results are bit-identical for every
@@ -65,14 +64,6 @@ type t = {
           [J >= normal], nothing better can hide behind a worse
           normal cost).  Default [None] — and with [None] every
           search path is bit-identical to the non-robust build. *)
-  reference_loops : bool;
-      (** test oracle: force the pre-incremental inner loops — full
-          arc re-sort per {!Str_search.pick_arc}/FindH/FindL pass and
-          a fresh Zobrist rehash of both weight vectors per scan —
-          instead of the cached ranking repaired across commits and
-          the incrementally shifted base key.  Both paths are
-          bit-identical by construction; this switch exists so tests
-          can assert it.  Default [false] (incremental). *)
 }
 
 val paper : t

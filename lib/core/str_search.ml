@@ -92,13 +92,12 @@ let archive_insert ar ~phi_h ~phi_l ~w =
    arcs the commits since the last call actually moved, instead of a
    full O(m log m) re-sort — and [ht] is the heavy-tail table over all
    m arcs, hoisted out of the loop (it depends only on (tau, m)). *)
-let pick_arc rng cfg ~rcache ~ht ctx problem =
+let pick_arc rng ~rcache ~ht ctx problem =
   let n = Dtr_graph.Graph.arc_count problem.Problem.graph in
   if Prng.bool rng then Prng.int rng n
   else begin
     let ranking =
-      Ranking.arcs ~reference:cfg.Search_config.reference_loops rcache ctx
-        ~cmp:(Problem.ctx_arc_cmp_h problem ctx) n
+      Ranking.arcs rcache ctx ~cmp:(Problem.ctx_arc_cmp_h problem ctx) n
     in
     ranking.(Dist.heavy_tail_sample ht rng - 1)
   end
@@ -108,7 +107,6 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
   Search_config.validate cfg;
   let iters = match iters with Some i -> i | None -> default_iters cfg in
   if iters < 1 then invalid_arg "Str_search.run: iters must be positive";
-  let eval0, full0, delta0 = Problem.domain_eval_counts () in
   let probe_trace =
     if cfg.Search_config.trace_probes then
       Trace.sample cfg.Search_config.trace_sample trace
@@ -136,12 +134,18 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
           ~w:(fun () -> sol.Problem.wh)
     end
   in
-  Scan.with_engine ~reference:cfg.Search_config.reference_loops
-    ~jobs:cfg.Search_config.scan_jobs problem
-  @@ fun scan ->
+  Scan.with_engine ~jobs:cfg.Search_config.scan_jobs problem @@ fun scan ->
   (* Per-run memo of evaluated settings; scans consult it in candidate
      order, so hits (and the counters below) are jobs-invariant. *)
   let memo = Vmemo.create () in
+  (* The run counts its own evaluations: full ones and its
+     diversification deltas here, scan candidates in the engine. *)
+  let fulls = ref 0 and deltas = ref 0 in
+  let counts () =
+    let delta = !deltas + Scan.evaluations scan in
+    (!fulls + delta, !fulls, delta)
+  in
+  incr fulls;
   let current = ref (Problem.eval_str problem ~w:w0) in
   let ctx = Problem.ctx_of_solution problem !current in
   observe !current;
@@ -160,24 +164,24 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
      trajectory (see Trace). *)
   let tell kind ~iteration ~detail ~before ~prev =
     if Trace.enabled trace then begin
-      let e, f, d = Problem.domain_eval_counts () in
+      let e, f, d = counts () in
       Trace.emit trace ~kind ~iteration ~detail
         ~accepted:(not (prev == !current))
         ~before:(Trace.pair before)
         ~after:(Trace.pair (Problem.objective !current))
         ~best:(Trace.pair (Problem.objective !best))
-        ~evaluations:(e - eval0) ~full:(f - full0) ~delta:(d - delta0)
-        ~memo_hits:(Vmemo.hits memo) ~memo_misses:(Vmemo.misses memo) ()
+        ~evaluations:e ~full:f ~delta:d ~memo_hits:(Vmemo.hits memo)
+        ~memo_misses:(Vmemo.misses memo) ()
     end
   in
   let tell_sweep ~iteration ~normal ~(rp : Problem.robust_price) ~accepted =
     if Trace.enabled trace then begin
-      let e, f, d = Problem.domain_eval_counts () in
+      let e, f, d = counts () in
       Trace.emit trace ~kind:Trace.Robust_sweep ~iteration
         ~detail:rp.Problem.rp_infinite ~accepted ~before:(Trace.pair normal)
         ~after:(Trace.pair rp.Problem.rp_objective) ~best:(Trace.pair !best_j)
-        ~evaluations:(e - eval0) ~full:(f - full0) ~delta:(d - delta0)
-        ~memo_hits:(Vmemo.hits memo) ~memo_misses:(Vmemo.misses memo)
+        ~evaluations:e ~full:f ~delta:d ~memo_hits:(Vmemo.hits memo)
+        ~memo_misses:(Vmemo.misses memo)
         ~value:rp.Problem.rp_penalty.Dtr_cost.Lexico.primary ()
     end
   in
@@ -241,7 +245,7 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
   while !iteration < iters && not (!iteration > 0 && should_stop ()) do
     incr iteration;
     let iteration = !iteration in
-    let arc = pick_arc rng cfg ~rcache ~ht ctx problem in
+    let arc = pick_arc rng ~rcache ~ht ctx problem in
     let before = Problem.objective !current in
     let prev = !current in
     let w = !current.Problem.wh in
@@ -291,6 +295,7 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
         Weights.perturb rng ~fraction:cfg.Search_config.g1 !current.Problem.wh
       in
       let changes = Problem.weight_changes !current.Problem.wh w in
+      incr deltas;
       let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
       let prev = !current in
       current := Problem.commit_delta problem ctx d;
@@ -309,10 +314,11 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
     | None -> ()
     | Some f -> f iteration (Problem.objective !best)
   done;
+  let evaluations, _, _ = counts () in
   {
     best = !best;
     objective = !best_j;
-    evaluations = Problem.domain_evaluations () - eval0;
+    evaluations;
     improvements = !improvements;
     memo_hits = Vmemo.hits memo;
     memo_misses = Vmemo.misses memo;

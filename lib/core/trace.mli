@@ -7,8 +7,9 @@
     {b Determinism.}  Every event field except [time_us] is a pure
     function of the search trajectory: objectives come from the
     jobs-invariant summaries the searches already fold over, counters
-    come from the per-domain evaluation counters (transferred in task
-    order by {!Scan}) and the per-run memo, and events produced on
+    come from the run's own evaluation counts (its full evaluations
+    and probes, plus the candidates its {!Scan} engine counted on the
+    calling domain) and the per-run memo, and events produced on
     worker domains (multi-start restarts, parallel scan tasks) are
     buffered and re-emitted on the calling domain in sequential order
     — restart order for {!Multistart}, candidate order for {!Scan}.

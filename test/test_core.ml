@@ -3,6 +3,7 @@
    themselves (on small instances with small budgets). *)
 
 module Prng = Dtr_util.Prng
+module Metrics = Dtr_util.Metrics
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
@@ -189,13 +190,26 @@ let test_problem_defensive_copies () =
   w.(0) <- 1;
   Alcotest.(check int) "solution unaffected" 15 s.Problem.wh.(0)
 
+(* Problem counts its evaluations in the (process-wide, off by
+   default) metrics registry; the test leaves it off and zeroed. *)
 let test_problem_evaluation_counter () =
   let p = ring_problem () in
-  Problem.reset_evaluations ();
+  let metric name = Metrics.counter_value (Metrics.counter ~help:"" name) in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
   let w = Weights.uniform p.Problem.graph 15 in
   ignore (Problem.eval_str p ~w);
-  ignore (Problem.eval_str p ~w);
-  Alcotest.(check int) "two evaluations" 2 (Problem.evaluations ())
+  let sol = Problem.eval_str p ~w in
+  let ctx = Problem.ctx_of_solution p sol in
+  let d = Problem.eval_delta ~count:false p ctx ~cls:`H ~changes:[ (0, 3) ] in
+  Problem.abort_delta ctx d;
+  Alcotest.(check int) "two evaluations" 2 (metric "dtr_eval_full_total");
+  Alcotest.(check int) "uncounted probe" 0 (metric "dtr_eval_delta_total")
 
 (* ------------------------------------------------------------------ *)
 (* Dtr_search / Str_search *)

@@ -21,6 +21,8 @@ module Multi = Dtr_routing.Multi
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Problem = Dtr_core.Problem
+module Ranking = Dtr_core.Ranking
+module Neighborhood = Dtr_core.Neighborhood
 
 (* The engine is designed to be bitwise-reproducible (same summation
    order, re-folded totals), so the comparison tolerance is zero. *)
@@ -342,17 +344,23 @@ let test_repair_large_graph () =
     (check_batch ~what:"220 nodes failure" ~ws g w !dags
        [ (a, Dijkstra.suppressed); (b, Dijkstra.suppressed) ])
 
-(* Work counters: every dirty destination is counted once, as moving
-   labels or next-hop sets only, and repairs settle labels. *)
-let test_repair_counters () =
+(* Run [f] with the metrics registry on and zeroed, and leave it off
+   and zeroed, so test order never matters. *)
+let with_metrics f =
   Metrics.set_enabled true;
   Metrics.reset ();
   Fun.protect
     ~finally:(fun () ->
       Metrics.set_enabled false;
       Metrics.reset ())
-  @@ fun () ->
-  let counter name = Metrics.counter_value (Metrics.counter ~help:"" name) in
+    f
+
+let counter name = Metrics.counter_value (Metrics.counter ~help:"" name)
+
+(* Work counters: every dirty destination is counted once, as moving
+   labels or next-hop sets only, and repairs settle labels. *)
+let test_repair_counters () =
+  with_metrics @@ fun () ->
   let g = random_graph 5 in
   let rng = Prng.create 77 in
   let w = Weights.random rng g in
@@ -563,20 +571,48 @@ let apply w changes =
   w'
 
 (* A commit leaves the context's bookkeeping readable incrementally:
-   the commit log covers it, and the shifted memo base key equals the
-   rehash. *)
-let check_commit_bookkeeping ~what ctx ~since =
+   the commit log covers it, the shifted memo base key equals the
+   rehash, and the cached rankings (one cache per comparator) equal
+   full sorts. *)
+let check_commit_bookkeeping ~what problem (rank_h, rank_l) ctx ~since =
   (match Problem.ctx_changes_since ctx ~since with
   | Some _ -> ()
   | None -> Alcotest.failf "%s: commit log lost the commit" what);
   Alcotest.(check int)
     (what ^ ": base key") (Problem.ctx_base_key_fresh ctx)
-    (Problem.ctx_base_key ctx)
+    (Problem.ctx_base_key ctx);
+  let m = Graph.arc_count problem.Problem.graph in
+  List.iter
+    (fun (order, cache, cmp_of) ->
+      let cmp = cmp_of problem ctx in
+      Alcotest.(check (array int))
+        (Printf.sprintf "%s: %s ranking" what order)
+        (Neighborhood.rank_by_cost ~cmp m)
+        (Ranking.arcs cache ctx ~cmp m))
+    [
+      ("H", rank_h, Problem.ctx_arc_cmp_h); ("L", rank_l, Problem.ctx_arc_cmp_l);
+    ]
+
+(* [n] commits of random changes that no ranking cache reads; returns
+   the last committed solution. *)
+let unread_commits problem ctx rng n =
+  let sol = ref (Problem.ctx_solution problem ctx) in
+  for _ = 1 to n do
+    let cls = if Prng.bool rng then `H else `L in
+    let changes = random_changes rng (Problem.ctx_weights_view ctx cls) in
+    sol :=
+      Problem.commit_delta problem ctx
+        (Problem.eval_delta problem ctx ~cls ~changes)
+  done;
+  !sol
 
 let problem_delta_matches seed =
   let g = random_graph seed in
   let rng = Prng.create (seed * 23 + 9) in
   let th, tl = random_matrices rng g in
+  (* One pair of ranking caches for every context below, so a context
+     switch exercises the caches' identity fallback. *)
+  let ranks = (Ranking.create (), Ranking.create ()) in
   List.iter
     (fun model ->
       let problem = Problem.create ~graph:g ~th ~tl ~model in
@@ -605,7 +641,7 @@ let problem_delta_matches seed =
           expected;
         Alcotest.(check bool) "committed solution is STR" true
           (Problem.is_str committed);
-        check_commit_bookkeeping ~what:"STR commit" ctx ~since;
+        check_commit_bookkeeping ~what:"STR commit" problem ranks ctx ~since;
         sol := committed
       done;
       (* DTR context: a run of interleaved H and L commits. *)
@@ -615,6 +651,10 @@ let problem_delta_matches seed =
         (reference problem ~wh:wh0 ~wl:wl0);
       let ctx = Problem.ctx_of_solution problem !sol in
       ignore (Problem.ctx_base_key ctx);
+      (* The caches last read the STR context at version 3.  Past that
+         version this context's log covers their version, so only their
+         identity check keeps them from repairing the STR ranking. *)
+      sol := unread_commits problem ctx rng 3;
       for _ = 1 to 6 do
         let cls = if Prng.bool rng then `H else `L in
         let wh = !sol.Problem.wh and wl = !sol.Problem.wl in
@@ -633,9 +673,15 @@ let problem_delta_matches seed =
         let committed = Problem.commit_delta problem ctx d in
         check_lex ~what:"DTR committed objective" (Problem.objective committed)
           expected;
-        check_commit_bookkeeping ~what:"DTR commit" ctx ~since;
+        check_commit_bookkeeping ~what:"DTR commit" problem ranks ctx ~since;
         sol := committed
-      done)
+      done;
+      (* One more commit than the bounded log holds (32) before the
+         caches read again: they fall back to full sorts. *)
+      ignore (unread_commits problem ctx rng 33);
+      check_commit_bookkeeping ~what:"DTR after 33 unread commits" problem
+        ranks ctx
+        ~since:(Problem.ctx_version ctx - 1))
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
   true
 
@@ -646,21 +692,24 @@ let test_problem_delta () =
     problem_delta_matches
 
 let test_problem_counters () =
+  with_metrics @@ fun () ->
   let g = random_graph 7 in
   let rng = Prng.create 31 in
   let th, tl = random_matrices rng g in
   let problem = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
-  Problem.reset_evaluations ();
   let w = Weights.random rng g in
   let sol = Problem.eval_str problem ~w in
   let ctx = Problem.ctx_of_solution problem sol in
   let arc, v = random_change rng sol.Problem.wh in
   let d = Problem.eval_delta problem ctx ~cls:`H ~changes:[ (arc, v) ] in
   ignore (Problem.commit_delta problem ctx d);
-  Alcotest.(check int) "full evaluations" 1 (Problem.full_evaluations ());
-  Alcotest.(check int) "delta evaluations" 1 (Problem.delta_evaluations ());
-  Alcotest.(check int) "total evaluations" 2 (Problem.evaluations ());
-  Problem.reset_evaluations ()
+  (* Re-deriving an already-counted candidate, as Scan.commit does,
+     counts nothing. *)
+  let arc, v = random_change rng (Problem.ctx_weights_view ctx `H) in
+  Problem.abort_delta ctx
+    (Problem.eval_delta ~count:false problem ctx ~cls:`H ~changes:[ (arc, v) ]);
+  Alcotest.(check int) "full evaluations" 1 (counter "dtr_eval_full_total");
+  Alcotest.(check int) "delta evaluations" 1 (counter "dtr_eval_delta_total")
 
 let test_eval_ctx_stale_probe () =
   let g = random_graph 3 in

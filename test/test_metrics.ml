@@ -1,8 +1,10 @@
 (* Tests for the metrics subsystem: histogram bucket boundaries,
    disabled-registry no-ops, the determinism contract on counters
    (deterministic snapshots byte-identical across jobs and scan-jobs,
-   on both cost models), run manifests, timestamp-free trace sinks,
-   and a golden-output check of the inspect report tables. *)
+   on both cost models, with every search report's evaluation count
+   equal to the evaluation metrics), run manifests, timestamp-free
+   trace sinks, and a golden-output check of the inspect report
+   tables. *)
 
 module Metrics = Dtr_util.Metrics
 module Prng = Dtr_util.Prng
@@ -13,6 +15,8 @@ module Report = Dtr_routing.Report
 module Search_config = Dtr_core.Search_config
 module Problem = Dtr_core.Problem
 module Str_search = Dtr_core.Str_search
+module Dtr_search = Dtr_core.Dtr_search
+module Anneal_search = Dtr_core.Anneal_search
 module Multistart = Dtr_core.Multistart
 module Manifest = Dtr_core.Manifest
 module Trace = Dtr_core.Trace
@@ -116,31 +120,73 @@ let test_disabled_noop () =
 (* ------------------------------------------------------------------ *)
 (* Determinism: byte-identical snapshots across scan-jobs and jobs *)
 
-let str_snapshot ~model ~scan_jobs =
+let counter name = Metrics.counter_value (Metrics.counter ~help:"" name)
+
+(* A search report counts its run's own evaluations; Problem counts
+   every evaluation where it happens.  The two sides are independent,
+   and must agree. *)
+let check_report_evaluations ~what evaluations =
+  Alcotest.(check int)
+    (what ^ ": report evaluations = full + delta metrics")
+    (counter "dtr_eval_full_total" + counter "dtr_eval_delta_total")
+    evaluations
+
+let light_schedule =
+  {
+    Anneal_search.t0_ratio = 0.05;
+    cooling = 0.8;
+    moves_per_temp = 5;
+    t_min_ratio = 0.01;
+  }
+
+let searches =
+  [ ("str", `Str); ("dtr", `Dtr); ("robust dtr", `Robust_dtr); ("anneal", `Anneal) ]
+
+let search_snapshot (name, search) ~model ~scan_jobs =
   with_metrics @@ fun () ->
   let problem, cfg = ring_problem ~model ~scan_jobs () in
-  ignore (Str_search.run (Prng.create 5) cfg problem);
+  let rng = Prng.create 5 in
+  let evaluations =
+    match search with
+    | `Str -> (Str_search.run rng cfg problem).Str_search.evaluations
+    | `Dtr -> (Dtr_search.run rng cfg problem).Dtr_search.evaluations
+    | `Robust_dtr ->
+        let robust = Some { Search_config.alpha = 1.; top_k = 1 } in
+        (Dtr_search.run rng { cfg with Search_config.robust } problem)
+          .Dtr_search.evaluations
+    | `Anneal ->
+        (Anneal_search.run ~schedule:light_schedule rng cfg problem)
+          .Anneal_search.evaluations
+  in
+  check_report_evaluations
+    ~what:(Printf.sprintf "%s, scan-jobs %d" name scan_jobs)
+    evaluations;
   Metrics.deterministic_snapshot ()
 
-let test_scan_jobs_invariance_load () =
-  Alcotest.(check string)
-    "load model: scan-jobs 1 = 4"
-    (str_snapshot ~model:Objective.Load ~scan_jobs:1)
-    (str_snapshot ~model:Objective.Load ~scan_jobs:4)
+let check_scan_jobs_invariance model =
+  List.iter
+    (fun search ->
+      Alcotest.(check string)
+        (fst search ^ ": scan-jobs 1 = 4")
+        (search_snapshot search ~model ~scan_jobs:1)
+        (search_snapshot search ~model ~scan_jobs:4))
+    searches
+
+let test_scan_jobs_invariance_load () = check_scan_jobs_invariance Objective.Load
 
 let test_scan_jobs_invariance_sla () =
-  let model = Objective.Sla Dtr_cost.Sla.default in
-  Alcotest.(check string)
-    "sla model: scan-jobs 1 = 4"
-    (str_snapshot ~model ~scan_jobs:1)
-    (str_snapshot ~model ~scan_jobs:4)
+  check_scan_jobs_invariance (Objective.Sla Dtr_cost.Sla.default)
 
 let multistart_snapshot ~jobs =
   with_metrics @@ fun () ->
   let problem, cfg = ring_problem () in
-  ignore
-    (Multistart.run ~jobs ~restarts:3 ~algo:Multistart.Dtr (Prng.create 7) cfg
-       problem);
+  let r =
+    Multistart.run ~jobs ~restarts:3 ~algo:Multistart.Dtr (Prng.create 7) cfg
+      problem
+  in
+  check_report_evaluations
+    ~what:(Printf.sprintf "multistart, jobs %d" jobs)
+    r.Multistart.evaluations;
   Metrics.deterministic_snapshot ()
 
 let test_jobs_invariance () =

@@ -1,11 +1,12 @@
 (* Tests for the deterministic parallel layer: the Dtr_util.Pool domain
    pool itself (ordering, exception selection, reuse, lifecycle), the
    Multistart driver's jobs-invariance, the parallel failure sweep and
-   Registry.run_all against their sequential runs, and the atomic /
-   domain-local evaluation counters that keep per-report numbers
-   scheduling-independent. *)
+   Registry.run_all against their sequential runs, and the evaluation
+   counts: exact metric totals under concurrency, and per-report
+   numbers independent of scheduling. *)
 
 module Prng = Dtr_util.Prng
+module Metrics = Dtr_util.Metrics
 module Pool = Dtr_util.Pool
 module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
@@ -214,21 +215,32 @@ let test_run_all_jobs_invariance () =
 (* ------------------------------------------------------------------ *)
 (* Evaluation counters under concurrency *)
 
+(* Run [f] with the metrics registry on and zeroed, and leave it off
+   and zeroed, so test order never matters. *)
+let with_metrics f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    f
+
+let counter name = Metrics.counter_value (Metrics.counter ~help:"" name)
+
 let test_counters_exact_across_domains () =
+  with_metrics @@ fun () ->
   let p = ring_problem () in
   let w = Weights.uniform p.Problem.graph 15 in
-  let eval0 = Problem.evaluations () in
-  let full0 = Problem.full_evaluations () in
   let n = 32 in
   ignore (Pool.run ~jobs:4 n ~f:(fun _ -> ignore (Problem.eval_str p ~w)));
-  Alcotest.(check int) "global total is exact" n (Problem.evaluations () - eval0);
-  Alcotest.(check int) "full total is exact" n
-    (Problem.full_evaluations () - full0)
+  Alcotest.(check int) "full total is exact" n (counter "dtr_eval_full_total");
+  Alcotest.(check int) "no delta evaluations" 0 (counter "dtr_eval_delta_total")
 
 let test_report_evaluations_scheduling_independent () =
-  (* Each task's report.evaluations comes from the domain-local
-     counter, so running other searches concurrently on sibling domains
-     must not leak into it. *)
+  (* Each search run counts its own evaluations, so running other
+     searches concurrently on sibling domains must not leak into its
+     report. *)
   let p = ring_problem () in
   let counts jobs =
     Pool.run ~jobs 6 ~f:(fun i ->
@@ -307,9 +319,8 @@ let test_dtr_scan_jobs_invariance () =
    same neighborhood counts nothing and serves bitwise-equal summaries;
    committing the winner is uncounted; and after the commit only the
    one candidate that restores the (never-memoized) starting vector
-   misses.  Identical at every jobs value — this also pins the
-   parallel count-transfer scheme (per-task measurement rolled back
-   and re-added on the calling domain). *)
+   misses.  Identical at every jobs value: the engine counts its
+   evaluated candidates on the calling domain. *)
 let test_scan_memo_exact_counts () =
   List.iter
     (fun jobs ->
@@ -330,17 +341,16 @@ let test_scan_memo_exact_counts () =
       let vals = candidates_excluding w0.(0) in
       let n = Array.length vals in
       let changes_of i = [ (0, vals.(i)) ] in
-      let e0 = Problem.domain_evaluations () in
       let s1 = Scan.evaluate scan ctx ~memo ~cls:`H ~changes_of n in
       Alcotest.(check int) "first scan: all misses" n (Vmemo.misses memo);
       Alcotest.(check int) "first scan: no hits" 0 (Vmemo.hits memo);
       Alcotest.(check int) "first scan: n counted evaluations" n
-        (Problem.domain_evaluations () - e0);
+        (Scan.evaluations scan);
       let s2 = Scan.evaluate scan ctx ~memo ~cls:`H ~changes_of n in
       Alcotest.(check int) "revisit: all hits" n (Vmemo.hits memo);
       Alcotest.(check int) "revisit: no new misses" n (Vmemo.misses memo);
       Alcotest.(check int) "revisit: zero new evaluations" n
-        (Problem.domain_evaluations () - e0);
+        (Scan.evaluations scan);
       Array.iteri
         (fun i (x : Scan.summary) ->
           let y = s2.(i) in
@@ -350,8 +360,7 @@ let test_scan_memo_exact_counts () =
             && x.Scan.phi_l = y.Scan.phi_l))
         s1;
       let sol' = Scan.commit scan ctx ~cls:`H ~changes:(changes_of 0) in
-      Alcotest.(check int) "commit is uncounted" n
-        (Problem.domain_evaluations () - e0);
+      Alcotest.(check int) "commit is uncounted" n (Scan.evaluations scan);
       Alcotest.(check int) "committed weight installed" vals.(0)
         sol'.Problem.wh.(0);
       let vals' = candidates_excluding vals.(0) in
@@ -365,7 +374,7 @@ let test_scan_memo_exact_counts () =
         ((2 * n) - 1)
         (Vmemo.hits memo);
       Alcotest.(check int) "post-commit: one counted evaluation" (n + 1)
-        (Problem.domain_evaluations () - e0))
+        (Scan.evaluations scan))
     [ 1; 3 ]
 
 (* ------------------------------------------------------------------ *)
@@ -493,21 +502,20 @@ let phase_temps s =
   !n
 
 let test_anneal_one_eval_per_move () =
+  with_metrics @@ fun () ->
   let p = ring_problem () in
-  let eval0 = Problem.evaluations () in
   let report =
     Anneal_search.run ~schedule:light_schedule (Prng.create 21) tiny_config p
   in
-  let spent = Problem.evaluations () - eval0 in
   (* 1 initial eval_dtr + 1 re-evaluation between phases + exactly one
      probe per proposed move: with the incumbent's energy cached,
      nothing else evaluates. *)
   let temps = phase_temps light_schedule in
-  let expected =
-    2 + (2 * temps * light_schedule.Anneal_search.moves_per_temp)
-  in
-  Alcotest.(check int) "one evaluation per proposed move" expected spent;
-  Alcotest.(check int) "report agrees with global counter" expected
+  let moves = 2 * temps * light_schedule.Anneal_search.moves_per_temp in
+  Alcotest.(check int) "two full evaluations" 2 (counter "dtr_eval_full_total");
+  Alcotest.(check int) "one probe per proposed move" moves
+    (counter "dtr_eval_delta_total");
+  Alcotest.(check int) "report agrees with the metrics" (2 + moves)
     report.Anneal_search.evaluations
 
 let test_anneal_deterministic () =

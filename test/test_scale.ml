@@ -525,82 +525,6 @@ let test_demand_mode_ts1k () =
   Alcotest.(check (array (float 0.)))
     "phi identical after commits" (Eval_ctx.phi ca) (Eval_ctx.phi cd)
 
-(* ------------------------------------------------------------------ *)
-(* Incremental search bookkeeping vs. the reference loops.  The scaled
-   search path keeps a cached arc ranking (repaired incrementally after
-   each commit) and maintains the Zobrist base key of the current
-   weight setting incrementally; [Search_config.reference_loops]
-   switches both back to the original full re-sort / fresh rehash.
-   The two paths must produce bit-identical searches — same
-   trajectory, same memo traffic, same archive — on both cost models
-   and at every scan-jobs setting. *)
-
-module Search_config = Dtr_core.Search_config
-module Problem = Dtr_core.Problem
-module Str_search = Dtr_core.Str_search
-module Dtr_search = Dtr_core.Dtr_search
-module Objective = Dtr_routing.Objective
-module Sla = Dtr_cost.Sla
-module Lexico = Dtr_cost.Lexico
-
-let search_problem ~model =
-  let g, _, rng = build_connected (9, 14, 4242) in
-  let n = Graph.node_count g in
-  let th = random_sparse_matrix rng ~n ~pairs:5 in
-  let tl = random_sparse_matrix rng ~n ~pairs:10 in
-  Problem.create ~graph:g ~th ~tl ~model
-
-let run_searches ~model ~scan_jobs ~reference_loops =
-  let cfg =
-    {
-      Search_config.quick with
-      Search_config.n_iters = 25;
-      k_iters = 40;
-      diversify_after = 8;
-      scan_jobs;
-      reference_loops;
-    }
-  in
-  let p = search_problem ~model in
-  let s = Str_search.run (Prng.create 77) cfg p in
-  let d = Dtr_search.run (Prng.create 78) cfg p in
-  (s, d)
-
-let check_reference_identical ~model ~scan_jobs () =
-  let si, di = run_searches ~model ~scan_jobs ~reference_loops:false in
-  let sr, dr = run_searches ~model ~scan_jobs ~reference_loops:true in
-  let lex = Alcotest.testable (Fmt.any "lexico") (fun a b -> a = b) in
-  Alcotest.(check lex) "STR objective" sr.Str_search.objective
-    si.Str_search.objective;
-  Alcotest.(check (array int))
-    "STR weights" sr.Str_search.best.Problem.wh si.Str_search.best.Problem.wh;
-  Alcotest.(check int) "STR evaluations" sr.Str_search.evaluations
-    si.Str_search.evaluations;
-  Alcotest.(check int) "STR improvements" sr.Str_search.improvements
-    si.Str_search.improvements;
-  Alcotest.(check int) "STR memo hits" sr.Str_search.memo_hits
-    si.Str_search.memo_hits;
-  Alcotest.(check int) "STR memo misses" sr.Str_search.memo_misses
-    si.Str_search.memo_misses;
-  Alcotest.(check bool) "STR archive" true
-    (sr.Str_search.archive = si.Str_search.archive);
-  Alcotest.(check lex) "DTR objective" dr.Dtr_search.objective
-    di.Dtr_search.objective;
-  Alcotest.(check (array int))
-    "DTR wh" dr.Dtr_search.best.Problem.wh di.Dtr_search.best.Problem.wh;
-  Alcotest.(check (array int))
-    "DTR wl" dr.Dtr_search.best.Problem.wl di.Dtr_search.best.Problem.wl;
-  Alcotest.(check int) "DTR evaluations" dr.Dtr_search.evaluations
-    di.Dtr_search.evaluations;
-  Alcotest.(check int) "DTR improvements" dr.Dtr_search.improvements
-    di.Dtr_search.improvements;
-  Alcotest.(check int) "DTR memo hits" dr.Dtr_search.memo_hits
-    di.Dtr_search.memo_hits;
-  Alcotest.(check int) "DTR memo misses" dr.Dtr_search.memo_misses
-    di.Dtr_search.memo_misses;
-  Alcotest.(check bool) "DTR phase objectives" true
-    (dr.Dtr_search.phase_objectives = di.Dtr_search.phase_objectives)
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dtr_scale"
@@ -634,18 +558,5 @@ let () =
             test_generate_ba_structure;
           Alcotest.test_case "presets generate + pops" `Slow test_large_presets;
           Alcotest.test_case "PoP gravity matrix" `Quick test_gravity_pop;
-        ] );
-      ( "incremental-vs-reference",
-        [
-          Alcotest.test_case "load model, 1 scan job" `Quick
-            (check_reference_identical ~model:Objective.Load ~scan_jobs:1);
-          Alcotest.test_case "load model, 4 scan jobs" `Quick
-            (check_reference_identical ~model:Objective.Load ~scan_jobs:4);
-          Alcotest.test_case "SLA model, 1 scan job" `Quick
-            (check_reference_identical ~model:(Objective.Sla Sla.default)
-               ~scan_jobs:1);
-          Alcotest.test_case "SLA model, 4 scan jobs" `Quick
-            (check_reference_identical ~model:(Objective.Sla Sla.default)
-               ~scan_jobs:4);
         ] );
     ]
