@@ -204,8 +204,15 @@ let member key = function
 
 let to_float = function Num v -> Some v | _ -> None
 
+(* [int_of_float] is unspecified outside the int range, so only
+   integral values in [min_int, -min_int) — exact floats on every word
+   size — convert. *)
 let to_int = function
-  | Num v when Float.is_integer v -> Some (int_of_float v)
+  | Num v
+    when Float.is_integer v
+         && v >= Float.of_int min_int
+         && v < -.Float.of_int min_int ->
+      Some (int_of_float v)
   | _ -> None
 
 let to_string = function Str s -> Some s | _ -> None

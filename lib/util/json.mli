@@ -27,7 +27,9 @@ val to_float : t -> float option
 (** [Num]s only. *)
 
 val to_int : t -> int option
-(** [Num]s representing integers ([Float.is_integer]). *)
+(** [Num]s representing integers ([Float.is_integer]) in the native
+    int range, [[min_int, max_int]]; [None] for any other value, so a
+    reader rejects an out-of-range count instead of wrapping it. *)
 
 val to_string : t -> string option
 

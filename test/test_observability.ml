@@ -68,6 +68,12 @@ let test_json_scalars () =
     (Json.to_int (ok "-42"));
   Alcotest.(check (option int)) "non-integer is not an int" None
     (Json.to_int (ok "2.5"));
+  Alcotest.(check (option int)) "2^62 is out of range" None
+    (Json.to_int (ok "4.611686018427388e18"));
+  Alcotest.(check (option int)) "1e300 is out of range" None
+    (Json.to_int (ok "1e300"));
+  Alcotest.(check (option int)) "-2^62 is min_int" (Some min_int)
+    (Json.to_int (ok "-4.611686018427388e18"));
   Alcotest.(check (option string))
     "string escapes" (Some "a\"b\\c\n\t/")
     (Json.to_string (ok {|"a\"b\\c\n\t\/"|}));
@@ -145,6 +151,39 @@ let test_trace_json_round_trip () =
             true (e = e'))
     evs
 
+(* One well-formed trace line, and the same line with the first
+   occurrence of [needle] replaced. *)
+let probe_line =
+  Trace.to_json
+    {
+      Trace.seq = 0;
+      restart = -1;
+      kind = Trace.Probe;
+      iteration = 0;
+      detail = 0;
+      accepted = false;
+      before = [||];
+      after = [||];
+      best = [||];
+      evaluations = 0;
+      full_evals = 0;
+      delta_evals = 0;
+      memo_hits = 0;
+      memo_misses = 0;
+      value = 0.;
+      time_us = 0.;
+    }
+
+let corrupt ~needle ~by line =
+  let n = String.length needle in
+  let rec find i =
+    if i + n > String.length line then Alcotest.failf "%S not in %S" needle line
+    else if String.sub line i n = needle then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub line 0 i ^ by ^ String.sub line (i + n) (String.length line - i - n)
+
 let test_trace_of_json_rejects () =
   List.iter
     (fun line ->
@@ -157,38 +196,7 @@ let test_trace_of_json_rejects () =
       "[1]";
       {|{"seq":0}|};
       (* missing the other fields *)
-      (let good =
-         Trace.to_json
-           {
-             Trace.seq = 0;
-             restart = -1;
-             kind = Trace.Probe;
-             iteration = 0;
-             detail = 0;
-             accepted = false;
-             before = [||];
-             after = [||];
-             best = [||];
-             evaluations = 0;
-             full_evals = 0;
-             delta_evals = 0;
-             memo_hits = 0;
-             memo_misses = 0;
-             value = 0.;
-             time_us = 0.;
-           }
-       in
-       (* Corrupt the kind name. *)
-       let needle = "\"probe\"" in
-       let n = String.length needle in
-       let rec find i =
-         if i + n > String.length good then -1
-         else if String.sub good i n = needle then i
-         else find (i + 1)
-       in
-       let i = find 0 in
-       String.sub good 0 i ^ "\"probed\""
-       ^ String.sub good (i + n) (String.length good - i - n));
+      corrupt ~needle:"\"probe\"" ~by:"\"probed\"" probe_line;
     ]
 
 let emit_kind t kind =
@@ -588,6 +596,30 @@ let test_report_load_errors () =
   Alcotest.(check bool) "all-garbage trace is an error" true
     (Result.is_error (Report_gen.load path))
 
+(* A count outside the int range makes its line unparseable, so the
+   report counts the line as bad instead of summing a wrapped value. *)
+let test_report_out_of_range_count () =
+  with_temp_trace @@ fun path ->
+  let oc = open_out path in
+  List.iter
+    (fun line ->
+      output_string oc line;
+      output_char oc '\n')
+    [
+      probe_line;
+      corrupt ~needle:"\"evals\":0" ~by:"\"evals\":1e300" probe_line;
+      corrupt ~needle:"\"evals\":0" ~by:"\"evals\":4.611686018427388e18"
+        probe_line;
+    ];
+  close_out oc;
+  match Report_gen.load path with
+  | Error e -> Alcotest.fail e
+  | Ok rep ->
+      Alcotest.(check int) "good line kept" 1
+        (List.length (Report_gen.events rep));
+      Alcotest.(check int) "out-of-range lines are bad" 2
+        (Report_gen.bad_lines rep)
+
 let () =
   Alcotest.run "observability"
     [
@@ -637,5 +669,7 @@ let () =
           Alcotest.test_case "multistart restarts" `Quick
             test_report_multistart_restarts;
           Alcotest.test_case "load errors" `Quick test_report_load_errors;
+          Alcotest.test_case "out-of-range count is a bad line" `Quick
+            test_report_out_of_range_count;
         ] );
     ]
