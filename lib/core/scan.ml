@@ -173,7 +173,7 @@ let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
 let commit t ctx ~cls ~changes =
   (* The winner was evaluated (and counted) as a summary — possibly on
      a worker's clone or out of the memo; re-derive its delta against
-     the main context without recounting it in the metrics.  Probes are deterministic
+     the main context without recounting.  Probes are deterministic
      functions of the context's value state, so this reproduces the
      winning candidate bitwise. *)
   let d = Problem.eval_delta ~count:false t.problem ctx ~cls ~changes in
