@@ -3,7 +3,8 @@
    (including parallel links and disconnected graphs), reusable
    Dijkstra/SPF workspaces, arena load projection, demand-only
    evaluation contexts, sparse traffic matrices, the O(links) BA
-   sampler, and the large presets. *)
+   sampler, the large presets, and the searches' incremental ranking
+   and memo-key bookkeeping against their references. *)
 
 module Graph = Dtr_graph.Graph
 module Dijkstra = Dtr_graph.Dijkstra
@@ -525,6 +526,127 @@ let test_demand_mode_ts1k () =
   Alcotest.(check (array (float 0.)))
     "phi identical after commits" (Eval_ctx.phi ca) (Eval_ctx.phi cd)
 
+(* ------------------------------------------------------------------ *)
+(* Incremental search bookkeeping vs. the references.  The scaled
+   search path keeps a cached arc ranking (repaired incrementally after
+   each commit) and maintains the Zobrist base key that keys the scan
+   memo incrementally.  A search-shaped walk through a scan engine —
+   rank, scan one arc's candidate values against a memo, commit the
+   best — must keep both equal to their references (a full re-sort and
+   a fresh rehash) after every commit, and every summary the scan
+   returns, probed or served from the memo, must equal a full
+   evaluation of its setting; on both cost models and at every
+   scan-jobs setting. *)
+
+module Problem = Dtr_core.Problem
+module Scan = Dtr_core.Scan
+module Ranking = Dtr_core.Ranking
+module Neighborhood = Dtr_core.Neighborhood
+module Objective = Dtr_routing.Objective
+module Sla = Dtr_cost.Sla
+module Lexico = Dtr_cost.Lexico
+module Vmemo = Dtr_util.Vmemo
+
+let search_problem ~model =
+  let g, _, rng = build_connected (9, 14, 4242) in
+  let n = Graph.node_count g in
+  let th = random_sparse_matrix rng ~n ~pairs:5 in
+  let tl = random_sparse_matrix rng ~n ~pairs:10 in
+  Problem.create ~graph:g ~th ~tl ~model
+
+let check_incremental_walk ~model ~scan_jobs () =
+  let problem = search_problem ~model in
+  let m = Graph.arc_count problem.Problem.graph in
+  let lex = Alcotest.testable Lexico.pp (fun a b -> a = b) in
+  let rng = Prng.create 77 in
+  (* [steps] commits on a context started from [sol], on an engine and
+     memo of its own as a search run has; [cls_of] picks each step's
+     class. *)
+  let walk ~what sol ~steps ~cls_of =
+    Scan.with_engine ~jobs:scan_jobs problem @@ fun scan ->
+    let memo = Vmemo.create () in
+    let ctx = Problem.ctx_of_solution problem sol in
+    let rank_h = Ranking.create () and rank_l = Ranking.create () in
+    let full_eval cls changes =
+      let apply w =
+        let w' = Array.copy w in
+        List.iter (fun (a, v) -> w'.(a) <- v) changes;
+        w'
+      in
+      let wh = Problem.ctx_weights ctx `H and wl = Problem.ctx_weights ctx `L in
+      Problem.objective
+        (if Problem.ctx_is_str ctx then Problem.eval_str problem ~w:(apply wh)
+         else
+           match cls with
+           | `H -> Problem.eval_dtr problem ~wh:(apply wh) ~wl
+           | `L -> Problem.eval_dtr problem ~wh ~wl:(apply wl))
+    in
+    for step = 1 to steps do
+      let cls = cls_of step in
+      let what = Printf.sprintf "%s step %d" what step in
+      let cache, cmp =
+        match cls with
+        | `H -> (rank_h, Problem.ctx_arc_cmp_h problem ctx)
+        | `L -> (rank_l, Problem.ctx_arc_cmp_l problem ctx)
+      in
+      let ranking = Ranking.arcs cache ctx ~cmp m in
+      Alcotest.(check (array int))
+        (what ^ ": ranking")
+        (Neighborhood.rank_by_cost ~cmp m)
+        ranking;
+      (* One of the costliest arcs, as the searches' samplers favour. *)
+      let arc = ranking.(Prng.int rng (min 4 m)) in
+      let current = (Problem.ctx_weights_view ctx cls).(arc) in
+      let vals =
+        Array.of_list
+          (List.filter
+             (fun v -> v <> current)
+             (List.init
+                (Weights.max_weight - Weights.min_weight + 1)
+                (fun i -> Weights.min_weight + i)))
+      in
+      let changes_of i = [ (arc, vals.(i)) ] in
+      let summaries =
+        Scan.evaluate scan ctx ~memo ~cls ~changes_of (Array.length vals)
+      in
+      Array.iteri
+        (fun i (s : Scan.summary) ->
+          Alcotest.check lex
+            (Printf.sprintf "%s: summary %d" what i)
+            (full_eval cls (changes_of i))
+            s.Scan.objective)
+        summaries;
+      (* Commit the best candidate even when it does not improve, so
+         every step moves the bookkeeping. *)
+      let best = ref 0 in
+      Array.iteri
+        (fun i (s : Scan.summary) ->
+          if Lexico.( < ) s.Scan.objective summaries.(!best).Scan.objective
+          then best := i)
+        summaries;
+      let committed = Scan.commit scan ctx ~cls ~changes:(changes_of !best) in
+      Alcotest.check lex
+        (what ^ ": committed objective")
+        summaries.(!best).Scan.objective
+        (Problem.objective committed);
+      Alcotest.(check int)
+        (what ^ ": base key") (Problem.ctx_base_key_fresh ctx)
+        (Problem.ctx_base_key ctx)
+    done;
+    (* The walk revisits settings, so the memo served some summaries. *)
+    Alcotest.(check bool) (what ^ ": memo hits") true (Vmemo.hits memo > 0)
+  in
+  let mid = (Weights.min_weight + Weights.max_weight) / 2 in
+  walk ~what:"STR"
+    (Problem.eval_str problem ~w:(Array.make m mid))
+    ~steps:12
+    ~cls_of:(fun _ -> `H);
+  walk ~what:"DTR"
+    (Problem.eval_dtr problem ~wh:(Weights.random rng problem.Problem.graph)
+       ~wl:(Weights.random rng problem.Problem.graph))
+    ~steps:16
+    ~cls_of:(fun _ -> if Prng.bool rng then `H else `L)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dtr_scale"
@@ -558,5 +680,18 @@ let () =
             test_generate_ba_structure;
           Alcotest.test_case "presets generate + pops" `Slow test_large_presets;
           Alcotest.test_case "PoP gravity matrix" `Quick test_gravity_pop;
+        ] );
+      ( "incremental-vs-reference",
+        [
+          Alcotest.test_case "load model, 1 scan job" `Quick
+            (check_incremental_walk ~model:Objective.Load ~scan_jobs:1);
+          Alcotest.test_case "load model, 4 scan jobs" `Quick
+            (check_incremental_walk ~model:Objective.Load ~scan_jobs:4);
+          Alcotest.test_case "SLA model, 1 scan job" `Quick
+            (check_incremental_walk ~model:(Objective.Sla Sla.default)
+               ~scan_jobs:1);
+          Alcotest.test_case "SLA model, 4 scan jobs" `Quick
+            (check_incremental_walk ~model:(Objective.Sla Sla.default)
+               ~scan_jobs:4);
         ] );
     ]
