@@ -48,8 +48,7 @@ let propose rng cfg problem ctx ~cls ~n_arcs =
   | [] -> []
   | move :: _ ->
       let step = Prng.int_incl rng 1 cfg.Search_config.max_step in
-      let w = Problem.ctx_weights_view ctx cls in
-      Problem.weight_changes w (Neighborhood.apply move ~step w)
+      Neighborhood.move_changes move ~step (Problem.ctx_weights_view ctx cls)
 
 (* One annealing phase: minimize [energy] of the objective by moving
    [cls]'s weights, one probe per proposal against [ctx] (which must
@@ -131,12 +130,13 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
       Weights.validate problem.Problem.graph wh;
       Weights.validate problem.Problem.graph wl);
   counts.fulls <- counts.fulls + 1;
-  let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
+  let start, ctx1 = Problem.eval_dtr_ctx problem ~wh:wh0 ~wl:wl0 in
+  let current = ref start in
   let best = ref !current in
-  (* Phase 1: anneal W_H against the primary cost. *)
+  (* Phase 1: anneal W_H against the primary cost, probing on the
+     context the start's evaluation built. *)
   let acc1 =
-    anneal_phase ~trace ~detail:0 ~counts rng cfg schedule problem
-      (Problem.ctx_of_solution problem !current)
+    anneal_phase ~trace ~detail:0 ~counts rng cfg schedule problem ctx1
       ~cls:`H
       ~energy:(fun o -> o.Lexico.primary)
       ~current ~best
@@ -144,13 +144,14 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
   phase_done ~detail:0 !best;
   (* Fix the best W_H found, then anneal W_L against Φ_L. *)
   counts.fulls <- counts.fulls + 1;
-  current :=
-    Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
+  let handoff, ctx2 =
+    Problem.eval_dtr_ctx problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl
+  in
+  current := handoff;
   if Lexico.lt ~rel_tol:1e-9 (Problem.objective !current) (Problem.objective !best)
   then best := !current;
   let acc2 =
-    anneal_phase ~trace ~detail:1 ~counts rng cfg schedule problem
-      (Problem.ctx_of_solution problem !current)
+    anneal_phase ~trace ~detail:1 ~counts rng cfg schedule problem ctx2
       ~cls:`L
       ~energy:(fun o -> o.Lexico.secondary)
       ~current ~best

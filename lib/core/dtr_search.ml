@@ -30,14 +30,15 @@ type report = {
   phase_objectives : (phase * Lexico.t) list;
 }
 
-(* Evaluate the neighborhood through the scan engine (parallel over
+(* Evaluate the neighborhood — one change list per candidate, against
+   [sol]'s [cls] weights — through the scan engine (parallel over
    clones when configured, memo-short-circuited when a memo is given)
    against [ctx] (which must be synchronized with [sol]), then replay
    the sequential argmin fold over the returned summaries and commit
    the best strict improvement — identical comparison order, and
    identical results for every scan-jobs value. *)
-let best_delta_of scan ?memo ?trace ctx sol ~cls ~base_w ~vectors =
-  let changes = Array.of_list (List.map (Problem.weight_changes base_w) vectors) in
+let best_delta_of scan ?memo ?trace ctx sol ~cls ~candidates =
+  let changes = Array.of_list candidates in
   let summaries =
     Scan.evaluate scan ctx ?memo ?trace ~cls
       ~changes_of:(fun i -> changes.(i))
@@ -54,34 +55,31 @@ let best_delta_of scan ?memo ?trace ctx sol ~cls ~base_w ~vectors =
     summaries;
   if !best < 0 then sol else Scan.commit scan ctx ~cls ~changes:changes.(!best)
 
-(* Weight vectors for a full value scan of one heavy-tail-ranked arc
-   (the Fortz–Thorup move; used with probability scan_probability).
-   [ht] lets the full search hoist the sampler table out of its loops
-   (deterministic in (tau, n), so hoisting is bitwise-neutral). *)
-let scan_vectors ?ht rng cfg ~ranking w =
+(* Candidates of a full value scan of one heavy-tail-ranked arc (the
+   Fortz–Thorup move; used with probability scan_probability), as
+   change lists against [w].  [ht] lets the full search hoist the
+   sampler table out of its loops (deterministic in (tau, n), so
+   hoisting is bitwise-neutral). *)
+let scan_candidates ?ht rng cfg ~ranking w =
   let n = Array.length ranking in
   let ht =
     match ht with
     | Some t ->
         if Dtr_util.Dist.heavy_tail_size t <> n then
-          invalid_arg "Dtr_search.scan_vectors: sampler size mismatch";
+          invalid_arg "Dtr_search.scan_candidates: sampler size mismatch";
         t
     | None -> Dtr_util.Dist.heavy_tail ~tau:cfg.Search_config.tau ~n
   in
   let arc = ranking.(Dtr_util.Dist.heavy_tail_sample ht rng - 1) in
   let acc = ref [] in
   for v = Weights.min_weight to Weights.max_weight do
-    if v <> w.(arc) then begin
-      let w' = Array.copy w in
-      w'.(arc) <- v;
-      acc := w' :: !acc
-    end
+    if v <> w.(arc) then acc := Neighborhood.changes w [ (arc, v) ] :: !acc
   done;
   !acc
 
-(* Weight vectors for the literal Algorithm-2 neighborhood: m two-arc
-   moves (one weight up, one down) built from the candidate windows. *)
-let move_vectors ?ht rng cfg ~ranking w =
+(* Candidates of the literal Algorithm-2 neighborhood: m two-arc moves
+   (one weight up, one down) built from the candidate windows. *)
+let move_candidates ?ht rng cfg ~ranking w =
   let a, b =
     Neighborhood.candidate_sets ?ht rng ~tau:cfg.Search_config.tau
       ~m:cfg.Search_config.m_neighbors ~ranking
@@ -89,13 +87,13 @@ let move_vectors ?ht rng cfg ~ranking w =
   List.map
     (fun move ->
       let step = Prng.int_incl rng 1 cfg.Search_config.max_step in
-      Neighborhood.apply move ~step w)
+      Neighborhood.move_changes move ~step w)
     (Neighborhood.moves rng ~a ~b)
 
-let neighbor_vectors ?ht_arc ?ht_cand rng cfg ~ranking w =
+let neighbor_candidates ?ht_arc ?ht_cand rng cfg ~ranking w =
   if Prng.float rng 1.0 < cfg.Search_config.scan_probability then
-    scan_vectors ?ht:ht_arc rng cfg ~ranking w
-  else move_vectors ?ht:ht_cand rng cfg ~ranking w
+    scan_candidates ?ht:ht_arc rng cfg ~ranking w
+  else move_candidates ?ht:ht_cand rng cfg ~ranking w
 
 (* Arc rankings come from the live context's cost rows
    (Problem.ctx_arc_cmp_h/_l) — same ordering as the solution-derived
@@ -115,11 +113,10 @@ let find_h_ctx scan ?memo ?trace ?rcache ?ht_arc ?ht_cand rng cfg problem ctx
     ranking_of ?rcache ~cmp:(Problem.ctx_arc_cmp_h problem ctx) ctx
       (Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
-  let vectors =
-    neighbor_vectors ?ht_arc ?ht_cand rng cfg ~ranking sol.Problem.wh
+  let candidates =
+    neighbor_candidates ?ht_arc ?ht_cand rng cfg ~ranking sol.Problem.wh
   in
-  best_delta_of scan ?memo ?trace ctx sol ~cls:`H ~base_w:sol.Problem.wh
-    ~vectors
+  best_delta_of scan ?memo ?trace ctx sol ~cls:`H ~candidates
 
 let find_l_ctx scan ?memo ?trace ?rcache ?ht_arc ?ht_cand rng cfg problem ctx
     sol =
@@ -127,11 +124,10 @@ let find_l_ctx scan ?memo ?trace ?rcache ?ht_arc ?ht_cand rng cfg problem ctx
     ranking_of ?rcache ~cmp:(Problem.ctx_arc_cmp_l problem ctx) ctx
       (Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
-  let vectors =
-    neighbor_vectors ?ht_arc ?ht_cand rng cfg ~ranking sol.Problem.wl
+  let candidates =
+    neighbor_candidates ?ht_arc ?ht_cand rng cfg ~ranking sol.Problem.wl
   in
-  best_delta_of scan ?memo ?trace ctx sol ~cls:`L ~base_w:sol.Problem.wl
-    ~vectors
+  best_delta_of scan ?memo ?trace ctx sol ~cls:`L ~candidates
 
 (* One-shot wrappers for callers holding just a solution (the full
    search threads a long-lived engine and context through the passes
@@ -202,12 +198,13 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     (!fulls + delta, !fulls, delta)
   in
   incr fulls;
-  let current = ref (Problem.eval_dtr problem ~wh:wh0 ~wl:wl0) in
-  (* Long-lived incremental context, kept synchronized with [current];
-     rebuilt (cheaply, reusing the solution's DAGs) whenever [current]
-     is replaced by a full evaluation (the routine hand-offs and the
-     refinement restarts) instead of a committed delta. *)
-  let ctx = ref (Problem.ctx_of_solution problem !current) in
+  let start, ctx0 = Problem.eval_dtr_ctx problem ~wh:wh0 ~wl:wl0 in
+  let current = ref start in
+  (* Long-lived incremental context, kept synchronized with [current]:
+     a full evaluation (the start, the routine-2 hand-off and the
+     refinement restarts) hands over the context it built, and the
+     refinement's return to [best] rebuilds one from the solution. *)
+  let ctx = ref ctx0 in
   let best = ref !current in
   let robust = cfg.Search_config.robust in
   (* The robust best's objective J = normal + alpha * penalty; in
@@ -349,9 +346,11 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
 
   (* Routine 2: freeze the best W_H, optimize W_L. *)
   incr fulls;
-  current :=
-    Problem.eval_dtr problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl;
-  ctx := Problem.ctx_of_solution problem !current;
+  (let sol, c =
+     Problem.eval_dtr_ctx problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl
+   in
+   current := sol;
+   ctx := c);
   consider_best ~iteration:0 ~detail:1 ~moved:true ~count:false;
   stall := 0;
   for iteration = 1 to cfg.Search_config.n_iters do
@@ -416,8 +415,9 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
         in
         let prev = !current in
         incr fulls;
-        current := Problem.eval_dtr problem ~wh ~wl;
-        ctx := Problem.ctx_of_solution problem !current;
+        let sol, c = Problem.eval_dtr_ctx problem ~wh ~wl in
+        current := sol;
+        ctx := c;
         stall := 0;
         tell Trace.Diversify ~iteration ~detail:2 ~before ~prev
       end;

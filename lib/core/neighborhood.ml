@@ -48,11 +48,21 @@ let moves rng ~a ~b =
   done;
   !acc
 
+let changes w sets =
+  List.filter
+    (fun (arc, v) -> w.(arc) <> v)
+    (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) sets)
+
+let move_changes move ~step w =
+  if step < 1 then invalid_arg "Neighborhood.move_changes: step must be positive";
+  changes w
+    [
+      (move.up_arc, min Weights.max_weight (w.(move.up_arc) + step));
+      (move.down_arc, max Weights.min_weight (w.(move.down_arc) - step));
+    ]
+
 let apply move ~step w =
   if step < 1 then invalid_arg "Neighborhood.apply: step must be positive";
   let result = Array.copy w in
-  result.(move.up_arc) <-
-    min Weights.max_weight (result.(move.up_arc) + step);
-  result.(move.down_arc) <-
-    max Weights.min_weight (result.(move.down_arc) - step);
+  List.iter (fun (arc, v) -> result.(arc) <- v) (move_changes move ~step w);
   result

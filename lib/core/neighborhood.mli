@@ -37,6 +37,19 @@ val moves :
     select the same arc on both sides are dropped.  Length is at most
     [min |A| |B|]. *)
 
+val changes : int array -> (int * int) list -> (int * int) list
+(** [changes w sets] is the change list that setting arc [a] to [v]
+    for each [(a, v)] of [sets] (distinct arcs) makes to [w]: ascending
+    by arc, entries that leave [w] as it is dropped — exactly what
+    {!Problem.weight_changes} returns for the vector [sets] produce.
+    The searches build candidates this way instead of materializing a
+    weight vector per candidate. *)
+
+val move_changes : move -> step:int -> int array -> (int * int) list
+(** The {!changes} of {!apply}: the move's clamped up and down steps
+    ([[]] when both arcs are already pinned at their bound).
+    @raise Invalid_argument when [step < 1]. *)
+
 val apply : move -> step:int -> int array -> int array
 (** Fresh weight vector with the move applied ([step >= 1]), clamped to
     the [\[1, 30\]] weight bounds.  Identity moves (both arcs already

@@ -49,11 +49,12 @@ let m_delta =
    One engine, {!Eval_ctx}, evaluates every weight setting and every
    candidate, with class 0 = H and class 1 = L (for STR both classes
    alias one weight vector, so one probe moves both).  [eval_dtr] and
-   [eval_str] build a context from scratch and materialize it; a [ctx]
-   keeps one live for the search loops, which price candidates as
-   probes against it.  Under the SLA model Λ comes from the
-   high-priority DAGs and Φ_H row — the context's, or a probe's own
-   when it moves W_H — through the one delay walk, Evaluate.sla_of. *)
+   [eval_str] build a context from scratch and materialize it (the
+   [_ctx] variants hand the context over too); a [ctx] keeps one live
+   for the search loops, which price candidates as probes against it.
+   Under the SLA model Λ comes from the high-priority DAGs and Φ_H row
+   — the context's, or a probe's own when it moves W_H — through the
+   one delay fold behind Evaluate.sla_of and Evaluate.sla_lambda. *)
 
 (* A context's current state as a solution.  O(arcs): the solution
    snapshots the context's arrays, which later commits replace rather
@@ -64,21 +65,16 @@ let materialize t ec ~str ~sla =
   let ev = Eval_ctx.to_evaluate ec in
   { wh; wl; result = Objective.of_eval t.model ev ~th:t.th ?sla () }
 
+(* A from-scratch evaluation hands over the context it built, so a
+   search starts probing on it instead of rebuilding one from the
+   solution. *)
 let evaluate t ~str ~weights =
   Metrics.incr_counter m_full;
   let ec =
     Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights
       ~matrices:[| t.th; t.tl |]
   in
-  materialize t ec ~str ~sla:None
-
-(* Physically equal vectors would form one weight group; a DTR setting
-   keeps two even when the caller passes one array twice. *)
-let eval_dtr t ~wh ~wl =
-  let wl = if wl == wh then Array.copy wl else wl in
-  evaluate t ~str:false ~weights:[| wh; wl |]
-
-let eval_str t ~w = evaluate t ~str:true ~weights:[| w; w |]
+  (materialize t ec ~str ~sla:None, ec)
 
 let is_str s = s.wh == s.wl
 
@@ -91,7 +87,8 @@ type ctx = {
   c_str : bool;
   mutable c_sla : Evaluate.sla option;
       (* delay/penalty evaluation of the context's current high-priority
-         routing; every commit that moves W_H installs its probe's own *)
+         routing; a commit that moves W_H drops it, and the
+         materialization after the commit recomputes it *)
   mutable c_version : int;  (* bumps on every commit *)
   mutable c_log : (int * int array) list;
       (* newest-first (version, arcs whose per-arc rows that commit
@@ -108,15 +105,32 @@ let ec_of_solution t s =
   Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
     ~matrices:[| t.th; t.tl |]
 
-let ctx_of_solution t s =
+let ctx_of_ec ec s =
   {
-    ec = ec_of_solution t s;
+    ec;
     c_str = is_str s;
     c_sla = s.result.Objective.sla;
     c_version = 0;
     c_log = [];
     c_key = None;
   }
+
+let ctx_of_solution t s = ctx_of_ec (ec_of_solution t s) s
+
+(* Physically equal vectors would form one weight group; a DTR setting
+   keeps two even when the caller passes one array twice. *)
+let eval_dtr_ctx t ~wh ~wl =
+  let wl = if wl == wh then Array.copy wl else wl in
+  let s, ec = evaluate t ~str:false ~weights:[| wh; wl |] in
+  (s, ctx_of_ec ec s)
+
+let eval_str_ctx t ~w =
+  let s, ec = evaluate t ~str:true ~weights:[| w; w |] in
+  (s, ctx_of_ec ec s)
+
+let eval_dtr t ~wh ~wl = fst (eval_dtr_ctx t ~wh ~wl)
+
+let eval_str t ~w = fst (eval_str_ctx t ~w)
 
 let ctx_is_str ctx = ctx.c_str
 
@@ -210,8 +224,9 @@ type delta = {
   d_cls : cls;
   d_changes : (int * int) list;  (* the candidate's (arc, weight) changes *)
   d_probe : Eval_ctx.probe;
-  d_sla : Evaluate.sla option;
-      (* the candidate's own Λ costing, when it moves W_H (SLA model) *)
+  d_moves_sla : bool;
+      (* the candidate moves W_H under the SLA model, so committing it
+         invalidates the context's Λ costing *)
   d_objective : Lexico.t;
   d_phi_h : float;
   d_phi_l : float;
@@ -228,27 +243,28 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
   let klass = match cls with `H -> 0 | `L -> 1 in
   let p = Eval_ctx.probe ctx.ec ~klass ~changes in
   let phi = Eval_ctx.probe_phi p in
-  let d_sla, primary =
+  let d_moves_sla, primary =
     match t.model with
-    | Objective.Load -> (None, phi.(0))
+    | Objective.Load -> (false, phi.(0))
     | Objective.Sla params when ctx.c_str || cls = `H ->
         (* The candidate moves the H routing, so every H path delay may
-           move: walk the probe's own DAGs under its own Φ_H row. *)
-        let sla =
-          Evaluate.sla_of params t.graph ~th:t.th
+           move: walk the probe's own DAGs under its own Φ_H row, in
+           the context's SLA scratch (Λ only; a commit recomputes the
+           full costing from the installed state, bitwise alike). *)
+        ( true,
+          Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx.ec) params t.graph
+            ~th:t.th
             ~dags_h:(Eval_ctx.probe_dags ctx.ec p 0)
-            ~phi_h_per_arc:(Eval_ctx.probe_phi_row ctx.ec p 0)
-        in
-        (Some sla, sla.Evaluate.lambda)
+            ~phi_h_per_arc:(Eval_ctx.probe_phi_row ctx.ec p 0) )
     | Objective.Sla params ->
         (* W_L cannot affect the H routing: Λ is the context's. *)
-        (None, (ctx_sla params t ctx).Evaluate.lambda)
+        (false, (ctx_sla params t ctx).Evaluate.lambda)
   in
   {
     d_cls = cls;
     d_changes = changes;
     d_probe = p;
-    d_sla;
+    d_moves_sla;
     d_objective = Lexico.make ~primary ~secondary:phi.(1);
     d_phi_h = phi.(0);
     d_phi_l = phi.(1);
@@ -278,12 +294,13 @@ let ctx_arc_cmp_l _t ctx =
   let phi_l = Eval_ctx.phi_per_arc ctx.ec 1 in
   fun a b -> Float.compare phi_l.(a) phi_l.(b)
 
-(* Shift the cached base key across a probe commit.  Must run before
-   the weights move: before-values come from the live views.  A change
-   list may revisit an arc, so earlier entries shadow the view. *)
-let shift_key ctx ~cls ~changes =
+(* The cached base key shifted across a probe commit.  Must be taken
+   before the weights move: before-values come from the live views.  A
+   change list may revisit an arc, so earlier entries shadow the
+   view. *)
+let shifted_key ctx ~cls ~changes =
   match ctx.c_key with
-  | None -> ()
+  | None -> None
   | Some k ->
       let view = ctx_weights_view ctx cls in
       let k = ref k in
@@ -306,7 +323,7 @@ let shift_key ctx ~cls ~changes =
             end;
           applied := (arc, v) :: !applied)
         changes;
-      ctx.c_key <- Some !k
+      Some !k
 
 let trim_log log =
   let rec take n = function
@@ -317,12 +334,13 @@ let trim_log log =
   take log_bound log
 
 let commit_delta t ctx d =
-  shift_key ctx ~cls:d.d_cls ~changes:d.d_changes;
-  let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
+  let key = shifted_key ctx ~cls:d.d_cls ~changes:d.d_changes in
   Eval_ctx.commit ctx.ec d.d_probe;
+  ctx.c_key <- key;
+  let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
   ctx.c_version <- ctx.c_version + 1;
   ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
-  (match d.d_sla with Some _ as sla -> ctx.c_sla <- sla | None -> ());
+  if d.d_moves_sla then ctx.c_sla <- None;
   ctx_solution t ctx
 
 let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe

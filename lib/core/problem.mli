@@ -62,13 +62,15 @@ val is_str : solution -> bool
     trajectory for a fixed seed.
 
     Protocol: take any number of probes from the same context state
-    (apply/undo — probes never modify the context), then
+    (apply/undo — probes never modify the committed state), then
     {!commit_delta} the winner (advancing the context) or
-    {!abort_delta} the rest.  Every candidate is a probe.  Under the
-    SLA model a change that moves [W_H] (any STR change, any [`H]
+    {!abort_delta} the rest; aborting promptly lets the next probe
+    reuse the context's scratch instead of copying the candidate out of
+    it ({!Dtr_routing.Eval_ctx}).  Every candidate is a probe.  Under
+    the SLA model a change that moves [W_H] (any STR change, any [`H]
     change) may move every H path delay, so its probe re-walks the
-    delays over its own H DAGs and Φ_H row
-    ({!Dtr_routing.Evaluate.sla_of}); a [`L] change leaves Λ as the
+    delays over its own H DAGs and Φ_H row in the context's SLA scratch
+    ({!Dtr_routing.Evaluate.sla_lambda}); a [`L] change leaves Λ as the
     context's. *)
 
 type ctx
@@ -80,6 +82,14 @@ type cls = [ `H | `L ]
 
 val ctx_of_solution : t -> solution -> ctx
 (** Build a context from an evaluated solution, reusing its DAGs. *)
+
+val eval_dtr_ctx : t -> wh:int array -> wl:int array -> solution * ctx
+(** {!eval_dtr}, also handing over the context the evaluation built,
+    already in step with the solution: a search starts probing on it
+    instead of rebuilding one with {!ctx_of_solution}. *)
+
+val eval_str_ctx : t -> w:int array -> solution * ctx
+(** {!eval_str} with its context, as {!eval_dtr_ctx}. *)
 
 val ctx_is_str : ctx -> bool
 (** Whether the context's classes share one weight vector. *)

@@ -146,8 +146,8 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
     (!fulls + delta, !fulls, delta)
   in
   incr fulls;
-  let current = ref (Problem.eval_str problem ~w:w0) in
-  let ctx = Problem.ctx_of_solution problem !current in
+  let start, ctx = Problem.eval_str_ctx problem ~w:w0 in
+  let current = ref start in
   observe !current;
   let best = ref !current in
   let robust = cfg.Search_config.robust in

@@ -60,14 +60,52 @@ let touches dist e =
    [db] and [b] in [order_desc]. *)
 let precedes ~da a ~db b = (da : int) > db || (da = db && (a : int) < b)
 
+(* Where one repair writes its result.  On entry [lab] holds the old
+   labels and [next] the old next-hop spine ([src_next], except at the
+   [logged] positions of [log]); the kernel repairs both in place and
+   merges a changed order into a buffer of [orders] of the exact
+   length.  A pure {!update} gives every repair fresh buffers
+   ([keep = false]).  A {!scratch} slot ([keep = true]) keeps them: the
+   kernel logs every [next] position it overwrites and keeps its order
+   buffers, and the slot undoes the log before its next repair, so a
+   repair costs no allocation beyond the next-hop sets it recomputes. *)
+type buf = {
+  mutable lab : int array;
+  mutable next : int array array;
+  mutable src_next : int array array;
+  log : int array;
+  mutable logged : int;
+  mutable orders : int array list;
+  keep : bool;
+}
+
+let order_buffer buf len =
+  let rec find = function
+    | o :: rest -> if Array.length o = len then o else find rest
+    | [] ->
+        let o = Array.make len 0 in
+        if buf.keep then buf.orders <- o :: buf.orders;
+        o
+  in
+  find buf.orders
+
 (* The order under the new labels [dist]: [old] (sorted under the old
    labels [d]) without the [moved] nodes, merged with those of them
    that are still reachable.  [moved] comes in non-increasing label
    order (the reverse of the re-settle order), so an insertion sort
-   only has ties to fix. *)
-let merge_order ~d ~dist old moved =
-  let ins = Array.of_list (List.filter (fun x -> dist.(x) <> unreachable) moved) in
-  for k = 1 to Array.length ins - 1 do
+   only has ties to fix.  [ins] is scratch of at least [moved]'s
+   length. *)
+let merge_order buf ~ins ~d ~dist old moved =
+  let count = ref 0 in
+  List.iter
+    (fun x ->
+      if dist.(x) <> unreachable then begin
+        ins.(!count) <- x;
+        incr count
+      end)
+    moved;
+  let count = !count in
+  for k = 1 to count - 1 do
     let x = ins.(k) in
     let j = ref k in
     while !j > 0 && precedes ~da:dist.(x) x ~db:dist.(ins.(!j - 1)) ins.(!j - 1) do
@@ -79,14 +117,14 @@ let merge_order ~d ~dist old moved =
   let gone =
     List.fold_left (fun acc x -> if d.(x) <> unreachable then acc + 1 else acc) 0 moved
   in
-  let order = Array.make (Array.length old - gone + Array.length ins) 0 in
+  let order = order_buffer buf (Array.length old - gone + count) in
   let i = ref 0 and j = ref 0 in
   for k = 0 to Array.length order - 1 do
     while !i < Array.length old && dist.(old.(!i)) <> d.(old.(!i)) do
       incr i
     done;
     if
-      !j < Array.length ins
+      !j < count
       && (!i >= Array.length old
          || precedes ~da:dist.(ins.(!j)) ins.(!j) ~db:dist.(old.(!i)) old.(!i))
     then begin
@@ -101,8 +139,7 @@ let merge_order ~d ~dist old moved =
   order
 
 (* Bounded repair of one destination's dag under the whole batch
-   (Ramalingam–Reps, over incoming arcs).  The new label row starts as
-   a copy of the old one and is repaired in place:
+   (Ramalingam–Reps, over incoming arcs), in place in [buf]:
 
    1. mark the nodes whose every old shortest path uses a raised (or
       suppressed) arc — they lose their label;
@@ -113,12 +150,14 @@ let merge_order ~d ~dist old moved =
       labels stop moving.
 
    Only nodes whose label moved, their in-neighbours and the changed
-   arcs' tails can change their next-hop set; the rest of the dag is
-   shared, and the moved nodes are merged into the old order.  The
-   result is structurally the dag {!Spf.to_destination} builds. *)
-let repair g ~weights ~edits ~settles (settled, q) dag =
+   arcs' tails can change their next-hop set; the rest of the spine is
+   the old one, and the moved nodes are merged into the old order.
+   The result is structurally the dag {!Spf.to_destination} builds; it
+   shares the old labels and order when no label moved, and otherwise
+   [buf]'s. *)
+let repair g ~weights ~edits ~settles ~ins (settled, q) dag buf =
   let t = dag.Spf.dst and d = dag.Spf.dist and old_next = dag.Spf.next_arcs in
-  let lab = Array.copy d in
+  let lab = buf.lab in
   let in_off = Graph.in_offsets g and in_ids = Graph.in_arc_ids g in
   let out_off = Graph.out_offsets g and out_ids = Graph.out_arc_ids g in
   let srcs = Graph.srcs g and dsts = Graph.dsts g in
@@ -215,12 +254,21 @@ let repair g ~weights ~edits ~settles (settled, q) dag =
   List.iter (fun x -> if not settled.(x) then moved := x :: !moved) !marked;
   let moved = !moved in
   let dist = match moved with [] -> d | _ -> lab in
-  let next_arcs = Array.copy old_next in
+  let next_arcs = buf.next in
   let refresh x =
-    if next_arcs.(x) == old_next.(x) then
-      next_arcs.(x) <-
-        (if x = t || dist.(x) = unreachable then [||]
-         else Spf.node_next_arcs g ~weights ~dist x)
+    if next_arcs.(x) == old_next.(x) then begin
+      let set =
+        if x = t || dist.(x) = unreachable then [||]
+        else Spf.node_next_arcs g ~weights ~dist x
+      in
+      if set != old_next.(x) then begin
+        next_arcs.(x) <- set;
+        if buf.keep then begin
+          buf.log.(buf.logged) <- x;
+          buf.logged <- buf.logged + 1
+        end
+      end
+    end
   in
   Array.iter (fun e -> refresh e.u) edits;
   List.iter
@@ -240,7 +288,7 @@ let repair g ~weights ~edits ~settles (settled, q) dag =
   let order_desc =
     match moved with
     | [] -> dag.Spf.order_desc
-    | _ -> merge_order ~d ~dist dag.Spf.order_desc moved
+    | _ -> merge_order buf ~ins ~d ~dist dag.Spf.order_desc moved
   in
   { Spf.dst = t; dist; next_arcs; order_desc }
 
@@ -259,55 +307,186 @@ let validate g ~weights ~prev ~changes =
         invalid_arg "Spf_delta.update: weights/changes disagree")
     changes
 
-let update ?ws ?active g ~weights ~prev ~changes =
+let edits_of g ~weights ~prev ?active changes =
   validate g ~weights ~prev ~changes;
   (match active with
   | Some a when Array.length a <> Graph.node_count g ->
       invalid_arg "Spf_delta.update: active length mismatch"
   | _ -> ());
-  let edits =
-    List.filter_map
-      (fun (c : change) ->
-        if c.before = c.after then None
-        else
-          Some
-            {
-              id = c.arc;
-              u = Graph.src g c.arc;
-              v = Graph.dst g c.arc;
-              before = c.before;
-              after = c.after;
-            })
-      changes
-    |> Array.of_list
-  in
+  List.filter_map
+    (fun (c : change) ->
+      if c.before = c.after then None
+      else
+        Some
+          {
+            id = c.arc;
+            u = Graph.src g c.arc;
+            v = Graph.dst g c.arc;
+            before = c.before;
+            after = c.after;
+          })
+    changes
+  |> Array.of_list
+
+let dirty_at ?active edits dag t =
+  (match active with None -> true | Some a -> a.(t))
+  &&
+  let dist = dag.Spf.dist in
+  let rec any i = i < Array.length edits && (touches dist edits.(i) || any (i + 1)) in
+  any 0
+
+let record ~dirty ~relabeled ~settles =
+  if Metrics.enabled () then begin
+    Metrics.incr_counter m_updates;
+    Metrics.add m_rebuilds relabeled;
+    Metrics.add m_patches (dirty - relabeled);
+    Metrics.add m_settled settles;
+    Metrics.observe m_dirty (float_of_int dirty)
+  end
+
+let update ?ws ?active g ~weights ~prev ~changes =
+  let edits = edits_of g ~weights ~prev ?active changes in
   if Array.length edits = 0 then (prev, [])
   else begin
     let ws = match ws with Some w -> w | None -> workspace () in
     let n = Graph.node_count g in
     let dags = Array.copy prev in
+    let ins = Array.make n 0 in
     let dirty = ref [] and relabeled = ref 0 and settles = ref 0 in
-    let is_active =
-      match active with None -> fun _ -> true | Some a -> fun t -> a.(t)
-    in
     for t = n - 1 downto 0 do
       let dag = prev.(t) in
-      if is_active t && Array.exists (touches dag.Spf.dist) edits then begin
+      if dirty_at ?active edits dag t then begin
+        let buf =
+          {
+            lab = Array.copy dag.Spf.dist;
+            next = Array.copy dag.Spf.next_arcs;
+            src_next = dag.Spf.next_arcs;
+            log = [||];
+            logged = 0;
+            orders = [];
+            keep = false;
+          }
+        in
         let next =
-          repair g ~weights ~edits ~settles (Dijkstra.repair_scratch ws n) dag
+          repair g ~weights ~edits ~settles ~ins
+            (Dijkstra.repair_scratch ws n) dag buf
         in
         if next.Spf.dist != dag.Spf.dist then incr relabeled;
         dags.(t) <- next;
         dirty := t :: !dirty
       end
     done;
-    if Metrics.enabled () then begin
-      let count = List.length !dirty in
-      Metrics.incr_counter m_updates;
-      Metrics.add m_rebuilds !relabeled;
-      Metrics.add m_patches (count - !relabeled);
-      Metrics.add m_settled !settles;
-      Metrics.observe m_dirty (float_of_int count)
-    end;
+    record ~dirty:(List.length !dirty) ~relabeled:!relabeled ~settles:!settles;
     (dags, !dirty)
   end
+
+(* ------------------------------------------------------------------ *)
+(* Scratch updates: the same screen and kernel, writing into buffers a
+   caller reuses across updates instead of fresh arrays.
+
+   [view] mirrors [view_src] (the [prev] of the last update) outside
+   the last update's dirty slots, so an update against the same [prev]
+   only undoes those; any other [prev] is blitted in whole.  Each
+   destination repairs in a slot of its own ([slot_of], created on its
+   first repair): the slot's labels are copied in (a plain int loop),
+   and its next-hop spine, which mirrors the spine it was last given,
+   only needs its logged writes undone while the destination's dag is
+   unchanged — a full blit of a pointer array pays the write barrier
+   per element.  The pool holds at most one slot (3n words) per
+   destination ever repaired, no more than the dags themselves. *)
+
+type scratch = {
+  mutable view : Spf.dag array;
+  mutable view_src : Spf.dag array;
+  mutable dirty : int array;
+  mutable ndirty : int;
+  mutable slot_of : buf option array;
+  mutable ins : int array;
+}
+
+let scratch () =
+  { view = [||]; view_src = [||]; dirty = [||]; ndirty = 0; slot_of = [||]; ins = [||] }
+
+(* Destination [t]'s slot, its spine equal to [dag]'s and its labels a
+   copy of [dag]'s. *)
+let claim s n t dag =
+  let b =
+    match s.slot_of.(t) with
+    | Some b -> b
+    | None ->
+        let b =
+          {
+            lab = Array.make n 0;
+            next = Array.make n [||];
+            src_next = [||];
+            log = Array.make n 0;
+            logged = 0;
+            orders = [];
+            keep = true;
+          }
+        in
+        s.slot_of.(t) <- Some b;
+        b
+  in
+  let old_next = dag.Spf.next_arcs in
+  if b.src_next == old_next then
+    for k = 0 to b.logged - 1 do
+      let x = b.log.(k) in
+      b.next.(x) <- old_next.(x)
+    done
+  else begin
+    Array.blit old_next 0 b.next 0 n;
+    b.src_next <- old_next
+  end;
+  b.logged <- 0;
+  let d = dag.Spf.dist and lab = b.lab in
+  for x = 0 to n - 1 do
+    Array.unsafe_set lab x (Array.unsafe_get d x)
+  done;
+  b
+
+let update_scratch s ~ws ?active g ~weights ~prev ~changes =
+  let edits = edits_of g ~weights ~prev ?active changes in
+  let n = Graph.node_count g in
+  if Array.length s.view <> n then begin
+    s.view <- Array.copy prev;
+    s.view_src <- prev;
+    s.dirty <- Array.make n 0;
+    s.slot_of <- Array.make n None;
+    s.ins <- Array.make n 0;
+    s.ndirty <- 0
+  end
+  else if s.view_src != prev then begin
+    Array.blit prev 0 s.view 0 n;
+    s.view_src <- prev
+  end
+  else
+    for k = 0 to s.ndirty - 1 do
+      let t = s.dirty.(k) in
+      s.view.(t) <- prev.(t)
+    done;
+  s.ndirty <- 0;
+  if Array.length edits > 0 then begin
+    let relabeled = ref 0 and settles = ref 0 in
+    for t = 0 to n - 1 do
+      let dag = prev.(t) in
+      if dirty_at ?active edits dag t then begin
+        let buf = claim s n t dag in
+        let next =
+          repair g ~weights ~edits ~settles ~ins:s.ins
+            (Dijkstra.repair_scratch ws n) dag buf
+        in
+        if next.Spf.dist != dag.Spf.dist then incr relabeled;
+        s.view.(t) <- next;
+        s.dirty.(s.ndirty) <- t;
+        s.ndirty <- s.ndirty + 1
+      end
+    done;
+    record ~dirty:s.ndirty ~relabeled:!relabeled ~settles:!settles
+  end
+
+let scratch_dags s = s.view
+
+let scratch_dirty s = s.ndirty
+
+let scratch_dirty_at s i = s.dirty.(i)

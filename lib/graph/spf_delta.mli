@@ -24,7 +24,15 @@
     {!Spf.all_destinations} under the new weights, for any batch:
     labels are the unique shortest distances, next-hop sets come from
     the same {!Spf.node_next_arcs}, and the order is the same
-    (distance desc, id asc) permutation. *)
+    (distance desc, id asc) permutation.
+
+    One repair kernel serves two entry points.  {!update} is pure: every
+    repaired dag gets fresh label, next-hop and order arrays.
+    {!update_scratch} runs the same screen and kernel into a
+    {!scratch} the caller reuses from update to update: labels, spines
+    and orders are written into kept buffers, and each buffer's writes
+    are undone before it is reused, so a steady stream of updates
+    allocates only the next-hop sets it recomputes. *)
 
 type change = {
   arc : int;  (** arc id whose weight changed *)
@@ -62,3 +70,43 @@ val update :
     their previous dag and are never reported dirty.
     @raise Invalid_argument on length mismatches, non-positive
     weights, or a [change] whose [after] disagrees with [weights]. *)
+
+type scratch
+(** Reusable output buffers for {!update_scratch}: a per-destination
+    dag view, and one repair slot (labels, next-hop spine and order,
+    [3n] words) per destination it has repaired, created by that
+    destination's first repair — at most as much memory as the dags
+    themselves.  After the updates of a fixed sequence have run once,
+    running it again allocates only recomputed next-hop sets.  Owned by
+    one caller at a time (not domain-safe). *)
+
+val scratch : unit -> scratch
+
+val update_scratch :
+  scratch ->
+  ws:workspace ->
+  ?active:bool array ->
+  Graph.t ->
+  weights:int array ->
+  prev:Spf.dag array ->
+  changes:change list ->
+  unit
+(** [update_scratch s ~ws g ~weights ~prev ~changes] is {!update} into
+    [s]: afterwards {!scratch_dags} holds the dags under [weights]
+    (structurally those {!update} returns: [prev]'s own dag at every
+    clean destination) and {!scratch_dirty_at} the dirty destinations
+    in ascending order.  Both stay valid until the next
+    [update_scratch] on [s]; the repaired dags live in [s]'s buffers,
+    so a caller that keeps one beyond that copies it.  [prev] is never
+    mutated.  Same arguments and exceptions as {!update}; an exception
+    leaves [s] usable. *)
+
+val scratch_dags : scratch -> Spf.dag array
+(** The dags of the last {!update_scratch} (treat as immutable). *)
+
+val scratch_dirty : scratch -> int
+(** How many destinations the last {!update_scratch} repaired. *)
+
+val scratch_dirty_at : scratch -> int -> int
+(** [scratch_dirty_at s i] is the [i]-th dirty destination
+    ([0 <= i < scratch_dirty s]), ascending. *)

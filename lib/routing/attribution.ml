@@ -18,7 +18,7 @@ let check t name ~klass ~arc =
     invalid_arg (Printf.sprintf "Attribution.%s: arc out of range" name)
 
 (* Ascending-destination sum of the committed contribution rows: the
-   association Eval_ctx.create / patch_rows use, so the result is
+   association Eval_ctx.create and its probes use, so the result is
    bitwise equal to the committed load total. *)
 let link_load t ~klass ~arc =
   check t "link_load" ~klass ~arc;

@@ -3,32 +3,45 @@ module Spf = Dtr_graph.Spf
 module Dijkstra = Dtr_graph.Dijkstra
 module Sla = Dtr_cost.Sla
 
-let arc_delays params g ~phi_h_per_arc =
+let arc_delays_into params g ~phi_h_per_arc delay =
   let m = Graph.arc_count g in
-  if Array.length phi_h_per_arc <> m then
+  if Array.length phi_h_per_arc <> m || Array.length delay < m then
     invalid_arg "Delay.arc_delays: length mismatch";
   let caps = Graph.capacities g and dels = Graph.delays g in
-  Array.init m (fun id ->
+  for id = 0 to m - 1 do
+    delay.(id) <-
       Sla.link_delay params ~capacity:caps.(id) ~phi_h:phi_h_per_arc.(id)
-        ~prop_delay:dels.(id))
+        ~prop_delay:dels.(id)
+  done
 
-let expected_to_destination g ~dag ~arc_delay =
+let arc_delays params g ~phi_h_per_arc =
+  let delay = Array.make (Graph.arc_count g) 0. in
+  arc_delays_into params g ~phi_h_per_arc delay;
+  delay
+
+let expected_into g ~dag ~arc_delay xi =
   let n = Graph.node_count g in
-  let xi = Array.make n Float.nan in
+  Array.fill xi 0 n Float.nan;
   xi.(dag.Spf.dst) <- 0.;
+  let dsts = Graph.dsts g and next = dag.Spf.next_arcs in
   (* Walk order_desc backwards: nearest nodes first, so every ECMP
      next hop already has its expectation. *)
   for i = Array.length dag.Spf.order_desc - 1 downto 0 do
     let v = dag.Spf.order_desc.(i) in
-    let out = dag.Spf.next_arcs.(v) in
+    let out = next.(v) in
     let deg = Array.length out in
     assert (deg > 0);
     let acc = ref 0. in
-    Array.iter
-      (fun id -> acc := !acc +. arc_delay.(id) +. xi.(Graph.dst g id))
-      out;
+    for j = 0 to deg - 1 do
+      let id = out.(j) in
+      acc := !acc +. arc_delay.(id) +. xi.(dsts.(id))
+    done;
     xi.(v) <- !acc /. float_of_int deg
-  done;
+  done
+
+let expected_to_destination g ~dag ~arc_delay =
+  let xi = Array.make (Graph.node_count g) Float.nan in
+  expected_into g ~dag ~arc_delay xi;
   xi
 
 type pair_delay = Reachable of float | Unreachable

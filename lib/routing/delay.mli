@@ -10,6 +10,15 @@ val arc_delays :
     high-priority traffic.  @raise Invalid_argument on length
     mismatch. *)
 
+val arc_delays_into :
+  Dtr_cost.Sla.params ->
+  Dtr_graph.Graph.t ->
+  phi_h_per_arc:float array ->
+  float array ->
+  unit
+(** {!arc_delays} written into a caller-owned row of at least arc-count
+    length.  @raise Invalid_argument on a length mismatch. *)
+
 val expected_to_destination :
   Dtr_graph.Graph.t ->
   dag:Dtr_graph.Spf.dag ->
@@ -18,6 +27,15 @@ val expected_to_destination :
 (** [xi.(v)]: expected delay from [v] to [dag.dst] when flow splits
     evenly at every ECMP hop; [xi.(dst) = 0.]; [nan] for unreachable
     nodes. *)
+
+val expected_into :
+  Dtr_graph.Graph.t ->
+  dag:Dtr_graph.Spf.dag ->
+  arc_delay:float array ->
+  float array ->
+  unit
+(** {!expected_to_destination} written into a caller-owned row of at
+    least node-count length (fully overwritten). *)
 
 type pair_delay = Reachable of float | Unreachable
 (** A disconnected SD pair is a data condition (failure sweeps evaluate

@@ -26,27 +26,6 @@ let m_syncs =
     ~help:"Evaluation-context resynchronizations (blit-only, per parallel scan)."
     "dtr_eval_syncs"
 
-(* Preallocated projection arena: scratch rows sized once from the
-   graph and reused by every probe.  [a_flow]/[a_contrib] back the
-   per-destination load re-projection (the new contribution row is
-   snapshot-copied only when it actually differs from the committed
-   one); [a_touched] marks moved arcs and is swept back to all-false
-   through the touched list before a probe returns, so it is clean by
-   invariant on entry.  Each clone owns a private arena — scan workers
-   probe concurrently on separate domains. *)
-type arena = {
-  a_flow : float array;  (* node count *)
-  a_contrib : float array;  (* arc count *)
-  a_touched : bool array;  (* arc count; all-false between probes *)
-}
-
-let arena g =
-  {
-    a_flow = Array.make (Graph.node_count g) 0.;
-    a_contrib = Array.make (Graph.arc_count g) 0.;
-    a_touched = Array.make (Graph.arc_count g) false;
-  }
-
 (* Which destinations a context carries DAGs for: [All] is the classic
    mode; [Demand] builds DAGs only for destinations that actually sink
    positive demand in some member class of the group — at 10k nodes
@@ -73,17 +52,98 @@ type t = {
   phi_per_arc : float array array;
   mutable phi : float array;
   ws : Spf_delta.workspace;
-  arena : arena;
   active : bool array array option;
       (* group -> demand-bearing destinations; None in All mode *)
   mutable generation : int;
   mutable probes : int;
   mutable commits : int;
+  mutable arena : arena option;
+      (* probe scratch, allocated by the first probe: set-up builds
+         contexts it never probes; a clone starts without one *)
+}
+
+(* The probe arena.  One probe engine computes every candidate —
+   weight probes and failure probes alike — into these context-owned
+   rows, so pricing a candidate allocates nothing beyond the next-hop
+   sets its repairs recompute:
+
+   - [a_spf]/[a_w]: per group, the repaired dags (Spf_delta's scratch)
+     and the probed weight row;
+   - [a_rows]: re-projected contribution rows, one per (class,
+     destination) whose row moved, listed in [a_ov_class]/[a_ov_dst];
+     [a_ov_at] maps (class, destination) to its row while the load
+     totals are re-summed, and is all -1 between probes;
+   - [a_touched]/[a_touched_list]: the arcs whose contribution moved
+     ([a_touched] is all-false between probes);
+   - [a_loads]/[a_cap]: patched load totals and residual capacities,
+     valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
+     classes from [a_kmin] down, and [a_phi] the probed objective.
+
+   [a_stamp] numbers the computations; a probe or failure handle is an
+   arena view while its stamp is current.  Committed rows are never
+   written: installing a probe copies what it moved into fresh arrays,
+   so committed rows stay replace-not-mutate for clones and solution
+   snapshots.  Each clone owns its arena — scan workers probe
+   concurrently on separate domains. *)
+and arena = {
+  a_spf : Spf_delta.scratch array;
+  a_w : int array array;
+  a_demand_dsts : int array array;  (* class -> demand destinations, ascending *)
+  a_flow : float array;
+  mutable a_rows : float array array;
+  a_ov_class : int array;
+  a_ov_dst : int array;
+  mutable a_nov : int;
+  a_ov_at : int array array;
+  a_touched : bool array;
+  a_touched_list : int array;
+  mutable a_ntouched : int;
+  a_has_ov : bool array;
+  a_loads : float array array;
+  a_cap : float array array;
+  a_phi_rows : float array array;
+  a_phi : float array;
+  mutable a_kmin : int;
+  a_fail_rows : float array array;  (* class -> post-failure Fortz row *)
+  a_sla : Evaluate.sla_scratch;
+  mutable a_stamp : int;
+  mutable a_live : probe option;
+      (* the last weight probe, while it may still be committed *)
+}
+
+(* A weight probe.  While [p_stamp] is the arena's it reads the arena;
+   a probe still live when the arena moves on is first copied out into
+   [p_snap], so probes stay pure for every caller. *)
+and probe = {
+  p_generation : int;
+  p_group : int;
+  p_arena : arena;
+  p_stamp : int;
+  p_phi : float array;
+  mutable p_snap : snapshot option;
+}
+
+(* Everything committing a probe installs, in fresh arrays. *)
+and snapshot = {
+  s_w : int array;
+  s_dags : Spf.dag array;
+  s_touched : int list;
+  s_contrib : (int * int * float array) list;  (* class, dest, contribution *)
+  s_loads : (int * float array) list;  (* class, full row *)
+  s_capacity : (int * float array) list;
+  s_phi_rows : (int * float array) list;
 }
 
 let class_count t = Array.length t.class_group
 
-let fold_row = Array.fold_left ( +. ) 0.
+(* Φ as the left fold of a Fortz row, in a plain loop: same association
+   as [Array.fold_left ( +. ) 0.], without a boxed accumulator. *)
+let fold_row row =
+  let s = ref 0. in
+  for a = 0 to Array.length row - 1 do
+    s := !s +. row.(a)
+  done;
+  !s
 
 let create ?dags ?(dest_mode = All) g ~weights ~matrices =
   let classes = Array.length weights in
@@ -214,17 +274,18 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     phi_per_arc;
     phi;
     ws;
-    arena = arena g;
     active;
     generation = 0;
     probes = 0;
     commits = 0;
+    arena = None;
   }
 
 (* Commits replace rows (inner arrays) and never mutate them, so a
    clone only needs its own mutable spine: the outer group/class/dest-
    indexed arrays whose slots commits overwrite, plus a private SPF
-   workspace.  Rows, DAGs, demand, the matrices-derived structure and
+   workspace and, from its first probe, a private arena.  Rows, DAGs,
+   demand, the matrices-derived structure and
    the graph are shared with the original.  Clones back a scan
    worker's probes; they are resynchronized from the original with
    [sync] (pure blits) instead of being rebuilt. *)
@@ -240,7 +301,7 @@ let clone t =
     phi_per_arc = Array.copy t.phi_per_arc;
     phi = Array.copy t.phi;
     ws = Spf_delta.workspace ();
-    arena = arena t.graph;
+    arena = None;
   }
 
 let sync ~src ~dst =
@@ -259,25 +320,301 @@ let sync ~src ~dst =
   Array.blit src.capacity_seen 0 dst.capacity_seen 0 (Array.length src.capacity_seen);
   Array.blit src.phi_per_arc 0 dst.phi_per_arc 0 (Array.length src.phi_per_arc);
   Array.blit src.phi 0 dst.phi 0 (Array.length src.phi);
-  dst.generation <- src.generation
+  dst.generation <- src.generation;
+  (* Whatever dst's arena holds was priced against the state just
+     replaced. *)
+  match dst.arena with
+  | Some a ->
+      a.a_live <- None;
+      a.a_stamp <- a.a_stamp + 1
+  | None -> ()
 
-type probe = {
-  generation : int;
-  group : int;
-  p_w : int array;
-  p_dags : Spf.dag array;
-  p_dirty : int list;
-  p_touched : int list;  (* arcs whose load contribution moved *)
-  p_contrib : (int * int * float array) list;  (* class, dest, contribution *)
-  p_loads : (int * float array) list;  (* class, full row *)
-  p_capacity : (int * float array) list;
-  p_phi_rows : (int * float array) list;
-  p_phi : float array;
-}
+let group_active t gi =
+  match t.active with None -> None | Some act -> Some act.(gi)
+
+let make_arena t =
+  let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
+  let classes = class_count t and groups = Array.length t.group_w in
+  let floats () = Array.init classes (fun _ -> Array.make m 0.) in
+  {
+    a_spf = Array.init groups (fun _ -> Spf_delta.scratch ());
+    a_w = Array.init groups (fun _ -> Array.make m 0);
+    a_demand_dsts =
+      Array.init classes (fun k ->
+          let dsts = ref [] in
+          for dst = n - 1 downto 0 do
+            if Array.length t.demand.(k).(dst) > 0 then dsts := dst :: !dsts
+          done;
+          Array.of_list !dsts);
+    a_flow = Array.make n 0.;
+    a_rows = [||];
+    a_ov_class = Array.make (classes * n) 0;
+    a_ov_dst = Array.make (classes * n) 0;
+    a_nov = 0;
+    a_ov_at = Array.init classes (fun _ -> Array.make n (-1));
+    a_touched = Array.make m false;
+    a_touched_list = Array.make m 0;
+    a_ntouched = 0;
+    a_has_ov = Array.make classes false;
+    a_loads = floats ();
+    a_cap = floats ();
+    a_phi_rows = floats ();
+    a_phi = Array.make classes 0.;
+    a_kmin = classes;
+    a_fail_rows = Array.make classes [||];
+    a_sla = Evaluate.sla_scratch ();
+    a_stamp = 0;
+    a_live = None;
+  }
+
+let arena_of t =
+  match t.arena with
+  | Some a -> a
+  | None ->
+      let a = make_arena t in
+      t.arena <- Some a;
+      a
+
+let sla_scratch t = (arena_of t).a_sla
+
+(* Copy what a live probe moved out of the arena into fresh arrays: the
+   weight row, the dirty dags (labels and order only where they moved;
+   next-hop sets are immutable and shared), the moved contribution
+   rows, and full load, capacity and Fortz rows of the classes it
+   changed. *)
+let snapshot t a p =
+  let g = p.p_group in
+  let prev = t.group_dags.(g) in
+  let spf = a.a_spf.(g) in
+  let dirty = Spf_delta.scratch_dirty spf in
+  let s_dags =
+    if dirty = 0 then prev
+    else begin
+      let view = Spf_delta.scratch_dags spf in
+      let dags = Array.copy prev in
+      for i = 0 to dirty - 1 do
+        let dst = Spf_delta.scratch_dirty_at spf i in
+        let d = view.(dst) and old = prev.(dst) in
+        let keep_or_copy cur was = if cur == was then cur else Array.copy cur in
+        dags.(dst) <-
+          {
+            d with
+            Spf.dist = keep_or_copy d.Spf.dist old.Spf.dist;
+            next_arcs = Array.copy d.Spf.next_arcs;
+            order_desc = keep_or_copy d.Spf.order_desc old.Spf.order_desc;
+          }
+      done;
+      dags
+    end
+  in
+  let touched = Array.sub a.a_touched_list 0 a.a_ntouched in
+  let patched committed k src =
+    let row = Array.copy committed.(k) in
+    Array.iter (fun arc -> row.(arc) <- src.(k).(arc)) touched;
+    (k, row)
+  in
+  let classes = class_count t in
+  let rows lo f = List.init (max 0 (classes - lo)) (fun i -> f (lo + i)) in
+  {
+    s_w = Array.copy a.a_w.(g);
+    s_dags;
+    s_touched = Array.to_list touched;
+    s_contrib =
+      List.init a.a_nov (fun i ->
+          (a.a_ov_class.(i), a.a_ov_dst.(i), Array.copy a.a_rows.(i)));
+    s_loads =
+      List.filter_map
+        (fun k -> if a.a_has_ov.(k) then Some (patched t.loads k a.a_loads) else None)
+        (List.init classes Fun.id);
+    s_capacity = rows (a.a_kmin + 1) (fun k -> patched t.capacity_seen k a.a_cap);
+    s_phi_rows = rows a.a_kmin (fun k -> (k, Array.copy a.a_phi_rows.(k)));
+  }
+
+(* Free the arena for a new computation.  A live probe that may still
+   be committed is copied out first; every outstanding handle goes
+   stale. *)
+let evict t a =
+  (match a.a_live with
+  | Some p when p.p_generation = t.generation -> p.p_snap <- Some (snapshot t a p)
+  | _ -> ());
+  a.a_live <- None;
+  a.a_stamp <- a.a_stamp + 1;
+  a.a_nov <- 0;
+  a.a_ntouched <- 0
+
+(* Re-project one dirty destination's flows into the next free arena
+   row and mark every arc whose contribution moved; the row is kept
+   (as an override of the committed one) only when it moved.  Shares
+   land identically to a fresh Loads.destination_loads, so everything
+   folded from the row stays bitwise-exact. *)
+let reproject t a ~dags k dst =
+  let dem = t.demand.(k).(dst) in
+  if Array.length dem > 0 then begin
+    let m = Graph.arc_count t.graph in
+    let i = a.a_nov in
+    if i = Array.length a.a_rows then
+      a.a_rows <- Array.append a.a_rows [| Array.make m 0. |];
+    let nc = a.a_rows.(i) in
+    Loads.destination_loads_into t.graph ~dag:dags.(dst) ~demand_to_dst:dem
+      ~flow:a.a_flow ~contrib:nc;
+    let oc = t.contrib.(k).(dst) in
+    let touched = a.a_touched in
+    let changed = ref false in
+    for arc = 0 to m - 1 do
+      if nc.(arc) <> oc.(arc) then begin
+        changed := true;
+        if not touched.(arc) then begin
+          touched.(arc) <- true;
+          a.a_touched_list.(a.a_ntouched) <- arc;
+          a.a_ntouched <- a.a_ntouched + 1
+        end
+      end
+    done;
+    if !changed then begin
+      a.a_ov_class.(i) <- k;
+      a.a_ov_dst.(i) <- dst;
+      a.a_nov <- i + 1
+    end
+  end
+
+(* Shared tail of {!probe} and {!fail_probe}: from the re-projected
+   rows, patch the load totals of the classes they belong to, the
+   residual-capacity cascade and the Fortz rows at the touched arcs.
+   A touched arc is re-summed over the class's demand destinations in
+   ascending order (every other destination's row is empty) and every
+   patched Φ row is re-folded whole over committed-plus-touched values,
+   reproducing the from-scratch association exactly.  The cascade runs
+   downward from the highest-priority class whose load moved: an H
+   change reshapes the residual every lower class is charged
+   against. *)
+let patch t a =
+  let classes = class_count t and m = Graph.arc_count t.graph in
+  let touched = a.a_touched_list and nt = a.a_ntouched in
+  Array.fill a.a_has_ov 0 classes false;
+  for i = 0 to a.a_nov - 1 do
+    let k = a.a_ov_class.(i) in
+    a.a_has_ov.(k) <- true;
+    a.a_ov_at.(k).(a.a_ov_dst.(i)) <- i
+  done;
+  for k = 0 to classes - 1 do
+    if a.a_has_ov.(k) then begin
+      let dsts = a.a_demand_dsts.(k) and at = a.a_ov_at.(k) in
+      let committed = t.contrib.(k) and out = a.a_loads.(k) in
+      for j = 0 to nt - 1 do
+        let arc = touched.(j) in
+        let s = ref 0. in
+        for q = 0 to Array.length dsts - 1 do
+          let dst = dsts.(q) in
+          let i = at.(dst) in
+          let c = if i >= 0 then a.a_rows.(i) else committed.(dst) in
+          s := !s +. c.(arc)
+        done;
+        out.(arc) <- !s
+      done
+    end
+  done;
+  for i = 0 to a.a_nov - 1 do
+    a.a_ov_at.(a.a_ov_class.(i)).(a.a_ov_dst.(i)) <- -1
+  done;
+  for j = 0 to nt - 1 do
+    a.a_touched.(touched.(j)) <- false
+  done;
+  let kmin =
+    let rec first k = if k = classes || a.a_has_ov.(k) then k else first (k + 1) in
+    first 0
+  in
+  a.a_kmin <- kmin;
+  let load k arc = if a.a_has_ov.(k) then a.a_loads.(k).(arc) else t.loads.(k).(arc) in
+  let cap k arc =
+    if k > kmin then a.a_cap.(k).(arc) else t.capacity_seen.(k).(arc)
+  in
+  for k = kmin + 1 to classes - 1 do
+    let out = a.a_cap.(k) in
+    for j = 0 to nt - 1 do
+      let arc = touched.(j) in
+      out.(arc) <- Float.max (cap (k - 1) arc -. load (k - 1) arc) 0.
+    done
+  done;
+  for k = 0 to classes - 1 do
+    if k < kmin then a.a_phi.(k) <- t.phi.(k)
+    else begin
+      let row = a.a_phi_rows.(k) in
+      Array.blit t.phi_per_arc.(k) 0 row 0 m;
+      for j = 0 to nt - 1 do
+        let arc = touched.(j) in
+        row.(arc) <- Fortz.phi ~load:(load k arc) ~capacity:(cap k arc)
+      done;
+      a.a_phi.(k) <- fold_row row
+    end
+  done
+
+let probe t ~klass ~changes =
+  if klass < 0 || klass >= class_count t then
+    invalid_arg "Eval_ctx.probe: class out of range";
+  List.iter
+    (fun (arc, v) ->
+      if arc < 0 || arc >= Graph.arc_count t.graph then
+        invalid_arg "Eval_ctx.probe: arc out of range";
+      if v < Weights.min_weight || v > Weights.max_weight then
+        invalid_arg "Eval_ctx.probe: weight out of bounds")
+    changes;
+  t.probes <- t.probes + 1;
+  Metrics.incr_counter m_probes;
+  let a = arena_of t in
+  evict t a;
+  let group = t.class_group.(klass) in
+  let w = t.group_w.(group) and new_w = a.a_w.(group) in
+  for arc = 0 to Array.length w - 1 do
+    Array.unsafe_set new_w arc (Array.unsafe_get w arc)
+  done;
+  let spf_changes =
+    List.filter_map
+      (fun (arc, v) ->
+        if w.(arc) = v then None
+        else Some { Spf_delta.arc; before = w.(arc); after = v })
+      changes
+  in
+  List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) spf_changes;
+  let spf = a.a_spf.(group) in
+  Spf_delta.update_scratch spf ~ws:t.ws ?active:(group_active t group) t.graph
+    ~weights:new_w ~prev:t.group_dags.(group) ~changes:spf_changes;
+  (* Re-project dirty destinations of every class in the group. *)
+  let dags = Spf_delta.scratch_dags spf in
+  Array.iter
+    (fun k ->
+      for i = 0 to Spf_delta.scratch_dirty spf - 1 do
+        reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
+      done)
+    t.group_classes.(group);
+  patch t a;
+  let p =
+    {
+      p_generation = t.generation;
+      p_group = group;
+      p_arena = a;
+      p_stamp = a.a_stamp;
+      p_phi = Array.copy a.a_phi;
+      p_snap = None;
+    }
+  in
+  a.a_live <- Some p;
+  p
 
 let probe_phi p = Array.copy p.p_phi
 
-let probe_touched p = p.p_touched
+(* A probe's arena view, or its snapshot once copied out. *)
+let view name p =
+  match p.p_snap with
+  | Some s -> Either.Right s
+  | None ->
+      if p.p_stamp <> p.p_arena.a_stamp then
+        invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name);
+      Either.Left p.p_arena
+
+let probe_touched p =
+  match view "probe_touched" p with
+  | Either.Right s -> s.s_touched
+  | Either.Left a -> Array.to_list (Array.sub a.a_touched_list 0 a.a_ntouched)
 
 (* Probe views for costing a candidate beyond Φ (the SLA delay walk):
    the probe holds rows only for what it moved, the context supplies
@@ -286,190 +623,55 @@ let probe_touched p = p.p_touched
 let check_probe t p name k =
   if k < 0 || k >= class_count t then
     invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name);
-  if p.generation <> t.generation then
+  if p.p_generation <> t.generation then
     invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name)
 
 let probe_dags t p k =
   check_probe t p "probe_dags" k;
   let gi = t.class_group.(k) in
-  if gi = p.group then p.p_dags else t.group_dags.(gi)
+  if gi <> p.p_group then t.group_dags.(gi)
+  else
+    match view "probe_dags" p with
+    | Either.Right s -> s.s_dags
+    | Either.Left a -> Spf_delta.scratch_dags a.a_spf.(gi)
 
 let probe_phi_row t p k =
   check_probe t p "probe_phi_row" k;
-  match List.assoc_opt k p.p_phi_rows with
-  | Some row -> row
-  | None -> t.phi_per_arc.(k)
-
-(* Shared patch tail of {!probe} and {!fail_probe}: given re-projected
-   per-destination contributions (tagged by class) and the arcs whose
-   contribution moved, rebuild the affected load totals, the residual-
-   capacity cascade and the Fortz rows.  Every touched arc is re-summed
-   over all destinations in ascending order and every touched Φ row is
-   re-folded whole, reproducing the from-scratch association exactly.
-   Classes without overrides are untouched, so callers may iterate all
-   classes or just one group's — the result is identical. *)
-let patch_rows t ~touched_list ~p_contrib =
-  let n = Graph.node_count t.graph in
-  let classes = class_count t in
-  let p_loads = ref [] in
-  for k = classes - 1 downto 0 do
-    let overrides = List.filter (fun (k', _, _) -> k' = k) p_contrib in
-    if overrides <> [] then begin
-      let view = Array.copy t.contrib.(k) in
-      List.iter (fun (_, dst, nc) -> view.(dst) <- nc) overrides;
-      let row = Array.copy t.loads.(k) in
-      List.iter
-        (fun a ->
-          let s = ref 0. in
-          for dst = 0 to n - 1 do
-            let c = view.(dst) in
-            if Array.length c > 0 then s := !s +. c.(a)
-          done;
-          row.(a) <- !s)
-        touched_list;
-      p_loads := (k, row) :: !p_loads
-    end
-  done;
-  let p_loads = !p_loads in
-  let load_row k =
-    match List.assoc_opt k p_loads with Some r -> r | None -> t.loads.(k)
-  in
-  (* Residual-capacity cascade and Fortz costs, patched downward from
-     the highest-priority class whose load moved (an H change reshapes
-     the residual every lower class is charged against). *)
-  let kmin = List.fold_left (fun acc (k, _) -> min acc k) classes p_loads in
-  let p_capacity = ref [] and p_phi_rows = ref [] in
-  let p_phi = Array.copy t.phi in
-  if kmin < classes then begin
-    let cap_rows = Array.make classes [||] in
-    for k = 0 to classes - 1 do
-      cap_rows.(k) <- t.capacity_seen.(k)
-    done;
-    for k = kmin + 1 to classes - 1 do
-      let row = Array.copy t.capacity_seen.(k) in
-      let above_cap = cap_rows.(k - 1) in
-      let above_load = load_row (k - 1) in
-      List.iter
-        (fun a -> row.(a) <- Float.max (above_cap.(a) -. above_load.(a)) 0.)
-        touched_list;
-      cap_rows.(k) <- row;
-      p_capacity := (k, row) :: !p_capacity
-    done;
-    for k = kmin to classes - 1 do
-      let loads_k = load_row k in
-      let caps_k = cap_rows.(k) in
-      let row = Array.copy t.phi_per_arc.(k) in
-      List.iter
-        (fun a -> row.(a) <- Fortz.phi ~load:loads_k.(a) ~capacity:caps_k.(a))
-        touched_list;
-      p_phi_rows := (k, row) :: !p_phi_rows;
-      p_phi.(k) <- fold_row row
-    done
-  end;
-  (p_loads, !p_capacity, !p_phi_rows, p_phi)
-
-(* Re-project one dirty destination's flows through the arena scratch
-   rows, mark every arc whose contribution moved, and snapshot-copy
-   the new row only when it differs from the committed one — shares
-   land identically to a fresh Loads.destination_loads, so the copies
-   (and everything folded from them) stay bitwise-exact. *)
-let reproject t ~dags ~touched_list ~p_contrib k dst =
-  let dem = t.demand.(k).(dst) in
-  if Array.length dem > 0 then begin
-    let m = Graph.arc_count t.graph in
-    Loads.destination_loads_into t.graph ~dag:dags.(dst) ~demand_to_dst:dem
-      ~flow:t.arena.a_flow ~contrib:t.arena.a_contrib;
-    let nc = t.arena.a_contrib in
-    let oc = t.contrib.(k).(dst) in
-    let touched = t.arena.a_touched in
-    let changed = ref false in
-    for a = 0 to m - 1 do
-      if nc.(a) <> oc.(a) then begin
-        changed := true;
-        if not touched.(a) then begin
-          touched.(a) <- true;
-          touched_list := a :: !touched_list
-        end
-      end
-    done;
-    if !changed then p_contrib := (k, dst, Array.copy nc) :: !p_contrib
-  end
-
-(* Restore the arena's all-false touched invariant: only flags in the
-   list were ever set. *)
-let reset_touched t touched_list =
-  List.iter (fun a -> t.arena.a_touched.(a) <- false) touched_list
-
-let group_active t gi =
-  match t.active with None -> None | Some act -> Some act.(gi)
-
-let probe t ~klass ~changes =
-  if klass < 0 || klass >= class_count t then
-    invalid_arg "Eval_ctx.probe: class out of range";
-  t.probes <- t.probes + 1;
-  Metrics.incr_counter m_probes;
-  let group = t.class_group.(klass) in
-  let w = t.group_w.(group) in
-  let spf_changes =
-    List.filter_map
-      (fun (arc, v) ->
-        if arc < 0 || arc >= Graph.arc_count t.graph then
-          invalid_arg "Eval_ctx.probe: arc out of range";
-        if v < Weights.min_weight || v > Weights.max_weight then
-          invalid_arg "Eval_ctx.probe: weight out of bounds";
-        if w.(arc) = v then None
-        else Some { Spf_delta.arc; before = w.(arc); after = v })
-      changes
-  in
-  let new_w = Array.copy w in
-  List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) spf_changes;
-  let p_dags, p_dirty =
-    Spf_delta.update ~ws:t.ws ?active:(group_active t group) t.graph
-      ~weights:new_w ~prev:t.group_dags.(group) ~changes:spf_changes
-  in
-  (* Re-project dirty destinations of every class in the group and mark
-     the arcs whose contribution actually moved. *)
-  let p_contrib = ref [] in
-  let touched_list = ref [] in
-  Array.iter
-    (fun k ->
-      List.iter (fun dst -> reproject t ~dags:p_dags ~touched_list ~p_contrib k dst) p_dirty)
-    t.group_classes.(group);
-  reset_touched t !touched_list;
-  let touched_list = !touched_list in
-  let p_contrib = !p_contrib in
-  let p_loads, p_capacity, p_phi_rows, p_phi =
-    patch_rows t ~touched_list ~p_contrib
-  in
-  {
-    generation = t.generation;
-    group;
-    p_w = new_w;
-    p_dags;
-    p_dirty;
-    p_touched = touched_list;
-    p_contrib;
-    p_loads;
-    p_capacity;
-    p_phi_rows;
-    p_phi;
-  }
+  match view "probe_phi_row" p with
+  | Either.Right s -> (
+      match List.assoc_opt k s.s_phi_rows with
+      | Some row -> row
+      | None -> t.phi_per_arc.(k))
+  | Either.Left a -> if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k)
 
 let commit (t : t) (p : probe) =
-  if p.generation <> t.generation then
+  if p.p_generation <> t.generation then
     invalid_arg "Eval_ctx.commit: stale probe (context has moved on)";
-  t.group_w.(p.group) <- p.p_w;
-  t.group_dags.(p.group) <- p.p_dags;
-  List.iter (fun (k, dst, c) -> t.contrib.(k).(dst) <- c) p.p_contrib;
-  List.iter (fun (k, row) -> t.loads.(k) <- row) p.p_loads;
-  List.iter (fun (k, row) -> t.capacity_seen.(k) <- row) p.p_capacity;
-  List.iter (fun (k, row) -> t.phi_per_arc.(k) <- row) p.p_phi_rows;
-  t.phi <- p.p_phi;
+  let s =
+    match view "commit" p with
+    | Either.Right s -> s
+    | Either.Left a ->
+        let s = snapshot t a p in
+        p.p_snap <- Some s;
+        s
+  in
+  t.group_w.(p.p_group) <- s.s_w;
+  t.group_dags.(p.p_group) <- s.s_dags;
+  List.iter (fun (k, dst, c) -> t.contrib.(k).(dst) <- c) s.s_contrib;
+  List.iter (fun (k, row) -> t.loads.(k) <- row) s.s_loads;
+  List.iter (fun (k, row) -> t.capacity_seen.(k) <- row) s.s_capacity;
+  List.iter (fun (k, row) -> t.phi_per_arc.(k) <- row) s.s_phi_rows;
+  t.phi <- Array.copy p.p_phi;
   t.generation <- t.generation + 1;
   t.commits <- t.commits + 1;
-  Metrics.incr_counter m_commits
+  Metrics.incr_counter m_commits;
+  let a = p.p_arena in
+  a.a_live <- None;
+  a.a_stamp <- a.a_stamp + 1
 
-let abort _t _p = ()
+let abort _t p =
+  let a = p.p_arena in
+  match a.a_live with Some q when q == p -> a.a_live <- None | _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Failure probes: evaluate the context's current weights with one or
@@ -478,20 +680,23 @@ let abort _t _p = ()
    the suppression delta runs through every group's DAGs; unlike
    weight probes the result may be infinite — a failure that severs a
    positive-demand pair cannot be priced by flow re-projection at all
-   ([Loads.propagate] would silently drop the severed demand,
-   reproducing the optimistic-cost bug one level down), so severed
-   probes short-circuit to an infinite objective with the severed-pair
-   count attached. *)
+   (the flow walk would silently drop the severed demand, reproducing
+   the optimistic-cost bug one level down), so severed probes
+   short-circuit to an infinite objective with the severed-pair count
+   attached.  A failure is an arena view: its dags and rows are
+   readable until the context's next probe, failure probe, commit or
+   sync. *)
 
 let m_fail_probes =
   Metrics.counter ~help:"Failure probes (link-failure delta evaluations)."
     "dtr_eval_fail_probes_total"
 
 type failure = {
+  f_arena : arena;
+  f_stamp : int;
+  f_classes : int;
   f_unreachable : int;  (* severed positive-demand (class, src, dst) pairs *)
   f_dirty : int;  (* dirty destinations summed over groups *)
-  f_group_dags : Spf.dag array array;  (* group -> post-failure DAGs *)
-  f_phi_rows : float array array;  (* class -> post-failure Fortz row *)
   f_phi : float array;  (* class -> post-failure Φ; all ∞ when severed *)
 }
 
@@ -501,17 +706,24 @@ let failure_dirty f = f.f_dirty
 
 let failure_phi f = Array.copy f.f_phi
 
+let check_failure f name =
+  if f.f_stamp <> f.f_arena.a_stamp then
+    invalid_arg
+      (Printf.sprintf "Eval_ctx.%s: stale failure (the context has probed since)" name)
+
 let failure_dags t f k =
   if k < 0 || k >= class_count t then
     invalid_arg "Eval_ctx.failure_dags: class out of range";
-  f.f_group_dags.(t.class_group.(k))
+  check_failure f "failure_dags";
+  Spf_delta.scratch_dags f.f_arena.a_spf.(t.class_group.(k))
 
 let failure_phi_row f k =
-  if k < 0 || k >= Array.length f.f_phi_rows then
+  if k < 0 || k >= f.f_classes then
     invalid_arg "Eval_ctx.failure_phi_row: class out of range";
   if f.f_unreachable > 0 then
     invalid_arg "Eval_ctx.failure_phi_row: disconnecting failure has no rows";
-  f.f_phi_rows.(k)
+  check_failure f "failure_phi_row";
+  f.f_arena.a_fail_rows.(k)
 
 let fail_probe t ~arcs =
   if arcs = [] then invalid_arg "Eval_ctx.fail_probe: no arcs";
@@ -525,82 +737,69 @@ let fail_probe t ~arcs =
   let n = Graph.node_count g in
   let classes = class_count t in
   let groups = Array.length t.group_w in
-  let group_dags = Array.make groups [||] in
-  let group_dirty = Array.make groups [] in
+  let a = arena_of t in
+  evict t a;
+  let f_dirty = ref 0 in
   for gi = 0 to groups - 1 do
-    let w = t.group_w.(gi) in
+    let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
+    for arc = 0 to Array.length w - 1 do
+      Array.unsafe_set new_w arc (Array.unsafe_get w arc)
+    done;
+    List.iter (fun arc -> new_w.(arc) <- Dijkstra.suppressed) arcs;
     let changes =
       List.map
         (fun arc ->
           { Spf_delta.arc; before = w.(arc); after = Dijkstra.suppressed })
         arcs
     in
-    let new_w = Array.copy w in
-    List.iter (fun a -> new_w.(a) <- Dijkstra.suppressed) arcs;
-    let dags, dirty =
-      Spf_delta.update ~ws:t.ws ?active:(group_active t gi) g ~weights:new_w
-        ~prev:t.group_dags.(gi) ~changes
-    in
-    group_dags.(gi) <- dags;
-    group_dirty.(gi) <- dirty
+    Spf_delta.update_scratch a.a_spf.(gi) ~ws:t.ws ?active:(group_active t gi) g
+      ~weights:new_w ~prev:t.group_dags.(gi) ~changes;
+    f_dirty := !f_dirty + Spf_delta.scratch_dirty a.a_spf.(gi)
   done;
-  let f_dirty =
-    Array.fold_left (fun acc l -> acc + List.length l) 0 group_dirty
-  in
   (* Severed positive-demand pairs.  Only dirty destinations can change
      reachability, and demand rows were fixed against the no-failure
      topology, so a positive entry at a now-unreachable source is
      exactly a pair this failure cuts off. *)
   let unreachable = ref 0 in
   for k = 0 to classes - 1 do
-    let dags = group_dags.(t.class_group.(k)) in
-    List.iter
-      (fun dst ->
-        let dem = t.demand.(k).(dst) in
-        if Array.length dem > 0 then begin
-          let dist = dags.(dst).Spf.dist in
-          for s = 0 to n - 1 do
-            if dem.(s) > 0. && dist.(s) = Dijkstra.unreachable then
-              incr unreachable
-          done
-        end)
-      group_dirty.(t.class_group.(k))
+    let spf = a.a_spf.(t.class_group.(k)) in
+    let dags = Spf_delta.scratch_dags spf in
+    for i = 0 to Spf_delta.scratch_dirty spf - 1 do
+      let dst = Spf_delta.scratch_dirty_at spf i in
+      let dem = t.demand.(k).(dst) in
+      if Array.length dem > 0 then begin
+        let dist = dags.(dst).Spf.dist in
+        for s = 0 to n - 1 do
+          if dem.(s) > 0. && dist.(s) = Dijkstra.unreachable then incr unreachable
+        done
+      end
+    done
   done;
-  if !unreachable > 0 then
+  let failure phi =
     {
+      f_arena = a;
+      f_stamp = a.a_stamp;
+      f_classes = classes;
       f_unreachable = !unreachable;
-      f_dirty;
-      f_group_dags = group_dags;
-      f_phi_rows = [||];
-      f_phi = Array.make classes Float.infinity;
+      f_dirty = !f_dirty;
+      f_phi = phi;
     }
+  in
+  if !unreachable > 0 then failure (Array.make classes Float.infinity)
   else begin
     (* Same re-projection discipline as {!probe}, over every group. *)
-    let p_contrib = ref [] in
-    let touched_list = ref [] in
     for k = 0 to classes - 1 do
-      let dags = group_dags.(t.class_group.(k)) in
-      List.iter
-        (fun dst -> reproject t ~dags ~touched_list ~p_contrib k dst)
-        group_dirty.(t.class_group.(k))
+      let spf = a.a_spf.(t.class_group.(k)) in
+      let dags = Spf_delta.scratch_dags spf in
+      for i = 0 to Spf_delta.scratch_dirty spf - 1 do
+        reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
+      done
     done;
-    reset_touched t !touched_list;
-    let _, _, p_phi_rows, p_phi =
-      patch_rows t ~touched_list:!touched_list ~p_contrib:!p_contrib
-    in
-    let f_phi_rows =
-      Array.init classes (fun k ->
-          match List.assoc_opt k p_phi_rows with
-          | Some r -> r
-          | None -> t.phi_per_arc.(k))
-    in
-    {
-      f_unreachable = 0;
-      f_dirty;
-      f_group_dags = group_dags;
-      f_phi_rows;
-      f_phi = p_phi;
-    }
+    patch t a;
+    for k = 0 to classes - 1 do
+      a.a_fail_rows.(k) <- (if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k))
+    done;
+    failure (Array.copy a.a_phi)
   end
 
 let phi t = Array.copy t.phi

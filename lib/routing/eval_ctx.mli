@@ -17,7 +17,21 @@
     weights: per-arc loads receive at most one share per destination,
     so patched totals re-associate exactly as the full sum, and Φ
     totals are re-folded (not differentially adjusted) over the per-arc
-    array. *)
+    array.
+
+    Probes are computed in a scratch arena the context owns (allocated
+    by its first probe; a {!clone} gets its own): repaired DAGs,
+    re-projected contribution rows and patched rows are written into
+    reused buffers, so reading a candidate's cost ({!probe_phi},
+    {!failure_phi}, the SLA walk over {!probe_dags}/{!probe_phi_row}
+    or {!failure_dags}/{!failure_phi_row} with {!sla_scratch})
+    allocates nothing large.  Only {!commit} copies what a probe moved
+    into fresh arrays; committed rows are replaced, never mutated, so
+    clones and solution snapshots that share them stay valid.  The
+    arena holds one computation at a time: a probe not yet committed
+    or {!abort}ed when the next probe or failure probe starts is first
+    copied out of it (so it stays committable and readable), while a
+    failure's views go stale. *)
 
 type t
 
@@ -56,12 +70,14 @@ val clone : t -> t
     but owning its mutable spine and SPF workspace, so probes against
     the clone are race-free while the original keeps evaluating.  The
     intended owner is one scan worker domain; clones are brought back
-    in step with {!sync} instead of re-cloned. *)
+    in step with {!sync} instead of re-cloned.  A clone owns its probe
+    arena (allocated by its own first probe). *)
 
 val sync : src:t -> dst:t -> unit
 (** Make [dst] (a {!clone} of [src]'s lineage) evaluate exactly as
     [src] by blitting the shared-row spine across.  O(groups + classes
-    ⋅ destinations), no recomputation.
+    ⋅ destinations), no recomputation.  [dst]'s outstanding probes and
+    failures go stale.
     @raise Invalid_argument when the contexts disagree on graph or
     class structure. *)
 
@@ -73,7 +89,9 @@ val probe : t -> klass:int -> changes:(int * int) list -> probe
 (** [probe t ~klass ~changes] evaluates setting arc [a] to weight [v]
     for each [(a, v)] in [changes] on [klass]'s weight vector (classes
     sharing the vector change together).  No-op entries are ignored.
-    The context is not modified.
+    The context's committed state is not modified; the probe is
+    computed into the context's arena (see above).  Every change is
+    checked before anything is computed.
     @raise Invalid_argument on an arc id or weight out of range. *)
 
 val probe_phi : probe -> float array
@@ -85,29 +103,45 @@ val probe_touched : probe -> int list
     duplicates).  A committed probe changes per-arc quantities — loads,
     residual capacities, Fortz costs — at exactly these indices, which
     is what lets callers repair sorted-by-cost arc rankings
-    incrementally instead of re-sorting all arcs. *)
+    incrementally instead of re-sorting all arcs.  Readable as long as
+    {!probe_dags}, and after the probe is committed.
+    @raise Invalid_argument once the probe is stale. *)
 
 val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
 (** A class's per-destination DAGs as the probe would leave them (the
     probe's own for the probed weight group, the context's otherwise;
     treat as immutable).  With {!probe_phi_row}, this is what the SLA
     delay walk ({!Evaluate.sla_of}) needs to price a candidate that
-    moves the high-priority routing, mirroring {!failure_dags}.
+    moves the high-priority routing, mirroring {!failure_dags}.  The
+    probe's own dags live in the context's arena: read them before the
+    context's next commit, and before its next probe or failure probe
+    if this one was {!abort}ed (an un-aborted probe is copied out
+    instead, and its views stay readable until the next commit).
     @raise Invalid_argument on a class out of range or a stale probe. *)
 
 val probe_phi_row : t -> probe -> int -> float array
 (** A class's per-arc Fortz costs as the probe would leave them
-    (shared; treat as immutable), mirroring {!failure_phi_row}.
+    (shared; treat as immutable), mirroring {!failure_phi_row}.  Valid
+    as long as {!probe_dags}.
     @raise Invalid_argument on a class out of range or a stale probe. *)
 
 val commit : t -> probe -> unit
-(** Install a probe.  Only probes taken from the current state may be
-    committed; committing advances the state.
-    @raise Invalid_argument on a stale probe. *)
+(** Install a probe: what it moved is copied into fresh arrays that
+    replace the committed ones.  Only probes taken from the current
+    state may be committed; committing advances the state.
+    @raise Invalid_argument on a stale probe, or on an {!abort}ed
+    probe whose arena has been reused since. *)
 
 val abort : t -> probe -> unit
-(** Discard a probe.  A no-op — probes never touch the context — but
-    marks the reject branch of the apply/undo protocol explicitly. *)
+(** Discard a probe: the committed state never moved, so this only
+    releases the arena — the next probe overwrites it instead of
+    copying the probe out.  Read an aborted probe's views before
+    that. *)
+
+val sla_scratch : t -> Evaluate.sla_scratch
+(** The context's own buffers for {!Evaluate.sla_lambda} (in its
+    arena, so never shared with a {!clone}), for pricing a probe's or
+    failure's Λ without allocating. *)
 
 type failure
 (** A link-failure evaluation: the full consequence of suppressing one
@@ -118,7 +152,7 @@ val fail_probe : t -> arcs:int list -> failure
 (** [fail_probe t ~arcs] evaluates the context's current weights with
     [arcs] removed from every class's topology (arc suppression via
     {!Dtr_graph.Dijkstra.suppressed}; no graph rebuild, no weight
-    remapping).  Only destinations whose shortest-path DAGs used a
+    remapping), in the context's arena.  Only destinations whose shortest-path DAGs used a
     failed arc are re-screened and re-projected.  If the failure
     severs any positive-demand pair the probe short-circuits: the
     per-class objective is infinite and {!failure_unreachable} counts
@@ -142,13 +176,19 @@ val failure_phi : failure -> float array
 
 val failure_dags : t -> failure -> int -> Dtr_graph.Spf.dag array
 (** Post-failure per-destination DAGs of a class (shared with the
-    context for untouched destinations; treat as immutable). *)
+    context for untouched destinations; treat as immutable).  An arena
+    view: readable until the context's next probe, failure probe,
+    commit or sync.
+    @raise Invalid_argument on a class out of range or once the view
+    is stale. *)
 
 val failure_phi_row : failure -> int -> float array
 (** Post-failure per-arc Fortz costs of a class — failed arcs carry
-    zero load and zero cost.  Feeds the SLA delay walk.
-    @raise Invalid_argument for a disconnecting failure (the rows are
-    not computed: severed demand cannot be projected). *)
+    zero load and zero cost.  Feeds the SLA delay walk.  An arena view,
+    valid as long as {!failure_dags}.
+    @raise Invalid_argument on a class out of range, for a
+    disconnecting failure (the rows are not computed: severed demand
+    cannot be projected), or once the view is stale. *)
 
 val class_count : t -> int
 

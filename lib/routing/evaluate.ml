@@ -79,35 +79,100 @@ type sla = {
   worst_delay : float;
 }
 
-let sla_of params g ~th ~dags_h ~phi_h_per_arc =
-  let arc_delay = Delay.arc_delays params g ~phi_h_per_arc in
-  let pairs = List.map (fun (s, d, _) -> (s, d)) (Matrix.pairs th) in
-  let raw = Delay.pair_delays g ~dags:dags_h ~arc_delay ~pairs in
-  (* Encode a severed pair as an infinite delay: the penalty (and so
-     Λ) becomes infinite — any routing that reconnects the pair
-     compares strictly better — without aborting the sweep. *)
-  let pair_delays =
-    List.map
-      (fun (s, d, pd) ->
-        match pd with
-        | Delay.Reachable x -> (s, d, x)
-        | Delay.Unreachable -> (s, d, Float.infinity))
-      raw
-  in
-  let lambda = ref 0. and violations = ref 0 and worst = ref 0. in
-  let unreachable = ref 0 in
-  List.iter
-    (fun (_, _, d) ->
-      let p = Sla.penalty params ~delay:d in
-      lambda := !lambda +. p;
-      if Sla.violated params ~delay:d then incr violations;
-      if d = Float.infinity then incr unreachable;
-      if d > !worst then worst := d)
-    pair_delays;
+(* Buffers of the SLA fold, reused from call to call: the per-arc
+   delays, one expected-delay row per destination (allocated on the
+   destination's first use) and the high-priority pairs of the last
+   matrix seen, in Matrix.pairs order.  A fold stamps the rows it
+   computes, so each destination's row is walked once per fold. *)
+type sla_scratch = {
+  mutable s_th : Matrix.t option;
+  mutable s_src : int array;
+  mutable s_dst : int array;
+  mutable s_delay : float array;
+  mutable s_xi : float array array;
+  mutable s_stamp : int array;
+  mutable s_fold : int;
+}
+
+let sla_scratch () =
   {
-    arc_delay;
-    pair_delays;
-    lambda = !lambda;
+    s_th = None;
+    s_src = [||];
+    s_dst = [||];
+    s_delay = [||];
+    s_xi = [||];
+    s_stamp = [||];
+    s_fold = 0;
+  }
+
+let prepare s g th =
+  let n = Graph.node_count g and m = Graph.arc_count g in
+  if Array.length s.s_delay <> m || Array.length s.s_xi <> n then begin
+    s.s_delay <- Array.make m 0.;
+    s.s_xi <- Array.make n [||];
+    s.s_stamp <- Array.make n 0
+  end;
+  match s.s_th with
+  | Some th' when th' == th -> ()
+  | _ ->
+      let k = Matrix.pair_count th in
+      s.s_src <- Array.make k 0;
+      s.s_dst <- Array.make k 0;
+      let i = ref 0 in
+      Matrix.iter th (fun src dst _ ->
+          s.s_src.(!i) <- src;
+          s.s_dst.(!i) <- dst;
+          incr i);
+      s.s_th <- Some th
+
+(* The one SLA costing: every high-priority pair's expected delay in
+   Matrix.pairs order — infinite for a severed pair, so the penalty
+   (and Λ) becomes infinite and any reconnecting routing compares
+   strictly better, without aborting a failure sweep — folded into
+   Λ = Σ penalties, and handed to [on_pair] when given. *)
+let sla_fold ?on_pair s params g ~th ~dags_h ~phi_h_per_arc =
+  prepare s g th;
+  Delay.arc_delays_into params g ~phi_h_per_arc s.s_delay;
+  s.s_fold <- s.s_fold + 1;
+  let n = Graph.node_count g in
+  let lambda = ref 0. in
+  for i = 0 to Array.length s.s_src - 1 do
+    let src = s.s_src.(i) and dst = s.s_dst.(i) in
+    let dag = dags_h.(dst) in
+    let delay =
+      if dag.Spf.dist.(src) = Dijkstra.unreachable then Float.infinity
+      else begin
+        if s.s_stamp.(dst) <> s.s_fold then begin
+          if Array.length s.s_xi.(dst) = 0 then s.s_xi.(dst) <- Array.make n 0.;
+          Delay.expected_into g ~dag ~arc_delay:s.s_delay s.s_xi.(dst);
+          s.s_stamp.(dst) <- s.s_fold
+        end;
+        s.s_xi.(dst).(src)
+      end
+    in
+    lambda := !lambda +. Sla.penalty params ~delay;
+    match on_pair with None -> () | Some f -> f src dst delay
+  done;
+  !lambda
+
+let sla_lambda s params g ~th ~dags_h ~phi_h_per_arc =
+  sla_fold s params g ~th ~dags_h ~phi_h_per_arc
+
+let sla_of params g ~th ~dags_h ~phi_h_per_arc =
+  let s = sla_scratch () in
+  let pairs = ref [] and violations = ref 0 and unreachable = ref 0 in
+  let worst = ref 0. in
+  let lambda =
+    sla_fold s params g ~th ~dags_h ~phi_h_per_arc ~on_pair:(fun src dst d ->
+        pairs := (src, dst, d) :: !pairs;
+        if Sla.violated params ~delay:d then incr violations;
+        if d = Float.infinity then incr unreachable;
+        if d > !worst then worst := d)
+  in
+  {
+    arc_delay = s.s_delay;
+    pair_delays = List.rev !pairs;
+    lambda;
     violations = !violations;
     unreachable = !unreachable;
     worst_delay = !worst;

@@ -82,4 +82,26 @@ val sla_of :
     over [dags_h], and the Λ fold (Eq. 4).  The one SLA costing of
     every evaluation path — full evaluations, incremental probes
     ({!Eval_ctx.probe_dags}, {!Eval_ctx.probe_phi_row}) and failure
-    probes — so all three price Λ bitwise alike. *)
+    probes — so all three price Λ bitwise alike.  Runs the fold of
+    {!sla_lambda} over a fresh {!sla_scratch}. *)
+
+type sla_scratch
+(** Buffers of the SLA fold (per-arc delays, per-destination expected
+    delays, the pair list of the last matrix seen), reused from call to
+    call.  Owned by one caller at a time: not domain-safe. *)
+
+val sla_scratch : unit -> sla_scratch
+
+val sla_lambda :
+  sla_scratch ->
+  Dtr_cost.Sla.params ->
+  Dtr_graph.Graph.t ->
+  th:Dtr_traffic.Matrix.t ->
+  dags_h:Dtr_graph.Spf.dag array ->
+  phi_h_per_arc:float array ->
+  float
+(** [(sla_of params g ~th ~dags_h ~phi_h_per_arc).lambda], bitwise —
+    the same fold — computed in the scratch's buffers: after the first
+    call on a matrix it allocates nothing.  The scratch caches [th]'s
+    pair list by physical identity, so [th] must not be mutated while
+    the scratch is in use. *)

@@ -34,14 +34,16 @@ let price ~model ~th ctx f =
       match model with
       | Objective.Load -> Lexico.make ~primary:phi.(0) ~secondary:phi.(1)
       | Objective.Sla params ->
-          (* Failed arcs keep a (cheap, unread) delay entry that no
-             surviving DAG walks. *)
-          let sla =
-            Evaluate.sla_of params (Eval_ctx.graph ctx) ~th
+          (* Λ straight from the failure's arena views, in the
+             context's own SLA scratch.  Failed arcs keep a (cheap,
+             unread) delay entry that no surviving DAG walks. *)
+          let lambda =
+            Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx) params
+              (Eval_ctx.graph ctx) ~th
               ~dags_h:(Eval_ctx.failure_dags ctx f 0)
               ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
           in
-          Lexico.make ~primary:sla.Evaluate.lambda ~secondary:phi.(1)
+          Lexico.make ~primary:lambda ~secondary:phi.(1)
     in
     { cost; unreachable_pairs = 0 }
   end
@@ -61,8 +63,9 @@ let sweep ?pool ?(model = Objective.Load) ~th ctx =
   match pool with
   | Some p when Pool.jobs p > 1 ->
       (* Contiguous chunks, one clone per task: a failure probe reads
-         the shared rows and writes only its own SPF workspace, so
-         clones make concurrent probes race-free; results are
+         the shared rows and writes only its own context's SPF
+         workspace and probe arena, so clones make concurrent probes
+         race-free; results are
          reassembled in link order, identical to the sequential
          sweep. *)
       let jobs = Pool.jobs p in

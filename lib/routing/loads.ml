@@ -6,26 +6,29 @@ module Matrix = Dtr_traffic.Matrix
 (* The even-split flow recursion shared by every consumer: walk
    order_desc (upstream nodes first, so all transit inflow has arrived
    by the time a node is reached), split each node's flow evenly over
-   its next-hop arcs, and report every (arc, share) to [on_arc] before
-   forwarding it.  [flow] is mutated in place. *)
-let propagate g ~dag ~flow ~on_arc =
+   its next-hop arcs, add every share to [contrib] (skipped when
+   [contrib] is empty) and forward it.  [flow] is mutated in place.  A
+   plain loop, not a per-share callback: a float passed to a closure is
+   boxed, one allocation per share on the probe hot path. *)
+let spread g ~dag ~flow ~contrib =
   let dsts = Graph.dsts g in
-  Array.iter
-    (fun v ->
-      let out = dag.Spf.next_arcs.(v) in
-      let deg = Array.length out in
-      if flow.(v) > 0. && deg > 0 then begin
-        let share = flow.(v) /. float_of_int deg in
-        Array.iter
-          (fun id ->
-            on_arc id share;
-            let u = dsts.(id) in
-            if u <> dag.Spf.dst then flow.(u) <- flow.(u) +. share)
-          out
-      end)
-    dag.Spf.order_desc
-
-let no_share _ _ = ()
+  let t = dag.Spf.dst and next = dag.Spf.next_arcs and order = dag.Spf.order_desc in
+  let record = Array.length contrib > 0 in
+  for i = 0 to Array.length order - 1 do
+    let v = order.(i) in
+    let out = next.(v) in
+    let deg = Array.length out in
+    let fv = flow.(v) in
+    if fv > 0. && deg > 0 then begin
+      let share = fv /. float_of_int deg in
+      for j = 0 to deg - 1 do
+        let id = out.(j) in
+        if record then contrib.(id) <- contrib.(id) +. share;
+        let u = dsts.(id) in
+        if u <> t then flow.(u) <- flow.(u) +. share
+      done
+    end
+  done
 
 let node_throughflow g ~dag ~demand_to_dst =
   let n = Graph.node_count g in
@@ -33,14 +36,14 @@ let node_throughflow g ~dag ~demand_to_dst =
     invalid_arg "Loads.node_throughflow: demand length mismatch";
   let flow = Array.copy demand_to_dst in
   flow.(dag.Spf.dst) <- 0.;
-  propagate g ~dag ~flow ~on_arc:no_share;
+  spread g ~dag ~flow ~contrib:[||];
   flow
 
 (* Arena variant: the caller owns [flow] (length >= n) and [contrib]
    (length >= m) and reuses them across destinations; both are fully
    reinitialized here, so stale contents never leak through.  Shares
-   must land identically to {!destination_loads}: same propagate walk,
-   same accumulation order. *)
+   land identically to {!destination_loads}: same walk, same
+   accumulation order. *)
 let destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib =
   let n = Graph.node_count g in
   if Array.length demand_to_dst <> n then
@@ -50,8 +53,7 @@ let destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib =
   Array.fill contrib 0 (Graph.arc_count g) 0.;
   Array.blit demand_to_dst 0 flow 0 n;
   flow.(dag.Spf.dst) <- 0.;
-  propagate g ~dag ~flow ~on_arc:(fun id share ->
-      contrib.(id) <- contrib.(id) +. share)
+  spread g ~dag ~flow ~contrib
 
 let destination_loads g ~dag ~demand_to_dst =
   let n = Graph.node_count g in
