@@ -65,9 +65,8 @@ let sweep ?pool ?(model = Objective.Load) ~th ctx =
       (* Contiguous chunks, one clone per task: a failure probe reads
          the shared rows and writes only its own context's SPF
          workspace and probe arena, so clones make concurrent probes
-         race-free; results are
-         reassembled in link order, identical to the sequential
-         sweep. *)
+         race-free; results are reassembled in link order, identical
+         to the sequential sweep. *)
       let jobs = Pool.jobs p in
       let chunks =
         Pool.map p jobs ~f:(fun j ->
