@@ -61,8 +61,8 @@ let preset_conv =
   Arg.conv (parse, print)
 
 (* optimize's --preset additionally accepts a large-topology preset
-   name (ts-1k .. pl-10k), which switches the command onto the
-   large-tier search path (Search_bench). *)
+   name (ts-1k .. pl-10k), which replaces --topology with that
+   preset's scenario. *)
 let opt_preset_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -111,12 +111,11 @@ let time_budget_arg =
     & opt (some float) None
     & info [ "time-budget" ] ~docv:"SECS"
         ~doc:
-          "Wall-clock budget in seconds: each search checks the clock \
-           once per iteration and winds down early when the budget is \
-           spent (at least one iteration always runs).  On a large \
-           preset each search gets its own budget; otherwise the \
-           budget covers the whole command.  Iteration counts under a \
-           binding budget are machine-dependent.")
+          "Wall-clock budget in seconds for the whole command: each \
+           search checks the clock once per iteration and winds down \
+           early when the budget is spent (at least one iteration \
+           always runs).  Iteration counts under a binding budget are \
+           machine-dependent.")
 
 let init_weights_arg =
   Arg.(
@@ -166,13 +165,16 @@ let trace_sample_arg =
           "Keep every N-th probe event in the trace (counter-based per \
            search run, so a sampled trace is still byte-identical for \
            every --jobs and --scan-jobs value).  Probes dominate trace \
-           volume; non-probe events always pass.  Default: every probe \
-           on the quick/default/paper presets; on a large preset \
-           probes are off entirely unless this flag is given.")
+           volume; non-probe events always pass.")
 
 let with_trace_sample preset = function
   | None -> preset
-  | Some n -> { preset with Dtr_core.Search_config.trace_sample = n }
+  | Some n ->
+      {
+        preset with
+        Dtr_core.Search_config.trace_probes = true;
+        trace_sample = n;
+      }
 
 (* Machine-readable rendering of the report tables: title, columns and
    rows verbatim.  OCaml's %S escaping is JSON-compatible for the
@@ -385,100 +387,33 @@ let with_metrics metrics_file run =
       Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
       Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path
 
-(* Large-preset path: one STR + DTR search-bench run on the 1k-10k
-   tier.  Outcome lines (objectives, improvements, evaluations, memo
-   counters) go to stdout — deterministic in (preset, seed, config)
-   whenever no wall-clock budget binds, so CI can diff stdout across
-   --scan-jobs values; progress and the timing table go to stderr. *)
-let optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
-    ~scan_jobs ~robust ~alpha ~top_k ~time_budget ~search_iters ~init_weights
-    ~save_weights ~trace_file ~trace_no_time ~trace_sample =
-  let module Search_bench = Dtr_experiments.Search_bench in
-  let module Trace = Dtr_core.Trace in
-  if restarts > 1 then
-    failwith "--restarts > 1 is not supported on large presets";
-  if save_weights <> None then
-    failwith "--save-weights is not supported on large presets";
-  let cfg = with_scan_jobs Dtr_core.Search_config.quick scan_jobs in
-  let cfg = with_robust cfg robust ~alpha ~top_k in
-  (* Large-tier traces with per-probe events run to multi-GB files;
-     probes default off here and --trace-sample N opts back in (at one
-     probe in N). *)
-  let cfg =
-    {
-      cfg with
-      Dtr_core.Search_config.trace_probes = trace_sample <> None;
-      trace_sample = (match trace_sample with Some n -> n | None -> 1);
-    }
-  in
-  let cfg, str_iters =
-    match search_iters with
-    | None -> (cfg, None)
-    | Some n ->
-        ( { cfg with Dtr_core.Search_config.n_iters = n; k_iters = n },
-          Some n )
-  in
-  let w0 = load_init_weights init_weights in
-  Printf.printf
-    "scenario: %s preset, %s cost, f=%.0f%%, k=%.0f%%, target util %.2f\n%!"
-    p.Dtr_topology.Large.name
-    (Objective.model_name model)
-    (fraction *. 100.) (density *. 100.) util;
-  let trace_oc = Option.map open_out trace_file in
-  let trace =
-    match trace_oc with
-    | Some oc -> Trace.jsonl ~timestamps:(not trace_no_time) oc
-    | None -> Trace.disabled
-  in
-  let rows =
-    Search_bench.run ~cfg ~seed ?time_budget ?str_iters ?w0 ~fraction ~density
-      ~util
-      ~progress:(fun s -> Printf.eprintf "%s\n%!" s)
-      ~trace ~model p
-  in
-  let manifest =
-    Dtr_core.Manifest.to_json ~seed ~restarts
-      ~model:(Objective.model_name model)
-      ~topology:p.Dtr_topology.Large.name ~config:cfg ()
-  in
-  (match trace_file with
-  | None -> ()
-  | Some path ->
-      Option.iter close_out trace_oc;
-      Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
-      Printf.printf "trace written to %s\n" path);
-  List.iter
-    (fun (r : Search_bench.row) ->
-      Printf.printf
-        "%-4s objective: primary=%.6g secondary=%.6g (%d improvements, %d \
-         iterations, %d evaluations)\n"
-        (String.uppercase_ascii r.Search_bench.algo)
-        r.Search_bench.objective.Lexico.primary
-        r.Search_bench.objective.Lexico.secondary r.Search_bench.improvements
-        r.Search_bench.iterations r.Search_bench.evaluations;
-      Printf.printf "%-4s memo: %d hits / %d misses\n"
-        (String.uppercase_ascii r.Search_bench.algo)
-        r.Search_bench.memo_hits r.Search_bench.memo_misses)
-    rows;
-  Printf.eprintf "%s%!"
-    (Dtr_util.Table.to_string (Search_bench.table rows));
-  manifest
-
 let optimize_cmd =
   let run topology model fraction density util preset seed restarts jobs
       scan_jobs robust alpha top_k time_budget search_iters init_weights
       save_weights trace_file trace_no_time metrics_file trace_sample =
     with_metrics metrics_file @@ fun () ->
-    match preset with
-    | `Large p ->
-        optimize_large p ~model ~fraction ~density ~util ~seed ~restarts
-          ~scan_jobs ~robust ~alpha ~top_k ~time_budget ~search_iters
-          ~init_weights ~save_weights ~trace_file ~trace_no_time ~trace_sample
-    | `Budget preset ->
     let module Trace = Dtr_core.Trace in
+    (* A large preset replaces --topology and runs the quick budget.
+       Its traces would run to gigabytes with every probe in them, so
+       probe events stay off unless --trace-sample asks for them. *)
+    let topology, preset =
+      match preset with
+      | `Budget preset -> (topology, preset)
+      | `Large p ->
+          ( Scenario.Large p,
+            {
+              Dtr_core.Search_config.quick with
+              Dtr_core.Search_config.trace_probes = false;
+            } )
+    in
     let preset = with_scan_jobs preset scan_jobs in
     let preset = with_robust preset robust ~alpha ~top_k in
     let preset = with_trace_sample preset trace_sample in
+    let preset =
+      match search_iters with
+      | None -> preset
+      | Some n -> { preset with Dtr_core.Search_config.n_iters = n; k_iters = n }
+    in
     let w0 = load_init_weights init_weights in
     let t_start = Unix.gettimeofday () in
     let stop =
@@ -486,9 +421,10 @@ let optimize_cmd =
         (fun b () -> Unix.gettimeofday () -. t_start > b)
         time_budget
     in
-    if restarts > 1 && (w0 <> None || stop <> None) then
-      failwith "--init-weights/--time-budget require --restarts 1";
-    ignore search_iters;
+    if restarts > 1 && (w0 <> None || stop <> None || search_iters <> None)
+    then
+      failwith
+        "--init-weights/--time-budget/--search-iters require --restarts 1";
     let spec = make_spec topology fraction density seed in
     let inst = Scenario.make spec in
     (* One provenance record shared by every artifact of this run. *)
@@ -555,15 +491,23 @@ let optimize_cmd =
         | None -> Trace.disabled
       in
       let point =
-        Dtr_experiments.Compare.run_point ~cfg:preset ~seed ~trace ?stop ?w0
-          inst ~model ~target_util:util
+        Dtr_experiments.Compare.run_point ~cfg:preset ~seed ~trace ?stop
+          ?str_iters:search_iters ?w0 inst ~model ~target_util:util
       in
-      let pr name (o : Lexico.t) =
-        Printf.printf "%-4s objective: primary=%.6g secondary=%.6g\n" name
-          o.Lexico.primary o.Lexico.secondary
+      let pr name (o : Lexico.t) ~improvements ~evaluations =
+        Printf.printf
+          "%-4s objective: primary=%.6g secondary=%.6g (%d improvements, %d \
+           evaluations)\n"
+          name o.Lexico.primary o.Lexico.secondary improvements evaluations
       in
-      pr "STR" point.Dtr_experiments.Compare.str.Dtr_core.Str_search.objective;
-      pr "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.objective;
+      let str = point.Dtr_experiments.Compare.str
+      and dtr = point.Dtr_experiments.Compare.dtr in
+      pr "STR" str.Dtr_core.Str_search.objective
+        ~improvements:str.Dtr_core.Str_search.improvements
+        ~evaluations:str.Dtr_core.Str_search.evaluations;
+      pr "DTR" dtr.Dtr_core.Dtr_search.objective
+        ~improvements:dtr.Dtr_core.Dtr_search.improvements
+        ~evaluations:dtr.Dtr_core.Dtr_search.evaluations;
       (match preset.Dtr_core.Search_config.robust with
       | None -> ()
       | Some r ->
@@ -721,10 +665,10 @@ let optimize_cmd =
             "Search budget (quick, default, paper) or a large-topology \
              preset (ts-1k, ts-5k, ts-10k, pl-1k, pl-5k, pl-10k).  A \
              large preset replaces --topology with a 1k-10k-node \
-             PoP-demand scenario, runs the searches through the \
-             search-bench path (quick budget unless capped by \
-             --search-iters or --time-budget), and prints deterministic \
-             outcome lines on stdout with timings on stderr.")
+             PoP-demand scenario and runs the quick budget; a single \
+             run starts from seeded random weights unless \
+             --init-weights is given, and its trace keeps probe events \
+             only with --trace-sample.")
   in
   let search_iters_arg =
     Arg.(
@@ -732,12 +676,9 @@ let optimize_cmd =
       & opt (some int) None
       & info [ "search-iters" ] ~docv:"N"
           ~doc:
-            "On a large preset: cap every search loop at N iterations \
-             (STR's value-scan count and DTR's three routines alike).  \
-             Without a --time-budget this makes the whole run — and \
-             its stdout — deterministic, which is what the CI \
-             scan-jobs invariance check diffs.  Ignored on the \
-             dense-topology path.")
+            "Cap every search loop at N iterations (STR's value-scan \
+             count and DTR's three routines alike).  Requires \
+             --restarts 1.")
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Run the STR and DTR weight searches on one scenario")
@@ -1349,55 +1290,20 @@ let gen_cmd =
 (* bench                                                              *)
 
 let bench_cmd =
-  let run presets seed probes json_out search time_budget scan_jobs =
+  let run presets seed probes json_out =
     let module Large_bench = Dtr_experiments.Large_bench in
-    let module Search_bench = Dtr_experiments.Search_bench in
-    let write_json to_json =
-      match json_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out oc)
-            (fun () -> output_string oc (to_json ()));
-          Printf.printf "wrote %s\n" path
+    let names =
+      match presets with [] -> Dtr_topology.Large.names () | ps -> ps
     in
-    if search then begin
-      (* Search tier: full STR + DTR runs per preset — default to the
-         smallest preset only; 5k/10k are explicit opt-ins. *)
-      let names = match presets with [] -> [ "ts-1k" ] | ps -> ps in
-      let cfg =
-        with_scan_jobs Dtr_core.Search_config.quick scan_jobs
-      in
-      let rows =
-        List.concat_map
-          (fun name ->
-            match Dtr_topology.Large.find name with
-            | None ->
-                failwith
-                  (Printf.sprintf "unknown large preset: %s (expected one \
-                                   of: %s)"
-                     name
-                     (String.concat ", " (Dtr_topology.Large.names ())))
-            | Some p ->
-                Search_bench.run ~cfg ~seed ?time_budget
-                  ~progress:(Printf.eprintf "%s\n%!")
-                  ~model:Dtr_routing.Objective.Load p)
-          names
-      in
-      print_endline (Dtr_util.Table.to_string (Search_bench.table rows));
-      write_json (fun () -> Search_bench.to_json ~seed rows)
-    end
-    else begin
-      let names =
-        match presets with [] -> Dtr_topology.Large.names () | ps -> ps
-      in
-      let rows =
-        Large_bench.run ~probes ~progress:(Printf.printf "%s\n%!") ~seed names
-      in
-      print_endline (Dtr_util.Table.to_string (Large_bench.table rows));
-      write_json (fun () -> Large_bench.to_json ~seed ~probes rows)
-    end
+    let rows =
+      Large_bench.run ~probes ~progress:(Printf.printf "%s\n%!") ~seed names
+    in
+    print_endline (Dtr_util.Table.to_string (Large_bench.table rows));
+    match json_out with
+    | None -> ()
+    | Some path ->
+        write_file path (Large_bench.to_json ~seed ~probes rows);
+        Printf.printf "wrote %s\n" path
   in
   let presets_arg =
     Arg.(
@@ -1422,29 +1328,13 @@ let bench_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the rows and a provenance stamp to FILE as JSON.")
   in
-  let search_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "search" ]
-          ~doc:
-            "Benchmark the search loops instead of the evaluation \
-             plumbing: run the STR and DTR searches (quick budget) on \
-             each preset and report time-to-first-improvement and \
-             iterations/sec — the BENCH_search_large.json tier.  \
-             Defaults to ts-1k only; pass presets explicitly for the \
-             5k/10k tiers.  --probes is ignored in this mode.")
-  in
   Cmd.v
     (Cmd.info "bench"
        ~doc:
          "Run the large-topology benchmark tier: demand-only evaluation \
           contexts at 1k-10k nodes, full-eval time, probe latency \
-          percentiles, evals/sec and peak RSS per preset — or, with \
-          --search, the search loops themselves")
-    Term.(
-      const run $ presets_arg $ seed_arg $ probes_arg $ json_arg $ search_arg
-      $ time_budget_arg $ scan_jobs_arg)
+          percentiles, evals/sec and peak RSS per preset")
+    Term.(const run $ presets_arg $ seed_arg $ probes_arg $ json_arg)
 
 (* ------------------------------------------------------------------ *)
 (* version                                                            *)

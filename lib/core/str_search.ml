@@ -102,8 +102,7 @@ let pick_arc rng ~rcache ~ht ctx problem =
     ranking.(Dist.heavy_tail_sample ht rng - 1)
   end
 
-let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
-    =
+let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
   let iters = match iters with Some i -> i | None -> default_iters cfg in
   if iters < 1 then invalid_arg "Str_search.run: iters must be positive";
@@ -309,10 +308,7 @@ let run ?w0 ?iters ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem
       consider_best ~iteration ~moved:true ~count:false;
       stall := 0;
       tell Trace.Diversify ~iteration ~detail:(-1) ~before ~prev
-    end;
-    match on_progress with
-    | None -> ()
-    | Some f -> f iteration (Problem.objective !best)
+    end
   done;
   let evaluations, _, _ = counts () in
   {

@@ -44,7 +44,6 @@ val run :
   ?w0:int array ->
   ?iters:int ->
   ?stop:(unit -> bool) ->
-  ?on_progress:(int -> Dtr_cost.Lexico.t -> unit) ->
   ?trace:Trace.t ->
   Dtr_util.Prng.t ->
   Search_config.t ->

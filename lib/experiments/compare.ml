@@ -3,6 +3,7 @@ module Table = Dtr_util.Table
 module Lexico = Dtr_cost.Lexico
 module Evaluate = Dtr_routing.Evaluate
 module Objective = Dtr_routing.Objective
+module Weights = Dtr_routing.Weights
 module Problem = Dtr_core.Problem
 module Str_search = Dtr_core.Str_search
 module Dtr_search = Dtr_core.Dtr_search
@@ -23,18 +24,34 @@ let ratio ~num ~den =
   else num /. den
 
 let run_point ?(cfg = Dtr_core.Search_config.default) ?(seed = 0)
-    ?(trace = Trace.disabled) ?stop ?w0 inst ~model ~target_util =
+    ?(trace = Trace.disabled) ?stop ?str_iters ?w0 inst ~model ~target_util =
   let inst = Scenario.scale_to_utilization inst ~target:target_util in
   let problem = Scenario.problem inst ~model in
   let root = Prng.create (seed + (inst.Scenario.spec.Scenario.seed * 7919)) in
   let str_rng = Prng.split root in
   let dtr_rng = Prng.split root in
+  (* On the full-mesh-core large presets the mid-range default start
+     shortest-hop-routes every PoP pair over its direct core link and
+     is already locally optimal, so they start from seeded random
+     weights drawn from a third stream, W_L before W_H. *)
+  let w0 =
+    match (w0, inst.Scenario.spec.Scenario.topology) with
+    | None, Scenario.Large _ ->
+        let weight_rng = Prng.split root in
+        let wl = Weights.random weight_rng inst.Scenario.graph in
+        let wh = Weights.random weight_rng inst.Scenario.graph in
+        Some (wh, wl)
+    | w0, _ -> w0
+  in
   (* Each search records into its own ring; the merged stream tags STR
      events [restart = 0] and DTR events [restart = 1]. *)
   let str_ring = if Trace.enabled trace then Trace.ring () else Trace.disabled in
   let dtr_ring = if Trace.enabled trace then Trace.ring () else Trace.disabled in
   let str_w0 = Option.map fst w0 in
-  let str = Str_search.run ?w0:str_w0 ?stop ~trace:str_ring str_rng cfg problem in
+  let str =
+    Str_search.run ?w0:str_w0 ?iters:str_iters ?stop ~trace:str_ring str_rng
+      cfg problem
+  in
   let dtr = Dtr_search.run ?w0 ?stop ~trace:dtr_ring dtr_rng cfg problem in
   if Trace.enabled trace then begin
     Trace.replay str_ring ~into:trace ~restart:0;

@@ -20,6 +20,7 @@ val run_point :
   ?seed:int ->
   ?trace:Dtr_core.Trace.t ->
   ?stop:(unit -> bool) ->
+  ?str_iters:int ->
   ?w0:int array * int array ->
   Scenario.instance ->
   model:Dtr_routing.Objective.model ->
@@ -28,8 +29,12 @@ val run_point :
 (** Scale the instance to [target_util], then run both searches
     (independent PRNG streams derived from [seed], default 0).
     [stop] (the wall-clock budget hook) is polled by both searches
-    once per iteration; [w0] warm-starts them — STR takes the first
-    vector, DTR the pair.
+    once per iteration; [str_iters] caps STR's iterations (default
+    {!Dtr_core.Str_search.default_iters}); [w0] warm-starts them —
+    STR takes the first vector, DTR the pair.  Without [w0], both
+    start from mid-range uniform weights, except on a
+    {!Scenario.Large} instance: there the uniform start is already
+    locally optimal, so both start from seeded random weights.
 
     With an enabled [trace], both searches record their events (each
     into a private ring, replayed afterwards so ordering never depends

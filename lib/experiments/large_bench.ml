@@ -176,7 +176,7 @@ let table rows =
     rows;
   t
 
-(* Same provenance stamp as bench/meta.ml: revision, toolchain,
+(* Provenance stamp of the JSON document: revision, toolchain,
    machine shape, and the peak RSS at stamp time. *)
 let stamp ~seed =
   Printf.sprintf

@@ -46,10 +46,6 @@ val run :
 
 val table : row list -> Dtr_util.Table.t
 
-val stamp : seed:int -> string
-(** The shared provenance stamp (revision, toolchain, machine shape,
-    peak RSS at stamp time) embedded in the bench JSON documents. *)
-
 val to_json : seed:int -> probes:int -> row list -> string
 (** The [BENCH_large.json] document: provenance stamp plus one entry
     per row. *)

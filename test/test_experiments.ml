@@ -12,6 +12,7 @@ module Objective = Dtr_routing.Objective
 module Table = Dtr_util.Table
 module Highpri = Dtr_traffic.Highpri
 module Search_config = Dtr_core.Search_config
+module Trace = Dtr_core.Trace
 
 let checkf eps = Alcotest.(check (float eps))
 
@@ -140,6 +141,24 @@ let test_run_point_sane () =
     (p.Compare.measured_util > 0.3 && p.Compare.measured_util < 0.9);
   Alcotest.(check bool) "rh close to 1" true (p.Compare.rh > 0.5 && p.Compare.rh < 2.);
   Alcotest.(check bool) "rl at least ~1" true (p.Compare.rl > 0.5)
+
+let test_run_point_str_iters () =
+  (* [str_iters] caps STR alone: one Str_scan event per iteration. *)
+  let inst = Scenario.make { random_spec with Scenario.topology = Scenario.Isp } in
+  let ring = Trace.ring () in
+  ignore
+    (Compare.run_point ~cfg:tiny_cfg ~seed:1 ~trace:ring ~str_iters:3 inst
+       ~model:Objective.Load ~target_util:0.6);
+  let scans =
+    List.filter
+      (fun (e : Trace.event) -> e.Trace.kind = Trace.Str_scan)
+      (Trace.events ring)
+  in
+  Alcotest.(check int) "three STR scans" 3 (List.length scans);
+  List.iter
+    (fun (e : Trace.event) ->
+      Alcotest.(check int) "tagged as STR" 0 e.Trace.restart)
+    scans
 
 let test_points_table_render () =
   let p = Lazy.force isp_point in
@@ -373,6 +392,8 @@ let () =
         [
           Alcotest.test_case "ratio guards" `Quick test_ratio_guards;
           Alcotest.test_case "run_point sane" `Slow test_run_point_sane;
+          Alcotest.test_case "run_point str_iters" `Quick
+            test_run_point_str_iters;
           Alcotest.test_case "points table" `Slow test_points_table_render;
         ] );
       ( "fig1",

@@ -73,12 +73,37 @@ let check_outcome ~what i (e : Failure_sweep.outcome)
 (* ------------------------------------------------------------------ *)
 (* Delta sweep vs from-scratch oracle *)
 
-let sweep_matches_oracle ~model seed =
+(* An instance is a graph, its two matrices and a weight pair. *)
+let fixture_instance seed =
   let g = fixture seed in
   let rng = Prng.create ((seed * 13) + 5) in
   let th, tl = random_matrices rng g in
   let wh = Weights.random rng g in
   let wl = Weights.random rng g in
+  (g, th, tl, wh, wl)
+
+(* A 50-node / 250-link random network with gravity low-class
+   traffic, a density-0.10 high class at 30 % of its pairs' volume and
+   random weights: large enough that most failures reroute many
+   destinations. *)
+let random50_instance () =
+  let root = Prng.create 1 in
+  let topo_rng = Prng.split root in
+  let traffic_rng = Prng.split root in
+  let weight_rng = Prng.split root in
+  let g =
+    Dtr_topology.Random_topo.generate topo_rng
+      { Dtr_topology.Random_topo.default with nodes = 50; links = 250 }
+  in
+  let n = Graph.node_count g in
+  let tl = Gravity.generate traffic_rng ~n Gravity.default in
+  let pairs = Highpri.random_pairs traffic_rng ~n ~density:0.10 in
+  let th = Highpri.volumes traffic_rng ~low:tl ~fraction:0.30 ~pairs in
+  let wh = Weights.random weight_rng g in
+  let wl = Weights.random weight_rng g in
+  (g, th, tl, wh, wl)
+
+let sweep_matches_oracle ~model (g, th, tl, wh, wl) =
   let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let delta = Failure_sweep.sweep ~model ~th ctx in
   let oracle = Failure_sweep.oracle_sweep ~model g ~wh ~wl ~th ~tl in
@@ -91,13 +116,17 @@ let sweep_matches_oracle ~model seed =
 
 let test_sweep_matches_oracle_load () =
   for seed = 0 to 11 do
-    sweep_matches_oracle ~model:Objective.Load seed
-  done
+    sweep_matches_oracle ~model:Objective.Load (fixture_instance seed)
+  done;
+  sweep_matches_oracle ~model:Objective.Load (random50_instance ())
 
 let test_sweep_matches_oracle_sla () =
   for seed = 0 to 7 do
-    sweep_matches_oracle ~model:(Objective.Sla Dtr_cost.Sla.default) seed
-  done
+    sweep_matches_oracle ~model:(Objective.Sla Dtr_cost.Sla.default)
+      (fixture_instance seed)
+  done;
+  sweep_matches_oracle ~model:(Objective.Sla Dtr_cost.Sla.default)
+    (random50_instance ())
 
 let test_sweep_str_weights () =
   (* An STR setting (wh == wl, one routing group) takes the grouped

@@ -291,6 +291,59 @@ let test_trace_no_timestamps () =
        (Trace.events stamped))
 
 (* ------------------------------------------------------------------ *)
+(* Disabled instrumentation costs no allocation *)
+
+(* A 40-iteration STR run on a 20-node random network.  Its minor-heap
+   allocation is a deterministic function of the run, so word counts
+   catch exactly what a timing guard could only estimate: a trace or
+   metrics call site that allocates while switched off. *)
+let alloc_problem =
+  lazy
+    (let root = Prng.create 1 in
+     let topo_rng = Prng.split root in
+     let traffic_rng = Prng.split root in
+     let g =
+       Dtr_topology.Random_topo.generate topo_rng
+         { Dtr_topology.Random_topo.default with nodes = 20; links = 60 }
+     in
+     let n = Graph.node_count g in
+     let tl = Dtr_traffic.Gravity.generate traffic_rng ~n Dtr_traffic.Gravity.default in
+     let pairs = Dtr_traffic.Highpri.random_pairs traffic_rng ~n ~density:0.10 in
+     let th =
+       Dtr_traffic.Highpri.volumes traffic_rng ~low:tl ~fraction:0.30 ~pairs
+     in
+     Problem.create ~graph:g ~th ~tl ~model:Objective.Load)
+
+let str_minor_words ?trace cfg =
+  let problem = Lazy.force alloc_problem in
+  let w0 = Gc.minor_words () in
+  ignore (Str_search.run ~iters:40 ?trace (Prng.create 1) cfg problem);
+  Gc.minor_words () -. w0
+
+let test_disabled_trace_allocates_less () =
+  let cfg = { Search_config.quick with Search_config.trace_probes = false } in
+  ignore (str_minor_words cfg);
+  let disabled = str_minor_words ~trace:Trace.disabled cfg in
+  let ring = str_minor_words ~trace:(Trace.ring ()) cfg in
+  Alcotest.(check bool)
+    (Printf.sprintf "disabled (%.0f words) < ring (%.0f words)" disabled ring)
+    true (disabled < ring);
+  (* Probe events are the bulk of a trace; with the sink disabled,
+     switching them on must not cost a single word. *)
+  Alcotest.(check (float 0.))
+    "probes on, sink disabled" disabled
+    (str_minor_words ~trace:Trace.disabled Search_config.quick)
+
+let test_disabled_metrics_allocates_no_more () =
+  let cfg = Search_config.quick in
+  ignore (str_minor_words cfg);
+  let disabled = str_minor_words cfg in
+  let enabled = with_metrics (fun () -> str_minor_words cfg) in
+  Alcotest.(check bool)
+    (Printf.sprintf "off (%.0f words) <= on (%.0f words)" disabled enabled)
+    true (disabled <= enabled)
+
+(* ------------------------------------------------------------------ *)
 (* Inspect report tables: golden output on Abilene *)
 
 let test_inspect_golden_abilene () =
@@ -366,6 +419,13 @@ let () =
         [
           Alcotest.test_case "timestamp-free sink" `Quick
             test_trace_no_timestamps;
+        ] );
+      ( "disabled-cost",
+        [
+          Alcotest.test_case "disabled trace allocates less than a ring"
+            `Quick test_disabled_trace_allocates_less;
+          Alcotest.test_case "metrics off allocates no more than on" `Quick
+            test_disabled_metrics_allocates_no_more;
         ] );
       ( "inspect",
         [
