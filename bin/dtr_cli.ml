@@ -365,9 +365,9 @@ let topo_cmd =
 (* ------------------------------------------------------------------ *)
 (* optimize                                                           *)
 
-(* --metrics FILE, shared by both optimize paths: enable the registry
-   before [run], then write the Prometheus text, its JSON mirror and
-   the manifest [run] returns as a sidecar. *)
+(* --metrics FILE: enable the registry before [run], then write the
+   Prometheus text, its JSON mirror and the manifest [run] returns as a
+   sidecar. *)
 let with_metrics metrics_file run =
   let module Metrics = Dtr_util.Metrics in
   if metrics_file <> None then begin
@@ -520,19 +520,15 @@ let optimize_cmd =
               name j.Lexico.primary n.Lexico.primary
               r.Dtr_core.Search_config.alpha r.Dtr_core.Search_config.top_k
           in
-          prj "STR" point.Dtr_experiments.Compare.str.Dtr_core.Str_search.best
-            point.Dtr_experiments.Compare.str.Dtr_core.Str_search.objective;
-          prj "DTR" point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best
-            point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.objective);
+          prj "STR" str.Dtr_core.Str_search.best str.Dtr_core.Str_search.objective;
+          prj "DTR" dtr.Dtr_core.Dtr_search.best dtr.Dtr_core.Dtr_search.objective);
       let prm name ~hits ~misses =
         Printf.printf "%-4s memo: %d hits / %d misses\n" name hits misses
       in
-      prm "STR"
-        ~hits:point.Dtr_experiments.Compare.str.Dtr_core.Str_search.memo_hits
-        ~misses:point.Dtr_experiments.Compare.str.Dtr_core.Str_search.memo_misses;
-      prm "DTR"
-        ~hits:point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.memo_hits
-        ~misses:point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.memo_misses;
+      prm "STR" ~hits:str.Dtr_core.Str_search.memo_hits
+        ~misses:str.Dtr_core.Str_search.memo_misses;
+      prm "DTR" ~hits:dtr.Dtr_core.Dtr_search.memo_hits
+        ~misses:dtr.Dtr_core.Dtr_search.memo_misses;
       Printf.printf "measured avg utilization: %.3f\n"
         point.Dtr_experiments.Compare.measured_util;
       Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
@@ -543,7 +539,7 @@ let optimize_cmd =
           (List.filter (fun (e : Trace.event) -> e.Trace.restart = 0) evs)
         ~dtr_evs:
           (List.filter (fun (e : Trace.event) -> e.Trace.restart = 1) evs);
-      save_dtr point.Dtr_experiments.Compare.dtr.Dtr_core.Dtr_search.best
+      save_dtr dtr.Dtr_core.Dtr_search.best
     end
     else begin
       (* Multi-start: same PRNG derivation as Compare.run_point, with

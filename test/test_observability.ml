@@ -309,7 +309,9 @@ let test_attribution_after_commit () =
 let test_attribution_sla_scenario () =
   (* The same contract on a real instance under the SLA cost model:
      loads are cost-model independent, but this exercises the exact
-     context `inspect --explain` builds for an SLA run. *)
+     context `inspect --explain` builds for an SLA run.  Attribution
+     re-reads the contribution rows the context stores, so explaining
+     every arc of both classes must run no SPF at all. *)
   let inst =
     Scenario.make
       {
@@ -322,11 +324,26 @@ let test_attribution_sla_scenario () =
   let inst = Scenario.scale_to_utilization inst ~target:0.6 in
   let g = inst.Scenario.graph in
   let wh = Weights.uniform g 15 and wl = Weights.uniform g 14 in
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+  @@ fun () ->
   let ctx =
     Eval_ctx.create g ~weights:[| wh; wl |]
       ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
   in
+  let value name = Metrics.counter_value (Metrics.counter ~help:"" name) in
+  let runs = value "dtr_spf_runs_total" in
+  let updates = value "dtr_spf_delta_updates_total" in
+  Alcotest.(check bool) "building the context ran SPF" true (runs > 0);
   check_attribution_reconciles g ctx;
+  ignore (Attribution.hottest_table ~top:10 ctx);
+  Alcotest.(check int) "attribution ran no SPF" runs (value "dtr_spf_runs_total");
+  Alcotest.(check int)
+    "attribution ran no delta-SPF update" updates
+    (value "dtr_spf_delta_updates_total");
   (* And the evaluation the context attributes is the one Objective
      reports for the same weights. *)
   let r =
@@ -338,45 +355,6 @@ let test_attribution_sla_scenario () =
     phi.(0);
   check_bitwise "phi_l matches Objective" r.Objective.eval.Dtr_routing.Evaluate.phi_l
     phi.(1)
-
-let test_attribution_no_spf_work () =
-  (* Attribution re-reads the contribution rows a context stores:
-     explaining every arc of both classes must run no SPF at all. *)
-  let inst =
-    Scenario.make
-      {
-        Scenario.topology = Scenario.Abilene;
-        fraction = 0.30;
-        hp = Scenario.Random_density 0.10;
-        seed = 1;
-      }
-  in
-  let g = inst.Scenario.graph in
-  let rng = Prng.create 5 in
-  let wh = Weights.random rng g and wl = Weights.random rng g in
-  Metrics.set_enabled true;
-  Metrics.reset ();
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ())
-    (fun () ->
-      let ctx =
-        Eval_ctx.create g ~weights:[| wh; wl |]
-          ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
-      in
-      let value name =
-        Metrics.counter_value (Metrics.counter ~help:"" name)
-      in
-      let runs = value "dtr_spf_runs_total" in
-      let updates = value "dtr_spf_delta_updates_total" in
-      Alcotest.(check bool) "building the context ran SPF" true (runs > 0);
-      check_attribution_reconciles g ctx;
-      ignore (Attribution.hottest_table ~top:10 ctx);
-      Alcotest.(check int) "no SPF runs" runs (value "dtr_spf_runs_total");
-      Alcotest.(check int)
-        "no delta-SPF updates" updates
-        (value "dtr_spf_delta_updates_total"))
 
 (* ------------------------------------------------------------------ *)
 (* Diff *)
@@ -685,8 +663,6 @@ let () =
         [
           Alcotest.test_case "bitwise reconciliation (all modes)" `Quick
             test_attribution_modes;
-          Alcotest.test_case "reads committed rows only" `Quick
-            test_attribution_no_spf_work;
           Alcotest.test_case "survives probe/commit" `Quick
             test_attribution_after_commit;
           Alcotest.test_case "sla scenario on abilene" `Quick
