@@ -84,8 +84,7 @@ let fixture_instance seed =
 
 (* A 50-node / 250-link random network with gravity low-class
    traffic, a density-0.10 high class at 30 % of its pairs' volume and
-   random weights: large enough that most failures reroute many
-   destinations. *)
+   random weights: far larger than the fixtures above. *)
 let random50_instance () =
   let root = Prng.create 1 in
   let topo_rng = Prng.split root in

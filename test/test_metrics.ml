@@ -3,8 +3,8 @@
    (deterministic snapshots byte-identical across jobs and scan-jobs,
    on both cost models, with every search report's evaluation count
    equal to the evaluation metrics), run manifests, timestamp-free
-   trace sinks, and a golden-output check of the inspect report
-   tables. *)
+   trace sinks, the allocation cost of disabled tracing and metrics,
+   and a golden-output check of the inspect report tables. *)
 
 module Metrics = Dtr_util.Metrics
 module Prng = Dtr_util.Prng
