@@ -826,6 +826,18 @@ let mtospf_cmd =
 (* ------------------------------------------------------------------ *)
 (* inspect                                                            *)
 
+(* A saved weight file as a (wh, wl) pair: one topology seeds both
+   classes (STR), two are W_H and W_L (DTR). *)
+let load_weight_pair path =
+  match Dtr_routing.Weights_io.load path with
+  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+  | Ok [| w |] -> (w, w)
+  | Ok [| wh; wl |] -> (wh, wl)
+  | Ok sets ->
+      failwith
+        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
+           (Array.length sets))
+
 let inspect_cmd =
   let run topology model fraction density util preset seed top scan_jobs
       weights_file explain explain_top json_out =
@@ -835,27 +847,11 @@ let inspect_cmd =
     let spec = make_spec topology fraction density seed in
     let inst = Scenario.make spec in
     let inst = Scenario.scale_to_utilization inst ~target:util in
-    let wh, wl, result =
+    let wh, wl =
       match weights_file with
-      | Some path -> (
+      | Some path ->
           (* Inspect a deployed weight setting as-is — no search. *)
-          match Dtr_routing.Weights_io.load path with
-          | Error msg -> failwith msg
-          | Ok [| w |] ->
-              ( w,
-                w,
-                Objective.evaluate model inst.Scenario.graph ~wh:w ~wl:w
-                  ~th:inst.Scenario.th ~tl:inst.Scenario.tl )
-          | Ok [| wh; wl |] ->
-              ( wh,
-                wl,
-                Objective.evaluate model inst.Scenario.graph ~wh ~wl
-                  ~th:inst.Scenario.th ~tl:inst.Scenario.tl )
-          | Ok sets ->
-              failwith
-                (Printf.sprintf
-                   "%s: expected 1 or 2 weight topologies, found %d" path
-                   (Array.length sets)))
+          load_weight_pair path
       | None ->
           let problem = Scenario.problem inst ~model in
           Printf.printf "optimizing DTR weights...\n%!";
@@ -863,7 +859,18 @@ let inspect_cmd =
             Dtr_core.Dtr_search.run (Dtr_util.Prng.create seed) preset problem
           in
           let best = report.Dtr_core.Dtr_search.best in
-          (best.Problem.wh, best.Problem.wl, best.Problem.result)
+          (best.Problem.wh, best.Problem.wl)
+    in
+    (* One live context serves every table: the report views, the
+       single-link robustness sweep and the flow attribution. *)
+    let ctx =
+      Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
+        ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
+    in
+    let result =
+      Objective.of_eval model
+        (Dtr_routing.Eval_ctx.to_evaluate ctx)
+        ~th:inst.Scenario.th ()
     in
     let eval = result.Dtr_routing.Objective.eval in
     let sla = result.Dtr_routing.Objective.sla in
@@ -878,11 +885,7 @@ let inspect_cmd =
     show (Report.per_link_table ~top eval);
     show (Report.top_phi_table ~top eval);
     (* Single-link robustness of the inspected setting: one delta
-       sweep against a live context. *)
-    let ctx =
-      Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
-        ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
-    in
+       sweep against the context. *)
     let outcomes = Dtr_routing.Failure_sweep.sweep ~model ~th:inst.Scenario.th ctx in
     show
       (Report.robustness_table
@@ -980,18 +983,6 @@ let inspect_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* diff                                                               *)
-
-(* A saved weight file as a (wh, wl) pair: one topology seeds both
-   classes (STR), two are W_H and W_L (DTR). *)
-let load_weight_pair path =
-  match Dtr_routing.Weights_io.load path with
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-  | Ok [| w |] -> (w, w)
-  | Ok [| wh; wl |] -> (wh, wl)
-  | Ok sets ->
-      failwith
-        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
-           (Array.length sets))
 
 let diff_cmd =
   let run topology model fraction density util seed jobs top weights json_out
@@ -1092,9 +1083,15 @@ let report_cmd =
               let inst = Scenario.make spec in
               let inst = Scenario.scale_to_utilization inst ~target:util in
               let wh, wl = load_weight_pair path in
+              let ctx =
+                Dtr_routing.Eval_ctx.create inst.Scenario.graph
+                  ~weights:[| wh; wl |]
+                  ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
+              in
               let result =
-                Objective.evaluate model inst.Scenario.graph ~wh ~wl
-                  ~th:inst.Scenario.th ~tl:inst.Scenario.tl
+                Objective.of_eval model
+                  (Dtr_routing.Eval_ctx.to_evaluate ctx)
+                  ~th:inst.Scenario.th ()
               in
               let eval = result.Dtr_routing.Objective.eval in
               [

@@ -11,6 +11,7 @@ module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
 module Multi = Dtr_routing.Multi
+module Eval_ctx = Dtr_routing.Eval_ctx
 module Mtr_search = Dtr_core.Mtr_search
 
 let () =
@@ -32,7 +33,7 @@ let () =
   let matrices = [| gold; silver; bronze |] in
   let mid = Array.make (Graph.arc_count g) 15 in
   let ref_eval =
-    Multi.evaluate g ~weights:[| mid; mid; mid |] ~matrices
+    Eval_ctx.to_multi (Eval_ctx.create g ~weights:[| mid; mid; mid |] ~matrices)
   in
   let factor = 0.6 /. Multi.avg_utilization ref_eval in
   let matrices = Array.map (fun m -> Matrix.scale m factor) matrices in

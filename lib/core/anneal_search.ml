@@ -32,8 +32,8 @@ type report = {
 type counts = { mutable fulls : int; mutable deltas : int }
 
 (* Propose one two-arc move on the context's current [cls] weights,
-   ranked by the live cost rows (Problem.ctx_arc_cmp_h/_l — the same
-   orderings as Objective.link_costs_h/_l), as a change list. *)
+   ranked by the live cost rows (Problem.ctx_arc_cmp_h/_l: the
+   paper's per-link lexicographic costs), as a change list. *)
 let propose rng cfg problem ctx ~cls ~n_arcs =
   let cmp =
     match cls with
@@ -84,9 +84,7 @@ let anneal_phase ~trace ~detail ~counts rng cfg schedule problem ctx ~cls
         current := Problem.commit_delta problem ctx d;
         e_cur := e_cand;
         incr accepted;
-        if
-          Lexico.lt ~rel_tol:1e-9 (Problem.objective !current)
-            (Problem.objective !best)
+        if Lexico.improves (Problem.objective !current) (Problem.objective !best)
         then best := !current
       end
       else Problem.abort_delta ctx d;
@@ -148,7 +146,7 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
     Problem.eval_dtr_ctx problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl
   in
   current := handoff;
-  if Lexico.lt ~rel_tol:1e-9 (Problem.objective !current) (Problem.objective !best)
+  if Lexico.improves (Problem.objective !current) (Problem.objective !best)
   then best := !current;
   let acc2 =
     anneal_phase ~trace ~detail:1 ~counts rng cfg schedule problem ctx2

@@ -3,15 +3,6 @@ module Vmemo = Dtr_util.Vmemo
 module Lexico = Dtr_cost.Lexico
 module Weights = Dtr_routing.Weights
 
-(* Primary costs within this relative tolerance are considered equal,
-   letting the lexicographic tie-break (the secondary cost) fire: at
-   low load exponentially many weight settings attain the optimal
-   primary cost and differ only in low-priority cost, but accumulated
-   floating-point sums of the primary differ in the last bits. *)
-let rel_tol = 1e-9
-
-let lex_lt a b = Lexico.lt ~rel_tol a b
-
 type phase = Optimize_h | Optimize_l | Refine
 
 type progress = {
@@ -48,7 +39,7 @@ let best_delta_of scan ?memo ?trace ctx sol ~cls ~candidates =
   let best = ref (-1) in
   Array.iteri
     (fun i (s : Scan.summary) ->
-      if lex_lt s.Scan.objective !best_obj then begin
+      if Lexico.improves s.Scan.objective !best_obj then begin
         best_obj := s.Scan.objective;
         best := i
       end)
@@ -96,10 +87,10 @@ let neighbor_candidates ?ht_arc ?ht_cand rng cfg ~ranking w =
   else move_candidates ?ht:ht_cand rng cfg ~ranking w
 
 (* Arc rankings come from the live context's cost rows
-   (Problem.ctx_arc_cmp_h/_l) — same ordering as the solution-derived
-   Objective.link_costs_h/_l, without allocating m cost records per
-   pass.  With [rcache], the ranking is a cached sorted permutation
-   repaired incrementally from the arcs the last commits touched
+   (Problem.ctx_arc_cmp_h/_l: the paper's per-link lexicographic
+   costs), without allocating m cost records per pass.  With
+   [rcache], the ranking is a cached sorted permutation repaired
+   incrementally from the arcs the last commits touched
    (Ranking.arcs — bitwise the full sort) instead of an O(m log m)
    re-sort per pass. *)
 let ranking_of ?rcache ~cmp ctx n_arcs =
@@ -272,7 +263,8 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     let on_reject () = if count then incr stall in
     match robust with
     | None ->
-        if lex_lt (Problem.objective !current) (Problem.objective !best) then begin
+        if Lexico.improves (Problem.objective !current) (Problem.objective !best)
+        then begin
           best := !current;
           best_j := Problem.objective !best;
           on_improve ()
@@ -280,12 +272,12 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
         else on_reject ()
     | Some r ->
         let normal = Problem.objective !current in
-        if moved && lex_lt normal !best_j then begin
+        if moved && Lexico.improves normal !best_j then begin
           let rp =
             Problem.robust_price problem !ctx ~alpha:r.Search_config.alpha
               ~top_k:r.Search_config.top_k ~normal
           in
-          let improved = lex_lt rp.Problem.rp_objective !best_j in
+          let improved = Lexico.improves rp.Problem.rp_objective !best_j in
           if improved then begin
             best := !current;
             best_j := rp.Problem.rp_objective

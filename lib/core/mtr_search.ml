@@ -45,7 +45,7 @@ type state = {
 let copy_weights w = Array.map Array.copy w
 
 (* Full (re-)evaluation through the incremental context, so later
-   probes start from it: bitwise identical to Multi.evaluate. *)
+   probes start from it. *)
 let eval_state st problem w =
   st.evaluations <- st.evaluations + 1;
   st.ctx <- Eval_ctx.create problem.graph ~weights:w ~matrices:problem.matrices;

@@ -6,8 +6,6 @@ module Weights = Dtr_routing.Weights
 
 type algo = Str | Dtr | Anneal
 
-let algo_name = function Str -> "str" | Dtr -> "dtr" | Anneal -> "anneal"
-
 type restart = {
   index : int;
   objective : Lexico.t;

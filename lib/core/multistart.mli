@@ -18,8 +18,6 @@ type algo = Str | Dtr | Anneal
 (** Which search a restart runs: {!Str_search}, {!Dtr_search} or
     {!Anneal_search} (with its default schedule). *)
 
-val algo_name : algo -> string
-
 type restart = {
   index : int;
   objective : Dtr_cost.Lexico.t;

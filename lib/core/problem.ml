@@ -180,8 +180,6 @@ let ctx_base_key ctx =
       ctx.c_key <- Some k;
       k
 
-let ctx_base_key_fresh ctx = compute_base_key ctx
-
 let clone_ctx _t ctx = { ctx with ec = Eval_ctx.clone ctx.ec }
 
 let sync_ctx ~src ~dst =
@@ -272,9 +270,9 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
 
 (* Arc rankings for neighborhood construction, read from the live
    context's rows (shared, replaced-not-mutated on commit) instead of
-   re-materializing Objective.link_costs_h's m Lexico records per
-   iteration.  Orderings are identical: Lexico.compare without a
-   tolerance is Float.compare on the primary, then the secondary. *)
+   materializing m Lexico link costs per iteration.  The order is
+   Lexico.compare's without a tolerance: Float.compare on the
+   primary, then the secondary. *)
 
 let ctx_arc_cmp_h t ctx =
   let phi_l = Eval_ctx.phi_per_arc ctx.ec 1 in

@@ -119,16 +119,13 @@ val ctx_changes_since : ctx -> since:int -> int array option
     relative order is preserved. *)
 
 val ctx_base_key : ctx -> int
-(** Zobrist base key of the context's current weight vectors (class 0
-    under cls 0 XOR class 1 under cls 1 — the construction
-    {!Scan.candidate_keys} shifts candidates from).  Computed O(arcs)
-    on first demand, then maintained by two {!Dtr_util.Vhash.shift}s
-    per changed arc across probe commits; bitwise-identical to
-    {!ctx_base_key_fresh} always. *)
-
-val ctx_base_key_fresh : ctx -> int
-(** The same key recomputed from scratch (test/reference oracle for
-    {!ctx_base_key}; also its first computation). *)
+(** Zobrist base key of the context's current weight vectors:
+    [Vhash.vector ~cls:0] of {!ctx_weights_view} [`H] XOR
+    [Vhash.vector ~cls:1] of {!ctx_weights_view} [`L] — the
+    construction {!Scan.candidate_keys} shifts candidates from.
+    Computed O(arcs) on first demand, then maintained by two
+    {!Dtr_util.Vhash.shift}s per changed arc across probe commits;
+    always equal to that recomputation. *)
 
 val clone_ctx : t -> ctx -> ctx
 (** A context evaluating identically to [ctx] but owning its mutable
@@ -147,9 +144,9 @@ val sync_ctx : src:ctx -> dst:ctx -> unit
 val ctx_arc_cmp_h : t -> ctx -> int -> int -> int
 (** Comparator ranking arcs by the high-priority link cost (load
     model: [(Φ_H,l, Φ_L,l)]; SLA: [(delay_l, Φ_L,l)]), read from the
-    live context's rows.  Ordering is identical to
-    [Lexico.compare (Objective.link_costs_h ...)] on the materialized
-    solution, without allocating [m] cost records per iteration. *)
+    live context's rows and ordered as untolerated
+    {!Dtr_cost.Lexico.compare} on those pairs, without allocating [m]
+    cost records per iteration. *)
 
 val ctx_arc_cmp_l : t -> ctx -> int -> int -> int
 (** Same for the low-priority ranking ([Φ_L,l] only). *)

@@ -216,17 +216,6 @@ type totals = {
   t_best : float array;
 }
 
-(* Exact lexicographic order, mirroring Trace.convergence. *)
-let vec_lt a b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i =
-    if i >= n then Array.length a < Array.length b
-    else if a.(i) < b.(i) then true
-    else if a.(i) > b.(i) then false
-    else go (i + 1)
-  in
-  go 0
-
 let totals t =
   let events = ref 0
   and probes = ref 0
@@ -262,7 +251,6 @@ let totals t =
     seg_misses := 0
   in
   let duration = ref 0. in
-  let best = ref [||] in
   List.iter
     (fun (e : Trace.event) ->
       incr events;
@@ -276,10 +264,6 @@ let totals t =
       seg_hits := max !seg_hits e.Trace.memo_hits;
       seg_misses := max !seg_misses e.Trace.memo_misses;
       if e.Trace.time_us > !duration then duration := e.Trace.time_us;
-      if
-        Array.length e.Trace.best > 0
-        && (Array.length !best = 0 || vec_lt e.Trace.best !best)
-      then best := e.Trace.best;
       match e.Trace.kind with
       | Trace.Probe ->
           incr probes;
@@ -307,7 +291,12 @@ let totals t =
     t_memo_hits = !hits;
     t_memo_misses = !misses;
     t_duration_us = !duration;
-    t_best = !best;
+    t_best =
+      (* The running exact-lexicographic minimum ends at the last
+         point of the convergence curve. *)
+      (match List.rev (Trace.convergence t.events) with
+      | (_, best) :: _ -> best
+      | [] -> [||]);
   }
 
 (* ------------------------------------------------------------------ *)

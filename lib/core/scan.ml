@@ -66,8 +66,8 @@ let with_engine ~jobs problem f =
    For an STR context one change moves both aliased vectors, hence
    both cell sets shift.  The base key is the context's cached one,
    maintained by two shifts per changed arc across probe commits
-   (Problem.ctx_base_key) — identical to the from-scratch rehash of
-   both vectors (Problem.ctx_base_key_fresh). *)
+   (Problem.ctx_base_key) — identical to a from-scratch rehash of both
+   vectors, which the tests recompute with Vhash.vector. *)
 let candidate_keys ctx ~cls ~changes_of n =
   let str = Problem.ctx_is_str ctx in
   let wh = Problem.ctx_weights_view ctx `H in

@@ -7,8 +7,8 @@
     {b Determinism.}  The engine never reduces in parallel: it returns
     every candidate's summary (in candidate order) and the caller
     replays the sequential argmin fold on them.  This matters because
-    the searches compare objectives with a tolerant
-    [Lexico.lt ~rel_tol], which is not transitive — a chunk-local
+    the searches compare objectives with the tolerant
+    [Lexico.improves], which is not transitive — a chunk-local
     argmin followed by a cross-chunk reduction can pick a different
     winner than the flat left-to-right fold.  Chunking only decides
     {e where} a candidate is probed; probes are bitwise-identical to

@@ -6,12 +6,6 @@ module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
 module Evaluate = Dtr_routing.Evaluate
 
-(* See Dtr_search: tolerant primary comparison enables the
-   lexicographic tie-break. *)
-let rel_tol = 1e-9
-
-let lex_lt a b = Lexico.lt ~rel_tol a b
-
 type archive_point = { phi_h : float; phi_l : float; w : int array }
 
 type report = {
@@ -193,7 +187,8 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
   let consider_best ~iteration ~moved ~count =
     match robust with
     | None ->
-        if lex_lt (Problem.objective !current) (Problem.objective !best) then begin
+        if Lexico.improves (Problem.objective !current) (Problem.objective !best)
+        then begin
           best := !current;
           best_j := Problem.objective !best;
           if count then incr improvements;
@@ -202,12 +197,12 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
         else incr stall
     | Some r ->
         let normal = Problem.objective !current in
-        if moved && lex_lt normal !best_j then begin
+        if moved && Lexico.improves normal !best_j then begin
           let rp =
             Problem.robust_price problem ctx ~alpha:r.Search_config.alpha
               ~top_k:r.Search_config.top_k ~normal
           in
-          let improved = lex_lt rp.Problem.rp_objective !best_j in
+          let improved = Lexico.improves rp.Problem.rp_objective !best_j in
           if improved then begin
             best := !current;
             best_j := rp.Problem.rp_objective;
@@ -279,12 +274,13 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
     Array.iteri
       (fun i (s : Scan.summary) ->
         if !best_i < 0 then best_i := i
-        else if lex_lt s.Scan.objective summaries.(!best_i).Scan.objective then
-          best_i := i)
+        else if
+          Lexico.improves s.Scan.objective summaries.(!best_i).Scan.objective
+        then best_i := i)
       summaries;
     (if !best_i >= 0 then
        let s = summaries.(!best_i) in
-       if lex_lt s.Scan.objective (Problem.objective !current) then
+       if Lexico.improves s.Scan.objective (Problem.objective !current) then
          current := Scan.commit scan ctx ~cls:`H ~changes:[ (arc, vals.(!best_i)) ]);
     consider_best ~iteration ~moved:(not (prev == !current)) ~count:true;
     tell Trace.Str_scan ~iteration ~detail:arc ~before ~prev;

@@ -18,6 +18,13 @@ let lt ?rel_tol a b = Stdlib.( < ) (compare ?rel_tol a b) 0
 
 let ( < ) a b = lt a b
 
+(* Primary costs within this relative tolerance are ties, letting the
+   lexicographic tie-break (the secondary cost) fire: at low load
+   exponentially many weight settings attain the optimal primary cost
+   and differ only in low-priority cost, but accumulated floating-point
+   sums of the primary differ in the last bits. *)
+let improves a b = lt ~rel_tol:1e-9 a b
+
 let min ?rel_tol a b = if lt ?rel_tol b a then b else a
 
 let add a b =

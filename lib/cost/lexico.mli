@@ -21,6 +21,12 @@ val ( < ) : t -> t -> bool
 
 val lt : ?rel_tol:float -> t -> t -> bool
 
+val improves : t -> t -> bool
+(** The searches' one comparison policy: [lt ~rel_tol:1e-9], so
+    primaries within a relative [1e-9] tie and the secondaries
+    decide.  STR, DTR and annealing all accept a candidate or a new
+    best through it. *)
+
 val min : ?rel_tol:float -> t -> t -> t
 (** The smaller of the two (first on ties). *)
 

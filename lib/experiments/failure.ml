@@ -1,15 +1,12 @@
 module Table = Dtr_util.Table
 module Prng = Dtr_util.Prng
 module Pool = Dtr_util.Pool
-module Graph = Dtr_graph.Graph
 module Lexico = Dtr_cost.Lexico
 module Objective = Dtr_routing.Objective
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Failure_sweep = Dtr_routing.Failure_sweep
 module Problem = Dtr_core.Problem
 module Search_config = Dtr_core.Search_config
-
-let fail_link = Failure_sweep.fail_link
 
 let post_failure_costs ?pool ?(model = Objective.Load) inst ~wh ~wl =
   let ctx =

@@ -30,18 +30,6 @@ val run :
   unit ->
   Dtr_util.Table.t
 
-val fail_link :
-  Dtr_graph.Graph.t ->
-  link:int * int ->
-  Dtr_graph.Graph.t * int array
-(** {!Dtr_routing.Failure_sweep.fail_link}: remove exactly the
-    undirected link [(a, b)] — arc [a] and its reverse twin [b] as
-    paired by {!Dtr_graph.Graph.undirected_link_pairs}, never any
-    parallel arcs between the same endpoints.  Returns the reduced
-    graph and, for each surviving arc, its original arc id (for weight
-    remapping).  The reduced graph may be disconnected; callers decide
-    what that means.  Exposed for tests. *)
-
 val post_failure_costs :
   ?pool:Dtr_util.Pool.t ->
   ?model:Dtr_routing.Objective.model ->

@@ -1,6 +1,7 @@
 module Table = Dtr_util.Table
 module Matrix = Dtr_traffic.Matrix
 module Evaluate = Dtr_routing.Evaluate
+module Eval_ctx = Dtr_routing.Eval_ctx
 module Lexico = Dtr_cost.Lexico
 
 (* The Fig. 1 instance: unit capacities, 1/3 high- and 2/3 low-priority
@@ -20,8 +21,8 @@ let enumerate f =
   let w = Array.make m 1 in
   let rec go i =
     if i = m then begin
-      let eval = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
-      f w eval
+      let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
+      f w (Eval_ctx.to_evaluate ctx)
     end
     else
       for v = 1 to 3 do

@@ -110,36 +110,6 @@ let run_flat ?ws n ~off ~ids ~endpoint ~weights ~start =
   end;
   dist
 
-(* Binary-heap Dijkstra, kept as an independent reference
-   implementation for the kernel-equivalence property tests. *)
-let run_heap n ~adj ~other ~weights ~start =
-  let dist = Array.make n unreachable in
-  let settled = Array.make n false in
-  let q = Dtr_util.Pqueue.create () in
-  dist.(start) <- 0;
-  Dtr_util.Pqueue.add q 0. start;
-  let continue = ref true in
-  while !continue do
-    match Dtr_util.Pqueue.pop_min q with
-    | None -> continue := false
-    | Some (_, v) ->
-        if not settled.(v) then begin
-          settled.(v) <- true;
-          Array.iter
-            (fun id ->
-              let u = other id in
-              if (not settled.(u)) && weights.(id) <> suppressed then begin
-                let cand = dist.(v) + weights.(id) in
-                if cand < dist.(u) then begin
-                  dist.(u) <- cand;
-                  Dtr_util.Pqueue.add q (float_of_int cand) u
-                end
-              end)
-            (adj v)
-        end
-  done;
-  dist
-
 let distances_to_unchecked ?ws g ~weights ~dst =
   validate_node g ~node:dst;
   run_flat ?ws (Graph.node_count g) ~off:(Graph.in_offsets g)
@@ -149,38 +119,7 @@ let distances_to g ~weights ~dst =
   validate_weights g ~weights;
   distances_to_unchecked g ~weights ~dst
 
-let distances_to_heap g ~weights ~dst =
-  validate g ~weights ~node:dst;
-  run_heap (Graph.node_count g)
-    ~adj:(Graph.in_arcs g)
-    ~other:(fun id -> Graph.src g id)
-    ~weights ~start:dst
-
 let distances_from g ~weights ~src =
   validate g ~weights ~node:src;
   run_flat (Graph.node_count g) ~off:(Graph.out_offsets g)
     ~ids:(Graph.out_arc_ids g) ~endpoint:(Graph.dsts g) ~weights ~start:src
-
-let bellman_ford_to g ~weights ~dst =
-  validate g ~weights ~node:dst;
-  let n = Graph.node_count g in
-  let m = Graph.arc_count g in
-  let srcs = Graph.srcs g and dsts = Graph.dsts g in
-  let dist = Array.make n unreachable in
-  dist.(dst) <- 0;
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= n do
-    changed := false;
-    incr rounds;
-    for id = 0 to m - 1 do
-      if dist.(dsts.(id)) <> unreachable && weights.(id) <> suppressed then begin
-        let cand = dist.(dsts.(id)) + weights.(id) in
-        if cand < dist.(srcs.(id)) then begin
-          dist.(srcs.(id)) <- cand;
-          changed := true
-        end
-      end
-    done
-  done;
-  dist

@@ -5,9 +5,9 @@
     Distances are computed by Dial's algorithm: bounded positive
     integer weights make tentative distances monotone integer
     priorities, so a bucket queue ({!Dtr_util.Bucket_queue}) settles
-    the graph in O(m + maxdist) without a comparison heap.  A
-    binary-heap variant is kept as an independent reference for
-    property tests.
+    the graph in O(m + maxdist) without a comparison heap.  The
+    binary-heap and Bellman–Ford references the property tests check
+    it against live in the test-only [dtr_oracle] library.
 
     Unreachable nodes get distance {!unreachable}. *)
 
@@ -52,10 +52,6 @@ val distances_to_unchecked :
     buffers instead of allocating per call.
     @raise Invalid_argument if [dst] is out of range. *)
 
-val distances_to_heap : Graph.t -> weights:int array -> dst:int -> int array
-(** Same result as {!distances_to} computed with a float-keyed binary
-    heap; reference implementation for kernel-equivalence tests. *)
-
 val distances_from : Graph.t -> weights:int array -> src:int -> int array
 (** Distances from [src] to every node, over outgoing arcs. *)
 
@@ -63,7 +59,3 @@ val validate_weights : Graph.t -> weights:int array -> unit
 (** @raise Invalid_argument if [weights] has the wrong length or
     contains a non-positive entry.  O(m); callers on the per-candidate
     hot path run it once per weight vector, not once per destination. *)
-
-val bellman_ford_to : Graph.t -> weights:int array -> dst:int -> int array
-(** Same result as {!distances_to} computed by Bellman–Ford in
-    O(nm); kept as an independent oracle for property tests. *)

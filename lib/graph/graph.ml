@@ -240,5 +240,3 @@ let to_dot t =
   done;
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let pp ppf t = Format.fprintf ppf "graph(%d nodes, %d arcs)" t.n t.m

@@ -114,6 +114,3 @@ val undirected_link_pairs : t -> (int * int) array
 
 val to_dot : t -> string
 (** Graphviz rendering (one edge per arc) for debugging. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary: node and arc counts. *)

@@ -1,23 +1,17 @@
 module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
-module Dijkstra = Dtr_graph.Dijkstra
 module Sla = Dtr_cost.Sla
 
 let arc_delays_into params g ~phi_h_per_arc delay =
   let m = Graph.arc_count g in
   if Array.length phi_h_per_arc <> m || Array.length delay < m then
-    invalid_arg "Delay.arc_delays: length mismatch";
+    invalid_arg "Delay.arc_delays_into: length mismatch";
   let caps = Graph.capacities g and dels = Graph.delays g in
   for id = 0 to m - 1 do
     delay.(id) <-
       Sla.link_delay params ~capacity:caps.(id) ~phi_h:phi_h_per_arc.(id)
         ~prop_delay:dels.(id)
   done
-
-let arc_delays params g ~phi_h_per_arc =
-  let delay = Array.make (Graph.arc_count g) 0. in
-  arc_delays_into params g ~phi_h_per_arc delay;
-  delay
 
 let expected_into g ~dag ~arc_delay xi =
   let n = Graph.node_count g in
@@ -38,31 +32,3 @@ let expected_into g ~dag ~arc_delay xi =
     done;
     xi.(v) <- !acc /. float_of_int deg
   done
-
-let expected_to_destination g ~dag ~arc_delay =
-  let xi = Array.make (Graph.node_count g) Float.nan in
-  expected_into g ~dag ~arc_delay xi;
-  xi
-
-type pair_delay = Reachable of float | Unreachable
-
-let pair_delays g ~dags ~arc_delay ~pairs =
-  (* Compute expectations lazily, one destination at a time. *)
-  let n = Graph.node_count g in
-  let cache = Array.make n None in
-  let xi_for t =
-    match cache.(t) with
-    | Some xi -> xi
-    | None ->
-        let xi = expected_to_destination g ~dag:dags.(t) ~arc_delay in
-        cache.(t) <- Some xi;
-        xi
-  in
-  List.map
-    (fun (s, t) ->
-      (* A disconnected pair is data, not a programming error: failure
-         sweeps evaluate deliberately cut topologies, and one severed
-         pair must not abort the whole sweep. *)
-      if dags.(t).Spf.dist.(s) = Dijkstra.unreachable then (s, t, Unreachable)
-      else (s, t, Reachable (xi_for t).(s)))
-    pairs

@@ -55,8 +55,6 @@ type t = {
   active : bool array array option;
       (* group -> demand-bearing destinations; None in All mode *)
   mutable generation : int;
-  mutable probes : int;
-  mutable commits : int;
   mutable arena : arena option;
       (* probe scratch, allocated by the first probe: set-up builds
          contexts it never probes; a clone starts without one *)
@@ -157,8 +155,8 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
       if Matrix.size m <> n then
         invalid_arg "Eval_ctx.create: matrix size mismatch")
     matrices;
-  (* Group classes by physically shared weight vectors, as
-     Multi.evaluate does: aliased classes are re-routed together. *)
+  (* Group classes by physically shared weight vectors: aliased
+     classes are routed once and re-routed together. *)
   let class_group = Array.make classes (-1) in
   let groups = ref [] and group_count = ref 0 in
   for k = 0 to classes - 1 do
@@ -233,8 +231,8 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
             else Loads.destination_loads g ~dag:dags.(t) ~demand_to_dst:dem))
   in
   (* Totals as the ascending-destination sum of per-destination
-     subtotals — the same association Loads.of_matrix uses, so they are
-     bitwise identical to a from-scratch evaluation. *)
+     subtotals — the association every probe's patch re-sums in, so
+     patched totals stay bitwise identical to a fresh context. *)
   let loads =
     Array.init classes (fun k ->
         let row = Array.make m 0. in
@@ -276,8 +274,6 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     ws;
     active;
     generation = 0;
-    probes = 0;
-    commits = 0;
     arena = None;
   }
 
@@ -558,7 +554,6 @@ let probe t ~klass ~changes =
       if v < Weights.min_weight || v > Weights.max_weight then
         invalid_arg "Eval_ctx.probe: weight out of bounds")
     changes;
-  t.probes <- t.probes + 1;
   Metrics.incr_counter m_probes;
   let a = arena_of t in
   evict t a;
@@ -663,7 +658,6 @@ let commit (t : t) (p : probe) =
   List.iter (fun (k, row) -> t.phi_per_arc.(k) <- row) s.s_phi_rows;
   t.phi <- Array.copy p.p_phi;
   t.generation <- t.generation + 1;
-  t.commits <- t.commits + 1;
   Metrics.incr_counter m_commits;
   let a = p.p_arena in
   a.a_live <- None;
@@ -696,13 +690,10 @@ type failure = {
   f_stamp : int;
   f_classes : int;
   f_unreachable : int;  (* severed positive-demand (class, src, dst) pairs *)
-  f_dirty : int;  (* dirty destinations summed over groups *)
   f_phi : float array;  (* class -> post-failure Φ; all ∞ when severed *)
 }
 
 let failure_unreachable f = f.f_unreachable
-
-let failure_dirty f = f.f_dirty
 
 let failure_phi f = Array.copy f.f_phi
 
@@ -739,7 +730,6 @@ let fail_probe t ~arcs =
   let groups = Array.length t.group_w in
   let a = arena_of t in
   evict t a;
-  let f_dirty = ref 0 in
   for gi = 0 to groups - 1 do
     let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
     for arc = 0 to Array.length w - 1 do
@@ -753,8 +743,7 @@ let fail_probe t ~arcs =
         arcs
     in
     Spf_delta.update_scratch a.a_spf.(gi) ~ws:t.ws ?active:(group_active t gi) g
-      ~weights:new_w ~prev:t.group_dags.(gi) ~changes;
-    f_dirty := !f_dirty + Spf_delta.scratch_dirty a.a_spf.(gi)
+      ~weights:new_w ~prev:t.group_dags.(gi) ~changes
   done;
   (* Severed positive-demand pairs.  Only dirty destinations can change
      reachability, and demand rows were fixed against the no-failure
@@ -781,7 +770,6 @@ let fail_probe t ~arcs =
       f_stamp = a.a_stamp;
       f_classes = classes;
       f_unreachable = !unreachable;
-      f_dirty = !f_dirty;
       f_phi = phi;
     }
   in
@@ -841,15 +829,6 @@ let contrib_view t ~klass ~dst =
 let demand_view t ~klass ~dst =
   check_class_dst t "demand_view" klass dst;
   t.demand.(klass).(dst)
-
-let capacity_seen_view t k =
-  if k < 0 || k >= class_count t then
-    invalid_arg "Eval_ctx.capacity_seen_view: class out of range";
-  t.capacity_seen.(k)
-
-let probes t = t.probes
-
-let commits t = t.commits
 
 let shares_group t j k =
   j >= 0 && k >= 0 && j < class_count t && k < class_count t

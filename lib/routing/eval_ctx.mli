@@ -13,11 +13,15 @@
     Probes are pure: many can be taken from the same state, compared,
     and all but the winner dropped — this is the apply/undo protocol of
     the search inner loops.  All quantities are bitwise-identical to a
-    from-scratch {!Evaluate.evaluate} / {!Multi.evaluate} of the same
-    weights: per-arc loads receive at most one share per destination,
-    so patched totals re-associate exactly as the full sum, and Φ
-    totals are re-folded (not differentially adjusted) over the per-arc
-    array.
+    from-scratch evaluation of the same weights ({!create}, and the
+    test-only references the tests hold it to): per-arc loads receive
+    at most one share per destination, so patched totals re-associate
+    exactly as the full sum, and Φ totals are re-folded (not
+    differentially adjusted) over the per-arc array.
+
+    This is the one code in the library that routes and prices a
+    weight setting; {!to_evaluate} and {!to_multi} are its
+    materialized views.
 
     Probes are computed in a scratch arena the context owns (allocated
     by its first probe; a {!clone} gets its own): repaired DAGs,
@@ -57,10 +61,10 @@ val create :
   t
 (** Build a context from a full evaluation of [weights] (one vector
     per class; {e physically} equal vectors form a group that is
-    re-routed together, exactly like {!Multi.evaluate}).  The vectors
-    are copied.  [dags], when given, must be the per-class DAG arrays
-    already computed for these weights (e.g. from a {!Evaluate.t}) and
-    skips the SPF rebuild.  [dest_mode] defaults to [All].
+    routed once and re-routed together).  The vectors are copied.
+    [dags], when given, must be the per-class DAG arrays already
+    computed for these weights (e.g. from a {!Evaluate.t}) and skips
+    the SPF rebuild.  [dest_mode] defaults to [All].
     @raise Invalid_argument on length/size mismatches, invalid
     weights, or unroutable positive demand. *)
 
@@ -166,10 +170,6 @@ val failure_unreachable : failure -> int
 (** Severed positive-demand (class, source, destination) pairs; [0]
     exactly when the failure leaves every demand routable. *)
 
-val failure_dirty : failure -> int
-(** Destinations re-screened as dirty (patched or rebuilt), summed
-    over weight-vector groups. *)
-
 val failure_phi : failure -> float array
 (** Post-failure per-class objective vector [Φ_k] (fresh copy); every
     entry is [Float.infinity] for a disconnecting failure. *)
@@ -238,12 +238,6 @@ val demand_view : t -> klass:int -> dst:int -> float array
     reachability is weight-independent).  Shared; never mutate.
     @raise Invalid_argument on a class or destination out of range. *)
 
-val capacity_seen_view : t -> int -> float array
-(** Per-arc capacity a class is charged against (class 0: the physical
-    capacities; class [k]: the residual cascade after class [k-1]).
-    Shared; commits replace the row.
-    @raise Invalid_argument on a class out of range. *)
-
 val shares_group : t -> int -> int -> bool
 (** Whether two classes share (alias) one weight vector. *)
 
@@ -254,8 +248,3 @@ val to_evaluate : t -> Evaluate.t
 
 val to_multi : t -> Multi.t
 (** Materialize the [T]-class view (same sharing discipline). *)
-
-val probes : t -> int
-(** Probes taken against this context (delta evaluations). *)
-
-val commits : t -> int

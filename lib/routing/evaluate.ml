@@ -2,7 +2,6 @@ module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
 module Dijkstra = Dtr_graph.Dijkstra
 module Matrix = Dtr_traffic.Matrix
-module Fortz = Dtr_cost.Fortz
 module Sla = Dtr_cost.Sla
 
 type t = {
@@ -17,44 +16,6 @@ type t = {
   phi_h : float;
   phi_l : float;
 }
-
-let assemble g ~dags_h ~h_loads ~dags_l ~l_loads =
-  let caps = Graph.capacities g in
-  let m = Graph.arc_count g in
-  let residual = Array.init m (fun i -> Float.max (caps.(i) -. h_loads.(i)) 0.) in
-  let phi_h_per_arc =
-    Array.init m (fun i -> Fortz.phi ~load:h_loads.(i) ~capacity:caps.(i))
-  in
-  let phi_l_per_arc =
-    Array.init m (fun i -> Fortz.phi ~load:l_loads.(i) ~capacity:residual.(i))
-  in
-  {
-    graph = g;
-    dags_h;
-    dags_l;
-    h_loads;
-    l_loads;
-    residual;
-    phi_h_per_arc;
-    phi_l_per_arc;
-    phi_h = Array.fold_left ( +. ) 0. phi_h_per_arc;
-    phi_l = Array.fold_left ( +. ) 0. phi_l_per_arc;
-  }
-
-let evaluate g ~wh ~wl ~th ~tl =
-  Weights.validate g wh;
-  Weights.validate g wl;
-  let ws = Dijkstra.workspace () in
-  let dags_h = Spf.all_destinations ~ws g ~weights:wh in
-  (* Structural equality: equal-but-distinct weight vectors must share
-     the SPF too, not silently double the work. *)
-  let dags_l =
-    if wh == wl || wh = wl then dags_h
-    else Spf.all_destinations ~ws g ~weights:wl
-  in
-  let h_loads = Loads.of_matrix g ~dags:dags_h th in
-  let l_loads = Loads.of_matrix g ~dags:dags_l tl in
-  assemble g ~dags_h ~h_loads ~dags_l ~l_loads
 
 let utilization t =
   let caps = Graph.capacities t.graph in

@@ -1,10 +1,13 @@
-(** Two-class network evaluation under strict priority queueing.
+(** Two-class network evaluation under strict priority queueing, as a
+    view of an evaluation context ({!Eval_ctx.to_evaluate}).
 
     High-priority traffic is routed on weights [wh] and sees full link
     capacities; low-priority traffic is routed on weights [wl] and sees
     only the residual capacity [max(C_l − H_l, 0)] (paper §3).  STR is
-    the special case [wh == wl] (detected physically, computing the
-    shortest-path DAGs only once). *)
+    the special case of one weight vector shared by both classes (its
+    shortest-path DAGs are computed once).  The record references the
+    context's arrays; reports, the SLA costing and the searches'
+    solutions read it. *)
 
 type t = {
   graph : Dtr_graph.Graph.t;
@@ -18,26 +21,6 @@ type t = {
   phi_h : float;  (** [Φ_H = Σ_l Φ_{H,l}] *)
   phi_l : float;  (** [Φ_L = Σ_l Φ_{L,l}] *)
 }
-
-val evaluate :
-  Dtr_graph.Graph.t ->
-  wh:int array ->
-  wl:int array ->
-  th:Dtr_traffic.Matrix.t ->
-  tl:Dtr_traffic.Matrix.t ->
-  t
-(** @raise Invalid_argument on invalid weights, size mismatches, or
-    unroutable positive demand. *)
-
-val assemble :
-  Dtr_graph.Graph.t ->
-  dags_h:Dtr_graph.Spf.dag array ->
-  h_loads:float array ->
-  dags_l:Dtr_graph.Spf.dag array ->
-  l_loads:float array ->
-  t
-(** Build the evaluation from precomputed per-class routings (the
-    costing half of {!evaluate}).  The load arrays are not copied. *)
 
 val utilization : t -> float array
 (** Per-arc [(H_l + L_l) / C_l]. *)

@@ -1,6 +1,4 @@
 module Graph = Dtr_graph.Graph
-module Dijkstra = Dtr_graph.Dijkstra
-module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
 module Pool = Dtr_util.Pool
 module Metrics = Dtr_util.Metrics
@@ -86,80 +84,6 @@ let sweep ?pool ?(model = Objective.Load) ~th ctx =
       let out = Array.make k { cost = Lexico.zero; unreachable_pairs = 0 } in
       for i = 0 to k - 1 do
         out.(i) <- eval_link ~model ~th ~links ctx i
-      done;
-      out
-
-(* ------------------------------------------------------------------ *)
-(* From-scratch oracle: reduced-graph rebuild with weight remapping.
-   Kept (and exercised by property tests) as the specification the
-   delta sweep must match bitwise. *)
-
-let fail_link g ~link:(a, b) =
-  let m = Graph.arc_count g in
-  if a < 0 || a >= m || b < 0 || b >= m then
-    invalid_arg "Failure_sweep.fail_link: arc out of range";
-  (if a <> b then begin
-     let aa = Graph.arc g a and ab = Graph.arc g b in
-     if aa.Graph.src <> ab.Graph.dst || aa.Graph.dst <> ab.Graph.src then
-       invalid_arg "Failure_sweep.fail_link: arcs are not reverse twins"
-   end);
-  let survivors = ref [] and mapping = ref [] in
-  Array.iteri
-    (fun id arc ->
-      if id <> a && id <> b then begin
-        survivors := arc :: !survivors;
-        mapping := id :: !mapping
-      end)
-    (Graph.arcs g);
-  ( Graph.build ~n:(Graph.node_count g) (List.rev !survivors),
-    Array.of_list (List.rev !mapping) )
-
-let remap_weights w mapping = Array.map (fun orig -> w.(orig)) mapping
-
-(* Severed positive-demand pairs on the reduced graph, with the same
-   counting rule as Eval_ctx.fail_probe: one per (class, src, dst)
-   with positive matrix demand and no surviving path.  Reachability is
-   weight-independent, so unit weights do. *)
-let severed_pairs reduced ~matrices =
-  let n = Graph.node_count reduced in
-  let ones = Array.make (Graph.arc_count reduced) 1 in
-  let count = ref 0 in
-  for dst = 0 to n - 1 do
-    let dist = Dijkstra.distances_to_unchecked reduced ~weights:ones ~dst in
-    Array.iter
-      (fun tm ->
-        for s = 0 to n - 1 do
-          if
-            s <> dst
-            && Matrix.get tm s dst > 0.
-            && dist.(s) = Dijkstra.unreachable
-          then incr count
-        done)
-      matrices
-  done;
-  !count
-
-let oracle ~model g ~wh ~wl ~th ~tl ~link =
-  let reduced, mapping = fail_link g ~link in
-  let unreachable_pairs = severed_pairs reduced ~matrices:[| th; tl |] in
-  if unreachable_pairs > 0 then { cost = Lexico.infinity; unreachable_pairs }
-  else begin
-    let wh' = remap_weights wh mapping in
-    let wl' = remap_weights wl mapping in
-    let r = Objective.evaluate model reduced ~wh:wh' ~wl:wl' ~th ~tl in
-    { cost = r.Objective.objective; unreachable_pairs = 0 }
-  end
-
-let oracle_sweep ?pool ?(model = Objective.Load) g ~wh ~wl ~th ~tl =
-  let links = Graph.undirected_link_pairs g in
-  let k = Array.length links in
-  let eval i = oracle ~model g ~wh ~wl ~th ~tl ~link:links.(i) in
-  match pool with
-  | Some p when Pool.jobs p > 1 -> Pool.map p k ~f:eval
-  | _ ->
-      let out = Array.make k { cost = Lexico.zero; unreachable_pairs = 0 } in
-      for i = 0 to k - 1 do
-        out.(i) <- eval i
       done;
       out
 

@@ -4,16 +4,15 @@
     surviving topology with the {e same} weights — no re-optimization
     — so the post-failure cost of a weight setting is a pure function
     of the setting and the failed link.  This module prices every
-    physical (bidirectional) link failure of a context's graph:
+    physical (bidirectional) link failure of a context's graph.
 
-    {ul
-    {- {!sweep} models each failure as an arc-suppression delta
-       ({!Eval_ctx.fail_probe}): no reduced-graph rebuild, no weight
-       remapping — only destinations whose shortest-path DAGs used a
-       failed arc are re-screened and re-projected.}
-    {- {!oracle_sweep} is the retained from-scratch specification
-       (reduced graph + remapped weights); the delta sweep is bitwise
-       identical to it, outcome for outcome, on both cost models.}}
+    {!sweep} models each failure as an arc-suppression delta
+    ({!Eval_ctx.fail_probe}): no reduced-graph rebuild, no weight
+    remapping — only destinations whose shortest-path DAGs used a
+    failed arc are re-screened and re-projected.  The tests hold it
+    bitwise, outcome for outcome and on both cost models, to a
+    from-scratch specification (reduced graph and remapped weights)
+    in the test-only [dtr_oracle] library.
 
     A failure that severs a positive-demand pair (in either class) is
     priced as an {e infinite} outcome carrying the severed-pair count —
@@ -49,46 +48,6 @@ val sweep :
     clone; results are reassembled in link order, so the outcome array
     is identical for every pool width.
     @raise Invalid_argument unless the context has exactly 2 classes. *)
-
-val fail_link :
-  Dtr_graph.Graph.t ->
-  link:int * int ->
-  Dtr_graph.Graph.t * int array
-(** Remove exactly the undirected link [(a, b)] — arc [a] and its
-    reverse twin [b] as paired by
-    {!Dtr_graph.Graph.undirected_link_pairs} ([a = b] for a one-way
-    arc) — never any parallel arcs between the same endpoints.
-    Returns the reduced graph and, for each surviving arc, its
-    original arc id (for weight remapping).  The reduced graph may be
-    disconnected; callers decide what that means.
-    @raise Invalid_argument if the ids are out of range or not reverse
-    twins of each other. *)
-
-val oracle :
-  model:Objective.model ->
-  Dtr_graph.Graph.t ->
-  wh:int array ->
-  wl:int array ->
-  th:Dtr_traffic.Matrix.t ->
-  tl:Dtr_traffic.Matrix.t ->
-  link:int * int ->
-  outcome
-(** From-scratch price of one link failure: build the reduced graph,
-    remap the weights, count severed positive-demand pairs, and (when
-    none) evaluate the model on the reduced graph.  The specification
-    {!sweep} must match bitwise. *)
-
-val oracle_sweep :
-  ?pool:Dtr_util.Pool.t ->
-  ?model:Objective.model ->
-  Dtr_graph.Graph.t ->
-  wh:int array ->
-  wl:int array ->
-  th:Dtr_traffic.Matrix.t ->
-  tl:Dtr_traffic.Matrix.t ->
-  outcome array
-(** {!oracle} over every physical link, in
-    {!Dtr_graph.Graph.undirected_link_pairs} order. *)
 
 val penalty : ?top_k:int -> outcome array -> Dtr_cost.Lexico.t
 (** Mean of the [top_k] worst {e finite} outcomes (default 1 = pure

@@ -6,14 +6,13 @@ module Matrix = Dtr_traffic.Matrix
 (* The even-split flow recursion shared by every consumer: walk
    order_desc (upstream nodes first, so all transit inflow has arrived
    by the time a node is reached), split each node's flow evenly over
-   its next-hop arcs, add every share to [contrib] (skipped when
-   [contrib] is empty) and forward it.  [flow] is mutated in place.  A
-   plain loop, not a per-share callback: a float passed to a closure is
-   boxed, one allocation per share on the probe hot path. *)
+   its next-hop arcs, add every share to [contrib] and forward it.
+   [flow] is mutated in place.  A plain loop, not a per-share
+   callback: a float passed to a closure is boxed, one allocation per
+   share on the probe hot path. *)
 let spread g ~dag ~flow ~contrib =
   let dsts = Graph.dsts g in
   let t = dag.Spf.dst and next = dag.Spf.next_arcs and order = dag.Spf.order_desc in
-  let record = Array.length contrib > 0 in
   for i = 0 to Array.length order - 1 do
     let v = order.(i) in
     let out = next.(v) in
@@ -23,21 +22,12 @@ let spread g ~dag ~flow ~contrib =
       let share = fv /. float_of_int deg in
       for j = 0 to deg - 1 do
         let id = out.(j) in
-        if record then contrib.(id) <- contrib.(id) +. share;
+        contrib.(id) <- contrib.(id) +. share;
         let u = dsts.(id) in
         if u <> t then flow.(u) <- flow.(u) +. share
       done
     end
   done
-
-let node_throughflow g ~dag ~demand_to_dst =
-  let n = Graph.node_count g in
-  if Array.length demand_to_dst <> n then
-    invalid_arg "Loads.node_throughflow: demand length mismatch";
-  let flow = Array.copy demand_to_dst in
-  flow.(dag.Spf.dst) <- 0.;
-  spread g ~dag ~flow ~contrib:[||];
-  flow
 
 (* Arena variant: the caller owns [flow] (length >= n) and [contrib]
    (length >= m) and reuses them across destinations; both are fully
@@ -77,7 +67,8 @@ let destination_demand ?(drop_unroutable = false) ~dag tm =
       if s <> t then begin
         if dag.Spf.dist.(s) = Dijkstra.unreachable then begin
           if not drop_unroutable then
-            invalid_arg (Printf.sprintf "Loads.of_matrix: no path %d -> %d" s t)
+            invalid_arg
+              (Printf.sprintf "Loads.destination_demand: no path %d -> %d" s t)
         end
         else begin
           if Array.length !demand = 0 then demand := Array.make n 0.;
@@ -85,22 +76,3 @@ let destination_demand ?(drop_unroutable = false) ~dag tm =
         end
       end);
   if Array.length !demand = 0 then None else Some !demand
-
-let of_matrix ?(drop_unroutable = false) g ~dags tm =
-  let n = Graph.node_count g in
-  if Matrix.size tm <> n then invalid_arg "Loads.of_matrix: size mismatch";
-  if Array.length dags <> n then invalid_arg "Loads.of_matrix: dags length mismatch";
-  let m = Graph.arc_count g in
-  let loads = Array.make m 0. in
-  for t = 0 to n - 1 do
-    let dag = dags.(t) in
-    if dag.Spf.dst <> t then invalid_arg "Loads.of_matrix: dag/destination mismatch";
-    match destination_demand ~drop_unroutable ~dag tm with
-    | None -> ()
-    | Some demand ->
-        let contrib = destination_loads g ~dag ~demand_to_dst:demand in
-        for a = 0 to m - 1 do
-          loads.(a) <- loads.(a) +. contrib.(a)
-        done
-  done;
-  loads

@@ -1,30 +1,8 @@
 (** ECMP load distribution: project a traffic matrix onto per-arc
     loads under the OSPF forwarding model (even splitting across all
-    shortest-path next hops, per destination). *)
-
-val of_matrix :
-  ?drop_unroutable:bool ->
-  Dtr_graph.Graph.t ->
-  dags:Dtr_graph.Spf.dag array ->
-  Dtr_traffic.Matrix.t ->
-  float array
-(** [of_matrix g ~dags tm] returns per-arc loads (indexed by arc id).
-    [dags.(t)] must be the shortest-path DAG for destination [t] (as
-    from {!Dtr_graph.Spf.all_destinations}).
-
-    Demand between a pair with no path raises [Invalid_argument]
-    unless [drop_unroutable] is set (default [false]), in which case
-    it is silently discarded.
-    @raise Invalid_argument on a matrix/graph size mismatch. *)
-
-val node_throughflow :
-  Dtr_graph.Graph.t ->
-  dag:Dtr_graph.Spf.dag ->
-  demand_to_dst:float array ->
-  float array
-(** Per-node total flow towards [dag.dst] (own demand plus transit),
-    the intermediate quantity of the even-split recursion.  Exposed for
-    tests (flow conservation checks). *)
+    shortest-path next hops, per destination), one destination at a
+    time.  {!Eval_ctx} sums the per-destination contributions into
+    load totals. *)
 
 val destination_loads :
   Dtr_graph.Graph.t ->
@@ -32,10 +10,10 @@ val destination_loads :
   demand_to_dst:float array ->
   float array
 (** One destination's per-arc load contribution: the even-split
-    projection of [demand_to_dst] onto the dag's arcs.  {!of_matrix} is
-    the sum of these over all destinations in ascending order, which is
-    exactly how the incremental engine ({!Eval_ctx}) patches totals —
-    each arc receives at most one share per destination, so subtotals
+    projection of [demand_to_dst] onto the dag's arcs.  A class's
+    loads are the sum of these over all destinations in ascending
+    order, which is exactly how {!Eval_ctx} patches totals — each arc
+    receives at most one share per destination, so subtotals
     recombine bitwise-identically. *)
 
 val destination_loads_into :
@@ -50,7 +28,8 @@ val destination_loads_into :
     [flow] (length >= node count) as flow scratch.  Both buffers are
     fully reinitialized, so they can be reused across destinations;
     the resulting shares are bitwise identical to
-    {!destination_loads}.
+    {!destination_loads}, and [flow] is left holding each node's
+    throughflow (own demand plus transit).
     @raise Invalid_argument on a length mismatch or undersized
     scratch. *)
 
@@ -60,6 +39,8 @@ val destination_demand :
   Dtr_traffic.Matrix.t ->
   float array option
 (** The demand column towards [dag.dst] ([None] when no source has
-    routable positive demand), with {!of_matrix}'s unroutable-pair
-    handling.  Reachability does not depend on (positive) weights, so
-    the column can be gathered once and reused across re-routings. *)
+    routable positive demand).  Demand between a pair with no path
+    raises [Invalid_argument] unless [drop_unroutable] is set (default
+    [false]), in which case it is discarded.  Reachability does not
+    depend on (positive) weights, so the column can be gathered once
+    and reused across re-routings. *)

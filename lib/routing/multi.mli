@@ -1,6 +1,10 @@
 (** Generalization of {!Evaluate} to [T >= 2] traffic classes under
     strict priority queueing: class 0 is served first, class [i] sees
-    the residual capacity left by classes [0 .. i-1].
+    the residual capacity left by classes [0 .. i-1].  A view of an
+    evaluation context ({!Eval_ctx.to_multi}), which routes each class
+    on its own weight vector (physically equal vectors share one SPF)
+    and charges it the Fortz cost against the capacity left by
+    higher-priority classes.
 
     The paper's DTR is the special case [T = 2]; this module is the
     substrate for the multi-topology extension the paper points to
@@ -18,19 +22,6 @@ type t = {
       (** Fortz cost of class [k] on each arc, against the residual *)
   phi : float array;  (** per-class totals [Φ_k] *)
 }
-
-val evaluate :
-  Dtr_graph.Graph.t ->
-  weights:int array array ->
-  matrices:Dtr_traffic.Matrix.t array ->
-  t
-(** [evaluate g ~weights ~matrices] routes class [k] on
-    [weights.(k)] and charges it the Fortz cost against the capacity
-    left by higher-priority classes.  Physically equal weight vectors
-    share their shortest-path DAGs (so single-topology routing costs
-    one SPF, not [T]).
-    @raise Invalid_argument if fewer than one class is given, the
-    arrays disagree in length, or any class has unroutable demand. *)
 
 val class_count : t -> int
 

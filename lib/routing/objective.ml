@@ -30,29 +30,4 @@ let of_eval model eval ~th ?sla () =
         sla = Some sla;
       }
 
-let evaluate model g ~wh ~wl ~th ~tl =
-  let eval = Evaluate.evaluate g ~wh ~wl ~th ~tl in
-  of_eval model eval ~th ()
-
-let link_costs_h model r =
-  let eval = r.eval in
-  match model with
-  | Load ->
-      Array.init
-        (Array.length eval.Evaluate.phi_h_per_arc)
-        (fun i ->
-          Lexico.make ~primary:eval.Evaluate.phi_h_per_arc.(i)
-            ~secondary:eval.Evaluate.phi_l_per_arc.(i))
-  | Sla _ -> (
-      match r.sla with
-      | None -> invalid_arg "Objective.link_costs_h: missing SLA evaluation"
-      | Some sla ->
-          Array.init
-            (Array.length sla.Evaluate.arc_delay)
-            (fun i ->
-              Lexico.make ~primary:sla.Evaluate.arc_delay.(i)
-                ~secondary:eval.Evaluate.phi_l_per_arc.(i)))
-
-let link_costs_l r = Array.copy r.eval.Evaluate.phi_l_per_arc
-
 let model_name = function Load -> "load" | Sla _ -> "sla"

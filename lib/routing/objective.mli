@@ -1,6 +1,8 @@
-(** The paper's two optimization objectives as a single entry point:
-    evaluate a (dual) weight setting into a lexicographic cost, and
-    produce the per-link lexicographic costs Algorithm 2 sorts on. *)
+(** The paper's two optimization objectives: a lexicographic cost
+    read from a two-class view of an evaluation context
+    ({!Eval_ctx.to_evaluate}), plus the SLA view under the delay
+    model.  Every weight setting is evaluated on {!Eval_ctx}, directly
+    or through [Problem]. *)
 
 type model =
   | Load  (** [A = ⟨Φ_H, Φ_L⟩] — Eq. (2) *)
@@ -13,17 +15,6 @@ type result = {
   sla : Evaluate.sla option;  (** present iff the model is [Sla _] *)
 }
 
-val evaluate :
-  model ->
-  Dtr_graph.Graph.t ->
-  wh:int array ->
-  wl:int array ->
-  th:Dtr_traffic.Matrix.t ->
-  tl:Dtr_traffic.Matrix.t ->
-  result
-(** Full evaluation of a weight setting; [wh == wl] (physical equality)
-    is the STR case. *)
-
 val of_eval :
   model ->
   Evaluate.t ->
@@ -31,17 +22,9 @@ val of_eval :
   ?sla:Evaluate.sla ->
   unit ->
   result
-(** Assemble the objective from an existing two-class evaluation.
-    Passing [?sla] (when the high-priority routing is unchanged from a
-    previous evaluation) skips recomputing delays and penalties. *)
-
-val link_costs_h : model -> result -> Dtr_cost.Lexico.t array
-(** Per-arc lexicographic link costs for FindH:
-    [⟨Φ_{H,l}, Φ_{L,l}⟩] under [Load], [⟨D_l, Φ_{L,l}⟩] under
-    [Sla] (paper §4). *)
-
-val link_costs_l : result -> float array
-(** Per-arc costs for FindL: [Φ_{L,l}] (low-priority weights cannot
-    affect the high-priority class). *)
+(** Assemble the objective from a two-class evaluation (typically
+    [Eval_ctx.to_evaluate ctx]).  Passing [?sla] (when the
+    high-priority routing is unchanged from a previous evaluation)
+    skips recomputing delays and penalties. *)
 
 val model_name : model -> string

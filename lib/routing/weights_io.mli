@@ -7,7 +7,9 @@
     w <arc-id> <w_topo0> [<w_topo1> ...]
     ...
     v}
-    Every arc id in [0, m) must appear exactly once. *)
+    Every arc id in [0, m) must appear exactly once.  Fields are
+    separated by any run of blanks (spaces or tabs); CRLF line endings
+    are accepted. *)
 
 val to_string : int array array -> string
 (** [to_string sets] serializes one or more weight vectors (all the
@@ -17,9 +19,11 @@ val to_string : int array array -> string
 val of_string : string -> (int array array, string) result
 (** Parses and validates: every weight must lie in
     [[Weights.min_weight, Weights.max_weight]], every arc id in
-    [[0, m)] exactly once, every row carrying [t] values.  Errors are
-    prefixed ["line N:"] when attributable to one line, so a rejected
-    file points at the offending row. *)
+    [[0, m)] exactly once, every row carrying [t] values.  Never
+    raises.  An error that belongs to one line is prefixed
+    ["line N:"] and names the first bad line in file order, so a
+    rejected file points at the offending row; the others are
+    ["missing header"] and ["expected m arcs, found k"]. *)
 
 val save : int array array -> string -> unit
 (** @raise Sys_error on I/O failure, [Invalid_argument] as

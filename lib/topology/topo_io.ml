@@ -10,29 +10,6 @@ let to_string g =
     (Graph.arcs g);
   Buffer.contents buf
 
-(* Field separator: any run of blanks, so tab-separated (and, via
-   String.trim, CRLF-terminated) files parse the same as
-   space-separated ones. *)
-let is_blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012'
-
-let split_fields line =
-  let n = String.length line in
-  let fields = ref [] in
-  let start = ref (-1) in
-  for i = n - 1 downto 0 do
-    if is_blank line.[i] then begin
-      if !start >= 0 then begin
-        fields := String.sub line (i + 1) (!start - i) :: !fields;
-        start := -1
-      end
-    end
-    else begin
-      if !start < 0 then start := i;
-      if i = 0 then fields := String.sub line 0 (!start + 1) :: !fields
-    end
-  done;
-  !fields
-
 let of_string s =
   let lines = String.split_on_char '\n' s in
   let nodes = ref None in
@@ -47,10 +24,10 @@ let of_string s =
             (lineno + 1)
         in
         if line <> "" && not (String.length line > 0 && line.[0] = '#') then begin
-          match split_fields line with
+          match Dtr_util.Fields.split line with
           | [ "nodes"; n ] -> (
               match int_of_string_opt n with
-              | Some n when n > 0 -> nodes := Some n
+              | Some n when n > 0 -> nodes := Some (n, lineno + 1)
               | _ -> fail "bad node count")
           | [ "arc"; src; dst; cap; delay ] -> (
               match
@@ -74,19 +51,39 @@ let of_string s =
                     fail "arc capacity must be positive (got %.17g)" capacity
                   else if delay < 0. then
                     fail "arc delay must be non-negative (got %.17g)" delay
-                  else arcs := { Graph.src; dst; capacity; delay } :: !arcs
+                  else if src = dst then fail "arc is a self-loop"
+                  else
+                    arcs :=
+                      (lineno + 1, { Graph.src; dst; capacity; delay }) :: !arcs
               | _ -> fail "bad arc")
           | _ -> fail "unknown directive"
         end
       end)
     lines;
+  let arcs = List.rev !arcs in
+  let out_of_range n (_, (a : Graph.arc)) =
+    a.src < 0 || a.src >= n || a.dst < 0 || a.dst >= n
+  in
   match (!error, !nodes) with
   | Some e, _ -> Error e
   | None, None -> Error "missing 'nodes' directive"
-  | None, Some n -> (
-      match Graph.build ~n (List.rev !arcs) with
-      | g -> Ok g
-      | exception Invalid_argument msg -> Error msg)
+  | None, Some (n, line) when n > max 1 (2 * List.length arcs) ->
+      (* Such a count leaves some node without an arc, which no
+         consumer accepts (every one needs strong connectivity) —
+         rejected before the graph's O(n) arrays are allocated. *)
+      Error
+        (Printf.sprintf "line %d: %d nodes but only %d arcs: some node has no arc"
+           line n (List.length arcs))
+  | None, Some (n, _) -> (
+      match List.find_opt (out_of_range n) arcs with
+      | Some (line, a) ->
+          Error
+            (Printf.sprintf "line %d: arc %d -> %d: endpoint out of range [0, %d)"
+               line a.src a.dst n)
+      | None -> (
+          match Graph.build ~n (List.map snd arcs) with
+          | g -> Ok g
+          | exception Invalid_argument msg -> Error msg))
 
 let save g path =
   let oc = open_out path in

@@ -14,7 +14,7 @@
    that its *total* is a pure function of the work performed, never of
    how that work was scheduled — so deterministic counter/histogram
    totals are bit-identical for every --jobs × --scan-jobs
-   combination.  Timers (spans), gauges and ~det:false counters are
+   combination.  Timers (spans), GC gauges and ~det:false counters are
    exempt; the renderers group them below a
    "# nondeterministic below this line" marker so a diff can stop
    there. *)
@@ -89,16 +89,12 @@ type histogram = {
 
 and h_shard = { hs_counts : int array; mutable hs_rejected : int }
 
-type gauge = { g_name : string; g_help : string; mutable g_value : float }
-
 type timer = { mutable tm_calls : int; mutable tm_seconds : float }
 
 (* Registration order is the render order. *)
 let counters : counter list ref = ref []
 
 let histograms : histogram list ref = ref []
-
-let gauges : gauge list ref = ref []
 
 let timers : (string, timer) Hashtbl.t = Hashtbl.create 16
 
@@ -169,15 +165,6 @@ let histogram ?(det = true) ~help name =
           histograms := h :: !histograms;
           h)
 
-let gauge ~help name =
-  locked (fun () ->
-      match List.find_opt (fun g -> g.g_name = name) !gauges with
-      | Some g -> g
-      | None ->
-          let g = { g_name = name; g_help = help; g_value = 0. } in
-          gauges := g :: !gauges;
-          g)
-
 (* ------------------------------------------------------------------ *)
 (* Recording *)
 
@@ -214,8 +201,6 @@ let observe h v =
     | -1 -> s.hs_rejected <- s.hs_rejected + 1
     | slot -> s.hs_counts.(slot) <- s.hs_counts.(slot) + 1
   end
-
-let set_gauge g v = if Atomic.get on then g.g_value <- v
 
 (* Timers: low-frequency (one update per span end / pool task), so a
    mutex-protected table is fine. *)
@@ -272,8 +257,6 @@ let histogram_counts h =
         h.h_shards;
       (counts, !rejected))
 
-let gauge_value g = g.g_value
-
 let reset () =
   locked (fun () ->
       List.iter (fun c -> List.iter (fun r -> r := 0) c.c_shards) !counters;
@@ -285,7 +268,6 @@ let reset () =
               s.hs_rejected <- 0)
             h.h_shards)
         !histograms;
-      List.iter (fun g -> g.g_value <- 0.) !gauges;
       Hashtbl.reset timers)
 
 (* ------------------------------------------------------------------ *)
@@ -372,12 +354,6 @@ let to_prometheus () =
   List.iter prom_counter nondet_c;
   List.iter (prom_histogram b) nondet_h;
   List.iter
-    (fun g ->
-      Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" g.g_name g.g_help);
-      Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" g.g_name);
-      Buffer.add_string b (Printf.sprintf "%s %s\n" g.g_name (fmt_float g.g_value)))
-    (List.rev !gauges);
-  List.iter
     (fun (name, v) ->
       Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" name);
       Buffer.add_string b (Printf.sprintf "%s %s\n" name (fmt_float v)))
@@ -440,9 +416,6 @@ let to_json () =
   obj b
     (List.map (fun c -> (c.c_name, string_of_int (counter_value c))) nondet_c
     @ List.map (fun h -> (h.h_name, json_histogram h)) nondet_h
-    @ List.map
-        (fun (g : gauge) -> (g.g_name, fmt_float g.g_value))
-        (List.rev !gauges)
     @ List.map (fun (n, v) -> (n, fmt_float v)) (gc_gauges ()));
   Buffer.add_string b ",\n  \"spans\": ";
   let spans =

@@ -1,13 +1,13 @@
-(** Process-global metrics: named counters, gauges, log-bucketed
-    histograms and a hierarchical phase profiler, exposed as
-    Prometheus text and JSON.
+(** Process-global metrics: named counters, log-bucketed histograms
+    and a hierarchical phase profiler, exposed as Prometheus text and
+    JSON.
 
     {b Cost.}  The registry is off by default.  Every recording entry
-    point ({!add}, {!observe}, {!record}, {!span}, {!set_gauge}) loads
-    one atomic flag and branches away when disabled — the same
-    near-zero discipline as [Dtr_core.Trace]'s pointer compare, so
-    instrumented hot loops (SPF, probes, scans) pay one predictable
-    branch per event with metrics off.
+    point ({!add}, {!observe}, {!record}, {!span}) loads one atomic
+    flag and branches away when disabled — the same near-zero
+    discipline as [Dtr_core.Trace]'s pointer compare, so instrumented
+    hot loops (SPF, probes, scans) pay one predictable branch per
+    event with metrics off.
 
     {b Domain safety.}  Counters and histograms are sharded per
     domain: a recording touches only its own domain's slot
@@ -19,7 +19,7 @@
     default) promises its total is a pure function of the work done,
     never of scheduling, extending the repo's contract to metrics:
     deterministic counter and histogram totals are bit-identical for
-    every [--jobs × --scan-jobs] combination.  Timers, gauges and
+    every [--jobs × --scan-jobs] combination.  Timers, GC gauges and
     [det:false] counters (e.g. clone/sync counts, which scale with the
     worker count) are exempt and rendered below the
     ["# nondeterministic below this line"] marker. *)
@@ -33,7 +33,7 @@ val set_enabled : bool -> unit
     early events). *)
 
 val reset : unit -> unit
-(** Zero every counter, histogram, gauge and span accumulator (metric
+(** Zero every counter, histogram and span accumulator (metric
     registrations are kept).  Call between runs to scope totals to one
     run.  Not safe concurrently with recording domains. *)
 
@@ -81,17 +81,7 @@ val bucket_upper : int -> float
 (** Exclusive upper bound of a bucket slot ([0.] for the zero
     bucket). *)
 
-(** {1 Gauges} *)
-
-type gauge
-
-val gauge : help:string -> string -> gauge
-(** Point-in-time value, set by whoever knows it last; always in the
-    nondeterministic section. *)
-
-val set_gauge : gauge -> float -> unit
-
-val gauge_value : gauge -> float
+(** {1 Process gauges} *)
 
 val peak_rss_kb : unit -> int
 (** Peak resident set size of this process in kB ([VmHWM] from
@@ -118,8 +108,7 @@ val record : string -> float -> unit
 val to_prometheus : unit -> string
 (** Prometheus text: deterministic counters and histograms first (in
     registration order), then the marker line, then [det:false]
-    metrics, gauges, GC statistics captured at render time, and span
-    timings. *)
+    metrics, GC gauges captured at render time, and span timings. *)
 
 val to_json : unit -> string
 (** Same content as {!to_prometheus} as one JSON object with

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64 finalizer: David Stafford's mix13 variant, the reference
    construction from Steele, Lea & Flood (OOPSLA 2014). *)
 let mix64 z =

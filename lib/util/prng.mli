@@ -12,9 +12,6 @@ val create : int -> t
 (** [create seed] returns a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy of the current state. *)
-
 val split : t -> t
 (** [split g] advances [g] and returns a new generator whose stream is
     statistically independent of the remainder of [g]'s stream.  Used to

@@ -209,7 +209,7 @@ type tracked = {
 }
 
 let reference problem ~wh ~wl =
-  Objective.evaluate problem.Problem.model problem.Problem.graph ~wh ~wl
+  Dtr_oracle.Ref_objective.evaluate problem.Problem.model problem.Problem.graph ~wh ~wl
     ~th:problem.Problem.th ~tl:problem.Problem.tl
 
 let candidate_weights tr cls changes =
@@ -240,8 +240,8 @@ let check_failures ~what problem tr =
   let g = problem.Problem.graph in
   let got = Problem.failure_outcomes problem tr.ctx in
   let want =
-    Failure_sweep.oracle_sweep ~model:problem.Problem.model g ~wh:tr.wh ~wl:tr.wl
-      ~th:problem.Problem.th ~tl:problem.Problem.tl
+    Dtr_oracle.Ref_failure.oracle_sweep ~model:problem.Problem.model g
+      ~wh:tr.wh ~wl:tr.wl ~th:problem.Problem.th ~tl:problem.Problem.tl
   in
   Array.iteri
     (fun i (e : Failure_sweep.outcome) ->
@@ -369,7 +369,7 @@ let test_stale_delta () =
   Alcotest.check_raises "stale delta"
     (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
     (fun () -> ignore (Problem.commit_delta problem ctx d2));
-  Alcotest.(check int) "base key" (Problem.ctx_base_key_fresh ctx)
+  Alcotest.(check int) "base key" (Dtr_oracle.Ref_problem.ctx_base_key ctx)
     (Problem.ctx_base_key ctx);
   Alcotest.(check int) "version" 1 (Problem.ctx_version ctx);
   check_lex ~what:"state" (Problem.objective sol)

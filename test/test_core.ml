@@ -503,7 +503,8 @@ let test_mtr_run_improves () =
   let report = Mtr_search.run (Prng.create 20) tiny_config problem in
   let mid = Array.make 12 15 in
   let initial =
-    Multi.evaluate problem.Mtr_search.graph ~weights:[| mid; mid; mid |]
+    Dtr_oracle.Ref_multi.evaluate problem.Mtr_search.graph
+      ~weights:[| mid; mid; mid |]
       ~matrices:problem.Mtr_search.matrices
   in
   Alcotest.(check bool) "no worse than initial" true

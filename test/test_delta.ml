@@ -1,8 +1,9 @@
 (* Property tests for the incremental evaluation engine: Spf_delta
-   against from-scratch SPF, Eval_ctx probes/commits/aborts against
-   from-scratch Multi/Evaluate, and the Problem-level API (full
-   evaluations, probes, commits) against Objective.evaluate — on random
-   topologies under random weight-change sequences, bitwise. *)
+   against from-scratch SPF, Eval_ctx probes/commits/aborts against the
+   from-scratch multi-class reference (Dtr_oracle.Ref_multi), and the
+   Problem-level API (full evaluations, probes, commits) against
+   Dtr_oracle.Ref_objective — on random topologies under random
+   weight-change sequences, bitwise. *)
 
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
@@ -18,6 +19,7 @@ module Loads = Dtr_routing.Loads
 module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Multi = Dtr_routing.Multi
+module Ref_multi = Dtr_oracle.Ref_multi
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Problem = Dtr_core.Problem
@@ -123,7 +125,7 @@ let check_batch ?active ~what ~ws g w prev edits =
         check_dag_equal ~what expected next.(t);
         Alcotest.(check (array int))
           (what ^ ": bellman-ford")
-          (Dijkstra.bellman_ford_to g ~weights:w ~dst:t)
+          (Dtr_oracle.Ref_dijkstra.bellman_ford_to g ~weights:w ~dst:t)
           next.(t).Spf.dist
       end;
       let differs = is_active && not (dag_equal prev.(t) expected) in
@@ -394,7 +396,7 @@ let test_destination_loads_sum () =
   let th, _ = random_matrices rng g in
   let w = Weights.random rng g in
   let dags = Spf.all_destinations g ~weights:w in
-  let full = Loads.of_matrix g ~dags th in
+  let full = Dtr_oracle.Ref_loads.of_matrix g ~dags th in
   let n = Graph.node_count g in
   let m = Graph.arc_count g in
   let sum = Array.make m 0. in
@@ -411,7 +413,7 @@ let test_destination_loads_sum () =
     (full = sum)
 
 (* ------------------------------------------------------------------ *)
-(* Eval_ctx vs from-scratch Multi/Evaluate *)
+(* Eval_ctx vs the from-scratch multi-class reference *)
 
 let check_arr ~what a b =
   Array.iteri
@@ -439,12 +441,12 @@ let eval_ctx_matches_scratch seed =
       if klass = 0 then [| cand_w; Eval_ctx.weights ctx 1 |]
       else [| Eval_ctx.weights ctx 0; cand_w |]
     in
-    let scratch = Multi.evaluate g ~weights:weights' ~matrices:[| th; tl |] in
+    let scratch = Ref_multi.evaluate g ~weights:weights' ~matrices:[| th; tl |] in
     check_arr ~what:"probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
     (* Abort path: the context must still match its own base state. *)
     Eval_ctx.abort ctx pr;
     let base =
-      Multi.evaluate g
+      Ref_multi.evaluate g
         ~weights:[| Eval_ctx.weights ctx 0; Eval_ctx.weights ctx 1 |]
         ~matrices:[| th; tl |]
     in
@@ -485,7 +487,9 @@ let eval_ctx_shared_matches seed =
   let pr = Eval_ctx.probe ctx ~klass:0 ~changes:[ (arc, v) ] in
   let cand = Array.copy w in
   cand.(arc) <- v;
-  let scratch = Multi.evaluate g ~weights:[| cand; cand |] ~matrices:[| th; tl |] in
+  let scratch =
+    Ref_multi.evaluate g ~weights:[| cand; cand |] ~matrices:[| th; tl |]
+  in
   check_arr ~what:"shared probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
   Eval_ctx.commit ctx pr;
   check_arr ~what:"shared committed phi" (Eval_ctx.phi ctx) scratch.Multi.phi;
@@ -516,7 +520,7 @@ let eval_ctx_three_classes seed =
   let pr = Eval_ctx.probe ctx ~klass ~changes:[ (arc, v) ] in
   let weights' = Array.init 3 (Eval_ctx.weights ctx) in
   weights'.(klass).(arc) <- v;
-  let scratch = Multi.evaluate g ~weights:weights' ~matrices in
+  let scratch = Ref_multi.evaluate g ~weights:weights' ~matrices in
   check_arr ~what:"3-class probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
   Eval_ctx.commit ctx pr;
   let multi = Eval_ctx.to_multi ctx in
@@ -540,7 +544,7 @@ let test_eval_ctx_three_classes () =
 (* Problem-level API vs a from-scratch reference
 
    Problem evaluates everything on Eval_ctx, so the reference is
-   Objective.evaluate: Evaluate.evaluate's SPF sweeps and load
+   Dtr_oracle.Ref_objective.evaluate: from-scratch SPF sweeps and load
    projection, and the SLA costing on top — none of the context's
    delta screening, re-projection or row patching. *)
 
@@ -550,8 +554,9 @@ let check_lex ~what a b =
       a.Lexico.primary a.Lexico.secondary b.Lexico.primary b.Lexico.secondary
 
 let reference problem ~wh ~wl =
-  (Objective.evaluate problem.Problem.model problem.Problem.graph ~wh ~wl
-     ~th:problem.Problem.th ~tl:problem.Problem.tl)
+  (Dtr_oracle.Ref_objective.evaluate problem.Problem.model
+     problem.Problem.graph ~wh ~wl ~th:problem.Problem.th
+     ~tl:problem.Problem.tl)
     .Objective.objective
 
 (* One to three changes on distinct arcs, each to a value the arc does
@@ -579,7 +584,7 @@ let check_commit_bookkeeping ~what problem (rank_h, rank_l) ctx ~since =
   | Some _ -> ()
   | None -> Alcotest.failf "%s: commit log lost the commit" what);
   Alcotest.(check int)
-    (what ^ ": base key") (Problem.ctx_base_key_fresh ctx)
+    (what ^ ": base key") (Dtr_oracle.Ref_problem.ctx_base_key ctx)
     (Problem.ctx_base_key ctx);
   let m = Graph.arc_count problem.Problem.graph in
   List.iter
@@ -725,6 +730,149 @@ let test_eval_ctx_stale_probe () =
     (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
     (fun () -> Eval_ctx.commit ctx p2)
 
+(* ------------------------------------------------------------------ *)
+(* The engine vs an oracle that shares none of its kernels
+
+   Dtr_oracle.Naive_ecmp computes its own Floyd–Warshall distances and
+   splits each OD pair's demand evenly at every hop over every tight
+   out-arc, with no Dijkstra, SPF DAG, Loads or Delay code.  Small
+   strongly connected multigraphs: a ring plus random chords, some
+   doubled into parallel arcs; weights from a narrow range (so
+   equal-cost ties are common) plus the maximum 30; low capacities, so
+   high-priority load often saturates an arc; whole demand rows
+   left empty. *)
+
+module Naive = Dtr_oracle.Naive_ecmp
+
+let naive_instance seed =
+  let rng = Prng.create seed in
+  let n = Prng.int_incl rng 3 6 in
+  let arc u v =
+    {
+      Graph.src = u;
+      dst = v;
+      capacity = Prng.choose rng [| 1.; 2.; 5.; 10. |];
+      delay = Prng.choose rng [| 1.; 5.; 12. |];
+    }
+  in
+  let ring = List.init n (fun v -> arc v ((v + 1) mod n)) in
+  let chords =
+    List.concat
+      (List.init (Prng.int_incl rng 1 (2 * n)) (fun _ ->
+           let u = Prng.int rng n and v = Prng.int rng n in
+           if u = v then []
+           else if Prng.int rng 3 = 0 then [ arc u v; arc u v ]
+           else [ arc u v ]))
+  in
+  let g = Graph.build ~n (ring @ chords) in
+  let weight () = Prng.choose rng [| 1; 1; 2; 2; 3; 30 |] in
+  let m = Graph.arc_count g in
+  let wh = Array.init m (fun _ -> weight ()) in
+  let wl = Array.init m (fun _ -> weight ()) in
+  let demand () =
+    let tm = Matrix.create n in
+    for s = 0 to n - 1 do
+      if Prng.int rng 4 > 0 then
+        for t = 0 to n - 1 do
+          if s <> t && Prng.bool rng then Matrix.set tm s t (Prng.float rng 3.)
+        done
+    done;
+    tm
+  in
+  let th = demand () in
+  let tl = demand () in
+  (g, wh, wl, th, tl, rng)
+
+let close a b =
+  a = b || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
+
+let check_naive ~what ~model ~phi_h ~phi_l ~primary (want : Naive.costs) =
+  let check name got want =
+    if not (close got want) then
+      Alcotest.failf "%s: %s engine %.17g vs naive %.17g" what name got want
+  in
+  check "phi_h" phi_h want.Naive.phi_h;
+  check "phi_l" phi_l want.Naive.phi_l;
+  match model with
+  | Objective.Load -> ()
+  | Objective.Sla _ -> check "lambda" primary want.Naive.lambda
+
+(* One instance, both cost models: the full evaluation and one random
+   probe against it. *)
+let naive_matches seed (g, wh, wl, th, tl, rng) =
+  List.iter
+    (fun model ->
+      let sla = match model with Objective.Sla p -> Some p | _ -> None in
+      let what =
+        Printf.sprintf "seed %d, %s" seed (Objective.model_name model)
+      in
+      let problem = Problem.create ~graph:g ~th ~tl ~model in
+      let sol, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
+      let e = sol.Problem.result.Objective.eval in
+      check_naive ~what:(what ^ " eval_dtr") ~model ~phi_h:e.Evaluate.phi_h
+        ~phi_l:e.Evaluate.phi_l
+        ~primary:(Problem.objective sol).Lexico.primary
+        (Naive.evaluate ?sla g ~wh ~wl ~th ~tl);
+      let cls = if Prng.bool rng then `H else `L in
+      let w = match cls with `H -> wh | `L -> wl in
+      let arc, v = random_change rng w in
+      let d = Problem.eval_delta problem ctx ~cls ~changes:[ (arc, v) ] in
+      let wh', wl' =
+        match cls with
+        | `H -> (apply wh [ (arc, v) ], wl)
+        | `L -> (wh, apply wl [ (arc, v) ])
+      in
+      check_naive ~what:(what ^ " eval_delta") ~model
+        ~phi_h:(Problem.delta_phi_h d) ~phi_l:(Problem.delta_phi_l d)
+        ~primary:(Problem.delta_objective d).Lexico.primary
+        (Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl);
+      Problem.abort_delta ctx d)
+    [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
+
+let test_naive_oracle () =
+  (* 1,000 fixed seeds; the counts keep the generator honest about what
+     it covers. *)
+  let saturated = ref 0 and parallel = ref 0 in
+  for seed = 1 to 1000 do
+    let ((g, wh, _, th, _, _) as instance) = naive_instance seed in
+    naive_matches seed instance;
+    let h = Naive.loads g ~weights:wh th in
+    let arcs = Array.to_list (Graph.arcs g) in
+    let over i (a : Graph.arc) = h.(i) > a.capacity in
+    if List.exists Fun.id (List.mapi over arcs) then incr saturated;
+    let ends = List.map (fun (a : Graph.arc) -> (a.src, a.dst)) arcs in
+    if List.compare_lengths (List.sort_uniq compare ends) ends < 0 then
+      incr parallel
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "saturated arcs in %d of 1000 instances" !saturated)
+    true (!saturated >= 300);
+  Alcotest.(check bool)
+    (Printf.sprintf "parallel arcs in %d of 1000 instances" !parallel)
+    true (!parallel >= 300)
+
+(* Two-stage diamond, unit demand 0 -> 5 over three equal-cost paths:
+   0-1-3-5, 0-1-4-5 and 0-2-5.  OSPF splits per hop, so the first hop
+   to 2 carries 1/2; an even split per path would give it 1/3. *)
+let test_naive_diamond () =
+  let arc u v = { Graph.src = u; dst = v; capacity = 10.; delay = 1. } in
+  let g =
+    Graph.build ~n:6
+      [ arc 0 1; arc 0 2; arc 1 3; arc 1 4; arc 3 5; arc 4 5; arc 2 5 ]
+  in
+  let w = [| 1; 1; 1; 1; 1; 1; 2 |] in
+  let tm = Matrix.create 6 in
+  Matrix.set tm 0 5 1.;
+  let naive = Naive.loads g ~weights:w tm in
+  let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| tm; tm |] in
+  let engine = Eval_ctx.loads ctx 0 in
+  List.iter
+    (fun (name, loads) ->
+      Alcotest.(check (float 0.)) (name ^ ": 0->2 gets 1/2") 0.5 loads.(1);
+      Alcotest.(check (float 0.)) (name ^ ": 0->1 gets 1/2") 0.5 loads.(0);
+      Alcotest.(check (float 0.)) (name ^ ": 1->3 gets 1/4") 0.25 loads.(2))
+    [ ("naive", naive); ("engine", engine) ]
+
 let () =
   Alcotest.run "delta"
     [
@@ -757,5 +905,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest (test_problem_delta ());
           Alcotest.test_case "full/delta counters" `Quick test_problem_counters;
+        ] );
+      ( "independent oracle",
+        [
+          Alcotest.test_case "engine = naive ECMP on 1,000 multigraphs" `Quick
+            test_naive_oracle;
+          Alcotest.test_case "per-hop split on a two-stage diamond" `Quick
+            test_naive_diamond;
         ] );
     ]

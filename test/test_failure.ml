@@ -1,5 +1,5 @@
 (* Single-link failure sweeps: the delta engine against the
-   from-scratch oracle (bitwise, on both cost models, including
+   from-scratch oracle (Dtr_oracle.Ref_failure; bitwise, on both cost models, including
    disconnecting failures), exact fail_link semantics on parallel
    links, infinite-cost handling through the Lexico comparison,
    penalty aggregation, memo key consistency across commits, and the
@@ -14,6 +14,7 @@ module Highpri = Dtr_traffic.Highpri
 module Weights = Dtr_routing.Weights
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Failure_sweep = Dtr_routing.Failure_sweep
+module Ref_failure = Dtr_oracle.Ref_failure
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Problem = Dtr_core.Problem
@@ -105,7 +106,7 @@ let random50_instance () =
 let sweep_matches_oracle ~model (g, th, tl, wh, wl) =
   let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let delta = Failure_sweep.sweep ~model ~th ctx in
-  let oracle = Failure_sweep.oracle_sweep ~model g ~wh ~wl ~th ~tl in
+  let oracle = Ref_failure.oracle_sweep ~model g ~wh ~wl ~th ~tl in
   Alcotest.(check int)
     "one outcome per link"
     (Array.length (Graph.undirected_link_pairs g))
@@ -136,7 +137,7 @@ let test_sweep_str_weights () =
   let w = Weights.random rng g in
   let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
   let delta = Failure_sweep.sweep ~th ctx in
-  let oracle = Failure_sweep.oracle_sweep g ~wh:w ~wl:w ~th ~tl in
+  let oracle = Ref_failure.oracle_sweep g ~wh:w ~wl:w ~th ~tl in
   Array.iteri (fun i e -> check_outcome ~what:"str" i e delta.(i)) oracle
 
 let test_disconnecting_failures_are_infinite () =
@@ -222,7 +223,7 @@ let test_fail_link_parallel_links () =
     (links.(0) = (0, 1));
   Alcotest.(check bool) "second parallel link pairs its own twin" true
     (links.(1) = (2, 3));
-  let reduced, mapping = Failure_sweep.fail_link g ~link:links.(0) in
+  let reduced, mapping = Ref_failure.fail_link g ~link:links.(0) in
   Alcotest.(check int) "exactly two arcs removed" (Graph.arc_count g - 2)
     (Graph.arc_count reduced);
   (* The surviving parallel twin is still there: 0 and 1 remain
@@ -238,7 +239,7 @@ let test_fail_link_parallel_links () =
     (Array.for_all (fun orig -> orig <> 0 && orig <> 1) mapping);
   Alcotest.check_raises "non-twin pair rejected"
     (Invalid_argument "Failure_sweep.fail_link: arcs are not reverse twins")
-    (fun () -> ignore (Failure_sweep.fail_link g ~link:(0, 4)))
+    (fun () -> ignore (Ref_failure.fail_link g ~link:(0, 4)))
 
 let test_sweep_matches_oracle_parallel_links () =
   (* The delta sweep must price a parallel-link failure identically to
@@ -251,7 +252,7 @@ let test_sweep_matches_oracle_parallel_links () =
   let wl = Weights.random rng g in
   let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let delta = Failure_sweep.sweep ~th ctx in
-  let oracle = Failure_sweep.oracle_sweep g ~wh ~wl ~th ~tl in
+  let oracle = Ref_failure.oracle_sweep g ~wh ~wl ~th ~tl in
   Array.iteri (fun i e -> check_outcome ~what:"parallel" i e delta.(i)) oracle
 
 (* ------------------------------------------------------------------ *)

@@ -1,8 +1,10 @@
-(* Tests for Dtr_graph: Graph construction, Dijkstra (with a
-   Bellman–Ford oracle property), and the ECMP SPF DAG. *)
+(* Tests for Dtr_graph: Graph construction, Dijkstra (with
+   Bellman–Ford and binary-heap oracle properties, Dtr_oracle.Ref_dijkstra),
+   and the ECMP SPF DAG. *)
 
 module Graph = Dtr_graph.Graph
 module Dijkstra = Dtr_graph.Dijkstra
+module Ref_dijkstra = Dtr_oracle.Ref_dijkstra
 module Spf = Dtr_graph.Spf
 module Prng = Dtr_util.Prng
 module Classic = Dtr_topology.Classic
@@ -173,7 +175,7 @@ let prop_dijkstra_matches_bellman_ford =
       let ok = ref true in
       for dst = 0 to Graph.node_count g - 1 do
         let a = Dijkstra.distances_to g ~weights:w ~dst in
-        let b = Dijkstra.bellman_ford_to g ~weights:w ~dst in
+        let b = Ref_dijkstra.bellman_ford_to g ~weights:w ~dst in
         if a <> b then ok := false
       done;
       !ok)
@@ -188,7 +190,7 @@ let prop_dijkstra_bucket_matches_heap =
       let ok = ref true in
       for dst = 0 to Graph.node_count g - 1 do
         let a = Dijkstra.distances_to g ~weights:w ~dst in
-        let b = Dijkstra.distances_to_heap g ~weights:w ~dst in
+        let b = Ref_dijkstra.distances_to_heap g ~weights:w ~dst in
         if a <> b then ok := false
       done;
       !ok)
@@ -201,8 +203,8 @@ let test_dijkstra_all_max_weights () =
   let w = Array.make (Graph.arc_count g) 30 in
   for dst = 0 to Graph.node_count g - 1 do
     let a = Dijkstra.distances_to g ~weights:w ~dst in
-    let b = Dijkstra.distances_to_heap g ~weights:w ~dst in
-    let c = Dijkstra.bellman_ford_to g ~weights:w ~dst in
+    let b = Ref_dijkstra.distances_to_heap g ~weights:w ~dst in
+    let c = Ref_dijkstra.bellman_ford_to g ~weights:w ~dst in
     Alcotest.(check (array int)) "bucket = heap at max weights" b a;
     Alcotest.(check (array int)) "bucket = bellman-ford at max weights" c a
   done
@@ -212,7 +214,7 @@ let test_dijkstra_disconnected () =
   let g = Graph.build ~n:4 [ arc 0 1; arc 1 0; arc 2 3; arc 3 2 ] in
   let w = [| 7; 7; 7; 7 |] in
   let a = Dijkstra.distances_to g ~weights:w ~dst:0 in
-  let b = Dijkstra.distances_to_heap g ~weights:w ~dst:0 in
+  let b = Ref_dijkstra.distances_to_heap g ~weights:w ~dst:0 in
   Alcotest.(check (array int)) "bucket = heap on disconnected" b a;
   Alcotest.(check int) "own component" 7 a.(1);
   Alcotest.(check int) "other component unreachable" Dijkstra.unreachable a.(2);
@@ -223,7 +225,7 @@ let test_dijkstra_single_node () =
   let a = Dijkstra.distances_to g ~weights:[||] ~dst:0 in
   Alcotest.(check (array int)) "single node" [| 0 |] a;
   Alcotest.(check (array int)) "single node (heap)" [| 0 |]
-    (Dijkstra.distances_to_heap g ~weights:[||] ~dst:0)
+    (Ref_dijkstra.distances_to_heap g ~weights:[||] ~dst:0)
 
 (* Spf.all_destinations validates once up front (hoisted out of the
    per-destination loop) — it must still reject bad weight arrays. *)

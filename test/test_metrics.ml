@@ -363,9 +363,16 @@ let test_inspect_golden_abilene () =
   let inst = Scenario.scale_to_utilization inst ~target:0.6 in
   let g = inst.Scenario.graph in
   let wh = Weights.uniform g 15 and wl = Weights.uniform g 14 in
+  (* The tables as dtr inspect builds them: from the one evaluation
+     context it also sweeps and attributes on. *)
+  let ctx =
+    Dtr_routing.Eval_ctx.create g ~weights:[| wh; wl |]
+      ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
+  in
   let r =
-    Objective.evaluate (Objective.Sla Dtr_cost.Sla.default) g ~wh ~wl
-      ~th:inst.Scenario.th ~tl:inst.Scenario.tl
+    Objective.of_eval (Objective.Sla Dtr_cost.Sla.default)
+      (Dtr_routing.Eval_ctx.to_evaluate ctx)
+      ~th:inst.Scenario.th ()
   in
   let e = r.Objective.eval in
   let buf = Buffer.create 1024 in

@@ -311,7 +311,7 @@ let test_sim_matches_flow_level_utilization () =
   Matrix.set tl 1 4 0.8;
   Matrix.set tl 5 2 0.5;
   let w = Weights.uniform g 1 in
-  let eval = Dtr_routing.Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let eval = Dtr_oracle.Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let predicted = Dtr_routing.Evaluate.utilization eval in
   let cfg =
     { Sim.default_config with Sim.duration = 60_000.; warmup = 2_000.; mean_packet_bits = 1000.; seed = 3 }

@@ -200,6 +200,36 @@ let test_trace_of_json_rejects () =
       corrupt ~needle:"\"probe\"" ~by:"\"probed\"" probe_line;
     ]
 
+(* Documents the repo's own JSON writers emit — a trace (one event per
+   line), a metrics snapshot and a manifest — damaged by corpus
+   mutations (Dtr_oracle.Mutate): the parsers answer Ok or Error and
+   never raise. *)
+let json_corpus =
+  lazy
+    (let g, _, _ = ring_instance () in
+     [|
+       String.concat "\n" (List.map Trace.to_json (traced_events ()));
+       probe_line;
+       Metrics.to_json ();
+       Dtr_core.Manifest.to_json ~seed:3 ~model:"load" ~topology:"ring"
+         ~config:tiny_config ~graph:g ();
+     |])
+
+let prop_json_mutations =
+  QCheck.Test.make ~name:"parsers never raise on mutated writer output"
+    ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let doc =
+        Dtr_oracle.Mutate.mutate rng (Prng.choose rng (Lazy.force json_corpus))
+      in
+      let total f = match f () with Ok _ | Error _ -> true in
+      total (fun () -> Json.parse doc)
+      && List.for_all
+           (fun line -> total (fun () -> Trace.of_json line))
+           (doc :: String.split_on_char '\n' doc))
+
 let emit_kind t kind =
   Trace.emit t ~kind ~iteration:0 ()
 
@@ -344,11 +374,11 @@ let test_attribution_sla_scenario () =
   Alcotest.(check int)
     "attribution ran no delta-SPF update" updates
     (value "dtr_spf_delta_updates_total");
-  (* And the evaluation the context attributes is the one Objective
-     reports for the same weights. *)
+  (* And the evaluation the context attributes is the one the
+     from-scratch reference prices for the same weights. *)
   let r =
-    Objective.evaluate (Objective.Sla Dtr_cost.Sla.default) g ~wh ~wl
-      ~th:inst.Scenario.th ~tl:inst.Scenario.tl
+    Dtr_oracle.Ref_objective.evaluate (Objective.Sla Dtr_cost.Sla.default) g
+      ~wh ~wl ~th:inst.Scenario.th ~tl:inst.Scenario.tl
   in
   let phi = Eval_ctx.phi ctx in
   check_bitwise "phi_h matches Objective" r.Objective.eval.Dtr_routing.Evaluate.phi_h
@@ -648,6 +678,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_json_errors;
           Alcotest.test_case "float round-trip" `Quick
             test_json_float_round_trip;
+          QCheck_alcotest.to_alcotest prop_json_mutations;
         ] );
       ( "trace",
         [

@@ -7,10 +7,13 @@ module Spf = Dtr_graph.Spf
 module Prng = Dtr_util.Prng
 module Matrix = Dtr_traffic.Matrix
 module Weights = Dtr_routing.Weights
-module Loads = Dtr_routing.Loads
-module Delay = Dtr_routing.Delay
 module Evaluate = Dtr_routing.Evaluate
 module Objective = Dtr_routing.Objective
+module Ref_loads = Dtr_oracle.Ref_loads
+module Ref_delay = Dtr_oracle.Ref_delay
+module Ref_evaluate = Dtr_oracle.Ref_evaluate
+module Ref_multi = Dtr_oracle.Ref_multi
+module Ref_objective = Dtr_oracle.Ref_objective
 module Classic = Dtr_topology.Classic
 module Sla = Dtr_cost.Sla
 module Lexico = Dtr_cost.Lexico
@@ -99,7 +102,7 @@ let test_loads_line () =
   let w = Weights.uniform g 1 in
   let dags = Spf.all_destinations g ~weights:w in
   let tm = single_dest_matrix 3 [ (0, 2, 4.) ] in
-  let loads = Loads.of_matrix g ~dags tm in
+  let loads = Ref_loads.of_matrix g ~dags tm in
   (* Both hops along the line carry the full demand. *)
   let on src dst =
     match Graph.find_arc g ~src ~dst with
@@ -117,7 +120,7 @@ let test_loads_ecmp_split () =
   let w = [| 1; 1; 1; 1; 2 |] in
   let dags = Spf.all_destinations g ~weights:w in
   let tm = single_dest_matrix 4 [ (0, 3, 3.) ] in
-  let loads = Loads.of_matrix g ~dags tm in
+  let loads = Ref_loads.of_matrix g ~dags tm in
   checkf "0->1" 1. loads.(0);
   checkf "1->3" 1. loads.(1);
   checkf "0->2" 1. loads.(2);
@@ -130,7 +133,7 @@ let test_loads_even_split_two_ways () =
   let w = [| 1; 1; 1; 1; 3 |] in
   let dags = Spf.all_destinations g ~weights:w in
   let tm = single_dest_matrix 4 [ (0, 3, 2.) ] in
-  let loads = Loads.of_matrix g ~dags tm in
+  let loads = Ref_loads.of_matrix g ~dags tm in
   checkf "0->1" 1. loads.(0);
   checkf "0->2" 1. loads.(2);
   checkf "direct idle" 0. loads.(4)
@@ -140,7 +143,7 @@ let test_loads_transit_accumulates () =
   let w = Weights.uniform g 1 in
   let dags = Spf.all_destinations g ~weights:w in
   let tm = single_dest_matrix 4 [ (0, 3, 1.); (1, 3, 1.); (2, 3, 1.) ] in
-  let loads = Loads.of_matrix g ~dags tm in
+  let loads = Ref_loads.of_matrix g ~dags tm in
   let on src dst =
     match Graph.find_arc g ~src ~dst with
     | Some id -> loads.(id)
@@ -155,21 +158,21 @@ let test_loads_unroutable_raises () =
   let dags = Spf.all_destinations g ~weights:[| 1 |] in
   let tm = single_dest_matrix 3 [ (2, 1, 1.) ] in
   Alcotest.check_raises "unroutable"
-    (Invalid_argument "Loads.of_matrix: no path 2 -> 1") (fun () ->
-      ignore (Loads.of_matrix g ~dags tm))
+    (Invalid_argument "Loads.destination_demand: no path 2 -> 1") (fun () ->
+      ignore (Ref_loads.of_matrix g ~dags tm))
 
 let test_loads_drop_unroutable () =
   let g = Graph.build ~n:3 [ arc 0 1 ] in
   let dags = Spf.all_destinations g ~weights:[| 1 |] in
   let tm = single_dest_matrix 3 [ (2, 1, 1.); (0, 1, 2.) ] in
-  let loads = Loads.of_matrix ~drop_unroutable:true g ~dags tm in
+  let loads = Ref_loads.of_matrix ~drop_unroutable:true g ~dags tm in
   checkf "routable demand carried" 2. loads.(0)
 
 let test_node_throughflow () =
   let g = Classic.line 3 in
   let w = Weights.uniform g 1 in
   let dag = Spf.to_destination g ~weights:w ~dst:2 in
-  let flow = Loads.node_throughflow g ~dag ~demand_to_dst:[| 1.; 2.; 0. |] in
+  let flow = Ref_loads.node_throughflow g ~dag ~demand_to_dst:[| 1.; 2.; 0. |] in
   checkf "origin" 1. flow.(0);
   checkf "transit accumulates" 3. flow.(1)
 
@@ -224,7 +227,7 @@ let prop_flow_conservation_at_destination =
             end
           end
         done;
-        let loads = Loads.of_matrix g ~dags slice in
+        let loads = Ref_loads.of_matrix g ~dags slice in
         let inflow = ref 0. in
         Array.iter (fun id -> inflow := !inflow +. loads.(id)) (Graph.in_arcs g t);
         if Float.abs (!inflow -. !total) > 1e-6 then ok := false
@@ -247,7 +250,7 @@ let prop_flow_conservation_at_transit =
             if v > 0. then Matrix.set slice s t v
           end
         done;
-        let loads = Loads.of_matrix g ~dags slice in
+        let loads = Ref_loads.of_matrix g ~dags slice in
         for v = 0 to n - 1 do
           if v <> t then begin
             let inflow = ref 0. and outflow = ref 0. in
@@ -266,14 +269,16 @@ let prop_total_load_equals_demand_times_hops =
     ~count:60 (QCheck.make random_case_gen) (fun params ->
       let g, w, tm = build_case params in
       let dags = Spf.all_destinations g ~weights:w in
-      let loads = Loads.of_matrix g ~dags tm in
+      let loads = Ref_loads.of_matrix g ~dags tm in
       let total_load = Array.fold_left ( +. ) 0. loads in
       (* Mean hop count of pair (s,t) under even splitting equals the
          expected delay with unit arc delays. *)
       let unit_delay = Array.make (Graph.arc_count g) 1. in
       let expected = ref 0. in
       Matrix.iter tm (fun s t v ->
-          let xi = Delay.expected_to_destination g ~dag:dags.(t) ~arc_delay:unit_delay in
+          let xi =
+            Ref_delay.expected_to_destination g ~dag:dags.(t) ~arc_delay:unit_delay
+          in
           expected := !expected +. (v *. xi.(s)));
       Float.abs (total_load -. !expected) <= 1e-6 *. Float.max 1. total_load)
 
@@ -284,8 +289,8 @@ let prop_loads_linear_in_demand =
     (fun (params, factor) ->
       let g, w, tm = build_case params in
       let dags = Spf.all_destinations g ~weights:w in
-      let base = Loads.of_matrix g ~dags tm in
-      let scaled = Loads.of_matrix g ~dags (Matrix.scale tm factor) in
+      let base = Ref_loads.of_matrix g ~dags tm in
+      let scaled = Ref_loads.of_matrix g ~dags (Matrix.scale tm factor) in
       let ok = ref true in
       Array.iteri
         (fun i b ->
@@ -302,8 +307,8 @@ let prop_phi_h_independent_of_wl =
       let g, wh, tm = build_case params in
       let rng = Prng.create wseed in
       let wl1 = Weights.random rng g and wl2 = Weights.random rng g in
-      let e1 = Evaluate.evaluate g ~wh ~wl:wl1 ~th:tm ~tl:tm in
-      let e2 = Evaluate.evaluate g ~wh ~wl:wl2 ~th:tm ~tl:tm in
+      let e1 = Ref_evaluate.evaluate g ~wh ~wl:wl1 ~th:tm ~tl:tm in
+      let e2 = Ref_evaluate.evaluate g ~wh ~wl:wl2 ~th:tm ~tl:tm in
       Float.abs (e1.Evaluate.phi_h -. e2.Evaluate.phi_h) < 1e-9)
 
 (* ------------------------------------------------------------------ *)
@@ -314,7 +319,7 @@ let test_delay_line_sums () =
   let w = Weights.uniform g 1 in
   let dag = Spf.to_destination g ~weights:w ~dst:2 in
   let arc_delay = Array.make (Graph.arc_count g) 2.5 in
-  let xi = Delay.expected_to_destination g ~dag ~arc_delay in
+  let xi = Ref_delay.expected_to_destination g ~dag ~arc_delay in
   checkf "two hops" 5. xi.(0);
   checkf "one hop" 2.5 xi.(1);
   checkf "zero at dst" 0. xi.(2)
@@ -326,18 +331,18 @@ let test_delay_ecmp_average () =
   (* Give the direct arc delay 6, all others 1: paths cost 2, 2, 6;
      three equally likely next hops at node 0 -> mean = (2+2+6)/3. *)
   let arc_delay = [| 1.; 1.; 1.; 1.; 6. |] in
-  let xi = Delay.expected_to_destination g ~dag ~arc_delay in
+  let xi = Ref_delay.expected_to_destination g ~dag ~arc_delay in
   checkf "ecmp mean" (10. /. 3.) xi.(0)
 
 let test_delay_unreachable_nan () =
   let g = Graph.build ~n:3 [ arc 0 1 ] in
   let dag = Spf.to_destination g ~weights:[| 1 |] ~dst:1 in
-  let xi = Delay.expected_to_destination g ~dag ~arc_delay:[| 1. |] in
+  let xi = Ref_delay.expected_to_destination g ~dag ~arc_delay:[| 1. |] in
   Alcotest.(check bool) "nan for unreachable" true (Float.is_nan xi.(2))
 
 let test_arc_delays_formula () =
   let g = Graph.build ~n:2 [ arc ~capacity:500. ~delay:10. 0 1 ] in
-  let d = Delay.arc_delays Sla.default g ~phi_h_per_arc:[| 0. |] in
+  let d = Ref_delay.arc_delays Sla.default g ~phi_h_per_arc:[| 0. |] in
   checkf "matches Sla.link_delay" 10.016 d.(0)
 
 let test_pair_delays () =
@@ -345,13 +350,13 @@ let test_pair_delays () =
   let w = Weights.uniform g 1 in
   let dags = Spf.all_destinations g ~weights:w in
   let arc_delay = Array.make (Graph.arc_count g) 1. in
-  let out = Delay.pair_delays g ~dags ~arc_delay ~pairs:[ (0, 2); (2, 0) ] in
+  let out = Ref_delay.pair_delays g ~dags ~arc_delay ~pairs:[ (0, 2); (2, 0) ] in
   Alcotest.(check int) "two pairs" 2 (List.length out);
   List.iter
     (fun (_, _, d) ->
       match d with
-      | Delay.Reachable d -> checkf "two unit hops" 2. d
-      | Delay.Unreachable -> Alcotest.fail "pair reported unreachable")
+      | Ref_delay.Reachable d -> checkf "two unit hops" 2. d
+      | Ref_delay.Unreachable -> Alcotest.fail "pair reported unreachable")
     out
 
 let test_pair_delays_unreachable () =
@@ -361,9 +366,9 @@ let test_pair_delays_unreachable () =
   let w = Weights.uniform g 1 in
   let dags = Spf.all_destinations g ~weights:w in
   let arc_delay = Array.make (Graph.arc_count g) 1. in
-  let out = Delay.pair_delays g ~dags ~arc_delay ~pairs:[ (0, 2); (2, 0) ] in
+  let out = Ref_delay.pair_delays g ~dags ~arc_delay ~pairs:[ (0, 2); (2, 0) ] in
   match out with
-  | [ (0, 2, Delay.Reachable d); (2, 0, Delay.Unreachable) ] ->
+  | [ (0, 2, Ref_delay.Reachable d); (2, 0, Ref_delay.Unreachable) ] ->
       checkf "reachable pair delay" 2. d
   | _ -> Alcotest.fail "expected one reachable and one unreachable pair"
 
@@ -379,7 +384,7 @@ let two_class_line () =
 let test_evaluate_residual () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   (* H load 4 on both forward arcs of capacity 10 -> residual 6. *)
   Array.iteri
     (fun i h ->
@@ -392,7 +397,7 @@ let test_evaluate_residual_clamped () =
   let th = single_dest_matrix 3 [ (0, 2, 5.) ] in
   let tl = single_dest_matrix 3 [ (0, 2, 1.) ] in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   Array.iteri
     (fun i h ->
       if h > 0. then checkf "clamped to zero" 0. e.Evaluate.residual.(i))
@@ -406,7 +411,7 @@ let test_evaluate_saturated_finite () =
   let th = single_dest_matrix 3 [ (0, 2, 5.) ] in
   let tl = single_dest_matrix 3 [ (0, 2, 2.) ] in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   Array.iteri
     (fun i h -> if h > 0. then checkf "residual clamped" 0. e.Evaluate.residual.(i))
     e.Evaluate.h_loads;
@@ -436,7 +441,7 @@ let test_evaluate_saturated_monotone () =
   let w = Weights.uniform g 1 in
   let phi_l demand =
     let tl = single_dest_matrix 3 [ (0, 2, demand) ] in
-    (Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl).Evaluate.phi_l
+    (Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl).Evaluate.phi_l
   in
   let prev = ref (phi_l 0.) in
   List.iter
@@ -454,9 +459,9 @@ let test_evaluate_sla_unreachable () =
   let w = Weights.uniform g 1 in
   let dags = Spf.all_destinations g ~weights:w in
   let th = single_dest_matrix 3 [ (0, 2, 1.); (1, 0, 1.) ] in
-  let h_loads = Loads.of_matrix ~drop_unroutable:true g ~dags th in
+  let h_loads = Ref_loads.of_matrix ~drop_unroutable:true g ~dags th in
   let l_loads = Array.make (Graph.arc_count g) 0. in
-  let e = Evaluate.assemble g ~dags_h:dags ~h_loads ~dags_l:dags ~l_loads in
+  let e = Ref_evaluate.assemble g ~dags_h:dags ~h_loads ~dags_l:dags ~l_loads in
   let s = Evaluate.evaluate_sla Sla.default e ~th in
   Alcotest.(check int) "one unreachable" 1 s.Evaluate.unreachable;
   Alcotest.(check bool) "lambda infinite" true (s.Evaluate.lambda = Float.infinity);
@@ -468,13 +473,13 @@ let test_evaluate_sla_unreachable () =
 let test_evaluate_str_shares_dags () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   Alcotest.(check bool) "physically shared" true (e.Evaluate.dags_h == e.Evaluate.dags_l)
 
 let test_evaluate_phi_sums () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   checkf "phi_h total" (Array.fold_left ( +. ) 0. e.Evaluate.phi_h_per_arc)
     e.Evaluate.phi_h;
   checkf "phi_l total" (Array.fold_left ( +. ) 0. e.Evaluate.phi_l_per_arc)
@@ -487,9 +492,9 @@ let test_evaluate_priority_insulation () =
   (* Low-priority demand must not affect the high-priority cost. *)
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e1 = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e1 = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let tl_heavy = Matrix.scale tl 100. in
-  let e2 = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl:tl_heavy in
+  let e2 = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl:tl_heavy in
   checkf "phi_h unchanged" e1.Evaluate.phi_h e2.Evaluate.phi_h;
   Alcotest.(check bool) "phi_l grows" true
     (e2.Evaluate.phi_l > e1.Evaluate.phi_l)
@@ -506,7 +511,7 @@ let test_evaluate_dtr_separates () =
   (match Graph.find_arc g ~src:0 ~dst:2 with
   | Some id -> wl.(id) <- 30
   | None -> Alcotest.fail "missing arc");
-  let e = Evaluate.evaluate g ~wh ~wl ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh ~wl ~th ~tl in
   (match Graph.find_arc g ~src:0 ~dst:2 with
   | Some id ->
       checkf "H on direct" 0.5 e.Evaluate.h_loads.(id);
@@ -519,7 +524,7 @@ let test_evaluate_dtr_separates () =
 let test_evaluate_utilization () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let u = Evaluate.utilization e in
   let hu = Evaluate.h_utilization e in
   (* Forward arcs carry 8/10 total, 4/10 high priority. *)
@@ -537,7 +542,7 @@ let test_evaluate_sla_counts () =
   let th = single_dest_matrix 2 [ (0, 1, 10.) ] in
   let tl = single_dest_matrix 2 [ (1, 0, 10.) ] in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let s = Evaluate.evaluate_sla Sla.default e ~th in
   (* 30 ms propagation > 25 ms bound. *)
   Alcotest.(check int) "one violation" 1 s.Evaluate.violations;
@@ -549,7 +554,7 @@ let test_evaluate_sla_no_violation () =
   let th = single_dest_matrix 2 [ (0, 1, 10.) ] in
   let tl = single_dest_matrix 2 [ (1, 0, 10.) ] in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let s = Evaluate.evaluate_sla Sla.default e ~th in
   Alcotest.(check int) "no violations" 0 s.Evaluate.violations;
   checkf "zero penalty" 0. s.Evaluate.lambda
@@ -560,7 +565,7 @@ let test_evaluate_sla_no_violation () =
 let test_objective_load () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let r = Objective.evaluate Objective.Load g ~wh:w ~wl:w ~th ~tl in
+  let r = Ref_objective.evaluate Objective.Load g ~wh:w ~wl:w ~th ~tl in
   checkf "primary is phi_h" r.Objective.eval.Evaluate.phi_h
     r.Objective.objective.Lexico.primary;
   checkf "secondary is phi_l" r.Objective.eval.Evaluate.phi_l
@@ -570,7 +575,7 @@ let test_objective_load () =
 let test_objective_sla () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let r = Objective.evaluate (Objective.Sla Sla.default) g ~wh:w ~wl:w ~th ~tl in
+  let r = Ref_objective.evaluate (Objective.Sla Sla.default) g ~wh:w ~wl:w ~th ~tl in
   (match r.Objective.sla with
   | Some s ->
       checkf "primary is lambda" s.Evaluate.lambda
@@ -582,15 +587,15 @@ let test_objective_sla () =
 let test_objective_link_costs () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let r = Objective.evaluate Objective.Load g ~wh:w ~wl:w ~th ~tl in
-  let costs = Objective.link_costs_h Objective.Load r in
+  let r = Ref_objective.evaluate Objective.Load g ~wh:w ~wl:w ~th ~tl in
+  let costs = Ref_objective.link_costs_h Objective.Load r in
   Alcotest.(check int) "per arc" (Graph.arc_count g) (Array.length costs);
   Array.iteri
     (fun i c ->
       checkf "primary = phi_h_l" r.Objective.eval.Evaluate.phi_h_per_arc.(i)
         c.Lexico.primary)
     costs;
-  let lcosts = Objective.link_costs_l r in
+  let lcosts = Ref_objective.link_costs_l r in
   Array.iteri
     (fun i c ->
       checkf "findl cost" r.Objective.eval.Evaluate.phi_l_per_arc.(i) c)
@@ -612,15 +617,15 @@ let test_multi_two_class_matches_evaluate () =
   (* T = 2 must agree with the dedicated two-class evaluation. *)
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e2 = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
-  let m = Multi.evaluate g ~weights:[| w; w |] ~matrices:[| th; tl |] in
+  let e2 = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let m = Ref_multi.evaluate g ~weights:[| w; w |] ~matrices:[| th; tl |] in
   checkf "phi_h agrees" e2.Evaluate.phi_h m.Multi.phi.(0);
   checkf "phi_l agrees" e2.Evaluate.phi_l m.Multi.phi.(1)
 
 let test_multi_residual_chain () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m = Multi.evaluate g ~weights:[| w; w; w |] ~matrices in
+  let m = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
   (* On the loaded forward arcs: class 0 sees 10, class 1 sees 8,
      class 2 sees 5. *)
   Array.iteri
@@ -635,7 +640,7 @@ let test_multi_residual_chain () =
 let test_multi_capacity_monotone () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m = Multi.evaluate g ~weights:[| w; w; w |] ~matrices in
+  let m = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
   for k = 1 to 2 do
     Array.iteri
       (fun a c ->
@@ -647,17 +652,17 @@ let test_multi_capacity_monotone () =
 let test_multi_shares_dags_when_aliased () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m = Multi.evaluate g ~weights:[| w; w; w |] ~matrices in
+  let m = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
   Alcotest.(check bool) "dags shared" true
     (m.Multi.dags.(0) == m.Multi.dags.(1) && m.Multi.dags.(1) == m.Multi.dags.(2))
 
 let test_multi_higher_class_insulated () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m1 = Multi.evaluate g ~weights:[| w; w; w |] ~matrices in
+  let m1 = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
   let heavier = Array.copy matrices in
   heavier.(2) <- Matrix.scale matrices.(2) 50.;
-  let m2 = Multi.evaluate g ~weights:[| w; w; w |] ~matrices:heavier in
+  let m2 = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices:heavier in
   checkf "class 0 unchanged" m1.Multi.phi.(0) m2.Multi.phi.(0);
   checkf "class 1 unchanged" m1.Multi.phi.(1) m2.Multi.phi.(1);
   Alcotest.(check bool) "class 2 grows" true (m2.Multi.phi.(2) > m1.Multi.phi.(2))
@@ -677,15 +682,15 @@ let test_multi_rejects () =
   let w = Weights.uniform g 1 in
   Alcotest.check_raises "no classes"
     (Invalid_argument "Multi.evaluate: need at least one class") (fun () ->
-      ignore (Multi.evaluate g ~weights:[||] ~matrices:[||]));
+      ignore (Ref_multi.evaluate g ~weights:[||] ~matrices:[||]));
   Alcotest.check_raises "mismatch"
     (Invalid_argument "Multi.evaluate: weights/matrices length mismatch")
-    (fun () -> ignore (Multi.evaluate g ~weights:[| w |] ~matrices))
+    (fun () -> ignore (Ref_multi.evaluate g ~weights:[| w |] ~matrices))
 
 let test_multi_utilization () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m = Multi.evaluate g ~weights:[| w; w; w |] ~matrices in
+  let m = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
   let u = Multi.utilization m in
   (* Forward arcs: (2+3+4)/10. *)
   let max_u = Array.fold_left Float.max 0. u in
@@ -698,7 +703,7 @@ let test_objective_of_eval_sla_cache () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
   let model = Objective.Sla Sla.default in
-  let r1 = Objective.evaluate model g ~wh:w ~wl:w ~th ~tl in
+  let r1 = Ref_objective.evaluate model g ~wh:w ~wl:w ~th ~tl in
   match r1.Objective.sla with
   | None -> Alcotest.fail "expected sla"
   | Some sla ->
@@ -761,7 +766,13 @@ let test_weights_io_rejects_out_of_range () =
   check_rejected "weight zero" "arcs 1 topologies 2\nw 0 0 7\n"
     "line 2: weight 0 out of range [1, 30]";
   check_rejected "negative weight" "arcs 1 topologies 1\nw 0 -3\n"
-    "line 2: weight -3 out of range [1, 30]"
+    "line 2: weight -3 out of range [1, 30]";
+  check_rejected "arc out of range" "arcs 2 topologies 1\nw 0 5\nw 7 5\n"
+    "line 3: arc 7 out of range";
+  (* With two bad rows, the first in file order is reported. *)
+  check_rejected "first of two bad rows"
+    "arcs 3 topologies 2\nw 0 5 5\nw 7 5 5\nw 1 5\n"
+    "line 3: arc 7 out of range"
 
 let test_weights_io_rejects_duplicate_arc () =
   check_rejected "duplicate arc" "arcs 2 topologies 1\nw 0 5\nw 0 6\n"
@@ -769,7 +780,39 @@ let test_weights_io_rejects_duplicate_arc () =
 
 let test_weights_io_rejects_short_row () =
   check_rejected "short row" "arcs 1 topologies 2\nw 0 5\n"
-    "arc 0: expected 2 weights"
+    "line 2: arc 0: expected 2 weights";
+  (* No row carries the header's count: rejected before the weight
+     matrix is allocated. *)
+  check_rejected "topology count no row matches"
+    "arcs 1 topologies 4611686018427387903\nw 0 5\n"
+    "line 2: arc 0: expected 4611686018427387903 weights"
+
+let test_weights_io_tabs () =
+  (* Fields split on any run of blanks, as in topology files. *)
+  match Weights_io.of_string "arcs\t2 topologies 1\r\nw\t0\t5\r\nw 1  6\n" with
+  | Error e -> Alcotest.fail e
+  | Ok back -> Alcotest.(check (array int)) "parsed" [| 5; 6 |] back.(0)
+
+(* Mutated writer output (Dtr_oracle.Mutate): Ok or Error, never an
+   exception; only the whole-file errors may lack a line number. *)
+let prop_weights_io_mutations =
+  QCheck.Test.make ~name:"of_string never raises on mutated files" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let sets =
+        Array.init (Prng.int_incl rng 1 2) (fun _ ->
+            Array.init 9 (fun _ -> Prng.int_incl rng 1 30))
+      in
+      match
+        Weights_io.of_string
+          (Dtr_oracle.Mutate.mutate rng (Weights_io.to_string sets))
+      with
+      | Ok _ -> true
+      | Error e ->
+          e = "missing header"
+          || String.starts_with ~prefix:"line " e
+          || String.starts_with ~prefix:"expected " e)
 
 let test_weights_io_rejects_junk () =
   check_rejected "junk header" "arcs two topologies 1\nw 0 5\n"
@@ -804,7 +847,7 @@ module Table = Dtr_util.Table
 let report_eval () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl
+  Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl
 
 let test_report_per_link () =
   let e = report_eval () in
@@ -833,7 +876,7 @@ let test_report_summary () =
 let test_report_pair_delays () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let sla = Evaluate.evaluate_sla Sla.default e ~th in
   let t = Report.per_pair_delay_table ~node_name:(Printf.sprintf "n%d") sla Sla.default in
   Alcotest.(check int) "one HP pair" 1 (List.length (Table.rows t));
@@ -955,10 +998,12 @@ let () =
           Alcotest.test_case "rejects short row" `Quick
             test_weights_io_rejects_short_row;
           Alcotest.test_case "rejects junk" `Quick test_weights_io_rejects_junk;
+          Alcotest.test_case "tab-separated fields" `Quick test_weights_io_tabs;
           Alcotest.test_case "rejects mismatch" `Quick
             test_weights_io_rejects_mismatch;
           Alcotest.test_case "file roundtrip" `Quick
             test_weights_io_file_roundtrip;
+          QCheck_alcotest.to_alcotest prop_weights_io_mutations;
         ] );
       ( "report",
         [

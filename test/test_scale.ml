@@ -630,7 +630,7 @@ let check_incremental_walk ~model ~scan_jobs () =
         summaries.(!best).Scan.objective
         (Problem.objective committed);
       Alcotest.(check int)
-        (what ^ ": base key") (Problem.ctx_base_key_fresh ctx)
+        (what ^ ": base key") (Dtr_oracle.Ref_problem.ctx_base_key ctx)
         (Problem.ctx_base_key ctx)
     done;
     (* The walk revisits settings, so the memo served some summaries. *)

@@ -460,6 +460,14 @@ let test_io_rejects_invalid_values () =
       ("nodes 2\n# comment\n\narc 0 1 0 1\n", "line 4");
       ("nodes 2\narc 0 1 1\n", "line 2");
       ("nodes 2\narc 0 1 1 1 1\n", "line 2");
+      (* A node count above twice the arcs leaves a node without an arc
+         and is rejected before anything that size is allocated. *)
+      ("nodes 100000000000\n", "line 1:");
+      ("nodes 4611686018427387903\n", "line 1:");
+      ("# header\nnodes 5\narc 0 1 1 1\n", "line 2:");
+      ("nodes 2\narc 0 1 1 1\narc 1 7 1 1\n", "line 3:");
+      ("nodes 2\narc 0 1 1 1\narc -1 0 1 1\n", "line 3:");
+      ("nodes 2\narc 0 1 1 1\narc 1 1 1 1\n", "line 3:");
     ]
   in
   List.iter
@@ -471,14 +479,31 @@ let test_io_rejects_invalid_values () =
             Alcotest.failf "error %S for %S does not mention %S" e src frag)
     cases
 
+(* Errors a whole file can have; every other error belongs to one line
+   and must name it. *)
+let topo_error_located e =
+  e = "missing 'nodes' directive" || String.starts_with ~prefix:"line " e
+
 let prop_io_never_raises =
-  (* Arbitrary input must come back as Ok or Error, never an
+  (* Arbitrary input, and files the writer emits with corpus mutations
+     (Dtr_oracle.Mutate), must come back as Ok or Error, never an
      exception. *)
   QCheck.Test.make ~name:"of_string never raises on arbitrary input"
     ~count:300
-    QCheck.(string_of_size Gen.(int_range 0 80))
-    (fun s ->
-      match Topo_io.of_string s with Ok _ | Error _ -> true)
+    QCheck.(pair (string_of_size Gen.(int_range 0 80)) (int_range 0 1_000_000))
+    (fun (s, seed) ->
+      let rng = Prng.create seed in
+      let g =
+        Random_topo.generate rng
+          { Random_topo.default with Random_topo.nodes = 6; links = 9 }
+      in
+      let mutated = Dtr_oracle.Mutate.mutate rng (Topo_io.to_string g) in
+      List.for_all
+        (fun src ->
+          match Topo_io.of_string src with
+          | Ok _ -> true
+          | Error e -> topo_error_located e)
+        [ s; mutated ])
 
 let prop_io_roundtrip_random_graphs =
   QCheck.Test.make ~name:"serialization roundtrips any generated graph"
