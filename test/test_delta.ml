@@ -906,7 +906,7 @@ let () =
           QCheck_alcotest.to_alcotest (test_problem_delta ());
           Alcotest.test_case "full/delta counters" `Quick test_problem_counters;
         ] );
-      ( "independent oracle",
+      ( "oracle",
         [
           Alcotest.test_case "engine = naive ECMP on 1,000 multigraphs" `Quick
             test_naive_oracle;
