@@ -6,8 +6,7 @@ module Multi = Dtr_routing.Multi
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Mtr_search = Dtr_core.Mtr_search
 
-let run ?(cfg = Dtr_core.Search_config.quick) ?(seed = 83) ?(target_util = 0.6)
-    () =
+let problem ?(seed = 83) ?(target_util = 0.6) () =
   let g = Dtr_topology.Isp.generate () in
   let n = Graph.node_count g in
   let rng = Prng.create seed in
@@ -27,7 +26,11 @@ let run ?(cfg = Dtr_core.Search_config.quick) ?(seed = 83) ?(target_util = 0.6)
   in
   let factor = target_util /. Multi.avg_utilization ref_eval in
   let matrices = Array.map (fun m -> Matrix.scale m factor) matrices in
-  let problem = Mtr_search.create_problem ~graph:g ~matrices in
+  Mtr_search.create_problem ~graph:g ~matrices
+
+let run ?(cfg = Dtr_core.Search_config.quick) ?(seed = 83) ?(target_util = 0.6)
+    () =
+  let problem = problem ~seed ~target_util () in
   let str = Mtr_search.run_single_topology (Prng.create (seed + 1)) cfg problem in
   let mtr = Mtr_search.run (Prng.create (seed + 2)) cfg problem in
   let table =

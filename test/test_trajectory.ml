@@ -1,11 +1,13 @@
-(* Trajectory golden: STR, DTR, robust DTR and simulated annealing on
-   the 16-node ISP scenario at Search_config.quick, under both cost
-   models, from fixed seeds.  One line per search pins its final
+(* Trajectory golden: STR, DTR, their robust modes and simulated
+   annealing on the 16-node ISP scenario at Search_config.quick, under
+   both cost models, and the two MTR searches on the ext-3class
+   problem, from fixed seeds.  One line per search pins its final
    objective (hex floats, so a match is bitwise), its evaluation
    count, its improvements (accepted moves for annealing), its memo
-   hits/misses and a digest of the final weight vectors.  Any change
-   to a search's trajectory — one accepted move more or less, one ULP
-   of drift — changes some line.
+   hits/misses, a digest of the final weight vectors and the MD5 of
+   its timestamp-free trace.  Any change to a search's trajectory —
+   one accepted move more or less, one ULP of drift — or to one field
+   of one trace event changes some line.
 
    Regenerate trajectory.golden with DTR_UPDATE_GOLDEN=1, and only
    when a trajectory change is intended. *)
@@ -18,6 +20,8 @@ module Problem = Dtr_core.Problem
 module Str_search = Dtr_core.Str_search
 module Dtr_search = Dtr_core.Dtr_search
 module Anneal_search = Dtr_core.Anneal_search
+module Mtr_search = Dtr_core.Mtr_search
+module Trace = Dtr_core.Trace
 module Scenario = Dtr_experiments.Scenario
 
 let golden_file = "trajectory.golden"
@@ -45,19 +49,37 @@ let isp_problem model =
   let inst = Scenario.scale_to_utilization inst ~target:0.6 in
   Scenario.problem inst ~model
 
-let weights_digest (s : Problem.solution) =
+let digest_vectors ws =
   let b = Buffer.create 256 in
-  Array.iter (fun w -> Buffer.add_string b (string_of_int w ^ ",")) s.Problem.wh;
-  Buffer.add_char b '|';
-  Array.iter (fun w -> Buffer.add_string b (string_of_int w ^ ",")) s.Problem.wl;
+  List.iteri
+    (fun i w ->
+      if i > 0 then Buffer.add_char b '|';
+      Array.iter (fun x -> Buffer.add_string b (string_of_int x ^ ",")) w)
+    ws;
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+let weights_digest (s : Problem.solution) =
+  digest_vectors [ s.Problem.wh; s.Problem.wl ]
+
+(* Run a search into a timestamp-free ring and return its result with
+   the MD5 of the JSONL the ring holds. *)
+let traced f =
+  let trace = Trace.ring ~timestamps:false () in
+  let r = f trace in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun e ->
+      Buffer.add_string b (Trace.to_json e);
+      Buffer.add_char b '\n')
+    (Trace.events trace);
+  (r, Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let line ~algo ~model ~seed ~(objective : Lexico.t) ~evaluations ~improvements
-    ~memo best =
-  Printf.sprintf "%s %s seed=%d obj=%h,%h evals=%d impr=%d memo=%s w=%s" algo
-    (Objective.model_name model) seed objective.Lexico.primary
+    ~memo ~trace best =
+  Printf.sprintf "%s %s seed=%d obj=%h,%h evals=%d impr=%d memo=%s w=%s trace=%s"
+    algo (Objective.model_name model) seed objective.Lexico.primary
     objective.Lexico.secondary evaluations improvements memo
-    (weights_digest best)
+    (weights_digest best) trace
 
 let memo hits misses = Printf.sprintf "%d/%d" hits misses
 
@@ -68,32 +90,60 @@ let robust_cfg =
   }
 
 let runs model p seed =
-  let str = Str_search.run (Prng.create seed) Search_config.quick p in
-  let dtr = Dtr_search.run (Prng.create seed) Search_config.quick p in
-  let rob = Dtr_search.run (Prng.create seed) robust_cfg p in
-  let ann =
-    Anneal_search.run ~schedule:fast_schedule (Prng.create seed)
-      Search_config.quick p
+  let str_line algo cfg =
+    let r, trace =
+      traced (fun trace -> Str_search.run ~trace (Prng.create seed) cfg p)
+    in
+    line ~algo ~model ~seed ~objective:r.Str_search.objective
+      ~evaluations:r.Str_search.evaluations
+      ~improvements:r.Str_search.improvements
+      ~memo:(memo r.Str_search.memo_hits r.Str_search.memo_misses)
+      ~trace r.Str_search.best
   in
-  let dtr_line algo (r : Dtr_search.report) =
+  let dtr_line algo cfg =
+    let r, trace =
+      traced (fun trace -> Dtr_search.run ~trace (Prng.create seed) cfg p)
+    in
     line ~algo ~model ~seed ~objective:r.Dtr_search.objective
       ~evaluations:r.Dtr_search.evaluations
       ~improvements:r.Dtr_search.improvements
       ~memo:(memo r.Dtr_search.memo_hits r.Dtr_search.memo_misses)
-      r.Dtr_search.best
+      ~trace r.Dtr_search.best
+  in
+  let ann, ann_trace =
+    traced (fun trace ->
+        Anneal_search.run ~schedule:fast_schedule ~trace (Prng.create seed)
+          Search_config.quick p)
   in
   [
-    line ~algo:"str" ~model ~seed ~objective:str.Str_search.objective
-      ~evaluations:str.Str_search.evaluations
-      ~improvements:str.Str_search.improvements
-      ~memo:(memo str.Str_search.memo_hits str.Str_search.memo_misses)
-      str.Str_search.best;
-    dtr_line "dtr" dtr;
-    dtr_line "dtr-robust" rob;
+    str_line "str" Search_config.quick;
+    str_line "str-robust" robust_cfg;
+    dtr_line "dtr" Search_config.quick;
+    dtr_line "dtr-robust" robust_cfg;
     line ~algo:"anneal" ~model ~seed ~objective:ann.Anneal_search.objective
       ~evaluations:ann.Anneal_search.evaluations
-      ~improvements:ann.Anneal_search.accepted ~memo:"-"
+      ~improvements:ann.Anneal_search.accepted ~memo:"-" ~trace:ann_trace
       ann.Anneal_search.best;
+  ]
+
+(* The multi-topology search and its shared-vector baseline on the
+   ext-3class problem (three classes, load cost). *)
+let mtr_runs p seed =
+  let mtr_line algo run =
+    let r, trace = traced (fun trace -> run ~trace (Prng.create seed)) in
+    Printf.sprintf "%s load seed=%d obj=%s evals=%d impr=%d memo=- w=%s trace=%s"
+      algo seed
+      (String.concat ","
+         (Array.to_list (Array.map (Printf.sprintf "%h") r.Mtr_search.objective)))
+      r.Mtr_search.evaluations r.Mtr_search.improvements
+      (digest_vectors (Array.to_list r.Mtr_search.weights))
+      trace
+  in
+  [
+    mtr_line "mtr" (fun ~trace rng ->
+        Mtr_search.run ~trace rng Search_config.quick p);
+    mtr_line "mtr-single" (fun ~trace rng ->
+        Mtr_search.run_single_topology ~trace rng Search_config.quick p);
   ]
 
 let trajectories () =
@@ -102,6 +152,9 @@ let trajectories () =
       let p = isp_problem model in
       List.concat_map (runs model p) [ 1; 2 ])
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
+  @
+  let p = Dtr_experiments.Multi_class.problem () in
+  List.concat_map (mtr_runs p) [ 1; 2 ]
 
 let test_trajectories_match_golden () =
   let out = String.concat "\n" (trajectories ()) ^ "\n" in
