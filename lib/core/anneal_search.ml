@@ -1,6 +1,5 @@
 module Prng = Dtr_util.Prng
 module Lexico = Dtr_cost.Lexico
-module Weights = Dtr_routing.Weights
 
 type schedule = {
   t0_ratio : float;
@@ -28,9 +27,6 @@ type report = {
   accepted : int;
 }
 
-(* A run's own evaluations so far: full ones and probes. *)
-type counts = { mutable fulls : int; mutable deltas : int }
-
 (* Propose one two-arc move on the context's current [cls] weights,
    ranked by the live cost rows (Problem.ctx_arc_cmp_h/_l: the
    paper's per-link lexicographic costs), as a change list. *)
@@ -51,18 +47,16 @@ let propose rng cfg problem ctx ~cls ~n_arcs =
       Neighborhood.move_changes move ~step (Problem.ctx_weights_view ctx cls)
 
 (* One annealing phase: minimize [energy] of the objective by moving
-   [cls]'s weights, one probe per proposal against [ctx] (which must
-   be synchronized with [current]); accepted probes are committed.
-   Every probe is counted in [counts].  Returns the accepted-move
-   count.  With an enabled [trace], one [Anneal_step] event is
-   recorded per Metropolis proposal ([detail] = phase ordinal, [value]
-   = current temperature). *)
-let anneal_phase ~trace ~detail ~counts rng cfg schedule problem ctx ~cls
-    ~energy ~current ~best =
+   [cls]'s weights, one counted probe per proposal; accepted probes
+   move the current point and are offered to the best.  Returns the
+   accepted-move count.  Each proposal is one [Anneal_step] event
+   ([detail] = phase ordinal, [value] = current temperature). *)
+let anneal_phase inc ~detail rng cfg schedule problem ~cls ~energy =
   let n_arcs = Dtr_graph.Graph.arc_count problem.Problem.graph in
-  (* The incumbent's energy is cached and refreshed only on acceptance
-     (it was already computed as the candidate's energy then). *)
-  let e_cur = ref (energy (Problem.objective !current)) in
+  (* The current point's energy is cached and refreshed only on
+     acceptance (it was already computed as the candidate's energy
+     then). *)
+  let e_cur = ref (energy (Problem.objective (Incumbent.current inc))) in
   let e0 = Float.max 1e-9 !e_cur in
   let t = ref (schedule.t0_ratio *. e0) in
   let t_min = !t *. schedule.t_min_ratio in
@@ -71,31 +65,20 @@ let anneal_phase ~trace ~detail ~counts rng cfg schedule problem ctx ~cls
   while !t > t_min do
     for _ = 1 to schedule.moves_per_temp do
       incr step;
-      let before = Problem.objective !current in
-      let changes = propose rng cfg problem ctx ~cls ~n_arcs in
-      counts.deltas <- counts.deltas + 1;
-      let d = Problem.eval_delta problem ctx ~cls ~changes in
+      let prev = Incumbent.current inc in
+      let changes = propose rng cfg problem (Incumbent.ctx inc) ~cls ~n_arcs in
+      let d = Incumbent.probe inc ~cls ~changes in
       let e_cand = energy (Problem.delta_objective d) in
       let delta = e_cand -. !e_cur in
-      let accept =
-        delta <= 0. || Prng.float rng 1.0 < exp (-.delta /. !t)
-      in
-      if accept then begin
-        current := Problem.commit_delta problem ctx d;
+      if delta <= 0. || Prng.float rng 1.0 < exp (-.delta /. !t) then begin
+        Incumbent.accept inc d;
         e_cur := e_cand;
         incr accepted;
-        if Lexico.improves (Problem.objective !current) (Problem.objective !best)
-        then best := !current
+        Incumbent.offer inc ~iteration:!step
       end
-      else Problem.abort_delta ctx d;
-      if Trace.enabled trace then
-        Trace.emit trace ~kind:Trace.Anneal_step ~iteration:!step ~detail
-          ~accepted:accept
-          ~before:(Trace.pair before)
-          ~after:(Trace.pair (Problem.objective !current))
-          ~best:(Trace.pair (Problem.objective !best))
-          ~evaluations:(counts.fulls + counts.deltas) ~full:counts.fulls
-          ~delta:counts.deltas ~value:!t ()
+      else Incumbent.reject inc d;
+      Incumbent.tell inc Trace.Anneal_step ~iteration:!step ~detail ~prev
+        ~value:!t
     done;
     t := !t *. schedule.cooling
   done;
@@ -105,59 +88,32 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
     problem =
   Search_config.validate cfg;
   validate_schedule schedule;
-  let counts = { fulls = 0; deltas = 0 } in
-  let phase_done ~detail best =
-    if Trace.enabled trace then begin
-      let b = Trace.pair (Problem.objective best) in
-      Trace.emit trace ~kind:Trace.Phase_done ~iteration:0 ~detail ~before:b
-        ~after:b ~best:b ~evaluations:(counts.fulls + counts.deltas)
-        ~full:counts.fulls ~delta:counts.deltas ()
-    end
+  (* Annealing is sequential and anneals the normal objective: no scan
+     engine, and no failure sweeps even in robust mode. *)
+  let inc =
+    Incumbent.create ~trace
+      { cfg with Search_config.robust = None }
+      problem (Incumbent.Dtr w0)
   in
-  let mid = (Weights.min_weight + Weights.max_weight) / 2 in
-  let m = Dtr_graph.Graph.arc_count problem.Problem.graph in
-  let wh0, wl0 =
-    match w0 with Some w -> w | None -> (Array.make m mid, Array.make m mid)
-  in
-  (* Validate caller-supplied starting vectors up front: an
-     out-of-range weight used to survive until a scan indexed past a
-     value table. *)
-  (match w0 with
-  | None -> ()
-  | Some (wh, wl) ->
-      Weights.validate problem.Problem.graph wh;
-      Weights.validate problem.Problem.graph wl);
-  counts.fulls <- counts.fulls + 1;
-  let start, ctx1 = Problem.eval_dtr_ctx problem ~wh:wh0 ~wl:wl0 in
-  let current = ref start in
-  let best = ref !current in
   (* Phase 1: anneal W_H against the primary cost, probing on the
      context the start's evaluation built. *)
   let acc1 =
-    anneal_phase ~trace ~detail:0 ~counts rng cfg schedule problem ctx1
-      ~cls:`H
+    anneal_phase inc ~detail:0 rng cfg schedule problem ~cls:`H
       ~energy:(fun o -> o.Lexico.primary)
-      ~current ~best
   in
-  phase_done ~detail:0 !best;
+  Incumbent.phase_done inc ~iteration:0 ~detail:0;
   (* Fix the best W_H found, then anneal W_L against Φ_L. *)
-  counts.fulls <- counts.fulls + 1;
-  let handoff, ctx2 =
-    Problem.eval_dtr_ctx problem ~wh:!best.Problem.wh ~wl:!current.Problem.wl
-  in
-  current := handoff;
-  if Lexico.improves (Problem.objective !current) (Problem.objective !best)
-  then best := !current;
+  Incumbent.restart inc ~wh:(Incumbent.best inc).Problem.wh
+    ~wl:(Incumbent.current inc).Problem.wl;
+  Incumbent.offer inc ~iteration:0;
   let acc2 =
-    anneal_phase ~trace ~detail:1 ~counts rng cfg schedule problem ctx2
-      ~cls:`L
+    anneal_phase inc ~detail:1 rng cfg schedule problem ~cls:`L
       ~energy:(fun o -> o.Lexico.secondary)
-      ~current ~best
   in
-  phase_done ~detail:1 !best;
+  Incumbent.phase_done inc ~iteration:0 ~detail:1;
   {
-    best = !best;
-    objective = Problem.objective !best;
-    evaluations = counts.fulls + counts.deltas;
+    best = Incumbent.best inc;
+    objective = Incumbent.objective inc;
+    evaluations = Incumbent.evaluations inc;
     accepted = acc1 + acc2;
   }

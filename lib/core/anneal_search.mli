@@ -9,7 +9,9 @@
     scalar annealing problem.  Moves are the same two-arc Algorithm-2
     moves, each priced as one probe against a live evaluation context
     ({!Problem.eval_delta}); acceptance is Metropolis with a geometric
-    cooling schedule. *)
+    cooling schedule.  The run's best, evaluation counts and trace
+    events are kept by {!Incumbent}, in normal mode: annealing ignores
+    [Search_config.robust]. *)
 
 type schedule = {
   t0_ratio : float;
@@ -42,7 +44,8 @@ val run :
   Search_config.t ->
   Problem.t ->
   report
-(** The [Search_config] supplies the neighborhood parameters
+(** [w0] defaults to uniform {!Dtr_routing.Weights.mid_weight} for both
+    classes.  The [Search_config] supplies the neighborhood parameters
     ([m_neighbors] is unused — annealing proposes one move at a time —
     but [tau] and [max_step] apply).  With an enabled [trace], one
     [Anneal_step] event is recorded per Metropolis proposal

@@ -4,7 +4,10 @@
     Three routines: (1) optimize the high-priority weights [W_H] with
     [W_L] frozen; (2) freeze the best [W_H] and optimize [W_L]; (3)
     refine both around the incumbent, restarting from it (with a small
-    perturbation) whenever [M] iterations pass without improvement. *)
+    perturbation) whenever [M] iterations pass without improvement.
+    Routines 1 and 2 are one loop over the class.  Candidates come from
+    {!Neighborhood.candidates}; the run's bookkeeping — best, counters,
+    robust pricing, trace events — is {!Incumbent}'s. *)
 
 type phase = Optimize_h | Optimize_l | Refine
 
@@ -36,10 +39,9 @@ val find_h :
 (** One FindH pass: build the Algorithm-2 neighborhood on the
     high-priority weights and return the best neighbor if it strictly
     improves the lexicographic objective, the input solution
-    otherwise.  Neighbors are evaluated incrementally
-    ({!Problem.eval_delta}) against a context built from the input
-    solution; the full search threads one long-lived context through
-    its passes instead of rebuilding it here. *)
+    otherwise.  Neighbors are probed sequentially, without a memo,
+    against a context built from the input solution; the full search
+    keeps one long-lived context instead. *)
 
 val find_l :
   Dtr_util.Prng.t ->
@@ -62,7 +64,7 @@ val run :
   Problem.t ->
   report
 (** Full Algorithm 1.  [w0] defaults to all weights =
-    [(min_weight + max_weight) / 2] for both classes so initial moves
+    {!Dtr_routing.Weights.mid_weight} for both classes so initial moves
     can go both ways.  [stop], polled after every completed iteration,
     ends the run early when it returns [true] (the wall-clock budget
     hook): the remaining iterations of all three routines are skipped,
@@ -73,7 +75,9 @@ val run :
 
     With an enabled [trace], one [Find_h] / [Find_l] event is recorded
     per pass ([detail] = routine ordinal 0/1/2), one [Diversify] per
-    perturbation, and one [Phase_done] per routine; every field but
-    the timestamp is identical for every [scan_jobs] value.
+    perturbation, one [Phase_done] per routine and, in robust mode, one
+    [Robust_sweep] per failure sweep ([detail] = failures priced
+    infinite); every field but the timestamp is identical for every
+    [scan_jobs] value.
     @raise Invalid_argument on an out-of-range or wrong-length vector
     in [w0] ({!Dtr_routing.Weights.validate}). *)

@@ -1,4 +1,3 @@
-module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
 module Multi = Dtr_routing.Multi
@@ -53,83 +52,58 @@ let eval_state st problem w =
 
 let better a b = Multi.compare_objective (Multi.objective a) (Multi.objective b) < 0
 
-(* One local-search pass mutating [target] weight vectors (indices into
-   the per-class weights; a single shared vector passes [[|0|]] with
-   the vector aliased everywhere).  Arc ranking uses the summed
-   per-class arc costs of the mutated classes. *)
-let pass ?ht_arc ?ht_cand rng cfg problem st ~klass =
-  let w = st.current_w in
-  let m = Graph.arc_count problem.graph in
-  (* Rank directly over the incumbent's per-arc cost row — the sort
-     completes before any probe commits, so reading the live row is
-     bitwise-identical to the O(m) snapshot it replaces. *)
-  let costs = st.current.Multi.phi_per_arc.(klass) in
-  let ranking =
-    Neighborhood.rank_by_cost ~cmp:(fun x y -> Float.compare costs.(x) costs.(y)) m
-  in
-  let vectors =
-    if Prng.float rng 1.0 < cfg.Search_config.scan_probability then begin
-      let ht =
-        match ht_arc with
-        | Some t -> t
-        | None ->
-            Dtr_util.Dist.heavy_tail ~tau:cfg.Search_config.tau
-              ~n:(Array.length ranking)
-      in
-      let arc = ranking.(Dtr_util.Dist.heavy_tail_sample ht rng - 1) in
-      let acc = ref [] in
-      for v = Weights.min_weight to Weights.max_weight do
-        if v <> w.(klass).(arc) then begin
-          let w' = Array.copy w.(klass) in
-          w'.(arc) <- v;
-          acc := w' :: !acc
-        end
-      done;
-      !acc
-    end
-    else begin
-      let a, b =
-        Neighborhood.candidate_sets ?ht:ht_cand rng ~tau:cfg.Search_config.tau
-          ~m:cfg.Search_config.m_neighbors ~ranking
-      in
-      List.map
-        (fun move ->
-          let step = Prng.int_incl rng 1 cfg.Search_config.max_step in
-          Neighborhood.apply move ~step w.(klass))
-        (Neighborhood.moves rng ~a ~b)
-    end
-  in
-  (* Probe each candidate against the context; only accepted moves are
-     committed (first-improvement, exactly as the full-evaluation loop:
-     identical comparison operands, bitwise).
+(* Probe candidates — change lists against [base], class [klass]'s
+   weights when the pass began — one after another against the
+   context, committing every improvement of the running incumbent as
+   soon as it is found.  A later candidate is therefore diffed against
+   the weights the earlier commits left.  [install w] is the per-class
+   weight array after committing class [klass]'s vector [w].
 
-     This pass deliberately does NOT go through the Scan engine (and
-     stays sequential under --scan-jobs): it commits the first
-     improvement mid-scan, so each later candidate is probed against a
-     context that may already have moved.  Parallel probes of the
-     original context would score candidates against the wrong
-     incumbent — a different search trajectory, not just a different
-     schedule.  The engine only fits scans whose winner is chosen
-     after the whole neighborhood is scored (STR, FindH/FindL). *)
+   This pass deliberately does NOT go through the Scan engine (and
+   stays sequential under --scan-jobs): each later candidate is probed
+   against a context that may already have moved.  Parallel probes of
+   the original context would score candidates against the wrong
+   incumbent — a different search trajectory, not just a different
+   schedule.  The engine only fits scans whose winner is chosen after
+   the whole neighborhood is scored (STR, FindH/FindL). *)
+let first_improvements st ~klass ~base ~install candidates =
   List.iter
-    (fun w_k ->
+    (fun changes ->
       st.evaluations <- st.evaluations + 1;
-      let changes = ref [] in
-      for a = m - 1 downto 0 do
-        if st.current_w.(klass).(a) <> w_k.(a) then
-          changes := (a, w_k.(a)) :: !changes
-      done;
-      let d = Eval_ctx.probe st.ctx ~klass ~changes:!changes in
-      if Multi.compare_objective (Eval_ctx.probe_phi d) (Multi.objective st.current) < 0
+      let w = Array.copy base in
+      List.iter (fun (a, v) -> w.(a) <- v) changes;
+      let changes = Problem.weight_changes st.current_w.(klass) w in
+      let d = Eval_ctx.probe st.ctx ~klass ~changes in
+      if
+        Multi.compare_objective (Eval_ctx.probe_phi d)
+          (Multi.objective st.current)
+        < 0
       then begin
         Eval_ctx.commit st.ctx d;
-        let cand_w = Array.copy w in
-        cand_w.(klass) <- w_k;
-        st.current_w <- cand_w;
+        st.current_w <- install w;
         st.current <- Eval_ctx.to_multi st.ctx
       end
       else Eval_ctx.abort st.ctx d)
-    vectors
+    candidates
+
+(* One Algorithm-2 pass on class [klass]'s weights, ranked by its
+   per-arc cost row.  The sort completes before any probe commits, so
+   reading the live row is bitwise-identical to a snapshot. *)
+let pass samplers rng cfg problem st ~klass =
+  let w = st.current_w in
+  let costs = st.current.Multi.phi_per_arc.(klass) in
+  let ranking =
+    Neighborhood.rank_by_cost
+      ~cmp:(fun x y -> Float.compare costs.(x) costs.(y))
+      (Graph.arc_count problem.graph)
+  in
+  let install w_k =
+    let cand_w = Array.copy w in
+    cand_w.(klass) <- w_k;
+    cand_w
+  in
+  first_improvements st ~klass ~base:w.(klass) ~install
+    (Neighborhood.candidates samplers rng cfg ~ranking w.(klass))
 
 let record_best st =
   if better st.current st.best then begin
@@ -194,7 +168,6 @@ let tell trace st kind ~iteration ~detail ~before ~prev =
 let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
   let classes = Array.length problem.matrices in
-  let mid = (Weights.min_weight + Weights.max_weight) / 2 in
   let m = Graph.arc_count problem.graph in
   let w0 =
     match w0 with
@@ -206,18 +179,10 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
            table. *)
         Array.iter (Weights.validate problem.graph) w;
         copy_weights w
-    | None -> Array.init classes (fun _ -> Array.make m mid)
+    | None -> Array.init classes (fun _ -> Array.make m Weights.mid_weight)
   in
-  (* Loop-invariant heavy-tail sampler tables (deterministic in
-     (tau, n) — hoisting is bitwise-neutral). *)
-  let ht_arc = Dtr_util.Dist.heavy_tail ~tau:cfg.Search_config.tau ~n:m in
-  let ht_cand =
-    Dtr_util.Dist.heavy_tail ~tau:cfg.Search_config.tau
-      ~n:(m - min cfg.Search_config.m_neighbors m + 1)
-  in
-  let pass rng cfg problem st ~klass =
-    pass ~ht_arc ~ht_cand rng cfg problem st ~klass
-  in
+  let samplers = Neighborhood.samplers cfg m in
+  let pass rng cfg problem st ~klass = pass samplers rng cfg problem st ~klass in
   let st = init_state problem w0 in
   (* One routine per class, in priority order. *)
   for klass = 0 to classes - 1 do
@@ -281,28 +246,23 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
 let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
   let classes = Array.length problem.matrices in
-  let mid = (Weights.min_weight + Weights.max_weight) / 2 in
   let m = Graph.arc_count problem.graph in
   let shared =
     match w0 with
     | Some w ->
         Weights.validate problem.graph w;
         Array.copy w
-    | None -> Array.make m mid
+    | None -> Array.make m Weights.mid_weight
   in
-  (* All classes alias the same vector, so Multi shares one SPF. *)
+  (* All classes alias the same vector, so Multi shares one SPF, and
+     one probe on class 0 re-routes every class. *)
   let make_w shared = Array.make classes shared in
   let st = init_state problem (make_w shared) in
-  let ht_cand =
-    Dtr_util.Dist.heavy_tail ~tau:cfg.Search_config.tau
-      ~n:(m - min cfg.Search_config.m_neighbors m + 1)
-  in
+  let samplers = Neighborhood.samplers cfg m in
   let iters = (classes * cfg.Search_config.n_iters) + cfg.Search_config.k_iters in
   for iteration = 1 to iters do
     let before = Multi.objective st.current in
     let prev = st.current in
-    (* Mutate through class 0's slot; re-alias so the change applies to
-       every class. *)
     let w = st.current_w.(0) in
     let costs =
       Array.init m (fun a ->
@@ -313,33 +273,8 @@ let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
     let ranking =
       Neighborhood.rank_by_cost ~cmp:(fun x y -> Float.compare costs.(x) costs.(y)) m
     in
-    let a, b =
-      Neighborhood.candidate_sets ~ht:ht_cand rng ~tau:cfg.Search_config.tau
-        ~m:cfg.Search_config.m_neighbors ~ranking
-    in
-    List.iter
-      (fun move ->
-        let step = Prng.int_incl rng 1 cfg.Search_config.max_step in
-        let w' = Neighborhood.apply move ~step w in
-        st.evaluations <- st.evaluations + 1;
-        (* The context groups all aliased classes, so one probe on
-           class 0 re-routes every class. *)
-        let changes = ref [] in
-        for a = m - 1 downto 0 do
-          if st.current_w.(0).(a) <> w'.(a) then changes := (a, w'.(a)) :: !changes
-        done;
-        let d = Eval_ctx.probe st.ctx ~klass:0 ~changes:!changes in
-        if
-          Multi.compare_objective (Eval_ctx.probe_phi d)
-            (Multi.objective st.current)
-          < 0
-        then begin
-          Eval_ctx.commit st.ctx d;
-          st.current_w <- make_w w';
-          st.current <- Eval_ctx.to_multi st.ctx
-        end
-        else Eval_ctx.abort st.ctx d)
-      (Neighborhood.moves rng ~a ~b);
+    first_improvements st ~klass:0 ~base:w ~install:make_w
+      (Neighborhood.move_candidates samplers rng cfg ~ranking w);
     record_best st;
     tell trace st Trace.Mtr_pass ~iteration ~detail:(-1) ~before ~prev;
     if st.stall >= cfg.Search_config.diversify_after then begin

@@ -1,6 +1,5 @@
 module Prng = Dtr_util.Prng
 module Pool = Dtr_util.Pool
-module Graph = Dtr_graph.Graph
 module Lexico = Dtr_cost.Lexico
 module Weights = Dtr_routing.Weights
 
@@ -20,10 +19,6 @@ type report = {
   evaluations : int;
 }
 
-let mid_weights problem =
-  let m = Graph.arc_count problem.Problem.graph in
-  Array.make m ((Weights.min_weight + Weights.max_weight) / 2)
-
 let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
     problem =
   if restarts < 1 then invalid_arg "Multistart.run: restarts must be >= 1";
@@ -42,35 +37,37 @@ let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
     Array.init restarts (fun _ ->
         if Trace.enabled trace then Trace.ring () else Trace.disabled)
   in
-  (* A restart returns its result and its search's evaluation count. *)
+  (* A restart returns its result and its search's evaluation count.
+     Its objective is the one its search reports: J in robust mode. *)
   let run_one index =
     let rng = rngs.(index) in
     let trace = rings.(index) in
-    let solution, evaluations =
+    (* Restart 0 starts from the searches' mid-range default, every
+       other restart from weights drawn from its own stream. *)
+    let start draw = if index = 0 then None else Some (draw ()) in
+    let random () = Weights.random rng problem.Problem.graph in
+    let random_pair () =
+      let wh = random () in
+      let wl = random () in
+      (wh, wl)
+    in
+    let solution, objective, evaluations =
       match algo with
       | Str ->
-          let w0 =
-            if index = 0 then mid_weights problem
-            else Weights.random rng problem.Problem.graph
-          in
-          let r = Str_search.run ~w0 ~trace rng cfg problem in
-          (r.Str_search.best, r.Str_search.evaluations)
-      | Dtr | Anneal ->
-          let w0 =
-            if index = 0 then (mid_weights problem, mid_weights problem)
-            else
-              let wh = Weights.random rng problem.Problem.graph in
-              let wl = Weights.random rng problem.Problem.graph in
-              (wh, wl)
-          in
-          if algo = Dtr then
-            let r = Dtr_search.run ~w0 ~trace rng cfg problem in
-            (r.Dtr_search.best, r.Dtr_search.evaluations)
-          else
-            let r = Anneal_search.run ~w0 ~trace rng cfg problem in
-            (r.Anneal_search.best, r.Anneal_search.evaluations)
+          let r = Str_search.run ?w0:(start random) ~trace rng cfg problem in
+          (r.Str_search.best, r.Str_search.objective, r.Str_search.evaluations)
+      | Dtr ->
+          let w0 = start random_pair in
+          let r = Dtr_search.run ?w0 ~trace rng cfg problem in
+          (r.Dtr_search.best, r.Dtr_search.objective, r.Dtr_search.evaluations)
+      | Anneal ->
+          let w0 = start random_pair in
+          let r = Anneal_search.run ?w0 ~trace rng cfg problem in
+          ( r.Anneal_search.best,
+            r.Anneal_search.objective,
+            r.Anneal_search.evaluations )
     in
-    ({ index; objective = Problem.objective solution; solution }, evaluations)
+    ({ index; objective; solution }, evaluations)
   in
   let outcomes =
     match pool with

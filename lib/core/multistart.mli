@@ -8,6 +8,8 @@
     by exact [(objective, restart index)] order — strictly smaller
     lexicographic objective wins, ties go to the lower index.  Results
     are therefore bit-identical for every [jobs] value (including 1).
+    A restart's objective is its search report's: [J] in robust mode
+    ({!Search_config.robust}), which annealing ignores.
 
     Restart 0 starts from the canonical mid-range uniform weights (the
     same initial point the single-run searches use); restarts [>= 1]
@@ -21,6 +23,7 @@ type algo = Str | Dtr | Anneal
 type restart = {
   index : int;
   objective : Dtr_cost.Lexico.t;
+      (** the search report's objective ([J] in robust mode) *)
   solution : Problem.solution;
 }
 

@@ -61,8 +61,41 @@ let move_changes move ~step w =
       (move.down_arc, max Weights.min_weight (w.(move.down_arc) - step));
     ]
 
-let apply move ~step w =
-  if step < 1 then invalid_arg "Neighborhood.apply: step must be positive";
-  let result = Array.copy w in
-  List.iter (fun (arc, v) -> result.(arc) <- v) (move_changes move ~step w);
-  result
+type samplers = { arc : Dist.heavy_tail; window : Dist.heavy_tail }
+
+let samplers cfg n_arcs =
+  let tau = cfg.Search_config.tau in
+  {
+    arc = Dist.heavy_tail ~tau ~n:n_arcs;
+    window =
+      Dist.heavy_tail ~tau
+        ~n:(n_arcs - min cfg.Search_config.m_neighbors n_arcs + 1);
+  }
+
+(* The Fortz–Thorup move: every other value of one heavy-tail-ranked
+   arc, in descending value order. *)
+let scan_candidates samplers rng ~ranking w =
+  if Dist.heavy_tail_size samplers.arc <> Array.length ranking then
+    invalid_arg "Neighborhood.candidates: sampler size mismatch";
+  let arc = ranking.(Dist.heavy_tail_sample samplers.arc rng - 1) in
+  let acc = ref [] in
+  for v = Weights.min_weight to Weights.max_weight do
+    if v <> w.(arc) then acc := changes w [ (arc, v) ] :: !acc
+  done;
+  !acc
+
+let move_candidates samplers rng cfg ~ranking w =
+  let a, b =
+    candidate_sets ~ht:samplers.window rng ~tau:cfg.Search_config.tau
+      ~m:cfg.Search_config.m_neighbors ~ranking
+  in
+  List.map
+    (fun move ->
+      let step = Prng.int_incl rng 1 cfg.Search_config.max_step in
+      move_changes move ~step w)
+    (moves rng ~a ~b)
+
+let candidates samplers rng cfg ~ranking w =
+  if Prng.float rng 1.0 < cfg.Search_config.scan_probability then
+    scan_candidates samplers rng ~ranking w
+  else move_candidates samplers rng cfg ~ranking w

@@ -1,6 +1,9 @@
 (** The Algorithm-2 neighborhood: rank links by cost, draw the
     candidate windows with a heavy-tailed rank distribution, and build
-    [m] two-arc moves (one weight up, one weight down). *)
+    [m] two-arc moves (one weight up, one weight down) — or, with
+    probability [scan_probability], a value scan of one ranked arc.
+    DTR's FindH/FindL passes and the MTR searches draw their candidates
+    from {!candidates} and {!move_candidates}. *)
 
 type move = {
   up_arc : int;  (** arc whose weight increases (from the high-cost set A) *)
@@ -46,11 +49,40 @@ val changes : int array -> (int * int) list -> (int * int) list
     weight vector per candidate. *)
 
 val move_changes : move -> step:int -> int array -> (int * int) list
-(** The {!changes} of {!apply}: the move's clamped up and down steps
-    ([[]] when both arcs are already pinned at their bound).
+(** The {!changes} of a move: its up arc raised and its down arc
+    lowered by [step], clamped to the [\[1, 30\]] weight bounds ([[]]
+    when both arcs are already pinned at their bound).
     @raise Invalid_argument when [step < 1]. *)
 
-val apply : move -> step:int -> int array -> int array
-(** Fresh weight vector with the move applied ([step >= 1]), clamped to
-    the [\[1, 30\]] weight bounds.  Identity moves (both arcs already
-    pinned at their bound) still return a fresh copy. *)
+type samplers
+(** The heavy-tail rank tables of one search run: a pure function of
+    [(tau, m, n_arcs)], built once instead of once per pass. *)
+
+val samplers : Search_config.t -> int -> samplers
+(** [samplers cfg n_arcs]: the table over all arcs (value scans) and
+    the one over the candidate-window support (two-arc moves). *)
+
+val candidates :
+  samplers ->
+  Dtr_util.Prng.t ->
+  Search_config.t ->
+  ranking:int array ->
+  int array ->
+  (int * int) list list
+(** One Algorithm-2 neighborhood of [w] as change lists ({!changes}).
+    One coin against [scan_probability] picks the value scan of one
+    heavy-tail-ranked arc (every other value, descending) or
+    {!move_candidates}.
+    @raise Invalid_argument when [ranking] is not over the samplers'
+    arcs. *)
+
+val move_candidates :
+  samplers ->
+  Dtr_util.Prng.t ->
+  Search_config.t ->
+  ranking:int array ->
+  int array ->
+  (int * int) list list
+(** The [m_neighbors] two-arc moves of {!candidate_sets} and {!moves},
+    each with its own step drawn uniformly from [\[1, max_step\]], in
+    move order. *)

@@ -1,6 +1,5 @@
 module Prng = Dtr_util.Prng
 module Dist = Dtr_util.Dist
-module Vmemo = Dtr_util.Vmemo
 module Lexico = Dtr_cost.Lexico
 module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
@@ -100,25 +99,9 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
   let iters = match iters with Some i -> i | None -> default_iters cfg in
   if iters < 1 then invalid_arg "Str_search.run: iters must be positive";
-  let probe_trace =
-    if cfg.Search_config.trace_probes then
-      Trace.sample cfg.Search_config.trace_sample trace
-    else Trace.disabled
-  in
-  let mid = (Weights.min_weight + Weights.max_weight) / 2 in
-  let w0 =
-    match w0 with
-    | Some w ->
-        (* Out-of-range warm-start weights used to slip through to the
-           candidate-value fill below and overflow [vals] (the
-           "current value" exclusion never fired); reject them here. *)
-        Weights.validate problem.Problem.graph w;
-        w
-    | None -> Array.make (Dtr_graph.Graph.arc_count problem.Problem.graph) mid
-  in
   let track_archive = problem.Problem.model = Objective.Load in
   let archive = ref archive_empty in
-  let observe sol =
+  let observe (sol : Problem.solution) =
     if track_archive then begin
       let eval = sol.Problem.result.Objective.eval in
       archive :=
@@ -128,104 +111,10 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
     end
   in
   Scan.with_engine ~jobs:cfg.Search_config.scan_jobs problem @@ fun scan ->
-  (* Per-run memo of evaluated settings; scans consult it in candidate
-     order, so hits (and the counters below) are jobs-invariant. *)
-  let memo = Vmemo.create () in
-  (* The run counts its own evaluations: full ones and its
-     diversification deltas here, scan candidates in the engine. *)
-  let fulls = ref 0 and deltas = ref 0 in
-  let counts () =
-    let delta = !deltas + Scan.evaluations scan in
-    (!fulls + delta, !fulls, delta)
-  in
-  incr fulls;
-  let start, ctx = Problem.eval_str_ctx problem ~w:w0 in
-  let current = ref start in
-  observe !current;
-  let best = ref !current in
-  let robust = cfg.Search_config.robust in
-  (* The robust best's objective J = normal + alpha * penalty; in
-     normal mode it simply mirrors the best's normal objective, so the
-     report can read it unconditionally. *)
-  let best_j = ref (Problem.objective !best) in
-  let improvements = ref 0 in
-  let stall = ref 0 in
+  let inc = Incumbent.create ~scan ~trace cfg problem (Incumbent.Str w0) in
+  observe (Incumbent.current inc);
   let n_vals = Weights.max_weight - Weights.min_weight in
   let vals = Array.make n_vals 0 in
-  (* One iteration-level event, emitted after the acceptance decision;
-     every field but the timestamp is a pure function of the
-     trajectory (see Trace). *)
-  let tell kind ~iteration ~detail ~before ~prev =
-    if Trace.enabled trace then begin
-      let e, f, d = counts () in
-      Trace.emit trace ~kind ~iteration ~detail
-        ~accepted:(not (prev == !current))
-        ~before:(Trace.pair before)
-        ~after:(Trace.pair (Problem.objective !current))
-        ~best:(Trace.pair (Problem.objective !best))
-        ~evaluations:e ~full:f ~delta:d ~memo_hits:(Vmemo.hits memo)
-        ~memo_misses:(Vmemo.misses memo) ()
-    end
-  in
-  let tell_sweep ~iteration ~normal ~(rp : Problem.robust_price) ~accepted =
-    if Trace.enabled trace then begin
-      let e, f, d = counts () in
-      Trace.emit trace ~kind:Trace.Robust_sweep ~iteration
-        ~detail:rp.Problem.rp_infinite ~accepted ~before:(Trace.pair normal)
-        ~after:(Trace.pair rp.Problem.rp_objective) ~best:(Trace.pair !best_j)
-        ~evaluations:e ~full:f ~delta:d ~memo_hits:(Vmemo.hits memo)
-        ~memo_misses:(Vmemo.misses memo)
-        ~value:rp.Problem.rp_penalty.Dtr_cost.Lexico.primary ()
-    end
-  in
-  (* Robust-mode incumbent update.  A candidate is swept only when its
-     normal cost beats the robust best: J >= normal componentwise, so
-     nothing better can hide behind a worse normal cost, and the sweep
-     frequency decays as the robust best tightens.  [moved] skips
-     candidates the iteration left in place (their J was priced when
-     they were accepted). *)
-  let consider_best ~iteration ~moved ~count =
-    match robust with
-    | None ->
-        if Lexico.improves (Problem.objective !current) (Problem.objective !best)
-        then begin
-          best := !current;
-          best_j := Problem.objective !best;
-          if count then incr improvements;
-          stall := 0
-        end
-        else incr stall
-    | Some r ->
-        let normal = Problem.objective !current in
-        if moved && Lexico.improves normal !best_j then begin
-          let rp =
-            Problem.robust_price problem ctx ~alpha:r.Search_config.alpha
-              ~top_k:r.Search_config.top_k ~normal
-          in
-          let improved = Lexico.improves rp.Problem.rp_objective !best_j in
-          if improved then begin
-            best := !current;
-            best_j := rp.Problem.rp_objective;
-            if count then incr improvements;
-            stall := 0
-          end
-          else incr stall;
-          tell_sweep ~iteration ~normal ~rp ~accepted:improved
-        end
-        else incr stall
-  in
-  (* Price the starting point so the robust best is comparable from
-     iteration one. *)
-  (match robust with
-  | None -> ()
-  | Some r ->
-      let normal = Problem.objective !current in
-      let rp =
-        Problem.robust_price problem ctx ~alpha:r.Search_config.alpha
-          ~top_k:r.Search_config.top_k ~normal
-      in
-      best_j := rp.Problem.rp_objective;
-      tell_sweep ~iteration:0 ~normal ~rp ~accepted:true);
   (* Loop-invariant tables: the rank sampler depends only on (tau, m)
      and the ranking cache is repaired across commits — neither is
      rebuilt per iteration. *)
@@ -239,10 +128,9 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
   while !iteration < iters && not (!iteration > 0 && should_stop ()) do
     incr iteration;
     let iteration = !iteration in
-    let arc = pick_arc rng ~rcache ~ht ctx problem in
-    let before = Problem.objective !current in
-    let prev = !current in
-    let w = !current.Problem.wh in
+    let arc = pick_arc rng ~rcache ~ht (Incumbent.ctx inc) problem in
+    let prev = Incumbent.current inc in
+    let w = prev.Problem.wh in
     (* The candidate values for this arc: every in-range weight except
        the current one, ascending — the same order the sequential scan
        visited them in. *)
@@ -254,7 +142,7 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
       end
     done;
     let summaries =
-      Scan.evaluate scan ctx ~memo ~trace:probe_trace ~cls:`H
+      Incumbent.scan inc ~cls:`H
         ~changes_of:(fun i -> [ (arc, vals.(i)) ])
         n_vals
     in
@@ -269,7 +157,8 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
                  w'))
          summaries);
     (* Replay the sequential argmin fold over the summaries (first
-       strict improvement wins — identical tie-break). *)
+       strict improvement wins — identical tie-break), then compare the
+       winner with the current point. *)
     let best_i = ref (-1) in
     Array.iteri
       (fun i (s : Scan.summary) ->
@@ -280,40 +169,28 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
       summaries;
     (if !best_i >= 0 then
        let s = summaries.(!best_i) in
-       if Lexico.improves s.Scan.objective (Problem.objective !current) then
-         current := Scan.commit scan ctx ~cls:`H ~changes:[ (arc, vals.(!best_i)) ]);
-    consider_best ~iteration ~moved:(not (prev == !current)) ~count:true;
-    tell Trace.Str_scan ~iteration ~detail:arc ~before ~prev;
-    if !stall >= cfg.Search_config.diversify_after then begin
-      let before = Problem.objective !current in
-      let w =
-        Weights.perturb rng ~fraction:cfg.Search_config.g1 !current.Problem.wh
-      in
-      let changes = Problem.weight_changes !current.Problem.wh w in
-      incr deltas;
-      let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
-      let prev = !current in
-      current := Problem.commit_delta problem ctx d;
-      observe !current;
-      (* A perturbation can land on a point better than the incumbent
-         best; it used to be silently dropped (lost if the next scan
-         moved away).  Offer it — uncounted, like Dtr_search's
-         inter-routine reconciliation — before resetting the stall.
-         When the perturbed point doesn't improve, only the stall
-         counter moves, and it is re-zeroed right after. *)
-      consider_best ~iteration ~moved:true ~count:false;
-      stall := 0;
-      tell Trace.Diversify ~iteration ~detail:(-1) ~before ~prev
+       if Lexico.improves s.Scan.objective (Problem.objective prev) then
+         Incumbent.commit inc ~cls:`H ~changes:[ (arc, vals.(!best_i)) ]);
+    Incumbent.consider inc ~iteration ~prev;
+    Incumbent.tell inc Trace.Str_scan ~iteration ~detail:arc ~prev;
+    if Incumbent.stalled inc then begin
+      let prev = Incumbent.current inc in
+      let w = Weights.perturb rng ~fraction:cfg.Search_config.g1 prev.Problem.wh in
+      Incumbent.jump inc ~cls:`H ~changes:(Problem.weight_changes prev.Problem.wh w);
+      observe (Incumbent.current inc);
+      (* A perturbation can land on a point better than the best; offer
+         it, uncounted, like DTR's hand-off. *)
+      Incumbent.offer inc ~iteration;
+      Incumbent.tell inc Trace.Diversify ~iteration ~detail:(-1) ~prev
     end
   done;
-  let evaluations, _, _ = counts () in
   {
-    best = !best;
-    objective = !best_j;
-    evaluations;
-    improvements = !improvements;
-    memo_hits = Vmemo.hits memo;
-    memo_misses = Vmemo.misses memo;
+    best = Incumbent.best inc;
+    objective = Incumbent.objective inc;
+    evaluations = Incumbent.evaluations inc;
+    improvements = Incumbent.improvements inc;
+    memo_hits = Incumbent.memo_hits inc;
+    memo_misses = Incumbent.memo_misses inc;
     archive =
       List.sort (fun a b -> Float.compare a.phi_h b.phi_h) (!archive).pts;
   }

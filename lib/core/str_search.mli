@@ -6,7 +6,9 @@
     distribution as Algorithm 2 — and scans every candidate weight
     value for it, accepting the best if it improves the lexicographic
     objective; the same stall-triggered diversification as Algorithm 1
-    applies.
+    applies.  The run's bookkeeping — best, counters, robust pricing,
+    trace events — is {!Incumbent}'s; a diversified point is offered
+    to the best, uncounted.
 
     The search also maintains a Pareto archive of evaluated
     [(Φ_H, Φ_L)] points, which implements §5.3.1's relaxation: the
@@ -49,15 +51,16 @@ val run :
   Search_config.t ->
   Problem.t ->
   report
-(** [w0] defaults to mid-range uniform weights; [iters] to
-    {!default_iters}.  [stop], polled once per iteration, ends the run
+(** [w0] defaults to uniform {!Dtr_routing.Weights.mid_weight}; [iters]
+    to {!default_iters}.  [stop], polled once per iteration, ends the run
     early when it returns [true] (the wall-clock budget hook; at least
     one iteration always runs, and a run that is never stopped is
     bit-identical to one without the callback).  With an enabled
     [trace], one [Str_scan] event is recorded per iteration ([detail] =
-    scanned arc) and one [Diversify] event per perturbation
-    ([detail] = -1); every field but the timestamp is identical for
-    every [scan_jobs] value.
+    scanned arc), one [Diversify] event per perturbation
+    ([detail] = -1) and, in robust mode, one [Robust_sweep] per failure
+    sweep ([detail] = failures priced infinite); every field but the
+    timestamp is identical for every [scan_jobs] value.
     @raise Invalid_argument on an out-of-range or wrong-length [w0]
     ({!Dtr_routing.Weights.validate}). *)
 

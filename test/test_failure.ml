@@ -425,6 +425,108 @@ let test_robust_search_jobs_invariance () =
   Alcotest.(check (array int)) "same winner wh"
     seq.Multistart.best.Problem.wh par.Multistart.best.Problem.wh
 
+let test_multistart_ranks_restarts_by_j () =
+  (* A robust restart is worth its J, not its normal cost: each
+     restart's objective is J of its solution, and the winner is the
+     exact J-argmin (lowest index on ties). *)
+  let module Multistart = Dtr_core.Multistart in
+  let problem = small_problem 2 in
+  let alpha = 0.5 in
+  List.iter
+    (fun algo ->
+      let r =
+        Multistart.run ~restarts:3 ~algo (Prng.create 4) (robust_cfg alpha)
+          problem
+      in
+      let js =
+        Array.map
+          (fun (x : Multistart.restart) ->
+            let sol = x.Multistart.solution in
+            let rp =
+              Problem.robust_price problem
+                (Problem.ctx_of_solution problem sol)
+                ~alpha ~top_k:1 ~normal:(Problem.objective sol)
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "restart %d objective is its J" x.Multistart.index)
+              0
+              (Lexico.compare x.Multistart.objective rp.Problem.rp_objective);
+            rp.Problem.rp_objective)
+          r.Multistart.restarts
+      in
+      let argmin = ref 0 in
+      Array.iteri
+        (fun i j -> if Lexico.compare j js.(!argmin) < 0 then argmin := i)
+        js;
+      Alcotest.(check int) "winner is the J-argmin" !argmin
+        r.Multistart.best_index;
+      Alcotest.(check int) "reported objective is the winner's J" 0
+        (Lexico.compare r.Multistart.objective js.(!argmin)))
+    [ Multistart.Str; Multistart.Dtr ]
+
+let test_robust_sweep_detail_counts_cuts () =
+  (* A Robust_sweep event's [detail] is the number of single-link
+     failures priced infinite.  Reachability does not depend on the
+     weights, so on a transit-stub network with cut links every sweep
+     of every search reports the same positive count: the links whose
+     failure severs positive demand, counted here from scratch. *)
+  let module Scenario = Dtr_experiments.Scenario in
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Transit_stub;
+        fraction = 0.3;
+        hp = Scenario.Random_density 0.1;
+        seed = 3;
+      }
+  in
+  let problem =
+    Scenario.problem (Scenario.scale_to_utilization inst ~target:0.6)
+      ~model:Objective.Load
+  in
+  let g = problem.Problem.graph in
+  let cuts =
+    Array.fold_left
+      (fun acc link ->
+        let reduced, _ = Ref_failure.fail_link g ~link in
+        if
+          Ref_failure.severed_pairs reduced
+            ~matrices:[| problem.Problem.th; problem.Problem.tl |]
+          > 0
+        then acc + 1
+        else acc)
+      0
+      (Graph.undirected_link_pairs g)
+  in
+  Alcotest.(check bool) "the network has cut links" true (cuts > 0);
+  let sweeps run =
+    let trace = Dtr_core.Trace.ring () in
+    run trace;
+    List.filter
+      (fun (e : Dtr_core.Trace.event) ->
+        e.Dtr_core.Trace.kind = Dtr_core.Trace.Robust_sweep)
+      (Dtr_core.Trace.events trace)
+  in
+  let cfg = robust_cfg 0.5 in
+  List.iter
+    (fun (name, events) ->
+      Alcotest.(check bool) (name ^ ": sweeps traced") true (events <> []);
+      List.iter
+        (fun (e : Dtr_core.Trace.event) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: sweep at iteration %d" name
+               e.Dtr_core.Trace.iteration)
+            cuts e.Dtr_core.Trace.detail)
+        events)
+    [
+      ( "str",
+        sweeps (fun trace ->
+            ignore (Dtr_core.Str_search.run ~trace (Prng.create 3) cfg problem)) );
+      ( "dtr",
+        sweeps (fun trace ->
+            ignore (Dtr_core.Dtr_search.run ~trace (Prng.create 3) cfg problem)) );
+    ]
+
 let () =
   Alcotest.run "failure"
     [
@@ -465,5 +567,9 @@ let () =
             test_robust_objective_decomposition;
           Alcotest.test_case "multistart jobs invariance" `Slow
             test_robust_search_jobs_invariance;
+          Alcotest.test_case "multistart ranks restarts by J" `Quick
+            test_multistart_ranks_restarts_by_j;
+          Alcotest.test_case "robust_sweep detail = cut links" `Quick
+            test_robust_sweep_detail_counts_cuts;
         ] );
     ]
