@@ -76,7 +76,7 @@ let anneal_phase inc ~detail rng cfg schedule problem ~cls ~energy =
         incr accepted;
         Incumbent.offer inc ~iteration:!step
       end
-      else Incumbent.reject inc d;
+      else Problem.abort_delta (Incumbent.ctx inc) d;
       Incumbent.tell inc Trace.Anneal_step ~iteration:!step ~detail ~prev
         ~value:!t
     done;

@@ -180,13 +180,16 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
       Incumbent.tell inc Trace.Find_h ~iteration ~detail:2 ~prev:prev_h;
       let prev_l = Incumbent.current inc in
       pass `L;
+      (* Every move leaves a fresh solution, so the iteration moved
+         off [prev_h] iff FindH or FindL moved. *)
       Incumbent.consider inc ~iteration ~prev:prev_h;
       Incumbent.tell inc Trace.Find_l ~iteration ~detail:2 ~prev:prev_l;
       if Incumbent.stalled inc then begin
         let prev = Incumbent.current inc in
         let best = Incumbent.best inc in
-        let wh = Weights.perturb rng ~fraction:cfg.Search_config.g3 best.Problem.wh in
-        let wl = Weights.perturb rng ~fraction:cfg.Search_config.g3 best.Problem.wl in
+        let fraction = cfg.Search_config.g3 in
+        let wh = Weights.perturb rng ~fraction best.Problem.wh in
+        let wl = Weights.perturb rng ~fraction best.Problem.wl in
         Incumbent.restart inc ~wh ~wl;
         Incumbent.tell inc Trace.Diversify ~iteration ~detail:2 ~prev
       end);

@@ -180,7 +180,6 @@ let probe t ~cls ~changes =
   Problem.eval_delta t.problem t.ctx ~cls ~changes
 
 let accept t d = t.current <- Problem.commit_delta t.problem t.ctx d
-let reject t d = Problem.abort_delta t.ctx d
 
 let jump t ~cls ~changes =
   accept t (probe t ~cls ~changes);

@@ -84,10 +84,8 @@ val probe : t -> cls:Problem.cls -> changes:(int * int) list -> Problem.delta
 (** One counted probe of a candidate against the context. *)
 
 val accept : t -> Problem.delta -> unit
-(** Move to a probed candidate. *)
-
-val reject : t -> Problem.delta -> unit
-(** Discard a probed candidate. *)
+(** Move to a probed candidate.  A rejected one is closed with
+    {!Problem.abort_delta} on {!ctx}. *)
 
 val jump : t -> cls:Problem.cls -> changes:(int * int) list -> unit
 (** Diversify by a committed probe (one counted probe) and reset the

@@ -182,7 +182,6 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
     | None -> Array.init classes (fun _ -> Array.make m Weights.mid_weight)
   in
   let samplers = Neighborhood.samplers cfg m in
-  let pass rng cfg problem st ~klass = pass samplers rng cfg problem st ~klass in
   let st = init_state problem w0 in
   (* One routine per class, in priority order. *)
   for klass = 0 to classes - 1 do
@@ -194,7 +193,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
     for iteration = 1 to cfg.Search_config.n_iters do
       let before = Multi.objective st.current in
       let prev = st.current in
-      pass rng cfg problem st ~klass;
+      pass samplers rng cfg problem st ~klass;
       record_best st;
       tell trace st Trace.Mtr_pass ~iteration ~detail:klass ~before ~prev;
       if st.stall >= cfg.Search_config.diversify_after then begin
@@ -223,7 +222,9 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
   for iteration = 1 to cfg.Search_config.k_iters do
     let before = Multi.objective st.current in
     let prev = st.current in
-    List.iter (fun klass -> pass rng cfg problem st ~klass) all_classes;
+    List.iter
+      (fun klass -> pass samplers rng cfg problem st ~klass)
+      all_classes;
     record_best st;
     tell trace st Trace.Mtr_pass ~iteration ~detail:classes ~before ~prev;
     if st.stall >= cfg.Search_config.diversify_after then begin

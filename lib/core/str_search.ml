@@ -101,7 +101,7 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
   if iters < 1 then invalid_arg "Str_search.run: iters must be positive";
   let track_archive = problem.Problem.model = Objective.Load in
   let archive = ref archive_empty in
-  let observe (sol : Problem.solution) =
+  let observe sol =
     if track_archive then begin
       let eval = sol.Problem.result.Objective.eval in
       archive :=
@@ -175,8 +175,9 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
     Incumbent.tell inc Trace.Str_scan ~iteration ~detail:arc ~prev;
     if Incumbent.stalled inc then begin
       let prev = Incumbent.current inc in
-      let w = Weights.perturb rng ~fraction:cfg.Search_config.g1 prev.Problem.wh in
-      Incumbent.jump inc ~cls:`H ~changes:(Problem.weight_changes prev.Problem.wh w);
+      let w = prev.Problem.wh in
+      let w' = Weights.perturb rng ~fraction:cfg.Search_config.g1 w in
+      Incumbent.jump inc ~cls:`H ~changes:(Problem.weight_changes w w');
       observe (Incumbent.current inc);
       (* A perturbation can land on a point better than the best; offer
          it, uncounted, like DTR's hand-off. *)
