@@ -14,6 +14,7 @@
 
 open Cmdliner
 
+module Json = Dtr_util.Json
 module Scenario = Dtr_experiments.Scenario
 module Objective = Dtr_routing.Objective
 module Problem = Dtr_core.Problem
@@ -177,8 +178,7 @@ let with_trace_sample preset = function
       }
 
 (* Machine-readable rendering of the report tables: title, columns and
-   rows verbatim.  OCaml's %S escaping is JSON-compatible for the
-   ASCII cell content the tables produce. *)
+   rows verbatim, each a JSON string. *)
 let tables_json tables =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\"tables\": [";
@@ -186,16 +186,16 @@ let tables_json tables =
     (fun i t ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "{\"title\": %S, \"columns\": [%s], \"rows\": ["
-           (Dtr_util.Table.title t)
+        (Printf.sprintf "{\"title\": %s, \"columns\": [%s], \"rows\": ["
+           (Json.quote (Dtr_util.Table.title t))
            (String.concat ", "
-              (List.map (Printf.sprintf "%S") (Dtr_util.Table.columns t))));
+              (List.map Json.quote (Dtr_util.Table.columns t))));
       List.iteri
         (fun j row ->
           if j > 0 then Buffer.add_string b ", ";
           Buffer.add_string b
             (Printf.sprintf "[%s]"
-               (String.concat ", " (List.map (Printf.sprintf "%S") row))))
+               (String.concat ", " (List.map Json.quote row))))
         (Dtr_util.Table.rows t);
       Buffer.add_string b "]}")
     tables;

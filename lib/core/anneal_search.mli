@@ -46,8 +46,8 @@ val run :
   report
 (** [w0] defaults to uniform {!Dtr_routing.Weights.mid_weight} for both
     classes.  The [Search_config] supplies the neighborhood parameters
-    ([m_neighbors] is unused — annealing proposes one move at a time —
-    but [tau] and [max_step] apply).  With an enabled [trace], one
+    [tau] and [max_step] (annealing proposes one move at a time, so
+    {!Search_config.m} does not apply).  With an enabled [trace], one
     [Anneal_step] event is recorded per Metropolis proposal
     ([detail] = phase 0/1, [value] = temperature) plus a [Phase_done]
     per phase; annealing is sequential, so the trace is trivially

@@ -23,8 +23,8 @@ type report = {
    lists, ranked from the context's cost rows (Problem.ctx_arc_cmp_h/_l:
    the paper's per-link lexicographic costs) without allocating m cost
    records per pass.  With [rcache], the ranking is a cached sorted
-   permutation repaired from the arcs the last commits touched
-   (Ranking.arcs — bitwise the full sort). *)
+   permutation repaired from the arcs whose cost entries moved since
+   its last sort (Ranking.arcs — bitwise the full sort). *)
 let neighborhood ?rcache samplers rng cfg problem ctx (sol : Problem.solution)
     ~cls =
   let cmp, w =
@@ -79,7 +79,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
   (* Loop-invariant heavy-tail tables and one ranking cache per cost
      ordering: FindH ranks by Φ_H rows, FindL by Φ_L rows, and each
-     repairs against the same context's commit log independently. *)
+     repairs against the context's rows independently. *)
   let samplers =
     Neighborhood.samplers cfg (Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
@@ -144,8 +144,8 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   let routine cls =
     let phase, kind, detail, fraction =
       match cls with
-      | `H -> (Optimize_h, Trace.Find_h, 0, cfg.Search_config.g1)
-      | `L -> (Optimize_l, Trace.Find_l, 1, cfg.Search_config.g2)
+      | `H -> (Optimize_h, Trace.Find_h, 0, Search_config.g1)
+      | `L -> (Optimize_l, Trace.Find_l, 1, Search_config.g2)
     in
     iterate ~iterations:cfg.Search_config.n_iters phase (fun iteration ->
         let prev = Incumbent.current inc in
@@ -187,7 +187,7 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
       if Incumbent.stalled inc then begin
         let prev = Incumbent.current inc in
         let best = Incumbent.best inc in
-        let fraction = cfg.Search_config.g3 in
+        let fraction = Search_config.g3 in
         let wh = Weights.perturb rng ~fraction best.Problem.wh in
         let wl = Weights.perturb rng ~fraction best.Problem.wl in
         Incumbent.restart inc ~wh ~wl;

@@ -8,6 +8,7 @@
    manifests. *)
 
 module Vhash = Dtr_util.Vhash
+module Json = Dtr_util.Json
 module Graph = Dtr_graph.Graph
 
 let version = "1.0.0"
@@ -69,9 +70,8 @@ let config_json (c : Search_config.t) =
           r.Search_config.top_k
   in
   Printf.sprintf
-    "{\"n_iters\":%d,\"k_iters\":%d,\"m_neighbors\":%d,\"diversify_after\":%d,\"g1\":%s,\"g2\":%s,\"g3\":%s,\"tau\":%s,\"max_step\":%d,\"scan_probability\":%s,\"scan_jobs\":%d,\"trace_probes\":%b,\"trace_sample\":%d,\"robust\":%s}"
-    c.n_iters c.k_iters c.m_neighbors c.diversify_after (float_str c.g1)
-    (float_str c.g2) (float_str c.g3) (float_str c.tau) c.max_step
+    "{\"n_iters\":%d,\"k_iters\":%d,\"diversify_after\":%d,\"tau\":%s,\"max_step\":%d,\"scan_probability\":%s,\"scan_jobs\":%d,\"trace_probes\":%b,\"trace_sample\":%d,\"robust\":%s}"
+    c.n_iters c.k_iters c.diversify_after (float_str c.tau) c.max_step
     (float_str c.scan_probability) c.scan_jobs c.trace_probes
     c.trace_sample robust
 
@@ -79,30 +79,29 @@ let to_json ?seed ?jobs ?restarts ?model ?topology ?config ?graph () =
   let b = Buffer.create 256 in
   let field name value =
     if Buffer.length b > 1 then Buffer.add_char b ',';
-    Buffer.add_string b (Printf.sprintf "%S:" name);
+    Buffer.add_string b (Json.quote name);
+    Buffer.add_char b ':';
     Buffer.add_string b value
   in
   Buffer.add_char b '{';
   field "tool" "\"dtr\"";
-  field "version" (Printf.sprintf "%S" version);
-  field "git_rev" (Printf.sprintf "%S" (git_rev ()));
-  field "ocaml" (Printf.sprintf "%S" Sys.ocaml_version);
-  field "os_type" (Printf.sprintf "%S" Sys.os_type);
+  field "version" (Json.quote version);
+  field "git_rev" (Json.quote (git_rev ()));
+  field "ocaml" (Json.quote Sys.ocaml_version);
+  field "os_type" (Json.quote Sys.os_type);
   field "cores" (string_of_int (Domain.recommended_domain_count ()));
   (match seed with Some s -> field "seed" (string_of_int s) | None -> ());
   (match jobs with Some j -> field "jobs" (string_of_int j) | None -> ());
   (match restarts with
   | Some r -> field "restarts" (string_of_int r)
   | None -> ());
-  (match model with Some m -> field "model" (Printf.sprintf "%S" m) | None -> ());
-  (match topology with
-  | Some t -> field "topology" (Printf.sprintf "%S" t)
-  | None -> ());
+  (match model with Some m -> field "model" (Json.quote m) | None -> ());
+  (match topology with Some t -> field "topology" (Json.quote t) | None -> ());
   (match graph with
   | Some g ->
       field "nodes" (string_of_int (Graph.node_count g));
       field "arcs" (string_of_int (Graph.arc_count g));
-      field "topology_digest" (Printf.sprintf "%S" (topology_digest g))
+      field "topology_digest" (Json.quote (topology_digest g))
   | None -> ());
   (match config with Some c -> field "config" (config_json c) | None -> ());
   Buffer.add_char b '}';

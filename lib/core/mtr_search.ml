@@ -199,7 +199,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
       if st.stall >= cfg.Search_config.diversify_after then begin
         let before = Multi.objective st.current in
         let prev = st.current in
-        diversify rng problem st ~fraction:cfg.Search_config.g1
+        diversify rng problem st ~fraction:Search_config.g1
           ~classes:[ klass ];
         tell trace st Trace.Diversify ~iteration ~detail:klass ~before ~prev
       end
@@ -232,7 +232,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
       let prev = st.current in
       st.current_w <- copy_weights st.best_w;
       st.current <- st.best;
-      diversify rng problem st ~fraction:cfg.Search_config.g3
+      diversify rng problem st ~fraction:Search_config.g3
         ~classes:all_classes;
       tell trace st Trace.Diversify ~iteration ~detail:classes ~before ~prev
     end
@@ -281,7 +281,7 @@ let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
     if st.stall >= cfg.Search_config.diversify_after then begin
       let before = Multi.objective st.current in
       let prev = st.current in
-      let w' = Weights.perturb rng ~fraction:cfg.Search_config.g1 st.current_w.(0) in
+      let w' = Weights.perturb rng ~fraction:Search_config.g1 st.current_w.(0) in
       st.current_w <- make_w w';
       st.current <- eval_state st problem st.current_w;
       st.stall <- 0;

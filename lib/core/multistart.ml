@@ -19,8 +19,7 @@ type report = {
   evaluations : int;
 }
 
-let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
-    problem =
+let run ?pool ?(trace = Trace.disabled) ~restarts ~algo rng cfg problem =
   if restarts < 1 then invalid_arg "Multistart.run: restarts must be >= 1";
   Search_config.validate cfg;
   (* All per-restart streams are split off the master before dispatch,
@@ -72,7 +71,7 @@ let run ?pool ?(jobs = 1) ?(trace = Trace.disabled) ~restarts ~algo rng cfg
   let outcomes =
     match pool with
     | Some p -> Pool.map p restarts ~f:run_one
-    | None -> Pool.run ~jobs restarts ~f:run_one
+    | None -> Pool.run ~jobs:1 restarts ~f:run_one
   in
   let restart_results = Array.map fst outcomes in
   (if Trace.enabled trace then

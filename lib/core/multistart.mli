@@ -7,7 +7,8 @@
     any work is dispatched, in restart order, and the winner is chosen
     by exact [(objective, restart index)] order — strictly smaller
     lexicographic objective wins, ties go to the lower index.  Results
-    are therefore bit-identical for every [jobs] value (including 1).
+    are therefore bit-identical for every pool width (and without a
+    pool).
     A restart's objective is its search report's: [J] in robust mode
     ({!Search_config.robust}), which annealing ignores.
 
@@ -34,12 +35,12 @@ type report = {
   restarts : restart array;  (** every restart, in index order *)
   evaluations : int;
       (** total objective evaluations across all restarts: the sum of
-          their search reports' counts, identical for every [jobs] *)
+          their search reports' counts, identical for every pool
+          width *)
 }
 
 val run :
   ?pool:Dtr_util.Pool.t ->
-  ?jobs:int ->
   ?trace:Trace.t ->
   restarts:int ->
   algo:algo ->
@@ -48,14 +49,14 @@ val run :
   Problem.t ->
   report
 (** [run ~restarts ~algo rng cfg problem] runs the restarts on [pool]
-    if given, else on a temporary pool of [jobs] workers (default 1 =
-    sequential, no domain spawned).  [rng] is advanced by [restarts]
-    splits.  @raise Invalid_argument if [restarts < 1].
+    if given, else sequentially on the calling domain.  [rng] is
+    advanced by [restarts] splits.
+    @raise Invalid_argument if [restarts < 1].
 
     With an enabled [trace], each restart records its search events
     into a private ring on whichever worker runs it; the rings are
     replayed into [trace] in restart-index order after the joins, with
     the [restart] field set, followed by one [Restart_done] event per
     restart ([accepted] = improved on all lower indices).  Every field
-    but the timestamps is therefore identical for every [jobs]
-    value. *)
+    but the timestamps is therefore identical for every pool
+    width. *)

@@ -69,7 +69,7 @@ let samplers cfg n_arcs =
     arc = Dist.heavy_tail ~tau ~n:n_arcs;
     window =
       Dist.heavy_tail ~tau
-        ~n:(n_arcs - min cfg.Search_config.m_neighbors n_arcs + 1);
+        ~n:(n_arcs - min Search_config.m n_arcs + 1);
   }
 
 (* The Fortz–Thorup move: every other value of one heavy-tail-ranked
@@ -87,7 +87,7 @@ let scan_candidates samplers rng ~ranking w =
 let move_candidates samplers rng cfg ~ranking w =
   let a, b =
     candidate_sets ~ht:samplers.window rng ~tau:cfg.Search_config.tau
-      ~m:cfg.Search_config.m_neighbors ~ranking
+      ~m:Search_config.m ~ranking
   in
   List.map
     (fun move ->

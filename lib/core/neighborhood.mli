@@ -83,6 +83,6 @@ val move_candidates :
   ranking:int array ->
   int array ->
   (int * int) list list
-(** The [m_neighbors] two-arc moves of {!candidate_sets} and {!moves},
+(** The {!Search_config.m} two-arc moves of {!candidate_sets} and {!moves},
     each with its own step drawn uniformly from [\[1, max_step\]], in
     move order. *)

@@ -59,22 +59,22 @@ let m_delta =
 (* A context's current state as a solution.  O(arcs): the solution
    snapshots the context's arrays, which later commits replace rather
    than mutate.  [sla] is the state's Λ costing when already known. *)
-let materialize t ec ~str ~sla =
+let materialize t ec ~sla =
   let wh = Eval_ctx.weights ec 0 in
-  let wl = if str then wh else Eval_ctx.weights ec 1 in
+  let wl = if Eval_ctx.shares_group ec 0 1 then wh else Eval_ctx.weights ec 1 in
   let ev = Eval_ctx.to_evaluate ec in
   { wh; wl; result = Objective.of_eval t.model ev ~th:t.th ?sla () }
 
 (* A from-scratch evaluation hands over the context it built, so a
    search starts probing on it instead of rebuilding one from the
    solution. *)
-let evaluate t ~str ~weights =
+let evaluate t ~weights =
   Metrics.incr_counter m_full;
   let ec =
     Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights
       ~matrices:[| t.th; t.tl |]
   in
-  (materialize t ec ~str ~sla:None, ec)
+  (materialize t ec ~sla:None, ec)
 
 let is_str s = s.wh == s.wl
 
@@ -84,18 +84,10 @@ module Vhash = Dtr_util.Vhash
 
 type ctx = {
   ec : Eval_ctx.t;
-  c_str : bool;
   mutable c_sla : Evaluate.sla option;
       (* delay/penalty evaluation of the context's current high-priority
          routing; a commit that moves W_H drops it, and the
          materialization after the commit recomputes it *)
-  mutable c_version : int;  (* bumps on every commit *)
-  mutable c_log : (int * int array) list;
-      (* newest-first (version, arcs whose per-arc rows that commit
-         moved); bounded, so a reader lagging past it recomputes *)
-  mutable c_key : int option;
-      (* Zobrist base key of the current weight vectors (both classes),
-         shifted per change on commits; None until first demanded *)
 }
 
 let ec_of_solution t s =
@@ -105,15 +97,7 @@ let ec_of_solution t s =
   Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
     ~matrices:[| t.th; t.tl |]
 
-let ctx_of_ec ec s =
-  {
-    ec;
-    c_str = is_str s;
-    c_sla = s.result.Objective.sla;
-    c_version = 0;
-    c_log = [];
-    c_key = None;
-  }
+let ctx_of_ec ec s = { ec; c_sla = s.result.Objective.sla }
 
 let ctx_of_solution t s = ctx_of_ec (ec_of_solution t s) s
 
@@ -121,18 +105,18 @@ let ctx_of_solution t s = ctx_of_ec (ec_of_solution t s) s
    keeps two even when the caller passes one array twice. *)
 let eval_dtr_ctx t ~wh ~wl =
   let wl = if wl == wh then Array.copy wl else wl in
-  let s, ec = evaluate t ~str:false ~weights:[| wh; wl |] in
+  let s, ec = evaluate t ~weights:[| wh; wl |] in
   (s, ctx_of_ec ec s)
 
 let eval_str_ctx t ~w =
-  let s, ec = evaluate t ~str:true ~weights:[| w; w |] in
+  let s, ec = evaluate t ~weights:[| w; w |] in
   (s, ctx_of_ec ec s)
 
 let eval_dtr t ~wh ~wl = fst (eval_dtr_ctx t ~wh ~wl)
 
 let eval_str t ~w = fst (eval_str_ctx t ~w)
 
-let ctx_is_str ctx = ctx.c_str
+let ctx_is_str ctx = Eval_ctx.shares_group ctx.ec 0 1
 
 let ctx_weights ctx cls =
   Eval_ctx.weights ctx.ec (match cls with `H -> 0 | `L -> 1)
@@ -140,56 +124,20 @@ let ctx_weights ctx cls =
 let ctx_weights_view ctx cls =
   Eval_ctx.weights_view ctx.ec (match cls with `H -> 0 | `L -> 1)
 
-let ctx_version ctx = ctx.c_version
+let ctx_cost_rows ctx =
+  (Eval_ctx.phi_per_arc ctx.ec 0, Eval_ctx.phi_per_arc ctx.ec 1)
 
-(* Commits a reader may lag behind before incremental repair stops
-   paying for itself; past this the log is dropped from the tail and
-   stale readers recompute from scratch. *)
-let log_bound = 32
-
-let ctx_changes_since ctx ~since =
-  if since > ctx.c_version then None
-  else
-    let rec go acc expect log =
-      if expect = since then Some (Array.of_list acc)
-      else
-        match log with
-        | [] -> None
-        | (v, arcs) :: rest ->
-            if v <> expect then None
-            else
-              go
-                (Array.fold_left (fun acc a -> a :: acc) acc arcs)
-                (expect - 1) rest
-    in
-    go [] ctx.c_version ctx.c_log
-
-(* Same construction as Scan's former per-scan rehash: XOR of both
-   class vectors, each hashed under its own cls tag (for STR both
+(* Both class vectors, each hashed under its own cls tag (for STR both
    classes view one vector, hashed twice under cls 0 and 1). *)
-let compute_base_key ctx =
-  let wh = Eval_ctx.weights_view ctx.ec 0 in
-  let wl = Eval_ctx.weights_view ctx.ec 1 in
-  Vhash.vector ~cls:0 wh lxor Vhash.vector ~cls:1 wl
-
 let ctx_base_key ctx =
-  match ctx.c_key with
-  | Some k -> k
-  | None ->
-      let k = compute_base_key ctx in
-      ctx.c_key <- Some k;
-      k
+  Vhash.vector ~cls:0 (Eval_ctx.weights_view ctx.ec 0)
+  lxor Vhash.vector ~cls:1 (Eval_ctx.weights_view ctx.ec 1)
 
 let clone_ctx _t ctx = { ctx with ec = Eval_ctx.clone ctx.ec }
 
 let sync_ctx ~src ~dst =
-  if src.c_str <> dst.c_str then
-    invalid_arg "Problem.sync_ctx: class-sharing mismatch";
   Eval_ctx.sync ~src:src.ec ~dst:dst.ec;
-  dst.c_sla <- src.c_sla;
-  dst.c_version <- src.c_version;
-  dst.c_log <- src.c_log;
-  dst.c_key <- src.c_key
+  dst.c_sla <- src.c_sla
 
 let ctx_sla params t ctx =
   match ctx.c_sla with
@@ -207,7 +155,7 @@ let ctx_solution t ctx =
     | Objective.Load -> None
     | Objective.Sla params -> Some (ctx_sla params t ctx)
   in
-  materialize t ctx.ec ~str:ctx.c_str ~sla
+  materialize t ctx.ec ~sla
 
 let weight_changes base w' =
   if Array.length base <> Array.length w' then
@@ -219,8 +167,6 @@ let weight_changes base w' =
   !acc
 
 type delta = {
-  d_cls : cls;
-  d_changes : (int * int) list;  (* the candidate's (arc, weight) changes *)
   d_probe : Eval_ctx.probe;
   d_moves_sla : bool;
       (* the candidate moves W_H under the SLA model, so committing it
@@ -244,7 +190,7 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
   let d_moves_sla, primary =
     match t.model with
     | Objective.Load -> (false, phi.(0))
-    | Objective.Sla params when ctx.c_str || cls = `H ->
+    | Objective.Sla params when ctx_is_str ctx || cls = `H ->
         (* The candidate moves the H routing, so every H path delay may
            move: walk the probe's own DAGs under its own Φ_H row, in
            the context's SLA scratch (Λ only; a commit recomputes the
@@ -259,8 +205,6 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
         (false, (ctx_sla params t ctx).Evaluate.lambda)
   in
   {
-    d_cls = cls;
-    d_changes = changes;
     d_probe = p;
     d_moves_sla;
     d_objective = Lexico.make ~primary ~secondary:phi.(1);
@@ -292,52 +236,8 @@ let ctx_arc_cmp_l _t ctx =
   let phi_l = Eval_ctx.phi_per_arc ctx.ec 1 in
   fun a b -> Float.compare phi_l.(a) phi_l.(b)
 
-(* The cached base key shifted across a probe commit.  Must be taken
-   before the weights move: before-values come from the live views.  A
-   change list may revisit an arc, so earlier entries shadow the
-   view. *)
-let shifted_key ctx ~cls ~changes =
-  match ctx.c_key with
-  | None -> None
-  | Some k ->
-      let view = ctx_weights_view ctx cls in
-      let k = ref k in
-      let applied = ref [] in
-      List.iter
-        (fun (arc, v) ->
-          let before =
-            match List.assoc_opt arc !applied with
-            | Some b -> b
-            | None -> view.(arc)
-          in
-          if before <> v then
-            if ctx.c_str then begin
-              k := Vhash.shift !k ~cls:0 ~arc ~before ~after:v;
-              k := Vhash.shift !k ~cls:1 ~arc ~before ~after:v
-            end
-            else begin
-              let ci = match cls with `H -> 0 | `L -> 1 in
-              k := Vhash.shift !k ~cls:ci ~arc ~before ~after:v
-            end;
-          applied := (arc, v) :: !applied)
-        changes;
-      Some !k
-
-let trim_log log =
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | e :: rest -> e :: take (n - 1) rest
-  in
-  take log_bound log
-
 let commit_delta t ctx d =
-  let key = shifted_key ctx ~cls:d.d_cls ~changes:d.d_changes in
   Eval_ctx.commit ctx.ec d.d_probe;
-  ctx.c_key <- key;
-  let touched = Array.of_list (Eval_ctx.probe_touched d.d_probe) in
-  ctx.c_version <- ctx.c_version + 1;
-  ctx.c_log <- trim_log ((ctx.c_version, touched) :: ctx.c_log);
   if d.d_moves_sla then ctx.c_sla <- None;
   ctx_solution t ctx
 

@@ -103,29 +103,21 @@ val ctx_weights_view : ctx -> cls -> int array
     array, so a held view is a stable snapshot — but callers must
     never mutate it. *)
 
-val ctx_version : ctx -> int
-(** Commit counter: bumps by one on every {!commit_delta}.  Keys the
-    incremental caches below. *)
-
-val ctx_changes_since : ctx -> since:int -> int array option
-(** Arcs whose per-arc rows (loads, residual capacities, Fortz costs)
-    moved in the commits after version [since]: [Some [||]] when the
-    context is still at [since], [Some arcs] (possibly with
-    duplicates across commits) when the bounded commit log covers the
-    whole range, [None] when it does not — the reader lags more than
-    the log holds — and the caller must recompute from scratch.  Rankings sorted by
-    {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l} can be repaired from exactly
-    this set: untouched arcs' cost rows are unchanged, so their
-    relative order is preserved. *)
+val ctx_cost_rows : ctx -> float array * float array
+(** The context's per-arc Fortz cost rows [(Φ_H, Φ_L)]
+    ({!Dtr_routing.Eval_ctx.phi_per_arc}), shared, never to be
+    mutated.  Commits replace a row rather than mutate it, so a held
+    pair is a stable snapshot: an arc whose two entries equal the
+    snapshot's bitwise keeps its {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l}
+    order against every other such arc, which is what {!Ranking}
+    repairs its cached order from. *)
 
 val ctx_base_key : ctx -> int
 (** Zobrist base key of the context's current weight vectors:
     [Vhash.vector ~cls:0] of {!ctx_weights_view} [`H] XOR
-    [Vhash.vector ~cls:1] of {!ctx_weights_view} [`L] — the
-    construction {!Scan.candidate_keys} shifts candidates from.
-    Computed O(arcs) on first demand, then maintained by two
-    {!Dtr_util.Vhash.shift}s per changed arc across probe commits;
-    always equal to that recomputation. *)
+    [Vhash.vector ~cls:1] of {!ctx_weights_view} [`L] — the key
+    {!Scan.evaluate} shifts its memo keys from.  Rehashed on every call
+    (O(arcs), once per scan). *)
 
 val clone_ctx : t -> ctx -> ctx
 (** A context evaluating identically to [ctx] but owning its mutable
@@ -182,9 +174,9 @@ val delta_phi_l : delta -> float
 
 val commit_delta : t -> ctx -> delta -> solution
 (** Install a candidate and return it as a full solution
-    ({!ctx_solution}).  The context advances by one version and logs
-    the arcs the probe touched; it is never rebuilt.  Only deltas
-    evaluated against the context's current state may be committed.
+    ({!ctx_solution}).  The context advances; it is never rebuilt.
+    Only deltas evaluated against the context's current state may be
+    committed.
     @raise Invalid_argument on a stale delta. *)
 
 val abort_delta : ctx -> delta -> unit

@@ -542,8 +542,8 @@ let to_json t =
     (fun i (kind, n, acc) ->
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
-        (Printf.sprintf "{\"kind\": %S, \"events\": %d, \"accepted\": %d}"
-           (Trace.kind_name kind) n acc))
+        (Printf.sprintf "{\"kind\": %s, \"events\": %d, \"accepted\": %d}"
+           (Json.quote (Trace.kind_name kind)) n acc))
     (kind_counts t);
   Buffer.add_string b "]";
   Buffer.add_string b ",\n  \"phases\": [";
@@ -552,11 +552,11 @@ let to_json t =
       if i > 0 then Buffer.add_string b ", ";
       Buffer.add_string b
         (Printf.sprintf
-           "{\"restart\": %d, \"label\": %S, \"moves\": %d, \"accepted\": %d, \
+           "{\"restart\": %d, \"label\": %s, \"moves\": %d, \"accepted\": %d, \
             \"probes\": %d, \"memo_probes\": %d, \"diversify\": %d, \
             \"evaluations\": %d, \"memo_hits\": %d, \"memo_misses\": %d, \
             \"wall_us\": %s, \"best\": %s}"
-           p.p_restart p.p_label p.p_moves p.p_accepted p.p_probes
+           p.p_restart (Json.quote p.p_label) p.p_moves p.p_accepted p.p_probes
            p.p_memo_probes p.p_diversify p.p_evaluations p.p_memo_hits
            p.p_memo_misses (float_str p.p_wall_us) (json_vec p.p_best)))
     (phases t);
@@ -589,7 +589,8 @@ let to_json t =
         (fun i (path, calls, seconds) ->
           if i > 0 then Buffer.add_string b ", ";
           Buffer.add_string b
-            (Printf.sprintf "%S: {\"calls\": %d, \"seconds\": %s}" path calls
+            (Printf.sprintf "%s: {\"calls\": %d, \"seconds\": %s}"
+               (Json.quote path) calls
                (float_str seconds)))
         rows;
       Buffer.add_string b "}");

@@ -64,10 +64,8 @@ let with_engine ~jobs problem f =
    bitwise-identical to full evaluations, PR 1), so a FindH candidate
    and a FindL candidate reaching the same pair may share an entry.
    For an STR context one change moves both aliased vectors, hence
-   both cell sets shift.  The base key is the context's cached one,
-   maintained by two shifts per changed arc across probe commits
-   (Problem.ctx_base_key) — identical to a from-scratch rehash of both
-   vectors, which the tests recompute with Vhash.vector. *)
+   both cell sets shift.  The base key is a rehash of both vectors
+   (Problem.ctx_base_key), once per scan. *)
 let candidate_keys ctx ~cls ~changes_of n =
   let str = Problem.ctx_is_str ctx in
   let wh = Problem.ctx_weights_view ctx `H in

@@ -4,14 +4,20 @@
    (Failure_sweep.penalty).  top_k = 1 is the pure worst case. *)
 type robust = { alpha : float; top_k : int }
 
+(* The paper's neighborhood size and perturbation fractions (§5.1.3),
+   shared by every preset. *)
+let m = 5
+
+let g1 = 0.05
+
+let g2 = 0.05
+
+let g3 = 0.03
+
 type t = {
   n_iters : int;
   k_iters : int;
-  m_neighbors : int;
   diversify_after : int;
-  g1 : float;
-  g2 : float;
-  g3 : float;
   tau : float;
   max_step : int;
   scan_probability : float;
@@ -25,11 +31,7 @@ let paper =
   {
     n_iters = 300_000;
     k_iters = 800_000;
-    m_neighbors = 5;
     diversify_after = 300;
-    g1 = 0.05;
-    g2 = 0.05;
-    g3 = 0.03;
     tau = 1.5;
     max_step = 5;
     scan_probability = 0.;
@@ -70,18 +72,12 @@ let scale t factor =
 let validate t =
   if t.n_iters < 1 then invalid_arg "Search_config: n_iters must be positive";
   if t.k_iters < 0 then invalid_arg "Search_config: k_iters must be non-negative";
-  if t.m_neighbors < 1 then invalid_arg "Search_config: m_neighbors must be positive";
   if t.diversify_after < 1 then
     invalid_arg "Search_config: diversify_after must be positive";
-  let frac name x =
-    if x < 0. || x > 1. then invalid_arg ("Search_config: " ^ name ^ " out of [0,1]")
-  in
-  frac "g1" t.g1;
-  frac "g2" t.g2;
-  frac "g3" t.g3;
   if t.tau < 0. then invalid_arg "Search_config: tau must be non-negative";
   if t.max_step < 1 then invalid_arg "Search_config: max_step must be positive";
-  frac "scan_probability" t.scan_probability;
+  if t.scan_probability < 0. || t.scan_probability > 1. then
+    invalid_arg "Search_config: scan_probability out of [0,1]";
   if t.scan_jobs < 1 then invalid_arg "Search_config: scan_jobs must be positive";
   if t.trace_sample < 1 then
     invalid_arg "Search_config: trace_sample must be positive";

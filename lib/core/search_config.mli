@@ -17,15 +17,23 @@ type robust = {
 }
 (** Failure-robust search mode (CLI [--robust single-link]). *)
 
+val m : int
+(** [m]: neighbors evaluated per iteration (paper: 5). *)
+
+val g1 : float
+(** Fraction of [W_H] weights perturbed in routine 1 (paper: 5%). *)
+
+val g2 : float
+(** Fraction of [W_L] weights perturbed in routine 2 (paper: 5%). *)
+
+val g3 : float
+(** Fraction of both vectors perturbed in routine 3 (paper: 3%). *)
+
 type t = {
   n_iters : int;  (** [N]: iterations of routines 1 and 2 each *)
   k_iters : int;  (** [K]: iterations of the refinement routine *)
-  m_neighbors : int;  (** [m]: neighbors evaluated per iteration; paper 5 *)
   diversify_after : int;
       (** [M]: iterations without improvement before perturbing *)
-  g1 : float;  (** fraction of [W_H] weights perturbed in routine 1; paper 5% *)
-  g2 : float;  (** fraction of [W_L] weights perturbed in routine 2; paper 5% *)
-  g3 : float;  (** fraction of both perturbed in routine 3; paper 3% *)
   tau : float;  (** heavy-tail exponent of the rank distribution; paper 1.5 *)
   max_step : int;
       (** upper bound of the (uniform) random magnitude of a single
@@ -45,7 +53,7 @@ type t = {
       (** when a {!Trace} sink is active, also record one [Probe]
           event per scan candidate (re-emitted in candidate order, so
           still jobs-invariant).  Probes dominate trace volume —
-          roughly [m_neighbors] (or 29, on a value scan) events per
+          roughly {!m} (or 29, on a value scan) events per
           iteration — so long runs may want them off.  Ignored (zero
           cost) when tracing is disabled.  Default [true]. *)
   trace_sample : int;
@@ -84,4 +92,4 @@ val scale : t -> float -> t
 
 val validate : t -> unit
 (** @raise Invalid_argument on nonsensical settings (non-positive
-    budgets, fractions outside [0,1], [m_neighbors < 1], ...). *)
+    budgets, a probability outside [0,1], ...). *)

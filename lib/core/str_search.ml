@@ -26,7 +26,7 @@ let default_iters cfg =
      which makes the reported STR/DTR gaps conservative. *)
   let dtr_evals =
     ((2 * cfg.Search_config.n_iters) + cfg.Search_config.k_iters)
-    * cfg.Search_config.m_neighbors
+    * Search_config.m
   in
   let scan = Weights.max_weight - Weights.min_weight in
   max 1 (2 * dtr_evals / scan)
@@ -82,7 +82,7 @@ let archive_insert ar ~phi_h ~phi_l ~w =
    (Problem.ctx_arc_cmp_h) instead of materializing m Lexico records
    from the solution every iteration; the ordering is identical.  The
    ranking itself comes from the [Ranking] cache — repaired from the
-   arcs the commits since the last call actually moved, instead of a
+   arcs whose cost entries moved since the last call, instead of a
    full O(m log m) re-sort — and [ht] is the heavy-tail table over all
    m arcs, hoisted out of the loop (it depends only on (tau, m)). *)
 let pick_arc rng ~rcache ~ht ctx problem =
@@ -176,7 +176,7 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
     if Incumbent.stalled inc then begin
       let prev = Incumbent.current inc in
       let w = prev.Problem.wh in
-      let w' = Weights.perturb rng ~fraction:cfg.Search_config.g1 w in
+      let w' = Weights.perturb rng ~fraction:Search_config.g1 w in
       Incumbent.jump inc ~cls:`H ~changes:(Problem.weight_changes w w');
       observe (Incumbent.current inc);
       (* A perturbation can land on a point better than the best; offer

@@ -144,9 +144,10 @@ let array_str a =
 
 let to_json (e : event) =
   Printf.sprintf
-    "{\"seq\":%d,\"restart\":%d,\"kind\":%S,\"iter\":%d,\"detail\":%d,\"accepted\":%b,\"before\":%s,\"after\":%s,\"best\":%s,\"evals\":%d,\"full\":%d,\"delta\":%d,\"memo_hits\":%d,\"memo_misses\":%d,\"value\":%s,\"t_us\":%s}"
-    e.seq e.restart (kind_name e.kind) e.iteration e.detail e.accepted
-    (array_str e.before) (array_str e.after) (array_str e.best) e.evaluations
+    "{\"seq\":%d,\"restart\":%d,\"kind\":%s,\"iter\":%d,\"detail\":%d,\"accepted\":%b,\"before\":%s,\"after\":%s,\"best\":%s,\"evals\":%d,\"full\":%d,\"delta\":%d,\"memo_hits\":%d,\"memo_misses\":%d,\"value\":%s,\"t_us\":%s}"
+    e.seq e.restart (Dtr_util.Json.quote (kind_name e.kind)) e.iteration
+    e.detail e.accepted (array_str e.before) (array_str e.after)
+    (array_str e.best) e.evaluations
     e.full_evals e.delta_evals e.memo_hits e.memo_misses (float_str e.value)
     (float_str e.time_us)
 

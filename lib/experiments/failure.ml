@@ -1,6 +1,5 @@
 module Table = Dtr_util.Table
 module Prng = Dtr_util.Prng
-module Pool = Dtr_util.Pool
 module Lexico = Dtr_cost.Lexico
 module Objective = Dtr_routing.Objective
 module Eval_ctx = Dtr_routing.Eval_ctx
@@ -15,8 +14,7 @@ let post_failure_costs ?pool ?(model = Objective.Load) inst ~wh ~wl =
   in
   Failure_sweep.sweep ?pool ~model ~th:inst.Scenario.th ctx
 
-let run ?(cfg = Search_config.quick) ?(jobs = 1) ?(seed = 79)
-    ?(target_util = 0.55) () =
+let run ?(cfg = Search_config.quick) ?(seed = 79) ?(target_util = 0.55) () =
   let spec =
     {
       Scenario.topology = Scenario.Isp;
@@ -44,9 +42,8 @@ let run ?(cfg = Search_config.quick) ?(jobs = 1) ?(seed = 79)
           "disconnecting";
         ]
   in
-  Pool.with_pool ~jobs @@ fun pool ->
   let describe name ~wh ~wl (baseline : Lexico.t) =
-    let outcomes = post_failure_costs ~pool inst ~wh ~wl in
+    let outcomes = post_failure_costs inst ~wh ~wl in
     let finite =
       Array.to_list outcomes
       |> List.filter Failure_sweep.is_finite

@@ -16,15 +16,11 @@
     engine ({!Dtr_routing.Failure_sweep.sweep}): each failure is an
     arc-suppression probe against a live evaluation context, patching
     only the destinations whose shortest-path DAGs used the failed
-    link.
-
-    The per-link sweep is embarrassingly parallel; [?jobs] sets the
-    domain-pool width (default 1 = sequential).  Outcomes are collected
-    by link index, so the table is byte-identical for every [jobs]. *)
+    link.  The experiment sweeps sequentially: [experiment --jobs]
+    parallelizes across experiments, not within this one. *)
 
 val run :
   ?cfg:Dtr_core.Search_config.t ->
-  ?jobs:int ->
   ?seed:int ->
   ?target_util:float ->
   unit ->

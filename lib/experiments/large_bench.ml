@@ -14,6 +14,7 @@
    each row's value approximates the footprint of the largest context
    built so far — its own. *)
 
+module Json = Dtr_util.Json
 module Prng = Dtr_util.Prng
 module Stats = Dtr_util.Stats
 module Metrics = Dtr_util.Metrics
@@ -180,10 +181,10 @@ let table rows =
    machine shape, and the peak RSS at stamp time. *)
 let stamp ~seed =
   Printf.sprintf
-    "{ \"git_rev\": %S, \"ocaml\": %S, \"cores\": %d, \"seed\": %d, \
+    "{ \"git_rev\": %s, \"ocaml\": %s, \"cores\": %d, \"seed\": %d, \
      \"peak_rss_kb\": %d }"
-    (Dtr_core.Manifest.git_rev ())
-    Sys.ocaml_version
+    (Json.quote (Dtr_core.Manifest.git_rev ()))
+    (Json.quote Sys.ocaml_version)
     (Domain.recommended_domain_count ())
     seed
     (Metrics.peak_rss_kb ())
@@ -191,12 +192,12 @@ let stamp ~seed =
 let to_json ~seed ~probes rows =
   let row_json r =
     Printf.sprintf
-      "    { \"preset\": %S, \"nodes\": %d, \"arcs\": %d, \"pops\": %d,\n\
+      "    { \"preset\": %s, \"nodes\": %d, \"arcs\": %d, \"pops\": %d,\n\
       \      \"demand_pairs\": %d, \"gen_s\": %.3f, \"full_eval_s\": %.3f,\n\
       \      \"probe_ns_p50\": %.1f, \"probe_ns_p90\": %.1f, \
        \"probe_ns_p99\": %.1f,\n\
       \      \"probe_evals_per_sec\": %.1f, \"peak_rss_kb\": %d }"
-      r.preset r.nodes r.arcs r.pops r.demand_pairs r.gen_s r.full_eval_s
+      (Json.quote r.preset) r.nodes r.arcs r.pops r.demand_pairs r.gen_s r.full_eval_s
       r.probe_ns_p50 r.probe_ns_p90 r.probe_ns_p99 r.probe_evals_per_sec
       r.peak_rss_kb
   in

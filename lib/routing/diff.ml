@@ -395,8 +395,8 @@ let to_json ?reconv t =
       in
       Buffer.add_string b
         (Printf.sprintf
-           "{\"label\":%S,\"changed_arcs\":[%s],\"rerouted_pairs\":%d,\"total_pairs\":%d,\"rerouted_demand\":%s,\"total_demand\":%s,\"traffic_moved\":%s,\"arcs_load_moved\":%d,\"phi_before\":%s,\"phi_after\":%s}"
-           (class_label t k)
+           "{\"label\":%s,\"changed_arcs\":[%s],\"rerouted_pairs\":%d,\"total_pairs\":%d,\"rerouted_demand\":%s,\"total_demand\":%s,\"traffic_moved\":%s,\"arcs_load_moved\":%d,\"phi_before\":%s,\"phi_after\":%s}"
+           (Dtr_util.Json.quote (class_label t k))
            (String.concat ","
               (List.map
                  (fun (a, before, after) ->

@@ -125,7 +125,6 @@ and probe = {
 and snapshot = {
   s_w : int array;
   s_dags : Spf.dag array;
-  s_touched : int list;
   s_contrib : (int * int * float array) list;  (* class, dest, contribution *)
   s_loads : (int * float array) list;  (* class, full row *)
   s_capacity : (int * float array) list;
@@ -414,7 +413,6 @@ let snapshot t a p =
   {
     s_w = Array.copy a.a_w.(g);
     s_dags;
-    s_touched = Array.to_list touched;
     s_contrib =
       List.init a.a_nov (fun i ->
           (a.a_ov_class.(i), a.a_ov_dst.(i), Array.copy a.a_rows.(i)));
@@ -605,11 +603,6 @@ let view name p =
       if p.p_stamp <> p.p_arena.a_stamp then
         invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name);
       Either.Left p.p_arena
-
-let probe_touched p =
-  match view "probe_touched" p with
-  | Either.Right s -> s.s_touched
-  | Either.Left a -> Array.to_list (Array.sub a.a_touched_list 0 a.a_ntouched)
 
 (* Probe views for costing a candidate beyond Φ (the SLA delay walk):
    the probe holds rows only for what it moved, the context supplies

@@ -102,15 +102,6 @@ val probe_phi : probe -> float array
 (** The candidate's per-class objective vector [Φ_k] (fresh copy),
     comparable with {!Multi.compare_objective}. *)
 
-val probe_touched : probe -> int list
-(** Arcs whose load contribution the probe moved (unordered, no
-    duplicates).  A committed probe changes per-arc quantities — loads,
-    residual capacities, Fortz costs — at exactly these indices, which
-    is what lets callers repair sorted-by-cost arc rankings
-    incrementally instead of re-sorting all arcs.  Readable as long as
-    {!probe_dags}, and after the probe is committed.
-    @raise Invalid_argument once the probe is stale. *)
-
 val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
 (** A class's per-destination DAGs as the probe would leave them (the
     probe's own for the probed weight group, the context's otherwise;

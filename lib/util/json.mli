@@ -1,7 +1,7 @@
 (** Minimal JSON reader for the repo's own artifacts (trace JSONL
-    lines, metrics snapshots, manifests).  No external dependency; no
-    writer — every artifact writer in the repo already emits its own
-    fixed-format JSON.
+    lines, metrics snapshots, manifests).  No external dependency, and
+    no document writer: every artifact writer in the repo emits its own
+    fixed-format JSON, quoting its strings with {!quote}.
 
     Numbers are parsed with [float_of_string], so the ["%.17g"] floats
     the writers emit round-trip bit-exactly.  Strings support the
@@ -36,3 +36,10 @@ val to_string : t -> string option
 val to_bool : t -> bool option
 
 val to_list : t -> t list option
+
+val quote : string -> string
+(** The JSON string literal of a byte string: quoted, with the double
+    quote and the backslash escaped by a backslash, every byte below
+    0x20 as a [u00XX] escape, and every other byte kept, so UTF-8 text
+    passes through and printable ASCII reads exactly as OCaml's [%S]
+    renders it. *)

@@ -404,7 +404,7 @@ let to_json () =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_string b ",";
-        Buffer.add_string b (Printf.sprintf "\n    %S: %s" k v))
+        Buffer.add_string b (Printf.sprintf "\n    %s: %s" (Json.quote k) v))
       entries;
     Buffer.add_string b (if entries = [] then "}" else "\n  }")
   in

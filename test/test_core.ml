@@ -50,10 +50,11 @@ let test_config_paper_values () =
   let p = Search_config.paper in
   Alcotest.(check int) "N" 300_000 p.Search_config.n_iters;
   Alcotest.(check int) "K" 800_000 p.Search_config.k_iters;
-  Alcotest.(check int) "m" 5 p.Search_config.m_neighbors;
+  Alcotest.(check int) "m" 5 Search_config.m;
   Alcotest.(check int) "M" 300 p.Search_config.diversify_after;
-  checkf "g1" 0.05 p.Search_config.g1;
-  checkf "g3" 0.03 p.Search_config.g3;
+  checkf "g1" 0.05 Search_config.g1;
+  checkf "g2" 0.05 Search_config.g2;
+  checkf "g3" 0.03 Search_config.g3;
   checkf "tau" 1.5 p.Search_config.tau;
   checkf "literal neighborhood" 0. p.Search_config.scan_probability
 
@@ -70,9 +71,10 @@ let test_config_validate_rejects () =
     (Invalid_argument "Search_config: n_iters must be positive") (fun () ->
       Search_config.validate
         { Search_config.quick with Search_config.n_iters = 0 });
-  Alcotest.check_raises "g1" (Invalid_argument "Search_config: g1 out of [0,1]")
-    (fun () ->
-      Search_config.validate { Search_config.quick with Search_config.g1 = 1.5 })
+  Alcotest.check_raises "scan_probability"
+    (Invalid_argument "Search_config: scan_probability out of [0,1]") (fun () ->
+      Search_config.validate
+        { Search_config.quick with Search_config.scan_probability = 1.5 })
 
 (* ------------------------------------------------------------------ *)
 (* Neighborhood *)

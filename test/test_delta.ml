@@ -576,13 +576,9 @@ let apply w changes =
   w'
 
 (* A commit leaves the context's bookkeeping readable incrementally:
-   the commit log covers it, the shifted memo base key equals the
-   rehash, and the cached rankings (one cache per comparator) equal
-   full sorts. *)
-let check_commit_bookkeeping ~what problem (rank_h, rank_l) ctx ~since =
-  (match Problem.ctx_changes_since ctx ~since with
-  | Some _ -> ()
-  | None -> Alcotest.failf "%s: commit log lost the commit" what);
+   the memo base key equals the reference rehash, and the cached
+   rankings (one cache per comparator) equal full sorts. *)
+let check_commit_bookkeeping ~what problem (rank_h, rank_l) ctx =
   Alcotest.(check int)
     (what ^ ": base key") (Dtr_oracle.Ref_problem.ctx_base_key ctx)
     (Problem.ctx_base_key ctx);
@@ -640,13 +636,12 @@ let problem_delta_matches seed =
         let again = Problem.eval_delta problem ctx ~cls:`H ~changes in
         check_lex ~what:"STR probe after abort" (Problem.delta_objective again)
           expected;
-        let since = Problem.ctx_version ctx in
         let committed = Problem.commit_delta problem ctx again in
         check_lex ~what:"STR committed objective" (Problem.objective committed)
           expected;
         Alcotest.(check bool) "committed solution is STR" true
           (Problem.is_str committed);
-        check_commit_bookkeeping ~what:"STR commit" problem ranks ctx ~since;
+        check_commit_bookkeeping ~what:"STR commit" problem ranks ctx;
         sol := committed
       done;
       (* DTR context: a run of interleaved H and L commits. *)
@@ -656,9 +651,9 @@ let problem_delta_matches seed =
         (reference problem ~wh:wh0 ~wl:wl0);
       let ctx = Problem.ctx_of_solution problem !sol in
       ignore (Problem.ctx_base_key ctx);
-      (* The caches last read the STR context at version 3.  Past that
-         version this context's log covers their version, so only their
-         identity check keeps them from repairing the STR ranking. *)
+      (* The caches last read the STR context.  Their rows differ from
+         this context's, so only their identity check keeps them from
+         repairing the STR ranking. *)
       sol := unread_commits problem ctx rng 3;
       for _ = 1 to 6 do
         let cls = if Prng.bool rng then `H else `L in
@@ -674,19 +669,20 @@ let problem_delta_matches seed =
         let d = Problem.eval_delta problem ctx ~cls ~changes in
         check_lex ~what:"DTR probe objective" (Problem.delta_objective d)
           expected;
-        let since = Problem.ctx_version ctx in
         let committed = Problem.commit_delta problem ctx d in
         check_lex ~what:"DTR committed objective" (Problem.objective committed)
           expected;
-        check_commit_bookkeeping ~what:"DTR commit" problem ranks ctx ~since;
+        check_commit_bookkeeping ~what:"DTR commit" problem ranks ctx;
         sol := committed
       done;
-      (* One more commit than the bounded log holds (32) before the
-         caches read again: they fall back to full sorts. *)
+      (* Caches that lag many commits repair from the arcs whose cost
+         entries moved over all of them, however many. *)
       ignore (unread_commits problem ctx rng 33);
       check_commit_bookkeeping ~what:"DTR after 33 unread commits" problem
-        ranks ctx
-        ~since:(Problem.ctx_version ctx - 1))
+        ranks ctx;
+      ignore (unread_commits problem ctx rng 101);
+      check_commit_bookkeeping ~what:"DTR after 101 unread commits" problem
+        ranks ctx)
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
   true
 
@@ -695,6 +691,69 @@ let test_problem_delta () =
     ~count:8
     QCheck.(int_range 0 10_000)
     problem_delta_matches
+
+(* What Ranking's repair relies on: after a commit, two arcs whose Φ_H
+   and Φ_L entries are both bitwise unchanged compare alike under the
+   comparators derived before and after it. *)
+let cmp_stable_on_unchanged_arcs seed =
+  let g = random_graph seed in
+  let rng = Prng.create (seed * 29 + 5) in
+  let th, tl = random_matrices rng g in
+  let m = Graph.arc_count g in
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  List.iter
+    (fun model ->
+      let problem = Problem.create ~graph:g ~th ~tl ~model in
+      let contexts =
+        [
+          ("STR", snd (Problem.eval_str_ctx problem ~w:(Weights.random rng g)));
+          ( "DTR",
+            snd
+              (Problem.eval_dtr_ctx problem ~wh:(Weights.random rng g)
+                 ~wl:(Weights.random rng g)) );
+        ]
+      in
+      List.iter
+        (fun (what, ctx) ->
+          for _ = 1 to 4 do
+            let before = Problem.ctx_cost_rows ctx in
+            let cmps = [ Problem.ctx_arc_cmp_h; Problem.ctx_arc_cmp_l ] in
+            let old_cmps = List.map (fun f -> f problem ctx) cmps in
+            let cls = if Prng.bool rng then `H else `L in
+            let changes =
+              random_changes rng (Problem.ctx_weights_view ctx cls)
+            in
+            ignore
+              (Problem.commit_delta problem ctx
+                 (Problem.eval_delta problem ctx ~cls ~changes));
+            let h0, l0 = before and h1, l1 = Problem.ctx_cost_rows ctx in
+            let unchanged =
+              List.filter
+                (fun a -> same h0.(a) h1.(a) && same l0.(a) l1.(a))
+                (List.init m Fun.id)
+            in
+            List.iter2
+              (fun old_cmp f ->
+                let new_cmp = f problem ctx in
+                List.iter
+                  (fun a ->
+                    List.iter
+                      (fun b ->
+                        if old_cmp a b <> new_cmp a b then
+                          Alcotest.failf "%s: arcs %d, %d reorder" what a b)
+                      unchanged)
+                  unchanged)
+              old_cmps cmps
+          done)
+        contexts)
+    [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ];
+  true
+
+let test_cmp_stable_on_unchanged_arcs () =
+  QCheck.Test.make ~name:"arc order kept where cost rows are unchanged"
+    ~count:8
+    QCheck.(int_range 0 10_000)
+    cmp_stable_on_unchanged_arcs
 
 let test_problem_counters () =
   with_metrics @@ fun () ->
@@ -905,6 +964,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest (test_problem_delta ());
           Alcotest.test_case "full/delta counters" `Quick test_problem_counters;
+          QCheck_alcotest.to_alcotest (test_cmp_stable_on_unchanged_arcs ());
         ] );
       ( "oracle",
         [

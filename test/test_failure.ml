@@ -297,12 +297,13 @@ let small_problem seed =
   Problem.create ~graph:g ~th ~tl ~model:Objective.Load
 
 let test_memo_keys_stable_across_commit () =
-  (* Scan keys are Zobrist hashes shifted from the context's *current*
-     vectors, recomputed fresh each scan (Scan.candidate_keys) — so a
-     candidate revisited from a different incumbent must produce the
-     same key and hit the memo.  Exact counts: n misses on the first
-     scan, n hits when re-scanned unchanged, and n hits again after a
-     commit moved the incumbent onto one of the scanned settings. *)
+  (* Scan keys are Zobrist hashes shifted from a rehash of the
+     context's *current* vectors, taken fresh each scan
+     (Problem.ctx_base_key) — so a candidate revisited from a
+     different incumbent must produce the same key and hit the memo.
+     Exact counts: n misses on the first scan, n hits when re-scanned
+     unchanged, and n hits again after a commit moved the incumbent
+     onto one of the scanned settings. *)
   let problem = small_problem 1 in
   let w0 = Array.make (Graph.arc_count problem.Problem.graph) 15 in
   let sol = Problem.eval_str problem ~w:w0 in
@@ -413,7 +414,8 @@ let test_robust_search_jobs_invariance () =
   let problem = small_problem 2 in
   let cfg = robust_cfg 1.0 in
   let run jobs =
-    Multistart.run ~jobs ~restarts:3 ~algo:Multistart.Dtr (Prng.create 4) cfg
+    Pool.with_pool ~jobs @@ fun pool ->
+    Multistart.run ~pool ~restarts:3 ~algo:Multistart.Dtr (Prng.create 4) cfg
       problem
   in
   let seq = run 1 in

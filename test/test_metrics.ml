@@ -6,8 +6,10 @@
    trace sinks, the allocation cost of disabled tracing and metrics,
    and a golden-output check of the inspect report tables. *)
 
+module Json = Dtr_util.Json
 module Metrics = Dtr_util.Metrics
 module Prng = Dtr_util.Prng
+module Pool = Dtr_util.Pool
 module Matrix = Dtr_traffic.Matrix
 module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
@@ -191,7 +193,8 @@ let multistart_snapshot ~jobs =
   with_metrics @@ fun () ->
   let problem, cfg = ring_problem () in
   let r =
-    Multistart.run ~jobs ~restarts:3 ~algo:Multistart.Dtr (Prng.create 7) cfg
+    Pool.with_pool ~jobs @@ fun pool ->
+    Multistart.run ~pool ~restarts:3 ~algo:Multistart.Dtr (Prng.create 7) cfg
       problem
   in
   check_report_evaluations
@@ -277,6 +280,24 @@ let test_manifest_json () =
     (String.equal json
        (Manifest.to_json ~seed:3 ~jobs:2 ~model:"load" ~topology:"ring"
           ~config:Search_config.quick ~graph:g ()))
+
+(* A revision string with non-ASCII and control bytes must still give a
+   manifest that parses, with the revision intact. *)
+let test_manifest_escapes_git_rev () =
+  let rev = "caf\xc3\xa9\x01" in
+  let saved = Option.value (Sys.getenv_opt "DTR_GIT_REV") ~default:"" in
+  Unix.putenv "DTR_GIT_REV" rev;
+  let json =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "DTR_GIT_REV" saved)
+      (fun () -> Manifest.to_json ~seed:3 ~config:Search_config.quick ())
+  in
+  match Json.parse json with
+  | Error e -> Alcotest.fail ("manifest json invalid: " ^ e)
+  | Ok doc ->
+      Alcotest.(check (option string))
+        "git_rev round-trips" (Some rev)
+        (Option.bind (Json.member "git_rev" doc) Json.to_string)
 
 (* ------------------------------------------------------------------ *)
 (* Timestamp-free trace sinks *)
@@ -425,6 +446,8 @@ let () =
         [
           Alcotest.test_case "topology digest" `Quick test_topology_digest;
           Alcotest.test_case "manifest json" `Quick test_manifest_json;
+          Alcotest.test_case "manifest escapes git_rev" `Quick
+            test_manifest_escapes_git_rev;
         ] );
       ( "trace",
         [

@@ -7,6 +7,7 @@
 module Json = Dtr_util.Json
 module Metrics = Dtr_util.Metrics
 module Prng = Dtr_util.Prng
+module Pool = Dtr_util.Pool
 module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
 module Matrix = Dtr_traffic.Matrix
@@ -612,7 +613,8 @@ let test_report_multistart_restarts () =
   let g, th, tl = ring_instance () in
   let problem = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
   ignore
-    (Multistart.run ~jobs:2 ~trace ~restarts:3 ~algo:Multistart.Dtr
+    (Pool.with_pool ~jobs:2 @@ fun pool ->
+     Multistart.run ~pool ~trace ~restarts:3 ~algo:Multistart.Dtr
        (Prng.create 7) tiny_config problem);
   close_out oc;
   match Report_gen.load path with
@@ -668,6 +670,30 @@ let test_report_out_of_range_count () =
       Alcotest.(check int) "out-of-range lines are bad" 2
         (Report_gen.bad_lines rep)
 
+(* A metrics snapshot may name a span with any bytes: the report's JSON
+   must still parse, and give the path back intact. *)
+let test_report_span_key_escaped () =
+  with_temp_trace @@ fun path ->
+  let oc = open_out path in
+  output_string oc (probe_line ^ "\n");
+  close_out oc;
+  with_temp_trace @@ fun mx ->
+  let oc = open_out mx in
+  output_string oc
+    {|{"spans": {"sc\u00e9n/a\u0001": {"calls": 2, "seconds": 0.5}}}|};
+  close_out oc;
+  match Report_gen.load ~metrics:mx path with
+  | Error e -> Alcotest.fail e
+  | Ok rep -> (
+      match Json.parse (Report_gen.to_json rep) with
+      | Error e -> Alcotest.fail ("report json invalid: " ^ e)
+      | Ok doc ->
+          Alcotest.(check bool) "span key round-trips" true
+            (match Json.member "spans" doc with
+            | Some (Json.Obj fields) ->
+                List.mem_assoc "sc\xc3\xa9n/a\x01" fields
+            | _ -> false))
+
 let () =
   Alcotest.run "observability"
     [
@@ -720,5 +746,7 @@ let () =
           Alcotest.test_case "load errors" `Quick test_report_load_errors;
           Alcotest.test_case "out-of-range count is a bad line" `Quick
             test_report_out_of_range_count;
+          Alcotest.test_case "span key escaped in json" `Quick
+            test_report_span_key_escaped;
         ] );
     ]

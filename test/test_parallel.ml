@@ -136,7 +136,8 @@ let test_multistart_jobs_invariance () =
   List.iter
     (fun algo ->
       let run jobs =
-        Multistart.run ~jobs ~restarts:4 ~algo (Prng.create 11) tiny_config p
+        Pool.with_pool ~jobs @@ fun pool ->
+        Multistart.run ~pool ~restarts:4 ~algo (Prng.create 11) tiny_config p
       in
       let seq = run 1 in
       let par = run 4 in
@@ -146,7 +147,8 @@ let test_multistart_jobs_invariance () =
 let test_multistart_picks_best () =
   let p = ring_problem () in
   let r =
-    Multistart.run ~jobs:2 ~restarts:4 ~algo:Multistart.Dtr (Prng.create 3)
+    Pool.with_pool ~jobs:2 @@ fun pool ->
+    Multistart.run ~pool ~restarts:4 ~algo:Multistart.Dtr (Prng.create 3)
       tiny_config p
   in
   Alcotest.(check int) "all restarts reported" 4 (Array.length r.Multistart.restarts);
@@ -426,7 +428,8 @@ let test_multistart_trace_jobs_invariance () =
       let run jobs =
         let ring = Trace.ring () in
         ignore
-          (Multistart.run ~jobs ~trace:ring ~restarts:3 ~algo (Prng.create 11)
+          (Pool.with_pool ~jobs @@ fun pool ->
+           Multistart.run ~pool ~trace:ring ~restarts:3 ~algo (Prng.create 11)
              tiny_config p);
         ring
       in

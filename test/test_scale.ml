@@ -4,7 +4,7 @@
    Dijkstra/SPF workspaces, arena load projection, demand-only
    evaluation contexts, sparse traffic matrices, the O(links) BA
    sampler, the large presets, and the searches' incremental ranking
-   and memo-key bookkeeping against their references. *)
+   and memo keys against their references. *)
 
 module Graph = Dtr_graph.Graph
 module Dijkstra = Dtr_graph.Dijkstra
@@ -528,15 +528,15 @@ let test_demand_mode_ts1k () =
 
 (* ------------------------------------------------------------------ *)
 (* Incremental search bookkeeping vs. the references.  The scaled
-   search path keeps a cached arc ranking (repaired incrementally after
-   each commit) and maintains the Zobrist base key that keys the scan
-   memo incrementally.  A search-shaped walk through a scan engine —
+   search path keeps a cached arc ranking (repaired from the arcs whose
+   cost entries moved) and keys the scan memo by Zobrist hashes shifted
+   from a base key.  A search-shaped walk through a scan engine —
    rank, scan one arc's candidate values against a memo, commit the
-   best — must keep both equal to their references (a full re-sort and
-   a fresh rehash) after every commit, and every summary the scan
-   returns, probed or served from the memo, must equal a full
-   evaluation of its setting; on both cost models and at every
-   scan-jobs setting. *)
+   best — must keep the ranking and the base key equal to their
+   references (a full re-sort and Ref_problem's rehash) after every
+   commit, and every summary the scan returns, probed or served from
+   the memo, must equal a full evaluation of its setting; on both cost
+   models and at every scan-jobs setting. *)
 
 module Problem = Dtr_core.Problem
 module Scan = Dtr_core.Scan
