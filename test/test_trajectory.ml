@@ -1,7 +1,9 @@
 (* Trajectory golden: STR, DTR, their robust modes and simulated
    annealing on the 16-node ISP scenario at Search_config.quick, under
    both cost models, and the two MTR searches on the ext-3class
-   problem, from fixed seeds.  One line per search pins its final
+   problem, from fixed seeds.  The robust modes run again at top_k = 2
+   on the ISP, and at CI's robust-smoke settings on transit-stub seed 3,
+   where 8 of the 38 links are cut.  One line per search pins its final
    objective (hex floats, so a match is bitwise), its evaluation
    count, its improvements (accepted moves for annealing), its memo
    hits/misses, a digest of the final weight vectors and the MD5 of
@@ -49,6 +51,21 @@ let isp_problem model =
   let inst = Scenario.scale_to_utilization inst ~target:0.6 in
   Scenario.problem inst ~model
 
+(* The instance of CI's robust smoke
+   (optimize --topology transit-stub --seed 3). *)
+let transit_stub_problem () =
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Transit_stub;
+        fraction = 0.30;
+        hp = Scenario.Random_density 0.10;
+        seed = 3;
+      }
+  in
+  Scenario.problem (Scenario.scale_to_utilization inst ~target:0.6)
+    ~model:Objective.Load
+
 let digest_vectors ws =
   let b = Buffer.create 256 in
   List.iteri
@@ -83,33 +100,35 @@ let line ~algo ~model ~seed ~(objective : Lexico.t) ~evaluations ~improvements
 
 let memo hits misses = Printf.sprintf "%d/%d" hits misses
 
-let robust_cfg =
+let robust_cfg ?(alpha = 1.) ?(top_k = 1) () =
   {
     Search_config.quick with
-    Search_config.robust = Some { Search_config.alpha = 1.; top_k = 1 };
+    Search_config.robust = Some { Search_config.alpha; top_k };
   }
 
+let str_line ~algo ~model p seed cfg =
+  let r, trace =
+    traced (fun trace -> Str_search.run ~trace (Prng.create seed) cfg p)
+  in
+  line ~algo ~model ~seed ~objective:r.Str_search.objective
+    ~evaluations:r.Str_search.evaluations
+    ~improvements:r.Str_search.improvements
+    ~memo:(memo r.Str_search.memo_hits r.Str_search.memo_misses)
+    ~trace r.Str_search.best
+
+let dtr_line ~algo ~model p seed cfg =
+  let r, trace =
+    traced (fun trace -> Dtr_search.run ~trace (Prng.create seed) cfg p)
+  in
+  line ~algo ~model ~seed ~objective:r.Dtr_search.objective
+    ~evaluations:r.Dtr_search.evaluations
+    ~improvements:r.Dtr_search.improvements
+    ~memo:(memo r.Dtr_search.memo_hits r.Dtr_search.memo_misses)
+    ~trace r.Dtr_search.best
+
 let runs model p seed =
-  let str_line algo cfg =
-    let r, trace =
-      traced (fun trace -> Str_search.run ~trace (Prng.create seed) cfg p)
-    in
-    line ~algo ~model ~seed ~objective:r.Str_search.objective
-      ~evaluations:r.Str_search.evaluations
-      ~improvements:r.Str_search.improvements
-      ~memo:(memo r.Str_search.memo_hits r.Str_search.memo_misses)
-      ~trace r.Str_search.best
-  in
-  let dtr_line algo cfg =
-    let r, trace =
-      traced (fun trace -> Dtr_search.run ~trace (Prng.create seed) cfg p)
-    in
-    line ~algo ~model ~seed ~objective:r.Dtr_search.objective
-      ~evaluations:r.Dtr_search.evaluations
-      ~improvements:r.Dtr_search.improvements
-      ~memo:(memo r.Dtr_search.memo_hits r.Dtr_search.memo_misses)
-      ~trace r.Dtr_search.best
-  in
+  let str_line algo cfg = str_line ~algo ~model p seed cfg in
+  let dtr_line algo cfg = dtr_line ~algo ~model p seed cfg in
   let ann, ann_trace =
     traced (fun trace ->
         Anneal_search.run ~schedule:fast_schedule ~trace (Prng.create seed)
@@ -117,9 +136,9 @@ let runs model p seed =
   in
   [
     str_line "str" Search_config.quick;
-    str_line "str-robust" robust_cfg;
+    str_line "str-robust" (robust_cfg ());
     dtr_line "dtr" Search_config.quick;
-    dtr_line "dtr-robust" robust_cfg;
+    dtr_line "dtr-robust" (robust_cfg ());
     line ~algo:"anneal" ~model ~seed ~objective:ann.Anneal_search.objective
       ~evaluations:ann.Anneal_search.evaluations
       ~improvements:ann.Anneal_search.accepted ~memo:"-" ~trace:ann_trace
@@ -152,9 +171,22 @@ let trajectories () =
       let p = isp_problem model in
       List.concat_map (runs model p) [ 1; 2 ])
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
+  @ (let p = Dtr_experiments.Multi_class.problem () in
+     List.concat_map (mtr_runs p) [ 1; 2 ])
+  @ List.concat_map
+      (fun model ->
+        let p = isp_problem model and cfg = robust_cfg ~top_k:2 () in
+        [
+          str_line ~algo:"str-robust-top2" ~model p 1 cfg;
+          dtr_line ~algo:"dtr-robust-top2" ~model p 1 cfg;
+        ])
+      [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
   @
-  let p = Dtr_experiments.Multi_class.problem () in
-  List.concat_map (mtr_runs p) [ 1; 2 ]
+  let p = transit_stub_problem () and cfg = robust_cfg ~alpha:0.5 () in
+  [
+    str_line ~algo:"str-robust-ts" ~model:Objective.Load p 1 cfg;
+    dtr_line ~algo:"dtr-robust-ts" ~model:Objective.Load p 1 cfg;
+  ]
 
 let test_trajectories_match_golden () =
   let out = String.concat "\n" (trajectories ()) ^ "\n" in
