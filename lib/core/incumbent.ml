@@ -20,6 +20,10 @@ type t = {
   mutable best_j : Lexico.t;
       (* J = normal + alpha * penalty in robust mode; else the best's
          normal objective, so reports read it unconditionally *)
+  mutable cut : bool array option;
+      (* robust mode: the links whose failure severs demand, from the
+         start's full sweep.  Weight-independent, so every later sweep
+         prices primary-first with it. *)
   mutable improvements : int;
   mutable stall : int;
   mutable fulls : int;
@@ -77,9 +81,10 @@ let phase_done t ~iteration ~detail =
 let sweep t (r : Search_config.robust) ~iteration ~force =
   let normal = Problem.objective t.current in
   let rp =
-    Problem.robust_price t.problem t.ctx ~alpha:r.Search_config.alpha
-      ~top_k:r.Search_config.top_k ~normal
+    Problem.robust_price ?cut:t.cut t.problem t.ctx
+      ~alpha:r.Search_config.alpha ~top_k:r.Search_config.top_k ~normal
   in
+  t.cut <- Some rp.Problem.rp_cut;
   let improved = force || Lexico.improves rp.Problem.rp_objective t.best_j in
   if improved then begin
     t.best <- t.current;
@@ -150,6 +155,7 @@ let create ?scan ?(trace = Trace.disabled) cfg problem start =
       ctx;
       best = current;
       best_j = Problem.objective current;
+      cut = None;
       improvements = 0;
       stall = 0;
       fulls = 1;

@@ -247,9 +247,12 @@ let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe
 (* Failure-robust pricing: one single-link sweep against the context's
    current weights, aggregated into the robust objective
    J = normal + alpha * penalty.  The sweep runs sequentially on the
-   calling domain (its cost is bounded by the pruning rule in the
-   search loops: J >= normal, so only candidates whose normal cost
-   beats the robust best are ever swept). *)
+   calling domain.  A sweep is most of a robust search's cost, bounded
+   two ways: the search loops sweep only candidates whose normal cost
+   beats the robust best (J >= normal), and a sweep given the run's
+   cut links prices most failures for the high-priority class alone
+   (Failure_sweep.robust_penalty).  Without them it is the full sweep,
+   the reference the primary-first one is held to. *)
 
 module Failure_sweep = Dtr_routing.Failure_sweep
 
@@ -257,16 +260,25 @@ type robust_price = {
   rp_objective : Lexico.t;  (* J = normal + alpha * penalty *)
   rp_penalty : Lexico.t;  (* mean of the top_k worst finite failures *)
   rp_infinite : int;  (* failures priced as infinite (severed demand) *)
+  rp_cut : bool array;  (* per link: its failure severs demand *)
 }
 
 let failure_outcomes ?pool t ctx =
   Failure_sweep.sweep ?pool ~model:t.model ~th:t.th ctx.ec
 
-let robust_price t ctx ~alpha ~top_k ~normal =
-  let outcomes = failure_outcomes t ctx in
-  let penalty = Failure_sweep.penalty ~top_k outcomes in
+let robust_price ?cut t ctx ~alpha ~top_k ~normal =
+  let penalty, cut =
+    match cut with
+    | Some cut ->
+        ( Failure_sweep.robust_penalty ~model:t.model ~th:t.th ~top_k ~cut ctx.ec,
+          cut )
+    | None ->
+        let outcomes = failure_outcomes t ctx in
+        (Failure_sweep.penalty ~top_k outcomes, Failure_sweep.cut_links outcomes)
+  in
   {
     rp_objective = Lexico.add normal (Lexico.scale alpha penalty);
     rp_penalty = penalty;
-    rp_infinite = Failure_sweep.infinite_count outcomes;
+    rp_infinite = Array.fold_left (fun n c -> if c then n + 1 else n) 0 cut;
+    rp_cut = cut;
   }

@@ -201,9 +201,15 @@ type robust_price = {
       (** mean of the [top_k] worst finite post-failure costs *)
   rp_infinite : int;
       (** failures priced as infinite (they sever positive demand) *)
+  rp_cut : bool array;
+      (** per link ({!Dtr_graph.Graph.undirected_link_pairs} order),
+          whether its failure severs positive demand
+          ({!Dtr_routing.Failure_sweep.cut_links}) — the same for
+          every weight setting, so it can price later sweeps *)
 }
 
 val robust_price :
+  ?cut:bool array ->
   t ->
   ctx ->
   alpha:float ->
@@ -213,4 +219,10 @@ val robust_price :
 (** One sequential single-link sweep against the context's current
     weights, aggregated into the robust objective.  [normal] is the
     caller's current normal-cost objective (already known to every
-    search loop; not recomputed).  Pure: the context is unchanged. *)
+    search loop; not recomputed).  Pure: the context is unchanged.
+
+    Without [cut] this is the reference: a full
+    {!Dtr_routing.Failure_sweep.sweep}, every failure priced for both
+    classes.  With the [rp_cut] of an earlier price on this problem it
+    prices primary-first ({!Dtr_routing.Failure_sweep.robust_penalty}),
+    bitwise the same result. *)

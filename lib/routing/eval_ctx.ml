@@ -479,12 +479,15 @@ let reproject t a ~dags k dst =
    patched Φ row is re-folded whole over committed-plus-touched values,
    reproducing the from-scratch association exactly.  The cascade runs
    downward from the highest-priority class whose load moved: an H
-   change reshapes the residual every lower class is charged
-   against. *)
-let patch t a =
-  let classes = class_count t and m = Graph.arc_count t.graph in
+   change reshapes the residual every lower class is charged against.
+   Only the leading [classes] classes are patched; the rows carry
+   overrides of no other class.  At an arc no override of a class
+   moved, its re-summed load is the committed total bitwise, so a
+   class's Φ does not depend on which other classes were patched. *)
+let patch t a ~classes =
+  let m = Graph.arc_count t.graph in
   let touched = a.a_touched_list and nt = a.a_ntouched in
-  Array.fill a.a_has_ov 0 classes false;
+  Array.fill a.a_has_ov 0 (Array.length a.a_has_ov) false;
   for i = 0 to a.a_nov - 1 do
     let k = a.a_ov_class.(i) in
     a.a_has_ov.(k) <- true;
@@ -579,7 +582,7 @@ let probe t ~klass ~changes =
         reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
       done)
     t.group_classes.(group);
-  patch t a;
+  patch t a ~classes:(class_count t);
   let p =
     {
       p_generation = t.generation;
@@ -672,7 +675,13 @@ let abort _t p =
    short-circuit to an infinite objective with the severed-pair count
    attached.  A failure is an arena view: its dags and rows are
    readable until the context's next probe, failure probe, commit or
-   sync. *)
+   sync.
+
+   A failure probe may price only the leading classes (the robust
+   penalty ranks failures by class 0 first): then only the groups of
+   those classes are repaired, only their reachability is checked, and
+   only their rows are re-projected and patched.  Each priced class's
+   Φ and Fortz row are bitwise those of the full probe ({!patch}). *)
 
 let m_fail_probes =
   Metrics.counter ~help:"Failure probes (link-failure delta evaluations)."
@@ -682,8 +691,11 @@ type failure = {
   f_arena : arena;
   f_stamp : int;
   f_classes : int;
-  f_unreachable : int;  (* severed positive-demand (class, src, dst) pairs *)
-  f_phi : float array;  (* class -> post-failure Φ; all ∞ when severed *)
+  f_priced : int;  (* the leading classes this failure priced *)
+  f_unreachable : int;
+      (* severed positive-demand (class, src, dst) pairs of the priced
+         classes *)
+  f_phi : float array;  (* priced class -> post-failure Φ; all ∞ when severed *)
 }
 
 let failure_unreachable f = f.f_unreachable
@@ -695,21 +707,31 @@ let check_failure f name =
     invalid_arg
       (Printf.sprintf "Eval_ctx.%s: stale failure (the context has probed since)" name)
 
+let check_priced f name k =
+  if k >= f.f_priced then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: class not priced by this failure" name)
+
 let failure_dags t f k =
   if k < 0 || k >= class_count t then
     invalid_arg "Eval_ctx.failure_dags: class out of range";
+  check_priced f "failure_dags" k;
   check_failure f "failure_dags";
   Spf_delta.scratch_dags f.f_arena.a_spf.(t.class_group.(k))
 
 let failure_phi_row f k =
   if k < 0 || k >= f.f_classes then
     invalid_arg "Eval_ctx.failure_phi_row: class out of range";
+  check_priced f "failure_phi_row" k;
   if f.f_unreachable > 0 then
     invalid_arg "Eval_ctx.failure_phi_row: disconnecting failure has no rows";
   check_failure f "failure_phi_row";
   f.f_arena.a_fail_rows.(k)
 
-let fail_probe t ~arcs =
+let fail_probe ?classes:priced t ~arcs =
+  let classes = class_count t in
+  let priced = Option.value priced ~default:classes in
+  if priced < 1 || priced > classes then
+    invalid_arg "Eval_ctx.fail_probe: classes out of range";
   if arcs = [] then invalid_arg "Eval_ctx.fail_probe: no arcs";
   List.iter
     (fun a ->
@@ -719,31 +741,33 @@ let fail_probe t ~arcs =
   Metrics.incr_counter m_fail_probes;
   let g = t.graph in
   let n = Graph.node_count g in
-  let classes = class_count t in
-  let groups = Array.length t.group_w in
   let a = arena_of t in
   evict t a;
-  for gi = 0 to groups - 1 do
-    let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
-    for arc = 0 to Array.length w - 1 do
-      Array.unsafe_set new_w arc (Array.unsafe_get w arc)
-    done;
-    List.iter (fun arc -> new_w.(arc) <- Dijkstra.suppressed) arcs;
-    let changes =
-      List.map
-        (fun arc ->
-          { Spf_delta.arc; before = w.(arc); after = Dijkstra.suppressed })
-        arcs
-    in
-    Spf_delta.update_scratch a.a_spf.(gi) ~ws:t.ws ?active:(group_active t gi) g
-      ~weights:new_w ~prev:t.group_dags.(gi) ~changes
+  (* A group is repaired when it routes a priced class (members are
+     ascending, so its first member decides). *)
+  for gi = 0 to Array.length t.group_w - 1 do
+    if t.group_classes.(gi).(0) < priced then begin
+      let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
+      for arc = 0 to Array.length w - 1 do
+        Array.unsafe_set new_w arc (Array.unsafe_get w arc)
+      done;
+      List.iter (fun arc -> new_w.(arc) <- Dijkstra.suppressed) arcs;
+      let changes =
+        List.map
+          (fun arc ->
+            { Spf_delta.arc; before = w.(arc); after = Dijkstra.suppressed })
+          arcs
+      in
+      Spf_delta.update_scratch a.a_spf.(gi) ~ws:t.ws ?active:(group_active t gi) g
+        ~weights:new_w ~prev:t.group_dags.(gi) ~changes
+    end
   done;
   (* Severed positive-demand pairs.  Only dirty destinations can change
      reachability, and demand rows were fixed against the no-failure
      topology, so a positive entry at a now-unreachable source is
      exactly a pair this failure cuts off. *)
   let unreachable = ref 0 in
-  for k = 0 to classes - 1 do
+  for k = 0 to priced - 1 do
     let spf = a.a_spf.(t.class_group.(k)) in
     let dags = Spf_delta.scratch_dags spf in
     for i = 0 to Spf_delta.scratch_dirty spf - 1 do
@@ -762,25 +786,27 @@ let fail_probe t ~arcs =
       f_arena = a;
       f_stamp = a.a_stamp;
       f_classes = classes;
+      f_priced = priced;
       f_unreachable = !unreachable;
       f_phi = phi;
     }
   in
-  if !unreachable > 0 then failure (Array.make classes Float.infinity)
+  if !unreachable > 0 then failure (Array.make priced Float.infinity)
   else begin
-    (* Same re-projection discipline as {!probe}, over every group. *)
-    for k = 0 to classes - 1 do
+    (* Same re-projection discipline as {!probe}, over every repaired
+       group. *)
+    for k = 0 to priced - 1 do
       let spf = a.a_spf.(t.class_group.(k)) in
       let dags = Spf_delta.scratch_dags spf in
       for i = 0 to Spf_delta.scratch_dirty spf - 1 do
         reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
       done
     done;
-    patch t a;
-    for k = 0 to classes - 1 do
+    patch t a ~classes:priced;
+    for k = 0 to priced - 1 do
       a.a_fail_rows.(k) <- (if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k))
     done;
-    failure (Array.copy a.a_phi)
+    failure (Array.sub a.a_phi 0 priced)
   end
 
 let phi t = Array.copy t.phi

@@ -143,7 +143,7 @@ type failure
     physical link's arcs in {e every} topology at once, computed
     against — but never installed into — the context. *)
 
-val fail_probe : t -> arcs:int list -> failure
+val fail_probe : ?classes:int -> t -> arcs:int list -> failure
 (** [fail_probe t ~arcs] evaluates the context's current weights with
     [arcs] removed from every class's topology (arc suppression via
     {!Dtr_graph.Dijkstra.suppressed}; no graph rebuild, no weight
@@ -155,30 +155,41 @@ val fail_probe : t -> arcs:int list -> failure
     identical to a from-scratch evaluation of the reduced graph.
     The context is not modified, and failure probes cannot be
     committed.
-    @raise Invalid_argument on an empty list or arc id out of range. *)
+
+    [classes] (default: all of them) prices only the leading
+    [classes] classes: only their weight groups are repaired, only
+    their demand is checked for severed pairs, and only their rows are
+    re-projected and patched — the lower classes' capacity cascade and
+    Fortz rows are skipped.  Each priced class's Φ and Fortz row (and
+    its DAGs) are bitwise those of the full probe.  [~classes:1] is
+    how {!Failure_sweep.robust_penalty} ranks failures by class 0
+    before pricing the worst in full.
+    @raise Invalid_argument on an empty list, an arc id out of range,
+    or [classes] outside 1 .. [class_count t]. *)
 
 val failure_unreachable : failure -> int
-(** Severed positive-demand (class, source, destination) pairs; [0]
-    exactly when the failure leaves every demand routable. *)
+(** Severed positive-demand (class, source, destination) pairs of the
+    priced classes; [0] exactly when the failure leaves their demand
+    routable. *)
 
 val failure_phi : failure -> float array
-(** Post-failure per-class objective vector [Φ_k] (fresh copy); every
-    entry is [Float.infinity] for a disconnecting failure. *)
+(** Post-failure objective [Φ_k] of each priced class (fresh copy);
+    every entry is [Float.infinity] for a disconnecting failure. *)
 
 val failure_dags : t -> failure -> int -> Dtr_graph.Spf.dag array
-(** Post-failure per-destination DAGs of a class (shared with the
-    context for untouched destinations; treat as immutable).  An arena
-    view: readable until the context's next probe, failure probe,
-    commit or sync.
-    @raise Invalid_argument on a class out of range or once the view
-    is stale. *)
+(** Post-failure per-destination DAGs of a priced class (shared with
+    the context for untouched destinations; treat as immutable).  An
+    arena view: readable until the context's next probe, failure
+    probe, commit or sync.
+    @raise Invalid_argument on a class out of range or not priced, or
+    once the view is stale. *)
 
 val failure_phi_row : failure -> int -> float array
-(** Post-failure per-arc Fortz costs of a class — failed arcs carry
-    zero load and zero cost.  Feeds the SLA delay walk.  An arena view,
-    valid as long as {!failure_dags}.
-    @raise Invalid_argument on a class out of range, for a
-    disconnecting failure (the rows are not computed: severed demand
+(** Post-failure per-arc Fortz costs of a priced class — failed arcs
+    carry zero load and zero cost.  Feeds the SLA delay walk.  An arena
+    view, valid as long as {!failure_dags}.
+    @raise Invalid_argument on a class out of range or not priced, for
+    a disconnecting failure (the rows are not computed: severed demand
     cannot be projected), or once the view is stale. *)
 
 val class_count : t -> int

@@ -20,37 +20,39 @@ type outcome = { cost : Lexico.t; unreachable_pairs : int }
 
 let is_finite o = o.unreachable_pairs = 0
 
+(* A survivable failure's primary cost, read from class 0 alone: Φ_H,
+   or Λ straight from the failure's class-0 arena views, in the
+   context's own SLA scratch.  Failed arcs keep a (cheap, unread) delay
+   entry that no surviving DAG walks. *)
+let primary ~model ~th ctx f =
+  match model with
+  | Objective.Load -> (Eval_ctx.failure_phi f).(0)
+  | Objective.Sla params ->
+      Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx) params (Eval_ctx.graph ctx)
+        ~th
+        ~dags_h:(Eval_ctx.failure_dags ctx f 0)
+        ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
+
 let price ~model ~th ctx f =
   let unreachable_pairs = Eval_ctx.failure_unreachable f in
   if unreachable_pairs > 0 then begin
     Metrics.incr_counter m_infinite;
     { cost = Lexico.infinity; unreachable_pairs }
   end
-  else begin
-    let phi = Eval_ctx.failure_phi f in
-    let cost =
-      match model with
-      | Objective.Load -> Lexico.make ~primary:phi.(0) ~secondary:phi.(1)
-      | Objective.Sla params ->
-          (* Λ straight from the failure's arena views, in the
-             context's own SLA scratch.  Failed arcs keep a (cheap,
-             unread) delay entry that no surviving DAG walks. *)
-          let lambda =
-            Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx) params
-              (Eval_ctx.graph ctx) ~th
-              ~dags_h:(Eval_ctx.failure_dags ctx f 0)
-              ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
-          in
-          Lexico.make ~primary:lambda ~secondary:phi.(1)
-    in
-    { cost; unreachable_pairs = 0 }
-  end
+  else
+    let primary = primary ~model ~th ctx f in
+    {
+      cost = Lexico.make ~primary ~secondary:(Eval_ctx.failure_phi f).(1);
+      unreachable_pairs = 0;
+    }
+
+let link_arcs links i =
+  let a, b = links.(i) in
+  if a = b then [ a ] else [ a; b ]
 
 let eval_link ~model ~th ~links ctx i =
   Metrics.incr_counter m_evals;
-  let a, b = links.(i) in
-  let arcs = if a = b then [ a ] else [ a; b ] in
-  price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs)
+  price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs:(link_arcs links i))
 
 let sweep ?pool ?(model = Objective.Load) ~th ctx =
   if Eval_ctx.class_count ctx <> 2 then
@@ -117,3 +119,70 @@ let penalty ?(top_k = 1) outcomes =
 
 let infinite_count outcomes =
   Array.fold_left (fun n o -> if is_finite o then n else n + 1) 0 outcomes
+
+(* ------------------------------------------------------------------ *)
+(* Primary-first robust penalty.
+
+   [penalty] ranks outcomes by Lexico.compare, primary first, so an
+   outcome whose primary is below the k-th largest primary has k
+   outcomes strictly above it and never enters the top k.  Pricing
+   every survivable failure's primary from a class-0 probe, then only
+   the failures that reach the k-th largest primary in full, hands
+   [penalty] the same top k and so the same sum, bitwise.  Cut links
+   are priced infinite without a probe: which links sever demand is a
+   property of the graph and the demand, not of the weights. *)
+
+let cut_links outcomes = Array.map (fun o -> not (is_finite o)) outcomes
+
+let bits x = Int64.bits_of_float x
+
+let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
+  if Eval_ctx.class_count ctx <> 2 then
+    invalid_arg "Failure_sweep.robust_penalty: need a 2-class context";
+  if top_k < 1 then
+    invalid_arg "Failure_sweep.robust_penalty: top_k must be >= 1";
+  let links = Graph.undirected_link_pairs (Eval_ctx.graph ctx) in
+  let k = Array.length links in
+  if Array.length cut <> k then
+    invalid_arg "Failure_sweep.robust_penalty: cut set of another graph";
+  let not_cut i =
+    invalid_arg
+      (Printf.sprintf "Failure_sweep.robust_penalty: link %d severs demand \
+                       but is not in the cut set" i)
+  in
+  Metrics.incr_counter m_sweeps;
+  let primaries = Array.make k Float.nan in
+  let survivable = ref [] in
+  for i = 0 to k - 1 do
+    Metrics.incr_counter m_evals;
+    if cut.(i) then Metrics.incr_counter m_infinite
+    else begin
+      let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
+      if Eval_ctx.failure_unreachable f > 0 then not_cut i;
+      let p = primary ~model ~th ctx f in
+      primaries.(i) <- p;
+      survivable := p :: !survivable
+    end
+  done;
+  match List.sort (fun a b -> Float.compare b a) !survivable with
+  | [] -> Lexico.zero
+  | sorted ->
+      let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
+      let worst = ref [] in
+      for i = k - 1 downto 0 do
+        if (not cut.(i)) && Float.compare primaries.(i) kth >= 0 then begin
+          let o =
+            price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs:(link_arcs links i))
+          in
+          if not (is_finite o) then not_cut i;
+          if not (Int64.equal (bits o.cost.Lexico.primary) (bits primaries.(i)))
+          then
+            failwith
+              (Printf.sprintf
+                 "Failure_sweep.robust_penalty: link %d's full probe prices \
+                  the primary %h, its class-0 probe %h"
+                 i o.cost.Lexico.primary primaries.(i));
+          worst := o :: !worst
+        end
+      done;
+      penalty ~top_k (Array.of_list !worst)

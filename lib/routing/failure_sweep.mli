@@ -21,7 +21,17 @@
     demand-free node pairs stays finite.
 
     Outcomes are indexed by {!Dtr_graph.Graph.undirected_link_pairs}
-    order and are identical for every pool width. *)
+    order and are identical for every pool width.
+
+    {!robust_penalty} prices a robust search's sweep primary-first:
+    bitwise {!penalty} of {!sweep}, with most failures priced for the
+    high-priority class alone.
+
+    {b Counters.}  [dtr_failure_sweeps_total] counts every {!sweep}
+    and {!robust_penalty}; [dtr_failure_evals_total] every link they
+    price, cut links included; [dtr_failure_infinite_total] every link
+    priced infinite.  Only [dtr_eval_fail_probes_total] and the SPF
+    counters show what primary-first pricing saves. *)
 
 type outcome = {
   cost : Dtr_cost.Lexico.t;
@@ -60,3 +70,33 @@ val penalty : ?top_k:int -> outcome array -> Dtr_cost.Lexico.t
 
 val infinite_count : outcome array -> int
 (** Outcomes priced as infinite (disconnecting failures). *)
+
+val cut_links : outcome array -> bool array
+(** Per link, whether its failure severs positive demand — the links
+    a {!sweep} prices infinite.  Single-link reachability does not
+    depend on the weights, so one sweep's cut links are every sweep's
+    on the same graph and demand. *)
+
+val robust_penalty :
+  ?model:Objective.model ->
+  th:Dtr_traffic.Matrix.t ->
+  top_k:int ->
+  cut:bool array ->
+  Eval_ctx.t ->
+  Dtr_cost.Lexico.t
+(** [penalty ~top_k (sweep ~model ~th ctx)], bitwise, for a [cut] set
+    from {!cut_links} of any sweep on the same graph and demand.  Cut
+    links are priced infinite without a probe.  Every other link gets
+    a class-0 failure probe ({!Eval_ctx.fail_probe} [~classes:1]),
+    which prices its primary (Φ_H, or Λ under SLA) exactly as the full
+    probe does.  Only the links whose primary reaches the [top_k]-th
+    largest get the full probe, and their outcomes go to {!penalty}:
+    under untolerated {!Dtr_cost.Lexico.compare} no other outcome can
+    be among the [top_k] worst.  Ties on the primary can send more
+    than [top_k] links to the full probe.  The context is not
+    modified.
+    @raise Invalid_argument unless the context has exactly 2 classes,
+    if [top_k < 1], or if [cut] does not match the graph's links or
+    misses a link whose failure severs demand.
+    @raise Failure if a full probe prices a primary other than its
+    class-0 probe's (an engine bug). *)

@@ -2,13 +2,15 @@
    from-scratch oracle (Dtr_oracle.Ref_failure; bitwise, on both cost models, including
    disconnecting failures), exact fail_link semantics on parallel
    links, infinite-cost handling through the Lexico comparison,
-   penalty aggregation, memo key consistency across commits, and the
-   robust search mode. *)
+   penalty aggregation, primary-first pricing against the full sweep,
+   memo key consistency across commits, and the robust search mode. *)
 
 module Prng = Dtr_util.Prng
 module Pool = Dtr_util.Pool
+module Metrics = Dtr_util.Metrics
 module Vmemo = Dtr_util.Vmemo
 module Graph = Dtr_graph.Graph
+module Matrix = Dtr_traffic.Matrix
 module Gravity = Dtr_traffic.Gravity
 module Highpri = Dtr_traffic.Highpri
 module Weights = Dtr_routing.Weights
@@ -288,6 +290,234 @@ let test_penalty () =
     (fun () -> ignore (Failure_sweep.penalty ~top_k:0 outcomes))
 
 (* ------------------------------------------------------------------ *)
+(* Primary-first pricing: class-0 failure probes and the robust
+   penalty, held bitwise to the full probe and the full sweep *)
+
+let models = [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
+
+let link_arcs (a, b) = if a = b then [ a ] else [ a; b ]
+
+let check_bits what expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual))
+  then Alcotest.failf "%s: expected %h, got %h" what expected actual
+
+(* A DTR context (one weight group per class) and an STR one (both
+   classes in one group) of an instance. *)
+let contexts (g, th, tl, wh, wl) =
+  [
+    ("dtr", Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |]);
+    ("str", Eval_ctx.create g ~weights:[| wh; wh |] ~matrices:[| th; tl |]);
+  ]
+
+(* A failure's primary as the robust penalty reads it: Φ_H, or Λ from
+   the failure's class-0 views. *)
+let failure_primary ~model ~th ctx f =
+  match model with
+  | Objective.Load -> (Eval_ctx.failure_phi f).(0)
+  | Objective.Sla params ->
+      Dtr_routing.Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx) params
+        (Eval_ctx.graph ctx) ~th
+        ~dags_h:(Eval_ctx.failure_dags ctx f 0)
+        ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
+
+(* For every link, a class-0 failure probe prices the full probe's
+   Φ_H row and the full sweep's primary, bitwise; a failure that
+   severs class-0 demand severs it in full too. *)
+let class0_probe_matches_full ~model ((g, th, _, _, _) as inst) =
+  List.iter
+    (fun (name, ctx) ->
+      let sweep = Failure_sweep.sweep ~model ~th ctx in
+      Array.iteri
+        (fun i link ->
+          let what =
+            Printf.sprintf "%s %s link %d" name (Objective.model_name model) i
+          in
+          let full = Eval_ctx.fail_probe ctx ~arcs:(link_arcs link) in
+          let full_row =
+            if Eval_ctx.failure_unreachable full = 0 then
+              Array.copy (Eval_ctx.failure_phi_row full 0)
+            else [||]
+          in
+          let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs link) in
+          Alcotest.(check int) (what ^ ": one priced class") 1
+            (Array.length (Eval_ctx.failure_phi f));
+          if Eval_ctx.failure_unreachable f > 0 then
+            Alcotest.(check bool) (what ^ ": severed in full too") false
+              (Failure_sweep.is_finite sweep.(i))
+          else if Failure_sweep.is_finite sweep.(i) then begin
+            check_bits (what ^ ": primary")
+              sweep.(i).Failure_sweep.cost.Lexico.primary
+              (failure_primary ~model ~th ctx f);
+            let row = Eval_ctx.failure_phi_row f 0 in
+            Array.iteri
+              (fun a x -> check_bits (Printf.sprintf "%s: Φ_H arc %d" what a) x row.(a))
+              full_row;
+            Alcotest.check_raises (what ^ ": class 1 not priced")
+              (Invalid_argument
+                 "Eval_ctx.failure_phi_row: class not priced by this failure")
+              (fun () -> ignore (Eval_ctx.failure_phi_row f 1))
+          end)
+        (Graph.undirected_link_pairs g))
+    (contexts inst)
+
+let test_class0_probe_matches_full () =
+  List.iter
+    (fun model ->
+      for seed = 0 to 11 do
+        class0_probe_matches_full ~model (fixture_instance seed)
+      done;
+      class0_probe_matches_full ~model (random50_instance ()))
+    models
+
+(* Run [f] with the metrics registry on and zeroed, and leave it off
+   and zeroed, so test order never matters. *)
+let with_metrics f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    f
+
+let counter name = Metrics.counter_value (Metrics.counter ~help:"" name)
+
+(* The primary-first penalty equals the full sweep's, bitwise, for
+   every [top_k] given and both contexts of the instance; returns the
+   most full probes one penalty ran (failure probes beyond the one
+   class-0 probe per survivable link). *)
+let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
+  let links = Array.length (Graph.undirected_link_pairs g) in
+  List.fold_left
+    (fun most (name, ctx) ->
+      let sweep = Failure_sweep.sweep ~model ~th ctx in
+      let cut = Failure_sweep.cut_links sweep in
+      let survivable = links - Failure_sweep.infinite_count sweep in
+      List.fold_left
+        (fun most top_k ->
+          let what =
+            Printf.sprintf "%s %s top_k=%d" name (Objective.model_name model) top_k
+          in
+          let expected = Failure_sweep.penalty ~top_k sweep in
+          let actual, probes =
+            with_metrics (fun () ->
+                let p = Failure_sweep.robust_penalty ~model ~th ~top_k ~cut ctx in
+                Alcotest.(check int) (what ^ ": one sweep") 1
+                  (counter "dtr_failure_sweeps_total");
+                Alcotest.(check int) (what ^ ": every link priced") links
+                  (counter "dtr_failure_evals_total");
+                Alcotest.(check int) (what ^ ": cut links priced infinite")
+                  (links - survivable)
+                  (counter "dtr_failure_infinite_total");
+                (p, counter "dtr_eval_fail_probes_total"))
+          in
+          check_bits (what ^ ": primary") expected.Lexico.primary
+            actual.Lexico.primary;
+          check_bits (what ^ ": secondary") expected.Lexico.secondary
+            actual.Lexico.secondary;
+          let full = probes - survivable in
+          if survivable > 0 then
+            Alcotest.(check bool) (what ^ ": at least one full probe") true
+              (full >= min top_k survivable);
+          max most full)
+        most top_ks)
+    0 (contexts inst)
+
+let test_primary_first_penalty () =
+  List.iter
+    (fun model ->
+      for seed = 0 to 11 do
+        let ((g, _, _, _, _) as inst) = fixture_instance seed in
+        let links = Array.length (Graph.undirected_link_pairs g) in
+        ignore
+          (penalty_matches_sweep ~model ~top_ks:[ 1; 2; 3; links + 1 ] inst
+            : int)
+      done;
+      ignore
+        (penalty_matches_sweep ~model ~top_ks:[ 1; 2; 3; 251 ]
+           (random50_instance ())
+          : int))
+    models
+
+let test_primary_first_penalty_cut_links () =
+  (* Transit-stub seed 3: 8 of its 38 links are cut. *)
+  let inst =
+    Dtr_experiments.Scenario.make
+      {
+        Dtr_experiments.Scenario.topology = Dtr_experiments.Scenario.Transit_stub;
+        fraction = 0.3;
+        hp = Dtr_experiments.Scenario.Random_density 0.1;
+        seed = 3;
+      }
+  in
+  let g = inst.Dtr_experiments.Scenario.graph in
+  let th = inst.Dtr_experiments.Scenario.th
+  and tl = inst.Dtr_experiments.Scenario.tl in
+  let rng = Prng.create 17 in
+  let wh = Weights.random rng g and wl = Weights.random rng g in
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  Alcotest.(check int) "8 cut links" 8
+    (Failure_sweep.infinite_count (Failure_sweep.sweep ~th ctx));
+  List.iter
+    (fun model ->
+      ignore (penalty_matches_sweep ~model ~top_ks:[ 1; 2; 3; 39 ]
+                (g, th, tl, wh, wl) : int))
+    models
+
+let test_primary_first_penalty_ties () =
+  (* Uniform weights on a ring, and high-priority demand only across
+     the one link 0-1.  Every other link's failure leaves the class-0
+     routing and loads as they are, so its primary ties with the
+     normal cost, bitwise.  Failing 0-1 sends that demand the 7 hops
+     around: a higher Φ_H, and 35 ms of propagation against the SLA's
+     25 ms bound.  From top_k = 2 on, the k-th largest primary is the
+     tie, and all 8 links get a full probe. *)
+  let g = Dtr_topology.Classic.ring ~capacity:10. ~delay:5. 8 in
+  let n = Graph.node_count g in
+  let th = Matrix.create n in
+  Matrix.set th 0 1 4.;
+  let tl = Gravity.generate (Prng.create 8) ~n Gravity.default in
+  let w = Weights.uniform g 10 in
+  List.iter
+    (fun model ->
+      let what = Objective.model_name model in
+      let full top_ks =
+        penalty_matches_sweep ~model ~top_ks (g, th, tl, w, Array.copy w)
+      in
+      Alcotest.(check int) (what ^ ": top_k = 1, one full probe") 1 (full [ 1 ]);
+      Alcotest.(check int) (what ^ ": top_k = 2, every link") 8 (full [ 2 ]);
+      Alcotest.(check int) (what ^ ": top_k = 3, every link") 8 (full [ 3 ]))
+    models
+
+let test_robust_penalty_rejects () =
+  let ((g, th, _, _, _) as inst) = fixture_instance 2 in
+  let ctx = snd (List.hd (contexts inst)) in
+  let links = Array.length (Graph.undirected_link_pairs g) in
+  Alcotest.check_raises "cut set of another graph"
+    (Invalid_argument "Failure_sweep.robust_penalty: cut set of another graph")
+    (fun () ->
+      ignore
+        (Failure_sweep.robust_penalty ~th ~top_k:1
+           ~cut:(Array.make (links + 1) false) ctx));
+  Alcotest.check_raises "top_k must be positive"
+    (Invalid_argument "Failure_sweep.robust_penalty: top_k must be >= 1")
+    (fun () ->
+      ignore
+        (Failure_sweep.robust_penalty ~th ~top_k:0
+           ~cut:(Array.make links false) ctx));
+  (* Every link of a line graph severs demand: an empty cut set is
+     caught at the first link. *)
+  let line = Dtr_topology.Classic.line 4 in
+  let rng = Prng.create 7 in
+  let th, tl = random_matrices rng line in
+  let w = Weights.random rng line in
+  let ctx = Eval_ctx.create line ~weights:[| w; Array.copy w |] ~matrices:[| th; tl |] in
+  let cut = Array.make (Array.length (Graph.undirected_link_pairs line)) false in
+  match Failure_sweep.robust_penalty ~th ~top_k:1 ~cut ctx with
+  | _ -> Alcotest.fail "a severing link outside the cut set was priced"
+  | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Memo key consistency across commits (Vmemo hit-rate soft spot) *)
 
 let small_problem seed =
@@ -342,8 +572,8 @@ let tiny_cfg =
     diversify_after = 8;
   }
 
-let robust_cfg alpha =
-  { tiny_cfg with Search_config.robust = Some { Search_config.alpha; top_k = 1 } }
+let robust_cfg ?(top_k = 1) alpha =
+  { tiny_cfg with Search_config.robust = Some { Search_config.alpha; top_k } }
 
 let test_robust_config_validation () =
   Alcotest.check_raises "negative alpha rejected"
@@ -435,10 +665,10 @@ let test_multistart_ranks_restarts_by_j () =
   let problem = small_problem 2 in
   let alpha = 0.5 in
   List.iter
-    (fun algo ->
+    (fun (algo, top_k) ->
       let r =
-        Multistart.run ~restarts:3 ~algo (Prng.create 4) (robust_cfg alpha)
-          problem
+        Multistart.run ~restarts:3 ~algo (Prng.create 4)
+          (robust_cfg ~top_k alpha) problem
       in
       let js =
         Array.map
@@ -447,7 +677,7 @@ let test_multistart_ranks_restarts_by_j () =
             let rp =
               Problem.robust_price problem
                 (Problem.ctx_of_solution problem sol)
-                ~alpha ~top_k:1 ~normal:(Problem.objective sol)
+                ~alpha ~top_k ~normal:(Problem.objective sol)
             in
             Alcotest.(check int)
               (Printf.sprintf "restart %d objective is its J" x.Multistart.index)
@@ -464,7 +694,12 @@ let test_multistart_ranks_restarts_by_j () =
         r.Multistart.best_index;
       Alcotest.(check int) "reported objective is the winner's J" 0
         (Lexico.compare r.Multistart.objective js.(!argmin)))
-    [ Multistart.Str; Multistart.Dtr ]
+    [
+      (Multistart.Str, 1);
+      (Multistart.Dtr, 1);
+      (Multistart.Str, 2);
+      (Multistart.Dtr, 2);
+    ]
 
 let test_robust_sweep_detail_counts_cuts () =
   (* A Robust_sweep event's [detail] is the number of single-link
@@ -573,5 +808,18 @@ let () =
             test_multistart_ranks_restarts_by_j;
           Alcotest.test_case "robust_sweep detail = cut links" `Quick
             test_robust_sweep_detail_counts_cuts;
+        ] );
+      ( "primary-first",
+        [
+          Alcotest.test_case "class-0 probe = full probe (bitwise)" `Quick
+            test_class0_probe_matches_full;
+          Alcotest.test_case "penalty = full sweep's (bitwise)" `Quick
+            test_primary_first_penalty;
+          Alcotest.test_case "penalty with cut links" `Quick
+            test_primary_first_penalty_cut_links;
+          Alcotest.test_case "ties send more than top_k to the full probe"
+            `Quick test_primary_first_penalty_ties;
+          Alcotest.test_case "rejects a wrong cut set" `Quick
+            test_robust_penalty_rejects;
         ] );
     ]
