@@ -86,5 +86,8 @@ let validate t =
   | Some r ->
       if not (r.alpha >= 0.) then
         invalid_arg "Search_config: robust alpha must be non-negative";
+      (* inf * a zero penalty (every failure cut) is NaN. *)
+      if not (Float.is_finite r.alpha) then
+        invalid_arg "Search_config: robust alpha must be finite";
       if r.top_k < 1 then
         invalid_arg "Search_config: robust top_k must be positive"

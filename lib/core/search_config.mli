@@ -8,7 +8,8 @@
 type robust = {
   alpha : float;
       (** weight of the failure penalty in the robust objective
-          [J = normal + alpha * penalty]; must be non-negative *)
+          [J = normal + alpha * penalty]; must be finite and
+          non-negative *)
   top_k : int;
       (** failures averaged by the penalty: the mean of the [top_k]
           worst {e finite} single-link post-failure costs

@@ -579,6 +579,11 @@ let test_robust_config_validation () =
   Alcotest.check_raises "negative alpha rejected"
     (Invalid_argument "Search_config: robust alpha must be non-negative")
     (fun () -> Search_config.validate (robust_cfg (-1.)));
+  (* inf * a zero penalty is NaN: J would be NaN whenever every
+     failure is cut. *)
+  Alcotest.check_raises "infinite alpha rejected"
+    (Invalid_argument "Search_config: robust alpha must be finite")
+    (fun () -> Search_config.validate (robust_cfg Float.infinity));
   Alcotest.check_raises "non-positive top_k rejected"
     (Invalid_argument "Search_config: robust top_k must be positive")
     (fun () ->
