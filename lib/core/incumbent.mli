@@ -15,7 +15,11 @@
     ({!Problem.robust_price}).  A point is swept only when it moved and
     its normal cost beats the best's J: [J >= normal] componentwise, so
     nothing better can hide behind a worse normal cost, and sweeps grow
-    rarer as the best tightens.  The start point is always swept.
+    rarer as the best tightens.  The start point is always swept, in
+    full; the run keeps that sweep's cut links (which do not depend on
+    the weights) and prices every later sweep primary-first with them
+    ({!Dtr_routing.Failure_sweep.robust_penalty}), bitwise the same
+    J.
 
     {b Events.}  Every field but the timestamp is a pure function of
     the trajectory ({!Trace}).  {!tell} reports the best's normal

@@ -134,8 +134,6 @@ let infinite_count outcomes =
 
 let cut_links outcomes = Array.map (fun o -> not (is_finite o)) outcomes
 
-let bits x = Int64.bits_of_float x
-
 let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
   if Eval_ctx.class_count ctx <> 2 then
     invalid_arg "Failure_sweep.robust_penalty: need a 2-class context";
@@ -175,13 +173,14 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
             price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs:(link_arcs links i))
           in
           if not (is_finite o) then not_cut i;
-          if not (Int64.equal (bits o.cost.Lexico.primary) (bits primaries.(i)))
+          let full = o.cost.Lexico.primary in
+          if not (Int64.equal (Int64.bits_of_float full) (Int64.bits_of_float primaries.(i)))
           then
             failwith
               (Printf.sprintf
                  "Failure_sweep.robust_penalty: link %d's full probe prices \
                   the primary %h, its class-0 probe %h"
-                 i o.cost.Lexico.primary primaries.(i));
+                 i full primaries.(i));
           worst := o :: !worst
         end
       done;
