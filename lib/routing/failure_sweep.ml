@@ -140,8 +140,8 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
   if top_k < 1 then
     invalid_arg "Failure_sweep.robust_penalty: top_k must be >= 1";
   let links = Graph.undirected_link_pairs (Eval_ctx.graph ctx) in
-  let k = Array.length links in
-  if Array.length cut <> k then
+  let n = Array.length links in
+  if Array.length cut <> n then
     invalid_arg "Failure_sweep.robust_penalty: cut set of another graph";
   let not_cut i =
     invalid_arg
@@ -149,9 +149,9 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
                        but is not in the cut set" i)
   in
   Metrics.incr_counter m_sweeps;
-  let primaries = Array.make k Float.nan in
+  let primaries = Array.make n Float.nan in
   let survivable = ref [] in
-  for i = 0 to k - 1 do
+  for i = 0 to n - 1 do
     Metrics.incr_counter m_evals;
     if cut.(i) then Metrics.incr_counter m_infinite
     else begin
@@ -167,7 +167,7 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
   | sorted ->
       let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
       let worst = ref [] in
-      for i = k - 1 downto 0 do
+      for i = n - 1 downto 0 do
         if (not cut.(i)) && Float.compare primaries.(i) kth >= 0 then begin
           let o =
             price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs:(link_arcs links i))
