@@ -129,19 +129,18 @@ let init_weights_arg =
            W_H and W_L; e.g. a previous run's --save-weights output).  \
            Weights are range-validated on load.")
 
-(* Warm-start file -> (wh0, wl0).  Out-of-range or malformed files die
-   with the parser's line-numbered message. *)
-let load_init_weights = function
-  | None -> None
-  | Some path -> (
-      match Dtr_routing.Weights_io.load path with
-      | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-      | Ok [| w |] -> Some (w, w)
-      | Ok [| wh; wl |] -> Some (wh, wl)
-      | Ok sets ->
-          failwith
-            (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d"
-               path (Array.length sets)))
+(* A saved weight file as a (wh, wl) pair: one topology seeds both
+   classes (STR), two are W_H and W_L (DTR).  Out-of-range or
+   malformed files die with the parser's line-numbered message. *)
+let load_weight_pair path =
+  match Dtr_routing.Weights_io.load path with
+  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+  | Ok [| w |] -> (w, w)
+  | Ok [| wh; wl |] -> (wh, wl)
+  | Ok sets ->
+      failwith
+        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
+           (Array.length sets))
 
 let scan_jobs_arg =
   Arg.(
@@ -329,6 +328,25 @@ let make_spec topology fraction density seed =
     seed;
   }
 
+(* The scenario the flags describe, its demand scaled to [util]. *)
+let scaled_instance topology fraction density seed ~util =
+  Scenario.scale_to_utilization
+    (Scenario.make (make_spec topology fraction density seed))
+    ~target:util
+
+(* A saved weight setting's live context on an instance... *)
+let context inst (wh, wl) =
+  Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
+    ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
+
+(* ...and with its objective under [model]. *)
+let evaluate inst model weights =
+  let ctx = context inst weights in
+  ( ctx,
+    Objective.of_eval model
+      (Dtr_routing.Eval_ctx.to_evaluate ctx)
+      ~th:inst.Scenario.th () )
+
 (* ------------------------------------------------------------------ *)
 (* topo                                                               *)
 
@@ -378,14 +396,20 @@ let with_metrics metrics_file run =
   match metrics_file with
   | None -> ()
   | Some path ->
-      let put p s =
-        let oc = open_out p in
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
-      in
-      put path (Metrics.to_prometheus ());
-      put (path ^ ".json") (Metrics.to_json ());
+      write_file path (Metrics.to_prometheus ());
+      write_file (path ^ ".json") (Metrics.to_json ());
       Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
       Printf.printf "metrics written to %s (+.json, +.manifest.json)\n" path
+
+(* One search's outcome as [optimize] prints it, from a single run or
+   the best of --restarts. *)
+type searched = {
+  objective : Lexico.t;  (* the search's reported objective, J when robust *)
+  best : Problem.solution;
+  effort : string;  (* the parenthetical of the objective line *)
+  memo : (int * int) option;  (* memo hits and misses, single runs only *)
+  events : Dtr_core.Trace.event list;  (* the convergence table's input *)
+}
 
 let optimize_cmd =
   let run topology model fraction density util preset seed restarts jobs
@@ -393,6 +417,7 @@ let optimize_cmd =
       save_weights trace_file trace_no_time metrics_file trace_sample =
     with_metrics metrics_file @@ fun () ->
     let module Trace = Dtr_core.Trace in
+    let module Compare = Dtr_experiments.Compare in
     (* A large preset replaces --topology and runs the quick budget.
        Its traces would run to gigabytes with every probe in them, so
        probe events stay off unless --trace-sample asks for them. *)
@@ -414,7 +439,7 @@ let optimize_cmd =
       | None -> preset
       | Some n -> { preset with Dtr_core.Search_config.n_iters = n; k_iters = n }
     in
-    let w0 = load_init_weights init_weights in
+    let w0 = Option.map load_weight_pair init_weights in
     let t_start = Unix.gettimeofday () in
     let stop =
       Option.map
@@ -425,8 +450,7 @@ let optimize_cmd =
     then
       failwith
         "--init-weights/--time-budget/--search-iters require --restarts 1";
-    let spec = make_spec topology fraction density seed in
-    let inst = Scenario.make spec in
+    let inst = Scenario.make (make_spec topology fraction density seed) in
     (* One provenance record shared by every artifact of this run. *)
     let manifest =
       Dtr_core.Manifest.to_json ~seed ~jobs ~restarts
@@ -438,167 +462,130 @@ let optimize_cmd =
       (Scenario.topology_name topology)
       (Objective.model_name model)
       (fraction *. 100.) (density *. 100.) util;
-    let save_dtr sol =
-      match save_weights with
-      | None -> ()
-      | Some path ->
-          Dtr_routing.Weights_io.save [| sol.Problem.wh; sol.Problem.wl |] path;
-          Printf.printf "DTR weight pair saved to %s\n" path
-    in
-    (* One JSONL writer shared by both searches plus per-search rings
-       for the convergence summaries printed at the end. *)
+    (* One JSONL writer shared by both searches (it numbers the
+       events), teed into a ring per search run for the convergence
+       summaries printed at the end. *)
     let trace_oc = Option.map open_out trace_file in
     let jsonl =
-      match trace_oc with
-      | Some oc -> Trace.jsonl ~timestamps:(not trace_no_time) oc
-      | None -> Trace.disabled
+      Option.map (Trace.jsonl ~timestamps:(not trace_no_time)) trace_oc
     in
-    let str_ring =
-      match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
+    let traced () =
+      match jsonl with
+      | Some jsonl ->
+          let ring = Trace.ring () in
+          (Trace.tee jsonl ring, ring)
+      | None -> (Trace.disabled, Trace.disabled)
     in
-    let dtr_ring =
-      match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
+    let str, dtr =
+      if restarts <= 1 then begin
+        (* Compare.run_point tags STR events restart = 0 and DTR events
+           restart = 1; one shared ring is split for the summaries. *)
+        let trace, ring = traced () in
+        let point =
+          Compare.run_point ~cfg:preset ~seed ~trace ?stop
+            ?str_iters:search_iters ?w0 inst ~model ~target_util:util
+        in
+        let single restart (objective, best, improvements, evaluations, hits, misses) =
+          {
+            objective;
+            best;
+            effort =
+              Printf.sprintf "%d improvements, %d evaluations" improvements
+                evaluations;
+            memo = Some (hits, misses);
+            events =
+              List.filter
+                (fun (e : Trace.event) -> e.Trace.restart = restart)
+                (Trace.events ring);
+          }
+        in
+        let s = point.Compare.str and d = point.Compare.dtr in
+        ( single 0
+            Dtr_core.Str_search.(s.objective, s.best, s.improvements,
+                                 s.evaluations, s.memo_hits, s.memo_misses),
+          single 1
+            Dtr_core.Dtr_search.(d.objective, d.best, d.improvements,
+                                 d.evaluations, d.memo_hits, d.memo_misses) )
+      end
+      else begin
+        (* Multi-start: each search's stream of the point feeds a
+           Multistart driver instead of a single run.  Output is
+           bit-identical for every --jobs. *)
+        let module Multistart = Dtr_core.Multistart in
+        let inst = Scenario.scale_to_utilization inst ~target:util in
+        let problem = Scenario.problem inst ~model in
+        let _, str_rng, dtr_rng = Compare.streams ~seed inst in
+        Dtr_util.Pool.with_pool ~jobs @@ fun pool ->
+        let ms algo rng =
+          let trace, ring = traced () in
+          let r = Multistart.run ~pool ~restarts ~algo ~trace rng preset problem in
+          {
+            objective = r.Multistart.objective;
+            best = r.Multistart.best;
+            effort =
+              Printf.sprintf "best of %d restarts: #%d, %d evaluations" restarts
+                r.Multistart.best_index r.Multistart.evaluations;
+            memo = None;
+            events = Trace.events ring;
+          }
+        in
+        let str = ms Multistart.Str str_rng in
+        let dtr = ms Multistart.Dtr dtr_rng in
+        (str, dtr)
+      end
     in
-    let print_convergence ~str_evs ~dtr_evs =
-      match trace_file with
-      | None -> ()
-      | Some path ->
-          Option.iter close_out trace_oc;
-          Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
-          let curve name evs =
-            let c = Trace.convergence evs in
+    let both f =
+      f "STR" str;
+      f "DTR" dtr
+    in
+    both (fun name r ->
+        Printf.printf "%-4s objective: primary=%.6g secondary=%.6g (%s)\n" name
+          r.objective.Lexico.primary r.objective.Lexico.secondary r.effort);
+    (* In robust mode the reported objective is J; show the normal-cost
+       share so the penalty is visible. *)
+    Option.iter
+      (fun (rb : Dtr_core.Search_config.robust) ->
+        both (fun name r ->
+            Printf.printf
+              "%-4s robust: J primary=%.6g (normal %.6g, alpha=%g, top-k=%d)\n"
+              name r.objective.Lexico.primary
+              (Problem.objective r.best).Lexico.primary
+              rb.Dtr_core.Search_config.alpha rb.Dtr_core.Search_config.top_k))
+      preset.Dtr_core.Search_config.robust;
+    both (fun name r ->
+        Option.iter
+          (fun (hits, misses) ->
+            Printf.printf "%-4s memo: %d hits / %d misses\n" name hits misses)
+          r.memo);
+    Printf.printf "measured avg utilization: %.3f\n"
+      (Dtr_routing.Evaluate.avg_utilization
+         str.best.Problem.result.Objective.eval);
+    let ratio component =
+      Compare.ratio ~num:(component str.objective)
+        ~den:(component dtr.objective)
+    in
+    Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
+      (ratio (fun o -> o.Lexico.primary))
+      (ratio (fun o -> o.Lexico.secondary));
+    (match trace_file with
+    | None -> ()
+    | Some path ->
+        Option.iter close_out trace_oc;
+        Dtr_core.Manifest.write ~path:(path ^ ".manifest.json") manifest;
+        both (fun name r ->
             print_endline
               (Dtr_util.Table.to_string
                  (Dtr_routing.Report.convergence_table
                     ~title:
                       (Printf.sprintf
                          "%s convergence (best objective vs. evaluations)" name)
-                    c))
-          in
-          curve "STR" str_evs;
-          curve "DTR" dtr_evs;
-          Printf.printf "trace written to %s\n" path
-    in
-    if restarts <= 1 then begin
-      (* Compare.run_point tags STR events restart = 0 and DTR events
-         restart = 1; one shared ring is split for the summaries. *)
-      let ring =
-        match trace_oc with Some _ -> Trace.ring () | None -> Trace.disabled
-      in
-      let trace =
-        match trace_oc with
-        | Some _ -> Trace.tee jsonl ring
-        | None -> Trace.disabled
-      in
-      let point =
-        Dtr_experiments.Compare.run_point ~cfg:preset ~seed ~trace ?stop
-          ?str_iters:search_iters ?w0 inst ~model ~target_util:util
-      in
-      let pr name (o : Lexico.t) ~improvements ~evaluations =
-        Printf.printf
-          "%-4s objective: primary=%.6g secondary=%.6g (%d improvements, %d \
-           evaluations)\n"
-          name o.Lexico.primary o.Lexico.secondary improvements evaluations
-      in
-      let str = point.Dtr_experiments.Compare.str
-      and dtr = point.Dtr_experiments.Compare.dtr in
-      pr "STR" str.Dtr_core.Str_search.objective
-        ~improvements:str.Dtr_core.Str_search.improvements
-        ~evaluations:str.Dtr_core.Str_search.evaluations;
-      pr "DTR" dtr.Dtr_core.Dtr_search.objective
-        ~improvements:dtr.Dtr_core.Dtr_search.improvements
-        ~evaluations:dtr.Dtr_core.Dtr_search.evaluations;
-      (match preset.Dtr_core.Search_config.robust with
-      | None -> ()
-      | Some r ->
-          (* In robust mode the reported objective is J; show the
-             normal-cost share so the penalty is visible. *)
-          let prj name (best : Problem.solution) (j : Lexico.t) =
-            let n = Problem.objective best in
-            Printf.printf
-              "%-4s robust: J primary=%.6g (normal %.6g, alpha=%g, top-k=%d)\n"
-              name j.Lexico.primary n.Lexico.primary
-              r.Dtr_core.Search_config.alpha r.Dtr_core.Search_config.top_k
-          in
-          prj "STR" str.Dtr_core.Str_search.best str.Dtr_core.Str_search.objective;
-          prj "DTR" dtr.Dtr_core.Dtr_search.best dtr.Dtr_core.Dtr_search.objective);
-      let prm name ~hits ~misses =
-        Printf.printf "%-4s memo: %d hits / %d misses\n" name hits misses
-      in
-      prm "STR" ~hits:str.Dtr_core.Str_search.memo_hits
-        ~misses:str.Dtr_core.Str_search.memo_misses;
-      prm "DTR" ~hits:dtr.Dtr_core.Dtr_search.memo_hits
-        ~misses:dtr.Dtr_core.Dtr_search.memo_misses;
-      Printf.printf "measured avg utilization: %.3f\n"
-        point.Dtr_experiments.Compare.measured_util;
-      Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
-        point.Dtr_experiments.Compare.rh point.Dtr_experiments.Compare.rl;
-      let evs = Trace.events ring in
-      print_convergence
-        ~str_evs:
-          (List.filter (fun (e : Trace.event) -> e.Trace.restart = 0) evs)
-        ~dtr_evs:
-          (List.filter (fun (e : Trace.event) -> e.Trace.restart = 1) evs);
-      save_dtr dtr.Dtr_core.Dtr_search.best
-    end
-    else begin
-      (* Multi-start: same PRNG derivation as Compare.run_point, with
-         each search's stream feeding a Multistart driver instead of a
-         single run.  Output is bit-identical for every --jobs. *)
-      let module Multistart = Dtr_core.Multistart in
-      let inst = Scenario.scale_to_utilization inst ~target:util in
-      let problem = Scenario.problem inst ~model in
-      let root =
-        Dtr_util.Prng.create (seed + (inst.Scenario.spec.Scenario.seed * 7919))
-      in
-      let str_rng = Dtr_util.Prng.split root in
-      let dtr_rng = Dtr_util.Prng.split root in
-      Dtr_util.Pool.with_pool ~jobs @@ fun pool ->
-      let ms algo ring rng =
-        let trace =
-          match trace_oc with
-          | Some _ -> Trace.tee jsonl ring
-          | None -> Trace.disabled
-        in
-        Multistart.run ~pool ~restarts ~algo ~trace rng preset problem
-      in
-      let str = ms Multistart.Str str_ring str_rng in
-      let dtr = ms Multistart.Dtr dtr_ring dtr_rng in
-      let pr name (r : Multistart.report) =
-        Printf.printf
-          "%-4s objective: primary=%.6g secondary=%.6g (best of %d restarts: #%d, %d evaluations)\n"
-          name r.Multistart.objective.Lexico.primary
-          r.Multistart.objective.Lexico.secondary restarts r.Multistart.best_index
-          r.Multistart.evaluations
-      in
-      pr "STR" str;
-      pr "DTR" dtr;
-      (match preset.Dtr_core.Search_config.robust with
-      | None -> ()
-      | Some r ->
-          let prj name (ms : Multistart.report) =
-            let n = Problem.objective ms.Multistart.best in
-            Printf.printf
-              "%-4s robust: J primary=%.6g (normal %.6g, alpha=%g, top-k=%d)\n"
-              name ms.Multistart.objective.Lexico.primary n.Lexico.primary
-              r.Dtr_core.Search_config.alpha r.Dtr_core.Search_config.top_k
-          in
-          prj "STR" str;
-          prj "DTR" dtr);
-      Printf.printf "measured avg utilization: %.3f\n"
-        (Dtr_routing.Evaluate.avg_utilization
-           str.Multistart.best.Problem.result.Objective.eval);
-      Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
-        (Dtr_experiments.Compare.ratio
-           ~num:str.Multistart.objective.Lexico.primary
-           ~den:dtr.Multistart.objective.Lexico.primary)
-        (Dtr_experiments.Compare.ratio
-           ~num:str.Multistart.objective.Lexico.secondary
-           ~den:dtr.Multistart.objective.Lexico.secondary);
-      print_convergence ~str_evs:(Trace.events str_ring)
-        ~dtr_evs:(Trace.events dtr_ring);
-      save_dtr dtr.Multistart.best
-    end;
+                    (Trace.convergence r.events))));
+        Printf.printf "trace written to %s\n" path);
+    (match save_weights with
+    | None -> ()
+    | Some path ->
+        Dtr_routing.Weights_io.save [| dtr.best.Problem.wh; dtr.best.Problem.wl |] path;
+        Printf.printf "DTR weight pair saved to %s\n" path);
     manifest
   in
   let restarts_arg =
@@ -757,9 +744,7 @@ let experiment_cmd =
 let simulate_cmd =
   let run topology fraction density util preset seed duration scan_jobs =
     let preset = with_scan_jobs preset scan_jobs in
-    let spec = make_spec topology fraction density seed in
-    let inst = Scenario.make spec in
-    let inst = Scenario.scale_to_utilization inst ~target:util in
+    let inst = scaled_instance topology fraction density seed ~util in
     let problem = Scenario.problem inst ~model:Objective.Load in
     Printf.printf "optimizing DTR weights...\n%!";
     let report =
@@ -826,28 +811,14 @@ let mtospf_cmd =
 (* ------------------------------------------------------------------ *)
 (* inspect                                                            *)
 
-(* A saved weight file as a (wh, wl) pair: one topology seeds both
-   classes (STR), two are W_H and W_L (DTR). *)
-let load_weight_pair path =
-  match Dtr_routing.Weights_io.load path with
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
-  | Ok [| w |] -> (w, w)
-  | Ok [| wh; wl |] -> (wh, wl)
-  | Ok sets ->
-      failwith
-        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
-           (Array.length sets))
-
 let inspect_cmd =
   let run topology model fraction density util preset seed top scan_jobs
       weights_file explain explain_top json_out =
     let module Report = Dtr_routing.Report in
     let module Attribution = Dtr_routing.Attribution in
     let preset = with_scan_jobs preset scan_jobs in
-    let spec = make_spec topology fraction density seed in
-    let inst = Scenario.make spec in
-    let inst = Scenario.scale_to_utilization inst ~target:util in
-    let wh, wl =
+    let inst = scaled_instance topology fraction density seed ~util in
+    let weights =
       match weights_file with
       | Some path ->
           (* Inspect a deployed weight setting as-is — no search. *)
@@ -863,15 +834,7 @@ let inspect_cmd =
     in
     (* One live context serves every table: the report views, the
        single-link robustness sweep and the flow attribution. *)
-    let ctx =
-      Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
-        ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
-    in
-    let result =
-      Objective.of_eval model
-        (Dtr_routing.Eval_ctx.to_evaluate ctx)
-        ~th:inst.Scenario.th ()
-    in
+    let ctx, result = evaluate inst model weights in
     let eval = result.Dtr_routing.Objective.eval in
     let sla = result.Dtr_routing.Objective.sla in
     (* Every printed table is also collected for --json. *)
@@ -993,15 +956,9 @@ let diff_cmd =
       | [ a; b ] -> (a, b)
       | _ -> failwith "pass exactly two --weights FILEs (before and after)"
     in
-    let spec = make_spec topology fraction density seed in
-    let inst = Scenario.make spec in
-    let inst = Scenario.scale_to_utilization inst ~target:util in
-    let g = inst.Scenario.graph in
-    let matrices = [| inst.Scenario.th; inst.Scenario.tl |] in
-    let wha, wla = load_weight_pair path_a in
-    let whb, wlb = load_weight_pair path_b in
-    let ctx_a = Dtr_routing.Eval_ctx.create g ~weights:[| wha; wla |] ~matrices in
-    let ctx_b = Dtr_routing.Eval_ctx.create g ~weights:[| whb; wlb |] ~matrices in
+    let inst = scaled_instance topology fraction density seed ~util in
+    let ctx_a = context inst (load_weight_pair path_a) in
+    let ctx_b = context inst (load_weight_pair path_b) in
     let sla =
       match model with
       | Objective.Sla params -> Some (params, inst.Scenario.th)
@@ -1022,7 +979,7 @@ let diff_cmd =
           (Dtr_core.Manifest.to_json ~seed
              ~model:(Objective.model_name model)
              ~topology:(Scenario.topology_name topology)
-             ~graph:g ());
+             ~graph:inst.Scenario.graph ());
         Printf.printf "diff written to %s (+.manifest.json)\n" path
   in
   let weights_arg =
@@ -1079,20 +1036,8 @@ let report_cmd =
           match weights with
           | None -> []
           | Some path ->
-              let spec = make_spec topology fraction density seed in
-              let inst = Scenario.make spec in
-              let inst = Scenario.scale_to_utilization inst ~target:util in
-              let wh, wl = load_weight_pair path in
-              let ctx =
-                Dtr_routing.Eval_ctx.create inst.Scenario.graph
-                  ~weights:[| wh; wl |]
-                  ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
-              in
-              let result =
-                Objective.of_eval model
-                  (Dtr_routing.Eval_ctx.to_evaluate ctx)
-                  ~th:inst.Scenario.th ()
-              in
+              let inst = scaled_instance topology fraction density seed ~util in
+              let _, result = evaluate inst model (load_weight_pair path) in
               let eval = result.Dtr_routing.Objective.eval in
               [
                 Report.summary_table ?sla:result.Dtr_routing.Objective.sla eval;
@@ -1210,12 +1155,12 @@ let gen_cmd =
                     name
                     (String.concat ", " (Large.names ())) )
           | Some p ->
-              let root = Dtr_util.Prng.create seed in
-              let topo_rng = Dtr_util.Prng.split root in
-              let traffic_rng = Dtr_util.Prng.split root in
               let t0 = Unix.gettimeofday () in
-              let g = Large.generate topo_rng p in
+              let inst =
+                Scenario.make (make_spec (Scenario.Large p) 0.3 0.1 seed)
+              in
               let gen_s = Unix.gettimeofday () -. t0 in
+              let g = inst.Scenario.graph in
               let n = Graph.node_count g in
               let m = Graph.arc_count g in
               let degs = Array.make n 0 in
@@ -1232,18 +1177,13 @@ let gen_cmd =
               Printf.printf "out-degree: min %d, mean %.1f, max %d\n" dmin
                 (float_of_int m /. float_of_int n)
                 dmax;
-              let pops = Large.pop_nodes g p in
-              let tm =
-                Dtr_traffic.Gravity.generate_pop traffic_rng ~n ~pops
-                  Dtr_traffic.Gravity.default
-              in
               let pairs = ref 0 and volume = ref 0. in
-              Dtr_traffic.Matrix.iter tm (fun _ _ v ->
+              Dtr_traffic.Matrix.iter inst.Scenario.tl (fun _ _ v ->
                   incr pairs;
                   volume := !volume +. v);
               Printf.printf
                 "PoP gravity demand: %d PoPs, %d pairs, total volume %.0f\n"
-                (Array.length pops) !pairs !volume;
+                p.Large.pops !pairs !volume;
               (match out with
               | Some path ->
                   Dtr_topology.Topo_io.save g path;

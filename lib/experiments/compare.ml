@@ -23,13 +23,17 @@ let ratio ~num ~den =
   if den <= eps then if num <= eps then 1. else Float.infinity
   else num /. den
 
+let streams ~seed inst =
+  let root = Prng.create (seed + (inst.Scenario.spec.Scenario.seed * 7919)) in
+  let str_rng = Prng.split root in
+  let dtr_rng = Prng.split root in
+  (root, str_rng, dtr_rng)
+
 let run_point ?(cfg = Dtr_core.Search_config.default) ?(seed = 0)
     ?(trace = Trace.disabled) ?stop ?str_iters ?w0 inst ~model ~target_util =
   let inst = Scenario.scale_to_utilization inst ~target:target_util in
   let problem = Scenario.problem inst ~model in
-  let root = Prng.create (seed + (inst.Scenario.spec.Scenario.seed * 7919)) in
-  let str_rng = Prng.split root in
-  let dtr_rng = Prng.split root in
+  let root, str_rng, dtr_rng = streams ~seed inst in
   (* On the full-mesh-core large presets the mid-range default start
      shortest-hop-routes every PoP pair over its direct core link and
      is already locally optimal, so they start from seeded random
@@ -92,4 +96,19 @@ let points_table ~title points =
           Printf.sprintf "%.2f" p.rl;
         ])
     points;
+  table
+
+let rl_table ~title ~targets columns =
+  let table =
+    Table.create ~title ~columns:("target-util" :: List.map fst columns)
+  in
+  List.iteri
+    (fun i target ->
+      let cells =
+        List.map
+          (fun (_, points) -> Printf.sprintf "%.2f" (List.nth points i).rl)
+          columns
+      in
+      Table.add_row table (Printf.sprintf "%.2f" target :: cells))
+    targets;
   table

@@ -1,6 +1,9 @@
 (** One evaluation point: optimize the same scenario with STR and DTR
     and compare costs — the measurement behind Figs. 2, 4, 5, 8 and
-    Table 1. *)
+    Table 1.  A point's PRNG streams are derived here alone
+    ({!streams}: [optimize]'s single run and its multi-start both use
+    them), and so is the [R_L]-vs-load table that Figs. 4, 5 and 8
+    print ({!rl_table}). *)
 
 type point = {
   target_util : float;  (** requested network load *)
@@ -15,6 +18,14 @@ val ratio : num:float -> den:float -> float
 (** Zero-guarded ratio: both ≈ 0 gives 1 (equal performance); a zero
     denominator with a positive numerator gives [infinity]. *)
 
+val streams :
+  seed:int -> Scenario.instance -> Dtr_util.Prng.t * Dtr_util.Prng.t * Dtr_util.Prng.t
+(** [(root, str, dtr)]: the point's root generator, seeded from [seed]
+    and the instance's scenario seed, and the STR and DTR search
+    streams split from it in that order.  {!run_point} draws a
+    {!Scenario.Large} instance's random start from [root] after the
+    two splits. *)
+
 val run_point :
   ?cfg:Dtr_core.Search_config.t ->
   ?seed:int ->
@@ -27,7 +38,7 @@ val run_point :
   target_util:float ->
   point
 (** Scale the instance to [target_util], then run both searches
-    (independent PRNG streams derived from [seed], default 0).
+    (the independent PRNG streams of {!streams}, [seed] default 0).
     [stop] (the wall-clock budget hook) is polled by both searches
     once per iteration; [str_iters] caps STR's iterations (default
     {!Dtr_core.Str_search.default_iters}); [w0] warm-starts them —
@@ -57,3 +68,12 @@ val points_table :
   title:string -> point list -> Dtr_util.Table.t
 (** Render points as the paper's figure series: measured utilization,
     H-cost ratio, L-cost ratio. *)
+
+val rl_table :
+  title:string ->
+  targets:float list ->
+  (string * point list) list ->
+  Dtr_util.Table.t
+(** The [R_L]-vs-load table of Figs. 4, 5 and 8: one row per target
+    utilization (first column, [%.2f]), then one [R_L] column per
+    [(label, points)] series, each series a {!sweep} over [targets]. *)

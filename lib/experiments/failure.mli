@@ -7,17 +7,20 @@
     fails each physical (bidirectional) link in turn and re-prices both
     classes on the surviving topology.  Reported per scheme: the
     no-failure cost, the mean over finite post-failure costs, the worst
-    post-failure cost, and the disconnecting-failure count.
+    post-failure cost, and the disconnecting-failure count — the rows
+    of {!Dtr_routing.Report.robustness_rows}, each prefixed with the
+    scheme's name.
 
     Failures that sever positive demand are {e not} skipped: they are
     priced as infinite outcomes (with their severed-pair counts), so
     the worst-case column reads [inf] whenever the topology has a
-    demand-carrying cut link.  The sweep itself runs on the delta
-    engine ({!Dtr_routing.Failure_sweep.sweep}): each failure is an
-    arc-suppression probe against a live evaluation context, patching
-    only the destinations whose shortest-path DAGs used the failed
-    link.  The experiment sweeps sequentially: [experiment --jobs]
-    parallelizes across experiments, not within this one. *)
+    demand-carrying cut link.  Each scheme is priced by
+    {!Dtr_core.Problem.failure_outcomes} on a context rebuilt from its
+    best solution's DAGs: each failure is an arc-suppression probe on
+    the delta engine, patching only the destinations whose
+    shortest-path DAGs used the failed link.  The experiment sweeps
+    sequentially: [experiment --jobs] parallelizes across experiments,
+    not within this one. *)
 
 val run :
   ?cfg:Dtr_core.Search_config.t ->
@@ -25,17 +28,3 @@ val run :
   ?target_util:float ->
   unit ->
   Dtr_util.Table.t
-
-val post_failure_costs :
-  ?pool:Dtr_util.Pool.t ->
-  ?model:Dtr_routing.Objective.model ->
-  Scenario.instance ->
-  wh:int array ->
-  wl:int array ->
-  Dtr_routing.Failure_sweep.outcome array
-(** Price every single-link failure of the instance's graph against
-    [(wh, wl)] on the delta engine, on [pool] if given (default model:
-    [Load]).  One outcome per physical link in
-    {!Dtr_graph.Graph.undirected_link_pairs} order — disconnecting
-    failures appear as infinite-cost outcomes with their severed-pair
-    counts.  Identical for every pool width.  Exposed for tests. *)

@@ -14,7 +14,8 @@ let instance () =
   (g, th, tl)
 
 (* Enumerate all weight settings in {1, 2, 3}^6; for single-source
-   traffic this covers every realizable STR routing of the triangle. *)
+   traffic this covers every realizable STR routing of the triangle.
+   [f] sees each setting's cost ⟨Φ_H, Φ_L⟩. *)
 let enumerate f =
   let g, th, tl = instance () in
   let m = Dtr_graph.Graph.arc_count g in
@@ -22,7 +23,8 @@ let enumerate f =
   let rec go i =
     if i = m then begin
       let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
-      f w (Eval_ctx.to_evaluate ctx)
+      let eval = Eval_ctx.to_evaluate ctx in
+      f (Lexico.make ~primary:eval.Evaluate.phi_h ~secondary:eval.Evaluate.phi_l)
     end
     else
       for v = 1 to 3 do
@@ -32,27 +34,22 @@ let enumerate f =
   in
   go 0
 
+let point (c : Lexico.t) = (c.Lexico.primary, c.Lexico.secondary)
+
 let optimum_for_alpha ~alpha =
   let best = ref Float.infinity and best_point = ref (0., 0.) in
-  enumerate (fun _ eval ->
-      let j = (alpha *. eval.Evaluate.phi_h) +. eval.Evaluate.phi_l in
+  enumerate (fun c ->
+      let j = Lexico.to_joint ~alpha c in
       if j < !best then begin
         best := j;
-        best_point := (eval.Evaluate.phi_h, eval.Evaluate.phi_l)
+        best_point := point c
       end);
   !best_point
 
 let lexicographic_optimum () =
-  let best = ref Lexico.infinity and best_point = ref (0., 0.) in
-  enumerate (fun _ eval ->
-      let c =
-        Lexico.make ~primary:eval.Evaluate.phi_h ~secondary:eval.Evaluate.phi_l
-      in
-      if Lexico.lt c !best then begin
-        best := c;
-        best_point := (eval.Evaluate.phi_h, eval.Evaluate.phi_l)
-      end);
-  !best_point
+  let best = ref Lexico.infinity in
+  enumerate (fun c -> if Lexico.lt c !best then best := c);
+  point !best
 
 let run ~alphas =
   let table =

@@ -11,5 +11,6 @@ val run : alphas:float list -> Dtr_util.Table.t
 (** One row per α, plus a lexicographic-optimum reference row. *)
 
 val optimum_for_alpha : alpha:float -> float * float
-(** [(Φ_H, Φ_L)] of the joint-cost optimum (exhaustive).  Exposed for
-    tests. *)
+(** [(Φ_H, Φ_L)] of the joint-cost optimum (exhaustive), J priced by
+    {!Dtr_cost.Lexico.to_joint}.  Exposed for tests.
+    @raise Invalid_argument on a negative [alpha]. *)

@@ -1,39 +1,20 @@
-module Table = Dtr_util.Table
 module Objective = Dtr_routing.Objective
 
 let run ?cfg ?(seed = 31) ?(targets = [ 0.4; 0.5; 0.6; 0.7; 0.8 ])
     ?(fractions = [ 0.20; 0.40 ]) () =
-  let sweeps =
-    List.map
-      (fun f ->
-        let spec =
-          {
-            Scenario.topology = Scenario.Random_topo;
-            fraction = f;
-            hp = Scenario.Random_density 0.10;
-            seed;
-          }
-        in
-        (f, Compare.sweep ?cfg spec ~model:Objective.Load ~targets))
-      fractions
-  in
-  let table =
-    Table.create
-      ~title:"Fig 4: impact of high-priority share f on RL (random, load cost, k=10%)"
-      ~columns:
-        ("target-util"
-        :: List.map (fun f -> Printf.sprintf "RL (f=%.0f%%)" (f *. 100.)) fractions
-        )
-  in
-  List.iteri
-    (fun i target ->
-      let cells =
-        List.map
-          (fun (_, points) ->
-            let p = List.nth points i in
-            Printf.sprintf "%.2f" p.Compare.rl)
-          sweeps
-      in
-      Table.add_row table (Printf.sprintf "%.2f" target :: cells))
-    targets;
-  table
+  Compare.rl_table
+    ~title:"Fig 4: impact of high-priority share f on RL (random, load cost, k=10%)"
+    ~targets
+    (List.map
+       (fun f ->
+         let spec =
+           {
+             Scenario.topology = Scenario.Random_topo;
+             fraction = f;
+             hp = Scenario.Random_density 0.10;
+             seed;
+           }
+         in
+         ( Printf.sprintf "RL (f=%.0f%%)" (f *. 100.),
+           Compare.sweep ?cfg spec ~model:Objective.Load ~targets ))
+       fractions)

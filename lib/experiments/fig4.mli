@@ -9,5 +9,6 @@ val run :
   ?fractions:float list ->
   unit ->
   Dtr_util.Table.t
-(** Columns: measured utilization, then one [R_L] column per
-    fraction (defaults 20% and 40%). *)
+(** Columns: target utilization, then one [R_L] column per
+    fraction (defaults 20% and 40%); built by
+    {!Compare.rl_table}. *)

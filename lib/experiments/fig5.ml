@@ -1,42 +1,23 @@
-module Table = Dtr_util.Table
 module Objective = Dtr_routing.Objective
 
 let run ?cfg ?(seed = 37) ?(targets = [ 0.5; 0.6; 0.7; 0.8 ])
     ?(densities = [ 0.10; 0.30 ]) ~model () =
-  let sweeps =
-    List.map
-      (fun k ->
-        let spec =
-          {
-            Scenario.topology = Scenario.Random_topo;
-            fraction = 0.30;
-            hp = Scenario.Random_density k;
-            seed;
-          }
-        in
-        (k, Compare.sweep ?cfg spec ~model ~targets))
-      densities
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "Fig 5: impact of HP SD-pair density k on RL (random, %s cost, f=30%%)"
-           (Objective.model_name model))
-      ~columns:
-        ("target-util"
-        :: List.map (fun k -> Printf.sprintf "RL (k=%.0f%%)" (k *. 100.)) densities
-        )
-  in
-  List.iteri
-    (fun i target ->
-      let cells =
-        List.map
-          (fun (_, points) ->
-            let p = List.nth points i in
-            Printf.sprintf "%.2f" p.Compare.rl)
-          sweeps
-      in
-      Table.add_row table (Printf.sprintf "%.2f" target :: cells))
-    targets;
-  table
+  Compare.rl_table
+    ~title:
+      (Printf.sprintf
+         "Fig 5: impact of HP SD-pair density k on RL (random, %s cost, f=30%%)"
+         (Objective.model_name model))
+    ~targets
+    (List.map
+       (fun k ->
+         let spec =
+           {
+             Scenario.topology = Scenario.Random_topo;
+             fraction = 0.30;
+             hp = Scenario.Random_density k;
+             seed;
+           }
+         in
+         ( Printf.sprintf "RL (k=%.0f%%)" (k *. 100.),
+           Compare.sweep ?cfg spec ~model ~targets ))
+       densities)

@@ -12,4 +12,4 @@ val run :
   unit ->
   Dtr_util.Table.t
 (** Columns: target utilization, one [R_L] column per density
-    (defaults 10% and 30%). *)
+    (defaults 10% and 30%); built by {!Compare.rl_table}. *)

@@ -10,4 +10,5 @@ val run :
   model:Dtr_routing.Objective.model ->
   unit ->
   Dtr_util.Table.t
-(** Columns: target utilization, RL(Uniform), RL(Local). *)
+(** Columns: target utilization, RL(Uniform), RL(Local); built by
+    {!Compare.rl_table}. *)

@@ -92,10 +92,6 @@ let sweep ?pool ?(model = Objective.Load) ~th ctx =
 (* ------------------------------------------------------------------ *)
 (* Robust penalty: aggregate a sweep into one Lexico term. *)
 
-let scale f (l : Lexico.t) =
-  Lexico.make ~primary:(f *. l.Lexico.primary)
-    ~secondary:(f *. l.Lexico.secondary)
-
 (* Mean of the k worst finite outcomes.  Infinite (disconnecting)
    outcomes are excluded: single-link reachability is weight-
    independent, so they price every weight setting identically and
@@ -114,7 +110,7 @@ let penalty ?(top_k = 1) outcomes =
     for i = 0 to k - 1 do
       acc := Lexico.add !acc finite.(i)
     done;
-    scale (1. /. float_of_int k) !acc
+    Lexico.scale (1. /. float_of_int k) !acc
   end
 
 let infinite_count outcomes =

@@ -155,7 +155,7 @@ let summary_table ?sla (e : Evaluate.t) =
         [ "worst pair delay (ms)"; Printf.sprintf "%.2f" s.Evaluate.worst_delay ]);
   table
 
-let robustness_table ~baseline outcomes =
+let robustness_rows ~baseline outcomes =
   let module Lexico = Dtr_cost.Lexico in
   let finite =
     Array.to_list outcomes
@@ -168,6 +168,27 @@ let robustness_table ~baseline outcomes =
       (fun n (o : Failure_sweep.outcome) -> n + o.Failure_sweep.unreachable_pairs)
       0 outcomes
   in
+  let disco =
+    if infinite = 0 then "0"
+    else Printf.sprintf "%d (%d pairs severed)" infinite severed
+  in
+  let row klass base select =
+    let arr = Array.of_list (List.map select finite) in
+    [
+      klass;
+      Printf.sprintf "%.4g" base;
+      Printf.sprintf "%.4g" (Stats.mean arr);
+      (if infinite > 0 then "inf"
+       else Printf.sprintf "%.4g" (Array.fold_left Float.max 0. arr));
+      disco;
+    ]
+  in
+  [
+    row "high" baseline.Lexico.primary (fun c -> c.Lexico.primary);
+    row "low" baseline.Lexico.secondary (fun c -> c.Lexico.secondary);
+  ]
+
+let robustness_table ~baseline outcomes =
   let table =
     Table.create ~title:"Single-link failure robustness (same weights, no re-optimization)"
       ~columns:
@@ -179,22 +200,5 @@ let robustness_table ~baseline outcomes =
           "disconnecting";
         ]
   in
-  let disco =
-    if infinite = 0 then "0"
-    else Printf.sprintf "%d (%d pairs severed)" infinite severed
-  in
-  let row klass base select =
-    let arr = Array.of_list (List.map select finite) in
-    Table.add_row table
-      [
-        klass;
-        Printf.sprintf "%.4g" base;
-        Printf.sprintf "%.4g" (Stats.mean arr);
-        (if infinite > 0 then "inf"
-         else Printf.sprintf "%.4g" (Array.fold_left Float.max 0. arr));
-        disco;
-      ]
-  in
-  row "high" baseline.Lexico.primary (fun c -> c.Lexico.primary);
-  row "low" baseline.Lexico.secondary (fun c -> c.Lexico.secondary);
+  List.iter (Table.add_row table) (robustness_rows ~baseline outcomes);
   table

@@ -1,5 +1,8 @@
 (** Human-readable inspection of a two-class evaluation: per-link and
-    per-pair tables for operators (and the CLI's [inspect] command). *)
+    per-pair tables for operators (and the CLI's [inspect] and
+    [report] commands).  The single-link failure summary has one home
+    here: {!robustness_rows} feeds both {!robustness_table} and the
+    failure extension experiment's per-scheme table. *)
 
 val per_link_table :
   ?top:int -> Evaluate.t -> Dtr_util.Table.t
@@ -38,6 +41,13 @@ val summary_table : ?sla:Evaluate.sla -> Evaluate.t -> Dtr_util.Table.t
 (** Aggregates: Φ_H, Φ_L, average/max utilization, overloaded-arc
     count (utilization > 1); with [?sla] also Λ, violation /
     unreachable-pair counts and the worst pair delay. *)
+
+val robustness_rows :
+  baseline:Dtr_cost.Lexico.t -> Failure_sweep.outcome array -> string list list
+(** The two rows (high class, then low) of {!robustness_table}: class,
+    no-failure cost, mean finite and worst post-failure cost, and the
+    disconnecting-failure count.  Callers that compare several weight
+    settings in one table prefix each row with the setting's name. *)
 
 val robustness_table :
   baseline:Dtr_cost.Lexico.t ->

@@ -179,9 +179,13 @@ let test_failure_sweep_jobs_invariance () =
   let rng = Prng.create 17 in
   let wh = Weights.random rng inst.Scenario.graph in
   let wl = Weights.random rng inst.Scenario.graph in
-  let seq = Dtr_experiments.Failure.post_failure_costs inst ~wh ~wl in
+  let ctx =
+    Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
+      ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
+  in
+  let seq = Failure_sweep.sweep ~th:inst.Scenario.th ctx in
   Pool.with_pool ~jobs:4 @@ fun pool ->
-  let par = Dtr_experiments.Failure.post_failure_costs ~pool inst ~wh ~wl in
+  let par = Failure_sweep.sweep ~pool ~th:inst.Scenario.th ctx in
   Alcotest.(check int) "same count" (Array.length seq) (Array.length par);
   Array.iter2
     (fun (a : Failure_sweep.outcome) (b : Failure_sweep.outcome) ->
