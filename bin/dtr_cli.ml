@@ -87,13 +87,37 @@ let opt_preset_conv =
   in
   Arg.conv (parse, print)
 
+(* Counts and budgets: a junk value is a usage error naming the flag,
+   never a run that silently does something else. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | _ ->
+        Error
+          (`Msg
+             (Printf.sprintf
+                "invalid value '%s', expected a positive finite number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
 
 let jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Worker domains for parallel execution (default 1 = \
@@ -109,7 +133,7 @@ let preset_arg =
 let time_budget_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive_float) None
     & info [ "time-budget" ] ~docv:"SECS"
         ~doc:
           "Wall-clock budget in seconds for the whole command: each \
@@ -145,7 +169,7 @@ let load_weight_pair path =
 let scan_jobs_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "scan-jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the neighborhood-scan engine inside each \
@@ -159,7 +183,7 @@ let with_scan_jobs preset scan_jobs =
 let trace_sample_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some positive_int) None
     & info [ "trace-sample" ] ~docv:"N"
         ~doc:
           "Keep every N-th probe event in the trace (counter-based per \
@@ -272,7 +296,7 @@ let alpha_arg =
 let top_k_arg =
   Arg.(
     value
-    & opt int 1
+    & opt positive_int 1
     & info [ "top-k" ] ~docv:"K"
         ~doc:
           "How many worst finite failures the --robust penalty \
@@ -591,7 +615,7 @@ let optimize_cmd =
   let restarts_arg =
     Arg.(
       value
-      & opt int 1
+      & opt positive_int 1
       & info [ "restarts" ] ~docv:"N"
           ~doc:
             "Independent search restarts per algorithm; the best \
@@ -656,7 +680,7 @@ let optimize_cmd =
   let search_iters_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "search-iters" ] ~docv:"N"
           ~doc:
             "Cap every search loop at N iterations (STR's value-scan \
