@@ -88,7 +88,18 @@ let make_large spec p =
         Matrix.set th s t (spec.fraction *. v));
   { graph; th; tl; spec }
 
+(* Range tests written so that NaN fails them too. *)
+let validate spec =
+  if not (0. < spec.fraction && spec.fraction < 1.) then
+    invalid_arg "Scenario.make: fraction must be in (0, 1)";
+  let density =
+    match spec.hp with Random_density k -> k | Sinks { density; _ } -> density
+  in
+  if not (0. <= density && density <= 1.) then
+    invalid_arg "Scenario.make: density must be in [0, 1]"
+
 let make spec =
+  validate spec;
   match spec.topology with
   | Large p -> make_large spec p
   | _ ->
@@ -136,7 +147,8 @@ let reference_avg_utilization inst =
   Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
 
 let scale_to_utilization inst ~target =
-  if target <= 0. then invalid_arg "Scenario.scale_to_utilization: bad target";
+  if not (target > 0. && Float.is_finite target) then
+    invalid_arg "Scenario.scale_to_utilization: bad target";
   let current = reference_avg_utilization inst in
   let factor = target /. current in
   {

@@ -46,15 +46,18 @@ val make : spec -> instance
 (** Generate topology and matrices from the seed (two independent
     PRNG streams, so the topology does not change when traffic
     parameters do).
-    @raise Invalid_argument on a [Large] spec with [Sinks]
-    placement. *)
+    @raise Invalid_argument, before generating anything, if [fraction]
+    is outside [(0, 1)] or the density (of [Random_density] or
+    [Sinks]) is outside [\[0, 1\]], NaN included; and on a [Large]
+    spec with [Sinks] placement. *)
 
 val scale_to_utilization : instance -> target:float -> instance
 (** Scale both matrices by a common factor so that the average link
     utilization under mid-range uniform STR weights equals [target].
     The utilization under optimized weights then lands close to (and
     is always re-measured at) the target.
-    @raise Invalid_argument on a non-positive target. *)
+    @raise Invalid_argument on a target that is not positive and
+    finite. *)
 
 val reference_avg_utilization : instance -> float
 (** Average link utilization under mid-range uniform STR weights. *)

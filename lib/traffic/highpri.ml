@@ -3,7 +3,7 @@ module Graph = Dtr_graph.Graph
 
 let random_pairs rng ~n ~density =
   if n < 2 then invalid_arg "Highpri.random_pairs: need at least 2 nodes";
-  if density < 0. || density > 1. then
+  if not (0. <= density && density <= 1.) then
     invalid_arg "Highpri.random_pairs: density must be in [0, 1]";
   let all = n * (n - 1) in
   let count = int_of_float (Float.round (density *. float_of_int all)) in
@@ -97,7 +97,7 @@ let client_count_for_density ~n ~sinks ~density =
   max 1 (min c (n - sinks))
 
 let volumes rng ~low ~fraction ~pairs =
-  if fraction <= 0. || fraction >= 1. then
+  if not (0. < fraction && fraction < 1.) then
     invalid_arg "Highpri.volumes: fraction must be in (0, 1)";
   if pairs = [] then invalid_arg "Highpri.volumes: no pairs";
   List.iter

@@ -10,8 +10,8 @@ val random_pairs :
   Dtr_util.Prng.t -> n:int -> density:float -> (int * int) list
 (** [random_pairs g ~n ~density] selects
     [round (density ⋅ n ⋅ (n−1))] distinct ordered SD pairs.
-    @raise Invalid_argument if [density] is outside [\[0, 1\]] or
-    [n < 2]. *)
+    @raise Invalid_argument if [density] is outside [\[0, 1\]] (NaN
+    included) or [n < 2]. *)
 
 val sink_pairs : sinks:int array -> clients:int array -> (int * int) list
 (** Bidirectional pairs between every client and every sink (clients
@@ -51,5 +51,5 @@ val volumes :
     total volume [η_L ⋅ f / (1 − f)] (so the high-priority share of
     all traffic is [f]), split across [pairs] proportionally to
     independent [Uniform(1,4)] marks.
-    @raise Invalid_argument if [fraction] is outside [(0, 1)] or
-    [pairs] is empty or contains a diagonal pair. *)
+    @raise Invalid_argument if [fraction] is outside [(0, 1)] (NaN
+    included) or [pairs] is empty or contains a diagonal pair. *)

@@ -118,6 +118,56 @@ let test_scenario_extension_topologies_build () =
         (Graph.is_strongly_connected inst.Scenario.graph))
     [ Scenario.Waxman; Scenario.Transit_stub; Scenario.Abilene ]
 
+(* Out-of-range fractions and densities, NaN among them, are rejected
+   before anything is generated — on a large preset too, which builds
+   its demand without the Highpri range checks. *)
+let test_scenario_rejects_bad_ranges () =
+  let ts1k =
+    match Dtr_topology.Large.find "ts-1k" with
+    | Some p -> Scenario.Large p
+    | None -> Alcotest.fail "ts-1k preset missing"
+  in
+  let raises what msg spec =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Scenario.make spec))
+  in
+  List.iter
+    (fun topology ->
+      let name = Scenario.topology_name topology in
+      List.iter
+        (fun fraction ->
+          raises
+            (Printf.sprintf "%s: fraction %g" name fraction)
+            "Scenario.make: fraction must be in (0, 1)"
+            { random_spec with Scenario.topology; fraction })
+        [ 0.; 1.; 5.; Float.nan ];
+      List.iter
+        (fun density ->
+          raises
+            (Printf.sprintf "%s: density %g" name density)
+            "Scenario.make: density must be in [0, 1]"
+            { random_spec with Scenario.topology; hp = Scenario.Random_density density };
+          raises
+            (Printf.sprintf "%s: sink density %g" name density)
+            "Scenario.make: density must be in [0, 1]"
+            {
+              random_spec with
+              Scenario.topology;
+              hp = Scenario.Sinks { sinks = 3; density; placement = Highpri.Uniform };
+            })
+        [ -0.1; 3.; Float.nan ])
+    [ Scenario.Random_topo; ts1k ]
+
+let test_scenario_scaling_rejects_bad_targets () =
+  let inst = Scenario.make random_spec in
+  List.iter
+    (fun target ->
+      Alcotest.check_raises
+        (Printf.sprintf "target %g" target)
+        (Invalid_argument "Scenario.scale_to_utilization: bad target")
+        (fun () -> ignore (Scenario.scale_to_utilization inst ~target)))
+    [ 0.; Float.nan; Float.infinity ]
+
 (* ------------------------------------------------------------------ *)
 (* Compare *)
 
@@ -387,6 +437,10 @@ let () =
           Alcotest.test_case "names" `Quick test_scenario_names;
           Alcotest.test_case "extension topologies build" `Quick
             test_scenario_extension_topologies_build;
+          Alcotest.test_case "rejects bad fraction or density" `Quick
+            test_scenario_rejects_bad_ranges;
+          Alcotest.test_case "scaling rejects bad targets" `Quick
+            test_scenario_scaling_rejects_bad_targets;
         ] );
       ( "compare",
         [

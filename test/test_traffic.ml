@@ -162,7 +162,11 @@ let test_random_pairs_full_density () =
 let test_random_pairs_rejects () =
   Alcotest.check_raises "density > 1"
     (Invalid_argument "Highpri.random_pairs: density must be in [0, 1]")
-    (fun () -> ignore (Highpri.random_pairs (Prng.create 1) ~n:5 ~density:1.5))
+    (fun () -> ignore (Highpri.random_pairs (Prng.create 1) ~n:5 ~density:1.5));
+  Alcotest.check_raises "density nan"
+    (Invalid_argument "Highpri.random_pairs: density must be in [0, 1]")
+    (fun () ->
+      ignore (Highpri.random_pairs (Prng.create 1) ~n:5 ~density:Float.nan))
 
 (* ------------------------------------------------------------------ *)
 (* Highpri: sinks *)
@@ -262,7 +266,10 @@ let test_volumes_rejects () =
       ignore (Highpri.volumes rng ~low ~fraction:0.3 ~pairs:[]));
   Alcotest.check_raises "bad fraction"
     (Invalid_argument "Highpri.volumes: fraction must be in (0, 1)") (fun () ->
-      ignore (Highpri.volumes rng ~low ~fraction:1.0 ~pairs:[ (0, 1) ]))
+      ignore (Highpri.volumes rng ~low ~fraction:1.0 ~pairs:[ (0, 1) ]));
+  Alcotest.check_raises "nan fraction"
+    (Invalid_argument "Highpri.volumes: fraction must be in (0, 1)") (fun () ->
+      ignore (Highpri.volumes rng ~low ~fraction:Float.nan ~pairs:[ (0, 1) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Diurnal *)
