@@ -3,7 +3,7 @@ module Pool = Dtr_util.Pool
 module Lexico = Dtr_cost.Lexico
 module Weights = Dtr_routing.Weights
 
-type algo = Str | Dtr | Anneal
+type algo = Str | Dtr
 
 type restart = {
   index : int;
@@ -59,12 +59,6 @@ let run ?pool ?(trace = Trace.disabled) ~restarts ~algo rng cfg problem =
           let w0 = start random_pair in
           let r = Dtr_search.run ?w0 ~trace rng cfg problem in
           (r.Dtr_search.best, r.Dtr_search.objective, r.Dtr_search.evaluations)
-      | Anneal ->
-          let w0 = start random_pair in
-          let r = Anneal_search.run ?w0 ~trace rng cfg problem in
-          ( r.Anneal_search.best,
-            r.Anneal_search.objective,
-            r.Anneal_search.evaluations )
     in
     ({ index; objective; solution }, evaluations)
   in

@@ -10,16 +10,16 @@
     are therefore bit-identical for every pool width (and without a
     pool).
     A restart's objective is its search report's: [J] in robust mode
-    ({!Search_config.robust}), which annealing ignores.
+    ({!Search_config.robust}).
 
-    Restart 0 starts from the canonical mid-range uniform weights (the
-    same initial point the single-run searches use); restarts [>= 1]
-    start from weights drawn uniformly at random from their own
-    stream. *)
+    Restart 0 starts from the searches' default, the mid-range uniform
+    weights; restarts [>= 1] start from weights drawn uniformly at
+    random from their own stream.  A single run of [optimize] starts
+    from the same default except on a large preset, where
+    [Compare.run_point] starts from seeded random weights. *)
 
-type algo = Str | Dtr | Anneal
-(** Which search a restart runs: {!Str_search}, {!Dtr_search} or
-    {!Anneal_search} (with its default schedule). *)
+type algo = Str | Dtr
+(** Which search a restart runs: {!Str_search} or {!Dtr_search}. *)
 
 type restart = {
   index : int;
