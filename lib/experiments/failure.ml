@@ -33,8 +33,6 @@ let run ?(cfg = Search_config.quick) ?(seed = 79) ?(target_util = 0.55) () =
           "disconnecting";
         ]
   in
-  (* Each scheme's sweep runs on a context rebuilt from its best
-     solution's DAGs. *)
   let describe name best baseline =
     let outcomes =
       Problem.failure_outcomes problem (Problem.ctx_of_solution problem best)
