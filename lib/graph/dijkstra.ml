@@ -11,8 +11,8 @@ module Metrics = Dtr_util.Metrics
 
 (* Every full single-destination or single-source run counts here,
    with its bucket-queue traffic.  Spf_delta's bounded repairs are not
-   full runs: they count their re-settled labels on their own
-   counter. *)
+   full runs and use no bucket queue: they count their re-settled
+   labels on their own counter. *)
 let m_spf_runs =
   Metrics.counter ~help:"Full single-destination SPF (Dijkstra) runs."
     "dtr_spf_runs_total"
@@ -56,8 +56,6 @@ let scratch ws n =
   else Array.fill ws.settled 0 n false;
   Dtr_util.Bucket_queue.clear ws.queue;
   (ws.settled, ws.queue)
-
-let repair_scratch = scratch
 
 (* Dial's algorithm over the flat CSR rows: weights are bounded
    positive integers, so tentative distances are monotone integer

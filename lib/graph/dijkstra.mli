@@ -30,12 +30,6 @@ type workspace
 val workspace : unit -> workspace
 (** An empty arena; buffers are sized lazily on first use. *)
 
-val repair_scratch : workspace -> int -> bool array * Dtr_util.Bucket_queue.t
-(** [repair_scratch ws n] lends {!Spf_delta}'s bounded repairs the
-    arena's buffers for an [n]-node graph: the settled flags (cleared)
-    and the bucket queue (emptied), so one arena serves full sweeps and
-    delta repairs alike. *)
-
 val distances_to : Graph.t -> weights:int array -> dst:int -> int array
 (** [distances_to g ~weights ~dst] returns [d] with [d.(v)] the least
     total weight of a directed path from [v] to [dst] ([0] for [dst]

@@ -5,45 +5,50 @@ type dag = {
   order_desc : int array;
 }
 
-let node_next_arcs g ~weights ~dist v =
-  (* Two passes over the CSR out-segment: count, then fill — avoids
-     building an intermediate list on this very hot path.  The segment
-     lists arc ids in ascending order, so [keep] does too. *)
+(* Arc [id] out of [v] lies on a shortest path to the destination. *)
+let[@inline] on_path ~weights ~dist ~dsts v id =
+  let d = dist.(dsts.(id)) in
+  d <> Dijkstra.unreachable
+  && weights.(id) <> Dijkstra.suppressed
+  && weights.(id) + d = dist.(v)
+
+let node_next_arcs g ~weights ~dist ~old v =
+  (* Two passes over the CSR out-segment: count (checking the set
+     against [old] on the way), then fill — no intermediate list on
+     this very hot path, and no allocation at all when [old] already
+     holds the set.  The segment lists arc ids in ascending order, so
+     the set does too. *)
   let off = Graph.out_offsets g and ids = Graph.out_arc_ids g in
   let dsts = Graph.dsts g in
   let lo = off.(v) and hi = off.(v + 1) in
-  let count = ref 0 in
+  let count = ref 0 and same = ref true in
   for k = lo to hi - 1 do
     let id = ids.(k) in
-    let d = dist.(dsts.(id)) in
-    if
-      d <> Dijkstra.unreachable
-      && weights.(id) <> Dijkstra.suppressed
-      && weights.(id) + d = dist.(v)
-    then incr count
-  done;
-  let keep = Array.make !count 0 in
-  let pos = ref 0 in
-  for k = lo to hi - 1 do
-    let id = ids.(k) in
-    let d = dist.(dsts.(id)) in
-    if
-      d <> Dijkstra.unreachable
-      && weights.(id) <> Dijkstra.suppressed
-      && weights.(id) + d = dist.(v)
-    then begin
-      keep.(!pos) <- id;
-      incr pos
+    if on_path ~weights ~dist ~dsts v id then begin
+      if !count >= Array.length old || old.(!count) <> id then same := false;
+      incr count
     end
   done;
-  keep
+  if !same && !count = Array.length old then old
+  else begin
+    let keep = Array.make !count 0 in
+    let pos = ref 0 in
+    for k = lo to hi - 1 do
+      let id = ids.(k) in
+      if on_path ~weights ~dist ~dsts v id then begin
+        keep.(!pos) <- id;
+        incr pos
+      end
+    done;
+    keep
+  end
 
 let of_dist g ~weights ~dst ~dist =
   let n = Graph.node_count g in
   let next_arcs =
     Array.init n (fun v ->
         if v = dst || dist.(v) = Dijkstra.unreachable then [||]
-        else node_next_arcs g ~weights ~dist v)
+        else node_next_arcs g ~weights ~dist ~old:[||] v)
   in
   (* Decreasing distance, ties by increasing node id, by one counting
      pass: [slot.(far - d)] is the next free position for distance [d],

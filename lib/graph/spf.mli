@@ -33,11 +33,14 @@ val of_dist : Graph.t -> weights:int array -> dst:int -> dist:int array -> dag
     them. *)
 
 val node_next_arcs :
-  Graph.t -> weights:int array -> dist:int array -> int -> int array
-(** The ECMP next-hop arc set of one node, filtered from its out-arcs
-    in arc-id order: all arcs [(v, u)] with [w(v,u) + dist(u) =
-    dist(v)].  The per-node step of {!of_dist}, exposed for
-    {!Spf_delta}'s repairs. *)
+  Graph.t -> weights:int array -> dist:int array -> old:int array -> int -> int array
+(** [node_next_arcs g ~weights ~dist ~old v] is the ECMP next-hop arc
+    set of node [v], filtered from its out-arcs in arc-id order: all
+    arcs [(v, u)] with [w(v,u) + dist(u) = dist(v)].  When [old]
+    already holds exactly that set, [old] itself is returned and
+    nothing is allocated ({!of_dist} passes [[||]]; {!Spf_delta}'s
+    repairs pass the previous dag's set, so an unchanged set stays
+    shared). *)
 
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array

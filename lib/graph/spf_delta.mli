@@ -12,11 +12,13 @@
     - mark the nodes whose every old shortest path uses a raised or
       suppressed arc;
     - re-settle only those nodes and the ones a dropped arc improves,
-      with a bucket-queue Dijkstra seeded from the unaffected frontier
-      that skips suppressed arcs;
+      with a Dijkstra over a binary heap of packed (label, node) keys,
+      seeded from the unaffected frontier, that skips suppressed arcs
+      (no bucket queue: that stays with the full runs of {!Dijkstra});
     - recompute next-hop sets only at nodes whose label moved, their
       in-neighbours over arcs that were or became tight, and the tails
-      of changed arcs, sharing every other set;
+      of changed arcs, each compared in place against the old set and
+      kept, physically, when equal;
     - merge the moved nodes into the previous traversal order, sharing
       the order and the labels when no label moves.
 
@@ -27,12 +29,15 @@
     (distance desc, id asc) permutation.
 
     One repair kernel serves two entry points.  {!update} is pure: every
-    repaired dag gets fresh label, next-hop and order arrays.
-    {!update_scratch} runs the same screen and kernel into a
-    {!scratch} the caller reuses from update to update: labels, spines
-    and orders are written into kept buffers, and each buffer's writes
-    are undone before it is reused, so a steady stream of updates
-    allocates only the next-hop sets it recomputes. *)
+    repaired dag gets fresh label, spine and order arrays (next-hop
+    sets that did not change are shared with [prev]).
+    {!update_scratch} runs the same screen and kernel into a {!scratch}
+    the caller reuses from update to update: the kernel's stacks, heap
+    and stamps, and the labels, spines and orders it writes, live in
+    kept buffers whose writes are undone before reuse, so a steady
+    stream of updates allocates only the next-hop sets that change.
+    It also tells, per repaired destination, whether the repair can
+    move any flow ({!scratch_same_flows_at}). *)
 
 type change = {
   arc : int;  (** arc id whose weight changed *)
@@ -40,15 +45,8 @@ type change = {
   after : int;  (** new weight; must equal [weights.(arc)] *)
 }
 
-type workspace = Dijkstra.workspace
-(** Reusable scratch arena (settled set, bucket queue) for the
-    repairs; shared with {!Dijkstra}'s own sweeps so one arena serves
-    both full and delta evaluation. *)
-
-val workspace : unit -> workspace
-
 val update :
-  ?ws:workspace ->
+  ?ws:Dijkstra.workspace ->
   ?active:bool array ->
   Graph.t ->
   weights:int array ->
@@ -59,43 +57,52 @@ val update :
     under the new [weights] together with the list of {e dirty}
     destinations — those whose dag differs from [prev] — in ascending
     order.  Unaffected destinations share their dag physically with
-    [prev]; [prev] itself is never mutated (with no effective change
-    it is returned as-is).  [weights] must be the full new weight
-    vector and [changes] the arcs on which it differs from the vector
-    [prev] was computed with; a change may fail an arc
-    ([after = Dijkstra.suppressed]) or restore one ([before]
-    suppressed).  [?active] restricts the screen to the
+    [prev], and a repaired dag shares every next-hop set that did not
+    change; [prev] itself is never mutated (with no effective change
+    it is returned as-is).  [?ws] is ignored: the repair needs no
+    {!Dijkstra} arena (its working state is the kernel's own, fresh per
+    call here and kept in a {!scratch} by {!update_scratch}); callers
+    that thread one arena through full sweeps may still pass it.
+    [weights] must be the full new weight vector and [changes] the
+    arcs on which it differs from the vector [prev] was computed with;
+    a change may fail an arc ([after = Dijkstra.suppressed]) or restore
+    one ([before] suppressed).  [?active] restricts the screen to the
     flagged destinations (for demand-only contexts whose [prev] holds
     placeholder dags elsewhere); inactive destinations always keep
     their previous dag and are never reported dirty.
     @raise Invalid_argument on length mismatches, non-positive
-    weights, or a [change] whose [after] disagrees with [weights]. *)
+    weights, a [change] whose [after] disagrees with [weights], or a
+    distance label too large to pack beside a node id (above
+    [max_int] shifted right by the bits of [node_count - 1]). *)
 
 type scratch
-(** Reusable output buffers for {!update_scratch}: a per-destination
-    dag view, and one repair slot (labels, next-hop spine and order,
-    [3n] words) per destination it has repaired, created by that
-    destination's first repair — at most as much memory as the dags
-    themselves.  After the updates of a fixed sequence have run once,
-    running it again allocates only recomputed next-hop sets.  Owned by
-    one caller at a time (not domain-safe). *)
+(** Reusable state for {!update_scratch}: the repair kernel's working
+    state (int stacks, heap, per-node stamps, O(n) words), a
+    per-destination dag view, and one repair slot (labels, next-hop
+    spine, two write logs and orders, about [4n] words) per
+    destination it has repaired, created by that destination's first
+    repair — about as much memory as the dags themselves.  After the
+    updates of a fixed sequence have run once, running it again
+    allocates only next-hop sets that change.  Owned by one caller at a
+    time (not domain-safe): each evaluation context and each clone
+    holds its own. *)
 
 val scratch : unit -> scratch
 
 val update_scratch :
   scratch ->
-  ws:workspace ->
   ?active:bool array ->
   Graph.t ->
   weights:int array ->
   prev:Spf.dag array ->
   changes:change list ->
   unit
-(** [update_scratch s ~ws g ~weights ~prev ~changes] is {!update} into
+(** [update_scratch s g ~weights ~prev ~changes] is {!update} into
     [s]: afterwards {!scratch_dags} holds the dags under [weights]
     (structurally those {!update} returns: [prev]'s own dag at every
-    clean destination) and {!scratch_dirty_at} the dirty destinations
-    in ascending order.  Both stay valid until the next
+    clean destination, and [prev]'s next-hop set at every node whose
+    set did not change) and {!scratch_dirty_at} the dirty
+    destinations in ascending order.  Both stay valid until the next
     [update_scratch] on [s]; the repaired dags live in [s]'s buffers,
     so a caller that keeps one beyond that copies it.  [prev] is never
     mutated.  Same arguments and exceptions as {!update}; an exception
@@ -110,3 +117,15 @@ val scratch_dirty : scratch -> int
 val scratch_dirty_at : scratch -> int -> int
 (** [scratch_dirty_at s i] is the [i]-th dirty destination
     ([0 <= i < scratch_dirty s]), ascending. *)
+
+val scratch_same_flows_at : scratch -> int -> bool
+(** [scratch_same_flows_at s i] is [true] when the repair of the
+    [i]-th dirty destination ([0 <= i < scratch_dirty s]) cannot move
+    any flow toward it: it replaced no next-hop set, and at the head
+    of every changed arc on the dag (other than the destination) the
+    arc's tail kept its place, in the new traversal order, among the
+    head's upstream neighbours.  Then the ECMP even-split walk over the
+    new dag ({!Dtr_routing.Loads}) adds the same shares in the same
+    order as over the old one, so every per-arc contribution is
+    bitwise the old one, for any demand.  The converse does not hold:
+    a [false] destination may still keep its flows. *)

@@ -51,8 +51,7 @@ type t = {
   capacity_seen : float array array;  (* class -> residual capacity cascade *)
   phi_per_arc : float array array;
   mutable phi : float array;
-  ws : Spf_delta.workspace;
-  active : bool array array option;
+  active : bool array option array;
       (* group -> demand-bearing destinations; None in All mode *)
   mutable generation : int;
   mutable arena : arena option;
@@ -63,10 +62,14 @@ type t = {
 (* The probe arena.  One probe engine computes every candidate —
    weight probes and failure probes alike — into these context-owned
    rows, so pricing a candidate allocates nothing beyond the next-hop
-   sets its repairs recompute:
+   sets its repairs change:
 
-   - [a_spf]/[a_w]: per group, the repaired dags (Spf_delta's scratch)
-     and the probed weight row;
+   - [a_spf]/[a_w]: per group, the repaired dags (Spf_delta's scratch,
+     which holds the repair kernel's state too) and the probed weight
+     row;
+   - [a_listed]: per arc, the number ([a_listing]) of the last probe
+     whose change list named it, so a list naming an arc twice is
+     refused without allocating;
    - [a_rows]: re-projected contribution rows, one per (class,
      destination) whose row moved, listed in [a_ov_class]/[a_ov_dst];
      [a_ov_at] maps (class, destination) to its row while the load
@@ -86,6 +89,8 @@ type t = {
 and arena = {
   a_spf : Spf_delta.scratch array;
   a_w : int array array;
+  a_listed : int array;
+  mutable a_listing : int;
   a_demand_dsts : int array array;  (* class -> demand destinations, ascending *)
   a_flow : float array;
   mutable a_rows : float array array;
@@ -183,22 +188,21 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
   let group_w =
     Array.init group_count (fun gi -> Array.copy weights.(group_classes.(gi).(0)))
   in
-  let ws = Spf_delta.workspace () in
   (* Demand mode: a destination is active for a group when any member
      class sinks positive demand there (a pure matrix property, so it
      can be computed before any SPF runs). *)
   let active =
-    match dest_mode with
-    | All -> None
-    | Demand ->
-        Some
-          (Array.init group_count (fun gi ->
-               let act = Array.make n false in
-               Array.iter
-                 (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(t) <- true))
-                 group_classes.(gi);
-               act))
+    Array.init group_count (fun gi ->
+        match dest_mode with
+        | All -> None
+        | Demand ->
+            let act = Array.make n false in
+            Array.iter
+              (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(t) <- true))
+              group_classes.(gi);
+            Some act)
   in
+  let ws = Dijkstra.workspace () in
   let group_dags =
     Array.init group_count (fun gi ->
         let first = group_classes.(gi).(0) in
@@ -206,11 +210,10 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
         | Some d when Array.length d.(first) = n -> d.(first)
         | Some _ -> invalid_arg "Eval_ctx.create: dags length mismatch"
         | None -> (
-            match active with
+            match active.(gi) with
             | None -> Spf.all_destinations ~ws g ~weights:group_w.(gi)
-            | Some act ->
-                Spf.for_destinations ~ws g ~weights:group_w.(gi)
-                  ~active:act.(gi)))
+            | Some active ->
+                Spf.for_destinations ~ws g ~weights:group_w.(gi) ~active))
   in
   let m = Graph.arc_count g in
   let demand =
@@ -270,7 +273,6 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     capacity_seen;
     phi_per_arc;
     phi;
-    ws;
     active;
     generation = 0;
     arena = None;
@@ -278,12 +280,12 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
 
 (* Commits replace rows (inner arrays) and never mutate them, so a
    clone only needs its own mutable spine: the outer group/class/dest-
-   indexed arrays whose slots commits overwrite, plus a private SPF
-   workspace and, from its first probe, a private arena.  Rows, DAGs,
-   demand, the matrices-derived structure and
-   the graph are shared with the original.  Clones back a scan
-   worker's probes; they are resynchronized from the original with
-   [sync] (pure blits) instead of being rebuilt. *)
+   indexed arrays whose slots commits overwrite, plus, from its first
+   probe, a private arena (which holds its SPF repair state).  Rows,
+   DAGs, demand, the matrices-derived structure and the graph are
+   shared with the original.  Clones back a scan worker's probes; they
+   are resynchronized from the original with [sync] (pure blits)
+   instead of being rebuilt. *)
 let clone t =
   Metrics.incr_counter m_clones;
   {
@@ -295,7 +297,6 @@ let clone t =
     capacity_seen = Array.copy t.capacity_seen;
     phi_per_arc = Array.copy t.phi_per_arc;
     phi = Array.copy t.phi;
-    ws = Spf_delta.workspace ();
     arena = None;
   }
 
@@ -324,9 +325,6 @@ let sync ~src ~dst =
       a.a_stamp <- a.a_stamp + 1
   | None -> ()
 
-let group_active t gi =
-  match t.active with None -> None | Some act -> Some act.(gi)
-
 let make_arena t =
   let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
@@ -334,6 +332,8 @@ let make_arena t =
   {
     a_spf = Array.init groups (fun _ -> Spf_delta.scratch ());
     a_w = Array.init groups (fun _ -> Array.make m 0);
+    a_listed = Array.make m 0;
+    a_listing = 0;
     a_demand_dsts =
       Array.init classes (fun k ->
           let dsts = ref [] in
@@ -471,6 +471,17 @@ let reproject t a ~dags k dst =
     end
   end
 
+(* Re-project class [k]'s destinations the repair in [spf] dirtied,
+   except those whose repair keeps every flow
+   ({!Spf_delta.scratch_same_flows_at}): their re-projection would find
+   the committed row bitwise and keep no override. *)
+let reproject_dirty t a spf k =
+  let dags = Spf_delta.scratch_dags spf in
+  for i = 0 to Spf_delta.scratch_dirty spf - 1 do
+    if not (Spf_delta.scratch_same_flows_at spf i) then
+      reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
+  done
+
 (* Shared tail of {!probe} and {!fail_probe}: from the re-projected
    rows, patch the load totals of the classes they belong to, the
    residual-capacity cascade and the Fortz rows at the touched arcs.
@@ -545,18 +556,27 @@ let patch t a ~classes =
     end
   done
 
-let probe t ~klass ~changes =
-  if klass < 0 || klass >= class_count t then
-    invalid_arg "Eval_ctx.probe: class out of range";
-  List.iter
-    (fun (arc, v) ->
+(* A probe's change list, checked before anything is computed: every
+   arc and weight in range, and no arc named twice. *)
+let rec check_changes t a = function
+  | [] -> ()
+  | (arc, v) :: rest ->
       if arc < 0 || arc >= Graph.arc_count t.graph then
         invalid_arg "Eval_ctx.probe: arc out of range";
       if v < Weights.min_weight || v > Weights.max_weight then
-        invalid_arg "Eval_ctx.probe: weight out of bounds")
-    changes;
-  Metrics.incr_counter m_probes;
+        invalid_arg "Eval_ctx.probe: weight out of bounds";
+      if a.a_listed.(arc) = a.a_listing then
+        invalid_arg "Eval_ctx.probe: arc listed twice";
+      a.a_listed.(arc) <- a.a_listing;
+      check_changes t a rest
+
+let probe t ~klass ~changes =
+  if klass < 0 || klass >= class_count t then
+    invalid_arg "Eval_ctx.probe: class out of range";
   let a = arena_of t in
+  a.a_listing <- a.a_listing + 1;
+  check_changes t a changes;
+  Metrics.incr_counter m_probes;
   evict t a;
   let group = t.class_group.(klass) in
   let w = t.group_w.(group) and new_w = a.a_w.(group) in
@@ -572,16 +592,13 @@ let probe t ~klass ~changes =
   in
   List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) spf_changes;
   let spf = a.a_spf.(group) in
-  Spf_delta.update_scratch spf ~ws:t.ws ?active:(group_active t group) t.graph
-    ~weights:new_w ~prev:t.group_dags.(group) ~changes:spf_changes;
+  Spf_delta.update_scratch spf ?active:t.active.(group) t.graph ~weights:new_w
+    ~prev:t.group_dags.(group) ~changes:spf_changes;
   (* Re-project dirty destinations of every class in the group. *)
-  let dags = Spf_delta.scratch_dags spf in
-  Array.iter
-    (fun k ->
-      for i = 0 to Spf_delta.scratch_dirty spf - 1 do
-        reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
-      done)
-    t.group_classes.(group);
+  let members = t.group_classes.(group) in
+  for j = 0 to Array.length members - 1 do
+    reproject_dirty t a spf members.(j)
+  done;
   patch t a ~classes:(class_count t);
   let p =
     {
@@ -758,8 +775,8 @@ let fail_probe ?classes:priced t ~arcs =
             { Spf_delta.arc; before = w.(arc); after = Dijkstra.suppressed })
           arcs
       in
-      Spf_delta.update_scratch a.a_spf.(gi) ~ws:t.ws ?active:(group_active t gi) g
-        ~weights:new_w ~prev:t.group_dags.(gi) ~changes
+      Spf_delta.update_scratch a.a_spf.(gi) ?active:t.active.(gi) g ~weights:new_w
+        ~prev:t.group_dags.(gi) ~changes
     end
   done;
   (* Severed positive-demand pairs.  Only dirty destinations can change
@@ -796,11 +813,7 @@ let fail_probe ?classes:priced t ~arcs =
     (* Same re-projection discipline as {!probe}, over every repaired
        group. *)
     for k = 0 to priced - 1 do
-      let spf = a.a_spf.(t.class_group.(k)) in
-      let dags = Spf_delta.scratch_dags spf in
-      for i = 0 to Spf_delta.scratch_dirty spf - 1 do
-        reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
-      done
+      reproject_dirty t a a.a_spf.(t.class_group.(k)) k
     done;
     patch t a ~classes:priced;
     for k = 0 to priced - 1 do

@@ -24,12 +24,17 @@
     materialized views.
 
     Probes are computed in a scratch arena the context owns (allocated
-    by its first probe; a {!clone} gets its own): repaired DAGs,
-    re-projected contribution rows and patched rows are written into
-    reused buffers, so reading a candidate's cost ({!probe_phi},
+    by its first probe; a {!clone} gets its own): repaired DAGs (with
+    the SPF repair's own working state), re-projected contribution rows
+    and patched rows are written into reused buffers, so a probe
+    allocates little beyond the next-hop sets its repairs change, and
+    reading a candidate's cost ({!probe_phi},
     {!failure_phi}, the SLA walk over {!probe_dags}/{!probe_phi_row}
     or {!failure_dags}/{!failure_phi_row} with {!sla_scratch})
-    allocates nothing large.  Only {!commit} copies what a probe moved
+    allocates nothing large.  A dirty destination whose repair cannot
+    move any flow ({!Dtr_graph.Spf_delta.scratch_same_flows_at}) is not
+    re-projected: its row would come out bitwise the committed one.
+    Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.  The
     arena holds one computation at a time: a probe not yet committed
@@ -71,11 +76,11 @@ val create :
 val clone : t -> t
 (** A context sharing all immutable data (graph, demand, DAGs, load
     rows — commits replace rows, never mutate them) with the original
-    but owning its mutable spine and SPF workspace, so probes against
+    but owning its mutable spine and probe arena, so probes against
     the clone are race-free while the original keeps evaluating.  The
     intended owner is one scan worker domain; clones are brought back
-    in step with {!sync} instead of re-cloned.  A clone owns its probe
-    arena (allocated by its own first probe). *)
+    in step with {!sync} instead of re-cloned.  The clone's arena, and
+    the SPF repair state in it, is allocated by its own first probe. *)
 
 val sync : src:t -> dst:t -> unit
 (** Make [dst] (a {!clone} of [src]'s lineage) evaluate exactly as
@@ -95,8 +100,9 @@ val probe : t -> klass:int -> changes:(int * int) list -> probe
     sharing the vector change together).  No-op entries are ignored.
     The context's committed state is not modified; the probe is
     computed into the context's arena (see above).  Every change is
-    checked before anything is computed.
-    @raise Invalid_argument on an arc id or weight out of range. *)
+    checked before anything is computed, without allocating.
+    @raise Invalid_argument on an arc id or weight out of range, or an
+    arc listed twice (even as a no-op entry). *)
 
 val probe_phi : probe -> float array
 (** The candidate's per-class objective vector [Φ_k] (fresh copy),

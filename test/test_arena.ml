@@ -9,7 +9,7 @@
      (uncommitted) probes, commits, failure probes and syncs on a
      context and its clone, every cost equals a from-scratch
      evaluation and every failure the reduced-graph oracle, bitwise;
-   - hygiene: a probe that raises midway leaves the arena usable, and
+   - hygiene: a refused probe leaves the arena usable, and
      a failure's views go stale at the context's next probe;
    - the scratch SPF path equals the pure one, and the searches'
      change lists equal the weight diffs they replace. *)
@@ -308,7 +308,8 @@ let prop_interleavings =
     interleavings
 
 (* ------------------------------------------------------------------ *)
-(* (c) A probe that raises midway *)
+(* (c) Probes that raise: every bad change list, a repeated arc
+   included, is refused before the probe writes the arena *)
 
 let test_raising_probe () =
   let g = random_graph 4 in
@@ -336,9 +337,8 @@ let test_raising_probe () =
     [
       ((m + 5, 3), "Eval_ctx.probe: arc out of range");
       ((1, Weights.max_weight + 1), "Eval_ctx.probe: weight out of bounds");
-      (* The same arc twice: caught only by the SPF update, after the
-         probe has started writing the arena. *)
-      ((a0, v1), "Spf_delta.update: weights/changes disagree");
+      (* The same arc twice, refused with the other list checks. *)
+      ((a0, v1), "Eval_ctx.probe: arc listed twice");
     ];
   for i = 1 to 6 do
     let cls = if i mod 2 = 0 then `H else `L in
@@ -440,7 +440,6 @@ let scratch_matches_update seed =
   let w = ref (Weights.random rng g) in
   let prev = ref (Spf.all_destinations g ~weights:!w) in
   let s = Spf_delta.scratch () in
-  let ws = Spf_delta.workspace () in
   let ok = ref true in
   for _ = 1 to 25 do
     let changes = random_changes rng !w in
@@ -455,8 +454,8 @@ let scratch_matches_update seed =
         (fun a -> { Spf_delta.arc = a; before = !w.(a); after = weights.(a) })
         (List.sort_uniq compare (List.map fst changes @ fails))
     in
-    let dags, dirty = Spf_delta.update ~ws g ~weights ~prev:!prev ~changes:spf_changes in
-    Spf_delta.update_scratch s ~ws g ~weights ~prev:!prev ~changes:spf_changes;
+    let dags, dirty = Spf_delta.update g ~weights ~prev:!prev ~changes:spf_changes in
+    Spf_delta.update_scratch s g ~weights ~prev:!prev ~changes:spf_changes;
     let view = Spf_delta.scratch_dags s in
     let dirty' = List.init (Spf_delta.scratch_dirty s) (Spf_delta.scratch_dirty_at s) in
     ok := !ok && dirty = dirty';

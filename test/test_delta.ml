@@ -101,12 +101,12 @@ let dag_equal a b =
    equal Bellman-Ford's (which shares no kernel with either), the dirty
    list is ascending and names exactly the destinations whose dag
    differs from [prev], and every other dag is [prev]'s, shared. *)
-let check_batch ?active ~what ~ws g w prev edits =
+let check_batch ?active ~what g w prev edits =
   let changes =
     List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits
   in
   List.iter (fun (arc, v) -> w.(arc) <- v) edits;
-  let next, dirty = Spf_delta.update ~ws ?active g ~weights:w ~prev ~changes in
+  let next, dirty = Spf_delta.update ?active g ~weights:w ~prev ~changes in
   let scratch =
     match active with
     | None -> Spf.all_destinations g ~weights:w
@@ -154,10 +154,9 @@ let spf_delta_matches_scratch seed =
   let rng = Prng.create (seed * 7 + 1) in
   let w = Weights.random rng g in
   let dags = ref (Spf.all_destinations g ~weights:w) in
-  let ws = Spf_delta.workspace () in
   for step = 1 to 8 do
     dags :=
-      check_batch ~what:(Printf.sprintf "seed %d step %d" seed step) ~ws g w !dags
+      check_batch ~what:(Printf.sprintf "seed %d step %d" seed step) g w !dags
         [ random_change rng w ]
   done;
   true
@@ -187,8 +186,8 @@ let spf_delta_two_changes seed =
     !v
   in
   ignore
-    (check_batch ~what:(Printf.sprintf "2ch seed %d" seed) ~ws:(Spf_delta.workspace ())
-       g w dags [ (a1, v1); (a2, v2) ]);
+    (check_batch ~what:(Printf.sprintf "2ch seed %d" seed) g w dags
+       [ (a1, v1); (a2, v2) ]);
   true
 
 let test_spf_delta_two_changes () =
@@ -206,12 +205,11 @@ let prop_repair_batches =
       let g = random_graph seed in
       let rng = Prng.create ((seed * 17) + 5) in
       let w = Weights.random rng g in
-      let ws = Spf_delta.workspace () in
       let dags = ref (Spf.all_destinations g ~weights:w) in
       for step = 1 to 12 do
         let edits = random_batch rng w (1 + Prng.int rng 3) in
         dags :=
-          check_batch ~what:(Printf.sprintf "seed %d step %d" seed step) ~ws g w
+          check_batch ~what:(Printf.sprintf "seed %d step %d" seed step) g w
             !dags edits
       done;
       true)
@@ -227,7 +225,6 @@ let prop_repair_tight_out_arcs =
       let g = random_graph seed in
       let rng = Prng.create ((seed * 19) + 3) in
       let w = Weights.random rng g in
-      let ws = Spf_delta.workspace () in
       let dags = Spf.all_destinations g ~weights:w in
       let n = Graph.node_count g in
       let t = Prng.int rng n in
@@ -257,8 +254,8 @@ let prop_repair_tight_out_arcs =
           | d :: _ -> [ d ]
       in
       ignore
-        (check_batch ~what:(Printf.sprintf "seed %d dst %d node %d" seed t x) ~ws g
-           w dags (raises @ drop));
+        (check_batch ~what:(Printf.sprintf "seed %d dst %d node %d" seed t x) g w dags
+           (raises @ drop));
       true)
 
 (* Single-link failures (both arcs suppressed) and their restoration,
@@ -273,7 +270,6 @@ let test_repair_link_failures () =
     (fun (name, g) ->
       let rng = Prng.create 41 in
       let w = Weights.random rng g in
-      let ws = Spf_delta.workspace () in
       let base = Spf.all_destinations g ~weights:w in
       Array.iter
         (fun (a, b) ->
@@ -281,11 +277,11 @@ let test_repair_link_failures () =
           let what = Printf.sprintf "%s link %d/%d" name a b in
           let saved = List.map (fun x -> (x, w.(x))) arcs in
           let failed =
-            check_batch ~what:(what ^ " fail") ~ws g w base
+            check_batch ~what:(what ^ " fail") g w base
               (List.map (fun x -> (x, Dijkstra.suppressed)) arcs)
           in
           let restored =
-            check_batch ~what:(what ^ " restore") ~ws g w failed saved
+            check_batch ~what:(what ^ " restore") g w failed saved
           in
           Array.iteri
             (fun t dag ->
@@ -300,7 +296,7 @@ let test_repair_link_failures () =
   let hub = Option.get (Graph.find_arc g ~src:3 ~dst:4) in
   let back = Option.get (Graph.find_arc g ~src:4 ~dst:3) in
   let failed =
-    check_batch ~what:"bottleneck" ~ws:(Spf_delta.workspace ()) g w
+    check_batch ~what:"bottleneck" g w
       (Spf.all_destinations g ~weights:w)
       [ (hub, Dijkstra.suppressed); (back, Dijkstra.suppressed) ]
   in
@@ -315,13 +311,12 @@ let prop_repair_active =
       let rng = Prng.create ((seed * 23) + 9) in
       let w = Weights.random rng g in
       let active = Array.init (Graph.node_count g) (fun _ -> Prng.int rng 2 = 0) in
-      let ws = Spf_delta.workspace () in
       let dags = ref (Spf.for_destinations g ~weights:w ~active) in
       for step = 1 to 8 do
         let edits = random_batch rng w (1 + Prng.int rng 3) in
         dags :=
-          check_batch ~active ~what:(Printf.sprintf "seed %d step %d" seed step) ~ws
-            g w !dags edits
+          check_batch ~active ~what:(Printf.sprintf "seed %d step %d" seed step) g w
+            !dags edits
       done;
       true)
 
@@ -335,15 +330,14 @@ let test_repair_large_graph () =
   in
   Alcotest.(check bool) "connected" true (Graph.is_strongly_connected g);
   let w = Weights.random rng g in
-  let ws = Spf_delta.workspace () in
   let dags = ref (Spf.all_destinations g ~weights:w) in
   for step = 1 to 6 do
     let edits = random_batch rng w (1 + Prng.int rng 3) in
-    dags := check_batch ~what:(Printf.sprintf "220 nodes step %d" step) ~ws g w !dags edits
+    dags := check_batch ~what:(Printf.sprintf "220 nodes step %d" step) g w !dags edits
   done;
   let a, b = (Graph.undirected_link_pairs g).(7) in
   ignore
-    (check_batch ~what:"220 nodes failure" ~ws g w !dags
+    (check_batch ~what:"220 nodes failure" g w !dags
        [ (a, Dijkstra.suppressed); (b, Dijkstra.suppressed) ])
 
 (* Run [f] with the metrics registry on and zeroed, and leave it off
@@ -366,7 +360,6 @@ let test_repair_counters () =
   let g = random_graph 5 in
   let rng = Prng.create 77 in
   let w = Weights.random rng g in
-  let ws = Spf_delta.workspace () in
   let dags = ref (Spf.all_destinations g ~weights:w) in
   let dirty_total = ref 0 and runs0 = counter "dtr_spf_runs_total" in
   for _ = 1 to 20 do
@@ -376,7 +369,7 @@ let test_repair_counters () =
         (random_batch rng w 2)
     in
     List.iter (fun c -> w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
-    let next, dirty = Spf_delta.update ~ws g ~weights:w ~prev:!dags ~changes in
+    let next, dirty = Spf_delta.update g ~weights:w ~prev:!dags ~changes in
     dirty_total := !dirty_total + List.length dirty;
     dags := next
   done;
@@ -386,6 +379,156 @@ let test_repair_counters () =
   Alcotest.(check bool) "repairs settle labels" true
     (counter "dtr_spf_delta_settled_total" > 0);
   Alcotest.(check int) "no full SPF runs" runs0 (counter "dtr_spf_runs_total")
+
+(* Unchanged next-hop sets are shared: at every node whose repaired set
+   equals the previous dag's, the repaired dag holds the previous array
+   itself, from the pure update and from the scratch one alike.  Each
+   batch is priced against the same [prev] a few times (as a scan
+   does), then applied. *)
+let prop_unchanged_sets_shared =
+  QCheck.Test.make ~name:"repair shares every unchanged next-hop set" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Prng.create ((seed * 29) + 11) in
+      let w = Weights.random rng g in
+      let n = Graph.node_count g in
+      let s = Spf_delta.scratch () in
+      let prev = ref (Spf.all_destinations g ~weights:w) in
+      let shared = ref 0 in
+      let check what prev dags =
+        for t = 0 to n - 1 do
+          for x = 0 to n - 1 do
+            let was = prev.(t).Spf.next_arcs.(x) and now = dags.(t).Spf.next_arcs.(x) in
+            if now = was then begin
+              if now != was then
+                Alcotest.failf "%s: dst %d node %d: equal set not shared" what t x;
+              if dags.(t) != prev.(t) && Array.length was > 0 then incr shared
+            end
+          done
+        done
+      in
+      for step = 1 to 8 do
+        let batch = ref [] in
+        for probe = 1 to 3 do
+          let edits = random_batch rng w (1 + Prng.int rng 3) in
+          let weights = Array.copy w in
+          List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+          let changes =
+            List.map
+              (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v })
+              edits
+          in
+          let what = Printf.sprintf "seed %d step %d probe %d" seed step probe in
+          let dags, _ = Spf_delta.update g ~weights ~prev:!prev ~changes in
+          check (what ^ " pure") !prev dags;
+          Spf_delta.update_scratch s g ~weights ~prev:!prev ~changes;
+          check (what ^ " scratch") !prev (Spf_delta.scratch_dags s);
+          batch := edits
+        done;
+        List.iter (fun (arc, v) -> w.(arc) <- v) !batch;
+        prev := Spf.all_destinations g ~weights:w
+      done;
+      !shared > 0)
+
+(* ------------------------------------------------------------------ *)
+(* The same-flow rule: a repaired destination that
+   [Spf_delta.scratch_same_flows_at] reports keeps every flow toward
+   it, so its re-projection can be skipped. *)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b
+
+(* Weights from 1-3, so equal-cost ties are common, and raise/drop
+   batches of one to three arcs within the same range.  Demands span
+   sixteen orders of magnitude, so a re-associated flow sum shows. *)
+let prop_same_flows =
+  QCheck.Test.make ~name:"same-flow destinations keep their loads bitwise" ~count:40
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Prng.create ((seed * 31) + 7) in
+      let n = Graph.node_count g and m = Graph.arc_count g in
+      let narrow () = 1 + Prng.int rng 3 in
+      let w = Array.init m (fun _ -> narrow ()) in
+      let s = Spf_delta.scratch () in
+      let prev = ref (Spf.all_destinations g ~weights:w) in
+      let flagged = ref 0 and dirty = ref 0 in
+      for step = 1 to 10 do
+        let batch = ref [] in
+        for probe = 1 to 3 do
+          let edits = ref [] in
+          while List.length !edits < 1 + Prng.int rng 3 do
+            let arc = Prng.int rng m and v = narrow () in
+            if v <> w.(arc) && not (List.mem_assoc arc !edits) then
+              edits := (arc, v) :: !edits
+          done;
+          let weights = Array.copy w in
+          List.iter (fun (arc, v) -> weights.(arc) <- v) !edits;
+          let changes =
+            List.map
+              (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v })
+              !edits
+          in
+          Spf_delta.update_scratch s g ~weights ~prev:!prev ~changes;
+          let dags = Spf_delta.scratch_dags s in
+          for i = 0 to Spf_delta.scratch_dirty s - 1 do
+            incr dirty;
+            let t = Spf_delta.scratch_dirty_at s i in
+            if Spf_delta.scratch_same_flows_at s i then begin
+              incr flagged;
+              let demand_to_dst =
+                Array.init n (fun v ->
+                    if v = t then 0.
+                    else Prng.float rng 1. *. (10. ** float_of_int (Prng.int rng 17)))
+              in
+              let before = Loads.destination_loads g ~dag:!prev.(t) ~demand_to_dst in
+              let after = Loads.destination_loads g ~dag:dags.(t) ~demand_to_dst in
+              if not (same_bits before after) then
+                Alcotest.failf "seed %d step %d probe %d: dst %d reported same-flow" seed
+                  step probe t
+            end
+          done;
+          batch := !edits
+        done;
+        List.iter (fun (arc, v) -> w.(arc) <- v) !batch;
+        prev := Spf.all_destinations g ~weights:w
+      done;
+      (* The rule is not vacuous here, nor does it flag everything. *)
+      !flagged > 0 && !flagged < !dirty)
+
+(* No next-hop set changes, yet the flow sum at h re-associates: u
+   (raised behind h, its only arc) moves ahead of p among h's upstream
+   neighbours.  With demands 1, 1e16 and 1 at h, p and u the old order
+   adds (1 + 1e16) + 1 = 1e16 on h->t, the new one (1 + 1) + 1e16. *)
+let test_same_flows_counterexample () =
+  let t = 0 and h = 1 and u = 2 and p = 3 in
+  let arc src dst = { Graph.src; dst; capacity = 10.; delay = 1. } in
+  let g = Graph.build ~n:4 [ arc h t; arc u h; arc p h ] in
+  let w = [| 1; 1; 2 |] in
+  let prev = Spf.all_destinations g ~weights:w in
+  let weights = [| 1; 3; 2 |] in
+  let s = Spf_delta.scratch () in
+  Spf_delta.update_scratch s g ~weights ~prev
+    ~changes:[ { Spf_delta.arc = 1; before = 1; after = 3 } ];
+  let dags = Spf_delta.scratch_dags s in
+  Array.iteri
+    (fun x set ->
+      if set != dags.(t).Spf.next_arcs.(x) then
+        Alcotest.failf "next-hop set of node %d changed" x)
+    prev.(t).Spf.next_arcs;
+  let at = ref (-1) in
+  for i = 0 to Spf_delta.scratch_dirty s - 1 do
+    if Spf_delta.scratch_dirty_at s i = t then at := i
+  done;
+  Alcotest.(check bool) "t is dirty" true (!at >= 0);
+  Alcotest.(check bool) "t not reported same-flow" false
+    (Spf_delta.scratch_same_flows_at s !at);
+  let demand_to_dst = [| 0.; 1.; 1.; 1e16 |] in
+  let load dag = (Loads.destination_loads g ~dag ~demand_to_dst).(0) in
+  Alcotest.(check (float 0.)) "old h->t" 1e16 (load prev.(t));
+  Alcotest.(check (float 0.)) "new h->t" 1.0000000000000002e16 (load dags.(t))
 
 (* ------------------------------------------------------------------ *)
 (* Loads helper *)
@@ -789,6 +932,41 @@ let test_eval_ctx_stale_probe () =
     (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
     (fun () -> Eval_ctx.commit ctx p2)
 
+(* A change list naming an arc twice is refused before anything is
+   computed — whether it repeats a value, gives two, or starts with a
+   no-op entry: no probe is counted, and a failure view taken before
+   is still current. *)
+let test_probe_arc_listed_twice () =
+  with_metrics @@ fun () ->
+  let g = random_graph 7 in
+  let rng = Prng.create 31 in
+  let th, tl = random_matrices rng g in
+  let wh = Weights.random rng g and wl = Weights.random rng g in
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let a = 0 in
+  let v1, v2 =
+    match List.filter (( <> ) wh.(a)) [ 7; 8; 9 ] with
+    | v1 :: v2 :: _ -> (v1, v2)
+    | _ -> assert false
+  in
+  let f = Eval_ctx.fail_probe ctx ~arcs:[ 1 ] in
+  List.iter
+    (fun (what, changes) ->
+      Alcotest.check_raises what (Invalid_argument "Eval_ctx.probe: arc listed twice")
+        (fun () -> ignore (Eval_ctx.probe ctx ~klass:0 ~changes)))
+    [
+      ("same value twice", [ (a, v1); (a, v1) ]);
+      ("two values", [ (a, v1); (a, v2) ]);
+      ("no-op entry first", [ (a, wh.(a)); (a, v1) ]);
+    ];
+  Alcotest.(check int) "no probe counted" 0 (counter "dtr_eval_probes_total");
+  ignore (Eval_ctx.failure_dags ctx f 0);
+  let p = Eval_ctx.probe ctx ~klass:0 ~changes:[ (a, v1) ] in
+  let fresh =
+    Eval_ctx.create g ~weights:[| apply wh [ (a, v1) ]; wl |] ~matrices:[| th; tl |]
+  in
+  check_arr ~what:"probe after refusals" (Eval_ctx.probe_phi p) (Eval_ctx.phi fresh)
+
 (* ------------------------------------------------------------------ *)
 (* The engine vs an oracle that shares none of its kernels
 
@@ -946,6 +1124,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_repair_active;
           Alcotest.test_case "repair: 220-node graph" `Quick test_repair_large_graph;
           Alcotest.test_case "repair work counters" `Quick test_repair_counters;
+          QCheck_alcotest.to_alcotest prop_unchanged_sets_shared;
+          QCheck_alcotest.to_alcotest prop_same_flows;
+          Alcotest.test_case "same-flow rule: re-associated sum not reported" `Quick
+            test_same_flows_counterexample;
         ] );
       ( "loads",
         [
@@ -959,6 +1141,8 @@ let () =
           QCheck_alcotest.to_alcotest (test_eval_ctx_three_classes ());
           Alcotest.test_case "stale probe rejected" `Quick
             test_eval_ctx_stale_probe;
+          Alcotest.test_case "probe refuses an arc listed twice" `Quick
+            test_probe_arc_listed_twice;
         ] );
       ( "problem",
         [
