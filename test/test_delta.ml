@@ -431,6 +431,31 @@ let prop_unchanged_sets_shared =
       done;
       !shared > 0)
 
+(* A label too large to pack beside a node id in the repair's heap is
+   refused midway through a repair, and the scratch stays usable: its
+   slots were last filled against the same dags, so a slot that kept
+   trusting its undo log would carry the refused repair's labels. *)
+let test_repair_label_range () =
+  let arc src dst = { Graph.src; dst; capacity = 10.; delay = 1. } in
+  let g = Graph.build ~n:3 [ arc 0 1; arc 1 2 ] in
+  let prev = Spf.all_destinations g ~weights:[| 1; 1 |] in
+  let s = Spf_delta.scratch () in
+  let raise_to v =
+    Spf_delta.update_scratch s g ~weights:[| v; 1 |] ~prev
+      ~changes:[ { Spf_delta.arc = 0; before = 1; after = v } ]
+  in
+  raise_to 5;
+  let huge = 1 lsl 60 in
+  Alcotest.check_raises "label out of range"
+    (Invalid_argument "Spf_delta.update: distance label out of range") (fun () ->
+      raise_to huge);
+  raise_to 3;
+  Array.iteri
+    (fun t dag ->
+      check_dag_equal ~what:(Printf.sprintf "after refusal, dst %d" t) dag
+        (Spf_delta.scratch_dags s).(t))
+    (Spf.all_destinations g ~weights:[| 3; 1 |])
+
 (* ------------------------------------------------------------------ *)
 (* The same-flow rule: a repaired destination that
    [Spf_delta.scratch_same_flows_at] reports keeps every flow toward
@@ -1128,6 +1153,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_same_flows;
           Alcotest.test_case "same-flow rule: re-associated sum not reported" `Quick
             test_same_flows_counterexample;
+          Alcotest.test_case "repair refuses a label too large to pack" `Quick
+            test_repair_label_range;
         ] );
       ( "loads",
         [
