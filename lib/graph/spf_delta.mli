@@ -67,9 +67,11 @@ val update :
     arcs on which it differs from the vector [prev] was computed with;
     a change may fail an arc ([after = Dijkstra.suppressed]) or restore
     one ([before] suppressed).  [?active] restricts the screen to the
-    flagged destinations (for demand-only contexts whose [prev] holds
-    placeholder dags elsewhere); inactive destinations always keep
-    their previous dag and are never reported dirty.
+    flagged destinations, any mask the caller chooses per call (a
+    demand-only context's demand destinations, whose [prev] holds
+    placeholder dags elsewhere, or the destinations a failure's flow
+    screen keeps); inactive destinations always keep their previous
+    dag and are never reported dirty.
     @raise Invalid_argument on length mismatches, non-positive
     weights, a [change] whose [after] disagrees with [weights], or a
     distance label too large to pack beside a node id (above

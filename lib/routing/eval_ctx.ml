@@ -53,6 +53,10 @@ type t = {
   mutable phi : float array;
   active : bool array option array;
       (* group -> demand-bearing destinations; None in All mode *)
+  mutable zero_shares : bool;
+      (* a walk behind the committed rows split a positive flow into
+         zero shares (float underflow); sticky, and it turns the
+         failure probes' flow screen off *)
   mutable generation : int;
   mutable arena : arena option;
       (* probe scratch, allocated by the first probe: set-up builds
@@ -76,6 +80,10 @@ type t = {
      totals are re-summed, and is all -1 between probes;
    - [a_touched]/[a_touched_list]: the arcs whose contribution moved
      ([a_touched] is all-false between probes);
+   - [a_zero_shares]: a re-projection of this computation split a
+     positive flow into zero shares;
+   - [a_screen]: per destination, the flow screen of the group a
+     failure probe is repairing;
    - [a_loads]/[a_cap]: patched load totals and residual capacities,
      valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
      classes from [a_kmin] down, and [a_phi] the probed objective.
@@ -101,6 +109,8 @@ and arena = {
   a_touched : bool array;
   a_touched_list : int array;
   mutable a_ntouched : int;
+  mutable a_zero_shares : bool;
+  a_screen : bool array;
   a_has_ov : bool array;
   a_loads : float array array;
   a_cap : float array array;
@@ -134,6 +144,7 @@ and snapshot = {
   s_loads : (int * float array) list;  (* class, full row *)
   s_capacity : (int * float array) list;
   s_phi_rows : (int * float array) list;
+  s_zero_shares : bool;
 }
 
 let class_count t = Array.length t.class_group
@@ -224,13 +235,20 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
             | Some d -> d
             | None -> [||]))
   in
+  let flow = Array.make n 0. and zero_shares = ref false in
   let contrib =
     Array.init classes (fun k ->
         let dags = group_dags.(class_group.(k)) in
         Array.init n (fun t ->
             let dem = demand.(k).(t) in
             if Array.length dem = 0 then [||]
-            else Loads.destination_loads g ~dag:dags.(t) ~demand_to_dst:dem))
+            else begin
+              let row = Array.make m 0. in
+              if Loads.destination_loads_into g ~dag:dags.(t) ~demand_to_dst:dem ~flow
+                   ~contrib:row
+              then zero_shares := true;
+              row
+            end))
   in
   (* Totals as the ascending-destination sum of per-destination
      subtotals — the association every probe's patch re-sums in, so
@@ -274,6 +292,7 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     phi_per_arc;
     phi;
     active;
+    zero_shares = !zero_shares;
     generation = 0;
     arena = None;
   }
@@ -316,6 +335,7 @@ let sync ~src ~dst =
   Array.blit src.capacity_seen 0 dst.capacity_seen 0 (Array.length src.capacity_seen);
   Array.blit src.phi_per_arc 0 dst.phi_per_arc 0 (Array.length src.phi_per_arc);
   Array.blit src.phi 0 dst.phi 0 (Array.length src.phi);
+  dst.zero_shares <- src.zero_shares;
   dst.generation <- src.generation;
   (* Whatever dst's arena holds was priced against the state just
      replaced. *)
@@ -350,6 +370,8 @@ let make_arena t =
     a_touched = Array.make m false;
     a_touched_list = Array.make m 0;
     a_ntouched = 0;
+    a_zero_shares = false;
+    a_screen = Array.make n false;
     a_has_ov = Array.make classes false;
     a_loads = floats ();
     a_cap = floats ();
@@ -422,6 +444,7 @@ let snapshot t a p =
         (List.init classes Fun.id);
     s_capacity = rows (a.a_kmin + 1) (fun k -> patched t.capacity_seen k a.a_cap);
     s_phi_rows = rows a.a_kmin (fun k -> (k, Array.copy a.a_phi_rows.(k)));
+    s_zero_shares = a.a_zero_shares;
   }
 
 (* Free the arena for a new computation.  A live probe that may still
@@ -434,7 +457,8 @@ let evict t a =
   a.a_live <- None;
   a.a_stamp <- a.a_stamp + 1;
   a.a_nov <- 0;
-  a.a_ntouched <- 0
+  a.a_ntouched <- 0;
+  a.a_zero_shares <- false
 
 (* Re-project one dirty destination's flows into the next free arena
    row and mark every arc whose contribution moved; the row is kept
@@ -449,8 +473,10 @@ let reproject t a ~dags k dst =
     if i = Array.length a.a_rows then
       a.a_rows <- Array.append a.a_rows [| Array.make m 0. |];
     let nc = a.a_rows.(i) in
-    Loads.destination_loads_into t.graph ~dag:dags.(dst) ~demand_to_dst:dem
-      ~flow:a.a_flow ~contrib:nc;
+    if
+      Loads.destination_loads_into t.graph ~dag:dags.(dst) ~demand_to_dst:dem
+        ~flow:a.a_flow ~contrib:nc
+    then a.a_zero_shares <- true;
     let oc = t.contrib.(k).(dst) in
     let touched = a.a_touched in
     let changed = ref false in
@@ -669,6 +695,7 @@ let commit (t : t) (p : probe) =
   List.iter (fun (k, row) -> t.loads.(k) <- row) s.s_loads;
   List.iter (fun (k, row) -> t.capacity_seen.(k) <- row) s.s_capacity;
   List.iter (fun (k, row) -> t.phi_per_arc.(k) <- row) s.s_phi_rows;
+  if s.s_zero_shares then t.zero_shares <- true;
   t.phi <- Array.copy p.p_phi;
   t.generation <- t.generation + 1;
   Metrics.incr_counter m_commits;
@@ -698,11 +725,69 @@ let abort _t p =
    penalty ranks failures by class 0 first): then only the groups of
    those classes are repaired, only their reachability is checked, and
    only their rows are re-projected and patched.  Each priced class's
-   Φ and Fortz row are bitwise those of the full probe ({!patch}). *)
+   Φ and Fortz row are bitwise those of the full probe ({!patch}).
+
+   The flow screen: a group repairs only the destinations toward which
+   a failed arc carries a nonzero committed share of a priced member
+   class.  At any other destination the failed arcs' tails carry no
+   flow of those classes (a positive flow splits into positive shares),
+   so no label or next-hop set of a node that carries flow can change:
+   such a node's shortest paths all carry its flow, so none uses a
+   failed arc, and a failure only raises labels.  The walk from the
+   demand sources then reads the same nodes and adds the same shares
+   in the same order, every source stays reachable, and the committed
+   dag and rows are exact wherever they are read.  The one exception
+   is a quotient that underflows to a zero share of a positive flow;
+   a context whose committed rows came from such a walk keeps the
+   screen off ([zero_shares]). *)
 
 let m_fail_probes =
   Metrics.counter ~help:"Failure probes (link-failure delta evaluations)."
     "dtr_eval_fail_probes_total"
+
+let m_screened =
+  Metrics.counter
+    ~help:"Dirty destinations failure probes left unrepaired (no priced flow on a failed arc)."
+    "dtr_failure_screened_total"
+
+let rec carries row = function
+  | [] -> false
+  | arc :: rest -> row.(arc) <> 0. || carries row rest
+
+(* Flag in [a.a_screen] the destinations toward which one of [arcs]
+   carries a nonzero committed share of a class of group [gi] below
+   [priced]. *)
+let screen t a gi ~priced ~arcs =
+  let mask = a.a_screen in
+  Array.fill mask 0 (Array.length mask) false;
+  let members = t.group_classes.(gi) in
+  for j = 0 to Array.length members - 1 do
+    let k = members.(j) in
+    if k < priced then begin
+      let dsts = a.a_demand_dsts.(k) and rows = t.contrib.(k) in
+      for q = 0 to Array.length dsts - 1 do
+        let dst = dsts.(q) in
+        if carries rows.(dst) arcs then mask.(dst) <- true
+      done
+    end
+  done
+
+let rec on_dag next srcs = function
+  | [] -> false
+  | arc :: rest -> Array.mem arc next.(srcs.(arc)) || on_dag next srcs rest
+
+(* Count the destinations of group [gi] the screen left unrepaired
+   although a failed arc lies on their committed dag (so the label
+   screen would have repaired them). *)
+let count_screened t a gi ~arcs =
+  let dags = t.group_dags.(gi) and srcs = Graph.srcs t.graph in
+  let skipped = ref 0 in
+  for dst = 0 to Array.length dags - 1 do
+    let active = match t.active.(gi) with None -> true | Some act -> act.(dst) in
+    if active && (not a.a_screen.(dst)) && on_dag dags.(dst).Spf.next_arcs srcs arcs
+    then incr skipped
+  done;
+  Metrics.add m_screened !skipped
 
 type failure = {
   f_arena : arena;
@@ -775,14 +860,23 @@ let fail_probe ?classes:priced t ~arcs =
             { Spf_delta.arc; before = w.(arc); after = Dijkstra.suppressed })
           arcs
       in
-      Spf_delta.update_scratch a.a_spf.(gi) ?active:t.active.(gi) g ~weights:new_w
-        ~prev:t.group_dags.(gi) ~changes
+      let active =
+        if t.zero_shares then t.active.(gi)
+        else begin
+          screen t a gi ~priced ~arcs;
+          Some a.a_screen
+        end
+      in
+      Spf_delta.update_scratch a.a_spf.(gi) ?active g ~weights:new_w
+        ~prev:t.group_dags.(gi) ~changes;
+      if (not t.zero_shares) && Metrics.enabled () then count_screened t a gi ~arcs
     end
   done;
-  (* Severed positive-demand pairs.  Only dirty destinations can change
-     reachability, and demand rows were fixed against the no-failure
-     topology, so a positive entry at a now-unreachable source is
-     exactly a pair this failure cuts off. *)
+  (* Severed positive-demand pairs.  Only repaired destinations can
+     change reachability (at one the screen skipped, every demand
+     source carries flow and keeps its label), and demand rows were
+     fixed against the no-failure topology, so a positive entry at a
+     now-unreachable source is exactly a pair this failure cuts off. *)
   let unreachable = ref 0 in
   for k = 0 to priced - 1 do
     let spf = a.a_spf.(t.class_group.(k)) in

@@ -153,14 +153,23 @@ val fail_probe : ?classes:int -> t -> arcs:int list -> failure
 (** [fail_probe t ~arcs] evaluates the context's current weights with
     [arcs] removed from every class's topology (arc suppression via
     {!Dtr_graph.Dijkstra.suppressed}; no graph rebuild, no weight
-    remapping), in the context's arena.  Only destinations whose shortest-path DAGs used a
-    failed arc are re-screened and re-projected.  If the failure
+    remapping), in the context's arena.  A weight group repairs and
+    re-projects only the destinations toward which a failed arc
+    carries a nonzero committed share of a priced member class: at any
+    other destination no node that carries that flow can change its
+    label or next-hop set, so every other destination keeps its
+    committed dag and rows.  A context whose committed loads came from
+    a walk that split a positive flow into zero shares (float
+    underflow) repairs every destination whose dag uses a failed arc
+    instead.  If the failure
     severs any positive-demand pair the probe short-circuits: the
     per-class objective is infinite and {!failure_unreachable} counts
     the severed pairs.  Otherwise all patched quantities are bitwise
     identical to a from-scratch evaluation of the reduced graph.
     The context is not modified, and failure probes cannot be
-    committed.
+    committed.  With metrics on, [dtr_failure_screened_total] counts
+    the destinations left unrepaired although a failed arc lies on
+    their dag.
 
     [classes] (default: all of them) prices only the leading
     [classes] classes: only their weight groups are repaired, only
@@ -184,7 +193,12 @@ val failure_phi : failure -> float array
 
 val failure_dags : t -> failure -> int -> Dtr_graph.Spf.dag array
 (** Post-failure per-destination DAGs of a priced class (shared with
-    the context for untouched destinations; treat as immutable).  An
+    the context for unrepaired destinations; treat as immutable).
+    Exact at every node that carries flow of a priced class toward the
+    destination, which is every node a walk from a demand source (the
+    load projection, the SLA delay walk) reads; a destination the
+    probe did not repair keeps its pre-failure dag, which may still
+    route a node without such flow over a failed arc.  An
     arena view: readable until the context's next probe, failure
     probe, commit or sync.
     @raise Invalid_argument on a class out of range or not priced, or

@@ -22,8 +22,10 @@ let is_finite o = o.unreachable_pairs = 0
 
 (* A survivable failure's primary cost, read from class 0 alone: Φ_H,
    or Λ straight from the failure's class-0 arena views, in the
-   context's own SLA scratch.  Failed arcs keep a (cheap, unread) delay
-   entry that no surviving DAG walks. *)
+   context's own SLA scratch.  Failed arcs keep a (cheap) delay entry.
+   A dag the failure probe did not repair may still route over a
+   failed arc, but only at nodes without class-0 flow, which no pair's
+   walk reaches, so the entry is never read. *)
 let primary ~model ~th ctx f =
   match model with
   | Objective.Load -> (Eval_ctx.failure_phi f).(0)
@@ -130,6 +132,32 @@ let infinite_count outcomes =
 
 let cut_links outcomes = Array.map (fun o -> not (is_finite o)) outcomes
 
+(* The index of the [k]-th largest of [primaries] outside [cut], under
+   [Float.compare] and counting ties (of the smallest when fewer are
+   left), or -1 when every link is cut.  In place: each round finds the
+   largest primary below the last round's and how many links hold it. *)
+let kth_largest primaries ~cut k =
+  let rec round bound taken =
+    let best = ref (-1) and count = ref 0 in
+    for i = 0 to Array.length primaries - 1 do
+      if
+        (not cut.(i))
+        && (bound < 0 || Float.compare primaries.(i) primaries.(bound) < 0)
+      then begin
+        let c = if !best < 0 then 1 else Float.compare primaries.(i) primaries.(!best) in
+        if c > 0 then begin
+          best := i;
+          count := 1
+        end
+        else if c = 0 then incr count
+      end
+    done;
+    if !best < 0 then bound
+    else if taken + !count >= k then !best
+    else round !best (taken + !count)
+  in
+  round (-1) 0
+
 let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
   if Eval_ctx.class_count ctx <> 2 then
     invalid_arg "Failure_sweep.robust_penalty: need a 2-class context";
@@ -146,22 +174,19 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
   in
   Metrics.incr_counter m_sweeps;
   let primaries = Array.make n Float.nan in
-  let survivable = ref [] in
   for i = 0 to n - 1 do
     Metrics.incr_counter m_evals;
     if cut.(i) then Metrics.incr_counter m_infinite
     else begin
       let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
       if Eval_ctx.failure_unreachable f > 0 then not_cut i;
-      let p = primary ~model ~th ctx f in
-      primaries.(i) <- p;
-      survivable := p :: !survivable
+      primaries.(i) <- primary ~model ~th ctx f
     end
   done;
-  match List.sort (fun a b -> Float.compare b a) !survivable with
-  | [] -> Lexico.zero
-  | sorted ->
-      let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
+  match kth_largest primaries ~cut top_k with
+  | -1 -> Lexico.zero
+  | at ->
+      let kth = primaries.(at) in
       let worst = ref [] in
       for i = n - 1 downto 0 do
         if (not cut.(i)) && Float.compare primaries.(i) kth >= 0 then begin

@@ -31,7 +31,9 @@
     and {!robust_penalty}; [dtr_failure_evals_total] every link they
     price, cut links included; [dtr_failure_infinite_total] every link
     priced infinite.  Only [dtr_eval_fail_probes_total] and the SPF
-    counters show what primary-first pricing saves. *)
+    counters show what primary-first pricing saves, and
+    [dtr_failure_screened_total] (counted by {!Eval_ctx.fail_probe})
+    what the failure probes' flow screen saves. *)
 
 type outcome = {
   cost : Dtr_cost.Lexico.t;

@@ -9,10 +9,12 @@ module Matrix = Dtr_traffic.Matrix
    its next-hop arcs, add every share to [contrib] and forward it.
    [flow] is mutated in place.  A plain loop, not a per-share
    callback: a float passed to a closure is boxed, one allocation per
-   share on the probe hot path. *)
+   share on the probe hot path.  Returns whether a positive flow split
+   into zero shares (the quotient underflowed). *)
 let spread g ~dag ~flow ~contrib =
   let dsts = Graph.dsts g in
   let t = dag.Spf.dst and next = dag.Spf.next_arcs and order = dag.Spf.order_desc in
+  let zero_shares = ref false in
   for i = 0 to Array.length order - 1 do
     let v = order.(i) in
     let out = next.(v) in
@@ -20,6 +22,7 @@ let spread g ~dag ~flow ~contrib =
     let fv = flow.(v) in
     if fv > 0. && deg > 0 then begin
       let share = fv /. float_of_int deg in
+      if share = 0. then zero_shares := true;
       for j = 0 to deg - 1 do
         let id = out.(j) in
         contrib.(id) <- contrib.(id) +. share;
@@ -27,7 +30,8 @@ let spread g ~dag ~flow ~contrib =
         if u <> t then flow.(u) <- flow.(u) +. share
       done
     end
-  done
+  done;
+  !zero_shares
 
 (* Arena variant: the caller owns [flow] (length >= n) and [contrib]
    (length >= m) and reuses them across destinations; both are fully
@@ -51,7 +55,7 @@ let destination_loads g ~dag ~demand_to_dst =
     invalid_arg "Loads.destination_loads: demand length mismatch";
   let contrib = Array.make (Graph.arc_count g) 0. in
   let flow = Array.make n 0. in
-  destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib;
+  ignore (destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib : bool);
   contrib
 
 let destination_demand ~dag tm =

@@ -22,14 +22,17 @@ val destination_loads_into :
   demand_to_dst:float array ->
   flow:float array ->
   contrib:float array ->
-  unit
+  bool
 (** Arena variant of {!destination_loads}: writes the contribution
     into the caller-owned [contrib] row (length >= arc count) using
     [flow] (length >= node count) as flow scratch.  Both buffers are
     fully reinitialized, so they can be reused across destinations;
     the resulting shares are bitwise identical to
     {!destination_loads}, and [flow] is left holding each node's
-    throughflow (own demand plus transit).
+    throughflow (own demand plus transit).  Returns [true] when the
+    walk split some positive flow into zero shares (the quotient
+    underflowed): only then can a node with positive flow have a
+    next-hop arc that carries none.
     @raise Invalid_argument on a length mismatch or undersized
     scratch. *)
 

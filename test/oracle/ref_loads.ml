@@ -15,8 +15,10 @@ let node_throughflow g ~dag ~demand_to_dst =
   if Array.length demand_to_dst <> n then
     invalid_arg "Loads.node_throughflow: demand length mismatch";
   let flow = Array.make n 0. in
-  Loads.destination_loads_into g ~dag ~demand_to_dst ~flow
-    ~contrib:(Array.make (Graph.arc_count g) 0.);
+  ignore
+    (Loads.destination_loads_into g ~dag ~demand_to_dst ~flow
+       ~contrib:(Array.make (Graph.arc_count g) 0.)
+      : bool);
   flow
 
 (** The demand column towards [dag.dst] without the sources that have

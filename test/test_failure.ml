@@ -3,13 +3,16 @@
    disconnecting failures), exact fail_link semantics on parallel
    links, infinite-cost handling through the Lexico comparison,
    penalty aggregation, primary-first pricing against the full sweep,
-   memo key consistency across commits, and the robust search mode. *)
+   the flow screen of failure probes against the reduced graph rebuilt
+   from scratch, memo key consistency across commits, and the robust
+   search mode. *)
 
 module Prng = Dtr_util.Prng
 module Pool = Dtr_util.Pool
 module Metrics = Dtr_util.Metrics
 module Vmemo = Dtr_util.Vmemo
 module Graph = Dtr_graph.Graph
+module Spf = Dtr_graph.Spf
 module Matrix = Dtr_traffic.Matrix
 module Gravity = Dtr_traffic.Gravity
 module Highpri = Dtr_traffic.Highpri
@@ -17,6 +20,7 @@ module Weights = Dtr_routing.Weights
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Failure_sweep = Dtr_routing.Failure_sweep
 module Ref_failure = Dtr_oracle.Ref_failure
+module Ref_loads = Dtr_oracle.Ref_loads
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Problem = Dtr_core.Problem
@@ -383,9 +387,11 @@ let with_metrics f =
 let counter name = Metrics.counter_value (Metrics.counter ~help:"" name)
 
 (* The primary-first penalty equals the full sweep's, bitwise, for
-   every [top_k] given and both contexts of the instance; returns the
-   most full probes one penalty ran (failure probes beyond the one
-   class-0 probe per survivable link). *)
+   every [top_k] given and both contexts of the instance, and runs the
+   full probe on exactly the survivable links whose primary reaches the
+   [top_k]-th largest (ties counted; the smallest when fewer survive);
+   returns the most full probes one penalty ran (failure probes beyond
+   the one class-0 probe per survivable link). *)
 let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
   let links = Array.length (Graph.undirected_link_pairs g) in
   List.fold_left
@@ -416,9 +422,21 @@ let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
           check_bits (what ^ ": secondary") expected.Lexico.secondary
             actual.Lexico.secondary;
           let full = probes - survivable in
-          if survivable > 0 then
-            Alcotest.(check bool) (what ^ ": at least one full probe") true
-              (full >= min top_k survivable);
+          let primaries =
+            List.filter_map
+              (fun o ->
+                if Failure_sweep.is_finite o then Some o.Failure_sweep.cost.Lexico.primary
+                else None)
+              (Array.to_list sweep)
+          in
+          let reaching =
+            match List.sort (fun a b -> Float.compare b a) primaries with
+            | [] -> 0
+            | sorted ->
+                let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
+                List.length (List.filter (fun p -> Float.compare p kth >= 0) primaries)
+          in
+          Alcotest.(check int) (what ^ ": full probes") reaching full;
           max most full)
         most top_ks)
     0 (contexts inst)
@@ -471,22 +489,31 @@ let test_primary_first_penalty_ties () =
      normal cost, bitwise.  Failing 0-1 sends that demand the 7 hops
      around: a higher Φ_H, and 35 ms of propagation against the SLA's
      25 ms bound.  From top_k = 2 on, the k-th largest primary is the
-     tie, and all 8 links get a full probe. *)
+     tie, and all 8 links get a full probe.  With the same demand across
+     4-5 as well, failing 0-1 or 4-5 sends one of the two around, and
+     their primaries tie at the top, bitwise: both count toward the
+     top_k, so only they get a full probe up to top_k = 2. *)
   let g = Dtr_topology.Classic.ring ~capacity:10. ~delay:5. 8 in
   let n = Graph.node_count g in
   let th = Matrix.create n in
   Matrix.set th 0 1 4.;
+  let th2 = Matrix.copy th in
+  Matrix.set th2 4 5 4.;
   let tl = Gravity.generate (Prng.create 8) ~n Gravity.default in
   let w = Weights.uniform g 10 in
   List.iter
     (fun model ->
       let what = Objective.model_name model in
-      let full top_ks =
+      let full th top_ks =
         penalty_matches_sweep ~model ~top_ks (g, th, tl, w, Array.copy w)
       in
-      Alcotest.(check int) (what ^ ": top_k = 1, one full probe") 1 (full [ 1 ]);
-      Alcotest.(check int) (what ^ ": top_k = 2, every link") 8 (full [ 2 ]);
-      Alcotest.(check int) (what ^ ": top_k = 3, every link") 8 (full [ 3 ]))
+      Alcotest.(check int) (what ^ ": top_k = 1, one full probe") 1 (full th [ 1 ]);
+      Alcotest.(check int) (what ^ ": top_k = 2, every link") 8 (full th [ 2 ]);
+      Alcotest.(check int) (what ^ ": top_k = 3, every link") 8 (full th [ 3 ]);
+      Alcotest.(check int) (what ^ ": tied worst, top_k = 1") 2 (full th2 [ 1 ]);
+      Alcotest.(check int) (what ^ ": tied worst, top_k = 2") 2 (full th2 [ 2 ]);
+      Alcotest.(check int) (what ^ ": tied worst, top_k = 3, every link") 8
+        (full th2 [ 3 ]))
     models
 
 let test_robust_penalty_rejects () =
@@ -516,6 +543,176 @@ let test_robust_penalty_rejects () =
   match Failure_sweep.robust_penalty ~th ~top_k:1 ~cut ctx with
   | _ -> Alcotest.fail "a severing link outside the cut set was priced"
   | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Flow-screened failure probes: a failure probe repairs a destination
+   only when a failed arc carries priced flow toward it *)
+
+(* Every link failure of [ctx] (weights [wh], [wl]), by a class-0 and a
+   full probe, against Ref_failure on the reduced graph rebuilt from
+   scratch: the priced classes' severed pairs; when none, the primary
+   (Φ_H, or Λ walked over [failure_dags]) and the full probe's Φ_L,
+   bitwise; and, at every node with positive flow of a priced class
+   toward a destination, the failure dag's label and next-hop set.  The
+   class-0 probe is held to the oracle without low-priority demand,
+   which leaves Φ_H and Λ as they are. *)
+let screen_matches_scratch ~what ~model ctx (g, th, tl, wh, wl) =
+  let n = Graph.node_count g in
+  let no_low = Matrix.create n in
+  Array.iteri
+    (fun i link ->
+      let reduced, mapping = Ref_failure.fail_link g ~link in
+      List.iter
+        (fun (priced, tl) ->
+          let what =
+            Printf.sprintf "%s %s link %d, %d classes" what
+              (Objective.model_name model) i priced
+          in
+          let oracle = Ref_failure.oracle ~model g ~wh ~wl ~th ~tl ~link in
+          let f = Eval_ctx.fail_probe ~classes:priced ctx ~arcs:(link_arcs link) in
+          Alcotest.(check int) (what ^ ": severed pairs")
+            oracle.Failure_sweep.unreachable_pairs (Eval_ctx.failure_unreachable f);
+          if Failure_sweep.is_finite oracle then begin
+            check_bits (what ^ ": primary") oracle.Failure_sweep.cost.Lexico.primary
+              (failure_primary ~model ~th ctx f);
+            if priced = 2 then
+              check_bits (what ^ ": Φ_L") oracle.Failure_sweep.cost.Lexico.secondary
+                (Eval_ctx.failure_phi f).(1);
+            for k = 0 to priced - 1 do
+              let w = Ref_failure.remap_weights (if k = 0 then wh else wl) mapping in
+              let fresh = Spf.all_destinations reduced ~weights:w in
+              let dags = Eval_ctx.failure_dags ctx f k in
+              let hops set = List.sort compare (Array.to_list set) in
+              for dst = 0 to n - 1 do
+                let demand_to_dst = Eval_ctx.demand_view ctx ~klass:k ~dst in
+                if Array.length demand_to_dst > 0 then
+                  Array.iteri
+                    (fun x flow ->
+                      let want = fresh.(dst) and got = dags.(dst) in
+                      if
+                        flow > 0.
+                        && (want.Spf.dist.(x) <> got.Spf.dist.(x)
+                           || hops (Array.map (fun a -> mapping.(a)) want.Spf.next_arcs.(x))
+                              <> hops got.Spf.next_arcs.(x))
+                      then
+                        Alcotest.failf
+                          "%s: class %d, node %d to %d: label or next hops differ" what k
+                          x dst)
+                    (Ref_loads.node_throughflow reduced ~dag:fresh.(dst) ~demand_to_dst)
+              done
+            done
+          end)
+        [ (1, no_low); (2, tl) ])
+    (Graph.undirected_link_pairs g)
+
+(* Sparse high-priority demand leaves most failed arcs without class-0
+   flow: density 0.05, or a single pair. *)
+let sparse_instances ?(graph = fixture) seed =
+  let g = graph seed in
+  let n = Graph.node_count g in
+  let rng = Prng.create ((seed * 29) + 3) in
+  let tl = Gravity.generate rng ~n Gravity.default in
+  let sparse = Highpri.random_pairs rng ~n ~density:0.05 in
+  let src = Prng.int_incl rng 0 (n - 1) in
+  let dst = (src + 1 + Prng.int_incl rng 0 (n - 2)) mod n in
+  let wh = Weights.random rng g and wl = Weights.random rng g in
+  List.map
+    (fun pairs -> (g, Highpri.volumes rng ~low:tl ~fraction:0.3 ~pairs, tl, wh, wl))
+    [ sparse; [ (src, dst) ] ]
+
+(* [screen_matches_scratch] on every instance, in a DTR and an STR
+   context, under both models; the screen must have skipped repairs. *)
+let screen_matches_scratch_on what instances =
+  with_metrics (fun () ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun (what, ((g, th, tl, wh, wl) as inst)) ->
+              List.iter
+                (fun (name, ctx) ->
+                  let wl = if name = "str" then wh else wl in
+                  screen_matches_scratch ~what:(name ^ " " ^ what) ~model ctx
+                    (g, th, tl, wh, wl))
+                (contexts inst))
+            instances)
+        models;
+      Alcotest.(check bool) (what ^ ": the screen skipped repairs") true
+        (counter "dtr_failure_screened_total" > 0))
+
+let test_screen_matches_scratch () =
+  screen_matches_scratch_on "fixtures"
+    (List.concat_map
+       (fun seed ->
+         List.map (fun inst -> (Printf.sprintf "seed %d" seed, inst)) (sparse_instances seed))
+       (List.init 12 Fun.id))
+
+let test_screen_matches_scratch_random50 () =
+  let graph _ =
+    let g, _, _, _, _ = random50_instance () in
+    g
+  in
+  screen_matches_scratch_on "random50"
+    [ ("random50", List.hd (sparse_instances ~graph 50)) ]
+
+let test_screen_underflow () =
+  (* A diamond 0 -> {1, 2} -> 3, every link both ways.  The one
+     high-priority demand, 5e-324 (the least subnormal) from 0 to 3,
+     splits at node 0 into halves that round to zero under equal
+     weights: node 0 carries flow and no arc does.  Failing any link
+     sends it whole down the other branch, so Φ_H is two arcs of
+     5e-324.  A screen that took the zero shares for "no flow" would
+     keep every dag and price every failure at 0.  The context first
+     routes class 0 over 0-1-3 alone, where nothing underflows, and
+     commits the equal weights: the commit, a clone and a sync must
+     all carry the underflow along. *)
+  let arc src dst = { Graph.src; dst; capacity = 100.; delay = 1. } in
+  let g =
+    Graph.build ~n:4
+      (List.concat_map
+         (fun (a, b) -> [ arc a b; arc b a ])
+         [ (0, 1); (0, 2); (1, 3); (2, 3) ])
+  in
+  let th = Matrix.create 4 and tl = Matrix.create 4 in
+  Matrix.set th 0 3 5e-324;
+  Matrix.set tl 1 2 10.;
+  Matrix.set tl 3 0 5.;
+  let w = Weights.uniform g 10 in
+  let detour = Option.get (Graph.find_arc g ~src:0 ~dst:2) in
+  let start = Array.copy w in
+  start.(detour) <- 11;
+  let ctx = Eval_ctx.create g ~weights:[| start; Array.copy w |] ~matrices:[| th; tl |] in
+  let early_clone = Eval_ctx.clone ctx in
+  let check_failures what ctx ~wh =
+    Array.iteri
+      (fun i link ->
+        let oracle = Ref_failure.oracle ~model:Objective.Load g ~wh ~wl:w ~th ~tl ~link in
+        List.iter
+          (fun priced ->
+            let what = Printf.sprintf "%s link %d, %d classes" what i priced in
+            let f = Eval_ctx.fail_probe ~classes:priced ctx ~arcs:(link_arcs link) in
+            let phi = Eval_ctx.failure_phi f and cost = oracle.Failure_sweep.cost in
+            check_bits (what ^ ": Φ_H") cost.Lexico.primary phi.(0);
+            if priced = 2 then check_bits (what ^ ": Φ_L") cost.Lexico.secondary phi.(1))
+          [ 1; 2 ])
+      (Graph.undirected_link_pairs g)
+  in
+  check_failures "one path" ctx ~wh:start;
+  Eval_ctx.commit ctx (Eval_ctx.probe ctx ~klass:0 ~changes:[ (detour, 10) ]);
+  check_bits "split: no arc carries Φ_H" 0. (Eval_ctx.phi ctx).(0);
+  Array.iteri
+    (fun i link ->
+      check_bits
+        (Printf.sprintf "oracle link %d: Φ_H" i)
+        0x0.0000000000002p-1022
+        (Ref_failure.oracle ~model:Objective.Load g ~wh:w ~wl:w ~th ~tl ~link)
+          .Failure_sweep.cost.Lexico.primary)
+    (Graph.undirected_link_pairs g);
+  check_failures "split" ctx ~wh:w;
+  check_failures "clone" (Eval_ctx.clone ctx) ~wh:w;
+  Eval_ctx.sync ~src:ctx ~dst:early_clone;
+  check_failures "synced clone" early_clone ~wh:w;
+  let fresh = Eval_ctx.create g ~weights:[| w; Array.copy w |] ~matrices:[| th; tl |] in
+  check_failures "fresh" fresh ~wh:w
 
 (* ------------------------------------------------------------------ *)
 (* Memo key consistency across commits (Vmemo hit-rate soft spot) *)
@@ -826,5 +1023,14 @@ let () =
             `Quick test_primary_first_penalty_ties;
           Alcotest.test_case "rejects a wrong cut set" `Quick
             test_robust_penalty_rejects;
+        ] );
+      ( "flow-screen",
+        [
+          Alcotest.test_case "screened probes = reduced graph (bitwise)" `Quick
+            test_screen_matches_scratch;
+          Alcotest.test_case "screened probes = reduced graph, 50 nodes" `Slow
+            test_screen_matches_scratch_random50;
+          Alcotest.test_case "an underflowed split keeps the screen off" `Quick
+            test_screen_underflow;
         ] );
     ]

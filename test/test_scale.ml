@@ -250,8 +250,10 @@ let prop_destination_loads_into_identical =
               if s <> dst && Prng.bool rng then Prng.float rng 50. else 0.)
         in
         let fresh = Loads.destination_loads g ~dag:dags.(dst) ~demand_to_dst in
-        Loads.destination_loads_into g ~dag:dags.(dst) ~demand_to_dst ~flow
-          ~contrib;
+        ignore
+          (Loads.destination_loads_into g ~dag:dags.(dst) ~demand_to_dst ~flow
+             ~contrib
+            : bool);
         if contrib <> fresh then ok := false
       done;
       !ok)
