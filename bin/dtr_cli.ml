@@ -796,7 +796,7 @@ let simulate_cmd =
   let duration_arg =
     Arg.(
       value
-      & opt float 2000.
+      & opt positive_float 2000.
       & info [ "duration" ] ~docv:"MS" ~doc:"Simulated milliseconds.")
   in
   Cmd.v
@@ -915,7 +915,7 @@ let inspect_cmd =
   let top_arg =
     Arg.(
       value
-      & opt int 15
+      & opt positive_int 15
       & info [ "top" ] ~docv:"N" ~doc:"Rows per table.")
   in
   let weights_arg =
@@ -941,7 +941,7 @@ let inspect_cmd =
   let explain_top_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "explain-top" ] ~docv:"K"
           ~doc:
             "Show the K costliest links by total Fortz cost with each \
@@ -1019,7 +1019,7 @@ let diff_cmd =
   let top_arg =
     Arg.(
       value
-      & opt int 20
+      & opt positive_int 20
       & info [ "top" ] ~docv:"N" ~doc:"Rows of the per-arc diff table.")
   in
   let json_arg =
@@ -1136,7 +1136,7 @@ let report_cmd =
   let top_arg =
     Arg.(
       value
-      & opt int 10
+      & opt positive_int 10
       & info [ "top" ] ~docv:"N"
           ~doc:"Rows of the final-state costliest-links table.")
   in
@@ -1274,7 +1274,7 @@ let bench_cmd =
   let probes_arg =
     Arg.(
       value
-      & opt int Dtr_experiments.Large_bench.default_probes
+      & opt positive_int Dtr_experiments.Large_bench.default_probes
       & info [ "probes" ] ~docv:"N"
           ~doc:"Timed single-weight-change probes per preset.")
   in

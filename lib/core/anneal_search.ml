@@ -75,8 +75,7 @@ let anneal_phase inc ~detail rng cfg schedule problem ~cls ~energy =
         e_cur := e_cand;
         incr accepted;
         Incumbent.offer inc ~iteration:!step
-      end
-      else Problem.abort_delta (Incumbent.ctx inc) d;
+      end;
       Incumbent.tell inc Trace.Anneal_step ~iteration:!step ~detail ~prev
         ~value:!t
     done;

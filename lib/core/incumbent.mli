@@ -88,8 +88,9 @@ val probe : t -> cls:Problem.cls -> changes:(int * int) list -> Problem.delta
 (** One counted probe of a candidate against the context. *)
 
 val accept : t -> Problem.delta -> unit
-(** Move to a probed candidate.  A rejected one is closed with
-    {!Problem.abort_delta} on {!ctx}. *)
+(** Move to a probed candidate, which must be the context's latest
+    probe ({!Problem.commit_delta}); a rejected one is simply
+    dropped. *)
 
 val jump : t -> cls:Problem.cls -> changes:(int * int) list -> unit
 (** Diversify by a committed probe (one counted probe) and reset the

@@ -82,8 +82,7 @@ let first_improvements st ~klass ~base ~install candidates =
         Eval_ctx.commit st.ctx d;
         st.current_w <- install w;
         st.current <- Eval_ctx.to_multi st.ctx
-      end
-      else Eval_ctx.abort st.ctx d)
+      end)
     candidates
 
 (* One Algorithm-2 pass on class [klass]'s weights, ranked by its

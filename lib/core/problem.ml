@@ -241,7 +241,7 @@ let commit_delta t ctx d =
   if d.d_moves_sla then ctx.c_sla <- None;
   ctx_solution t ctx
 
-let abort_delta ctx d = Eval_ctx.abort ctx.ec d.d_probe
+let abort_delta _ _ = ()
 
 (* ------------------------------------------------------------------ *)
 (* Failure-robust pricing: one single-link sweep against the context's
@@ -263,8 +263,7 @@ type robust_price = {
   rp_cut : bool array;  (* per link: its failure severs demand *)
 }
 
-let failure_outcomes ?pool t ctx =
-  Failure_sweep.sweep ?pool ~model:t.model ~th:t.th ctx.ec
+let failure_outcomes t ctx = Failure_sweep.sweep ~model:t.model ~th:t.th ctx.ec
 
 let robust_price ?cut t ctx ~alpha ~top_k ~normal =
   let penalty, cut =

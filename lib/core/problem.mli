@@ -62,11 +62,13 @@ val is_str : solution -> bool
     trajectory for a fixed seed.
 
     Protocol: take any number of probes from the same context state
-    (apply/undo — probes never modify the committed state), then
-    {!commit_delta} the winner (advancing the context) or
-    {!abort_delta} the rest; aborting promptly lets the next probe
-    reuse the context's scratch instead of copying the candidate out of
-    it ({!Dtr_routing.Eval_ctx}).  Every candidate is a probe.  Under
+    (apply/undo — probes never modify the committed state) and drop
+    the losers.  A delta is a view of the context's probe arena
+    ({!Dtr_routing.Eval_ctx}): it can be committed with
+    {!commit_delta} (advancing the context) only until the context's
+    next {!eval_delta}, failure sweep, commit or sync, so a scan
+    re-probes its winner before committing it.  Every candidate is a
+    probe.  Under
     the SLA model a change that moves [W_H] (any STR change, any [`H]
     change) may move every H path delay, so its probe re-walks the
     delays over its own H DAGs and Φ_H row in the context's SLA scratch
@@ -180,19 +182,15 @@ val commit_delta : t -> ctx -> delta -> solution
     @raise Invalid_argument on a stale delta. *)
 
 val abort_delta : ctx -> delta -> unit
-(** Discard a candidate (no-op; closes the apply/undo protocol). *)
+(** Does nothing: a delta that is not committed is dropped.  Kept
+    because perfbench's probe replay calls it. *)
 
-val failure_outcomes :
-  ?pool:Dtr_util.Pool.t ->
-  t ->
-  ctx ->
-  Dtr_routing.Failure_sweep.outcome array
+val failure_outcomes : t -> ctx -> Dtr_routing.Failure_sweep.outcome array
 (** Price every single-link failure against the context's current
     weights under the problem's cost model
     ({!Dtr_routing.Failure_sweep.sweep}).  The context is not
     modified; outcomes are in
-    {!Dtr_graph.Graph.undirected_link_pairs} order and identical for
-    every pool width. *)
+    {!Dtr_graph.Graph.undirected_link_pairs} order. *)
 
 type robust_price = {
   rp_objective : Dtr_cost.Lexico.t;

@@ -120,7 +120,6 @@ let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
         phi_l = Problem.delta_phi_l d;
       }
     in
-    Problem.abort_delta ctx' d;
     results.(i) <- Some s
   in
   let k = Array.length miss in

@@ -21,7 +21,6 @@ module Metrics = Dtr_util.Metrics
 module Graph = Dtr_graph.Graph
 module Large = Dtr_topology.Large
 module Matrix = Dtr_traffic.Matrix
-module Gravity = Dtr_traffic.Gravity
 module Weights = Dtr_routing.Weights
 module Eval_ctx = Dtr_routing.Eval_ctx
 
@@ -42,25 +41,30 @@ type row = {
 
 let default_probes = 200
 
-(* The paper's two-class mix at PoP scale: the low class is a PoP
-   gravity matrix, the high class rides a density-0.10 subset of the
-   same PoP pairs at fraction 0.30 of the pair's volume — the same
-   f/k knobs as the 50-node scenarios, applied to the sparse tier. *)
+(* The paper's two-class mix at PoP scale, as {!Scenario.make} builds
+   it for every large preset: the high class rides a density-0.10
+   subset of the PoP gravity pairs at fraction 0.30 of the pair's
+   volume.  The random weights, W_H then W_L, come from the seed
+   root's third split, after the topology and traffic streams
+   Scenario.make draws. *)
 let scenario ~seed p =
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Large p;
+        fraction = 0.30;
+        hp = Scenario.Random_density 0.10;
+        seed;
+      }
+  in
+  let g = inst.Scenario.graph in
   let root = Prng.create seed in
-  let topo_rng = Prng.split root in
-  let traffic_rng = Prng.split root in
+  ignore (Prng.split root : Prng.t);
+  ignore (Prng.split root : Prng.t);
   let weight_rng = Prng.split root in
-  let g = Large.generate topo_rng p in
-  let pops = Large.pop_nodes g p in
-  let n = Graph.node_count g in
-  let tl = Gravity.generate_pop traffic_rng ~n ~pops Gravity.default in
-  let th = Matrix.create_sparse n in
-  Matrix.iter tl (fun s t v ->
-      if Prng.float traffic_rng 1.0 < 0.10 then Matrix.set th s t (0.30 *. v));
   let wh = Weights.random weight_rng g in
   let wl = Weights.random weight_rng g in
-  (g, pops, th, tl, wh, wl)
+  (g, Large.pop_nodes g p, inst.Scenario.th, inst.Scenario.tl, wh, wl)
 
 let count_pairs m =
   let c = ref 0 in
@@ -87,8 +91,7 @@ let run_preset ?(probes = default_probes) ~seed p =
     let w = if klass = 0 then wh else wl in
     let arc = i * stride mod m in
     let v = if w.(arc) >= Weights.max_weight then w.(arc) - 1 else w.(arc) + 1 in
-    let p = Eval_ctx.probe ctx ~klass ~changes:[ (arc, v) ] in
-    Eval_ctx.abort ctx p
+    ignore (Eval_ctx.probe ctx ~klass ~changes:[ (arc, v) ])
   in
   for i = 0 to 19 do
     probe_once i

@@ -64,7 +64,7 @@ let build_topology rng = function
 (* Large presets: PoP-level gravity demand (sparse) with the high
    class riding a density-[k] subset of the low-class pairs at
    [fraction] of the pair's volume — the same f/k knobs as the dense
-   scenarios, applied to the sparse tier (mirrors Large_bench). *)
+   scenarios, applied to the sparse tier. *)
 let make_large spec p =
   let density =
     match spec.hp with

@@ -89,7 +89,8 @@ type t = {
      classes from [a_kmin] down, and [a_phi] the probed objective.
 
    [a_stamp] numbers the computations; a probe or failure handle is an
-   arena view while its stamp is current.  Committed rows are never
+   arena view while its stamp is current, and every probe, failure
+   probe, commit or sync moves it on.  Committed rows are never
    written: installing a probe copies what it moved into fresh arrays,
    so committed rows stay replace-not-mutate for clones and solution
    snapshots.  Each clone owns its arena — scan workers probe
@@ -120,31 +121,15 @@ and arena = {
   a_fail_rows : float array array;  (* class -> post-failure Fortz row *)
   a_sla : Evaluate.sla_scratch;
   mutable a_stamp : int;
-  mutable a_live : probe option;
-      (* the last weight probe, while it may still be committed *)
 }
 
-(* A weight probe.  While [p_stamp] is the arena's it reads the arena;
-   a probe still live when the arena moves on is first copied out into
-   [p_snap], so probes stay pure for every caller. *)
-and probe = {
+(* A weight probe: an arena view while [p_stamp] is the arena's. *)
+type probe = {
   p_generation : int;
   p_group : int;
   p_arena : arena;
   p_stamp : int;
   p_phi : float array;
-  mutable p_snap : snapshot option;
-}
-
-(* Everything committing a probe installs, in fresh arrays. *)
-and snapshot = {
-  s_w : int array;
-  s_dags : Spf.dag array;
-  s_contrib : (int * int * float array) list;  (* class, dest, contribution *)
-  s_loads : (int * float array) list;  (* class, full row *)
-  s_capacity : (int * float array) list;
-  s_phi_rows : (int * float array) list;
-  s_zero_shares : bool;
 }
 
 let class_count t = Array.length t.class_group
@@ -339,11 +324,7 @@ let sync ~src ~dst =
   dst.generation <- src.generation;
   (* Whatever dst's arena holds was priced against the state just
      replaced. *)
-  match dst.arena with
-  | Some a ->
-      a.a_live <- None;
-      a.a_stamp <- a.a_stamp + 1
-  | None -> ()
+  match dst.arena with Some a -> a.a_stamp <- a.a_stamp + 1 | None -> ()
 
 let make_arena t =
   let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
@@ -381,7 +362,6 @@ let make_arena t =
     a_fail_rows = Array.make classes [||];
     a_sla = Evaluate.sla_scratch ();
     a_stamp = 0;
-    a_live = None;
   }
 
 let arena_of t =
@@ -394,71 +374,25 @@ let arena_of t =
 
 let sla_scratch t = (arena_of t).a_sla
 
-(* Copy what a live probe moved out of the arena into fresh arrays: the
-   weight row, the dirty dags (labels and order only where they moved;
-   next-hop sets are immutable and shared), the moved contribution
-   rows, and full load, capacity and Fortz rows of the classes it
-   changed. *)
-let snapshot t a p =
-  let g = p.p_group in
-  let prev = t.group_dags.(g) in
-  let spf = a.a_spf.(g) in
-  let dirty = Spf_delta.scratch_dirty spf in
-  let s_dags =
-    if dirty = 0 then prev
-    else begin
-      let view = Spf_delta.scratch_dags spf in
-      let dags = Array.copy prev in
-      for i = 0 to dirty - 1 do
-        let dst = Spf_delta.scratch_dirty_at spf i in
-        let d = view.(dst) and old = prev.(dst) in
-        let keep_or_copy cur was = if cur == was then cur else Array.copy cur in
-        dags.(dst) <-
-          {
-            d with
-            Spf.dist = keep_or_copy d.Spf.dist old.Spf.dist;
-            next_arcs = Array.copy d.Spf.next_arcs;
-            order_desc = keep_or_copy d.Spf.order_desc old.Spf.order_desc;
-          }
-      done;
-      dags
-    end
-  in
-  let touched = Array.sub a.a_touched_list 0 a.a_ntouched in
-  let patched committed k src =
-    let row = Array.copy committed.(k) in
-    Array.iter (fun arc -> row.(arc) <- src.(k).(arc)) touched;
-    (k, row)
-  in
-  let classes = class_count t in
-  let rows lo f = List.init (max 0 (classes - lo)) (fun i -> f (lo + i)) in
-  {
-    s_w = Array.copy a.a_w.(g);
-    s_dags;
-    s_contrib =
-      List.init a.a_nov (fun i ->
-          (a.a_ov_class.(i), a.a_ov_dst.(i), Array.copy a.a_rows.(i)));
-    s_loads =
-      List.filter_map
-        (fun k -> if a.a_has_ov.(k) then Some (patched t.loads k a.a_loads) else None)
-        (List.init classes Fun.id);
-    s_capacity = rows (a.a_kmin + 1) (fun k -> patched t.capacity_seen k a.a_cap);
-    s_phi_rows = rows a.a_kmin (fun k -> (k, Array.copy a.a_phi_rows.(k)));
-    s_zero_shares = a.a_zero_shares;
-  }
-
-(* Free the arena for a new computation.  A live probe that may still
-   be committed is copied out first; every outstanding handle goes
-   stale. *)
-let evict t a =
-  (match a.a_live with
-  | Some p when p.p_generation = t.generation -> p.p_snap <- Some (snapshot t a p)
-  | _ -> ());
-  a.a_live <- None;
+(* Free the arena for a new computation: every outstanding probe and
+   failure goes stale. *)
+let evict a =
   a.a_stamp <- a.a_stamp + 1;
   a.a_nov <- 0;
   a.a_ntouched <- 0;
   a.a_zero_shares <- false
+
+(* The step every computation starts with: copy group [gi]'s committed
+   weights into its arena row, apply [changes] there and repair the
+   group's dags into its scratch. *)
+let repair t a gi ~active changes =
+  let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
+  for arc = 0 to Array.length w - 1 do
+    Array.unsafe_set new_w arc (Array.unsafe_get w arc)
+  done;
+  List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
+  Spf_delta.update_scratch a.a_spf.(gi) ?active t.graph ~weights:new_w
+    ~prev:t.group_dags.(gi) ~changes
 
 (* Re-project one dirty destination's flows into the next free arena
    row and mark every arc whose contribution moved; the row is kept
@@ -603,12 +537,9 @@ let probe t ~klass ~changes =
   a.a_listing <- a.a_listing + 1;
   check_changes t a changes;
   Metrics.incr_counter m_probes;
-  evict t a;
+  evict a;
   let group = t.class_group.(klass) in
-  let w = t.group_w.(group) and new_w = a.a_w.(group) in
-  for arc = 0 to Array.length w - 1 do
-    Array.unsafe_set new_w arc (Array.unsafe_get w arc)
-  done;
+  let w = t.group_w.(group) in
   let spf_changes =
     List.filter_map
       (fun (arc, v) ->
@@ -616,96 +547,106 @@ let probe t ~klass ~changes =
         else Some { Spf_delta.arc; before = w.(arc); after = v })
       changes
   in
-  List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) spf_changes;
-  let spf = a.a_spf.(group) in
-  Spf_delta.update_scratch spf ?active:t.active.(group) t.graph ~weights:new_w
-    ~prev:t.group_dags.(group) ~changes:spf_changes;
+  repair t a group ~active:t.active.(group) spf_changes;
   (* Re-project dirty destinations of every class in the group. *)
+  let spf = a.a_spf.(group) in
   let members = t.group_classes.(group) in
   for j = 0 to Array.length members - 1 do
     reproject_dirty t a spf members.(j)
   done;
   patch t a ~classes:(class_count t);
-  let p =
-    {
-      p_generation = t.generation;
-      p_group = group;
-      p_arena = a;
-      p_stamp = a.a_stamp;
-      p_phi = Array.copy a.a_phi;
-      p_snap = None;
-    }
-  in
-  a.a_live <- Some p;
-  p
+  {
+    p_generation = t.generation;
+    p_group = group;
+    p_arena = a;
+    p_stamp = a.a_stamp;
+    p_phi = Array.copy a.a_phi;
+  }
 
 let probe_phi p = Array.copy p.p_phi
 
-(* A probe's arena view, or its snapshot once copied out. *)
-let view name p =
-  match p.p_snap with
-  | Some s -> Either.Right s
-  | None ->
-      if p.p_stamp <> p.p_arena.a_stamp then
-        invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name);
-      Either.Left p.p_arena
+(* A probe's views read the arena, so they are only meaningful while
+   it holds this probe's computation and the context has not moved. *)
+let check_probe t p name =
+  if p.p_generation <> t.generation || p.p_stamp <> p.p_arena.a_stamp then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe (context has moved on)" name)
 
 (* Probe views for costing a candidate beyond Φ (the SLA delay walk):
    the probe holds rows only for what it moved, the context supplies
-   the rest — so both views are only meaningful while the probe is
-   current. *)
-let check_probe t p name k =
+   the rest. *)
+let check_probe_class t p name k =
   if k < 0 || k >= class_count t then
     invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name);
-  if p.p_generation <> t.generation then
-    invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe" name)
+  check_probe t p name
 
 let probe_dags t p k =
-  check_probe t p "probe_dags" k;
+  check_probe_class t p "probe_dags" k;
   let gi = t.class_group.(k) in
   if gi <> p.p_group then t.group_dags.(gi)
-  else
-    match view "probe_dags" p with
-    | Either.Right s -> s.s_dags
-    | Either.Left a -> Spf_delta.scratch_dags a.a_spf.(gi)
+  else Spf_delta.scratch_dags p.p_arena.a_spf.(gi)
 
 let probe_phi_row t p k =
-  check_probe t p "probe_phi_row" k;
-  match view "probe_phi_row" p with
-  | Either.Right s -> (
-      match List.assoc_opt k s.s_phi_rows with
-      | Some row -> row
-      | None -> t.phi_per_arc.(k))
-  | Either.Left a -> if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k)
+  check_probe_class t p "probe_phi_row" k;
+  let a = p.p_arena in
+  if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k)
 
-let commit (t : t) (p : probe) =
-  if p.p_generation <> t.generation then
-    invalid_arg "Eval_ctx.commit: stale probe (context has moved on)";
-  let s =
-    match view "commit" p with
-    | Either.Right s -> s
-    | Either.Left a ->
-        let s = snapshot t a p in
-        p.p_snap <- Some s;
-        s
+(* Install a current probe straight from the arena, copying what it
+   moved into fresh arrays: the weight row, the dirty dags (labels and
+   order only where they moved; next-hop sets are immutable and
+   shared), the moved contribution rows, and full load, capacity and
+   Fortz rows of the classes it changed. *)
+let commit t p =
+  check_probe t p "commit";
+  let a = p.p_arena and g = p.p_group in
+  t.group_w.(g) <- Array.copy a.a_w.(g);
+  let spf = a.a_spf.(g) in
+  let dirty = Spf_delta.scratch_dirty spf in
+  if dirty > 0 then begin
+    let view = Spf_delta.scratch_dags spf in
+    let prev = t.group_dags.(g) in
+    let dags = Array.copy prev in
+    for i = 0 to dirty - 1 do
+      let dst = Spf_delta.scratch_dirty_at spf i in
+      let d = view.(dst) and old = prev.(dst) in
+      let keep_or_copy cur was = if cur == was then cur else Array.copy cur in
+      dags.(dst) <-
+        {
+          d with
+          Spf.dist = keep_or_copy d.Spf.dist old.Spf.dist;
+          next_arcs = Array.copy d.Spf.next_arcs;
+          order_desc = keep_or_copy d.Spf.order_desc old.Spf.order_desc;
+        }
+    done;
+    t.group_dags.(g) <- dags
+  end;
+  for i = 0 to a.a_nov - 1 do
+    t.contrib.(a.a_ov_class.(i)).(a.a_ov_dst.(i)) <- Array.copy a.a_rows.(i)
+  done;
+  let patched committed k src =
+    let row = Array.copy committed.(k) in
+    for j = 0 to a.a_ntouched - 1 do
+      let arc = a.a_touched_list.(j) in
+      row.(arc) <- src.(k).(arc)
+    done;
+    committed.(k) <- row
   in
-  t.group_w.(p.p_group) <- s.s_w;
-  t.group_dags.(p.p_group) <- s.s_dags;
-  List.iter (fun (k, dst, c) -> t.contrib.(k).(dst) <- c) s.s_contrib;
-  List.iter (fun (k, row) -> t.loads.(k) <- row) s.s_loads;
-  List.iter (fun (k, row) -> t.capacity_seen.(k) <- row) s.s_capacity;
-  List.iter (fun (k, row) -> t.phi_per_arc.(k) <- row) s.s_phi_rows;
-  if s.s_zero_shares then t.zero_shares <- true;
+  let classes = class_count t in
+  for k = 0 to classes - 1 do
+    if a.a_has_ov.(k) then patched t.loads k a.a_loads
+  done;
+  for k = a.a_kmin + 1 to classes - 1 do
+    patched t.capacity_seen k a.a_cap
+  done;
+  for k = a.a_kmin to classes - 1 do
+    t.phi_per_arc.(k) <- Array.copy a.a_phi_rows.(k)
+  done;
+  if a.a_zero_shares then t.zero_shares <- true;
   t.phi <- Array.copy p.p_phi;
   t.generation <- t.generation + 1;
   Metrics.incr_counter m_commits;
-  let a = p.p_arena in
-  a.a_live <- None;
   a.a_stamp <- a.a_stamp + 1
 
-let abort _t p =
-  let a = p.p_arena in
-  match a.a_live with Some q when q == p -> a.a_live <- None | _ -> ()
+let abort _t _p = ()
 
 (* ------------------------------------------------------------------ *)
 (* Failure probes: evaluate the context's current weights with one or
@@ -841,19 +782,14 @@ let fail_probe ?classes:priced t ~arcs =
         invalid_arg "Eval_ctx.fail_probe: arc out of range")
     arcs;
   Metrics.incr_counter m_fail_probes;
-  let g = t.graph in
-  let n = Graph.node_count g in
+  let n = Graph.node_count t.graph in
   let a = arena_of t in
-  evict t a;
+  evict a;
   (* A group is repaired when it routes a priced class (members are
      ascending, so its first member decides). *)
   for gi = 0 to Array.length t.group_w - 1 do
     if t.group_classes.(gi).(0) < priced then begin
-      let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
-      for arc = 0 to Array.length w - 1 do
-        Array.unsafe_set new_w arc (Array.unsafe_get w arc)
-      done;
-      List.iter (fun arc -> new_w.(arc) <- Dijkstra.suppressed) arcs;
+      let w = t.group_w.(gi) in
       let changes =
         List.map
           (fun arc ->
@@ -867,8 +803,7 @@ let fail_probe ?classes:priced t ~arcs =
           Some a.a_screen
         end
       in
-      Spf_delta.update_scratch a.a_spf.(gi) ?active g ~weights:new_w
-        ~prev:t.group_dags.(gi) ~changes;
+      repair t a gi ~active changes;
       if (not t.zero_shares) && Metrics.enabled () then count_screened t a gi ~arcs
     end
   done;

@@ -8,11 +8,13 @@
     change can affect, re-projects only their flows, patches only the
     arcs whose load moved (including the high→residual→low coupling),
     and returns the candidate's objective vector without touching the
-    committed state.  {!commit} installs a probe; {!abort} discards it.
+    committed state.  {!commit} installs the latest probe; a probe
+    that is not committed is simply dropped.
 
-    Probes are pure: many can be taken from the same state, compared,
-    and all but the winner dropped — this is the apply/undo protocol of
-    the search inner loops.  All quantities are bitwise-identical to a
+    Probes never move the committed state: many can be taken from it
+    in turn, their objectives compared, and the winner probed again
+    and committed — this is the apply/undo protocol of the search inner
+    loops.  All quantities are bitwise-identical to a
     from-scratch evaluation of the same weights ({!create}, and the
     test-only references the tests hold it to): per-arc loads receive
     at most one share per destination, so patched totals re-associate
@@ -36,11 +38,14 @@
     re-projected: its row would come out bitwise the committed one.
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
-    clones and solution snapshots that share them stay valid.  The
-    arena holds one computation at a time: a probe not yet committed
-    or {!abort}ed when the next probe or failure probe starts is first
-    copied out of it (so it stays committable and readable), while a
-    failure's views go stale. *)
+    clones and solution snapshots that share them stay valid.
+
+    The arena holds one computation at a time, so weight probes and
+    failure probes share one lifetime rule: a probe's or a failure's
+    views are readable, and a probe is committable, until the
+    context's next probe, failure probe, commit or {!sync}; after that
+    they raise [Invalid_argument] as stale.  Their objective vectors
+    ({!probe_phi}, {!failure_phi}) are copies and stay readable. *)
 
 type t
 
@@ -99,8 +104,11 @@ val probe : t -> klass:int -> changes:(int * int) list -> probe
     for each [(a, v)] in [changes] on [klass]'s weight vector (classes
     sharing the vector change together).  No-op entries are ignored.
     The context's committed state is not modified; the probe is
-    computed into the context's arena (see above).  Every change is
-    checked before anything is computed, without allocating.
+    computed into the context's arena (see above), which makes every
+    earlier probe and failure of the context stale.  Every change is
+    checked before anything is computed, without allocating: a
+    refused change list leaves the arena, and the earlier probe's
+    views and commit, as they were.
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
@@ -113,11 +121,9 @@ val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
     probe's own for the probed weight group, the context's otherwise;
     treat as immutable).  With {!probe_phi_row}, this is what the SLA
     delay walk ({!Evaluate.sla_of}) needs to price a candidate that
-    moves the high-priority routing, mirroring {!failure_dags}.  The
-    probe's own dags live in the context's arena: read them before the
-    context's next commit, and before its next probe or failure probe
-    if this one was {!abort}ed (an un-aborted probe is copied out
-    instead, and its views stay readable until the next commit).
+    moves the high-priority routing, mirroring {!failure_dags}.  An
+    arena view: readable until the context's next probe, failure
+    probe, commit or sync.
     @raise Invalid_argument on a class out of range or a stale probe. *)
 
 val probe_phi_row : t -> probe -> int -> float array
@@ -127,17 +133,17 @@ val probe_phi_row : t -> probe -> int -> float array
     @raise Invalid_argument on a class out of range or a stale probe. *)
 
 val commit : t -> probe -> unit
-(** Install a probe: what it moved is copied into fresh arrays that
-    replace the committed ones.  Only probes taken from the current
-    state may be committed; committing advances the state.
-    @raise Invalid_argument on a stale probe, or on an {!abort}ed
-    probe whose arena has been reused since. *)
+(** Install the context's latest probe: what it moved is copied
+    straight from the arena into fresh arrays that replace the
+    committed ones.  Committing advances the state, so every probe
+    and failure taken before goes stale.
+    @raise Invalid_argument on a stale probe: one taken before the
+    context's last probe, failure probe, commit or sync. *)
 
 val abort : t -> probe -> unit
-(** Discard a probe: the committed state never moved, so this only
-    releases the arena — the next probe overwrites it instead of
-    copying the probe out.  Read an aborted probe's views before
-    that. *)
+(** Does nothing: a probe that is not committed is dropped, and the
+    next computation overwrites the arena.  Kept because perfbench's
+    probe replay calls it. *)
 
 val sla_scratch : t -> Evaluate.sla_scratch
 (** The context's own buffers for {!Evaluate.sla_lambda} (in its

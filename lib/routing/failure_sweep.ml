@@ -1,6 +1,5 @@
 module Graph = Dtr_graph.Graph
 module Lexico = Dtr_cost.Lexico
-module Pool = Dtr_util.Pool
 module Metrics = Dtr_util.Metrics
 
 let m_sweeps =
@@ -56,40 +55,18 @@ let eval_link ~model ~th ~links ctx i =
   Metrics.incr_counter m_evals;
   price ~model ~th ctx (Eval_ctx.fail_probe ctx ~arcs:(link_arcs links i))
 
-let sweep ?pool ?(model = Objective.Load) ~th ctx =
+let sweep ?(model = Objective.Load) ~th ctx =
   if Eval_ctx.class_count ctx <> 2 then
     invalid_arg "Failure_sweep.sweep: need a 2-class context";
   Metrics.incr_counter m_sweeps;
   let links = Graph.undirected_link_pairs (Eval_ctx.graph ctx) in
   let k = Array.length links in
-  match pool with
-  | Some p when Pool.jobs p > 1 ->
-      (* Contiguous chunks, one clone per task: a failure probe reads
-         the shared rows and writes only its own context's SPF
-         workspace and probe arena, so clones make concurrent probes
-         race-free; results are reassembled in link order, identical
-         to the sequential sweep. *)
-      let jobs = Pool.jobs p in
-      let chunks =
-        Pool.map p jobs ~f:(fun j ->
-            let lo = j * k / jobs and hi = (j + 1) * k / jobs in
-            let c = if hi - lo > 0 then Eval_ctx.clone ctx else ctx in
-            let out =
-              Array.make (hi - lo) { cost = Lexico.zero; unreachable_pairs = 0 }
-            in
-            for i = 0 to hi - lo - 1 do
-              out.(i) <- eval_link ~model ~th ~links c (lo + i)
-            done;
-            out)
-      in
-      Array.concat (Array.to_list chunks)
-  | _ ->
-      (* Explicit ascending loop: Array.init's order is unspecified. *)
-      let out = Array.make k { cost = Lexico.zero; unreachable_pairs = 0 } in
-      for i = 0 to k - 1 do
-        out.(i) <- eval_link ~model ~th ~links ctx i
-      done;
-      out
+  (* Explicit ascending loop: Array.init's order is unspecified. *)
+  let out = Array.make k { cost = Lexico.zero; unreachable_pairs = 0 } in
+  for i = 0 to k - 1 do
+    out.(i) <- eval_link ~model ~th ~links ctx i
+  done;
+  out
 
 (* ------------------------------------------------------------------ *)
 (* Robust penalty: aggregate a sweep into one Lexico term. *)

@@ -21,7 +21,7 @@
     demand-free node pairs stays finite.
 
     Outcomes are indexed by {!Dtr_graph.Graph.undirected_link_pairs}
-    order and are identical for every pool width.
+    order.
 
     {!robust_penalty} prices a robust search's sweep primary-first:
     bitwise {!penalty} of {!sweep}, with most failures priced for the
@@ -47,18 +47,12 @@ type outcome = {
 val is_finite : outcome -> bool
 
 val sweep :
-  ?pool:Dtr_util.Pool.t ->
-  ?model:Objective.model ->
-  th:Dtr_traffic.Matrix.t ->
-  Eval_ctx.t ->
-  outcome array
+  ?model:Objective.model -> th:Dtr_traffic.Matrix.t -> Eval_ctx.t -> outcome array
 (** Price every single-link failure against the context's current
-    weights via failure probes.  [th] is the high-priority matrix the
-    SLA model walks delays for (ignored under [Load]).  The context is
-    not modified.  With a pool of [j > 1] workers the link range is
-    split into [j] contiguous chunks, each probed against a private
-    clone; results are reassembled in link order, so the outcome array
-    is identical for every pool width.
+    weights via failure probes, one link after the other on the
+    calling domain.  [th] is the high-priority matrix the SLA model
+    walks delays for (ignored under [Load]).  The context is not
+    modified.
     @raise Invalid_argument unless the context has exactly 2 classes. *)
 
 val penalty : ?top_k:int -> outcome array -> Dtr_cost.Lexico.t

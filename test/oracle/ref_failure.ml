@@ -7,7 +7,6 @@ module Graph = Dtr_graph.Graph
 module Dijkstra = Dtr_graph.Dijkstra
 module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
-module Pool = Dtr_util.Pool
 module Objective = Dtr_routing.Objective
 module Failure_sweep = Dtr_routing.Failure_sweep
 
@@ -82,17 +81,11 @@ let oracle ~model g ~wh ~wl ~th ~tl ~link =
 
 (** {!oracle} over every physical link, in
     {!Dtr_graph.Graph.undirected_link_pairs} order. *)
-let oracle_sweep ?pool ?(model = Objective.Load) g ~wh ~wl ~th ~tl =
+let oracle_sweep ?(model = Objective.Load) g ~wh ~wl ~th ~tl =
   let links = Graph.undirected_link_pairs g in
   let k = Array.length links in
-  let eval i = oracle ~model g ~wh ~wl ~th ~tl ~link:links.(i) in
-  match pool with
-  | Some p when Pool.jobs p > 1 -> Pool.map p k ~f:eval
-  | _ ->
-      let out =
-        Array.make k { Failure_sweep.cost = Lexico.zero; unreachable_pairs = 0 }
-      in
-      for i = 0 to k - 1 do
-        out.(i) <- eval i
-      done;
-      out
+  let out = Array.make k { Failure_sweep.cost = Lexico.zero; unreachable_pairs = 0 } in
+  for i = 0 to k - 1 do
+    out.(i) <- oracle ~model g ~wh ~wl ~th ~tl ~link:links.(i)
+  done;
+  out

@@ -5,12 +5,14 @@
    - allocation: after a warm-up pass, cost reads and failure probes
      on a network with n and m above the minor-heap size limit
      allocate nothing directly in the major heap;
-   - equivalence: under random interleavings of cost reads, held
-     (uncommitted) probes, commits, failure probes and syncs on a
-     context and its clone, every cost equals a from-scratch
-     evaluation and every failure the reduced-graph oracle, bitwise;
-   - hygiene: a refused probe leaves the arena usable, and
-     a failure's views go stale at the context's next probe;
+   - equivalence: under random interleavings of cost reads, commits,
+     failure probes and syncs on a context and its clone, every cost
+     equals a from-scratch evaluation and every failure the
+     reduced-graph oracle, bitwise;
+   - hygiene: one lifetime rule for probes and failures — a probe
+     refused by its checks leaves the earlier probe committable, and
+     a probe's or a failure's views go stale at the context's next
+     probe, failure probe, commit or sync;
    - the scratch SPF path equals the pure one, and the searches'
      change lists equal the weight diffs they replace. *)
 
@@ -168,8 +170,7 @@ let allocation_gate ~model ~dest_mode () =
     Array.iter
       (fun (cls, changes) ->
         let d = Problem.eval_delta problem ctx ~cls ~changes in
-        sink := !sink +. (Problem.delta_objective d).Lexico.primary;
-        Problem.abort_delta ctx d)
+        sink := !sink +. (Problem.delta_objective d).Lexico.primary)
       candidates;
     (* Failure probes, priced as Failure_sweep prices them. *)
     Array.iter
@@ -202,10 +203,6 @@ type tracked = {
   ctx : Problem.ctx;
   mutable wh : int array;
   mutable wl : int array;
-  mutable held : (Problem.cls * (int * int) list * Problem.delta * int) option;
-      (* an uncommitted, unaborted probe and the commit count it was
-         taken at *)
-  mutable commits : int;
 }
 
 let reference problem ~wh ~wl =
@@ -231,8 +228,6 @@ let commit problem tr cls changes d ~what =
   let sol = Problem.commit_delta problem tr.ctx d in
   tr.wh <- wh;
   tr.wl <- wl;
-  tr.commits <- tr.commits + 1;
-  tr.held <- None;
   check_lex ~what (reference problem ~wh ~wl).Objective.objective
     (Problem.objective sol)
 
@@ -260,8 +255,8 @@ let interleavings seed =
   let problem = Problem.create ~graph:g ~th ~tl ~model:(model_of seed) in
   let wh = Weights.random rng g and wl = Weights.random rng g in
   let _, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
-  let main = { ctx; wh; wl; held = None; commits = 0 } in
-  let clone = { main with ctx = Problem.clone_ctx problem ctx; held = None } in
+  let main = { ctx; wh; wl } in
+  let clone = { main with ctx = Problem.clone_ctx problem ctx } in
   for step = 1 to 30 do
     let tr = if Prng.int rng 3 = 0 then clone else main in
     let what =
@@ -273,32 +268,19 @@ let interleavings seed =
       random_changes rng (match cls with `H -> tr.wh | `L -> tr.wl)
     in
     match Prng.int rng 8 with
-    | 0 | 1 | 2 ->
-        (* A cost read, released at once as the scan engine does. *)
+    | 0 | 1 | 2 | 3 ->
+        (* A cost read, dropped as the scan engine drops it. *)
         let d = Problem.eval_delta problem tr.ctx ~cls ~changes in
-        check_delta ~what:(what ^ " cost read") problem tr cls changes d;
-        Problem.abort_delta tr.ctx d
-    | 3 ->
-        (* A probe kept live: later probes copy it out of the arena. *)
+        check_delta ~what:(what ^ " cost read") problem tr cls changes d
+    | 4 ->
         let d = Problem.eval_delta problem tr.ctx ~cls ~changes in
-        check_delta ~what:(what ^ " held probe") problem tr cls changes d;
-        tr.held <- Some (cls, changes, d, tr.commits)
-    | 4 -> (
-        match tr.held with
-        | Some (cls, changes, d, at) when at = tr.commits ->
-            check_delta ~what:(what ^ " held probe, later") problem tr cls changes d;
-            commit problem tr cls changes d ~what:(what ^ " commit held")
-        | _ ->
-            commit problem tr cls changes
-              (Problem.eval_delta problem tr.ctx ~cls ~changes)
-              ~what:(what ^ " commit"))
+        check_delta ~what:(what ^ " probe") problem tr cls changes d;
+        commit problem tr cls changes d ~what:(what ^ " commit")
     | 5 | 6 -> check_failures ~what:(what ^ " failures") problem tr
     | _ ->
         Problem.sync_ctx ~src:main.ctx ~dst:clone.ctx;
         clone.wh <- main.wh;
-        clone.wl <- main.wl;
-        clone.held <- None;
-        clone.commits <- clone.commits + 1
+        clone.wl <- main.wl
   done;
   true
 
@@ -308,8 +290,9 @@ let prop_interleavings =
     interleavings
 
 (* ------------------------------------------------------------------ *)
-(* (c) Probes that raise: every bad change list, a repeated arc
-   included, is refused before the probe writes the arena *)
+(* (c) Probe lifetimes: every bad change list, a repeated arc included,
+   is refused before the probe writes the arena, and a probe is
+   refused once the arena has moved on *)
 
 let test_raising_probe () =
   let g = random_graph 4 in
@@ -319,8 +302,9 @@ let test_raising_probe () =
   let wh = Weights.random rng g and wl = Weights.random rng g in
   let _, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
   let m = Graph.arc_count g in
-  let tr = { ctx; wh; wl; held = None; commits = 0 } in
-  (* A live probe taken before the failing ones must survive them. *)
+  let tr = { ctx; wh; wl } in
+  (* A probe taken before the refused ones stays the latest: it must
+     survive them, committable. *)
   let held_changes = random_changes rng wh in
   let held = Problem.eval_delta problem ctx ~cls:`H ~changes:held_changes in
   (* Two values arc 0 does not hold. *)
@@ -340,39 +324,86 @@ let test_raising_probe () =
       (* The same arc twice, refused with the other list checks. *)
       ((a0, v1), "Eval_ctx.probe: arc listed twice");
     ];
-  for i = 1 to 6 do
-    let cls = if i mod 2 = 0 then `H else `L in
-    let changes = random_changes rng (if cls = `H then wh else wl) in
-    let d = Problem.eval_delta problem ctx ~cls ~changes in
-    check_delta ~what:(Printf.sprintf "read %d after raising probes" i) problem tr
-      cls changes d;
-    Problem.abort_delta ctx d
-  done;
   check_delta ~what:"held probe" problem tr `H held_changes held;
   commit problem tr `H held_changes held ~what:"commit held probe";
+  for i = 1 to 6 do
+    let cls = if i mod 2 = 0 then `H else `L in
+    let changes = random_changes rng (if cls = `H then tr.wh else tr.wl) in
+    let d = Problem.eval_delta problem ctx ~cls ~changes in
+    check_delta ~what:(Printf.sprintf "read %d after raising probes" i) problem tr
+      cls changes d
+  done;
   check_failures ~what:"failures after raising probes" problem tr
 
 (* A stale candidate is refused before anything moves: the context and
-   its memo base key stay as the winner left them. *)
+   its memo base key stay as they were, and the latest candidate stays
+   committable. *)
 let test_stale_delta () =
   let g = random_graph 6 in
   let rng = Prng.create 61 in
   let th, tl = random_matrices rng g in
   let problem = Problem.create ~graph:g ~th ~tl ~model:Objective.Load in
   let wh = Weights.random rng g and wl = Weights.random rng g in
-  let _, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
+  let sol0, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
   ignore (Problem.ctx_base_key ctx);
   let c1 = random_changes rng wh and c2 = random_changes rng wh in
   let d1 = Problem.eval_delta problem ctx ~cls:`H ~changes:c1 in
   let d2 = Problem.eval_delta problem ctx ~cls:`H ~changes:c2 in
-  let sol = Problem.commit_delta problem ctx d1 in
-  Alcotest.check_raises "stale delta"
-    (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
-    (fun () -> ignore (Problem.commit_delta problem ctx d2));
-  Alcotest.(check int) "base key" (Dtr_oracle.Ref_problem.ctx_base_key ctx)
-    (Problem.ctx_base_key ctx);
+  let refused what d =
+    Alcotest.check_raises what
+      (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
+      (fun () -> ignore (Problem.commit_delta problem ctx d));
+    Alcotest.(check int) (what ^ ": base key")
+      (Dtr_oracle.Ref_problem.ctx_base_key ctx) (Problem.ctx_base_key ctx)
+  in
+  refused "delta taken before the latest" d1;
+  check_lex ~what:"state after the refusal" (Problem.objective sol0)
+    (Problem.objective (Problem.ctx_solution problem ctx));
+  let sol = Problem.commit_delta problem ctx d2 in
+  refused "delta committed already" d2;
+  refused "delta taken before the commit" d1;
   check_lex ~what:"state" (Problem.objective sol)
     (Problem.objective (Problem.ctx_solution problem ctx))
+
+(* A probe held across a later probe, a failure probe or a sync is
+   refused by every view and by commit; its objective stays readable. *)
+let test_probe_views_go_stale () =
+  let g = random_graph 5 in
+  let rng = Prng.create 53 in
+  let th, tl = random_matrices rng g in
+  let wh = Weights.random rng g and wl = Weights.random rng g in
+  let ec = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let worker = Eval_ctx.clone ec in
+  let a, b = (Graph.undirected_link_pairs g).(0) in
+  let stale name =
+    Invalid_argument ("Eval_ctx." ^ name ^ ": stale probe (context has moved on)")
+  in
+  let held_across what ctx move =
+    let p = Eval_ctx.probe ctx ~klass:0 ~changes:(random_changes rng wh) in
+    let phi = Eval_ctx.probe_phi p in
+    ignore (Eval_ctx.probe_dags ctx p 0);
+    ignore (Eval_ctx.probe_phi_row ctx p 1);
+    move ();
+    Alcotest.check_raises (what ^ ": probe_dags") (stale "probe_dags") (fun () ->
+        ignore (Eval_ctx.probe_dags ctx p 0));
+    Alcotest.check_raises (what ^ ": probe_phi_row") (stale "probe_phi_row") (fun () ->
+        ignore (Eval_ctx.probe_phi_row ctx p 1));
+    Alcotest.check_raises (what ^ ": commit") (stale "commit") (fun () ->
+        Eval_ctx.commit ctx p);
+    Alcotest.(check (array (float 0.))) (what ^ ": objective stays readable") phi
+      (Eval_ctx.probe_phi p)
+  in
+  held_across "a later probe" ec (fun () ->
+      ignore (Eval_ctx.probe ec ~klass:1 ~changes:(random_changes rng wl)));
+  held_across "a failure probe" ec (fun () ->
+      ignore (Eval_ctx.fail_probe ec ~arcs:(if a = b then [ a ] else [ a; b ])));
+  held_across "a sync" worker (fun () -> Eval_ctx.sync ~src:ec ~dst:worker);
+  (* None of it moved either context. *)
+  let fresh = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  Alcotest.(check (array (float 0.))) "context unmoved" (Eval_ctx.phi fresh)
+    (Eval_ctx.phi ec);
+  Alcotest.(check (array (float 0.))) "worker unmoved" (Eval_ctx.phi fresh)
+    (Eval_ctx.phi worker)
 
 (* ------------------------------------------------------------------ *)
 (* (d) Failure views and failure_phi_row's errors *)
@@ -389,8 +420,7 @@ let test_failure_views_go_stale () =
   let phi = Eval_ctx.failure_phi f in
   ignore (Eval_ctx.failure_dags ec f 0);
   ignore (Eval_ctx.failure_phi_row f 1);
-  let p = Eval_ctx.probe ec ~klass:1 ~changes:[ (0, if w.(0) = 3 then 4 else 3) ] in
-  Eval_ctx.abort ec p;
+  ignore (Eval_ctx.probe ec ~klass:1 ~changes:[ (0, if w.(0) = 3 then 4 else 3) ]);
   Alcotest.check_raises "dags after the next probe"
     (Invalid_argument
        "Eval_ctx.failure_dags: stale failure (the context has probed since)")
@@ -534,6 +564,8 @@ let () =
             test_raising_probe;
           Alcotest.test_case "a stale delta is refused before anything moves"
             `Quick test_stale_delta;
+          Alcotest.test_case "probe views go stale when the arena moves on" `Quick
+            test_probe_views_go_stale;
           Alcotest.test_case "failure views go stale at the next probe" `Quick
             test_failure_views_go_stale;
           Alcotest.test_case "failure_phi_row errors" `Quick

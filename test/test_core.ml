@@ -208,8 +208,7 @@ let test_problem_evaluation_counter () =
   ignore (Problem.eval_str p ~w);
   let sol = Problem.eval_str p ~w in
   let ctx = Problem.ctx_of_solution p sol in
-  let d = Problem.eval_delta ~count:false p ctx ~cls:`H ~changes:[ (0, 3) ] in
-  Problem.abort_delta ctx d;
+  ignore (Problem.eval_delta ~count:false p ctx ~cls:`H ~changes:[ (0, 3) ]);
   Alcotest.(check int) "two evaluations" 2 (metric "dtr_eval_full_total");
   Alcotest.(check int) "uncounted probe" 0 (metric "dtr_eval_delta_total")
 

@@ -1,5 +1,5 @@
 (* Property tests for the incremental evaluation engine: Spf_delta
-   against from-scratch SPF, Eval_ctx probes/commits/aborts against the
+   against from-scratch SPF, Eval_ctx probes and commits against the
    from-scratch multi-class reference (Dtr_oracle.Ref_multi), and the
    Problem-level API (full evaluations, probes, commits) against
    Dtr_oracle.Ref_objective — on random topologies under random
@@ -467,7 +467,12 @@ let same_bits a b =
 
 (* Weights from 1-3, so equal-cost ties are common, and raise/drop
    batches of one to three arcs within the same range.  Demands span
-   sixteen orders of magnitude, so a re-associated flow sum shows. *)
+   sixteen orders of magnitude, so a re-associated flow sum shows.
+   Every flagged destination is checked in every case; that the rule
+   is neither vacuous nor total is checked once over all cases, since
+   one small graph may flag none of its dirty destinations. *)
+let same_flow_flagged = ref 0 and same_flow_dirty = ref 0
+
 let prop_same_flows =
   QCheck.Test.make ~name:"same-flow destinations keep their loads bitwise" ~count:40
     QCheck.(int_range 0 10_000)
@@ -479,7 +484,7 @@ let prop_same_flows =
       let w = Array.init m (fun _ -> narrow ()) in
       let s = Spf_delta.scratch () in
       let prev = ref (Spf.all_destinations g ~weights:w) in
-      let flagged = ref 0 and dirty = ref 0 in
+      let flagged = same_flow_flagged and dirty = same_flow_dirty in
       for step = 1 to 10 do
         let batch = ref [] in
         for probe = 1 to 3 do
@@ -520,8 +525,19 @@ let prop_same_flows =
         List.iter (fun (arc, v) -> w.(arc) <- v) !batch;
         prev := Spf.all_destinations g ~weights:w
       done;
-      (* The rule is not vacuous here, nor does it flag everything. *)
-      !flagged > 0 && !flagged < !dirty)
+      true)
+
+let test_same_flows =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_same_flows in
+  ( name,
+    speed,
+    fun () ->
+      same_flow_flagged := 0;
+      same_flow_dirty := 0;
+      run ();
+      if not (!same_flow_flagged > 0 && !same_flow_flagged < !same_flow_dirty) then
+        Alcotest.failf "the rule flagged %d of %d dirty destinations over all cases"
+          !same_flow_flagged !same_flow_dirty )
 
 (* No next-hop set changes, yet the flow sum at h re-associates: u
    (raised behind h, its only arc) moves ahead of p among h's upstream
@@ -611,15 +627,14 @@ let eval_ctx_matches_scratch seed =
     in
     let scratch = Ref_multi.evaluate g ~weights:weights' ~matrices:[| th; tl |] in
     check_arr ~what:"probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
-    (* Abort path: the context must still match its own base state. *)
-    Eval_ctx.abort ctx pr;
+    (* Dropped probe: the context must still match its own base state. *)
     let base =
       Ref_multi.evaluate g
         ~weights:[| Eval_ctx.weights ctx 0; Eval_ctx.weights ctx 1 |]
         ~matrices:[| th; tl |]
     in
-    check_arr ~what:"phi after abort" (Eval_ctx.phi ctx) base.Multi.phi;
-    (* Commit path: re-probe (aborting loses nothing) and install. *)
+    check_arr ~what:"phi after a dropped probe" (Eval_ctx.phi ctx) base.Multi.phi;
+    (* Commit path: re-probe (dropping loses nothing) and install. *)
     let pr = Eval_ctx.probe ctx ~klass ~changes:[ (arc, v) ] in
     Eval_ctx.commit ctx pr;
     let ev = Eval_ctx.to_evaluate ctx in
@@ -799,10 +814,10 @@ let problem_delta_matches seed =
         let d = Problem.eval_delta problem ctx ~cls:`H ~changes in
         check_lex ~what:"STR probe objective" (Problem.delta_objective d)
           expected;
-        (* Reject path: context still evaluates the base exactly. *)
-        Problem.abort_delta ctx d;
+        (* Reject path: a dropped probe leaves the context evaluating
+           the base exactly. *)
         let again = Problem.eval_delta problem ctx ~cls:`H ~changes in
-        check_lex ~what:"STR probe after abort" (Problem.delta_objective again)
+        check_lex ~what:"STR probe after a dropped one" (Problem.delta_objective again)
           expected;
         let committed = Problem.commit_delta problem ctx again in
         check_lex ~what:"STR committed objective" (Problem.objective committed)
@@ -938,8 +953,7 @@ let test_problem_counters () =
   (* Re-deriving an already-counted candidate, as Scan.commit does,
      counts nothing. *)
   let arc, v = random_change rng (Problem.ctx_weights_view ctx `H) in
-  Problem.abort_delta ctx
-    (Problem.eval_delta ~count:false problem ctx ~cls:`H ~changes:[ (arc, v) ]);
+  ignore (Problem.eval_delta ~count:false problem ctx ~cls:`H ~changes:[ (arc, v) ]);
   Alcotest.(check int) "full evaluations" 1 (counter "dtr_eval_full_total");
   Alcotest.(check int) "delta evaluations" 1 (counter "dtr_eval_delta_total")
 
@@ -950,12 +964,17 @@ let test_eval_ctx_stale_probe () =
   let w = Weights.random rng g in
   let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
   let arc, v = random_change rng w in
+  let stale = Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)" in
+  (* Only the latest probe is committable, and only until it is. *)
   let p1 = Eval_ctx.probe ctx ~klass:0 ~changes:[ (arc, v) ] in
   let p2 = Eval_ctx.probe ctx ~klass:0 ~changes:[ (arc, v) ] in
-  Eval_ctx.commit ctx p1;
-  Alcotest.check_raises "stale probe rejected"
-    (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
-    (fun () -> Eval_ctx.commit ctx p2)
+  Alcotest.check_raises "earlier probe rejected" stale (fun () -> Eval_ctx.commit ctx p1);
+  Eval_ctx.commit ctx p2;
+  Alcotest.check_raises "committed probe rejected" stale (fun () ->
+      Eval_ctx.commit ctx p2);
+  let w' = apply w [ (arc, v) ] in
+  check_arr ~what:"state after the refusals" (Eval_ctx.phi ctx)
+    (Eval_ctx.phi (Eval_ctx.create g ~weights:[| w'; w' |] ~matrices:[| th; tl |]))
 
 (* A change list naming an arc twice is refused before anything is
    computed — whether it repeats a value, gives two, or starts with a
@@ -1087,8 +1106,7 @@ let naive_matches seed (g, wh, wl, th, tl, rng) =
       check_naive ~what:(what ^ " eval_delta") ~model
         ~phi_h:(Problem.delta_phi_h d) ~phi_l:(Problem.delta_phi_l d)
         ~primary:(Problem.delta_objective d).Lexico.primary
-        (Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl);
-      Problem.abort_delta ctx d)
+        (Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl))
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
 
 let test_naive_oracle () =
@@ -1150,7 +1168,7 @@ let () =
           Alcotest.test_case "repair: 220-node graph" `Quick test_repair_large_graph;
           Alcotest.test_case "repair work counters" `Quick test_repair_counters;
           QCheck_alcotest.to_alcotest prop_unchanged_sets_shared;
-          QCheck_alcotest.to_alcotest prop_same_flows;
+          test_same_flows;
           Alcotest.test_case "same-flow rule: re-associated sum not reported" `Quick
             test_same_flows_counterexample;
           Alcotest.test_case "repair refuses a label too large to pack" `Quick

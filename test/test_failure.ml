@@ -181,19 +181,6 @@ let test_disconnecting_failures_are_infinite () =
   Alcotest.(check int) "worst is infinite" 0
     (Lexico.compare worst Lexico.infinity)
 
-let test_sweep_jobs_invariance_with_disconnections () =
-  let g = Dtr_topology.Classic.line 5 in
-  let rng = Prng.create 11 in
-  let th, tl = random_matrices rng g in
-  let wh = Weights.random rng g in
-  let wl = Weights.random rng g in
-  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
-  let seq = Failure_sweep.sweep ~th ctx in
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  let par = Failure_sweep.sweep ~pool ~th ctx in
-  Alcotest.(check int) "same length" (Array.length seq) (Array.length par);
-  Array.iteri (fun i e -> check_outcome ~what:"jobs" i e par.(i)) seq
-
 let test_sweep_leaves_context_intact () =
   (* fail_probe is pure: a sweep must not move the context. *)
   let g = fixture 2 in
@@ -983,8 +970,6 @@ let () =
         [
           Alcotest.test_case "disconnecting failures priced infinite" `Quick
             test_disconnecting_failures_are_infinite;
-          Alcotest.test_case "jobs invariance with disconnections" `Quick
-            test_sweep_jobs_invariance_with_disconnections;
           Alcotest.test_case "sweep leaves context intact" `Quick
             test_sweep_leaves_context_intact;
           Alcotest.test_case "fail_link parallel links" `Quick

@@ -1,7 +1,7 @@
 (* Tests for the deterministic parallel layer: the Dtr_util.Pool domain
    pool itself (ordering, exception selection, reuse, lifecycle), the
-   Multistart driver's jobs-invariance, the parallel failure sweep and
-   Registry.run_all against their sequential runs, and the evaluation
+   Multistart driver's jobs-invariance, Registry.run_all against its
+   sequential run, and the evaluation
    counts: exact metric totals under concurrency, and per-report
    numbers independent of scheduling. *)
 
@@ -12,7 +12,6 @@ module Matrix = Dtr_traffic.Matrix
 module Lexico = Dtr_cost.Lexico
 module Objective = Dtr_routing.Objective
 module Weights = Dtr_routing.Weights
-module Failure_sweep = Dtr_routing.Failure_sweep
 module Search_config = Dtr_core.Search_config
 module Problem = Dtr_core.Problem
 module Scan = Dtr_core.Scan
@@ -164,36 +163,7 @@ let test_multistart_picks_best () =
            tiny_config p))
 
 (* ------------------------------------------------------------------ *)
-(* Parallel failure sweep and experiment runner vs sequential *)
-
-let test_failure_sweep_jobs_invariance () =
-  let spec =
-    {
-      Scenario.topology = Scenario.Isp;
-      fraction = 0.30;
-      hp = Scenario.Random_density 0.10;
-      seed = 5;
-    }
-  in
-  let inst = Scenario.make spec in
-  let rng = Prng.create 17 in
-  let wh = Weights.random rng inst.Scenario.graph in
-  let wl = Weights.random rng inst.Scenario.graph in
-  let ctx =
-    Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
-      ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
-  in
-  let seq = Failure_sweep.sweep ~th:inst.Scenario.th ctx in
-  Pool.with_pool ~jobs:4 @@ fun pool ->
-  let par = Failure_sweep.sweep ~pool ~th:inst.Scenario.th ctx in
-  Alcotest.(check int) "same count" (Array.length seq) (Array.length par);
-  Array.iter2
-    (fun (a : Failure_sweep.outcome) (b : Failure_sweep.outcome) ->
-      Alcotest.(check int) "same severed pairs" a.Failure_sweep.unreachable_pairs
-        b.Failure_sweep.unreachable_pairs;
-      Alcotest.(check int) "same cost (exact)" 0
-        (Lexico.compare a.Failure_sweep.cost b.Failure_sweep.cost))
-    seq par
+(* Parallel experiment runner vs sequential *)
 
 let test_run_all_jobs_invariance () =
   (* fig1 is search-free, so the whole comparison stays cheap. *)
@@ -561,8 +531,6 @@ let () =
         ] );
       ( "experiments",
         [
-          Alcotest.test_case "failure sweep jobs-invariant" `Slow
-            test_failure_sweep_jobs_invariance;
           Alcotest.test_case "run_all jobs-invariant" `Quick
             test_run_all_jobs_invariance;
         ] );

@@ -294,10 +294,6 @@ let prop_demand_mode_identical =
         if Prng.bool rng then begin
           Eval_ctx.commit ca pa;
           Eval_ctx.commit cd pd
-        end
-        else begin
-          Eval_ctx.abort ca pa;
-          Eval_ctx.abort cd pd
         end;
         ok := !ok && Eval_ctx.phi ca = Eval_ctx.phi cd
       done;
