@@ -99,17 +99,19 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let positive_float =
+let finite_float ~what ok =
   let parse s =
     match float_of_string_opt s with
-    | Some x when x > 0. && Float.is_finite x -> Ok x
+    | Some x when ok x && Float.is_finite x -> Ok x
     | _ ->
         Error
           (`Msg
-             (Printf.sprintf
-                "invalid value '%s', expected a positive finite number" s))
+             (Printf.sprintf "invalid value '%s', expected a %s finite number" s
+                what))
   in
   Arg.conv (parse, Format.pp_print_float)
+
+let positive_float = finite_float ~what:"positive" (fun x -> x > 0.)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.")
@@ -289,7 +291,7 @@ let robust_arg =
 let alpha_arg =
   Arg.(
     value
-    & opt float 1.0
+    & opt (finite_float ~what:"non-negative" (fun x -> x >= 0.)) 1.0
     & info [ "alpha" ] ~docv:"A"
         ~doc:"Failure-penalty weight for --robust (default 1).")
 

@@ -167,7 +167,7 @@ let weight_changes base w' =
   !acc
 
 type delta = {
-  d_probe : Eval_ctx.probe;
+  d_probe : Eval_ctx.weight Eval_ctx.probe;
   d_moves_sla : bool;
       (* the candidate moves W_H under the SLA model, so committing it
          invalidates the context's Λ costing *)
@@ -187,22 +187,21 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
   let klass = match cls with `H -> 0 | `L -> 1 in
   let p = Eval_ctx.probe ctx.ec ~klass ~changes in
   let phi = Eval_ctx.probe_phi p in
-  let d_moves_sla, primary =
+  (* Under SLA a candidate that moves the H routing may move every H
+     path delay: its Λ is walked over the probe's own class-0 views (Λ
+     only; a commit recomputes the full costing from the installed
+     state, bitwise alike).  W_L cannot affect the H routing: then Λ
+     is the context's. *)
+  let d_moves_sla =
     match t.model with
-    | Objective.Load -> (false, phi.(0))
-    | Objective.Sla params when ctx_is_str ctx || cls = `H ->
-        (* The candidate moves the H routing, so every H path delay may
-           move: walk the probe's own DAGs under its own Φ_H row, in
-           the context's SLA scratch (Λ only; a commit recomputes the
-           full costing from the installed state, bitwise alike). *)
-        ( true,
-          Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx.ec) params t.graph
-            ~th:t.th
-            ~dags_h:(Eval_ctx.probe_dags ctx.ec p 0)
-            ~phi_h_per_arc:(Eval_ctx.probe_phi_row ctx.ec p 0) )
-    | Objective.Sla params ->
-        (* W_L cannot affect the H routing: Λ is the context's. *)
-        (false, (ctx_sla params t ctx).Evaluate.lambda)
+    | Objective.Load -> false
+    | Objective.Sla _ -> ctx_is_str ctx || cls = `H
+  in
+  let primary =
+    match t.model with
+    | Objective.Sla params when not d_moves_sla ->
+        (ctx_sla params t ctx).Evaluate.lambda
+    | model -> Eval_ctx.probe_primary ~model ~th:t.th ctx.ec p
   in
   {
     d_probe = p;

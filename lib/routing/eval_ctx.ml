@@ -57,7 +57,6 @@ type t = {
       (* a walk behind the committed rows split a positive flow into
          zero shares (float underflow); sticky, and it turns the
          failure probes' flow screen off *)
-  mutable generation : int;
   mutable arena : arena option;
       (* probe scratch, allocated by the first probe: set-up builds
          contexts it never probes; a clone starts without one *)
@@ -88,13 +87,13 @@ type t = {
      valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
      classes from [a_kmin] down, and [a_phi] the probed objective.
 
-   [a_stamp] numbers the computations; a probe or failure handle is an
-   arena view while its stamp is current, and every probe, failure
-   probe, commit or sync moves it on.  Committed rows are never
-   written: installing a probe copies what it moved into fresh arrays,
-   so committed rows stay replace-not-mutate for clones and solution
-   snapshots.  Each clone owns its arena — scan workers probe
-   concurrently on separate domains. *)
+   [a_stamp] numbers the computations; a probe is an arena view while
+   its stamp is current, and every probe, failure probe, commit or
+   sync moves it on.  Committed rows are never written: installing a
+   probe copies what it moved into fresh arrays, so committed rows stay
+   replace-not-mutate for clones and solution snapshots.  Each clone
+   owns its arena — scan workers probe concurrently on separate
+   domains. *)
 and arena = {
   a_spf : Spf_delta.scratch array;
   a_w : int array array;
@@ -118,17 +117,25 @@ and arena = {
   a_phi_rows : float array array;
   a_phi : float array;
   mutable a_kmin : int;
-  a_fail_rows : float array array;  (* class -> post-failure Fortz row *)
   a_sla : Evaluate.sla_scratch;
   mutable a_stamp : int;
 }
 
-(* A weight probe: an arena view while [p_stamp] is the arena's. *)
-type probe = {
-  p_generation : int;
+(* A probe, of weights or of a link failure: the phantom kind lets
+   only weight probes be committed.  It is an arena view while
+   [p_arena] is the probing context's own and [p_stamp] is its stamp.
+   [p_group] is the group a weight probe repaired, -1 for a failure
+   probe (which repairs the group of every priced class);
+   [p_unreachable] counts a failure probe's severed pairs; [p_phi]
+   holds Φ of each priced class. *)
+type weight
+type failure
+
+type 'kind probe = {
   p_group : int;
   p_arena : arena;
   p_stamp : int;
+  p_unreachable : int;
   p_phi : float array;
 }
 
@@ -278,7 +285,6 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     phi;
     active;
     zero_shares = !zero_shares;
-    generation = 0;
     arena = None;
   }
 
@@ -321,7 +327,6 @@ let sync ~src ~dst =
   Array.blit src.phi_per_arc 0 dst.phi_per_arc 0 (Array.length src.phi_per_arc);
   Array.blit src.phi 0 dst.phi 0 (Array.length src.phi);
   dst.zero_shares <- src.zero_shares;
-  dst.generation <- src.generation;
   (* Whatever dst's arena holds was priced against the state just
      replaced. *)
   match dst.arena with Some a -> a.a_stamp <- a.a_stamp + 1 | None -> ()
@@ -359,7 +364,6 @@ let make_arena t =
     a_phi_rows = floats ();
     a_phi = Array.make classes 0.;
     a_kmin = classes;
-    a_fail_rows = Array.make classes [||];
     a_sla = Evaluate.sla_scratch ();
     a_stamp = 0;
   }
@@ -372,10 +376,7 @@ let arena_of t =
       t.arena <- Some a;
       a
 
-let sla_scratch t = (arena_of t).a_sla
-
-(* Free the arena for a new computation: every outstanding probe and
-   failure goes stale. *)
+(* Free the arena for a new computation: every outstanding probe goes stale. *)
 let evict a =
   a.a_stamp <- a.a_stamp + 1;
   a.a_nov <- 0;
@@ -442,19 +443,19 @@ let reproject_dirty t a spf k =
       reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
   done
 
-(* Shared tail of {!probe} and {!fail_probe}: from the re-projected
-   rows, patch the load totals of the classes they belong to, the
-   residual-capacity cascade and the Fortz rows at the touched arcs.
-   A touched arc is re-summed over the class's demand destinations in
-   ascending order (every other destination's row is empty) and every
-   patched Φ row is re-folded whole over committed-plus-touched values,
-   reproducing the from-scratch association exactly.  The cascade runs
-   downward from the highest-priority class whose load moved: an H
-   change reshapes the residual every lower class is charged against.
-   Only the leading [classes] classes are patched; the rows carry
-   overrides of no other class.  At an arc no override of a class
-   moved, its re-summed load is the committed total bitwise, so a
-   class's Φ does not depend on which other classes were patched. *)
+(* From the re-projected rows, patch the load totals of the classes
+   they belong to, the residual-capacity cascade and the Fortz rows at
+   the touched arcs.  A touched arc is re-summed over the class's
+   demand destinations in ascending order (every other destination's
+   row is empty) and every patched Φ row is re-folded whole over
+   committed-plus-touched values, reproducing the from-scratch
+   association exactly.  The cascade runs downward from the
+   highest-priority class whose load moved: an H change reshapes the
+   residual every lower class is charged against.  Only the leading
+   [classes] classes are patched; the rows carry overrides of no other
+   class.  At an arc no override of a class moved, its re-summed load
+   is the committed total bitwise, so a class's Φ does not depend on
+   which other classes were patched. *)
 let patch t a ~classes =
   let m = Graph.arc_count t.graph in
   let touched = a.a_touched_list and nt = a.a_ntouched in
@@ -516,6 +517,30 @@ let patch t a ~classes =
     end
   done
 
+(* The tail of {!probe} and {!fail_probe}: re-project the priced
+   classes of the repaired groups (the weight probe's [group], or every
+   priced class's when -1), patch, and hand out the probe.  A failure
+   that severs demand is priced infinite without rows. *)
+let finish t a ~group ~priced ~unreachable =
+  let phi =
+    if unreachable > 0 then Array.make priced Float.infinity
+    else begin
+      for k = 0 to priced - 1 do
+        let gi = t.class_group.(k) in
+        if group < 0 || gi = group then reproject_dirty t a a.a_spf.(gi) k
+      done;
+      patch t a ~classes:priced;
+      Array.sub a.a_phi 0 priced
+    end
+  in
+  {
+    p_group = group;
+    p_arena = a;
+    p_stamp = a.a_stamp;
+    p_unreachable = unreachable;
+    p_phi = phi;
+  }
+
 (* A probe's change list, checked before anything is computed: every
    arc and weight in range, and no arc named twice. *)
 let rec check_changes t a = function
@@ -548,47 +573,53 @@ let probe t ~klass ~changes =
       changes
   in
   repair t a group ~active:t.active.(group) spf_changes;
-  (* Re-project dirty destinations of every class in the group. *)
-  let spf = a.a_spf.(group) in
-  let members = t.group_classes.(group) in
-  for j = 0 to Array.length members - 1 do
-    reproject_dirty t a spf members.(j)
-  done;
-  patch t a ~classes:(class_count t);
-  {
-    p_generation = t.generation;
-    p_group = group;
-    p_arena = a;
-    p_stamp = a.a_stamp;
-    p_phi = Array.copy a.a_phi;
-  }
+  finish t a ~group ~priced:(class_count t) ~unreachable:0
 
 let probe_phi p = Array.copy p.p_phi
 
-(* A probe's views read the arena, so they are only meaningful while
-   it holds this probe's computation and the context has not moved. *)
+let probe_unreachable p = p.p_unreachable
+
+(* A probe's views read its arena, so they are only meaningful while
+   the arena is this context's own (not a clone's) and still holds the
+   probe's computation. *)
 let check_probe t p name =
-  if p.p_generation <> t.generation || p.p_stamp <> p.p_arena.a_stamp then
-    invalid_arg (Printf.sprintf "Eval_ctx.%s: stale probe (context has moved on)" name)
+  match t.arena with
+  | Some a when a == p.p_arena && p.p_stamp = a.a_stamp -> ()
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Eval_ctx.%s: stale probe (not this context's latest)" name)
 
 (* Probe views for costing a candidate beyond Φ (the SLA delay walk):
    the probe holds rows only for what it moved, the context supplies
    the rest. *)
-let check_probe_class t p name k =
-  if k < 0 || k >= class_count t then
-    invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name);
+let check_view t p name k =
+  if k < 0 || k >= Array.length p.p_phi then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: class not priced by this probe" name);
   check_probe t p name
 
 let probe_dags t p k =
-  check_probe_class t p "probe_dags" k;
+  check_view t p "probe_dags" k;
   let gi = t.class_group.(k) in
-  if gi <> p.p_group then t.group_dags.(gi)
+  if p.p_group >= 0 && gi <> p.p_group then t.group_dags.(gi)
   else Spf_delta.scratch_dags p.p_arena.a_spf.(gi)
 
 let probe_phi_row t p k =
-  check_probe_class t p "probe_phi_row" k;
+  check_view t p "probe_phi_row" k;
+  if p.p_unreachable > 0 then
+    invalid_arg "Eval_ctx.probe_phi_row: disconnecting failure has no rows";
   let a = p.p_arena in
   if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k)
+
+(* Failed arcs keep a (cheap) delay entry in the Λ walk.  A dag a
+   failure probe did not repair may still route over a failed arc, but
+   only at nodes without class-0 flow, which no pair's walk reaches,
+   so the entry is never read. *)
+let probe_primary ~model ~th t p =
+  match model with
+  | Objective.Load -> p.p_phi.(0)
+  | Objective.Sla params ->
+      Evaluate.sla_lambda p.p_arena.a_sla params t.graph ~th
+        ~dags_h:(probe_dags t p 0) ~phi_h_per_arc:(probe_phi_row t p 0)
 
 (* Install a current probe straight from the arena, copying what it
    moved into fresh arrays: the weight row, the dirty dags (labels and
@@ -642,7 +673,6 @@ let commit t p =
   done;
   if a.a_zero_shares then t.zero_shares <- true;
   t.phi <- Array.copy p.p_phi;
-  t.generation <- t.generation + 1;
   Metrics.incr_counter m_commits;
   a.a_stamp <- a.a_stamp + 1
 
@@ -658,9 +688,7 @@ let abort _t _p = ()
    (the flow walk would silently drop the severed demand, reproducing
    the optimistic-cost bug one level down), so severed probes
    short-circuit to an infinite objective with the severed-pair count
-   attached.  A failure is an arena view: its dags and rows are
-   readable until the context's next probe, failure probe, commit or
-   sync.
+   attached.
 
    A failure probe may price only the leading classes (the robust
    penalty ranks failures by class 0 first): then only the groups of
@@ -730,46 +758,6 @@ let count_screened t a gi ~arcs =
   done;
   Metrics.add m_screened !skipped
 
-type failure = {
-  f_arena : arena;
-  f_stamp : int;
-  f_classes : int;
-  f_priced : int;  (* the leading classes this failure priced *)
-  f_unreachable : int;
-      (* severed positive-demand (class, src, dst) pairs of the priced
-         classes *)
-  f_phi : float array;  (* priced class -> post-failure Φ; all ∞ when severed *)
-}
-
-let failure_unreachable f = f.f_unreachable
-
-let failure_phi f = Array.copy f.f_phi
-
-let check_failure f name =
-  if f.f_stamp <> f.f_arena.a_stamp then
-    invalid_arg
-      (Printf.sprintf "Eval_ctx.%s: stale failure (the context has probed since)" name)
-
-let check_priced f name k =
-  if k >= f.f_priced then
-    invalid_arg (Printf.sprintf "Eval_ctx.%s: class not priced by this failure" name)
-
-let failure_dags t f k =
-  if k < 0 || k >= class_count t then
-    invalid_arg "Eval_ctx.failure_dags: class out of range";
-  check_priced f "failure_dags" k;
-  check_failure f "failure_dags";
-  Spf_delta.scratch_dags f.f_arena.a_spf.(t.class_group.(k))
-
-let failure_phi_row f k =
-  if k < 0 || k >= f.f_classes then
-    invalid_arg "Eval_ctx.failure_phi_row: class out of range";
-  check_priced f "failure_phi_row" k;
-  if f.f_unreachable > 0 then
-    invalid_arg "Eval_ctx.failure_phi_row: disconnecting failure has no rows";
-  check_failure f "failure_phi_row";
-  f.f_arena.a_fail_rows.(k)
-
 let fail_probe ?classes:priced t ~arcs =
   let classes = class_count t in
   let priced = Option.value priced ~default:classes in
@@ -782,7 +770,6 @@ let fail_probe ?classes:priced t ~arcs =
         invalid_arg "Eval_ctx.fail_probe: arc out of range")
     arcs;
   Metrics.incr_counter m_fail_probes;
-  let n = Graph.node_count t.graph in
   let a = arena_of t in
   evict a;
   (* A group is repaired when it routes a priced class (members are
@@ -821,35 +808,13 @@ let fail_probe ?classes:priced t ~arcs =
       let dem = t.demand.(k).(dst) in
       if Array.length dem > 0 then begin
         let dist = dags.(dst).Spf.dist in
-        for s = 0 to n - 1 do
+        for s = 0 to Array.length dem - 1 do
           if dem.(s) > 0. && dist.(s) = Dijkstra.unreachable then incr unreachable
         done
       end
     done
   done;
-  let failure phi =
-    {
-      f_arena = a;
-      f_stamp = a.a_stamp;
-      f_classes = classes;
-      f_priced = priced;
-      f_unreachable = !unreachable;
-      f_phi = phi;
-    }
-  in
-  if !unreachable > 0 then failure (Array.make priced Float.infinity)
-  else begin
-    (* Same re-projection discipline as {!probe}, over every repaired
-       group. *)
-    for k = 0 to priced - 1 do
-      reproject_dirty t a a.a_spf.(t.class_group.(k)) k
-    done;
-    patch t a ~classes:priced;
-    for k = 0 to priced - 1 do
-      a.a_fail_rows.(k) <- (if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k))
-    done;
-    failure (Array.sub a.a_phi 0 priced)
-  end
+  finish t a ~group:(-1) ~priced ~unreachable:!unreachable
 
 let phi t = Array.copy t.phi
 

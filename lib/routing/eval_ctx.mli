@@ -30,9 +30,7 @@
     the SPF repair's own working state), re-projected contribution rows
     and patched rows are written into reused buffers, so a probe
     allocates little beyond the next-hop sets its repairs change, and
-    reading a candidate's cost ({!probe_phi},
-    {!failure_phi}, the SLA walk over {!probe_dags}/{!probe_phi_row}
-    or {!failure_dags}/{!failure_phi_row} with {!sla_scratch})
+    reading a candidate's cost ({!probe_phi}, {!probe_primary})
     allocates nothing large.  A dirty destination whose repair cannot
     move any flow ({!Dtr_graph.Spf_delta.scratch_same_flows_at}) is not
     re-projected: its row would come out bitwise the committed one.
@@ -40,12 +38,14 @@
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
 
-    The arena holds one computation at a time, so weight probes and
-    failure probes share one lifetime rule: a probe's or a failure's
-    views are readable, and a probe is committable, until the
-    context's next probe, failure probe, commit or {!sync}; after that
-    they raise [Invalid_argument] as stale.  Their objective vectors
-    ({!probe_phi}, {!failure_phi}) are copies and stay readable. *)
+    Weight probes ({!probe}) and failure probes ({!fail_probe}) are one
+    handle, {!type-probe}, whose phantom kind lets only a weight probe
+    be committed.  The arena holds one computation at a time, so both
+    share one lifetime rule: a probe's views are readable, and a weight
+    probe is committable, only on the context that took it and only
+    until that context's next probe, failure probe, commit or {!sync};
+    otherwise they raise [Invalid_argument] as stale.  A probe's
+    objective vector ({!probe_phi}) is a copy and stays readable. *)
 
 type t
 
@@ -90,76 +90,40 @@ val clone : t -> t
 val sync : src:t -> dst:t -> unit
 (** Make [dst] (a {!clone} of [src]'s lineage) evaluate exactly as
     [src] by blitting the shared-row spine across.  O(groups + classes
-    ⋅ destinations), no recomputation.  [dst]'s outstanding probes and
-    failures go stale.
+    ⋅ destinations), no recomputation.  [dst]'s outstanding probes go
+    stale.
     @raise Invalid_argument when the contexts disagree on graph or
     class structure. *)
 
-type probe
-(** A candidate evaluation: the full consequence of a weight change,
-    computed against — but not installed into — the context. *)
+type weight
+(** The kind of a probe of a weight change: committable. *)
 
-val probe : t -> klass:int -> changes:(int * int) list -> probe
+type failure
+(** The kind of a probe of a link failure: never committed. *)
+
+type 'kind probe
+(** A candidate evaluation — of a weight change or of a link failure —
+    computed against, but not installed into, the context. *)
+
+val probe : t -> klass:int -> changes:(int * int) list -> weight probe
 (** [probe t ~klass ~changes] evaluates setting arc [a] to weight [v]
     for each [(a, v)] in [changes] on [klass]'s weight vector (classes
-    sharing the vector change together).  No-op entries are ignored.
-    The context's committed state is not modified; the probe is
-    computed into the context's arena (see above), which makes every
-    earlier probe and failure of the context stale.  Every change is
-    checked before anything is computed, without allocating: a
-    refused change list leaves the arena, and the earlier probe's
-    views and commit, as they were.
+    sharing the vector change together), pricing every class.  No-op
+    entries are ignored.  The context's committed state is not
+    modified; the probe is computed into the context's arena (see
+    above), which makes every earlier probe of the context stale.
+    Every change is checked before anything is computed, without
+    allocating: a refused change list leaves the arena, and the
+    earlier probe's views and commit, as they were.
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
-val probe_phi : probe -> float array
-(** The candidate's per-class objective vector [Φ_k] (fresh copy),
-    comparable with {!Multi.compare_objective}. *)
-
-val probe_dags : t -> probe -> int -> Dtr_graph.Spf.dag array
-(** A class's per-destination DAGs as the probe would leave them (the
-    probe's own for the probed weight group, the context's otherwise;
-    treat as immutable).  With {!probe_phi_row}, this is what the SLA
-    delay walk ({!Evaluate.sla_of}) needs to price a candidate that
-    moves the high-priority routing, mirroring {!failure_dags}.  An
-    arena view: readable until the context's next probe, failure
-    probe, commit or sync.
-    @raise Invalid_argument on a class out of range or a stale probe. *)
-
-val probe_phi_row : t -> probe -> int -> float array
-(** A class's per-arc Fortz costs as the probe would leave them
-    (shared; treat as immutable), mirroring {!failure_phi_row}.  Valid
-    as long as {!probe_dags}.
-    @raise Invalid_argument on a class out of range or a stale probe. *)
-
-val commit : t -> probe -> unit
-(** Install the context's latest probe: what it moved is copied
-    straight from the arena into fresh arrays that replace the
-    committed ones.  Committing advances the state, so every probe
-    and failure taken before goes stale.
-    @raise Invalid_argument on a stale probe: one taken before the
-    context's last probe, failure probe, commit or sync. *)
-
-val abort : t -> probe -> unit
-(** Does nothing: a probe that is not committed is dropped, and the
-    next computation overwrites the arena.  Kept because perfbench's
-    probe replay calls it. *)
-
-val sla_scratch : t -> Evaluate.sla_scratch
-(** The context's own buffers for {!Evaluate.sla_lambda} (in its
-    arena, so never shared with a {!clone}), for pricing a probe's or
-    failure's Λ without allocating. *)
-
-type failure
-(** A link-failure evaluation: the full consequence of suppressing one
-    physical link's arcs in {e every} topology at once, computed
-    against — but never installed into — the context. *)
-
-val fail_probe : ?classes:int -> t -> arcs:int list -> failure
+val fail_probe : ?classes:int -> t -> arcs:int list -> failure probe
 (** [fail_probe t ~arcs] evaluates the context's current weights with
     [arcs] removed from every class's topology (arc suppression via
     {!Dtr_graph.Dijkstra.suppressed}; no graph rebuild, no weight
-    remapping), in the context's arena.  A weight group repairs and
+    remapping), in the context's arena, which makes every earlier
+    probe of the context stale.  A weight group repairs and
     re-projects only the destinations toward which a failed arc
     carries a nonzero committed share of a priced member class: at any
     other destination no node that carries that flow can change its
@@ -167,15 +131,14 @@ val fail_probe : ?classes:int -> t -> arcs:int list -> failure
     committed dag and rows.  A context whose committed loads came from
     a walk that split a positive flow into zero shares (float
     underflow) repairs every destination whose dag uses a failed arc
-    instead.  If the failure
-    severs any positive-demand pair the probe short-circuits: the
-    per-class objective is infinite and {!failure_unreachable} counts
-    the severed pairs.  Otherwise all patched quantities are bitwise
-    identical to a from-scratch evaluation of the reduced graph.
-    The context is not modified, and failure probes cannot be
-    committed.  With metrics on, [dtr_failure_screened_total] counts
-    the destinations left unrepaired although a failed arc lies on
-    their dag.
+    instead.  If the failure severs any positive-demand pair the
+    probe short-circuits: the per-class objective is infinite and
+    {!probe_unreachable} counts the severed pairs.  Otherwise all
+    patched quantities are bitwise identical to a from-scratch
+    evaluation of the reduced graph.  The context is not modified.
+    With metrics on, [dtr_failure_screened_total] counts the
+    destinations left unrepaired although a failed arc lies on their
+    dag.
 
     [classes] (default: all of them) prices only the leading
     [classes] classes: only their weight groups are repaired, only
@@ -188,35 +151,64 @@ val fail_probe : ?classes:int -> t -> arcs:int list -> failure
     @raise Invalid_argument on an empty list, an arc id out of range,
     or [classes] outside 1 .. [class_count t]. *)
 
-val failure_unreachable : failure -> int
+val probe_phi : _ probe -> float array
+(** The candidate's objective [Φ_k] of each priced class (fresh copy;
+    every class for a weight probe), comparable with
+    {!Multi.compare_objective}.  Every entry is [Float.infinity] for a
+    failure that severs demand. *)
+
+val probe_unreachable : failure probe -> int
 (** Severed positive-demand (class, source, destination) pairs of the
     priced classes; [0] exactly when the failure leaves their demand
     routable. *)
 
-val failure_phi : failure -> float array
-(** Post-failure objective [Φ_k] of each priced class (fresh copy);
-    every entry is [Float.infinity] for a disconnecting failure. *)
-
-val failure_dags : t -> failure -> int -> Dtr_graph.Spf.dag array
-(** Post-failure per-destination DAGs of a priced class (shared with
-    the context for unrepaired destinations; treat as immutable).
-    Exact at every node that carries flow of a priced class toward the
+val probe_dags : t -> _ probe -> int -> Dtr_graph.Spf.dag array
+(** A priced class's per-destination DAGs as the probe would leave
+    them (treat as immutable): the probe's own for a weight group it
+    repaired, the context's otherwise.  A failure probe's are exact at
+    every node that carries flow of a priced class toward the
     destination, which is every node a walk from a demand source (the
     load projection, the SLA delay walk) reads; a destination the
     probe did not repair keeps its pre-failure dag, which may still
-    route a node without such flow over a failed arc.  An
-    arena view: readable until the context's next probe, failure
-    probe, commit or sync.
-    @raise Invalid_argument on a class out of range or not priced, or
-    once the view is stale. *)
+    route a node without such flow over a failed arc.  An arena view
+    (see above).
+    @raise Invalid_argument on a class the probe did not price, or a
+    stale probe. *)
 
-val failure_phi_row : failure -> int -> float array
-(** Post-failure per-arc Fortz costs of a priced class — failed arcs
-    carry zero load and zero cost.  Feeds the SLA delay walk.  An arena
-    view, valid as long as {!failure_dags}.
-    @raise Invalid_argument on a class out of range or not priced, for
-    a disconnecting failure (the rows are not computed: severed demand
-    cannot be projected), or once the view is stale. *)
+val probe_phi_row : t -> _ probe -> int -> float array
+(** A priced class's per-arc Fortz costs as the probe would leave
+    them (shared; treat as immutable); failed arcs carry zero load and
+    zero cost.  Valid as long as {!probe_dags}.
+    @raise Invalid_argument on a class the probe did not price, a
+    stale probe, or a failure probe that severs demand (its rows are
+    not computed: severed demand cannot be projected). *)
+
+val probe_primary :
+  model:Objective.model -> th:Dtr_traffic.Matrix.t -> t -> _ probe -> float
+(** A probe's primary cost: Φ_H under [Load]; under [Sla], the Λ of
+    the SLA delay walk over the probe's class-0 {!probe_dags} and
+    {!probe_phi_row} ({!Evaluate.sla_lambda}, bitwise {!Evaluate.sla_of}),
+    in buffers of the context's arena (never shared with a {!clone}),
+    so after the first call on [th] it allocates nothing.  The one
+    pricing of a candidate that moves the high-priority routing and of
+    a link failure.  [th] must not be mutated while the context is in
+    use.
+    @raise Invalid_argument under [Sla] on a stale probe or a failure
+    probe that severs demand. *)
+
+val commit : t -> weight probe -> unit
+(** Install the context's latest probe: what it moved is copied
+    straight from the arena into fresh arrays that replace the
+    committed ones.  Committing advances the state, so every probe
+    taken before goes stale.
+    @raise Invalid_argument on a stale probe: one taken on another
+    context, or before the context's last probe, failure probe, commit
+    or sync. *)
+
+val abort : t -> weight probe -> unit
+(** Does nothing: a probe that is not committed is dropped, and the
+    next computation overwrites the arena.  Kept because perfbench's
+    probe replay calls it. *)
 
 val class_count : t -> int
 

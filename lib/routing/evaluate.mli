@@ -63,10 +63,10 @@ val sla_of :
 (** {!evaluate_sla} from the high-priority routing alone: per-arc
     delays from the [Φ_{H,l}] row (Eq. 3), expected pair delays walked
     over [dags_h], and the Λ fold (Eq. 4).  The one SLA costing of
-    every evaluation path — full evaluations, incremental probes
-    ({!Eval_ctx.probe_dags}, {!Eval_ctx.probe_phi_row}) and failure
-    probes — so all three price Λ bitwise alike.  Runs the fold of
-    {!sla_lambda} over a fresh {!sla_scratch}. *)
+    every evaluation path — full evaluations, and weight and failure
+    probes ({!Eval_ctx.probe_primary}) — so all of them price Λ
+    bitwise alike.  Runs the fold of {!sla_lambda} over a fresh
+    {!sla_scratch}. *)
 
 type sla_scratch
 (** Buffers of the SLA fold (per-arc delays, per-destination expected

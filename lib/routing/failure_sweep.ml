@@ -19,31 +19,16 @@ type outcome = { cost : Lexico.t; unreachable_pairs : int }
 
 let is_finite o = o.unreachable_pairs = 0
 
-(* A survivable failure's primary cost, read from class 0 alone: Φ_H,
-   or Λ straight from the failure's class-0 arena views, in the
-   context's own SLA scratch.  Failed arcs keep a (cheap) delay entry.
-   A dag the failure probe did not repair may still route over a
-   failed arc, but only at nodes without class-0 flow, which no pair's
-   walk reaches, so the entry is never read. *)
-let primary ~model ~th ctx f =
-  match model with
-  | Objective.Load -> (Eval_ctx.failure_phi f).(0)
-  | Objective.Sla params ->
-      Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx) params (Eval_ctx.graph ctx)
-        ~th
-        ~dags_h:(Eval_ctx.failure_dags ctx f 0)
-        ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
-
-let price ~model ~th ctx f =
-  let unreachable_pairs = Eval_ctx.failure_unreachable f in
+let price ~model ~th ctx p =
+  let unreachable_pairs = Eval_ctx.probe_unreachable p in
   if unreachable_pairs > 0 then begin
     Metrics.incr_counter m_infinite;
     { cost = Lexico.infinity; unreachable_pairs }
   end
   else
-    let primary = primary ~model ~th ctx f in
+    let primary = Eval_ctx.probe_primary ~model ~th ctx p in
     {
-      cost = Lexico.make ~primary ~secondary:(Eval_ctx.failure_phi f).(1);
+      cost = Lexico.make ~primary ~secondary:(Eval_ctx.probe_phi p).(1);
       unreachable_pairs = 0;
     }
 
@@ -155,9 +140,9 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
     Metrics.incr_counter m_evals;
     if cut.(i) then Metrics.incr_counter m_infinite
     else begin
-      let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
-      if Eval_ctx.failure_unreachable f > 0 then not_cut i;
-      primaries.(i) <- primary ~model ~th ctx f
+      let p = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
+      if Eval_ctx.probe_unreachable p > 0 then not_cut i;
+      primaries.(i) <- Eval_ctx.probe_primary ~model ~th ctx p
     end
   done;
   match kth_largest primaries ~cut top_k with

@@ -9,10 +9,10 @@
      failure probes and syncs on a context and its clone, every cost
      equals a from-scratch evaluation and every failure the
      reduced-graph oracle, bitwise;
-   - hygiene: one lifetime rule for probes and failures — a probe
-     refused by its checks leaves the earlier probe committable, and
-     a probe's or a failure's views go stale at the context's next
-     probe, failure probe, commit or sync;
+   - hygiene: one lifetime rule for weight and failure probes — a
+     probe refused by its checks leaves the earlier probe committable,
+     a probe's views go stale at the context's next probe, failure
+     probe, commit or sync, and no context accepts another's probe;
    - the scratch SPF path equals the pure one, and the searches'
      change lists equal the weight diffs they replace. *)
 
@@ -151,7 +151,6 @@ let allocation_gate ~model ~dest_mode () =
   in
   let links = Graph.undirected_link_pairs g in
   let failures = Array.init 12 (fun i -> links.(i * Array.length links / 12)) in
-  let sla_params = match model with Objective.Sla p -> Some p | _ -> None in
   let sink = ref 0. in
   Scan.with_engine ~jobs:1 problem @@ fun scan ->
   let pass () =
@@ -177,17 +176,10 @@ let allocation_gate ~model ~dest_mode () =
       (fun (a, b) ->
         let arcs = if a = b then [ a ] else [ a; b ] in
         let f = Eval_ctx.fail_probe ec ~arcs in
-        if Eval_ctx.failure_unreachable f = 0 then begin
-          sink := !sink +. (Eval_ctx.failure_phi f).(1);
-          match sla_params with
-          | None -> ()
-          | Some params ->
-              sink :=
-                !sink
-                +. Evaluate.sla_lambda (Eval_ctx.sla_scratch ec) params g
-                     ~th:problem.Problem.th ~dags_h:(Eval_ctx.failure_dags ec f 0)
-                     ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
-        end)
+        if Eval_ctx.probe_unreachable f = 0 then
+          sink :=
+            !sink +. (Eval_ctx.probe_phi f).(1)
+            +. Eval_ctx.probe_primary ~model ~th:problem.Problem.th ec f)
       failures
   in
   pass ();
@@ -292,7 +284,10 @@ let prop_interleavings =
 (* ------------------------------------------------------------------ *)
 (* (c) Probe lifetimes: every bad change list, a repeated arc included,
    is refused before the probe writes the arena, and a probe is
-   refused once the arena has moved on *)
+   refused once the arena has moved on, or by another context *)
+
+let stale name =
+  Invalid_argument ("Eval_ctx." ^ name ^ ": stale probe (not this context's latest)")
 
 let test_raising_probe () =
   let g = random_graph 4 in
@@ -351,7 +346,7 @@ let test_stale_delta () =
   let d2 = Problem.eval_delta problem ctx ~cls:`H ~changes:c2 in
   let refused what d =
     Alcotest.check_raises what
-      (Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)")
+      (stale "commit")
       (fun () -> ignore (Problem.commit_delta problem ctx d));
     Alcotest.(check int) (what ^ ": base key")
       (Dtr_oracle.Ref_problem.ctx_base_key ctx) (Problem.ctx_base_key ctx)
@@ -375,9 +370,6 @@ let test_probe_views_go_stale () =
   let ec = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let worker = Eval_ctx.clone ec in
   let a, b = (Graph.undirected_link_pairs g).(0) in
-  let stale name =
-    Invalid_argument ("Eval_ctx." ^ name ^ ": stale probe (context has moved on)")
-  in
   let held_across what ctx move =
     let p = Eval_ctx.probe ctx ~klass:0 ~changes:(random_changes rng wh) in
     let phi = Eval_ctx.probe_phi p in
@@ -405,8 +397,43 @@ let test_probe_views_go_stale () =
   Alcotest.(check (array (float 0.))) "worker unmoved" (Eval_ctx.phi fresh)
     (Eval_ctx.phi worker)
 
+(* A probe is refused by every context but the one that took it.  A
+   clone's probe carries a current stamp of the clone's arena, and
+   after equally many commits the clone and the original agree on
+   everything else the handle could be checked against: installing it
+   would put the clone's weights and rows into the original. *)
+let test_foreign_probe_refused () =
+  let g = Dtr_topology.Classic.ring 6 in
+  let n = Graph.node_count g in
+  let th = Matrix.create n and tl = Matrix.create n in
+  for s = 0 to n - 1 do
+    for d = 0 to n - 1 do
+      if s <> d then begin
+        Matrix.set th s d (float_of_int (1 + (7 * s) + d));
+        Matrix.set tl s d (float_of_int (2 + s + (3 * d)))
+      end
+    done
+  done;
+  let w = Array.make (Graph.arc_count g) 5 in
+  let ec = Eval_ctx.create g ~weights:[| w; Array.copy w |] ~matrices:[| th; tl |] in
+  let worker = Eval_ctx.clone ec in
+  Eval_ctx.commit ec (Eval_ctx.probe ec ~klass:0 ~changes:[ (0, 30) ]);
+  Eval_ctx.commit worker (Eval_ctx.probe worker ~klass:0 ~changes:[ (1, 30) ]);
+  let p = Eval_ctx.probe worker ~klass:1 ~changes:[ (2, 30) ] in
+  Alcotest.check_raises "commit" (stale "commit") (fun () -> Eval_ctx.commit ec p);
+  Alcotest.check_raises "probe_dags" (stale "probe_dags") (fun () ->
+      ignore (Eval_ctx.probe_dags ec p 0));
+  Alcotest.check_raises "probe_phi_row" (stale "probe_phi_row") (fun () ->
+      ignore (Eval_ctx.probe_phi_row ec p 0));
+  let wh = Array.copy w in
+  wh.(0) <- 30;
+  let fresh = Eval_ctx.create g ~weights:[| wh; w |] ~matrices:[| th; tl |] in
+  Alcotest.(check (array (float 0.))) "original unmoved" (Eval_ctx.phi fresh)
+    (Eval_ctx.phi ec);
+  Eval_ctx.commit worker p
+
 (* ------------------------------------------------------------------ *)
-(* (d) Failure views and failure_phi_row's errors *)
+(* (d) Failure probes' views and their errors *)
 
 let test_failure_views_go_stale () =
   let g = random_graph 5 in
@@ -416,30 +443,24 @@ let test_failure_views_go_stale () =
   let ec = Eval_ctx.create g ~weights:[| w; Array.copy w |] ~matrices:[| th; tl |] in
   let a, b = (Graph.undirected_link_pairs g).(0) in
   let f = Eval_ctx.fail_probe ec ~arcs:(if a = b then [ a ] else [ a; b ]) in
-  Alcotest.(check int) "survivable" 0 (Eval_ctx.failure_unreachable f);
-  let phi = Eval_ctx.failure_phi f in
-  ignore (Eval_ctx.failure_dags ec f 0);
-  ignore (Eval_ctx.failure_phi_row f 1);
+  Alcotest.(check int) "survivable" 0 (Eval_ctx.probe_unreachable f);
+  let phi = Eval_ctx.probe_phi f in
+  ignore (Eval_ctx.probe_dags ec f 0);
+  ignore (Eval_ctx.probe_phi_row ec f 1);
   ignore (Eval_ctx.probe ec ~klass:1 ~changes:[ (0, if w.(0) = 3 then 4 else 3) ]);
-  Alcotest.check_raises "dags after the next probe"
-    (Invalid_argument
-       "Eval_ctx.failure_dags: stale failure (the context has probed since)")
-    (fun () -> ignore (Eval_ctx.failure_dags ec f 0));
-  Alcotest.check_raises "row after the next probe"
-    (Invalid_argument
-       "Eval_ctx.failure_phi_row: stale failure (the context has probed since)")
-    (fun () -> ignore (Eval_ctx.failure_phi_row f 0));
+  Alcotest.check_raises "dags after the next probe" (stale "probe_dags") (fun () ->
+      ignore (Eval_ctx.probe_dags ec f 0));
+  Alcotest.check_raises "row after the next probe" (stale "probe_phi_row") (fun () ->
+      ignore (Eval_ctx.probe_phi_row ec f 0));
   Alcotest.(check (array (float 0.))) "objective stays readable" phi
-    (Eval_ctx.failure_phi f);
+    (Eval_ctx.probe_phi f);
   (* So do they after another failure probe. *)
   let f2 = Eval_ctx.fail_probe ec ~arcs:[ a ] in
   ignore (Eval_ctx.fail_probe ec ~arcs:[ b ]);
-  Alcotest.check_raises "dags after the next failure probe"
-    (Invalid_argument
-       "Eval_ctx.failure_dags: stale failure (the context has probed since)")
-    (fun () -> ignore (Eval_ctx.failure_dags ec f2 0))
+  Alcotest.check_raises "dags after the next failure probe" (stale "probe_dags")
+    (fun () -> ignore (Eval_ctx.probe_dags ec f2 0))
 
-let test_failure_phi_row_errors () =
+let test_failure_view_errors () =
   (* On a line every link failure severs positive demand. *)
   let g = Dtr_topology.Classic.line 4 in
   let n = Graph.node_count g in
@@ -449,16 +470,17 @@ let test_failure_phi_row_errors () =
   let w = Array.make (Graph.arc_count g) 1 in
   let ec = Eval_ctx.create g ~weights:[| w; Array.copy w |] ~matrices:[| th; tl |] in
   let f = Eval_ctx.fail_probe ec ~arcs:[ 0 ] in
-  Alcotest.(check bool) "disconnecting" true (Eval_ctx.failure_unreachable f > 0);
-  Alcotest.check_raises "class out of range first"
-    (Invalid_argument "Eval_ctx.failure_phi_row: class out of range") (fun () ->
-      ignore (Eval_ctx.failure_phi_row f 2));
-  Alcotest.check_raises "negative class"
-    (Invalid_argument "Eval_ctx.failure_phi_row: class out of range") (fun () ->
-      ignore (Eval_ctx.failure_phi_row f (-1)));
+  Alcotest.(check bool) "disconnecting" true (Eval_ctx.probe_unreachable f > 0);
+  let unpriced =
+    Invalid_argument "Eval_ctx.probe_phi_row: class not priced by this probe"
+  in
+  Alcotest.check_raises "class out of range first" unpriced (fun () ->
+      ignore (Eval_ctx.probe_phi_row ec f 2));
+  Alcotest.check_raises "negative class" unpriced (fun () ->
+      ignore (Eval_ctx.probe_phi_row ec f (-1)));
   Alcotest.check_raises "no rows for a disconnecting failure"
-    (Invalid_argument "Eval_ctx.failure_phi_row: disconnecting failure has no rows")
-    (fun () -> ignore (Eval_ctx.failure_phi_row f 0))
+    (Invalid_argument "Eval_ctx.probe_phi_row: disconnecting failure has no rows")
+    (fun () -> ignore (Eval_ctx.probe_phi_row ec f 0))
 
 (* ------------------------------------------------------------------ *)
 (* The scratch SPF path against the pure one *)
@@ -566,9 +588,11 @@ let () =
             `Quick test_stale_delta;
           Alcotest.test_case "probe views go stale when the arena moves on" `Quick
             test_probe_views_go_stale;
+          Alcotest.test_case "a clone's probe is refused by the original" `Quick
+            test_foreign_probe_refused;
           Alcotest.test_case "failure views go stale at the next probe" `Quick
             test_failure_views_go_stale;
-          Alcotest.test_case "failure_phi_row errors" `Quick
-            test_failure_phi_row_errors;
+          Alcotest.test_case "failure probe view errors" `Quick
+            test_failure_view_errors;
         ] );
     ]

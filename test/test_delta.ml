@@ -20,6 +20,8 @@ module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Multi = Dtr_routing.Multi
 module Ref_multi = Dtr_oracle.Ref_multi
+module Ref_failure = Dtr_oracle.Ref_failure
+module Failure_sweep = Dtr_routing.Failure_sweep
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Problem = Dtr_core.Problem
@@ -964,7 +966,9 @@ let test_eval_ctx_stale_probe () =
   let w = Weights.random rng g in
   let ctx = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
   let arc, v = random_change rng w in
-  let stale = Invalid_argument "Eval_ctx.commit: stale probe (context has moved on)" in
+  let stale =
+    Invalid_argument "Eval_ctx.commit: stale probe (not this context's latest)"
+  in
   (* Only the latest probe is committable, and only until it is. *)
   let p1 = Eval_ctx.probe ctx ~klass:0 ~changes:[ (arc, v) ] in
   let p2 = Eval_ctx.probe ctx ~klass:0 ~changes:[ (arc, v) ] in
@@ -1004,7 +1008,7 @@ let test_probe_arc_listed_twice () =
       ("no-op entry first", [ (a, wh.(a)); (a, v1) ]);
     ];
   Alcotest.(check int) "no probe counted" 0 (counter "dtr_eval_probes_total");
-  ignore (Eval_ctx.failure_dags ctx f 0);
+  ignore (Eval_ctx.probe_dags ctx f 0);
   let p = Eval_ctx.probe ctx ~klass:0 ~changes:[ (a, v1) ] in
   let fresh =
     Eval_ctx.create g ~weights:[| apply wh [ (a, v1) ]; wl |] ~matrices:[| th; tl |]
@@ -1021,7 +1025,9 @@ let test_probe_arc_listed_twice () =
    doubled into parallel arcs; weights from a narrow range (so
    equal-cost ties are common) plus the maximum 30; low capacities, so
    high-priority load often saturates an arc; whole demand rows
-   left empty. *)
+   left empty.  Link failures are priced on the reduced graph that
+   Ref_failure.fail_link builds (graph building only), and severed
+   pairs counted by the oracle's own reachability. *)
 
 module Naive = Dtr_oracle.Naive_ecmp
 
@@ -1067,20 +1073,70 @@ let naive_instance seed =
 let close a b =
   a = b || Float.abs (a -. b) <= 1e-9 *. Float.max (Float.abs a) (Float.abs b)
 
+let check_close ~what name got want =
+  if not (close got want) then
+    Alcotest.failf "%s: %s engine %.17g vs naive %.17g" what name got want
+
 let check_naive ~what ~model ~phi_h ~phi_l ~primary (want : Naive.costs) =
-  let check name got want =
-    if not (close got want) then
-      Alcotest.failf "%s: %s engine %.17g vs naive %.17g" what name got want
-  in
-  check "phi_h" phi_h want.Naive.phi_h;
-  check "phi_l" phi_l want.Naive.phi_l;
+  check_close ~what "phi_h" phi_h want.Naive.phi_h;
+  check_close ~what "phi_l" phi_l want.Naive.phi_l;
   match model with
   | Objective.Load -> ()
-  | Objective.Sla _ -> check "lambda" primary want.Naive.lambda
+  | Objective.Sla _ -> check_close ~what "lambda" primary want.Naive.lambda
 
-(* One instance, both cost models: the full evaluation and one random
-   probe against it. *)
-let naive_matches seed (g, wh, wl, th, tl, rng) =
+(* Severed positive-demand (class, src, dst) pairs of [matrices], by
+   the naive Floyd–Warshall reachability. *)
+let naive_severed g ~weights matrices =
+  let d = Naive.distances g ~weights and n = Graph.node_count g in
+  let count = ref 0 in
+  Array.iter
+    (fun tm ->
+      for s = 0 to n - 1 do
+        for t = 0 to n - 1 do
+          if s <> t && Matrix.get tm s t > 0. && d.(s).(t) = Naive.none then incr count
+        done
+      done)
+    matrices;
+  !count
+
+(* Every single-link failure of the context's setting [(wh, wl)],
+   priced by Problem.failure_outcomes, against the naive oracle on the
+   reduced graph with the weights remapped: the severed-pair count,
+   and for a survivable failure the primary (Φ_H or Λ) and Φ_L. *)
+let naive_failures ~what ~severed ~finite problem ctx ~wh ~wl =
+  let { Problem.graph = g; th; tl; model; _ } = problem in
+  let sla = match model with Objective.Sla p -> Some p | _ -> None in
+  let outcomes = Problem.failure_outcomes problem ctx in
+  Array.iteri
+    (fun i link ->
+      let what = Printf.sprintf "%s link %d" what i in
+      let reduced, mapping = Ref_failure.fail_link g ~link in
+      let wh = Ref_failure.remap_weights wh mapping in
+      let wl = Ref_failure.remap_weights wl mapping in
+      let o = outcomes.(i) in
+      let cut = naive_severed reduced ~weights:wh [| th; tl |] in
+      if cut <> o.Failure_sweep.unreachable_pairs then
+        Alcotest.failf "%s: severed pairs engine %d vs naive %d" what
+          o.Failure_sweep.unreachable_pairs cut;
+      if cut > 0 then incr severed
+      else begin
+        incr finite;
+        let want = Naive.evaluate ?sla reduced ~wh ~wl ~th ~tl in
+        let cost = o.Failure_sweep.cost in
+        let primary, want_primary =
+          match model with
+          | Objective.Load -> ("phi_h", want.Naive.phi_h)
+          | Objective.Sla _ -> ("lambda", want.Naive.lambda)
+        in
+        check_close ~what primary cost.Lexico.primary want_primary;
+        check_close ~what "phi_l" cost.Lexico.secondary want.Naive.phi_l
+      end)
+    (Graph.undirected_link_pairs g)
+
+(* One instance, both cost models: the full evaluation, one random
+   probe against it, and, once the probe is committed, every
+   single-link failure. *)
+let naive_matches ~severed ~finite seed (g, wh, wl, th, tl, rng) =
   List.iter
     (fun model ->
       let sla = match model with Objective.Sla p -> Some p | _ -> None in
@@ -1106,16 +1162,19 @@ let naive_matches seed (g, wh, wl, th, tl, rng) =
       check_naive ~what:(what ^ " eval_delta") ~model
         ~phi_h:(Problem.delta_phi_h d) ~phi_l:(Problem.delta_phi_l d)
         ~primary:(Problem.delta_objective d).Lexico.primary
-        (Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl))
+        (Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl);
+      ignore (Problem.commit_delta problem ctx d);
+      naive_failures ~what ~severed ~finite problem ctx ~wh:wh' ~wl:wl')
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
 
 let test_naive_oracle () =
   (* 1,000 fixed seeds; the counts keep the generator honest about what
      it covers. *)
   let saturated = ref 0 and parallel = ref 0 in
+  let severed = ref 0 and finite = ref 0 in
   for seed = 1 to 1000 do
     let ((g, wh, _, th, _, _) as instance) = naive_instance seed in
-    naive_matches seed instance;
+    naive_matches ~severed ~finite seed instance;
     let h = Naive.loads g ~weights:wh th in
     let arcs = Array.to_list (Graph.arcs g) in
     let over i (a : Graph.arc) = h.(i) > a.capacity in
@@ -1129,7 +1188,13 @@ let test_naive_oracle () =
     true (!saturated >= 300);
   Alcotest.(check bool)
     (Printf.sprintf "parallel arcs in %d of 1000 instances" !parallel)
-    true (!parallel >= 300)
+    true (!parallel >= 300);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d severing link failures" !severed)
+    true (!severed >= 2500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d survivable link failures" !finite)
+    true (!finite >= 5000)
 
 (* Two-stage diamond, unit demand 0 -> 5 over three equal-cost paths:
    0-1-3-5, 0-1-4-5 and 0-2-5.  OSPF splits per hop, so the first hop

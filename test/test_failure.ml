@@ -300,17 +300,6 @@ let contexts (g, th, tl, wh, wl) =
     ("str", Eval_ctx.create g ~weights:[| wh; wh |] ~matrices:[| th; tl |]);
   ]
 
-(* A failure's primary as the robust penalty reads it: Φ_H, or Λ from
-   the failure's class-0 views. *)
-let failure_primary ~model ~th ctx f =
-  match model with
-  | Objective.Load -> (Eval_ctx.failure_phi f).(0)
-  | Objective.Sla params ->
-      Dtr_routing.Evaluate.sla_lambda (Eval_ctx.sla_scratch ctx) params
-        (Eval_ctx.graph ctx) ~th
-        ~dags_h:(Eval_ctx.failure_dags ctx f 0)
-        ~phi_h_per_arc:(Eval_ctx.failure_phi_row f 0)
-
 (* For every link, a class-0 failure probe prices the full probe's
    Φ_H row and the full sweep's primary, bitwise; a failure that
    severs class-0 demand severs it in full too.  The class-0 probe of
@@ -327,17 +316,17 @@ let class0_probe_matches_full ~model ((g, th, _, _, _) as inst) =
           in
           let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs link) in
           Alcotest.(check int) (what ^ ": one priced class") 1
-            (Array.length (Eval_ctx.failure_phi f));
-          if Eval_ctx.failure_unreachable f > 0 then
+            (Array.length (Eval_ctx.probe_phi f));
+          if Eval_ctx.probe_unreachable f > 0 then
             Alcotest.(check bool) (what ^ ": severed in full too") false
               (Failure_sweep.is_finite sweep.(i))
           else begin
-            let primary = failure_primary ~model ~th ctx f in
-            let row = Array.copy (Eval_ctx.failure_phi_row f 0) in
+            let primary = Eval_ctx.probe_primary ~model ~th ctx f in
+            let row = Array.copy (Eval_ctx.probe_phi_row ctx f 0) in
             Alcotest.check_raises (what ^ ": class 1 not priced")
               (Invalid_argument
-                 "Eval_ctx.failure_phi_row: class not priced by this failure")
-              (fun () -> ignore (Eval_ctx.failure_phi_row f 1));
+                 "Eval_ctx.probe_phi_row: class not priced by this probe")
+              (fun () -> ignore (Eval_ctx.probe_phi_row ctx f 1));
             let full = Eval_ctx.fail_probe ctx ~arcs:(link_arcs link) in
             if Failure_sweep.is_finite sweep.(i) then begin
               check_bits (what ^ ": primary")
@@ -345,7 +334,7 @@ let class0_probe_matches_full ~model ((g, th, _, _, _) as inst) =
               Array.iteri
                 (fun a x ->
                   check_bits (Printf.sprintf "%s: Φ_H arc %d" what a) x row.(a))
-                (Eval_ctx.failure_phi_row full 0)
+                (Eval_ctx.probe_phi_row ctx full 0)
             end
           end)
         (Graph.undirected_link_pairs g))
@@ -538,7 +527,7 @@ let test_robust_penalty_rejects () =
 (* Every link failure of [ctx] (weights [wh], [wl]), by a class-0 and a
    full probe, against Ref_failure on the reduced graph rebuilt from
    scratch: the priced classes' severed pairs; when none, the primary
-   (Φ_H, or Λ walked over [failure_dags]) and the full probe's Φ_L,
+   (Φ_H, or Λ walked over [probe_dags]) and the full probe's Φ_L,
    bitwise; and, at every node with positive flow of a priced class
    toward a destination, the failure dag's label and next-hop set.  The
    class-0 probe is held to the oracle without low-priority demand,
@@ -558,17 +547,17 @@ let screen_matches_scratch ~what ~model ctx (g, th, tl, wh, wl) =
           let oracle = Ref_failure.oracle ~model g ~wh ~wl ~th ~tl ~link in
           let f = Eval_ctx.fail_probe ~classes:priced ctx ~arcs:(link_arcs link) in
           Alcotest.(check int) (what ^ ": severed pairs")
-            oracle.Failure_sweep.unreachable_pairs (Eval_ctx.failure_unreachable f);
+            oracle.Failure_sweep.unreachable_pairs (Eval_ctx.probe_unreachable f);
           if Failure_sweep.is_finite oracle then begin
             check_bits (what ^ ": primary") oracle.Failure_sweep.cost.Lexico.primary
-              (failure_primary ~model ~th ctx f);
+              (Eval_ctx.probe_primary ~model ~th ctx f);
             if priced = 2 then
               check_bits (what ^ ": Φ_L") oracle.Failure_sweep.cost.Lexico.secondary
-                (Eval_ctx.failure_phi f).(1);
+                (Eval_ctx.probe_phi f).(1);
             for k = 0 to priced - 1 do
               let w = Ref_failure.remap_weights (if k = 0 then wh else wl) mapping in
               let fresh = Spf.all_destinations reduced ~weights:w in
-              let dags = Eval_ctx.failure_dags ctx f k in
+              let dags = Eval_ctx.probe_dags ctx f k in
               let hops set = List.sort compare (Array.to_list set) in
               for dst = 0 to n - 1 do
                 let demand_to_dst = Eval_ctx.demand_view ctx ~klass:k ~dst in
@@ -677,7 +666,7 @@ let test_screen_underflow () =
           (fun priced ->
             let what = Printf.sprintf "%s link %d, %d classes" what i priced in
             let f = Eval_ctx.fail_probe ~classes:priced ctx ~arcs:(link_arcs link) in
-            let phi = Eval_ctx.failure_phi f and cost = oracle.Failure_sweep.cost in
+            let phi = Eval_ctx.probe_phi f and cost = oracle.Failure_sweep.cost in
             check_bits (what ^ ": Φ_H") cost.Lexico.primary phi.(0);
             if priced = 2 then check_bits (what ^ ": Φ_L") cost.Lexico.secondary phi.(1))
           [ 1; 2 ])

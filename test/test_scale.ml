@@ -305,8 +305,8 @@ let prop_demand_mode_identical =
          let fd = Eval_ctx.fail_probe cd ~arcs:[ a; b ] in
          ok :=
            !ok
-           && Eval_ctx.failure_phi fa = Eval_ctx.failure_phi fd
-           && Eval_ctx.failure_unreachable fa = Eval_ctx.failure_unreachable fd
+           && Eval_ctx.probe_phi fa = Eval_ctx.probe_phi fd
+           && Eval_ctx.probe_unreachable fa = Eval_ctx.probe_unreachable fd
        end);
       !ok)
 
