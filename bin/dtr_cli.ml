@@ -267,6 +267,9 @@ let parse_arc_spec g spec =
                "bad link spec %S (expected an arc id, SRC-DST or SRC->DST)"
                spec))
 
+(* --robust with its penalty weight and top-k as one setting.  --alpha
+   or --top-k without --robust is the usage error: the run would ignore
+   it. *)
 let robust_arg =
   let mode_conv =
     let parse s =
@@ -276,43 +279,53 @@ let robust_arg =
     in
     Arg.conv (parse, fun ppf () -> Format.pp_print_string ppf "single-link")
   in
-  Arg.(
-    value
-    & opt (some mode_conv) None
-    & info [ "robust" ] ~docv:"MODE"
-        ~doc:
-          "Optimize the robust objective J = normal + alpha * penalty, \
-           where the penalty is the mean of the top-k worst finite \
-           single-link post-failure costs of a candidate (MODE: \
-           single-link).  Disconnecting failures are priced as \
-           infinite but excluded from the penalty — single-link \
-           reachability does not depend on the weights.")
+  let mode =
+    Arg.(
+      value
+      & opt (some mode_conv) None
+      & info [ "robust" ] ~docv:"MODE"
+          ~doc:
+            "Optimize the robust objective J = normal + alpha * penalty, \
+             where the penalty is the mean of the top-k worst finite \
+             single-link post-failure costs of a candidate (MODE: \
+             single-link).  Disconnecting failures are priced as \
+             infinite but excluded from the penalty — single-link \
+             reachability does not depend on the weights.")
+  in
+  let alpha =
+    Arg.(
+      value
+      & opt (some (finite_float ~what:"non-negative" (fun x -> x >= 0.))) None
+      & info [ "alpha" ] ~docv:"A"
+          ~doc:"Failure-penalty weight of --robust (default 1); requires --robust.")
+  in
+  let top_k =
+    Arg.(
+      value
+      & opt (some positive_int) None
+      & info [ "top-k" ] ~docv:"K"
+          ~doc:
+            "How many worst finite failures the --robust penalty \
+             averages (default 1 = pure worst case); requires --robust.")
+  in
+  let robust mode alpha top_k =
+    match mode with
+    | Some () ->
+        `Ok
+          (Some
+             {
+               Dtr_core.Search_config.alpha = Option.value alpha ~default:1.0;
+               top_k = Option.value top_k ~default:1;
+             })
+    | None when alpha = None && top_k = None -> `Ok None
+    | None -> `Error (true, "--alpha and --top-k require --robust")
+  in
+  Term.(ret (const robust $ mode $ alpha $ top_k))
 
-let alpha_arg =
-  Arg.(
-    value
-    & opt (finite_float ~what:"non-negative" (fun x -> x >= 0.)) 1.0
-    & info [ "alpha" ] ~docv:"A"
-        ~doc:"Failure-penalty weight for --robust (default 1).")
-
-let top_k_arg =
-  Arg.(
-    value
-    & opt positive_int 1
-    & info [ "top-k" ] ~docv:"K"
-        ~doc:
-          "How many worst finite failures the --robust penalty \
-           averages (default 1 = pure worst case).")
-
-let with_robust preset robust ~alpha ~top_k =
+let with_robust preset robust =
   match robust with
   | None -> preset
-  | Some () ->
-      {
-        preset with
-        Dtr_core.Search_config.robust =
-          Some { Dtr_core.Search_config.alpha; top_k };
-      }
+  | Some _ -> { preset with Dtr_core.Search_config.robust }
 
 let topology_arg =
   Arg.(
@@ -439,7 +452,7 @@ type searched = {
 
 let optimize_cmd =
   let run topology model fraction density util preset seed restarts jobs
-      scan_jobs robust alpha top_k time_budget search_iters init_weights
+      scan_jobs robust time_budget search_iters init_weights
       save_weights trace_file trace_no_time metrics_file trace_sample =
     with_metrics metrics_file @@ fun () ->
     let module Trace = Dtr_core.Trace in
@@ -458,7 +471,7 @@ let optimize_cmd =
             } )
     in
     let preset = with_scan_jobs preset scan_jobs in
-    let preset = with_robust preset robust ~alpha ~top_k in
+    let preset = with_robust preset robust in
     let preset = with_trace_sample preset trace_sample in
     let preset =
       match search_iters with
@@ -694,7 +707,7 @@ let optimize_cmd =
     Term.(
       const run $ topology_arg $ model_arg $ fraction_arg $ density_arg
       $ util_arg $ opt_preset_arg $ seed_arg $ restarts_arg $ jobs_arg
-      $ scan_jobs_arg $ robust_arg $ alpha_arg $ top_k_arg $ time_budget_arg
+      $ scan_jobs_arg $ robust_arg $ time_budget_arg
       $ search_iters_arg $ init_weights_arg $ save_arg $ trace_arg
       $ trace_no_time_arg $ metrics_arg $ trace_sample_arg)
 

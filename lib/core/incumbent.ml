@@ -20,10 +20,11 @@ type t = {
   mutable best_j : Lexico.t;
       (* J = normal + alpha * penalty in robust mode; else the best's
          normal objective, so reports read it unconditionally *)
-  mutable cut : bool array option;
-      (* robust mode: the links whose failure severs demand, from the
-         start's full sweep.  Weight-independent, so every later sweep
-         prices primary-first with it. *)
+  mutable prior : Problem.robust_price option;
+      (* robust mode: the run's last sweep.  Its cut links, from the
+         start's full sweep, do not depend on the weights, so every
+         later sweep prices primary-first with them; its class-0 pass
+         is reused while W_H has not moved. *)
   mutable improvements : int;
   mutable stall : int;
   mutable fulls : int;
@@ -81,10 +82,10 @@ let phase_done t ~iteration ~detail =
 let sweep t (r : Search_config.robust) ~iteration ~force =
   let normal = Problem.objective t.current in
   let rp =
-    Problem.robust_price ?cut:t.cut t.problem t.ctx
+    Problem.robust_price ?prior:t.prior t.problem t.ctx
       ~alpha:r.Search_config.alpha ~top_k:r.Search_config.top_k ~normal
   in
-  t.cut <- Some rp.Problem.rp_cut;
+  t.prior <- Some rp;
   let improved = force || Lexico.improves rp.Problem.rp_objective t.best_j in
   if improved then begin
     t.best <- t.current;
@@ -155,7 +156,7 @@ let create ?scan ?(trace = Trace.disabled) cfg problem start =
       ctx;
       best = current;
       best_j = Problem.objective current;
-      cut = None;
+      prior = None;
       improvements = 0;
       stall = 0;
       fulls = 1;

@@ -16,10 +16,12 @@
     its normal cost beats the best's J: [J >= normal] componentwise, so
     nothing better can hide behind a worse normal cost, and sweeps grow
     rarer as the best tightens.  The start point is always swept, in
-    full; the run keeps that sweep's cut links (which do not depend on
-    the weights) and prices every later sweep primary-first with them
-    ({!Dtr_routing.Failure_sweep.robust_penalty}), bitwise the same
-    J.
+    full.  The run keeps its last sweep's price and hands it to the
+    next ({!Problem.robust_price} [?prior]): its cut links (which do
+    not depend on the weights) price every later sweep primary-first
+    ({!Dtr_routing.Failure_sweep.robust_penalty}), and its class-0
+    pass is reused while the class-0 weights have not moved, bitwise
+    the same J.
 
     {b Events.}  Every field but the timestamp is a pure function of
     the trajectory ({!Trace}).  {!tell} reports the best's normal

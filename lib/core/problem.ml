@@ -247,11 +247,12 @@ let abort_delta _ _ = ()
    current weights, aggregated into the robust objective
    J = normal + alpha * penalty.  The sweep runs sequentially on the
    calling domain.  A sweep is most of a robust search's cost, bounded
-   two ways: the search loops sweep only candidates whose normal cost
-   beats the robust best (J >= normal), and a sweep given the run's
-   cut links prices most failures for the high-priority class alone
-   (Failure_sweep.robust_penalty).  Without them it is the full sweep,
-   the reference the primary-first one is held to. *)
+   three ways: the search loops sweep only candidates whose normal cost
+   beats the robust best (J >= normal), a sweep given the run's last
+   price prices most failures for the high-priority class alone
+   (Failure_sweep.robust_penalty), and none at all while class 0's
+   weights are the last price's.  Without a prior it is the full
+   sweep, the reference the primary-first one is held to. *)
 
 module Failure_sweep = Dtr_routing.Failure_sweep
 
@@ -260,23 +261,42 @@ type robust_price = {
   rp_penalty : Lexico.t;  (* mean of the top_k worst finite failures *)
   rp_infinite : int;  (* failures priced as infinite (severed demand) *)
   rp_cut : bool array;  (* per link: its failure severs demand *)
+  rp_primaries : float array;  (* per link: its failure's primary, nan if cut *)
+  rp_wh : int array;  (* class 0's weights, which alone set rp_primaries *)
 }
 
 let failure_outcomes t ctx = Failure_sweep.sweep ~model:t.model ~th:t.th ctx.ec
 
-let robust_price ?cut t ctx ~alpha ~top_k ~normal =
-  let penalty, cut =
-    match cut with
-    | Some cut ->
-        ( Failure_sweep.robust_penalty ~model:t.model ~th:t.th ~top_k ~cut ctx.ec,
-          cut )
+let same_weights a b =
+  a == b || (Array.length a = Array.length b && Array.for_all2 Int.equal a b)
+
+(* A failure's class-0 primary reads only class 0's weight group, its
+   demand and the raw capacities, so a prior's pass holds while class
+   0's weights equal the prior's, however the context got there. *)
+let robust_price ?prior t ctx ~alpha ~top_k ~normal =
+  let wh = Eval_ctx.weights_view ctx.ec 0 in
+  let penalty, cut, primaries =
+    match prior with
+    | Some p ->
+        let primaries =
+          if same_weights wh p.rp_wh then Some p.rp_primaries else None
+        in
+        let penalty, primaries =
+          Failure_sweep.robust_penalty ~model:t.model ~th:t.th ~top_k
+            ~cut:p.rp_cut ?primaries ctx.ec
+        in
+        (penalty, p.rp_cut, primaries)
     | None ->
         let outcomes = failure_outcomes t ctx in
-        (Failure_sweep.penalty ~top_k outcomes, Failure_sweep.cut_links outcomes)
+        ( Failure_sweep.penalty ~top_k outcomes,
+          Failure_sweep.cut_links outcomes,
+          Failure_sweep.primaries outcomes )
   in
   {
     rp_objective = Lexico.add normal (Lexico.scale alpha penalty);
     rp_penalty = penalty;
     rp_infinite = Array.fold_left (fun n c -> if c then n + 1 else n) 0 cut;
     rp_cut = cut;
+    rp_primaries = primaries;
+    rp_wh = wh;
   }

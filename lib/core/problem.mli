@@ -204,10 +204,18 @@ type robust_price = {
           whether its failure severs positive demand
           ({!Dtr_routing.Failure_sweep.cut_links}) — the same for
           every weight setting, so it can price later sweeps *)
+  rp_primaries : float array;
+      (** per link, the primary (Φ_H, or Λ under SLA) of its failure,
+          [nan] on cut links: the class-0 pass the penalty was ranked
+          by ({!Dtr_routing.Failure_sweep.robust_penalty}) *)
+  rp_wh : int array;
+      (** class 0's weight vector at the price ([W_H], or the shared
+          vector of an STR context), which alone determines
+          [rp_primaries]; never to be mutated *)
 }
 
 val robust_price :
-  ?cut:bool array ->
+  ?prior:robust_price ->
   t ->
   ctx ->
   alpha:float ->
@@ -219,8 +227,16 @@ val robust_price :
     caller's current normal-cost objective (already known to every
     search loop; not recomputed).  Pure: the context is unchanged.
 
-    Without [cut] this is the reference: a full
+    Without [prior] this is the reference: a full
     {!Dtr_routing.Failure_sweep.sweep}, every failure priced for both
-    classes.  With the [rp_cut] of an earlier price on this problem it
-    prices primary-first ({!Dtr_routing.Failure_sweep.robust_penalty}),
-    bitwise the same result. *)
+    classes.  With an earlier price on this problem as [prior] it
+    prices primary-first with the prior's cut links
+    ({!Dtr_routing.Failure_sweep.robust_penalty}), bitwise the same
+    result.  When the context's class-0 weights equal the prior's
+    [rp_wh] element for element (physical equality is not needed: a
+    context rebuilt by {!ctx_of_solution} qualifies), the prior's
+    class-0 pass is reused and only the full probes of the failures
+    that reach the [top_k]-th largest primary run.  Under strict
+    priority a failure's class-0 primary depends on class 0's weights
+    alone, so in a DTR context only a move of [W_H] prices the pass
+    again; in an STR context every move does. *)

@@ -15,6 +15,11 @@ let m_infinite =
     ~help:"Link failures priced as infinite (severed positive demand)."
     "dtr_failure_infinite_total"
 
+let m_reused =
+  Metrics.counter
+    ~help:"Robust sweeps that reused an earlier sweep's class-0 pass."
+    "dtr_failure_reused_total"
+
 type outcome = { cost : Lexico.t; unreachable_pairs : int }
 
 let is_finite o = o.unreachable_pairs = 0
@@ -90,9 +95,15 @@ let infinite_count outcomes =
    the failures that reach the k-th largest primary in full, hands
    [penalty] the same top k and so the same sum, bitwise.  Cut links
    are priced infinite without a probe: which links sever demand is a
-   property of the graph and the demand, not of the weights. *)
+   property of the graph and the demand, not of the weights.  The
+   class-0 pass reads only class 0's weight group, so a caller that
+   kept the pass of an earlier sweep at the same class-0 weights hands
+   it back and no class-0 probe runs. *)
 
 let cut_links outcomes = Array.map (fun o -> not (is_finite o)) outcomes
+
+let primaries outcomes =
+  Array.map (fun o -> if is_finite o then o.cost.Lexico.primary else Float.nan) outcomes
 
 (* The index of the [k]-th largest of [primaries] outside [cut], under
    [Float.compare] and counting ties (of the smallest when fewer are
@@ -120,7 +131,7 @@ let kth_largest primaries ~cut k =
   in
   round (-1) 0
 
-let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
+let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ?primaries ctx =
   if Eval_ctx.class_count ctx <> 2 then
     invalid_arg "Failure_sweep.robust_penalty: need a 2-class context";
   if top_k < 1 then
@@ -135,18 +146,28 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
                        but is not in the cut set" i)
   in
   Metrics.incr_counter m_sweeps;
-  let primaries = Array.make n Float.nan in
-  for i = 0 to n - 1 do
-    Metrics.incr_counter m_evals;
-    if cut.(i) then Metrics.incr_counter m_infinite
-    else begin
-      let p = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
-      if Eval_ctx.probe_unreachable p > 0 then not_cut i;
-      primaries.(i) <- Eval_ctx.probe_primary ~model ~th ctx p
-    end
-  done;
+  Metrics.add m_evals n;
+  Array.iter (fun c -> if c then Metrics.incr_counter m_infinite) cut;
+  let primaries =
+    match primaries with
+    | Some p ->
+        if Array.length p <> n then
+          invalid_arg "Failure_sweep.robust_penalty: primaries of another graph";
+        Metrics.incr_counter m_reused;
+        p
+    | None ->
+        let p = Array.make n Float.nan in
+        for i = 0 to n - 1 do
+          if not cut.(i) then begin
+            let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
+            if Eval_ctx.probe_unreachable f > 0 then not_cut i;
+            p.(i) <- Eval_ctx.probe_primary ~model ~th ctx f
+          end
+        done;
+        p
+  in
   match kth_largest primaries ~cut top_k with
-  | -1 -> Lexico.zero
+  | -1 -> (Lexico.zero, primaries)
   | at ->
       let kth = primaries.(at) in
       let worst = ref [] in
@@ -162,9 +183,9 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ctx =
             failwith
               (Printf.sprintf
                  "Failure_sweep.robust_penalty: link %d's full probe prices \
-                  the primary %h, its class-0 probe %h"
+                  the primary %h, its class-0 pass %h"
                  i full primaries.(i));
           worst := o :: !worst
         end
       done;
-      penalty ~top_k (Array.of_list !worst)
+      (penalty ~top_k (Array.of_list !worst), primaries)

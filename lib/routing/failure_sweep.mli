@@ -25,13 +25,16 @@
 
     {!robust_penalty} prices a robust search's sweep primary-first:
     bitwise {!penalty} of {!sweep}, with most failures priced for the
-    high-priority class alone.
+    high-priority class alone, and none at all when the caller hands
+    back the class-0 pass of a sweep at the same class-0 weights.
 
     {b Counters.}  [dtr_failure_sweeps_total] counts every {!sweep}
     and {!robust_penalty}; [dtr_failure_evals_total] every link they
-    price, cut links included; [dtr_failure_infinite_total] every link
-    priced infinite.  Only [dtr_eval_fail_probes_total] and the SPF
-    counters show what primary-first pricing saves, and
+    price, cut links and links of a reused pass included;
+    [dtr_failure_infinite_total] every link priced infinite;
+    [dtr_failure_reused_total] every {!robust_penalty} given a pass.
+    Only [dtr_eval_fail_probes_total] and the SPF counters show what
+    primary-first pricing and reused passes save, and
     [dtr_failure_screened_total] (counted by {!Eval_ctx.fail_probe})
     what the failure probes' flow screen saves. *)
 
@@ -73,26 +76,40 @@ val cut_links : outcome array -> bool array
     depend on the weights, so one sweep's cut links are every sweep's
     on the same graph and demand. *)
 
+val primaries : outcome array -> float array
+(** Per link, the primary (Φ_H, or Λ under SLA) of a finite outcome,
+    [nan] for an infinite one: the class-0 pass {!robust_penalty}
+    would rank the same sweep by, bitwise. *)
+
 val robust_penalty :
   ?model:Objective.model ->
   th:Dtr_traffic.Matrix.t ->
   top_k:int ->
   cut:bool array ->
+  ?primaries:float array ->
   Eval_ctx.t ->
-  Dtr_cost.Lexico.t
+  Dtr_cost.Lexico.t * float array
 (** [penalty ~top_k (sweep ~model ~th ctx)], bitwise, for a [cut] set
-    from {!cut_links} of any sweep on the same graph and demand.  Cut
-    links are priced infinite without a probe.  Every other link gets
-    a class-0 failure probe ({!Eval_ctx.fail_probe} [~classes:1]),
+    from {!cut_links} of any sweep on the same graph and demand, paired
+    with the class-0 pass it ranked the failures by (per link, the
+    primary of its failure; [nan] on cut links).  Cut links are priced
+    infinite without a probe.  Without [primaries], every other link
+    gets a class-0 failure probe ({!Eval_ctx.fail_probe} [~classes:1]),
     which prices its primary (Φ_H, or Λ under SLA) exactly as the full
-    probe does.  Only the links whose primary reaches the [top_k]-th
-    largest get the full probe, and their outcomes go to {!penalty}:
-    under untolerated {!Dtr_cost.Lexico.compare} no other outcome can
-    be among the [top_k] worst.  Ties on the primary can send more
-    than [top_k] links to the full probe.  The context is not
-    modified.
+    probe does.  [primaries] is an earlier pass (from this function or
+    {!primaries}) taken at the context's current class-0 weights: it
+    is used as it is, and no class-0 probe runs.  A class-0 failure
+    probe reads only class 0's weight group, its demand and the raw
+    capacities, so such a pass is the pass a new one would price.
+    Only the links whose primary reaches the [top_k]-th largest get
+    the full probe, and their outcomes go to {!penalty}: under
+    untolerated {!Dtr_cost.Lexico.compare} no other outcome can be
+    among the [top_k] worst.  Ties on the primary can send more than
+    [top_k] links to the full probe.  The context is not modified.
     @raise Invalid_argument unless the context has exactly 2 classes,
-    if [top_k < 1], or if [cut] does not match the graph's links or
-    misses a link whose failure severs demand.
-    @raise Failure if a full probe prices a primary other than its
-    class-0 probe's (an engine bug). *)
+    if [top_k < 1], if [cut] or [primaries] does not match the graph's
+    links, or if [cut] misses a link whose failure severs demand (one
+    that gets a probe).
+    @raise Failure if a full probe prices a primary other than the
+    pass's for its link: an engine bug, or a [primaries] taken at
+    other class-0 weights. *)

@@ -1102,12 +1102,14 @@ let naive_severed g ~weights matrices =
 (* Every single-link failure of the context's setting [(wh, wl)],
    priced by Problem.failure_outcomes, against the naive oracle on the
    reduced graph with the weights remapped: the severed-pair count,
-   and for a survivable failure the primary (Φ_H or Λ) and Φ_L. *)
+   and for a survivable failure the primary (Φ_H or Λ) and Φ_L.
+   Returns the oracle's (primary, Φ_L) per link, [None] where the
+   failure severs demand. *)
 let naive_failures ~what ~severed ~finite problem ctx ~wh ~wl =
   let { Problem.graph = g; th; tl; model; _ } = problem in
   let sla = match model with Objective.Sla p -> Some p | _ -> None in
   let outcomes = Problem.failure_outcomes problem ctx in
-  Array.iteri
+  Array.mapi
     (fun i link ->
       let what = Printf.sprintf "%s link %d" what i in
       let reduced, mapping = Ref_failure.fail_link g ~link in
@@ -1118,7 +1120,10 @@ let naive_failures ~what ~severed ~finite problem ctx ~wh ~wl =
       if cut <> o.Failure_sweep.unreachable_pairs then
         Alcotest.failf "%s: severed pairs engine %d vs naive %d" what
           o.Failure_sweep.unreachable_pairs cut;
-      if cut > 0 then incr severed
+      if cut > 0 then begin
+        incr severed;
+        None
+      end
       else begin
         incr finite;
         let want = Naive.evaluate ?sla reduced ~wh ~wl ~th ~tl in
@@ -1129,19 +1134,105 @@ let naive_failures ~what ~severed ~finite problem ctx ~wh ~wl =
           | Objective.Sla _ -> ("lambda", want.Naive.lambda)
         in
         check_close ~what primary cost.Lexico.primary want_primary;
-        check_close ~what "phi_l" cost.Lexico.secondary want.Naive.phi_l
+        check_close ~what "phi_l" cost.Lexico.secondary want.Naive.phi_l;
+        Some (want_primary, want.Naive.phi_l)
       end)
     (Graph.undirected_link_pairs g)
 
+(* The robust objective of Sqalli et al.'s single-link setting from the
+   oracle's numbers alone: the normal (primary, Φ_L) plus [alpha] times
+   the mean of the [top_k] worst finite failures in lexicographic
+   order.  The oracle's primaries match the engine's only to the
+   tolerance, and failures an ulp apart are common at the k-th place:
+   exact order picks another failure than the engine at seeds 373 and
+   984, where the oracle orders two primaries the other way, and
+   ordering near-ties by Φ_L does at seed 139, where the engine's
+   differ by an ulp.  So the failures tied with the k-th within the
+   tolerance may fill the places left in any way.  Returns J's primary
+   and the secondaries those choices give: one when the k-th place is
+   not tied. *)
+let naive_robust_j ~alpha ~top_k (normal_p, normal_s) failures =
+  let finite = List.filter_map Fun.id (Array.to_list failures) in
+  let sorted = List.stable_sort (fun (a, _) (b, _) -> Float.compare b a) finite in
+  let k = min top_k (List.length sorted) in
+  if k = 0 then (normal_p, [ normal_s ])
+  else begin
+    let kth = fst (List.nth sorted (k - 1)) in
+    let sure = List.filter (fun (p, _) -> p > kth && not (close p kth)) sorted in
+    let tied = List.filter (fun (p, _) -> close p kth) sorted in
+    (* The sums of the secondaries of every [r] of [ties]. *)
+    let rec choose r ties =
+      match ties with
+      | _ when r = 0 -> [ 0. ]
+      | [] -> []
+      | (_, s) :: rest -> List.map (( +. ) s) (choose (r - 1) rest) @ choose r rest
+    in
+    let sum = List.fold_left (fun acc (_, s) -> acc +. s) 0. sure in
+    let mean_p =
+      List.fold_left ( +. ) 0. (List.filteri (fun i _ -> i < k) (List.map fst sorted))
+      /. float_of_int k
+    in
+    ( normal_p +. (alpha *. mean_p),
+      List.map
+        (fun t -> normal_s +. (alpha *. ((sum +. t) /. float_of_int k)))
+        (choose (k - List.length sure) tied) )
+  end
+
+(* Checks the engine's J against the oracle's; returns whether the
+   oracle's secondary was unique (up to the tolerance). *)
+let check_robust ~what (want_p, want_s) (rp : Problem.robust_price) =
+  let j = rp.Problem.rp_objective in
+  check_close ~what "J primary" j.Lexico.primary want_p;
+  if not (List.exists (close j.Lexico.secondary) want_s) then
+    Alcotest.failf "%s: J secondary engine %.17g vs naive %s" what j.Lexico.secondary
+      (String.concat " or " (List.map (Printf.sprintf "%.17g") want_s));
+  List.for_all (close (List.hd want_s)) want_s
+
+(* Problem.robust_price of the context's committed state against the
+   oracle's J, at top_k 1 and 2: priced in full, and with [prior] (a
+   price of the state before the last commit), so primary-first on a
+   fresh class-0 pass when that commit moved W_H and on the prior's
+   pass when it did not.  Returns the full prices. *)
+let naive_robust ~what ~reused ~strict problem ctx ~prior ~normal failures =
+  let alpha = 0.5 in
+  let engine_normal = Problem.objective (Problem.ctx_solution problem ctx) in
+  List.map
+    (fun top_k ->
+      let what = Printf.sprintf "%s top_k=%d" what top_k in
+      let want = naive_robust_j ~alpha ~top_k normal failures in
+      let price ?prior () =
+        Problem.robust_price ?prior problem ctx ~alpha ~top_k ~normal:engine_normal
+      in
+      let full = price () in
+      if check_robust ~what:(what ^ " full") want full then incr strict;
+      Alcotest.(check int) (what ^ ": infinite")
+        (Array.fold_left (fun n o -> if o = None then n + 1 else n) 0 failures)
+        full.Problem.rp_infinite;
+      let rp, reuses =
+        with_metrics (fun () ->
+            let rp = price ~prior:(List.nth prior (top_k - 1)) () in
+            (rp, counter "dtr_failure_reused_total"))
+      in
+      ignore (check_robust ~what:(what ^ " primary-first") want rp : bool);
+      if reuses > 0 then incr reused;
+      full)
+    [ 1; 2 ]
+
 (* One instance, both cost models: the full evaluation, one random
    probe against it, and, once the probe is committed, every
-   single-link failure. *)
-let naive_matches ~severed ~finite seed (g, wh, wl, th, tl, rng) =
+   single-link failure and the robust J; then an L-only commit, whose
+   robust price reuses the class-0 pass of the state before it. *)
+let naive_matches ~severed ~finite ~reused ~strict seed (g, wh, wl, th, tl, rng) =
   List.iter
     (fun model ->
       let sla = match model with Objective.Sla p -> Some p | _ -> None in
       let what =
         Printf.sprintf "seed %d, %s" seed (Objective.model_name model)
+      in
+      let normal (c : Naive.costs) =
+        match model with
+        | Objective.Load -> (c.Naive.phi_h, c.Naive.phi_l)
+        | Objective.Sla _ -> (c.Naive.lambda, c.Naive.phi_l)
       in
       let problem = Problem.create ~graph:g ~th ~tl ~model in
       let sol, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
@@ -1150,6 +1241,13 @@ let naive_matches ~severed ~finite seed (g, wh, wl, th, tl, rng) =
         ~phi_l:e.Evaluate.phi_l
         ~primary:(Problem.objective sol).Lexico.primary
         (Naive.evaluate ?sla g ~wh ~wl ~th ~tl);
+      let before =
+        List.map
+          (fun top_k ->
+            Problem.robust_price problem ctx ~alpha:0.5 ~top_k
+              ~normal:(Problem.objective sol))
+          [ 1; 2 ]
+      in
       let cls = if Prng.bool rng then `H else `L in
       let w = match cls with `H -> wh | `L -> wl in
       let arc, v = random_change rng w in
@@ -1159,12 +1257,34 @@ let naive_matches ~severed ~finite seed (g, wh, wl, th, tl, rng) =
         | `H -> (apply wh [ (arc, v) ], wl)
         | `L -> (wh, apply wl [ (arc, v) ])
       in
+      let want = Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl in
       check_naive ~what:(what ^ " eval_delta") ~model
         ~phi_h:(Problem.delta_phi_h d) ~phi_l:(Problem.delta_phi_l d)
-        ~primary:(Problem.delta_objective d).Lexico.primary
-        (Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl);
+        ~primary:(Problem.delta_objective d).Lexico.primary want;
       ignore (Problem.commit_delta problem ctx d);
-      naive_failures ~what ~severed ~finite problem ctx ~wh:wh' ~wl:wl')
+      let failures = naive_failures ~what ~severed ~finite problem ctx ~wh:wh' ~wl:wl' in
+      let after =
+        naive_robust ~what ~reused ~strict problem ctx ~prior:before ~normal:(normal want)
+          failures
+      in
+      (* Its own stream, so the draws of the other model stay as they were. *)
+      let arc, v = random_change (Prng.create seed) wl' in
+      let wl'' = apply wl' [ (arc, v) ] in
+      let d = Problem.eval_delta problem ctx ~cls:`L ~changes:[ (arc, v) ] in
+      ignore (Problem.commit_delta problem ctx d);
+      let what = what ^ ", second commit (L)" in
+      let failures =
+        naive_failures ~what ~severed:(ref 0) ~finite:(ref 0) problem ctx ~wh:wh'
+          ~wl:wl''
+      in
+      let reused_before = !reused in
+      ignore
+        (naive_robust ~what ~reused ~strict problem ctx ~prior:after
+           ~normal:(normal (Naive.evaluate ?sla g ~wh:wh' ~wl:wl'' ~th ~tl))
+           failures
+          : Problem.robust_price list);
+      Alcotest.(check int) (what ^ ": both prices reuse the pass") 2
+        (!reused - reused_before))
     [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
 
 let test_naive_oracle () =
@@ -1172,9 +1292,10 @@ let test_naive_oracle () =
      it covers. *)
   let saturated = ref 0 and parallel = ref 0 in
   let severed = ref 0 and finite = ref 0 in
+  let reused = ref 0 and strict = ref 0 in
   for seed = 1 to 1000 do
     let ((g, wh, _, th, _, _) as instance) = naive_instance seed in
-    naive_matches ~severed ~finite seed instance;
+    naive_matches ~severed ~finite ~reused ~strict seed instance;
     let h = Naive.loads g ~weights:wh th in
     let arcs = Array.to_list (Graph.arcs g) in
     let over i (a : Graph.arc) = h.(i) > a.capacity in
@@ -1194,7 +1315,22 @@ let test_naive_oracle () =
     true (!severed >= 2500);
   Alcotest.(check bool)
     (Printf.sprintf "%d survivable link failures" !finite)
-    true (!finite >= 5000)
+    true (!finite >= 5000);
+  (* Two robust prices per instance and model follow the first commit:
+     on a fresh class-0 pass after an H move, on the earlier state's
+     pass after an L move.  The second commit's two always reuse. *)
+  let after_first = !reused - 4000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d primary-first prices on a fresh pass" (4000 - after_first))
+    true (4000 - after_first >= 1500);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d primary-first prices on the earlier pass" after_first)
+    true (after_first >= 1500);
+  (* Of the 8,000 robust J the oracle prices, most have one admissible
+     secondary; the rest tie at the k-th place. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 8000 robust J without a tie at the k-th place" !strict)
+    true (!strict >= 5000)
 
 (* Two-stage diamond, unit demand 0 -> 5 over three equal-cost paths:
    0-1-3-5, 0-1-4-5 and 0-2-5.  OSPF splits per hop, so the first hop

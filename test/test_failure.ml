@@ -362,6 +362,23 @@ let with_metrics f =
 
 let counter name = Metrics.counter_value (Metrics.counter ~help:"" name)
 
+(* How many survivable links of a full sweep have a primary that
+   reaches the [top_k]-th largest (ties counted; the smallest when fewer
+   survive): the links a primary-first penalty probes in full. *)
+let reaching_kth ~top_k sweep =
+  let primaries =
+    List.filter_map
+      (fun o ->
+        if Failure_sweep.is_finite o then Some o.Failure_sweep.cost.Lexico.primary
+        else None)
+      (Array.to_list sweep)
+  in
+  match List.sort (fun a b -> Float.compare b a) primaries with
+  | [] -> 0
+  | sorted ->
+      let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
+      List.length (List.filter (fun p -> Float.compare p kth >= 0) primaries)
+
 (* The primary-first penalty equals the full sweep's, bitwise, for
    every [top_k] given and both contexts of the instance, and runs the
    full probe on exactly the survivable links whose primary reaches the
@@ -383,7 +400,7 @@ let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
           let expected = Failure_sweep.penalty ~top_k sweep in
           let actual, probes =
             with_metrics (fun () ->
-                let p = Failure_sweep.robust_penalty ~model ~th ~top_k ~cut ctx in
+                let p, _ = Failure_sweep.robust_penalty ~model ~th ~top_k ~cut ctx in
                 Alcotest.(check int) (what ^ ": one sweep") 1
                   (counter "dtr_failure_sweeps_total");
                 Alcotest.(check int) (what ^ ": every link priced") links
@@ -398,21 +415,8 @@ let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
           check_bits (what ^ ": secondary") expected.Lexico.secondary
             actual.Lexico.secondary;
           let full = probes - survivable in
-          let primaries =
-            List.filter_map
-              (fun o ->
-                if Failure_sweep.is_finite o then Some o.Failure_sweep.cost.Lexico.primary
-                else None)
-              (Array.to_list sweep)
-          in
-          let reaching =
-            match List.sort (fun a b -> Float.compare b a) primaries with
-            | [] -> 0
-            | sorted ->
-                let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
-                List.length (List.filter (fun p -> Float.compare p kth >= 0) primaries)
-          in
-          Alcotest.(check int) (what ^ ": full probes") reaching full;
+          Alcotest.(check int) (what ^ ": full probes") (reaching_kth ~top_k sweep)
+            full;
           max most full)
         most top_ks)
     0 (contexts inst)
@@ -433,8 +437,8 @@ let test_primary_first_penalty () =
           : int))
     models
 
-let test_primary_first_penalty_cut_links () =
-  (* Transit-stub seed 3: 8 of its 38 links are cut. *)
+(* Transit-stub seed 3, random weights: 8 of its 38 links are cut. *)
+let cut_link_instance () =
   let inst =
     Dtr_experiments.Scenario.make
       {
@@ -449,26 +453,21 @@ let test_primary_first_penalty_cut_links () =
   and tl = inst.Dtr_experiments.Scenario.tl in
   let rng = Prng.create 17 in
   let wh = Weights.random rng g and wl = Weights.random rng g in
+  (g, th, tl, wh, wl)
+
+let test_primary_first_penalty_cut_links () =
+  let ((g, th, tl, wh, wl) as inst) = cut_link_instance () in
   let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   Alcotest.(check int) "8 cut links" 8
     (Failure_sweep.infinite_count (Failure_sweep.sweep ~th ctx));
   List.iter
     (fun model ->
-      ignore (penalty_matches_sweep ~model ~top_ks:[ 1; 2; 3; 39 ]
-                (g, th, tl, wh, wl) : int))
+      ignore (penalty_matches_sweep ~model ~top_ks:[ 1; 2; 3; 39 ] inst : int))
     models
 
-let test_primary_first_penalty_ties () =
-  (* Uniform weights on a ring, and high-priority demand only across
-     the one link 0-1.  Every other link's failure leaves the class-0
-     routing and loads as they are, so its primary ties with the
-     normal cost, bitwise.  Failing 0-1 sends that demand the 7 hops
-     around: a higher Φ_H, and 35 ms of propagation against the SLA's
-     25 ms bound.  From top_k = 2 on, the k-th largest primary is the
-     tie, and all 8 links get a full probe.  With the same demand across
-     4-5 as well, failing 0-1 or 4-5 sends one of the two around, and
-     their primaries tie at the top, bitwise: both count toward the
-     top_k, so only they get a full probe up to top_k = 2. *)
+(* Uniform weights on a ring, and high-priority demand only across the
+   one link 0-1 ([th]), or across 0-1 and 4-5 alike ([th2]). *)
+let tie_ring () =
   let g = Dtr_topology.Classic.ring ~capacity:10. ~delay:5. 8 in
   let n = Graph.node_count g in
   let th = Matrix.create n in
@@ -476,7 +475,19 @@ let test_primary_first_penalty_ties () =
   let th2 = Matrix.copy th in
   Matrix.set th2 4 5 4.;
   let tl = Gravity.generate (Prng.create 8) ~n Gravity.default in
-  let w = Weights.uniform g 10 in
+  (g, th, th2, tl, Weights.uniform g 10)
+
+let test_primary_first_penalty_ties () =
+  (* On the tie ring with demand across 0-1, every other link's failure
+     leaves the class-0 routing and loads as they are, so its primary
+     ties with the normal cost, bitwise.  Failing 0-1 sends that demand
+     the 7 hops around: a higher Φ_H, and 35 ms of propagation against
+     the SLA's 25 ms bound.  From top_k = 2 on, the k-th largest primary
+     is the tie, and all 8 links get a full probe.  With the same demand
+     across 4-5 as well, failing 0-1 or 4-5 sends one of the two around,
+     and their primaries tie at the top, bitwise: both count toward the
+     top_k, so only they get a full probe up to top_k = 2. *)
+  let g, th, th2, tl, w = tie_ring () in
   List.iter
     (fun model ->
       let what = Objective.model_name model in
@@ -508,6 +519,13 @@ let test_robust_penalty_rejects () =
       ignore
         (Failure_sweep.robust_penalty ~th ~top_k:0
            ~cut:(Array.make links false) ctx));
+  Alcotest.check_raises "class-0 pass of another graph"
+    (Invalid_argument "Failure_sweep.robust_penalty: primaries of another graph")
+    (fun () ->
+      ignore
+        (Failure_sweep.robust_penalty ~th ~top_k:1
+           ~cut:(Array.make links false)
+           ~primaries:(Array.make (links + 1) 0.) ctx));
   (* Every link of a line graph severs demand: an empty cut set is
      caught at the first link. *)
   let line = Dtr_topology.Classic.line 4 in
@@ -519,6 +537,167 @@ let test_robust_penalty_rejects () =
   match Failure_sweep.robust_penalty ~th ~top_k:1 ~cut ctx with
   | _ -> Alcotest.fail "a severing link outside the cut set was priced"
   | exception Invalid_argument _ -> ()
+
+(* ------------------------------------------------------------------ *)
+(* Reused class-0 passes: a robust price hands its class-0 pass to the
+   next sweep while class 0's weights are the same *)
+
+(* Commit a move of one arc of [cls]'s weight vector to a neighbouring
+   weight. *)
+let commit_move problem ctx ~cls =
+  let w = Problem.ctx_weights_view ctx cls in
+  let a = Array.length w / 2 in
+  let v = if w.(a) = Weights.max_weight then w.(a) - 1 else w.(a) + 1 in
+  let d = Problem.eval_delta problem ctx ~cls ~changes:[ (a, v) ] in
+  ignore (Problem.commit_delta problem ctx d : Problem.solution)
+
+(* Price the context's state with [prior] and check it, bitwise,
+   against a price of the same state without a prior and against the
+   penalty of a full sweep: J, the penalty, the infinite count and the
+   class-0 pass.  The failure counters move as for any sweep, a reused
+   pass counts once in [dtr_failure_reused_total], and the failure
+   probes are the full probes of the links that reach the [top_k]-th
+   primary, plus one class-0 probe per survivable link unless the pass
+   is reused.  Returns the new price. *)
+let check_reuse ~what ~reused problem ctx ~top_k ~prior =
+  let alpha = 0.5 in
+  let normal = Problem.objective (Problem.ctx_solution problem ctx) in
+  let sweep = Problem.failure_outcomes problem ctx in
+  let links = Array.length sweep in
+  let cut = Failure_sweep.infinite_count sweep in
+  let rp, counts =
+    with_metrics (fun () ->
+        let rp = Problem.robust_price ~prior problem ctx ~alpha ~top_k ~normal in
+        ( rp,
+          List.map counter
+            [
+              "dtr_failure_sweeps_total";
+              "dtr_failure_evals_total";
+              "dtr_failure_infinite_total";
+              "dtr_failure_reused_total";
+              "dtr_eval_fail_probes_total";
+            ] ))
+  in
+  let fresh = Problem.robust_price problem ctx ~alpha ~top_k ~normal in
+  let lexico name (e : Lexico.t) (a : Lexico.t) =
+    check_bits (what ^ ": " ^ name ^ " primary") e.Lexico.primary a.Lexico.primary;
+    check_bits (what ^ ": " ^ name ^ " secondary") e.Lexico.secondary
+      a.Lexico.secondary
+  in
+  lexico "J" fresh.Problem.rp_objective rp.Problem.rp_objective;
+  lexico "penalty" fresh.Problem.rp_penalty rp.Problem.rp_penalty;
+  lexico "full-sweep penalty" (Failure_sweep.penalty ~top_k sweep)
+    rp.Problem.rp_penalty;
+  Alcotest.(check int) (what ^ ": infinite") cut rp.Problem.rp_infinite;
+  Alcotest.(check int) (what ^ ": fresh infinite") cut fresh.Problem.rp_infinite;
+  Array.iteri
+    (fun i p ->
+      check_bits (Printf.sprintf "%s: link %d's class-0 primary" what i) p
+        rp.Problem.rp_primaries.(i))
+    fresh.Problem.rp_primaries;
+  let probes =
+    reaching_kth ~top_k sweep + if reused then 0 else links - cut
+  in
+  Alcotest.(check (list int))
+    (what ^ ": sweeps, evals, infinite, reused, failure probes")
+    [ 1; links; cut; (if reused then 1 else 0); probes ]
+    counts;
+  rp
+
+(* A DTR context: priced in full, then primary-first after an H
+   commit; after an L commit the pass is reused; after an H commit it
+   runs again; on a context rebuilt from the solution (equal weights,
+   not the same arrays) it is reused. *)
+let reuse_dtr ~model ~top_k ~name (g, th, tl, wh, wl) =
+  let what step =
+    Printf.sprintf "%s %s top_k=%d, %s" name (Objective.model_name model) top_k
+      step
+  in
+  let problem = Problem.create ~graph:g ~th ~tl ~model in
+  let _, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
+  let start =
+    Problem.robust_price problem ctx ~alpha:0.5 ~top_k
+      ~normal:(Problem.objective (Problem.ctx_solution problem ctx))
+  in
+  commit_move problem ctx ~cls:`H;
+  let first =
+    check_reuse ~what:(what "after an H commit") ~reused:false problem ctx ~top_k
+      ~prior:start
+  in
+  commit_move problem ctx ~cls:`L;
+  let second =
+    check_reuse ~what:(what "after an L commit") ~reused:true problem ctx ~top_k
+      ~prior:first
+  in
+  let rebuilt = Problem.ctx_of_solution problem (Problem.ctx_solution problem ctx) in
+  Alcotest.(check bool) (what "rebuilt context holds new arrays") false
+    (Problem.ctx_weights_view rebuilt `H == second.Problem.rp_wh);
+  ignore
+    (check_reuse ~what:(what "on a rebuilt context") ~reused:true problem rebuilt
+       ~top_k ~prior:second
+      : Problem.robust_price);
+  commit_move problem ctx ~cls:`H;
+  ignore
+    (check_reuse ~what:(what "after a second H commit") ~reused:false problem ctx
+       ~top_k ~prior:second
+      : Problem.robust_price)
+
+(* An STR context moves its one shared vector with every commit: the
+   pass is reused only at an equal vector. *)
+let reuse_str ~model ~top_k ~name (g, th, tl, wh, _) =
+  let what step =
+    Printf.sprintf "%s str %s top_k=%d, %s" name (Objective.model_name model)
+      top_k step
+  in
+  let problem = Problem.create ~graph:g ~th ~tl ~model in
+  let _, ctx = Problem.eval_str_ctx problem ~w:wh in
+  let start =
+    Problem.robust_price problem ctx ~alpha:0.5 ~top_k
+      ~normal:(Problem.objective (Problem.ctx_solution problem ctx))
+  in
+  let same =
+    check_reuse ~what:(what "unmoved") ~reused:true problem ctx ~top_k ~prior:start
+  in
+  commit_move problem ctx ~cls:`L;
+  let moved =
+    check_reuse ~what:(what "after an L commit") ~reused:false problem ctx ~top_k
+      ~prior:same
+  in
+  let rebuilt = Problem.ctx_of_solution problem (Problem.ctx_solution problem ctx) in
+  ignore
+    (check_reuse ~what:(what "on a rebuilt context") ~reused:true problem rebuilt
+       ~top_k ~prior:moved
+      : Problem.robust_price)
+
+let reuse_instances () =
+  let g, th, th2, tl, w = tie_ring () in
+  List.init 12 (fun seed -> (Printf.sprintf "fixture %d" seed, fixture_instance seed))
+  @ [
+      ("cut links", cut_link_instance ());
+      ("tie ring", (g, th, tl, w, Array.copy w));
+      ("tied worst", (g, th2, tl, w, Array.copy w));
+    ]
+
+let test_reused_pass () =
+  List.iter
+    (fun (name, inst) ->
+      List.iter
+        (fun model ->
+          List.iter
+            (fun top_k ->
+              reuse_dtr ~model ~top_k ~name inst;
+              reuse_str ~model ~top_k ~name inst)
+            [ 1; 2 ])
+        models)
+    (reuse_instances ())
+
+let test_reused_pass_random50 () =
+  List.iter
+    (fun model ->
+      List.iter
+        (fun top_k -> reuse_dtr ~model ~top_k ~name:"random50" (random50_instance ()))
+        [ 1; 2 ])
+    models
 
 (* ------------------------------------------------------------------ *)
 (* Flow-screened failure probes: a failure probe repairs a destination
@@ -997,6 +1176,13 @@ let () =
             `Quick test_primary_first_penalty_ties;
           Alcotest.test_case "rejects a wrong cut set" `Quick
             test_robust_penalty_rejects;
+        ] );
+      ( "reused-pass",
+        [
+          Alcotest.test_case "reused while W_H is unchanged (bitwise)" `Quick
+            test_reused_pass;
+          Alcotest.test_case "reused while W_H is unchanged, 50 nodes" `Slow
+            test_reused_pass_random50;
         ] );
       ( "flow-screen",
         [
