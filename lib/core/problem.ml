@@ -43,6 +43,11 @@ let m_delta =
   Metrics.counter ~help:"Incremental (delta) objective evaluations."
     "dtr_eval_delta_total"
 
+let m_lambda_reused =
+  Metrics.counter
+    ~help:"SLA-model probes of W_H that moved no class-0 flow and kept the context's Λ."
+    "dtr_sla_lambda_reused_total"
+
 (* ------------------------------------------------------------------ *)
 (* Evaluation.
 
@@ -169,8 +174,8 @@ let weight_changes base w' =
 type delta = {
   d_probe : Eval_ctx.weight Eval_ctx.probe;
   d_moves_sla : bool;
-      (* the candidate moves W_H under the SLA model, so committing it
-         invalidates the context's Λ costing *)
+      (* the candidate moves class-0 flow under the SLA model, so
+         committing it invalidates the context's Λ costing *)
   d_objective : Lexico.t;
   d_phi_h : float;
   d_phi_l : float;
@@ -190,12 +195,17 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
   (* Under SLA a candidate that moves the H routing may move every H
      path delay: its Λ is walked over the probe's own class-0 views (Λ
      only; a commit recomputes the full costing from the installed
-     state, bitwise alike).  W_L cannot affect the H routing: then Λ
-     is the context's. *)
+     state, bitwise alike).  W_L cannot affect the H routing, and a W_H
+     probe that keeps every class-0 flow leaves each pair's walk the
+     same next-hop sets and delays: then Λ, and the whole costing, is
+     the context's. *)
   let d_moves_sla =
     match t.model with
-    | Objective.Load -> false
-    | Objective.Sla _ -> ctx_is_str ctx || cls = `H
+    | Objective.Sla _ when ctx_is_str ctx || cls = `H ->
+        let kept = Eval_ctx.probe_keeps_flows ctx.ec p 0 in
+        if kept then Metrics.incr_counter m_lambda_reused;
+        not kept
+    | Objective.Sla _ | Objective.Load -> false
   in
   let primary =
     match t.model with

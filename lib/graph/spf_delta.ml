@@ -46,13 +46,16 @@ let[@inline] tight w ~head ~tail =
    whose [u] may have been unreachable.  A destination passing every
    change is clean; any other one differs from [prev] after the batch
    (a moved label, a lost tight arc or a gained one). *)
-let touches dist e =
-  let dv = dist.(e.v) and du = dist.(e.u) in
-  if e.after < e.before then dv <> unreachable && e.after + dv <= du
-  else tight e.before ~head:dv ~tail:du
+let[@inline] label_test dist ~u ~v ~before ~after =
+  let dv = dist.(v) and du = dist.(u) in
+  if after < before then dv <> unreachable && after + dv <= du
+  else tight before ~head:dv ~tail:du
 
 let rec touches_any dist edits i =
-  i < Array.length edits && (touches dist edits.(i) || touches_any dist edits (i + 1))
+  i < Array.length edits
+  && (let e = edits.(i) in
+      label_test dist ~u:e.u ~v:e.v ~before:e.before ~after:e.after
+      || touches_any dist edits (i + 1))
 
 (* Reachable nodes with distance [da] and id [a] precede those with
    [db] and [b] in [order_desc]. *)
@@ -525,6 +528,11 @@ let edits_of g ~weights ~prev ?active changes =
           })
     changes
   |> Array.of_list
+
+let touches g dag (c : change) =
+  c.before <> c.after
+  && label_test dag.Spf.dist ~u:(Graph.src g c.arc) ~v:(Graph.dst g c.arc)
+       ~before:c.before ~after:c.after
 
 let dirty_at active edits dag t =
   (match active with None -> true | Some a -> a.(t))

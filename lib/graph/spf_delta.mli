@@ -69,13 +69,21 @@ val update :
     one ([before] suppressed).  [?active] restricts the screen to the
     flagged destinations, any mask the caller chooses per call (a
     demand-only context's demand destinations, whose [prev] holds
-    placeholder dags elsewhere, or the destinations a failure's flow
+    placeholder dags elsewhere, or the destinations a probe's flow
     screen keeps); inactive destinations always keep their previous
     dag and are never reported dirty.
     @raise Invalid_argument on length mismatches, non-positive
     weights, a [change] whose [after] disagrees with [weights], or a
     distance label too large to pack beside a node id (above
     [max_int] shifted right by the bits of [node_count - 1]). *)
+
+val touches : Graph.t -> Spf.dag -> change -> bool
+(** [touches g dag c] is the O(1) label test {!update} screens a
+    destination with, from [dag]'s labels alone: whether [c] can alter
+    [dag] at all — a drop whose new cost reaches its tail's label, or a
+    raise of an arc that was tight.  A destination that no change of a
+    batch touches is clean, and {!update} keeps its dag; a no-op change
+    ([before = after]) touches nothing. *)
 
 type scratch
 (** Reusable state for {!update_scratch}: the repair kernel's working

@@ -14,6 +14,10 @@ let m_commits =
   Metrics.counter ~help:"Probes committed into evaluation contexts."
     "dtr_eval_commits_total"
 
+let m_fail_probes =
+  Metrics.counter ~help:"Failure probes (link-failure delta evaluations)."
+    "dtr_eval_fail_probes_total"
+
 (* Clone/sync traffic scales with --scan-jobs (one clone per worker,
    one sync per parallel scan per worker), so it is honest but
    scheduling-dependent. *)
@@ -56,7 +60,7 @@ type t = {
   mutable zero_shares : bool;
       (* a walk behind the committed rows split a positive flow into
          zero shares (float underflow); sticky, and it turns the
-         failure probes' flow screen off *)
+         probes' flow screen off *)
   mutable arena : arena option;
       (* probe scratch, allocated by the first probe: set-up builds
          contexts it never probes; a clone starts without one *)
@@ -81,8 +85,10 @@ type t = {
      ([a_touched] is all-false between probes);
    - [a_zero_shares]: a re-projection of this computation split a
      positive flow into zero shares;
-   - [a_screen]: per destination, the flow screen of the group a
-     failure probe is repairing;
+   - [a_screen]: per destination, the flow screen of the group being
+     repaired; [a_changes]/[a_deferred]: a weight probe's effective
+     change list and how many dirty destinations its screen deferred
+     (its commit repairs them);
    - [a_loads]/[a_cap]: patched load totals and residual capacities,
      valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
      classes from [a_kmin] down, and [a_phi] the probed objective.
@@ -111,6 +117,8 @@ and arena = {
   mutable a_ntouched : int;
   mutable a_zero_shares : bool;
   a_screen : bool array;
+  mutable a_changes : Spf_delta.change list;
+  mutable a_deferred : int;
   a_has_ov : bool array;
   a_loads : float array array;
   a_cap : float array array;
@@ -358,6 +366,8 @@ let make_arena t =
     a_ntouched = 0;
     a_zero_shares = false;
     a_screen = Array.make n false;
+    a_changes = [];
+    a_deferred = 0;
     a_has_ov = Array.make classes false;
     a_loads = floats ();
     a_cap = floats ();
@@ -394,6 +404,146 @@ let repair t a gi ~active changes =
   List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
   Spf_delta.update_scratch a.a_spf.(gi) ?active t.graph ~weights:new_w
     ~prev:t.group_dags.(gi) ~changes
+
+(* ------------------------------------------------------------------ *)
+(* The flow screen.  A computation repairs a group's dirty destination
+   only where the repair can move flow, toward it, of a member class
+   the computation prices; every other dirty destination is deferred
+   and keeps its committed dag and rows.  A weight probe's change list
+   is screened, and so is a failure's, whose arcs are raised to
+   Dijkstra.suppressed.
+
+   Without underflow a positive flow splits into positive shares, so a
+   node carries flow toward a destination exactly when one of its
+   out-arcs carries a nonzero committed share, and all of its shortest
+   paths carry that flow.  A raised arc with a zero share therefore
+   lies on no flow node's shortest path, and raises only lengthen
+   paths.  One lowered arc (u, v), now x, cannot reach a flow node z
+   when D_u(z) + x + d(v) > d(z), where D_u are the committed
+   distances to u (the dag of destination u): every path from z over
+   (u, v) costs at least that, since raises only lengthen paths and no
+   shortest path to u or from v uses (u, v).  So every flow node keeps
+   its label, its next-hop set and its place among the other flow
+   nodes.  The ECMP walk from the demand sources reads only flow nodes
+   and adds the same shares in the same order, every source stays
+   reachable, and each committed row is bitwise what re-projecting it
+   would give; so are Λ's walks, which also start at the sources.  Two
+   lowered arcs can chain, and a Demand-mode context holds no dag for
+   an arbitrary u: then every drop that passes the label test forces
+   the repair.  The one hole is a quotient that underflows to a zero
+   share of a positive flow; a context whose committed rows came from
+   such a walk keeps the screen off ([zero_shares]). *)
+
+let m_deferred =
+  Metrics.counter
+    ~help:"Dirty destinations a weight probe's flow screen left to its commit."
+    "dtr_spf_delta_deferred_total"
+
+let m_screened =
+  Metrics.counter
+    ~help:"Dirty destinations failure probes left unrepaired (no priced flow on a failed arc)."
+    "dtr_failure_screened_total"
+
+(* Whether a class of [members], from index [j] on, below [priced],
+   carries a nonzero committed share toward [dst] on [arc]. *)
+let rec carries t ~members ~priced j dst arc =
+  j < Array.length members
+  && (let k = members.(j) in
+      (k < priced
+      &&
+      let row = t.contrib.(k).(dst) in
+      Array.length row > 0 && row.(arc) <> 0.)
+      || carries t ~members ~priced (j + 1) dst arc)
+
+(* Whether one of the out-arcs at CSR positions [i] to [stop - 1]
+   carries such a share: their tail sends such flow toward [dst]. *)
+let rec sends t ~members ~priced dst ids i stop =
+  i < stop
+  && (carries t ~members ~priced 0 dst ids.(i)
+     || sends t ~members ~priced dst ids (i + 1) stop)
+
+(* The drop test of the one lowered arc: a node from [z] on that sends
+   such flow toward [dst] and that a path over the arc reaches at its
+   label or below, where [to_u] are the committed distances to the
+   arc's tail and [via] its new weight plus its head's label. *)
+let rec drop_reaches t ~members ~priced dst ~dist ~to_u ~via z =
+  z < Array.length dist
+  && ((let du = to_u.(z) and dz = dist.(z) in
+       du <> Dijkstra.unreachable
+       && dz <> Dijkstra.unreachable
+       && du + via <= dz
+       &&
+       let off = Graph.out_offsets t.graph in
+       sends t ~members ~priced dst (Graph.out_arc_ids t.graph) off.(z) off.(z + 1))
+     || drop_reaches t ~members ~priced dst ~dist ~to_u ~via (z + 1))
+
+(* At one destination: no change passes the label test ([Clean]), some
+   do but none can move flow ([Deferred]), or one can. *)
+type verdict = Clean | Deferred | Repair
+
+(* The screen's verdict at destination [dst] of group [gi] under the
+   rest of a change list, [v] so far.  [one_drop]: the list's drops are
+   screened by flow. *)
+let rec verdict t gi ~priced ~one_drop dst v = function
+  | [] -> v
+  | (c : Spf_delta.change) :: rest ->
+      let dags = t.group_dags.(gi) in
+      let dag = dags.(dst) in
+      if not (Spf_delta.touches t.graph dag c) then
+        verdict t gi ~priced ~one_drop dst v rest
+      else begin
+        let members = t.group_classes.(gi) in
+        let moves =
+          if c.after > c.before then carries t ~members ~priced 0 dst c.arc
+          else
+            (not one_drop)
+            || drop_reaches t ~members ~priced dst ~dist:dag.Spf.dist
+                 ~to_u:dags.(Graph.src t.graph c.arc).Spf.dist
+                 ~via:(c.after + dag.Spf.dist.(Graph.dst t.graph c.arc))
+                 0
+        in
+        if moves then Repair else verdict t gi ~priced ~one_drop dst Deferred rest
+      end
+
+(* Flag in [a.a_screen] the destinations of group [gi] whose repair
+   under [changes] can move flow of a member class below [priced], and
+   return how many others pass the label test (the deferred ones). *)
+let screen t a gi ~priced changes =
+  let drops =
+    List.fold_left
+      (fun n (c : Spf_delta.change) -> if c.after < c.before then n + 1 else n)
+      0 changes
+  in
+  let one_drop = drops = 1 && Option.is_none t.active.(gi) in
+  let mask = a.a_screen and deferred = ref 0 in
+  for dst = 0 to Array.length mask - 1 do
+    let v =
+      match t.active.(gi) with
+      | Some act when not act.(dst) -> Clean
+      | _ -> verdict t gi ~priced ~one_drop dst Clean changes
+    in
+    match v with
+    | Repair -> mask.(dst) <- true
+    | Deferred ->
+        mask.(dst) <- false;
+        incr deferred
+    | Clean -> mask.(dst) <- false
+  done;
+  !deferred
+
+(* {!repair}, behind the flow screen of the classes below [priced]
+   unless the committed rows underflowed; returns how many dirty
+   destinations the screen deferred. *)
+let repair_screened t a gi ~priced changes =
+  if t.zero_shares then begin
+    repair t a gi ~active:t.active.(gi) changes;
+    0
+  end
+  else begin
+    let deferred = screen t a gi ~priced changes in
+    repair t a gi ~active:(Some a.a_screen) changes;
+    deferred
+  end
 
 (* Re-project one dirty destination's flows into the next free arena
    row and mark every arc whose contribution moved; the row is kept
@@ -572,8 +722,11 @@ let probe t ~klass ~changes =
         else Some { Spf_delta.arc; before = w.(arc); after = v })
       changes
   in
-  repair t a group ~active:t.active.(group) spf_changes;
-  finish t a ~group ~priced:(class_count t) ~unreachable:0
+  let priced = class_count t in
+  a.a_changes <- spf_changes;
+  a.a_deferred <- repair_screened t a group ~priced spf_changes;
+  Metrics.add m_deferred a.a_deferred;
+  finish t a ~group ~priced ~unreachable:0
 
 let probe_phi p = Array.copy p.p_phi
 
@@ -610,6 +763,16 @@ let probe_phi_row t p k =
   let a = p.p_arena in
   if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k)
 
+(* No override of class [k] means every re-projected row of it came out
+   bitwise the committed one; without underflow a row fixes which nodes
+   carry the class's flow and their next-hop sets, and the screen and
+   the same-flow rule keep those at every destination not
+   re-projected. *)
+let probe_keeps_flows t p k =
+  check_view t p "probe_keeps_flows" k;
+  let a = p.p_arena in
+  not (a.a_has_ov.(k) || a.a_zero_shares || t.zero_shares)
+
 (* Failed arcs keep a (cheap) delay entry in the Λ walk.  A dag a
    failure probe did not repair may still route over a failed arc, but
    only at nodes without class-0 flow, which no pair's walk reaches,
@@ -629,6 +792,11 @@ let probe_primary ~model ~th t p =
 let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
+  (* A deferred destination's dag is exact only at flow-carrying nodes;
+     later screens (D_u), failure probes and materialized solutions need
+     it exact everywhere, so the group is repaired again, unscreened.
+     Its rows stay: they are exact. *)
+  if a.a_deferred > 0 then repair t a g ~active:t.active.(g) a.a_changes;
   t.group_w.(g) <- Array.copy a.a_w.(g);
   let spf = a.a_spf.(g) in
   let dirty = Spf_delta.scratch_dirty spf in
@@ -695,68 +863,8 @@ let abort _t _p = ()
    those classes are repaired, only their reachability is checked, and
    only their rows are re-projected and patched.  Each priced class's
    Φ and Fortz row are bitwise those of the full probe ({!patch}).
-
-   The flow screen: a group repairs only the destinations toward which
-   a failed arc carries a nonzero committed share of a priced member
-   class.  At any other destination the failed arcs' tails carry no
-   flow of those classes (a positive flow splits into positive shares),
-   so no label or next-hop set of a node that carries flow can change:
-   such a node's shortest paths all carry its flow, so none uses a
-   failed arc, and a failure only raises labels.  The walk from the
-   demand sources then reads the same nodes and adds the same shares
-   in the same order, every source stays reachable, and the committed
-   dag and rows are exact wherever they are read.  The one exception
-   is a quotient that underflows to a zero share of a positive flow;
-   a context whose committed rows came from such a walk keeps the
-   screen off ([zero_shares]). *)
-
-let m_fail_probes =
-  Metrics.counter ~help:"Failure probes (link-failure delta evaluations)."
-    "dtr_eval_fail_probes_total"
-
-let m_screened =
-  Metrics.counter
-    ~help:"Dirty destinations failure probes left unrepaired (no priced flow on a failed arc)."
-    "dtr_failure_screened_total"
-
-let rec carries row = function
-  | [] -> false
-  | arc :: rest -> row.(arc) <> 0. || carries row rest
-
-(* Flag in [a.a_screen] the destinations toward which one of [arcs]
-   carries a nonzero committed share of a class of group [gi] below
-   [priced]. *)
-let screen t a gi ~priced ~arcs =
-  let mask = a.a_screen in
-  Array.fill mask 0 (Array.length mask) false;
-  let members = t.group_classes.(gi) in
-  for j = 0 to Array.length members - 1 do
-    let k = members.(j) in
-    if k < priced then begin
-      let dsts = a.a_demand_dsts.(k) and rows = t.contrib.(k) in
-      for q = 0 to Array.length dsts - 1 do
-        let dst = dsts.(q) in
-        if carries rows.(dst) arcs then mask.(dst) <- true
-      done
-    end
-  done
-
-let rec on_dag next srcs = function
-  | [] -> false
-  | arc :: rest -> Array.mem arc next.(srcs.(arc)) || on_dag next srcs rest
-
-(* Count the destinations of group [gi] the screen left unrepaired
-   although a failed arc lies on their committed dag (so the label
-   screen would have repaired them). *)
-let count_screened t a gi ~arcs =
-  let dags = t.group_dags.(gi) and srcs = Graph.srcs t.graph in
-  let skipped = ref 0 in
-  for dst = 0 to Array.length dags - 1 do
-    let active = match t.active.(gi) with None -> true | Some act -> act.(dst) in
-    if active && (not a.a_screen.(dst)) && on_dag dags.(dst).Spf.next_arcs srcs arcs
-    then incr skipped
-  done;
-  Metrics.add m_screened !skipped
+   Each repaired group runs behind the flow screen of its priced
+   member classes. *)
 
 let fail_probe ?classes:priced t ~arcs =
   let classes = class_count t in
@@ -783,15 +891,7 @@ let fail_probe ?classes:priced t ~arcs =
             { Spf_delta.arc; before = w.(arc); after = Dijkstra.suppressed })
           arcs
       in
-      let active =
-        if t.zero_shares then t.active.(gi)
-        else begin
-          screen t a gi ~priced ~arcs;
-          Some a.a_screen
-        end
-      in
-      repair t a gi ~active changes;
-      if (not t.zero_shares) && Metrics.enabled () then count_screened t a gi ~arcs
+      Metrics.add m_screened (repair_screened t a gi ~priced changes)
     end
   done;
   (* Severed positive-demand pairs.  Only repaired destinations can

@@ -34,6 +34,9 @@
     allocates nothing large.  A dirty destination whose repair cannot
     move any flow ({!Dtr_graph.Spf_delta.scratch_same_flows_at}) is not
     re-projected: its row would come out bitwise the committed one.
+    Both probe kinds repair behind a flow screen: a dirty destination
+    toward which the change list cannot move any flow of the repaired
+    group is not repaired at all (see {!probe}).
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
@@ -115,6 +118,23 @@ val probe : t -> klass:int -> changes:(int * int) list -> weight probe
     Every change is checked before anything is computed, without
     allocating: a refused change list leaves the arena, and the
     earlier probe's views and commit, as they were.
+
+    The probe repairs a dirty destination only when its change list
+    can move flow, toward it, of a class of the changed group: a raised
+    arc that lies on the destination's dag carries a nonzero committed
+    share toward it, or the list's one lowered arc [(u, v)], now [x],
+    reaches some node [z] that carries such flow at its label or below
+    ([D_u(z) + x + d(v) <= d(z)], with [D_u] the committed distances to
+    [u]).  Two or more lowered arcs, or a [Demand]-mode context (which
+    holds no dag for an arbitrary [u]), repair wherever a drop passes
+    the label test.  Every other dirty destination is deferred: its
+    committed dag and rows are exact at every node that carries flow,
+    so Φ, every Fortz row and the SLA walk are bitwise those of a
+    from-scratch evaluation.  A context whose committed rows came from
+    a walk that split a positive flow into zero shares (float
+    underflow) repairs every dirty destination instead.  With metrics
+    on, [dtr_spf_delta_deferred_total] counts the deferred
+    destinations.
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
@@ -165,13 +185,13 @@ val probe_unreachable : failure probe -> int
 val probe_dags : t -> _ probe -> int -> Dtr_graph.Spf.dag array
 (** A priced class's per-destination DAGs as the probe would leave
     them (treat as immutable): the probe's own for a weight group it
-    repaired, the context's otherwise.  A failure probe's are exact at
-    every node that carries flow of a priced class toward the
-    destination, which is every node a walk from a demand source (the
-    load projection, the SLA delay walk) reads; a destination the
-    probe did not repair keeps its pre-failure dag, which may still
-    route a node without such flow over a failed arc.  An arena view
-    (see above).
+    repaired, the context's otherwise.  They are exact at every node
+    that carries flow of a priced class toward the destination, which
+    is every node a walk from a demand source (the load projection, the
+    SLA delay walk) reads; a destination the flow screen deferred keeps
+    its committed dag, which may still give a node without such flow
+    its old label or next hops (for a failure probe, a route over a
+    failed arc).  An arena view (see above).
     @raise Invalid_argument on a class the probe did not price, or a
     stale probe. *)
 
@@ -182,6 +202,17 @@ val probe_phi_row : t -> _ probe -> int -> float array
     @raise Invalid_argument on a class the probe did not price, a
     stale probe, or a failure probe that severs demand (its rows are
     not computed: severed demand cannot be projected). *)
+
+val probe_keeps_flows : t -> weight probe -> int -> bool
+(** [probe_keeps_flows t p k] is [true] when the probe moved no
+    contribution row of class [k], and neither its re-projections nor
+    the walks behind the context's committed rows split a positive flow
+    into zero shares.  Then the class's loads are the context's, and
+    every node that carries its flow keeps, in {!probe_dags}, its label
+    and next-hop set: anything read along class-[k] flow from the
+    demand sources, such as the SLA delay walk of class 0, comes out as
+    on the context.
+    @raise Invalid_argument on a class out of range or a stale probe. *)
 
 val probe_primary :
   model:Objective.model -> th:Dtr_traffic.Matrix.t -> t -> _ probe -> float
@@ -199,8 +230,12 @@ val probe_primary :
 val commit : t -> weight probe -> unit
 (** Install the context's latest probe: what it moved is copied
     straight from the arena into fresh arrays that replace the
-    committed ones.  Committing advances the state, so every probe
-    taken before goes stale.
+    committed ones.  When the probe deferred a dirty destination, the
+    group is first repaired again without the flow screen, so every
+    committed dag is exact at every node (later probes screen with
+    them); the deferred destinations' rows are kept, being exact.
+    Committing advances the state, so every probe taken before goes
+    stale.
     @raise Invalid_argument on a stale probe: one taken on another
     context, or before the context's last probe, failure probe, commit
     or sync. *)

@@ -21,6 +21,7 @@ module Eval_ctx = Dtr_routing.Eval_ctx
 module Multi = Dtr_routing.Multi
 module Ref_multi = Dtr_oracle.Ref_multi
 module Ref_failure = Dtr_oracle.Ref_failure
+module Narrow_moves = Dtr_oracle.Narrow_moves
 module Failure_sweep = Dtr_routing.Failure_sweep
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
@@ -1332,6 +1333,241 @@ let test_naive_oracle () =
     (Printf.sprintf "%d of 8000 robust J without a tie at the k-th place" !strict)
     true (!strict >= 5000)
 
+(* ------------------------------------------------------------------ *)
+(* A sequence oracle: random interleavings of weight probes, commits,
+   failure probes (class 0 and full), clones and syncs, every outcome
+   priced by Naive_ecmp.  High-priority demand is sparse (one to three
+   pairs) and weights stay within 1–3, so the flow screen defers many
+   repairs and equal-cost ties are common. *)
+
+let sequence_instance seed =
+  let rng = Prng.create (seed + 7919) in
+  let n = Prng.int_incl rng 4 8 in
+  let arc u v =
+    {
+      Graph.src = u;
+      dst = v;
+      capacity = Prng.choose rng [| 2.; 5.; 10. |];
+      delay = Prng.choose rng [| 1.; 5.; 12. |];
+    }
+  in
+  let ring = List.init n (fun v -> arc v ((v + 1) mod n)) in
+  let chords =
+    List.concat
+      (List.init (Prng.int_incl rng n (3 * n)) (fun _ ->
+           let u = Prng.int rng n and v = Prng.int rng n in
+           if u = v then []
+           else if Prng.int rng 4 = 0 then [ arc u v; arc v u ]
+           else [ arc u v ]))
+  in
+  let g = Graph.build ~n (ring @ chords) in
+  let th = Matrix.create n and tl = Matrix.create n in
+  for _ = 1 to Prng.int_incl rng 1 3 do
+    let s = Prng.int rng n in
+    Matrix.set th s ((s + 1 + Prng.int rng (n - 1)) mod n) (0.5 +. Prng.float rng 2.)
+  done;
+  for s = 0 to n - 1 do
+    for t = 0 to n - 1 do
+      if s <> t && Prng.int rng 3 > 0 then Matrix.set tl s t (Prng.float rng 3.)
+    done
+  done;
+  let wh = Narrow_moves.weights rng g in
+  (g, wh, Narrow_moves.weights rng g, th, tl, rng)
+
+(* One context of a sequence, with the weights the oracle prices it at
+   and the destinations its commits deferred, each with the nodes that
+   carried none of the probed group's flow toward it. *)
+type seq_ctx = {
+  ec : Eval_ctx.t;
+  mutable wh : int array;
+  mutable wl : int array;
+  mutable watch : (int * int array * int list) list;  (* dst, classes, zero-flow nodes *)
+}
+
+(* Whether node [z] sends flow of one of [classes] toward [dst] in the
+   committed rows. *)
+let sends ec g classes dst z =
+  let out =
+    List.filter (fun a -> Graph.src g a = z) (List.init (Graph.arc_count g) Fun.id)
+  in
+  Array.exists
+    (fun k ->
+      let row = Eval_ctx.contrib_view ec ~klass:k ~dst in
+      Array.length row > 0 && List.exists (fun a -> row.(a) <> 0.) out)
+    classes
+
+(* The sequence oracle's counts: deferred destinations seen at commits,
+   zero-flow nodes of such a destination that a later commit made carry
+   flow, class-0 probes that kept the context's Λ, and failure probes
+   priced. *)
+type seq_stats = {
+  mutable deferred : int;
+  mutable woke : int;
+  mutable kept : int;
+  mutable failures : int;
+}
+
+let sequence_matches ~str ~model stats seed =
+  let g, wh, wl, th, tl, rng = sequence_instance seed in
+  let sla = match model with Objective.Sla p -> Some p | _ -> None in
+  let what0 =
+    Printf.sprintf "seed %d %s %s" seed (if str then "str" else "dtr")
+      (Objective.model_name model)
+  in
+  let wl = if str then wh else wl in
+  let ec = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let main = { ec; wh; wl; watch = [] } in
+  let problem = Problem.create ~graph:g ~th ~tl ~model in
+  let _, pctx =
+    if str then Problem.eval_str_ctx problem ~w:wh else Problem.eval_dtr_ctx problem ~wh ~wl
+  in
+  let pool = ref [ main ] in
+  let primary (c : Naive.costs) =
+    match model with Objective.Load -> c.Naive.phi_h | Objective.Sla _ -> c.Naive.lambda
+  in
+  let context_lambda c =
+    match sla with
+    | None -> (Eval_ctx.phi c.ec).(0)
+    | Some params ->
+        (Evaluate.evaluate_sla params (Eval_ctx.to_evaluate c.ec) ~th).Evaluate.lambda
+  in
+  for step = 1 to 24 do
+    let c = List.nth !pool (Prng.int rng (List.length !pool)) in
+    let what = Printf.sprintf "%s step %d" what0 step in
+    match Prng.int rng 8 with
+    | 0 | 1 | 2 | 3 ->
+        let klass = if str then 0 else Prng.int rng 2 in
+        let _, changes = Narrow_moves.changes rng (if klass = 0 then c.wh else c.wl) in
+        let wh' = if klass = 0 then apply c.wh changes else c.wh in
+        let wl' = if str then wh' else if klass = 1 then apply c.wl changes else c.wl in
+        let want = Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl in
+        let p = Eval_ctx.probe c.ec ~klass ~changes in
+        let phi = Eval_ctx.probe_phi p in
+        check_close ~what "probe phi_h" phi.(0) want.Naive.phi_h;
+        check_close ~what "probe phi_l" phi.(1) want.Naive.phi_l;
+        check_close ~what "probe primary" (Eval_ctx.probe_primary ~model ~th c.ec p)
+          (primary want);
+        if (klass = 0 || str) && Eval_ctx.probe_keeps_flows c.ec p 0 then begin
+          stats.kept <- stats.kept + 1;
+          check_close ~what "kept primary" (context_lambda c) (primary want)
+        end;
+        let commit = Prng.bool rng in
+        (* [main]'s probes and commits are mirrored on a Problem context,
+           whose SLA primary may keep the context's Λ. *)
+        if c == main then begin
+          let cls = if klass = 0 then `H else `L in
+          let d = Problem.eval_delta problem pctx ~cls ~changes in
+          check_close ~what "Problem primary" (Problem.delta_objective d).Lexico.primary
+            (primary want);
+          check_close ~what "Problem phi_l" (Problem.delta_phi_l d) want.Naive.phi_l;
+          if commit then begin
+            let sol = Problem.commit_delta problem pctx d in
+            check_close ~what "Problem committed primary"
+              (Problem.objective sol).Lexico.primary (primary want)
+          end
+        end;
+        if commit then begin
+          let classes =
+            Array.of_list
+              (List.filter (fun k -> Eval_ctx.shares_group c.ec k klass) [ 0; 1 ])
+          in
+          let view = Array.copy (Eval_ctx.probe_dags c.ec p klass) in
+          let prev = Eval_ctx.dags c.ec klass in
+          Eval_ctx.commit c.ec p;
+          c.wh <- wh';
+          c.wl <- wl';
+          let after = Eval_ctx.dags c.ec klass in
+          let committed = Eval_ctx.phi c.ec in
+          check_close ~what "committed phi_h" committed.(0) want.Naive.phi_h;
+          check_close ~what "committed phi_l" committed.(1) want.Naive.phi_l;
+          check_close ~what "committed primary" (context_lambda c) (primary want);
+          (* A watched zero-flow node that now carries flow. *)
+          c.watch <-
+            List.filter
+              (fun (dst, classes, nodes) ->
+                if List.exists (sends c.ec g classes dst) nodes then begin
+                  stats.woke <- stats.woke + 1;
+                  false
+                end
+                else true)
+              c.watch;
+          Array.iteri
+            (fun dst (d : Spf.dag) ->
+              if d == prev.(dst) && after.(dst) != prev.(dst) then begin
+                stats.deferred <- stats.deferred + 1;
+                let idle =
+                  List.filter
+                    (fun z -> z <> dst && not (sends c.ec g classes dst z))
+                    (List.init (Graph.node_count g) Fun.id)
+                in
+                c.watch <- (dst, classes, idle) :: c.watch
+              end)
+            view
+        end
+    | 4 | 5 ->
+        let links = Graph.undirected_link_pairs g in
+        let a, b = links.(Prng.int rng (Array.length links)) in
+        let priced = Prng.int_incl rng 1 2 in
+        let what = Printf.sprintf "%s link (%d, %d), %d classes" what a b priced in
+        let arcs = if a = b then [ a ] else [ a; b ] in
+        let f = Eval_ctx.fail_probe ~classes:priced c.ec ~arcs in
+        let reduced, mapping = Ref_failure.fail_link g ~link:(a, b) in
+        let wh = Ref_failure.remap_weights c.wh mapping in
+        let wl = Ref_failure.remap_weights c.wl mapping in
+        let cut =
+          naive_severed reduced ~weights:wh (if priced = 1 then [| th |] else [| th; tl |])
+        in
+        Alcotest.(check int) (what ^ ": severed pairs") cut (Eval_ctx.probe_unreachable f);
+        if cut = 0 then begin
+          stats.failures <- stats.failures + 1;
+          (* Class 0 alone prices without low-priority demand, which may
+             be severed. *)
+          let tl = if priced = 1 then Matrix.create (Graph.node_count g) else tl in
+          let want = Naive.evaluate ?sla reduced ~wh ~wl ~th ~tl in
+          let phi = Eval_ctx.probe_phi f in
+          check_close ~what "failure phi_h" phi.(0) want.Naive.phi_h;
+          check_close ~what "failure primary" (Eval_ctx.probe_primary ~model ~th c.ec f)
+            (primary want);
+          if priced = 2 then check_close ~what "failure phi_l" phi.(1) want.Naive.phi_l
+        end
+    | 6 ->
+        if List.length !pool < 4 then
+          pool :=
+            !pool
+            @ [ { ec = Eval_ctx.clone c.ec; wh = c.wh; wl = c.wl; watch = [] } ]
+    | _ ->
+        if c != main then begin
+          Eval_ctx.sync ~src:main.ec ~dst:c.ec;
+          c.wh <- main.wh;
+          c.wl <- main.wl;
+          c.watch <- []
+        end
+  done
+
+let test_sequence_oracle () =
+  let stats = { deferred = 0; woke = 0; kept = 0; failures = 0 } in
+  for seed = 1 to 500 do
+    List.iter
+      (fun str ->
+        List.iter
+          (fun model -> sequence_matches ~str ~model stats seed)
+          [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ])
+      [ false; true ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d deferred destinations committed" stats.deferred)
+    true (stats.deferred > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d zero-flow nodes of deferred destinations later carry flow"
+       stats.woke)
+    true (stats.woke > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d class-0 probes kept the context's Λ" stats.kept)
+    true (stats.kept > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d survivable failure probes" stats.failures)
+    true (stats.failures > 0)
+
 (* Two-stage diamond, unit demand 0 -> 5 over three equal-cost paths:
    0-1-3-5, 0-1-4-5 and 0-2-5.  OSPF splits per hop, so the first hop
    to 2 carries 1/2; an even split per path would give it 1/3. *)
@@ -1402,5 +1638,7 @@ let () =
             test_naive_oracle;
           Alcotest.test_case "per-hop split on a two-stage diamond" `Quick
             test_naive_diamond;
+          Alcotest.test_case "engine = naive ECMP over probe/commit/failure sequences"
+            `Quick test_sequence_oracle;
         ] );
     ]

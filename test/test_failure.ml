@@ -18,9 +18,11 @@ module Gravity = Dtr_traffic.Gravity
 module Highpri = Dtr_traffic.Highpri
 module Weights = Dtr_routing.Weights
 module Eval_ctx = Dtr_routing.Eval_ctx
+module Evaluate = Dtr_routing.Evaluate
 module Failure_sweep = Dtr_routing.Failure_sweep
 module Ref_failure = Dtr_oracle.Ref_failure
 module Ref_loads = Dtr_oracle.Ref_loads
+module Narrow_moves = Dtr_oracle.Narrow_moves
 module Objective = Dtr_routing.Objective
 module Lexico = Dtr_cost.Lexico
 module Problem = Dtr_core.Problem
@@ -870,6 +872,244 @@ let test_screen_underflow () =
   check_failures "fresh" fresh ~wh:w
 
 (* ------------------------------------------------------------------ *)
+(* Flow-screened weight probes: a weight probe repairs a dirty
+   destination only where its change list can move flow of the probed
+   group, and its commit repairs the rest *)
+
+let hops set = List.sort compare (Array.to_list set)
+
+(* At every node with positive flow of class [k] toward a destination
+   (walked over [fresh], the from-scratch dags), [dags] carry
+   [fresh]'s label and next-hop set. *)
+let check_flow_nodes ~what g ctx k ~fresh dags =
+  for dst = 0 to Graph.node_count g - 1 do
+    let demand_to_dst = Eval_ctx.demand_view ctx ~klass:k ~dst in
+    if Array.length demand_to_dst > 0 then
+      Array.iteri
+        (fun x flow ->
+          let want = fresh.(dst) and got = dags.(dst) in
+          if
+            flow > 0.
+            && (want.Spf.dist.(x) <> got.Spf.dist.(x)
+               || hops want.Spf.next_arcs.(x) <> hops got.Spf.next_arcs.(x))
+          then
+            Alcotest.failf "%s: class %d, node %d to %d: label or next hops differ" what k x
+              dst)
+        (Ref_loads.node_throughflow g ~dag:fresh.(dst) ~demand_to_dst)
+  done
+
+let sla_lambda ~th ctx =
+  (Evaluate.evaluate_sla Dtr_cost.Sla.default (Eval_ctx.to_evaluate ctx) ~th)
+    .Evaluate.lambda
+
+(* Screen coverage over a run: dirty destinations deferred under a
+   single drop and under a single raise, and probes whose class-0
+   flows stayed put (so Λ is the context's). *)
+type coverage = { mutable by_drop : int; mutable by_raise : int; mutable kept : int }
+
+(* A run of screened weight probes on [ctx] (classes [th], [tl]), half
+   of them committed, each held to a context built from scratch at the
+   probed weights: Φ and every Fortz row bitwise, Λ walked over the
+   probe's views bitwise, the context's own Λ bitwise when the probe
+   keeps class 0's flows, and the probe's labels and next-hop sets at
+   every flow-carrying node.  After a commit every dag of the context
+   equals a from-scratch SPF at every node. *)
+let weight_screen_matches_fresh ~what ~str rng cov ctx (g, th, tl) =
+  let matrices = [| th; tl |] in
+  for step = 1 to 40 do
+    let klass = if str then 0 else Prng.int rng 2 in
+    let kind, changes = Narrow_moves.changes rng (Eval_ctx.weights_view ctx klass) in
+    let what = Printf.sprintf "%s step %d" what step in
+    let before = counter "dtr_spf_delta_deferred_total" in
+    let p = Eval_ctx.probe ctx ~klass ~changes in
+    let deferred = counter "dtr_spf_delta_deferred_total" - before in
+    (match kind with
+    | Narrow_moves.Drop -> cov.by_drop <- cov.by_drop + deferred
+    | Raise -> cov.by_raise <- cov.by_raise + deferred
+    | Move | Two_drops -> ());
+    let probed k =
+      if Eval_ctx.shares_group ctx k klass then
+        let w = Eval_ctx.weights ctx k in
+        List.iter (fun (a, v) -> w.(a) <- v) changes;
+        w
+      else Eval_ctx.weights ctx k
+    in
+    let weights =
+      if str then
+        let w = probed 0 in
+        [| w; w |]
+      else [| probed 0; probed 1 |]
+    in
+    let fresh = Eval_ctx.create g ~weights ~matrices in
+    let phi = Eval_ctx.probe_phi p and want = Eval_ctx.phi fresh in
+    for k = 0 to 1 do
+      check_bits (Printf.sprintf "%s: Φ_%d" what k) want.(k) phi.(k);
+      let row = Eval_ctx.probe_phi_row ctx p k in
+      Array.iteri
+        (fun a x -> check_bits (Printf.sprintf "%s: Φ_%d arc %d" what k a) x row.(a))
+        (Eval_ctx.phi_per_arc fresh k);
+      check_flow_nodes ~what g ctx k ~fresh:(Eval_ctx.dags fresh k)
+        (Eval_ctx.probe_dags ctx p k)
+    done;
+    let lambda = sla_lambda ~th fresh in
+    check_bits (what ^ ": Λ walked")
+      lambda
+      (Eval_ctx.probe_primary ~model:(Objective.Sla Dtr_cost.Sla.default) ~th ctx p);
+    if Eval_ctx.probe_keeps_flows ctx p 0 then begin
+      if klass = 0 || str then cov.kept <- cov.kept + 1;
+      check_bits (what ^ ": Λ kept") lambda (sla_lambda ~th ctx)
+    end;
+    if Prng.bool rng then begin
+      Eval_ctx.commit ctx p;
+      check_bits (what ^ ": committed Φ_H") want.(0) (Eval_ctx.phi ctx).(0);
+      for k = 0 to 1 do
+        let fresh = Eval_ctx.dags fresh k in
+        Array.iteri
+          (fun dst (d : Spf.dag) ->
+            let c = (Eval_ctx.dags ctx k).(dst) in
+            if
+              c.Spf.dist <> d.Spf.dist
+              || c.Spf.next_arcs <> d.Spf.next_arcs
+              || c.Spf.order_desc <> d.Spf.order_desc
+            then Alcotest.failf "%s: committed class-%d dag to %d is stale" what k dst)
+          fresh
+      done
+    end
+  done
+
+(* Sparse class-0 demand (density 0.05, or one pair) on the fixtures,
+   with narrow weights, in a DTR and an STR context each. *)
+let test_weight_screen_matches_fresh () =
+  let cov = { by_drop = 0; by_raise = 0; kept = 0 } in
+  with_metrics (fun () ->
+      for seed = 0 to 47 do
+        let g = fixture seed in
+        let n = Graph.node_count g in
+        let rng = Prng.create ((seed * 31) + 7) in
+        let tl = Gravity.generate rng ~n Gravity.default in
+        let single =
+          let src = Prng.int_incl rng 0 (n - 1) in
+          [ (src, (src + 1 + Prng.int_incl rng 0 (n - 2)) mod n) ]
+        in
+        List.iter
+          (fun pairs ->
+            let th = Highpri.volumes rng ~low:tl ~fraction:0.3 ~pairs in
+            let wh = Narrow_moves.weights rng g and wl = Narrow_moves.weights rng g in
+            List.iter
+              (fun str ->
+                let weights = if str then [| wh; wh |] else [| wh; wl |] in
+                let ctx = Eval_ctx.create g ~weights ~matrices:[| th; tl |] in
+                weight_screen_matches_fresh
+                  ~what:(Printf.sprintf "seed %d %s %d pairs" seed
+                           (if str then "str" else "dtr") (List.length pairs))
+                  ~str rng cov ctx (g, th, tl))
+              [ false; true ])
+          [ Highpri.random_pairs rng ~n ~density:0.05; single ]
+      done);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d destinations deferred under a drop" cov.by_drop)
+    true (cov.by_drop > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d destinations deferred under a raise" cov.by_raise)
+    true (cov.by_raise > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d class-0 probes kept the context's Λ" cov.kept)
+    true (cov.kept > 0)
+
+let test_weight_screen_underflow () =
+  (* The diamond of [test_screen_underflow] with a second branch
+     1 -> 4 -> 3 one unit longer than 1 -> 3, and 20 ms on every link,
+     so the pair 0 -> 3 (5e-324, split at node 0 into two halves that
+     round to zero) misses the 25 ms bound.  The context's committed
+     rows underflowed, so weight probes must repair every dirty
+     destination and walk Λ.  Raising 1 -> 3 sends the demand whole
+     down 0-2-3 although no arc carried a share of it (a screen would
+     price Φ_H at 0).  Dropping 4 -> 3 ties node 1's two branches:
+     every class-0 row stays zero, yet the pair's expected delay moves.
+     The underflow comes from [create], from the commit that first
+     splits the demand, through a clone of that context, and through a
+     sync of a clone taken before the commit.  Then, in an STR context
+     where class 1 carries the split demand and class 0 an untouched
+     pair, a probe whose class-1 split underflows keeps no Λ although
+     its class-0 rows stay put. *)
+  let arc src dst = { Graph.src; dst; capacity = 100.; delay = 20. } in
+  let g =
+    Graph.build ~n:5
+      (List.concat_map
+         (fun (a, b) -> [ arc a b; arc b a ])
+         [ (0, 1); (0, 2); (1, 3); (2, 3); (1, 4); (4, 3) ])
+  in
+  let find src dst = Option.get (Graph.find_arc g ~src ~dst) in
+  let th = Matrix.create 5 and tl = Matrix.create 5 in
+  Matrix.set th 0 3 5e-324;
+  Matrix.set tl 1 2 10.;
+  Matrix.set tl 3 0 5.;
+  let w = Weights.uniform g 10 in
+  w.(find 1 4) <- 5;
+  w.(find 4 3) <- 6;
+  let w' = Array.copy w in
+  w'.(find 0 2) <- 11;
+  let sla = Objective.Sla Dtr_cost.Sla.default in
+  let problem = Problem.create ~graph:g ~th ~tl ~model:sla in
+  with_metrics (fun () ->
+      let _, pctx = Problem.eval_dtr_ctx problem ~wh:w ~wl:(Array.copy w) in
+      let matrices = [| th; tl |] in
+      let one_path = Eval_ctx.create g ~weights:[| w'; Array.copy w |] ~matrices in
+      let early_clone = Eval_ctx.clone one_path in
+      Eval_ctx.commit one_path
+        (Eval_ctx.probe one_path ~klass:0 ~changes:[ (find 0 2, 10) ]);
+      Eval_ctx.sync ~src:one_path ~dst:early_clone;
+      List.iter
+        (fun (name, ctx) ->
+          List.iter
+            (fun (what, changes, (moves_phi, moves_lambda)) ->
+              let what = name ^ ", " ^ what in
+              let wh = Array.copy w in
+              List.iter (fun (a, v) -> wh.(a) <- v) changes;
+              let fresh = Eval_ctx.create g ~weights:[| wh; w |] ~matrices in
+              let before = counter "dtr_spf_delta_deferred_total" in
+              let p = Eval_ctx.probe ctx ~klass:0 ~changes in
+              Alcotest.(check int) (what ^ ": nothing deferred") before
+                (counter "dtr_spf_delta_deferred_total");
+              let phi_h = (Eval_ctx.phi fresh).(0) in
+              check_bits (what ^ ": Φ_H") phi_h (Eval_ctx.probe_phi p).(0);
+              let moved x y = Int64.bits_of_float x <> Int64.bits_of_float y in
+              Alcotest.(check bool) (what ^ ": the move shifts Φ_H") moves_phi
+                (moved phi_h (Eval_ctx.phi ctx).(0));
+              let lambda = sla_lambda ~th fresh in
+              check_bits (what ^ ": Λ walked") lambda
+                (Eval_ctx.probe_primary ~model:sla ~th ctx p);
+              Alcotest.(check bool) (what ^ ": Λ not kept") false
+                (Eval_ctx.probe_keeps_flows ctx p 0);
+              Alcotest.(check bool) (what ^ ": the move shifts Λ") moves_lambda
+                (moved lambda (sla_lambda ~th ctx));
+              let d = Problem.eval_delta problem pctx ~cls:`H ~changes in
+              check_bits (what ^ ": Problem's Λ") lambda
+                (Problem.delta_objective d).Lexico.primary)
+            [
+              ("raise 1-3", [ (find 1 3, 12) ], (true, false));
+              ("drop 4-3", [ (find 4 3, 5) ], (false, true));
+            ])
+        [
+          ("created", Eval_ctx.create g ~weights:[| w; Array.copy w |] ~matrices);
+          ("committed", one_path);
+          ("clone", Eval_ctx.clone one_path);
+          ("synced", early_clone);
+        ];
+      Alcotest.(check int) "no Λ kept" 0 (counter "dtr_sla_lambda_reused_total");
+      let w' = Array.copy w in
+      w'.(find 0 2) <- 11;
+      let th' = Matrix.create 5 in
+      Matrix.set th' 1 3 1.;
+      let str = Eval_ctx.create g ~weights:[| w'; w' |] ~matrices:[| th'; th |] in
+      Alcotest.(check bool) "str: the committed rows did not underflow" true
+        (Eval_ctx.probe_keeps_flows str (Eval_ctx.probe str ~klass:0 ~changes:[]) 0);
+      let p = Eval_ctx.probe str ~klass:0 ~changes:[ (find 0 2, 10) ] in
+      check_bits "str: Φ_H unchanged" (Eval_ctx.phi str).(0) (Eval_ctx.probe_phi p).(0);
+      Alcotest.(check bool) "str: class-1 split underflowed, Λ not kept" false
+        (Eval_ctx.probe_keeps_flows str p 0))
+
+(* ------------------------------------------------------------------ *)
 (* Memo key consistency across commits (Vmemo hit-rate soft spot) *)
 
 let small_problem seed =
@@ -1192,5 +1432,9 @@ let () =
             test_screen_matches_scratch_random50;
           Alcotest.test_case "an underflowed split keeps the screen off" `Quick
             test_screen_underflow;
+          Alcotest.test_case "screened weight probes = fresh context (bitwise)" `Quick
+            test_weight_screen_matches_fresh;
+          Alcotest.test_case "an underflowed split keeps weight probes unscreened"
+            `Quick test_weight_screen_underflow;
         ] );
     ]
