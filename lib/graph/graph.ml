@@ -184,6 +184,73 @@ let is_strongly_connected t =
     fwd = t.n && bwd = t.n
   end
 
+(* One iterative lowpoint DFS per component that holds an endpoint,
+   rooted at that endpoint, over the undirected multigraph (a node's
+   neighbours are its out-arcs' heads, then its in-arcs' tails; the
+   edge back to the parent may count toward [low], which never turns
+   [low.(c) >= disc.(p)] false).  The parts that a cut vertex [p]
+   separates, other than the one holding the root, are exactly the
+   subtrees of its children [c] with [low.(c) >= disc.(p)]: such a
+   subtree with no endpoint is off-core, and so is everything below
+   it.  A component with no endpoint is never entered. *)
+let off_core t ~endpoints =
+  if Array.length endpoints <> t.n then
+    invalid_arg "Graph.off_core: endpoints length mismatch";
+  let n = t.n in
+  let disc = Array.make n (-1) and low = Array.make n 0 in
+  let parent = Array.make n (-1) and held = Array.make n 0 in
+  let next = Array.make n 0 and preorder = Array.make n 0 in
+  let stack = Array.make n 0 in
+  let time = ref 0 in
+  let visit v p =
+    disc.(v) <- !time;
+    low.(v) <- !time;
+    preorder.(!time) <- v;
+    incr time;
+    parent.(v) <- p
+  in
+  for root = 0 to n - 1 do
+    if endpoints.(root) && disc.(root) < 0 then begin
+      visit root (-1);
+      stack.(0) <- root;
+      let sp = ref 1 in
+      while !sp > 0 do
+        let v = stack.(!sp - 1) in
+        let i = next.(v) in
+        let outs = t.out_off.(v + 1) - t.out_off.(v) in
+        if i < outs + t.in_off.(v + 1) - t.in_off.(v) then begin
+          next.(v) <- i + 1;
+          let w =
+            if i < outs then t.arc_dst.(t.out_ids.(t.out_off.(v) + i))
+            else t.arc_src.(t.in_ids.(t.in_off.(v) + i - outs))
+          in
+          if disc.(w) < 0 then begin
+            visit w v;
+            stack.(!sp) <- w;
+            incr sp
+          end
+          else if disc.(w) < low.(v) then low.(v) <- disc.(w)
+        end
+        else begin
+          decr sp;
+          if endpoints.(v) then held.(v) <- held.(v) + 1;
+          let p = parent.(v) in
+          if p >= 0 then begin
+            if low.(v) < low.(p) then low.(p) <- low.(v);
+            held.(p) <- held.(p) + held.(v)
+          end
+        end
+      done
+    end
+  done;
+  let off = Array.make n true in
+  for i = 0 to !time - 1 do
+    let v = preorder.(i) in
+    let p = parent.(v) in
+    off.(v) <- p >= 0 && (off.(p) || (held.(v) = 0 && low.(v) >= disc.(p)))
+  done;
+  off
+
 let reverse t =
   let flipped = ref [] in
   for id = t.m - 1 downto 0 do

@@ -99,6 +99,18 @@ val delays : t -> float array
 val is_strongly_connected : t -> bool
 (** True when every node can reach every other node. *)
 
+val off_core : t -> endpoints:bool array -> bool array
+(** [off_core g ~endpoints] flags, per node, the nodes on no simple
+    path between two distinct flagged [endpoints], taking every arc as
+    an undirected edge (parallel and anti-parallel arcs included): the
+    nodes of a component with fewer than two endpoints, and the nodes
+    of every endpoint-free part that a single cut vertex separates from
+    the endpoints.  An endpoint is never off-core, and a simple path
+    (directed or not) between two nodes that are not off-core visits
+    no off-core node: to enter an off-core part it must pass the cut
+    vertex, and to leave, pass it again.  One lowpoint DFS, O(n + m).
+    @raise Invalid_argument if [endpoints] has the wrong length. *)
+
 val reverse : t -> t
 (** Graph with every arc flipped (same arc ids). *)
 

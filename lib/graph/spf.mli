@@ -33,14 +33,23 @@ val of_dist : Graph.t -> weights:int array -> dst:int -> dist:int array -> dag
     them. *)
 
 val node_next_arcs :
-  Graph.t -> weights:int array -> dist:int array -> old:int array -> int -> int array
+  ?skip:bool array ->
+  Graph.t ->
+  weights:int array ->
+  dist:int array ->
+  old:int array ->
+  int ->
+  int array
 (** [node_next_arcs g ~weights ~dist ~old v] is the ECMP next-hop arc
     set of node [v], filtered from its out-arcs in arc-id order: all
     arcs [(v, u)] with [w(v,u) + dist(u) = dist(v)].  When [old]
     already holds exactly that set, [old] itself is returned and
     nothing is allocated ({!of_dist} passes [[||]]; {!Spf_delta}'s
     repairs pass the previous dag's set, so an unchanged set stays
-    shared). *)
+    shared).  [skip] (per node; default none) leaves out the arcs
+    toward the nodes it flags, whatever their labels: a masked
+    {!Spf_delta} repair passes its off-core nodes, whose labels it
+    does not keep current. *)
 
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array

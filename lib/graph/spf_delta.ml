@@ -75,6 +75,11 @@ let raised edits id =
   let i = edit_index edits id 0 in
   i >= 0 && edits.(i).after > edits.(i).before
 
+(* Whether a repair may touch node [x]: [off] flags the off-core nodes
+   of a masked repair, and [masked] (whether there is a mask, read once
+   per repair) keeps the lookup out of an unmasked repair's way. *)
+let[@inline] core ~masked off x = not (masked && off.(x))
+
 (* ------------------------------------------------------------------ *)
 (* The repair kernel's working state, reused from repair to repair and
    sized for one graph: int stacks of the marked nodes (which double as
@@ -320,13 +325,15 @@ let merge_order k buf ~d ~dist old =
 (* Recompute node [x]'s next-hop set under [dist] (the set
    {!Spf.node_next_arcs} builds, kept as [old] when equal), replacing
    it in [next] and logging the write when it moved.  Each node is
-   recomputed once per repair. *)
-let refresh k g ~weights ~dist ~t ~old_next buf x =
+   recomputed once per repair.  A masked repair passes its off-core
+   nodes, whose labels may be stale, for the set to skip. *)
+let refresh k g ~weights ~dist ~t ~old_next ?off_core buf x =
   if k.seen.(x) <> k.stamp then begin
     k.seen.(x) <- k.stamp;
     let old = old_next.(x) in
     let set =
-      if x <> t && dist.(x) <> unreachable then Spf.node_next_arcs g ~weights ~dist ~old x
+      if x <> t && dist.(x) <> unreachable then
+        Spf.node_next_arcs ?skip:off_core g ~weights ~dist ~old x
       else if Array.length old = 0 then old
       else [||]
     in
@@ -348,8 +355,10 @@ let refresh k g ~weights ~dist ~t ~old_next buf x =
    tight arcs move by the node's own label shift, so they keep their
    relative places; only the tail of a changed arc on the dag can move
    among its head's upstream neighbours.  The destination's own inflow
-   is never summed. *)
-let keeps_flows g ~weights ~edits ~d ~dist t =
+   is never summed, and neither is an off-core node's flow (there is
+   none), so off-core tails, whose labels a masked repair leaves stale,
+   are ignored. *)
+let keeps_flows g ~weights ~edits ~masked ~off ~d ~dist t =
   let in_off = Graph.in_offsets g and in_ids = Graph.in_arc_ids g in
   let srcs = Graph.srcs g in
   let ok = ref true and i = ref 0 in
@@ -357,7 +366,8 @@ let keeps_flows g ~weights ~edits ~d ~dist t =
     let e = edits.(!i) in
     incr i;
     let h = e.v and a = e.u in
-    if h <> t && tight e.after ~head:dist.(h) ~tail:dist.(a) then begin
+    if h <> t && core ~masked off a && tight e.after ~head:dist.(h) ~tail:dist.(a)
+    then begin
       let j = ref in_off.(h) in
       while !ok && !j < in_off.(h + 1) do
         let id = in_ids.(!j) in
@@ -365,6 +375,7 @@ let keeps_flows g ~weights ~edits ~d ~dist t =
         incr j;
         if
           z <> a
+          && core ~masked off z
           && tight weights.(id) ~head:dist.(h) ~tail:dist.(z)
           && precedes ~da:d.(z) z ~db:d.(a) a <> precedes ~da:dist.(z) z ~db:dist.(a) a
         then ok := false
@@ -391,8 +402,21 @@ let keeps_flows g ~weights ~edits ~d ~dist t =
    shares the old labels and order when no label moved, and otherwise
    [buf]'s, and every next-hop set that did not change.  Afterwards
    [k.moved] lists the moved nodes and [k.sets_moved] tells whether a
-   set was replaced. *)
-let repair g k ~weights ~edits dag buf =
+   set was replaced.
+
+   A masked repair ([off_core]) never marks, seeds, settles or re-sets
+   an off-core node, never seeds a core node from an off-core
+   out-neighbour or over a dropped arc with an off-core end, and leaves
+   off-core heads out of the next-hop sets it recomputes.  A simple
+   path between core nodes stays in the core ({!Graph.off_core}), so
+   at a core destination every core node's label and next-hop set, and
+   its place among the core nodes in the order, come out as unmasked;
+   off-core nodes keep their old labels and sets, which may be stale (a
+   stale label can even look tight once its cut vertex's label has
+   risen), and carry no flow. *)
+let repair g k ~weights ~edits ?off_core dag buf =
+  let off = Option.value off_core ~default:[||] in
+  let masked = Option.is_some off_core in
   let t = dag.Spf.dst and d = dag.Spf.dist and old_next = dag.Spf.next_arcs in
   let lab = buf.lab in
   let in_off = Graph.in_offsets g and in_ids = Graph.in_arc_ids g in
@@ -408,8 +432,11 @@ let repair g k ~weights ~edits dag buf =
      in-arcs; [marked] is its worklist. *)
   for i = 0 to Array.length edits - 1 do
     let e = edits.(i) in
-    if e.after > e.before && tight e.before ~head:d.(e.v) ~tail:d.(e.u) then
-      examine k ~edits ~dsts ~lab old_next e.u
+    if
+      e.after > e.before
+      && core ~masked off e.u
+      && tight e.before ~head:d.(e.v) ~tail:d.(e.u)
+    then examine k ~edits ~dsts ~lab old_next e.u
   done;
   let i = ref 0 in
   while !i < k.nmarked do
@@ -420,6 +447,7 @@ let repair g k ~weights ~edits dag buf =
       let z = srcs.(id) in
       if
         lab.(z) <> unreachable
+        && core ~masked off z
         && tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
       then examine k ~edits ~dsts ~lab old_next z
     done
@@ -430,21 +458,28 @@ let repair g k ~weights ~edits dag buf =
     let best = ref unreachable in
     for j = out_off.(x) to out_off.(x + 1) - 1 do
       let id = out_ids.(j) in
-      let w = weights.(id) and l = lab.(dsts.(id)) in
-      if w <> suppressed && l <> unreachable && w + l < !best then best := w + l
+      let y = dsts.(id) in
+      let w = weights.(id) and l = lab.(y) in
+      if w <> suppressed && l <> unreachable && core ~masked off y && w + l < !best
+      then best := w + l
     done;
     if !best <> unreachable then push k lab x !best
   done;
   for i = 0 to Array.length edits - 1 do
     let e = edits.(i) in
     let l = lab.(e.v) in
-    if e.after < e.before && l <> unreachable && e.after + l < lab.(e.u) then
-      push k lab e.u (e.after + l)
+    if
+      e.after < e.before
+      && l <> unreachable
+      && core ~masked off e.u
+      && core ~masked off e.v
+      && e.after + l < lab.(e.u)
+    then push k lab e.u (e.after + l)
   done;
   (* 3. Re-settle.  A node's first pop carries its final label. *)
-  let mask = (1 lsl k.shift) - 1 in
+  let node_of_key = (1 lsl k.shift) - 1 in
   while k.hsize > 0 do
-    let x = heap_pop k land mask in
+    let x = heap_pop k land node_of_key in
     if settled.(x) <> stamp then begin
       settled.(x) <- stamp;
       k.settles <- k.settles + 1;
@@ -456,8 +491,12 @@ let repair g k ~weights ~edits dag buf =
       for j = in_off.(x) to in_off.(x + 1) - 1 do
         let id = in_ids.(j) in
         let z = srcs.(id) and w = weights.(id) in
-        if w <> suppressed && settled.(z) <> stamp && lx + w < lab.(z) then
-          push k lab z (lx + w)
+        if
+          w <> suppressed
+          && settled.(z) <> stamp
+          && core ~masked off z
+          && lx + w < lab.(z)
+        then push k lab z (lx + w)
       done
     end
   done;
@@ -471,20 +510,22 @@ let repair g k ~weights ~edits dag buf =
   done;
   let dist = if k.nmoved = 0 then d else lab in
   for i = 0 to Array.length edits - 1 do
-    refresh k g ~weights ~dist ~t ~old_next buf edits.(i).u
+    let u = edits.(i).u in
+    if core ~masked off u then refresh k g ~weights ~dist ~t ~old_next ?off_core buf u
   done;
   for i = 0 to k.nmoved - 1 do
     let x = k.moved.(i) in
-    refresh k g ~weights ~dist ~t ~old_next buf x;
+    refresh k g ~weights ~dist ~t ~old_next ?off_core buf x;
     (* An in-neighbour's set changes through this arc only if the arc
        was or is tight. *)
     for j = in_off.(x) to in_off.(x + 1) - 1 do
       let id = in_ids.(j) in
       let z = srcs.(id) in
       if
-        tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
-        || tight weights.(id) ~head:dist.(x) ~tail:dist.(z)
-      then refresh k g ~weights ~dist ~t ~old_next buf z
+        core ~masked off z
+        && (tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
+           || tight weights.(id) ~head:dist.(x) ~tail:dist.(z))
+      then refresh k g ~weights ~dist ~t ~old_next ?off_core buf z
     done
   done;
   let order_desc =
@@ -669,9 +710,13 @@ let claim s n t dag =
   b.lab_logged <- 0;
   b
 
-let update_scratch s ?active g ~weights ~prev ~changes =
+let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
   let edits = edits_of g ~weights ~prev ?active changes in
   let n = Graph.node_count g in
+  let off = Option.value off_core ~default:[||] in
+  let masked = Option.is_some off_core in
+  if masked && Array.length off <> n then
+    invalid_arg "Spf_delta.update: off_core length mismatch";
   if Array.length s.view <> n then begin
     s.view <- Array.copy prev;
     s.view_src <- prev;
@@ -699,7 +744,7 @@ let update_scratch s ?active g ~weights ~prev ~changes =
       let dag = prev.(t) in
       if dirty_at active edits dag t then begin
         let buf = claim s n t dag in
-        let next = repair g k ~weights ~edits dag buf in
+        let next = repair g k ~weights ~edits ?off_core dag buf in
         (* The slot's labels now differ from [dag]'s at the moved nodes
            only. *)
         Array.blit k.moved 0 buf.lab_log 0 k.nmoved;
@@ -710,7 +755,8 @@ let update_scratch s ?active g ~weights ~prev ~changes =
         s.dirty.(s.ndirty) <- t;
         s.same_flows.(s.ndirty) <-
           (not k.sets_moved)
-          && keeps_flows g ~weights ~edits ~d:dag.Spf.dist ~dist:next.Spf.dist t;
+          && keeps_flows g ~weights ~edits ~masked ~off ~d:dag.Spf.dist
+               ~dist:next.Spf.dist t;
         s.ndirty <- s.ndirty + 1
       end
     done;

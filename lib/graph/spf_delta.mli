@@ -102,6 +102,7 @@ val scratch : unit -> scratch
 val update_scratch :
   scratch ->
   ?active:bool array ->
+  ?off_core:bool array ->
   Graph.t ->
   weights:int array ->
   prev:Spf.dag array ->
@@ -116,7 +117,24 @@ val update_scratch :
     [update_scratch] on [s]; the repaired dags live in [s]'s buffers,
     so a caller that keeps one beyond that copies it.  [prev] is never
     mutated.  Same arguments and exceptions as {!update}; an exception
-    leaves [s] usable. *)
+    leaves [s] usable.
+
+    [off_core] masks the repair with a {!Graph.off_core} set: the
+    kernel never marks, seeds, settles or re-sets a flagged node,
+    never seeds a node from a flagged out-neighbour or over a dropped
+    arc with a flagged end, leaves flagged heads out of every next-hop
+    set it recomputes, and ignores flagged tails in the same-flow
+    rule.  At a destination that is not flagged, every unflagged node
+    then gets {!update}'s label and next-hop set, and the unflagged
+    nodes keep {!update}'s order among themselves (a simple path
+    between unflagged nodes visits no flagged one); flagged nodes keep
+    [prev]'s labels and sets, which may be stale.  The dirty list is
+    the unmasked one, though a masked repair may leave a dirty dag as
+    it was, and the same-flow flags describe the masked dags.  A
+    caller that masks keeps every flow-carrying node unflagged, and
+    repairs again without the mask where it needs dags exact at every
+    node.
+    @raise Invalid_argument also if [off_core] has the wrong length. *)
 
 val scratch_dags : scratch -> Spf.dag array
 (** The dags of the last {!update_scratch} (treat as immutable). *)

@@ -74,6 +74,9 @@ type t = {
    - [a_spf]/[a_w]: per group, the repaired dags (Spf_delta's scratch,
      which holds the repair kernel's state too) and the probed weight
      row;
+   - [a_off]: per group, the nodes off its demand core (Graph.off_core
+     of its member classes' demand endpoints), [None] when there are
+     none; every probe's repair is masked with them;
    - [a_listed]: per arc, the number ([a_listing]) of the last probe
      whose change list named it, so a list naming an arc twice is
      refused without allocating;
@@ -103,6 +106,7 @@ type t = {
 and arena = {
   a_spf : Spf_delta.scratch array;
   a_w : int array array;
+  a_off : bool array option array;
   a_listed : int array;
   mutable a_listing : int;
   a_demand_dsts : int array array;  (* class -> demand destinations, ascending *)
@@ -339,6 +343,25 @@ let sync ~src ~dst =
      replaced. *)
   match dst.arena with Some a -> a.a_stamp <- a.a_stamp + 1 | None -> ()
 
+(* Group [gi]'s off-core nodes, [None] when it has none: the nodes on
+   no simple path between two sources or destinations of its member
+   classes' routable demand.  No flow ever crosses them. *)
+let group_off_core t gi =
+  let n = Graph.node_count t.graph in
+  let endpoints = Array.make n false in
+  Array.iter
+    (fun k ->
+      Array.iteri
+        (fun dst dem ->
+          if Array.length dem > 0 then begin
+            endpoints.(dst) <- true;
+            Array.iteri (fun s x -> if x > 0. then endpoints.(s) <- true) dem
+          end)
+        t.demand.(k))
+    t.group_classes.(gi);
+  let off = Graph.off_core t.graph ~endpoints in
+  if Array.exists Fun.id off then Some off else None
+
 let make_arena t =
   let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
@@ -346,6 +369,7 @@ let make_arena t =
   {
     a_spf = Array.init groups (fun _ -> Spf_delta.scratch ());
     a_w = Array.init groups (fun _ -> Array.make m 0);
+    a_off = Array.init groups (group_off_core t);
     a_listed = Array.make m 0;
     a_listing = 0;
     a_demand_dsts =
@@ -395,14 +419,14 @@ let evict a =
 
 (* The step every computation starts with: copy group [gi]'s committed
    weights into its arena row, apply [changes] there and repair the
-   group's dags into its scratch. *)
-let repair t a gi ~active changes =
+   group's dags into its scratch, masked by [off_core]. *)
+let repair t a gi ~active ?off_core changes =
   let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
   for arc = 0 to Array.length w - 1 do
     Array.unsafe_set new_w arc (Array.unsafe_get w arc)
   done;
   List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
-  Spf_delta.update_scratch a.a_spf.(gi) ?active t.graph ~weights:new_w
+  Spf_delta.update_scratch a.a_spf.(gi) ?active ?off_core t.graph ~weights:new_w
     ~prev:t.group_dags.(gi) ~changes
 
 (* ------------------------------------------------------------------ *)
@@ -531,17 +555,20 @@ let screen t a gi ~priced changes =
   done;
   !deferred
 
-(* {!repair}, behind the flow screen of the classes below [priced]
-   unless the committed rows underflowed; returns how many dirty
-   destinations the screen deferred. *)
+(* {!repair}, masked by the group's off-core nodes and behind the flow
+   screen of the classes below [priced] unless the committed rows
+   underflowed; returns how many dirty destinations the screen
+   deferred.  The mask holds either way: off-core nodes carry no flow,
+   underflow or not. *)
 let repair_screened t a gi ~priced changes =
+  let off_core = a.a_off.(gi) in
   if t.zero_shares then begin
-    repair t a gi ~active:t.active.(gi) changes;
+    repair t a gi ~active:t.active.(gi) ?off_core changes;
     0
   end
   else begin
     let deferred = screen t a gi ~priced changes in
-    repair t a gi ~active:(Some a.a_screen) changes;
+    repair t a gi ~active:(Some a.a_screen) ?off_core changes;
     deferred
   end
 
@@ -792,11 +819,15 @@ let probe_primary ~model ~th t p =
 let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
-  (* A deferred destination's dag is exact only at flow-carrying nodes;
-     later screens (D_u), failure probes and materialized solutions need
-     it exact everywhere, so the group is repaired again, unscreened.
-     Its rows stay: they are exact. *)
-  if a.a_deferred > 0 then repair t a g ~active:t.active.(g) a.a_changes;
+  (* A deferred destination's dag, and every dag a masked repair
+     touched, is exact only at flow-carrying nodes; later screens (D_u),
+     failure probes and materialized solutions need it exact
+     everywhere, so the group is repaired again, unscreened and
+     unmasked.  Its rows stay: they are exact. *)
+  if
+    a.a_deferred > 0
+    || (Option.is_some a.a_off.(g) && Spf_delta.scratch_dirty a.a_spf.(g) > 0)
+  then repair t a g ~active:t.active.(g) a.a_changes;
   t.group_w.(g) <- Array.copy a.a_w.(g);
   let spf = a.a_spf.(g) in
   let dirty = Spf_delta.scratch_dirty spf in

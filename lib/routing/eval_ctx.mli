@@ -36,7 +36,11 @@
     re-projected: its row would come out bitwise the committed one.
     Both probe kinds repair behind a flow screen: a dirty destination
     toward which the change list cannot move any flow of the repaired
-    group is not repaired at all (see {!probe}).
+    group is not repaired at all (see {!probe}).  Both also mask their
+    repairs with the group's demand core: a node on no simple path
+    between two sources or destinations of the group's routable demand
+    ({!Dtr_graph.Graph.off_core}, computed per group by the arena's
+    first probe) carries no flow, and the repair never relabels it.
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
@@ -135,6 +139,14 @@ val probe : t -> klass:int -> changes:(int * int) list -> weight probe
     underflow) repairs every dirty destination instead.  With metrics
     on, [dtr_spf_delta_deferred_total] counts the deferred
     destinations.
+
+    Every repair is masked with the group's off-core nodes
+    ({!Dtr_graph.Spf_delta.update_scratch} [~off_core]): they keep
+    their committed labels and next-hop sets, which may go stale, while
+    every other node of a destination that is not off-core comes out
+    as an unmasked repair leaves it.  No flow crosses an off-core node,
+    so Φ, the rows and Λ are unaffected, and the probe's dags stay
+    exact at every flow-carrying node ({!probe_dags}).
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
@@ -148,7 +160,8 @@ val fail_probe : ?classes:int -> t -> arcs:int list -> failure probe
     carries a nonzero committed share of a priced member class: at any
     other destination no node that carries that flow can change its
     label or next-hop set, so every other destination keeps its
-    committed dag and rows.  A context whose committed loads came from
+    committed dag and rows.  Its repairs are masked with the group's
+    off-core nodes, as {!probe}'s are.  A context whose committed loads came from
     a walk that split a positive flow into zero shares (float
     underflow) repairs every destination whose dag uses a failed arc
     instead.  If the failure severs any positive-demand pair the
@@ -230,10 +243,12 @@ val probe_primary :
 val commit : t -> weight probe -> unit
 (** Install the context's latest probe: what it moved is copied
     straight from the arena into fresh arrays that replace the
-    committed ones.  When the probe deferred a dirty destination, the
-    group is first repaired again without the flow screen, so every
+    committed ones.  When the probe deferred a dirty destination, or
+    repaired one with an off-core mask, the group is first repaired
+    again without the flow screen and without the mask, so every
     committed dag is exact at every node (later probes screen with
-    them); the deferred destinations' rows are kept, being exact.
+    them, and materialized solutions and reports read them); the
+    probe's rows are kept, being exact.
     Committing advances the state, so every probe taken before goes
     stale.
     @raise Invalid_argument on a stale probe: one taken on another

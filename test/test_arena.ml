@@ -107,32 +107,51 @@ let direct_major_words f =
   let _, promoted1, major1 = Gc.counters () in
   major1 -. major0 -. (promoted1 -. promoted0)
 
-(* A 300-node network with 1800-odd arcs and PoP-style demand: both n
-   and m exceed 256, as on the large presets. *)
-let large_problem ~model ~dest_mode =
+(* A network with PoP-style demand whose n and m both exceed 256, as on
+   the large presets: a 300-node Barabási–Albert graph with 1800-odd
+   arcs and twelve spread PoPs, whose demand core is the whole graph;
+   or a 304-node transit–stub one with 636 arcs and its eight
+   highest-degree nodes as PoPs (the four transit routers and four
+   stub gateways), where every other stub node is off the core and
+   probes repair masked. *)
+let large_problem ?(transit_stub = false) ~model ~dest_mode () =
   let rng = Prng.create 11 in
   let g =
-    Dtr_topology.Power_law.generate_ba ~hub_capacity:1000. ~hub_degree:20 rng
-      {
-        Dtr_topology.Power_law.nodes = 300;
-        m0 = 8;
-        m = 3;
-        capacity = 100.;
-        delay_range = (1., 5.);
-      }
+    if transit_stub then
+      Dtr_topology.Transit_stub.generate rng
+        { Dtr_topology.Transit_stub.default with stubs_per_transit = 3; stub_size = 25 }
+    else
+      Dtr_topology.Power_law.generate_ba ~hub_capacity:1000. ~hub_degree:20 rng
+        {
+          Dtr_topology.Power_law.nodes = 300;
+          m0 = 8;
+          m = 3;
+          capacity = 100.;
+          delay_range = (1., 5.);
+        }
   in
   let n = Graph.node_count g in
-  let pops = Array.init 12 (fun i -> i * (n / 12)) in
+  let pops =
+    if transit_stub then Dtr_topology.Power_law.top_degree_nodes g 8
+    else Array.init 12 (fun i -> i * (n / 12))
+  in
   let tl = Gravity.generate_pop (Prng.create 5) ~n ~pops Gravity.default in
   let th = Matrix.scale tl 0.3 in
   let p = Problem.create ~graph:g ~th ~tl ~model in
   { p with Problem.dest_mode }
 
-let allocation_gate ~model ~dest_mode () =
-  let problem = large_problem ~model ~dest_mode in
+let allocation_gate ?transit_stub ~model ~dest_mode () =
+  let problem = large_problem ?transit_stub ~model ~dest_mode () in
   let g = problem.Problem.graph in
   Alcotest.(check bool) "n above 256" true (Graph.node_count g > 256);
   Alcotest.(check bool) "m above 256" true (Graph.arc_count g > 256);
+  (* The PoPs sink and source every demand of both classes. *)
+  let endpoints = Array.make (Graph.node_count g) false in
+  Matrix.iter problem.Problem.tl (fun s t _ ->
+      endpoints.(s) <- true;
+      endpoints.(t) <- true);
+  Alcotest.(check bool) "off-core nodes" (transit_stub = Some true)
+    (Array.exists Fun.id (Graph.off_core g ~endpoints));
   let rng = Prng.create 3 in
   let m = Graph.arc_count g in
   let wh = Array.init m (fun _ -> Prng.int_incl rng 5 25) in
@@ -573,6 +592,12 @@ let () =
           Alcotest.test_case "sla, demand destinations" `Quick
             (allocation_gate ~model:(Objective.Sla Sla.default)
                ~dest_mode:Eval_ctx.Demand);
+          Alcotest.test_case "load, demand destinations, transit-stub" `Quick
+            (allocation_gate ~transit_stub:true ~model:Objective.Load
+               ~dest_mode:Eval_ctx.Demand);
+          Alcotest.test_case "sla, all destinations, transit-stub" `Quick
+            (allocation_gate ~transit_stub:true ~model:(Objective.Sla Sla.default)
+               ~dest_mode:Eval_ctx.All);
         ] );
       ( "equivalence",
         [

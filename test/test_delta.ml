@@ -575,6 +575,303 @@ let test_same_flows_counterexample () =
   Alcotest.(check (float 0.)) "new h->t" 1.0000000000000002e16 (load dags.(t))
 
 (* ------------------------------------------------------------------ *)
+(* Masked repairs: a repair masked with the off-core nodes of a demand
+   core (Graph.off_core) is the unmasked repair at every core node of a
+   core destination, and leaves every off-core node as [prev] has it. *)
+
+(* A graph from directed arcs [(u, v, w)], and its weight vector. *)
+let weighted n arcs =
+  let arc (u, v, _) = { Graph.src = u; dst = v; capacity = 10.; delay = 1. } in
+  (Graph.build ~n (List.map arc arcs), Array.of_list (List.map (fun (_, _, w) -> w) arcs))
+
+let arc_id g u v = Option.get (Graph.find_arc g ~src:u ~dst:v)
+
+let endpoints_of n nodes = Array.init n (fun v -> List.mem v nodes)
+
+let core_order off order = List.filter (fun v -> not off.(v)) (Array.to_list order)
+
+(* Price [edits] on [w] (left as it is) from [prev] with the masked
+   scratch update and the pure unmasked one, and check the masked dags:
+   the same dirty list; at a core destination, every core node's label
+   and next-hop set are the unmasked ones and the core nodes keep the
+   unmasked order among themselves; at every destination, every
+   off-core node keeps [prev]'s label and (physically) its set, and the
+   order is sorted by the masked labels.  Returns whether the unmasked
+   repair moved an off-core node: one the mask skipped. *)
+let check_masked ?(s = Spf_delta.scratch ()) ~what g ~off w prev edits =
+  let weights = Array.copy w in
+  List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+  let changes =
+    List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits
+  in
+  Spf_delta.update_scratch s ~off_core:off g ~weights ~prev ~changes;
+  let full, dirty = Spf_delta.update g ~weights ~prev ~changes in
+  let masked = Spf_delta.scratch_dags s in
+  Alcotest.(check (list int)) (what ^ ": dirty list") dirty
+    (List.init (Spf_delta.scratch_dirty s) (Spf_delta.scratch_dirty_at s));
+  let skipped = ref false in
+  Array.iteri
+    (fun t (d : Spf.dag) ->
+      let was = prev.(t) and want = full.(t) in
+      let what = Printf.sprintf "%s dst %d" what t in
+      Array.iteri
+        (fun x flagged ->
+          if flagged then begin
+            if d.Spf.dist.(x) <> was.Spf.dist.(x) || d.Spf.next_arcs.(x) != was.Spf.next_arcs.(x)
+            then Alcotest.failf "%s: off-core node %d moved" what x;
+            if
+              want.Spf.dist.(x) <> was.Spf.dist.(x)
+              || want.Spf.next_arcs.(x) <> was.Spf.next_arcs.(x)
+            then skipped := true
+          end
+          else if not off.(t) then begin
+            if d.Spf.dist.(x) <> want.Spf.dist.(x) then
+              Alcotest.failf "%s: node %d label %d, unmasked %d" what x d.Spf.dist.(x)
+                want.Spf.dist.(x);
+            if d.Spf.next_arcs.(x) <> want.Spf.next_arcs.(x) then
+              Alcotest.failf "%s: node %d next hops differ from the unmasked ones" what x
+          end)
+        off;
+      if (not off.(t)) && core_order off d.Spf.order_desc <> core_order off want.Spf.order_desc
+      then Alcotest.failf "%s: core nodes out of the unmasked order" what;
+      let o = d.Spf.order_desc and l = d.Spf.dist in
+      for i = 1 to Array.length o - 1 do
+        let a = o.(i - 1) and b = o.(i) in
+        if not (l.(a) > l.(b) || (l.(a) = l.(b) && a < b)) then
+          Alcotest.failf "%s: order not sorted by the masked labels" what
+      done)
+    masked;
+  !skipped
+
+(* Stubs hung on a graph of [n] nodes: one to three rings or paths of
+   fresh nodes, each on a node already placed (a core node or an
+   earlier stub's), directly or over a bridge.  Returns the node count
+   and the stubs' links, each to be built as two opposite arcs. *)
+let stub_links rng n =
+  let total = ref n and links = ref [] in
+  let fresh () =
+    incr total;
+    !total - 1
+  in
+  for _ = 1 to Prng.int_incl rng 1 3 do
+    let at = Prng.int rng !total in
+    let first = fresh () in
+    links := (at, first) :: !links;
+    let last = ref first in
+    for _ = 2 to Prng.int_incl rng 1 3 do
+      let v = fresh () in
+      links := (!last, v) :: !links;
+      last := v
+    done;
+    match Prng.int rng 3 with
+    | 0 when !last <> first -> links := (!last, at) :: !links (* a ring through [at] *)
+    | 1 when !last <> first -> links := (!last, first) :: !links (* a ring over a bridge *)
+    | _ -> ()
+  done;
+  (!total, List.rev !links)
+
+(* Random rings with chords, stubs hung on them, weights 1–3 and two to
+   four endpoints on the ring; batches of one to three raises, drops,
+   failures and restores, each priced masked against the same [prev]
+   and sometimes applied.  Counts the masked repairs that skipped an
+   off-core node the unmasked one moved. *)
+let masked_skips = ref 0
+
+let prop_masked_repairs =
+  QCheck.Test.make ~name:"masked repair = unmasked repair on the demand core" ~count:300
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let rng = Prng.create ((seed * 13) + 5) in
+      let n = Prng.int_incl rng 4 7 in
+      let total, stubs = stub_links rng n in
+      let ring = List.init n (fun v -> (v, (v + 1) mod n)) in
+      let chords =
+        List.filter_map
+          (fun _ ->
+            let u = Prng.int rng n and v = Prng.int rng n in
+            if u = v then None else Some (u, v))
+          (List.init (Prng.int_incl rng 0 n) Fun.id)
+      in
+      let both = List.concat_map (fun (u, v) -> [ (u, v); (v, u) ]) stubs in
+      let weight () = Prng.int_incl rng 1 3 in
+      let g, w =
+        weighted total (List.map (fun (u, v) -> (u, v, weight ())) (ring @ chords @ both))
+      in
+      let m = Graph.arc_count g in
+      let rec pick acc k =
+        if k = 0 then acc
+        else
+          let v = Prng.int rng n in
+          if List.mem v acc then pick acc k else pick (v :: acc) (k - 1)
+      in
+      let off =
+        Graph.off_core g ~endpoints:(endpoints_of total (pick [] (Prng.int_incl rng 2 4)))
+      in
+      let s = Spf_delta.scratch () in
+      let prev = ref (Spf.all_destinations g ~weights:w) in
+      for step = 1 to 10 do
+        let rec batch acc k =
+          if k = 0 then acc
+          else
+            let arc = Prng.int rng m in
+            let v =
+              if w.(arc) = Dijkstra.suppressed || Prng.int rng 6 > 0 then weight ()
+              else Dijkstra.suppressed
+            in
+            if v = w.(arc) || List.mem_assoc arc acc then batch acc k
+            else batch ((arc, v) :: acc) (k - 1)
+        in
+        let edits = batch [] (Prng.int_incl rng 1 3) in
+        let what = Printf.sprintf "seed %d step %d" seed step in
+        if check_masked ~s ~what g ~off w !prev edits then incr masked_skips;
+        if Prng.bool rng then begin
+          List.iter (fun (arc, v) -> w.(arc) <- v) edits;
+          prev := Spf.all_destinations g ~weights:w
+        end
+      done;
+      true)
+
+let test_masked_repairs =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_masked_repairs in
+  ( name,
+    speed,
+    fun () ->
+      masked_skips := 0;
+      run ();
+      if !masked_skips = 0 then
+        Alcotest.fail "no masked repair skipped an off-core node" )
+
+(* A core ring 0-1-2-3 and a stub ring 4-5-6 hung on 0 over the bridge
+   0-4; the endpoints 1, 2 and 3 leave 0 in the core and 4, 5, 6 off
+   it.  Toward 2: d(1) = d(3) = 1, d(0) = 2 over 1 (over 3 it is 11),
+   d(4) = 4, d(5) = 5 and d(6) = 6. *)
+let stub_ring () =
+  let g, w =
+    weighted 7
+      [
+        (0, 1, 1); (1, 0, 1); (1, 2, 1); (2, 1, 1); (2, 3, 1); (3, 2, 1);
+        (3, 0, 10); (0, 3, 10); (0, 4, 2); (4, 0, 2); (4, 5, 1); (5, 4, 1);
+        (5, 6, 1); (6, 5, 1); (6, 4, 2); (4, 6, 1);
+      ]
+  in
+  let off = Graph.off_core g ~endpoints:(endpoints_of 7 [ 1; 2; 3 ]) in
+  Alcotest.(check (array bool)) "off-core nodes"
+    [| false; false; false; false; true; true; true |] off;
+  (g, w, off, Spf.all_destinations g ~weights:w)
+
+(* Never mark, seed, settle or re-set an off-core node: each batch
+   makes the unmasked repair move the stub (0's label rises toward 2,
+   falls toward 3; arcs inside the stub rise and fall; the uplink 4 -> 0
+   falls; the bridge fails), and the masked one leaves it as it was. *)
+let test_masked_stub_untouched () =
+  let g, w, off, prev = stub_ring () in
+  let a = arc_id g in
+  List.iter
+    (fun (what, edits) ->
+      Alcotest.(check bool) (what ^ ": the mask skipped a stub node") true
+        (check_masked ~what g ~off w prev edits))
+    [
+      ("0's label rises", [ (a 0 1, 3) ]);
+      ("0's label falls", [ (a 0 3, 1) ]);
+      ("stub arcs move", [ (a 5 4, 3); (a 6 4, 3); (a 4 0, 3) ]);
+      ("a stub arc falls", [ (a 6 4, 1) ]);
+      ("the uplink falls", [ (a 4 0, 1) ]);
+      ("the bridge fails", [ (a 0 4, Dijkstra.suppressed); (a 4 0, Dijkstra.suppressed) ]);
+    ]
+
+(* Never seed a core node from an off-core label.  Raising 0 -> 1 to 20
+   lifts 0's label toward 2 from 2 to 11, but the stub still holds
+   d(4) = 4, so 0 -> 4 would seed 0 at 2 + 4 = 6; dropping 0 -> 4 to 1
+   in the same batch would seed it at 1 + 4 = 5. *)
+let test_masked_no_stub_seed () =
+  let g, w, off, prev = stub_ring () in
+  let a = arc_id g in
+  List.iter
+    (fun (what, edits) ->
+      ignore (check_masked ~what g ~off w prev edits : bool);
+      let weights = Array.copy w in
+      List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+      let s = Spf_delta.scratch () in
+      Spf_delta.update_scratch s ~off_core:off g ~weights ~prev
+        ~changes:(List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits);
+      Alcotest.(check int) (what ^ ": d(0) toward 2") 11
+        (Spf_delta.scratch_dags s).(2).Spf.dist.(0))
+    [
+      ("out-neighbour", [ (a 0 1, 20) ]);
+      ("dropped arc", [ (a 0 1, 20); (a 0 4, 1) ]);
+    ]
+
+(* A stale off-core label never joins a next-hop set.  Raising 0 -> 1
+   to 5 lifts 0's label toward 2 by 4 = w(0, 4) + w(4, 0), to 6; the
+   stub's stale d(4) = 4 makes 0 -> 4 look tight (2 + 4 = 6), though
+   every path over it comes back through 0. *)
+let test_masked_stale_head () =
+  let g, w, off, prev = stub_ring () in
+  let a = arc_id g in
+  ignore (check_masked ~what:"0's label rises by the stub's round trip" g ~off w prev
+            [ (a 0 1, 5) ] : bool);
+  let weights = Array.copy w in
+  weights.(a 0 1) <- 5;
+  let s = Spf_delta.scratch () in
+  Spf_delta.update_scratch s ~off_core:off g ~weights ~prev
+    ~changes:[ { Spf_delta.arc = a 0 1; before = 1; after = 5 } ];
+  let d = (Spf_delta.scratch_dags s).(2) in
+  Alcotest.(check int) "d(0)" 6 d.Spf.dist.(0);
+  Alcotest.(check (array int)) "0's next hops" [| a 0 1 |] d.Spf.next_arcs.(0)
+
+(* The same-flow rule ignores off-core tails.  Toward 0, over h = 1,
+   where the endpoint 2 reaches 1 by its only arc and the stub node 3,
+   hung on 1, carries no flow, each batch moves 2 past 3 among 1's
+   upstream neighbours while the masked repair replaces no next-hop
+   set, so the unmasked rule cannot vouch for the flows and the masked
+   one keeps them:
+   - dropping 2 -> 1 from 3 to 1 moves d(2) from 4 to 2, past d(3) = 3
+     (3 is an upstream tail of 1);
+   - dropping 1 -> 0 from 2 to 1 moves d(2) from 4 to 3, and raising
+     3 -> 1 from 2 to 3 keeps 3 -> 1 tight at d(3) = 4 (3 is the tail
+     of a changed arc). *)
+let test_masked_same_flow () =
+  List.iter
+    (fun (what, w_10, w_21, batch) ->
+      let g, w =
+        weighted 4 [ (1, 0, w_10); (0, 1, 1); (2, 1, w_21); (1, 2, 5); (3, 1, 2); (1, 3, 1) ]
+      in
+      let off = Graph.off_core g ~endpoints:(endpoints_of 4 [ 0; 2 ]) in
+      Alcotest.(check (array bool)) (what ^ ": off-core nodes")
+        [| false; false; false; true |] off;
+      let prev = Spf.all_destinations g ~weights:w in
+      let edits = List.map (fun (u, v, x) -> (arc_id g u v, x)) batch in
+      ignore (check_masked ~what g ~off w prev edits : bool);
+      let weights = Array.copy w in
+      List.iter (fun (arc, x) -> weights.(arc) <- x) edits;
+      let changes =
+        List.map (fun (arc, x) -> { Spf_delta.arc; before = w.(arc); after = x }) edits
+      in
+      let toward_0 ?off_core () =
+        let s = Spf_delta.scratch () in
+        Spf_delta.update_scratch s ?off_core g ~weights ~prev ~changes;
+        let at = ref (-1) in
+        for i = 0 to Spf_delta.scratch_dirty s - 1 do
+          if Spf_delta.scratch_dirty_at s i = 0 then at := i
+        done;
+        Alcotest.(check bool) (what ^ ": 0 is dirty") true (!at >= 0);
+        (Spf_delta.scratch_same_flows_at s !at, (Spf_delta.scratch_dags s).(0))
+      in
+      Alcotest.(check bool) (what ^ ": unmasked, not vouched for") false
+        (fst (toward_0 ()));
+      let same, dag = toward_0 ~off_core:off () in
+      Alcotest.(check bool) (what ^ ": masked, same flows") true same;
+      let demand_to_dst = [| 0.; 0.; 1.; 0. |] in
+      Alcotest.(check bool) (what ^ ": loads toward 0 bitwise kept") true
+        (same_bits
+           (Loads.destination_loads g ~dag:prev.(0) ~demand_to_dst)
+           (Loads.destination_loads g ~dag ~demand_to_dst)))
+    [
+      ("an upstream tail", 1, 3, [ (2, 1, 1) ]);
+      ("a changed arc's tail", 2, 2, [ (1, 0, 1); (3, 1, 3) ]);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Loads helper *)
 
 let test_destination_loads_sum () =
@@ -1338,11 +1635,14 @@ let test_naive_oracle () =
    failure probes (class 0 and full), clones and syncs, every outcome
    priced by Naive_ecmp.  High-priority demand is sparse (one to three
    pairs) and weights stay within 1–3, so the flow screen defers many
-   repairs and equal-cost ties are common. *)
+   repairs and equal-cost ties are common.  Half the instances hang
+   demand-free stubs on the ring ([stub_links]), whose nodes lie off
+   every group's demand core, so their probes repair masked. *)
 
 let sequence_instance seed =
   let rng = Prng.create (seed + 7919) in
-  let n = Prng.int_incl rng 4 8 in
+  let ring_size = Prng.int_incl rng 4 8 in
+  let n, stubs = if Prng.bool rng then stub_links rng ring_size else (ring_size, []) in
   let arc u v =
     {
       Graph.src = u;
@@ -1351,23 +1651,26 @@ let sequence_instance seed =
       delay = Prng.choose rng [| 1.; 5.; 12. |];
     }
   in
-  let ring = List.init n (fun v -> arc v ((v + 1) mod n)) in
+  let ring = List.init ring_size (fun v -> arc v ((v + 1) mod ring_size)) in
   let chords =
     List.concat
-      (List.init (Prng.int_incl rng n (3 * n)) (fun _ ->
-           let u = Prng.int rng n and v = Prng.int rng n in
+      (List.init (Prng.int_incl rng ring_size (3 * ring_size)) (fun _ ->
+           let u = Prng.int rng ring_size and v = Prng.int rng ring_size in
            if u = v then []
            else if Prng.int rng 4 = 0 then [ arc u v; arc v u ]
            else [ arc u v ]))
   in
-  let g = Graph.build ~n (ring @ chords) in
+  let stubs = List.concat_map (fun (u, v) -> [ arc u v; arc v u ]) stubs in
+  let g = Graph.build ~n (ring @ chords @ stubs) in
   let th = Matrix.create n and tl = Matrix.create n in
   for _ = 1 to Prng.int_incl rng 1 3 do
-    let s = Prng.int rng n in
-    Matrix.set th s ((s + 1 + Prng.int rng (n - 1)) mod n) (0.5 +. Prng.float rng 2.)
+    let s = Prng.int rng ring_size in
+    Matrix.set th s
+      ((s + 1 + Prng.int rng (ring_size - 1)) mod ring_size)
+      (0.5 +. Prng.float rng 2.)
   done;
-  for s = 0 to n - 1 do
-    for t = 0 to n - 1 do
+  for s = 0 to ring_size - 1 do
+    for t = 0 to ring_size - 1 do
       if s <> t && Prng.int rng 3 > 0 then Matrix.set tl s t (Prng.float rng 3.)
     done
   done;
@@ -1398,14 +1701,76 @@ let sends ec g classes dst z =
 
 (* The sequence oracle's counts: deferred destinations seen at commits,
    zero-flow nodes of such a destination that a later commit made carry
-   flow, class-0 probes that kept the context's Λ, and failure probes
-   priced. *)
+   flow, class-0 probes that kept the context's Λ, failure probes
+   priced, instances with off-core nodes, weight probes whose masked
+   repair left an off-core node stale, and commits of such a probe
+   (whose dags come out exact at every node). *)
 type seq_stats = {
   mutable deferred : int;
   mutable woke : int;
   mutable kept : int;
   mutable failures : int;
+  mutable masked : int;
+  mutable skipped : int;
+  mutable re_repaired : int;
 }
+
+(* [Naive.tight] read off [u]'s out-arcs alone (it scans every arc):
+   the arcs out of [u] tight toward [t] under the Floyd–Warshall
+   distances [d], ascending. *)
+let naive_next g ~weights d u t =
+  List.filter
+    (fun a ->
+      let v = Graph.dst g a in
+      d.(v).(t) <> Naive.none && weights.(a) + d.(v).(t) = d.(u).(t))
+    (Array.to_list (Graph.out_arcs g u))
+
+(* Whether [dag] gives [u] Naive_ecmp's label and next-hop set. *)
+let exact_at g ~weights d (dag : Spf.dag) u =
+  let t = dag.Spf.dst in
+  dag.Spf.dist.(u) = d.(u).(t)
+  && Array.to_list dag.Spf.next_arcs.(u) = naive_next g ~weights d u t
+
+(* The nodes that carry flow of [tms] toward [t]: those a tight path
+   from a positive-demand source reaches. *)
+let naive_flow_nodes g ~weights d tms t =
+  let n = Graph.node_count g in
+  let seen = Array.make n false in
+  let rec go u =
+    if not seen.(u) then begin
+      seen.(u) <- true;
+      List.iter (fun a -> go (Graph.dst g a)) (naive_next g ~weights d u t)
+    end
+  in
+  List.iter
+    (fun tm ->
+      for s = 0 to n - 1 do
+        if s <> t && Matrix.get tm s t > 0. then go s
+      done)
+    tms;
+  seen
+
+(* Check a group's probe dags against Naive_ecmp under the probed
+   weights: exact at every node that carries the group's flow, and a
+   repaired dag of a core destination exact at every core node.
+   Returns whether a repaired dag is stale at an off-core node. *)
+let check_probe_dags ~what g ~weights ~off ~tms ~committed dags =
+  let d = Naive.distances g ~weights in
+  let stale = ref false in
+  Array.iteri
+    (fun t (dag : Spf.dag) ->
+      let flow = naive_flow_nodes g ~weights d tms t in
+      let repaired = dag != committed.(t) in
+      Array.iteri
+        (fun x carries ->
+          if not (exact_at g ~weights d dag x) then
+            if carries then Alcotest.failf "%s: dst %d: flow node %d inexact" what t x
+            else if repaired && off.(x) then stale := true
+            else if repaired && not off.(t) then
+              Alcotest.failf "%s: dst %d: repaired core node %d inexact" what t x)
+        flow)
+    dags;
+  !stale
 
 let sequence_matches ~str ~model stats seed =
   let g, wh, wl, th, tl, rng = sequence_instance seed in
@@ -1417,6 +1782,21 @@ let sequence_matches ~str ~model stats seed =
   let wl = if str then wh else wl in
   let ec = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let main = { ec; wh; wl; watch = [] } in
+  (* Each group's demand matrices and off-core nodes. *)
+  let group_tms klass = if str then [ th; tl ] else if klass = 0 then [ th ] else [ tl ] in
+  let off_of klass =
+    let n = Graph.node_count g in
+    let endpoints = Array.make n false in
+    List.iter
+      (fun tm ->
+        Matrix.iter tm (fun s t _ ->
+            endpoints.(s) <- true;
+            endpoints.(t) <- true))
+      (group_tms klass);
+    Graph.off_core g ~endpoints
+  in
+  let off = [| off_of 0; off_of 1 |] in
+  if Array.exists (Array.exists Fun.id) off then stats.masked <- stats.masked + 1;
   let problem = Problem.create ~graph:g ~th ~tl ~model in
   let _, pctx =
     if str then Problem.eval_str_ctx problem ~w:wh else Problem.eval_dtr_ctx problem ~wh ~wl
@@ -1442,6 +1822,13 @@ let sequence_matches ~str ~model stats seed =
         let wl' = if str then wh' else if klass = 1 then apply c.wl changes else c.wl in
         let want = Naive.evaluate ?sla g ~wh:wh' ~wl:wl' ~th ~tl in
         let p = Eval_ctx.probe c.ec ~klass ~changes in
+        let weights = if klass = 0 then wh' else wl' in
+        let stale =
+          check_probe_dags ~what:(what ^ " probe dags") g ~weights ~off:off.(klass)
+            ~tms:(group_tms klass) ~committed:(Eval_ctx.dags c.ec klass)
+            (Eval_ctx.probe_dags c.ec p klass)
+        in
+        if stale then stats.skipped <- stats.skipped + 1;
         let phi = Eval_ctx.probe_phi p in
         check_close ~what "probe phi_h" phi.(0) want.Naive.phi_h;
         check_close ~what "probe phi_l" phi.(1) want.Naive.phi_l;
@@ -1477,6 +1864,16 @@ let sequence_matches ~str ~model stats seed =
           c.wh <- wh';
           c.wl <- wl';
           let after = Eval_ctx.dags c.ec klass in
+          let d = Naive.distances g ~weights in
+          Array.iter
+            (fun (dag : Spf.dag) ->
+              for x = 0 to Graph.node_count g - 1 do
+                if not (exact_at g ~weights d dag x) then
+                  Alcotest.failf "%s: committed dst %d inexact at node %d" what
+                    dag.Spf.dst x
+              done)
+            after;
+          if stale then stats.re_repaired <- stats.re_repaired + 1;
           let committed = Eval_ctx.phi c.ec in
           check_close ~what "committed phi_h" committed.(0) want.Naive.phi_h;
           check_close ~what "committed phi_l" committed.(1) want.Naive.phi_l;
@@ -1545,7 +1942,10 @@ let sequence_matches ~str ~model stats seed =
   done
 
 let test_sequence_oracle () =
-  let stats = { deferred = 0; woke = 0; kept = 0; failures = 0 } in
+  let stats =
+    { deferred = 0; woke = 0; kept = 0; failures = 0; masked = 0; skipped = 0;
+      re_repaired = 0 }
+  in
   for seed = 1 to 500 do
     List.iter
       (fun str ->
@@ -1566,7 +1966,16 @@ let test_sequence_oracle () =
     true (stats.kept > 0);
   Alcotest.(check bool)
     (Printf.sprintf "%d survivable failure probes" stats.failures)
-    true (stats.failures > 0)
+    true (stats.failures > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d instances with off-core nodes" stats.masked)
+    true (stats.masked > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d masked repairs left an off-core node stale" stats.skipped)
+    true (stats.skipped > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d commits of such probes re-repaired" stats.re_repaired)
+    true (stats.re_repaired > 0)
 
 (* Two-stage diamond, unit demand 0 -> 5 over three equal-cost paths:
    0-1-3-5, 0-1-4-5 and 0-2-5.  OSPF splits per hop, so the first hop
@@ -1610,6 +2019,18 @@ let () =
             test_same_flows_counterexample;
           Alcotest.test_case "repair refuses a label too large to pack" `Quick
             test_repair_label_range;
+        ] );
+      ( "spf_mask",
+        [
+          test_masked_repairs;
+          Alcotest.test_case "off-core nodes are never marked, seeded, settled or re-set"
+            `Quick test_masked_stub_untouched;
+          Alcotest.test_case "no core node is seeded from an off-core label" `Quick
+            test_masked_no_stub_seed;
+          Alcotest.test_case "a stale off-core head never joins a next-hop set" `Quick
+            test_masked_stale_head;
+          Alcotest.test_case "the same-flow rule ignores off-core tails" `Quick
+            test_masked_same_flow;
         ] );
       ( "loads",
         [

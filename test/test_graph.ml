@@ -436,6 +436,189 @@ let prop_spf_reachable_nodes_have_next_arcs =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Demand core: Graph.off_core against brute-force path enumeration *)
+
+(* A small multigraph of blocks: a base ring with chords, then one to
+   four pieces (a ring, a path or one more link), each hung on a node
+   already placed, directly (several at one node give it several
+   blocks) or over a bridge, and sometimes a separate component.  Each
+   link is one arc in a random direction, sometimes doubled by a
+   parallel or an anti-parallel arc; only the undirected shape counts.
+   Endpoints are a random subset, cut vertices included.  Returns the
+   graph, the endpoints, and whether a piece hung over a bridge and
+   whether a parallel and an anti-parallel arc were drawn. *)
+let block_graph seed =
+  let rng = Prng.create seed in
+  let arcs = ref [] and n = ref 0 in
+  let parallel = ref false and anti = ref false and bridged = ref false in
+  let fresh () =
+    incr n;
+    !n - 1
+  in
+  let link u v =
+    let u, v = if Prng.bool rng then (u, v) else (v, u) in
+    arcs := arc u v :: !arcs;
+    match Prng.int rng 6 with
+    | 0 ->
+        parallel := true;
+        arcs := arc u v :: !arcs
+    | 1 ->
+        anti := true;
+        arcs := arc v u :: !arcs
+    | _ -> ()
+  in
+  (* A path of [k] fresh nodes from [u]; returns its last node. *)
+  let path u k =
+    let last = ref u in
+    for _ = 1 to k do
+      let v = fresh () in
+      link !last v;
+      last := v
+    done;
+    !last
+  in
+  let ring u k = link (path u k) u in
+  let base = fresh () in
+  let size = Prng.int_incl rng 2 4 in
+  ring base size;
+  for _ = 1 to Prng.int rng 3 do
+    let u = Prng.int rng (size + 1) and v = Prng.int rng (size + 1) in
+    if u <> v then link u v
+  done;
+  for _ = 1 to Prng.int_incl rng 1 4 do
+    let at = Prng.int rng !n in
+    let at =
+      if Prng.int rng 3 = 0 then begin
+        bridged := true;
+        path at 1
+      end
+      else at
+    in
+    match Prng.int rng 3 with
+    | 0 -> ring at (Prng.int_incl rng 2 3)
+    | 1 -> ignore (path at (Prng.int_incl rng 1 3) : int)
+    | _ -> link at (Prng.int rng !n)
+  done;
+  if Prng.int rng 3 = 0 then begin
+    let v = fresh () in
+    if Prng.bool rng then ring v 2 else ignore (path v (Prng.int rng 3) : int)
+  end;
+  let n = !n in
+  let arcs = List.filter (fun (a : Graph.arc) -> a.src <> a.dst) !arcs in
+  let endpoints = Array.init n (fun _ -> Prng.int rng 4 = 0) in
+  (Graph.build ~n arcs, endpoints, !bridged, !parallel && !anti)
+
+(* Undirected neighbours, without repeats. *)
+let neighbours g v =
+  let out = Array.map (Graph.dst g) (Graph.out_arcs g v) in
+  let inc = Array.map (Graph.src g) (Graph.in_arcs g v) in
+  List.sort_uniq compare (Array.to_list out @ Array.to_list inc)
+
+(* The nodes on some simple path between two distinct endpoints, by
+   enumerating every simple path from every endpoint.  A walk stops at
+   the first endpoint it meets: a path that goes on splits there into
+   two such paths. *)
+let brute_core g endpoints =
+  let n = Graph.node_count g in
+  let nbrs = Array.init n (neighbours g) in
+  let core = Array.make n false and on = Array.make n false in
+  let rec walk path v =
+    on.(v) <- true;
+    List.iter
+      (fun w ->
+        if not on.(w) then
+          if endpoints.(w) then List.iter (fun x -> core.(x) <- true) (w :: path)
+          else walk (w :: path) w)
+      nbrs.(v);
+    on.(v) <- false
+  in
+  Array.iteri (fun a e -> if e then walk [ a ] a) endpoints;
+  core
+
+(* The components of [g] without node [without] (-1: none). *)
+let components g ~without =
+  let n = Graph.node_count g in
+  let nbrs = Array.init n (neighbours g) in
+  let seen = Array.make n false in
+  if without >= 0 then seen.(without) <- true;
+  let comps = ref [] in
+  for s = 0 to n - 1 do
+    if not seen.(s) then begin
+      let members = ref [] in
+      let rec go x =
+        if not seen.(x) then begin
+          seen.(x) <- true;
+          members := x :: !members;
+          List.iter go nbrs.(x)
+        end
+      in
+      go s;
+      comps := !members :: !comps
+    end
+  done;
+  !comps
+
+(* Shapes the generator must reach across the property's cases, and
+   how many cases reached each. *)
+let core_shapes =
+  [|
+    "an off-core node"; "a piece over a bridge"; "a parallel and an anti-parallel arc";
+    "a cut vertex in three or more blocks"; "an endpoint on a cut vertex";
+    "a component without endpoints";
+  |]
+
+let core_shapes_seen = Array.make (Array.length core_shapes) 0
+
+let prop_off_core_matches_enumeration =
+  QCheck.Test.make ~name:"off_core = no simple path between endpoints" ~count:600
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let g, endpoints, bridged, both_arcs = block_graph seed in
+      let n = Graph.node_count g in
+      let off = Graph.off_core g ~endpoints in
+      let core = brute_core g endpoints in
+      for v = 0 to n - 1 do
+        let want = (not endpoints.(v)) && not core.(v) in
+        if off.(v) <> want then
+          QCheck.Test.fail_reportf "seed %d node %d: off_core %b, enumeration %b" seed v
+            off.(v) want
+      done;
+      (* Removing a node that splits its component into k pieces leaves
+         [base + k - 1] components. *)
+      let comps = components g ~without:(-1) in
+      let base = List.length comps in
+      let pieces v = List.length (components g ~without:v) - base + 1 in
+      let nodes = List.init n Fun.id in
+      let cuts = List.filter (fun v -> pieces v >= 2) nodes in
+      List.iteri
+        (fun i hit -> if hit then core_shapes_seen.(i) <- core_shapes_seen.(i) + 1)
+        [
+          Array.exists Fun.id off;
+          bridged;
+          both_arcs;
+          List.exists (fun v -> pieces v >= 3) cuts;
+          List.exists (fun v -> endpoints.(v)) cuts;
+          List.exists (List.for_all (fun v -> not endpoints.(v))) comps;
+        ];
+      true)
+
+let test_off_core_enumeration =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_off_core_matches_enumeration in
+  ( name,
+    speed,
+    fun () ->
+      Array.fill core_shapes_seen 0 (Array.length core_shapes_seen) 0;
+      run ();
+      Array.iteri
+        (fun i what -> if core_shapes_seen.(i) = 0 then Alcotest.failf "no case had %s" what)
+        core_shapes )
+
+let test_off_core_rejects_length () =
+  Alcotest.check_raises "length"
+    (Invalid_argument "Graph.off_core: endpoints length mismatch") (fun () ->
+      ignore (Graph.off_core (diamond ()) ~endpoints:[| true |]))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dtr_graph"
@@ -462,6 +645,9 @@ let () =
             test_capacities_delays;
           Alcotest.test_case "to_dot" `Quick test_to_dot_mentions_arcs;
           qc prop_undirected_pairs_on_symmetric_graphs;
+          test_off_core_enumeration;
+          Alcotest.test_case "off_core rejects a wrong-length mask" `Quick
+            test_off_core_rejects_length;
         ] );
       ( "dijkstra",
         [
