@@ -331,7 +331,7 @@ let topology_arg =
   Arg.(
     value
     & opt topology_conv Scenario.Random_topo
-    & info [ "topology" ] ~docv:"KIND" ~doc:"Topology: random, power-law, isp, waxman, transit-stub.")
+    & info [ "topology" ] ~docv:"KIND" ~doc:"Topology: random, power-law, isp, waxman, transit-stub, abilene.")
 
 let model_arg =
   Arg.(

@@ -22,10 +22,10 @@ type report = {
 (* One FindH / FindL neighborhood of [sol]'s [cls] weights, as change
    lists, ranked from the context's cost rows (Problem.ctx_arc_cmp_h/_l:
    the paper's per-link lexicographic costs) without allocating m cost
-   records per pass.  With [rcache], the ranking is a cached sorted
-   permutation repaired from the arcs whose cost entries moved since
+   records per pass.  The ranking is [rcache]'s cached sorted
+   permutation, repaired from the arcs whose cost entries moved since
    its last sort (Ranking.arcs — bitwise the full sort). *)
-let neighborhood ?rcache samplers rng cfg problem ctx (sol : Problem.solution)
+let neighborhood ~rcache samplers rng cfg problem ctx (sol : Problem.solution)
     ~cls =
   let cmp, w =
     match cls with
@@ -33,11 +33,7 @@ let neighborhood ?rcache samplers rng cfg problem ctx (sol : Problem.solution)
     | `L -> (Problem.ctx_arc_cmp_l problem ctx, sol.Problem.wl)
   in
   let n = Dtr_graph.Graph.arc_count problem.Problem.graph in
-  let ranking =
-    match rcache with
-    | Some r -> Ranking.arcs r ctx ~cmp n
-    | None -> Neighborhood.rank_by_cost ~cmp n
-  in
+  let ranking = Ranking.arcs rcache ctx ~cmp n in
   Array.of_list (Neighborhood.candidates samplers rng cfg ~ranking w)
 
 (* The candidate the pass moves to: the sequential fold from the
@@ -53,27 +49,6 @@ let winner (summaries : Scan.summary array) ~from =
       end)
     summaries;
   !best
-
-(* One-shot passes for callers holding just a solution: sequential and
-   unmemoized, since one pass has no revisits to exploit and a pool per
-   pass would cost more than the scan. *)
-let find cls rng cfg problem sol =
-  Scan.with_engine ~jobs:1 problem @@ fun scan ->
-  let ctx = Problem.ctx_of_solution problem sol in
-  let samplers =
-    Neighborhood.samplers cfg (Dtr_graph.Graph.arc_count problem.Problem.graph)
-  in
-  let cands = neighborhood samplers rng cfg problem ctx sol ~cls in
-  let summaries =
-    Scan.evaluate scan ctx ~cls ~changes_of:(Array.get cands)
-      (Array.length cands)
-  in
-  match winner summaries ~from:(Problem.objective sol) with
-  | -1 -> sol
-  | i -> Scan.commit scan ctx ~cls ~changes:cands.(i)
-
-let find_h = find `H
-let find_l = find `L
 
 let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;

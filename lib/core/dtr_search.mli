@@ -30,30 +30,6 @@ type report = {
       (** incumbent objective at the end of each routine, in order *)
 }
 
-val find_h :
-  Dtr_util.Prng.t ->
-  Search_config.t ->
-  Problem.t ->
-  Problem.solution ->
-  Problem.solution
-(** One FindH pass: build the Algorithm-2 neighborhood on the
-    high-priority weights and return the best neighbor if it strictly
-    improves the lexicographic objective, the input solution
-    otherwise.  Neighbors are probed sequentially, without a memo,
-    against a context built from the input solution; the full search
-    keeps one long-lived context instead. *)
-
-val find_l :
-  Dtr_util.Prng.t ->
-  Search_config.t ->
-  Problem.t ->
-  Problem.solution ->
-  Problem.solution
-(** Symmetric pass on the low-priority weights (ranking links by
-    [Φ_{L,l}] only, since [W_L] cannot affect the high-priority
-    class); the high-priority routing — including the SLA delay
-    computation, whose cached [Λ] prices every probe — is reused. *)
-
 val run :
   ?w0:int array * int array ->
   ?stop:(unit -> bool) ->

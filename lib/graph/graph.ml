@@ -25,11 +25,11 @@ type t = {
   cap : float array;  (* m: capacity per arc id; shared, never mutated *)
   del : float array;  (* m: delay per arc id; shared, never mutated *)
   out_off : int array;  (* n+1: segment offsets into out_ids *)
-  out_ids : int array;  (* m: arc ids leaving each node, ascending id *)
+  out_ids : int array;  (* m, or fewer [without]: arc ids leaving each node *)
   in_off : int array;  (* n+1: segment offsets into in_ids *)
-  in_ids : int array;  (* m: arc ids entering each node, ascending id *)
+  in_ids : int array;  (* m, or fewer [without]: arc ids entering each node *)
   out_by_dst : int array;
-      (* m: out_ids re-sorted by (dst, id) within each source segment,
+      (* out_ids re-sorted by (dst, id) within each source segment,
          for binary-search find_arc *)
 }
 
@@ -250,6 +250,28 @@ let off_core t ~endpoints =
     off.(v) <- p >= 0 && (off.(p) || (held.(v) = 0 && low.(v) >= disc.(p)))
   done;
   off
+
+(* Each index keeps its segments and their order, less the dropped arcs. *)
+let without t ~nodes =
+  if Array.length nodes <> t.n then invalid_arg "Graph.without: nodes length mismatch";
+  let keep id = not (nodes.(t.arc_src.(id)) || nodes.(t.arc_dst.(id))) in
+  let filter off ids =
+    let off' = Array.make (t.n + 1) 0 and ids' = Array.copy ids in
+    for v = 0 to t.n - 1 do
+      off'.(v + 1) <- off'.(v);
+      for k = off.(v) to off.(v + 1) - 1 do
+        if keep ids.(k) then begin
+          ids'.(off'.(v + 1)) <- ids.(k);
+          off'.(v + 1) <- off'.(v + 1) + 1
+        end
+      done
+    done;
+    (off', Array.sub ids' 0 off'.(t.n))
+  in
+  let out_off, out_ids = filter t.out_off t.out_ids in
+  let in_off, in_ids = filter t.in_off t.in_ids in
+  let _, out_by_dst = filter t.out_off t.out_by_dst in
+  { t with out_off; out_ids; in_off; in_ids; out_by_dst }
 
 let reverse t =
   let flipped = ref [] in

@@ -61,15 +61,16 @@ val out_offsets : t -> int array
     (excluding) [out_offsets.(v+1)] (shared; do not mutate). *)
 
 val out_arc_ids : t -> int array
-(** Flat outgoing-adjacency row (length [arc_count]); within each
-    node's segment, ids ascend (shared; do not mutate). *)
+(** Flat outgoing-adjacency row, one entry per arc ({!without} leaves
+    some out); within each node's segment, ids ascend (shared; do not
+    mutate). *)
 
 val in_offsets : t -> int array
 (** CSR offsets (length [n+1]) into {!in_arc_ids} (shared; do not
     mutate). *)
 
 val in_arc_ids : t -> int array
-(** Flat incoming-adjacency row (length [arc_count]); within each
+(** Flat incoming-adjacency row, like {!out_arc_ids}; within each
     node's segment, ids ascend (shared; do not mutate). *)
 
 val out_arcs : t -> int -> int array
@@ -110,6 +111,15 @@ val off_core : t -> endpoints:bool array -> bool array
     no off-core node: to enter an off-core part it must pass the cut
     vertex, and to leave, pass it again.  One lowpoint DFS, O(n + m).
     @raise Invalid_argument if [endpoints] has the wrong length. *)
+
+val without : t -> nodes:bool array -> t
+(** [without g ~nodes] is [g] with every arc that has a flagged end
+    left out of both adjacency rows, and so out of the degrees,
+    {!find_arc} and every walk over the adjacency.  The nodes, arc ids
+    and per-arc rows ({!arc}, {!arcs}, {!srcs}, {!capacities}, ...)
+    stay [g]'s, and {!reverse} rebuilds from every arc.  {!Spf_delta}'s
+    masked repairs run on it.
+    @raise Invalid_argument if [nodes] has the wrong length. *)
 
 val reverse : t -> t
 (** Graph with every arc flipped (same arc ids). *)

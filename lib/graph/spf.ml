@@ -12,10 +12,7 @@ let[@inline] on_path ~weights ~dist ~dsts v id =
   && weights.(id) <> Dijkstra.suppressed
   && weights.(id) + d = dist.(v)
 
-(* Arc [id] leaves the nodes [skip] flags ([[||]] flags none). *)
-let[@inline] kept ~skip ~dsts id = Array.length skip = 0 || not skip.(dsts.(id))
-
-let node_next_arcs ?(skip = [||]) g ~weights ~dist ~old v =
+let node_next_arcs g ~weights ~dist ~old v =
   (* Two passes over the CSR out-segment: count (checking the set
      against [old] on the way), then fill — no intermediate list on
      this very hot path, and no allocation at all when [old] already
@@ -27,7 +24,7 @@ let node_next_arcs ?(skip = [||]) g ~weights ~dist ~old v =
   let count = ref 0 and same = ref true in
   for k = lo to hi - 1 do
     let id = ids.(k) in
-    if on_path ~weights ~dist ~dsts v id && kept ~skip ~dsts id then begin
+    if on_path ~weights ~dist ~dsts v id then begin
       if !count >= Array.length old || old.(!count) <> id then same := false;
       incr count
     end
@@ -38,7 +35,7 @@ let node_next_arcs ?(skip = [||]) g ~weights ~dist ~old v =
     let pos = ref 0 in
     for k = lo to hi - 1 do
       let id = ids.(k) in
-      if on_path ~weights ~dist ~dsts v id && kept ~skip ~dsts id then begin
+      if on_path ~weights ~dist ~dsts v id then begin
         keep.(!pos) <- id;
         incr pos
       end

@@ -33,7 +33,6 @@ val of_dist : Graph.t -> weights:int array -> dst:int -> dist:int array -> dag
     them. *)
 
 val node_next_arcs :
-  ?skip:bool array ->
   Graph.t ->
   weights:int array ->
   dist:int array ->
@@ -46,10 +45,9 @@ val node_next_arcs :
     already holds exactly that set, [old] itself is returned and
     nothing is allocated ({!of_dist} passes [[||]]; {!Spf_delta}'s
     repairs pass the previous dag's set, so an unchanged set stays
-    shared).  [skip] (per node; default none) leaves out the arcs
-    toward the nodes it flags, whatever their labels: a masked
-    {!Spf_delta} repair passes its off-core nodes, whose labels it
-    does not keep current. *)
+    shared).  Only the arcs in [g]'s adjacency count: on a
+    {!Graph.without} subgraph, as a masked {!Spf_delta} repair runs,
+    arcs toward the nodes it leaves out never join the set. *)
 
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array

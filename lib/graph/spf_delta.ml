@@ -75,11 +75,6 @@ let raised edits id =
   let i = edit_index edits id 0 in
   i >= 0 && edits.(i).after > edits.(i).before
 
-(* Whether a repair may touch node [x]: [off] flags the off-core nodes
-   of a masked repair, and [masked] (whether there is a mask, read once
-   per repair) keeps the lookup out of an unmasked repair's way. *)
-let[@inline] core ~masked off x = not (masked && off.(x))
-
 (* ------------------------------------------------------------------ *)
 (* The repair kernel's working state, reused from repair to repair and
    sized for one graph: int stacks of the marked nodes (which double as
@@ -193,17 +188,16 @@ let examine k ~edits ~dsts ~lab old_next x =
     end
   end
 
-(* Where one repair writes its result.  On entry [lab] holds the old
-   labels and [next] the old next-hop spine; the kernel repairs both in
-   place and merges a changed order into a buffer of [orders] of the
-   exact length.  A pure {!update} gives every repair fresh buffers
-   ([keep = false]).  A {!scratch} slot ([keep = true]) keeps them: it
-   logs every [next] position the kernel overwrites ([log]) and the
-   nodes whose label the repair moved ([lab_log]), mirroring
-   [src_next] and [src_dist] outside them, so the slot's next repair
-   against the same dag undoes just those writes, and keeps its order
-   buffers.  A repair costs no allocation beyond the next-hop sets it
-   replaces. *)
+(* One destination's repair slot, where the kernel writes its result.
+   On entry [lab] holds the old labels and [next] the old next-hop
+   spine; the kernel repairs both in place, logging every [next]
+   position it overwrites ([log]), and merges a changed order into the
+   buffer of [orders] of the exact length.  The nodes whose label the
+   repair moved are logged too ([lab_log]), so outside both logs the
+   slot mirrors [src_next] and [src_dist], and its next repair against
+   the same dag undoes just those writes.  A repair costs no
+   allocation beyond the next-hop sets it replaces (and an order buffer
+   of a length the slot has not held before). *)
 type buf = {
   lab : int array;
   next : int array array;
@@ -214,7 +208,6 @@ type buf = {
   lab_log : int array;
   mutable lab_logged : int;
   mutable orders : int array list;
-  keep : bool;
 }
 
 let rec order_of_length orders len =
@@ -227,7 +220,7 @@ let order_buffer buf len =
   if Array.length o = len then o
   else begin
     let o = Array.make len 0 in
-    if buf.keep then buf.orders <- o :: buf.orders;
+    buf.orders <- o :: buf.orders;
     o
   end
 
@@ -325,25 +318,22 @@ let merge_order k buf ~d ~dist old =
 (* Recompute node [x]'s next-hop set under [dist] (the set
    {!Spf.node_next_arcs} builds, kept as [old] when equal), replacing
    it in [next] and logging the write when it moved.  Each node is
-   recomputed once per repair.  A masked repair passes its off-core
-   nodes, whose labels may be stale, for the set to skip. *)
-let refresh k g ~weights ~dist ~t ~old_next ?off_core buf x =
+   recomputed once per repair. *)
+let refresh k g ~weights ~dist ~t ~old_next buf x =
   if k.seen.(x) <> k.stamp then begin
     k.seen.(x) <- k.stamp;
     let old = old_next.(x) in
     let set =
       if x <> t && dist.(x) <> unreachable then
-        Spf.node_next_arcs ?skip:off_core g ~weights ~dist ~old x
+        Spf.node_next_arcs g ~weights ~dist ~old x
       else if Array.length old = 0 then old
       else [||]
     in
     if set != old then begin
       buf.next.(x) <- set;
       k.sets_moved <- true;
-      if buf.keep then begin
-        buf.log.(buf.logged) <- x;
-        buf.logged <- buf.logged + 1
-      end
+      buf.log.(buf.logged) <- x;
+      buf.logged <- buf.logged + 1
     end
   end
 
@@ -355,10 +345,8 @@ let refresh k g ~weights ~dist ~t ~old_next ?off_core buf x =
    tight arcs move by the node's own label shift, so they keep their
    relative places; only the tail of a changed arc on the dag can move
    among its head's upstream neighbours.  The destination's own inflow
-   is never summed, and neither is an off-core node's flow (there is
-   none), so off-core tails, whose labels a masked repair leaves stale,
-   are ignored. *)
-let keeps_flows g ~weights ~edits ~masked ~off ~d ~dist t =
+   is never summed. *)
+let keeps_flows g ~weights ~edits ~d ~dist t =
   let in_off = Graph.in_offsets g and in_ids = Graph.in_arc_ids g in
   let srcs = Graph.srcs g in
   let ok = ref true and i = ref 0 in
@@ -366,8 +354,7 @@ let keeps_flows g ~weights ~edits ~masked ~off ~d ~dist t =
     let e = edits.(!i) in
     incr i;
     let h = e.v and a = e.u in
-    if h <> t && core ~masked off a && tight e.after ~head:dist.(h) ~tail:dist.(a)
-    then begin
+    if h <> t && tight e.after ~head:dist.(h) ~tail:dist.(a) then begin
       let j = ref in_off.(h) in
       while !ok && !j < in_off.(h + 1) do
         let id = in_ids.(!j) in
@@ -375,7 +362,6 @@ let keeps_flows g ~weights ~edits ~masked ~off ~d ~dist t =
         incr j;
         if
           z <> a
-          && core ~masked off z
           && tight weights.(id) ~head:dist.(h) ~tail:dist.(z)
           && precedes ~da:d.(z) z ~db:d.(a) a <> precedes ~da:dist.(z) z ~db:dist.(a) a
         then ok := false
@@ -402,21 +388,8 @@ let keeps_flows g ~weights ~edits ~masked ~off ~d ~dist t =
    shares the old labels and order when no label moved, and otherwise
    [buf]'s, and every next-hop set that did not change.  Afterwards
    [k.moved] lists the moved nodes and [k.sets_moved] tells whether a
-   set was replaced.
-
-   A masked repair ([off_core]) never marks, seeds, settles or re-sets
-   an off-core node, never seeds a core node from an off-core
-   out-neighbour or over a dropped arc with an off-core end, and leaves
-   off-core heads out of the next-hop sets it recomputes.  A simple
-   path between core nodes stays in the core ({!Graph.off_core}), so
-   at a core destination every core node's label and next-hop set, and
-   its place among the core nodes in the order, come out as unmasked;
-   off-core nodes keep their old labels and sets, which may be stale (a
-   stale label can even look tight once its cut vertex's label has
-   risen), and carry no flow. *)
-let repair g k ~weights ~edits ?off_core dag buf =
-  let off = Option.value off_core ~default:[||] in
-  let masked = Option.is_some off_core in
+   set was replaced. *)
+let repair g k ~weights ~edits dag buf =
   let t = dag.Spf.dst and d = dag.Spf.dist and old_next = dag.Spf.next_arcs in
   let lab = buf.lab in
   let in_off = Graph.in_offsets g and in_ids = Graph.in_arc_ids g in
@@ -432,11 +405,8 @@ let repair g k ~weights ~edits ?off_core dag buf =
      in-arcs; [marked] is its worklist. *)
   for i = 0 to Array.length edits - 1 do
     let e = edits.(i) in
-    if
-      e.after > e.before
-      && core ~masked off e.u
-      && tight e.before ~head:d.(e.v) ~tail:d.(e.u)
-    then examine k ~edits ~dsts ~lab old_next e.u
+    if e.after > e.before && tight e.before ~head:d.(e.v) ~tail:d.(e.u) then
+      examine k ~edits ~dsts ~lab old_next e.u
   done;
   let i = ref 0 in
   while !i < k.nmarked do
@@ -447,7 +417,6 @@ let repair g k ~weights ~edits ?off_core dag buf =
       let z = srcs.(id) in
       if
         lab.(z) <> unreachable
-        && core ~masked off z
         && tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
       then examine k ~edits ~dsts ~lab old_next z
     done
@@ -460,21 +429,15 @@ let repair g k ~weights ~edits ?off_core dag buf =
       let id = out_ids.(j) in
       let y = dsts.(id) in
       let w = weights.(id) and l = lab.(y) in
-      if w <> suppressed && l <> unreachable && core ~masked off y && w + l < !best
-      then best := w + l
+      if w <> suppressed && l <> unreachable && w + l < !best then best := w + l
     done;
     if !best <> unreachable then push k lab x !best
   done;
   for i = 0 to Array.length edits - 1 do
     let e = edits.(i) in
     let l = lab.(e.v) in
-    if
-      e.after < e.before
-      && l <> unreachable
-      && core ~masked off e.u
-      && core ~masked off e.v
-      && e.after + l < lab.(e.u)
-    then push k lab e.u (e.after + l)
+    if e.after < e.before && l <> unreachable && e.after + l < lab.(e.u) then
+      push k lab e.u (e.after + l)
   done;
   (* 3. Re-settle.  A node's first pop carries its final label. *)
   let node_of_key = (1 lsl k.shift) - 1 in
@@ -491,12 +454,8 @@ let repair g k ~weights ~edits ?off_core dag buf =
       for j = in_off.(x) to in_off.(x + 1) - 1 do
         let id = in_ids.(j) in
         let z = srcs.(id) and w = weights.(id) in
-        if
-          w <> suppressed
-          && settled.(z) <> stamp
-          && core ~masked off z
-          && lx + w < lab.(z)
-        then push k lab z (lx + w)
+        if w <> suppressed && settled.(z) <> stamp && lx + w < lab.(z) then
+          push k lab z (lx + w)
       done
     end
   done;
@@ -510,22 +469,20 @@ let repair g k ~weights ~edits ?off_core dag buf =
   done;
   let dist = if k.nmoved = 0 then d else lab in
   for i = 0 to Array.length edits - 1 do
-    let u = edits.(i).u in
-    if core ~masked off u then refresh k g ~weights ~dist ~t ~old_next ?off_core buf u
+    refresh k g ~weights ~dist ~t ~old_next buf edits.(i).u
   done;
   for i = 0 to k.nmoved - 1 do
     let x = k.moved.(i) in
-    refresh k g ~weights ~dist ~t ~old_next ?off_core buf x;
+    refresh k g ~weights ~dist ~t ~old_next buf x;
     (* An in-neighbour's set changes through this arc only if the arc
        was or is tight. *)
     for j = in_off.(x) to in_off.(x + 1) - 1 do
       let id = in_ids.(j) in
       let z = srcs.(id) in
       if
-        core ~masked off z
-        && (tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
-           || tight weights.(id) ~head:dist.(x) ~tail:dist.(z))
-      then refresh k g ~weights ~dist ~t ~old_next ?off_core buf z
+        tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
+        || tight weights.(id) ~head:dist.(x) ~tail:dist.(z)
+      then refresh k g ~weights ~dist ~t ~old_next buf z
     done
   done;
   let order_desc =
@@ -588,44 +545,9 @@ let record ~dirty ~relabeled ~settles =
     Metrics.observe m_dirty (float_of_int dirty)
   end
 
-let update ?ws:_ ?active g ~weights ~prev ~changes =
-  let edits = edits_of g ~weights ~prev ?active changes in
-  if Array.length edits = 0 then (prev, [])
-  else begin
-    let n = Graph.node_count g in
-    let k = kernel n in
-    let dags = Array.copy prev in
-    let dirty = ref [] and relabeled = ref 0 in
-    for t = n - 1 downto 0 do
-      let dag = prev.(t) in
-      if dirty_at active edits dag t then begin
-        let buf =
-          {
-            lab = Array.copy dag.Spf.dist;
-            next = Array.copy dag.Spf.next_arcs;
-            src_next = [||];
-            log = [||];
-            logged = 0;
-            src_dist = [||];
-            lab_log = [||];
-            lab_logged = 0;
-            orders = [];
-            keep = false;
-          }
-        in
-        let next = repair g k ~weights ~edits dag buf in
-        if next.Spf.dist != dag.Spf.dist then incr relabeled;
-        dags.(t) <- next;
-        dirty := t :: !dirty
-      end
-    done;
-    record ~dirty:(List.length !dirty) ~relabeled:!relabeled ~settles:k.settles;
-    (dags, !dirty)
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Scratch updates: the same screen and kernel, writing into buffers a
-   caller reuses across updates instead of fresh arrays.
+(* Every update runs in a scratch: a caller's, reused across updates,
+   or a fresh one that the pure {!update} copies its dags out of.
 
    [view] mirrors [view_src] (the [prev] of the last update) outside
    the last update's dirty slots, so an update against the same [prev]
@@ -637,7 +559,8 @@ let update ?ws:_ ?active g ~weights ~prev ~changes =
    loop and the spine blitted (a full blit of a pointer array pays the
    write barrier per element).  The pool holds at most one slot (4n
    words) per destination ever repaired, about as much as the dags
-   themselves. *)
+   themselves.  [core] keeps the subgraph of the last off-core mask
+   with the mask and the graph it was built from. *)
 
 type scratch = {
   mutable view : Spf.dag array;
@@ -647,6 +570,7 @@ type scratch = {
   mutable ndirty : int;
   mutable slot_of : buf option array;
   mutable kernel : kernel;
+  mutable core : (bool array * Graph.t * Graph.t) option;
 }
 
 let scratch () =
@@ -658,6 +582,7 @@ let scratch () =
     ndirty = 0;
     slot_of = [||];
     kernel = kernel 1;
+    core = None;
   }
 
 (* Destination [t]'s slot, its spine equal to [dag]'s and its labels
@@ -679,7 +604,6 @@ let claim s n t dag =
             lab_log = Array.make n 0;
             lab_logged = 0;
             orders = [];
-            keep = true;
           }
         in
         s.slot_of.(t) <- Some b;
@@ -710,13 +634,41 @@ let claim s n t dag =
   b.lab_logged <- 0;
   b
 
+(* A masked update repairs on the demand core's subgraph, under the
+   edits between core nodes, while the label test and the dirty list
+   take every edit.  The subgraph is built once per mask. *)
+let core_graph s g off =
+  match s.core with
+  | Some (mask, src, sub) when mask == off && src == g -> sub
+  | _ ->
+      let sub = Graph.without g ~nodes:off in
+      s.core <- Some (off, g, sub);
+      sub
+
+let[@inline] in_core off e = not (off.(e.u) || off.(e.v))
+
+let rec count_core off edits i =
+  if i = Array.length edits then 0
+  else Bool.to_int (in_core off edits.(i)) + count_core off edits (i + 1)
+
+let core_edits off edits =
+  let count = count_core off edits 0 in
+  if count = Array.length edits then edits
+  else begin
+    let kept = Array.make count edits.(0) and j = ref 0 in
+    for i = 0 to Array.length edits - 1 do
+      if in_core off edits.(i) then begin
+        kept.(!j) <- edits.(i);
+        incr j
+      end
+    done;
+    kept
+  end
+
 let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
   let edits = edits_of g ~weights ~prev ?active changes in
+  let kg = match off_core with None -> g | Some off -> core_graph s g off in
   let n = Graph.node_count g in
-  let off = Option.value off_core ~default:[||] in
-  let masked = Option.is_some off_core in
-  if masked && Array.length off <> n then
-    invalid_arg "Spf_delta.update: off_core length mismatch";
   if Array.length s.view <> n then begin
     s.view <- Array.copy prev;
     s.view_src <- prev;
@@ -737,6 +689,7 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
     done;
   s.ndirty <- 0;
   if Array.length edits > 0 then begin
+    let kedits = match off_core with None -> edits | Some off -> core_edits off edits in
     let k = s.kernel in
     k.settles <- 0;
     let relabeled = ref 0 in
@@ -744,7 +697,7 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
       let dag = prev.(t) in
       if dirty_at active edits dag t then begin
         let buf = claim s n t dag in
-        let next = repair g k ~weights ~edits ?off_core dag buf in
+        let next = repair kg k ~weights ~edits:kedits dag buf in
         (* The slot's labels now differ from [dag]'s at the moved nodes
            only. *)
         Array.blit k.moved 0 buf.lab_log 0 k.nmoved;
@@ -755,8 +708,7 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
         s.dirty.(s.ndirty) <- t;
         s.same_flows.(s.ndirty) <-
           (not k.sets_moved)
-          && keeps_flows g ~weights ~edits ~masked ~off ~d:dag.Spf.dist
-               ~dist:next.Spf.dist t;
+          && keeps_flows kg ~weights ~edits:kedits ~d:dag.Spf.dist ~dist:next.Spf.dist t;
         s.ndirty <- s.ndirty + 1
       end
     done;
@@ -770,3 +722,30 @@ let scratch_dirty s = s.ndirty
 let scratch_dirty_at s i = s.dirty.(i)
 
 let scratch_same_flows_at s i = s.same_flows.(i)
+
+let own cur was = if cur == was then cur else Array.copy cur
+
+(* A repaired dag's labels and order are [prev]'s (immutable) unless
+   the repair moved them, and its spine is always the slot's. *)
+let scratch_copy s =
+  if s.ndirty = 0 then s.view_src
+  else begin
+    let dags = Array.copy s.view in
+    for i = 0 to s.ndirty - 1 do
+      let t = s.dirty.(i) in
+      let d = dags.(t) and was = s.view_src.(t) in
+      dags.(t) <-
+        {
+          d with
+          Spf.dist = own d.Spf.dist was.Spf.dist;
+          next_arcs = Array.copy d.Spf.next_arcs;
+          order_desc = own d.Spf.order_desc was.Spf.order_desc;
+        }
+    done;
+    dags
+  end
+
+let update ?ws:_ ?active g ~weights ~prev ~changes =
+  let s = scratch () in
+  update_scratch s ?active g ~weights ~prev ~changes;
+  (scratch_copy s, List.init s.ndirty (Array.get s.dirty))

@@ -28,16 +28,13 @@
     the same {!Spf.node_next_arcs}, and the order is the same
     (distance desc, id asc) permutation.
 
-    One repair kernel serves two entry points.  {!update} is pure: every
-    repaired dag gets fresh label, spine and order arrays (next-hop
-    sets that did not change are shared with [prev]).
-    {!update_scratch} runs the same screen and kernel into a {!scratch}
-    the caller reuses from update to update: the kernel's stacks, heap
-    and stamps, and the labels, spines and orders it writes, live in
-    kept buffers whose writes are undone before reuse, so a steady
-    stream of updates allocates only the next-hop sets that change.
-    It also tells, per repaired destination, whether the repair can
-    move any flow ({!scratch_same_flows_at}). *)
+    The screen and the kernel run into a {!scratch} ({!update_scratch}),
+    whose kept buffers hold the kernel's state and the labels, spines
+    and orders it writes, undone before reuse: a caller that reuses one
+    allocates only the next-hop sets that change.  {!update} is the
+    pure form, a fresh scratch and then {!scratch_copy}.  A repair
+    masked to a demand core is the same kernel on the core's subgraph
+    ({!Graph.without}). *)
 
 type change = {
   arc : int;  (** arc id whose weight changed *)
@@ -58,11 +55,11 @@ val update :
     destinations — those whose dag differs from [prev] — in ascending
     order.  Unaffected destinations share their dag physically with
     [prev], and a repaired dag shares every next-hop set that did not
-    change; [prev] itself is never mutated (with no effective change
-    it is returned as-is).  [?ws] is ignored: the repair needs no
-    {!Dijkstra} arena (its working state is the kernel's own, fresh per
-    call here and kept in a {!scratch} by {!update_scratch}); callers
-    that thread one arena through full sweeps may still pass it.
+    change; [prev] itself is never mutated (with no dirty destination
+    it is returned as-is).  Each call allocates a fresh {!scratch}; a
+    caller that updates often keeps one.  [?ws] is ignored: the repair
+    needs no {!Dijkstra} arena; callers that thread one arena through
+    full sweeps may still pass it.
     [weights] must be the full new weight vector and [changes] the
     arcs on which it differs from the vector [prev] was computed with;
     a change may fail an arc ([after = Dijkstra.suppressed]) or restore
@@ -88,7 +85,8 @@ val touches : Graph.t -> Spf.dag -> change -> bool
 type scratch
 (** Reusable state for {!update_scratch}: the repair kernel's working
     state (int stacks, heap, per-node stamps, O(n) words), a
-    per-destination dag view, and one repair slot (labels, next-hop
+    per-destination dag view, the subgraph of its last [off_core]
+    mask, and one repair slot (labels, next-hop
     spine, two write logs and orders, about [4n] words) per
     destination it has repaired, created by that destination's first
     repair — about as much memory as the dags themselves.  After the
@@ -115,25 +113,24 @@ val update_scratch :
     set did not change) and {!scratch_dirty_at} the dirty
     destinations in ascending order.  Both stay valid until the next
     [update_scratch] on [s]; the repaired dags live in [s]'s buffers,
-    so a caller that keeps one beyond that copies it.  [prev] is never
+    so a caller that keeps them beyond that copies them
+    ({!scratch_copy}).  [prev] is never
     mutated.  Same arguments and exceptions as {!update}; an exception
     leaves [s] usable.
 
-    [off_core] masks the repair with a {!Graph.off_core} set: the
-    kernel never marks, seeds, settles or re-sets a flagged node,
-    never seeds a node from a flagged out-neighbour or over a dropped
-    arc with a flagged end, leaves flagged heads out of every next-hop
-    set it recomputes, and ignores flagged tails in the same-flow
-    rule.  At a destination that is not flagged, every unflagged node
-    then gets {!update}'s label and next-hop set, and the unflagged
-    nodes keep {!update}'s order among themselves (a simple path
-    between unflagged nodes visits no flagged one); flagged nodes keep
-    [prev]'s labels and sets, which may be stale.  The dirty list is
-    the unmasked one, though a masked repair may leave a dirty dag as
-    it was, and the same-flow flags describe the masked dags.  A
-    caller that masks keeps every flow-carrying node unflagged, and
-    repairs again without the mask where it needs dags exact at every
-    node.
+    [off_core], a {!Graph.off_core} set, confines the repair to the
+    unflagged nodes: the kernel runs on [Graph.without g ~nodes:off_core]
+    (built once per mask array and kept in [s]; do not mutate the
+    array) under the changes between unflagged nodes, while the label
+    test and the dirty list take every change.  At an unflagged
+    destination every unflagged node gets {!update}'s label, next-hop
+    set and relative order, since [prev]'s labels are exact and a
+    simple path between unflagged nodes visits no flagged one: a change
+    with a flagged end is never tight there and never shortens a path.
+    Flagged nodes keep [prev]'s labels and sets, which may be stale, and
+    the same-flow flags describe the masked dags.  A caller that masks
+    keeps every flow-carrying node unflagged, and repairs again without
+    the mask where it needs dags exact at every node.
     @raise Invalid_argument also if [off_core] has the wrong length. *)
 
 val scratch_dags : scratch -> Spf.dag array
@@ -145,6 +142,14 @@ val scratch_dirty : scratch -> int
 val scratch_dirty_at : scratch -> int -> int
 (** [scratch_dirty_at s i] is the [i]-th dirty destination
     ([0 <= i < scratch_dirty s]), ascending. *)
+
+val scratch_copy : scratch -> Spf.dag array
+(** The dags of the last {!update_scratch} in arrays the caller owns,
+    which later updates on the scratch leave as they are: [prev]'s dag
+    at every clean destination, and fresh labels, spine and order at a
+    dirty one ([prev]'s where they did not move; next-hop sets are
+    never written, so they stay shared).  [prev] itself when no
+    destination is dirty. *)
 
 val scratch_same_flows_at : scratch -> int -> bool
 (** [scratch_same_flows_at s i] is [true] when the repair of the

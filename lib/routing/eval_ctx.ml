@@ -812,10 +812,9 @@ let probe_primary ~model ~th t p =
         ~dags_h:(probe_dags t p 0) ~phi_h_per_arc:(probe_phi_row t p 0)
 
 (* Install a current probe straight from the arena, copying what it
-   moved into fresh arrays: the weight row, the dirty dags (labels and
-   order only where they moved; next-hop sets are immutable and
-   shared), the moved contribution rows, and full load, capacity and
-   Fortz rows of the classes it changed. *)
+   moved into fresh arrays: the weight row, the dirty dags
+   ({!Spf_delta.scratch_copy}), the moved contribution rows, and full
+   load, capacity and Fortz rows of the classes it changed. *)
 let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
@@ -829,26 +828,7 @@ let commit t p =
     || (Option.is_some a.a_off.(g) && Spf_delta.scratch_dirty a.a_spf.(g) > 0)
   then repair t a g ~active:t.active.(g) a.a_changes;
   t.group_w.(g) <- Array.copy a.a_w.(g);
-  let spf = a.a_spf.(g) in
-  let dirty = Spf_delta.scratch_dirty spf in
-  if dirty > 0 then begin
-    let view = Spf_delta.scratch_dags spf in
-    let prev = t.group_dags.(g) in
-    let dags = Array.copy prev in
-    for i = 0 to dirty - 1 do
-      let dst = Spf_delta.scratch_dirty_at spf i in
-      let d = view.(dst) and old = prev.(dst) in
-      let keep_or_copy cur was = if cur == was then cur else Array.copy cur in
-      dags.(dst) <-
-        {
-          d with
-          Spf.dist = keep_or_copy d.Spf.dist old.Spf.dist;
-          next_arcs = Array.copy d.Spf.next_arcs;
-          order_desc = keep_or_copy d.Spf.order_desc old.Spf.order_desc;
-        }
-    done;
-    t.group_dags.(g) <- dags
-  end;
+  t.group_dags.(g) <- Spf_delta.scratch_copy a.a_spf.(g);
   for i = 0 to a.a_nov - 1 do
     t.contrib.(a.a_ov_class.(i)).(a.a_ov_dst.(i)) <- Array.copy a.a_rows.(i)
   done;

@@ -1,8 +1,8 @@
 (** Minimum-priority queue over float keys (binary heap).
 
-    Used by Dijkstra (with lazy deletion) and by the discrete-event
-    simulator's calendar.  Insertion order breaks ties, making runs
-    deterministic. *)
+    Used by the discrete-event simulator's calendar ([Dtr_netsim.Sim]);
+    Dijkstra runs on [Bucket_queue].  Insertion order breaks ties,
+    making runs deterministic. *)
 
 type 'a t
 

@@ -12,6 +12,7 @@ module Weights = Dtr_routing.Weights
 module Search_config = Dtr_core.Search_config
 module Problem = Dtr_core.Problem
 module Neighborhood = Dtr_core.Neighborhood
+module Trace = Dtr_core.Trace
 module Dtr_search = Dtr_core.Dtr_search
 module Str_search = Dtr_core.Str_search
 module Classic = Dtr_topology.Classic
@@ -220,37 +221,42 @@ let objective_of_initial p =
   let w = Array.make (Graph.arc_count p.Problem.graph) mid in
   Problem.objective (Problem.eval_str p ~w)
 
-let test_find_h_never_worsens () =
+(* FindH and FindL as Dtr_search.run passes them, read off a trace
+   ring: each pass's event holds the objective before and after it. *)
+let ring_passes seed ~kind ~routine =
   let p = ring_problem () in
-  let rng = Prng.create 6 in
-  let sol =
-    ref
-      (Problem.eval_dtr p
-         ~wh:(Weights.uniform p.Problem.graph 15)
-         ~wl:(Weights.uniform p.Problem.graph 15))
+  let trace = Trace.ring () in
+  ignore (Dtr_search.run ~trace (Prng.create seed) tiny_config p : Dtr_search.report);
+  let passes =
+    List.filter
+      (fun (e : Trace.event) -> e.Trace.kind = kind && e.Trace.detail = routine)
+      (Trace.events trace)
   in
-  for _ = 1 to 30 do
-    let next = Dtr_search.find_h rng tiny_config p !sol in
-    Alcotest.(check bool) "monotone" true
-      (Lexico.compare (Problem.objective next) (Problem.objective !sol) <= 0);
-    sol := next
-  done
+  Alcotest.(check int) "one event per pass" tiny_config.Search_config.n_iters
+    (List.length passes);
+  Alcotest.(check bool) "some pass moved" true
+    (List.exists (fun (e : Trace.event) -> e.Trace.accepted) passes);
+  let obj a = Lexico.make ~primary:a.(0) ~secondary:a.(1) in
+  List.map (fun (e : Trace.event) -> (obj e.Trace.before, obj e.Trace.after)) passes
 
+(* Routine 1's FindH passes move only to a candidate the searches'
+   tolerance ranks better. *)
+let test_find_h_never_worsens () =
+  List.iter
+    (fun (before, after) ->
+      Alcotest.(check bool) "monotone" true
+        (Lexico.compare ~rel_tol:1e-9 after before <= 0))
+    (ring_passes 6 ~kind:Trace.Find_h ~routine:0)
+
+(* Routine 2's FindL passes move W_L only, with W_H frozen. *)
 let test_find_l_preserves_high_priority () =
-  let p = ring_problem () in
-  let rng = Prng.create 7 in
-  let sol =
-    ref
-      (Problem.eval_dtr p
-         ~wh:(Weights.uniform p.Problem.graph 15)
-         ~wl:(Weights.uniform p.Problem.graph 15))
-  in
-  let initial_primary = (Problem.objective !sol).Lexico.primary in
-  for _ = 1 to 30 do
-    sol := Dtr_search.find_l rng tiny_config p !sol
-  done;
-  checkf "primary untouched by FindL" initial_primary
-    (Problem.objective !sol).Lexico.primary
+  List.iter
+    (fun ((before : Lexico.t), (after : Lexico.t)) ->
+      Alcotest.(check bool) "primary bitwise untouched by FindL" true
+        (Int64.equal
+           (Int64.bits_of_float before.Lexico.primary)
+           (Int64.bits_of_float after.Lexico.primary)))
+    (ring_passes 7 ~kind:Trace.Find_l ~routine:1)
 
 let test_dtr_run_improves () =
   let p = ring_problem () in

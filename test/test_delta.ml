@@ -434,6 +434,83 @@ let prop_unchanged_sets_shared =
       done;
       !shared > 0)
 
+(* A dag array from [Spf_delta.scratch_copy] is the caller's: the
+   scratch's next updates, against the same [prev] and then against the
+   copy itself as the new [prev] (as after a commit), leave it
+   structurally as it was, and every next-hop set it shared with [prev]
+   stays shared.  Eval_ctx.commit installs such copies and relies on
+   both. *)
+let prop_scratch_copy_owned =
+  QCheck.Test.make ~name:"scratch_copy survives the scratch's next updates" ~count:20
+    QCheck.(int_range 0 10_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Prng.create ((seed * 37) + 3) in
+      let w = Weights.random rng g in
+      let n = Graph.node_count g in
+      let s = Spf_delta.scratch () in
+      let prev = ref (Spf.all_destinations g ~weights:w) in
+      let update () =
+        let edits = random_batch rng w (1 + Prng.int rng 3) in
+        let weights = Array.copy w in
+        List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+        Spf_delta.update_scratch s g ~weights ~prev:!prev
+          ~changes:
+            (List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits);
+        edits
+      in
+      let repaired = ref 0 and shared = ref 0 in
+      for step = 1 to 6 do
+        let edits = update () in
+        let copy = Spf_delta.scratch_copy s and was = !prev in
+        let snapshot =
+          Array.map
+            (fun d ->
+              {
+                d with
+                Spf.dist = Array.copy d.Spf.dist;
+                next_arcs = Array.map Array.copy d.Spf.next_arcs;
+                order_desc = Array.copy d.Spf.order_desc;
+              })
+            copy
+        in
+        let sets = ref [] in
+        for t = 0 to n - 1 do
+          check_dag_equal ~what:(Printf.sprintf "seed %d step %d dst %d" seed step t)
+            (Spf_delta.scratch_dags s).(t) copy.(t);
+          if copy.(t) != was.(t) then incr repaired;
+          for x = 0 to n - 1 do
+            if copy.(t).Spf.next_arcs.(x) == was.(t).Spf.next_arcs.(x) then
+              sets := (t, x) :: !sets
+          done
+        done;
+        shared := !shared + List.length !sets;
+        let still what =
+          for t = 0 to n - 1 do
+            check_dag_equal
+              ~what:(Printf.sprintf "seed %d step %d %s dst %d" seed step what t)
+              snapshot.(t) copy.(t)
+          done;
+          List.iter
+            (fun (t, x) ->
+              if copy.(t).Spf.next_arcs.(x) != was.(t).Spf.next_arcs.(x) then
+                Alcotest.failf "seed %d step %d %s: dst %d node %d: set no longer shared"
+                  seed step what t x)
+            !sets
+        in
+        for _ = 1 to 3 do
+          ignore (update () : (int * int) list)
+        done;
+        still "after updates against the same prev";
+        List.iter (fun (arc, v) -> w.(arc) <- v) edits;
+        prev := copy;
+        for _ = 1 to 3 do
+          ignore (update () : (int * int) list)
+        done;
+        still "after updates against the copy"
+      done;
+      !repaired > 0 && !shared > 0)
+
 (* A label too large to pack beside a node id in the repair's heap is
    refused midway through a repair, and the scratch stays usable: its
    slots were last filled against the same dags, so a slot that kept
@@ -818,6 +895,33 @@ let test_masked_stale_head () =
   let d = (Spf_delta.scratch_dags s).(2) in
   Alcotest.(check int) "d(0)" 6 d.Spf.dist.(0);
   Alcotest.(check (array int)) "0's next hops" [| a 0 1 |] d.Spf.next_arcs.(0)
+
+(* A scratch keeps the subgraph of the last mask it was given: a new
+   mask array gets its own, so one scratch that alternates masks
+   repairs as fresh scratches do.  Raising 0 -> 1 to 3 lifts 0's label
+   toward 2 from 2 to 4, which moves the stub unless it is masked. *)
+let test_masked_scratch_follows_mask () =
+  let g, w, off, prev = stub_ring () in
+  let a = arc_id g in
+  let weights = Array.copy w in
+  weights.(a 0 1) <- 3;
+  let changes = [ { Spf_delta.arc = a 0 1; before = 1; after = 3 } ] in
+  let shared = Spf_delta.scratch () in
+  List.iter
+    (fun (what, mask) ->
+      let fresh = Spf_delta.scratch () in
+      Spf_delta.update_scratch fresh ~off_core:mask g ~weights ~prev ~changes;
+      Spf_delta.update_scratch shared ~off_core:mask g ~weights ~prev ~changes;
+      Array.iteri
+        (fun t d ->
+          check_dag_equal ~what:(Printf.sprintf "%s, dst %d" what t) d
+            (Spf_delta.scratch_dags shared).(t))
+        (Spf_delta.scratch_dags fresh))
+    [
+      ("stub masked", off);
+      ("nothing masked", Array.make (Graph.node_count g) false);
+      ("stub masked again", off);
+    ]
 
 (* The same-flow rule ignores off-core tails.  Toward 0, over h = 1,
    where the endpoint 2 reaches 1 by its only arc and the stub node 3,
@@ -2014,6 +2118,7 @@ let () =
           Alcotest.test_case "repair: 220-node graph" `Quick test_repair_large_graph;
           Alcotest.test_case "repair work counters" `Quick test_repair_counters;
           QCheck_alcotest.to_alcotest prop_unchanged_sets_shared;
+          QCheck_alcotest.to_alcotest prop_scratch_copy_owned;
           test_same_flows;
           Alcotest.test_case "same-flow rule: re-associated sum not reported" `Quick
             test_same_flows_counterexample;
@@ -2031,6 +2136,8 @@ let () =
             test_masked_stale_head;
           Alcotest.test_case "the same-flow rule ignores off-core tails" `Quick
             test_masked_same_flow;
+          Alcotest.test_case "a scratch follows a new mask" `Quick
+            test_masked_scratch_follows_mask;
         ] );
       ( "loads",
         [

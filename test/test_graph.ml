@@ -619,6 +619,69 @@ let test_off_core_rejects_length () =
     (Invalid_argument "Graph.off_core: endpoints length mismatch") (fun () ->
       ignore (Graph.off_core (diamond ()) ~endpoints:[| true |]))
 
+(* ------------------------------------------------------------------ *)
+(* Graph.without against a filter of the arc list *)
+
+(* Random multigraphs (parallel and anti-parallel arcs, random
+   capacities and delays) with random node flags: the subgraph keeps
+   every node, arc id and per-arc row, lists an arc in its tail's
+   out-row and its head's in-row exactly when neither end is flagged,
+   keeps every row ascending, and finds exactly the kept arcs. *)
+let prop_without =
+  QCheck.Test.make ~name:"without keeps exactly the arcs between unflagged nodes"
+    ~count:400
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Prng.create seed in
+      let n = Prng.int_incl rng 2 8 in
+      let arcs =
+        List.init (Prng.int rng 25) (fun _ ->
+            let u = Prng.int rng n in
+            {
+              Graph.src = u;
+              dst = (u + 1 + Prng.int rng (n - 1)) mod n;
+              capacity = float_of_int (Prng.int_incl rng 1 9);
+              delay = Prng.float rng 3.;
+            })
+      in
+      let g = Graph.build ~n arcs in
+      let nodes = Array.init n (fun _ -> Prng.int rng 3 = 0) in
+      let h = Graph.without g ~nodes in
+      let m = Graph.arc_count g in
+      let kept id = not (nodes.(Graph.src g id) || nodes.(Graph.dst g id)) in
+      let ids = List.init m Fun.id in
+      let rec ascending = function
+        | a :: (b :: _ as rest) -> a < b && ascending rest
+        | _ -> true
+      in
+      let row_ok v row endpoint =
+        ascending (Array.to_list row) && Array.for_all (fun id -> endpoint g id = v) row
+      in
+      Graph.node_count h = n
+      && Graph.arc_count h = m
+      && List.for_all
+           (fun id ->
+             Graph.arc h id = Graph.arc g id
+             && Array.mem id (Graph.out_arcs h (Graph.src g id)) = kept id
+             && Array.mem id (Graph.in_arcs h (Graph.dst g id)) = kept id)
+           ids
+      && List.for_all
+           (fun v ->
+             row_ok v (Graph.out_arcs h v) Graph.src
+             && row_ok v (Graph.in_arcs h v) Graph.dst
+             && List.for_all
+                  (fun u ->
+                    Graph.find_arc h ~src:v ~dst:u
+                    = List.find_opt
+                        (fun id -> kept id && Graph.src g id = v && Graph.dst g id = u)
+                        ids)
+                  (List.init n Fun.id))
+           (List.init n Fun.id))
+
+let test_without_rejects_length () =
+  Alcotest.check_raises "length" (Invalid_argument "Graph.without: nodes length mismatch")
+    (fun () -> ignore (Graph.without (diamond ()) ~nodes:[| true |]))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dtr_graph"
@@ -648,6 +711,9 @@ let () =
           test_off_core_enumeration;
           Alcotest.test_case "off_core rejects a wrong-length mask" `Quick
             test_off_core_rejects_length;
+          qc prop_without;
+          Alcotest.test_case "without rejects a wrong-length mask" `Quick
+            test_without_rejects_length;
         ] );
       ( "dijkstra",
         [
