@@ -101,10 +101,10 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
       ~energy:(fun o -> o.Lexico.primary)
   in
   Incumbent.phase_done inc ~iteration:0 ~detail:0;
-  (* Fix the best W_H found, then anneal W_L against Φ_L. *)
-  Incumbent.restart inc ~wh:(Incumbent.best inc).Problem.wh
-    ~wl:(Incumbent.current inc).Problem.wl;
-  Incumbent.offer inc ~iteration:0;
+  (* Fix the best W_H found, then anneal W_L against Φ_L.  Phase 1
+     never moves W_L, so (best W_H, current W_L) is the best's own
+     weight pair: return to the best, whose context the run keeps. *)
+  Incumbent.return_to_best inc;
   let acc2 =
     anneal_phase inc ~detail:1 rng cfg schedule problem ~cls:`L
       ~energy:(fun o -> o.Lexico.secondary)

@@ -1,6 +1,12 @@
 module Vmemo = Dtr_util.Vmemo
 module Lexico = Dtr_cost.Lexico
 module Weights = Dtr_routing.Weights
+module Metrics = Dtr_util.Metrics
+
+let m_restores =
+  Metrics.counter
+    ~help:"Contexts synced from a run's kept best context (hand-offs and returns to the best)."
+    "dtr_eval_restores_total"
 
 type t = {
   problem : Problem.t;
@@ -15,7 +21,11 @@ type t = {
   mutable current : Problem.solution;
   mutable ctx : Problem.ctx;
       (* kept in step with [current]: a full evaluation hands over the
-         context it built, and a return to [best] rebuilds one *)
+         context it built, and a return to [best] syncs [best_ctx] into
+         it *)
+  best_ctx : Problem.ctx;
+      (* a clone of [ctx] kept in step with [best]: synced from [ctx] at
+         every new best, so a return to the best is blits only *)
   mutable best : Problem.solution;
   mutable best_j : Lexico.t;
       (* J = normal + alpha * penalty in robust mode; else the best's
@@ -77,6 +87,12 @@ let phase_done t ~iteration ~detail =
     emit t Trace.Phase_done ~iteration ~detail ~before:b ~after:b ~best:b
   end
 
+(* The current point becomes the best, and the kept context follows. *)
+let new_best t j =
+  t.best <- t.current;
+  t.best_j <- j;
+  Problem.sync_ctx ~src:t.ctx ~dst:t.best_ctx
+
 (* Sweep the current point; it becomes the best when its J improves
    on the best's (always, for the start point). *)
 let sweep t (r : Search_config.robust) ~iteration ~force =
@@ -87,10 +103,7 @@ let sweep t (r : Search_config.robust) ~iteration ~force =
   in
   t.prior <- Some rp;
   let improved = force || Lexico.improves rp.Problem.rp_objective t.best_j in
-  if improved then begin
-    t.best <- t.current;
-    t.best_j <- rp.Problem.rp_objective
-  end;
+  if improved then new_best t rp.Problem.rp_objective;
   if Trace.enabled t.trace then
     emit t Trace.Robust_sweep ~iteration ~detail:rp.Problem.rp_infinite
       ~accepted:improved ~before:(Trace.pair normal)
@@ -106,10 +119,7 @@ let improve t ~iteration ~moved =
       let improved =
         Lexico.improves (Problem.objective t.current) t.best_j
       in
-      if improved then begin
-        t.best <- t.current;
-        t.best_j <- Problem.objective t.current
-      end;
+      if improved then new_best t (Problem.objective t.current);
       improved
   | Some r ->
       moved
@@ -154,6 +164,7 @@ let create ?scan ?(trace = Trace.disabled) cfg problem start =
       memo = Vmemo.create ();
       current;
       ctx;
+      best_ctx = Problem.clone_ctx problem ctx;
       best = current;
       best_j = Problem.objective current;
       prior = None;
@@ -200,6 +211,7 @@ let restart t ~wh ~wl =
   t.stall <- 0
 
 let return_to_best t =
+  Metrics.incr_counter m_restores;
+  Problem.sync_ctx ~src:t.best_ctx ~dst:t.ctx;
   t.current <- t.best;
-  t.ctx <- Problem.ctx_of_solution t.problem t.best;
   t.stall <- 0

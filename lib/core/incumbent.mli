@@ -2,7 +2,8 @@
     {!Dtr_search} and {!Anneal_search}.
 
     A run holds a current point with its live evaluation context, the
-    best point so far with its objective, the improvement and stall
+    best point so far with its objective and a clone of the context kept
+    in step with it (synced at every new best), the improvement and stall
     counters of Algorithm 1's diversification rule, the run's own
     evaluation counts, and the trace sinks its events go to.  The
     searches choose candidates and fold scans; this module applies the
@@ -100,11 +101,17 @@ val jump : t -> cls:Problem.cls -> changes:(int * int) list -> unit
 
 val restart : t -> wh:int array -> wl:int array -> unit
 (** Move to a fresh full evaluation of [(wh, wl)] (counted), which
-    hands the run a new context, and reset the stall counter. *)
+    hands the run a new context, and reset the stall counter.  For a
+    point the run has not evaluated (the refinement's perturbed best);
+    going back to the best is {!return_to_best}. *)
 
 val return_to_best : t -> unit
-(** Move back to the best, rebuilding the context from it (nothing is
-    evaluated), and reset the stall counter. *)
+(** Move back to the best and reset the stall counter.  Nothing is
+    evaluated: the run's kept best context is synced into the live one
+    ({!Problem.sync_ctx}, blits only; no SPF, no rows), which keeps its
+    probe arena, and [dtr_eval_restores_total] counts it.  The
+    hand-offs of {!Dtr_search} and {!Anneal_search} are such returns,
+    since their first routine moves [W_H] alone. *)
 
 (** {2 Acceptance} *)
 

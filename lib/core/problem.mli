@@ -88,7 +88,9 @@ val ctx_of_solution : t -> solution -> ctx
 val eval_dtr_ctx : t -> wh:int array -> wl:int array -> solution * ctx
 (** {!eval_dtr}, also handing over the context the evaluation built,
     already in step with the solution: a search starts probing on it
-    instead of rebuilding one with {!ctx_of_solution}. *)
+    instead of rebuilding one with {!ctx_of_solution}.  A search that
+    goes back to a point it evaluated before syncs a kept clone
+    instead ({!clone_ctx}, {!sync_ctx}). *)
 
 val eval_str_ctx : t -> w:int array -> solution * ctx
 (** {!eval_str} with its context, as {!eval_dtr_ctx}. *)
@@ -124,15 +126,16 @@ val ctx_base_key : ctx -> int
 val clone_ctx : t -> ctx -> ctx
 (** A context evaluating identically to [ctx] but owning its mutable
     state ({!Dtr_routing.Eval_ctx.clone}), so another domain can probe
-    it concurrently.  Clones are kept in step with {!sync_ctx} — the
-    scan engine allocates one per worker and reuses it across
-    iterations. *)
+    it concurrently, or keep a state to return to.  Clones are kept in
+    step with {!sync_ctx}: the scan engine allocates one per worker and
+    reuses it across iterations, and a search run keeps one at its
+    best ({!Incumbent}). *)
 
 val sync_ctx : src:ctx -> dst:ctx -> unit
-(** Resynchronize a clone with its original by blitting the shared-row
-    spine (no re-evaluation): commits replace rows and never rebuild
-    the context, so the blit reproduces [src]'s evaluation state
-    exactly.
+(** Resynchronize a clone with its original, either way round, by
+    blitting the shared-row spine (no re-evaluation): commits replace
+    rows and never rebuild the context, so the blit reproduces [src]'s
+    evaluation state exactly.
     @raise Invalid_argument on incompatible contexts. *)
 
 val ctx_arc_cmp_h : t -> ctx -> int -> int -> int

@@ -39,7 +39,9 @@ type row = {
   peak_rss_kb : int;
 }
 
-let default_probes = 200
+(* A p99 over 200 probes rests on two samples beyond it, which swung
+   3x between identical runs; 1,000 put ten there. *)
+let default_probes = 1000
 
 (* The paper's two-class mix at PoP scale, as {!Scenario.make} builds
    it for every large preset: the high class rides a density-0.10

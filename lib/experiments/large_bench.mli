@@ -29,7 +29,8 @@ type row = {
 }
 
 val default_probes : int
-(** Timed probes per preset (200). *)
+(** Timed probes per preset (1,000, so that the p99 rests on ten
+    samples). *)
 
 val run_preset : ?probes:int -> seed:int -> Dtr_topology.Large.preset -> row
 

@@ -18,16 +18,18 @@ let m_fail_probes =
   Metrics.counter ~help:"Failure probes (link-failure delta evaluations)."
     "dtr_eval_fail_probes_total"
 
-(* Clone/sync traffic scales with --scan-jobs (one clone per worker,
-   one sync per parallel scan per worker), so it is honest but
-   scheduling-dependent. *)
+(* Clone/sync traffic scales with --scan-jobs (one clone per scan
+   worker, one sync per parallel scan per worker), so it is honest but
+   scheduling-dependent.  A search run adds one clone, the context it
+   keeps at its best, and one sync per new best and per return to it. *)
 let m_clones =
-  Metrics.counter ~det:false ~help:"Evaluation-context clones (one per scan worker)."
+  Metrics.counter ~det:false
+    ~help:"Evaluation-context clones (scan workers' and each search run's kept best context)."
     "dtr_eval_clones"
 
 let m_syncs =
   Metrics.counter ~det:false
-    ~help:"Evaluation-context resynchronizations (blit-only, per parallel scan)."
+    ~help:"Evaluation-context resynchronizations (blit-only: scan workers before a parallel scan, a run's kept best context at each new best and back)."
     "dtr_eval_syncs"
 
 (* Which destinations a context carries DAGs for: [All] is the classic
@@ -77,6 +79,9 @@ type t = {
    - [a_off]: per group, the nodes off its demand core (Graph.off_core
      of its member classes' demand endpoints), [None] when there are
      none; every probe's repair is masked with them;
+   - [a_core_arcs]: per group, the arcs with both ends on its core
+     (every arc when [a_off] is [None]), ascending: the only arcs a
+     contribution row of its classes can be nonzero at;
    - [a_listed]: per arc, the number ([a_listing]) of the last probe
      whose change list named it, so a list naming an arc twice is
      refused without allocating;
@@ -84,6 +89,9 @@ type t = {
      destination) whose row moved, listed in [a_ov_class]/[a_ov_dst];
      [a_ov_at] maps (class, destination) to its row while the load
      totals are re-summed, and is all -1 between probes;
+     [a_row_group] holds the group whose walk last wrote each row, -1
+     for a row never written: a row is zero off that group's core
+     arcs;
    - [a_touched]/[a_touched_list]: the arcs whose contribution moved
      ([a_touched] is all-false between probes);
    - [a_zero_shares]: a re-projection of this computation split a
@@ -107,11 +115,13 @@ and arena = {
   a_spf : Spf_delta.scratch array;
   a_w : int array array;
   a_off : bool array option array;
+  a_core_arcs : int array array;
   a_listed : int array;
   mutable a_listing : int;
   a_demand_dsts : int array array;  (* class -> demand destinations, ascending *)
   a_flow : float array;
   mutable a_rows : float array array;
+  a_row_group : int array;
   a_ov_class : int array;
   a_ov_dst : int array;
   mutable a_nov : int;
@@ -362,14 +372,26 @@ let group_off_core t gi =
   let off = Graph.off_core t.graph ~endpoints in
   if Array.exists Fun.id off then Some off else None
 
+(* A group's core arcs: those with neither end in its off-core set
+   [off], every arc when it has none. *)
+let core_arcs g off =
+  let m = Graph.arc_count g in
+  match off with
+  | None -> Array.init m Fun.id
+  | Some off ->
+      let on a = not (off.(Graph.src g a) || off.(Graph.dst g a)) in
+      Array.of_list (List.filter on (List.init m Fun.id))
+
 let make_arena t =
   let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
   let floats () = Array.init classes (fun _ -> Array.make m 0.) in
+  let off = Array.init groups (group_off_core t) in
   {
     a_spf = Array.init groups (fun _ -> Spf_delta.scratch ());
     a_w = Array.init groups (fun _ -> Array.make m 0);
-    a_off = Array.init groups (group_off_core t);
+    a_off = off;
+    a_core_arcs = Array.map (core_arcs t.graph) off;
     a_listed = Array.make m 0;
     a_listing = 0;
     a_demand_dsts =
@@ -381,6 +403,7 @@ let make_arena t =
           Array.of_list !dsts);
     a_flow = Array.make n 0.;
     a_rows = [||];
+    a_row_group = Array.make (classes * n) (-1);
     a_ov_class = Array.make (classes * n) 0;
     a_ov_dst = Array.make (classes * n) 0;
     a_nov = 0;
@@ -572,28 +595,46 @@ let repair_screened t a gi ~priced changes =
     deferred
   end
 
-(* Re-project one dirty destination's flows into the next free arena
-   row and mark every arc whose contribution moved; the row is kept
-   (as an override of the committed one) only when it moved.  Shares
-   land identically to a fresh Loads.destination_loads, so everything
-   folded from the row stays bitwise-exact. *)
-let reproject t a ~dags k dst =
+(* Re-project one dirty destination's flows of class [k], of group
+   [gi], into the next free arena row and mark every arc whose
+   contribution moved; the row is kept (as an override of the committed
+   one) only when it moved.  Shares land identically to a fresh
+   Loads.destination_loads, so everything folded from the row stays
+   bitwise-exact.
+
+   The work stays on the group's core arcs.  Every node that carries
+   flow lies on a simple path from a source to the destination, so on
+   the core, and so does every node a next-hop arc of it leads to:
+   shares land on core arcs only, in the committed rows as in the
+   arena's.  So the row is cleared only at its last writer's core arcs,
+   the walk adds into it without a full fill, and it is compared with
+   the committed row over the group's core arcs.  The core lists hold
+   arc ids, in range for both rows, so those loops read unchecked. *)
+let reproject t a ~dags gi k dst =
   let dem = t.demand.(k).(dst) in
   if Array.length dem > 0 then begin
-    let m = Graph.arc_count t.graph in
     let i = a.a_nov in
     if i = Array.length a.a_rows then
-      a.a_rows <- Array.append a.a_rows [| Array.make m 0. |];
+      a.a_rows <- Array.append a.a_rows [| Array.make (Graph.arc_count t.graph) 0. |];
     let nc = a.a_rows.(i) in
+    let last = a.a_row_group.(i) in
+    if last >= 0 then begin
+      let stale = a.a_core_arcs.(last) in
+      for j = 0 to Array.length stale - 1 do
+        Array.unsafe_set nc (Array.unsafe_get stale j) 0.
+      done
+    end;
+    a.a_row_group.(i) <- gi;
     if
-      Loads.destination_loads_into t.graph ~dag:dags.(dst) ~demand_to_dst:dem
-        ~flow:a.a_flow ~contrib:nc
+      Loads.spread_demand t.graph ~dag:dags.(dst) ~demand_to_dst:dem ~flow:a.a_flow
+        ~contrib:nc
     then a.a_zero_shares <- true;
     let oc = t.contrib.(k).(dst) in
-    let touched = a.a_touched in
+    let touched = a.a_touched and core = a.a_core_arcs.(gi) in
     let changed = ref false in
-    for arc = 0 to m - 1 do
-      if nc.(arc) <> oc.(arc) then begin
+    for j = 0 to Array.length core - 1 do
+      let arc = Array.unsafe_get core j in
+      if Array.unsafe_get nc arc <> Array.unsafe_get oc arc then begin
         changed := true;
         if not touched.(arc) then begin
           touched.(arc) <- true;
@@ -609,15 +650,16 @@ let reproject t a ~dags k dst =
     end
   end
 
-(* Re-project class [k]'s destinations the repair in [spf] dirtied,
-   except those whose repair keeps every flow
+(* Re-project class [k]'s destinations the repair of its group [gi]
+   dirtied, except those whose repair keeps every flow
    ({!Spf_delta.scratch_same_flows_at}): their re-projection would find
    the committed row bitwise and keep no override. *)
-let reproject_dirty t a spf k =
+let reproject_dirty t a gi k =
+  let spf = a.a_spf.(gi) in
   let dags = Spf_delta.scratch_dags spf in
   for i = 0 to Spf_delta.scratch_dirty spf - 1 do
     if not (Spf_delta.scratch_same_flows_at spf i) then
-      reproject t a ~dags k (Spf_delta.scratch_dirty_at spf i)
+      reproject t a ~dags gi k (Spf_delta.scratch_dirty_at spf i)
   done
 
 (* From the re-projected rows, patch the load totals of the classes
@@ -704,7 +746,7 @@ let finish t a ~group ~priced ~unreachable =
     else begin
       for k = 0 to priced - 1 do
         let gi = t.class_group.(k) in
-        if group < 0 || gi = group then reproject_dirty t a a.a_spf.(gi) k
+        if group < 0 || gi = group then reproject_dirty t a gi k
       done;
       patch t a ~classes:priced;
       Array.sub a.a_phi 0 priced

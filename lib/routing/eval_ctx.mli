@@ -41,6 +41,9 @@
     between two sources or destinations of the group's routable demand
     ({!Dtr_graph.Graph.off_core}, computed per group by the arena's
     first probe) carries no flow, and the repair never relabels it.
+    Shares land only on the core's arcs (both ends on the core), so a
+    re-projected row is cleared, and compared with the committed one,
+    at those arcs alone.
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
@@ -89,14 +92,17 @@ val clone : t -> t
 (** A context sharing all immutable data (graph, demand, DAGs, load
     rows — commits replace rows, never mutate them) with the original
     but owning its mutable spine and probe arena, so probes against
-    the clone are race-free while the original keeps evaluating.  The
-    intended owner is one scan worker domain; clones are brought back
-    in step with {!sync} instead of re-cloned.  The clone's arena, and
+    the clone are race-free while the original keeps evaluating.  Its
+    owners are a scan worker domain, or a search run keeping the state
+    of its best to return to; clones are brought back in step with
+    {!sync} instead of re-cloned.  The clone's arena, and
     the SPF repair state in it, is allocated by its own first probe. *)
 
 val sync : src:t -> dst:t -> unit
-(** Make [dst] (a {!clone} of [src]'s lineage) evaluate exactly as
-    [src] by blitting the shared-row spine across.  O(groups + classes
+(** Make [dst] (a {!clone} of [src]'s lineage, or any context built
+    over the same graph, matrices and destination mode) evaluate
+    exactly as [src] by blitting the shared-row spine across; [dst]
+    keeps its own probe arena.  O(groups + classes
     ⋅ destinations), no recomputation.  [dst]'s outstanding probes go
     stale.
     @raise Invalid_argument when the contexts disagree on graph or

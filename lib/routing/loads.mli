@@ -36,6 +36,22 @@ val destination_loads_into :
     @raise Invalid_argument on a length mismatch or undersized
     scratch. *)
 
+val spread_demand :
+  Dtr_graph.Graph.t ->
+  dag:Dtr_graph.Spf.dag ->
+  demand_to_dst:float array ->
+  flow:float array ->
+  contrib:float array ->
+  bool
+(** {!destination_loads_into} without clearing [contrib]: the same
+    walk adds its shares into [contrib], so the caller keeps [contrib]
+    zero wherever a share can land, the next-hop arcs of the nodes
+    that carry flow.  Those lie on the demand core (every flow node is
+    on a simple path from a source to the destination), so a caller
+    that reuses a row need only clear it there.  The walk reads a
+    node's next-hop set only when the node carries flow.
+    @raise Invalid_argument as {!destination_loads_into}. *)
+
 val destination_demand :
   dag:Dtr_graph.Spf.dag -> Dtr_traffic.Matrix.t -> float array option
 (** The demand column towards [dag.dst] ([None] when no source has

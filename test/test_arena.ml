@@ -8,7 +8,13 @@
    - equivalence: under random interleavings of cost reads, commits,
      failure probes and syncs on a context and its clone, every cost
      equals a from-scratch evaluation and every failure the
-     reduced-graph oracle, bitwise;
+     reduced-graph oracle, bitwise; and where the classes' demand
+     cores differ, so arena rows pass between groups with different
+     core arcs, every probe and commit equals a fresh context bitwise,
+     contribution rows included;
+   - the kept best: after a search run's hand-off or return to its
+     best, the context equals a fresh one at the best's weights, and so
+     does the next probe on it;
    - hygiene: one lifetime rule for weight and failure probes — a
      probe refused by its checks leaves the earlier probe committable,
      a probe's views go stale at the context's next probe, failure
@@ -31,9 +37,13 @@ module Objective = Dtr_routing.Objective
 module Failure_sweep = Dtr_routing.Failure_sweep
 module Sla = Dtr_cost.Sla
 module Lexico = Dtr_cost.Lexico
+module Metrics = Dtr_util.Metrics
 module Problem = Dtr_core.Problem
 module Scan = Dtr_core.Scan
 module Neighborhood = Dtr_core.Neighborhood
+module Search_config = Dtr_core.Search_config
+module Incumbent = Dtr_core.Incumbent
+module Dtr_search = Dtr_core.Dtr_search
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures *)
@@ -580,6 +590,417 @@ let prop_move_changes =
     QCheck.(int_range 1 1_000_000)
     move_changes_match
 
+(* ------------------------------------------------------------------ *)
+(* Nested demand cores *)
+
+(* A ring of 5–8 core nodes with chords, and two stub rings of three
+   nodes, each hung on a ring node over a bridge.  Low-priority demand
+   runs between every two of the ring nodes and the first stub's two
+   far nodes, so the low class's demand core takes that stub in;
+   high-priority demand runs between two or three pairs of ring nodes,
+   a strict subset of the low class's endpoints, so its core is the
+   ring alone.  The second stub carries no demand and lies off both
+   cores.  Weights 1–4 make equal-cost ties common. *)
+let nested_core_instance seed =
+  let rng = Prng.create ((seed * 31) + 5) in
+  let ring = Prng.int_incl rng 5 8 in
+  let n = ring + 6 in
+  let arc u v =
+    {
+      Graph.src = u;
+      dst = v;
+      capacity = Prng.choose rng [| 20.; 50.; 100. |];
+      delay = Prng.choose rng [| 1.; 5.; 12. |];
+    }
+  in
+  let link u v = [ arc u v; arc v u ] in
+  let cycle = List.concat (List.init ring (fun v -> link v ((v + 1) mod ring))) in
+  let chords =
+    List.concat
+      (List.init (Prng.int_incl rng 1 ring) (fun _ ->
+           let u = Prng.int rng ring and v = Prng.int rng ring in
+           if u = v then [] else link u v))
+  in
+  let stub base =
+    link (Prng.int rng ring) base
+    @ link base (base + 1)
+    @ link (base + 1) (base + 2)
+    @ link (base + 2) base
+  in
+  let g = Graph.build ~n (cycle @ chords @ stub ring @ stub (ring + 3)) in
+  let th = Matrix.create n and tl = Matrix.create n in
+  let low = List.init ring Fun.id @ [ ring + 1; ring + 2 ] in
+  List.iter
+    (fun s ->
+      List.iter (fun t -> if s <> t then Matrix.set tl s t (1. +. Prng.float rng 4.)) low)
+    low;
+  for _ = 1 to Prng.int_incl rng 2 3 do
+    let s = Prng.int rng ring in
+    Matrix.set th s ((s + 1 + Prng.int rng (ring - 1)) mod ring) (0.5 +. Prng.float rng 2.)
+  done;
+  let narrow () = Array.init (Graph.arc_count g) (fun _ -> Prng.int_incl rng 1 4) in
+  (g, th, tl, narrow (), narrow (), rng)
+
+let off_core_of g tm =
+  let endpoints = Array.make (Graph.node_count g) false in
+  Matrix.iter tm (fun s t _ ->
+      endpoints.(s) <- true;
+      endpoints.(t) <- true);
+  Graph.off_core g ~endpoints
+
+let same_row ~what expected actual =
+  if Array.length expected <> Array.length actual then
+    Alcotest.failf "%s: length %d, expected %d" what (Array.length actual)
+      (Array.length expected);
+  Array.iteri
+    (fun i e -> check_float ~what:(Printf.sprintf "%s [%d]" what i) e actual.(i))
+    expected
+
+(* A context against a fresh one at its weights, bitwise: Φ, and per
+   class the Fortz, load and capacity rows, every contribution row (a
+   re-projected row cleared at the wrong arcs keeps stale shares there)
+   and the dags. *)
+let check_fresh ~what ~dest_mode g ~th ~tl ec =
+  let weights = [| Eval_ctx.weights ec 0; Eval_ctx.weights ec 1 |] in
+  let fresh = Eval_ctx.create ~dest_mode g ~weights ~matrices:[| th; tl |] in
+  same_row ~what:(what ^ " phi") (Eval_ctx.phi fresh) (Eval_ctx.phi ec);
+  same_row ~what:(what ^ " residual") (Eval_ctx.to_evaluate fresh).Evaluate.residual
+    (Eval_ctx.to_evaluate ec).Evaluate.residual;
+  for k = 0 to 1 do
+    let what = Printf.sprintf "%s class %d" what k in
+    same_row ~what:(what ^ " Fortz row") (Eval_ctx.phi_per_arc fresh k)
+      (Eval_ctx.phi_per_arc ec k);
+    same_row ~what:(what ^ " loads") (Eval_ctx.loads fresh k) (Eval_ctx.loads ec k);
+    for dst = 0 to Graph.node_count g - 1 do
+      same_row
+        ~what:(Printf.sprintf "%s dst %d contribution" what dst)
+        (Eval_ctx.contrib_view fresh ~klass:k ~dst)
+        (Eval_ctx.contrib_view ec ~klass:k ~dst)
+    done;
+    if Eval_ctx.dags fresh k <> Eval_ctx.dags ec k then Alcotest.failf "%s: dags" what
+  done
+
+(* What the sequences did: weight probes of a class right after a
+   computation that re-projected the other class's rows (so arena rows
+   move between groups with different core arcs), commits, and failure
+   probes priced. *)
+type core_stats = {
+  mutable crossed : int;
+  mutable commits : int;
+  mutable failures : int;
+}
+
+(* Interleaved H, L and failure probes with commits on one DTR
+   context, each priced bitwise as a fresh context prices it: a weight
+   probe's Φ and Fortz rows as a fresh context at its weights, a
+   failure probe's Φ as a fresh context on the graph without the link,
+   and after each commit everything {!check_fresh} reads. *)
+let nested_core_sequence ~dest_mode stats seed =
+  let g, th, tl, wh, wl, rng = nested_core_instance seed in
+  let what0 =
+    Printf.sprintf "seed %d %s" seed
+      (match dest_mode with Eval_ctx.All -> "all" | Eval_ctx.Demand -> "demand")
+  in
+  let off_h = off_core_of g th and off_l = off_core_of g tl in
+  if not (Array.for_all2 (fun l h -> (not l) || h) off_l off_h && off_l <> off_h) then
+    Alcotest.failf "%s: the high class's core is not strictly inside the low's" what0;
+  let ec = Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let fresh_at ~graph ~wh ~wl ~tl =
+    Eval_ctx.create ~dest_mode graph ~weights:[| wh; wl |] ~matrices:[| th; tl |]
+  in
+  (* The classes the last computation re-projected: 0 after an H
+     probe, 1 after an L probe, 2 after a failure probe (both). *)
+  let last = ref 2 in
+  for step = 1 to 30 do
+    let what = Printf.sprintf "%s step %d" what0 step in
+    if Prng.int rng 4 = 0 then begin
+      let links = Graph.undirected_link_pairs g in
+      let a, b = links.(Prng.int rng (Array.length links)) in
+      let priced = Prng.int_incl rng 1 2 in
+      let what = Printf.sprintf "%s link (%d, %d), %d classes" what a b priced in
+      let arcs = if a = b then [ a ] else [ a; b ] in
+      let f = Eval_ctx.fail_probe ~classes:priced ec ~arcs in
+      if Eval_ctx.probe_unreachable f = 0 then begin
+        let reduced, mapping = Dtr_oracle.Ref_failure.fail_link g ~link:(a, b) in
+        let remap = Dtr_oracle.Ref_failure.remap_weights in
+        (* Class 0 alone prices without low-priority demand, which the
+           failure may sever. *)
+        let tl = if priced = 1 then Matrix.create (Graph.node_count g) else tl in
+        let want =
+          fresh_at ~graph:reduced ~wh:(remap (Eval_ctx.weights ec 0) mapping)
+            ~wl:(remap (Eval_ctx.weights ec 1) mapping) ~tl
+        in
+        let phi = Eval_ctx.probe_phi f in
+        for k = 0 to priced - 1 do
+          check_float ~what:(Printf.sprintf "%s phi %d" what k) (Eval_ctx.phi want).(k)
+            phi.(k)
+        done;
+        stats.failures <- stats.failures + 1;
+        last := 2
+      end
+    end
+    else begin
+      let klass = Prng.int rng 2 in
+      let changes = random_changes rng (Eval_ctx.weights_view ec klass) in
+      let w k = Eval_ctx.weights ec k in
+      let wh' = if klass = 0 then apply (w 0) changes else w 0 in
+      let wl' = if klass = 1 then apply (w 1) changes else w 1 in
+      let want = fresh_at ~graph:g ~wh:wh' ~wl:wl' ~tl in
+      let p = Eval_ctx.probe ec ~klass ~changes in
+      if !last <> klass then stats.crossed <- stats.crossed + 1;
+      last := klass;
+      same_row ~what:(what ^ " probe phi") (Eval_ctx.phi want) (Eval_ctx.probe_phi p);
+      for k = 0 to 1 do
+        same_row
+          ~what:(Printf.sprintf "%s probe Fortz row %d" what k)
+          (Eval_ctx.phi_per_arc want k) (Eval_ctx.probe_phi_row ec p k)
+      done;
+      if Prng.bool rng then begin
+        Eval_ctx.commit ec p;
+        stats.commits <- stats.commits + 1;
+        check_fresh ~what:(what ^ " commit") ~dest_mode g ~th ~tl ec
+      end
+    end
+  done
+
+let test_nested_cores () =
+  let stats = { crossed = 0; commits = 0; failures = 0 } in
+  for seed = 1 to 60 do
+    List.iter
+      (fun dest_mode -> nested_core_sequence ~dest_mode stats seed)
+      [ Eval_ctx.All; Eval_ctx.Demand ]
+  done;
+  List.iter
+    (fun (what, count) ->
+      Alcotest.(check bool) (Printf.sprintf "%d %s" count what) true (count > 0))
+    [
+      ("probes after the other class's re-projection", stats.crossed);
+      ("commits", stats.commits);
+      ("survivable failure probes", stats.failures);
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The kept best context *)
+
+let with_metrics f =
+  Metrics.set_enabled true;
+  Metrics.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Metrics.set_enabled false;
+      Metrics.reset ())
+    f
+
+(* The repair and screen work of a probe: a context whose rows came
+   from an underflowing walk ([zero_shares]) screens nothing, so the
+   deferred count shows the flag. *)
+let work_counters =
+  List.map
+    (fun name -> Metrics.counter ~help:"" name)
+    [
+      "dtr_spf_delta_updates_total";
+      "dtr_spf_delta_rebuilds_total";
+      "dtr_spf_delta_patches_total";
+      "dtr_spf_delta_settled_total";
+      "dtr_spf_delta_deferred_total";
+      "dtr_sla_lambda_reused_total";
+    ]
+
+let work f =
+  let before = List.map Metrics.counter_value work_counters in
+  let x = f () in
+  (x, List.map2 (fun c b -> Metrics.counter_value c - b) work_counters before)
+
+(* A Problem context against another, as their materialized solutions
+   show them: weights, objective, Φ, the Fortz, load and residual
+   capacity rows, and the dags. *)
+let check_same_ctx ~what problem ~want ~got =
+  let a = Problem.ctx_solution problem want and b = Problem.ctx_solution problem got in
+  Alcotest.(check (array int)) (what ^ ": W_H") a.Problem.wh b.Problem.wh;
+  Alcotest.(check (array int)) (what ^ ": W_L") a.Problem.wl b.Problem.wl;
+  check_lex ~what (Problem.objective a) (Problem.objective b);
+  let ea = a.Problem.result.Objective.eval and eb = b.Problem.result.Objective.eval in
+  check_float ~what:(what ^ " phi_h") ea.Evaluate.phi_h eb.Evaluate.phi_h;
+  check_float ~what:(what ^ " phi_l") ea.Evaluate.phi_l eb.Evaluate.phi_l;
+  List.iter
+    (fun (name, x, y) -> same_row ~what:(what ^ " " ^ name) x y)
+    [
+      ("Fortz row H", ea.Evaluate.phi_h_per_arc, eb.Evaluate.phi_h_per_arc);
+      ("Fortz row L", ea.Evaluate.phi_l_per_arc, eb.Evaluate.phi_l_per_arc);
+      ("loads H", ea.Evaluate.h_loads, eb.Evaluate.h_loads);
+      ("loads L", ea.Evaluate.l_loads, eb.Evaluate.l_loads);
+      ("residual", ea.Evaluate.residual, eb.Evaluate.residual);
+    ];
+  if ea.Evaluate.dags_h <> eb.Evaluate.dags_h then Alcotest.failf "%s: H dags" what;
+  if ea.Evaluate.dags_l <> eb.Evaluate.dags_l then Alcotest.failf "%s: L dags" what
+
+(* What the walks did: returns to a best that had moved off the start,
+   and those in robust mode, where a new best comes from a sweep. *)
+type kept_stats = { mutable moved : int; mutable robust_moved : int }
+
+(* One run's bookkeeping driven as the searches drive it: moves of W_H
+   alone, the hand-off, moves of W_L, then rounds of both with
+   refinement restarts.  DTR moves are scans whose fold winner is
+   committed, offered with {!Incumbent.consider} and diversified by
+   jumps; annealing moves are probes, accepted when they improve or at
+   random and then offered.  After the hand-off and every return to
+   the best, the context must be a fresh one at the best's weights, and
+   the next probe on it must be the same probe on the fresh context,
+   work counts included. *)
+let kept_best_walk ~anneal ~model ~robust ~dest_mode stats seed =
+  let g, th, tl, wh0, wl0, rng = nested_core_instance seed in
+  let problem = { (Problem.create ~graph:g ~th ~tl ~model) with Problem.dest_mode } in
+  let cfg =
+    { Search_config.quick with Search_config.diversify_after = 3; robust }
+  in
+  let what0 =
+    Printf.sprintf "seed %d %s %s%s %s" seed
+      (if anneal then "anneal" else "dtr")
+      (Objective.model_name model)
+      (if robust = None then "" else " robust")
+      (match dest_mode with Eval_ctx.All -> "all" | Eval_ctx.Demand -> "demand")
+  in
+  Scan.with_engine ~jobs:1 problem @@ fun scan ->
+  let inc =
+    Incumbent.create ~scan cfg problem (Incumbent.Dtr (Some (wh0, wl0)))
+  in
+  let start = Incumbent.best inc in
+  let changes_of cls =
+    random_changes rng (Problem.ctx_weights_view (Incumbent.ctx inc) cls)
+  in
+  let moves cls count =
+    for i = 1 to count do
+      let prev = Incumbent.current inc in
+      if anneal then begin
+        let d = Incumbent.probe inc ~cls ~changes:(changes_of cls) in
+        if
+          Lexico.improves (Problem.delta_objective d) (Problem.objective prev)
+          || Prng.int rng 4 = 0
+        then begin
+          Incumbent.accept inc d;
+          Incumbent.offer inc ~iteration:i
+        end
+      end
+      else begin
+        let cands = Array.init 4 (fun _ -> changes_of cls) in
+        let s = Incumbent.scan inc ~cls ~changes_of:(Array.get cands) 4 in
+        let win = ref (-1) and obj = ref (Problem.objective prev) in
+        Array.iteri
+          (fun j (x : Scan.summary) ->
+            if Lexico.improves x.Scan.objective !obj then begin
+              obj := x.Scan.objective;
+              win := j
+            end)
+          s;
+        if !win >= 0 then Incumbent.commit inc ~cls ~changes:cands.(!win);
+        Incumbent.consider inc ~iteration:i ~prev;
+        if Incumbent.stalled inc then
+          Incumbent.jump inc ~cls ~changes:(changes_of cls)
+      end
+    done
+  in
+  let restore what =
+    let what = what0 ^ " " ^ what in
+    let best = Incumbent.best inc in
+    Incumbent.return_to_best inc;
+    if best != start then begin
+      stats.moved <- stats.moved + 1;
+      if robust <> None then stats.robust_moved <- stats.robust_moved + 1
+    end;
+    let ctx = Incumbent.ctx inc in
+    if Incumbent.current inc != best then
+      Alcotest.failf "%s: current is not the best" what;
+    let _, fresh = Problem.eval_dtr_ctx problem ~wh:best.Problem.wh ~wl:best.Problem.wl in
+    check_same_ctx ~what problem ~want:fresh ~got:ctx;
+    (* The next probe, and its commit, on both. *)
+    let cls = if Prng.bool rng then `H else `L in
+    let changes = changes_of cls in
+    let want, want_work =
+      work (fun () -> Problem.eval_delta problem fresh ~cls ~changes)
+    in
+    let got, got_work = work (fun () -> Incumbent.probe inc ~cls ~changes) in
+    check_lex ~what:(what ^ " next probe") (Problem.delta_objective want)
+      (Problem.delta_objective got);
+    check_float ~what:(what ^ " next probe phi_h") (Problem.delta_phi_h want)
+      (Problem.delta_phi_h got);
+    check_float ~what:(what ^ " next probe phi_l") (Problem.delta_phi_l want)
+      (Problem.delta_phi_l got);
+    Alcotest.(check (list int)) (what ^ ": next probe's work") want_work got_work;
+    ignore (Problem.commit_delta problem fresh want : Problem.solution);
+    Incumbent.accept inc got;
+    check_same_ctx ~what:(what ^ " after the next commit") problem ~want:fresh
+      ~got:(Incumbent.ctx inc)
+  in
+  moves `H 12;
+  (* Routine 1 never moves W_L, so the hand-off's (best W_H, current
+     W_L) is the best's own pair. *)
+  Alcotest.(check (array int)) (what0 ^ ": current W_L after W_H moves") wl0
+    (Incumbent.current inc).Problem.wl;
+  Alcotest.(check (array int)) (what0 ^ ": best W_L after W_H moves") wl0
+    (Incumbent.best inc).Problem.wl;
+  restore "hand-off";
+  if not anneal then Incumbent.offer inc ~iteration:0;
+  moves `L 12;
+  restore "after W_L moves";
+  for round = 1 to 3 do
+    moves `H 4;
+    moves `L 4;
+    if (not anneal) && Prng.bool rng then begin
+      let best = Incumbent.best inc in
+      let perturb w = Weights.perturb rng ~fraction:0.3 w in
+      Incumbent.restart inc ~wh:(perturb best.Problem.wh) ~wl:(perturb best.Problem.wl)
+    end;
+    moves `H 3;
+    restore (Printf.sprintf "return %d" round)
+  done
+
+let test_kept_best () =
+  with_metrics @@ fun () ->
+  let stats = { moved = 0; robust_moved = 0 } in
+  let robust = Some { Search_config.alpha = 0.5; top_k = 1 } in
+  for seed = 1 to 8 do
+    List.iter
+      (fun model ->
+        List.iter
+          (fun dest_mode ->
+            List.iter
+              (fun robust ->
+                kept_best_walk ~anneal:false ~model ~robust ~dest_mode stats seed)
+              [ None; robust ];
+            kept_best_walk ~anneal:true ~model ~robust:None ~dest_mode stats seed)
+          [ Eval_ctx.All; Eval_ctx.Demand ])
+      [ Objective.Load; Objective.Sla Sla.default ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d returns to a best off the start" stats.moved)
+    true (stats.moved > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of them in robust mode" stats.robust_moved)
+    true (stats.robust_moved > 0)
+
+(* Routine 1 leaves W_L at the start's: a DTR run stopped once routine 1
+   is done reports a best with the start's W_L, and a W_H that moved. *)
+let test_routine_one_keeps_wl () =
+  List.iter
+    (fun seed ->
+      let g = random_graph seed in
+      let rng = Prng.create seed in
+      let th, tl = random_matrices rng g in
+      let problem = Problem.create ~graph:g ~th ~tl ~model:(model_of seed) in
+      let wh0 = Weights.random rng g and wl0 = Weights.random rng g in
+      let cfg = { Search_config.quick with Search_config.n_iters = 20 } in
+      let polls = ref 0 in
+      let stop () =
+        incr polls;
+        !polls >= cfg.Search_config.n_iters
+      in
+      let r = Dtr_search.run ~w0:(wh0, wl0) ~stop (Prng.create 9) cfg problem in
+      let what = Printf.sprintf "seed %d" seed in
+      Alcotest.(check bool) (what ^ ": W_H moved") true
+        (r.Dtr_search.best.Problem.wh <> wh0);
+      Alcotest.(check (array int)) (what ^ ": W_L") wl0 r.Dtr_search.best.Problem.wl)
+    [ 1; 2; 3; 4 ]
+
 let () =
   Alcotest.run "arena"
     [
@@ -604,6 +1025,15 @@ let () =
           QCheck_alcotest.to_alcotest prop_interleavings;
           QCheck_alcotest.to_alcotest prop_scratch_matches_update;
           QCheck_alcotest.to_alcotest prop_move_changes;
+          Alcotest.test_case "nested demand cores: probes and commits = fresh" `Quick
+            test_nested_cores;
+        ] );
+      ( "kept best",
+        [
+          Alcotest.test_case "returns to the best = a fresh context" `Quick
+            test_kept_best;
+          Alcotest.test_case "routine 1 keeps the start's W_L" `Quick
+            test_routine_one_keeps_wl;
         ] );
       ( "hygiene",
         [

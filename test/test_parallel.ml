@@ -484,15 +484,17 @@ let test_anneal_one_eval_per_move () =
   let report =
     Anneal_search.run ~schedule:light_schedule (Prng.create 21) tiny_config p
   in
-  (* 1 initial eval_dtr + 1 re-evaluation between phases + exactly one
-     probe per proposed move: with the incumbent's energy cached,
-     nothing else evaluates. *)
+  (* 1 initial eval_dtr + exactly one probe per proposed move: with the
+     incumbent's energy cached, nothing else evaluates, and the hand-off
+     between phases returns to the best's kept context. *)
   let temps = phase_temps light_schedule in
   let moves = 2 * temps * light_schedule.Anneal_search.moves_per_temp in
-  Alcotest.(check int) "two full evaluations" 2 (counter "dtr_eval_full_total");
+  Alcotest.(check int) "one full evaluation" 1 (counter "dtr_eval_full_total");
   Alcotest.(check int) "one probe per proposed move" moves
     (counter "dtr_eval_delta_total");
-  Alcotest.(check int) "report agrees with the metrics" (2 + moves)
+  Alcotest.(check int) "one restore, the hand-off" 1
+    (counter "dtr_eval_restores_total");
+  Alcotest.(check int) "report agrees with the metrics" (1 + moves)
     report.Anneal_search.evaluations
 
 let test_anneal_deterministic () =
