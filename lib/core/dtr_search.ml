@@ -143,11 +143,10 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   routine `H;
   (* Hand-off: freeze the best W_H and optimize W_L from there.
      Routine 1 never moves W_L, so (best W_H, current W_L) is the best's
-     own weight pair: the run returns to the best, whose context it
-     keeps, instead of evaluating that pair again.  In robust mode the
-     offer re-sweeps the best when its normal cost is below its J. *)
+     own weight pair: the run returns to the best, whose context and,
+     in robust mode, whose sweep it keeps, instead of evaluating or
+     sweeping that pair again. *)
   Incumbent.return_to_best inc;
-  Incumbent.offer inc ~iteration:0;
   routine `L;
   (* Routine 3: joint refinement around the incumbent, restarting from
      it (slightly perturbed on both sides) after M stalled iterations. *)

@@ -31,10 +31,13 @@ type t = {
       (* J = normal + alpha * penalty in robust mode; else the best's
          normal objective, so reports read it unconditionally *)
   mutable prior : Problem.robust_price option;
-      (* robust mode: the run's last sweep.  Its cut links, from the
-         start's full sweep, do not depend on the weights, so every
-         later sweep prices primary-first with them; its class-0 pass
-         is reused while W_H has not moved. *)
+      (* robust mode: the run's last sweep.  Its cut links, found by
+         reachability at the start, do not depend on the weights, so
+         every later sweep prices primary-first with them; its class-0
+         pass is reused while W_H has not moved. *)
+  mutable best_prior : Problem.robust_price option;
+      (* robust mode: the best's own sweep, kept beside [best_ctx]; a
+         return to the best makes it the run's prior again *)
   mutable improvements : int;
   mutable stall : int;
   mutable fulls : int;
@@ -94,16 +97,21 @@ let new_best t j =
   Problem.sync_ctx ~src:t.ctx ~dst:t.best_ctx
 
 (* Sweep the current point; it becomes the best when its J improves
-   on the best's (always, for the start point). *)
+   on the best's (always, for the start point, which has no prior). *)
 let sweep t (r : Search_config.robust) ~iteration ~force =
   let normal = Problem.objective t.current in
+  let alpha = r.Search_config.alpha and top_k = r.Search_config.top_k in
   let rp =
-    Problem.robust_price ?prior:t.prior t.problem t.ctx
-      ~alpha:r.Search_config.alpha ~top_k:r.Search_config.top_k ~normal
+    match t.prior with
+    | None -> Problem.robust_start t.problem t.ctx ~alpha ~top_k ~normal
+    | Some prior -> Problem.robust_price ~prior t.problem t.ctx ~alpha ~top_k ~normal
   in
   t.prior <- Some rp;
   let improved = force || Lexico.improves rp.Problem.rp_objective t.best_j in
-  if improved then new_best t rp.Problem.rp_objective;
+  if improved then begin
+    new_best t rp.Problem.rp_objective;
+    t.best_prior <- t.prior
+  end;
   if Trace.enabled t.trace then
     emit t Trace.Robust_sweep ~iteration ~detail:rp.Problem.rp_infinite
       ~accepted:improved ~before:(Trace.pair normal)
@@ -168,6 +176,7 @@ let create ?scan ?(trace = Trace.disabled) cfg problem start =
       best = current;
       best_j = Problem.objective current;
       prior = None;
+      best_prior = None;
       improvements = 0;
       stall = 0;
       fulls = 1;
@@ -214,4 +223,5 @@ let return_to_best t =
   Metrics.incr_counter m_restores;
   Problem.sync_ctx ~src:t.best_ctx ~dst:t.ctx;
   t.current <- t.best;
+  t.prior <- t.best_prior;
   t.stall <- 0

@@ -16,13 +16,15 @@
     ({!Problem.robust_price}).  A point is swept only when it moved and
     its normal cost beats the best's J: [J >= normal] componentwise, so
     nothing better can hide behind a worse normal cost, and sweeps grow
-    rarer as the best tightens.  The start point is always swept, in
-    full.  The run keeps its last sweep's price and hands it to the
-    next ({!Problem.robust_price} [?prior]): its cut links (which do
-    not depend on the weights) price every later sweep primary-first
+    rarer as the best tightens.  The start point is always swept,
+    primary-first on the cut links reachability finds
+    ({!Problem.robust_start}).  The run keeps its last sweep's price
+    and hands it to the next ({!Problem.robust_price} [?prior]): its
+    cut links (which do not depend on the weights) price every later
+    sweep primary-first
     ({!Dtr_routing.Failure_sweep.robust_penalty}), and its class-0
     pass is reused while the class-0 weights have not moved, bitwise
-    the same J.
+    the same J as a full sweep.
 
     {b Events.}  Every field but the timestamp is a pure function of
     the trajectory ({!Trace}).  {!tell} reports the best's normal
@@ -109,9 +111,11 @@ val return_to_best : t -> unit
 (** Move back to the best and reset the stall counter.  Nothing is
     evaluated: the run's kept best context is synced into the live one
     ({!Problem.sync_ctx}, blits only; no SPF, no rows), which keeps its
-    probe arena, and [dtr_eval_restores_total] counts it.  The
-    hand-offs of {!Dtr_search} and {!Anneal_search} are such returns,
-    since their first routine moves [W_H] alone. *)
+    probe arena, and [dtr_eval_restores_total] counts it.  In robust
+    mode the best's own sweep, kept with it, becomes the run's prior
+    again, so the best is not swept twice.  The hand-offs of
+    {!Dtr_search} and {!Anneal_search} are such returns, since their
+    first routine moves [W_H] alone. *)
 
 (** {2 Acceptance} *)
 
@@ -124,7 +128,7 @@ val consider : t -> iteration:int -> prev:Problem.solution -> unit
 
 val offer : t -> iteration:int -> unit
 (** Offer the current point outside the counted iterations (after a
-    jump, a hand-off, an annealing move): it may become the best, but
+    jump, an annealing move): it may become the best, but
     no counter moves. *)
 
 (** {2 Events} *)

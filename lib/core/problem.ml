@@ -261,8 +261,10 @@ let abort_delta _ _ = ()
    beats the robust best (J >= normal), a sweep given the run's last
    price prices most failures for the high-priority class alone
    (Failure_sweep.robust_penalty), and none at all while class 0's
-   weights are the last price's.  Without a prior it is the full
-   sweep, the reference the primary-first one is held to. *)
+   weights are the last price's.  A run's first price finds its cut
+   links by reachability and prices primary-first too; without a prior
+   [robust_price] is the full sweep, the reference the primary-first
+   ones are held to. *)
 
 module Failure_sweep = Dtr_routing.Failure_sweep
 
@@ -280,33 +282,45 @@ let failure_outcomes t ctx = Failure_sweep.sweep ~model:t.model ~th:t.th ctx.ec
 let same_weights a b =
   a == b || (Array.length a = Array.length b && Array.for_all2 Int.equal a b)
 
-(* A failure's class-0 primary reads only class 0's weight group, its
-   demand and the raw capacities, so a prior's pass holds while class
-   0's weights equal the prior's, however the context got there. *)
-let robust_price ?prior t ctx ~alpha ~top_k ~normal =
-  let wh = Eval_ctx.weights_view ctx.ec 0 in
-  let penalty, cut, primaries =
-    match prior with
-    | Some p ->
-        let primaries =
-          if same_weights wh p.rp_wh then Some p.rp_primaries else None
-        in
-        let penalty, primaries =
-          Failure_sweep.robust_penalty ~model:t.model ~th:t.th ~top_k
-            ~cut:p.rp_cut ?primaries ctx.ec
-        in
-        (penalty, p.rp_cut, primaries)
-    | None ->
-        let outcomes = failure_outcomes t ctx in
-        ( Failure_sweep.penalty ~top_k outcomes,
-          Failure_sweep.cut_links outcomes,
-          Failure_sweep.primaries outcomes )
-  in
+let priced ctx ~alpha ~normal (penalty, cut, primaries) =
   {
     rp_objective = Lexico.add normal (Lexico.scale alpha penalty);
     rp_penalty = penalty;
     rp_infinite = Array.fold_left (fun n c -> if c then n + 1 else n) 0 cut;
     rp_cut = cut;
     rp_primaries = primaries;
-    rp_wh = wh;
+    rp_wh = Eval_ctx.weights_view ctx.ec 0;
   }
+
+let primary_first ?primaries t ctx ~top_k ~cut =
+  let penalty, primaries =
+    Failure_sweep.robust_penalty ~model:t.model ~th:t.th ~top_k ~cut ?primaries
+      ctx.ec
+  in
+  (penalty, cut, primaries)
+
+(* A failure's class-0 primary reads only class 0's weight group, its
+   demand and the raw capacities, so a prior's pass holds while class
+   0's weights equal the prior's, however the context got there. *)
+let robust_price ?prior t ctx ~alpha ~top_k ~normal =
+  priced ctx ~alpha ~normal
+    (match prior with
+    | Some p ->
+        let primaries =
+          if same_weights (Eval_ctx.weights_view ctx.ec 0) p.rp_wh then
+            Some p.rp_primaries
+          else None
+        in
+        primary_first ?primaries t ctx ~top_k ~cut:p.rp_cut
+    | None ->
+        let outcomes = failure_outcomes t ctx in
+        ( Failure_sweep.penalty ~top_k outcomes,
+          Failure_sweep.cut_links outcomes,
+          Failure_sweep.primaries outcomes ))
+
+(* The cut links a full sweep would find are the links whose failure
+   leaves positive demand without a path, which reachability alone
+   decides. *)
+let robust_start t ctx ~alpha ~top_k ~normal =
+  priced ctx ~alpha ~normal
+    (primary_first t ctx ~top_k ~cut:(Eval_ctx.severing_links ctx.ec))

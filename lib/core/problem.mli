@@ -243,3 +243,13 @@ val robust_price :
     priority a failure's class-0 primary depends on class 0's weights
     alone, so in a DTR context only a move of [W_H] prices the pass
     again; in an STR context every move does. *)
+
+val robust_start :
+  t -> ctx -> alpha:float -> top_k:int -> normal:Dtr_cost.Lexico.t -> robust_price
+(** A run's first price: {!robust_price} without a prior, bitwise (J,
+    penalty, cut links and class-0 pass), priced primary-first.  The
+    cut links come from reachability
+    ({!Dtr_routing.Eval_ctx.severing_links}) instead of a full sweep, so
+    every survivable failure gets a class-0 probe and only those that
+    reach the [top_k]-th largest primary the full probe.  Pure: the
+    context is unchanged. *)

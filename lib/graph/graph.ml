@@ -31,6 +31,8 @@ type t = {
   out_by_dst : int array;
       (* out_ids re-sorted by (dst, id) within each source segment,
          for binary-search find_arc *)
+  links : (int * int) array;
+      (* the physical links, built once: see undirected_link_pairs *)
 }
 
 let validate_arc n a =
@@ -59,6 +61,30 @@ let segment_index n m endpoint =
     pos.(v) <- pos.(v) + 1
   done;
   (off, ids)
+
+(* Pair each arc with the lowest-id unpaired reverse twin, in id
+   order; an arc without one is a link of its own.  A twin has the
+   higher id (an unpaired lower one would have taken this arc when its
+   turn came), so the pairs come out sorted. *)
+let link_pairs ~m ~arc_src ~arc_dst ~out_off ~out_ids =
+  let paired = Array.make m false in
+  let pairs = Array.make m (0, 0) and count = ref 0 in
+  for id = 0 to m - 1 do
+    if not paired.(id) then begin
+      paired.(id) <- true;
+      let v = arc_dst.(id) in
+      let twin = ref id and k = ref out_off.(v) in
+      while !twin = id && !k < out_off.(v + 1) do
+        let rid = out_ids.(!k) in
+        if (not paired.(rid)) && arc_dst.(rid) = arc_src.(id) then twin := rid;
+        incr k
+      done;
+      paired.(!twin) <- true;
+      pairs.(!count) <- (id, !twin);
+      incr count
+    end
+  done;
+  Array.sub pairs 0 !count
 
 let build ~n arcs =
   if n <= 0 then invalid_arg "Graph.build: need at least one node";
@@ -91,7 +117,7 @@ let build ~n arcs =
     end
   done;
   { n; m; arc_src; arc_dst; cap; del; out_off; out_ids; in_off; in_ids;
-    out_by_dst }
+    out_by_dst; links = link_pairs ~m ~arc_src ~arc_dst ~out_off ~out_ids }
 
 let node_count t = t.n
 
@@ -290,34 +316,7 @@ let add_symmetric ~capacity ~delay u v acc =
   :: { src = v; dst = u; capacity; delay }
   :: acc
 
-let undirected_link_pairs t =
-  let paired = Array.make t.m false in
-  let pairs = ref [] in
-  for id = 0 to t.m - 1 do
-    if not paired.(id) then begin
-      let a_src = t.arc_src.(id) and a_dst = t.arc_dst.(id) in
-      (* Find the lowest-id unpaired reverse twin. *)
-      let twin = ref None in
-      for k = t.out_off.(a_dst) to t.out_off.(a_dst + 1) - 1 do
-        let rid = t.out_ids.(k) in
-        if !twin = None && rid <> id && (not paired.(rid))
-           && t.arc_dst.(rid) = a_src
-        then twin := Some rid
-      done;
-      match !twin with
-      | Some rid ->
-          paired.(id) <- true;
-          paired.(rid) <- true;
-          let lo = min id rid and hi = max id rid in
-          pairs := (lo, hi) :: !pairs
-      | None ->
-          paired.(id) <- true;
-          pairs := (id, id) :: !pairs
-    end
-  done;
-  let a = Array.of_list (List.rev !pairs) in
-  Array.sort compare a;
-  a
+let undirected_link_pairs t = t.links
 
 let to_dot t =
   let buf = Buffer.create 256 in

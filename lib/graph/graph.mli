@@ -117,8 +117,8 @@ val without : t -> nodes:bool array -> t
     left out of both adjacency rows, and so out of the degrees,
     {!find_arc} and every walk over the adjacency.  The nodes, arc ids
     and per-arc rows ({!arc}, {!arcs}, {!srcs}, {!capacities}, ...)
-    stay [g]'s, and {!reverse} rebuilds from every arc.  {!Spf_delta}'s
-    masked repairs run on it.
+    and {!undirected_link_pairs} stay [g]'s, and {!reverse} rebuilds
+    from every arc.  {!Spf_delta}'s masked repairs run on it.
     @raise Invalid_argument if [nodes] has the wrong length. *)
 
 val reverse : t -> t
@@ -132,7 +132,8 @@ val add_symmetric :
 val undirected_link_pairs : t -> (int * int) array
 (** Pairs of arc ids [(a, b)] where [b] is the reverse arc of [a] and
     [a < b]; arcs with no reverse twin appear as [(a, a)].  Useful for
-    treating symmetric topologies link-wise. *)
+    treating symmetric topologies link-wise.  Built once by {!build}
+    (shared; do not mutate). *)
 
 val to_dot : t -> string
 (** Graphviz rendering (one edge per arc) for debugging. *)

@@ -61,28 +61,15 @@ let rec touches_any dist edits i =
    [db] and [b] in [order_desc]. *)
 let[@inline] precedes ~da a ~db b = (da : int) > db || (da = db && (a : int) < b)
 
-(* The batch is one to a few edits, so arc lookups scan it. *)
-let rec edit_index edits id i =
-  if i = Array.length edits then -1
-  else if edits.(i).id = id then i
-  else edit_index edits id (i + 1)
-
-let old_weight edits weights id =
-  let i = edit_index edits id 0 in
-  if i < 0 then weights.(id) else edits.(i).before
-
-let raised edits id =
-  let i = edit_index edits id 0 in
-  i >= 0 && edits.(i).after > edits.(i).before
-
 (* ------------------------------------------------------------------ *)
 (* The repair kernel's working state, reused from repair to repair and
    sized for one graph: int stacks of the marked nodes (which double as
    the marking worklist) and of the moved ones, a binary min-heap of
-   packed [(label lsl shift) lor node] keys, and per-node stamps that
+   packed [(label lsl shift) lor node] keys, per-node stamps that
    flag the nodes the current repair has settled or has recomputed the
    next-hop set of (a new repair takes a new stamp instead of clearing
-   them).  Nothing here is allocated per repair. *)
+   them), and per-arc stamps of the batch's edits with their old
+   weights.  Nothing here is allocated per repair. *)
 type kernel = {
   marked : int array;
   mutable nmarked : int;
@@ -98,9 +85,12 @@ type kernel = {
   ins : int array;  (* merge scratch *)
   mutable settles : int;  (* labels settled since the caller last reset it *)
   mutable sets_moved : bool;  (* the last repair replaced a next-hop set *)
+  edit_at : int array;  (* per arc: the [batch] stamp of the last batch editing it *)
+  edit_before : int array;  (* per arc: its weight before that batch *)
+  mutable batch : int;
 }
 
-let kernel n =
+let kernel ~n ~m =
   let rec bits x = if x = 0 then 0 else 1 + bits (x lsr 1) in
   let shift = bits (n - 1) in
   {
@@ -118,7 +108,30 @@ let kernel n =
     ins = Array.make n 0;
     settles = 0;
     sets_moved = false;
+    edit_at = Array.make m 0;
+    edit_before = Array.make m 0;
+    batch = 0;
   }
+
+(* Stamp the batch the kernel repairs under into its per-arc rows, so
+   the marking and refresh loops look an arc's edit up in O(1) instead
+   of scanning the batch.  Stamped last to first, so an arc listed
+   twice keeps its first edit, as a scan would find it. *)
+let stamp_batch k edits =
+  k.batch <- k.batch + 1;
+  for i = Array.length edits - 1 downto 0 do
+    let e = edits.(i) in
+    k.edit_at.(e.id) <- k.batch;
+    k.edit_before.(e.id) <- e.before
+  done
+
+(* Arc [id]'s weight before the stamped batch; the batch's [weights]
+   hold each edit's new weight. *)
+let[@inline] old_weight k weights id =
+  if k.edit_at.(id) = k.batch then k.edit_before.(id) else weights.(id)
+
+let[@inline] raised k weights id =
+  k.edit_at.(id) = k.batch && weights.(id) > k.edit_before.(id)
 
 let heap_push k key =
   if k.hsize = Array.length k.heap then begin
@@ -169,7 +182,7 @@ let push k lab x l =
 
 (* Mark [x] once it is labelled and every arc of its old next-hop set
    is raised or leads to a marked node. *)
-let examine k ~edits ~dsts ~lab old_next x =
+let examine k ~weights ~dsts ~lab old_next x =
   if lab.(x) <> unreachable then begin
     let set = old_next.(x) in
     let i = ref 0 in
@@ -177,7 +190,7 @@ let examine k ~edits ~dsts ~lab old_next x =
       !i < Array.length set
       &&
       let id = set.(!i) in
-      raised edits id || lab.(dsts.(id)) = unreachable
+      raised k weights id || lab.(dsts.(id)) = unreachable
     do
       incr i
     done;
@@ -406,7 +419,7 @@ let repair g k ~weights ~edits dag buf =
   for i = 0 to Array.length edits - 1 do
     let e = edits.(i) in
     if e.after > e.before && tight e.before ~head:d.(e.v) ~tail:d.(e.u) then
-      examine k ~edits ~dsts ~lab old_next e.u
+      examine k ~weights ~dsts ~lab old_next e.u
   done;
   let i = ref 0 in
   while !i < k.nmarked do
@@ -417,8 +430,8 @@ let repair g k ~weights ~edits dag buf =
       let z = srcs.(id) in
       if
         lab.(z) <> unreachable
-        && tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
-      then examine k ~edits ~dsts ~lab old_next z
+        && tight (old_weight k weights id) ~head:d.(x) ~tail:d.(z)
+      then examine k ~weights ~dsts ~lab old_next z
     done
   done;
   (* 2. Seeds; every label stays an upper bound on the new distance. *)
@@ -480,7 +493,7 @@ let repair g k ~weights ~edits dag buf =
       let id = in_ids.(j) in
       let z = srcs.(id) in
       if
-        tight (old_weight edits weights id) ~head:d.(x) ~tail:d.(z)
+        tight (old_weight k weights id) ~head:d.(x) ~tail:d.(z)
         || tight weights.(id) ~head:dist.(x) ~tail:dist.(z)
       then refresh k g ~weights ~dist ~t ~old_next buf z
     done
@@ -581,7 +594,7 @@ let scratch () =
     same_flows = [||];
     ndirty = 0;
     slot_of = [||];
-    kernel = kernel 1;
+    kernel = kernel ~n:1 ~m:0;
     core = None;
   }
 
@@ -675,7 +688,6 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
     s.dirty <- Array.make n 0;
     s.same_flows <- Array.make n false;
     s.slot_of <- Array.make n None;
-    s.kernel <- kernel n;
     s.ndirty <- 0
   end
   else if s.view_src != prev then begin
@@ -690,7 +702,11 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
   s.ndirty <- 0;
   if Array.length edits > 0 then begin
     let kedits = match off_core with None -> edits | Some off -> core_edits off edits in
+    let m = Graph.arc_count g in
+    if Array.length s.kernel.settled <> n || Array.length s.kernel.edit_at <> m then
+      s.kernel <- kernel ~n ~m;
     let k = s.kernel in
+    stamp_batch k kedits;
     k.settles <- 0;
     let relabeled = ref 0 in
     for t = 0 to n - 1 do

@@ -668,7 +668,13 @@ let reproject_dirty t a gi k =
    demand destinations in ascending order (every other destination's
    row is empty) and every patched Φ row is re-folded whole over
    committed-plus-touched values, reproducing the from-scratch
-   association exactly.  The cascade runs downward from the
+   association exactly.  The re-sum visits the rows, not the arcs:
+   it zeroes the touched totals, then picks each destination's row
+   once (its override or the committed row) and adds it at every
+   touched arc.  The touched list names each arc once, so each total
+   is still the left fold from +0. over ascending destinations.  Arc
+   ids are in range for every row, so that loop reads unchecked.  The
+   cascade runs downward from the
    highest-priority class whose load moved: an H change reshapes the
    residual every lower class is charged against.  Only the leading
    [classes] classes are patched; the rows carry overrides of no other
@@ -689,15 +695,16 @@ let patch t a ~classes =
       let dsts = a.a_demand_dsts.(k) and at = a.a_ov_at.(k) in
       let committed = t.contrib.(k) and out = a.a_loads.(k) in
       for j = 0 to nt - 1 do
-        let arc = touched.(j) in
-        let s = ref 0. in
-        for q = 0 to Array.length dsts - 1 do
-          let dst = dsts.(q) in
-          let i = at.(dst) in
-          let c = if i >= 0 then a.a_rows.(i) else committed.(dst) in
-          s := !s +. c.(arc)
-        done;
-        out.(arc) <- !s
+        Array.unsafe_set out (Array.unsafe_get touched j) 0.
+      done;
+      for q = 0 to Array.length dsts - 1 do
+        let dst = dsts.(q) in
+        let i = at.(dst) in
+        let c = if i >= 0 then a.a_rows.(i) else committed.(dst) in
+        for j = 0 to nt - 1 do
+          let arc = Array.unsafe_get touched j in
+          Array.unsafe_set out arc (Array.unsafe_get out arc +. Array.unsafe_get c arc)
+        done
       done
     end
   done;
@@ -712,25 +719,24 @@ let patch t a ~classes =
     first 0
   in
   a.a_kmin <- kmin;
-  let load k arc = if a.a_has_ov.(k) then a.a_loads.(k).(arc) else t.loads.(k).(arc) in
-  let cap k arc =
-    if k > kmin then a.a_cap.(k).(arc) else t.capacity_seen.(k).(arc)
-  in
+  (* Class [k]'s load and residual rows, valid at the touched arcs. *)
+  let load k = if a.a_has_ov.(k) then a.a_loads.(k) else t.loads.(k) in
+  let cap k = if k > kmin then a.a_cap.(k) else t.capacity_seen.(k) in
   for k = kmin + 1 to classes - 1 do
-    let out = a.a_cap.(k) in
+    let out = a.a_cap.(k) and c = cap (k - 1) and l = load (k - 1) in
     for j = 0 to nt - 1 do
       let arc = touched.(j) in
-      out.(arc) <- Float.max (cap (k - 1) arc -. load (k - 1) arc) 0.
+      out.(arc) <- Float.max (c.(arc) -. l.(arc)) 0.
     done
   done;
   for k = 0 to classes - 1 do
     if k < kmin then a.a_phi.(k) <- t.phi.(k)
     else begin
-      let row = a.a_phi_rows.(k) in
+      let row = a.a_phi_rows.(k) and l = load k and c = cap k in
       Array.blit t.phi_per_arc.(k) 0 row 0 m;
       for j = 0 to nt - 1 do
         let arc = touched.(j) in
-        row.(arc) <- Fortz.phi ~load:(load k arc) ~capacity:(cap k arc)
+        row.(arc) <- Fortz.phi ~load:l.(arc) ~capacity:c.(arc)
       done;
       a.a_phi.(k) <- fold_row row
     end
@@ -968,6 +974,118 @@ let fail_probe ?classes:priced t ~arcs =
     done
   done;
   finish t a ~group:(-1) ~priced ~unreachable:!unreachable
+
+(* ------------------------------------------------------------------ *)
+(* Severing links, from reachability alone: the link failures a full
+   failure probe prices infinite, without a probe.
+
+   Reachability does not depend on the weights.  A source reaches a
+   destination in the graph less some arcs iff a simple path joins
+   them there, and a simple path between two demand endpoints runs on
+   their demand core (Graph.off_core of every class's endpoints), so
+   searches on the core's subgraph decide every pair.  A link whose
+   every failed arc (x, y) keeps a path from x to y severs nothing:
+   any route over the arc can take that detour instead.  Otherwise one
+   reverse search per destination finds the stranded sources.  Without
+   underflow a severed pair's positive flow crosses the failed link:
+   every route from its source does, and a positive flow splits into
+   positive shares.  So a link that carries no committed load is
+   skipped, and a destination is searched only when a failed arc
+   carries a nonzero share toward it; a context whose rows underflowed
+   ([zero_shares]) searches every demand destination of every link
+   without a detour. *)
+let severing_links t =
+  let g = t.graph and classes = class_count t in
+  let n = Graph.node_count g and m = Graph.arc_count g in
+  let endpoints = Array.make n false and dsts = ref [] in
+  for dst = n - 1 downto 0 do
+    let sinks = ref false in
+    for k = 0 to classes - 1 do
+      let dem = t.demand.(k).(dst) in
+      if Array.length dem > 0 then begin
+        sinks := true;
+        Array.iteri (fun s x -> if x > 0. then endpoints.(s) <- true) dem
+      end
+    done;
+    if !sinks then begin
+      endpoints.(dst) <- true;
+      dsts := dst :: !dsts
+    end
+  done;
+  let dsts = Array.of_list !dsts in
+  let core = Graph.without g ~nodes:(Graph.off_core g ~endpoints) in
+  let failed = Array.make m false in
+  let seen = Array.make n 0 and stack = Array.make n 0 and round = ref 0 in
+  (* Mark the nodes [start] reaches over the arcs of [ids] (segments
+     [off], far ends [ends]) that have not failed, until [stop] is
+     marked ([-1]: none); returns the round's mark. *)
+  let search ~off ~ids ~ends start ~stop =
+    incr round;
+    let mark = !round in
+    seen.(start) <- mark;
+    stack.(0) <- start;
+    let sp = ref 1 in
+    while !sp > 0 && (stop < 0 || seen.(stop) <> mark) do
+      decr sp;
+      let x = stack.(!sp) in
+      for j = off.(x) to off.(x + 1) - 1 do
+        let id = ids.(j) in
+        let z = ends.(id) in
+        if (not failed.(id)) && seen.(z) <> mark then begin
+          seen.(z) <- mark;
+          stack.(!sp) <- z;
+          incr sp
+        end
+      done
+    done;
+    mark
+  in
+  let detour a =
+    let y = Graph.dst g a in
+    seen.(y)
+    = search ~off:(Graph.out_offsets core) ~ids:(Graph.out_arc_ids core)
+        ~ends:(Graph.dsts g) (Graph.src g a) ~stop:y
+  in
+  (* Whether a positive-demand source of some class reaches [dst] only
+     over a failed arc. *)
+  let cut_off dst =
+    let mark =
+      search ~off:(Graph.in_offsets core) ~ids:(Graph.in_arc_ids core)
+        ~ends:(Graph.srcs g) dst ~stop:(-1)
+    in
+    let stranded = ref false in
+    for k = 0 to classes - 1 do
+      let dem = t.demand.(k).(dst) in
+      for s = 0 to Array.length dem - 1 do
+        if dem.(s) > 0. && seen.(s) <> mark then stranded := true
+      done
+    done;
+    !stranded
+  in
+  let rec loaded k a = k < classes && (t.loads.(k).(a) <> 0. || loaded (k + 1) a) in
+  let rec crosses k dst a b =
+    k < classes
+    && (let row = t.contrib.(k).(dst) in
+        (Array.length row > 0 && (row.(a) <> 0. || row.(b) <> 0.))
+        || crosses (k + 1) dst a b)
+  in
+  Array.map
+    (fun (a, b) ->
+      if t.zero_shares || loaded 0 a || loaded 0 b then begin
+        failed.(a) <- true;
+        failed.(b) <- true;
+        let cut =
+          (not (detour a && detour b))
+          && Array.exists
+               (fun dst -> (t.zero_shares || crosses 0 dst a b) && cut_off dst)
+               dsts
+        in
+        failed.(a) <- false;
+        failed.(b) <- false;
+        cut
+      end
+      else false)
+    (Graph.undirected_link_pairs g)
 
 let phi t = Array.copy t.phi
 

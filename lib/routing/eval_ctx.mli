@@ -190,6 +190,19 @@ val fail_probe : ?classes:int -> t -> arcs:int list -> failure probe
     @raise Invalid_argument on an empty list, an arc id out of range,
     or [classes] outside 1 .. [class_count t]. *)
 
+val severing_links : t -> bool array
+(** Per link of {!Dtr_graph.Graph.undirected_link_pairs}, whether
+    failing its arcs leaves a positive-demand pair of some class with
+    no path: exactly the links whose full {!fail_probe} severs demand,
+    found by reachability alone, without a probe.  Searches run on the
+    demand core's subgraph of every class's endpoints.  A link whose
+    failed arcs each keep a detour severs nothing; for any other link
+    that carries load, the destinations a failed arc carries a nonzero
+    committed share to are searched.  A context whose committed loads
+    underflowed to zero shares searches every demand destination of
+    every link without a detour instead.  The context is not
+    modified. *)
+
 val probe_phi : _ probe -> float array
 (** The candidate's objective [Φ_k] of each priced class (fresh copy;
     every class for a weight probe), comparable with

@@ -74,7 +74,8 @@ val cut_links : outcome array -> bool array
 (** Per link, whether its failure severs positive demand — the links
     a {!sweep} prices infinite.  Single-link reachability does not
     depend on the weights, so one sweep's cut links are every sweep's
-    on the same graph and demand. *)
+    on the same graph and demand, and {!Eval_ctx.severing_links} finds
+    the same set without a probe. *)
 
 val primaries : outcome array -> float array
 (** Per link, the primary (Φ_H, or Λ under SLA) of a finite outcome,

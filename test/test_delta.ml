@@ -1591,10 +1591,12 @@ let check_robust ~what (want_p, want_s) (rp : Problem.robust_price) =
   List.for_all (close (List.hd want_s)) want_s
 
 (* Problem.robust_price of the context's committed state against the
-   oracle's J, at top_k 1 and 2: priced in full, and with [prior] (a
-   price of the state before the last commit), so primary-first on a
-   fresh class-0 pass when that commit moved W_H and on the prior's
-   pass when it did not.  Returns the full prices. *)
+   oracle's J, at top_k 1 and 2: priced in full; as a run's first
+   price (Problem.robust_start: primary-first on the reachability cut
+   set), bitwise the full price; and with [prior] (a price of the state
+   before the last commit), so primary-first on a fresh class-0 pass
+   when that commit moved W_H and on the prior's pass when it did not.
+   Returns the full prices. *)
 let naive_robust ~what ~reused ~strict problem ctx ~prior ~normal failures =
   let alpha = 0.5 in
   let engine_normal = Problem.objective (Problem.ctx_solution problem ctx) in
@@ -1610,6 +1612,15 @@ let naive_robust ~what ~reused ~strict problem ctx ~prior ~normal failures =
       Alcotest.(check int) (what ^ ": infinite")
         (Array.fold_left (fun n o -> if o = None then n + 1 else n) 0 failures)
         full.Problem.rp_infinite;
+      let start =
+        Problem.robust_start problem ctx ~alpha ~top_k ~normal:engine_normal
+      in
+      ignore (check_robust ~what:(what ^ " start") want start : bool);
+      let j = full.Problem.rp_objective and j' = start.Problem.rp_objective in
+      if
+        Lexico.compare j j' <> 0
+        || full.Problem.rp_cut <> start.Problem.rp_cut
+      then Alcotest.failf "%s: the start's price is not the full price" what;
       let rp, reuses =
         with_metrics (fun () ->
             let rp = price ~prior:(List.nth prior (top_k - 1)) () in

@@ -541,6 +541,195 @@ let test_robust_penalty_rejects () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* The reachability cut set: the links whose failure severs demand,
+   found without a failure probe *)
+
+(* Nodes that reach [dst], by a reverse search over every arc. *)
+let reaching g dst =
+  let seen = Array.make (Graph.node_count g) false in
+  let rec visit x =
+    if not seen.(x) then begin
+      seen.(x) <- true;
+      Array.iter (fun a -> visit (Graph.src g a)) (Graph.in_arcs g x)
+    end
+  in
+  visit dst;
+  seen
+
+(* A random multigraph: a ring of two-way links over 3 to 6 core nodes
+   with a chord or two, stub trees hung off it (each stub node joined
+   to an earlier node by a two-way bridge, a doubled bridge, or a
+   one-way arc in and another one out, or in only), and a few one-way
+   arcs.  A stub joined one way only is a sink, so the graph need not
+   be strongly connected. *)
+let cut_multigraph rng =
+  let core = 3 + Prng.int rng 4 in
+  let n = core + Prng.int rng 7 in
+  let arcs = ref [] in
+  let one_way u v =
+    let capacity = float_of_int (50 + Prng.int rng 150) in
+    arcs := { Graph.src = u; dst = v; capacity; delay = 1. } :: !arcs
+  in
+  let link u v =
+    one_way u v;
+    one_way v u
+  in
+  for i = 0 to core - 1 do
+    link i ((i + 1) mod core)
+  done;
+  for _ = 1 to Prng.int rng 3 do
+    let u = Prng.int rng core and v = Prng.int rng core in
+    if u <> v then link u v
+  done;
+  for s = core to n - 1 do
+    let parent = Prng.int rng s in
+    match Prng.int rng 6 with
+    | 0 ->
+        link parent s;
+        link parent s
+    | 1 ->
+        one_way parent s;
+        one_way s (Prng.int rng s)
+    | 2 -> one_way parent s
+    | _ -> link parent s
+  done;
+  for _ = 1 to Prng.int rng 3 do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v then one_way u v
+  done;
+  Graph.build ~n (List.rev !arcs)
+
+(* Sparse demand between routable pairs, each pair present with
+   probability [p]. *)
+let routable_demand rng g ~p =
+  let n = Graph.node_count g in
+  let tm = Matrix.create n in
+  for dst = 0 to n - 1 do
+    let reach = reaching g dst in
+    for s = 0 to n - 1 do
+      if s <> dst && reach.(s) && Prng.float rng 1. < p then
+        Matrix.set tm s dst (float_of_int (1 + Prng.int rng 20))
+    done
+  done;
+  tm
+
+type cut_coverage = {
+  mutable cut : int;  (* cut links found *)
+  mutable low_only : int;  (* cut links that sever low-priority demand only *)
+  mutable lone_arc : int;  (* cut links of one arc *)
+}
+
+(* On one random instance, in a DTR and an STR context: the cut set
+   equals the full sweep's cut links and the from-scratch severed-pair
+   count's, link for link. *)
+let cut_set_matches cov seed =
+  let rng = Prng.create ((seed * 41) + 9) in
+  let g = cut_multigraph rng in
+  let density () = [| 0.03; 0.1; 0.3 |].(Prng.int rng 3) in
+  let th = routable_demand rng g ~p:(density ()) in
+  let tl = routable_demand rng g ~p:(density ()) in
+  let wh = Weights.random rng g and wl = Weights.random rng g in
+  let links = Graph.undirected_link_pairs g in
+  let severs matrices =
+    Array.map
+      (fun link ->
+        Ref_failure.severed_pairs (fst (Ref_failure.fail_link g ~link)) ~matrices > 0)
+      links
+  in
+  let want = severs [| th; tl |] and high = severs [| th |] in
+  Array.iteri
+    (fun i cut ->
+      if cut then begin
+        cov.cut <- cov.cut + 1;
+        if not high.(i) then cov.low_only <- cov.low_only + 1;
+        if fst links.(i) = snd links.(i) then cov.lone_arc <- cov.lone_arc + 1
+      end)
+    want;
+  List.for_all
+    (fun (name, ctx) ->
+      let got = Eval_ctx.severing_links ctx in
+      let swept = Failure_sweep.cut_links (Failure_sweep.sweep ~th ctx) in
+      if got <> swept || got <> want then
+        QCheck.Test.fail_reportf "seed %d, %s: cut set differs from the full sweep's" seed
+          name;
+      true)
+    (contexts (g, th, tl, wh, wl))
+
+let prop_cut_set =
+  let cov = { cut = 0; low_only = 0; lone_arc = 0 } in
+  QCheck.Test.make ~count:300 ~name:"cut set = full sweep's cut links (multigraphs)"
+    QCheck.(int_range 1 1_000_000)
+    (cut_set_matches cov)
+
+let test_cut_set_coverage () =
+  (* The generator must produce every kind of cut it is meant to. *)
+  let cov = { cut = 0; low_only = 0; lone_arc = 0 } in
+  for seed = 1 to 200 do
+    ignore (cut_set_matches cov seed : bool)
+  done;
+  Alcotest.(check bool) "cut links" true (cov.cut > 0);
+  Alcotest.(check bool) "cut links severing low-priority demand only" true
+    (cov.low_only > 0);
+  Alcotest.(check bool) "cut one-way arcs" true (cov.lone_arc > 0)
+
+let test_cut_set_low_only () =
+  (* A ring 0-1-2-3 and a stub 4 behind the bridge 3-4: the high class
+     sends only across the ring, the low class from the stub too, so
+     failing the bridge severs low-priority demand alone. *)
+  let g =
+    Graph.build ~n:5
+      (List.fold_left
+         (fun acc (u, v) -> Graph.add_symmetric ~capacity:100. ~delay:1. u v acc)
+         [] [ (0, 1); (1, 2); (2, 3); (3, 0); (3, 4) ])
+  in
+  let th = Matrix.create 5 and tl = Matrix.create 5 in
+  Matrix.set th 0 2 5.;
+  Matrix.set tl 4 1 7.;
+  let w = Weights.uniform g 10 in
+  let bridge =
+    let a = Option.get (Graph.find_arc g ~src:3 ~dst:4) in
+    Array.find_index (fun (x, y) -> x = a || y = a) (Graph.undirected_link_pairs g)
+    |> Option.get
+  in
+  List.iter
+    (fun (name, ctx) ->
+      let cut = Eval_ctx.severing_links ctx in
+      Alcotest.(check (array bool)) (name ^ ": the full sweep's cut links")
+        (Failure_sweep.cut_links (Failure_sweep.sweep ~th ctx))
+        cut;
+      Alcotest.(check (list int)) (name ^ ": only the bridge") [ bridge ]
+        (List.filter (Array.get cut) (List.init (Array.length cut) Fun.id)))
+    (contexts (g, th, tl, w, Array.copy w))
+
+let test_cut_set_underflow () =
+  (* The underflow diamond 0 -> {1, 2} -> 3 with a stub 4 behind the
+     bridge 3-4.  The one high-priority demand, 5e-324 from 0 to 4,
+     splits at 0 into halves that round to zero, so no arc carries
+     load, the bridge included; failing the bridge still severs it.
+     Only a context that knows its rows underflowed finds that cut. *)
+  let g =
+    Graph.build ~n:5
+      (List.fold_left
+         (fun acc (u, v) -> Graph.add_symmetric ~capacity:100. ~delay:1. u v acc)
+         [] [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 4) ])
+  in
+  let th = Matrix.create 5 and tl = Matrix.create 5 in
+  Matrix.set th 0 4 5e-324;
+  Matrix.set tl 1 2 10.;
+  let w = Weights.uniform g 10 in
+  List.iter
+    (fun (name, ctx) ->
+      Alcotest.(check (float 0.)) (name ^ ": no class-0 load") 0.
+        (Array.fold_left ( +. ) 0. (Eval_ctx.loads ctx 0));
+      let cut = Eval_ctx.severing_links ctx in
+      Alcotest.(check (array bool)) (name ^ ": the full sweep's cut links")
+        (Failure_sweep.cut_links (Failure_sweep.sweep ~th ctx))
+        cut;
+      Alcotest.(check int) (name ^ ": the bridge is cut") 1
+        (Array.fold_left (fun n c -> if c then n + 1 else n) 0 cut))
+    (contexts (g, th, tl, w, Array.copy w))
+
+(* ------------------------------------------------------------------ *)
 (* Reused class-0 passes: a robust price hands its class-0 pass to the
    next sweep while class 0's weights are the same *)
 
@@ -700,6 +889,71 @@ let test_reused_pass_random50 () =
         (fun top_k -> reuse_dtr ~model ~top_k ~name:"random50" (random50_instance ()))
         [ 1; 2 ])
     models
+
+(* A run's first price, primary-first on the reachability cut set,
+   against the full sweep's price of the same state, bitwise: J, the
+   penalty, the cut links and the class-0 pass.  Its failure probes
+   are one class-0 probe per survivable link and the full probes of the
+   links that reach the [top_k]-th primary. *)
+let start_matches_full ~what problem ctx ~top_k =
+  let alpha = 0.5 in
+  let normal = Problem.objective (Problem.ctx_solution problem ctx) in
+  let sweep = Problem.failure_outcomes problem ctx in
+  let survivable = Array.length sweep - Failure_sweep.infinite_count sweep in
+  let full = Problem.robust_price problem ctx ~alpha ~top_k ~normal in
+  let start, probes =
+    with_metrics (fun () ->
+        let rp = Problem.robust_start problem ctx ~alpha ~top_k ~normal in
+        (rp, counter "dtr_eval_fail_probes_total"))
+  in
+  let lexico name (e : Lexico.t) (a : Lexico.t) =
+    check_bits (what ^ ": " ^ name ^ " primary") e.Lexico.primary a.Lexico.primary;
+    check_bits (what ^ ": " ^ name ^ " secondary") e.Lexico.secondary
+      a.Lexico.secondary
+  in
+  lexico "J" full.Problem.rp_objective start.Problem.rp_objective;
+  lexico "penalty" full.Problem.rp_penalty start.Problem.rp_penalty;
+  Alcotest.(check (array bool)) (what ^ ": cut links") full.Problem.rp_cut
+    start.Problem.rp_cut;
+  Alcotest.(check int) (what ^ ": infinite") full.Problem.rp_infinite
+    start.Problem.rp_infinite;
+  Array.iteri
+    (fun i p ->
+      check_bits (Printf.sprintf "%s: link %d's class-0 primary" what i) p
+        start.Problem.rp_primaries.(i))
+    full.Problem.rp_primaries;
+  Alcotest.(check bool) (what ^ ": class-0 weights") true
+    (full.Problem.rp_wh = start.Problem.rp_wh);
+  Alcotest.(check int) (what ^ ": failure probes")
+    (survivable + reaching_kth ~top_k sweep)
+    probes;
+  full.Problem.rp_infinite
+
+let test_start_matches_full () =
+  let cut_seen = ref 0 in
+  List.iter
+    (fun (name, (g, th, tl, wh, wl)) ->
+      List.iter
+        (fun model ->
+          let problem = Problem.create ~graph:g ~th ~tl ~model in
+          List.iter
+            (fun (kind, ctx) ->
+              List.iter
+                (fun top_k ->
+                  let what =
+                    Printf.sprintf "%s %s %s top_k=%d" name kind
+                      (Objective.model_name model) top_k
+                  in
+                  if start_matches_full ~what problem ctx ~top_k > 0 then
+                    incr cut_seen)
+                [ 1; 2 ])
+            [
+              ("dtr", snd (Problem.eval_dtr_ctx problem ~wh ~wl));
+              ("str", snd (Problem.eval_str_ctx problem ~w:wh));
+            ])
+        models)
+    (reuse_instances ());
+  Alcotest.(check bool) "instances with cut links" true (!cut_seen > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Flow-screened failure probes: a failure probe repairs a destination
@@ -1233,6 +1487,46 @@ let test_robust_objective_decomposition () =
   Alcotest.(check bool) "penalty non-negative" true
     (rp.Problem.rp_penalty.Lexico.primary >= 0.)
 
+let test_handoff_keeps_best_sweep () =
+  (* Routine 2 starts at the best, whose sweep the run keeps as its
+     prior: the hand-off sweeps nothing, every sweep is a traced event,
+     and the reported J is still the best's, repriced in full. *)
+  let module Trace = Dtr_core.Trace in
+  let problem = small_problem 2 in
+  let alpha = 0.5 in
+  List.iter
+    (fun top_k ->
+      let trace = Trace.ring () in
+      let report, sweeps =
+        with_metrics (fun () ->
+            let r =
+              Dtr_core.Dtr_search.run ~trace (Prng.create 6) (robust_cfg ~top_k alpha)
+                problem
+            in
+            (r, counter "dtr_failure_sweeps_total"))
+      in
+      let events = Trace.events trace in
+      let rec after_handoff = function
+        | (e : Trace.event) :: next :: _
+          when e.Trace.kind = Trace.Phase_done && e.Trace.detail = 0 ->
+            next
+        | _ :: rest -> after_handoff rest
+        | [] -> Alcotest.fail "no routine-1 phase_done event"
+      in
+      Alcotest.(check bool) "no sweep at the hand-off" false
+        ((after_handoff events).Trace.kind = Trace.Robust_sweep);
+      Alcotest.(check int) "one event per sweep" sweeps
+        (List.length
+           (List.filter (fun (e : Trace.event) -> e.Trace.kind = Trace.Robust_sweep) events));
+      let best = report.Dtr_core.Dtr_search.best in
+      let rp =
+        Problem.robust_price problem (Problem.ctx_of_solution problem best) ~alpha ~top_k
+          ~normal:(Problem.objective best)
+      in
+      Alcotest.(check int) "reported J is the best's" 0
+        (Lexico.compare report.Dtr_core.Dtr_search.objective rp.Problem.rp_objective))
+    [ 1; 2 ]
+
 let test_robust_search_jobs_invariance () =
   (* Robust sweeps run at deterministic trajectory points with
      link-ordered chunk reassembly, so a multistart at 1 domain and 4
@@ -1403,6 +1697,8 @@ let () =
             test_multistart_ranks_restarts_by_j;
           Alcotest.test_case "robust_sweep detail = cut links" `Quick
             test_robust_sweep_detail_counts_cuts;
+          Alcotest.test_case "the DTR hand-off keeps the best's sweep" `Quick
+            test_handoff_keeps_best_sweep;
         ] );
       ( "primary-first",
         [
@@ -1416,6 +1712,18 @@ let () =
             `Quick test_primary_first_penalty_ties;
           Alcotest.test_case "rejects a wrong cut set" `Quick
             test_robust_penalty_rejects;
+          Alcotest.test_case "start price = full sweep's price (bitwise)" `Quick
+            test_start_matches_full;
+        ] );
+      ( "cut-set",
+        [
+          QCheck_alcotest.to_alcotest prop_cut_set;
+          Alcotest.test_case "the generator covers every kind of cut" `Quick
+            test_cut_set_coverage;
+          Alcotest.test_case "low-priority demand severed alone" `Quick
+            test_cut_set_low_only;
+          Alcotest.test_case "underflowed rows keep every link searched" `Quick
+            test_cut_set_underflow;
         ] );
       ( "reused-pass",
         [
