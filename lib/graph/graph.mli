@@ -118,7 +118,8 @@ val without : t -> nodes:bool array -> t
     {!find_arc} and every walk over the adjacency.  The nodes, arc ids
     and per-arc rows ({!arc}, {!arcs}, {!srcs}, {!capacities}, ...)
     and {!undirected_link_pairs} stay [g]'s, and {!reverse} rebuilds
-    from every arc.  {!Spf_delta}'s masked repairs run on it.
+    from every arc.  Demand-core dag builds and {!Spf_delta} repairs
+    run on it.
     @raise Invalid_argument if [nodes] has the wrong length. *)
 
 val reverse : t -> t

@@ -572,8 +572,7 @@ let record ~dirty ~relabeled ~settles =
    loop and the spine blitted (a full blit of a pointer array pays the
    write barrier per element).  The pool holds at most one slot (4n
    words) per destination ever repaired, about as much as the dags
-   themselves.  [core] keeps the subgraph of the last off-core mask
-   with the mask and the graph it was built from. *)
+   themselves. *)
 
 type scratch = {
   mutable view : Spf.dag array;
@@ -583,7 +582,6 @@ type scratch = {
   mutable ndirty : int;
   mutable slot_of : buf option array;
   mutable kernel : kernel;
-  mutable core : (bool array * Graph.t * Graph.t) option;
 }
 
 let scratch () =
@@ -595,7 +593,6 @@ let scratch () =
     ndirty = 0;
     slot_of = [||];
     kernel = kernel ~n:1 ~m:0;
-    core = None;
   }
 
 (* Destination [t]'s slot, its spine equal to [dag]'s and its labels
@@ -647,40 +644,8 @@ let claim s n t dag =
   b.lab_logged <- 0;
   b
 
-(* A masked update repairs on the demand core's subgraph, under the
-   edits between core nodes, while the label test and the dirty list
-   take every edit.  The subgraph is built once per mask. *)
-let core_graph s g off =
-  match s.core with
-  | Some (mask, src, sub) when mask == off && src == g -> sub
-  | _ ->
-      let sub = Graph.without g ~nodes:off in
-      s.core <- Some (off, g, sub);
-      sub
-
-let[@inline] in_core off e = not (off.(e.u) || off.(e.v))
-
-let rec count_core off edits i =
-  if i = Array.length edits then 0
-  else Bool.to_int (in_core off edits.(i)) + count_core off edits (i + 1)
-
-let core_edits off edits =
-  let count = count_core off edits 0 in
-  if count = Array.length edits then edits
-  else begin
-    let kept = Array.make count edits.(0) and j = ref 0 in
-    for i = 0 to Array.length edits - 1 do
-      if in_core off edits.(i) then begin
-        kept.(!j) <- edits.(i);
-        incr j
-      end
-    done;
-    kept
-  end
-
-let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
+let update_scratch s ?active g ~weights ~prev ~changes =
   let edits = edits_of g ~weights ~prev ?active changes in
-  let kg = match off_core with None -> g | Some off -> core_graph s g off in
   let n = Graph.node_count g in
   if Array.length s.view <> n then begin
     s.view <- Array.copy prev;
@@ -701,19 +666,18 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
     done;
   s.ndirty <- 0;
   if Array.length edits > 0 then begin
-    let kedits = match off_core with None -> edits | Some off -> core_edits off edits in
     let m = Graph.arc_count g in
     if Array.length s.kernel.settled <> n || Array.length s.kernel.edit_at <> m then
       s.kernel <- kernel ~n ~m;
     let k = s.kernel in
-    stamp_batch k kedits;
+    stamp_batch k edits;
     k.settles <- 0;
     let relabeled = ref 0 in
     for t = 0 to n - 1 do
       let dag = prev.(t) in
       if dirty_at active edits dag t then begin
         let buf = claim s n t dag in
-        let next = repair kg k ~weights ~edits:kedits dag buf in
+        let next = repair g k ~weights ~edits dag buf in
         (* The slot's labels now differ from [dag]'s at the moved nodes
            only. *)
         Array.blit k.moved 0 buf.lab_log 0 k.nmoved;
@@ -724,7 +688,7 @@ let update_scratch s ?active ?off_core g ~weights ~prev ~changes =
         s.dirty.(s.ndirty) <- t;
         s.same_flows.(s.ndirty) <-
           (not k.sets_moved)
-          && keeps_flows kg ~weights ~edits:kedits ~d:dag.Spf.dist ~dist:next.Spf.dist t;
+          && keeps_flows g ~weights ~edits ~d:dag.Spf.dist ~dist:next.Spf.dist t;
         s.ndirty <- s.ndirty + 1
       end
     done;

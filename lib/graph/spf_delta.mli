@@ -32,9 +32,9 @@
     whose kept buffers hold the kernel's state and the labels, spines
     and orders it writes, undone before reuse: a caller that reuses one
     allocates only the next-hop sets that change.  {!update} is the
-    pure form, a fresh scratch and then {!scratch_copy}.  A repair
-    masked to a demand core is the same kernel on the core's subgraph
-    ({!Graph.without}). *)
+    pure form, a fresh scratch and then {!scratch_copy}.  The kernel
+    repairs whatever graph it is handed, a {!Graph.without} subgraph
+    included: it reads only the arcs of that graph's adjacency. *)
 
 type change = {
   arc : int;  (** arc id whose weight changed *)
@@ -85,8 +85,7 @@ val touches : Graph.t -> Spf.dag -> change -> bool
 type scratch
 (** Reusable state for {!update_scratch}: the repair kernel's working
     state (int stacks, heap, per-node stamps, O(n) words), a
-    per-destination dag view, the subgraph of its last [off_core]
-    mask, and one repair slot (labels, next-hop
+    per-destination dag view, and one repair slot (labels, next-hop
     spine, two write logs and orders, about [4n] words) per
     destination it has repaired, created by that destination's first
     repair — about as much memory as the dags themselves.  After the
@@ -100,7 +99,6 @@ val scratch : unit -> scratch
 val update_scratch :
   scratch ->
   ?active:bool array ->
-  ?off_core:bool array ->
   Graph.t ->
   weights:int array ->
   prev:Spf.dag array ->
@@ -118,20 +116,11 @@ val update_scratch :
     mutated.  Same arguments and exceptions as {!update}; an exception
     leaves [s] usable.
 
-    [off_core], a {!Graph.off_core} set, confines the repair to the
-    unflagged nodes: the kernel runs on [Graph.without g ~nodes:off_core]
-    (built once per mask array and kept in [s]; do not mutate the
-    array) under the changes between unflagged nodes, while the label
-    test and the dirty list take every change.  At an unflagged
-    destination every unflagged node gets {!update}'s label, next-hop
-    set and relative order, since [prev]'s labels are exact and a
-    simple path between unflagged nodes visits no flagged one: a change
-    with a flagged end is never tight there and never shortens a path.
-    Flagged nodes keep [prev]'s labels and sets, which may be stale, and
-    the same-flow flags describe the masked dags.  A caller that masks
-    keeps every flow-carrying node unflagged, and repairs again without
-    the mask where it needs dags exact at every node.
-    @raise Invalid_argument also if [off_core] has the wrong length. *)
+    On a {!Graph.without} subgraph [g] the repair is the subgraph's:
+    [changes] must list only arcs of [g]'s adjacency (the screen and
+    the seeds read a listed arc's ends whether [g] keeps it or not, so
+    a dropped arc it leaves out would still label its tail), and the
+    nodes [g] cuts off keep [prev]'s labels and next-hop sets. *)
 
 val scratch_dags : scratch -> Spf.dag array
 (** The dags of the last {!update_scratch} (treat as immutable). *)

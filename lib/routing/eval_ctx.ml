@@ -59,6 +59,12 @@ type t = {
   mutable phi : float array;
   active : bool array option array;
       (* group -> demand-bearing destinations; None in All mode *)
+  matrices : Matrix.t array;  (* class -> its demand matrix (shared) *)
+  mutable cores : core array;
+      (* group -> its demand core ({!cores}): built by [create] in
+         Demand mode, which routes on it, and otherwise by the first
+         probe or clone, since most contexts are never probed; [||]
+         until then, and shared by clones *)
   mutable zero_shares : bool;
       (* a walk behind the committed rows split a positive flow into
          zero shares (float underflow); sticky, and it turns the
@@ -66,6 +72,19 @@ type t = {
   mutable arena : arena option;
       (* probe scratch, allocated by the first probe: set-up builds
          contexts it never probes; a clone starts without one *)
+}
+
+(* A weight group's demand core: the nodes on some simple path between
+   two endpoints of its member classes' demand (Graph.off_core), the
+   only nodes its flow can cross.  [c_graph] is the context's graph
+   without the other nodes, the graph itself when there are none
+   ([c_off] is then [None]); [c_arcs] lists its arcs, those with both
+   ends on the core, ascending: the only arcs a contribution row of the
+   group's classes can be nonzero at. *)
+and core = {
+  c_graph : Graph.t;
+  c_off : bool array option;
+  c_arcs : int array;
 }
 
 (* The probe arena.  One probe engine computes every candidate —
@@ -76,12 +95,6 @@ type t = {
    - [a_spf]/[a_w]: per group, the repaired dags (Spf_delta's scratch,
      which holds the repair kernel's state too) and the probed weight
      row;
-   - [a_off]: per group, the nodes off its demand core (Graph.off_core
-     of its member classes' demand endpoints), [None] when there are
-     none; every probe's repair is masked with them;
-   - [a_core_arcs]: per group, the arcs with both ends on its core
-     (every arc when [a_off] is [None]), ascending: the only arcs a
-     contribution row of its classes can be nonzero at;
    - [a_listed]: per arc, the number ([a_listing]) of the last probe
      whose change list named it, so a list naming an arc twice is
      refused without allocating;
@@ -98,8 +111,8 @@ type t = {
      positive flow into zero shares;
    - [a_screen]: per destination, the flow screen of the group being
      repaired; [a_changes]/[a_deferred]: a weight probe's effective
-     change list and how many dirty destinations its screen deferred
-     (its commit repairs them);
+     change list, off-core changes included, and how many dirty
+     destinations its screen deferred (its commit repairs them);
    - [a_loads]/[a_cap]: patched load totals and residual capacities,
      valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
      classes from [a_kmin] down, and [a_phi] the probed objective.
@@ -114,8 +127,6 @@ type t = {
 and arena = {
   a_spf : Spf_delta.scratch array;
   a_w : int array array;
-  a_off : bool array option array;
-  a_core_arcs : int array array;
   a_listed : int array;
   mutable a_listing : int;
   a_demand_dsts : int array array;  (* class -> demand destinations, ascending *)
@@ -172,6 +183,31 @@ let fold_row row =
   done;
   !s
 
+(* The demand core of a group of [members]: its endpoints are the
+   sources and destinations of their matrices' positive off-diagonal
+   entries (all routable, or {!create} refuses the matrices). *)
+let demand_core g ~matrices members =
+  let n = Graph.node_count g in
+  let endpoints = Array.make n false in
+  Array.iter
+    (fun k ->
+      Matrix.iter matrices.(k) (fun s dst _ ->
+          if s <> dst then begin
+            endpoints.(s) <- true;
+            endpoints.(dst) <- true
+          end))
+    members;
+  let off = Graph.off_core g ~endpoints in
+  let m = Graph.arc_count g in
+  if Array.exists Fun.id off then
+    let on a = not (off.(Graph.src g a) || off.(Graph.dst g a)) in
+    {
+      c_graph = Graph.without g ~nodes:off;
+      c_off = Some off;
+      c_arcs = Array.of_list (List.filter on (List.init m Fun.id));
+    }
+  else { c_graph = g; c_off = None; c_arcs = Array.init m Fun.id }
+
 let create ?dags ?(dest_mode = All) g ~weights ~matrices =
   let classes = Array.length weights in
   if classes < 1 then invalid_arg "Eval_ctx.create: need at least one class";
@@ -227,6 +263,12 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
               group_classes.(gi);
             Some act)
   in
+  (* A demand-only group routes on its core graph alone. *)
+  let cores =
+    match dest_mode with
+    | All -> [||]
+    | Demand -> Array.map (demand_core g ~matrices) group_classes
+  in
   let ws = Dijkstra.workspace () in
   let group_dags =
     Array.init group_count (fun gi ->
@@ -238,7 +280,8 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
             match active.(gi) with
             | None -> Spf.all_destinations ~ws g ~weights:group_w.(gi)
             | Some active ->
-                Spf.for_destinations ~ws g ~weights:group_w.(gi) ~active))
+                Spf.for_destinations ~ws cores.(gi).c_graph ~weights:group_w.(gi)
+                  ~active))
   in
   let m = Graph.arc_count g in
   let demand =
@@ -306,6 +349,8 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     phi_per_arc;
     phi;
     active;
+    matrices;
+    cores;
     zero_shares = !zero_shares;
     arena = None;
   }
@@ -318,8 +363,17 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
    shared with the original.  Clones back a scan worker's probes; they
    are resynchronized from the original with [sync] (pure blits)
    instead of being rebuilt. *)
+(* The groups' demand cores, built on first use.  A clone builds them
+   before it copies the spine, so clones share one build, and no two
+   domains ever build into one context. *)
+let cores t =
+  if Array.length t.cores = 0 then
+    t.cores <- Array.map (demand_core t.graph ~matrices:t.matrices) t.group_classes;
+  t.cores
+
 let clone t =
   Metrics.incr_counter m_clones;
+  ignore (cores t : core array);
   {
     t with
     group_w = Array.copy t.group_w;
@@ -353,45 +407,13 @@ let sync ~src ~dst =
      replaced. *)
   match dst.arena with Some a -> a.a_stamp <- a.a_stamp + 1 | None -> ()
 
-(* Group [gi]'s off-core nodes, [None] when it has none: the nodes on
-   no simple path between two sources or destinations of its member
-   classes' routable demand.  No flow ever crosses them. *)
-let group_off_core t gi =
-  let n = Graph.node_count t.graph in
-  let endpoints = Array.make n false in
-  Array.iter
-    (fun k ->
-      Array.iteri
-        (fun dst dem ->
-          if Array.length dem > 0 then begin
-            endpoints.(dst) <- true;
-            Array.iteri (fun s x -> if x > 0. then endpoints.(s) <- true) dem
-          end)
-        t.demand.(k))
-    t.group_classes.(gi);
-  let off = Graph.off_core t.graph ~endpoints in
-  if Array.exists Fun.id off then Some off else None
-
-(* A group's core arcs: those with neither end in its off-core set
-   [off], every arc when it has none. *)
-let core_arcs g off =
-  let m = Graph.arc_count g in
-  match off with
-  | None -> Array.init m Fun.id
-  | Some off ->
-      let on a = not (off.(Graph.src g a) || off.(Graph.dst g a)) in
-      Array.of_list (List.filter on (List.init m Fun.id))
-
 let make_arena t =
   let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
   let floats () = Array.init classes (fun _ -> Array.make m 0.) in
-  let off = Array.init groups (group_off_core t) in
   {
     a_spf = Array.init groups (fun _ -> Spf_delta.scratch ());
     a_w = Array.init groups (fun _ -> Array.make m 0);
-    a_off = off;
-    a_core_arcs = Array.map (core_arcs t.graph) off;
     a_listed = Array.make m 0;
     a_listing = 0;
     a_demand_dsts =
@@ -441,15 +463,30 @@ let evict a =
   a.a_zero_shares <- false
 
 (* The step every computation starts with: copy group [gi]'s committed
-   weights into its arena row, apply [changes] there and repair the
-   group's dags into its scratch, masked by [off_core]. *)
-let repair t a gi ~active ?off_core changes =
+   weights into its arena row and apply [changes] there. *)
+let set_weights t a gi changes =
   let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
   for arc = 0 to Array.length w - 1 do
     Array.unsafe_set new_w arc (Array.unsafe_get w arc)
   done;
-  List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes;
-  Spf_delta.update_scratch a.a_spf.(gi) ?active ?off_core t.graph ~weights:new_w
+  List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes
+
+(* The changes of a list on core [c]'s graph.  A change with an
+   off-core end moves no flow, and the core graph holds no arc for it. *)
+let on_core g c changes =
+  match c.c_off with
+  | None -> changes
+  | Some off ->
+      List.filter
+        (fun (ch : Spf_delta.change) ->
+          not (off.(Graph.src g ch.arc) || off.(Graph.dst g ch.arc)))
+        changes
+
+(* Repair group [gi]'s dags into its scratch on [graph], its core graph
+   or the whole one, under the arena row's weights and [changes], the
+   arcs of [graph] they change. *)
+let repair t a gi ~active ~graph changes =
+  Spf_delta.update_scratch a.a_spf.(gi) ?active graph ~weights:a.a_w.(gi)
     ~prev:t.group_dags.(gi) ~changes
 
 (* ------------------------------------------------------------------ *)
@@ -578,20 +615,22 @@ let screen t a gi ~priced changes =
   done;
   !deferred
 
-(* {!repair}, masked by the group's off-core nodes and behind the flow
-   screen of the classes below [priced] unless the committed rows
-   underflowed; returns how many dirty destinations the screen
-   deferred.  The mask holds either way: off-core nodes carry no flow,
-   underflow or not. *)
+(* Set the arena row to [changes] and {!repair} the group on its core
+   graph under the changes there, behind the flow screen of the classes
+   below [priced] unless the committed rows underflowed; returns how
+   many dirty destinations the screen deferred.  The core holds either
+   way: off-core nodes carry no flow, underflow or not. *)
 let repair_screened t a gi ~priced changes =
-  let off_core = a.a_off.(gi) in
+  set_weights t a gi changes;
+  let core = (cores t).(gi) in
+  let changes = on_core t.graph core changes in
   if t.zero_shares then begin
-    repair t a gi ~active:t.active.(gi) ?off_core changes;
+    repair t a gi ~active:t.active.(gi) ~graph:core.c_graph changes;
     0
   end
   else begin
     let deferred = screen t a gi ~priced changes in
-    repair t a gi ~active:(Some a.a_screen) ?off_core changes;
+    repair t a gi ~active:(Some a.a_screen) ~graph:core.c_graph changes;
     deferred
   end
 
@@ -619,7 +658,7 @@ let reproject t a ~dags gi k dst =
     let nc = a.a_rows.(i) in
     let last = a.a_row_group.(i) in
     if last >= 0 then begin
-      let stale = a.a_core_arcs.(last) in
+      let stale = (cores t).(last).c_arcs in
       for j = 0 to Array.length stale - 1 do
         Array.unsafe_set nc (Array.unsafe_get stale j) 0.
       done
@@ -630,7 +669,7 @@ let reproject t a ~dags gi k dst =
         ~contrib:nc
     then a.a_zero_shares <- true;
     let oc = t.contrib.(k).(dst) in
-    let touched = a.a_touched and core = a.a_core_arcs.(gi) in
+    let touched = a.a_touched and core = (cores t).(gi).c_arcs in
     let changed = ref false in
     for j = 0 to Array.length core - 1 do
       let arc = Array.unsafe_get core j in
@@ -859,6 +898,25 @@ let probe_primary ~model ~th t p =
       Evaluate.sla_lambda p.p_arena.a_sla params t.graph ~th
         ~dags_h:(probe_dags t p 0) ~phi_h_per_arc:(probe_phi_row t p 0)
 
+(* The committed state's own primary, as {!probe_primary} prices a
+   probe that moved nothing: Φ_H, or the Λ of the committed class-0
+   dags and Fortz row. *)
+let primary ~model ~th t =
+  match model with
+  | Objective.Load -> t.phi.(0)
+  | Objective.Sla params ->
+      Evaluate.sla_lambda (arena_of t).a_sla params t.graph ~th
+        ~dags_h:t.group_dags.(t.class_group.(0)) ~phi_h_per_arc:t.phi_per_arc.(0)
+
+let zero_shares t = t.zero_shares
+
+(* Whether a change of [changes] passes the label test at some
+   destination of group [gi]'s committed dags. *)
+let moves_labels t gi changes =
+  Array.exists
+    (fun dag -> List.exists (Spf_delta.touches t.graph dag) changes)
+    t.group_dags.(gi)
+
 (* Install a current probe straight from the arena, copying what it
    moved into fresh arrays: the weight row, the dirty dags
    ({!Spf_delta.scratch_copy}), the moved contribution rows, and full
@@ -866,15 +924,20 @@ let probe_primary ~model ~th t p =
 let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
-  (* A deferred destination's dag, and every dag a masked repair
-     touched, is exact only at flow-carrying nodes; later screens (D_u),
-     failure probes and materialized solutions need it exact
-     everywhere, so the group is repaired again, unscreened and
-     unmasked.  Its rows stay: they are exact. *)
-  if
-    a.a_deferred > 0
-    || (Option.is_some a.a_off.(g) && Spf_delta.scratch_dirty a.a_spf.(g) > 0)
-  then repair t a g ~active:t.active.(g) a.a_changes;
+  (* A deferred destination's dag is exact only at flow-carrying nodes,
+     and later screens (D_u), failure probes and materialized solutions
+     need it exact, so the group repairs again, unscreened, on its core
+     graph: a Demand-mode group's dags are exact on its core and read
+     unreachable off it, as {!create} builds them.  An All-mode group's
+     dags are exact at every node while its probes repair on the core
+     alone, so one with off-core nodes repairs again on the whole graph,
+     under every change, whenever a change passes the label test at some
+     destination.  The probe's rows stay: they are exact. *)
+  let core = (cores t).(g) in
+  if Option.is_none t.active.(g) && Option.is_some core.c_off && moves_labels t g a.a_changes
+  then repair t a g ~active:None ~graph:t.graph a.a_changes
+  else if a.a_deferred > 0 then
+    repair t a g ~active:t.active.(g) ~graph:core.c_graph (on_core t.graph core a.a_changes);
   t.group_w.(g) <- Array.copy a.a_w.(g);
   t.group_dags.(g) <- Spf_delta.scratch_copy a.a_spf.(g);
   for i = 0 to a.a_nov - 1 do

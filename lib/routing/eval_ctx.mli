@@ -36,14 +36,18 @@
     re-projected: its row would come out bitwise the committed one.
     Both probe kinds repair behind a flow screen: a dirty destination
     toward which the change list cannot move any flow of the repaired
-    group is not repaired at all (see {!probe}).  Both also mask their
-    repairs with the group's demand core: a node on no simple path
-    between two sources or destinations of the group's routable demand
-    ({!Dtr_graph.Graph.off_core}, computed per group by the arena's
-    first probe) carries no flow, and the repair never relabels it.
-    Shares land only on the core's arcs (both ends on the core), so a
-    re-projected row is cleared, and compared with the committed one,
-    at those arcs alone.
+    group is not repaired at all (see {!probe}).  Both also repair on
+    the group's {e core graph}: a node on no simple path between two
+    sources or destinations of the group's demand
+    ({!Dtr_graph.Graph.off_core}) carries no flow.  Each context builds
+    once, per group, the graph without those nodes
+    ({!Dtr_graph.Graph.without}; the graph itself when there are none):
+    {!create} for a [Demand]-mode context, which routes on it, and the
+    first probe or {!clone} otherwise (most contexts are never probed).
+    Clones share it, and every change list is cut down to that graph's
+    arcs.  Shares land only on the core's arcs (both ends on the core),
+    so a re-projected row is cleared, and compared with the committed
+    one, at those arcs alone.
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
@@ -64,13 +68,19 @@ type dest_mode =
   | Demand
       (** DAGs only for destinations that sink positive demand in some
           member class of the group — the others carry placeholder
-          dags and are skipped by every delta screen.  Memory drops
-          from O(n) to O(demand destinations) DAG sets, which is what
-          makes 10k-node contexts fit; loads and Φ are bitwise
-          identical to [All] because demandless destinations
-          contribute empty rows either way.  Restriction: {!dags}
-          (and views derived from it) expose placeholder dags for
-          inactive destinations. *)
+          dags and are skipped by every delta screen — and only on the
+          group's core graph: each is exact at every core node (its
+          labels, next-hop sets and order among core nodes are the
+          full graph's, since a shortest path between core nodes stays
+          on the core), while every off-core node reads unreachable,
+          has no next hop and is not in the order.  Memory drops from
+          O(n) to O(demand destinations) DAG sets, which is what makes
+          10k-node contexts fit; loads and Φ are bitwise identical to
+          [All] because demandless destinations contribute empty rows
+          either way and every walk from a demand source reads core
+          nodes only.  Restriction: {!dags} (and views derived from
+          it) expose placeholder dags for inactive destinations and
+          core-only dags for active ones. *)
 
 val create :
   ?dags:Dtr_graph.Spf.dag array array ->
@@ -146,13 +156,15 @@ val probe : t -> klass:int -> changes:(int * int) list -> weight probe
     on, [dtr_spf_delta_deferred_total] counts the deferred
     destinations.
 
-    Every repair is masked with the group's off-core nodes
-    ({!Dtr_graph.Spf_delta.update_scratch} [~off_core]): they keep
-    their committed labels and next-hop sets, which may go stale, while
-    every other node of a destination that is not off-core comes out
-    as an unmasked repair leaves it.  No flow crosses an off-core node,
-    so Φ, the rows and Λ are unaffected, and the probe's dags stay
-    exact at every flow-carrying node ({!probe_dags}).
+    Every repair runs on the group's core graph under the changes
+    between core nodes: a change with an off-core end can move no flow
+    (it is never tight at a core node, and every path over it comes
+    back through the cut vertex it left by).  Off-core nodes keep their
+    committed labels and next-hop sets, which in [All] mode may go
+    stale, while every core node of a destination on the core comes
+    out as a repair of the whole graph leaves it.  No flow crosses an
+    off-core node, so Φ, the rows and Λ are unaffected, and the probe's
+    dags stay exact at every flow-carrying node ({!probe_dags}).
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
@@ -166,8 +178,9 @@ val fail_probe : ?classes:int -> t -> arcs:int list -> failure probe
     carries a nonzero committed share of a priced member class: at any
     other destination no node that carries that flow can change its
     label or next-hop set, so every other destination keeps its
-    committed dag and rows.  Its repairs are masked with the group's
-    off-core nodes, as {!probe}'s are.  A context whose committed loads came from
+    committed dag and rows.  Its repairs run on the group's core
+    graph, as {!probe}'s do: a failed arc with an off-core end changes
+    nothing.  A context whose committed loads came from
     a walk that split a positive flow into zero shares (float
     underflow) repairs every destination whose dag uses a failed arc
     instead.  If the failure severs any positive-demand pair the
@@ -259,15 +272,34 @@ val probe_primary :
     @raise Invalid_argument under [Sla] on a stale probe or a failure
     probe that severs demand. *)
 
+val primary : model:Objective.model -> th:Dtr_traffic.Matrix.t -> t -> float
+(** The committed state's primary cost: Φ_H under [Load]; under [Sla],
+    the Λ of the SLA delay walk over the committed class-0 {!dags} and
+    {!phi_per_arc} row, in the buffers {!probe_primary} uses.  Bitwise
+    {!probe_primary} of a probe that repaired and re-projected
+    nothing. *)
+
+val zero_shares : t -> bool
+(** Whether a walk behind the committed rows split a positive flow
+    into zero shares (float underflow).  The flag is sticky, and while
+    it is set every probe's flow screen is off: a probe repairs every
+    dirty destination.  While it is clear, a failure probe whose arcs
+    carry no committed load of any class it prices repairs and
+    re-projects nothing, so it prices what the context does
+    ({!primary}). *)
+
 val commit : t -> weight probe -> unit
 (** Install the context's latest probe: what it moved is copied
     straight from the arena into fresh arrays that replace the
-    committed ones.  When the probe deferred a dirty destination, or
-    repaired one with an off-core mask, the group is first repaired
-    again without the flow screen and without the mask, so every
-    committed dag is exact at every node (later probes screen with
-    them, and materialized solutions and reports read them); the
-    probe's rows are kept, being exact.
+    committed ones.  Committed dags keep the contract of {!dags}
+    (later probes screen with them, and materialized solutions and
+    reports read them): when the probe deferred a dirty destination,
+    the group is first repaired again without the flow screen, on its
+    core graph; and an [All]-mode group with off-core nodes, whose
+    probes repair on the core alone, repairs again on the whole graph
+    under every change whenever some change can alter one of its dags
+    ({!Dtr_graph.Spf_delta.touches}).  A [Demand]-mode commit never
+    repairs off the core.  The probe's rows are kept, being exact.
     Committing advances the state, so every probe taken before goes
     stale.
     @raise Invalid_argument on a stale probe: one taken on another
@@ -299,7 +331,11 @@ val weights_view : t -> int -> int array
 
 val dags : t -> int -> Dtr_graph.Spf.dag array
 (** Current per-destination DAGs of a class (shared; treat as
-    immutable — commits replace, never mutate, them). *)
+    immutable — commits replace, never mutate, them).  Exact at every
+    node in [All] mode; in [Demand] mode, a placeholder at every
+    destination without demand in the class's group, and exact at the
+    core nodes only elsewhere, off-core nodes reading unreachable (see
+    {!dest_mode}). *)
 
 val loads : t -> int -> float array
 (** Current per-arc load totals of a class (shared; commits replace
@@ -333,7 +369,9 @@ val shares_group : t -> int -> int -> bool
 val to_evaluate : t -> Evaluate.t
 (** Materialize the two-class view.  O(1): the record references the
     context's current arrays, which later commits replace rather than
-    mutate.  @raise Invalid_argument unless [class_count t = 2]. *)
+    mutate.  Its dags are {!dags}': in [Demand] mode, exact on the
+    demand core only.  @raise Invalid_argument unless
+    [class_count t = 2]. *)
 
 val to_multi : t -> Multi.t
 (** Materialize the [T]-class view (same sharing discipline). *)

@@ -156,12 +156,22 @@ let robust_penalty ?(model = Objective.Load) ~th ~top_k ~cut ?primaries ctx =
         Metrics.incr_counter m_reused;
         p
     | None ->
+        (* A link whose arcs carry no committed class-0 load keeps the
+           context's own primary: behind the flow screen its class-0
+           probe defers every destination and re-projects nothing. *)
+        let loads = Eval_ctx.loads ctx 0 and screened = not (Eval_ctx.zero_shares ctx) in
+        let own = lazy (Eval_ctx.primary ~model ~th ctx) in
         let p = Array.make n Float.nan in
         for i = 0 to n - 1 do
           if not cut.(i) then begin
-            let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
-            if Eval_ctx.probe_unreachable f > 0 then not_cut i;
-            p.(i) <- Eval_ctx.probe_primary ~model ~th ctx f
+            let a, b = links.(i) in
+            p.(i) <-
+              (if screened && loads.(a) = 0. && loads.(b) = 0. then Lazy.force own
+               else begin
+                 let f = Eval_ctx.fail_probe ~classes:1 ctx ~arcs:(link_arcs links i) in
+                 if Eval_ctx.probe_unreachable f > 0 then not_cut i;
+                 Eval_ctx.probe_primary ~model ~th ctx f
+               end)
           end
         done;
         p

@@ -97,7 +97,12 @@ val robust_penalty :
     infinite without a probe.  Without [primaries], every other link
     gets a class-0 failure probe ({!Eval_ctx.fail_probe} [~classes:1]),
     which prices its primary (Φ_H, or Λ under SLA) exactly as the full
-    probe does.  [primaries] is an earlier pass (from this function or
+    probe does, except a link whose arcs carry no committed class-0
+    load in a context whose rows never split a flow into zero shares
+    ({!Eval_ctx.zero_shares}): behind the flow screen its probe would
+    repair and re-project nothing, so it is priced at the context's own
+    primary ({!Eval_ctx.primary}, computed once per call), bitwise what
+    that probe returns.  [primaries] is an earlier pass (from this function or
     {!primaries}) taken at the context's current class-0 weights: it
     is used as it is, and no class-0 probe runs.  A class-0 failure
     probe reads only class 0's weight group, its demand and the raw

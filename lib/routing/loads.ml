@@ -45,15 +45,28 @@ let check_scratch name g ~demand_to_dst ~flow ~contrib =
     invalid_arg ("Loads." ^ name ^ ": scratch too small")
 
 (* The walk from the demand sources: [flow] starts as the demand, the
-   destination's own set to zero. *)
+   destination's own set to zero.  {!spread} reads [flow] at the
+   order's nodes only, and every demand source is one of them (a
+   routable source reaches the destination), so those are the only
+   entries to seed.  A short order, a demand-only dag's on its core
+   graph, is seeded node by node; a long one is cheaper to blit whole
+   than to seed at scattered positions (an eighth of the nodes is
+   about where the two cost the same). *)
 let walk g ~dag ~demand_to_dst ~flow ~contrib =
-  Array.blit demand_to_dst 0 flow 0 (Graph.node_count g);
+  let order = dag.Spf.order_desc and n = Graph.node_count g in
+  if 8 * Array.length order < n then
+    for i = 0 to Array.length order - 1 do
+      let v = order.(i) in
+      flow.(v) <- demand_to_dst.(v)
+    done
+  else Array.blit demand_to_dst 0 flow 0 n;
   flow.(dag.Spf.dst) <- 0.;
   spread g ~dag ~flow ~contrib
 
 (* Arena variant: the caller owns [flow] (length >= n) and [contrib]
-   (length >= m) and reuses them across destinations; both are fully
-   reinitialized here, so stale contents never leak through.  Shares
+   (length >= m) and reuses them across destinations; [contrib] is
+   cleared and [flow] seeded at every entry the walk reads, so stale
+   contents never leak through.  Shares
    land identically to {!destination_loads}: same walk, same
    accumulation order. *)
 let destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib =

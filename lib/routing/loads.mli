@@ -25,11 +25,14 @@ val destination_loads_into :
   bool
 (** Arena variant of {!destination_loads}: writes the contribution
     into the caller-owned [contrib] row (length >= arc count) using
-    [flow] (length >= node count) as flow scratch.  Both buffers are
-    fully reinitialized, so they can be reused across destinations;
+    [flow] (length >= node count) as flow scratch.  [contrib] is
+    cleared, and [flow] is seeded from [demand_to_dst] at every node of
+    the dag's order, the only entries the walk reads (node by node when
+    the order holds under an eighth of the nodes, by a blit of the
+    whole row otherwise), so both can be reused across destinations;
     the resulting shares are bitwise identical to
-    {!destination_loads}, and [flow] is left holding each node's
-    throughflow (own demand plus transit).  Returns [true] when the
+    {!destination_loads}, and [flow] is left holding the throughflow
+    (own demand plus transit) of each node of the order.  Returns [true] when the
     walk split some positive flow into zero shares (the quotient
     underflowed): only then can a node with positive flow have a
     next-hop arc that carries none.

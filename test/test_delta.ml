@@ -652,9 +652,11 @@ let test_same_flows_counterexample () =
   Alcotest.(check (float 0.)) "new h->t" 1.0000000000000002e16 (load dags.(t))
 
 (* ------------------------------------------------------------------ *)
-(* Masked repairs: a repair masked with the off-core nodes of a demand
-   core (Graph.off_core) is the unmasked repair at every core node of a
-   core destination, and leaves every off-core node as [prev] has it. *)
+(* Repairs on a demand core: a repair masked with the off-core nodes of
+   a demand core (Graph.off_core) runs the kernel on the core's graph
+   (Graph.without) under the changes between core nodes.  At every core
+   node of a core destination it is the full graph's repair, and it
+   leaves every off-core node as [prev] has it. *)
 
 (* A graph from directed arcs [(u, v, w)], and its weight vector. *)
 let weighted n arcs =
@@ -667,24 +669,45 @@ let endpoints_of n nodes = Array.init n (fun v -> List.mem v nodes)
 
 let core_order off order = List.filter (fun v -> not off.(v)) (Array.to_list order)
 
-(* Price [edits] on [w] (left as it is) from [prev] with the masked
-   scratch update and the pure unmasked one, and check the masked dags:
-   the same dirty list; at a core destination, every core node's label
-   and next-hop set are the unmasked ones and the core nodes keep the
-   unmasked order among themselves; at every destination, every
-   off-core node keeps [prev]'s label and (physically) its set, and the
-   order is sorted by the masked labels.  Returns whether the unmasked
-   repair moved an off-core node: one the mask skipped. *)
-let check_masked ?(s = Spf_delta.scratch ()) ~what g ~off w prev edits =
-  let weights = Array.copy w in
-  List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+(* The changes of [edits] on [w], and those of them between core
+   nodes: the list a repair on the core's graph takes. *)
+let split_changes g ~off w edits =
   let changes =
     List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits
   in
-  Spf_delta.update_scratch s ~off_core:off g ~weights ~prev ~changes;
+  let on_core (c : Spf_delta.change) =
+    not (off.(Graph.src g c.arc) || off.(Graph.dst g c.arc))
+  in
+  (changes, List.filter on_core changes)
+
+(* Repair [prev] on the core's graph [Graph.without g ~nodes:off] into
+   [s], under the weights [edits] give [w] and the edits between core
+   nodes. *)
+let repair_on_core s g ~off w prev edits =
+  let weights = Array.copy w in
+  List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+  let _, kept = split_changes g ~off w edits in
+  Spf_delta.update_scratch s (Graph.without g ~nodes:off) ~weights ~prev ~changes:kept
+
+(* Price [edits] on [w] (left as it is) from [prev] with the scratch
+   update on the core's graph and the pure one on the full graph, and
+   check the core repair's dags: its dirty list is the full repair's
+   less the destinations no core change touches; at a core destination,
+   every core node's label and next-hop set are the full repair's and
+   the core nodes keep the full repair's order among themselves; at
+   every destination, every off-core node keeps [prev]'s label and
+   (physically) its set, and the order is sorted by the core repair's
+   labels.  Returns whether the full repair moved an off-core node: one
+   the core repair skipped. *)
+let check_masked ?(s = Spf_delta.scratch ()) ~what g ~off w prev edits =
+  let weights = Array.copy w in
+  List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
+  let changes, kept = split_changes g ~off w edits in
+  repair_on_core s g ~off w prev edits;
   let full, dirty = Spf_delta.update g ~weights ~prev ~changes in
   let masked = Spf_delta.scratch_dags s in
-  Alcotest.(check (list int)) (what ^ ": dirty list") dirty
+  Alcotest.(check (list int)) (what ^ ": dirty list")
+    (List.filter (fun t -> List.exists (Spf_delta.touches g prev.(t)) kept) dirty)
     (List.init (Spf_delta.scratch_dirty s) (Spf_delta.scratch_dirty_at s));
   let skipped = ref false in
   Array.iteri
@@ -749,9 +772,9 @@ let stub_links rng n =
 
 (* Random rings with chords, stubs hung on them, weights 1–3 and two to
    four endpoints on the ring; batches of one to three raises, drops,
-   failures and restores, each priced masked against the same [prev]
-   and sometimes applied.  Counts the masked repairs that skipped an
-   off-core node the unmasked one moved. *)
+   failures and restores, each priced on the core's graph against the
+   same [prev] and sometimes applied.  Counts the core repairs that
+   skipped an off-core node the full one moved. *)
 let masked_skips = ref 0
 
 let prop_masked_repairs =
@@ -837,15 +860,16 @@ let stub_ring () =
   (g, w, off, Spf.all_destinations g ~weights:w)
 
 (* Never mark, seed, settle or re-set an off-core node: each batch
-   makes the unmasked repair move the stub (0's label rises toward 2,
-   falls toward 3; arcs inside the stub rise and fall; the uplink 4 -> 0
-   falls; the bridge fails), and the masked one leaves it as it was. *)
+   makes the full repair move the stub (0's label rises toward 2, falls
+   toward 3; arcs inside the stub rise and fall; the uplink 4 -> 0
+   falls; the bridge fails), and the repair on the core's graph, which
+   takes none of the stub's changes, leaves it as it was. *)
 let test_masked_stub_untouched () =
   let g, w, off, prev = stub_ring () in
   let a = arc_id g in
   List.iter
     (fun (what, edits) ->
-      Alcotest.(check bool) (what ^ ": the mask skipped a stub node") true
+      Alcotest.(check bool) (what ^ ": the core repair skipped a stub node") true
         (check_masked ~what g ~off w prev edits))
     [
       ("0's label rises", [ (a 0 1, 3) ]);
@@ -866,11 +890,8 @@ let test_masked_no_stub_seed () =
   List.iter
     (fun (what, edits) ->
       ignore (check_masked ~what g ~off w prev edits : bool);
-      let weights = Array.copy w in
-      List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
       let s = Spf_delta.scratch () in
-      Spf_delta.update_scratch s ~off_core:off g ~weights ~prev
-        ~changes:(List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits);
+      repair_on_core s g ~off w prev edits;
       Alcotest.(check int) (what ^ ": d(0) toward 2") 11
         (Spf_delta.scratch_dags s).(2).Spf.dist.(0))
     [
@@ -887,19 +908,16 @@ let test_masked_stale_head () =
   let a = arc_id g in
   ignore (check_masked ~what:"0's label rises by the stub's round trip" g ~off w prev
             [ (a 0 1, 5) ] : bool);
-  let weights = Array.copy w in
-  weights.(a 0 1) <- 5;
   let s = Spf_delta.scratch () in
-  Spf_delta.update_scratch s ~off_core:off g ~weights ~prev
-    ~changes:[ { Spf_delta.arc = a 0 1; before = 1; after = 5 } ];
+  repair_on_core s g ~off w prev [ (a 0 1, 5) ];
   let d = (Spf_delta.scratch_dags s).(2) in
   Alcotest.(check int) "d(0)" 6 d.Spf.dist.(0);
   Alcotest.(check (array int)) "0's next hops" [| a 0 1 |] d.Spf.next_arcs.(0)
 
-(* A scratch keeps the subgraph of the last mask it was given: a new
-   mask array gets its own, so one scratch that alternates masks
+(* A scratch follows the graph it is handed: one scratch that repairs
+   on the core's graph, then the full graph, then the core's graph again
    repairs as fresh scratches do.  Raising 0 -> 1 to 3 lifts 0's label
-   toward 2 from 2 to 4, which moves the stub unless it is masked. *)
+   toward 2 from 2 to 4, which moves the stub on the full graph only. *)
 let test_masked_scratch_follows_mask () =
   let g, w, off, prev = stub_ring () in
   let a = arc_id g in
@@ -908,27 +926,27 @@ let test_masked_scratch_follows_mask () =
   let changes = [ { Spf_delta.arc = a 0 1; before = 1; after = 3 } ] in
   let shared = Spf_delta.scratch () in
   List.iter
-    (fun (what, mask) ->
+    (fun (what, graph) ->
       let fresh = Spf_delta.scratch () in
-      Spf_delta.update_scratch fresh ~off_core:mask g ~weights ~prev ~changes;
-      Spf_delta.update_scratch shared ~off_core:mask g ~weights ~prev ~changes;
+      Spf_delta.update_scratch fresh graph ~weights ~prev ~changes;
+      Spf_delta.update_scratch shared graph ~weights ~prev ~changes;
       Array.iteri
         (fun t d ->
           check_dag_equal ~what:(Printf.sprintf "%s, dst %d" what t) d
             (Spf_delta.scratch_dags shared).(t))
         (Spf_delta.scratch_dags fresh))
     [
-      ("stub masked", off);
-      ("nothing masked", Array.make (Graph.node_count g) false);
-      ("stub masked again", off);
+      ("the core's graph", Graph.without g ~nodes:off);
+      ("the full graph", g);
+      ("the core's graph again", Graph.without g ~nodes:off);
     ]
 
 (* The same-flow rule ignores off-core tails.  Toward 0, over h = 1,
    where the endpoint 2 reaches 1 by its only arc and the stub node 3,
    hung on 1, carries no flow, each batch moves 2 past 3 among 1's
-   upstream neighbours while the masked repair replaces no next-hop
-   set, so the unmasked rule cannot vouch for the flows and the masked
-   one keeps them:
+   upstream neighbours while the repair on the core's graph replaces
+   no next-hop set, so the full graph's rule cannot vouch for the flows
+   and the core graph's keeps them:
    - dropping 2 -> 1 from 3 to 1 moves d(2) from 4 to 2, past d(3) = 3
      (3 is an upstream tail of 1);
    - dropping 1 -> 0 from 2 to 1 moves d(2) from 4 to 3, and raising
@@ -948,12 +966,12 @@ let test_masked_same_flow () =
       ignore (check_masked ~what g ~off w prev edits : bool);
       let weights = Array.copy w in
       List.iter (fun (arc, x) -> weights.(arc) <- x) edits;
-      let changes =
-        List.map (fun (arc, x) -> { Spf_delta.arc; before = w.(arc); after = x }) edits
-      in
-      let toward_0 ?off_core () =
+      let toward_0 ~core =
         let s = Spf_delta.scratch () in
-        Spf_delta.update_scratch s ?off_core g ~weights ~prev ~changes;
+        if core then repair_on_core s g ~off w prev edits
+        else
+          Spf_delta.update_scratch s g ~weights ~prev
+            ~changes:(fst (split_changes g ~off w edits));
         let at = ref (-1) in
         for i = 0 to Spf_delta.scratch_dirty s - 1 do
           if Spf_delta.scratch_dirty_at s i = 0 then at := i
@@ -962,8 +980,8 @@ let test_masked_same_flow () =
         (Spf_delta.scratch_same_flows_at s !at, (Spf_delta.scratch_dags s).(0))
       in
       Alcotest.(check bool) (what ^ ": unmasked, not vouched for") false
-        (fst (toward_0 ()));
-      let same, dag = toward_0 ~off_core:off () in
+        (fst (toward_0 ~core:false));
+      let same, dag = toward_0 ~core:true in
       Alcotest.(check bool) (what ^ ": masked, same flows") true same;
       let demand_to_dst = [| 0.; 0.; 1.; 0. |] in
       Alcotest.(check bool) (what ^ ": loads toward 0 bitwise kept") true

@@ -381,12 +381,31 @@ let reaching_kth ~top_k sweep =
       let kth = List.nth sorted (min top_k (List.length sorted) - 1) in
       List.length (List.filter (fun p -> Float.compare p kth >= 0) primaries)
 
+(* How many survivable links of [sweep] a class-0 pass probes: those
+   with committed class-0 load [h_loads] on an arc, or all of them when
+   the committed rows split a flow into zero shares.  The pass prices
+   the others at the context's own primary without a probe. *)
+let class0_probed g ~h_loads ~zero_shares sweep =
+  let count = ref 0 in
+  Array.iteri
+    (fun i (a, b) ->
+      if
+        Failure_sweep.is_finite sweep.(i)
+        && (zero_shares || h_loads.(a) <> 0. || h_loads.(b) <> 0.)
+      then incr count)
+    (Graph.undirected_link_pairs g);
+  !count
+
+(* Survivable links the class-0 passes below priced without a probe. *)
+let unprobed = ref 0
+
 (* The primary-first penalty equals the full sweep's, bitwise, for
    every [top_k] given and both contexts of the instance, and runs the
    full probe on exactly the survivable links whose primary reaches the
    [top_k]-th largest (ties counted; the smallest when fewer survive);
    returns the most full probes one penalty ran (failure probes beyond
-   the one class-0 probe per survivable link). *)
+   the class-0 pass's, one per survivable link that carries class-0
+   load). *)
 let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
   let links = Array.length (Graph.undirected_link_pairs g) in
   List.fold_left
@@ -394,6 +413,10 @@ let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
       let sweep = Failure_sweep.sweep ~model ~th ctx in
       let cut = Failure_sweep.cut_links sweep in
       let survivable = links - Failure_sweep.infinite_count sweep in
+      let probed =
+        class0_probed g ~h_loads:(Eval_ctx.loads ctx 0)
+          ~zero_shares:(Eval_ctx.zero_shares ctx) sweep
+      in
       List.fold_left
         (fun most top_k ->
           let what =
@@ -416,14 +439,16 @@ let penalty_matches_sweep ~model ~top_ks ((g, th, _, _, _) as inst) =
             actual.Lexico.primary;
           check_bits (what ^ ": secondary") expected.Lexico.secondary
             actual.Lexico.secondary;
-          let full = probes - survivable in
+          let full = probes - probed in
           Alcotest.(check int) (what ^ ": full probes") (reaching_kth ~top_k sweep)
             full;
+          unprobed := !unprobed + survivable - probed;
           max most full)
         most top_ks)
     0 (contexts inst)
 
 let test_primary_first_penalty () =
+  unprobed := 0;
   List.iter
     (fun model ->
       for seed = 0 to 11 do
@@ -437,7 +462,10 @@ let test_primary_first_penalty () =
         (penalty_matches_sweep ~model ~top_ks:[ 1; 2; 3; 251 ]
            (random50_instance ())
           : int))
-    models
+    models;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d links without class-0 load priced without a probe" !unprobed)
+    true (!unprobed > 0)
 
 (* Transit-stub seed 3, random weights: 8 of its 38 links are cut. *)
 let cut_link_instance () =
@@ -748,8 +776,9 @@ let commit_move problem ctx ~cls =
    class-0 pass.  The failure counters move as for any sweep, a reused
    pass counts once in [dtr_failure_reused_total], and the failure
    probes are the full probes of the links that reach the [top_k]-th
-   primary, plus one class-0 probe per survivable link unless the pass
-   is reused.  Returns the new price. *)
+   primary, plus one class-0 probe per survivable link that carries
+   class-0 load unless the pass is reused (the fixtures' rows never
+   split a flow into zero shares).  Returns the new price. *)
 let check_reuse ~what ~reused problem ctx ~top_k ~prior =
   let alpha = 0.5 in
   let normal = Problem.objective (Problem.ctx_solution problem ctx) in
@@ -786,8 +815,10 @@ let check_reuse ~what ~reused problem ctx ~top_k ~prior =
       check_bits (Printf.sprintf "%s: link %d's class-0 primary" what i) p
         rp.Problem.rp_primaries.(i))
     fresh.Problem.rp_primaries;
+  let h_loads = (Problem.ctx_solution problem ctx).Problem.result.Objective.eval.Evaluate.h_loads in
   let probes =
-    reaching_kth ~top_k sweep + if reused then 0 else links - cut
+    reaching_kth ~top_k sweep
+    + if reused then 0 else class0_probed problem.Problem.graph ~h_loads ~zero_shares:false sweep
   in
   Alcotest.(check (list int))
     (what ^ ": sweeps, evals, infinite, reused, failure probes")
@@ -893,13 +924,17 @@ let test_reused_pass_random50 () =
 (* A run's first price, primary-first on the reachability cut set,
    against the full sweep's price of the same state, bitwise: J, the
    penalty, the cut links and the class-0 pass.  Its failure probes
-   are one class-0 probe per survivable link and the full probes of the
-   links that reach the [top_k]-th primary. *)
+   are one class-0 probe per survivable link that carries class-0 load
+   (the fixtures' rows never split a flow into zero shares) and the full
+   probes of the links that reach the [top_k]-th primary. *)
 let start_matches_full ~what problem ctx ~top_k =
   let alpha = 0.5 in
   let normal = Problem.objective (Problem.ctx_solution problem ctx) in
   let sweep = Problem.failure_outcomes problem ctx in
-  let survivable = Array.length sweep - Failure_sweep.infinite_count sweep in
+  let h_loads = (Problem.ctx_solution problem ctx).Problem.result.Objective.eval.Evaluate.h_loads in
+  let probed =
+    class0_probed problem.Problem.graph ~h_loads ~zero_shares:false sweep
+  in
   let full = Problem.robust_price problem ctx ~alpha ~top_k ~normal in
   let start, probes =
     with_metrics (fun () ->
@@ -925,7 +960,7 @@ let start_matches_full ~what problem ctx ~top_k =
   Alcotest.(check bool) (what ^ ": class-0 weights") true
     (full.Problem.rp_wh = start.Problem.rp_wh);
   Alcotest.(check int) (what ^ ": failure probes")
-    (survivable + reaching_kth ~top_k sweep)
+    (probed + reaching_kth ~top_k sweep)
     probes;
   full.Problem.rp_infinite
 

@@ -17,6 +17,8 @@ module Large = Dtr_topology.Large
 module Loads = Dtr_routing.Loads
 module Weights = Dtr_routing.Weights
 module Eval_ctx = Dtr_routing.Eval_ctx
+module Objective = Dtr_routing.Objective
+module Sla = Dtr_cost.Sla
 
 let mkarc ?(capacity = 1.) ?(delay = 1.) src dst =
   { Graph.src; dst; capacity; delay }
@@ -236,25 +238,38 @@ let prop_for_destinations_active_subset =
       done;
       !ok)
 
+(* Buffers reused from walk to walk, over full dags, whose long orders
+   the walk seeds by a blit, and over dags of a subgraph that keeps
+   about a fifth of the nodes, as a demand-only context's core graph
+   does, whose short orders it seeds node by node. *)
 let prop_destination_loads_into_identical =
   QCheck.Test.make ~name:"destination_loads_into = destination_loads"
-    ~count:200 (QCheck.make connected_graph_gen) (fun params ->
+    ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         let* n = int_range 3 40 in
+         let* extra = int_range 0 25 in
+         let* seed = int_range 0 1_000_000 in
+         return (n, extra, seed)))
+    (fun params ->
       let g, w, rng = build_connected params in
       let n = Graph.node_count g and m = Graph.arc_count g in
       let dags = Spf.all_destinations g ~weights:w in
       let flow = Array.make n 0. and contrib = Array.make m 0. in
       let ok = ref true in
       for dst = 0 to n - 1 do
-        let demand_to_dst =
-          Array.init n (fun s ->
-              if s <> dst && Prng.bool rng then Prng.float rng 50. else 0.)
-        in
-        let fresh = Loads.destination_loads g ~dag:dags.(dst) ~demand_to_dst in
-        ignore
-          (Loads.destination_loads_into g ~dag:dags.(dst) ~demand_to_dst ~flow
-             ~contrib
-            : bool);
-        if contrib <> fresh then ok := false
+        let cut = Array.init n (fun v -> v <> dst && Prng.int rng 5 > 0) in
+        List.iter
+          (fun dag ->
+            let demand_to_dst =
+              Array.init n (fun s ->
+                  if s <> dst && Prng.bool rng then Prng.float rng 50. else 0.)
+            in
+            let fresh = Loads.destination_loads g ~dag ~demand_to_dst in
+            ignore
+              (Loads.destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib : bool);
+            if contrib <> fresh then ok := false)
+          [ dags.(dst); Spf.to_destination (Graph.without g ~nodes:cut) ~weights:w ~dst ]
       done;
       !ok)
 
@@ -339,6 +354,275 @@ let test_demand_mode_disconnected () =
   let pd = Eval_ctx.probe cd ~klass:0 ~changes:[ (0, 9) ] in
   Alcotest.(check (array (float 0.)))
     "probe phi identical" (Eval_ctx.probe_phi pa) (Eval_ctx.probe_phi pd)
+
+(* ------------------------------------------------------------------ *)
+(* Demand-only contexts on the demand core.  A Demand-mode context
+   routes each weight group on its core graph: its dags are exact at
+   every core node and read unreachable off the core, while an
+   All-mode context keeps its dags exact everywhere.  Both must price,
+   commit and fail-probe every change alike, bitwise, and agree on the
+   core. *)
+
+(* A core ring of 4–7 nodes (both directions) with chords, some one-way
+   and some doubled by a parallel arc, and two to four stubs, each hung
+   over a bridge on a ring node or an earlier stub's node: a tree, or a
+   ring through its first node.  The low class's endpoints are two or
+   more ring nodes and sometimes a stub node, so its core can take that
+   stub in; the high class's are a subset of them, and a third of the
+   instances route both classes on one weight vector.  Weights 1–4 make
+   equal-cost ties common. *)
+let core_instance seed =
+  let rng = Prng.create ((seed * 37) + 11) in
+  let ring = Prng.int_incl rng 4 7 in
+  let arcs = ref [] and total = ref ring in
+  let arc u v =
+    let capacity = Prng.choose rng [| 20.; 50.; 100. |] in
+    arcs := mkarc ~capacity ~delay:(Prng.choose rng [| 1.; 5.; 12. |]) u v :: !arcs
+  in
+  let link u v =
+    arc u v;
+    arc v u
+  in
+  for v = 0 to ring - 1 do
+    link v ((v + 1) mod ring)
+  done;
+  for _ = 1 to Prng.int_incl rng 1 ring do
+    let u = Prng.int rng ring and v = Prng.int rng ring in
+    if u <> v then
+      match Prng.int rng 3 with
+      | 0 -> arc u v
+      | 1 ->
+          link u v;
+          arc u v
+      | _ -> link u v
+  done;
+  let stub_nodes = ref [] in
+  for _ = 1 to Prng.int_incl rng 2 4 do
+    let at = Prng.int rng !total and base = !total and size = Prng.int_incl rng 1 4 in
+    total := !total + size;
+    link at base;
+    for i = 1 to size - 1 do
+      link (base + Prng.int rng i) (base + i)
+    done;
+    if size >= 3 && Prng.bool rng then link (base + size - 1) base;
+    stub_nodes := List.init size (fun i -> base + i) @ !stub_nodes
+  done;
+  let n = !total in
+  let g = Graph.build ~n (List.rev !arcs) in
+  let pick_ring k =
+    let rec go acc =
+      if List.length acc = k then acc
+      else
+        let v = Prng.int rng ring in
+        go (if List.mem v acc then acc else v :: acc)
+    in
+    go []
+  in
+  let low =
+    pick_ring (Prng.int_incl rng 2 ring)
+    @
+    if Prng.bool rng then [ Prng.choose rng (Array.of_list !stub_nodes) ] else []
+  in
+  let high = List.filter (fun _ -> Prng.int rng 3 > 0) low in
+  let high = if List.length high < 2 then [ List.nth low 0; List.nth low 1 ] else high in
+  (* Each endpoint sends to the next one, plus a few more pairs. *)
+  let matrix ends scale =
+    let m = Matrix.create_sparse n and ends = Array.of_list ends in
+    let demand () = scale *. (1. +. Prng.float rng 4.) in
+    Array.iteri
+      (fun i s -> Matrix.set m s ends.((i + 1) mod Array.length ends) (demand ()))
+      ends;
+    for _ = 1 to Prng.int rng 3 do
+      let s = Prng.choose rng ends and t = Prng.choose rng ends in
+      if s <> t then Matrix.set m s t (demand ())
+    done;
+    m
+  in
+  let tl = matrix low 1. in
+  let th = matrix high 0.5 in
+  let narrow () = Array.init (Graph.arc_count g) (fun _ -> Prng.int_incl rng 1 4) in
+  let wh = narrow () in
+  let weights = if Prng.int rng 3 = 0 then [| wh; wh |] else [| wh; narrow () |] in
+  (g, th, tl, weights, rng)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The off-core nodes of the group that routes class [k]: those of the
+   endpoints of every class sharing its weights. *)
+let group_off_core g ~matrices ctx k =
+  let endpoints = Array.make (Graph.node_count g) false in
+  Array.iteri
+    (fun j m ->
+      if Eval_ctx.shares_group ctx j k then
+        Matrix.iter m (fun s t _ ->
+            endpoints.(s) <- true;
+            endpoints.(t) <- true))
+    matrices;
+  Graph.off_core g ~endpoints
+
+(* The Demand-mode context [cd] against the All-mode one [ca], both
+   committed: Φ, the primary, and per class the Fortz, load, residual
+   and contribution rows bitwise; at each demand destination, the
+   Demand dag is the All-mode one at every core node (labels and
+   next-hop sets), its order is the All-mode order restricted to the
+   core, and every off-core node reads unreachable with no next hop. *)
+let check_core_pair ~what ~model ~matrices ca cd =
+  let g = Eval_ctx.graph ca and th = matrices.(0) in
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  if not (same_bits (Eval_ctx.phi ca) (Eval_ctx.phi cd)) then fail "phi";
+  if
+    not
+      (same_bits
+         [| Eval_ctx.primary ~model ~th ca |]
+         [| Eval_ctx.primary ~model ~th cd |])
+  then fail "primary";
+  if
+    not
+      (same_bits (Eval_ctx.to_evaluate ca).Dtr_routing.Evaluate.residual
+         (Eval_ctx.to_evaluate cd).Dtr_routing.Evaluate.residual)
+  then fail "residual";
+  for k = 0 to 1 do
+    if not (same_bits (Eval_ctx.phi_per_arc ca k) (Eval_ctx.phi_per_arc cd k)) then
+      fail "class %d Fortz row" k;
+    if not (same_bits (Eval_ctx.loads ca k) (Eval_ctx.loads cd k)) then
+      fail "class %d loads" k;
+    let off = group_off_core g ~matrices ca k in
+    let core_order o = List.filter (fun v -> not off.(v)) (Array.to_list o) in
+    for dst = 0 to Graph.node_count g - 1 do
+      let row = Eval_ctx.contrib_view ca ~klass:k ~dst in
+      if not (same_bits row (Eval_ctx.contrib_view cd ~klass:k ~dst)) then
+        fail "class %d dst %d contribution" k dst;
+      if Array.length row > 0 then begin
+        let da = (Eval_ctx.dags ca k).(dst) and dd = (Eval_ctx.dags cd k).(dst) in
+        Array.iteri
+          (fun x o ->
+            if o then begin
+              if dd.Spf.dist.(x) <> Dijkstra.unreachable || dd.Spf.next_arcs.(x) <> [||]
+              then fail "class %d dst %d: off-core node %d is routed" k dst x
+            end
+            else if
+              dd.Spf.dist.(x) <> da.Spf.dist.(x)
+              || dd.Spf.next_arcs.(x) <> da.Spf.next_arcs.(x)
+            then fail "class %d dst %d: core node %d differs" k dst x)
+          off;
+        if Array.to_list dd.Spf.order_desc <> core_order da.Spf.order_desc then
+          fail "class %d dst %d: order" k dst
+      end
+    done
+  done
+
+(* Nodes with class-[k] flow on an out-arc. *)
+let flow_nodes ctx k =
+  let g = Eval_ctx.graph ctx and loads = Eval_ctx.loads ctx k in
+  Array.init (Graph.node_count g) (fun x ->
+      Array.exists (fun a -> loads.(a) <> 0.) (Graph.out_arcs g x))
+
+(* What the sequences did: commits that gave flow to a node that had
+   none, and failure probes priced finite and infinite. *)
+let core_stats = [| 0; 0; 0 |]
+
+(* One random sequence of weight probes (1–2 changes on any arc, on
+   the core or off it), commits and single-link failure probes (of one
+   or both classes) driven through both contexts, each probe priced
+   alike: Φ, the Fortz rows, the primary and the severed-pair count. *)
+let core_sequence ~model seed =
+  let g, th, tl, weights, rng = core_instance seed in
+  let matrices = [| th; tl |] in
+  let mk dest_mode = Eval_ctx.create ~dest_mode g ~weights ~matrices in
+  let ca = mk Eval_ctx.All and cd = mk Eval_ctx.Demand in
+  let what0 = Printf.sprintf "seed %d %s" seed (Objective.model_name model) in
+  check_core_pair ~what:what0 ~model ~matrices ca cd;
+  let same_probe ~what ~priced pa pd =
+    if not (same_bits (Eval_ctx.probe_phi pa) (Eval_ctx.probe_phi pd)) then
+      Alcotest.failf "%s: probe phi" what;
+    if Array.for_all Float.is_finite (Eval_ctx.probe_phi pa) then begin
+      for k = 0 to priced - 1 do
+        if
+          not
+            (same_bits (Eval_ctx.probe_phi_row ca pa k) (Eval_ctx.probe_phi_row cd pd k))
+        then Alcotest.failf "%s: probe Fortz row %d" what k
+      done;
+      if
+        not
+          (same_bits
+             [| Eval_ctx.probe_primary ~model ~th ca pa |]
+             [| Eval_ctx.probe_primary ~model ~th cd pd |])
+      then Alcotest.failf "%s: probe primary" what
+    end
+  in
+  let m = Graph.arc_count g in
+  for step = 1 to 20 do
+    let what = Printf.sprintf "%s step %d" what0 step in
+    if Prng.int rng 4 = 0 then begin
+      let links = Graph.undirected_link_pairs g in
+      let a, b = links.(Prng.int rng (Array.length links)) in
+      let arcs = if a = b then [ a ] else [ a; b ] and classes = Prng.int_incl rng 1 2 in
+      let fa = Eval_ctx.fail_probe ~classes ca ~arcs in
+      let fd = Eval_ctx.fail_probe ~classes cd ~arcs in
+      let what = Printf.sprintf "%s link (%d, %d)" what a b in
+      if Eval_ctx.probe_unreachable fa <> Eval_ctx.probe_unreachable fd then
+        Alcotest.failf "%s: severed pairs" what;
+      same_probe ~what ~priced:classes fa fd;
+      let i = if Eval_ctx.probe_unreachable fa = 0 then 1 else 2 in
+      core_stats.(i) <- core_stats.(i) + 1
+    end
+    else begin
+      let klass = Prng.int rng 2 in
+      let rec changes acc k =
+        if k = 0 then acc
+        else
+          let arc = Prng.int rng m in
+          if List.mem_assoc arc acc then changes acc k
+          else changes ((arc, Prng.int_incl rng 1 6) :: acc) (k - 1)
+      in
+      let changes = changes [] (Prng.int_incl rng 1 2) in
+      let pa = Eval_ctx.probe ca ~klass ~changes in
+      let pd = Eval_ctx.probe cd ~klass ~changes in
+      same_probe ~what ~priced:2 pa pd;
+      if Prng.bool rng then begin
+        let before = Array.init 2 (flow_nodes ca) in
+        Eval_ctx.commit ca pa;
+        Eval_ctx.commit cd pd;
+        check_core_pair ~what:(what ^ " commit") ~model ~matrices ca cd;
+        let after = Array.init 2 (flow_nodes ca) in
+        if
+          Array.exists2
+            (fun b a -> Array.exists2 (fun was is -> is && not was) b a)
+            before after
+        then core_stats.(0) <- core_stats.(0) + 1
+      end
+    end
+  done
+
+let prop_demand_core =
+  QCheck.Test.make ~name:"on the demand core: Demand ctx = All ctx" ~count:150
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      List.iter
+        (fun model -> core_sequence ~model seed)
+        [ Objective.Load; Objective.Sla Sla.default ];
+      true)
+
+let test_demand_core =
+  let name, speed, run = QCheck_alcotest.to_alcotest prop_demand_core in
+  ( name,
+    speed,
+    fun () ->
+      Array.fill core_stats 0 3 0;
+      run ();
+      Array.iteri
+        (fun i what ->
+          Alcotest.(check bool) (Printf.sprintf "%d %s" core_stats.(i) what) true
+            (core_stats.(i) > 0))
+        [|
+          "commits that gave a node without flow some";
+          "survivable failure probes";
+          "severing failure probes";
+        |] )
 
 (* ------------------------------------------------------------------ *)
 (* Sparse matrices: observationally identical to dense under the same
@@ -540,8 +824,6 @@ module Problem = Dtr_core.Problem
 module Scan = Dtr_core.Scan
 module Ranking = Dtr_core.Ranking
 module Neighborhood = Dtr_core.Neighborhood
-module Objective = Dtr_routing.Objective
-module Sla = Dtr_cost.Sla
 module Lexico = Dtr_cost.Lexico
 module Vmemo = Dtr_util.Vmemo
 
@@ -665,6 +947,7 @@ let () =
           qc prop_demand_mode_identical;
           Alcotest.test_case "disconnected components" `Quick
             test_demand_mode_disconnected;
+          test_demand_core;
           Alcotest.test_case "ts-1k preset bit-identity" `Slow
             test_demand_mode_ts1k;
         ] );

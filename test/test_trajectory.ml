@@ -3,7 +3,11 @@
    both cost models, and the two MTR searches on the ext-3class
    problem, from fixed seeds.  The robust modes run again at top_k = 2
    on the ISP, and at CI's robust-smoke settings on transit-stub seed 3,
-   where 8 of the 38 links are cut.  One line per search pins its final
+   where 8 of the 38 links are cut.  Two DTR searches run on the
+   1,000-node ts-1k preset, whose demand-only contexts route on the
+   30-PoP demand core: one under the load model at the iteration caps
+   of the benchmark's ts-1k workload (10/10/10) from a random start, and
+   one robust at 2/2/2.  One line per search pins its final
    objective (hex floats, so a match is bitwise), its evaluation
    count, its improvements (accepted moves for annealing), its memo
    hits/misses, a digest of the final weight vectors and the MD5 of
@@ -66,6 +70,28 @@ let transit_stub_problem () =
   Scenario.problem (Scenario.scale_to_utilization inst ~target:0.6)
     ~model:Objective.Load
 
+(* The ts-1k preset's instance, built as the benchmark's ts-1k
+   workload builds it, and a random start drawn from [seed]. *)
+let ts1k_problem () =
+  let p = Option.get (Dtr_topology.Large.find "ts-1k") in
+  let inst =
+    Scenario.make
+      {
+        Scenario.topology = Scenario.Large p;
+        fraction = 0.30;
+        hp = Scenario.Random_density 0.10;
+        seed = 1;
+      }
+  in
+  Scenario.problem (Scenario.scale_to_utilization inst ~target:0.6)
+    ~model:Objective.Load
+
+let random_start p seed =
+  let rng = Prng.create seed in
+  let g = p.Problem.graph in
+  let wh = Dtr_routing.Weights.random rng g in
+  (wh, Dtr_routing.Weights.random rng g)
+
 let digest_vectors ws =
   let b = Buffer.create 256 in
   List.iteri
@@ -116,9 +142,9 @@ let str_line ~algo ~model p seed cfg =
     ~memo:(memo r.Str_search.memo_hits r.Str_search.memo_misses)
     ~trace r.Str_search.best
 
-let dtr_line ~algo ~model p seed cfg =
+let dtr_line ?w0 ~algo ~model p seed cfg =
   let r, trace =
-    traced (fun trace -> Dtr_search.run ~trace (Prng.create seed) cfg p)
+    traced (fun trace -> Dtr_search.run ?w0 ~trace (Prng.create seed) cfg p)
   in
   line ~algo ~model ~seed ~objective:r.Dtr_search.objective
     ~evaluations:r.Dtr_search.evaluations
@@ -182,10 +208,26 @@ let trajectories () =
         ])
       [ Objective.Load; Objective.Sla Dtr_cost.Sla.default ]
   @
-  let p = transit_stub_problem () and cfg = robust_cfg ~alpha:0.5 () in
+  (let p = transit_stub_problem () and cfg = robust_cfg ~alpha:0.5 () in
+   [
+     str_line ~algo:"str-robust-ts" ~model:Objective.Load p 1 cfg;
+     dtr_line ~algo:"dtr-robust-ts" ~model:Objective.Load p 1 cfg;
+   ])
+  @
+  let p = ts1k_problem () in
+  let caps n =
+    {
+      Search_config.quick with
+      Search_config.n_iters = n;
+      k_iters = n;
+      diversify_after = n;
+    }
+  in
   [
-    str_line ~algo:"str-robust-ts" ~model:Objective.Load p 1 cfg;
-    dtr_line ~algo:"dtr-robust-ts" ~model:Objective.Load p 1 cfg;
+    dtr_line ~w0:(random_start p 1) ~algo:"dtr-ts1k" ~model:Objective.Load p 1
+      (caps 10);
+    dtr_line ~w0:(random_start p 1) ~algo:"dtr-robust-ts1k" ~model:Objective.Load p 1
+      { (caps 2) with Search_config.robust = Some { Search_config.alpha = 0.5; top_k = 1 } };
   ]
 
 let test_trajectories_match_golden () =
