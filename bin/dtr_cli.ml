@@ -1052,7 +1052,7 @@ let diff_cmd =
        ~doc:
          "Compare two weight settings of one scenario: changed arcs, \
           per-class rerouted pairs and demand, traffic moved, \
-          utilization/$(b,\\\\Phi)$/$(b,\\\\Lambda) deltas, and the MT-OSPF \
+          utilization/Phi/Lambda deltas, and the MT-OSPF \
           reconvergence price of deploying the change as one batch")
     Term.(
       const run $ topology_arg $ model_arg $ fraction_arg $ density_arg

@@ -11,6 +11,7 @@ type t = {
   tl : Matrix.t;
   model : Objective.model;
   dest_mode : Eval_ctx.dest_mode;
+      (* always [Demand]; read by perfbench's probe replay alone *)
 }
 
 let create ~graph ~th ~tl ~model =
@@ -19,7 +20,7 @@ let create ~graph ~th ~tl ~model =
     invalid_arg "Problem.create: matrix size mismatch";
   if not (Graph.is_strongly_connected graph) then
     invalid_arg "Problem.create: graph must be strongly connected";
-  { graph; th; tl; model; dest_mode = Eval_ctx.All }
+  { graph; th; tl; model; dest_mode = Eval_ctx.Demand }
 
 type solution = {
   wh : int array;
@@ -75,10 +76,7 @@ let materialize t ec ~sla =
    solution. *)
 let evaluate t ~weights =
   Metrics.incr_counter m_full;
-  let ec =
-    Eval_ctx.create ~dest_mode:t.dest_mode t.graph ~weights
-      ~matrices:[| t.th; t.tl |]
-  in
+  let ec = Eval_ctx.create t.graph ~weights ~matrices:[| t.th; t.tl |] in
   (materialize t ec ~sla:None, ec)
 
 let is_str s = s.wh == s.wl
@@ -99,8 +97,7 @@ let ec_of_solution t s =
   let eval = s.result.Objective.eval in
   let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
   let dags = [| eval.Evaluate.dags_h; eval.Evaluate.dags_l |] in
-  Eval_ctx.create ~dags ~dest_mode:t.dest_mode t.graph ~weights
-    ~matrices:[| t.th; t.tl |]
+  Eval_ctx.create ~dags t.graph ~weights ~matrices:[| t.th; t.tl |]
 
 let ctx_of_ec ec s = { ec; c_sla = s.result.Objective.sla }
 

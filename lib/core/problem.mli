@@ -9,10 +9,10 @@ type t = {
   tl : Dtr_traffic.Matrix.t;  (** low-priority traffic matrix *)
   model : Dtr_routing.Objective.model;
   dest_mode : Dtr_routing.Eval_ctx.dest_mode;
-      (** destination coverage of every evaluation — [Demand] restricts
-          SPF sweeps and contexts to demand-sinking destinations
-          (bitwise-identical objectives; the only viable setting on the
-          large presets) *)
+      (** Always [Demand], and read by nothing here: every evaluation
+          routes to the demand destinations on the demand cores
+          ({!Dtr_routing.Eval_ctx}).  Kept because perfbench's probe
+          replay, its last reader, names it. *)
 }
 
 val create :
@@ -21,8 +21,7 @@ val create :
   tl:Dtr_traffic.Matrix.t ->
   model:Dtr_routing.Objective.model ->
   t
-(** [dest_mode] is [All]; switch with a record update
-    ([{ p with dest_mode = Demand }] — validation is mode-independent).
+(** [dest_mode] is [Demand].
     @raise Invalid_argument on a size mismatch or a graph that is not
     strongly connected (the paper's model needs all pairs routable). *)
 
@@ -38,10 +37,9 @@ val objective : solution -> Dtr_cost.Lexico.t
 
 val eval_dtr : t -> wh:int array -> wl:int array -> solution
 (** Evaluate a dual setting from scratch: build an
-    {!Dtr_routing.Eval_ctx} under the problem's [dest_mode] and
-    materialize it, as {!ctx_solution} does (the arrays are
-    defensively copied).  Counted in the [dtr_eval_full_total]
-    metric. *)
+    {!Dtr_routing.Eval_ctx} and materialize it, as {!ctx_solution}
+    does (the arrays are defensively copied).  Counted in the
+    [dtr_eval_full_total] metric. *)
 
 val eval_str : t -> w:int array -> solution
 (** Evaluate a single-topology setting ([wh == wl] in the result). *)

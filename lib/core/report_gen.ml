@@ -32,18 +32,23 @@ let read_all path =
 let load ?metrics ?manifest trace_path =
   match
     let lines = read_lines trace_path in
-    let evs = ref [] and bad = ref 0 and total = ref 0 in
-    List.iter
-      (fun line ->
-        if String.trim line <> "" then begin
-          incr total;
+    let evs = ref [] and bad = ref 0 and first_bad = ref None in
+    List.iteri
+      (fun i line ->
+        if String.trim line <> "" then
           match Trace.of_json line with
           | Ok e -> evs := e :: !evs
-          | Error _ -> incr bad
-        end)
+          | Error e ->
+              incr bad;
+              if !first_bad = None then first_bad := Some (i + 1, e))
       lines;
-    if !total > 0 && !evs = [] then
-      Error (Printf.sprintf "%s: no parseable trace events" trace_path)
+    if !evs = [] then
+      Error
+        (match !first_bad with
+        | None -> Printf.sprintf "%s: no trace events (empty or blank file)" trace_path
+        | Some (line, e) ->
+            Printf.sprintf "%s: no parseable trace events (line %d: %s)" trace_path
+              line e)
     else
       let parse_doc what path =
         let raw = read_all path in

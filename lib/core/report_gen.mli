@@ -19,10 +19,11 @@ val load :
     per event; blank lines skipped).  [metrics] names a
     [Dtr_util.Metrics.to_json] snapshot, [manifest] a {!Manifest}
     sidecar; both are parsed and embedded.  Errors on an unreadable
-    file, an unparseable metrics/manifest document, or a trace with
-    events but none parseable.  Lines that fail to parse are counted
-    ({!bad_lines}), not fatal — a truncated tail must not hide the
-    rest of a long run. *)
+    file, an unparseable metrics/manifest document, a trace without a
+    non-blank line, or one with none parseable (the error names the
+    first unparseable line and its parse error).  Lines that fail to
+    parse are counted ({!bad_lines}), not fatal — a truncated tail
+    must not hide the rest of a long run. *)
 
 val events : t -> Trace.event list
 (** Parsed events in file order. *)

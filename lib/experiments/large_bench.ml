@@ -78,10 +78,7 @@ let run_preset ?(probes = default_probes) ~seed p =
   let g, pops, th, tl, wh, wl = scenario ~seed p in
   let gen_s = Unix.gettimeofday () -. t0 in
   let t1 = Unix.gettimeofday () in
-  let ctx =
-    Eval_ctx.create ~dest_mode:Eval_ctx.Demand g ~weights:[| wh; wl |]
-      ~matrices:[| th; tl |]
-  in
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let full_eval_s = Unix.gettimeofday () -. t1 in
   let m = Graph.arc_count g in
   (* Rotating single-weight probes, alternating class, stepping

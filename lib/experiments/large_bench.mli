@@ -4,9 +4,9 @@
     Each {!row} is one {!Dtr_topology.Large} preset taken through the
     full pipeline: topology generation, a sparse PoP-level gravity
     matrix ({!Dtr_traffic.Gravity.generate_pop}) with the paper's
-    [f = 0.30] / [k = 0.10] high-priority mix on top, a
-    {!Dtr_routing.Eval_ctx.Demand}-mode context (shortest-path DAGs
-    only for PoP destinations — what makes 10k nodes fit), then timed
+    [f = 0.30] / [k = 0.10] high-priority mix on top, an
+    {!Dtr_routing.Eval_ctx} (shortest-path DAGs only for PoP
+    destinations — what makes 10k nodes fit), then timed
     single-weight-change probes through the delta engine.  Scenario
     contents are deterministic in (preset, seed); only the timings and
     the RSS gauge vary by machine. *)
@@ -18,7 +18,7 @@ type row = {
   pops : int;
   demand_pairs : int;  (** positive entries across both class matrices *)
   gen_s : float;  (** topology + traffic + weights generation *)
-  full_eval_s : float;  (** demand-mode [Eval_ctx.create]: SPF + loads + Φ *)
+  full_eval_s : float;  (** [Eval_ctx.create]: SPF + loads + Φ *)
   probe_ns_p50 : float;
   probe_ns_p90 : float;
   probe_ns_p99 : float;

@@ -128,20 +128,10 @@ let make spec =
   in
   { graph; th; tl; spec }
 
-(* Large presets route only toward destinations that sink demand:
-   DAGs for the ~30-100 PoP destinations instead of all 1k-10k nodes,
-   with the same loads, since inactive destinations carry no demand.
-   Every matrix evaluated on an instance is covered because both
-   classes came from the same PoP set. *)
-let dest_mode inst =
-  match inst.spec.topology with
-  | Large _ -> Eval_ctx.Demand
-  | _ -> Eval_ctx.All
-
 let reference_avg_utilization inst =
   let w = Weights.uniform inst.graph Weights.mid_weight in
   let ctx =
-    Eval_ctx.create ~dest_mode:(dest_mode inst) inst.graph ~weights:[| w; w |]
+    Eval_ctx.create inst.graph ~weights:[| w; w |]
       ~matrices:[| inst.th; inst.tl |]
   in
   Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
@@ -158,7 +148,4 @@ let scale_to_utilization inst ~target =
   }
 
 let problem inst ~model =
-  {
-    (Dtr_core.Problem.create ~graph:inst.graph ~th:inst.th ~tl:inst.tl ~model) with
-    Dtr_core.Problem.dest_mode = dest_mode inst;
-  }
+  Dtr_core.Problem.create ~graph:inst.graph ~th:inst.th ~tl:inst.tl ~model

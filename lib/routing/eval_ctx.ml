@@ -32,13 +32,9 @@ let m_syncs =
     ~help:"Evaluation-context resynchronizations (blit-only: scan workers before a parallel scan, a run's kept best context at each new best and back)."
     "dtr_eval_syncs"
 
-(* Which destinations a context carries DAGs for: [All] is the classic
-   mode; [Demand] builds DAGs only for destinations that actually sink
-   positive demand in some member class of the group — at 10k nodes
-   all-destination DAG storage alone is gigabytes, while a PoP-gravity
-   matrix sinks demand at a few dozen nodes.  Loads and Φ are bitwise
-   identical in both modes: destinations without demand contribute
-   empty rows either way. *)
+(* Kept because perfbench's probe replay, its last reader, names it:
+   every context routes to its demand destinations on its demand
+   cores, and {!create} ignores the mode. *)
 type dest_mode = All | Demand
 
 type t = {
@@ -57,14 +53,11 @@ type t = {
   capacity_seen : float array array;  (* class -> residual capacity cascade *)
   phi_per_arc : float array array;
   mutable phi : float array;
-  active : bool array option array;
-      (* group -> demand-bearing destinations; None in All mode *)
-  matrices : Matrix.t array;  (* class -> its demand matrix (shared) *)
-  mutable cores : core array;
-      (* group -> its demand core ({!cores}): built by [create] in
-         Demand mode, which routes on it, and otherwise by the first
-         probe or clone, since most contexts are never probed; [||]
-         until then, and shared by clones *)
+  active : bool array array;
+      (* group -> the destinations its member classes sink demand at:
+         the only ones with a real dag (every other one holds a
+         placeholder) *)
+  cores : core array;  (* group -> its demand core, shared by clones *)
   mutable zero_shares : bool;
       (* a walk behind the committed rows split a positive flow into
          zero shares (float underflow); sticky, and it turns the
@@ -111,7 +104,7 @@ and core = {
      positive flow into zero shares;
    - [a_screen]: per destination, the flow screen of the group being
      repaired; [a_changes]/[a_deferred]: a weight probe's effective
-     change list, off-core changes included, and how many dirty
+     change list on its group's core graph, and how many dirty
      destinations its screen deferred (its commit repairs them);
    - [a_loads]/[a_cap]: patched load totals and residual capacities,
      valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
@@ -185,7 +178,9 @@ let fold_row row =
 
 (* The demand core of a group of [members]: its endpoints are the
    sources and destinations of their matrices' positive off-diagonal
-   entries (all routable, or {!create} refuses the matrices). *)
+   entries (all routable, or {!create} refuses the matrices).  When
+   every node is one, each lies on a path of its routable demand, so
+   none is off the core and the search is skipped. *)
 let demand_core g ~matrices members =
   let n = Graph.node_count g in
   let endpoints = Array.make n false in
@@ -197,7 +192,7 @@ let demand_core g ~matrices members =
             endpoints.(dst) <- true
           end))
     members;
-  let off = Graph.off_core g ~endpoints in
+  let off = if Array.for_all Fun.id endpoints then [||] else Graph.off_core g ~endpoints in
   let m = Graph.arc_count g in
   if Array.exists Fun.id off then
     let on a = not (off.(Graph.src g a) || off.(Graph.dst g a)) in
@@ -208,7 +203,9 @@ let demand_core g ~matrices members =
     }
   else { c_graph = g; c_off = None; c_arcs = Array.init m Fun.id }
 
-let create ?dags ?(dest_mode = All) g ~weights ~matrices =
+(* [?dest_mode] is ignored; perfbench's probe replay, its last reader,
+   still passes it. *)
+let create ?dags ?dest_mode:_ g ~weights ~matrices =
   let classes = Array.length weights in
   if classes < 1 then invalid_arg "Eval_ctx.create: need at least one class";
   if Array.length matrices <> classes then
@@ -249,26 +246,21 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
   let group_w =
     Array.init group_count (fun gi -> Array.copy weights.(group_classes.(gi).(0)))
   in
-  (* Demand mode: a destination is active for a group when any member
-     class sinks positive demand there (a pure matrix property, so it
-     can be computed before any SPF runs). *)
+  (* A destination is active for a group when any member class sinks
+     positive demand there (a pure matrix property, so it can be
+     computed before any SPF runs).  A group routes to its active
+     destinations on its core graph alone. *)
   let active =
-    Array.init group_count (fun gi ->
-        match dest_mode with
-        | All -> None
-        | Demand ->
-            let act = Array.make n false in
-            Array.iter
-              (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(t) <- true))
-              group_classes.(gi);
-            Some act)
+    Array.map
+      (fun members ->
+        let act = Array.make n false in
+        Array.iter
+          (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(t) <- true))
+          members;
+        act)
+      group_classes
   in
-  (* A demand-only group routes on its core graph alone. *)
-  let cores =
-    match dest_mode with
-    | All -> [||]
-    | Demand -> Array.map (demand_core g ~matrices) group_classes
-  in
+  let cores = Array.map (demand_core g ~matrices) group_classes in
   let ws = Dijkstra.workspace () in
   let group_dags =
     Array.init group_count (fun gi ->
@@ -276,12 +268,9 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
         match dags with
         | Some d when Array.length d.(first) = n -> d.(first)
         | Some _ -> invalid_arg "Eval_ctx.create: dags length mismatch"
-        | None -> (
-            match active.(gi) with
-            | None -> Spf.all_destinations ~ws g ~weights:group_w.(gi)
-            | Some active ->
-                Spf.for_destinations ~ws cores.(gi).c_graph ~weights:group_w.(gi)
-                  ~active))
+        | None ->
+            Spf.for_destinations ~ws cores.(gi).c_graph ~weights:group_w.(gi)
+              ~active:active.(gi))
   in
   let m = Graph.arc_count g in
   let demand =
@@ -349,7 +338,6 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
     phi_per_arc;
     phi;
     active;
-    matrices;
     cores;
     zero_shares = !zero_shares;
     arena = None;
@@ -363,17 +351,8 @@ let create ?dags ?(dest_mode = All) g ~weights ~matrices =
    shared with the original.  Clones back a scan worker's probes; they
    are resynchronized from the original with [sync] (pure blits)
    instead of being rebuilt. *)
-(* The groups' demand cores, built on first use.  A clone builds them
-   before it copies the spine, so clones share one build, and no two
-   domains ever build into one context. *)
-let cores t =
-  if Array.length t.cores = 0 then
-    t.cores <- Array.map (demand_core t.graph ~matrices:t.matrices) t.group_classes;
-  t.cores
-
 let clone t =
   Metrics.incr_counter m_clones;
-  ignore (cores t : core array);
   {
     t with
     group_w = Array.copy t.group_w;
@@ -482,12 +461,12 @@ let on_core g c changes =
           not (off.(Graph.src g ch.arc) || off.(Graph.dst g ch.arc)))
         changes
 
-(* Repair group [gi]'s dags into its scratch on [graph], its core graph
-   or the whole one, under the arena row's weights and [changes], the
-   arcs of [graph] they change. *)
-let repair t a gi ~active ~graph changes =
-  Spf_delta.update_scratch a.a_spf.(gi) ?active graph ~weights:a.a_w.(gi)
-    ~prev:t.group_dags.(gi) ~changes
+(* Repair group [gi]'s dags at the [active] destinations into its
+   scratch, on its core graph, under the arena row's weights and
+   [changes], the arcs of that graph they change. *)
+let repair t a gi ~active changes =
+  Spf_delta.update_scratch a.a_spf.(gi) ~active t.cores.(gi).c_graph
+    ~weights:a.a_w.(gi) ~prev:t.group_dags.(gi) ~changes
 
 (* ------------------------------------------------------------------ *)
 (* The flow screen.  A computation repairs a group's dirty destination
@@ -511,12 +490,18 @@ let repair t a gi ~active ~graph changes =
    nodes.  The ECMP walk from the demand sources reads only flow nodes
    and adds the same shares in the same order, every source stays
    reachable, and each committed row is bitwise what re-projecting it
-   would give; so are Λ's walks, which also start at the sources.  Two
-   lowered arcs can chain, and a Demand-mode context holds no dag for
-   an arbitrary u: then every drop that passes the label test forces
-   the repair.  The one hole is a quotient that underflows to a zero
-   share of a positive flow; a context whose committed rows came from
-   such a walk keeps the screen off ([zero_shares]). *)
+   would give; so are Λ's walks, which also start at the sources.
+
+   Only a flow node z matters, and it lies on the core and can reach
+   the destination, so the test walks the destination's order.  D_u
+   is u's committed dag, exact on the core (u, the tail of a change
+   on the core, is a core node), when u is a destination the group
+   sinks demand at; the group holds no dag for any other u.  Two
+   lowered arcs can chain.  In either case every drop that passes the
+   label test forces the repair.  The one hole is a quotient that
+   underflows to a zero share of a positive flow; a context whose
+   committed rows came from such a walk keeps the screen off
+   ([zero_shares]). *)
 
 let m_deferred =
   Metrics.counter
@@ -546,20 +531,22 @@ let rec sends t ~members ~priced dst ids i stop =
   && (carries t ~members ~priced 0 dst ids.(i)
      || sends t ~members ~priced dst ids (i + 1) stop)
 
-(* The drop test of the one lowered arc: a node from [z] on that sends
-   such flow toward [dst] and that a path over the arc reaches at its
-   label or below, where [to_u] are the committed distances to the
-   arc's tail and [via] its new weight plus its head's label. *)
-let rec drop_reaches t ~members ~priced dst ~dist ~to_u ~via z =
-  z < Array.length dist
-  && ((let du = to_u.(z) and dz = dist.(z) in
+(* The drop test of the one lowered arc: a node of [order] (the
+   destination's, from index [i] on) that sends such flow toward [dst]
+   and that a path over the arc reaches at its label or below, where
+   [to_u] are the committed distances to the arc's tail and [via] its
+   new weight plus its head's label.  Every node of [order] reaches
+   [dst]. *)
+let rec drop_reaches t ~members ~priced dst ~dist ~to_u ~via order i =
+  i < Array.length order
+  && ((let z = order.(i) in
+       let du = to_u.(z) in
        du <> Dijkstra.unreachable
-       && dz <> Dijkstra.unreachable
-       && du + via <= dz
+       && du + via <= dist.(z)
        &&
        let off = Graph.out_offsets t.graph in
        sends t ~members ~priced dst (Graph.out_arc_ids t.graph) off.(z) off.(z + 1))
-     || drop_reaches t ~members ~priced dst ~dist ~to_u ~via (z + 1))
+     || drop_reaches t ~members ~priced dst ~dist ~to_u ~via order (i + 1))
 
 (* At one destination: no change passes the label test ([Clean]), some
    do but none can move flow ([Deferred]), or one can. *)
@@ -577,14 +564,15 @@ let rec verdict t gi ~priced ~one_drop dst v = function
         verdict t gi ~priced ~one_drop dst v rest
       else begin
         let members = t.group_classes.(gi) in
+        let u = Graph.src t.graph c.arc in
         let moves =
           if c.after > c.before then carries t ~members ~priced 0 dst c.arc
           else
-            (not one_drop)
+            (not (one_drop && t.active.(gi).(u)))
             || drop_reaches t ~members ~priced dst ~dist:dag.Spf.dist
-                 ~to_u:dags.(Graph.src t.graph c.arc).Spf.dist
+                 ~to_u:dags.(u).Spf.dist
                  ~via:(c.after + dag.Spf.dist.(Graph.dst t.graph c.arc))
-                 0
+                 dag.Spf.order_desc 0
         in
         if moves then Repair else verdict t gi ~priced ~one_drop dst Deferred rest
       end
@@ -598,13 +586,11 @@ let screen t a gi ~priced changes =
       (fun n (c : Spf_delta.change) -> if c.after < c.before then n + 1 else n)
       0 changes
   in
-  let one_drop = drops = 1 && Option.is_none t.active.(gi) in
-  let mask = a.a_screen and deferred = ref 0 in
+  let one_drop = drops = 1 in
+  let mask = a.a_screen and act = t.active.(gi) and deferred = ref 0 in
   for dst = 0 to Array.length mask - 1 do
     let v =
-      match t.active.(gi) with
-      | Some act when not act.(dst) -> Clean
-      | _ -> verdict t gi ~priced ~one_drop dst Clean changes
+      if act.(dst) then verdict t gi ~priced ~one_drop dst Clean changes else Clean
     in
     match v with
     | Repair -> mask.(dst) <- true
@@ -616,21 +602,22 @@ let screen t a gi ~priced changes =
   !deferred
 
 (* Set the arena row to [changes] and {!repair} the group on its core
-   graph under the changes there, behind the flow screen of the classes
-   below [priced] unless the committed rows underflowed; returns how
-   many dirty destinations the screen deferred.  The core holds either
-   way: off-core nodes carry no flow, underflow or not. *)
+   graph under the changes there, which [a_changes] keeps, behind the
+   flow screen of the classes below [priced] unless the committed rows
+   underflowed; returns how many dirty destinations the screen
+   deferred.  The core holds either way: off-core nodes carry no flow,
+   underflow or not. *)
 let repair_screened t a gi ~priced changes =
   set_weights t a gi changes;
-  let core = (cores t).(gi) in
-  let changes = on_core t.graph core changes in
+  let changes = on_core t.graph t.cores.(gi) changes in
+  a.a_changes <- changes;
   if t.zero_shares then begin
-    repair t a gi ~active:t.active.(gi) ~graph:core.c_graph changes;
+    repair t a gi ~active:t.active.(gi) changes;
     0
   end
   else begin
     let deferred = screen t a gi ~priced changes in
-    repair t a gi ~active:(Some a.a_screen) ~graph:core.c_graph changes;
+    repair t a gi ~active:a.a_screen changes;
     deferred
   end
 
@@ -658,7 +645,7 @@ let reproject t a ~dags gi k dst =
     let nc = a.a_rows.(i) in
     let last = a.a_row_group.(i) in
     if last >= 0 then begin
-      let stale = (cores t).(last).c_arcs in
+      let stale = t.cores.(last).c_arcs in
       for j = 0 to Array.length stale - 1 do
         Array.unsafe_set nc (Array.unsafe_get stale j) 0.
       done
@@ -669,7 +656,7 @@ let reproject t a ~dags gi k dst =
         ~contrib:nc
     then a.a_zero_shares <- true;
     let oc = t.contrib.(k).(dst) in
-    let touched = a.a_touched and core = (cores t).(gi).c_arcs in
+    let touched = a.a_touched and core = t.cores.(gi).c_arcs in
     let changed = ref false in
     for j = 0 to Array.length core - 1 do
       let arc = Array.unsafe_get core j in
@@ -837,7 +824,6 @@ let probe t ~klass ~changes =
       changes
   in
   let priced = class_count t in
-  a.a_changes <- spf_changes;
   a.a_deferred <- repair_screened t a group ~priced spf_changes;
   Metrics.add m_deferred a.a_deferred;
   finish t a ~group ~priced ~unreachable:0
@@ -910,13 +896,6 @@ let primary ~model ~th t =
 
 let zero_shares t = t.zero_shares
 
-(* Whether a change of [changes] passes the label test at some
-   destination of group [gi]'s committed dags. *)
-let moves_labels t gi changes =
-  Array.exists
-    (fun dag -> List.exists (Spf_delta.touches t.graph dag) changes)
-    t.group_dags.(gi)
-
 (* Install a current probe straight from the arena, copying what it
    moved into fresh arrays: the weight row, the dirty dags
    ({!Spf_delta.scratch_copy}), the moved contribution rows, and full
@@ -926,18 +905,11 @@ let commit t p =
   let a = p.p_arena and g = p.p_group in
   (* A deferred destination's dag is exact only at flow-carrying nodes,
      and later screens (D_u), failure probes and materialized solutions
-     need it exact, so the group repairs again, unscreened, on its core
-     graph: a Demand-mode group's dags are exact on its core and read
-     unreachable off it, as {!create} builds them.  An All-mode group's
-     dags are exact at every node while its probes repair on the core
-     alone, so one with off-core nodes repairs again on the whole graph,
-     under every change, whenever a change passes the label test at some
-     destination.  The probe's rows stay: they are exact. *)
-  let core = (cores t).(g) in
-  if Option.is_none t.active.(g) && Option.is_some core.c_off && moves_labels t g a.a_changes
-  then repair t a g ~active:None ~graph:t.graph a.a_changes
-  else if a.a_deferred > 0 then
-    repair t a g ~active:t.active.(g) ~graph:core.c_graph (on_core t.graph core a.a_changes);
+     need it exact on the core, so the group repairs again, unscreened,
+     on its core graph.  Nothing is repaired off the core: no flow
+     crosses it, and every dag reads unreachable there, as {!create}
+     builds them.  The probe's rows stay: they are exact. *)
+  if a.a_deferred > 0 then repair t a g ~active:t.active.(g) a.a_changes;
   t.group_w.(g) <- Array.copy a.a_w.(g);
   t.group_dags.(g) <- Spf_delta.scratch_copy a.a_spf.(g);
   for i = 0 to a.a_nov - 1 do

@@ -25,6 +25,23 @@
     weight setting; {!to_evaluate} and {!to_multi} are its
     materialized views.
 
+    A context routes each weight group only to the destinations its
+    member classes sink demand at, and only on the group's {e core
+    graph}: a node on no simple path between two sources or
+    destinations of the group's demand ({!Dtr_graph.Graph.off_core})
+    carries no flow, and {!create} builds, per group, the graph without
+    those nodes ({!Dtr_graph.Graph.without}; the graph itself when
+    there are none), which clones share.  So a group's dag is a
+    placeholder at every destination without its demand, and
+    elsewhere exact at every core node (labels, next-hop sets and the
+    order among core nodes are the whole graph's, since a shortest
+    path between core nodes stays on the core), while every off-core
+    node reads unreachable.  Loads, Φ and Λ are those of an evaluation
+    over every destination on the whole graph: a demandless
+    destination contributes an empty row, and every walk from a demand
+    source reads core nodes only.  Memory is O(demand destinations)
+    dag sets, which is what makes 10k-node contexts fit.
+
     Probes are computed in a scratch arena the context owns (allocated
     by its first probe; a {!clone} gets its own): repaired DAGs (with
     the SPF repair's own working state), re-projected contribution rows
@@ -37,17 +54,10 @@
     Both probe kinds repair behind a flow screen: a dirty destination
     toward which the change list cannot move any flow of the repaired
     group is not repaired at all (see {!probe}).  Both also repair on
-    the group's {e core graph}: a node on no simple path between two
-    sources or destinations of the group's demand
-    ({!Dtr_graph.Graph.off_core}) carries no flow.  Each context builds
-    once, per group, the graph without those nodes
-    ({!Dtr_graph.Graph.without}; the graph itself when there are none):
-    {!create} for a [Demand]-mode context, which routes on it, and the
-    first probe or {!clone} otherwise (most contexts are never probed).
-    Clones share it, and every change list is cut down to that graph's
-    arcs.  Shares land only on the core's arcs (both ends on the core),
-    so a re-projected row is cleared, and compared with the committed
-    one, at those arcs alone.
+    the group's core graph, every change list cut down to its arcs.
+    Shares land only on the core's arcs (both ends on the core), so a
+    re-projected row is cleared, and compared with the committed one,
+    at those arcs alone.
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
@@ -63,24 +73,10 @@
 
 type t
 
-type dest_mode =
-  | All  (** one DAG per destination node (the classic mode) *)
-  | Demand
-      (** DAGs only for destinations that sink positive demand in some
-          member class of the group — the others carry placeholder
-          dags and are skipped by every delta screen — and only on the
-          group's core graph: each is exact at every core node (its
-          labels, next-hop sets and order among core nodes are the
-          full graph's, since a shortest path between core nodes stays
-          on the core), while every off-core node reads unreachable,
-          has no next hop and is not in the order.  Memory drops from
-          O(n) to O(demand destinations) DAG sets, which is what makes
-          10k-node contexts fit; loads and Φ are bitwise identical to
-          [All] because demandless destinations contribute empty rows
-          either way and every walk from a demand source reads core
-          nodes only.  Restriction: {!dags} (and views derived from
-          it) expose placeholder dags for inactive destinations and
-          core-only dags for active ones. *)
+type dest_mode = All | Demand
+(** Ignored by {!create}: every context routes to its demand
+    destinations on its core graphs (see above).  Kept because
+    perfbench's probe replay, its last reader, names it. *)
 
 val create :
   ?dags:Dtr_graph.Spf.dag array array ->
@@ -92,9 +88,11 @@ val create :
 (** Build a context from a full evaluation of [weights] (one vector
     per class; {e physically} equal vectors form a group that is
     routed once and re-routed together).  The vectors are copied.
-    [dags], when given, must be the per-class DAG arrays already
-    computed for these weights (e.g. from a {!Evaluate.t}) and skips
-    the SPF rebuild.  [dest_mode] defaults to [All].
+    [dags], when given, must be per-class DAG arrays a context left
+    for these weights ({!dags}, e.g. through a {!Evaluate.t}), each
+    real at every destination its new group sinks demand at, and
+    skips the SPF rebuild.  [dest_mode] is ignored: perfbench's probe
+    replay, its last reader, still passes it.
     @raise Invalid_argument on length/size mismatches, invalid
     weights, or unroutable positive demand. *)
 
@@ -110,7 +108,7 @@ val clone : t -> t
 
 val sync : src:t -> dst:t -> unit
 (** Make [dst] (a {!clone} of [src]'s lineage, or any context built
-    over the same graph, matrices and destination mode) evaluate
+    over the same graph and matrices) evaluate
     exactly as [src] by blitting the shared-row spine across; [dst]
     keeps its own probe arena.  O(groups + classes
     ⋅ destinations), no recomputation.  [dst]'s outstanding probes go
@@ -145,9 +143,11 @@ val probe : t -> klass:int -> changes:(int * int) list -> weight probe
     share toward it, or the list's one lowered arc [(u, v)], now [x],
     reaches some node [z] that carries such flow at its label or below
     ([D_u(z) + x + d(v) <= d(z)], with [D_u] the committed distances to
-    [u]).  Two or more lowered arcs, or a [Demand]-mode context (which
-    holds no dag for an arbitrary [u]), repair wherever a drop passes
-    the label test.  Every other dirty destination is deferred: its
+    [u], read from [u]'s dag).  Two or more lowered arcs, or one whose
+    tail [u] is no destination of the group's demand (the group holds
+    no dag for it), repair wherever a drop passes the label test.  The
+    test walks the destination's order, the nodes that reach it.
+    Every other dirty destination is deferred: its
     committed dag and rows are exact at every node that carries flow,
     so Φ, every Fortz row and the SLA walk are bitwise those of a
     from-scratch evaluation.  A context whose committed rows came from
@@ -159,12 +159,12 @@ val probe : t -> klass:int -> changes:(int * int) list -> weight probe
     Every repair runs on the group's core graph under the changes
     between core nodes: a change with an off-core end can move no flow
     (it is never tight at a core node, and every path over it comes
-    back through the cut vertex it left by).  Off-core nodes keep their
-    committed labels and next-hop sets, which in [All] mode may go
-    stale, while every core node of a destination on the core comes
-    out as a repair of the whole graph leaves it.  No flow crosses an
-    off-core node, so Φ, the rows and Λ are unaffected, and the probe's
-    dags stay exact at every flow-carrying node ({!probe_dags}).
+    back through the cut vertex it left by).  Off-core nodes keep
+    reading unreachable, while every core node of a repaired
+    destination comes out as a repair of the whole graph leaves it.
+    No flow crosses an off-core node, so Φ, the rows and Λ are
+    unaffected, and the probe's dags stay exact at every flow-carrying
+    node ({!probe_dags}).
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
@@ -295,11 +295,8 @@ val commit : t -> weight probe -> unit
     (later probes screen with them, and materialized solutions and
     reports read them): when the probe deferred a dirty destination,
     the group is first repaired again without the flow screen, on its
-    core graph; and an [All]-mode group with off-core nodes, whose
-    probes repair on the core alone, repairs again on the whole graph
-    under every change whenever some change can alter one of its dags
-    ({!Dtr_graph.Spf_delta.touches}).  A [Demand]-mode commit never
-    repairs off the core.  The probe's rows are kept, being exact.
+    core graph.  No commit repairs off the core, where every dag
+    reads unreachable.  The probe's rows are kept, being exact.
     Committing advances the state, so every probe taken before goes
     stale.
     @raise Invalid_argument on a stale probe: one taken on another
@@ -331,11 +328,10 @@ val weights_view : t -> int -> int array
 
 val dags : t -> int -> Dtr_graph.Spf.dag array
 (** Current per-destination DAGs of a class (shared; treat as
-    immutable — commits replace, never mutate, them).  Exact at every
-    node in [All] mode; in [Demand] mode, a placeholder at every
-    destination without demand in the class's group, and exact at the
-    core nodes only elsewhere, off-core nodes reading unreachable (see
-    {!dest_mode}). *)
+    immutable — commits replace, never mutate, them): a placeholder at
+    every destination without demand in the class's group, and
+    elsewhere exact at every node of the group's core, every off-core
+    node reading unreachable. *)
 
 val loads : t -> int -> float array
 (** Current per-arc load totals of a class (shared; commits replace
@@ -369,8 +365,8 @@ val shares_group : t -> int -> int -> bool
 val to_evaluate : t -> Evaluate.t
 (** Materialize the two-class view.  O(1): the record references the
     context's current arrays, which later commits replace rather than
-    mutate.  Its dags are {!dags}': in [Demand] mode, exact on the
-    demand core only.  @raise Invalid_argument unless
+    mutate.  Its dags are {!dags}': exact on the demand core, at
+    demand destinations only.  @raise Invalid_argument unless
     [class_count t = 2]. *)
 
 val to_multi : t -> Multi.t

@@ -124,7 +124,7 @@ let direct_major_words f =
    highest-degree nodes as PoPs (the four transit routers and four
    stub gateways), where every other stub node is off the core and
    probes repair masked. *)
-let large_problem ?(transit_stub = false) ~model ~dest_mode () =
+let large_problem ?(transit_stub = false) ~model () =
   let rng = Prng.create 11 in
   let g =
     if transit_stub then
@@ -147,11 +147,10 @@ let large_problem ?(transit_stub = false) ~model ~dest_mode () =
   in
   let tl = Gravity.generate_pop (Prng.create 5) ~n ~pops Gravity.default in
   let th = Matrix.scale tl 0.3 in
-  let p = Problem.create ~graph:g ~th ~tl ~model in
-  { p with Problem.dest_mode }
+  Problem.create ~graph:g ~th ~tl ~model
 
-let allocation_gate ?transit_stub ~model ~dest_mode () =
-  let problem = large_problem ?transit_stub ~model ~dest_mode () in
+let allocation_gate ?transit_stub ~model () =
+  let problem = large_problem ?transit_stub ~model () in
   let g = problem.Problem.graph in
   Alcotest.(check bool) "n above 256" true (Graph.node_count g > 256);
   Alcotest.(check bool) "m above 256" true (Graph.arc_count g > 256);
@@ -169,7 +168,7 @@ let allocation_gate ?transit_stub ~model ~dest_mode () =
   let _, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
   (* Failure probes run on a bare context of the same setting. *)
   let ec =
-    Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |]
+    Eval_ctx.create g ~weights:[| wh; wl |]
       ~matrices:[| problem.Problem.th; problem.Problem.tl |]
   in
   let candidates =
@@ -660,9 +659,9 @@ let same_row ~what expected actual =
    class the Fortz, load and capacity rows, every contribution row (a
    re-projected row cleared at the wrong arcs keeps stale shares there)
    and the dags. *)
-let check_fresh ~what ~dest_mode g ~th ~tl ec =
+let check_fresh ~what g ~th ~tl ec =
   let weights = [| Eval_ctx.weights ec 0; Eval_ctx.weights ec 1 |] in
-  let fresh = Eval_ctx.create ~dest_mode g ~weights ~matrices:[| th; tl |] in
+  let fresh = Eval_ctx.create g ~weights ~matrices:[| th; tl |] in
   same_row ~what:(what ^ " phi") (Eval_ctx.phi fresh) (Eval_ctx.phi ec);
   same_row ~what:(what ^ " residual") (Eval_ctx.to_evaluate fresh).Evaluate.residual
     (Eval_ctx.to_evaluate ec).Evaluate.residual;
@@ -695,18 +694,15 @@ type core_stats = {
    probe's Φ and Fortz rows as a fresh context at its weights, a
    failure probe's Φ as a fresh context on the graph without the link,
    and after each commit everything {!check_fresh} reads. *)
-let nested_core_sequence ~dest_mode stats seed =
+let nested_core_sequence stats seed =
   let g, th, tl, wh, wl, rng = nested_core_instance seed in
-  let what0 =
-    Printf.sprintf "seed %d %s" seed
-      (match dest_mode with Eval_ctx.All -> "all" | Eval_ctx.Demand -> "demand")
-  in
+  let what0 = Printf.sprintf "seed %d" seed in
   let off_h = off_core_of g th and off_l = off_core_of g tl in
   if not (Array.for_all2 (fun l h -> (not l) || h) off_l off_h && off_l <> off_h) then
     Alcotest.failf "%s: the high class's core is not strictly inside the low's" what0;
-  let ec = Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+  let ec = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
   let fresh_at ~graph ~wh ~wl ~tl =
-    Eval_ctx.create ~dest_mode graph ~weights:[| wh; wl |] ~matrices:[| th; tl |]
+    Eval_ctx.create graph ~weights:[| wh; wl |] ~matrices:[| th; tl |]
   in
   (* The classes the last computation re-projected: 0 after an H
      probe, 1 after an L probe, 2 after a failure probe (both). *)
@@ -758,7 +754,7 @@ let nested_core_sequence ~dest_mode stats seed =
       if Prng.bool rng then begin
         Eval_ctx.commit ec p;
         stats.commits <- stats.commits + 1;
-        check_fresh ~what:(what ^ " commit") ~dest_mode g ~th ~tl ec
+        check_fresh ~what:(what ^ " commit") g ~th ~tl ec
       end
     end
   done
@@ -766,9 +762,7 @@ let nested_core_sequence ~dest_mode stats seed =
 let test_nested_cores () =
   let stats = { crossed = 0; commits = 0; failures = 0 } in
   for seed = 1 to 60 do
-    List.iter
-      (fun dest_mode -> nested_core_sequence ~dest_mode stats seed)
-      [ Eval_ctx.All; Eval_ctx.Demand ]
+    nested_core_sequence stats seed
   done;
   List.iter
     (fun (what, count) ->
@@ -847,18 +841,17 @@ type kept_stats = { mutable moved : int; mutable robust_moved : int }
    the best, the context must be a fresh one at the best's weights, and
    the next probe on it must be the same probe on the fresh context,
    work counts included. *)
-let kept_best_walk ~anneal ~model ~robust ~dest_mode stats seed =
+let kept_best_walk ~anneal ~model ~robust stats seed =
   let g, th, tl, wh0, wl0, rng = nested_core_instance seed in
-  let problem = { (Problem.create ~graph:g ~th ~tl ~model) with Problem.dest_mode } in
+  let problem = Problem.create ~graph:g ~th ~tl ~model in
   let cfg =
     { Search_config.quick with Search_config.diversify_after = 3; robust }
   in
   let what0 =
-    Printf.sprintf "seed %d %s %s%s %s" seed
+    Printf.sprintf "seed %d %s %s%s" seed
       (if anneal then "anneal" else "dtr")
       (Objective.model_name model)
       (if robust = None then "" else " robust")
-      (match dest_mode with Eval_ctx.All -> "all" | Eval_ctx.Demand -> "demand")
   in
   Scan.with_engine ~jobs:1 problem @@ fun scan ->
   let inc =
@@ -962,13 +955,9 @@ let test_kept_best () =
     List.iter
       (fun model ->
         List.iter
-          (fun dest_mode ->
-            List.iter
-              (fun robust ->
-                kept_best_walk ~anneal:false ~model ~robust ~dest_mode stats seed)
-              [ None; robust ];
-            kept_best_walk ~anneal:true ~model ~robust:None ~dest_mode stats seed)
-          [ Eval_ctx.All; Eval_ctx.Demand ])
+          (fun robust -> kept_best_walk ~anneal:false ~model ~robust stats seed)
+          [ None; robust ];
+        kept_best_walk ~anneal:true ~model ~robust:None stats seed)
       [ Objective.Load; Objective.Sla Sla.default ]
   done;
   Alcotest.(check bool)
@@ -1007,18 +996,13 @@ let () =
       ( "allocation",
         [
           Alcotest.test_case "load, demand destinations" `Quick
-            (allocation_gate ~model:Objective.Load ~dest_mode:Eval_ctx.Demand);
-          Alcotest.test_case "load, all destinations" `Quick
-            (allocation_gate ~model:Objective.Load ~dest_mode:Eval_ctx.All);
+            (allocation_gate ~model:Objective.Load);
           Alcotest.test_case "sla, demand destinations" `Quick
-            (allocation_gate ~model:(Objective.Sla Sla.default)
-               ~dest_mode:Eval_ctx.Demand);
+            (allocation_gate ~model:(Objective.Sla Sla.default));
           Alcotest.test_case "load, demand destinations, transit-stub" `Quick
-            (allocation_gate ~transit_stub:true ~model:Objective.Load
-               ~dest_mode:Eval_ctx.Demand);
-          Alcotest.test_case "sla, all destinations, transit-stub" `Quick
-            (allocation_gate ~transit_stub:true ~model:(Objective.Sla Sla.default)
-               ~dest_mode:Eval_ctx.All);
+            (allocation_gate ~transit_stub:true ~model:Objective.Load);
+          Alcotest.test_case "sla, demand destinations, transit-stub" `Quick
+            (allocation_gate ~transit_stub:true ~model:(Objective.Sla Sla.default));
         ] );
       ( "equivalence",
         [

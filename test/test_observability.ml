@@ -272,9 +272,9 @@ let test_trace_sample_identity () =
 (* ------------------------------------------------------------------ *)
 (* Attribution: the bitwise reconciliation contract *)
 
-let ring_ctx ?dest_mode ~wh ~wl () =
+let ring_ctx ~wh ~wl () =
   let g, th, tl = ring_instance () in
-  (g, Eval_ctx.create ?dest_mode g ~weights:[| wh; wl |] ~matrices:[| th; tl |])
+  (g, Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |])
 
 (* Σ over reported rows must reconcile with the committed link load:
    destination rows bitwise (same summation order as the context),
@@ -312,20 +312,24 @@ let check_attribution_reconciles g ctx =
     done
   done
 
+(* Both routing modes: STR, whose classes share one weight vector and
+   so one weight group, and DTR, with a group per class. *)
 let test_attribution_modes () =
   List.iter
-    (fun dest_mode ->
+    (fun str ->
       (* Uniform weights: maximal ECMP splitting on the ring. *)
       let g6 = Classic.ring ~capacity:1.0 ~delay:2.0 6 in
-      let wh = Weights.uniform g6 1 and wl = Weights.uniform g6 1 in
-      let g, ctx = ring_ctx ~dest_mode ~wh ~wl () in
+      let wh = Weights.uniform g6 1 in
+      let wl = if str then wh else Weights.uniform g6 1 in
+      let g, ctx = ring_ctx ~wh ~wl () in
       check_attribution_reconciles g ctx;
-      (* Random distinct weights: asymmetric trees per class. *)
+      (* Random weights: asymmetric trees, distinct per class in DTR. *)
       let rng = Prng.create 42 in
-      let wh = Weights.random rng g6 and wl = Weights.random rng g6 in
-      let g, ctx = ring_ctx ~dest_mode ~wh ~wl () in
+      let wh = Weights.random rng g6 in
+      let wl = if str then wh else Weights.random rng g6 in
+      let g, ctx = ring_ctx ~wh ~wl () in
       check_attribution_reconciles g ctx)
-    [ Eval_ctx.All; Eval_ctx.Demand ]
+    [ true; false ]
 
 let test_attribution_after_commit () =
   let g6 = Classic.ring ~capacity:1.0 ~delay:2.0 6 in
@@ -636,15 +640,34 @@ let test_report_multistart_restarts () =
            (fun (p : Report_gen.phase) -> p.Report_gen.p_restart >= 0)
            phases)
 
+(* An unreadable file, an empty or blank-only trace, and one of junk
+   lines alone are errors; the last names its first junk line (blank
+   lines count) and that line's parse error. *)
 let test_report_load_errors () =
   Alcotest.(check bool) "unreadable file is an error" true
     (Result.is_error (Report_gen.load "/nonexistent/trace.jsonl"));
   with_temp_trace @@ fun path ->
-  let oc = open_out path in
-  output_string oc "not json\n{\"also\": \"not a trace event\"}\n";
-  close_out oc;
-  Alcotest.(check bool) "all-garbage trace is an error" true
-    (Result.is_error (Report_gen.load path))
+  let load_error contents =
+    let oc = open_out path in
+    output_string oc contents;
+    close_out oc;
+    match Report_gen.load path with
+    | Ok _ -> Alcotest.failf "%S loaded" contents
+    | Error e -> e
+  in
+  List.iter
+    (fun contents ->
+      Alcotest.(check string)
+        (Printf.sprintf "%S is an error" contents)
+        (path ^ ": no trace events (empty or blank file)")
+        (load_error contents))
+    [ ""; "\n  \n\t\n" ];
+  let parse_error =
+    match Trace.of_json "not json" with Ok _ -> assert false | Error e -> e
+  in
+  Alcotest.(check string) "all-garbage trace is an error"
+    (Printf.sprintf "%s: no parseable trace events (line 2: %s)" path parse_error)
+    (load_error "\nnot json\n{\"also\": \"not a trace event\"}\n")
 
 (* A count outside the int range makes its line unparseable, so the
    report counts the line as bad instead of summing a wrapped value. *)

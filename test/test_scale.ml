@@ -18,7 +18,10 @@ module Loads = Dtr_routing.Loads
 module Weights = Dtr_routing.Weights
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Objective = Dtr_routing.Objective
+module Evaluate = Dtr_routing.Evaluate
 module Sla = Dtr_cost.Sla
+module Ref_evaluate = Dtr_oracle.Ref_evaluate
+module Ref_failure = Dtr_oracle.Ref_failure
 
 let mkarc ?(capacity = 1.) ?(delay = 1.) src dst =
   { Graph.src; dst; capacity; delay }
@@ -274,8 +277,16 @@ let prop_destination_loads_into_identical =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Demand-only contexts: on any scenario, Demand mode must evaluate,
-   probe, fail-probe and commit bitwise-identically to All mode. *)
+(* Demand-only contexts against the from-scratch reference.  A context
+   routes each weight group only to the destinations its member classes
+   sink demand at, on the group's core graph: its dags there are exact
+   at every core node and read unreachable off the core, and every
+   other destination holds a placeholder.  Ref_evaluate routes every
+   destination on the whole graph (Spf.all_destinations and
+   whole-matrix loads summed over ascending destinations, the engine's
+   association).  Every evaluation, probe, failure probe and commit
+   must price as the reference does at its weights, bitwise, and agree
+   with it on the core. *)
 
 let random_sparse_matrix rng ~n ~pairs =
   let m = Matrix.create_sparse n in
@@ -285,49 +296,204 @@ let random_sparse_matrix rng ~n ~pairs =
   done;
   m
 
-let prop_demand_mode_identical =
-  QCheck.Test.make ~name:"Demand-mode ctx = All-mode ctx (probe + commit)"
-    ~count:120 (QCheck.make connected_graph_gen) (fun params ->
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The group that routes class [k]: the nodes off its core (those of
+   the endpoints of every class sharing its weights) and the
+   destinations it sinks demand at. *)
+let group_core g ~matrices ctx k =
+  let n = Graph.node_count g in
+  let endpoints = Array.make n false and sinks = Array.make n false in
+  Array.iteri
+    (fun j m ->
+      if Eval_ctx.shares_group ctx j k then
+        Matrix.iter m (fun s t _ ->
+            endpoints.(s) <- true;
+            endpoints.(t) <- true;
+            sinks.(t) <- true))
+    matrices;
+  (Graph.off_core g ~endpoints, sinks)
+
+let reference g ~matrices ~wh ~wl =
+  Ref_evaluate.evaluate g ~wh ~wl ~th:matrices.(0) ~tl:matrices.(1)
+
+let reference_primary ~model ~th (e : Evaluate.t) =
+  match model with
+  | Objective.Load -> e.Evaluate.phi_h
+  | Objective.Sla params -> (Evaluate.evaluate_sla params e ~th).Evaluate.lambda
+
+(* A probe that priced the leading [priced] classes against the
+   reference [want] at the probed weights: Φ, the Fortz rows and the
+   primary.  For a failure probe, [want] is on the graph without the
+   link, whose arc [i] is the context's arc [mapping.(i)]; the failed
+   arcs cost zero. *)
+let check_probe ?mapping ~what ~model ~th ~priced ctx p (want : Evaluate.t) =
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  let widen row =
+    match mapping with
+    | None -> row
+    | Some mapping ->
+        let full = Array.make (Graph.arc_count (Eval_ctx.graph ctx)) 0. in
+        Array.iteri (fun i a -> full.(a) <- row.(i)) mapping;
+        full
+  in
+  let phi = [| want.Evaluate.phi_h; want.Evaluate.phi_l |] in
+  let rows = [| want.Evaluate.phi_h_per_arc; want.Evaluate.phi_l_per_arc |] in
+  if not (same_bits (Array.sub phi 0 priced) (Eval_ctx.probe_phi p)) then
+    fail "probe phi";
+  for k = 0 to priced - 1 do
+    if not (same_bits (widen rows.(k)) (Eval_ctx.probe_phi_row ctx p k)) then
+      fail "probe Fortz row %d" k
+  done;
+  if
+    not
+      (same_bits
+         [| reference_primary ~model ~th want |]
+         [| Eval_ctx.probe_primary ~model ~th ctx p |])
+  then fail "probe primary"
+
+(* The committed context against the reference at its weights: Φ, the
+   primary, the residual, and per class the Fortz and load rows
+   bitwise.  At each destination the class sends demand to, its
+   contribution row is Loads.destination_loads over the reference dag,
+   and the context's dag is the reference one at every core node
+   (labels and next-hop sets), its order is the reference order
+   restricted to the core, and every off-core node reads unreachable
+   with no next hop.  Every other destination has no row, and a
+   placeholder dag unless another class of the group sinks demand
+   there. *)
+let check_reference ~what ~model ~matrices ctx =
+  let g = Eval_ctx.graph ctx and th = matrices.(0) in
+  let want =
+    reference g ~matrices ~wh:(Eval_ctx.weights ctx 0) ~wl:(Eval_ctx.weights ctx 1)
+  in
+  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
+  if not (same_bits [| want.Evaluate.phi_h; want.Evaluate.phi_l |] (Eval_ctx.phi ctx))
+  then fail "phi";
+  if
+    not
+      (same_bits
+         [| reference_primary ~model ~th want |]
+         [| Eval_ctx.primary ~model ~th ctx |])
+  then fail "primary";
+  if not (same_bits want.Evaluate.residual (Eval_ctx.to_evaluate ctx).Evaluate.residual)
+  then fail "residual";
+  let per_class =
+    [|
+      (want.Evaluate.dags_h, want.Evaluate.h_loads, want.Evaluate.phi_h_per_arc);
+      (want.Evaluate.dags_l, want.Evaluate.l_loads, want.Evaluate.phi_l_per_arc);
+    |]
+  in
+  for k = 0 to 1 do
+    let dags, loads, fortz = per_class.(k) in
+    if not (same_bits fortz (Eval_ctx.phi_per_arc ctx k)) then
+      fail "class %d Fortz row" k;
+    if not (same_bits loads (Eval_ctx.loads ctx k)) then fail "class %d loads" k;
+    let off, sinks = group_core g ~matrices ctx k in
+    let core_order o = List.filter (fun v -> not off.(v)) (Array.to_list o) in
+    for dst = 0 to Graph.node_count g - 1 do
+      let row = Eval_ctx.contrib_view ctx ~klass:k ~dst in
+      let da = dags.(dst) and dd = (Eval_ctx.dags ctx k).(dst) in
+      match Loads.destination_demand ~dag:da matrices.(k) with
+      | None ->
+          if Array.length row > 0 then fail "class %d dst %d: a row without demand" k dst;
+          if Spf.is_placeholder dd = sinks.(dst) then
+            fail "class %d dst %d: placeholder iff no demand of the group" k dst
+      | Some demand_to_dst ->
+          if not (same_bits (Loads.destination_loads g ~dag:da ~demand_to_dst) row) then
+            fail "class %d dst %d contribution" k dst;
+          Array.iteri
+            (fun x o ->
+              if o then begin
+                if dd.Spf.dist.(x) <> Dijkstra.unreachable || dd.Spf.next_arcs.(x) <> [||]
+                then fail "class %d dst %d: off-core node %d is routed" k dst x
+              end
+              else if
+                dd.Spf.dist.(x) <> da.Spf.dist.(x)
+                || dd.Spf.next_arcs.(x) <> da.Spf.next_arcs.(x)
+              then fail "class %d dst %d: core node %d differs" k dst x)
+            off;
+          if Array.to_list dd.Spf.order_desc <> core_order da.Spf.order_desc then
+            fail "class %d dst %d: order" k dst
+    done
+  done
+
+(* [w] with [changes] applied. *)
+let apply w changes =
+  let w = Array.copy w in
+  List.iter (fun (a, v) -> w.(a) <- v) changes;
+  w
+
+(* The reference at the weights a probe of [klass] under [changes]
+   leaves: the class's group moves, the other keeps its weights. *)
+let probed_reference ctx ~matrices ~klass changes =
+  let w k =
+    if Eval_ctx.shares_group ctx k klass then apply (Eval_ctx.weights ctx k) changes
+    else Eval_ctx.weights ctx k
+  in
+  reference (Eval_ctx.graph ctx) ~matrices ~wh:(w 0) ~wl:(w 1)
+
+(* A failure of [arcs] (one link) priced on [priced] classes, against
+   the reference on the graph without the link: the severed pairs, and
+   when there are none, the probe as {!check_probe} holds it.  Class 0
+   alone prices without low-priority demand, which may be severed.
+   Returns whether the failure severed demand. *)
+let check_failure ~what ~model ~matrices ~priced ctx (a, b) =
+  let g = Eval_ctx.graph ctx and th = matrices.(0) in
+  let arcs = if a = b then [ a ] else [ a; b ] in
+  let f = Eval_ctx.fail_probe ~classes:priced ctx ~arcs in
+  let reduced, mapping = Ref_failure.fail_link g ~link:(a, b) in
+  let priced_matrices = Array.sub matrices 0 priced in
+  let cut = Ref_failure.severed_pairs reduced ~matrices:priced_matrices in
+  if cut <> Eval_ctx.probe_unreachable f then
+    Alcotest.failf "%s: %d severed pairs, want %d" what
+      (Eval_ctx.probe_unreachable f) cut;
+  if cut = 0 then begin
+    let remap k = Ref_failure.remap_weights (Eval_ctx.weights ctx k) mapping in
+    let tl = if priced = 1 then Matrix.create (Graph.node_count g) else matrices.(1) in
+    check_probe ~mapping ~what ~model ~th ~priced ctx f
+      (reference reduced ~matrices:[| th; tl |] ~wh:(remap 0) ~wl:(remap 1))
+  end;
+  cut > 0
+
+let prop_ctx_reference =
+  QCheck.Test.make ~name:"ctx = from-scratch reference (probe + commit)" ~count:120
+    (QCheck.make connected_graph_gen) (fun params ->
       let g, wh, rng = build_connected params in
       let n = Graph.node_count g and m = Graph.arc_count g in
       let wl = Array.init m (fun _ -> 1 + Prng.int rng 30) in
       let th = random_sparse_matrix rng ~n ~pairs:(1 + Prng.int rng 4) in
       let tl = random_sparse_matrix rng ~n ~pairs:(1 + Prng.int rng 8) in
-      let mk dest_mode =
-        Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |]
-          ~matrices:[| th; tl |]
-      in
-      let ca = mk Eval_ctx.All and cd = mk Eval_ctx.Demand in
-      let ok = ref (Eval_ctx.phi ca = Eval_ctx.phi cd) in
-      for _ = 1 to 12 do
+      let matrices = [| th; tl |] and model = Objective.Load in
+      let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices in
+      check_reference ~what:"create" ~model ~matrices ctx;
+      for step = 1 to 12 do
+        let what = Printf.sprintf "step %d" step in
         let klass = Prng.int rng 2 in
-        let a = Prng.int rng m in
-        let v = 1 + Prng.int rng 30 in
-        let pa = Eval_ctx.probe ca ~klass ~changes:[ (a, v) ] in
-        let pd = Eval_ctx.probe cd ~klass ~changes:[ (a, v) ] in
-        ok := !ok && Eval_ctx.probe_phi pa = Eval_ctx.probe_phi pd;
+        let changes = [ (Prng.int rng m, 1 + Prng.int rng 30) ] in
+        let want = probed_reference ctx ~matrices ~klass changes in
+        let p = Eval_ctx.probe ctx ~klass ~changes in
+        check_probe ~what ~model ~th ~priced:2 ctx p want;
         if Prng.bool rng then begin
-          Eval_ctx.commit ca pa;
-          Eval_ctx.commit cd pd
-        end;
-        ok := !ok && Eval_ctx.phi ca = Eval_ctx.phi cd
+          Eval_ctx.commit ctx p;
+          check_reference ~what:(what ^ " commit") ~model ~matrices ctx
+        end
       done;
       (* One single-link failure probe from the final state. *)
-      (let pairs = Graph.undirected_link_pairs g in
-       if Array.length pairs > 0 then begin
-         let a, b = pairs.(0) in
-         let fa = Eval_ctx.fail_probe ca ~arcs:[ a; b ] in
-         let fd = Eval_ctx.fail_probe cd ~arcs:[ a; b ] in
-         ok :=
-           !ok
-           && Eval_ctx.probe_phi fa = Eval_ctx.probe_phi fd
-           && Eval_ctx.probe_unreachable fa = Eval_ctx.probe_unreachable fd
-       end);
-      !ok)
+      let pairs = Graph.undirected_link_pairs g in
+      if Array.length pairs > 0 then
+        ignore
+          (check_failure ~what:"failure" ~model ~matrices ~priced:2 ctx pairs.(0) : bool);
+      true)
 
-(* Demand confined to one component of a disconnected graph: both
-   modes must agree (and not raise) as long as every positive demand
-   is routable. *)
+(* Demand confined to one component of a disconnected graph: the
+   context must price as the reference (and not raise) as long as
+   every positive demand is routable; the demandless component is off
+   every core. *)
 let test_demand_mode_disconnected () =
   (* Two directed triangles with no arcs between them. *)
   let tri base =
@@ -343,25 +509,19 @@ let test_demand_mode_disconnected () =
   Matrix.set th 0 2 10.;
   Matrix.set tl 4 3 25.;
   Matrix.set tl 1 2 5.;
+  let matrices = [| th; tl |] and model = Objective.Load in
   let wh = Array.make m 1 and wl = Array.make m 2 in
-  let mk dest_mode =
-    Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |] ~matrices:[| th; tl |]
-  in
-  let ca = mk Eval_ctx.All and cd = mk Eval_ctx.Demand in
-  Alcotest.(check (array (float 0.)))
-    "phi identical" (Eval_ctx.phi ca) (Eval_ctx.phi cd);
-  let pa = Eval_ctx.probe ca ~klass:0 ~changes:[ (0, 9) ] in
-  let pd = Eval_ctx.probe cd ~klass:0 ~changes:[ (0, 9) ] in
-  Alcotest.(check (array (float 0.)))
-    "probe phi identical" (Eval_ctx.probe_phi pa) (Eval_ctx.probe_phi pd)
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices in
+  check_reference ~what:"create" ~model ~matrices ctx;
+  let changes = [ (0, 9) ] in
+  let want = probed_reference ctx ~matrices ~klass:0 changes in
+  let p = Eval_ctx.probe ctx ~klass:0 ~changes in
+  check_probe ~what:"probe" ~model ~th ~priced:2 ctx p want;
+  Eval_ctx.commit ctx p;
+  check_reference ~what:"commit" ~model ~matrices ctx
 
 (* ------------------------------------------------------------------ *)
-(* Demand-only contexts on the demand core.  A Demand-mode context
-   routes each weight group on its core graph: its dags are exact at
-   every core node and read unreachable off the core, while an
-   All-mode context keeps its dags exact everywhere.  Both must price,
-   commit and fail-probe every change alike, bitwise, and agree on the
-   core. *)
+(* On the demand core. *)
 
 (* A core ring of 4–7 nodes (both directions) with chords, some one-way
    and some doubled by a parallel arc, and two to four stubs, each hung
@@ -445,76 +605,6 @@ let core_instance seed =
   let weights = if Prng.int rng 3 = 0 then [| wh; wh |] else [| wh; narrow () |] in
   (g, th, tl, weights, rng)
 
-let same_bits a b =
-  Array.length a = Array.length b
-  && Array.for_all2
-       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-       a b
-
-(* The off-core nodes of the group that routes class [k]: those of the
-   endpoints of every class sharing its weights. *)
-let group_off_core g ~matrices ctx k =
-  let endpoints = Array.make (Graph.node_count g) false in
-  Array.iteri
-    (fun j m ->
-      if Eval_ctx.shares_group ctx j k then
-        Matrix.iter m (fun s t _ ->
-            endpoints.(s) <- true;
-            endpoints.(t) <- true))
-    matrices;
-  Graph.off_core g ~endpoints
-
-(* The Demand-mode context [cd] against the All-mode one [ca], both
-   committed: Φ, the primary, and per class the Fortz, load, residual
-   and contribution rows bitwise; at each demand destination, the
-   Demand dag is the All-mode one at every core node (labels and
-   next-hop sets), its order is the All-mode order restricted to the
-   core, and every off-core node reads unreachable with no next hop. *)
-let check_core_pair ~what ~model ~matrices ca cd =
-  let g = Eval_ctx.graph ca and th = matrices.(0) in
-  let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
-  if not (same_bits (Eval_ctx.phi ca) (Eval_ctx.phi cd)) then fail "phi";
-  if
-    not
-      (same_bits
-         [| Eval_ctx.primary ~model ~th ca |]
-         [| Eval_ctx.primary ~model ~th cd |])
-  then fail "primary";
-  if
-    not
-      (same_bits (Eval_ctx.to_evaluate ca).Dtr_routing.Evaluate.residual
-         (Eval_ctx.to_evaluate cd).Dtr_routing.Evaluate.residual)
-  then fail "residual";
-  for k = 0 to 1 do
-    if not (same_bits (Eval_ctx.phi_per_arc ca k) (Eval_ctx.phi_per_arc cd k)) then
-      fail "class %d Fortz row" k;
-    if not (same_bits (Eval_ctx.loads ca k) (Eval_ctx.loads cd k)) then
-      fail "class %d loads" k;
-    let off = group_off_core g ~matrices ca k in
-    let core_order o = List.filter (fun v -> not off.(v)) (Array.to_list o) in
-    for dst = 0 to Graph.node_count g - 1 do
-      let row = Eval_ctx.contrib_view ca ~klass:k ~dst in
-      if not (same_bits row (Eval_ctx.contrib_view cd ~klass:k ~dst)) then
-        fail "class %d dst %d contribution" k dst;
-      if Array.length row > 0 then begin
-        let da = (Eval_ctx.dags ca k).(dst) and dd = (Eval_ctx.dags cd k).(dst) in
-        Array.iteri
-          (fun x o ->
-            if o then begin
-              if dd.Spf.dist.(x) <> Dijkstra.unreachable || dd.Spf.next_arcs.(x) <> [||]
-              then fail "class %d dst %d: off-core node %d is routed" k dst x
-            end
-            else if
-              dd.Spf.dist.(x) <> da.Spf.dist.(x)
-              || dd.Spf.next_arcs.(x) <> da.Spf.next_arcs.(x)
-            then fail "class %d dst %d: core node %d differs" k dst x)
-          off;
-        if Array.to_list dd.Spf.order_desc <> core_order da.Spf.order_desc then
-          fail "class %d dst %d: order" k dst
-      end
-    done
-  done
-
 (* Nodes with class-[k] flow on an out-arc. *)
 let flow_nodes ctx k =
   let g = Eval_ctx.graph ctx and loads = Eval_ctx.loads ctx k in
@@ -527,47 +617,22 @@ let core_stats = [| 0; 0; 0 |]
 
 (* One random sequence of weight probes (1–2 changes on any arc, on
    the core or off it), commits and single-link failure probes (of one
-   or both classes) driven through both contexts, each probe priced
-   alike: Φ, the Fortz rows, the primary and the severed-pair count. *)
+   or both classes), each held to the reference at its weights. *)
 let core_sequence ~model seed =
   let g, th, tl, weights, rng = core_instance seed in
   let matrices = [| th; tl |] in
-  let mk dest_mode = Eval_ctx.create ~dest_mode g ~weights ~matrices in
-  let ca = mk Eval_ctx.All and cd = mk Eval_ctx.Demand in
+  let ctx = Eval_ctx.create g ~weights ~matrices in
   let what0 = Printf.sprintf "seed %d %s" seed (Objective.model_name model) in
-  check_core_pair ~what:what0 ~model ~matrices ca cd;
-  let same_probe ~what ~priced pa pd =
-    if not (same_bits (Eval_ctx.probe_phi pa) (Eval_ctx.probe_phi pd)) then
-      Alcotest.failf "%s: probe phi" what;
-    if Array.for_all Float.is_finite (Eval_ctx.probe_phi pa) then begin
-      for k = 0 to priced - 1 do
-        if
-          not
-            (same_bits (Eval_ctx.probe_phi_row ca pa k) (Eval_ctx.probe_phi_row cd pd k))
-        then Alcotest.failf "%s: probe Fortz row %d" what k
-      done;
-      if
-        not
-          (same_bits
-             [| Eval_ctx.probe_primary ~model ~th ca pa |]
-             [| Eval_ctx.probe_primary ~model ~th cd pd |])
-      then Alcotest.failf "%s: probe primary" what
-    end
-  in
+  check_reference ~what:what0 ~model ~matrices ctx;
   let m = Graph.arc_count g in
   for step = 1 to 20 do
     let what = Printf.sprintf "%s step %d" what0 step in
     if Prng.int rng 4 = 0 then begin
       let links = Graph.undirected_link_pairs g in
       let a, b = links.(Prng.int rng (Array.length links)) in
-      let arcs = if a = b then [ a ] else [ a; b ] and classes = Prng.int_incl rng 1 2 in
-      let fa = Eval_ctx.fail_probe ~classes ca ~arcs in
-      let fd = Eval_ctx.fail_probe ~classes cd ~arcs in
+      let priced = Prng.int_incl rng 1 2 in
       let what = Printf.sprintf "%s link (%d, %d)" what a b in
-      if Eval_ctx.probe_unreachable fa <> Eval_ctx.probe_unreachable fd then
-        Alcotest.failf "%s: severed pairs" what;
-      same_probe ~what ~priced:classes fa fd;
-      let i = if Eval_ctx.probe_unreachable fa = 0 then 1 else 2 in
+      let i = if check_failure ~what ~model ~matrices ~priced ctx (a, b) then 2 else 1 in
       core_stats.(i) <- core_stats.(i) + 1
     end
     else begin
@@ -580,15 +645,14 @@ let core_sequence ~model seed =
           else changes ((arc, Prng.int_incl rng 1 6) :: acc) (k - 1)
       in
       let changes = changes [] (Prng.int_incl rng 1 2) in
-      let pa = Eval_ctx.probe ca ~klass ~changes in
-      let pd = Eval_ctx.probe cd ~klass ~changes in
-      same_probe ~what ~priced:2 pa pd;
+      let want = probed_reference ctx ~matrices ~klass changes in
+      let p = Eval_ctx.probe ctx ~klass ~changes in
+      check_probe ~what ~model ~th ~priced:2 ctx p want;
       if Prng.bool rng then begin
-        let before = Array.init 2 (flow_nodes ca) in
-        Eval_ctx.commit ca pa;
-        Eval_ctx.commit cd pd;
-        check_core_pair ~what:(what ^ " commit") ~model ~matrices ca cd;
-        let after = Array.init 2 (flow_nodes ca) in
+        let before = Array.init 2 (flow_nodes ctx) in
+        Eval_ctx.commit ctx p;
+        check_reference ~what:(what ^ " commit") ~model ~matrices ctx;
+        let after = Array.init 2 (flow_nodes ctx) in
         if
           Array.exists2
             (fun b a -> Array.exists2 (fun was is -> is && not was) b a)
@@ -599,7 +663,7 @@ let core_sequence ~model seed =
   done
 
 let prop_demand_core =
-  QCheck.Test.make ~name:"on the demand core: Demand ctx = All ctx" ~count:150
+  QCheck.Test.make ~name:"on the demand core: ctx = from-scratch reference" ~count:150
     QCheck.(int_range 0 100_000)
     (fun seed ->
       List.iter
@@ -769,8 +833,9 @@ let test_gravity_pop () =
     (Invalid_argument "Gravity.generate_pop: need at least 2 PoPs") (fun () ->
       ignore (Gravity.generate_pop (Prng.create 1) ~n:10 ~pops:[| 3 |] Gravity.default))
 
-(* Demand-mode = All-mode at the 1k tier: the acceptance check of the
-   demand-only evaluation path on a real preset. *)
+(* The 1k tier against the reference: the acceptance check of
+   demand-only evaluation on a real preset, whose stub rings lie off
+   the demand core. *)
 let test_demand_mode_ts1k () =
   let p = Option.get (Large.find "ts-1k") in
   let root = Prng.create 11 in
@@ -786,27 +851,20 @@ let test_demand_mode_ts1k () =
       if Prng.float traffic_rng 1.0 < 0.10 then Matrix.set th s t (0.30 *. v));
   let wh = Weights.random weight_rng g in
   let wl = Weights.random weight_rng g in
-  let mk dest_mode =
-    Eval_ctx.create ~dest_mode g ~weights:[| wh; wl |] ~matrices:[| th; tl |]
-  in
-  let ca = mk Eval_ctx.All and cd = mk Eval_ctx.Demand in
-  Alcotest.(check (array (float 0.)))
-    "phi identical" (Eval_ctx.phi ca) (Eval_ctx.phi cd);
+  let matrices = [| th; tl |] and model = Objective.Load in
+  let ctx = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices in
+  check_reference ~what:"create" ~model ~matrices ctx;
   let rng = Prng.create 13 in
   let m = Graph.arc_count g in
-  for _ = 1 to 8 do
+  for step = 1 to 8 do
     let klass = Prng.int rng 2 in
-    let a = Prng.int rng m in
-    let v = 1 + Prng.int rng 30 in
-    let pa = Eval_ctx.probe ca ~klass ~changes:[ (a, v) ] in
-    let pd = Eval_ctx.probe cd ~klass ~changes:[ (a, v) ] in
-    Alcotest.(check (array (float 0.)))
-      "probe phi identical" (Eval_ctx.probe_phi pa) (Eval_ctx.probe_phi pd);
-    Eval_ctx.commit ca pa;
-    Eval_ctx.commit cd pd
+    let changes = [ (Prng.int rng m, 1 + Prng.int rng 30) ] in
+    let want = probed_reference ctx ~matrices ~klass changes in
+    let p = Eval_ctx.probe ctx ~klass ~changes in
+    check_probe ~what:(Printf.sprintf "step %d" step) ~model ~th ~priced:2 ctx p want;
+    Eval_ctx.commit ctx p
   done;
-  Alcotest.(check (array (float 0.)))
-    "phi identical after commits" (Eval_ctx.phi ca) (Eval_ctx.phi cd)
+  check_reference ~what:"after commits" ~model ~matrices ctx
 
 (* ------------------------------------------------------------------ *)
 (* Incremental search bookkeeping vs. the references.  The scaled
@@ -944,7 +1002,7 @@ let () =
         ] );
       ( "demand-mode",
         [
-          qc prop_demand_mode_identical;
+          qc prop_ctx_reference;
           Alcotest.test_case "disconnected components" `Quick
             test_demand_mode_disconnected;
           test_demand_core;
