@@ -6,8 +6,11 @@
    where 8 of the 38 links are cut.  Two DTR searches run on the
    1,000-node ts-1k preset, whose demand-only contexts route on the
    30-PoP demand core: one under the load model at the iteration caps
-   of the benchmark's ts-1k workload (10/10/10) from a random start, and
-   one robust at 2/2/2.  One line per search pins its final
+   of the benchmark's ts-1k workload (10/10/10) from a random start,
+   one robust at 2/2/2, and one under the SLA model at 10/10/10, whose
+   Λ walk runs on a core that is not the whole graph.  STR runs there
+   too, ten iterations under the load model, its one weight group
+   routed on the core of both classes' demand.  One line per search pins its final
    objective (hex floats, so a match is bitwise), its evaluation
    count, its improvements (accepted moves for annealing), its memo
    hits/misses, a digest of the final weight vectors and the MD5 of
@@ -72,7 +75,7 @@ let transit_stub_problem () =
 
 (* The ts-1k preset's instance, built as the benchmark's ts-1k
    workload builds it, and a random start drawn from [seed]. *)
-let ts1k_problem () =
+let ts1k_problem ?(model = Objective.Load) () =
   let p = Option.get (Dtr_topology.Large.find "ts-1k") in
   let inst =
     Scenario.make
@@ -83,8 +86,7 @@ let ts1k_problem () =
         seed = 1;
       }
   in
-  Scenario.problem (Scenario.scale_to_utilization inst ~target:0.6)
-    ~model:Objective.Load
+  Scenario.problem (Scenario.scale_to_utilization inst ~target:0.6) ~model
 
 let random_start p seed =
   let rng = Prng.create seed in
@@ -132,9 +134,9 @@ let robust_cfg ?(alpha = 1.) ?(top_k = 1) () =
     Search_config.robust = Some { Search_config.alpha; top_k };
   }
 
-let str_line ~algo ~model p seed cfg =
+let str_line ?w0 ?iters ~algo ~model p seed cfg =
   let r, trace =
-    traced (fun trace -> Str_search.run ~trace (Prng.create seed) cfg p)
+    traced (fun trace -> Str_search.run ?w0 ?iters ~trace (Prng.create seed) cfg p)
   in
   line ~algo ~model ~seed ~objective:r.Str_search.objective
     ~evaluations:r.Str_search.evaluations
@@ -228,6 +230,10 @@ let trajectories () =
       (caps 10);
     dtr_line ~w0:(random_start p 1) ~algo:"dtr-robust-ts1k" ~model:Objective.Load p 1
       { (caps 2) with Search_config.robust = Some { Search_config.alpha = 0.5; top_k = 1 } };
+    str_line ~iters:10 ~algo:"str-ts1k" ~model:Objective.Load p 1 (caps 10);
+    (let model = Objective.Sla Dtr_cost.Sla.default in
+     dtr_line ~w0:(random_start p 1) ~algo:"dtr-ts1k" ~model (ts1k_problem ~model ()) 1
+       (caps 10));
   ]
 
 let test_trajectories_match_golden () =
