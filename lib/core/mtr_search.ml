@@ -150,7 +150,7 @@ let init_state problem w0 =
    are still the right ones and the SPF is skipped). *)
 let resync st problem =
   st.ctx <-
-    Eval_ctx.create ~dags:st.best.Multi.dags problem.graph
+    Eval_ctx.create ~dags:(Array.map Lazy.force st.best.Multi.dags) problem.graph
       ~weights:st.current_w ~matrices:problem.matrices
 
 (* One iteration-level event (kind Mtr_pass, or Diversify after a

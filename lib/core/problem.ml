@@ -64,11 +64,18 @@ let m_lambda_reused =
 
 (* A context's current state as a solution.  O(arcs): the solution
    snapshots the context's arrays, which later commits replace rather
-   than mutate.  [sla] is the state's Λ costing when already known. *)
+   than mutate, and its dags are built only if a reader forces them.
+   [sla] is the state's Λ costing when already known; otherwise the
+   context walks its core dags for it. *)
 let materialize t ec ~sla =
   let wh = Eval_ctx.weights ec 0 in
   let wl = if Eval_ctx.shares_group ec 0 1 then wh else Eval_ctx.weights ec 1 in
   let ev = Eval_ctx.to_evaluate ec in
+  let sla =
+    match (t.model, sla) with
+    | Objective.Sla params, None -> Some (Eval_ctx.sla params ~th:t.th ec)
+    | _ -> sla
+  in
   { wh; wl; result = Objective.of_eval t.model ev ~th:t.th ?sla () }
 
 (* A from-scratch evaluation hands over the context it built, so a
@@ -96,7 +103,7 @@ type ctx = {
 let ec_of_solution t s =
   let eval = s.result.Objective.eval in
   let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
-  let dags = [| eval.Evaluate.dags_h; eval.Evaluate.dags_l |] in
+  let dags = [| Lazy.force eval.Evaluate.dags_h; Lazy.force eval.Evaluate.dags_l |] in
   Eval_ctx.create ~dags t.graph ~weights ~matrices:[| t.th; t.tl |]
 
 let ctx_of_ec ec s = { ec; c_sla = s.result.Objective.sla }
@@ -145,9 +152,7 @@ let ctx_sla params t ctx =
   match ctx.c_sla with
   | Some sla -> sla
   | None ->
-      let sla =
-        Evaluate.evaluate_sla params (Eval_ctx.to_evaluate ctx.ec) ~th:t.th
-      in
+      let sla = Eval_ctx.sla params ~th:t.th ctx.ec in
       ctx.c_sla <- Some sla;
       sla
 

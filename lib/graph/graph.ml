@@ -25,9 +25,9 @@ type t = {
   cap : float array;  (* m: capacity per arc id; shared, never mutated *)
   del : float array;  (* m: delay per arc id; shared, never mutated *)
   out_off : int array;  (* n+1: segment offsets into out_ids *)
-  out_ids : int array;  (* m, or fewer [without]: arc ids leaving each node *)
+  out_ids : int array;  (* m: arc ids leaving each node *)
   in_off : int array;  (* n+1: segment offsets into in_ids *)
-  in_ids : int array;  (* m, or fewer [without]: arc ids entering each node *)
+  in_ids : int array;  (* m: arc ids entering each node *)
   out_by_dst : int array;
       (* out_ids re-sorted by (dst, id) within each source segment,
          for binary-search find_arc *)
@@ -86,10 +86,8 @@ let link_pairs ~m ~arc_src ~arc_dst ~out_off ~out_ids =
   done;
   Array.sub pairs 0 !count
 
-let build ~n arcs =
-  if n <= 0 then invalid_arg "Graph.build: need at least one node";
-  let arcs = Array.of_list arcs in
-  Array.iter (validate_arc n) arcs;
+(* The graph of [n] nodes and the (valid) [arcs], indexed by id. *)
+let of_arcs ~n arcs =
   let m = Array.length arcs in
   let arc_src = Array.make m 0 and arc_dst = Array.make m 0 in
   let cap = Array.make m 0. and del = Array.make m 0. in
@@ -118,6 +116,12 @@ let build ~n arcs =
   done;
   { n; m; arc_src; arc_dst; cap; del; out_off; out_ids; in_off; in_ids;
     out_by_dst; links = link_pairs ~m ~arc_src ~arc_dst ~out_off ~out_ids }
+
+let build ~n arcs =
+  if n <= 0 then invalid_arg "Graph.build: need at least one node";
+  let arcs = Array.of_list arcs in
+  Array.iter (validate_arc n) arcs;
+  of_arcs ~n arcs
 
 let node_count t = t.n
 
@@ -277,27 +281,29 @@ let off_core t ~endpoints =
   done;
   off
 
-(* Each index keeps its segments and their order, less the dropped arcs. *)
-let without t ~nodes =
-  if Array.length nodes <> t.n then invalid_arg "Graph.without: nodes length mismatch";
-  let keep id = not (nodes.(t.arc_src.(id)) || nodes.(t.arc_dst.(id))) in
-  let filter off ids =
-    let off' = Array.make (t.n + 1) 0 and ids' = Array.copy ids in
-    for v = 0 to t.n - 1 do
-      off'.(v + 1) <- off'.(v);
-      for k = off.(v) to off.(v + 1) - 1 do
-        if keep ids.(k) then begin
-          ids'.(off'.(v + 1)) <- ids.(k);
-          off'.(v + 1) <- off'.(v + 1) + 1
-        end
-      done
-    done;
-    (off', Array.sub ids' 0 off'.(t.n))
+(* Both numberings ascend with the original ids, so the subgraph's
+   adjacency segments list its arcs in the order [t]'s list them. *)
+let induced t ~keep =
+  if Array.length keep <> t.n then invalid_arg "Graph.induced: keep length mismatch";
+  let at = Array.make t.n (-1) and c = ref 0 in
+  for v = 0 to t.n - 1 do
+    if keep.(v) then begin
+      at.(v) <- !c;
+      incr c
+    end
+  done;
+  let nodes = Array.make !c 0 in
+  Array.iteri (fun v i -> if i >= 0 then nodes.(i) <- v) at;
+  let kept id = keep.(t.arc_src.(id)) && keep.(t.arc_dst.(id)) in
+  let ids = Array.of_list (List.filter kept (List.init t.m Fun.id)) in
+  let arcs =
+    Array.map
+      (fun id ->
+        { src = at.(t.arc_src.(id)); dst = at.(t.arc_dst.(id)); capacity = t.cap.(id);
+          delay = t.del.(id) })
+      ids
   in
-  let out_off, out_ids = filter t.out_off t.out_ids in
-  let in_off, in_ids = filter t.in_off t.in_ids in
-  let _, out_by_dst = filter t.out_off t.out_by_dst in
-  { t with out_off; out_ids; in_off; in_ids; out_by_dst }
+  (of_arcs ~n:!c arcs, nodes, ids)
 
 let reverse t =
   let flipped = ref [] in

@@ -61,9 +61,8 @@ val out_offsets : t -> int array
     (excluding) [out_offsets.(v+1)] (shared; do not mutate). *)
 
 val out_arc_ids : t -> int array
-(** Flat outgoing-adjacency row, one entry per arc ({!without} leaves
-    some out); within each node's segment, ids ascend (shared; do not
-    mutate). *)
+(** Flat outgoing-adjacency row, one entry per arc; within each node's
+    segment, ids ascend (shared; do not mutate). *)
 
 val in_offsets : t -> int array
 (** CSR offsets (length [n+1]) into {!in_arc_ids} (shared; do not
@@ -112,15 +111,18 @@ val off_core : t -> endpoints:bool array -> bool array
     vertex, and to leave, pass it again.  One lowpoint DFS, O(n + m).
     @raise Invalid_argument if [endpoints] has the wrong length. *)
 
-val without : t -> nodes:bool array -> t
-(** [without g ~nodes] is [g] with every arc that has a flagged end
-    left out of both adjacency rows, and so out of the degrees,
-    {!find_arc} and every walk over the adjacency.  The nodes, arc ids
-    and per-arc rows ({!arc}, {!arcs}, {!srcs}, {!capacities}, ...)
-    and {!undirected_link_pairs} stay [g]'s, and {!reverse} rebuilds
-    from every arc.  Demand-core dag builds and {!Spf_delta} repairs
-    run on it.
-    @raise Invalid_argument if [nodes] has the wrong length. *)
+val induced : t -> keep:bool array -> t * int array * int array
+(** [induced g ~keep] is [(h, nodes, arcs)]: [h] is the subgraph of
+    [g] on the flagged nodes and the arcs with both ends flagged,
+    numbered densely, and [nodes]/[arcs] map [h]'s node and arc ids
+    to [g]'s.  Both maps increase: node [i] of [h] is the [i]-th
+    flagged node of [g], and arc [j] the [j]-th kept arc in id order,
+    with its capacity and delay.  So every order that breaks ties by
+    id, and every ascending walk over an adjacency segment, comes out
+    the same in either numbering.  [h] may have no node at all.
+    Evaluation contexts route each weight group on the subgraph of its
+    demand core ({!off_core}).
+    @raise Invalid_argument if [keep] has the wrong length. *)
 
 val reverse : t -> t
 (** Graph with every arc flipped (same arc ids). *)

@@ -90,9 +90,10 @@ let to_destination g ~weights ~dst =
 (* Placeholder for destinations excluded from a subset build: carries
    only the destination id.  Nothing downstream may read its (empty)
    labels — Eval_ctx guarantees that by keeping every excluded
-   destination's demand row empty.  Its demand-only contexts make the
-   same trade at the included destinations, built on the demand core's
-   subgraph: exact on the core only, where every demand walk stays. *)
+   destination's demand row empty.  Its contexts build on the demand
+   core's subgraph, numbered densely, so a placeholder there carries a
+   core node's id, and the context's original-id views rebuild it
+   under the destination's own id. *)
 let placeholder dst = { dst; dist = [||]; next_arcs = [||]; order_desc = [||] }
 
 let is_placeholder dag = Array.length dag.dist = 0

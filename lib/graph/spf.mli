@@ -45,9 +45,7 @@ val node_next_arcs :
     already holds exactly that set, [old] itself is returned and
     nothing is allocated ({!of_dist} passes [[||]]; {!Spf_delta}'s
     repairs pass the previous dag's set, so an unchanged set stays
-    shared).  Only the arcs in [g]'s adjacency count: on a
-    {!Graph.without} subgraph, where demand-core builds and repairs
-    run, arcs toward the nodes it leaves out never join the set. *)
+    shared). *)
 
 val all_destinations :
   ?ws:Dijkstra.workspace -> Graph.t -> weights:int array -> dag array
@@ -64,10 +62,9 @@ val for_destinations :
 (** Like {!all_destinations} but builds real DAGs only for
     destinations with [active.(dst)]; the rest get a placeholder dag
     ({!is_placeholder}) carrying just the destination id.  Callers
-    must never route demand toward an inactive destination.  A
-    demand-only evaluation context builds them on its demand core's
-    {!Graph.without} subgraph: there a real DAG is exact at the core
-    nodes only, and the nodes the subgraph cuts off read unreachable.
+    must never route demand toward an inactive destination.  An
+    evaluation context builds them on its demand core's
+    {!Graph.induced} subgraph, at its demand destinations.
     @raise Invalid_argument if [active] has the wrong length. *)
 
 val is_placeholder : dag -> bool

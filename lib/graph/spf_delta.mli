@@ -33,8 +33,9 @@
     and orders it writes, undone before reuse: a caller that reuses one
     allocates only the next-hop sets that change.  {!update} is the
     pure form, a fresh scratch and then {!scratch_copy}.  The kernel
-    repairs whatever graph it is handed, a {!Graph.without} subgraph
-    included: it reads only the arcs of that graph's adjacency. *)
+    repairs whatever graph it is handed; evaluation contexts hand it
+    their demand cores' {!Graph.induced} subgraphs, so its state, the
+    dags and the slots are all sized to the core. *)
 
 type change = {
   arc : int;  (** arc id whose weight changed *)
@@ -114,13 +115,7 @@ val update_scratch :
     so a caller that keeps them beyond that copies them
     ({!scratch_copy}).  [prev] is never
     mutated.  Same arguments and exceptions as {!update}; an exception
-    leaves [s] usable.
-
-    On a {!Graph.without} subgraph [g] the repair is the subgraph's:
-    [changes] must list only arcs of [g]'s adjacency (the screen and
-    the seeds read a listed arc's ends whether [g] keeps it or not, so
-    a dropped arc it leaves out would still label its tail), and the
-    nodes [g] cuts off keep [prev]'s labels and next-hop sets. *)
+    leaves [s] usable. *)
 
 val scratch_dags : scratch -> Spf.dag array
 (** The dags of the last {!update_scratch} (treat as immutable). *)

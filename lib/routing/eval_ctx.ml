@@ -37,27 +37,46 @@ let m_syncs =
    cores, and {!create} ignores the mode. *)
 type dest_mode = All | Demand
 
+(* What lives where.  A weight group routes on its demand core's
+   graph, numbered densely (see [core]): its dags, its classes' demand
+   and contribution rows, its flow screen and the arena's repair and
+   re-projection state are in core node and core arc ids, sized to the
+   core.  The weights, load totals, residual capacities and Fortz rows
+   are in the graph's arc ids, patched through the core's arc map.
+   Both maps ascend with the original ids, so every tie-break by id,
+   every next-hop order and every ascending fold over destinations or
+   arcs is the same in either numbering, and the results are bitwise
+   those of routing on the whole graph. *)
 type t = {
   graph : Graph.t;
+  matrices : Matrix.t array;  (* class -> demand matrix, shared by clones *)
   class_group : int array;  (* class -> group of classes sharing a weight vector *)
   group_classes : int array array;  (* group -> member classes, ascending *)
   group_w : int array array;  (* group -> current weight vector *)
-  group_dags : Spf.dag array array;  (* group -> per-destination DAGs *)
+  group_cw : int array array;
+      (* group -> the same weights in its core's arc ids; [group_w]'s
+         own vector on an identity core *)
+  group_dags : Spf.dag array array;  (* group -> per core destination DAGs *)
   demand : float array array array;
-      (* class -> dest -> per-source demand; [||] when the destination
-         has no routable positive demand (fixed for the ctx lifetime:
-         reachability is weight-independent) *)
+      (* class -> core dest -> per core source demand; [||] when the
+         destination has no routable positive demand (fixed for the ctx
+         lifetime: reachability is weight-independent) *)
   contrib : float array array array;
-      (* class -> dest -> per-arc load contribution; [||] mirrors demand *)
+      (* class -> core dest -> per core arc load contribution; [||]
+         mirrors demand *)
   loads : float array array;  (* class -> per-arc totals *)
   capacity_seen : float array array;  (* class -> residual capacity cascade *)
   phi_per_arc : float array array;
   mutable phi : float array;
   active : bool array array;
-      (* group -> the destinations its member classes sink demand at:
-         the only ones with a real dag (every other one holds a
+      (* group -> the core destinations its member classes sink demand
+         at: the only ones with a real dag (every other one holds a
          placeholder) *)
   cores : core array;  (* group -> its demand core, shared by clones *)
+  views : (Spf.dag * Spf.dag) array array;
+      (* group -> per core destination, the last dag a reader asked to
+         see in the graph's ids and that view ([||] until one asks), so
+         that views of an unchanged dag stay physically one *)
   mutable zero_shares : bool;
       (* a walk behind the committed rows split a positive flow into
          zero shares (float underflow); sticky, and it turns the
@@ -69,15 +88,19 @@ type t = {
 
 (* A weight group's demand core: the nodes on some simple path between
    two endpoints of its member classes' demand (Graph.off_core), the
-   only nodes its flow can cross.  [c_graph] is the context's graph
-   without the other nodes, the graph itself when there are none
-   ([c_off] is then [None]); [c_arcs] lists its arcs, those with both
-   ends on the core, ascending: the only arcs a contribution row of the
-   group's classes can be nonzero at. *)
+   only nodes its flow can cross, and the arcs between them, the only
+   arcs a contribution row of the group's classes can be nonzero at.
+   [c_graph] is their subgraph numbered densely (Graph.induced), and
+   [c_nodes]/[c_arcs] map its node and arc ids to the graph's,
+   [c_node_at]/[c_arc_at] back (-1 off the core).  When no node is off
+   the core it is an identity core: [c_graph] is the graph itself and
+   the maps are identities, on the same code path. *)
 and core = {
   c_graph : Graph.t;
-  c_off : bool array option;
+  c_nodes : int array;
   c_arcs : int array;
+  c_node_at : int array;
+  c_arc_at : int array;
 }
 
 (* The probe arena.  One probe engine computes every candidate —
@@ -85,27 +108,29 @@ and core = {
    rows, so pricing a candidate allocates nothing beyond the next-hop
    sets its repairs change:
 
-   - [a_spf]/[a_w]: per group, the repaired dags (Spf_delta's scratch,
-     which holds the repair kernel's state too) and the probed weight
-     row;
+   - [a_spf]/[a_cw]: per group, the repaired dags (Spf_delta's
+     scratch, which holds the repair kernel's state too) and the probed
+     weight row, in core ids;
    - [a_listed]: per arc, the number ([a_listing]) of the last probe
      whose change list named it, so a list naming an arc twice is
      refused without allocating;
    - [a_rows]: re-projected contribution rows, one per (class,
-     destination) whose row moved, listed in [a_ov_class]/[a_ov_dst];
-     [a_ov_at] maps (class, destination) to its row while the load
-     totals are re-summed, and is all -1 between probes;
-     [a_row_group] holds the group whose walk last wrote each row, -1
-     for a row never written: a row is zero off that group's core
-     arcs;
-   - [a_touched]/[a_touched_list]: the arcs whose contribution moved
-     ([a_touched] is all-false between probes);
+     destination) whose row moved, listed in [a_ov_class]/[a_ov_dst],
+     each as long as the largest core's arc count; [a_ov_at] maps
+     (class, core destination) to its row while the load totals are
+     re-summed, and is all -1 between probes;
+   - [a_touched]/[a_touched_list]: the arcs whose contribution moved,
+     in the graph's ids ([a_touched] is all-false between probes);
+     [a_on_core]/[a_on_arc]: those on one class's core, in both
+     numberings, while its totals are re-summed;
    - [a_zero_shares]: a re-projection of this computation split a
      positive flow into zero shares;
-   - [a_screen]: per destination, the flow screen of the group being
-     repaired; [a_changes]/[a_deferred]: a weight probe's effective
-     change list on its group's core graph, and how many dirty
-     destinations its screen deferred (its commit repairs them);
+   - [a_screen]: per group and core destination, the flow screen;
+     [a_changes]/[a_edits]/[a_deferred]: a weight probe's effective
+     change list on its group's core graph, the same list in the
+     graph's arc ids (its commit applies it to the weights), and how
+     many dirty destinations its screen deferred (its commit repairs
+     them);
    - [a_loads]/[a_cap]: patched load totals and residual capacities,
      valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
      classes from [a_kmin] down, and [a_phi] the probed objective.
@@ -119,13 +144,13 @@ and core = {
    domains. *)
 and arena = {
   a_spf : Spf_delta.scratch array;
-  a_w : int array array;
+  a_cw : int array array;
   a_listed : int array;
   mutable a_listing : int;
-  a_demand_dsts : int array array;  (* class -> demand destinations, ascending *)
+  a_demand_dsts : int array array;  (* class -> core demand destinations, ascending *)
   a_flow : float array;
   mutable a_rows : float array array;
-  a_row_group : int array;
+  a_row_len : int;
   a_ov_class : int array;
   a_ov_dst : int array;
   mutable a_nov : int;
@@ -133,9 +158,12 @@ and arena = {
   a_touched : bool array;
   a_touched_list : int array;
   mutable a_ntouched : int;
+  a_on_core : int array;
+  a_on_arc : int array;
   mutable a_zero_shares : bool;
-  a_screen : bool array;
+  a_screen : bool array array;
   mutable a_changes : Spf_delta.change list;
+  mutable a_edits : Spf_delta.change list;
   mutable a_deferred : int;
   a_has_ov : bool array;
   a_loads : float array array;
@@ -176,14 +204,31 @@ let fold_row row =
   done;
   !s
 
+let inverse size map =
+  let at = Array.make size (-1) in
+  Array.iteri (fun i x -> at.(x) <- i) map;
+  at
+
+(* The core of the flagged [endpoints] of demand, all routable: the
+   nodes on some simple path between two of them.  When every node is
+   one, each lies on a path of its routable demand, so none is off the
+   core and the search is skipped. *)
+let core_of g ~endpoints =
+  let n = Graph.node_count g and m = Graph.arc_count g in
+  let off = if Array.for_all Fun.id endpoints then [||] else Graph.off_core g ~endpoints in
+  if Array.exists Fun.id off then
+    let h, nodes, arcs = Graph.induced g ~keep:(Array.map not off) in
+    { c_graph = h; c_nodes = nodes; c_arcs = arcs; c_node_at = inverse n nodes;
+      c_arc_at = inverse m arcs }
+  else
+    let nodes = Array.init n Fun.id and arcs = Array.init m Fun.id in
+    { c_graph = g; c_nodes = nodes; c_arcs = arcs; c_node_at = nodes; c_arc_at = arcs }
+
 (* The demand core of a group of [members]: its endpoints are the
    sources and destinations of their matrices' positive off-diagonal
-   entries (all routable, or {!create} refuses the matrices).  When
-   every node is one, each lies on a path of its routable demand, so
-   none is off the core and the search is skipped. *)
+   entries (all routable, or {!create} refuses the matrices). *)
 let demand_core g ~matrices members =
-  let n = Graph.node_count g in
-  let endpoints = Array.make n false in
+  let endpoints = Array.make (Graph.node_count g) false in
   Array.iter
     (fun k ->
       Matrix.iter matrices.(k) (fun s dst _ ->
@@ -192,16 +237,85 @@ let demand_core g ~matrices members =
             endpoints.(dst) <- true
           end))
     members;
-  let off = if Array.for_all Fun.id endpoints then [||] else Graph.off_core g ~endpoints in
-  let m = Graph.arc_count g in
-  if Array.exists Fun.id off then
-    let on a = not (off.(Graph.src g a) || off.(Graph.dst g a)) in
-    {
-      c_graph = Graph.without g ~nodes:off;
-      c_off = Some off;
-      c_arcs = Array.of_list (List.filter on (List.init m Fun.id));
-    }
-  else { c_graph = g; c_off = None; c_arcs = Array.init m Fun.id }
+  core_of g ~endpoints
+
+let identity t c = c.c_graph == t.graph
+
+let class_core t k = t.cores.(t.class_group.(k))
+
+let placeholder dst = { Spf.dst; dist = [||]; next_arcs = [||]; order_desc = [||] }
+
+(* A dag of the graph's numbering in core [c]'s, at core destination
+   [i]: labels, next-hop sets and order at the core nodes.  A dag a
+   context left is exact there, and so is one built on the whole graph:
+   a shortest path between core nodes stays on the core. *)
+let core_dag c (d : Spf.dag) i =
+  let order = List.filter (fun v -> c.c_node_at.(v) >= 0) (Array.to_list d.order_desc) in
+  {
+    Spf.dst = i;
+    dist = Array.map (fun v -> d.dist.(v)) c.c_nodes;
+    next_arcs =
+      Array.map (fun v -> Array.map (Array.get c.c_arc_at) d.next_arcs.(v)) c.c_nodes;
+    order_desc = Array.of_list (List.map (Array.get c.c_node_at) order);
+  }
+
+(* Core [c]'s dag [d] in the graph's numbering, on [n] nodes: every
+   off-core node reads unreachable. *)
+let graph_dag c ~n (d : Spf.dag) =
+  let dist = Array.make n Dijkstra.unreachable and next_arcs = Array.make n [||] in
+  Array.iteri
+    (fun i v ->
+      dist.(v) <- d.dist.(i);
+      next_arcs.(v) <- Array.map (Array.get c.c_arcs) d.next_arcs.(i))
+    c.c_nodes;
+  {
+    Spf.dst = c.c_nodes.(d.dst);
+    dist;
+    next_arcs;
+    order_desc = Array.map (Array.get c.c_nodes) d.order_desc;
+  }
+
+(* Group [gi]'s core dags [dags] in the graph's numbering: the stored
+   array on an identity core. *)
+let graph_dags t gi dags =
+  let c = t.cores.(gi) in
+  if identity t c then dags
+  else begin
+    let n = Graph.node_count t.graph in
+    if Array.length t.views.(gi) = 0 then
+      t.views.(gi) <-
+        Array.make (Array.length c.c_nodes) (placeholder (-1), placeholder (-1));
+    let seen = t.views.(gi) in
+    Array.init n (fun v ->
+        let i = c.c_node_at.(v) in
+        if i < 0 then placeholder v
+        else begin
+          let d = dags.(i) in
+          let was, view = seen.(i) in
+          if was == d then view
+          else begin
+            let view = if Spf.is_placeholder d then placeholder v else graph_dag c ~n d in
+            seen.(i) <- (d, view);
+            view
+          end
+        end)
+  end
+
+(* The demand column of [tm] toward core [c]'s destination of [dag],
+   in core source ids, as Loads.destination_demand gathers it: [||]
+   when no source has positive demand.  Every source is a core node. *)
+let core_demand c ~dag tm =
+  let t = c.c_nodes.(dag.Spf.dst) in
+  let row = ref [||] in
+  Matrix.iter_col tm t (fun s r ->
+      if s <> t then begin
+        let v = c.c_node_at.(s) in
+        if v < 0 || dag.Spf.dist.(v) = Dijkstra.unreachable then
+          invalid_arg (Printf.sprintf "Eval_ctx.create: no path %d -> %d" s t);
+        if Array.length !row = 0 then row := Array.make (Array.length c.c_nodes) 0.;
+        !row.(v) <- r
+      end);
+  !row
 
 (* [?dest_mode] is ignored; perfbench's probe replay, its last reader,
    still passes it. *)
@@ -243,72 +357,89 @@ let create ?dags ?dest_mode:_ g ~weights ~matrices =
         done;
         Array.of_list !members)
   in
+  let cores = Array.map (demand_core g ~matrices) group_classes in
   let group_w =
     Array.init group_count (fun gi -> Array.copy weights.(group_classes.(gi).(0)))
+  in
+  let group_cw =
+    Array.mapi
+      (fun gi c ->
+        let w = group_w.(gi) in
+        if c.c_graph == g then w else Array.map (Array.get w) c.c_arcs)
+      cores
   in
   (* A destination is active for a group when any member class sinks
      positive demand there (a pure matrix property, so it can be
      computed before any SPF runs).  A group routes to its active
      destinations on its core graph alone. *)
   let active =
-    Array.map
-      (fun members ->
-        let act = Array.make n false in
+    Array.mapi
+      (fun gi members ->
+        let c = cores.(gi) in
+        let act = Array.make (Array.length c.c_nodes) false in
         Array.iter
-          (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(t) <- true))
+          (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(c.c_node_at.(t)) <- true))
           members;
         act)
       group_classes
   in
-  let cores = Array.map (demand_core g ~matrices) group_classes in
   let ws = Dijkstra.workspace () in
   let group_dags =
     Array.init group_count (fun gi ->
+        let c = cores.(gi) in
         let first = group_classes.(gi).(0) in
         match dags with
-        | Some d when Array.length d.(first) = n -> d.(first)
+        | Some d when Array.length d.(first) = n ->
+            if c.c_graph == g then d.(first)
+            else
+              Array.mapi
+                (fun i v ->
+                  if active.(gi).(i) then core_dag c d.(first).(v) i else placeholder i)
+                c.c_nodes
         | Some _ -> invalid_arg "Eval_ctx.create: dags length mismatch"
         | None ->
-            Spf.for_destinations ~ws cores.(gi).c_graph ~weights:group_w.(gi)
-              ~active:active.(gi))
+            Spf.for_destinations ~ws c.c_graph ~weights:group_cw.(gi) ~active:active.(gi))
   in
   let m = Graph.arc_count g in
   let demand =
     Array.init classes (fun k ->
-        let dags = group_dags.(class_group.(k)) in
-        Array.init n (fun t ->
-            match Loads.destination_demand ~dag:dags.(t) matrices.(k) with
-            | Some d -> d
-            | None -> [||]))
+        let c = cores.(class_group.(k)) and dags = group_dags.(class_group.(k)) in
+        Array.map (fun dag -> core_demand c ~dag matrices.(k)) dags)
   in
-  let flow = Array.make n 0. and zero_shares = ref false in
+  let zero_shares = ref false in
   let contrib =
     Array.init classes (fun k ->
-        let dags = group_dags.(class_group.(k)) in
-        Array.init n (fun t ->
-            let dem = demand.(k).(t) in
+        let c = cores.(class_group.(k)) and dags = group_dags.(class_group.(k)) in
+        let flow = Array.make (Array.length c.c_nodes) 0. in
+        Array.mapi
+          (fun i dem ->
             if Array.length dem = 0 then [||]
             else begin
-              let row = Array.make m 0. in
-              if Loads.destination_loads_into g ~dag:dags.(t) ~demand_to_dst:dem ~flow
-                   ~contrib:row
+              let row = Array.make (Array.length c.c_arcs) 0. in
+              if
+                Loads.destination_loads_into c.c_graph ~dag:dags.(i) ~demand_to_dst:dem
+                  ~flow ~contrib:row
               then zero_shares := true;
               row
-            end))
+            end)
+          demand.(k))
   in
   (* Totals as the ascending-destination sum of per-destination
      subtotals — the association every probe's patch re-sums in, so
-     patched totals stay bitwise identical to a fresh context. *)
+     patched totals stay bitwise identical to a fresh context.  Each
+     row lands on its core's arcs; every other arc stays +0., as the
+     sum of the rows' zeros there would leave it. *)
   let loads =
     Array.init classes (fun k ->
+        let arcs = cores.(class_group.(k)).c_arcs in
         let row = Array.make m 0. in
-        for t = 0 to n - 1 do
-          let c = contrib.(k).(t) in
-          if Array.length c > 0 then
-            for a = 0 to m - 1 do
-              row.(a) <- row.(a) +. c.(a)
-            done
-        done;
+        Array.iter
+          (fun c ->
+            for j = 0 to Array.length c - 1 do
+              let a = arcs.(j) in
+              row.(a) <- row.(a) +. c.(j)
+            done)
+          contrib.(k);
         row)
   in
   let caps = Graph.capacities g in
@@ -327,9 +458,11 @@ let create ?dags ?dest_mode:_ g ~weights ~matrices =
   let phi = Array.map fold_row phi_per_arc in
   {
     graph = g;
+    matrices = Array.copy matrices;
     class_group;
     group_classes;
     group_w;
+    group_cw;
     group_dags;
     demand;
     contrib;
@@ -339,6 +472,7 @@ let create ?dags ?dest_mode:_ g ~weights ~matrices =
     phi;
     active;
     cores;
+    views = Array.make group_count [||];
     zero_shares = !zero_shares;
     arena = None;
   }
@@ -356,23 +490,30 @@ let clone t =
   {
     t with
     group_w = Array.copy t.group_w;
+    group_cw = Array.copy t.group_cw;
     group_dags = Array.copy t.group_dags;
     contrib = Array.map Array.copy t.contrib;
     loads = Array.copy t.loads;
     capacity_seen = Array.copy t.capacity_seen;
     phi_per_arc = Array.copy t.phi_per_arc;
     phi = Array.copy t.phi;
+    views = Array.make (Array.length t.group_w) [||];
     arena = None;
   }
 
+(* The blit installs [src]'s rows and dags as they are, so [dst] must
+   number them alike and price them against the same demand: the same
+   graph, class groups and (physically) the same matrices, which fix
+   every group's core. *)
 let sync ~src ~dst =
   if
     src.graph != dst.graph
-    || Array.length src.group_w <> Array.length dst.group_w
-    || class_count src <> class_count dst
+    || src.class_group <> dst.class_group
+    || not (Array.for_all2 ( == ) src.matrices dst.matrices)
   then invalid_arg "Eval_ctx.sync: incompatible contexts";
   Metrics.incr_counter m_syncs;
   Array.blit src.group_w 0 dst.group_w 0 (Array.length src.group_w);
+  Array.blit src.group_cw 0 dst.group_cw 0 (Array.length src.group_cw);
   Array.blit src.group_dags 0 dst.group_dags 0 (Array.length src.group_dags);
   for k = 0 to class_count src - 1 do
     Array.blit src.contrib.(k) 0 dst.contrib.(k) 0 (Array.length src.contrib.(k))
@@ -387,34 +528,39 @@ let sync ~src ~dst =
   match dst.arena with Some a -> a.a_stamp <- a.a_stamp + 1 | None -> ()
 
 let make_arena t =
-  let n = Graph.node_count t.graph and m = Graph.arc_count t.graph in
+  let m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
   let floats () = Array.init classes (fun _ -> Array.make m 0.) in
+  let largest size = Array.fold_left (fun x c -> max x (Array.length (size c))) 0 t.cores in
+  let dests k = Array.length t.demand.(k) in
   {
     a_spf = Array.init groups (fun _ -> Spf_delta.scratch ());
-    a_w = Array.init groups (fun _ -> Array.make m 0);
+    a_cw = Array.map (fun w -> Array.make (Array.length w) 0) t.group_cw;
     a_listed = Array.make m 0;
     a_listing = 0;
     a_demand_dsts =
       Array.init classes (fun k ->
           let dsts = ref [] in
-          for dst = n - 1 downto 0 do
+          for dst = dests k - 1 downto 0 do
             if Array.length t.demand.(k).(dst) > 0 then dsts := dst :: !dsts
           done;
           Array.of_list !dsts);
-    a_flow = Array.make n 0.;
+    a_flow = Array.make (largest (fun c -> c.c_nodes)) 0.;
     a_rows = [||];
-    a_row_group = Array.make (classes * n) (-1);
-    a_ov_class = Array.make (classes * n) 0;
-    a_ov_dst = Array.make (classes * n) 0;
+    a_row_len = largest (fun c -> c.c_arcs);
+    a_ov_class = Array.make (Array.fold_left ( + ) 0 (Array.init classes dests)) 0;
+    a_ov_dst = Array.make (Array.fold_left ( + ) 0 (Array.init classes dests)) 0;
     a_nov = 0;
-    a_ov_at = Array.init classes (fun _ -> Array.make n (-1));
+    a_ov_at = Array.init classes (fun k -> Array.make (dests k) (-1));
     a_touched = Array.make m false;
     a_touched_list = Array.make m 0;
     a_ntouched = 0;
+    a_on_core = Array.make m 0;
+    a_on_arc = Array.make m 0;
     a_zero_shares = false;
-    a_screen = Array.make n false;
+    a_screen = Array.map (fun c -> Array.make (Array.length c.c_nodes) false) t.cores;
     a_changes = [];
+    a_edits = [];
     a_deferred = 0;
     a_has_ov = Array.make classes false;
     a_loads = floats ();
@@ -442,31 +588,34 @@ let evict a =
   a.a_zero_shares <- false
 
 (* The step every computation starts with: copy group [gi]'s committed
-   weights into its arena row and apply [changes] there. *)
+   core weights into its arena row and apply [changes], in core arc
+   ids, there. *)
 let set_weights t a gi changes =
-  let w = t.group_w.(gi) and new_w = a.a_w.(gi) in
+  let w = t.group_cw.(gi) and new_w = a.a_cw.(gi) in
   for arc = 0 to Array.length w - 1 do
     Array.unsafe_set new_w arc (Array.unsafe_get w arc)
   done;
   List.iter (fun c -> new_w.(c.Spf_delta.arc) <- c.Spf_delta.after) changes
 
-(* The changes of a list on core [c]'s graph.  A change with an
-   off-core end moves no flow, and the core graph holds no arc for it. *)
-let on_core g c changes =
-  match c.c_off with
-  | None -> changes
-  | Some off ->
-      List.filter
-        (fun (ch : Spf_delta.change) ->
-          not (off.(Graph.src g ch.arc) || off.(Graph.dst g ch.arc)))
-        changes
+(* A change list in core [c]'s arc ids (the list itself when every arc
+   keeps its id, as on an identity core).  A change with an off-core end
+   moves no flow, and the core holds no arc for it. *)
+let to_core c changes =
+  if List.for_all (fun (ch : Spf_delta.change) -> c.c_arc_at.(ch.arc) = ch.arc) changes
+  then changes
+  else
+    List.filter_map
+      (fun (ch : Spf_delta.change) ->
+        let j = c.c_arc_at.(ch.arc) in
+        if j < 0 then None else Some { ch with arc = j })
+      changes
 
-(* Repair group [gi]'s dags at the [active] destinations into its
+(* Repair group [gi]'s dags at the [active] core destinations into its
    scratch, on its core graph, under the arena row's weights and
-   [changes], the arcs of that graph they change. *)
+   [changes], in core arc ids. *)
 let repair t a gi ~active changes =
   Spf_delta.update_scratch a.a_spf.(gi) ~active t.cores.(gi).c_graph
-    ~weights:a.a_w.(gi) ~prev:t.group_dags.(gi) ~changes
+    ~weights:a.a_cw.(gi) ~prev:t.group_dags.(gi) ~changes
 
 (* ------------------------------------------------------------------ *)
 (* The flow screen.  A computation repairs a group's dirty destination
@@ -493,10 +642,12 @@ let repair t a gi ~active changes =
    would give; so are Λ's walks, which also start at the sources.
 
    Only a flow node z matters, and it lies on the core and can reach
-   the destination, so the test walks the destination's order.  D_u
-   is u's committed dag, exact on the core (u, the tail of a change
-   on the core, is a core node), when u is a destination the group
-   sinks demand at; the group holds no dag for any other u.  Two
+   the destination, so the test walks the destination's order.  The
+   whole screen runs on the group's core graph, in its ids: the
+   destinations, the changes and the rows.  D_u is u's committed dag
+   (u, the tail of a change on the core, is a core node), when u is a
+   destination the group sinks demand at; the group holds no dag for
+   any other u.  Two
    lowered arcs can chain.  In either case every drop that passes the
    label test forces the repair.  The one hole is a quotient that
    underflows to a zero share of a positive flow; a context whose
@@ -533,20 +684,20 @@ let rec sends t ~members ~priced dst ids i stop =
 
 (* The drop test of the one lowered arc: a node of [order] (the
    destination's, from index [i] on) that sends such flow toward [dst]
-   and that a path over the arc reaches at its label or below, where
-   [to_u] are the committed distances to the arc's tail and [via] its
-   new weight plus its head's label.  Every node of [order] reaches
-   [dst]. *)
-let rec drop_reaches t ~members ~priced dst ~dist ~to_u ~via order i =
+   over an out-arc of [g], the core graph, and that a path over the
+   arc reaches at its label or below, where [to_u] are the committed
+   distances to the arc's tail and [via] its new weight plus its head's
+   label.  Every node of [order] reaches [dst]. *)
+let rec drop_reaches t g ~members ~priced dst ~dist ~to_u ~via order i =
   i < Array.length order
   && ((let z = order.(i) in
        let du = to_u.(z) in
        du <> Dijkstra.unreachable
        && du + via <= dist.(z)
        &&
-       let off = Graph.out_offsets t.graph in
-       sends t ~members ~priced dst (Graph.out_arc_ids t.graph) off.(z) off.(z + 1))
-     || drop_reaches t ~members ~priced dst ~dist ~to_u ~via order (i + 1))
+       let off = Graph.out_offsets g in
+       sends t ~members ~priced dst (Graph.out_arc_ids g) off.(z) off.(z + 1))
+     || drop_reaches t g ~members ~priced dst ~dist ~to_u ~via order (i + 1))
 
 (* At one destination: no change passes the label test ([Clean]), some
    do but none can move flow ([Deferred]), or one can. *)
@@ -558,20 +709,20 @@ type verdict = Clean | Deferred | Repair
 let rec verdict t gi ~priced ~one_drop dst v = function
   | [] -> v
   | (c : Spf_delta.change) :: rest ->
-      let dags = t.group_dags.(gi) in
+      let g = t.cores.(gi).c_graph and dags = t.group_dags.(gi) in
       let dag = dags.(dst) in
-      if not (Spf_delta.touches t.graph dag c) then
+      if not (Spf_delta.touches g dag c) then
         verdict t gi ~priced ~one_drop dst v rest
       else begin
         let members = t.group_classes.(gi) in
-        let u = Graph.src t.graph c.arc in
+        let u = Graph.src g c.arc in
         let moves =
           if c.after > c.before then carries t ~members ~priced 0 dst c.arc
           else
             (not (one_drop && t.active.(gi).(u)))
-            || drop_reaches t ~members ~priced dst ~dist:dag.Spf.dist
+            || drop_reaches t g ~members ~priced dst ~dist:dag.Spf.dist
                  ~to_u:dags.(u).Spf.dist
-                 ~via:(c.after + dag.Spf.dist.(Graph.dst t.graph c.arc))
+                 ~via:(c.after + dag.Spf.dist.(Graph.dst g c.arc))
                  dag.Spf.order_desc 0
         in
         if moves then Repair else verdict t gi ~priced ~one_drop dst Deferred rest
@@ -587,7 +738,7 @@ let screen t a gi ~priced changes =
       0 changes
   in
   let one_drop = drops = 1 in
-  let mask = a.a_screen and act = t.active.(gi) and deferred = ref 0 in
+  let mask = a.a_screen.(gi) and act = t.active.(gi) and deferred = ref 0 in
   for dst = 0 to Array.length mask - 1 do
     let v =
       if act.(dst) then verdict t gi ~priced ~one_drop dst Clean changes else Clean
@@ -601,15 +752,15 @@ let screen t a gi ~priced changes =
   done;
   !deferred
 
-(* Set the arena row to [changes] and {!repair} the group on its core
-   graph under the changes there, which [a_changes] keeps, behind the
-   flow screen of the classes below [priced] unless the committed rows
-   underflowed; returns how many dirty destinations the screen
-   deferred.  The core holds either way: off-core nodes carry no flow,
-   underflow or not. *)
+(* Map [changes] (in the graph's arc ids) to the group's core, set the
+   arena row to them and {!repair} the group on its core graph under
+   them, which [a_changes] keeps, behind the flow screen of the classes
+   below [priced] unless the committed rows underflowed; returns how
+   many dirty destinations the screen deferred.  The core holds either
+   way: off-core nodes carry no flow, underflow or not. *)
 let repair_screened t a gi ~priced changes =
+  let changes = to_core t.cores.(gi) changes in
   set_weights t a gi changes;
-  let changes = on_core t.graph t.cores.(gi) changes in
   a.a_changes <- changes;
   if t.zero_shares then begin
     repair t a gi ~active:t.active.(gi) changes;
@@ -617,7 +768,7 @@ let repair_screened t a gi ~priced changes =
   end
   else begin
     let deferred = screen t a gi ~priced changes in
-    repair t a gi ~active:a.a_screen changes;
+    repair t a gi ~active:a.a_screen.(gi) changes;
     deferred
   end
 
@@ -626,42 +777,31 @@ let repair_screened t a gi ~priced changes =
    contribution moved; the row is kept (as an override of the committed
    one) only when it moved.  Shares land identically to a fresh
    Loads.destination_loads, so everything folded from the row stays
-   bitwise-exact.
-
-   The work stays on the group's core arcs.  Every node that carries
-   flow lies on a simple path from a source to the destination, so on
-   the core, and so does every node a next-hop arc of it leads to:
-   shares land on core arcs only, in the committed rows as in the
-   arena's.  So the row is cleared only at its last writer's core arcs,
-   the walk adds into it without a full fill, and it is compared with
-   the committed row over the group's core arcs.  The core lists hold
-   arc ids, in range for both rows, so those loops read unchecked. *)
+   bitwise-exact.  The walk runs on the group's core graph, so the row
+   is cleared, filled and compared with the committed row over the
+   core's arcs alone, the only ones a row of the class holds; both rows
+   are at least that long, so the compare reads unchecked. *)
 let reproject t a ~dags gi k dst =
   let dem = t.demand.(k).(dst) in
   if Array.length dem > 0 then begin
+    let c = t.cores.(gi) in
+    let mc = Array.length c.c_arcs in
     let i = a.a_nov in
     if i = Array.length a.a_rows then
-      a.a_rows <- Array.append a.a_rows [| Array.make (Graph.arc_count t.graph) 0. |];
+      a.a_rows <- Array.append a.a_rows [| Array.make a.a_row_len 0. |];
     let nc = a.a_rows.(i) in
-    let last = a.a_row_group.(i) in
-    if last >= 0 then begin
-      let stale = t.cores.(last).c_arcs in
-      for j = 0 to Array.length stale - 1 do
-        Array.unsafe_set nc (Array.unsafe_get stale j) 0.
-      done
-    end;
-    a.a_row_group.(i) <- gi;
+    Array.fill nc 0 mc 0.;
     if
-      Loads.spread_demand t.graph ~dag:dags.(dst) ~demand_to_dst:dem ~flow:a.a_flow
+      Loads.spread_demand c.c_graph ~dag:dags.(dst) ~demand_to_dst:dem ~flow:a.a_flow
         ~contrib:nc
     then a.a_zero_shares <- true;
     let oc = t.contrib.(k).(dst) in
-    let touched = a.a_touched and core = t.cores.(gi).c_arcs in
+    let touched = a.a_touched and arcs = c.c_arcs in
     let changed = ref false in
-    for j = 0 to Array.length core - 1 do
-      let arc = Array.unsafe_get core j in
-      if Array.unsafe_get nc arc <> Array.unsafe_get oc arc then begin
+    for j = 0 to mc - 1 do
+      if Array.unsafe_get nc j <> Array.unsafe_get oc j then begin
         changed := true;
+        let arc = Array.unsafe_get arcs j in
         if not touched.(arc) then begin
           touched.(arc) <- true;
           a.a_touched_list.(a.a_ntouched) <- arc;
@@ -697,10 +837,12 @@ let reproject_dirty t a gi k =
    association exactly.  The re-sum visits the rows, not the arcs:
    it zeroes the touched totals, then picks each destination's row
    once (its override or the committed row) and adds it at every
-   touched arc.  The touched list names each arc once, so each total
-   is still the left fold from +0. over ascending destinations.  Arc
-   ids are in range for every row, so that loop reads unchecked.  The
-   cascade runs downward from the
+   touched arc on the class's core, read at the arc's core id (a
+   touched arc off that core carries none of the class's load, so its
+   total stays +0.).  The touched list names each arc once, so each
+   total is still the left fold from +0. over ascending destinations.
+   Core arc ids are in range for every row, so that loop reads
+   unchecked.  The cascade runs downward from the
    highest-priority class whose load moved: an H change reshapes the
    residual every lower class is charged against.  Only the leading
    [classes] classes are patched; the rows carry overrides of no other
@@ -720,16 +862,27 @@ let patch t a ~classes =
     if a.a_has_ov.(k) then begin
       let dsts = a.a_demand_dsts.(k) and at = a.a_ov_at.(k) in
       let committed = t.contrib.(k) and out = a.a_loads.(k) in
+      let arc_at = (class_core t k).c_arc_at in
+      let on_core = a.a_on_core and on_arc = a.a_on_arc and on = ref 0 in
       for j = 0 to nt - 1 do
-        Array.unsafe_set out (Array.unsafe_get touched j) 0.
+        let arc = Array.unsafe_get touched j in
+        Array.unsafe_set out arc 0.;
+        let c = arc_at.(arc) in
+        if c >= 0 then begin
+          on_core.(!on) <- c;
+          on_arc.(!on) <- arc;
+          incr on
+        end
       done;
+      let on = !on in
       for q = 0 to Array.length dsts - 1 do
         let dst = dsts.(q) in
         let i = at.(dst) in
         let c = if i >= 0 then a.a_rows.(i) else committed.(dst) in
-        for j = 0 to nt - 1 do
-          let arc = Array.unsafe_get touched j in
-          Array.unsafe_set out arc (Array.unsafe_get out arc +. Array.unsafe_get c arc)
+        for j = 0 to on - 1 do
+          let arc = Array.unsafe_get on_arc j in
+          Array.unsafe_set out arc
+            (Array.unsafe_get out arc +. Array.unsafe_get c (Array.unsafe_get on_core j))
         done
       done
     end
@@ -824,6 +977,7 @@ let probe t ~klass ~changes =
       changes
   in
   let priced = class_count t in
+  a.a_edits <- spf_changes;
   a.a_deferred <- repair_screened t a group ~priced spf_changes;
   Metrics.add m_deferred a.a_deferred;
   finish t a ~group ~priced ~unreachable:0
@@ -850,11 +1004,15 @@ let check_view t p name k =
     invalid_arg (Printf.sprintf "Eval_ctx.%s: class not priced by this probe" name);
   check_probe t p name
 
+(* The core dags of group [gi] as probe [p] would leave them. *)
+let probe_core_dags t p gi =
+  if p.p_group >= 0 && gi <> p.p_group then t.group_dags.(gi)
+  else Spf_delta.scratch_dags p.p_arena.a_spf.(gi)
+
 let probe_dags t p k =
   check_view t p "probe_dags" k;
   let gi = t.class_group.(k) in
-  if p.p_group >= 0 && gi <> p.p_group then t.group_dags.(gi)
-  else Spf_delta.scratch_dags p.p_arena.a_spf.(gi)
+  graph_dags t gi (probe_core_dags t p gi)
 
 let probe_phi_row t p k =
   check_view t p "probe_phi_row" k;
@@ -873,6 +1031,13 @@ let probe_keeps_flows t p k =
   let a = p.p_arena in
   not (a.a_has_ov.(k) || a.a_zero_shares || t.zero_shares)
 
+(* The Λ of class 0's core dags [dags] under the Fortz row [row], in
+   arena [a]'s buffers. *)
+let lambda t a params ~th dags row =
+  let c = class_core t 0 in
+  Evaluate.sla_lambda a.a_sla params t.graph ~th ~core:c.c_graph ~node_at:c.c_node_at
+    ~arcs:c.c_arcs ~dags_h:dags ~phi_h_per_arc:row
+
 (* Failed arcs keep a (cheap) delay entry in the Λ walk.  A dag a
    failure probe did not repair may still route over a failed arc, but
    only at nodes without class-0 flow, which no pair's walk reaches,
@@ -881,8 +1046,8 @@ let probe_primary ~model ~th t p =
   match model with
   | Objective.Load -> p.p_phi.(0)
   | Objective.Sla params ->
-      Evaluate.sla_lambda p.p_arena.a_sla params t.graph ~th
-        ~dags_h:(probe_dags t p 0) ~phi_h_per_arc:(probe_phi_row t p 0)
+      let row = probe_phi_row t p 0 in
+      lambda t p.p_arena params ~th (probe_core_dags t p t.class_group.(0)) row
 
 (* The committed state's own primary, as {!probe_primary} prices a
    probe that moved nothing: Φ_H, or the Λ of the committed class-0
@@ -891,15 +1056,21 @@ let primary ~model ~th t =
   match model with
   | Objective.Load -> t.phi.(0)
   | Objective.Sla params ->
-      Evaluate.sla_lambda (arena_of t).a_sla params t.graph ~th
-        ~dags_h:t.group_dags.(t.class_group.(0)) ~phi_h_per_arc:t.phi_per_arc.(0)
+      lambda t (arena_of t) params ~th t.group_dags.(t.class_group.(0)) t.phi_per_arc.(0)
+
+let sla params ~th t =
+  let c = class_core t 0 in
+  Evaluate.sla_of params t.graph ~th ~core:c.c_graph ~node_at:c.c_node_at ~arcs:c.c_arcs
+    ~dags_h:t.group_dags.(t.class_group.(0)) ~phi_h_per_arc:t.phi_per_arc.(0)
 
 let zero_shares t = t.zero_shares
 
 (* Install a current probe straight from the arena, copying what it
-   moved into fresh arrays: the weight row, the dirty dags
+   moved into fresh arrays: the weight rows (the core's, and the
+   graph's with the probe's changes applied), the dirty dags
    ({!Spf_delta.scratch_copy}), the moved contribution rows, and full
-   load, capacity and Fortz rows of the classes it changed. *)
+   load, capacity and Fortz rows of the classes it changed.  All but
+   the last and the graph's weight row are sized to the core. *)
 let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
@@ -910,10 +1081,20 @@ let commit t p =
      crosses it, and every dag reads unreachable there, as {!create}
      builds them.  The probe's rows stay: they are exact. *)
   if a.a_deferred > 0 then repair t a g ~active:t.active.(g) a.a_changes;
-  t.group_w.(g) <- Array.copy a.a_w.(g);
+  let cw = Array.copy a.a_cw.(g) in
+  t.group_w.(g) <-
+    (if identity t t.cores.(g) then cw
+     else begin
+       let w = Array.copy t.group_w.(g) in
+       List.iter (fun (c : Spf_delta.change) -> w.(c.arc) <- c.after) a.a_edits;
+       w
+     end);
+  t.group_cw.(g) <- cw;
   t.group_dags.(g) <- Spf_delta.scratch_copy a.a_spf.(g);
   for i = 0 to a.a_nov - 1 do
-    t.contrib.(a.a_ov_class.(i)).(a.a_ov_dst.(i)) <- Array.copy a.a_rows.(i)
+    let k = a.a_ov_class.(i) in
+    let mc = Array.length (class_core t k).c_arcs in
+    t.contrib.(k).(a.a_ov_dst.(i)) <- Array.sub a.a_rows.(i) 0 mc
   done;
   let patched committed k src =
     let row = Array.copy committed.(k) in
@@ -1018,7 +1199,8 @@ let fail_probe ?classes:priced t ~arcs =
    destination in the graph less some arcs iff a simple path joins
    them there, and a simple path between two demand endpoints runs on
    their demand core (Graph.off_core of every class's endpoints), so
-   searches on the core's subgraph decide every pair.  A link whose
+   searches on the core's subgraph (Graph.induced, in its ids) decide
+   every pair, and a link off it severs nothing.  A link whose
    every failed arc (x, y) keeps a path from x to y severs nothing:
    any route over the arc can take that detour instead.  Otherwise one
    reverse search per destination finds the stranded sources.  Without
@@ -1031,15 +1213,22 @@ let fail_probe ?classes:priced t ~arcs =
    without a detour. *)
 let severing_links t =
   let g = t.graph and classes = class_count t in
-  let n = Graph.node_count g and m = Graph.arc_count g in
+  let n = Graph.node_count g in
+  (* Class [k]'s demand and contribution rows toward [dst], [||] when
+     it sinks none there. *)
+  let row rows k dst =
+    let i = (class_core t k).c_node_at.(dst) in
+    if i < 0 then [||] else rows.(k).(i)
+  in
   let endpoints = Array.make n false and dsts = ref [] in
   for dst = n - 1 downto 0 do
     let sinks = ref false in
     for k = 0 to classes - 1 do
-      let dem = t.demand.(k).(dst) in
+      let dem = row t.demand k dst in
       if Array.length dem > 0 then begin
         sinks := true;
-        Array.iteri (fun s x -> if x > 0. then endpoints.(s) <- true) dem
+        let nodes = (class_core t k).c_nodes in
+        Array.iteri (fun s x -> if x > 0. then endpoints.(nodes.(s)) <- true) dem
       end
     done;
     if !sinks then begin
@@ -1048,12 +1237,15 @@ let severing_links t =
     end
   done;
   let dsts = Array.of_list !dsts in
-  let core = Graph.without g ~nodes:(Graph.off_core g ~endpoints) in
-  let failed = Array.make m false in
-  let seen = Array.make n 0 and stack = Array.make n 0 and round = ref 0 in
-  (* Mark the nodes [start] reaches over the arcs of [ids] (segments
-     [off], far ends [ends]) that have not failed, until [stop] is
-     marked ([-1]: none); returns the round's mark. *)
+  let { c_graph = core; c_node_at = node_at; c_arc_at = arc_at; _ } =
+    core_of g ~endpoints
+  in
+  let c = Graph.node_count core in
+  let failed = Array.make (Graph.arc_count core) false in
+  let seen = Array.make c 0 and stack = Array.make c 0 and round = ref 0 in
+  (* Mark the core nodes [start] reaches over the arcs of [ids]
+     (segments [off], far ends [ends]) that have not failed, until
+     [stop] is marked ([-1]: none); returns the round's mark. *)
   let search ~off ~ids ~ends start ~stop =
     incr round;
     let mark = !round in
@@ -1076,47 +1268,53 @@ let severing_links t =
     mark
   in
   let detour a =
-    let y = Graph.dst g a in
+    let y = Graph.dst core a in
     seen.(y)
     = search ~off:(Graph.out_offsets core) ~ids:(Graph.out_arc_ids core)
-        ~ends:(Graph.dsts g) (Graph.src g a) ~stop:y
+        ~ends:(Graph.dsts core) (Graph.src core a) ~stop:y
   in
   (* Whether a positive-demand source of some class reaches [dst] only
      over a failed arc. *)
   let cut_off dst =
     let mark =
       search ~off:(Graph.in_offsets core) ~ids:(Graph.in_arc_ids core)
-        ~ends:(Graph.srcs g) dst ~stop:(-1)
+        ~ends:(Graph.srcs core) node_at.(dst) ~stop:(-1)
     in
     let stranded = ref false in
     for k = 0 to classes - 1 do
-      let dem = t.demand.(k).(dst) in
+      let dem = row t.demand k dst and sources = (class_core t k).c_nodes in
       for s = 0 to Array.length dem - 1 do
-        if dem.(s) > 0. && seen.(s) <> mark then stranded := true
+        if dem.(s) > 0. && seen.(node_at.(sources.(s))) <> mark then stranded := true
       done
     done;
     !stranded
   in
   let rec loaded k a = k < classes && (t.loads.(k).(a) <> 0. || loaded (k + 1) a) in
+  (* Class [k]'s share toward [dst] on arc [a]. *)
+  let share k contrib a =
+    let i = (class_core t k).c_arc_at.(a) in
+    i >= 0 && contrib.(i) <> 0.
+  in
   let rec crosses k dst a b =
     k < classes
-    && (let row = t.contrib.(k).(dst) in
-        (Array.length row > 0 && (row.(a) <> 0. || row.(b) <> 0.))
+    && (let r = row t.contrib k dst in
+        (Array.length r > 0 && (share k r a || share k r b))
         || crosses (k + 1) dst a b)
   in
   Array.map
     (fun (a, b) ->
-      if t.zero_shares || loaded 0 a || loaded 0 b then begin
-        failed.(a) <- true;
-        failed.(b) <- true;
+      let ca = arc_at.(a) and cb = arc_at.(b) in
+      if ca >= 0 && cb >= 0 && (t.zero_shares || loaded 0 a || loaded 0 b) then begin
+        failed.(ca) <- true;
+        failed.(cb) <- true;
         let cut =
-          (not (detour a && detour b))
+          (not (detour ca && detour cb))
           && Array.exists
                (fun dst -> (t.zero_shares || crosses 0 dst a b) && cut_off dst)
                dsts
         in
-        failed.(a) <- false;
-        failed.(b) <- false;
+        failed.(ca) <- false;
+        failed.(cb) <- false;
         cut
       end
       else false)
@@ -1137,7 +1335,8 @@ let weights_view t k =
 
 let dags t k =
   if k < 0 || k >= class_count t then invalid_arg "Eval_ctx.dags: class out of range";
-  t.group_dags.(t.class_group.(k))
+  let gi = t.class_group.(k) in
+  graph_dags t gi t.group_dags.(gi)
 
 let loads t k =
   if k < 0 || k >= class_count t then invalid_arg "Eval_ctx.loads: class out of range";
@@ -1154,24 +1353,50 @@ let check_class_dst t name k dst =
   if dst < 0 || dst >= Graph.node_count t.graph then
     invalid_arg (Printf.sprintf "Eval_ctx.%s: destination out of range" name)
 
+(* Class [k]'s row of [rows] toward [dst], in the graph's ids: [size]
+   entries, scattered from the core's through [ids]; the stored row on
+   an identity core. *)
+let graph_row t rows k dst ~size ~ids =
+  let c = class_core t k in
+  if identity t c then rows.(k).(dst)
+  else begin
+    let i = c.c_node_at.(dst) in
+    let row = if i < 0 then [||] else rows.(k).(i) in
+    if Array.length row = 0 then [||]
+    else begin
+      let out = Array.make size 0. in
+      Array.iteri (fun j x -> out.((ids c).(j)) <- x) row;
+      out
+    end
+  end
+
 let contrib_view t ~klass ~dst =
   check_class_dst t "contrib_view" klass dst;
-  t.contrib.(klass).(dst)
+  graph_row t t.contrib klass dst ~size:(Graph.arc_count t.graph) ~ids:(fun c -> c.c_arcs)
 
 let demand_view t ~klass ~dst =
   check_class_dst t "demand_view" klass dst;
-  t.demand.(klass).(dst)
+  graph_row t t.demand klass dst ~size:(Graph.node_count t.graph) ~ids:(fun c -> c.c_nodes)
 
 let shares_group t j k =
   j >= 0 && k >= 0 && j < class_count t && k < class_count t
   && t.class_group.(j) = t.class_group.(k)
 
+(* Per group, its committed dags in the graph's numbering, built when
+   first forced (the stored array on an identity core). *)
+let dag_views t =
+  Array.mapi
+    (fun gi dags ->
+      if identity t t.cores.(gi) then Lazy.from_val dags else lazy (graph_dags t gi dags))
+    t.group_dags
+
 let to_evaluate t =
   if class_count t <> 2 then invalid_arg "Eval_ctx.to_evaluate: need 2 classes";
+  let views = dag_views t in
   {
     Evaluate.graph = t.graph;
-    dags_h = dags t 0;
-    dags_l = dags t 1;
+    dags_h = views.(t.class_group.(0));
+    dags_l = views.(t.class_group.(1));
     h_loads = t.loads.(0);
     l_loads = t.loads.(1);
     residual = t.capacity_seen.(1);
@@ -1182,9 +1407,10 @@ let to_evaluate t =
   }
 
 let to_multi t =
+  let views = dag_views t in
   {
     Multi.graph = t.graph;
-    dags = Array.init (class_count t) (dags t);
+    dags = Array.map (Array.get views) t.class_group;
     loads = Array.copy t.loads;
     capacity_seen = Array.copy t.capacity_seen;
     phi_per_arc = Array.copy t.phi_per_arc;

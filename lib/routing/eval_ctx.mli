@@ -29,18 +29,32 @@
     member classes sink demand at, and only on the group's {e core
     graph}: a node on no simple path between two sources or
     destinations of the group's demand ({!Dtr_graph.Graph.off_core})
-    carries no flow, and {!create} builds, per group, the graph without
-    those nodes ({!Dtr_graph.Graph.without}; the graph itself when
-    there are none), which clones share.  So a group's dag is a
-    placeholder at every destination without its demand, and
-    elsewhere exact at every core node (labels, next-hop sets and the
-    order among core nodes are the whole graph's, since a shortest
-    path between core nodes stays on the core), while every off-core
-    node reads unreachable.  Loads, Φ and Λ are those of an evaluation
-    over every destination on the whole graph: a demandless
-    destination contributes an empty row, and every walk from a demand
-    source reads core nodes only.  Memory is O(demand destinations)
-    dag sets, which is what makes 10k-node contexts fit.
+    carries no flow, and {!create} builds, per group, the subgraph of
+    the other nodes and the arcs between them, numbered densely
+    ({!Dtr_graph.Graph.induced}; the graph itself when no node is off
+    the core, an {e identity core}), which clones share.  The group's
+    dags, its classes' demand and contribution rows and the probe
+    arena's repair state live in the core's node and arc ids, sized to
+    the core; weights, loads, residual capacities, Fortz rows and the
+    SLA per-arc delays stay in the graph's arc ids, patched through the
+    core's arc map.  Both maps ascend with the graph's ids, so every
+    tie-break by id, next-hop order and ascending fold is the same in
+    either numbering: a core dag is exact at every core node (labels,
+    next-hop sets and the order among core nodes are the whole graph's,
+    since a shortest path between core nodes stays on the core), and
+    loads, Φ and Λ are bitwise those of an evaluation over every
+    destination on the whole graph (a demandless destination
+    contributes an empty row, every walk from a demand source reads
+    core nodes only, and an off-core arc carries no load).  Memory is
+    O(demand destinations) core-sized dag sets, which is what makes
+    10k-node contexts fit.
+
+    The views in the graph's ids — {!dags}, {!probe_dags},
+    {!contrib_view}, {!demand_view} and the dags of {!to_evaluate} and
+    {!to_multi} — are built only when a reader asks (on an identity
+    core they are the stored arrays): no probe, commit, materialized
+    solution or Λ walk ({!probe_primary}, {!primary}, {!sla}) expands
+    anything.
 
     Probes are computed in a scratch arena the context owns (allocated
     by its first probe; a {!clone} gets its own): repaired DAGs (with
@@ -54,10 +68,7 @@
     Both probe kinds repair behind a flow screen: a dirty destination
     toward which the change list cannot move any flow of the repaired
     group is not repaired at all (see {!probe}).  Both also repair on
-    the group's core graph, every change list cut down to its arcs.
-    Shares land only on the core's arcs (both ends on the core), so a
-    re-projected row is cleared, and compared with the committed one,
-    at those arcs alone.
+    the group's core graph, every change list mapped to its arcs.
     Only {!commit} copies what a probe moved
     into fresh arrays; committed rows are replaced, never mutated, so
     clones and solution snapshots that share them stay valid.
@@ -88,10 +99,11 @@ val create :
 (** Build a context from a full evaluation of [weights] (one vector
     per class; {e physically} equal vectors form a group that is
     routed once and re-routed together).  The vectors are copied.
-    [dags], when given, must be per-class DAG arrays a context left
-    for these weights ({!dags}, e.g. through a {!Evaluate.t}), each
-    real at every destination its new group sinks demand at, and
-    skips the SPF rebuild.  [dest_mode] is ignored: perfbench's probe
+    [dags], when given, must be per-class DAG arrays in the graph's
+    ids that a context left for these weights ({!dags}, e.g. through a
+    {!Evaluate.t}), each real at every destination its new group sinks
+    demand at, and skips the SPF rebuild: the context keeps their core
+    nodes' labels, next-hop sets and order.  [dest_mode] is ignored: perfbench's probe
     replay, its last reader, still passes it.
     @raise Invalid_argument on length/size mismatches, invalid
     weights, or unroutable positive demand. *)
@@ -108,13 +120,14 @@ val clone : t -> t
 
 val sync : src:t -> dst:t -> unit
 (** Make [dst] (a {!clone} of [src]'s lineage, or any context built
-    over the same graph and matrices) evaluate
-    exactly as [src] by blitting the shared-row spine across; [dst]
-    keeps its own probe arena.  O(groups + classes
-    ⋅ destinations), no recomputation.  [dst]'s outstanding probes go
-    stale.
-    @raise Invalid_argument when the contexts disagree on graph or
-    class structure. *)
+    over the same graph and the same, physically equal, matrices, so
+    on the same demand cores) evaluate exactly as [src] by blitting
+    the shared-row spine across; [dst] keeps its own probe arena.
+    O(groups + classes ⋅ destinations), no recomputation.  [dst]'s
+    outstanding probes go stale.
+    @raise Invalid_argument when the contexts disagree on graph, class
+    structure or matrices: [src]'s rows and dags would be installed in
+    another numbering, against other demand. *)
 
 type weight
 (** The kind of a probe of a weight change: committable. *)
@@ -157,14 +170,13 @@ val probe : t -> klass:int -> changes:(int * int) list -> weight probe
     destinations.
 
     Every repair runs on the group's core graph under the changes
-    between core nodes: a change with an off-core end can move no flow
-    (it is never tight at a core node, and every path over it comes
-    back through the cut vertex it left by).  Off-core nodes keep
-    reading unreachable, while every core node of a repaired
-    destination comes out as a repair of the whole graph leaves it.
-    No flow crosses an off-core node, so Φ, the rows and Λ are
-    unaffected, and the probe's dags stay exact at every flow-carrying
-    node ({!probe_dags}).
+    between core nodes, in its ids: a change with an off-core end can
+    move no flow (it is never tight at a core node, and every path over
+    it comes back through the cut vertex it left by).  Every core node
+    of a repaired destination comes out as a repair of the whole graph
+    leaves it.  No flow crosses an off-core node, so Φ, the rows and Λ
+    are unaffected, and the probe's dags stay exact at every
+    flow-carrying node ({!probe_dags}).
     @raise Invalid_argument on an arc id or weight out of range, or an
     arc listed twice (even as a no-op entry). *)
 
@@ -229,8 +241,9 @@ val probe_unreachable : failure probe -> int
 
 val probe_dags : t -> _ probe -> int -> Dtr_graph.Spf.dag array
 (** A priced class's per-destination DAGs as the probe would leave
-    them (treat as immutable): the probe's own for a weight group it
-    repaired, the context's otherwise.  They are exact at every node
+    them, in the graph's ids (treat as immutable): the probe's own for
+    a weight group it repaired, the context's otherwise (as {!dags}
+    gives them).  They are exact at every node
     that carries flow of a priced class toward the destination, which
     is every node a walk from a demand source (the load projection, the
     SLA delay walk) reads; a destination the flow screen deferred keeps
@@ -262,10 +275,11 @@ val probe_keeps_flows : t -> weight probe -> int -> bool
 val probe_primary :
   model:Objective.model -> th:Dtr_traffic.Matrix.t -> t -> _ probe -> float
 (** A probe's primary cost: Φ_H under [Load]; under [Sla], the Λ of
-    the SLA delay walk over the probe's class-0 {!probe_dags} and
-    {!probe_phi_row} ({!Evaluate.sla_lambda}, bitwise {!Evaluate.sla_of}),
-    in buffers of the context's arena (never shared with a {!clone}),
-    so after the first call on [th] it allocates nothing.  The one
+    the SLA delay walk over the probe's class-0 dags, on their core,
+    and {!probe_phi_row} ({!Evaluate.sla_lambda}, bitwise
+    {!Evaluate.sla_of}), in buffers of the context's arena (never
+    shared with a {!clone}), so after the first call on [th] it
+    allocates nothing.  The one
     pricing of a candidate that moves the high-priority routing and of
     a link failure.  [th] must not be mutated while the context is in
     use.
@@ -274,10 +288,16 @@ val probe_primary :
 
 val primary : model:Objective.model -> th:Dtr_traffic.Matrix.t -> t -> float
 (** The committed state's primary cost: Φ_H under [Load]; under [Sla],
-    the Λ of the SLA delay walk over the committed class-0 {!dags} and
-    {!phi_per_arc} row, in the buffers {!probe_primary} uses.  Bitwise
-    {!probe_primary} of a probe that repaired and re-projected
-    nothing. *)
+    the Λ of the SLA delay walk over the committed class-0 dags, on
+    their core, and {!phi_per_arc} row, in the buffers {!probe_primary}
+    uses.  Bitwise {!probe_primary} of a probe that repaired and
+    re-projected nothing. *)
+
+val sla : Dtr_cost.Sla.params -> th:Dtr_traffic.Matrix.t -> t -> Evaluate.sla
+(** The committed state's full SLA costing ({!Evaluate.evaluate_sla}
+    of {!to_evaluate}, bitwise): the delay walk over the committed
+    class-0 dags, on their core, and the {!phi_per_arc} row.  Its
+    [lambda] is {!primary} under [Sla]. *)
 
 val zero_shares : t -> bool
 (** Whether a walk behind the committed rows split a positive flow
@@ -295,8 +315,10 @@ val commit : t -> weight probe -> unit
     (later probes screen with them, and materialized solutions and
     reports read them): when the probe deferred a dirty destination,
     the group is first repaired again without the flow screen, on its
-    core graph.  No commit repairs off the core, where every dag
-    reads unreachable.  The probe's rows are kept, being exact.
+    core graph.  A commit copies the rows of the graph's ids it
+    replaces (weights, and the load, residual and Fortz rows of the
+    classes it moved) and otherwise only core-sized arrays.  The
+    probe's rows are kept, being exact.
     Committing advances the state, so every probe taken before goes
     stale.
     @raise Invalid_argument on a stale probe: one taken on another
@@ -327,11 +349,13 @@ val weights_view : t -> int -> int array
     being avoided. *)
 
 val dags : t -> int -> Dtr_graph.Spf.dag array
-(** Current per-destination DAGs of a class (shared; treat as
-    immutable — commits replace, never mutate, them): a placeholder at
-    every destination without demand in the class's group, and
+(** Current per-destination DAGs of a class in the graph's ids (treat
+    as immutable — commits replace, never mutate, them): a placeholder
+    at every destination without demand in the class's group, and
     elsewhere exact at every node of the group's core, every off-core
-    node reading unreachable. *)
+    node reading unreachable.  Built from the core's dags when asked
+    (a dag already viewed and unchanged since is the same physical
+    value); on an identity core, the stored array itself. *)
 
 val loads : t -> int -> float array
 (** Current per-arc load totals of a class (shared; commits replace
@@ -344,19 +368,21 @@ val phi_per_arc : t -> int -> float array
     a solution. *)
 
 val contrib_view : t -> klass:int -> dst:int -> float array
-(** One destination's committed per-arc load contribution for a class
-    — the exact row {!loads} sums in ascending-destination order (so
-    re-summing the rows reproduces the totals {e bitwise}).  [[||]]
-    when the destination has no routable positive demand in that
-    class.  Shared, not copied: commits replace rows, never mutate
-    them, so a held view is a stable snapshot.  This is the raw
-    material of {!Attribution}.
+(** One destination's committed per-arc load contribution for a class,
+    in the graph's arc ids — the exact row {!loads} sums in
+    ascending-destination order (so re-summing the rows reproduces the
+    totals {e bitwise}).  [[||]] when the destination has no routable
+    positive demand in that class.  On an identity core the stored row,
+    shared, not copied (commits replace rows, never mutate them, so a
+    held view is a stable snapshot); otherwise a fresh row scattered
+    from the core's.  This is the raw material of {!Attribution}.
     @raise Invalid_argument on a class or destination out of range. *)
 
 val demand_view : t -> klass:int -> dst:int -> float array
-(** One destination's per-source demand column for a class ([[||]]
-    mirrors {!contrib_view}; fixed for the context's lifetime —
-    reachability is weight-independent).  Shared; never mutate.
+(** One destination's per-source demand column for a class, in the
+    graph's node ids ([[||]] mirrors {!contrib_view}; fixed for the
+    context's lifetime — reachability is weight-independent).  Shared
+    on an identity core, fresh otherwise; never mutate.
     @raise Invalid_argument on a class or destination out of range. *)
 
 val shares_group : t -> int -> int -> bool
@@ -365,9 +391,8 @@ val shares_group : t -> int -> int -> bool
 val to_evaluate : t -> Evaluate.t
 (** Materialize the two-class view.  O(1): the record references the
     context's current arrays, which later commits replace rather than
-    mutate.  Its dags are {!dags}': exact on the demand core, at
-    demand destinations only.  @raise Invalid_argument unless
-    [class_count t = 2]. *)
+    mutate.  Its dags are {!dags}' of the current state, built only
+    when forced.  @raise Invalid_argument unless [class_count t = 2]. *)
 
 val to_multi : t -> Multi.t
 (** Materialize the [T]-class view (same sharing discipline). *)

@@ -7,12 +7,17 @@
     the special case of one weight vector shared by both classes (its
     shortest-path DAGs are computed once).  The record references the
     context's arrays; reports, the SLA costing and the searches'
-    solutions read it. *)
+    solutions read it.  Its dags are built when first forced: a context
+    keeps them in its demand cores' numbering, and the original-id
+    arrays are made only for a reader that asks. *)
 
 type t = {
   graph : Dtr_graph.Graph.t;
-  dags_h : Dtr_graph.Spf.dag array;  (** per-destination DAGs for [wh] *)
-  dags_l : Dtr_graph.Spf.dag array;  (** per-destination DAGs for [wl] *)
+  dags_h : Dtr_graph.Spf.dag array Lazy.t;
+      (** per-destination DAGs for [wh] *)
+  dags_l : Dtr_graph.Spf.dag array Lazy.t;
+      (** per-destination DAGs for [wl] (the same lazy value as
+          [dags_h] when both classes share one weight vector) *)
   h_loads : float array;  (** per-arc high-priority load [H_l] *)
   l_loads : float array;  (** per-arc low-priority load [L_l] *)
   residual : float array;  (** [max(C_l − H_l, 0)] *)
@@ -57,21 +62,29 @@ val sla_of :
   Dtr_cost.Sla.params ->
   Dtr_graph.Graph.t ->
   th:Dtr_traffic.Matrix.t ->
+  core:Dtr_graph.Graph.t ->
+  node_at:int array ->
+  arcs:int array ->
   dags_h:Dtr_graph.Spf.dag array ->
   phi_h_per_arc:float array ->
   sla
 (** {!evaluate_sla} from the high-priority routing alone: per-arc
-    delays from the [Φ_{H,l}] row (Eq. 3), expected pair delays walked
-    over [dags_h], and the Λ fold (Eq. 4).  The one SLA costing of
-    every evaluation path — full evaluations, and weight and failure
-    probes ({!Eval_ctx.probe_primary}) — so all of them price Λ
+    delays from [g]'s [Φ_{H,l}] row (Eq. 3), expected pair delays
+    walked over [dags_h], and the Λ fold (Eq. 4).  The dags route on
+    [core], [g] itself or a subgraph of it ({!Dtr_graph.Graph.induced})
+    that holds every high-priority pair's walk, numbered through
+    [node_at] ([g]'s node to [core]'s) and [arcs] ([core]'s arc to
+    [g]'s); [arc_delay] and [pair_delays] are in [g]'s ids.  The one SLA
+    costing of every evaluation path — full evaluations, and weight and
+    failure probes ({!Eval_ctx.probe_primary}) — so all of them price Λ
     bitwise alike.  Runs the fold of {!sla_lambda} over a fresh
     {!sla_scratch}. *)
 
 type sla_scratch
 (** Buffers of the SLA fold (per-arc delays, per-destination expected
-    delays, the pair list of the last matrix seen), reused from call to
-    call.  Owned by one caller at a time: not domain-safe. *)
+    delays, the pair list of the last matrix and numbering seen), reused
+    from call to call.  Owned by one caller at a time: not
+    domain-safe. *)
 
 val sla_scratch : unit -> sla_scratch
 
@@ -80,11 +93,15 @@ val sla_lambda :
   Dtr_cost.Sla.params ->
   Dtr_graph.Graph.t ->
   th:Dtr_traffic.Matrix.t ->
+  core:Dtr_graph.Graph.t ->
+  node_at:int array ->
+  arcs:int array ->
   dags_h:Dtr_graph.Spf.dag array ->
   phi_h_per_arc:float array ->
   float
-(** [(sla_of params g ~th ~dags_h ~phi_h_per_arc).lambda], bitwise —
-    the same fold — computed in the scratch's buffers: after the first
-    call on a matrix it allocates nothing.  The scratch caches [th]'s
-    pair list by physical identity, so [th] must not be mutated while
-    the scratch is in use. *)
+(** [(sla_of params g ~th ~core ~node_at ~arcs ~dags_h
+    ~phi_h_per_arc).lambda], bitwise — the same fold — computed in the
+    scratch's buffers: after the first call on a matrix and numbering it
+    allocates nothing.  The scratch caches [th]'s pair list by the
+    physical identity of [th] and [node_at], so neither may be mutated
+    while the scratch is in use. *)

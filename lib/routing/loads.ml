@@ -46,20 +46,10 @@ let check_scratch name g ~demand_to_dst ~flow ~contrib =
 
 (* The walk from the demand sources: [flow] starts as the demand, the
    destination's own set to zero.  {!spread} reads [flow] at the
-   order's nodes only, and every demand source is one of them (a
-   routable source reaches the destination), so those are the only
-   entries to seed.  A short order, a demand-only dag's on its core
-   graph, is seeded node by node; a long one is cheaper to blit whole
-   than to seed at scattered positions (an eighth of the nodes is
-   about where the two cost the same). *)
+   order's nodes only, which on a context's core graph are nearly all
+   of its nodes, so the demand row is blitted in whole. *)
 let walk g ~dag ~demand_to_dst ~flow ~contrib =
-  let order = dag.Spf.order_desc and n = Graph.node_count g in
-  if 8 * Array.length order < n then
-    for i = 0 to Array.length order - 1 do
-      let v = order.(i) in
-      flow.(v) <- demand_to_dst.(v)
-    done
-  else Array.blit demand_to_dst 0 flow 0 n;
+  Array.blit demand_to_dst 0 flow 0 (Graph.node_count g);
   flow.(dag.Spf.dst) <- 0.;
   spread g ~dag ~flow ~contrib
 

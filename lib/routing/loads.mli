@@ -26,10 +26,8 @@ val destination_loads_into :
 (** Arena variant of {!destination_loads}: writes the contribution
     into the caller-owned [contrib] row (length >= arc count) using
     [flow] (length >= node count) as flow scratch.  [contrib] is
-    cleared, and [flow] is seeded from [demand_to_dst] at every node of
-    the dag's order, the only entries the walk reads (node by node when
-    the order holds under an eighth of the nodes, by a blit of the
-    whole row otherwise), so both can be reused across destinations;
+    cleared, and [flow] is seeded from [demand_to_dst] (a blit of the
+    whole row), so both can be reused across destinations;
     the resulting shares are bitwise identical to
     {!destination_loads}, and [flow] is left holding the throughflow
     (own demand plus transit) of each node of the order.  Returns [true] when the
@@ -49,10 +47,8 @@ val spread_demand :
 (** {!destination_loads_into} without clearing [contrib]: the same
     walk adds its shares into [contrib], so the caller keeps [contrib]
     zero wherever a share can land, the next-hop arcs of the nodes
-    that carry flow.  Those lie on the demand core (every flow node is
-    on a simple path from a source to the destination), so a caller
-    that reuses a row need only clear it there.  The walk reads a
-    node's next-hop set only when the node carries flow.
+    that carry flow.  The walk reads a node's next-hop set only when
+    the node carries flow.
     @raise Invalid_argument as {!destination_loads_into}. *)
 
 val destination_demand :

@@ -3,7 +3,7 @@ module Spf = Dtr_graph.Spf
 
 type t = {
   graph : Graph.t;
-  dags : Spf.dag array array;
+  dags : Spf.dag array Lazy.t array;
   loads : float array array;
   capacity_seen : float array array;
   phi_per_arc : float array array;

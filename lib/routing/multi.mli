@@ -12,8 +12,10 @@
 
 type t = {
   graph : Dtr_graph.Graph.t;
-  dags : Dtr_graph.Spf.dag array array;
-      (** [dags.(k)]: per-destination DAGs of class [k]'s weights *)
+  dags : Dtr_graph.Spf.dag array Lazy.t array;
+      (** [dags.(k)]: per-destination DAGs of class [k]'s weights, built
+          when first forced (one lazy value per weight vector, shared
+          by the classes that route on it) *)
   loads : float array array;  (** [loads.(k).(arc)] *)
   capacity_seen : float array array;
       (** [capacity_seen.(k).(arc)]: residual capacity available to

@@ -24,8 +24,8 @@ let assemble g ~dags_h ~h_loads ~dags_l ~l_loads =
   in
   {
     Evaluate.graph = g;
-    dags_h;
-    dags_l;
+    dags_h = Lazy.from_val dags_h;
+    dags_l = Lazy.from_val dags_l;
     h_loads;
     l_loads;
     residual;

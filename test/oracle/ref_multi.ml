@@ -59,4 +59,4 @@ let evaluate g ~weights ~matrices =
             Fortz.phi ~load:loads.(k).(a) ~capacity:capacity_seen.(k).(a)))
   in
   let phi = Array.map (Array.fold_left ( +. ) 0.) phi_per_arc in
-  { Multi.graph = g; dags; loads; capacity_seen; phi_per_arc; phi }
+  { Multi.graph = g; dags = Array.map Lazy.from_val dags; loads; capacity_seen; phi_per_arc; phi }

@@ -4,7 +4,9 @@
 
    - allocation: after a warm-up pass, cost reads and failure probes
      on a network with n and m above the minor-heap size limit
-     allocate nothing directly in the major heap;
+     allocate nothing directly in the major heap, and a commit
+     allocates there only the arc-indexed rows it replaces, the same
+     number of them whatever the number of nodes off the demand core;
    - equivalence: under random interleavings of cost reads, commits,
      failure probes and syncs on a context and its clone, every cost
      equals a from-scratch evaluation and every failure the
@@ -123,7 +125,7 @@ let direct_major_words f =
    or a 304-node transit–stub one with 636 arcs and its eight
    highest-degree nodes as PoPs (the four transit routers and four
    stub gateways), where every other stub node is off the core and
-   probes repair masked. *)
+   probes repair on the core's 8-node, 20-arc graph. *)
 let large_problem ?(transit_stub = false) ~model () =
   let rng = Prng.create 11 in
   let g =
@@ -213,7 +215,75 @@ let allocation_gate ?transit_stub ~model () =
   pass ();
   let words = direct_major_words pass in
   ignore (Sys.opaque_identity !sink);
-  Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0. words
+  Alcotest.(check (float 0.)) "words allocated directly in the major heap" 0. words;
+  (* On an identity core the graph-id views are the stored arrays. *)
+  if transit_stub <> Some true then
+    Alcotest.(check bool) "dag views are the stored arrays" true
+      (Eval_ctx.dags ec 0 == Eval_ctx.dags ec 0
+      && Lazy.force (Eval_ctx.to_evaluate ec).Evaluate.dags_l == Eval_ctx.dags ec 1)
+
+(* An 8-node core (a ring and two chords, 20 arcs, numbered first) with
+   a stub tree of [stub] nodes hung off each core node by a single
+   uplink, and demand of both classes between the core nodes only: the
+   stubs are off the demand core, whatever their size. *)
+let stubbed_core ~stub =
+  let core_links = List.init 8 (fun v -> (v, (v + 1) mod 8)) @ [ (0, 4); (2, 6) ] in
+  let n = 8 + (8 * stub) in
+  let link (u, v) = Graph.add_symmetric ~capacity:100. ~delay:1. u v [] in
+  let stubs =
+    List.init (8 * stub) (fun i ->
+        let v = 8 + i and first = 8 + (stub * (i / stub)) in
+        (* Node [first] hangs off its core node; every later one off an
+           earlier node of its tree. *)
+        if v = first then (i / stub, v) else (first + ((v - first - 1) / 2), v))
+  in
+  let g = Graph.build ~n (List.concat_map link (core_links @ stubs)) in
+  let th = Matrix.create_sparse n and tl = Matrix.create_sparse n in
+  for s = 0 to 7 do
+    for t = 0 to 7 do
+      if s <> t then begin
+        Matrix.set th s t (float_of_int (3 + s + t));
+        Matrix.set tl s t (float_of_int (20 + (5 * s) + (3 * t)))
+      end
+    done
+  done;
+  (g, th, tl)
+
+(* The same probe/commit sequence on two instances of [stubbed_core],
+   with 40 and 80 stub nodes per core node: every change is on a core
+   arc, so both run the same repairs on the same core.  A commit copies
+   the weight, load, residual and Fortz rows it replaces, m + 1 words
+   each in the major heap, and everything else it installs (dags,
+   contribution rows, core weights) is sized to the core, below the
+   minor-heap limit.  So the words a commit allocates directly in the
+   major heap, divided by m + 1, are the same count of rows on both. *)
+let commit_rows_gate () =
+  let rows ~stub =
+    let g, th, tl = stubbed_core ~stub in
+    let m = Graph.arc_count g in
+    Alcotest.(check bool) "m above 256" true (m > 256);
+    let rng = Prng.create 7 in
+    let weights () =
+      Array.init m (fun a -> if a < 20 then Prng.int_incl rng 5 25 else 10)
+    in
+    let wh = weights () in
+    let wl = weights () in
+    let ec = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
+    let words = ref 0. in
+    for i = 1 to 30 do
+      let klass = i mod 2 in
+      let w = Eval_ctx.weights_view ec klass in
+      let arc = Prng.int rng 20 in
+      let v = 1 + ((w.(arc) + Prng.int_incl rng 1 20) mod 30) in
+      let p = Eval_ctx.probe ec ~klass ~changes:[ (arc, v) ] in
+      words := !words +. direct_major_words (fun () -> Eval_ctx.commit ec p)
+    done;
+    !words /. float_of_int (m + 1)
+  in
+  let small = rows ~stub:40 and large = rows ~stub:80 in
+  Alcotest.(check bool) "rows copied" true (small > 0. && Float.is_integer small);
+  Alcotest.(check (float 0.)) "major-heap words per commit / (m + 1), 40 vs 80 stub nodes"
+    small large
 
 (* ------------------------------------------------------------------ *)
 (* (b) Interleavings on a context and its clone *)
@@ -459,6 +529,43 @@ let test_foreign_probe_refused () =
   Alcotest.(check (array (float 0.))) "original unmoved" (Eval_ctx.phi fresh)
     (Eval_ctx.phi ec);
   Eval_ctx.commit worker p
+
+(* Sync installs another context's rows and dags as they are, so it
+   takes only a context of the same graph and matrices: a clone, or a
+   fresh context built from them (as a search's restart builds one),
+   which then evaluates as the source does.  Two contexts of one graph
+   built from different matrices route on different demand cores
+   (here the high class's: the second context's demand leaves node 5
+   off its core) and are refused either way. *)
+let test_sync_refuses_other_cores () =
+  let g = Dtr_topology.Classic.line 6 ~capacity:100. in
+  let n = Graph.node_count g in
+  let matrix pairs =
+    let m = Matrix.create n in
+    List.iter (fun (s, t, x) -> Matrix.set m s t x) pairs;
+    m
+  in
+  let th = matrix [ (0, 5, 3.); (5, 1, 2.) ] and th' = matrix [ (0, 4, 3.); (4, 1, 2.) ] in
+  let tl = matrix [ (1, 4, 7.); (4, 2, 5.) ] in
+  let w = Array.make (Graph.arc_count g) 5 in
+  let ctx th = Eval_ctx.create g ~weights:[| w; Array.copy w |] ~matrices:[| th; tl |] in
+  let a = ctx th and b = ctx th' in
+  List.iter
+    (fun (what, src, dst) ->
+      Alcotest.check_raises what (Invalid_argument "Eval_ctx.sync: incompatible contexts")
+        (fun () -> Eval_ctx.sync ~src ~dst))
+    [ ("other matrices", a, b); ("other matrices, back", b, a) ];
+  let early = Eval_ctx.clone a in
+  Eval_ctx.commit a (Eval_ctx.probe a ~klass:0 ~changes:[ (0, 9) ]);
+  let fresh = ctx th in
+  List.iter
+    (fun (what, dst) ->
+      Eval_ctx.sync ~src:a ~dst;
+      Alcotest.(check (array (float 0.))) (what ^ " follows") (Eval_ctx.phi a)
+        (Eval_ctx.phi dst);
+      Alcotest.(check (array int)) (what ^ ": weights") (Eval_ctx.weights a 0)
+        (Eval_ctx.weights dst 0))
+    [ ("a fresh context of the same matrices", fresh); ("a clone", early) ]
 
 (* ------------------------------------------------------------------ *)
 (* (d) Failure probes' views and their errors *)
@@ -825,8 +932,10 @@ let check_same_ctx ~what problem ~want ~got =
       ("loads L", ea.Evaluate.l_loads, eb.Evaluate.l_loads);
       ("residual", ea.Evaluate.residual, eb.Evaluate.residual);
     ];
-  if ea.Evaluate.dags_h <> eb.Evaluate.dags_h then Alcotest.failf "%s: H dags" what;
-  if ea.Evaluate.dags_l <> eb.Evaluate.dags_l then Alcotest.failf "%s: L dags" what
+  if Lazy.force ea.Evaluate.dags_h <> Lazy.force eb.Evaluate.dags_h then
+    Alcotest.failf "%s: H dags" what;
+  if Lazy.force ea.Evaluate.dags_l <> Lazy.force eb.Evaluate.dags_l then
+    Alcotest.failf "%s: L dags" what
 
 (* What the walks did: returns to a best that had moved off the start,
    and those in robust mode, where a new best comes from a sweep. *)
@@ -1003,6 +1112,8 @@ let () =
             (allocation_gate ~transit_stub:true ~model:Objective.Load);
           Alcotest.test_case "sla, demand destinations, transit-stub" `Quick
             (allocation_gate ~transit_stub:true ~model:(Objective.Sla Sla.default));
+          Alcotest.test_case "commits copy only arc rows, whatever the stubs" `Quick
+            commit_rows_gate;
         ] );
       ( "equivalence",
         [
@@ -1029,6 +1140,8 @@ let () =
             test_probe_views_go_stale;
           Alcotest.test_case "a clone's probe is refused by the original" `Quick
             test_foreign_probe_refused;
+          Alcotest.test_case "sync refuses a context of other matrices" `Quick
+            test_sync_refuses_other_cores;
           Alcotest.test_case "failure views go stale at the next probe" `Quick
             test_failure_views_go_stale;
           Alcotest.test_case "failure probe view errors" `Quick

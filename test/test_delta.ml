@@ -652,11 +652,10 @@ let test_same_flows_counterexample () =
   Alcotest.(check (float 0.)) "new h->t" 1.0000000000000002e16 (load dags.(t))
 
 (* ------------------------------------------------------------------ *)
-(* Repairs on a demand core: a repair masked with the off-core nodes of
-   a demand core (Graph.off_core) runs the kernel on the core's graph
-   (Graph.without) under the changes between core nodes.  At every core
-   node of a core destination it is the full graph's repair, and it
-   leaves every off-core node as [prev] has it. *)
+(* Repairs on a demand core: a repair on the subgraph of a demand
+   core (Graph.off_core), numbered densely (Graph.induced), runs the
+   kernel under the changes between core nodes, in core ids.  At every
+   core node of a core destination it is the full graph's repair. *)
 
 (* A graph from directed arcs [(u, v, w)], and its weight vector. *)
 let weighted n arcs =
@@ -669,70 +668,111 @@ let endpoints_of n nodes = Array.init n (fun v -> List.mem v nodes)
 
 let core_order off order = List.filter (fun v -> not off.(v)) (Array.to_list order)
 
+(* The core of [g] without the [off] nodes: its graph and the maps
+   from its node and arc ids to [g]'s and back. *)
+type core = { h : Graph.t; nodes : int array; arcs : int array; node_at : int array; arc_at : int array }
+
+let core_of g ~off =
+  let h, nodes, arcs = Graph.induced g ~keep:(Array.map not off) in
+  let inverse size map =
+    let at = Array.make size (-1) in
+    Array.iteri (fun i x -> at.(x) <- i) map;
+    at
+  in
+  { h; nodes; arcs; node_at = inverse (Graph.node_count g) nodes;
+    arc_at = inverse (Graph.arc_count g) arcs }
+
+(* A dag of [g] at the core's nodes, in core ids: exact there, as a
+   shortest path between core nodes stays on the core. *)
+let dag_on_core c (d : Spf.dag) =
+  {
+    Spf.dst = c.node_at.(d.Spf.dst);
+    dist = Array.map (fun v -> d.Spf.dist.(v)) c.nodes;
+    next_arcs = Array.map (fun v -> Array.map (Array.get c.arc_at) d.Spf.next_arcs.(v)) c.nodes;
+    order_desc =
+      Array.of_list
+        (List.filter_map
+           (fun v -> if c.node_at.(v) >= 0 then Some c.node_at.(v) else None)
+           (Array.to_list d.Spf.order_desc));
+  }
+
 (* The changes of [edits] on [w], and those of them between core
-   nodes: the list a repair on the core's graph takes. *)
+   nodes, in core ids: the list a repair on the core's graph takes. *)
 let split_changes g ~off w edits =
+  let c = core_of g ~off in
   let changes =
     List.map (fun (arc, v) -> { Spf_delta.arc; before = w.(arc); after = v }) edits
   in
-  let on_core (c : Spf_delta.change) =
-    not (off.(Graph.src g c.arc) || off.(Graph.dst g c.arc))
+  let on_core (ch : Spf_delta.change) =
+    let j = c.arc_at.(ch.arc) in
+    if j < 0 then None else Some { ch with arc = j }
   in
-  (changes, List.filter on_core changes)
+  (changes, List.filter_map on_core changes)
 
-(* Repair [prev] on the core's graph [Graph.without g ~nodes:off] into
-   [s], under the weights [edits] give [w] and the edits between core
-   nodes. *)
+(* Repair [prev] (dags of [g]) on the core's graph into [s], under the
+   weights [edits] give [w] and the edits between core nodes, all in
+   core ids; returns the core. *)
 let repair_on_core s g ~off w prev edits =
+  let c = core_of g ~off in
   let weights = Array.copy w in
   List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
   let _, kept = split_changes g ~off w edits in
-  Spf_delta.update_scratch s (Graph.without g ~nodes:off) ~weights ~prev ~changes:kept
+  Spf_delta.update_scratch s c.h ~weights:(Array.map (Array.get weights) c.arcs)
+    ~prev:(Array.map (fun v -> dag_on_core c prev.(v)) c.nodes)
+    ~changes:kept;
+  c
 
 (* Price [edits] on [w] (left as it is) from [prev] with the scratch
    update on the core's graph and the pure one on the full graph, and
    check the core repair's dags: its dirty list is the full repair's
-   less the destinations no core change touches; at a core destination,
-   every core node's label and next-hop set are the full repair's and
-   the core nodes keep the full repair's order among themselves; at
-   every destination, every off-core node keeps [prev]'s label and
-   (physically) its set, and the order is sorted by the core repair's
-   labels.  Returns whether the full repair moved an off-core node: one
-   the core repair skipped. *)
+   core destinations that a core change touches; at every core
+   destination, every core node's label and next-hop set are the full
+   repair's, the core nodes keep the full repair's order among
+   themselves, and the order is sorted by the core repair's labels.
+   Returns whether the full repair moved an off-core node toward a
+   core destination: one the core repair never holds. *)
 let check_masked ?(s = Spf_delta.scratch ()) ~what g ~off w prev edits =
   let weights = Array.copy w in
   List.iter (fun (arc, v) -> weights.(arc) <- v) edits;
   let changes, kept = split_changes g ~off w edits in
-  repair_on_core s g ~off w prev edits;
+  let c = repair_on_core s g ~off w prev edits in
   let full, dirty = Spf_delta.update g ~weights ~prev ~changes in
   let masked = Spf_delta.scratch_dags s in
   Alcotest.(check (list int)) (what ^ ": dirty list")
-    (List.filter (fun t -> List.exists (Spf_delta.touches g prev.(t)) kept) dirty)
-    (List.init (Spf_delta.scratch_dirty s) (Spf_delta.scratch_dirty_at s));
+    (List.filter
+       (fun t ->
+         (not off.(t))
+         && List.exists (Spf_delta.touches c.h (dag_on_core c prev.(t))) kept)
+       dirty)
+    (List.init (Spf_delta.scratch_dirty s) (fun i ->
+         c.nodes.(Spf_delta.scratch_dirty_at s i)));
   let skipped = ref false in
   Array.iteri
-    (fun t (d : Spf.dag) ->
+    (fun i (d : Spf.dag) ->
+      let t = c.nodes.(i) in
       let was = prev.(t) and want = full.(t) in
       let what = Printf.sprintf "%s dst %d" what t in
       Array.iteri
         (fun x flagged ->
           if flagged then begin
-            if d.Spf.dist.(x) <> was.Spf.dist.(x) || d.Spf.next_arcs.(x) != was.Spf.next_arcs.(x)
-            then Alcotest.failf "%s: off-core node %d moved" what x;
             if
               want.Spf.dist.(x) <> was.Spf.dist.(x)
               || want.Spf.next_arcs.(x) <> was.Spf.next_arcs.(x)
             then skipped := true
           end
-          else if not off.(t) then begin
-            if d.Spf.dist.(x) <> want.Spf.dist.(x) then
-              Alcotest.failf "%s: node %d label %d, unmasked %d" what x d.Spf.dist.(x)
+          else begin
+            let cx = c.node_at.(x) in
+            if d.Spf.dist.(cx) <> want.Spf.dist.(x) then
+              Alcotest.failf "%s: node %d label %d, unmasked %d" what x d.Spf.dist.(cx)
                 want.Spf.dist.(x);
-            if d.Spf.next_arcs.(x) <> want.Spf.next_arcs.(x) then
+            if Array.map (Array.get c.arcs) d.Spf.next_arcs.(cx) <> want.Spf.next_arcs.(x)
+            then
               Alcotest.failf "%s: node %d next hops differ from the unmasked ones" what x
           end)
         off;
-      if (not off.(t)) && core_order off d.Spf.order_desc <> core_order off want.Spf.order_desc
+      if
+        Array.to_list (Array.map (Array.get c.nodes) d.Spf.order_desc)
+        <> core_order off want.Spf.order_desc
       then Alcotest.failf "%s: core nodes out of the unmasked order" what;
       let o = d.Spf.order_desc and l = d.Spf.dist in
       for i = 1 to Array.length o - 1 do
@@ -773,8 +813,8 @@ let stub_links rng n =
 (* Random rings with chords, stubs hung on them, weights 1–3 and two to
    four endpoints on the ring; batches of one to three raises, drops,
    failures and restores, each priced on the core's graph against the
-   same [prev] and sometimes applied.  Counts the core repairs that
-   skipped an off-core node the full one moved. *)
+   same [prev] and sometimes applied.  Counts the core repairs whose
+   full counterpart moved an off-core node. *)
 let masked_skips = ref 0
 
 let prop_masked_repairs =
@@ -839,12 +879,13 @@ let test_masked_repairs =
       masked_skips := 0;
       run ();
       if !masked_skips = 0 then
-        Alcotest.fail "no masked repair skipped an off-core node" )
+        Alcotest.fail "no full repair moved an off-core node" )
 
 (* A core ring 0-1-2-3 and a stub ring 4-5-6 hung on 0 over the bridge
    0-4; the endpoints 1, 2 and 3 leave 0 in the core and 4, 5, 6 off
    it.  Toward 2: d(1) = d(3) = 1, d(0) = 2 over 1 (over 3 it is 11),
-   d(4) = 4, d(5) = 5 and d(6) = 6. *)
+   d(4) = 4, d(5) = 5 and d(6) = 6.  The core's nodes and arcs come
+   first, so their ids are the same in the core's numbering. *)
 let stub_ring () =
   let g, w =
     weighted 7
@@ -859,11 +900,11 @@ let stub_ring () =
     [| false; false; false; false; true; true; true |] off;
   (g, w, off, Spf.all_destinations g ~weights:w)
 
-(* Never mark, seed, settle or re-set an off-core node: each batch
-   makes the full repair move the stub (0's label rises toward 2, falls
-   toward 3; arcs inside the stub rise and fall; the uplink 4 -> 0
-   falls; the bridge fails), and the repair on the core's graph, which
-   takes none of the stub's changes, leaves it as it was. *)
+(* The stub is not on the core's graph: each batch makes the full
+   repair move the stub (0's label rises toward 2, falls toward 3; arcs
+   inside the stub rise and fall; the uplink 4 -> 0 falls; the bridge
+   fails), and the repair on the core's graph, which takes none of the
+   stub's changes, still matches it at every core node. *)
 let test_masked_stub_untouched () =
   let g, w, off, prev = stub_ring () in
   let a = arc_id g in
@@ -891,7 +932,7 @@ let test_masked_no_stub_seed () =
     (fun (what, edits) ->
       ignore (check_masked ~what g ~off w prev edits : bool);
       let s = Spf_delta.scratch () in
-      repair_on_core s g ~off w prev edits;
+      ignore (repair_on_core s g ~off w prev edits : core);
       Alcotest.(check int) (what ^ ": d(0) toward 2") 11
         (Spf_delta.scratch_dags s).(2).Spf.dist.(0))
     [
@@ -909,7 +950,7 @@ let test_masked_stale_head () =
   ignore (check_masked ~what:"0's label rises by the stub's round trip" g ~off w prev
             [ (a 0 1, 5) ] : bool);
   let s = Spf_delta.scratch () in
-  repair_on_core s g ~off w prev [ (a 0 1, 5) ];
+  ignore (repair_on_core s g ~off w prev [ (a 0 1, 5) ] : core);
   let d = (Spf_delta.scratch_dags s).(2) in
   Alcotest.(check int) "d(0)" 6 d.Spf.dist.(0);
   Alcotest.(check (array int)) "0's next hops" [| a 0 1 |] d.Spf.next_arcs.(0)
@@ -920,13 +961,20 @@ let test_masked_stale_head () =
    toward 2 from 2 to 4, which moves the stub on the full graph only. *)
 let test_masked_scratch_follows_mask () =
   let g, w, off, prev = stub_ring () in
+  let c = core_of g ~off in
   let a = arc_id g in
   let weights = Array.copy w in
   weights.(a 0 1) <- 3;
   let changes = [ { Spf_delta.arc = a 0 1; before = 1; after = 3 } ] in
+  let on_core =
+    ( c.h,
+      Array.map (Array.get weights) c.arcs,
+      Array.map (fun v -> dag_on_core c prev.(v)) c.nodes,
+      [ { Spf_delta.arc = c.arc_at.(a 0 1); before = 1; after = 3 } ] )
+  in
   let shared = Spf_delta.scratch () in
   List.iter
-    (fun (what, graph) ->
+    (fun (what, (graph, weights, prev, changes)) ->
       let fresh = Spf_delta.scratch () in
       Spf_delta.update_scratch fresh graph ~weights ~prev ~changes;
       Spf_delta.update_scratch shared graph ~weights ~prev ~changes;
@@ -936,9 +984,9 @@ let test_masked_scratch_follows_mask () =
             (Spf_delta.scratch_dags shared).(t))
         (Spf_delta.scratch_dags fresh))
     [
-      ("the core's graph", Graph.without g ~nodes:off);
-      ("the full graph", g);
-      ("the core's graph again", Graph.without g ~nodes:off);
+      ("the core's graph", on_core);
+      ("the full graph", (g, weights, prev, changes));
+      ("the core's graph again", on_core);
     ]
 
 (* The same-flow rule ignores off-core tails.  Toward 0, over h = 1,
@@ -968,7 +1016,7 @@ let test_masked_same_flow () =
       List.iter (fun (arc, x) -> weights.(arc) <- x) edits;
       let toward_0 ~core =
         let s = Spf_delta.scratch () in
-        if core then repair_on_core s g ~off w prev edits
+        if core then ignore (repair_on_core s g ~off w prev edits : core)
         else
           Spf_delta.update_scratch s g ~weights ~prev
             ~changes:(fst (split_changes g ~off w edits));
@@ -983,11 +1031,13 @@ let test_masked_same_flow () =
         (fst (toward_0 ~core:false));
       let same, dag = toward_0 ~core:true in
       Alcotest.(check bool) (what ^ ": masked, same flows") true same;
-      let demand_to_dst = [| 0.; 0.; 1.; 0. |] in
+      (* Nodes 0, 1 and 2 keep their ids on the core's graph. *)
+      let c = core_of g ~off in
+      let demand_to_dst = [| 0.; 0.; 1. |] in
       Alcotest.(check bool) (what ^ ": loads toward 0 bitwise kept") true
         (same_bits
-           (Loads.destination_loads g ~dag:prev.(0) ~demand_to_dst)
-           (Loads.destination_loads g ~dag ~demand_to_dst)))
+           (Loads.destination_loads c.h ~dag:(dag_on_core c prev.(0)) ~demand_to_dst)
+           (Loads.destination_loads c.h ~dag ~demand_to_dst)))
     [
       ("an upstream tail", 1, 3, [ (2, 1, 1) ]);
       ("a changed arc's tail", 2, 2, [ (1, 0, 1); (3, 1, 3) ]);

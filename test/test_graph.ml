@@ -620,15 +620,16 @@ let test_off_core_rejects_length () =
       ignore (Graph.off_core (diamond ()) ~endpoints:[| true |]))
 
 (* ------------------------------------------------------------------ *)
-(* Graph.without against a filter of the arc list *)
+(* Graph.induced against a filter of the arc list *)
 
 (* Random multigraphs (parallel and anti-parallel arcs, random
-   capacities and delays) with random node flags: the subgraph keeps
-   every node, arc id and per-arc row, lists an arc in its tail's
-   out-row and its head's in-row exactly when neither end is flagged,
-   keeps every row ascending, and finds exactly the kept arcs. *)
-let prop_without =
-  QCheck.Test.make ~name:"without keeps exactly the arcs between unflagged nodes"
+   capacities and delays) with random node flags: the subgraph holds
+   the kept nodes in ascending order, and its arcs are the arcs with
+   both ends kept, one for one in id order, each with its ends
+   renumbered and its capacity and delay; its adjacency rows and
+   find_arc are those of a graph built from that arc list. *)
+let prop_induced =
+  QCheck.Test.make ~name:"induced keeps exactly the arcs between kept nodes"
     ~count:400
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
@@ -645,42 +646,48 @@ let prop_without =
             })
       in
       let g = Graph.build ~n arcs in
-      let nodes = Array.init n (fun _ -> Prng.int rng 3 = 0) in
-      let h = Graph.without g ~nodes in
-      let m = Graph.arc_count g in
-      let kept id = not (nodes.(Graph.src g id) || nodes.(Graph.dst g id)) in
-      let ids = List.init m Fun.id in
-      let rec ascending = function
-        | a :: (b :: _ as rest) -> a < b && ascending rest
-        | _ -> true
+      let keep = Array.init n (fun _ -> Prng.int rng 3 > 0) in
+      let h, nodes, ids = Graph.induced g ~keep in
+      let want_nodes = List.filter (fun v -> keep.(v)) (List.init n Fun.id) in
+      let want_ids =
+        List.filter
+          (fun id -> keep.(Graph.src g id) && keep.(Graph.dst g id))
+          (List.init (Graph.arc_count g) Fun.id)
       in
-      let row_ok v row endpoint =
-        ascending (Array.to_list row) && Array.for_all (fun id -> endpoint g id = v) row
+      let at v =
+        let rec find i = function
+          | [] -> -1
+          | x :: rest -> if x = v then i else find (i + 1) rest
+        in
+        find 0 want_nodes
       in
-      Graph.node_count h = n
-      && Graph.arc_count h = m
-      && List.for_all
-           (fun id ->
-             Graph.arc h id = Graph.arc g id
-             && Array.mem id (Graph.out_arcs h (Graph.src g id)) = kept id
-             && Array.mem id (Graph.in_arcs h (Graph.dst g id)) = kept id)
-           ids
-      && List.for_all
+      let renumbered =
+        List.map
+          (fun id ->
+            let a = Graph.arc g id in
+            { a with Graph.src = at a.Graph.src; dst = at a.Graph.dst })
+          want_ids
+      in
+      let c = List.length want_nodes in
+      Array.to_list nodes = want_nodes
+      && Array.to_list ids = want_ids
+      && Graph.node_count h = c
+      && Array.to_list (Graph.arcs h) = renumbered
+      && (c = 0
+         ||
+         let built = Graph.build ~n:c renumbered in
+         List.for_all
            (fun v ->
-             row_ok v (Graph.out_arcs h v) Graph.src
-             && row_ok v (Graph.in_arcs h v) Graph.dst
+             Graph.out_arcs h v = Graph.out_arcs built v
+             && Graph.in_arcs h v = Graph.in_arcs built v
              && List.for_all
-                  (fun u ->
-                    Graph.find_arc h ~src:v ~dst:u
-                    = List.find_opt
-                        (fun id -> kept id && Graph.src g id = v && Graph.dst g id = u)
-                        ids)
-                  (List.init n Fun.id))
-           (List.init n Fun.id))
+                  (fun u -> Graph.find_arc h ~src:v ~dst:u = Graph.find_arc built ~src:v ~dst:u)
+                  (List.init c Fun.id))
+           (List.init c Fun.id)))
 
-let test_without_rejects_length () =
-  Alcotest.check_raises "length" (Invalid_argument "Graph.without: nodes length mismatch")
-    (fun () -> ignore (Graph.without (diamond ()) ~nodes:[| true |]))
+let test_induced_rejects_length () =
+  Alcotest.check_raises "length" (Invalid_argument "Graph.induced: keep length mismatch")
+    (fun () -> ignore (Graph.induced (diamond ()) ~keep:[| true |]))
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -711,9 +718,9 @@ let () =
           test_off_core_enumeration;
           Alcotest.test_case "off_core rejects a wrong-length mask" `Quick
             test_off_core_rejects_length;
-          qc prop_without;
-          Alcotest.test_case "without rejects a wrong-length mask" `Quick
-            test_without_rejects_length;
+          qc prop_induced;
+          Alcotest.test_case "induced rejects a wrong-length mask" `Quick
+            test_induced_rejects_length;
         ] );
       ( "dijkstra",
         [

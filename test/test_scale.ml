@@ -241,10 +241,10 @@ let prop_for_destinations_active_subset =
       done;
       !ok)
 
-(* Buffers reused from walk to walk, over full dags, whose long orders
-   the walk seeds by a blit, and over dags of a subgraph that keeps
-   about a fifth of the nodes, as a demand-only context's core graph
-   does, whose short orders it seeds node by node. *)
+(* Buffers reused from walk to walk, over full dags and over dags of a
+   subgraph that keeps about a fifth of the nodes, numbered densely as
+   a context's core graph is, whose rows are shorter than the
+   buffers. *)
 let prop_destination_loads_into_identical =
   QCheck.Test.make ~name:"destination_loads_into = destination_loads"
     ~count:200
@@ -261,18 +261,24 @@ let prop_destination_loads_into_identical =
       let flow = Array.make n 0. and contrib = Array.make m 0. in
       let ok = ref true in
       for dst = 0 to n - 1 do
-        let cut = Array.init n (fun v -> v <> dst && Prng.int rng 5 > 0) in
+        let keep = Array.init n (fun v -> v = dst || Prng.int rng 5 = 0) in
+        let h, nodes, arcs = Graph.induced g ~keep in
+        let at = ref 0 in
+        Array.iteri (fun i v -> if v = dst then at := i) nodes;
         List.iter
-          (fun dag ->
+          (fun (g, dag) ->
             let demand_to_dst =
-              Array.init n (fun s ->
-                  if s <> dst && Prng.bool rng then Prng.float rng 50. else 0.)
+              Array.init (Graph.node_count g) (fun s ->
+                  if s <> dag.Spf.dst && Prng.bool rng then Prng.float rng 50. else 0.)
             in
             let fresh = Loads.destination_loads g ~dag ~demand_to_dst in
             ignore
               (Loads.destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib : bool);
-            if contrib <> fresh then ok := false)
-          [ dags.(dst); Spf.to_destination (Graph.without g ~nodes:cut) ~weights:w ~dst ]
+            if Array.sub contrib 0 (Graph.arc_count g) <> fresh then ok := false)
+          [
+            (g, dags.(dst));
+            (h, Spf.to_destination h ~weights:(Array.map (Array.get w) arcs) ~dst:!at);
+          ]
       done;
       !ok)
 
@@ -395,9 +401,10 @@ let check_reference ~what ~model ~matrices ctx =
     if not (same_bits loads (Eval_ctx.loads ctx k)) then fail "class %d loads" k;
     let off, sinks = group_core g ~matrices ctx k in
     let core_order o = List.filter (fun v -> not off.(v)) (Array.to_list o) in
+    let dags = Lazy.force dags and ctx_dags = Eval_ctx.dags ctx k in
     for dst = 0 to Graph.node_count g - 1 do
       let row = Eval_ctx.contrib_view ctx ~klass:k ~dst in
-      let da = dags.(dst) and dd = (Eval_ctx.dags ctx k).(dst) in
+      let da = dags.(dst) and dd = ctx_dags.(dst) in
       match Loads.destination_demand ~dag:da matrices.(k) with
       | None ->
           if Array.length row > 0 then fail "class %d dst %d: a row without demand" k dst;
