@@ -365,7 +365,8 @@ let check_probe ?mapping ~what ~model ~th ~priced ctx p (want : Evaluate.t) =
 (* The committed context against the reference at its weights: Φ, the
    primary, the residual, and per class the Fortz and load rows
    bitwise.  At each destination the class sends demand to, its
-   contribution row is Loads.destination_loads over the reference dag,
+   demand column is the reference's, its contribution row is
+   Loads.destination_loads over the reference dag,
    and the context's dag is the reference one at every core node
    (labels and next-hop sets), its order is the reference order
    restricted to the core, and every off-core node reads unreachable
@@ -405,14 +406,17 @@ let check_reference ~what ~model ~matrices ctx =
     for dst = 0 to Graph.node_count g - 1 do
       let row = Eval_ctx.contrib_view ctx ~klass:k ~dst in
       let da = dags.(dst) and dd = ctx_dags.(dst) in
+      let dem = Eval_ctx.demand_view ctx ~klass:k ~dst in
       match Loads.destination_demand ~dag:da matrices.(k) with
       | None ->
           if Array.length row > 0 then fail "class %d dst %d: a row without demand" k dst;
+          if Array.length dem > 0 then fail "class %d dst %d: demand without any" k dst;
           if Spf.is_placeholder dd = sinks.(dst) then
             fail "class %d dst %d: placeholder iff no demand of the group" k dst
       | Some demand_to_dst ->
           if not (same_bits (Loads.destination_loads g ~dag:da ~demand_to_dst) row) then
             fail "class %d dst %d contribution" k dst;
+          if not (same_bits demand_to_dst dem) then fail "class %d dst %d demand" k dst;
           Array.iteri
             (fun x o ->
               if o then begin
