@@ -382,9 +382,8 @@ let context inst (wh, wl) =
 let evaluate inst model weights =
   let ctx = context inst weights in
   ( ctx,
-    Objective.of_eval model
-      (Dtr_routing.Eval_ctx.to_evaluate ctx)
-      ~th:inst.Scenario.th () )
+    Objective.of_eval model (Dtr_routing.Eval_ctx.to_evaluate ctx) ~sla:(fun params ->
+        Dtr_routing.Eval_ctx.sla params ~th:inst.Scenario.th ctx) )
 
 (* ------------------------------------------------------------------ *)
 (* topo                                                               *)

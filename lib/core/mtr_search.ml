@@ -36,6 +36,9 @@ type state = {
   mutable ctx : Eval_ctx.t;  (* incremental view of [current] *)
   mutable best_w : int array array;
   mutable best : Multi.t;
+  best_ctx : Eval_ctx.t;
+      (* a clone of [ctx] kept in step with [best]: synced from [ctx] at
+         every new best, so a return to the best is blits only *)
   mutable evaluations : int;
   mutable improvements : int;
   mutable stall : int;
@@ -108,6 +111,7 @@ let record_best st =
   if better st.current st.best then begin
     st.best_w <- copy_weights st.current_w;
     st.best <- st.current;
+    Eval_ctx.sync ~src:st.ctx ~dst:st.best_ctx;
     st.improvements <- st.improvements + 1;
     st.stall <- 0
   end
@@ -140,18 +144,18 @@ let init_state problem w0 =
     ctx;
     best_w = copy_weights w0;
     best = current;
+    best_ctx = Eval_ctx.clone ctx;
     evaluations = 1;
     improvements = 0;
     stall = 0;
   }
 
-(* Re-point the context at the incumbent after a phase transition
-   ([current_w] is a fresh copy of [best_w], so the incumbent's DAGs
-   are still the right ones and the SPF is skipped). *)
-let resync st problem =
-  st.ctx <-
-    Eval_ctx.create ~dags:(Array.map Lazy.force st.best.Multi.dags) problem.graph
-      ~weights:st.current_w ~matrices:problem.matrices
+(* Bring the context back to the incumbent after a phase transition
+   ([current_w] is a fresh copy of [best_w]) by syncing the kept best
+   context into it: blits only, no SPF.  Every context of the run is
+   built over the problem's graph and matrices, as {!Eval_ctx.sync}
+   requires. *)
+let resync st = Eval_ctx.sync ~src:st.best_ctx ~dst:st.ctx
 
 (* One iteration-level event (kind Mtr_pass, or Diversify after a
    perturbation).  MTR passes never run through the scan engine, so
@@ -188,7 +192,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
     (* Continue each routine from the incumbent. *)
     st.current_w <- copy_weights st.best_w;
     st.current <- st.best;
-    resync st problem;
+    resync st;
     for iteration = 1 to cfg.Search_config.n_iters do
       let before = Multi.objective st.current in
       let prev = st.current in
@@ -215,7 +219,7 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
      routines. *)
   st.current_w <- copy_weights st.best_w;
   st.current <- st.best;
-  resync st problem;
+  resync st;
   st.stall <- 0;
   let all_classes = List.init classes Fun.id in
   for iteration = 1 to cfg.Search_config.k_iters do

@@ -64,19 +64,12 @@ let m_lambda_reused =
 
 (* A context's current state as a solution.  O(arcs): the solution
    snapshots the context's arrays, which later commits replace rather
-   than mutate, and its dags are built only if a reader forces them.
-   [sla] is the state's Λ costing when already known; otherwise the
-   context walks its core dags for it. *)
+   than mutate; the routing stays in the context.  [sla] is the
+   state's SLA costing under the SLA model. *)
 let materialize t ec ~sla =
   let wh = Eval_ctx.weights ec 0 in
   let wl = if Eval_ctx.shares_group ec 0 1 then wh else Eval_ctx.weights ec 1 in
-  let ev = Eval_ctx.to_evaluate ec in
-  let sla =
-    match (t.model, sla) with
-    | Objective.Sla params, None -> Some (Eval_ctx.sla params ~th:t.th ec)
-    | _ -> sla
-  in
-  { wh; wl; result = Objective.of_eval t.model ev ~th:t.th ?sla () }
+  { wh; wl; result = Objective.of_eval t.model (Eval_ctx.to_evaluate ec) ~sla }
 
 (* A from-scratch evaluation hands over the context it built, so a
    search starts probing on it instead of rebuilding one from the
@@ -84,7 +77,7 @@ let materialize t ec ~sla =
 let evaluate t ~weights =
   Metrics.incr_counter m_full;
   let ec = Eval_ctx.create t.graph ~weights ~matrices:[| t.th; t.tl |] in
-  (materialize t ec ~sla:None, ec)
+  (materialize t ec ~sla:(fun params -> Eval_ctx.sla params ~th:t.th ec), ec)
 
 let is_str s = s.wh == s.wl
 
@@ -100,15 +93,13 @@ type ctx = {
          materialization after the commit recomputes it *)
 }
 
-let ec_of_solution t s =
-  let eval = s.result.Objective.eval in
-  let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
-  let dags = [| Lazy.force eval.Evaluate.dags_h; Lazy.force eval.Evaluate.dags_l |] in
-  Eval_ctx.create ~dags t.graph ~weights ~matrices:[| t.th; t.tl |]
-
 let ctx_of_ec ec s = { ec; c_sla = s.result.Objective.sla }
 
-let ctx_of_solution t s = ctx_of_ec (ec_of_solution t s) s
+(* A solution carries numbers only, so its context is routed again
+   from its weights: one SPF sweep per group, on its core. *)
+let ctx_of_solution t s =
+  let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
+  ctx_of_ec (Eval_ctx.create t.graph ~weights ~matrices:[| t.th; t.tl |]) s
 
 (* Physically equal vectors would form one weight group; a DTR setting
    keeps two even when the caller passes one array twice. *)
@@ -136,6 +127,8 @@ let ctx_weights_view ctx cls =
 let ctx_cost_rows ctx =
   (Eval_ctx.phi_per_arc ctx.ec 0, Eval_ctx.phi_per_arc ctx.ec 1)
 
+let ctx_dags ctx = (Eval_ctx.dags ctx.ec 0, Eval_ctx.dags ctx.ec 1)
+
 (* Both class vectors, each hashed under its own cls tag (for STR both
    classes view one vector, hashed twice under cls 0 and 1). *)
 let ctx_base_key ctx =
@@ -156,13 +149,7 @@ let ctx_sla params t ctx =
       ctx.c_sla <- Some sla;
       sla
 
-let ctx_solution t ctx =
-  let sla =
-    match t.model with
-    | Objective.Load -> None
-    | Objective.Sla params -> Some (ctx_sla params t ctx)
-  in
-  materialize t ctx.ec ~sla
+let ctx_solution t ctx = materialize t ctx.ec ~sla:(fun params -> ctx_sla params t ctx)
 
 let weight_changes base w' =
   if Array.length base <> Array.length w' then

@@ -81,7 +81,10 @@ type cls = [ `H | `L ]
     the classes share one vector, so either value moves both. *)
 
 val ctx_of_solution : t -> solution -> ctx
-(** Build a context from an evaluated solution, reusing its DAGs. *)
+(** Build a context from an evaluated solution: a solution carries
+    numbers only, so its weights are routed again (one SPF sweep per
+    weight group, on its demand core), and its SLA costing, if any, is
+    kept. *)
 
 val eval_dtr_ctx : t -> wh:int array -> wl:int array -> solution * ctx
 (** {!eval_dtr}, also handing over the context the evaluation built,
@@ -113,6 +116,11 @@ val ctx_cost_rows : ctx -> float array * float array
     snapshot's bitwise keeps its {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l}
     order against every other such arc, which is what {!Ranking}
     repairs its cached order from. *)
+
+val ctx_dags : ctx -> Dtr_graph.Spf.dag array * Dtr_graph.Spf.dag array
+(** The context's per-destination DAGs [(H, L)] in the graph's ids
+    ({!Dtr_routing.Eval_ctx.dags}; treat as immutable): the routing
+    behind its cost rows, which solutions do not carry. *)
 
 val ctx_base_key : ctx -> int
 (** Zobrist base key of the context's current weight vectors:

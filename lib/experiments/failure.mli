@@ -15,8 +15,8 @@
     priced as infinite outcomes (with their severed-pair counts), so
     the worst-case column reads [inf] whenever the topology has a
     demand-carrying cut link.  Each scheme is priced by
-    {!Dtr_core.Problem.failure_outcomes} on a context rebuilt from its
-    best solution's DAGs: each failure is an arc-suppression probe on
+    {!Dtr_core.Problem.failure_outcomes} on a context routed from its
+    best solution's weights: each failure is an arc-suppression probe on
     the delta engine, patching only the destinations whose
     shortest-path DAGs used the failed link.  The experiment sweeps
     sequentially: [experiment --jobs] parallelizes across experiments,

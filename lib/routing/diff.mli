@@ -61,7 +61,8 @@ val compute :
     problem.  [jobs] parallelizes the per-destination DAG diff over a
     domain pool (default 1; the result is bit-identical for every
     value).  [sla] (params and the high-priority matrix) additionally
-    prices Λ before/after — requires a two-class context.
+    prices Λ before/after, each state's own SLA costing of class 0's
+    routing ({!Eval_ctx.sla}).
     @raise Invalid_argument when the contexts disagree on graph
     (physical equality) or class structure. *)
 

@@ -245,20 +245,6 @@ let class_core t k = t.cores.(t.class_group.(k))
 
 let placeholder dst = { Spf.dst; dist = [||]; next_arcs = [||]; order_desc = [||] }
 
-(* A dag of the graph's numbering in core [c]'s, at core destination
-   [i]: labels, next-hop sets and order at the core nodes.  A dag a
-   context left is exact there, and so is one built on the whole graph:
-   a shortest path between core nodes stays on the core. *)
-let core_dag c (d : Spf.dag) i =
-  let order = List.filter (fun v -> c.c_node_at.(v) >= 0) (Array.to_list d.order_desc) in
-  {
-    Spf.dst = i;
-    dist = Array.map (fun v -> d.dist.(v)) c.c_nodes;
-    next_arcs =
-      Array.map (fun v -> Array.map (Array.get c.c_arc_at) d.next_arcs.(v)) c.c_nodes;
-    order_desc = Array.of_list (List.map (Array.get c.c_node_at) order);
-  }
-
 (* Core [c]'s dag [d] in the graph's numbering, on [n] nodes: every
    off-core node reads unreachable. *)
 let graph_dag c ~n (d : Spf.dag) =
@@ -302,8 +288,9 @@ let graph_dags t gi dags =
   end
 
 (* The demand column of [tm] toward core [c]'s destination of [dag],
-   in core source ids, as Loads.destination_demand gathers it: [||]
-   when no source has positive demand.  Every source is a core node. *)
+   in core source ids: each positive off-diagonal entry in ascending
+   source order, [||] when no source has positive demand.  Every
+   source is a core node. *)
 let core_demand c ~dag tm =
   let t = c.c_nodes.(dag.Spf.dst) in
   let row = ref [||] in
@@ -319,7 +306,7 @@ let core_demand c ~dag tm =
 
 (* [?dest_mode] is ignored; perfbench's probe replay, its last reader,
    still passes it. *)
-let create ?dags ?dest_mode:_ g ~weights ~matrices =
+let create ?dest_mode:_ g ~weights ~matrices =
   let classes = Array.length weights in
   if classes < 1 then invalid_arg "Eval_ctx.create: need at least one class";
   if Array.length matrices <> classes then
@@ -386,19 +373,8 @@ let create ?dags ?dest_mode:_ g ~weights ~matrices =
   let ws = Dijkstra.workspace () in
   let group_dags =
     Array.init group_count (fun gi ->
-        let c = cores.(gi) in
-        let first = group_classes.(gi).(0) in
-        match dags with
-        | Some d when Array.length d.(first) = n ->
-            if c.c_graph == g then d.(first)
-            else
-              Array.mapi
-                (fun i v ->
-                  if active.(gi).(i) then core_dag c d.(first).(v) i else placeholder i)
-                c.c_nodes
-        | Some _ -> invalid_arg "Eval_ctx.create: dags length mismatch"
-        | None ->
-            Spf.for_destinations ~ws c.c_graph ~weights:group_cw.(gi) ~active:active.(gi))
+        Spf.for_destinations ~ws cores.(gi).c_graph ~weights:group_cw.(gi)
+          ~active:active.(gi))
   in
   let m = Graph.arc_count g in
   let demand =
@@ -417,8 +393,8 @@ let create ?dags ?dest_mode:_ g ~weights ~matrices =
             else begin
               let row = Array.make (Array.length c.c_arcs) 0. in
               if
-                Loads.destination_loads_into c.c_graph ~dag:dags.(i) ~demand_to_dst:dem
-                  ~flow ~contrib:row
+                Loads.spread_demand c.c_graph ~dag:dags.(i) ~demand_to_dst:dem ~flow
+                  ~contrib:row
               then zero_shares := true;
               row
             end)
@@ -775,8 +751,8 @@ let repair_screened t a gi ~priced changes =
 (* Re-project one dirty destination's flows of class [k], of group
    [gi], into the next free arena row and mark every arc whose
    contribution moved; the row is kept (as an override of the committed
-   one) only when it moved.  Shares land identically to a fresh
-   Loads.destination_loads, so everything folded from the row stays
+   one) only when it moved.  Shares land as in {!create}'s walk into a
+   fresh zero row, so everything folded from the row stays
    bitwise-exact.  The walk runs on the group's core graph, so the row
    is cleared, filled and compared with the committed row over the
    core's arcs alone, the only ones a row of the class holds; both rows
@@ -1005,14 +981,14 @@ let check_view t p name k =
   check_probe t p name
 
 (* The core dags of group [gi] as probe [p] would leave them. *)
-let probe_core_dags t p gi =
+let probe_group_dags t p gi =
   if p.p_group >= 0 && gi <> p.p_group then t.group_dags.(gi)
   else Spf_delta.scratch_dags p.p_arena.a_spf.(gi)
 
 let probe_dags t p k =
   check_view t p "probe_dags" k;
   let gi = t.class_group.(k) in
-  graph_dags t gi (probe_core_dags t p gi)
+  graph_dags t gi (probe_group_dags t p gi)
 
 let probe_phi_row t p k =
   check_view t p "probe_phi_row" k;
@@ -1047,7 +1023,7 @@ let probe_primary ~model ~th t p =
   | Objective.Load -> p.p_phi.(0)
   | Objective.Sla params ->
       let row = probe_phi_row t p 0 in
-      lambda t p.p_arena params ~th (probe_core_dags t p t.class_group.(0)) row
+      lambda t p.p_arena params ~th (probe_group_dags t p t.class_group.(0)) row
 
 (* The committed state's own primary, as {!probe_primary} prices a
    probe that moved nothing: Φ_H, or the Λ of the committed class-0
@@ -1075,11 +1051,11 @@ let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
   (* A deferred destination's dag is exact only at flow-carrying nodes,
-     and later screens (D_u), failure probes and materialized solutions
-     need it exact on the core, so the group repairs again, unscreened,
-     on its core graph.  Nothing is repaired off the core: no flow
-     crosses it, and every dag reads unreachable there, as {!create}
-     builds them.  The probe's rows stay: they are exact. *)
+     and later screens (D_u), failure probes and the readers of {!dags}
+     (Attribution, Diff) need it exact on the core, so the group repairs
+     again, unscreened, on its core graph.  Nothing is repaired off the
+     core: no flow crosses it, and every dag reads unreachable there, as
+     {!create} builds them.  The probe's rows stay: they are exact. *)
   if a.a_deferred > 0 then repair t a g ~active:t.active.(g) a.a_changes;
   let cw = Array.copy a.a_cw.(g) in
   t.group_w.(g) <-
@@ -1382,21 +1358,10 @@ let shares_group t j k =
   j >= 0 && k >= 0 && j < class_count t && k < class_count t
   && t.class_group.(j) = t.class_group.(k)
 
-(* Per group, its committed dags in the graph's numbering, built when
-   first forced (the stored array on an identity core). *)
-let dag_views t =
-  Array.mapi
-    (fun gi dags ->
-      if identity t t.cores.(gi) then Lazy.from_val dags else lazy (graph_dags t gi dags))
-    t.group_dags
-
 let to_evaluate t =
   if class_count t <> 2 then invalid_arg "Eval_ctx.to_evaluate: need 2 classes";
-  let views = dag_views t in
   {
     Evaluate.graph = t.graph;
-    dags_h = views.(t.class_group.(0));
-    dags_l = views.(t.class_group.(1));
     h_loads = t.loads.(0);
     l_loads = t.loads.(1);
     residual = t.capacity_seen.(1);
@@ -1407,10 +1372,8 @@ let to_evaluate t =
   }
 
 let to_multi t =
-  let views = dag_views t in
   {
     Multi.graph = t.graph;
-    dags = Array.map (Array.get views) t.class_group;
     loads = Array.copy t.loads;
     capacity_seen = Array.copy t.capacity_seen;
     phi_per_arc = Array.copy t.phi_per_arc;

@@ -23,7 +23,9 @@
 
     This is the one code in the library that routes and prices a
     weight setting; {!to_evaluate} and {!to_multi} are its
-    materialized views.
+    materialized views, which carry numbers only: the routing stays in
+    the context, and a state that must be returned to is kept in a
+    {!clone} and brought back with {!sync}.
 
     A context routes each weight group only to the destinations its
     member classes sink demand at, and only on the group's {e core
@@ -50,11 +52,10 @@
     10k-node contexts fit.
 
     The views in the graph's ids — {!dags}, {!probe_dags},
-    {!contrib_view}, {!demand_view} and the dags of {!to_evaluate} and
-    {!to_multi} — are built only when a reader asks (on an identity
-    core they are the stored arrays): no probe, commit, materialized
-    solution or Λ walk ({!probe_primary}, {!primary}, {!sla}) expands
-    anything.
+    {!contrib_view} and {!demand_view} — are built only when a reader
+    asks (on an identity core they are the stored arrays): no probe,
+    commit, materialized solution or Λ walk ({!probe_primary},
+    {!primary}, {!sla}) expands anything.
 
     Probes are computed in a scratch arena the context owns (allocated
     by its first probe; a {!clone} gets its own): repaired DAGs (with
@@ -90,7 +91,6 @@ type dest_mode = All | Demand
     perfbench's probe replay, its last reader, names it. *)
 
 val create :
-  ?dags:Dtr_graph.Spf.dag array array ->
   ?dest_mode:dest_mode ->
   Dtr_graph.Graph.t ->
   weights:int array array ->
@@ -99,14 +99,12 @@ val create :
 (** Build a context from a full evaluation of [weights] (one vector
     per class; {e physically} equal vectors form a group that is
     routed once and re-routed together).  The vectors are copied.
-    [dags], when given, must be per-class DAG arrays in the graph's
-    ids that a context left for these weights ({!dags}, e.g. through a
-    {!Evaluate.t}), each real at every destination its new group sinks
-    demand at, and skips the SPF rebuild: the context keeps their core
-    nodes' labels, next-hop sets and order.  [dest_mode] is ignored: perfbench's probe
-    replay, its last reader, still passes it.
-    @raise Invalid_argument on length/size mismatches, invalid
-    weights, or unroutable positive demand. *)
+    Each group runs one SPF sweep, on its core graph, to the
+    destinations its classes sink demand at.  [dest_mode] is ignored:
+    perfbench's probe replay, its last reader, still passes it.
+    @raise Invalid_argument on no class, length/size mismatches,
+    invalid weights ({!Weights.validate}), or positive demand between
+    a pair with no path ([Eval_ctx.create: no path s -> t]). *)
 
 val clone : t -> t
 (** A context sharing all immutable data (graph, demand, DAGs, load
@@ -294,10 +292,12 @@ val primary : model:Objective.model -> th:Dtr_traffic.Matrix.t -> t -> float
     re-projected nothing. *)
 
 val sla : Dtr_cost.Sla.params -> th:Dtr_traffic.Matrix.t -> t -> Evaluate.sla
-(** The committed state's full SLA costing ({!Evaluate.evaluate_sla}
-    of {!to_evaluate}, bitwise): the delay walk over the committed
-    class-0 dags, on their core, and the {!phi_per_arc} row.  Its
-    [lambda] is {!primary} under [Sla]. *)
+(** The committed state's full SLA costing ({!Evaluate.sla_of}): the
+    delay walk over the committed class-0 dags, on their core, and the
+    {!phi_per_arc} row, bitwise the costing of the same dags viewed in
+    the graph's ids ({!dags}) over the whole graph.  Its [lambda] is
+    {!primary} under [Sla].  What {!Objective.of_eval} is handed for
+    a state under the SLA model. *)
 
 val zero_shares : t -> bool
 (** Whether a walk behind the committed rows split a positive flow
@@ -311,16 +311,16 @@ val zero_shares : t -> bool
 val commit : t -> weight probe -> unit
 (** Install the context's latest probe: what it moved is copied
     straight from the arena into fresh arrays that replace the
-    committed ones.  Committed dags keep the contract of {!dags}
-    (later probes screen with them, and materialized solutions and
-    reports read them): when the probe deferred a dirty destination,
-    the group is first repaired again without the flow screen, on its
-    core graph.  A commit copies the rows of the graph's ids it
-    replaces (weights, and the load, residual and Fortz rows of the
-    classes it moved) and otherwise only core-sized arrays.  The
-    probe's rows are kept, being exact.
-    Committing advances the state, so every probe taken before goes
-    stale.
+    committed ones.  Committed dags keep the contract of {!dags}:
+    later probes screen with them (D_u), failure probes repair from
+    them, and {!Attribution} and {!Diff} read them through {!dags}.
+    When the probe deferred a dirty destination, the group is first
+    repaired again without the flow screen, on its core graph.  A
+    commit copies the rows of the graph's ids it replaces (weights, and
+    the load, residual and Fortz rows of the classes it moved) and
+    otherwise only core-sized arrays.  The probe's rows are kept, being
+    exact.  Committing advances the state, so every probe taken before
+    goes stale.
     @raise Invalid_argument on a stale probe: one taken on another
     context, or before the context's last probe, failure probe, commit
     or sync. *)
@@ -391,8 +391,7 @@ val shares_group : t -> int -> int -> bool
 val to_evaluate : t -> Evaluate.t
 (** Materialize the two-class view.  O(1): the record references the
     context's current arrays, which later commits replace rather than
-    mutate.  Its dags are {!dags}' of the current state, built only
-    when forced.  @raise Invalid_argument unless [class_count t = 2]. *)
+    mutate.  @raise Invalid_argument unless [class_count t = 2]. *)
 
 val to_multi : t -> Multi.t
 (** Materialize the [T]-class view (same sharing discipline). *)

@@ -6,8 +6,6 @@ module Sla = Dtr_cost.Sla
 
 type t = {
   graph : Graph.t;
-  dags_h : Spf.dag array Lazy.t;
-  dags_l : Spf.dag array Lazy.t;
   h_loads : float array;
   l_loads : float array;
   residual : float array;
@@ -169,10 +167,3 @@ let sla_of params g ~th ~core ~node_at ~arcs ~dags_h ~phi_h_per_arc =
     unreachable = !unreachable;
     worst_delay = !worst;
   }
-
-let evaluate_sla params t ~th =
-  let g = t.graph in
-  sla_of params g ~th ~core:g
-    ~node_at:(Array.init (Graph.node_count g) Fun.id)
-    ~arcs:(Array.init (Graph.arc_count g) Fun.id)
-    ~dags_h:(Lazy.force t.dags_h) ~phi_h_per_arc:t.phi_h_per_arc

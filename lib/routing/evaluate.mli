@@ -4,20 +4,14 @@
     High-priority traffic is routed on weights [wh] and sees full link
     capacities; low-priority traffic is routed on weights [wl] and sees
     only the residual capacity [max(C_l − H_l, 0)] (paper §3).  STR is
-    the special case of one weight vector shared by both classes (its
-    shortest-path DAGs are computed once).  The record references the
-    context's arrays; reports, the SLA costing and the searches'
-    solutions read it.  Its dags are built when first forced: a context
-    keeps them in its demand cores' numbering, and the original-id
-    arrays are made only for a reader that asks. *)
+    the special case of one weight vector shared by both classes.  The
+    record holds numbers only: it references the context's load and
+    cost rows, which reports and the searches' solutions read.  The
+    routing behind them stays in the context ({!Eval_ctx.dags}), and
+    so does its SLA costing ({!Eval_ctx.sla}, through {!sla_of}). *)
 
 type t = {
   graph : Dtr_graph.Graph.t;
-  dags_h : Dtr_graph.Spf.dag array Lazy.t;
-      (** per-destination DAGs for [wh] *)
-  dags_l : Dtr_graph.Spf.dag array Lazy.t;
-      (** per-destination DAGs for [wl] (the same lazy value as
-          [dags_h] when both classes share one weight vector) *)
   h_loads : float array;  (** per-arc high-priority load [H_l] *)
   l_loads : float array;  (** per-arc low-priority load [L_l] *)
   residual : float array;  (** [max(C_l − H_l, 0)] *)
@@ -51,13 +45,6 @@ type sla = {
   worst_delay : float;  (** max pair delay; 0. with no pairs *)
 }
 
-val evaluate_sla : Dtr_cost.Sla.params -> t -> th:Dtr_traffic.Matrix.t -> sla
-(** SLA view over high-priority pairs (entries of [th] with positive
-    demand), using the high-priority DAGs and loads from [t].  A
-    disconnected pair does not raise: it contributes an infinite
-    penalty (so any reconnecting routing compares strictly better) and
-    is counted in [unreachable]. *)
-
 val sla_of :
   Dtr_cost.Sla.params ->
   Dtr_graph.Graph.t ->
@@ -68,16 +55,20 @@ val sla_of :
   dags_h:Dtr_graph.Spf.dag array ->
   phi_h_per_arc:float array ->
   sla
-(** {!evaluate_sla} from the high-priority routing alone: per-arc
+(** The SLA view over the high-priority pairs (entries of [th] with
+    positive demand), from the high-priority routing alone: per-arc
     delays from [g]'s [Φ_{H,l}] row (Eq. 3), expected pair delays
-    walked over [dags_h], and the Λ fold (Eq. 4).  The dags route on
-    [core], [g] itself or a subgraph of it ({!Dtr_graph.Graph.induced})
-    that holds every high-priority pair's walk, numbered through
-    [node_at] ([g]'s node to [core]'s) and [arcs] ([core]'s arc to
-    [g]'s); [arc_delay] and [pair_delays] are in [g]'s ids.  The one SLA
-    costing of every evaluation path — full evaluations, and weight and
-    failure probes ({!Eval_ctx.probe_primary}) — so all of them price Λ
-    bitwise alike.  Runs the fold of {!sla_lambda} over a fresh
+    walked over [dags_h], and the Λ fold (Eq. 4).  A disconnected pair
+    does not raise: it contributes an infinite penalty (so any
+    reconnecting routing compares strictly better) and is counted in
+    [unreachable].  The dags route on [core], [g] itself or a subgraph
+    of it ({!Dtr_graph.Graph.induced}) that holds every high-priority
+    pair's walk, numbered through [node_at] ([g]'s node to [core]'s)
+    and [arcs] ([core]'s arc to [g]'s); [arc_delay] and [pair_delays]
+    are in [g]'s ids.  The one SLA costing of every evaluation path —
+    a context's committed state ({!Eval_ctx.sla}), and weight and
+    failure probes ({!Eval_ctx.probe_primary}) — so all of them price
+    Λ bitwise alike.  Runs the fold of {!sla_lambda} over a fresh
     {!sla_scratch}. *)
 
 type sla_scratch

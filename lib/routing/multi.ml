@@ -1,9 +1,7 @@
 module Graph = Dtr_graph.Graph
-module Spf = Dtr_graph.Spf
 
 type t = {
   graph : Graph.t;
-  dags : Spf.dag array Lazy.t array;
   loads : float array array;
   capacity_seen : float array array;
   phi_per_arc : float array array;

@@ -4,7 +4,8 @@
     evaluation context ({!Eval_ctx.to_multi}), which routes each class
     on its own weight vector (physically equal vectors share one SPF)
     and charges it the Fortz cost against the capacity left by
-    higher-priority classes.
+    higher-priority classes.  Like {!Evaluate.t} the record holds
+    numbers only; the routing stays in the context ({!Eval_ctx.dags}).
 
     The paper's DTR is the special case [T = 2]; this module is the
     substrate for the multi-topology extension the paper points to
@@ -12,10 +13,6 @@
 
 type t = {
   graph : Dtr_graph.Graph.t;
-  dags : Dtr_graph.Spf.dag array Lazy.t array;
-      (** [dags.(k)]: per-destination DAGs of class [k]'s weights, built
-          when first forced (one lazy value per weight vector, shared
-          by the classes that route on it) *)
   loads : float array array;  (** [loads.(k).(arc)] *)
   capacity_seen : float array array;
       (** [capacity_seen.(k).(arc)]: residual capacity available to

@@ -8,7 +8,7 @@ type result = {
   sla : Evaluate.sla option;
 }
 
-let of_eval model eval ~th ?sla () =
+let of_eval model eval ~sla =
   match model with
   | Load ->
       {
@@ -18,11 +18,7 @@ let of_eval model eval ~th ?sla () =
         sla = None;
       }
   | Sla params ->
-      let sla =
-        match sla with
-        | Some s -> s
-        | None -> Evaluate.evaluate_sla params eval ~th
-      in
+      let sla = sla params in
       {
         objective =
           Lexico.make ~primary:sla.Evaluate.lambda ~secondary:eval.Evaluate.phi_l;

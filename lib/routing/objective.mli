@@ -1,8 +1,9 @@
 (** The paper's two optimization objectives: a lexicographic cost
     read from a two-class view of an evaluation context
-    ({!Eval_ctx.to_evaluate}), plus the SLA view under the delay
-    model.  Every weight setting is evaluated on {!Eval_ctx}, directly
-    or through [Problem]. *)
+    ({!Eval_ctx.to_evaluate}), plus, under the delay model, the SLA
+    costing of the same state, which the context prices from its own
+    routing ({!Eval_ctx.sla}).  Every weight setting is evaluated on
+    {!Eval_ctx}, directly or through [Problem]. *)
 
 type model =
   | Load  (** [A = ⟨Φ_H, Φ_L⟩] — Eq. (2) *)
@@ -16,15 +17,12 @@ type result = {
 }
 
 val of_eval :
-  model ->
-  Evaluate.t ->
-  th:Dtr_traffic.Matrix.t ->
-  ?sla:Evaluate.sla ->
-  unit ->
-  result
+  model -> Evaluate.t -> sla:(Dtr_cost.Sla.params -> Evaluate.sla) -> result
 (** Assemble the objective from a two-class evaluation (typically
-    [Eval_ctx.to_evaluate ctx]).  Passing [?sla] (when the
-    high-priority routing is unchanged from a previous evaluation)
-    skips recomputing delays and penalties. *)
+    [Eval_ctx.to_evaluate ctx]).  Under [Sla params], [sla params] is
+    the SLA costing of the same state (typically
+    [Eval_ctx.sla params ~th ctx], or a costing already known for it),
+    called once and kept in the result; under [Load] it is not
+    called. *)
 
 val model_name : model -> string

@@ -16,16 +16,16 @@ found () {
 
 # Qualified references, anywhere.  [pair_delays] is also a record field
 # of Evaluate.sla and Sim, so only Delay's is matched.
-refs='\b(Evaluate\.(evaluate|assemble)|Multi\.evaluate|Objective\.(evaluate|link_costs_[hl])|Loads\.(of_matrix|node_throughflow)|Neighborhood\.apply|Failure_sweep\.(oracle|oracle_sweep|fail_link|remap_weights|severed_pairs)|Failure\.fail_link|Dijkstra\.(distances_to_heap|run_heap|bellman_ford_to)|Delay\.(pair_delays?|Reachable|Unreachable|arc_delays|expected_to_destination)|ctx_base_key_fresh)\b'
+refs='\b(Evaluate\.(evaluate|evaluate_sla|assemble)|Multi\.evaluate|Objective\.(evaluate|link_costs_[hl])|Loads\.(of_matrix|node_throughflow|destination_loads_into|destination_loads|destination_demand)|Neighborhood\.apply|Failure_sweep\.(oracle|oracle_sweep|fail_link|remap_weights|severed_pairs)|Failure\.fail_link|Dijkstra\.(distances_to_heap|run_heap|bellman_ford_to)|Delay\.(pair_delays?|Reachable|Unreachable|arc_delays|expected_to_destination)|ctx_base_key_fresh)\b'
 grep -rnE --include='*.ml' --include='*.mli' "$refs" $dirs &&
   found "a moved reference or oracle is referenced"
 
 # Definitions, in the modules they moved out of.
 for entry in \
-  'lib/routing/evaluate:evaluate|assemble' \
+  'lib/routing/evaluate:evaluate|evaluate_sla|assemble' \
   'lib/routing/multi:evaluate' \
   'lib/routing/objective:evaluate|link_costs_h|link_costs_l' \
-  'lib/routing/loads:of_matrix|node_throughflow' \
+  'lib/routing/loads:of_matrix|node_throughflow|destination_loads_into|destination_loads|destination_demand' \
   'lib/routing/failure_sweep:oracle|oracle_sweep|fail_link|remap_weights|severed_pairs' \
   'lib/experiments/failure:fail_link' \
   'lib/graph/dijkstra:distances_to_heap|run_heap|bellman_ford_to' \

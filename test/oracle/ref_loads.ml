@@ -1,11 +1,73 @@
 (* The whole-matrix ECMP load projection: per-destination demand
    columns and even-split contributions summed in ascending destination
-   order — the association the incremental engine reproduces bitwise. *)
+   order — the association the incremental engine reproduces bitwise.
+   Each destination is walked afresh here, into rows of its own. *)
 
 module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
+module Dijkstra = Dtr_graph.Dijkstra
 module Matrix = Dtr_traffic.Matrix
-module Loads = Dtr_routing.Loads
+
+(** One destination's even-split walk into caller-owned rows: [contrib]
+    (length >= arc count) is cleared and [flow] (length >= node count)
+    seeded from [demand_to_dst], then the flow goes down [dag.order_desc]
+    (upstream nodes first), each node's split evenly over its next-hop
+    arcs.  [flow] is left holding each node's throughflow.  Returns
+    whether a positive flow split into zero shares.
+    @raise Invalid_argument on a length mismatch or undersized
+    scratch. *)
+let destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib =
+  let n = Graph.node_count g and m = Graph.arc_count g in
+  if Array.length demand_to_dst <> n then
+    invalid_arg "Loads.destination_loads_into: demand length mismatch";
+  if Array.length flow < n || Array.length contrib < m then
+    invalid_arg "Loads.destination_loads_into: scratch too small";
+  Array.fill contrib 0 m 0.;
+  Array.blit demand_to_dst 0 flow 0 n;
+  flow.(dag.Spf.dst) <- 0.;
+  let zero_shares = ref false in
+  Array.iter
+    (fun v ->
+      let fv = flow.(v) in
+      if fv > 0. then begin
+        let out = dag.Spf.next_arcs.(v) in
+        if Array.length out > 0 then begin
+          let share = fv /. float_of_int (Array.length out) in
+          if share = 0. then zero_shares := true;
+          Array.iter
+            (fun a ->
+              contrib.(a) <- contrib.(a) +. share;
+              let u = Graph.dst g a in
+              if u <> dag.Spf.dst then flow.(u) <- flow.(u) +. share)
+            out
+        end
+      end)
+    dag.Spf.order_desc;
+  !zero_shares
+
+(** One destination's per-arc load contribution: the even-split
+    projection of [demand_to_dst] onto the dag's arcs, in fresh rows. *)
+let destination_loads g ~dag ~demand_to_dst =
+  let contrib = Array.make (Graph.arc_count g) 0. in
+  let flow = Array.make (Graph.node_count g) 0. in
+  ignore (destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib : bool);
+  contrib
+
+(** The demand column towards [dag.dst] ([None] when no source has
+    positive demand), in ascending source order.
+    @raise Invalid_argument on positive demand between a pair with no
+    path. *)
+let destination_demand ~dag tm =
+  let t = dag.Spf.dst in
+  let demand = ref [||] in
+  Matrix.iter_col tm t (fun s r ->
+      if s <> t then begin
+        if dag.Spf.dist.(s) = Dijkstra.unreachable then
+          invalid_arg (Printf.sprintf "Loads.destination_demand: no path %d -> %d" s t);
+        if Array.length !demand = 0 then demand := Array.make (Matrix.size tm) 0.;
+        !demand.(s) <- r
+      end);
+  if Array.length !demand = 0 then None else Some !demand
 
 (** Per-node total flow towards [dag.dst] (own demand plus transit),
     the intermediate quantity of the even-split recursion (flow
@@ -16,7 +78,7 @@ let node_throughflow g ~dag ~demand_to_dst =
     invalid_arg "Loads.node_throughflow: demand length mismatch";
   let flow = Array.make n 0. in
   ignore
-    (Loads.destination_loads_into g ~dag ~demand_to_dst ~flow
+    (destination_loads_into g ~dag ~demand_to_dst ~flow
        ~contrib:(Array.make (Graph.arc_count g) 0.)
       : bool);
   flow
@@ -28,7 +90,7 @@ let routable_demand ~dag tm =
   let demand = Array.make (Matrix.size tm) 0. in
   let any = ref false in
   Matrix.iter_col tm t (fun s r ->
-      if s <> t && dag.Spf.dist.(s) <> Dtr_graph.Dijkstra.unreachable then begin
+      if s <> t && dag.Spf.dist.(s) <> Dijkstra.unreachable then begin
         demand.(s) <- r;
         any := true
       end);
@@ -52,13 +114,12 @@ let of_matrix ?(drop_unroutable = false) g ~dags tm =
     let dag = dags.(t) in
     if dag.Spf.dst <> t then invalid_arg "Loads.of_matrix: dag/destination mismatch";
     let demand =
-      if drop_unroutable then routable_demand ~dag tm
-      else Loads.destination_demand ~dag tm
+      if drop_unroutable then routable_demand ~dag tm else destination_demand ~dag tm
     in
     match demand with
     | None -> ()
     | Some demand ->
-        let contrib = Loads.destination_loads g ~dag ~demand_to_dst:demand in
+        let contrib = destination_loads g ~dag ~demand_to_dst:demand in
         for a = 0 to m - 1 do
           loads.(a) <- loads.(a) +. contrib.(a)
         done

@@ -9,6 +9,24 @@ module Fortz = Dtr_cost.Fortz
 module Weights = Dtr_routing.Weights
 module Multi = Dtr_routing.Multi
 
+(** Per class, the per-destination DAGs of its weights, at every
+    destination.  Physically identical weight vectors share one SPF
+    sweep, so their classes hold one physical array. *)
+let routings g ~weights =
+  let classes = Array.length weights in
+  let dags = Array.make classes [||] in
+  for k = 0 to classes - 1 do
+    let shared = ref None in
+    for j = 0 to k - 1 do
+      if !shared = None && weights.(j) == weights.(k) then shared := Some dags.(j)
+    done;
+    dags.(k) <-
+      (match !shared with
+      | Some d -> d
+      | None -> Spf.all_destinations g ~weights:weights.(k))
+  done;
+  dags
+
 (** [evaluate g ~weights ~matrices] routes class [k] on
     [weights.(k)] and charges it the Fortz cost against the capacity
     left by higher-priority classes.  Physically equal weight vectors
@@ -26,18 +44,7 @@ let evaluate g ~weights ~matrices =
     (fun m ->
       if Matrix.size m <> n then invalid_arg "Multi.evaluate: matrix size mismatch")
     matrices;
-  (* Share DAGs between physically identical weight vectors. *)
-  let dags = Array.make classes [||] in
-  for k = 0 to classes - 1 do
-    let shared = ref None in
-    for j = 0 to k - 1 do
-      if !shared = None && weights.(j) == weights.(k) then shared := Some dags.(j)
-    done;
-    dags.(k) <-
-      (match !shared with
-      | Some d -> d
-      | None -> Spf.all_destinations g ~weights:weights.(k))
-  done;
+  let dags = routings g ~weights in
   let loads =
     Array.init classes (fun k -> Ref_loads.of_matrix g ~dags:dags.(k) matrices.(k))
   in
@@ -59,4 +66,4 @@ let evaluate g ~weights ~matrices =
             Fortz.phi ~load:loads.(k).(a) ~capacity:capacity_seen.(k).(a)))
   in
   let phi = Array.map (Array.fold_left ( +. ) 0.) phi_per_arc in
-  { Multi.graph = g; dags = Array.map Lazy.from_val dags; loads; capacity_seen; phi_per_arc; phi }
+  { Multi.graph = g; loads; capacity_seen; phi_per_arc; phi }

@@ -7,10 +7,13 @@ module Evaluate = Dtr_routing.Evaluate
 module Objective = Dtr_routing.Objective
 
 (** Full evaluation of a weight setting ({!Ref_evaluate.evaluate})
-    costed under the model; [wh == wl] is the STR case. *)
+    costed under the model, Λ priced over its own all-destination
+    high-priority DAGs ({!Ref_evaluate.sla}); [wh == wl] is the STR
+    case. *)
 let evaluate model g ~wh ~wl ~th ~tl =
-  let eval = Ref_evaluate.evaluate g ~wh ~wl ~th ~tl in
-  Objective.of_eval model eval ~th ()
+  let eval, dags_h, _ = Ref_evaluate.evaluate_routed g ~wh ~wl ~th ~tl in
+  Objective.of_eval model eval ~sla:(fun params ->
+      Ref_evaluate.sla params g ~th ~dags_h ~phi_h_per_arc:eval.Evaluate.phi_h_per_arc)
 
 (** Per-arc lexicographic link costs for FindH:
     [⟨Φ_{H,l}, Φ_{L,l}⟩] under [Load], [⟨D_l, Φ_{L,l}⟩] under

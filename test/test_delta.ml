@@ -15,7 +15,7 @@ module Matrix = Dtr_traffic.Matrix
 module Gravity = Dtr_traffic.Gravity
 module Highpri = Dtr_traffic.Highpri
 module Weights = Dtr_routing.Weights
-module Loads = Dtr_routing.Loads
+module Ref_loads = Dtr_oracle.Ref_loads
 module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Multi = Dtr_routing.Multi
@@ -593,8 +593,8 @@ let prop_same_flows =
                     if v = t then 0.
                     else Prng.float rng 1. *. (10. ** float_of_int (Prng.int rng 17)))
               in
-              let before = Loads.destination_loads g ~dag:!prev.(t) ~demand_to_dst in
-              let after = Loads.destination_loads g ~dag:dags.(t) ~demand_to_dst in
+              let before = Ref_loads.destination_loads g ~dag:!prev.(t) ~demand_to_dst in
+              let after = Ref_loads.destination_loads g ~dag:dags.(t) ~demand_to_dst in
               if not (same_bits before after) then
                 Alcotest.failf "seed %d step %d probe %d: dst %d reported same-flow" seed
                   step probe t
@@ -647,7 +647,7 @@ let test_same_flows_counterexample () =
   Alcotest.(check bool) "t not reported same-flow" false
     (Spf_delta.scratch_same_flows_at s !at);
   let demand_to_dst = [| 0.; 1.; 1.; 1e16 |] in
-  let load dag = (Loads.destination_loads g ~dag ~demand_to_dst).(0) in
+  let load dag = (Ref_loads.destination_loads g ~dag ~demand_to_dst).(0) in
   Alcotest.(check (float 0.)) "old h->t" 1e16 (load prev.(t));
   Alcotest.(check (float 0.)) "new h->t" 1.0000000000000002e16 (load dags.(t))
 
@@ -1036,37 +1036,37 @@ let test_masked_same_flow () =
       let demand_to_dst = [| 0.; 0.; 1. |] in
       Alcotest.(check bool) (what ^ ": loads toward 0 bitwise kept") true
         (same_bits
-           (Loads.destination_loads c.h ~dag:(dag_on_core c prev.(0)) ~demand_to_dst)
-           (Loads.destination_loads c.h ~dag ~demand_to_dst)))
+           (Ref_loads.destination_loads c.h ~dag:(dag_on_core c prev.(0)) ~demand_to_dst)
+           (Ref_loads.destination_loads c.h ~dag ~demand_to_dst)))
     [
       ("an upstream tail", 1, 3, [ (2, 1, 1) ]);
       ("a changed arc's tail", 2, 2, [ (1, 0, 1); (3, 1, 3) ]);
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Loads helper *)
+(* Per-destination load rows *)
 
+(* A context's per-destination contribution rows, summed in ascending
+   destination order, are the whole-matrix reference loads exactly, and
+   so are the context's totals. *)
 let test_destination_loads_sum () =
   let g = random_graph 42 in
   let rng = Prng.create 5 in
   let th, _ = random_matrices rng g in
   let w = Weights.random rng g in
-  let dags = Spf.all_destinations g ~weights:w in
-  let full = Dtr_oracle.Ref_loads.of_matrix g ~dags th in
-  let n = Graph.node_count g in
+  let full = Ref_loads.of_matrix g ~dags:(Spf.all_destinations g ~weights:w) th in
+  let ec = Eval_ctx.create g ~weights:[| w |] ~matrices:[| th |] in
   let m = Graph.arc_count g in
   let sum = Array.make m 0. in
-  for t = 0 to n - 1 do
-    match Loads.destination_demand ~dag:dags.(t) th with
-    | None -> ()
-    | Some demand ->
-        let c = Loads.destination_loads g ~dag:dags.(t) ~demand_to_dst:demand in
-        for a = 0 to m - 1 do
-          sum.(a) <- sum.(a) +. c.(a)
-        done
+  for t = 0 to Graph.node_count g - 1 do
+    let c = Eval_ctx.contrib_view ec ~klass:0 ~dst:t in
+    if Array.length c > 0 then
+      for a = 0 to m - 1 do
+        sum.(a) <- sum.(a) +. c.(a)
+      done
   done;
   Alcotest.(check bool) "per-destination subtotals recombine exactly" true
-    (full = sum)
+    (full = sum && Eval_ctx.loads ec 0 = full)
 
 (* ------------------------------------------------------------------ *)
 (* Eval_ctx vs the from-scratch multi-class reference *)
@@ -1484,6 +1484,28 @@ let test_probe_arc_listed_twice () =
     Eval_ctx.create g ~weights:[| apply wh [ (a, v1) ]; wl |] ~matrices:[| th; tl |]
   in
   check_arr ~what:"probe after refusals" (Eval_ctx.probe_phi p) (Eval_ctx.phi fresh)
+
+(* Every refusal of [create], each with its message: no class, a
+   weights/matrices length mismatch, a matrix of the wrong size, an
+   invalid weight vector, and positive demand between a pair with no
+   path. *)
+let test_create_refusals () =
+  let g = Graph.build ~n:3 [ { Graph.src = 0; dst = 1; capacity = 10.; delay = 1. } ] in
+  let w = [| 1 |] and tm = Matrix.create 3 in
+  let refuses what msg weights matrices =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () ->
+        ignore (Eval_ctx.create g ~weights ~matrices))
+  in
+  refuses "no class" "Eval_ctx.create: need at least one class" [||] [||];
+  refuses "weights/matrices length" "Eval_ctx.create: weights/matrices length mismatch"
+    [| w; w |] [| tm |];
+  refuses "matrix size" "Eval_ctx.create: matrix size mismatch" [| w |] [| Matrix.create 4 |];
+  refuses "weight out of bounds" "Weights.validate: weight out of bounds" [| [| 0 |] |]
+    [| tm |];
+  refuses "weight vector length" "Weights.validate: length mismatch" [| [| 1; 1 |] |] [| tm |];
+  let unroutable = Matrix.create 3 in
+  Matrix.set unroutable 2 1 1.;
+  refuses "unroutable demand" "Eval_ctx.create: no path 2 -> 1" [| w |] [| unroutable |]
 
 (* ------------------------------------------------------------------ *)
 (* The engine vs an oracle that shares none of its kernels
@@ -2020,7 +2042,7 @@ let sequence_matches ~str ~model stats seed =
     match sla with
     | None -> (Eval_ctx.phi c.ec).(0)
     | Some params ->
-        (Evaluate.evaluate_sla params (Eval_ctx.to_evaluate c.ec) ~th).Evaluate.lambda
+        (Dtr_oracle.Ref_evaluate.ctx_sla params ~th c.ec).Evaluate.lambda
   in
   for step = 1 to 24 do
     let c = List.nth !pool (Prng.int rng (List.length !pool)) in
@@ -2243,6 +2265,7 @@ let () =
             test_eval_ctx_stale_probe;
           Alcotest.test_case "probe refuses an arc listed twice" `Quick
             test_probe_arc_listed_twice;
+          Alcotest.test_case "create's refusals" `Quick test_create_refusals;
         ] );
       ( "problem",
         [

@@ -1188,8 +1188,7 @@ let check_flow_nodes ~what g ctx k ~fresh dags =
   done
 
 let sla_lambda ~th ctx =
-  (Evaluate.evaluate_sla Dtr_cost.Sla.default (Eval_ctx.to_evaluate ctx) ~th)
-    .Evaluate.lambda
+  (Dtr_oracle.Ref_evaluate.ctx_sla Dtr_cost.Sla.default ~th ctx).Evaluate.lambda
 
 (* Screen coverage over a run: dirty destinations deferred under a
    single drop and under a single raise, and probes whose class-0

@@ -392,8 +392,8 @@ let test_inspect_golden_abilene () =
   in
   let r =
     Objective.of_eval (Objective.Sla Dtr_cost.Sla.default)
-      (Dtr_routing.Eval_ctx.to_evaluate ctx)
-      ~th:inst.Scenario.th ()
+      (Dtr_routing.Eval_ctx.to_evaluate ctx) ~sla:(fun params ->
+        Dtr_routing.Eval_ctx.sla params ~th:inst.Scenario.th ctx)
   in
   let e = r.Objective.eval in
   let buf = Buffer.create 1024 in

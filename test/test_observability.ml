@@ -444,7 +444,10 @@ let test_diff_jobs_invariant_and_of_changes () =
   Alcotest.(check bool) "rerouted demand bounded" true
     (cd.Diff.cd_rerouted_demand <= cd.Diff.cd_total_demand +. 1e-12)
 
-let test_diff_golden_abilene () =
+(* Abilene at 60 % utilization and two settings of it, before and
+   after a deterministic three-arc maintenance batch: the instance and
+   the weights [(wh, wl)] of each. *)
+let abilene_diff () =
   let inst =
     Scenario.make
       {
@@ -456,15 +459,20 @@ let test_diff_golden_abilene () =
   in
   let inst = Scenario.scale_to_utilization inst ~target:0.6 in
   let g = inst.Scenario.graph in
-  let matrices = [| inst.Scenario.th; inst.Scenario.tl |] in
   let wh = Weights.uniform g 15 and wl = Weights.uniform g 14 in
   let wh' = Array.copy wh and wl' = Array.copy wl in
-  (* A deterministic three-arc maintenance batch. *)
   wh'.(0) <- 30;
   wh'.(7) <- 3;
   wl'.(12) <- 25;
-  let ctx_a = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices in
-  let ctx_b = Eval_ctx.create g ~weights:[| wh'; wl' |] ~matrices in
+  (inst, (wh, wl), (wh', wl'))
+
+let abilene_ctx inst (wh, wl) =
+  Eval_ctx.create inst.Scenario.graph ~weights:[| wh; wl |]
+    ~matrices:[| inst.Scenario.th; inst.Scenario.tl |]
+
+let test_diff_golden_abilene () =
+  let inst, before, after = abilene_diff () in
+  let ctx_a = abilene_ctx inst before and ctx_b = abilene_ctx inst after in
   let sla = (Dtr_cost.Sla.default, inst.Scenario.th) in
   let d = Diff.compute ~sla ctx_a ctx_b in
   let rc = Diff.reconvergence ctx_a ctx_b in
@@ -492,6 +500,35 @@ let test_diff_golden_abilene () =
           (fun () -> really_input_string ic (in_channel_length ic))
       in
       Alcotest.(check string) "diff tables match golden" golden out
+
+(* Diff's Λ under a 5 ms bound, which Abilene's high-priority pairs
+   violate: each side is the oracle's Λ at that side's weights, over
+   its own all-destination dags, and the two differ, so a Λ that read
+   zero or priced the other context would fail. *)
+let test_diff_lambda_abilene () =
+  let inst, before, after = abilene_diff () in
+  let params = { Dtr_cost.Sla.default with Dtr_cost.Sla.theta = 5. } in
+  let th = inst.Scenario.th in
+  let d =
+    Diff.compute ~sla:(params, th) (abilene_ctx inst before) (abilene_ctx inst after)
+  in
+  let oracle (wh, wl) =
+    match
+      (Dtr_oracle.Ref_objective.evaluate (Objective.Sla params) inst.Scenario.graph ~wh
+         ~wl ~th ~tl:inst.Scenario.tl)
+        .Objective.sla
+    with
+    | Some s -> s.Dtr_routing.Evaluate.lambda
+    | None -> Alcotest.fail "the oracle priced no SLA"
+  in
+  let want_a = oracle before and want_b = oracle after in
+  Alcotest.(check bool) "the bound is violated before" true (want_a > 0.);
+  Alcotest.(check bool) "the batch moves Λ" true (want_a <> want_b);
+  match d.Diff.lambda with
+  | None -> Alcotest.fail "no Λ priced"
+  | Some (lambda_a, lambda_b) ->
+      check_bitwise "Λ before = the oracle's" want_a lambda_a;
+      check_bitwise "Λ after = the oracle's" want_b lambda_b
 
 (* ------------------------------------------------------------------ *)
 (* Batched weight deployment *)
@@ -755,6 +792,8 @@ let () =
             test_diff_jobs_invariant_and_of_changes;
           Alcotest.test_case "golden output on abilene" `Quick
             test_diff_golden_abilene;
+          Alcotest.test_case "Λ held to the oracle on abilene" `Quick
+            test_diff_lambda_abilene;
         ] );
       ( "mtospf",
         [

@@ -9,6 +9,7 @@ module Matrix = Dtr_traffic.Matrix
 module Weights = Dtr_routing.Weights
 module Evaluate = Dtr_routing.Evaluate
 module Objective = Dtr_routing.Objective
+module Eval_ctx = Dtr_routing.Eval_ctx
 module Ref_loads = Dtr_oracle.Ref_loads
 module Ref_delay = Dtr_oracle.Ref_delay
 module Ref_evaluate = Dtr_oracle.Ref_evaluate
@@ -381,6 +382,12 @@ let two_class_line () =
   let tl = single_dest_matrix 3 [ (0, 2, 4.) ] in
   (g, th, tl)
 
+(* The oracle's evaluation at [w] for both classes, with its SLA
+   costing under the default bound. *)
+let evaluate_sla g ~w ~th ~tl =
+  let r = Ref_objective.evaluate (Objective.Sla Sla.default) g ~wh:w ~wl:w ~th ~tl in
+  (r.Objective.eval, Option.get r.Objective.sla)
+
 let test_evaluate_residual () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
@@ -411,7 +418,7 @@ let test_evaluate_saturated_finite () =
   let th = single_dest_matrix 3 [ (0, 2, 5.) ] in
   let tl = single_dest_matrix 3 [ (0, 2, 2.) ] in
   let w = Weights.uniform g 1 in
-  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
+  let e, s = evaluate_sla g ~w ~th ~tl in
   Array.iteri
     (fun i h -> if h > 0. then checkf "residual clamped" 0. e.Evaluate.residual.(i))
     e.Evaluate.h_loads;
@@ -422,7 +429,6 @@ let test_evaluate_saturated_finite () =
     (fun i l ->
       if l > 0. then checkf "steepest segment" (5000. *. l) e.Evaluate.phi_l_per_arc.(i))
     e.Evaluate.l_loads;
-  let s = Evaluate.evaluate_sla Sla.default e ~th in
   Alcotest.(check bool) "lambda not nan" false (Float.is_nan s.Evaluate.lambda);
   Alcotest.(check bool) "lambda finite" true (Float.is_finite s.Evaluate.lambda);
   List.iter
@@ -461,8 +467,10 @@ let test_evaluate_sla_unreachable () =
   let th = single_dest_matrix 3 [ (0, 2, 1.); (1, 0, 1.) ] in
   let h_loads = Ref_loads.of_matrix ~drop_unroutable:true g ~dags th in
   let l_loads = Array.make (Graph.arc_count g) 0. in
-  let e = Ref_evaluate.assemble g ~dags_h:dags ~h_loads ~dags_l:dags ~l_loads in
-  let s = Evaluate.evaluate_sla Sla.default e ~th in
+  let e = Ref_evaluate.assemble g ~h_loads ~l_loads in
+  let s =
+    Ref_evaluate.sla Sla.default g ~th ~dags_h:dags ~phi_h_per_arc:e.Evaluate.phi_h_per_arc
+  in
   Alcotest.(check int) "one unreachable" 1 s.Evaluate.unreachable;
   Alcotest.(check bool) "lambda infinite" true (s.Evaluate.lambda = Float.infinity);
   Alcotest.(check bool) "lambda not nan" false (Float.is_nan s.Evaluate.lambda);
@@ -470,11 +478,17 @@ let test_evaluate_sla_unreachable () =
     (s.Evaluate.violations >= 1);
   checkf "worst delay infinite" Float.infinity s.Evaluate.worst_delay
 
+(* One weight vector routes both classes once: in the oracle, one
+   physical dag array; in the engine, one weight group whose dags every
+   class views as the same physical values. *)
 let test_evaluate_str_shares_dags () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
-  Alcotest.(check bool) "physically shared" true (e.Evaluate.dags_h == e.Evaluate.dags_l)
+  let dags_h, dags_l = Ref_evaluate.routings g ~wh:w ~wl:w in
+  Alcotest.(check bool) "oracle: physically shared" true (dags_h == dags_l);
+  let ec = Eval_ctx.create g ~weights:[| w; w |] ~matrices:[| th; tl |] in
+  Alcotest.(check bool) "engine: physically shared" true
+    (Array.for_all2 ( == ) (Eval_ctx.dags ec 0) (Eval_ctx.dags ec 1))
 
 let test_evaluate_phi_sums () =
   let g, th, tl = two_class_line () in
@@ -542,8 +556,7 @@ let test_evaluate_sla_counts () =
   let th = single_dest_matrix 2 [ (0, 1, 10.) ] in
   let tl = single_dest_matrix 2 [ (1, 0, 10.) ] in
   let w = Weights.uniform g 1 in
-  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
-  let s = Evaluate.evaluate_sla Sla.default e ~th in
+  let _, s = evaluate_sla g ~w ~th ~tl in
   (* 30 ms propagation > 25 ms bound. *)
   Alcotest.(check int) "one violation" 1 s.Evaluate.violations;
   Alcotest.(check bool) "penalty at least a" true (s.Evaluate.lambda >= 100.);
@@ -554,8 +567,7 @@ let test_evaluate_sla_no_violation () =
   let th = single_dest_matrix 2 [ (0, 1, 10.) ] in
   let tl = single_dest_matrix 2 [ (1, 0, 10.) ] in
   let w = Weights.uniform g 1 in
-  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
-  let s = Evaluate.evaluate_sla Sla.default e ~th in
+  let _, s = evaluate_sla g ~w ~th ~tl in
   Alcotest.(check int) "no violations" 0 s.Evaluate.violations;
   checkf "zero penalty" 0. s.Evaluate.lambda
 
@@ -652,9 +664,11 @@ let test_multi_capacity_monotone () =
 let test_multi_shares_dags_when_aliased () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
-  Alcotest.(check bool) "dags shared" true
-    (m.Multi.dags.(0) == m.Multi.dags.(1) && m.Multi.dags.(1) == m.Multi.dags.(2))
+  let d = Ref_multi.routings g ~weights:[| w; w; w |] in
+  Alcotest.(check bool) "oracle: dags shared" true (d.(0) == d.(1) && d.(1) == d.(2));
+  let ec = Eval_ctx.create g ~weights:[| w; w; w |] ~matrices in
+  let shared k = Array.for_all2 ( == ) (Eval_ctx.dags ec 0) (Eval_ctx.dags ec k) in
+  Alcotest.(check bool) "engine: dags shared" true (shared 1 && shared 2)
 
 let test_multi_higher_class_insulated () =
   let g, matrices = three_class_line () in
@@ -707,10 +721,10 @@ let test_objective_of_eval_sla_cache () =
   match r1.Objective.sla with
   | None -> Alcotest.fail "expected sla"
   | Some sla ->
-      let r2 = Objective.of_eval model r1.Objective.eval ~th ~sla () in
+      let r2 = Objective.of_eval model r1.Objective.eval ~sla:(fun _ -> sla) in
       (match r2.Objective.sla with
-      | Some s2 -> Alcotest.(check bool) "cache reused" true (s2 == sla)
-      | None -> Alcotest.fail "cache dropped")
+      | Some s2 -> Alcotest.(check bool) "costing kept" true (s2 == sla)
+      | None -> Alcotest.fail "costing dropped")
 
 (* ------------------------------------------------------------------ *)
 (* Weights_io *)
@@ -876,8 +890,7 @@ let test_report_summary () =
 let test_report_pair_delays () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
-  let e = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
-  let sla = Evaluate.evaluate_sla Sla.default e ~th in
+  let _, sla = evaluate_sla g ~w ~th ~tl in
   let t = Report.per_pair_delay_table ~node_name:(Printf.sprintf "n%d") sla Sla.default in
   Alcotest.(check int) "one HP pair" 1 (List.length (Table.rows t));
   match Table.rows t with

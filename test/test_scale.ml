@@ -21,6 +21,7 @@ module Objective = Dtr_routing.Objective
 module Evaluate = Dtr_routing.Evaluate
 module Sla = Dtr_cost.Sla
 module Ref_evaluate = Dtr_oracle.Ref_evaluate
+module Ref_loads = Dtr_oracle.Ref_loads
 module Ref_failure = Dtr_oracle.Ref_failure
 
 let mkarc ?(capacity = 1.) ?(delay = 1.) src dst =
@@ -241,12 +242,13 @@ let prop_for_destinations_active_subset =
       done;
       !ok)
 
-(* Buffers reused from walk to walk, over full dags and over dags of a
-   subgraph that keeps about a fifth of the nodes, numbered densely as
-   a context's core graph is, whose rows are shorter than the
-   buffers. *)
-let prop_destination_loads_into_identical =
-  QCheck.Test.make ~name:"destination_loads_into = destination_loads"
+(* The engine's walk as a context runs it, into a zeroed row with a
+   flow buffer reused from walk to walk, against the oracle's fresh
+   walk: over full dags and over dags of a subgraph that keeps about a
+   fifth of the nodes, numbered densely as a context's core graph is,
+   whose rows are shorter than the buffers. *)
+let prop_spread_demand_fresh =
+  QCheck.Test.make ~name:"spread_demand = Ref_loads"
     ~count:200
     (QCheck.make
        QCheck.Gen.(
@@ -271,10 +273,15 @@ let prop_destination_loads_into_identical =
               Array.init (Graph.node_count g) (fun s ->
                   if s <> dag.Spf.dst && Prng.bool rng then Prng.float rng 50. else 0.)
             in
-            let fresh = Loads.destination_loads g ~dag ~demand_to_dst in
-            ignore
-              (Loads.destination_loads_into g ~dag ~demand_to_dst ~flow ~contrib : bool);
-            if Array.sub contrib 0 (Graph.arc_count g) <> fresh then ok := false)
+            let fresh = Array.make (Graph.arc_count g) 0. in
+            let want =
+              Ref_loads.destination_loads_into g ~dag ~demand_to_dst
+                ~flow:(Array.make (Graph.node_count g) 0.) ~contrib:fresh
+            in
+            Array.fill contrib 0 m 0.;
+            let got = Loads.spread_demand g ~dag ~demand_to_dst ~flow ~contrib in
+            if got <> want || Array.sub contrib 0 (Graph.arc_count g) <> fresh then
+              ok := false)
           [
             (g, dags.(dst));
             (h, Spf.to_destination h ~weights:(Array.map (Array.get w) arcs) ~dst:!at);
@@ -324,20 +331,25 @@ let group_core g ~matrices ctx k =
     matrices;
   (Graph.off_core g ~endpoints, sinks)
 
+(* The reference evaluation at [wh]/[wl], with the dags it routed on. *)
 let reference g ~matrices ~wh ~wl =
-  Ref_evaluate.evaluate g ~wh ~wl ~th:matrices.(0) ~tl:matrices.(1)
+  Ref_evaluate.evaluate_routed g ~wh ~wl ~th:matrices.(0) ~tl:matrices.(1)
 
-let reference_primary ~model ~th (e : Evaluate.t) =
+let reference_primary ~model ~th ((e : Evaluate.t), dags_h, _) =
   match model with
   | Objective.Load -> e.Evaluate.phi_h
-  | Objective.Sla params -> (Evaluate.evaluate_sla params e ~th).Evaluate.lambda
+  | Objective.Sla params ->
+      (Ref_evaluate.sla params e.Evaluate.graph ~th ~dags_h
+         ~phi_h_per_arc:e.Evaluate.phi_h_per_arc)
+        .Evaluate.lambda
 
 (* A probe that priced the leading [priced] classes against the
    reference [want] at the probed weights: Φ, the Fortz rows and the
    primary.  For a failure probe, [want] is on the graph without the
    link, whose arc [i] is the context's arc [mapping.(i)]; the failed
    arcs cost zero. *)
-let check_probe ?mapping ~what ~model ~th ~priced ctx p (want : Evaluate.t) =
+let check_probe ?mapping ~what ~model ~th ~priced ctx p want =
+  let (e : Evaluate.t), _, _ = want in
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
   let widen row =
     match mapping with
@@ -347,8 +359,8 @@ let check_probe ?mapping ~what ~model ~th ~priced ctx p (want : Evaluate.t) =
         Array.iteri (fun i a -> full.(a) <- row.(i)) mapping;
         full
   in
-  let phi = [| want.Evaluate.phi_h; want.Evaluate.phi_l |] in
-  let rows = [| want.Evaluate.phi_h_per_arc; want.Evaluate.phi_l_per_arc |] in
+  let phi = [| e.Evaluate.phi_h; e.Evaluate.phi_l |] in
+  let rows = [| e.Evaluate.phi_h_per_arc; e.Evaluate.phi_l_per_arc |] in
   if not (same_bits (Array.sub phi 0 priced) (Eval_ctx.probe_phi p)) then
     fail "probe phi";
   for k = 0 to priced - 1 do
@@ -366,8 +378,8 @@ let check_probe ?mapping ~what ~model ~th ~priced ctx p (want : Evaluate.t) =
    primary, the residual, and per class the Fortz and load rows
    bitwise.  At each destination the class sends demand to, its
    demand column is the reference's, its contribution row is
-   Loads.destination_loads over the reference dag,
-   and the context's dag is the reference one at every core node
+   Ref_loads.destination_loads over the reference dag, and the
+   context's dag is the reference one at every core node
    (labels and next-hop sets), its order is the reference order
    restricted to the core, and every off-core node reads unreachable
    with no next hop.  Every other destination has no row, and a
@@ -375,11 +387,11 @@ let check_probe ?mapping ~what ~model ~th ~priced ctx p (want : Evaluate.t) =
    there. *)
 let check_reference ~what ~model ~matrices ctx =
   let g = Eval_ctx.graph ctx and th = matrices.(0) in
-  let want =
+  let ((e : Evaluate.t), dags_h, dags_l) as want =
     reference g ~matrices ~wh:(Eval_ctx.weights ctx 0) ~wl:(Eval_ctx.weights ctx 1)
   in
   let fail fmt = Alcotest.failf ("%s: " ^^ fmt) what in
-  if not (same_bits [| want.Evaluate.phi_h; want.Evaluate.phi_l |] (Eval_ctx.phi ctx))
+  if not (same_bits [| e.Evaluate.phi_h; e.Evaluate.phi_l |] (Eval_ctx.phi ctx))
   then fail "phi";
   if
     not
@@ -387,12 +399,12 @@ let check_reference ~what ~model ~matrices ctx =
          [| reference_primary ~model ~th want |]
          [| Eval_ctx.primary ~model ~th ctx |])
   then fail "primary";
-  if not (same_bits want.Evaluate.residual (Eval_ctx.to_evaluate ctx).Evaluate.residual)
+  if not (same_bits e.Evaluate.residual (Eval_ctx.to_evaluate ctx).Evaluate.residual)
   then fail "residual";
   let per_class =
     [|
-      (want.Evaluate.dags_h, want.Evaluate.h_loads, want.Evaluate.phi_h_per_arc);
-      (want.Evaluate.dags_l, want.Evaluate.l_loads, want.Evaluate.phi_l_per_arc);
+      (dags_h, e.Evaluate.h_loads, e.Evaluate.phi_h_per_arc);
+      (dags_l, e.Evaluate.l_loads, e.Evaluate.phi_l_per_arc);
     |]
   in
   for k = 0 to 1 do
@@ -402,19 +414,19 @@ let check_reference ~what ~model ~matrices ctx =
     if not (same_bits loads (Eval_ctx.loads ctx k)) then fail "class %d loads" k;
     let off, sinks = group_core g ~matrices ctx k in
     let core_order o = List.filter (fun v -> not off.(v)) (Array.to_list o) in
-    let dags = Lazy.force dags and ctx_dags = Eval_ctx.dags ctx k in
+    let ctx_dags = Eval_ctx.dags ctx k in
     for dst = 0 to Graph.node_count g - 1 do
       let row = Eval_ctx.contrib_view ctx ~klass:k ~dst in
       let da = dags.(dst) and dd = ctx_dags.(dst) in
       let dem = Eval_ctx.demand_view ctx ~klass:k ~dst in
-      match Loads.destination_demand ~dag:da matrices.(k) with
+      match Ref_loads.destination_demand ~dag:da matrices.(k) with
       | None ->
           if Array.length row > 0 then fail "class %d dst %d: a row without demand" k dst;
           if Array.length dem > 0 then fail "class %d dst %d: demand without any" k dst;
           if Spf.is_placeholder dd = sinks.(dst) then
             fail "class %d dst %d: placeholder iff no demand of the group" k dst
       | Some demand_to_dst ->
-          if not (same_bits (Loads.destination_loads g ~dag:da ~demand_to_dst) row) then
+          if not (same_bits (Ref_loads.destination_loads g ~dag:da ~demand_to_dst) row) then
             fail "class %d dst %d contribution" k dst;
           if not (same_bits demand_to_dst dem) then fail "class %d dst %d demand" k dst;
           Array.iteri
@@ -1009,7 +1021,7 @@ let () =
           qc prop_workspace_dijkstra_identical;
           qc prop_workspace_spf_identical;
           qc prop_for_destinations_active_subset;
-          qc prop_destination_loads_into_identical;
+          qc prop_spread_demand_fresh;
         ] );
       ( "demand-mode",
         [
