@@ -142,7 +142,9 @@ let time_budget_arg =
            search checks the clock once per iteration and winds down \
            early when the budget is spent (at least one iteration \
            always runs).  Iteration counts under a binding budget are \
-           machine-dependent.")
+           machine-dependent; a search the budget cut short is marked \
+           \"stopped on the clock\" on its objective line and on the \
+           RH and RL lines.")
 
 let init_weights_arg =
   Arg.(
@@ -155,18 +157,22 @@ let init_weights_arg =
            W_H and W_L; e.g. a previous run's --save-weights output).  \
            Weights are range-validated on load.")
 
-(* A saved weight file as a (wh, wl) pair: one topology seeds both
-   classes (STR), two are W_H and W_L (DTR).  Out-of-range or
-   malformed files die with the parser's line-numbered message. *)
-let load_weight_pair path =
+(* A saved weight file as a (wh, wl) pair on [graph]: one topology
+   seeds both classes (STR), two are W_H and W_L (DTR).  Out-of-range
+   or malformed files die with the parser's line-numbered message, and
+   a file saved for another graph with both arc counts. *)
+let load_weight_pair graph path =
+  let fail fmt = Printf.ksprintf (fun msg -> failwith (path ^ ": " ^ msg)) fmt in
+  let arcs = Dtr_graph.Graph.arc_count graph in
   match Dtr_routing.Weights_io.load path with
-  | Error msg -> failwith (Printf.sprintf "%s: %s" path msg)
+  | Error msg -> fail "%s" msg
+  | Ok ([| w |] | [| w; _ |]) when Array.length w <> arcs ->
+      fail "weights for %d arcs, but the scenario has %d arcs"
+        (Array.length w) arcs
   | Ok [| w |] -> (w, w)
   | Ok [| wh; wl |] -> (wh, wl)
   | Ok sets ->
-      failwith
-        (Printf.sprintf "%s: expected 1 or 2 weight topologies, found %d" path
-           (Array.length sets))
+      fail "expected 1 or 2 weight topologies, found %d" (Array.length sets)
 
 let scan_jobs_arg =
   Arg.(
@@ -447,6 +453,7 @@ type searched = {
   effort : string;  (* the parenthetical of the objective line *)
   memo : (int * int) option;  (* memo hits and misses, single runs only *)
   events : Dtr_core.Trace.event list;  (* the convergence table's input *)
+  stopped : bool;  (* the time budget made the search skip iterations *)
 }
 
 let optimize_cmd =
@@ -477,18 +484,20 @@ let optimize_cmd =
       | None -> preset
       | Some n -> { preset with Dtr_core.Search_config.n_iters = n; k_iters = n }
     in
-    let w0 = Option.map load_weight_pair init_weights in
     let t_start = Unix.gettimeofday () in
     let stop =
       Option.map
         (fun b () -> Unix.gettimeofday () -. t_start > b)
         time_budget
     in
-    if restarts > 1 && (w0 <> None || stop <> None || search_iters <> None)
+    if
+      restarts > 1
+      && (init_weights <> None || stop <> None || search_iters <> None)
     then
       failwith
         "--init-weights/--time-budget/--search-iters require --restarts 1";
     let inst = Scenario.make (make_spec topology fraction density seed) in
+    let w0 = Option.map (load_weight_pair inst.Scenario.graph) init_weights in
     (* One provenance record shared by every artifact of this run. *)
     let manifest =
       Dtr_core.Manifest.to_json ~seed ~jobs ~restarts
@@ -523,7 +532,8 @@ let optimize_cmd =
           Compare.run_point ~cfg:preset ~seed ~trace ?stop
             ?str_iters:search_iters ?w0 inst ~model ~target_util:util
         in
-        let single restart (objective, best, improvements, evaluations, hits, misses) =
+        let single restart
+            (objective, best, improvements, evaluations, hits, misses, stopped) =
           {
             objective;
             best;
@@ -535,15 +545,18 @@ let optimize_cmd =
               List.filter
                 (fun (e : Trace.event) -> e.Trace.restart = restart)
                 (Trace.events ring);
+            stopped;
           }
         in
         let s = point.Compare.str and d = point.Compare.dtr in
         ( single 0
             Dtr_core.Str_search.(s.objective, s.best, s.improvements,
-                                 s.evaluations, s.memo_hits, s.memo_misses),
+                                 s.evaluations, s.memo_hits, s.memo_misses,
+                                 s.stopped),
           single 1
             Dtr_core.Dtr_search.(d.objective, d.best, d.improvements,
-                                 d.evaluations, d.memo_hits, d.memo_misses) )
+                                 d.evaluations, d.memo_hits, d.memo_misses,
+                                 d.stopped) )
       end
       else begin
         (* Multi-start: each search's stream of the point feeds a
@@ -565,6 +578,7 @@ let optimize_cmd =
                 r.Multistart.best_index r.Multistart.evaluations;
             memo = None;
             events = Trace.events ring;
+            stopped = false;
           }
         in
         let str = ms Multistart.Str str_rng in
@@ -576,9 +590,13 @@ let optimize_cmd =
       f "STR" str;
       f "DTR" dtr
     in
+    (* A search the time budget cut short is marked on its objective
+       line and on the ratios it enters. *)
+    let clock stopped = if stopped then ", stopped on the clock" else "" in
     both (fun name r ->
-        Printf.printf "%-4s objective: primary=%.6g secondary=%.6g (%s)\n" name
-          r.objective.Lexico.primary r.objective.Lexico.secondary r.effort);
+        Printf.printf "%-4s objective: primary=%.6g secondary=%.6g (%s)%s\n"
+          name r.objective.Lexico.primary r.objective.Lexico.secondary r.effort
+          (clock r.stopped));
     (* In robust mode the reported objective is J; show the normal-cost
        share so the penalty is visible. *)
     Option.iter
@@ -602,9 +620,12 @@ let optimize_cmd =
       Compare.ratio ~num:(component str.objective)
         ~den:(component dtr.objective)
     in
-    Printf.printf "H-cost ratio RH = %.3f\nL-cost ratio RL = %.3f\n"
+    let mark = clock (str.stopped || dtr.stopped) in
+    Printf.printf "H-cost ratio RH = %.3f%s\nL-cost ratio RL = %.3f%s\n"
       (ratio (fun o -> o.Lexico.primary))
-      (ratio (fun o -> o.Lexico.secondary));
+      mark
+      (ratio (fun o -> o.Lexico.secondary))
+      mark;
     (match trace_file with
     | None -> ()
     | Some path ->
@@ -860,7 +881,7 @@ let inspect_cmd =
       match weights_file with
       | Some path ->
           (* Inspect a deployed weight setting as-is — no search. *)
-          load_weight_pair path
+          load_weight_pair inst.Scenario.graph path
       | None ->
           let problem = Scenario.problem inst ~model in
           Printf.printf "optimizing DTR weights...\n%!";
@@ -995,8 +1016,9 @@ let diff_cmd =
       | _ -> failwith "pass exactly two --weights FILEs (before and after)"
     in
     let inst = scaled_instance topology fraction density seed ~util in
-    let ctx_a = context inst (load_weight_pair path_a) in
-    let ctx_b = context inst (load_weight_pair path_b) in
+    let load = load_weight_pair inst.Scenario.graph in
+    let ctx_a = context inst (load path_a) in
+    let ctx_b = context inst (load path_b) in
     let sla =
       match model with
       | Objective.Sla params -> Some (params, inst.Scenario.th)
@@ -1075,7 +1097,9 @@ let report_cmd =
           | None -> []
           | Some path ->
               let inst = scaled_instance topology fraction density seed ~util in
-              let _, result = evaluate inst model (load_weight_pair path) in
+              let _, result =
+                evaluate inst model (load_weight_pair inst.Scenario.graph path)
+              in
               let eval = result.Dtr_routing.Objective.eval in
               [
                 Report.summary_table ?sla:result.Dtr_routing.Objective.sla eval;

@@ -17,6 +17,7 @@ type report = {
   memo_hits : int;
   memo_misses : int;
   phase_objectives : (phase * Lexico.t) list;
+  stopped : bool;
 }
 
 (* One FindH / FindL neighborhood of [sol]'s [cls] weights, as change
@@ -59,11 +60,11 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     Neighborhood.samplers cfg (Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
   let rcache_h = Ranking.create () and rcache_l = Ranking.create () in
-  let stopped = ref false in
+  let fired = ref false and stopped = ref false in
   let poll_stop () =
     match stop with
     | None -> ()
-    | Some f -> if f () then stopped := true
+    | Some f -> if f () then fired := true
   in
   Scan.with_engine ~jobs:cfg.Search_config.scan_jobs problem @@ fun scan ->
   (* One run, and one memo, for all three routines: FindH and FindL
@@ -103,11 +104,13 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
   in
   (* [stop] is polled after every completed iteration (so at least one
      always runs); once it fires, the remaining iterations of every
-     routine are skipped while the hand-offs and the report still
-     execute.  [detail] of every event is the routine ordinal. *)
+     routine are skipped, which the report records, while the hand-offs
+     and the report still execute.  [detail] of every event is the
+     routine ordinal. *)
   let iterate ~iterations phase body =
     for iteration = 1 to iterations do
-      if not !stopped then begin
+      if !fired then stopped := true
+      else begin
         body iteration;
         notify phase iteration;
         poll_stop ()
@@ -179,4 +182,5 @@ let run ?w0 ?stop ?on_progress ?(trace = Trace.disabled) rng cfg problem =
     memo_hits = Incumbent.memo_hits inc;
     memo_misses = Incumbent.memo_misses inc;
     phase_objectives = List.rev !phase_objectives;
+    stopped = !stopped;
   }

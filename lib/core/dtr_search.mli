@@ -28,6 +28,8 @@ type report = {
   memo_misses : int;  (** candidates that had to be evaluated *)
   phase_objectives : (phase * Dtr_cost.Lexico.t) list;
       (** incumbent objective at the end of each routine, in order *)
+  stopped : bool;
+      (** the [stop] hook made the run skip at least one iteration *)
 }
 
 val run :

@@ -1,6 +1,6 @@
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
-module Multi = Dtr_routing.Multi
+module Lexico = Dtr_cost.Lexico
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Weights = Dtr_routing.Weights
 
@@ -25,42 +25,28 @@ let create_problem ~graph ~matrices =
 type report = {
   weights : int array array;
   objective : float array;
-  eval : Multi.t;
   evaluations : int;
   improvements : int;
 }
 
 type state = {
-  mutable current_w : int array array;
-  mutable current : Multi.t;
-  mutable ctx : Eval_ctx.t;  (* incremental view of [current] *)
-  mutable best_w : int array array;
-  mutable best : Multi.t;
+  mutable ctx : Eval_ctx.t;  (* the current point *)
   best_ctx : Eval_ctx.t;
-      (* a clone of [ctx] kept in step with [best]: synced from [ctx] at
-         every new best, so a return to the best is blits only *)
+      (* a clone of [ctx] synced from it at every new best: a return to
+         the best is blits only, and the report reads the best's
+         weights from it *)
+  mutable best : float array;  (* the best's objective vector *)
   mutable evaluations : int;
   mutable improvements : int;
+  mutable moves : int;  (* commits and restarts: did an iteration move? *)
   mutable stall : int;
 }
-
-let copy_weights w = Array.map Array.copy w
-
-(* Full (re-)evaluation through the incremental context, so later
-   probes start from it. *)
-let eval_state st problem w =
-  st.evaluations <- st.evaluations + 1;
-  st.ctx <- Eval_ctx.create problem.graph ~weights:w ~matrices:problem.matrices;
-  Eval_ctx.to_multi st.ctx
-
-let better a b = Multi.compare_objective (Multi.objective a) (Multi.objective b) < 0
 
 (* Probe candidates — change lists against [base], class [klass]'s
    weights when the pass began — one after another against the
    context, committing every improvement of the running incumbent as
    soon as it is found.  A later candidate is therefore diffed against
-   the weights the earlier commits left.  [install w] is the per-class
-   weight array after committing class [klass]'s vector [w].
+   the weights the earlier commits left.
 
    This pass deliberately does NOT go through the Scan engine (and
    stays sequential under --scan-jobs): each later candidate is probed
@@ -69,104 +55,107 @@ let better a b = Multi.compare_objective (Multi.objective a) (Multi.objective b)
    incumbent — a different search trajectory, not just a different
    schedule.  The engine only fits scans whose winner is chosen after
    the whole neighborhood is scored (STR, FindH/FindL). *)
-let first_improvements st ~klass ~base ~install candidates =
+let first_improvements st ~klass ~base candidates =
   List.iter
     (fun changes ->
       st.evaluations <- st.evaluations + 1;
       let w = Array.copy base in
       List.iter (fun (a, v) -> w.(a) <- v) changes;
-      let changes = Problem.weight_changes st.current_w.(klass) w in
+      let changes =
+        Problem.weight_changes (Eval_ctx.weights_view st.ctx klass) w
+      in
       let d = Eval_ctx.probe st.ctx ~klass ~changes in
-      if
-        Multi.compare_objective (Eval_ctx.probe_phi d)
-          (Multi.objective st.current)
-        < 0
+      if Lexico.compare_vectors (Eval_ctx.probe_phi d) (Eval_ctx.phi st.ctx) < 0
       then begin
         Eval_ctx.commit st.ctx d;
-        st.current_w <- install w;
-        st.current <- Eval_ctx.to_multi st.ctx
+        st.moves <- st.moves + 1
       end)
     candidates
 
 (* One Algorithm-2 pass on class [klass]'s weights, ranked by its
-   per-arc cost row.  The sort completes before any probe commits, so
-   reading the live row is bitwise-identical to a snapshot. *)
+   per-arc cost row.  The sort completes before any probe commits, and
+   commits replace the row and the weight vector rather than mutate
+   them, so both views stay the pass's starting point. *)
 let pass samplers rng cfg problem st ~klass =
-  let w = st.current_w in
-  let costs = st.current.Multi.phi_per_arc.(klass) in
+  let costs = Eval_ctx.phi_per_arc st.ctx klass in
   let ranking =
     Neighborhood.rank_by_cost
       ~cmp:(fun x y -> Float.compare costs.(x) costs.(y))
       (Graph.arc_count problem.graph)
   in
-  let install w_k =
-    let cand_w = Array.copy w in
-    cand_w.(klass) <- w_k;
-    cand_w
-  in
-  first_improvements st ~klass ~base:w.(klass) ~install
-    (Neighborhood.candidates samplers rng cfg ~ranking w.(klass))
+  let base = Eval_ctx.weights_view st.ctx klass in
+  first_improvements st ~klass ~base
+    (Neighborhood.candidates samplers rng cfg ~ranking base)
 
 let record_best st =
-  if better st.current st.best then begin
-    st.best_w <- copy_weights st.current_w;
-    st.best <- st.current;
+  let phi = Eval_ctx.phi st.ctx in
+  if Lexico.compare_vectors phi st.best < 0 then begin
+    st.best <- phi;
     Eval_ctx.sync ~src:st.ctx ~dst:st.best_ctx;
     st.improvements <- st.improvements + 1;
     st.stall <- 0
   end
   else st.stall <- st.stall + 1
 
-let diversify rng problem st ~fraction ~classes =
-  let w = copy_weights st.current_w in
-  List.iter (fun k -> w.(k) <- Weights.perturb rng ~fraction w.(k)) classes;
-  st.current_w <- w;
-  st.current <- eval_state st problem w;
+(* Diversification: move to [weights], evaluated from scratch. *)
+let restart problem st weights =
+  st.evaluations <- st.evaluations + 1;
+  st.ctx <- Eval_ctx.create problem.graph ~weights ~matrices:problem.matrices;
+  st.moves <- st.moves + 1;
   st.stall <- 0
 
-let finish st =
-  {
-    weights = copy_weights st.best_w;
-    objective = Multi.objective st.best;
-    eval = st.best;
-    evaluations = st.evaluations;
-    improvements = st.improvements;
-  }
+(* [ctx]'s per-class weights, those of the classes [perturb] selects
+   perturbed (fresh vectors). *)
+let perturbed rng ctx ~fraction ~perturb =
+  Array.init (Eval_ctx.class_count ctx) (fun k ->
+      let w = Eval_ctx.weights_view ctx k in
+      if perturb k then Weights.perturb rng ~fraction w else w)
 
 let init_state problem w0 =
   let ctx =
     Eval_ctx.create problem.graph ~weights:w0 ~matrices:problem.matrices
   in
-  let current = Eval_ctx.to_multi ctx in
   {
-    current_w = w0;
-    current;
     ctx;
-    best_w = copy_weights w0;
-    best = current;
     best_ctx = Eval_ctx.clone ctx;
+    best = Eval_ctx.phi ctx;
     evaluations = 1;
     improvements = 0;
+    moves = 0;
     stall = 0;
   }
 
-(* Bring the context back to the incumbent after a phase transition
-   ([current_w] is a fresh copy of [best_w]) by syncing the kept best
-   context into it: blits only, no SPF.  Every context of the run is
-   built over the problem's graph and matrices, as {!Eval_ctx.sync}
-   requires. *)
+(* Bring the context back to the incumbent after a phase transition by
+   syncing the kept best context into it: blits only, no SPF.  Every
+   context of the run is built over the problem's graph and matrices,
+   as {!Eval_ctx.sync} requires. *)
 let resync st = Eval_ctx.sync ~src:st.best_ctx ~dst:st.ctx
 
+let finish st weights =
+  {
+    weights;
+    objective = Array.copy st.best;
+    evaluations = st.evaluations;
+    improvements = st.improvements;
+  }
+
 (* One iteration-level event (kind Mtr_pass, or Diversify after a
-   perturbation).  MTR passes never run through the scan engine, so
-   every field — including [st.evaluations] — is trivially
+   perturbation), against [mark st] taken before the step: it is
+   accepted iff the step moved.  MTR passes never run through the scan
+   engine, so every field — including [st.evaluations] — is trivially
    scheduling-independent; objectives are the length-T vectors. *)
-let tell trace st kind ~iteration ~detail ~before ~prev =
+let mark st = (Eval_ctx.phi st.ctx, st.moves)
+
+let tell trace st kind ~iteration ~detail (before, moves) =
   if Trace.enabled trace then
-    Trace.emit trace ~kind ~iteration ~detail
-      ~accepted:(not (prev == st.current))
-      ~before ~after:(Multi.objective st.current)
-      ~best:(Multi.objective st.best) ~evaluations:st.evaluations ()
+    Trace.emit trace ~kind ~iteration ~detail ~accepted:(st.moves <> moves)
+      ~before ~after:(Eval_ctx.phi st.ctx) ~best:st.best
+      ~evaluations:st.evaluations ()
+
+let phase_done trace st ~iteration ~detail =
+  if Trace.enabled trace then
+    Trace.emit trace ~kind:Trace.Phase_done ~iteration ~detail ~before:st.best
+      ~after:st.best ~best:st.best ~evaluations:st.evaluations ()
 
 let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
@@ -181,7 +170,8 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
            weight used to survive until a value scan indexed past its
            table. *)
         Array.iter (Weights.validate problem.graph) w;
-        copy_weights w
+        (* Distinct copies: every class is routed on its own vector. *)
+        Array.map Array.copy w
     | None -> Array.init classes (fun _ -> Array.make m Weights.mid_weight)
   in
   let samplers = Neighborhood.samplers cfg m in
@@ -190,62 +180,44 @@ let run ?w0 ?(trace = Trace.disabled) rng cfg problem =
   for klass = 0 to classes - 1 do
     st.stall <- 0;
     (* Continue each routine from the incumbent. *)
-    st.current_w <- copy_weights st.best_w;
-    st.current <- st.best;
     resync st;
     for iteration = 1 to cfg.Search_config.n_iters do
-      let before = Multi.objective st.current in
-      let prev = st.current in
+      let before = mark st in
       pass samplers rng cfg problem st ~klass;
       record_best st;
-      tell trace st Trace.Mtr_pass ~iteration ~detail:klass ~before ~prev;
+      tell trace st Trace.Mtr_pass ~iteration ~detail:klass before;
       if st.stall >= cfg.Search_config.diversify_after then begin
-        let before = Multi.objective st.current in
-        let prev = st.current in
-        diversify rng problem st ~fraction:Search_config.g1
-          ~classes:[ klass ];
-        tell trace st Trace.Diversify ~iteration ~detail:klass ~before ~prev
+        let before = mark st in
+        restart problem st
+          (perturbed rng st.ctx ~fraction:Search_config.g1
+             ~perturb:(( = ) klass));
+        tell trace st Trace.Diversify ~iteration ~detail:klass before
       end
     done;
-    if Trace.enabled trace then begin
-      let b = Multi.objective st.best in
-      Trace.emit trace ~kind:Trace.Phase_done
-        ~iteration:cfg.Search_config.n_iters ~detail:klass ~before:b ~after:b
-        ~best:b ~evaluations:st.evaluations ()
-    end
+    phase_done trace st ~iteration:cfg.Search_config.n_iters ~detail:klass
   done;
   (* Joint refinement cycling over classes; its events carry
      [detail = classes] to distinguish them from the per-class
-     routines. *)
-  st.current_w <- copy_weights st.best_w;
-  st.current <- st.best;
+     routines.  A stall restarts from the best, perturbed. *)
   resync st;
   st.stall <- 0;
-  let all_classes = List.init classes Fun.id in
   for iteration = 1 to cfg.Search_config.k_iters do
-    let before = Multi.objective st.current in
-    let prev = st.current in
-    List.iter
-      (fun klass -> pass samplers rng cfg problem st ~klass)
-      all_classes;
+    let before = mark st in
+    for klass = 0 to classes - 1 do
+      pass samplers rng cfg problem st ~klass
+    done;
     record_best st;
-    tell trace st Trace.Mtr_pass ~iteration ~detail:classes ~before ~prev;
+    tell trace st Trace.Mtr_pass ~iteration ~detail:classes before;
     if st.stall >= cfg.Search_config.diversify_after then begin
-      let before = Multi.objective st.current in
-      let prev = st.current in
-      st.current_w <- copy_weights st.best_w;
-      st.current <- st.best;
-      diversify rng problem st ~fraction:Search_config.g3
-        ~classes:all_classes;
-      tell trace st Trace.Diversify ~iteration ~detail:classes ~before ~prev
+      let before = mark st in
+      restart problem st
+        (perturbed rng st.best_ctx ~fraction:Search_config.g3
+           ~perturb:(fun _ -> true));
+      tell trace st Trace.Diversify ~iteration ~detail:classes before
     end
   done;
-  if Trace.enabled trace then begin
-    let b = Multi.objective st.best in
-    Trace.emit trace ~kind:Trace.Phase_done ~iteration:cfg.Search_config.k_iters
-      ~detail:classes ~before:b ~after:b ~best:b ~evaluations:st.evaluations ()
-  end;
-  finish st
+  phase_done trace st ~iteration:cfg.Search_config.k_iters ~detail:classes;
+  finish st (Array.init classes (Eval_ctx.weights st.best_ctx))
 
 let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
   Search_config.validate cfg;
@@ -255,40 +227,39 @@ let run_single_topology ?w0 ?(trace = Trace.disabled) rng cfg problem =
     match w0 with
     | Some w ->
         Weights.validate problem.graph w;
-        Array.copy w
+        w
     | None -> Array.make m Weights.mid_weight
   in
-  (* All classes alias the same vector, so Multi shares one SPF, and
-     one probe on class 0 re-routes every class. *)
+  (* All classes alias the same vector, so the context routes them as
+     one group, and one probe on class 0 re-routes every class. *)
   let make_w shared = Array.make classes shared in
   let st = init_state problem (make_w shared) in
   let samplers = Neighborhood.samplers cfg m in
   let iters = (classes * cfg.Search_config.n_iters) + cfg.Search_config.k_iters in
   for iteration = 1 to iters do
-    let before = Multi.objective st.current in
-    let prev = st.current in
-    let w = st.current_w.(0) in
+    let before = mark st in
+    let rows = Array.init classes (Eval_ctx.phi_per_arc st.ctx) in
     let costs =
       Array.init m (fun a ->
           let total = ref 0. in
-          Array.iter (fun pa -> total := !total +. pa.(a)) st.current.Multi.phi_per_arc;
+          Array.iter (fun pa -> total := !total +. pa.(a)) rows;
           !total)
     in
     let ranking =
       Neighborhood.rank_by_cost ~cmp:(fun x y -> Float.compare costs.(x) costs.(y)) m
     in
-    first_improvements st ~klass:0 ~base:w ~install:make_w
-      (Neighborhood.move_candidates samplers rng cfg ~ranking w);
+    let base = Eval_ctx.weights_view st.ctx 0 in
+    first_improvements st ~klass:0 ~base
+      (Neighborhood.move_candidates samplers rng cfg ~ranking base);
     record_best st;
-    tell trace st Trace.Mtr_pass ~iteration ~detail:(-1) ~before ~prev;
+    tell trace st Trace.Mtr_pass ~iteration ~detail:(-1) before;
     if st.stall >= cfg.Search_config.diversify_after then begin
-      let before = Multi.objective st.current in
-      let prev = st.current in
-      let w' = Weights.perturb rng ~fraction:Search_config.g1 st.current_w.(0) in
-      st.current_w <- make_w w';
-      st.current <- eval_state st problem st.current_w;
-      st.stall <- 0;
-      tell trace st Trace.Diversify ~iteration ~detail:(-1) ~before ~prev
+      let before = mark st in
+      restart problem st
+        (make_w
+           (Weights.perturb rng ~fraction:Search_config.g1
+              (Eval_ctx.weights_view st.ctx 0)));
+      tell trace st Trace.Diversify ~iteration ~detail:(-1) before
     end
   done;
-  finish st
+  finish st (make_w (Eval_ctx.weights st.best_ctx 0))

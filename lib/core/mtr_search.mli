@@ -8,6 +8,10 @@
     class [k]'s weights with all other classes frozen — followed by a
     joint refinement phase cycling over the classes, with the same
     stall-triggered diversification as the two-class search.
+    Objectives compare exactly ({!Dtr_cost.Lexico.compare_vectors}).
+    A run keeps two evaluation contexts, the current point and a clone
+    synced from it at every new best, and the best's objective vector;
+    it returns to its best by syncing the clone back.
 
     [run_single_topology] is the STR baseline in this setting: one
     shared weight vector for all classes, optimized against the same
@@ -25,9 +29,12 @@ val create_problem :
     a graph that is not strongly connected. *)
 
 type report = {
-  weights : int array array;  (** best per-class weight vectors *)
-  objective : float array;  (** [⟨Φ_0, …, Φ_{T−1}⟩] of the best *)
-  eval : Dtr_routing.Multi.t;  (** full evaluation of the best *)
+  weights : int array array;
+      (** best per-class weight vectors, read from the context the run
+          keeps of its best *)
+  objective : float array;
+      (** [⟨Φ_0, …, Φ_{T−1}⟩] of the best, the evaluation of [weights]
+          (ordered by {!Dtr_cost.Lexico.compare_vectors}) *)
   evaluations : int;
   improvements : int;
 }
@@ -58,7 +65,6 @@ val run_single_topology :
   problem ->
   report
 (** Single shared weight vector for every class (the STR baseline);
-    the returned [weights] repeats that vector [T] times (physically
-    shared).
+    the returned [weights] repeats one physical vector [T] times.
     @raise Invalid_argument on an out-of-range or wrong-length [w0]
     ({!Dtr_routing.Weights.validate}). *)

@@ -14,6 +14,7 @@ type report = {
   improvements : int;
   memo_hits : int;
   memo_misses : int;
+  stopped : bool;
   archive : archive_point list;
 }
 
@@ -123,7 +124,13 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
       ~n:(Dtr_graph.Graph.arc_count problem.Problem.graph)
   in
   let rcache = Ranking.create () in
-  let should_stop () = match stop with None -> false | Some f -> f () in
+  (* [stop] is polled only while an iteration remains, so once it fires
+     the run skips at least one. *)
+  let stopped = ref false in
+  let should_stop () =
+    (match stop with Some f when f () -> stopped := true | _ -> ());
+    !stopped
+  in
   let iteration = ref 0 in
   while !iteration < iters && not (!iteration > 0 && should_stop ()) do
     incr iteration;
@@ -192,6 +199,7 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
     improvements = Incumbent.improvements inc;
     memo_hits = Incumbent.memo_hits inc;
     memo_misses = Incumbent.memo_misses inc;
+    stopped = !stopped;
     archive =
       List.sort (fun a b -> Float.compare a.phi_h b.phi_h) (!archive).pts;
   }

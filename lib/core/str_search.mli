@@ -30,6 +30,8 @@ type report = {
       (** scan candidates served from the evaluated-solution memo
           instead of being re-evaluated *)
   memo_misses : int;  (** scan candidates that had to be evaluated *)
+  stopped : bool;
+      (** the [stop] hook made the run skip at least one iteration *)
   archive : archive_point list;
       (** Pareto-nondominated [(Φ_H, Φ_L)] trade-offs encountered,
           sorted by increasing [phi_h].  Only tracked under the

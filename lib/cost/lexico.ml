@@ -40,4 +40,16 @@ let to_joint ~alpha t =
   if Stdlib.( < ) alpha 0. then invalid_arg "Lexico.to_joint: negative alpha";
   (alpha *. t.primary) +. t.secondary
 
+let compare_vectors a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Lexico.compare_vectors: length mismatch";
+  let rec go i =
+    if i = Array.length a then 0
+    else begin
+      let c = Float.compare a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+    end
+  in
+  go 0
+
 let pp ppf t = Format.fprintf ppf "(%.6g, %.6g)" t.primary t.secondary

@@ -5,7 +5,11 @@
     Strict lexicographic comparison on floats is brittle (two runs of
     the same search can differ in the 15th digit), so comparisons
     treat primaries within a relative tolerance as equal.  The
-    tolerance is configurable per comparison and defaults to exact. *)
+    tolerance is configurable per comparison and defaults to exact.
+
+    The multi-topology extension's objectives are length-[T] vectors
+    [⟨Φ_0, …, Φ_{T−1}⟩], class 0 first; {!compare_vectors} orders them
+    exactly, component by component. *)
 
 type t = { primary : float; secondary : float }
 
@@ -46,5 +50,10 @@ val infinity : t
 val to_joint : alpha:float -> t -> float
 (** The scalarized cost [α ⋅ primary + secondary] of §3.3.1.
     @raise Invalid_argument on [alpha < 0.]. *)
+
+val compare_vectors : float array -> float array -> int
+(** Exact lexicographic comparison of objective vectors ([Float.compare]
+    on each component, first difference decides).
+    @raise Invalid_argument on length mismatch. *)
 
 val pp : Format.formatter -> t -> unit

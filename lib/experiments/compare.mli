@@ -40,7 +40,8 @@ val run_point :
 (** Scale the instance to [target_util], then run both searches
     (the independent PRNG streams of {!streams}, [seed] default 0).
     [stop] (the wall-clock budget hook) is polled by both searches
-    once per iteration; [str_iters] caps STR's iterations (default
+    once per iteration, and each report's [stopped] says whether it
+    cut that search short; [str_iters] caps STR's iterations (default
     {!Dtr_core.Str_search.default_iters}); [w0] warm-starts them —
     STR takes the first vector, DTR the pair.  Without [w0], both
     start from mid-range uniform weights, except on a

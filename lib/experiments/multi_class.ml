@@ -2,8 +2,6 @@ module Table = Dtr_util.Table
 module Prng = Dtr_util.Prng
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
-module Multi = Dtr_routing.Multi
-module Eval_ctx = Dtr_routing.Eval_ctx
 module Mtr_search = Dtr_core.Mtr_search
 
 let problem ?(seed = 83) ?(target_util = 0.6) () =
@@ -20,11 +18,7 @@ let problem ?(seed = 83) ?(target_util = 0.6) () =
     Dtr_traffic.Highpri.volumes rng ~low:bronze ~fraction:0.10 ~pairs:gold_pairs
   in
   let matrices = [| gold; silver; bronze |] in
-  let mid = Dtr_routing.Weights.uniform g Dtr_routing.Weights.mid_weight in
-  let ref_eval =
-    Eval_ctx.to_multi (Eval_ctx.create g ~weights:[| mid; mid; mid |] ~matrices)
-  in
-  let factor = target_util /. Multi.avg_utilization ref_eval in
+  let factor = target_util /. Scenario.reference_avg_utilization g matrices in
   let matrices = Array.map (fun m -> Matrix.scale m factor) matrices in
   Mtr_search.create_problem ~graph:g ~matrices
 

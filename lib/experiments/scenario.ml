@@ -7,7 +7,6 @@ module Random_topo = Dtr_topology.Random_topo
 module Power_law = Dtr_topology.Power_law
 module Isp = Dtr_topology.Isp
 module Large = Dtr_topology.Large
-module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
 module Weights = Dtr_routing.Weights
 
@@ -128,18 +127,26 @@ let make spec =
   in
   { graph; th; tl; spec }
 
-let reference_avg_utilization inst =
-  let w = Weights.uniform inst.graph Weights.mid_weight in
+let reference_avg_utilization graph matrices =
+  let w = Weights.uniform graph Weights.mid_weight in
   let ctx =
-    Eval_ctx.create inst.graph ~weights:[| w; w |]
-      ~matrices:[| inst.th; inst.tl |]
+    Eval_ctx.create graph
+      ~weights:(Array.make (Array.length matrices) w)
+      ~matrices
   in
-  Evaluate.avg_utilization (Eval_ctx.to_evaluate ctx)
+  let loads = Array.init (Array.length matrices) (Eval_ctx.loads ctx) in
+  Dtr_util.Stats.mean
+    (Array.mapi
+       (fun a cap ->
+         let total = ref 0. in
+         Array.iter (fun l -> total := !total +. l.(a)) loads;
+         !total /. cap)
+       (Graph.capacities graph))
 
 let scale_to_utilization inst ~target =
   if not (target > 0. && Float.is_finite target) then
     invalid_arg "Scenario.scale_to_utilization: bad target";
-  let current = reference_avg_utilization inst in
+  let current = reference_avg_utilization inst.graph [| inst.th; inst.tl |] in
   let factor = target /. current in
   {
     inst with

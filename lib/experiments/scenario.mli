@@ -59,8 +59,13 @@ val scale_to_utilization : instance -> target:float -> instance
     @raise Invalid_argument on a target that is not positive and
     finite. *)
 
-val reference_avg_utilization : instance -> float
-(** Average link utilization under mid-range uniform STR weights. *)
+val reference_avg_utilization :
+  Dtr_graph.Graph.t -> Dtr_traffic.Matrix.t array -> float
+(** Average link utilization of any number of traffic classes (their
+    loads summed per arc) under one mid-range uniform weight vector
+    shared by every class: the reference that {!scale_to_utilization}
+    and the three-class extension ({!Multi_class.problem}) scale demand
+    against. *)
 
 val problem :
   instance -> model:Dtr_routing.Objective.model -> Dtr_core.Problem.t

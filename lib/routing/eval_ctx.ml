@@ -1370,12 +1370,3 @@ let to_evaluate t =
     phi_h = t.phi.(0);
     phi_l = t.phi.(1);
   }
-
-let to_multi t =
-  {
-    Multi.graph = t.graph;
-    loads = Array.copy t.loads;
-    capacity_seen = Array.copy t.capacity_seen;
-    phi_per_arc = Array.copy t.phi_per_arc;
-    phi = Array.copy t.phi;
-  }

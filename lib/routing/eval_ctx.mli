@@ -22,10 +22,11 @@
     differentially adjusted) over the per-arc array.
 
     This is the one code in the library that routes and prices a
-    weight setting; {!to_evaluate} and {!to_multi} are its
-    materialized views, which carry numbers only: the routing stays in
-    the context, and a state that must be returned to is kept in a
-    {!clone} and brought back with {!sync}.
+    weight setting; {!to_evaluate} is its materialized two-class view,
+    which carries numbers only, and the [T]-class state is read through
+    the accessors ({!phi}, {!loads}, {!phi_per_arc}, {!weights_view}):
+    the routing stays in the context, and a state that must be
+    returned to is kept in a {!clone} and brought back with {!sync}.
 
     A context routes each weight group only to the destinations its
     member classes sink demand at, and only on the group's {e core
@@ -229,7 +230,7 @@ val severing_links : t -> bool array
 val probe_phi : _ probe -> float array
 (** The candidate's objective [Φ_k] of each priced class (fresh copy;
     every class for a weight probe), comparable with
-    {!Multi.compare_objective}.  Every entry is [Float.infinity] for a
+    {!Dtr_cost.Lexico.compare_vectors}.  Every entry is [Float.infinity] for a
     failure that severs demand. *)
 
 val probe_unreachable : failure probe -> int
@@ -392,6 +393,3 @@ val to_evaluate : t -> Evaluate.t
 (** Materialize the two-class view.  O(1): the record references the
     context's current arrays, which later commits replace rather than
     mutate.  @raise Invalid_argument unless [class_count t = 2]. *)
-
-val to_multi : t -> Multi.t
-(** Materialize the [T]-class view (same sharing discipline). *)

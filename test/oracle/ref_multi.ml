@@ -7,7 +7,17 @@ module Spf = Dtr_graph.Spf
 module Matrix = Dtr_traffic.Matrix
 module Fortz = Dtr_cost.Fortz
 module Weights = Dtr_routing.Weights
-module Multi = Dtr_routing.Multi
+
+(** A [T]-class evaluation, class 0 first. *)
+type t = {
+  loads : float array array;  (** [loads.(k).(arc)] *)
+  capacity_seen : float array array;
+      (** residual capacity available to class [k] ([capacity_seen.(0)]
+          is the raw capacity) *)
+  phi_per_arc : float array array;
+      (** Fortz cost of class [k] on each arc, against its residual *)
+  phi : float array;  (** per-class totals [Φ_k] *)
+}
 
 (** Per class, the per-destination DAGs of its weights, at every
     destination.  Physically identical weight vectors share one SPF
@@ -66,4 +76,4 @@ let evaluate g ~weights ~matrices =
             Fortz.phi ~load:loads.(k).(a) ~capacity:capacity_seen.(k).(a)))
   in
   let phi = Array.map (Array.fold_left ( +. ) 0.) phi_per_arc in
-  { Multi.graph = g; loads; capacity_seen; phi_per_arc; phi }
+  { loads; capacity_seen; phi_per_arc; phi }

@@ -486,7 +486,6 @@ let test_anneal_sla_model () =
 (* Mtr_search (multi-class extension) *)
 
 module Mtr_search = Dtr_core.Mtr_search
-module Multi = Dtr_routing.Multi
 
 let three_class_problem () =
   let g = Classic.ring ~capacity:1.0 ~delay:2.0 6 in
@@ -515,8 +514,8 @@ let test_mtr_run_improves () =
       ~matrices:problem.Mtr_search.matrices
   in
   Alcotest.(check bool) "no worse than initial" true
-    (Multi.compare_objective report.Mtr_search.objective
-       (Multi.objective initial)
+    (Lexico.compare_vectors report.Mtr_search.objective
+       initial.Dtr_oracle.Ref_multi.phi
     <= 0);
   Alcotest.(check int) "three weight vectors" 3
     (Array.length report.Mtr_search.weights);
@@ -528,7 +527,7 @@ let test_mtr_deterministic () =
   let a = Mtr_search.run (Prng.create 21) tiny_config problem in
   let b = Mtr_search.run (Prng.create 21) tiny_config problem in
   Alcotest.(check int) "same objective" 0
-    (Multi.compare_objective a.Mtr_search.objective b.Mtr_search.objective)
+    (Lexico.compare_vectors a.Mtr_search.objective b.Mtr_search.objective)
 
 let test_mtr_single_topology_shares_vector () =
   let problem = three_class_problem () in
@@ -546,13 +545,44 @@ let test_mtr_no_worse_than_single_topology () =
   let mtr = Mtr_search.run (Prng.create 24) cfg problem in
   (* The multi-topology space contains the shared-vector space. *)
   Alcotest.(check bool) "lexicographically no worse" true
-    (Multi.compare_objective mtr.Mtr_search.objective str.Mtr_search.objective
+    (Lexico.compare_vectors mtr.Mtr_search.objective str.Mtr_search.objective
     <= 0
     ||
     (* allow equality within noise on the leading components *)
     Array.for_all2
       (fun a b -> a <= b +. 1e-6)
       mtr.Mtr_search.objective str.Mtr_search.objective)
+
+(* A report's objective is the evaluation of its weights: the run reads
+   them from the context it keeps of its best, synced at every new
+   best, and the objective from its own record of that best.  The
+   instance is the ext-3class one; a short budget with quick
+   diversification exercises restarts and both searches' returns to
+   the best. *)
+let test_mtr_report_is_oracle_evaluation () =
+  let problem = Dtr_experiments.Multi_class.problem () in
+  let cfg =
+    { tiny_config with Search_config.n_iters = 6; k_iters = 8; diversify_after = 2 }
+  in
+  let bits a = Array.map Int64.bits_of_float a in
+  let check what (r : Mtr_search.report) =
+    Alcotest.(check bool) (what ^ ": improved") true
+      (r.Mtr_search.improvements > 0);
+    let oracle =
+      Dtr_oracle.Ref_multi.evaluate problem.Mtr_search.graph
+        ~weights:r.Mtr_search.weights ~matrices:problem.Mtr_search.matrices
+    in
+    Alcotest.(check (array int64))
+      (what ^ ": objective = oracle of weights, bitwise")
+      (bits oracle.Dtr_oracle.Ref_multi.phi)
+      (bits r.Mtr_search.objective)
+  in
+  check "mtr" (Mtr_search.run (Prng.create 25) cfg problem);
+  let single = Mtr_search.run_single_topology (Prng.create 26) cfg problem in
+  check "single topology" single;
+  Alcotest.(check bool) "single topology: one physical vector" true
+    (Array.for_all (fun w -> w == single.Mtr_search.weights.(0))
+       single.Mtr_search.weights)
 
 (* ------------------------------------------------------------------ *)
 (* Warm-start validation.  Every search validates a caller-supplied w0
@@ -692,6 +722,8 @@ let () =
             test_mtr_single_topology_shares_vector;
           Alcotest.test_case "MTR no worse than single topology" `Slow
             test_mtr_no_worse_than_single_topology;
+          Alcotest.test_case "report is the oracle's evaluation of its weights"
+            `Quick test_mtr_report_is_oracle_evaluation;
         ] );
       ( "w0-validation",
         [

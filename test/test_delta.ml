@@ -18,7 +18,6 @@ module Weights = Dtr_routing.Weights
 module Ref_loads = Dtr_oracle.Ref_loads
 module Evaluate = Dtr_routing.Evaluate
 module Eval_ctx = Dtr_routing.Eval_ctx
-module Multi = Dtr_routing.Multi
 module Ref_multi = Dtr_oracle.Ref_multi
 module Ref_failure = Dtr_oracle.Ref_failure
 module Narrow_moves = Dtr_oracle.Narrow_moves
@@ -1098,29 +1097,29 @@ let eval_ctx_matches_scratch seed =
       else [| Eval_ctx.weights ctx 0; cand_w |]
     in
     let scratch = Ref_multi.evaluate g ~weights:weights' ~matrices:[| th; tl |] in
-    check_arr ~what:"probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
+    check_arr ~what:"probe phi" (Eval_ctx.probe_phi pr) scratch.Ref_multi.phi;
     (* Dropped probe: the context must still match its own base state. *)
     let base =
       Ref_multi.evaluate g
         ~weights:[| Eval_ctx.weights ctx 0; Eval_ctx.weights ctx 1 |]
         ~matrices:[| th; tl |]
     in
-    check_arr ~what:"phi after a dropped probe" (Eval_ctx.phi ctx) base.Multi.phi;
+    check_arr ~what:"phi after a dropped probe" (Eval_ctx.phi ctx) base.Ref_multi.phi;
     (* Commit path: re-probe (dropping loses nothing) and install. *)
     let pr = Eval_ctx.probe ctx ~klass ~changes:[ (arc, v) ] in
     Eval_ctx.commit ctx pr;
     let ev = Eval_ctx.to_evaluate ctx in
-    check_arr ~what:"committed h_loads" ev.Evaluate.h_loads scratch.Multi.loads.(0);
-    check_arr ~what:"committed l_loads" ev.Evaluate.l_loads scratch.Multi.loads.(1);
+    check_arr ~what:"committed h_loads" ev.Evaluate.h_loads scratch.Ref_multi.loads.(0);
+    check_arr ~what:"committed l_loads" ev.Evaluate.l_loads scratch.Ref_multi.loads.(1);
     check_arr ~what:"committed residual" ev.Evaluate.residual
-      scratch.Multi.capacity_seen.(1);
+      scratch.Ref_multi.capacity_seen.(1);
     check_arr ~what:"committed phi_h_per_arc" ev.Evaluate.phi_h_per_arc
-      scratch.Multi.phi_per_arc.(0);
+      scratch.Ref_multi.phi_per_arc.(0);
     check_arr ~what:"committed phi_l_per_arc" ev.Evaluate.phi_l_per_arc
-      scratch.Multi.phi_per_arc.(1);
-    if Float.abs (ev.Evaluate.phi_h -. scratch.Multi.phi.(0)) > eps then
+      scratch.Ref_multi.phi_per_arc.(1);
+    if Float.abs (ev.Evaluate.phi_h -. scratch.Ref_multi.phi.(0)) > eps then
       Alcotest.fail "phi_h drifted";
-    if Float.abs (ev.Evaluate.phi_l -. scratch.Multi.phi.(1)) > eps then
+    if Float.abs (ev.Evaluate.phi_l -. scratch.Ref_multi.phi.(1)) > eps then
       Alcotest.fail "phi_l drifted"
   done;
   true
@@ -1145,9 +1144,9 @@ let eval_ctx_shared_matches seed =
   let scratch =
     Ref_multi.evaluate g ~weights:[| cand; cand |] ~matrices:[| th; tl |]
   in
-  check_arr ~what:"shared probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
+  check_arr ~what:"shared probe phi" (Eval_ctx.probe_phi pr) scratch.Ref_multi.phi;
   Eval_ctx.commit ctx pr;
-  check_arr ~what:"shared committed phi" (Eval_ctx.phi ctx) scratch.Multi.phi;
+  check_arr ~what:"shared committed phi" (Eval_ctx.phi ctx) scratch.Ref_multi.phi;
   check_arr ~what:"shared l weights"
     (Array.map float_of_int (Eval_ctx.weights ctx 1))
     (Array.map float_of_int cand);
@@ -1176,17 +1175,19 @@ let eval_ctx_three_classes seed =
   let weights' = Array.init 3 (Eval_ctx.weights ctx) in
   weights'.(klass).(arc) <- v;
   let scratch = Ref_multi.evaluate g ~weights:weights' ~matrices in
-  check_arr ~what:"3-class probe phi" (Eval_ctx.probe_phi pr) scratch.Multi.phi;
+  check_arr ~what:"3-class probe phi" (Eval_ctx.probe_phi pr) scratch.Ref_multi.phi;
   Eval_ctx.commit ctx pr;
-  let multi = Eval_ctx.to_multi ctx in
+  (* Every effect of the residual cascade shows in each class's loads
+     and in its Fortz row, priced against the capacity the classes above
+     it leave. *)
   for k = 0 to 2 do
     check_arr
       ~what:(Printf.sprintf "3-class loads %d" k)
-      multi.Multi.loads.(k) scratch.Multi.loads.(k);
+      (Eval_ctx.loads ctx k) scratch.Ref_multi.loads.(k);
     check_arr
-      ~what:(Printf.sprintf "3-class capacity %d" k)
-      multi.Multi.capacity_seen.(k)
-      scratch.Multi.capacity_seen.(k)
+      ~what:(Printf.sprintf "3-class Fortz row %d" k)
+      (Eval_ctx.phi_per_arc ctx k)
+      scratch.Ref_multi.phi_per_arc.(k)
   done;
   true
 

@@ -70,8 +70,23 @@ let test_scenario_seed_changes_traffic () =
 let test_scenario_scaling () =
   let inst = Scenario.make random_spec in
   let scaled = Scenario.scale_to_utilization inst ~target:0.6 in
-  checkf 1e-6 "reference utilization hits target" 0.6
-    (Scenario.reference_avg_utilization scaled);
+  let reference inst =
+    Scenario.reference_avg_utilization inst.Scenario.graph
+      [| inst.Scenario.th; inst.Scenario.tl |]
+  in
+  checkf 1e-6 "reference utilization hits target" 0.6 (reference scaled);
+  (* Two classes: bitwise the mean of the two-class view's utilization
+     at mid-range weights. *)
+  let mid = Dtr_routing.Weights.(uniform inst.Scenario.graph mid_weight) in
+  let view =
+    Dtr_routing.Eval_ctx.to_evaluate
+      (Dtr_routing.Eval_ctx.create inst.Scenario.graph ~weights:[| mid; mid |]
+         ~matrices:[| inst.Scenario.th; inst.Scenario.tl |])
+  in
+  Alcotest.(check bool) "two-class reference is the view's, bitwise" true
+    (Int64.equal
+       (Int64.bits_of_float (reference inst))
+       (Int64.bits_of_float (Dtr_routing.Evaluate.avg_utilization view)));
   (* The class mix is preserved. *)
   let f m =
     Matrix.total m.Scenario.th
@@ -209,6 +224,46 @@ let test_run_point_str_iters () =
     (fun (e : Trace.event) ->
       Alcotest.(check int) "tagged as STR" 0 e.Trace.restart)
     scans
+
+(* The stop hook as run_point hands it to both searches: STR polls it
+   before each of its iterations after the first, DTR after each of its
+   2N + K.  A report is marked stopped exactly when the hook made its
+   search skip an iteration. *)
+let test_run_point_stopped () =
+  let inst = Scenario.make { random_spec with Scenario.topology = Scenario.Isp } in
+  let cfg = { tiny_cfg with Search_config.n_iters = 3; k_iters = 4 } in
+  let str_iters = 5 in
+  let point stop =
+    Compare.run_point ~cfg ~seed:1 ~stop ~str_iters inst ~model:Objective.Load
+      ~target_util:0.6
+  in
+  let check what expected p =
+    Alcotest.(check (pair bool bool))
+      what expected
+      (p.Compare.str.Dtr_core.Str_search.stopped,
+       p.Compare.dtr.Dtr_core.Dtr_search.stopped)
+  in
+  let str_polls = str_iters - 1 in
+  let polls = str_polls + (2 * 3) + 4 in
+  (* [stop] answers the poll numbered [calls] (from 1). *)
+  let counted stop =
+    let calls = ref 0 in
+    let p = point (fun () -> incr calls; stop !calls) in
+    (p, !calls)
+  in
+  check "fires at once: both cut" (true, true) (point (fun () -> true));
+  let never, calls = counted (fun _ -> false) in
+  check "never fires: neither" (false, false) never;
+  Alcotest.(check int) "one poll per iteration boundary" polls calls;
+  let last, _ = counted (fun call -> call >= polls) in
+  check "fires after the last iteration: neither" (false, false) last;
+  Alcotest.(check bool) "an unstopped point runs to the end" true
+    (Dtr_cost.Lexico.compare last.Compare.dtr.Dtr_core.Dtr_search.objective
+       never.Compare.dtr.Dtr_core.Dtr_search.objective
+    = 0);
+  let str_only, _ = counted (fun call -> call = str_polls) in
+  check "fires once, before STR's last iteration: STR alone" (true, false)
+    str_only
 
 let test_points_table_render () =
   let p = Lazy.force isp_point in
@@ -348,6 +403,26 @@ let test_fail_link_disconnection_is_priced_infinite () =
   Alcotest.(check bool) "reduced graph is disconnected" false
     (Graph.is_strongly_connected reduced)
 
+let test_multi_class_problem_scaled () =
+  (* The ext-3class instance is scaled against the same reference as
+     the two-class scenarios, summed over its three classes. *)
+  let p = Dtr_experiments.Multi_class.problem ~target_util:0.5 () in
+  checkf 1e-9 "three-class reference utilization hits target" 0.5
+    (Scenario.reference_avg_utilization p.Dtr_core.Mtr_search.graph
+       p.Dtr_core.Mtr_search.matrices);
+  (* On a 3-node line every weight routes the same, so the three
+     classes' 2 + 3 + 4 units load each forward arc to 0.9 and leave
+     the two reverse arcs idle. *)
+  let g = Dtr_topology.Classic.line 3 ~capacity:10. in
+  let unit s t v =
+    let m = Matrix.create 3 in
+    Matrix.set m s t v;
+    m
+  in
+  checkf 1e-12 "summed over classes" 0.45
+    (Scenario.reference_avg_utilization g
+       [| unit 0 2 2.; unit 0 2 3.; unit 0 2 4. |])
+
 let test_smoke_ext_3class () =
   let t = Dtr_experiments.Multi_class.run ~cfg:tiny_cfg ~seed:2 () in
   Alcotest.(check int) "three rows" 3 (List.length (Table.rows t));
@@ -432,6 +507,8 @@ let () =
           Alcotest.test_case "seed changes traffic" `Quick
             test_scenario_seed_changes_traffic;
           Alcotest.test_case "scaling" `Quick test_scenario_scaling;
+          Alcotest.test_case "three-class reference utilization" `Quick
+            test_multi_class_problem_scaled;
           Alcotest.test_case "sink model" `Quick test_scenario_sink_model;
           Alcotest.test_case "isp" `Quick test_scenario_isp;
           Alcotest.test_case "names" `Quick test_scenario_names;
@@ -448,6 +525,8 @@ let () =
           Alcotest.test_case "run_point sane" `Slow test_run_point_sane;
           Alcotest.test_case "run_point str_iters" `Quick
             test_run_point_str_iters;
+          Alcotest.test_case "run_point marks searches the stop hook cut"
+            `Quick test_run_point_stopped;
           Alcotest.test_case "points table" `Slow test_points_table_render;
         ] );
       ( "fig1",

@@ -616,8 +616,6 @@ let test_objective_link_costs () =
 (* ------------------------------------------------------------------ *)
 (* Multi-class evaluation *)
 
-module Multi = Dtr_routing.Multi
-
 let three_class_line () =
   let g = Classic.line 3 ~capacity:10. in
   let m0 = single_dest_matrix 3 [ (0, 2, 2.) ] in
@@ -631,8 +629,8 @@ let test_multi_two_class_matches_evaluate () =
   let w = Weights.uniform g 1 in
   let e2 = Ref_evaluate.evaluate g ~wh:w ~wl:w ~th ~tl in
   let m = Ref_multi.evaluate g ~weights:[| w; w |] ~matrices:[| th; tl |] in
-  checkf "phi_h agrees" e2.Evaluate.phi_h m.Multi.phi.(0);
-  checkf "phi_l agrees" e2.Evaluate.phi_l m.Multi.phi.(1)
+  checkf "phi_h agrees" e2.Evaluate.phi_h m.Ref_multi.phi.(0);
+  checkf "phi_l agrees" e2.Evaluate.phi_l m.Ref_multi.phi.(1)
 
 let test_multi_residual_chain () =
   let g, matrices = three_class_line () in
@@ -643,11 +641,11 @@ let test_multi_residual_chain () =
   Array.iteri
     (fun a l0 ->
       if l0 > 0. then begin
-        checkf "class0 capacity" 10. m.Multi.capacity_seen.(0).(a);
-        checkf "class1 capacity" 8. m.Multi.capacity_seen.(1).(a);
-        checkf "class2 capacity" 5. m.Multi.capacity_seen.(2).(a)
+        checkf "class0 capacity" 10. m.Ref_multi.capacity_seen.(0).(a);
+        checkf "class1 capacity" 8. m.Ref_multi.capacity_seen.(1).(a);
+        checkf "class2 capacity" 5. m.Ref_multi.capacity_seen.(2).(a)
       end)
-    m.Multi.loads.(0)
+    m.Ref_multi.loads.(0)
 
 let test_multi_capacity_monotone () =
   let g, matrices = three_class_line () in
@@ -657,8 +655,8 @@ let test_multi_capacity_monotone () =
     Array.iteri
       (fun a c ->
         Alcotest.(check bool) "capacity non-increasing in class" true
-          (c <= m.Multi.capacity_seen.(k - 1).(a)))
-      m.Multi.capacity_seen.(k)
+          (c <= m.Ref_multi.capacity_seen.(k - 1).(a)))
+      m.Ref_multi.capacity_seen.(k)
   done
 
 let test_multi_shares_dags_when_aliased () =
@@ -677,19 +675,20 @@ let test_multi_higher_class_insulated () =
   let heavier = Array.copy matrices in
   heavier.(2) <- Matrix.scale matrices.(2) 50.;
   let m2 = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices:heavier in
-  checkf "class 0 unchanged" m1.Multi.phi.(0) m2.Multi.phi.(0);
-  checkf "class 1 unchanged" m1.Multi.phi.(1) m2.Multi.phi.(1);
-  Alcotest.(check bool) "class 2 grows" true (m2.Multi.phi.(2) > m1.Multi.phi.(2))
+  checkf "class 0 unchanged" m1.Ref_multi.phi.(0) m2.Ref_multi.phi.(0);
+  checkf "class 1 unchanged" m1.Ref_multi.phi.(1) m2.Ref_multi.phi.(1);
+  Alcotest.(check bool) "class 2 grows" true (m2.Ref_multi.phi.(2) > m1.Ref_multi.phi.(2))
 
 let test_multi_compare_objective () =
+  let compare = Dtr_cost.Lexico.compare_vectors in
   Alcotest.(check bool) "first component dominates" true
-    (Multi.compare_objective [| 1.; 99. |] [| 2.; 0. |] < 0);
+    (compare [| 1.; 99. |] [| 2.; 0. |] < 0);
   Alcotest.(check bool) "later components break ties" true
-    (Multi.compare_objective [| 1.; 2.; 3. |] [| 1.; 2.; 4. |] < 0);
-  Alcotest.(check int) "equal" 0 (Multi.compare_objective [| 1.; 2. |] [| 1.; 2. |]);
+    (compare [| 1.; 2.; 3. |] [| 1.; 2.; 4. |] < 0);
+  Alcotest.(check int) "equal" 0 (compare [| 1.; 2. |] [| 1.; 2. |]);
   Alcotest.check_raises "length"
-    (Invalid_argument "Multi.compare_objective: length mismatch") (fun () ->
-      ignore (Multi.compare_objective [| 1. |] [| 1.; 2. |]))
+    (Invalid_argument "Lexico.compare_vectors: length mismatch") (fun () ->
+      ignore (compare [| 1. |] [| 1.; 2. |]))
 
 let test_multi_rejects () =
   let g, matrices = three_class_line () in
@@ -704,12 +703,19 @@ let test_multi_rejects () =
 let test_multi_utilization () =
   let g, matrices = three_class_line () in
   let w = Weights.uniform g 1 in
-  let m = Ref_multi.evaluate g ~weights:[| w; w; w |] ~matrices in
-  let u = Multi.utilization m in
+  let ec = Eval_ctx.create g ~weights:[| w; w; w |] ~matrices in
+  let u =
+    Array.mapi
+      (fun a c ->
+        ((Eval_ctx.loads ec 0).(a) +. (Eval_ctx.loads ec 1).(a)
+        +. (Eval_ctx.loads ec 2).(a))
+        /. c)
+      (Graph.capacities g)
+  in
   (* Forward arcs: (2+3+4)/10. *)
   let max_u = Array.fold_left Float.max 0. u in
   checkf "total utilization" 0.9 max_u;
-  Alcotest.(check int) "class count" 3 (Multi.class_count m)
+  Alcotest.(check int) "class count" 3 (Eval_ctx.class_count ec)
 
 (* ------------------------------------------------------------------ *)
 
