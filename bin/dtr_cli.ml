@@ -159,12 +159,15 @@ let init_weights_arg =
 
 (* A saved weight file as a (wh, wl) pair on [graph]: one topology
    seeds both classes (STR), two are W_H and W_L (DTR).  Out-of-range
-   or malformed files die with the parser's line-numbered message, and
-   a file saved for another graph with both arc counts. *)
+   or malformed files die with the parser's line-numbered message, a
+   file saved on another graph with both graphs' digests (when the
+   file names its graph) or both arc counts. *)
 let load_weight_pair graph path =
   let fail fmt = Printf.ksprintf (fun msg -> failwith (path ^ ": " ^ msg)) fmt in
   let arcs = Dtr_graph.Graph.arc_count graph in
-  match Dtr_routing.Weights_io.load path with
+  match
+    Dtr_routing.Weights_io.load ~graph:(Dtr_core.Manifest.topology_digest graph) path
+  with
   | Error msg -> fail "%s" msg
   | Ok ([| w |] | [| w; _ |]) when Array.length w <> arcs ->
       fail "weights for %d arcs, but the scenario has %d arcs"
@@ -643,7 +646,10 @@ let optimize_cmd =
     (match save_weights with
     | None -> ()
     | Some path ->
-        Dtr_routing.Weights_io.save [| dtr.best.Problem.wh; dtr.best.Problem.wl |] path;
+        Dtr_routing.Weights_io.save
+          ~graph:(Dtr_core.Manifest.topology_digest inst.Scenario.graph)
+          [| dtr.best.Problem.wh; dtr.best.Problem.wl |]
+          path;
         Printf.printf "DTR weight pair saved to %s\n" path);
     manifest
   in
@@ -662,7 +668,10 @@ let optimize_cmd =
       value
       & opt (some string) None
       & info [ "save-weights" ] ~docv:"FILE"
-          ~doc:"Save the best DTR weight pair to a file.")
+          ~doc:
+            "Save the best DTR weight pair to a file, which names the \
+             scenario's graph by its digest: loading it on another \
+             graph fails.")
   in
   let trace_arg =
     Arg.(

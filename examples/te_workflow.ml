@@ -48,9 +48,10 @@ let () =
 
   (* 3. Export. *)
   let path = Filename.temp_file "dtr_weights" ".txt" in
-  Dtr_routing.Weights_io.save [| sol.Problem.wh; sol.Problem.wl |] path;
+  let graph = Dtr_core.Manifest.topology_digest g in
+  Dtr_routing.Weights_io.save ~graph [| sol.Problem.wh; sol.Problem.wl |] path;
   let reloaded =
-    match Dtr_routing.Weights_io.load path with
+    match Dtr_routing.Weights_io.load ~graph path with
     | Ok sets -> sets
     | Error e -> failwith e
   in

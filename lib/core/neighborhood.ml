@@ -4,12 +4,16 @@ module Weights = Dtr_routing.Weights
 
 type move = { up_arc : int; down_arc : int }
 
+(* Decreasing cost, then increasing arc id: a strict total order, so
+   every correct sort gives the same permutation.  A merge sort
+   (Array.stable_sort) beats the heap sort behind Array.sort, most of
+   all on a large network, whose many arcs without demand tie at zero
+   cost and already stand in id order. *)
 let rank_by_cost ~cmp n_arcs =
   let ids = Array.init n_arcs (fun i -> i) in
-  Array.sort
+  Array.stable_sort
     (fun a b ->
       let c = cmp b a in
-      (* decreasing cost *)
       if c <> 0 then c else compare a b)
     ids;
   ids

@@ -14,7 +14,10 @@ val rank_by_cost : cmp:(int -> int -> int) -> int -> int array
 (** [rank_by_cost ~cmp n_arcs] returns arc ids sorted into decreasing
     cost order, where [cmp a b] compares the costs of arcs [a] and [b]
     (standard comparison contract); stable ties broken by arc id so
-    runs are deterministic. *)
+    runs are deterministic.  Ties cannot survive the arc id, so the
+    order is strict and total and the result is the one sorted
+    permutation, whichever sort produces it (here a merge sort,
+    [Array.stable_sort]). *)
 
 val candidate_sets :
   ?ht:Dtr_util.Dist.heavy_tail ->

@@ -62,14 +62,18 @@ let m_lambda_reused =
    — the context's, or a probe's own when it moves W_H — through the
    one delay fold behind Evaluate.sla_of and Evaluate.sla_lambda. *)
 
-(* A context's current state as a solution.  O(arcs): the solution
-   snapshots the context's arrays, which later commits replace rather
-   than mutate; the routing stays in the context.  [sla] is the
-   state's SLA costing under the SLA model. *)
+(* A context's current state as a solution.  The solution holds the
+   context's own weight rows: commits replace rows rather than mutate
+   them, so they stay the state's weights after the context moves on
+   (an STR context's classes view one row, so [wh == wl]).  The routing
+   stays in the context.  [sla] is the state's SLA costing under the
+   SLA model. *)
 let materialize t ec ~sla =
-  let wh = Eval_ctx.weights ec 0 in
-  let wl = if Eval_ctx.shares_group ec 0 1 then wh else Eval_ctx.weights ec 1 in
-  { wh; wl; result = Objective.of_eval t.model (Eval_ctx.to_evaluate ec) ~sla }
+  {
+    wh = Eval_ctx.weights_view ec 0;
+    wl = Eval_ctx.weights_view ec 1;
+    result = Objective.of_eval t.model (Eval_ctx.to_evaluate ec) ~sla;
+  }
 
 (* A from-scratch evaluation hands over the context it built, so a
    search starts probing on it instead of rebuilding one from the
@@ -91,9 +95,21 @@ type ctx = {
       (* delay/penalty evaluation of the context's current high-priority
          routing; a commit that moves W_H drops it, and the
          materialization after the commit recomputes it *)
+  mutable c_key : int;
+      (* the memo base key of the context's weights: W_H's cells under
+         cls 0 XOR W_L's under cls 1 (an STR context's one vector under
+         both).  Hashed when the context is built, shifted by each
+         committed change list, and copied by clones and syncs. *)
 }
 
-let ctx_of_ec ec s = { ec; c_sla = s.result.Objective.sla }
+let ctx_of_ec ec s =
+  {
+    ec;
+    c_sla = s.result.Objective.sla;
+    c_key =
+      Vhash.vector ~cls:0 (Eval_ctx.weights_view ec 0)
+      lxor Vhash.vector ~cls:1 (Eval_ctx.weights_view ec 1);
+  }
 
 (* A solution carries numbers only, so its context is routed again
    from its weights: one SPF sweep per group, on its core. *)
@@ -129,17 +145,30 @@ let ctx_cost_rows ctx =
 
 let ctx_dags ctx = (Eval_ctx.dags ctx.ec 0, Eval_ctx.dags ctx.ec 1)
 
-(* Both class vectors, each hashed under its own cls tag (for STR both
-   classes view one vector, hashed twice under cls 0 and 1). *)
-let ctx_base_key ctx =
-  Vhash.vector ~cls:0 (Eval_ctx.weights_view ctx.ec 0)
-  lxor Vhash.vector ~cls:1 (Eval_ctx.weights_view ctx.ec 1)
+let ctx_base_key ctx = ctx.c_key
+
+(* Each change moves its arc's cell from the current value to the new
+   one, in [cls]'s vector, or in both for an STR context. *)
+let ctx_key_after ctx ~cls changes =
+  let str = ctx_is_str ctx in
+  let wh = Eval_ctx.weights_view ctx.ec 0 and wl = Eval_ctx.weights_view ctx.ec 1 in
+  List.fold_left
+    (fun key (arc, after) ->
+      if str then
+        let key = Vhash.shift key ~cls:0 ~arc ~before:wh.(arc) ~after in
+        Vhash.shift key ~cls:1 ~arc ~before:wh.(arc) ~after
+      else
+        match cls with
+        | `H -> Vhash.shift key ~cls:0 ~arc ~before:wh.(arc) ~after
+        | `L -> Vhash.shift key ~cls:1 ~arc ~before:wl.(arc) ~after)
+    ctx.c_key changes
 
 let clone_ctx _t ctx = { ctx with ec = Eval_ctx.clone ctx.ec }
 
 let sync_ctx ~src ~dst =
   Eval_ctx.sync ~src:src.ec ~dst:dst.ec;
-  dst.c_sla <- src.c_sla
+  dst.c_sla <- src.c_sla;
+  dst.c_key <- src.c_key
 
 let ctx_sla params t ctx =
   match ctx.c_sla with
@@ -162,6 +191,8 @@ let weight_changes base w' =
 
 type delta = {
   d_probe : Eval_ctx.weight Eval_ctx.probe;
+  d_cls : cls;
+  d_changes : (int * int) list;  (* what a commit shifts the key by *)
   d_moves_sla : bool;
       (* the candidate moves class-0 flow under the SLA model, so
          committing it invalidates the context's Λ costing *)
@@ -204,6 +235,8 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
   in
   {
     d_probe = p;
+    d_cls = cls;
+    d_changes = changes;
     d_moves_sla;
     d_objective = Lexico.make ~primary ~secondary:phi.(1);
     d_phi_h = phi.(0);
@@ -235,7 +268,9 @@ let ctx_arc_cmp_l _t ctx =
   fun a b -> Float.compare phi_l.(a) phi_l.(b)
 
 let commit_delta t ctx d =
+  let key = ctx_key_after ctx ~cls:d.d_cls d.d_changes in
   Eval_ctx.commit ctx.ec d.d_probe;
+  ctx.c_key <- key;
   if d.d_moves_sla then ctx.c_sla <- None;
   ctx_solution t ctx
 

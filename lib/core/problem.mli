@@ -31,14 +31,20 @@ type solution = {
   result : Dtr_routing.Objective.result;
 }
 (** An evaluated weight setting.  For STR solutions [wh == wl]
-    (physical equality is preserved so re-evaluations stay cheap). *)
+    (physical equality is preserved so re-evaluations stay cheap).
+    [wh] and [wl] are the evaluating context's own weight rows
+    ({!ctx_weights_view}), shared rather than copied: they keep their
+    contents through the context's later commits, syncs and clones,
+    which replace rows and never write into them, but they must never
+    be written.  Copy one ([Array.copy]) to edit it. *)
 
 val objective : solution -> Dtr_cost.Lexico.t
 
 val eval_dtr : t -> wh:int array -> wl:int array -> solution
 (** Evaluate a dual setting from scratch: build an
     {!Dtr_routing.Eval_ctx} and materialize it, as {!ctx_solution}
-    does (the arrays are defensively copied).  Counted in the
+    does.  The context copies [wh] and [wl] in, so the solution's
+    vectors are never the caller's arrays.  Counted in the
     [dtr_eval_full_total] metric. *)
 
 val eval_str : t -> w:int array -> solution
@@ -126,8 +132,17 @@ val ctx_base_key : ctx -> int
 (** Zobrist base key of the context's current weight vectors:
     [Vhash.vector ~cls:0] of {!ctx_weights_view} [`H] XOR
     [Vhash.vector ~cls:1] of {!ctx_weights_view} [`L] — the key
-    {!Scan.evaluate} shifts its memo keys from.  Rehashed on every call
-    (O(arcs), once per scan). *)
+    {!Scan.evaluate} shifts its memo keys from.  O(1): the context
+    keeps it, hashed once when it is built and shifted by every
+    {!commit_delta}'s change list; {!clone_ctx} and {!sync_ctx} copy
+    it. *)
+
+val ctx_key_after : ctx -> cls:cls -> (int * int) list -> int
+(** [ctx_key_after ctx ~cls changes] is the base key of the setting
+    that [changes] (as for {!eval_delta}) make of the context's current
+    one: {!ctx_base_key} shifted by each change's two cells
+    ({!Dtr_util.Vhash.shift}), in both vectors for an STR context.
+    O(changes). *)
 
 val clone_ctx : t -> ctx -> ctx
 (** A context evaluating identically to [ctx] but owning its mutable
@@ -155,9 +170,10 @@ val ctx_arc_cmp_l : t -> ctx -> int -> int -> int
 (** Same for the low-priority ranking ([Φ_L,l] only). *)
 
 val ctx_solution : t -> ctx -> solution
-(** Materialize the context's current state as a solution.  O(arcs):
-    the solution snapshots the context's arrays, which later commits
-    replace rather than mutate. *)
+(** Materialize the context's current state as a solution.  The
+    weights are the context's own rows ({!solution}), and the result's
+    evaluation shares the context's load and cost rows, so nothing is
+    copied. *)
 
 val weight_changes : int array -> int array -> (int * int) list
 (** [weight_changes base w'] lists the [(arc, new_value)] pairs where

@@ -1,5 +1,4 @@
 module Pool = Dtr_util.Pool
-module Vhash = Dtr_util.Vhash
 module Vmemo = Dtr_util.Vmemo
 module Lexico = Dtr_cost.Lexico
 module Metrics = Dtr_util.Metrics
@@ -61,26 +60,14 @@ let with_engine ~jobs problem f =
 
 (* Memo keys: one Zobrist hash covering BOTH weight vectors — the
    objective is a pure function of the (W_H, W_L) pair (probes are
-   bitwise-identical to full evaluations, PR 1), so a FindH candidate
+   bitwise-identical to full evaluations), so a FindH candidate
    and a FindL candidate reaching the same pair may share an entry.
    For an STR context one change moves both aliased vectors, hence
-   both cell sets shift.  The base key is a rehash of both vectors
-   (Problem.ctx_base_key), once per scan. *)
+   both cell sets shift.  Each key is the context's kept base key
+   shifted by the candidate's changes (Problem.ctx_key_after): O(changes),
+   never a rehash of the vectors. *)
 let candidate_keys ctx ~cls ~changes_of n =
-  let str = Problem.ctx_is_str ctx in
-  let wh = Problem.ctx_weights_view ctx `H in
-  let wl = Problem.ctx_weights_view ctx `L in
-  let base = Problem.ctx_base_key ctx in
-  let shift_change key (arc, after) =
-    if str then
-      let key = Vhash.shift key ~cls:0 ~arc ~before:wh.(arc) ~after in
-      Vhash.shift key ~cls:1 ~arc ~before:wh.(arc) ~after
-    else
-      match cls with
-      | `H -> Vhash.shift key ~cls:0 ~arc ~before:wh.(arc) ~after
-      | `L -> Vhash.shift key ~cls:1 ~arc ~before:wl.(arc) ~after
-  in
-  Array.init n (fun i -> List.fold_left shift_change base (changes_of i))
+  Array.init n (fun i -> Problem.ctx_key_after ctx ~cls (changes_of i))
 
 let evaluate t ctx ?memo ?(trace = Trace.disabled) ~cls ~changes_of n =
   if n < 0 then invalid_arg "Scan.evaluate: negative candidate count";

@@ -13,6 +13,15 @@ val create_sparse : int -> t
     the n² pairs.  Observationally identical to {!create} (every
     enumeration is emitted in sorted row-major order), with O(entries)
     memory; {!map2}/{!equal} remain O(n²).
+
+    Enumerations ({!iter}, {!iter_col}, {!pairs}, {!pair_count},
+    {!total}) read the positive entries sorted once into row-major
+    arrays and per-column arrays.  The first enumeration after the
+    matrix is built or {!set} builds them, in O(n + entries log entries);
+    every later one is O(entries), [iter_col] O(column entries) and
+    [pair_count] O(1).  A {!copy} shares them until its own [set].
+    Domains may enumerate one matrix at once (each sees a complete
+    set), but not while another [set]s it.
     @raise Invalid_argument if [n <= 0]. *)
 
 val is_sparse : t -> bool
@@ -22,8 +31,10 @@ val size : t -> int
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
-(** @raise Invalid_argument on the diagonal, a negative demand, or an
-    index out of range. *)
+(** On a sparse matrix a [set] drops the sorted entries, and a zero
+    removes the entry.
+    @raise Invalid_argument on the diagonal, a demand that is negative
+    or not finite (NaN, [±∞]), or an index out of range. *)
 
 val add : t -> int -> int -> float -> unit
 (** Accumulate onto an entry (same constraints as {!set}). *)
@@ -32,8 +43,10 @@ val total : t -> float
 (** Sum of all demands. *)
 
 val scale : t -> float -> t
-(** Fresh matrix with every entry multiplied by a non-negative factor.
-    @raise Invalid_argument on a negative factor. *)
+(** Fresh matrix with every entry multiplied by a non-negative factor
+    (a zero entry stays zero whatever the factor).
+    @raise Invalid_argument on a negative factor, or a product that is
+    not finite. *)
 
 val copy : t -> t
 
@@ -41,7 +54,8 @@ val pairs : t -> (int * int * float) list
 (** All [(s, t, demand)] with positive demand, in row-major order. *)
 
 val pair_count : t -> int
-(** Number of positive entries. *)
+(** Number of positive entries: O(n²) on a dense matrix, O(1) on a
+    sparse one once sorted. *)
 
 val iter : t -> (int -> int -> float -> unit) -> unit
 (** Iterate positive entries in row-major order. *)

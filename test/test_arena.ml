@@ -1075,6 +1075,87 @@ let test_kept_best () =
     (Printf.sprintf "%d of them in robust mode" stats.robust_moved)
     true (stats.robust_moved > 0)
 
+(* A solution's vectors are its context's weight rows, shared: every
+   solution a run passes through keeps its vectors' contents through
+   the run's later commits, diversification jumps, syncs, returns to
+   the best and restarts, and an STR solution's two vectors are one
+   array.  Through the same walk the context's kept memo base key, and
+   that of a clone synced from it, stay the oracle's rehash. *)
+let test_shared_solution_rows () =
+  let jumps = ref 0 in
+  List.iter
+    (fun (seed, str) ->
+      (* Nested demand cores, and gravity demand, whose low class routes
+         on the whole graph. *)
+      let g, th, tl, wh0, wl0, rng =
+        if seed <= 4 then nested_core_instance seed
+        else begin
+          let g = random_graph seed and rng = Prng.create seed in
+          let th, tl = random_matrices rng g in
+          (g, th, tl, Weights.random rng g, Weights.random rng g, rng)
+        end
+      in
+      let problem = Problem.create ~graph:g ~th ~tl ~model:(model_of seed) in
+      let cfg = { Search_config.quick with Search_config.diversify_after = 2 } in
+      Scan.with_engine ~jobs:2 problem @@ fun scan ->
+      let start = if str then Incumbent.Str (Some wh0) else Incumbent.Dtr (Some (wh0, wl0)) in
+      let inc = Incumbent.create ~scan cfg problem start in
+      let spare = Problem.clone_ctx problem (Incumbent.ctx inc) in
+      let seen = ref [] in
+      let check what =
+        let what = Printf.sprintf "seed %d %s, %s" seed (if str then "STR" else "DTR") what in
+        let ctx = Incumbent.ctx inc in
+        Alcotest.(check int) (what ^ ": base key")
+          (Dtr_oracle.Ref_problem.ctx_base_key ctx) (Problem.ctx_base_key ctx);
+        Problem.sync_ctx ~src:ctx ~dst:spare;
+        Alcotest.(check int) (what ^ ": synced clone's base key")
+          (Dtr_oracle.Ref_problem.ctx_base_key spare) (Problem.ctx_base_key spare);
+        let sol = Incumbent.current inc in
+        if str && not (Problem.is_str sol) then
+          Alcotest.failf "%s: an STR solution with two vectors" what;
+        seen := (what, sol, Array.copy sol.Problem.wh, Array.copy sol.Problem.wl) :: !seen;
+        List.iter
+          (fun (at, (s : Problem.solution), wh, wl) ->
+            if s.Problem.wh <> wh || s.Problem.wl <> wl then
+              Alcotest.failf "%s: the solution of %s changed" what at)
+          !seen
+      in
+      check "start";
+      let changes_of cls = random_changes rng (Problem.ctx_weights_view (Incumbent.ctx inc) cls) in
+      for i = 1 to 30 do
+        let cls = if str || i mod 2 = 0 then `H else `L in
+        let prev = Incumbent.current inc in
+        (* The scan's best candidate is committed even when it does not
+           improve, so the walk keeps moving. *)
+        let cands = Array.init 4 (fun _ -> changes_of cls) in
+        let summaries = Incumbent.scan inc ~cls ~changes_of:(Array.get cands) 4 in
+        let win = ref 0 in
+        Array.iteri
+          (fun j (x : Scan.summary) ->
+            if Lexico.improves x.Scan.objective summaries.(!win).Scan.objective then win := j)
+          summaries;
+        Incumbent.commit inc ~cls ~changes:cands.(!win);
+        Incumbent.consider inc ~iteration:i ~prev;
+        check (Printf.sprintf "commit %d" i);
+        if Incumbent.stalled inc then begin
+          Incumbent.jump inc ~cls ~changes:(changes_of cls);
+          incr jumps;
+          check (Printf.sprintf "jump %d" i)
+        end;
+        if i mod 7 = 0 then begin
+          Incumbent.return_to_best inc;
+          check (Printf.sprintf "return to the best %d" i)
+        end;
+        if (not str) && i mod 11 = 0 then begin
+          let best = Incumbent.best inc in
+          let perturb w = Weights.perturb rng ~fraction:0.3 w in
+          Incumbent.restart inc ~wh:(perturb best.Problem.wh) ~wl:(perturb best.Problem.wl);
+          check (Printf.sprintf "restart %d" i)
+        end
+      done)
+    [ (1, false); (2, true); (3, true); (4, false); (5, true); (6, false); (7, false); (8, true) ];
+  Alcotest.(check bool) (Printf.sprintf "%d jumps" !jumps) true (!jumps > 0)
+
 (* Routine 1 leaves W_L at the start's: a DTR run stopped once routine 1
    is done reports a best with the start's W_L, and a W_H that moved. *)
 let test_routine_one_keeps_wl () =
@@ -1128,6 +1209,8 @@ let () =
             test_kept_best;
           Alcotest.test_case "routine 1 keeps the start's W_L" `Quick
             test_routine_one_keeps_wl;
+          Alcotest.test_case "solutions share rows; the base key holds" `Quick
+            test_shared_solution_rows;
         ] );
       ( "hygiene",
         [

@@ -824,9 +824,10 @@ let prop_weights_io_mutations =
         Array.init (Prng.int_incl rng 1 2) (fun _ ->
             Array.init 9 (fun _ -> Prng.int_incl rng 1 30))
       in
+      let graph = if Prng.bool rng then Some "0123456789abcdef" else None in
       match
         Weights_io.of_string
-          (Dtr_oracle.Mutate.mutate rng (Weights_io.to_string sets))
+          (Dtr_oracle.Mutate.mutate rng (Weights_io.to_string ?graph sets))
       with
       | Ok _ -> true
       | Error e ->
@@ -846,6 +847,37 @@ let test_weights_io_rejects_mismatch () =
   Alcotest.check_raises "length mismatch"
     (Invalid_argument "Weights_io.to_string: length mismatch") (fun () ->
       ignore (Weights_io.to_string [| [| 1 |]; [| 1; 2 |] |]))
+
+(* A file names its graph by digest: a loader given its own graph's
+   digest refuses weights of another graph and takes a file that names
+   none. *)
+let test_weights_io_graph () =
+  let sets = [| [| 1; 2 |]; [| 3; 4 |] |] in
+  let here = "00d98796d49d3246" and there = "3f95594810a0a172" in
+  let saved = Weights_io.to_string ~graph:here sets in
+  Alcotest.(check bool) "graph line" true
+    (List.mem ("graph " ^ here) (String.split_on_char '\n' saved));
+  let loads label graph src =
+    match Weights_io.of_string ?graph src with
+    | Ok back -> Alcotest.(check (array (array int))) label sets back
+    | Error e -> Alcotest.failf "%s: %s" label e
+  in
+  loads "own graph" (Some here) saved;
+  loads "no graph given" None saved;
+  loads "no graph named" (Some there) (Weights_io.to_string sets);
+  (match Weights_io.of_string ~graph:here (Weights_io.to_string ~graph:there sets) with
+  | Error e ->
+      Alcotest.(check string) "another graph"
+        "weights for graph 3f95594810a0a172, not for graph 00d98796d49d3246" e
+  | Ok _ -> Alcotest.fail "another graph: expected rejection");
+  check_rejected "bad digest" "arcs 1 topologies 1\ngraph 00D98796D49D3246\nw 0 5\n"
+    "line 2: bad graph digest";
+  check_rejected "two graph lines"
+    ("arcs 1 topologies 1\ngraph " ^ here ^ "\ngraph " ^ here ^ "\nw 0 5\n")
+    "line 3: duplicate graph line";
+  Alcotest.check_raises "writer refuses a non-digest"
+    (Invalid_argument "Weights_io.to_string: bad graph digest") (fun () ->
+      ignore (Weights_io.to_string ~graph:"isp" sets))
 
 let test_weights_io_file_roundtrip () =
   let sets = [| [| 2; 4; 6 |] |] in
@@ -1022,6 +1054,7 @@ let () =
             test_weights_io_rejects_mismatch;
           Alcotest.test_case "file roundtrip" `Quick
             test_weights_io_file_roundtrip;
+          Alcotest.test_case "names its graph" `Quick test_weights_io_graph;
           QCheck_alcotest.to_alcotest prop_weights_io_mutations;
         ] );
       ( "report",
