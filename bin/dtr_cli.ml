@@ -143,8 +143,9 @@ let time_budget_arg =
            early when the budget is spent (at least one iteration \
            always runs).  Iteration counts under a binding budget are \
            machine-dependent; a search the budget cut short is marked \
-           \"stopped on the clock\" on its objective line and on the \
-           RH and RL lines.")
+           \"stopped on the clock\" on its objective line, on the RH \
+           and RL lines and, with --trace, in the title of its \
+           convergence table.")
 
 let init_weights_arg =
   Arg.(
@@ -594,7 +595,7 @@ let optimize_cmd =
       f "DTR" dtr
     in
     (* A search the time budget cut short is marked on its objective
-       line and on the ratios it enters. *)
+       line, on the ratios it enters and on its convergence table. *)
     let clock stopped = if stopped then ", stopped on the clock" else "" in
     both (fun name r ->
         Printf.printf "%-4s objective: primary=%.6g secondary=%.6g (%s)%s\n"
@@ -618,7 +619,7 @@ let optimize_cmd =
           r.memo);
     Printf.printf "measured avg utilization: %.3f\n"
       (Dtr_routing.Evaluate.avg_utilization
-         str.best.Problem.result.Objective.eval);
+         (Objective.eval str.best.Problem.result));
     let ratio component =
       Compare.ratio ~num:(component str.objective)
         ~den:(component dtr.objective)
@@ -640,7 +641,8 @@ let optimize_cmd =
                  (Dtr_routing.Report.convergence_table
                     ~title:
                       (Printf.sprintf
-                         "%s convergence (best objective vs. evaluations)" name)
+                         "%s convergence (best objective vs. evaluations)%s" name
+                         (clock r.stopped))
                     (Trace.convergence r.events))));
         Printf.printf "trace written to %s\n" path);
     (match save_weights with
@@ -903,7 +905,7 @@ let inspect_cmd =
     (* One live context serves every table: the report views, the
        single-link robustness sweep and the flow attribution. *)
     let ctx, result = evaluate inst model weights in
-    let eval = result.Dtr_routing.Objective.eval in
+    let eval = Dtr_routing.Objective.eval result in
     let sla = result.Dtr_routing.Objective.sla in
     (* Every printed table is also collected for --json. *)
     let shown = ref [] in
@@ -1109,7 +1111,7 @@ let report_cmd =
               let _, result =
                 evaluate inst model (load_weight_pair inst.Scenario.graph path)
               in
-              let eval = result.Dtr_routing.Objective.eval in
+              let eval = Dtr_routing.Objective.eval result in
               [
                 Report.summary_table ?sla:result.Dtr_routing.Objective.sla eval;
                 Report.top_phi_table ~top eval;

@@ -31,7 +31,7 @@ let () =
   let ref_sol = Problem.eval_str problem0 ~w:mid in
   let u0 =
     Dtr_routing.Evaluate.avg_utilization
-      ref_sol.Problem.result.Dtr_routing.Objective.eval
+      (Dtr_routing.Objective.eval ref_sol.Problem.result)
   in
   let factor = 0.6 /. u0 in
   let th = Matrix.scale th factor and tl = Matrix.scale tl factor in

@@ -12,7 +12,14 @@ type t = {
   model : Objective.model;
   dest_mode : Eval_ctx.dest_mode;
       (* always [Demand]; read by perfbench's probe replay alone *)
+  cores : shapes;
 }
+
+(* The cores of the problem's contexts of each grouping: DTR's two
+   weight groups and STR's one.  The first context of a grouping finds
+   them, and every later one, on any domain, builds on them; two
+   domains racing to find them both find the same. *)
+and shapes = { dtr : Eval_ctx.cores option Atomic.t; str : Eval_ctx.cores option Atomic.t }
 
 let create ~graph ~th ~tl ~model =
   let n = Graph.node_count graph in
@@ -20,7 +27,26 @@ let create ~graph ~th ~tl ~model =
     invalid_arg "Problem.create: matrix size mismatch";
   if not (Graph.is_strongly_connected graph) then
     invalid_arg "Problem.create: graph must be strongly connected";
-  { graph; th; tl; model; dest_mode = Eval_ctx.Demand }
+  {
+    graph;
+    th;
+    tl;
+    model;
+    dest_mode = Eval_ctx.Demand;
+    cores = { dtr = Atomic.make None; str = Atomic.make None };
+  }
+
+(* A context of the problem, from scratch: [weights] are [| wh; wl |],
+   one array twice for STR. *)
+let context t ~weights =
+  let cell = if weights.(0) == weights.(1) then t.cores.str else t.cores.dtr in
+  let matrices = [| t.th; t.tl |] in
+  match Atomic.get cell with
+  | Some cores -> Eval_ctx.create_on cores t.graph ~weights ~matrices
+  | None ->
+      let ec = Eval_ctx.create t.graph ~weights ~matrices in
+      Atomic.set cell (Some (Eval_ctx.cores ec));
+      ec
 
 type solution = {
   wh : int array;
@@ -65,14 +91,18 @@ let m_lambda_reused =
 (* A context's current state as a solution.  The solution holds the
    context's own weight rows: commits replace rows rather than mutate
    them, so they stay the state's weights after the context moves on
-   (an STR context's classes view one row, so [wh == wl]).  The routing
-   stays in the context.  [sla] is the state's SLA costing under the
-   SLA model. *)
+   (an STR context's classes view one row, so [wh == wl]).  Its
+   evaluation rows are built from the state's core rows when first
+   read (Eval_ctx.evaluation), not here.  The routing stays in the
+   context.  [sla] is the state's SLA costing under the SLA model. *)
 let materialize t ec ~sla =
+  let phi = Eval_ctx.phi ec in
   {
     wh = Eval_ctx.weights_view ec 0;
     wl = Eval_ctx.weights_view ec 1;
-    result = Objective.of_eval t.model (Eval_ctx.to_evaluate ec) ~sla;
+    result =
+      Objective.of_rows t.model ~phi_h:phi.(0) ~phi_l:phi.(1) (Eval_ctx.evaluation ec)
+        ~sla;
   }
 
 (* A from-scratch evaluation hands over the context it built, so a
@@ -80,7 +110,7 @@ let materialize t ec ~sla =
    solution. *)
 let evaluate t ~weights =
   Metrics.incr_counter m_full;
-  let ec = Eval_ctx.create t.graph ~weights ~matrices:[| t.th; t.tl |] in
+  let ec = context t ~weights in
   (materialize t ec ~sla:(fun params -> Eval_ctx.sla params ~th:t.th ec), ec)
 
 let is_str s = s.wh == s.wl
@@ -115,7 +145,7 @@ let ctx_of_ec ec s =
    from its weights: one SPF sweep per group, on its core. *)
 let ctx_of_solution t s =
   let weights = if is_str s then [| s.wh; s.wh |] else [| s.wh; s.wl |] in
-  ctx_of_ec (Eval_ctx.create t.graph ~weights ~matrices:[| t.th; t.tl |]) s
+  ctx_of_ec (context t ~weights) s
 
 (* Physically equal vectors would form one weight group; a DTR setting
    keeps two even when the caller passes one array twice. *)
@@ -140,8 +170,9 @@ let ctx_weights ctx cls =
 let ctx_weights_view ctx cls =
   Eval_ctx.weights_view ctx.ec (match cls with `H -> 0 | `L -> 1)
 
-let ctx_cost_rows ctx =
-  (Eval_ctx.phi_per_arc ctx.ec 0, Eval_ctx.phi_per_arc ctx.ec 1)
+let ctx_core_costs ctx =
+  let core k = (Eval_ctx.core_arcs ctx.ec k, Eval_ctx.phi_core ctx.ec k) in
+  (core 0, core 1)
 
 let ctx_dags ctx = (Eval_ctx.dags ctx.ec 0, Eval_ctx.dags ctx.ec 1)
 
@@ -244,28 +275,35 @@ let eval_delta ?(count = true) t ctx ~cls ~changes =
   }
 
 (* Arc rankings for neighborhood construction, read from the live
-   context's rows (shared, replaced-not-mutated on commit) instead of
-   materializing m Lexico link costs per iteration.  The order is
+   context's core rows (shared, replaced-not-mutated on commit) through
+   the cores' arc maps, instead of materializing m Lexico link costs,
+   or a row in the graph's ids, per iteration.  The order is
    Lexico.compare's without a tolerance: Float.compare on the
    primary, then the secondary. *)
 
+(* The entry at the graph's arc [a] of a core row [row] whose core
+   numbers the graph's arcs by [at]: +0. off the core. *)
+let cost row at a =
+  let j = at.(a) in
+  if j < 0 then 0. else row.(j)
+
 let ctx_arc_cmp_h t ctx =
-  let phi_l = Eval_ctx.phi_per_arc ctx.ec 1 in
+  let phi_l = Eval_ctx.phi_core ctx.ec 1 and at_l = Eval_ctx.core_arc_at ctx.ec 1 in
   match t.model with
   | Objective.Load ->
-      let phi_h = Eval_ctx.phi_per_arc ctx.ec 0 in
+      let phi_h = Eval_ctx.phi_core ctx.ec 0 and at_h = Eval_ctx.core_arc_at ctx.ec 0 in
       fun a b ->
-        let c = Float.compare phi_h.(a) phi_h.(b) in
-        if c <> 0 then c else Float.compare phi_l.(a) phi_l.(b)
+        let c = Float.compare (cost phi_h at_h a) (cost phi_h at_h b) in
+        if c <> 0 then c else Float.compare (cost phi_l at_l a) (cost phi_l at_l b)
   | Objective.Sla params ->
       let delay = (ctx_sla params t ctx).Evaluate.arc_delay in
       fun a b ->
         let c = Float.compare delay.(a) delay.(b) in
-        if c <> 0 then c else Float.compare phi_l.(a) phi_l.(b)
+        if c <> 0 then c else Float.compare (cost phi_l at_l a) (cost phi_l at_l b)
 
 let ctx_arc_cmp_l _t ctx =
-  let phi_l = Eval_ctx.phi_per_arc ctx.ec 1 in
-  fun a b -> Float.compare phi_l.(a) phi_l.(b)
+  let phi_l = Eval_ctx.phi_core ctx.ec 1 and at_l = Eval_ctx.core_arc_at ctx.ec 1 in
+  fun a b -> Float.compare (cost phi_l at_l a) (cost phi_l at_l b)
 
 let commit_delta t ctx d =
   let key = ctx_key_after ctx ~cls:d.d_cls d.d_changes in

@@ -13,7 +13,18 @@ type t = {
           routes to the demand destinations on the demand cores
           ({!Dtr_routing.Eval_ctx}).  Kept because perfbench's probe
           replay, its last reader, names it. *)
+  cores : shapes;
+      (** The demand cores of the problem's contexts
+          ({!Dtr_routing.Eval_ctx.cores}), one set per grouping of the
+          classes — DTR's two weight groups, STR's one — found by the
+          problem's first context of that grouping and shared by every
+          later one ({!Dtr_routing.Eval_ctx.create_on}): a search's
+          start, its restarts and {!ctx_of_solution} route without
+          finding them again.  Domain-safe. *)
 }
+
+and shapes
+(** Per grouping, a domain-safe cell holding its cores once found. *)
 
 val create :
   graph:Dtr_graph.Graph.t ->
@@ -114,14 +125,15 @@ val ctx_weights_view : ctx -> cls -> int array
     array, so a held view is a stable snapshot — but callers must
     never mutate it. *)
 
-val ctx_cost_rows : ctx -> float array * float array
-(** The context's per-arc Fortz cost rows [(Φ_H, Φ_L)]
-    ({!Dtr_routing.Eval_ctx.phi_per_arc}), shared, never to be
-    mutated.  Commits replace a row rather than mutate it, so a held
-    pair is a stable snapshot: an arc whose two entries equal the
-    snapshot's bitwise keeps its {!ctx_arc_cmp_h}/{!ctx_arc_cmp_l}
-    order against every other such arc, which is what {!Ranking}
-    repairs its cached order from. *)
+val ctx_core_costs : ctx -> (int array * float array) * (int array * float array)
+(** The context's Fortz rows [(Φ_H, Φ_L)] on their demand cores: each
+    as its core's arcs in the graph's ids, ascending
+    ({!Dtr_routing.Eval_ctx.core_arcs}), and the row in their order
+    ({!Dtr_routing.Eval_ctx.phi_core}), every other arc costing +0.
+    Shared, never to be mutated, and O(1): commits replace a row
+    rather than mutate it, and a context's cores never change, so a
+    held pair is a stable snapshot that {!Ranking} repairs its cached
+    order from, entry by entry. *)
 
 val ctx_dags : ctx -> Dtr_graph.Spf.dag array * Dtr_graph.Spf.dag array
 (** The context's per-destination DAGs [(H, L)] in the graph's ids
@@ -162,9 +174,9 @@ val sync_ctx : src:ctx -> dst:ctx -> unit
 val ctx_arc_cmp_h : t -> ctx -> int -> int -> int
 (** Comparator ranking arcs by the high-priority link cost (load
     model: [(Φ_H,l, Φ_L,l)]; SLA: [(delay_l, Φ_L,l)]), read from the
-    live context's rows and ordered as untolerated
-    {!Dtr_cost.Lexico.compare} on those pairs, without allocating [m]
-    cost records per iteration. *)
+    live context's core rows ({!ctx_core_costs}, +0. off a core) and
+    ordered as untolerated {!Dtr_cost.Lexico.compare} on those pairs,
+    without allocating [m] cost records, or a row, per iteration. *)
 
 val ctx_arc_cmp_l : t -> ctx -> int -> int -> int
 (** Same for the low-priority ranking ([Φ_L,l] only). *)
@@ -172,8 +184,10 @@ val ctx_arc_cmp_l : t -> ctx -> int -> int -> int
 val ctx_solution : t -> ctx -> solution
 (** Materialize the context's current state as a solution.  The
     weights are the context's own rows ({!solution}), and the result's
-    evaluation shares the context's load and cost rows, so nothing is
-    copied. *)
+    evaluation rows ({!Dtr_routing.Objective.eval}) are built from the
+    state's core rows when first read
+    ({!Dtr_routing.Eval_ctx.evaluation}), so nothing graph-sized is
+    copied or built here. *)
 
 val weight_changes : int array -> int array -> (int * int) list
 (** [weight_changes base w'] lists the [(arc, new_value)] pairs where

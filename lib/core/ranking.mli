@@ -6,8 +6,16 @@
     [arcs] returns exactly the array a full sort would (the ordering's
     arc-id tiebreak makes the sorted permutation unique), but when the
     cache is warm it only re-sorts the arcs whose Φ_H or Φ_L entry
-    differs from the cost rows it last sorted under
-    ({!Problem.ctx_cost_rows}) and merges them back in O(m).
+    differs from the core rows it last sorted under
+    ({!Problem.ctx_core_costs}) and merges them back.
+
+    A ranking sorts only the live arcs: those the comparator ranks
+    above a zero-cost arc (zero Φ_H and Φ_L), its reference.  The arcs
+    that tie with the reference, every zero-cost arc under the
+    load-model comparators, are appended in id order unsorted.  When an
+    arc ranks below the reference (a zero-cost arc is not minimal, as
+    under the SLA delay order) the whole ranking is sorted and repaired
+    as one run instead.
 
     A cache is valid for one context (physical identity) and falls
     back to a full sort whenever the context changed identity (a
@@ -26,5 +34,6 @@ val arcs : t -> Problem.ctx -> cmp:(int -> int -> int) -> int -> int array
     cost rows, served from the repaired cache when possible.  [cmp]
     must be freshly derived from [ctx] (e.g.
     {!Problem.ctx_arc_cmp_h}[ problem ctx] this iteration — the
-    closures snapshot live rows, which commits replace), and one cache
-    serves one comparator. *)
+    closures snapshot live rows, which commits replace), it must order
+    an arc by its own entries of the two rows (and constants of the
+    arc), and one cache serves one comparator. *)

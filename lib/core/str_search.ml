@@ -102,12 +102,13 @@ let run ?w0 ?iters ?stop ?(trace = Trace.disabled) rng cfg problem =
   if iters < 1 then invalid_arg "Str_search.run: iters must be positive";
   let track_archive = problem.Problem.model = Objective.Load in
   let archive = ref archive_empty in
+  (* Under the load model the objective is ⟨Φ_H, Φ_L⟩ itself, so no
+     evaluation rows are built. *)
   let observe sol =
     if track_archive then begin
-      let eval = sol.Problem.result.Objective.eval in
+      let o = Problem.objective sol in
       archive :=
-        archive_insert !archive ~phi_h:eval.Evaluate.phi_h
-          ~phi_l:eval.Evaluate.phi_l
+        archive_insert !archive ~phi_h:o.Lexico.primary ~phi_l:o.Lexico.secondary
           ~w:(fun () -> sol.Problem.wh)
     end
   in

@@ -11,7 +11,8 @@
 val phi : load:float -> capacity:float -> float
 (** Cost of carrying [load] on a link of capacity [capacity].  Both
     must be non-negative; [phi ~load:0. ~capacity] = 0.
-    @raise Invalid_argument on a negative load or capacity. *)
+    @raise Invalid_argument on a negative or NaN load ([Fortz.phi:
+    negative load]) or capacity ([Fortz.phi: negative capacity]). *)
 
 val breakpoints : float array
 (** Utilization breakpoints [ [|1/3; 2/3; 9/10; 1; 11/10|] ]. *)

@@ -63,7 +63,7 @@ let run_point ?(cfg = Dtr_core.Search_config.default) ?(seed = 0)
   end;
   let measured_util =
     Evaluate.avg_utilization
-      str.Str_search.best.Problem.result.Objective.eval
+      (Objective.eval str.Str_search.best.Problem.result)
   in
   {
     target_util;

@@ -20,7 +20,7 @@ let sorted_h_utilization ?cfg ~seed ~target_util density =
   let cfg = match cfg with Some c -> c | None -> Dtr_core.Search_config.default in
   let report = Str_search.run (Prng.create (seed + 1)) cfg problem in
   let h_util =
-    Evaluate.h_utilization report.Str_search.best.Problem.result.Objective.eval
+    Evaluate.h_utilization (Objective.eval report.Str_search.best.Problem.result)
   in
   Array.sort (fun a b -> Float.compare b a) h_util;
   h_util

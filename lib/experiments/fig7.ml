@@ -21,11 +21,11 @@ let run ?cfg ?(seed = 43) ?(target_util = 0.5) ?(buckets = 5) () =
   let delays = Graph.delays g in
   let str_util =
     Evaluate.utilization
-      point.Compare.str.Dtr_core.Str_search.best.Problem.result.Objective.eval
+      (Objective.eval point.Compare.str.Dtr_core.Str_search.best.Problem.result)
   in
   let dtr_util =
     Evaluate.utilization
-      point.Compare.dtr.Dtr_core.Dtr_search.best.Problem.result.Objective.eval
+      (Objective.eval point.Compare.dtr.Dtr_core.Dtr_search.best.Problem.result)
   in
   let dmin = Array.fold_left Float.min Float.infinity delays in
   let dmax = Array.fold_left Float.max Float.neg_infinity delays in

@@ -51,9 +51,9 @@ let run ?cfg ?(seed = 53) ?(target_util = 0.5)
           Printf.sprintf "%.3g"
             (Problem.objective dtr_sol).Lexico.secondary;
           Printf.sprintf "%.3f"
-            (Evaluate.max_utilization str_sol.Problem.result.Objective.eval);
+            (Evaluate.max_utilization (Objective.eval str_sol.Problem.result));
           Printf.sprintf "%.3f"
-            (Evaluate.max_utilization dtr_sol.Problem.result.Objective.eval);
+            (Evaluate.max_utilization (Objective.eval dtr_sol.Problem.result));
         ])
     thetas;
   table

@@ -24,7 +24,7 @@ let run ?cfg ?(seed = 61) ?(target_util = 0.5) ?sim_config () =
   let cfg = match cfg with Some c -> c | None -> Dtr_core.Search_config.quick in
   let report = Dtr_core.Dtr_search.run (Prng.create (seed + 2)) cfg problem in
   let sol = report.Dtr_core.Dtr_search.best in
-  let eval = sol.Problem.result.Objective.eval in
+  let eval = Objective.eval sol.Problem.result in
   let predicted_util = Evaluate.utilization eval in
   let sim =
     Sim.run inst.Scenario.graph ~wh:sol.Problem.wh ~wl:sol.Problem.wl

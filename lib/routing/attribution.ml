@@ -188,10 +188,12 @@ let hottest_table ?(top = 10) t =
   let g = Eval_ctx.graph t in
   let m = Graph.arc_count g in
   let classes = Eval_ctx.class_count t in
+  let rows = Array.init classes (Eval_ctx.phi_per_arc t) in
+  let loads = Array.init classes (Eval_ctx.loads t) in
   let cost a =
     let s = ref 0. in
     for k = 0 to classes - 1 do
-      s := !s +. (Eval_ctx.phi_per_arc t k).(a)
+      s := !s +. rows.(k).(a)
     done;
     !s
   in
@@ -223,7 +225,7 @@ let hottest_table ?(top = 10) t =
     let a = ids.(i) in
     let load = ref 0. in
     for k = 0 to classes - 1 do
-      load := !load +. (Eval_ctx.loads t k).(a)
+      load := !load +. loads.(k).(a)
     done;
     let util = if caps.(a) > 0. then !load /. caps.(a) else 0. in
     let flows =

@@ -13,6 +13,18 @@ let arc_delays_into params g ~phi_h_per_arc delay =
         ~prop_delay:dels.(id)
   done
 
+let core_delays_into params g ~arcs ~phi_h_per_arc delay =
+  let n = Array.length arcs in
+  if Array.length phi_h_per_arc <> n || Array.length delay < n then
+    invalid_arg "Delay.core_delays_into: length mismatch";
+  let caps = Graph.capacities g and dels = Graph.delays g in
+  for j = 0 to n - 1 do
+    let id = arcs.(j) in
+    delay.(j) <-
+      Sla.link_delay params ~capacity:caps.(id) ~phi_h:phi_h_per_arc.(j)
+        ~prop_delay:dels.(id)
+  done
+
 let expected_into g ~dag ~arc_delay xi =
   let n = Graph.node_count g in
   Array.fill xi 0 n Float.nan;

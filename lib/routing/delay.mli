@@ -14,6 +14,19 @@ val arc_delays_into :
     arc-count length.  @raise Invalid_argument on a length
     mismatch. *)
 
+val core_delays_into :
+  Dtr_cost.Sla.params ->
+  Dtr_graph.Graph.t ->
+  arcs:int array ->
+  phi_h_per_arc:float array ->
+  float array ->
+  unit
+(** {!arc_delays_into} on the arcs [arcs] of the graph alone (a demand
+    core's, in its ids): entry [j] of the row, of at least [arcs]'
+    length, is the delay of arc [arcs.(j)] under the Fortz cost
+    [phi_h_per_arc.(j)], bitwise the delay {!arc_delays_into} writes
+    at that arc.  @raise Invalid_argument on a length mismatch. *)
+
 val expected_into :
   Dtr_graph.Graph.t ->
   dag:Dtr_graph.Spf.dag ->

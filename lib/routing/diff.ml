@@ -94,13 +94,11 @@ let utilizations ctx =
   let g = Eval_ctx.graph ctx in
   let m = Graph.arc_count g in
   let caps = Graph.capacities g in
-  let classes = Eval_ctx.class_count ctx in
+  let loads = Array.init (Eval_ctx.class_count ctx) (Eval_ctx.loads ctx) in
   let avg = ref 0. and mx = ref 0. in
   for a = 0 to m - 1 do
     let load = ref 0. in
-    for k = 0 to classes - 1 do
-      load := !load +. (Eval_ctx.loads ctx k).(a)
-    done;
+    Array.iter (fun l -> load := !load +. l.(a)) loads;
     let u = if caps.(a) > 0. then !load /. caps.(a) else 0. in
     avg := !avg +. u;
     if u > !mx then mx := u

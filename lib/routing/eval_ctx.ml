@@ -41,12 +41,18 @@ type dest_mode = All | Demand
    graph, numbered densely (see [core]): its dags, its classes' demand
    and contribution rows, its flow screen and the arena's repair and
    re-projection state are in core node and core arc ids, sized to the
-   core.  The weights, load totals, residual capacities and Fortz rows
-   are in the graph's arc ids, patched through the core's arc map.
-   Both maps ascend with the original ids, so every tie-break by id,
-   every next-hop order and every ascending fold over destinations or
-   arcs is the same in either numbering, and the results are bitwise
-   those of routing on the whole graph. *)
+   core.  So are the class totals: each class's load totals, residual
+   capacities and Fortz row hold one entry per arc of its group's core,
+   the only arcs where its load, and so its cost, can be nonzero.  Only
+   the weights are in the graph's arc ids.  Both maps ascend with the
+   original ids, so every tie-break by id, every next-hop order and
+   every ascending fold over destinations or arcs is the same in either
+   numbering, and the results are bitwise those of routing on the whole
+   graph: an arc off a class's core carries +0. of its load and costs
+   +0. (Fortz.phi of no load), and adding +0. to a non-negative sum
+   leaves it as it was, so Φ folded over the core is Φ folded over the
+   graph.  Readers that want rows in the graph's ids get views built
+   when they ask ({!loads}, {!phi_per_arc}, {!evaluation}). *)
 type t = {
   graph : Graph.t;
   matrices : Matrix.t array;  (* class -> demand matrix, shared by clones *)
@@ -64,9 +70,11 @@ type t = {
   contrib : float array array array;
       (* class -> core dest -> per core arc load contribution; [||]
          mirrors demand *)
-  loads : float array array;  (* class -> per-arc totals *)
-  capacity_seen : float array array;  (* class -> residual capacity cascade *)
-  phi_per_arc : float array array;
+  loads : float array array;  (* class -> per core arc totals *)
+  capacity_seen : float array array;
+      (* class -> per core arc residual capacity: the raw capacity less
+         the loads of every class above it (the cascade) *)
+  phi_per_arc : float array array;  (* class -> per core arc Fortz costs *)
   mutable phi : float array;
   active : bool array array;
       (* group -> the core destinations its member classes sink demand
@@ -92,15 +100,31 @@ type t = {
    arcs a contribution row of the group's classes can be nonzero at.
    [c_graph] is their subgraph numbered densely (Graph.induced), and
    [c_nodes]/[c_arcs] map its node and arc ids to the graph's,
-   [c_node_at]/[c_arc_at] back (-1 off the core).  When no node is off
-   the core it is an identity core: [c_graph] is the graph itself and
-   the maps are identities, on the same code path. *)
+   [c_node_at]/[c_arc_at] back (-1 off the core), and [c_caps] are the
+   core arcs' capacities.  When no node is off the core it is an
+   identity core: [c_graph] is the graph itself, the maps are
+   identities and [c_caps] is the graph's own row, on the same code
+   path. *)
 and core = {
   c_graph : Graph.t;
   c_nodes : int array;
   c_arcs : int array;
   c_node_at : int array;
   c_arc_at : int array;
+  c_caps : float array;
+}
+
+(* What a context derives from its graph, its demand and its grouping
+   of classes alone, whatever the weights: each group's demand core
+   and the core destinations its classes sink demand at, and each
+   class's demand rows.  Never mutated, so contexts share it. *)
+and cores = {
+  k_graph : Graph.t;
+  k_matrices : Matrix.t array;
+  k_groups : int array array;  (* group -> member classes, ascending *)
+  k_core : core array;
+  k_active : bool array array;
+  k_demand : float array array array;
 }
 
 (* The probe arena.  One probe engine computes every candidate —
@@ -119,10 +143,9 @@ and core = {
      each as long as the largest core's arc count; [a_ov_at] maps
      (class, core destination) to its row while the load totals are
      re-summed, and is all -1 between probes;
-   - [a_touched]/[a_touched_list]: the arcs whose contribution moved,
-     in the graph's ids ([a_touched] is all-false between probes);
-     [a_on_core]/[a_on_arc]: those on one class's core, in both
-     numberings, while its totals are re-summed;
+   - [a_touched]/[a_touched_list]/[a_ntouched]: per class, the arcs
+     of its core whose contribution moved, in core ids ([a_touched] is
+     all-false between probes);
    - [a_zero_shares]: a re-projection of this computation split a
      positive flow into zero shares;
    - [a_screen]: per group and core destination, the flow screen;
@@ -131,9 +154,14 @@ and core = {
      graph's arc ids (its commit applies it to the weights), and how
      many dirty destinations its screen deferred (its commit repairs
      them);
-   - [a_loads]/[a_cap]: patched load totals and residual capacities,
-     valid at touched arcs only; [a_phi_rows]: full Fortz rows of the
-     classes from [a_kmin] down, and [a_phi] the probed objective.
+   - [a_loads]: per class, patched load totals, valid at its touched
+     arcs; [a_fix]/[a_nfix]: per class, the arcs of its core whose
+     residual capacity or Fortz cost the patch recomputed ([a_fixed]
+     marks them while they are listed, and is all-false otherwise);
+     [a_cap]: patched residual capacities of the classes below
+     [a_kmin], the first class whose load moved, valid at those arcs;
+     [a_phi_rows]: the full Fortz rows of the classes with such arcs,
+     and [a_phi] the probed objective.
 
    [a_stamp] numbers the computations; a probe is an arena view while
    its stamp is current, and every probe, failure probe, commit or
@@ -155,11 +183,9 @@ and arena = {
   a_ov_dst : int array;
   mutable a_nov : int;
   a_ov_at : int array array;
-  a_touched : bool array;
-  a_touched_list : int array;
-  mutable a_ntouched : int;
-  a_on_core : int array;
-  a_on_arc : int array;
+  a_touched : bool array array;
+  a_touched_list : int array array;
+  a_ntouched : int array;
   mutable a_zero_shares : bool;
   a_screen : bool array array;
   mutable a_changes : Spf_delta.change list;
@@ -167,6 +193,9 @@ and arena = {
   mutable a_deferred : int;
   a_has_ov : bool array;
   a_loads : float array array;
+  a_fixed : bool array array;
+  a_fix : int array array;
+  a_nfix : int array;
   a_cap : float array array;
   a_phi_rows : float array array;
   a_phi : float array;
@@ -195,6 +224,10 @@ type 'kind probe = {
 
 let class_count t = Array.length t.class_group
 
+let check_class t name k =
+  if k < 0 || k >= class_count t then
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name)
+
 (* Φ as the left fold of a Fortz row, in a plain loop: same association
    as [Array.fold_left ( +. ) 0.], without a boxed accumulator. *)
 let fold_row row =
@@ -219,10 +252,11 @@ let core_of g ~endpoints =
   if Array.exists Fun.id off then
     let h, nodes, arcs = Graph.induced g ~keep:(Array.map not off) in
     { c_graph = h; c_nodes = nodes; c_arcs = arcs; c_node_at = inverse n nodes;
-      c_arc_at = inverse m arcs }
+      c_arc_at = inverse m arcs; c_caps = Array.map (Array.get (Graph.capacities g)) arcs }
   else
     let nodes = Array.init n Fun.id and arcs = Array.init m Fun.id in
-    { c_graph = g; c_nodes = nodes; c_arcs = arcs; c_node_at = nodes; c_arc_at = arcs }
+    { c_graph = g; c_nodes = nodes; c_arcs = arcs; c_node_at = nodes; c_arc_at = arcs;
+      c_caps = Graph.capacities g }
 
 (* The demand core of a group of [members]: its endpoints are the
    sources and destinations of their matrices' positive off-diagonal
@@ -242,6 +276,23 @@ let demand_core g ~matrices members =
 let identity t c = c.c_graph == t.graph
 
 let class_core t k = t.cores.(t.class_group.(k))
+
+(* The entry of [row], a row of core [c]'s arcs, at the graph's arc
+   [arc]: +0. off the core. *)
+let at_arc c row arc =
+  let j = c.c_arc_at.(arc) in
+  if j < 0 then 0. else row.(j)
+
+(* Class [k]'s residual capacity at the graph's arc [arc], whose raw
+   capacity is [cap]: the cascade of every class above it, the load of
+   class [i] at the arc being [load i arc].  The cascade's own steps,
+   in its own order, whichever class's core the arc is on. *)
+let residual ~load k arc cap =
+  let r = ref cap in
+  for i = 0 to k - 1 do
+    r := Float.max (!r -. load i arc) 0.
+  done;
+  !r
 
 let placeholder dst = { Spf.dst; dist = [||]; next_arcs = [||]; order_desc = [||] }
 
@@ -304,30 +355,29 @@ let core_demand c ~dag tm =
       end);
   !row
 
-(* [?dest_mode] is ignored; perfbench's probe replay, its last reader,
-   still passes it. *)
-let create ?dest_mode:_ g ~weights ~matrices =
+(* The one context builder; [cores], when given, is what an earlier
+   context of the same graph, matrices and grouping derived ({!cores}),
+   and stands in for the cores, active destinations and demand rows
+   this one would derive again. *)
+let build ?cores name g ~weights ~matrices =
   let classes = Array.length weights in
-  if classes < 1 then invalid_arg "Eval_ctx.create: need at least one class";
+  if classes < 1 then invalid_arg (name ^ ": need at least one class");
   if Array.length matrices <> classes then
-    invalid_arg "Eval_ctx.create: weights/matrices length mismatch";
+    invalid_arg (name ^ ": weights/matrices length mismatch");
   Array.iter (fun w -> Weights.validate g w) weights;
   let n = Graph.node_count g in
   Array.iter
-    (fun m ->
-      if Matrix.size m <> n then
-        invalid_arg "Eval_ctx.create: matrix size mismatch")
+    (fun m -> if Matrix.size m <> n then invalid_arg (name ^ ": matrix size mismatch"))
     matrices;
   (* Group classes by physically shared weight vectors: aliased
      classes are routed once and re-routed together. *)
   let class_group = Array.make classes (-1) in
-  let groups = ref [] and group_count = ref 0 in
+  let group_count = ref 0 in
   for k = 0 to classes - 1 do
     let rec find j =
       if j = k then begin
         let gi = !group_count in
         incr group_count;
-        groups := (gi, k) :: !groups;
         gi
       end
       else if weights.(j) == weights.(k) then class_group.(j)
@@ -344,7 +394,22 @@ let create ?dest_mode:_ g ~weights ~matrices =
         done;
         Array.of_list !members)
   in
-  let cores = Array.map (demand_core g ~matrices) group_classes in
+  (* Another context's cores fit only its graph, its (physically) same
+     matrices and its grouping: anything else would route and price
+     this one's demand on another's cores. *)
+  (match cores with
+  | Some k
+    when k.k_graph != g
+         || Array.length k.k_matrices <> classes
+         || (not (Array.for_all2 ( == ) k.k_matrices matrices))
+         || k.k_groups <> group_classes ->
+      invalid_arg (name ^ ": cores of another graph, demand or class grouping")
+  | _ -> ());
+  let core =
+    match cores with
+    | Some k -> k.k_core
+    | None -> Array.map (demand_core g ~matrices) group_classes
+  in
   let group_w =
     Array.init group_count (fun gi -> Array.copy weights.(group_classes.(gi).(0)))
   in
@@ -353,39 +418,44 @@ let create ?dest_mode:_ g ~weights ~matrices =
       (fun gi c ->
         let w = group_w.(gi) in
         if c.c_graph == g then w else Array.map (Array.get w) c.c_arcs)
-      cores
+      core
   in
   (* A destination is active for a group when any member class sinks
      positive demand there (a pure matrix property, so it can be
      computed before any SPF runs).  A group routes to its active
      destinations on its core graph alone. *)
   let active =
-    Array.mapi
-      (fun gi members ->
-        let c = cores.(gi) in
-        let act = Array.make (Array.length c.c_nodes) false in
-        Array.iter
-          (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(c.c_node_at.(t)) <- true))
-          members;
-        act)
-      group_classes
+    match cores with
+    | Some k -> k.k_active
+    | None ->
+        Array.mapi
+          (fun gi members ->
+            let c = core.(gi) in
+            let act = Array.make (Array.length c.c_nodes) false in
+            Array.iter
+              (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(c.c_node_at.(t)) <- true))
+              members;
+            act)
+          group_classes
   in
   let ws = Dijkstra.workspace () in
   let group_dags =
     Array.init group_count (fun gi ->
-        Spf.for_destinations ~ws cores.(gi).c_graph ~weights:group_cw.(gi)
+        Spf.for_destinations ~ws core.(gi).c_graph ~weights:group_cw.(gi)
           ~active:active.(gi))
   in
-  let m = Graph.arc_count g in
   let demand =
-    Array.init classes (fun k ->
-        let c = cores.(class_group.(k)) and dags = group_dags.(class_group.(k)) in
-        Array.map (fun dag -> core_demand c ~dag matrices.(k)) dags)
+    match cores with
+    | Some k -> k.k_demand
+    | None ->
+        Array.init classes (fun k ->
+            let c = core.(class_group.(k)) and dags = group_dags.(class_group.(k)) in
+            Array.map (fun dag -> core_demand c ~dag matrices.(k)) dags)
   in
   let zero_shares = ref false in
   let contrib =
     Array.init classes (fun k ->
-        let c = cores.(class_group.(k)) and dags = group_dags.(class_group.(k)) in
+        let c = core.(class_group.(k)) and dags = group_dags.(class_group.(k)) in
         let flow = Array.make (Array.length c.c_nodes) 0. in
         Array.mapi
           (fun i dem ->
@@ -403,33 +473,30 @@ let create ?dest_mode:_ g ~weights ~matrices =
   (* Totals as the ascending-destination sum of per-destination
      subtotals — the association every probe's patch re-sums in, so
      patched totals stay bitwise identical to a fresh context.  Each
-     row lands on its core's arcs; every other arc stays +0., as the
-     sum of the rows' zeros there would leave it. *)
+     class's rows and totals are on its core's arcs. *)
   let loads =
     Array.init classes (fun k ->
-        let arcs = cores.(class_group.(k)).c_arcs in
-        let row = Array.make m 0. in
+        let row = Array.make (Array.length core.(class_group.(k)).c_arcs) 0. in
         Array.iter
           (fun c ->
             for j = 0 to Array.length c - 1 do
-              let a = arcs.(j) in
-              row.(a) <- row.(a) +. c.(j)
+              row.(j) <- row.(j) +. c.(j)
             done)
           contrib.(k);
         row)
   in
-  let caps = Graph.capacities g in
-  let capacity_seen = Array.make classes [||] in
-  capacity_seen.(0) <- caps;
-  for k = 1 to classes - 1 do
-    capacity_seen.(k) <-
-      Array.init m (fun a ->
-          Float.max (capacity_seen.(k - 1).(a) -. loads.(k - 1).(a)) 0.)
-  done;
+  let load i arc = at_arc core.(class_group.(i)) loads.(i) arc in
+  let capacity_seen =
+    Array.init classes (fun k ->
+        let c = core.(class_group.(k)) in
+        if k = 0 then c.c_caps
+        else Array.mapi (fun j arc -> residual ~load k arc c.c_caps.(j)) c.c_arcs)
+  in
   let phi_per_arc =
     Array.init classes (fun k ->
-        Array.init m (fun a ->
-            Fortz.phi ~load:loads.(k).(a) ~capacity:capacity_seen.(k).(a)))
+        Array.mapi
+          (fun j load -> Fortz.phi ~load ~capacity:capacity_seen.(k).(j))
+          loads.(k))
   in
   let phi = Array.map fold_row phi_per_arc in
   {
@@ -447,10 +514,28 @@ let create ?dest_mode:_ g ~weights ~matrices =
     phi_per_arc;
     phi;
     active;
-    cores;
+    cores = core;
     views = Array.make group_count [||];
     zero_shares = !zero_shares;
     arena = None;
+  }
+
+(* [?dest_mode] is ignored; perfbench's probe replay, its last reader,
+   still passes it. *)
+let create ?dest_mode:_ g ~weights ~matrices =
+  build "Eval_ctx.create" g ~weights ~matrices
+
+let create_on cores g ~weights ~matrices =
+  build ~cores "Eval_ctx.create_on" g ~weights ~matrices
+
+let cores t =
+  {
+    k_graph = t.graph;
+    k_matrices = t.matrices;
+    k_groups = t.group_classes;
+    k_core = t.cores;
+    k_active = t.active;
+    k_demand = t.demand;
   }
 
 (* Commits replace rows (inner arrays) and never mutate them, so a
@@ -506,7 +591,8 @@ let sync ~src ~dst =
 let make_arena t =
   let m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
-  let floats () = Array.init classes (fun _ -> Array.make m 0.) in
+  (* One row per class, as long as its core's arc count. *)
+  let per_arc x = Array.init classes (fun k -> Array.make (Array.length (class_core t k).c_arcs) x) in
   let largest size = Array.fold_left (fun x c -> max x (Array.length (size c))) 0 t.cores in
   let dests k = Array.length t.demand.(k) in
   {
@@ -528,20 +614,21 @@ let make_arena t =
     a_ov_dst = Array.make (Array.fold_left ( + ) 0 (Array.init classes dests)) 0;
     a_nov = 0;
     a_ov_at = Array.init classes (fun k -> Array.make (dests k) (-1));
-    a_touched = Array.make m false;
-    a_touched_list = Array.make m 0;
-    a_ntouched = 0;
-    a_on_core = Array.make m 0;
-    a_on_arc = Array.make m 0;
+    a_touched = per_arc false;
+    a_touched_list = per_arc 0;
+    a_ntouched = Array.make classes 0;
     a_zero_shares = false;
     a_screen = Array.map (fun c -> Array.make (Array.length c.c_nodes) false) t.cores;
     a_changes = [];
     a_edits = [];
     a_deferred = 0;
     a_has_ov = Array.make classes false;
-    a_loads = floats ();
-    a_cap = floats ();
-    a_phi_rows = floats ();
+    a_loads = per_arc 0.;
+    a_fixed = per_arc false;
+    a_fix = per_arc 0;
+    a_nfix = Array.make classes 0;
+    a_cap = per_arc 0.;
+    a_phi_rows = per_arc 0.;
     a_phi = Array.make classes 0.;
     a_kmin = classes;
     a_sla = Evaluate.sla_scratch ();
@@ -560,7 +647,8 @@ let arena_of t =
 let evict a =
   a.a_stamp <- a.a_stamp + 1;
   a.a_nov <- 0;
-  a.a_ntouched <- 0;
+  Array.fill a.a_ntouched 0 (Array.length a.a_ntouched) 0;
+  Array.fill a.a_nfix 0 (Array.length a.a_nfix) 0;
   a.a_zero_shares <- false
 
 (* The step every computation starts with: copy group [gi]'s committed
@@ -749,8 +837,8 @@ let repair_screened t a gi ~priced changes =
   end
 
 (* Re-project one dirty destination's flows of class [k], of group
-   [gi], into the next free arena row and mark every arc whose
-   contribution moved; the row is kept (as an override of the committed
+   [gi], into the next free arena row and mark, in core ids, every arc
+   whose contribution of the class moved; the row is kept (as an override of the committed
    one) only when it moved.  Shares land as in {!create}'s walk into a
    fresh zero row, so everything folded from the row stays
    bitwise-exact.  The walk runs on the group's core graph, so the row
@@ -772,19 +860,19 @@ let reproject t a ~dags gi k dst =
         ~contrib:nc
     then a.a_zero_shares <- true;
     let oc = t.contrib.(k).(dst) in
-    let touched = a.a_touched and arcs = c.c_arcs in
-    let changed = ref false in
+    let touched = a.a_touched.(k) and list = a.a_touched_list.(k) in
+    let nt = ref a.a_ntouched.(k) and changed = ref false in
     for j = 0 to mc - 1 do
       if Array.unsafe_get nc j <> Array.unsafe_get oc j then begin
         changed := true;
-        let arc = Array.unsafe_get arcs j in
-        if not touched.(arc) then begin
-          touched.(arc) <- true;
-          a.a_touched_list.(a.a_ntouched) <- arc;
-          a.a_ntouched <- a.a_ntouched + 1
+        if not touched.(j) then begin
+          touched.(j) <- true;
+          list.(!nt) <- j;
+          incr nt
         end
       end
     done;
+    a.a_ntouched.(k) <- !nt;
     if !changed then begin
       a.a_ov_class.(i) <- k;
       a.a_ov_dst.(i) <- dst;
@@ -804,30 +892,65 @@ let reproject_dirty t a gi k =
       reproject t a ~dags gi k (Spf_delta.scratch_dirty_at spf i)
   done
 
+(* List in [a.a_fix.(k)] the arcs of class [k]'s core whose Fortz
+   cost the patch recomputes: those where its own load moved, and,
+   mapped onto its core, those where the load of a class above it
+   moved, from [kmin] on (its residual moves there); returns how many.
+   Each arc is listed once. *)
+let collect_fix t a k ~kmin =
+  let c = class_core t k in
+  let mark = a.a_fixed.(k) and fix = a.a_fix.(k) and n = ref 0 in
+  let add y =
+    if not mark.(y) then begin
+      mark.(y) <- true;
+      fix.(!n) <- y;
+      incr n
+    end
+  in
+  for i = kmin to k do
+    if a.a_has_ov.(i) then begin
+      let ci = class_core t i and list = a.a_touched_list.(i) in
+      for j = 0 to a.a_ntouched.(i) - 1 do
+        let x = list.(j) in
+        if ci == c then add x
+        else begin
+          let y = c.c_arc_at.(ci.c_arcs.(x)) in
+          if y >= 0 then add y
+        end
+      done
+    end
+  done;
+  for j = 0 to !n - 1 do
+    mark.(fix.(j)) <- false
+  done;
+  a.a_nfix.(k) <- !n;
+  !n
+
 (* From the re-projected rows, patch the load totals of the classes
-   they belong to, the residual-capacity cascade and the Fortz rows at
-   the touched arcs.  A touched arc is re-summed over the class's
-   demand destinations in ascending order (every other destination's
-   row is empty) and every patched Φ row is re-folded whole over
-   committed-plus-touched values, reproducing the from-scratch
-   association exactly.  The re-sum visits the rows, not the arcs:
-   it zeroes the touched totals, then picks each destination's row
-   once (its override or the committed row) and adds it at every
-   touched arc on the class's core, read at the arc's core id (a
-   touched arc off that core carries none of the class's load, so its
-   total stays +0.).  The touched list names each arc once, so each
-   total is still the left fold from +0. over ascending destinations.
-   Core arc ids are in range for every row, so that loop reads
-   unchecked.  The cascade runs downward from the
-   highest-priority class whose load moved: an H change reshapes the
-   residual every lower class is charged against.  Only the leading
-   [classes] classes are patched; the rows carry overrides of no other
-   class.  At an arc no override of a class moved, its re-summed load
-   is the committed total bitwise, so a class's Φ does not depend on
-   which other classes were patched. *)
+   they belong to, the residual-capacity cascade and the Fortz rows,
+   each class on its core's arcs, in core ids.  A class's total at an
+   arc where its contribution moved is re-summed over its demand
+   destinations in ascending order (every other destination's row is
+   empty), and every patched Φ row is re-folded whole over
+   committed-plus-patched values, reproducing the from-scratch
+   association exactly.  The re-sum visits the rows, not the arcs: it
+   zeroes the touched totals, then picks each destination's row once
+   (its override or the committed row) and adds it at every touched
+   arc.  The touched list names each arc once, so each total is still
+   the left fold from +0. over ascending destinations.  Core arc ids
+   are in range for every row, so that loop reads unchecked.  The
+   cascade runs downward from [a_kmin], the highest-priority class
+   whose load moved: an H change reshapes the residual every lower
+   class is charged against, so a class below it recomputes its
+   residual, from the raw capacity down the cascade, and its Fortz
+   cost at each arc of its core where a class above it moved load,
+   and its Fortz cost where its own load moved.  A class with no such
+   arc keeps its committed rows and Φ.  Only the leading [classes]
+   classes are patched; the rows carry overrides of no other class.
+   At an arc no override of a class moved, its load is the committed
+   total, so a class's Φ does not depend on which other classes were
+   patched. *)
 let patch t a ~classes =
-  let m = Graph.arc_count t.graph in
-  let touched = a.a_touched_list and nt = a.a_ntouched in
   Array.fill a.a_has_ov 0 (Array.length a.a_has_ov) false;
   for i = 0 to a.a_nov - 1 do
     let k = a.a_ov_class.(i) in
@@ -838,27 +961,17 @@ let patch t a ~classes =
     if a.a_has_ov.(k) then begin
       let dsts = a.a_demand_dsts.(k) and at = a.a_ov_at.(k) in
       let committed = t.contrib.(k) and out = a.a_loads.(k) in
-      let arc_at = (class_core t k).c_arc_at in
-      let on_core = a.a_on_core and on_arc = a.a_on_arc and on = ref 0 in
+      let touched = a.a_touched_list.(k) and nt = a.a_ntouched.(k) in
       for j = 0 to nt - 1 do
-        let arc = Array.unsafe_get touched j in
-        Array.unsafe_set out arc 0.;
-        let c = arc_at.(arc) in
-        if c >= 0 then begin
-          on_core.(!on) <- c;
-          on_arc.(!on) <- arc;
-          incr on
-        end
+        Array.unsafe_set out (Array.unsafe_get touched j) 0.
       done;
-      let on = !on in
       for q = 0 to Array.length dsts - 1 do
         let dst = dsts.(q) in
         let i = at.(dst) in
         let c = if i >= 0 then a.a_rows.(i) else committed.(dst) in
-        for j = 0 to on - 1 do
-          let arc = Array.unsafe_get on_arc j in
-          Array.unsafe_set out arc
-            (Array.unsafe_get out arc +. Array.unsafe_get c (Array.unsafe_get on_core j))
+        for j = 0 to nt - 1 do
+          let x = Array.unsafe_get touched j in
+          Array.unsafe_set out x (Array.unsafe_get out x +. Array.unsafe_get c x)
         done
       done
     end
@@ -866,35 +979,49 @@ let patch t a ~classes =
   for i = 0 to a.a_nov - 1 do
     a.a_ov_at.(a.a_ov_class.(i)).(a.a_ov_dst.(i)) <- -1
   done;
-  for j = 0 to nt - 1 do
-    a.a_touched.(touched.(j)) <- false
-  done;
   let kmin =
     let rec first k = if k = classes || a.a_has_ov.(k) then k else first (k + 1) in
     first 0
   in
   a.a_kmin <- kmin;
-  (* Class [k]'s load and residual rows, valid at the touched arcs. *)
-  let load k = if a.a_has_ov.(k) then a.a_loads.(k) else t.loads.(k) in
-  let cap k = if k > kmin then a.a_cap.(k) else t.capacity_seen.(k) in
-  for k = kmin + 1 to classes - 1 do
-    let out = a.a_cap.(k) and c = cap (k - 1) and l = load (k - 1) in
-    for j = 0 to nt - 1 do
-      let arc = touched.(j) in
-      out.(arc) <- Float.max (c.(arc) -. l.(arc)) 0.
-    done
-  done;
+  (* Class [i]'s load at core arc [x] as the patch leaves it. *)
+  let load_at i x =
+    if a.a_has_ov.(i) && a.a_touched.(i).(x) then a.a_loads.(i).(x) else t.loads.(i).(x)
+  in
+  let load i arc =
+    let x = (class_core t i).c_arc_at.(arc) in
+    if x < 0 then 0. else load_at i x
+  in
   for k = 0 to classes - 1 do
-    if k < kmin then a.a_phi.(k) <- t.phi.(k)
+    let nfix = if k < kmin then 0 else collect_fix t a k ~kmin in
+    if nfix = 0 then a.a_phi.(k) <- t.phi.(k)
     else begin
-      let row = a.a_phi_rows.(k) and l = load k and c = cap k in
-      Array.blit t.phi_per_arc.(k) 0 row 0 m;
-      for j = 0 to nt - 1 do
-        let arc = touched.(j) in
-        row.(arc) <- Fortz.phi ~load:l.(arc) ~capacity:c.(arc)
+      let c = class_core t k and fix = a.a_fix.(k) in
+      let cap =
+        if k = kmin then t.capacity_seen.(k)
+        else begin
+          let out = a.a_cap.(k) in
+          for j = 0 to nfix - 1 do
+            let y = fix.(j) in
+            out.(y) <- residual ~load k c.c_arcs.(y) c.c_caps.(y)
+          done;
+          out
+        end
+      in
+      let row = a.a_phi_rows.(k) in
+      Array.blit t.phi_per_arc.(k) 0 row 0 (Array.length row);
+      for j = 0 to nfix - 1 do
+        let y = fix.(j) in
+        row.(y) <- Fortz.phi ~load:(load_at k y) ~capacity:cap.(y)
       done;
       a.a_phi.(k) <- fold_row row
     end
+  done;
+  for k = 0 to classes - 1 do
+    let touched = a.a_touched.(k) and list = a.a_touched_list.(k) in
+    for j = 0 to a.a_ntouched.(k) - 1 do
+      touched.(list.(j)) <- false
+    done
   done
 
 (* The tail of {!probe} and {!fail_probe}: re-project the priced
@@ -936,8 +1063,7 @@ let rec check_changes t a = function
       check_changes t a rest
 
 let probe t ~klass ~changes =
-  if klass < 0 || klass >= class_count t then
-    invalid_arg "Eval_ctx.probe: class out of range";
+  check_class t "probe" klass;
   let a = arena_of t in
   a.a_listing <- a.a_listing + 1;
   check_changes t a changes;
@@ -990,12 +1116,27 @@ let probe_dags t p k =
   let gi = t.class_group.(k) in
   graph_dags t gi (probe_group_dags t p gi)
 
-let probe_phi_row t p k =
-  check_view t p "probe_phi_row" k;
+(* Core [c]'s [row], in its arc ids, in the graph's arc ids: the row
+   itself on an identity core, else a fresh row, +0. off the core. *)
+let on_graph g c row =
+  if c.c_graph == g then row
+  else begin
+    let out = Array.make (Graph.arc_count g) 0. in
+    Array.iteri (fun j x -> out.(c.c_arcs.(j)) <- x) row;
+    out
+  end
+
+(* A priced class's Fortz row as the probe leaves it, in its core's arc
+   ids: the arena's where the patch moved it, else the committed one. *)
+let probe_row t p name k =
+  check_view t p name k;
   if p.p_unreachable > 0 then
-    invalid_arg "Eval_ctx.probe_phi_row: disconnecting failure has no rows";
+    invalid_arg (Printf.sprintf "Eval_ctx.%s: disconnecting failure has no rows" name);
   let a = p.p_arena in
-  if k >= a.a_kmin then a.a_phi_rows.(k) else t.phi_per_arc.(k)
+  if a.a_nfix.(k) > 0 then a.a_phi_rows.(k) else t.phi_per_arc.(k)
+
+let probe_phi_row t p k =
+  on_graph t.graph (class_core t k) (probe_row t p "probe_phi_row" k)
 
 (* No override of class [k] means every re-projected row of it came out
    bitwise the committed one; without underflow a row fixes which nodes
@@ -1007,8 +1148,8 @@ let probe_keeps_flows t p k =
   let a = p.p_arena in
   not (a.a_has_ov.(k) || a.a_zero_shares || t.zero_shares)
 
-(* The Λ of class 0's core dags [dags] under the Fortz row [row], in
-   arena [a]'s buffers. *)
+(* The Λ of class 0's core dags [dags] under the Fortz row [row], both
+   on class 0's core, in arena [a]'s buffers. *)
 let lambda t a params ~th dags row =
   let c = class_core t 0 in
   Evaluate.sla_lambda a.a_sla params t.graph ~th ~core:c.c_graph ~node_at:c.c_node_at
@@ -1022,7 +1163,7 @@ let probe_primary ~model ~th t p =
   match model with
   | Objective.Load -> p.p_phi.(0)
   | Objective.Sla params ->
-      let row = probe_phi_row t p 0 in
+      let row = probe_row t p "probe_phi_row" 0 in
       lambda t p.p_arena params ~th (probe_group_dags t p t.class_group.(0)) row
 
 (* The committed state's own primary, as {!probe_primary} prices a
@@ -1044,9 +1185,9 @@ let zero_shares t = t.zero_shares
 (* Install a current probe straight from the arena, copying what it
    moved into fresh arrays: the weight rows (the core's, and the
    graph's with the probe's changes applied), the dirty dags
-   ({!Spf_delta.scratch_copy}), the moved contribution rows, and full
-   load, capacity and Fortz rows of the classes it changed.  All but
-   the last and the graph's weight row are sized to the core. *)
+   ({!Spf_delta.scratch_copy}), the moved contribution rows, and the
+   load, residual and Fortz rows of the classes whose rows it moved.
+   All but the graph's weight row are sized to the core. *)
 let commit t p =
   check_probe t p "commit";
   let a = p.p_arena and g = p.p_group in
@@ -1072,23 +1213,21 @@ let commit t p =
     let mc = Array.length (class_core t k).c_arcs in
     t.contrib.(k).(a.a_ov_dst.(i)) <- Array.sub a.a_rows.(i) 0 mc
   done;
-  let patched committed k src =
+  let patched committed k src list n =
     let row = Array.copy committed.(k) in
-    for j = 0 to a.a_ntouched - 1 do
-      let arc = a.a_touched_list.(j) in
-      row.(arc) <- src.(k).(arc)
+    for j = 0 to n - 1 do
+      let x = list.(j) in
+      row.(x) <- src.(k).(x)
     done;
     committed.(k) <- row
   in
-  let classes = class_count t in
-  for k = 0 to classes - 1 do
-    if a.a_has_ov.(k) then patched t.loads k a.a_loads
-  done;
-  for k = a.a_kmin + 1 to classes - 1 do
-    patched t.capacity_seen k a.a_cap
-  done;
-  for k = a.a_kmin to classes - 1 do
-    t.phi_per_arc.(k) <- Array.copy a.a_phi_rows.(k)
+  for k = 0 to class_count t - 1 do
+    if a.a_has_ov.(k) then patched t.loads k a.a_loads a.a_touched_list.(k) a.a_ntouched.(k);
+    let nfix = a.a_nfix.(k) in
+    if nfix > 0 then begin
+      if k > a.a_kmin then patched t.capacity_seen k a.a_cap a.a_fix.(k) nfix;
+      t.phi_per_arc.(k) <- Array.copy a.a_phi_rows.(k)
+    end
   done;
   if a.a_zero_shares then t.zero_shares <- true;
   t.phi <- Array.copy p.p_phi;
@@ -1265,7 +1404,9 @@ let severing_links t =
     done;
     !stranded
   in
-  let rec loaded k a = k < classes && (t.loads.(k).(a) <> 0. || loaded (k + 1) a) in
+  let rec loaded k a =
+    k < classes && (at_arc (class_core t k) t.loads.(k) a <> 0. || loaded (k + 1) a)
+  in
   (* Class [k]'s share toward [dst] on arc [a]. *)
   let share k contrib a =
     let i = (class_core t k).c_arc_at.(a) in
@@ -1301,31 +1442,40 @@ let phi t = Array.copy t.phi
 let graph t = t.graph
 
 let weights t k =
-  if k < 0 || k >= class_count t then invalid_arg "Eval_ctx.weights: class out of range";
+  check_class t "weights" k;
   Array.copy t.group_w.(t.class_group.(k))
 
 let weights_view t k =
-  if k < 0 || k >= class_count t then
-    invalid_arg "Eval_ctx.weights_view: class out of range";
+  check_class t "weights_view" k;
   t.group_w.(t.class_group.(k))
 
 let dags t k =
-  if k < 0 || k >= class_count t then invalid_arg "Eval_ctx.dags: class out of range";
+  check_class t "dags" k;
   let gi = t.class_group.(k) in
   graph_dags t gi t.group_dags.(gi)
 
 let loads t k =
-  if k < 0 || k >= class_count t then invalid_arg "Eval_ctx.loads: class out of range";
-  t.loads.(k)
+  check_class t "loads" k;
+  on_graph t.graph (class_core t k) t.loads.(k)
 
 let phi_per_arc t k =
-  if k < 0 || k >= class_count t then
-    invalid_arg "Eval_ctx.phi_per_arc: class out of range";
+  check_class t "phi_per_arc" k;
+  on_graph t.graph (class_core t k) t.phi_per_arc.(k)
+
+let phi_core t k =
+  check_class t "phi_core" k;
   t.phi_per_arc.(k)
 
+let core_arcs t k =
+  check_class t "core_arcs" k;
+  (class_core t k).c_arcs
+
+let core_arc_at t k =
+  check_class t "core_arc_at" k;
+  (class_core t k).c_arc_at
+
 let check_class_dst t name k dst =
-  if k < 0 || k >= class_count t then
-    invalid_arg (Printf.sprintf "Eval_ctx.%s: class out of range" name);
+  check_class t name k;
   if dst < 0 || dst >= Graph.node_count t.graph then
     invalid_arg (Printf.sprintf "Eval_ctx.%s: destination out of range" name)
 
@@ -1358,15 +1508,34 @@ let shares_group t j k =
   j >= 0 && k >= 0 && j < class_count t && k < class_count t
   && t.class_group.(j) = t.class_group.(k)
 
-let to_evaluate t =
-  if class_count t <> 2 then invalid_arg "Eval_ctx.to_evaluate: need 2 classes";
-  {
-    Evaluate.graph = t.graph;
-    h_loads = t.loads.(0);
-    l_loads = t.loads.(1);
-    residual = t.capacity_seen.(1);
-    phi_h_per_arc = t.phi_per_arc.(0);
-    phi_l_per_arc = t.phi_per_arc.(1);
-    phi_h = t.phi.(0);
-    phi_l = t.phi.(1);
-  }
+(* The two-class view of the committed state, built when called from
+   the rows committed now: commits replace rows and never write into
+   them, so the closure keeps the state however the context moves on.
+   Class 1's residual off its core is the cascade's, from the raw
+   capacity less class 0's load. *)
+let evaluation_of name t =
+  if class_count t <> 2 then invalid_arg (name ^ ": need 2 classes");
+  let g = t.graph and c0 = class_core t 0 and c1 = class_core t 1 in
+  let h = t.loads.(0) and l = t.loads.(1) and r = t.capacity_seen.(1) in
+  let ph = t.phi_per_arc.(0) and pl = t.phi_per_arc.(1) in
+  let phi_h = t.phi.(0) and phi_l = t.phi.(1) in
+  fun () ->
+    {
+      Evaluate.graph = g;
+      h_loads = on_graph g c0 h;
+      l_loads = on_graph g c1 l;
+      residual =
+        (if c1.c_graph == g then r
+         else
+           Array.mapi
+             (fun arc cap -> residual ~load:(fun _ arc -> at_arc c0 h arc) 1 arc cap)
+             (Graph.capacities g));
+      phi_h_per_arc = on_graph g c0 ph;
+      phi_l_per_arc = on_graph g c1 pl;
+      phi_h;
+      phi_l;
+    }
+
+let evaluation t = evaluation_of "Eval_ctx.evaluation" t
+
+let to_evaluate t = evaluation_of "Eval_ctx.to_evaluate" t ()

@@ -38,25 +38,34 @@
     the core, an {e identity core}), which clones share.  The group's
     dags, its classes' demand and contribution rows and the probe
     arena's repair state live in the core's node and arc ids, sized to
-    the core; weights, loads, residual capacities, Fortz rows and the
-    SLA per-arc delays stay in the graph's arc ids, patched through the
-    core's arc map.  Both maps ascend with the graph's ids, so every
-    tie-break by id, next-hop order and ascending fold is the same in
-    either numbering: a core dag is exact at every core node (labels,
-    next-hop sets and the order among core nodes are the whole graph's,
-    since a shortest path between core nodes stays on the core), and
-    loads, Φ and Λ are bitwise those of an evaluation over every
-    destination on the whole graph (a demandless destination
-    contributes an empty row, every walk from a demand source reads
-    core nodes only, and an off-core arc carries no load).  Memory is
-    O(demand destinations) core-sized dag sets, which is what makes
-    10k-node contexts fit.
+    the core, and so are each class's {e totals}: its load totals,
+    residual capacities and Fortz row hold one entry per arc of its
+    group's core, the only arcs where its load and cost can be
+    nonzero.  Only the weights stay in the graph's arc ids.  Both maps
+    ascend with the graph's ids, so every tie-break by id, next-hop
+    order and ascending fold is the same in either numbering: a core
+    dag is exact at every core node (labels, next-hop sets and the
+    order among core nodes are the whole graph's, since a shortest path
+    between core nodes stays on the core), and loads, Φ and Λ are
+    bitwise those of an evaluation over every destination on the whole
+    graph (a demandless destination contributes an empty row, every
+    walk from a demand source reads core nodes only, an off-core arc
+    carries +0. of the class's load at a cost of +0., and adding +0. to
+    Φ's non-negative partial sums changes none of them).  So {!create},
+    probes, failure probes and {!commit} touch O(core) entries per
+    class.  Memory is O(demand destinations) core-sized dag sets, which
+    is what makes 10k-node contexts fit.
 
     The views in the graph's ids — {!dags}, {!probe_dags},
-    {!contrib_view} and {!demand_view} — are built only when a reader
+    {!contrib_view}, {!demand_view}, {!loads}, {!phi_per_arc},
+    {!probe_phi_row} and {!evaluation} — are built only when a reader
     asks (on an identity core they are the stored arrays): no probe,
-    commit, materialized solution or Λ walk ({!probe_primary},
-    {!primary}, {!sla}) expands anything.
+    commit or Λ walk ({!probe_primary}, {!primary}) expands anything.
+
+    What a context derives from its graph and demand alone — each
+    group's core, active destinations and demand rows — is a {!cores}
+    value, which a later context over the same graph, matrices and
+    grouping can take instead of deriving it again ({!create_on}).
 
     Probes are computed in a scratch arena the context owns (allocated
     by its first probe; a {!clone} gets its own): repaired DAGs (with
@@ -106,6 +115,34 @@ val create :
     @raise Invalid_argument on no class, length/size mismatches,
     invalid weights ({!Weights.validate}), or positive demand between
     a pair with no path ([Eval_ctx.create: no path s -> t]). *)
+
+type cores
+(** What a context derived from its graph, its matrices and its
+    grouping of classes, whatever the weights: each weight group's
+    demand core, the core destinations its classes sink demand at, and
+    each class's demand rows.  Immutable; shared by the contexts built
+    on it. *)
+
+val cores : t -> cores
+(** The context's cores (O(1), nothing copied). *)
+
+val create_on :
+  cores ->
+  Dtr_graph.Graph.t ->
+  weights:int array array ->
+  matrices:Dtr_traffic.Matrix.t array ->
+  t
+(** {!create} on cores an earlier context derived ({!cores}): bitwise
+    the context {!create} builds, without finding the cores, the
+    active destinations or the demand rows again — one SPF sweep per
+    group and the projection of its flows.  The cores must be those of
+    the same graph, the same (physically equal) matrices and the same
+    grouping of classes.
+    @raise Invalid_argument as {!create} does, and when the cores are
+    another graph's, another demand's (a matrix that is not physically
+    the one they were found for) or another grouping's
+    ([Eval_ctx.create_on: cores of another graph, demand or class
+    grouping]). *)
 
 val clone : t -> t
 (** A context sharing all immutable data (graph, demand, DAGs, load
@@ -254,8 +291,11 @@ val probe_dags : t -> _ probe -> int -> Dtr_graph.Spf.dag array
 
 val probe_phi_row : t -> _ probe -> int -> float array
 (** A priced class's per-arc Fortz costs as the probe would leave
-    them (shared; treat as immutable); failed arcs carry zero load and
-    zero cost.  Valid as long as {!probe_dags}.
+    them, in the graph's arc ids (treat as immutable: on an identity
+    core the probe's own row, shared; otherwise a fresh row built from
+    the core's, +0. off it); failed arcs carry zero load and zero
+    cost.  The row of a class the probe did not move is the
+    committed one.  Valid as long as {!probe_dags}.
     @raise Invalid_argument on a class the probe did not price, a
     stale probe, or a failure probe that severs demand (its rows are
     not computed: severed demand cannot be projected). *)
@@ -317,9 +357,10 @@ val commit : t -> weight probe -> unit
     them, and {!Attribution} and {!Diff} read them through {!dags}.
     When the probe deferred a dirty destination, the group is first
     repaired again without the flow screen, on its core graph.  A
-    commit copies the rows of the graph's ids it replaces (weights, and
-    the load, residual and Fortz rows of the classes it moved) and
-    otherwise only core-sized arrays.  The probe's rows are kept, being
+    commit copies one row of the graph's ids, the weights of the moved
+    group, and otherwise only core-sized arrays: the moved load,
+    residual and Fortz rows of each class, on its core (a class none of
+    whose rows moved keeps them).  The probe's rows are kept, being
     exact.  Committing advances the state, so every probe taken before
     goes stale.
     @raise Invalid_argument on a stale probe: one taken on another
@@ -359,14 +400,30 @@ val dags : t -> int -> Dtr_graph.Spf.dag array
     value); on an identity core, the stored array itself. *)
 
 val loads : t -> int -> float array
-(** Current per-arc load totals of a class (shared; commits replace
-    the array, so snapshots stay valid). *)
+(** Current per-arc load totals of a class, in the graph's arc ids:
+    on an identity core the stored row, shared (commits replace it, so
+    a held row stays a snapshot), otherwise a fresh row built from the
+    core's, +0. off it.  Never mutate it. *)
 
 val phi_per_arc : t -> int -> float array
-(** Current per-arc Fortz costs of a class (shared; commits replace
-    the row, so snapshots stay valid).  Lets the search loops rank
-    arcs from the live context instead of re-deriving link costs from
-    a solution. *)
+(** Current per-arc Fortz costs of a class, in the graph's arc ids,
+    shared or fresh as {!loads}. *)
+
+val phi_core : t -> int -> float array
+(** Current Fortz costs of a class on its core, in the core's arc ids
+    ({!core_arcs}), shared: commits replace the row and never write
+    into it, so a held row is a snapshot.  Every other arc costs +0.
+    What the search loops rank arcs from, without a graph-sized
+    view. *)
+
+val core_arcs : t -> int -> int array
+(** The arcs of a class's demand core, in the graph's ids, ascending
+    (entry [j] is core arc [j]); every arc on an identity core.  Fixed
+    for the context's lifetime; shared, never mutate. *)
+
+val core_arc_at : t -> int -> int array
+(** The inverse of {!core_arcs}: per arc of the graph, its id on the
+    class's core, [-1] off it.  Shared, never mutate. *)
 
 val contrib_view : t -> klass:int -> dst:int -> float array
 (** One destination's committed per-arc load contribution for a class,
@@ -389,7 +446,17 @@ val demand_view : t -> klass:int -> dst:int -> float array
 val shares_group : t -> int -> int -> bool
 (** Whether two classes share (alias) one weight vector. *)
 
+val evaluation : t -> unit -> Evaluate.t
+(** [evaluation t] keeps the committed state's rows (O(1): commits
+    replace rows and never write into them), and each call of the
+    result builds the two-class view of that state, whatever the
+    context has done since: rows in the graph's ids, shared with the
+    context on an identity core and otherwise built from the cores'
+    rows (class 1's residual off its core from the raw capacity less
+    class 0's load).  What a materialized solution's rows are built
+    from when read.  @raise Invalid_argument unless
+    [class_count t = 2]. *)
+
 val to_evaluate : t -> Evaluate.t
-(** Materialize the two-class view.  O(1): the record references the
-    context's current arrays, which later commits replace rather than
-    mutate.  @raise Invalid_argument unless [class_count t = 2]. *)
+(** The two-class view of the committed state now: [evaluation t ()].
+    @raise Invalid_argument unless [class_count t = 2]. *)

@@ -38,12 +38,11 @@ type sla = {
   worst_delay : float;
 }
 
-(* Buffers of the SLA fold, reused from call to call: the per-arc
-   delays (and, on a core, their copy in core arc ids), one
-   expected-delay row per core destination (allocated on the
-   destination's first use) and the high-priority pairs of the last
-   matrix and numbering seen, in Matrix.pairs order, in both
-   numberings.  A fold stamps the rows it computes, so each
+(* Buffers of the SLA fold, reused from call to call: the core arcs'
+   delays, in core arc ids, one expected-delay row per core destination
+   (allocated on the destination's first use) and the high-priority
+   pairs of the last matrix and numbering seen, in Matrix.pairs order,
+   in both numberings.  A fold stamps the rows it computes, so each
    destination's row is walked once per fold. *)
 type sla_scratch = {
   mutable s_th : Matrix.t option;
@@ -53,7 +52,6 @@ type sla_scratch = {
   mutable s_csrc : int array;
   mutable s_cdst : int array;
   mutable s_delay : float array;
-  mutable s_cdelay : float array;
   mutable s_xi : float array array;
   mutable s_stamp : int array;
   mutable s_fold : int;
@@ -68,18 +66,15 @@ let sla_scratch () =
     s_csrc = [||];
     s_cdst = [||];
     s_delay = [||];
-    s_cdelay = [||];
     s_xi = [||];
     s_stamp = [||];
     s_fold = 0;
   }
 
-let prepare s g th ~core ~node_at =
+let prepare s th ~core ~node_at =
   let c = Graph.node_count core in
-  if Array.length s.s_delay <> Graph.arc_count g then
-    s.s_delay <- Array.make (Graph.arc_count g) 0.;
-  if core != g && Array.length s.s_cdelay <> Graph.arc_count core then
-    s.s_cdelay <- Array.make (Graph.arc_count core) 0.;
+  if Array.length s.s_delay <> Graph.arc_count core then
+    s.s_delay <- Array.make (Graph.arc_count core) 0.;
   if Array.length s.s_xi <> c then begin
     s.s_xi <- Array.make c [||];
     s.s_stamp <- Array.make c 0
@@ -106,22 +101,16 @@ let prepare s g th ~core ~node_at =
    Matrix.pairs order — infinite for a severed pair, so the penalty
    (and Λ) becomes infinite and any reconnecting routing compares
    strictly better, without aborting a failure sweep — folded into
-   Λ = Σ penalties, and handed to [on_pair] when given.  The delays of
-   [g]'s arcs are computed in [g]'s ids and the walks run on [core],
-   gathering each core arc's delay through [arcs]: the same sums in
-   the same order as on [g]. *)
+   Λ = Σ penalties, and handed to [on_pair] when given.  The walks run
+   on [core] and read only its arcs' delays, which are computed from
+   the Φ_H row in its ids (each from its own arc's entry, capacity and
+   propagation delay, read through [arcs]): the same sums in the same
+   order as on [g]. *)
 let sla_fold ?on_pair s params g ~th ~core ~node_at ~arcs ~dags_h ~phi_h_per_arc =
-  prepare s g th ~core ~node_at;
-  Delay.arc_delays_into params g ~phi_h_per_arc s.s_delay;
-  let arc_delay =
-    if core == g then s.s_delay
-    else begin
-      for j = 0 to Array.length arcs - 1 do
-        s.s_cdelay.(j) <- s.s_delay.(arcs.(j))
-      done;
-      s.s_cdelay
-    end
-  in
+  prepare s th ~core ~node_at;
+  let arc_delay = s.s_delay in
+  if core == g then Delay.arc_delays_into params g ~phi_h_per_arc arc_delay
+  else Delay.core_delays_into params g ~arcs ~phi_h_per_arc arc_delay;
   s.s_fold <- s.s_fold + 1;
   let c = Graph.node_count core in
   let lambda = ref 0. in
@@ -159,8 +148,19 @@ let sla_of params g ~th ~core ~node_at ~arcs ~dags_h ~phi_h_per_arc =
         if d = Float.infinity then incr unreachable;
         if d > !worst then worst := d)
   in
+  (* Every arc's delay, in [g]'s ids: an arc off the core costs +0. *)
+  let arc_delay =
+    if core == g then s.s_delay
+    else begin
+      let m = Graph.arc_count g in
+      let phi = Array.make m 0. and delay = Array.make m 0. in
+      Array.iteri (fun j a -> phi.(a) <- phi_h_per_arc.(j)) arcs;
+      Delay.arc_delays_into params g ~phi_h_per_arc:phi delay;
+      delay
+    end
+  in
   {
-    arc_delay = s.s_delay;
+    arc_delay;
     pair_delays = List.rev !pairs;
     lambda;
     violations = !violations;

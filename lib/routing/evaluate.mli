@@ -57,15 +57,18 @@ val sla_of :
   sla
 (** The SLA view over the high-priority pairs (entries of [th] with
     positive demand), from the high-priority routing alone: per-arc
-    delays from [g]'s [Φ_{H,l}] row (Eq. 3), expected pair delays
+    delays from the [Φ_{H,l}] row (Eq. 3), expected pair delays
     walked over [dags_h], and the Λ fold (Eq. 4).  A disconnected pair
     does not raise: it contributes an infinite penalty (so any
     reconnecting routing compares strictly better) and is counted in
     [unreachable].  The dags route on [core], [g] itself or a subgraph
     of it ({!Dtr_graph.Graph.induced}) that holds every high-priority
     pair's walk, numbered through [node_at] ([g]'s node to [core]'s)
-    and [arcs] ([core]'s arc to [g]'s); [arc_delay] and [pair_delays]
-    are in [g]'s ids.  The one SLA costing of every evaluation path —
+    and [arcs] ([core]'s arc to [g]'s).  [phi_h_per_arc] is in
+    [core]'s arc ids, and every arc of [g] off [core] costs +0.; the
+    walk reads the delays of [core]'s arcs alone, while [arc_delay]
+    holds every arc's, built in [g]'s ids, and [pair_delays] is in
+    [g]'s ids.  The one SLA costing of every evaluation path —
     a context's committed state ({!Eval_ctx.sla}), and weight and
     failure probes ({!Eval_ctx.probe_primary}) — so all of them price
     Λ bitwise alike.  Runs the fold of {!sla_lambda} over a fresh
@@ -93,6 +96,7 @@ val sla_lambda :
 (** [(sla_of params g ~th ~core ~node_at ~arcs ~dags_h
     ~phi_h_per_arc).lambda], bitwise — the same fold — computed in the
     scratch's buffers: after the first call on a matrix and numbering it
-    allocates nothing.  The scratch caches [th]'s pair list by the
+    allocates nothing.  Only the delays of [core]'s arcs are
+    computed.  The scratch caches [th]'s pair list by the
     physical identity of [th] and [node_at], so neither may be mutated
     while the scratch is in use. *)

@@ -2,28 +2,43 @@ module Lexico = Dtr_cost.Lexico
 
 type model = Load | Sla of Dtr_cost.Sla.params
 
+(* A result's evaluation rows: built by [build] when first read and
+   kept.  Two domains reading at once may both build them; both get
+   rows bitwise alike, and one of them is kept. *)
+type rows = { build : unit -> Evaluate.t; built : Evaluate.t option Atomic.t }
+
 type result = {
   objective : Lexico.t;
-  eval : Evaluate.t;
+  rows : rows;
   sla : Evaluate.sla option;
 }
 
-let of_eval model eval ~sla =
+let eval r =
+  match Atomic.get r.rows.built with
+  | Some e -> e
+  | None ->
+      let e = r.rows.build () in
+      Atomic.set r.rows.built (Some e);
+      e
+
+let of_rows model ~phi_h ~phi_l rows ~sla =
+  let rows = { build = rows; built = Atomic.make None } in
   match model with
-  | Load ->
-      {
-        objective =
-          Lexico.make ~primary:eval.Evaluate.phi_h ~secondary:eval.Evaluate.phi_l;
-        eval;
-        sla = None;
-      }
+  | Load -> { objective = Lexico.make ~primary:phi_h ~secondary:phi_l; rows; sla = None }
   | Sla params ->
       let sla = sla params in
       {
-        objective =
-          Lexico.make ~primary:sla.Evaluate.lambda ~secondary:eval.Evaluate.phi_l;
-        eval;
+        objective = Lexico.make ~primary:sla.Evaluate.lambda ~secondary:phi_l;
+        rows;
         sla = Some sla;
       }
+
+let of_eval model eval ~sla =
+  let r =
+    of_rows model ~phi_h:eval.Evaluate.phi_h ~phi_l:eval.Evaluate.phi_l
+      (fun () -> eval) ~sla
+  in
+  Atomic.set r.rows.built (Some eval);
+  r
 
 let model_name = function Load -> "load" | Sla _ -> "sla"

@@ -137,7 +137,11 @@ let total m =
       Array.fold_left ( +. ) 0. (sorted m cols cache).value
 
 (* A scaled demand is held to [set]'s rule (a zero stays zero), and a
-   sparse store drops the entries that scale to zero. *)
+   sparse store drops the entries that scale to zero.  When [m]'s
+   entries are sorted already and none scales to zero, the scaled
+   matrix holds the same entries in the same order: it takes [m]'s
+   positions ([src], [dst], [col_src]) with the values scaled, instead
+   of sorting its entries again. *)
 let scale m f =
   if f < 0. then invalid_arg "Matrix.scale: negative factor";
   let scaled v =
@@ -150,21 +154,28 @@ let scale m f =
   in
   match m.repr with
   | Dense data -> { n = m.n; repr = Dense (Array.map scaled data) }
-  | Sparse (cols, _) ->
-      { n = m.n;
-        repr =
-          Sparse
-            ( Array.map
-                (fun col ->
-                  let c = Hashtbl.create (Hashtbl.length col) in
-                  Hashtbl.iter
-                    (fun s v ->
-                      let x = scaled v in
-                      if x > 0. then Hashtbl.replace c s x)
-                    col;
-                  c)
-                cols,
-              Atomic.make None ) }
+  | Sparse (cols, cache) ->
+      let kept = ref true in
+      let cols =
+        Array.map
+          (fun col ->
+            let c = Hashtbl.create (Hashtbl.length col) in
+            Hashtbl.iter
+              (fun s v ->
+                let x = scaled v in
+                if x > 0. then Hashtbl.replace c s x else kept := false)
+              col;
+            c)
+          cols
+      in
+      let sorted =
+        match Atomic.get cache with
+        | Some e when !kept ->
+            let scale_all vs = if Array.length vs = 0 then vs else Array.map scaled vs in
+            Some { e with value = Array.map scaled e.value; col_value = Array.map scale_all e.col_value }
+        | _ -> None
+      in
+      { n = m.n; repr = Sparse (cols, Atomic.make sorted) }
 
 let copy m =
   match m.repr with

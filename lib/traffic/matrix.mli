@@ -44,7 +44,11 @@ val total : t -> float
 
 val scale : t -> float -> t
 (** Fresh matrix with every entry multiplied by a non-negative factor
-    (a zero entry stays zero whatever the factor).
+    (a zero entry stays zero whatever the factor; a sparse store drops
+    an entry that scales to zero).  A sparse matrix whose entries are
+    sorted already hands them to the scaled one, values scaled, when no
+    entry scales to zero, so the scaled matrix's enumerations do not
+    sort again; otherwise its first enumeration sorts them.
     @raise Invalid_argument on a negative factor, or a product that is
     not finite. *)
 

@@ -19,7 +19,7 @@ let evaluate model g ~wh ~wl ~th ~tl =
     [⟨Φ_{H,l}, Φ_{L,l}⟩] under [Load], [⟨D_l, Φ_{L,l}⟩] under
     [Sla] (paper §4). *)
 let link_costs_h model (r : Objective.result) =
-  let eval = r.Objective.eval in
+  let eval = Objective.eval r in
   match model with
   | Objective.Load ->
       Array.init
@@ -40,4 +40,4 @@ let link_costs_h model (r : Objective.result) =
 (** Per-arc costs for FindL: [Φ_{L,l}] (low-priority weights cannot
     affect the high-priority class). *)
 let link_costs_l (r : Objective.result) =
-  Array.copy r.Objective.eval.Evaluate.phi_l_per_arc
+  Array.copy (Objective.eval r).Evaluate.phi_l_per_arc

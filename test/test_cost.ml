@@ -69,6 +69,22 @@ let test_phi_rejects_negative () =
     (Invalid_argument "Fortz.phi: negative capacity") (fun () ->
       ignore (Fortz.phi ~load:1. ~capacity:(-1.)))
 
+(* A NaN load or capacity is refused like a negative one, not priced:
+   every comparison with NaN is false, so the pieces' maximum would
+   stay at its start, 0. *)
+let test_phi_rejects_nan () =
+  Alcotest.check_raises "NaN load" (Invalid_argument "Fortz.phi: negative load")
+    (fun () -> ignore (Fortz.phi ~load:Float.nan ~capacity:1.));
+  Alcotest.check_raises "NaN load, no capacity"
+    (Invalid_argument "Fortz.phi: negative load") (fun () ->
+      ignore (Fortz.phi ~load:Float.nan ~capacity:0.));
+  Alcotest.check_raises "NaN capacity" (Invalid_argument "Fortz.phi: negative capacity")
+    (fun () -> ignore (Fortz.phi ~load:1. ~capacity:Float.nan));
+  Alcotest.check_raises "NaN capacity, no load"
+    (Invalid_argument "Fortz.phi: negative capacity") (fun () ->
+      ignore (Fortz.phi ~load:0. ~capacity:Float.nan));
+  checkf "-0. load is no load" 0. (Fortz.phi ~load:(-0.) ~capacity:1.)
+
 let test_phi_segment_lookup () =
   Alcotest.(check int) "u=0.1" 0 (Fortz.segment ~utilization:0.1);
   Alcotest.(check int) "u=0.5" 1 (Fortz.segment ~utilization:0.5);
@@ -260,6 +276,7 @@ let () =
             test_phi_breakpoint_continuity;
           Alcotest.test_case "zero capacity" `Quick test_phi_zero_capacity;
           Alcotest.test_case "rejects negative" `Quick test_phi_rejects_negative;
+          Alcotest.test_case "rejects NaN" `Quick test_phi_rejects_nan;
           Alcotest.test_case "segment lookup" `Quick test_phi_segment_lookup;
           Alcotest.test_case "uncapacitated" `Quick test_phi_uncapacitated;
           qc prop_phi_monotone_in_load;

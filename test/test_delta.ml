@@ -1348,6 +1348,17 @@ let test_problem_delta () =
     QCheck.(int_range 0 10_000)
     problem_delta_matches
 
+(* A context's (Φ_H, Φ_L) rows in the graph's arc ids, from its core
+   rows ({!Problem.ctx_core_costs}): +0. off each core. *)
+let graph_costs m ctx =
+  let on_graph (arcs, row) =
+    let out = Array.make m 0. in
+    Array.iteri (fun j a -> out.(a) <- row.(j)) arcs;
+    out
+  in
+  let h, l = Problem.ctx_core_costs ctx in
+  (on_graph h, on_graph l)
+
 (* What Ranking's repair relies on: after a commit, two arcs whose Φ_H
    and Φ_L entries are both bitwise unchanged compare alike under the
    comparators derived before and after it. *)
@@ -1372,7 +1383,7 @@ let cmp_stable_on_unchanged_arcs seed =
       List.iter
         (fun (what, ctx) ->
           for _ = 1 to 4 do
-            let before = Problem.ctx_cost_rows ctx in
+            let before = graph_costs m ctx in
             let cmps = [ Problem.ctx_arc_cmp_h; Problem.ctx_arc_cmp_l ] in
             let old_cmps = List.map (fun f -> f problem ctx) cmps in
             let cls = if Prng.bool rng then `H else `L in
@@ -1382,7 +1393,7 @@ let cmp_stable_on_unchanged_arcs seed =
             ignore
               (Problem.commit_delta problem ctx
                  (Problem.eval_delta problem ctx ~cls ~changes));
-            let h0, l0 = before and h1, l1 = Problem.ctx_cost_rows ctx in
+            let h0, l0 = before and h1, l1 = graph_costs m ctx in
             let unchanged =
               List.filter
                 (fun a -> same h0.(a) h1.(a) && same l0.(a) l1.(a))
@@ -1740,7 +1751,7 @@ let naive_matches ~severed ~finite ~reused ~strict seed (g, wh, wl, th, tl, rng)
       in
       let problem = Problem.create ~graph:g ~th ~tl ~model in
       let sol, ctx = Problem.eval_dtr_ctx problem ~wh ~wl in
-      let e = sol.Problem.result.Objective.eval in
+      let e = Objective.eval sol.Problem.result in
       check_naive ~what:(what ^ " eval_dtr") ~model ~phi_h:e.Evaluate.phi_h
         ~phi_l:e.Evaluate.phi_l
         ~primary:(Problem.objective sol).Lexico.primary

@@ -815,7 +815,7 @@ let check_reuse ~what ~reused problem ctx ~top_k ~prior =
       check_bits (Printf.sprintf "%s: link %d's class-0 primary" what i) p
         rp.Problem.rp_primaries.(i))
     fresh.Problem.rp_primaries;
-  let h_loads = (Problem.ctx_solution problem ctx).Problem.result.Objective.eval.Evaluate.h_loads in
+  let h_loads = (Objective.eval (Problem.ctx_solution problem ctx).Problem.result).Evaluate.h_loads in
   let probes =
     reaching_kth ~top_k sweep
     + if reused then 0 else class0_probed problem.Problem.graph ~h_loads ~zero_shares:false sweep
@@ -931,7 +931,7 @@ let start_matches_full ~what problem ctx ~top_k =
   let alpha = 0.5 in
   let normal = Problem.objective (Problem.ctx_solution problem ctx) in
   let sweep = Problem.failure_outcomes problem ctx in
-  let h_loads = (Problem.ctx_solution problem ctx).Problem.result.Objective.eval.Evaluate.h_loads in
+  let h_loads = (Objective.eval (Problem.ctx_solution problem ctx).Problem.result).Evaluate.h_loads in
   let probed =
     class0_probed problem.Problem.graph ~h_loads ~zero_shares:false sweep
   in

@@ -395,7 +395,7 @@ let test_inspect_golden_abilene () =
       (Dtr_routing.Eval_ctx.to_evaluate ctx) ~sla:(fun params ->
         Dtr_routing.Eval_ctx.sla params ~th:inst.Scenario.th ctx)
   in
-  let e = r.Objective.eval in
+  let e = Objective.eval r in
   let buf = Buffer.create 1024 in
   let add t =
     Buffer.add_string buf (Dtr_util.Table.to_string t);

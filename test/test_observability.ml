@@ -386,9 +386,9 @@ let test_attribution_sla_scenario () =
       ~wh ~wl ~th:inst.Scenario.th ~tl:inst.Scenario.tl
   in
   let phi = Eval_ctx.phi ctx in
-  check_bitwise "phi_h matches Objective" r.Objective.eval.Dtr_routing.Evaluate.phi_h
+  check_bitwise "phi_h matches Objective" (Objective.eval r).Dtr_routing.Evaluate.phi_h
     phi.(0);
-  check_bitwise "phi_l matches Objective" r.Objective.eval.Dtr_routing.Evaluate.phi_l
+  check_bitwise "phi_l matches Objective" (Objective.eval r).Dtr_routing.Evaluate.phi_l
     phi.(1)
 
 (* ------------------------------------------------------------------ *)

@@ -386,7 +386,7 @@ let two_class_line () =
    costing under the default bound. *)
 let evaluate_sla g ~w ~th ~tl =
   let r = Ref_objective.evaluate (Objective.Sla Sla.default) g ~wh:w ~wl:w ~th ~tl in
-  (r.Objective.eval, Option.get r.Objective.sla)
+  (Objective.eval r, Option.get r.Objective.sla)
 
 let test_evaluate_residual () =
   let g, th, tl = two_class_line () in
@@ -578,9 +578,9 @@ let test_objective_load () =
   let g, th, tl = two_class_line () in
   let w = Weights.uniform g 1 in
   let r = Ref_objective.evaluate Objective.Load g ~wh:w ~wl:w ~th ~tl in
-  checkf "primary is phi_h" r.Objective.eval.Evaluate.phi_h
+  checkf "primary is phi_h" (Objective.eval r).Evaluate.phi_h
     r.Objective.objective.Lexico.primary;
-  checkf "secondary is phi_l" r.Objective.eval.Evaluate.phi_l
+  checkf "secondary is phi_l" (Objective.eval r).Evaluate.phi_l
     r.Objective.objective.Lexico.secondary;
   Alcotest.(check bool) "no sla" true (r.Objective.sla = None)
 
@@ -593,7 +593,7 @@ let test_objective_sla () =
       checkf "primary is lambda" s.Evaluate.lambda
         r.Objective.objective.Lexico.primary
   | None -> Alcotest.fail "expected SLA evaluation");
-  checkf "secondary is phi_l" r.Objective.eval.Evaluate.phi_l
+  checkf "secondary is phi_l" (Objective.eval r).Evaluate.phi_l
     r.Objective.objective.Lexico.secondary
 
 let test_objective_link_costs () =
@@ -604,13 +604,13 @@ let test_objective_link_costs () =
   Alcotest.(check int) "per arc" (Graph.arc_count g) (Array.length costs);
   Array.iteri
     (fun i c ->
-      checkf "primary = phi_h_l" r.Objective.eval.Evaluate.phi_h_per_arc.(i)
+      checkf "primary = phi_h_l" (Objective.eval r).Evaluate.phi_h_per_arc.(i)
         c.Lexico.primary)
     costs;
   let lcosts = Ref_objective.link_costs_l r in
   Array.iteri
     (fun i c ->
-      checkf "findl cost" r.Objective.eval.Evaluate.phi_l_per_arc.(i) c)
+      checkf "findl cost" (Objective.eval r).Evaluate.phi_l_per_arc.(i) c)
     lcosts
 
 (* ------------------------------------------------------------------ *)
@@ -727,7 +727,7 @@ let test_objective_of_eval_sla_cache () =
   match r1.Objective.sla with
   | None -> Alcotest.fail "expected sla"
   | Some sla ->
-      let r2 = Objective.of_eval model r1.Objective.eval ~sla:(fun _ -> sla) in
+      let r2 = Objective.of_eval model (Objective.eval r1) ~sla:(fun _ -> sla) in
       (match r2.Objective.sla with
       | Some s2 -> Alcotest.(check bool) "costing kept" true (s2 == sla)
       | None -> Alcotest.fail "costing dropped")
