@@ -51,7 +51,9 @@ type t = {
   mutable is_live : bool array;  (* split: per arc, whether it is in [live] *)
   mutable ids : int array;  (* the cached sorted ranking *)
   mutable flags : bool array;  (* scratch, arc-count sized, all-false *)
-  mutable scratch : int array;  (* merge output, arc-count sized *)
+  mutable scratch : int array;
+      (* merge output: as long as the live run's merge needs in a split,
+         arc-count sized when sorted whole *)
 }
 
 let create () =
@@ -155,6 +157,8 @@ let write_tail t n_arcs =
 (* Split the arcs at the zero-cost arc [z]: false, leaving no arc
    live, when one ranks below it. *)
 let split t ~cmp n_arcs z =
+  (* The live arcs are collected at the front of [ids], which
+     [write_tail] then overwrites. *)
   let n = ref 0 and a = ref 0 and below = ref false in
   while (not !below) && !a < n_arcs do
     let x = !a in
@@ -162,7 +166,7 @@ let split t ~cmp n_arcs z =
       let c = cmp x z in
       if c < 0 then below := true
       else if c > 0 then begin
-        t.live.(!n) <- x;
+        t.ids.(!n) <- x;
         t.is_live.(x) <- true;
         incr n
       end
@@ -171,14 +175,13 @@ let split t ~cmp n_arcs z =
   done;
   if !below then begin
     for i = 0 to !n - 1 do
-      t.is_live.(t.live.(i)) <- false
+      t.is_live.(t.ids.(i)) <- false
     done;
     false
   end
   else begin
-    let sorted = Array.sub t.live 0 !n in
-    Array.stable_sort (order ~cmp) sorted;
-    Array.blit sorted 0 t.live 0 !n;
+    t.live <- Array.sub t.ids 0 !n;
+    Array.stable_sort (order ~cmp) t.live;
     t.nlive <- !n;
     t.zero <- z;
     write_tail t n_arcs;
@@ -191,9 +194,7 @@ let rank t ~cmp ~rows n_arcs =
   if Array.length t.flags <> n_arcs then begin
     t.flags <- Array.make n_arcs false;
     t.is_live <- Array.make n_arcs false;
-    t.live <- Array.make n_arcs 0;
-    t.ids <- Array.make n_arcs 0;
-    t.scratch <- Array.make n_arcs 0
+    t.ids <- Array.make n_arcs 0
   end
   else if t.zero >= 0 then begin
     for i = 0 to t.nlive - 1 do
@@ -210,6 +211,7 @@ let rank t ~cmp ~rows n_arcs =
 
 let repair_whole t ~cmp touched n_arcs =
   let flags = t.flags in
+  if Array.length t.scratch <> n_arcs then t.scratch <- Array.make n_arcs 0;
   Array.sort (order ~cmp) touched;
   ignore (merge ~cmp flags t.ids n_arcs touched t.scratch : int);
   (* Swap: the old ids array becomes the next repair's scratch. *)
@@ -236,6 +238,8 @@ let repair_split t ~cmp touched n_arcs =
     touched;
   let fresh = Array.of_list !fresh in
   Array.sort (order ~cmp) fresh;
+  let need = min n_arcs (t.nlive + Array.length fresh) in
+  if Array.length t.scratch < need then t.scratch <- Array.make need 0;
   t.nlive <- merge ~cmp t.flags t.live t.nlive fresh t.scratch;
   let old = t.live in
   t.live <- t.scratch;

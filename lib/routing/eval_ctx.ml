@@ -433,7 +433,8 @@ let build ?cores name g ~weights ~matrices =
             let c = core.(gi) in
             let act = Array.make (Array.length c.c_nodes) false in
             Array.iter
-              (fun k -> Matrix.iter matrices.(k) (fun _ t _ -> act.(c.c_node_at.(t)) <- true))
+              (fun k ->
+                Matrix.iter matrices.(k) (fun _ t _ -> act.(c.c_node_at.(t)) <- true))
               members;
             act)
           group_classes
@@ -592,7 +593,9 @@ let make_arena t =
   let m = Graph.arc_count t.graph in
   let classes = class_count t and groups = Array.length t.group_w in
   (* One row per class, as long as its core's arc count. *)
-  let per_arc x = Array.init classes (fun k -> Array.make (Array.length (class_core t k).c_arcs) x) in
+  let per_arc x =
+    Array.init classes (fun k -> Array.make (Array.length (class_core t k).c_arcs) x)
+  in
   let largest size = Array.fold_left (fun x c -> max x (Array.length (size c))) 0 t.cores in
   let dests k = Array.length t.demand.(k) in
   {
@@ -838,13 +841,14 @@ let repair_screened t a gi ~priced changes =
 
 (* Re-project one dirty destination's flows of class [k], of group
    [gi], into the next free arena row and mark, in core ids, every arc
-   whose contribution of the class moved; the row is kept (as an override of the committed
-   one) only when it moved.  Shares land as in {!create}'s walk into a
-   fresh zero row, so everything folded from the row stays
-   bitwise-exact.  The walk runs on the group's core graph, so the row
-   is cleared, filled and compared with the committed row over the
-   core's arcs alone, the only ones a row of the class holds; both rows
-   are at least that long, so the compare reads unchecked. *)
+   whose contribution of the class moved; the row is kept (as an
+   override of the committed one) only when it moved.  Shares land as
+   in {!create}'s walk into a fresh zero row, so everything folded from
+   the row stays bitwise-exact.  The walk runs on the group's core
+   graph, so the row is cleared, filled and compared with the committed
+   row over the core's arcs alone, the only ones a row of the class
+   holds; both rows are at least that long, so the compare reads
+   unchecked. *)
 let reproject t a ~dags gi k dst =
   let dem = t.demand.(k).(dst) in
   if Array.length dem > 0 then begin
@@ -941,11 +945,11 @@ let collect_fix t a k ~kmin =
    are in range for every row, so that loop reads unchecked.  The
    cascade runs downward from [a_kmin], the highest-priority class
    whose load moved: an H change reshapes the residual every lower
-   class is charged against, so a class below it recomputes its
-   residual, from the raw capacity down the cascade, and its Fortz
-   cost at each arc of its core where a class above it moved load,
-   and its Fortz cost where its own load moved.  A class with no such
-   arc keeps its committed rows and Φ.  Only the leading [classes]
+   class is charged against, so each class below it recomputes, at
+   each arc of its core where a class above it moved load, its
+   residual (from the raw capacity down the cascade) and its Fortz
+   cost, and every class its Fortz cost where its own load moved.  A
+   class with no such arc keeps its committed rows and Φ.  Only the leading [classes]
    classes are patched; the rows carry overrides of no other class.
    At an arc no override of a class moved, its load is the committed
    total, so a class's Φ does not depend on which other classes were
@@ -1222,7 +1226,8 @@ let commit t p =
     committed.(k) <- row
   in
   for k = 0 to class_count t - 1 do
-    if a.a_has_ov.(k) then patched t.loads k a.a_loads a.a_touched_list.(k) a.a_ntouched.(k);
+    if a.a_has_ov.(k) then
+      patched t.loads k a.a_loads a.a_touched_list.(k) a.a_ntouched.(k);
     let nfix = a.a_nfix.(k) in
     if nfix > 0 then begin
       if k > a.a_kmin then patched t.capacity_seen k a.a_cap a.a_fix.(k) nfix;

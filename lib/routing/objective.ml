@@ -3,8 +3,8 @@ module Lexico = Dtr_cost.Lexico
 type model = Load | Sla of Dtr_cost.Sla.params
 
 (* A result's evaluation rows: built by [build] when first read and
-   kept.  Two domains reading at once may both build them; both get
-   rows bitwise alike, and one of them is kept. *)
+   kept.  Two domains reading at once may both build them, bitwise
+   alike; the first kept is the one every read returns. *)
 type rows = { build : unit -> Evaluate.t; built : Evaluate.t option Atomic.t }
 
 type result = {
@@ -18,8 +18,8 @@ let eval r =
   | Some e -> e
   | None ->
       let e = r.rows.build () in
-      Atomic.set r.rows.built (Some e);
-      e
+      if Atomic.compare_and_set r.rows.built None (Some e) then e
+      else Option.get (Atomic.get r.rows.built)
 
 let of_rows model ~phi_h ~phi_l rows ~sla =
   let rows = { build = rows; built = Atomic.make None } in

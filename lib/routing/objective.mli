@@ -21,9 +21,9 @@ type result = {
 
 val eval : result -> Evaluate.t
 (** The two-class evaluation the objective was read from: built on
-    the first call and kept, so later calls return the same record.
+    the first call and kept, so every call returns the same record.
     Domain-safe: two domains reading at once may both build it, and
-    get rows bitwise alike. *)
+    the first one kept is returned to both. *)
 
 val of_rows :
   model ->

@@ -172,7 +172,12 @@ let scale m f =
         match Atomic.get cache with
         | Some e when !kept ->
             let scale_all vs = if Array.length vs = 0 then vs else Array.map scaled vs in
-            Some { e with value = Array.map scaled e.value; col_value = Array.map scale_all e.col_value }
+            Some
+              {
+                e with
+                value = Array.map scaled e.value;
+                col_value = Array.map scale_all e.col_value;
+              }
         | _ -> None
       in
       { n = m.n; repr = Sparse (cols, Atomic.make sorted) }
