@@ -23,8 +23,8 @@
    order, where an idle arc's delay is its own propagation delay — the
    split does not hold and the ranking is sorted whole.  A repair
    compares only the arcs whose entries moved against [zero], merges
-   the live ones back into the live run, and moves the tail's
-   unchanged runs, by blits, only when an arc joined or left it.
+   the live ones back into the live run, and rewrites the tail only
+   when an arc joined or left it.
 
    Why the repaired array is bitwise-identical to a full re-sort: the
    ordering is a strict total order (ties cannot survive the arc-id
@@ -54,7 +54,6 @@ type t = {
   mutable scratch : int array;
       (* merge output: as long as the live run's merge needs in a split,
          arc-count sized when sorted whole *)
-  mutable spare : int array;  (* split: the next ranking, arc-count sized *)
 }
 
 let create () =
@@ -68,7 +67,6 @@ let create () =
     ids = [||];
     flags = [||];
     scratch = [||];
-    spare = [||];
   }
 
 (* The exact comparator of Neighborhood.rank_by_cost: decreasing cost,
@@ -221,36 +219,6 @@ let repair_whole t ~cmp touched n_arcs =
   t.ids <- t.scratch;
   t.scratch <- old
 
-(* The ranking after the arcs [crossed] (ascending) joined or left the
-   live run, [old_nlive] long before: the new live run, then the old
-   tail with the joined arcs taken out and the left ones put in, copied
-   run by run into [spare], which becomes [ids]. *)
-let move_tail t ~old_nlive crossed n_arcs =
-  if Array.length t.spare <> n_arcs then t.spare <- Array.make n_arcs 0;
-  let ids = t.ids and out = t.spare in
-  Array.blit t.live 0 out 0 t.nlive;
-  let src = ref old_nlive and dst = ref t.nlive in
-  Array.iter
-    (fun a ->
-      (* The first tail position at or past [a]: the tail ascends. *)
-      let lo = ref !src and hi = ref n_arcs in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if ids.(mid) < a then lo := mid + 1 else hi := mid
-      done;
-      Array.blit ids !src out !dst (!lo - !src);
-      dst := !dst + (!lo - !src);
-      src := !lo;
-      if t.is_live.(a) then incr src
-      else begin
-        out.(!dst) <- a;
-        incr dst
-      end)
-    crossed;
-  Array.blit ids !src out !dst (n_arcs - !src);
-  t.spare <- ids;
-  t.ids <- out
-
 (* Re-split the moved arcs against [zero]; false when one ranks below
    it, and the ranking must start over. *)
 let repair_split t ~cmp touched n_arcs =
@@ -258,31 +226,25 @@ let repair_split t ~cmp touched n_arcs =
   (not t.flags.(z))
   && Array.for_all (fun a -> cmp a z >= 0) touched
   &&
-  let crossed = ref [] and fresh = ref [] in
+  let joined = ref false and fresh = ref [] in
   Array.iter
     (fun a ->
       let live = cmp a z > 0 in
       if live <> t.is_live.(a) then begin
-        crossed := a :: !crossed;
+        joined := true;
         t.is_live.(a) <- live
       end;
       if live then fresh := a :: !fresh)
     touched;
   let fresh = Array.of_list !fresh in
   Array.sort (order ~cmp) fresh;
-  let old_nlive = t.nlive in
   let need = min n_arcs (t.nlive + Array.length fresh) in
   if Array.length t.scratch < need then t.scratch <- Array.make need 0;
   t.nlive <- merge ~cmp t.flags t.live t.nlive fresh t.scratch;
   let old = t.live in
   t.live <- t.scratch;
   t.scratch <- old;
-  (match !crossed with
-  | [] -> Array.blit t.live 0 t.ids 0 t.nlive
-  | crossed ->
-      let crossed = Array.of_list crossed in
-      Array.sort Int.compare crossed;
-      move_tail t ~old_nlive crossed n_arcs);
+  if !joined then write_tail t n_arcs else Array.blit t.live 0 t.ids 0 t.nlive;
   true
 
 let arcs t ctx ~cmp n_arcs =
