@@ -2,17 +2,6 @@ module Graph = Dtr_graph.Graph
 module Spf = Dtr_graph.Spf
 module Sla = Dtr_cost.Sla
 
-let arc_delays_into params g ~phi_h_per_arc delay =
-  let m = Graph.arc_count g in
-  if Array.length phi_h_per_arc <> m || Array.length delay < m then
-    invalid_arg "Delay.arc_delays_into: length mismatch";
-  let caps = Graph.capacities g and dels = Graph.delays g in
-  for id = 0 to m - 1 do
-    delay.(id) <-
-      Sla.link_delay params ~capacity:caps.(id) ~phi_h:phi_h_per_arc.(id)
-        ~prop_delay:dels.(id)
-  done
-
 let core_delays_into params g ~arcs ~phi_h_per_arc delay =
   let n = Array.length arcs in
   if Array.length phi_h_per_arc <> n || Array.length delay < n then

@@ -3,17 +3,6 @@
     caller-owned rows: the kernels of the SLA fold
     ({!Evaluate.sla_lambda}). *)
 
-val arc_delays_into :
-  Dtr_cost.Sla.params ->
-  Dtr_graph.Graph.t ->
-  phi_h_per_arc:float array ->
-  float array ->
-  unit
-(** Mean delay (ms) of every arc given the per-arc Fortz cost of
-    high-priority traffic, written into a caller-owned row of at least
-    arc-count length.  @raise Invalid_argument on a length
-    mismatch. *)
-
 val core_delays_into :
   Dtr_cost.Sla.params ->
   Dtr_graph.Graph.t ->
@@ -21,11 +10,12 @@ val core_delays_into :
   phi_h_per_arc:float array ->
   float array ->
   unit
-(** {!arc_delays_into} on the arcs [arcs] of the graph alone (a demand
-    core's, in its ids): entry [j] of the row, of at least [arcs]'
-    length, is the delay of arc [arcs.(j)] under the Fortz cost
-    [phi_h_per_arc.(j)], bitwise the delay {!arc_delays_into} writes
-    at that arc.  @raise Invalid_argument on a length mismatch. *)
+(** Mean delay (ms) of the arcs [arcs] of the graph (a demand core's,
+    in its ids; every arc in an identity core) given their Fortz costs
+    of high-priority traffic: entry [j] of the row, of at least
+    [arcs]' length, is the delay of arc [arcs.(j)] under the cost
+    [phi_h_per_arc.(j)].  @raise Invalid_argument on a length
+    mismatch. *)
 
 val expected_into :
   Dtr_graph.Graph.t ->

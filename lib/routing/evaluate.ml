@@ -109,8 +109,7 @@ let prepare s th ~core ~node_at =
 let sla_fold ?on_pair s params g ~th ~core ~node_at ~arcs ~dags_h ~phi_h_per_arc =
   prepare s th ~core ~node_at;
   let arc_delay = s.s_delay in
-  if core == g then Delay.arc_delays_into params g ~phi_h_per_arc arc_delay
-  else Delay.core_delays_into params g ~arcs ~phi_h_per_arc arc_delay;
+  Delay.core_delays_into params g ~arcs ~phi_h_per_arc arc_delay;
   s.s_fold <- s.s_fold + 1;
   let c = Graph.node_count core in
   let lambda = ref 0. in
@@ -148,14 +147,21 @@ let sla_of params g ~th ~core ~node_at ~arcs ~dags_h ~phi_h_per_arc =
         if d = Float.infinity then incr unreachable;
         if d > !worst then worst := d)
   in
-  (* Every arc's delay, in [g]'s ids: an arc off the core costs +0. *)
+  (* Every arc's delay, in [g]'s ids: the fold's at the core's arcs
+     ([arcs] ascends), an idle arc's (Φ_H = +0.) off the core. *)
   let arc_delay =
     if core == g then s.s_delay
     else begin
-      let m = Graph.arc_count g in
-      let phi = Array.make m 0. and delay = Array.make m 0. in
-      Array.iteri (fun j a -> phi.(a) <- phi_h_per_arc.(j)) arcs;
-      Delay.arc_delays_into params g ~phi_h_per_arc:phi delay;
+      let caps = Graph.capacities g and dels = Graph.delays g in
+      let delay = Array.make (Graph.arc_count g) 0. and j = ref 0 in
+      for id = 0 to Array.length delay - 1 do
+        if !j < Array.length arcs && arcs.(!j) = id then begin
+          delay.(id) <- s.s_delay.(!j);
+          incr j
+        end
+        else
+          delay.(id) <- Sla.link_delay params ~capacity:caps.(id) ~phi_h:0. ~prop_delay:dels.(id)
+      done;
       delay
     end
   in

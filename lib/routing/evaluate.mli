@@ -64,7 +64,7 @@ val sla_of :
     [unreachable].  The dags route on [core], [g] itself or a subgraph
     of it ({!Dtr_graph.Graph.induced}) that holds every high-priority
     pair's walk, numbered through [node_at] ([g]'s node to [core]'s)
-    and [arcs] ([core]'s arc to [g]'s).  [phi_h_per_arc] is in
+    and [arcs] ([core]'s arc to [g]'s, ascending).  [phi_h_per_arc] is in
     [core]'s arc ids, and every arc of [g] off [core] costs +0.; the
     walk reads the delays of [core]'s arcs alone, while [arc_delay]
     holds every arc's, built in [g]'s ids, and [pair_delays] is in

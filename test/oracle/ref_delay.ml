@@ -1,5 +1,5 @@
 (* Allocating, pair-list forms of the delay model (paper Eq. 3) over
-   the arena kernels {!Dtr_routing.Delay.arc_delays_into} and
+   the arena kernels {!Dtr_routing.Delay.core_delays_into} and
    {!Dtr_routing.Delay.expected_into}. *)
 
 module Graph = Dtr_graph.Graph
@@ -11,8 +11,9 @@ module Delay = Dtr_routing.Delay
     high-priority traffic.  @raise Invalid_argument on length
     mismatch. *)
 let arc_delays params g ~phi_h_per_arc =
-  let delay = Array.make (Graph.arc_count g) 0. in
-  Delay.arc_delays_into params g ~phi_h_per_arc delay;
+  let m = Graph.arc_count g in
+  let delay = Array.make m 0. in
+  Delay.core_delays_into params g ~arcs:(Array.init m Fun.id) ~phi_h_per_arc delay;
   delay
 
 (** [xi.(v)]: expected delay from [v] to [dag.dst] when flow splits
