@@ -887,14 +887,15 @@ let test_nested_cores () =
 
 (* A class's totals live on its demand core; the views in the graph's
    ids — {!Eval_ctx.loads}, {!Eval_ctx.phi_per_arc}, the two-class view
-   ({!Eval_ctx.to_evaluate}, {!Eval_ctx.evaluation}) and a solution's
-   rows ({!Objective.eval}) — are built from them when read.  Each must
-   equal, bitwise, a fresh context's and the reference evaluation's at
-   the context's weights, whatever the context went through. *)
+   ({!Eval_ctx.to_evaluate}, {!Eval_ctx.evaluation}), the SLA costing's
+   arc delays ({!Eval_ctx.sla}) and a solution's rows ({!Objective.eval})
+   — are built from them when read.  Each must equal, bitwise, a fresh
+   context's and the reference evaluation's at the context's weights,
+   whatever the context went through. *)
 let check_views ~what g ~th ~tl ec =
   let wh = Eval_ctx.weights ec 0 and wl = Eval_ctx.weights ec 1 in
   let fresh = Eval_ctx.create g ~weights:[| wh; wl |] ~matrices:[| th; tl |] in
-  let want = Dtr_oracle.Ref_evaluate.evaluate g ~wh ~wl ~th ~tl in
+  let want, dags_h, _ = Dtr_oracle.Ref_evaluate.evaluate_routed g ~wh ~wl ~th ~tl in
   let rows (e : Evaluate.t) =
     [
       ("loads H", e.Evaluate.h_loads);
@@ -919,7 +920,13 @@ let check_views ~what g ~th ~tl ec =
       same_row ~what:(Printf.sprintf "%s: loads %d" what k) loads (Eval_ctx.loads ec k);
       same_row ~what:(Printf.sprintf "%s: Fortz row %d" what k) phi (Eval_ctx.phi_per_arc ec k))
     [ (want.Evaluate.h_loads, want.Evaluate.phi_h_per_arc);
-      (want.Evaluate.l_loads, want.Evaluate.phi_l_per_arc) ]
+      (want.Evaluate.l_loads, want.Evaluate.phi_l_per_arc) ];
+  let want_sla =
+    Dtr_oracle.Ref_evaluate.sla Sla.default g ~th ~dags_h
+      ~phi_h_per_arc:want.Evaluate.phi_h_per_arc
+  and sla = Eval_ctx.sla Sla.default ~th ec in
+  check_float ~what:(what ^ ": SLA lambda") want_sla.Evaluate.lambda sla.Evaluate.lambda;
+  same_row ~what:(what ^ ": SLA arc delays") want_sla.Evaluate.arc_delay sla.Evaluate.arc_delay
 
 (* Random weight probes (committed or dropped), failure probes, clones
    and syncs either way on a context and its clone; after each step the
