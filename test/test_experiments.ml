@@ -184,6 +184,72 @@ let test_scenario_scaling_rejects_bad_targets () =
     [ 0.; Float.nan; Float.infinity ]
 
 (* ------------------------------------------------------------------ *)
+(* Matrix digests: the MD5 of every scaled scenario matrix's entries,
+   each as its source, destination and demand bits, in Matrix.iter
+   order.  The large presets draw [th] while iterating [tl], so an
+   enumeration order that moved would move [th] as well as the
+   digests. *)
+
+let matrix_digest m =
+  let b = Buffer.create 4096 in
+  Matrix.iter m (fun s t v ->
+      Printf.bprintf b "%d %d %Lx\n" s t (Int64.bits_of_float v));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let digest_case (name, topology, hp, (want_th, want_tl)) =
+  Alcotest.test_case name `Quick (fun () ->
+      let inst =
+        Scenario.scale_to_utilization ~target:0.6
+          (Scenario.make { Scenario.topology; fraction = 0.30; hp; seed = 1 })
+      in
+      Alcotest.(check string) "th" want_th (matrix_digest inst.Scenario.th);
+      Alcotest.(check string) "tl" want_tl (matrix_digest inst.Scenario.tl))
+
+let digest_cases =
+  let density = Scenario.Random_density 0.10 in
+  let sinks = Scenario.Sinks { sinks = 3; density = 0.10; placement = Highpri.Uniform } in
+  let large name = Scenario.Large (Option.get (Dtr_topology.Large.find name)) in
+  List.map digest_case
+    [
+      ( "ts-1k", large "ts-1k", density,
+        ("1b2a611039e00b12cb4356f3ffd2d232", "6d2179a6543ea722c6414286d2f3d540") );
+      ( "ts-5k", large "ts-5k", density,
+        ("68b73b4606d94a2210ad61abba0f152b", "3a0393cc03f8f0a2cc82236986b229d1") );
+      ( "ts-10k", large "ts-10k", density,
+        ("7c2e0d7dc02c5defa838fe8e3256b8e8", "4a7a552edf907df76f0d1da5fbb82452") );
+      ( "pl-1k", large "pl-1k", density,
+        ("e07ee323188e113c47ebccb713873cbc", "816c28e1847da0615a5c533ad3cedcc8") );
+      ( "pl-5k", large "pl-5k", density,
+        ("80e557c253a5ea4fada3030b750a3c4b", "34107de760d6c79cbb79d237377aa378") );
+      ( "pl-10k", large "pl-10k", density,
+        ("6f864b221522004d3c073dd9c684dfd4", "38423b63e5526b91f206aec63d144c4b") );
+      ( "random, density", Scenario.Random_topo, density,
+        ("429f4de01206eea3d18ceb11d180d59d", "adda7987f7f1c63108ad6f0f2d819ced") );
+      ( "random, sinks", Scenario.Random_topo, sinks,
+        ("779a6e2eaff97ab7e47d9decaf80cd59", "7320a2510c6fcdb11750e0487b32fce7") );
+      ( "power-law, density", Scenario.Power_law, density,
+        ("531a23255ae05e6010368e2e66e5aefa", "43c5a8b06cf65cb3b80edc85b3a2e32e") );
+      ( "power-law, sinks", Scenario.Power_law, sinks,
+        ("48234a25d06335561dfa95ea08175463", "0d4a2884f4fc26cd62d754870ded1fda") );
+      ( "isp, density", Scenario.Isp, density,
+        ("7d8dc7832b9cb96288e857d159bf0596", "b0eb380a30bfe22d8086dea3130c1235") );
+      ( "isp, sinks", Scenario.Isp, sinks,
+        ("a830728088a09fdb479103dd2ac3b971", "f276bd42cec3d2809255519d774ff740") );
+      ( "waxman, density", Scenario.Waxman, density,
+        ("458a7f81a0895911a0174202a320df5c", "8bfd97f27e0c528b6f28f22c7e60da00") );
+      ( "waxman, sinks", Scenario.Waxman, sinks,
+        ("ee05f265592946cbdb5ae4c22afb109c", "225f1376f4cc6744ea6a8bcc2d98b197") );
+      ( "transit-stub, density", Scenario.Transit_stub, density,
+        ("2cf2b25d196b8ee5a30aca0b989a2a11", "019cd3583ec8bbfbf1be16b3591f53de") );
+      ( "transit-stub, sinks", Scenario.Transit_stub, sinks,
+        ("93f1ba8cfdcd2e7186ae0998d5f97073", "4048f7d9e40ca58416f919feddfd3bb0") );
+      ( "abilene, density", Scenario.Abilene, density,
+        ("4b33022e51b363182dee5fbae16c9f36", "15749be7f49239f5880b14e9d121d4ac") );
+      ( "abilene, sinks", Scenario.Abilene, sinks,
+        ("f71c90a36d0044eed5fc14fd6ad6ea33", "65f5498a1442411a91534a0c02c7b339") );
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Compare *)
 
 let test_ratio_guards () =
@@ -519,6 +585,7 @@ let () =
           Alcotest.test_case "scaling rejects bad targets" `Quick
             test_scenario_scaling_rejects_bad_targets;
         ] );
+      ("digests", digest_cases);
       ( "compare",
         [
           Alcotest.test_case "ratio guards" `Quick test_ratio_guards;
