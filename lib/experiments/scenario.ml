@@ -60,10 +60,10 @@ let build_topology rng = function
   | Abilene -> Dtr_topology.Abilene.generate ()
   | Large p -> Large.generate rng p
 
-(* Large presets: PoP-level gravity demand (sparse) with the high
+(* Large presets: PoP-level gravity demand with the high
    class riding a density-[k] subset of the low-class pairs at
    [fraction] of the pair's volume — the same f/k knobs as the dense
-   scenarios, applied to the sparse tier. *)
+   scenarios, applied to the PoP tier. *)
 let make_large spec p =
   let density =
     match spec.hp with
@@ -81,7 +81,7 @@ let make_large spec p =
   let n = Graph.node_count graph in
   let pops = Large.pop_nodes graph p in
   let tl = Gravity.generate_pop traffic_rng ~n ~pops Gravity.default in
-  let th = Matrix.create_sparse n in
+  let th = Matrix.create n in
   Matrix.iter tl (fun s t v ->
       if Prng.float traffic_rng 1.0 < density then
         Matrix.set th s t (spec.fraction *. v));

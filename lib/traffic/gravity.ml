@@ -12,11 +12,11 @@ let default =
     mass_range = (1.0, 1.5);
   }
 
-(* PoP-level gravity: the same Eq. (6) model restricted to a set of
-   PoP nodes — a realistic ISP matrix concentrates demand between a
-   few dozen PoPs, not all n² pairs — written into a sparse matrix so
-   memory scales with PoP pairs, not nodes².  Draw order follows the
-   [pops] array, so results are deterministic in (seed, pops). *)
+(* Eq. (6) over a set of PoP nodes — a realistic ISP matrix
+   concentrates demand between a few dozen PoPs, not all n² pairs, and
+   the matrix's memory scales with PoP pairs, not nodes².  Draw order
+   follows the [pops] array, so results are deterministic in
+   (seed, pops).  The denominator excludes the source's own mass. *)
 let generate_pop rng ~n ~pops p =
   let k = Array.length pops in
   if k < 2 then invalid_arg "Gravity.generate_pop: need at least 2 PoPs";
@@ -29,7 +29,7 @@ let generate_pop rng ~n ~pops p =
   let mass = Array.map (fun _ -> Prng.uniform rng mlo mhi) pops in
   let attraction = Array.map exp mass in
   let d = Array.init k (fun _ -> Dist.three_level rng p.demand_levels) in
-  let m = Matrix.create_sparse n in
+  let m = Matrix.create n in
   let total_attraction = Array.fold_left ( +. ) 0. attraction in
   for i = 0 to k - 1 do
     let denom = total_attraction -. attraction.(i) in
@@ -40,20 +40,9 @@ let generate_pop rng ~n ~pops p =
   done;
   m
 
+(* The paper's all-pairs model: every node a PoP, in id order. *)
 let generate rng ~n p =
   if n < 2 then invalid_arg "Gravity.generate: need at least 2 nodes";
   let mlo, mhi = p.mass_range in
   if mhi < mlo then invalid_arg "Gravity.generate: bad mass range";
-  let mass = Array.init n (fun _ -> Prng.uniform rng mlo mhi) in
-  let attraction = Array.map exp mass in
-  let d = Array.init n (fun _ -> Dist.three_level rng p.demand_levels) in
-  let m = Matrix.create n in
-  let total_attraction = Array.fold_left ( +. ) 0. attraction in
-  for s = 0 to n - 1 do
-    (* Eq. (6): the denominator excludes the source's own mass. *)
-    let denom = total_attraction -. attraction.(s) in
-    for t = 0 to n - 1 do
-      if t <> s then Matrix.set m s t (d.(s) *. attraction.(t) /. denom)
-    done
-  done;
-  m
+  generate_pop rng ~n ~pops:(Array.init n Fun.id) p

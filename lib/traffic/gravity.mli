@@ -17,13 +17,14 @@ val default : params
 (** The paper's Eq. (7) setting. *)
 
 val generate : Dtr_util.Prng.t -> n:int -> params -> Matrix.t
-(** Dense matrix with positive demand between every ordered pair
-    (gravity models are dense).  @raise Invalid_argument if [n < 2] or
-    the parameters are malformed. *)
+(** Positive demand between every ordered pair (gravity models are
+    dense): {!generate_pop} with every node a PoP, in id order, draw
+    for draw.  @raise Invalid_argument if [n < 2] or the parameters are
+    malformed. *)
 
 val generate_pop :
   Dtr_util.Prng.t -> n:int -> pops:int array -> params -> Matrix.t
-(** The same gravity model restricted to the given PoP nodes: a sparse
+(** The same gravity model restricted to the given PoP nodes: an
     [n × n] matrix with positive demand between every ordered pair of
     distinct PoPs and zero elsewhere — the realistic shape of an ISP
     matrix at 1k–10k nodes, and the input the demand-only evaluation

@@ -1,48 +1,39 @@
-(* Two representations behind one interface: the original dense
-   row-major float array (every existing code path, unchanged), and a
-   column-major sparse store for real-ISP scale matrices — a 10k-node
-   dense matrix is 800 MB of mostly-zero floats, while PoP-gravity
-   demand touches a few thousand pairs.  Columns (per-destination
-   tables) are the natural axis: load projection consumes demand one
-   destination at a time ({!iter_col}).
+(* One store for every matrix shape: each destination column keeps its
+   positive demands as two parallel arrays, sources ascending and their
+   demands — a 10k-node dense matrix would be 800 MB of mostly-zero
+   floats, while PoP-gravity demand touches a few thousand pairs.
+   Columns are the natural axis: load projection consumes demand one
+   destination at a time ({!iter_col}), and every generator writes a
+   column's sources in ascending order, so a [set] is an append.
 
-   Every enumeration is emitted in sorted row-major order regardless
-   of representation, so outputs stay deterministic and independent of
-   hash-table internals.  A sparse matrix sorts its entries once, on
-   its first enumeration, and every later one reads the sorted arrays
-   until a [set] drops them. *)
+   The row-major enumerations read the entries gathered once, by a
+   counting sort over the columns, until a [set] drops the gather. *)
 
-(* A sparse matrix's entries, sorted: row-major in [src]/[dst]/[value],
-   and each destination column's in ascending source order in
-   [col_src]/[col_value].  Never mutated once built, so copies share
-   them. *)
-type sorted = {
-  src : int array;
-  dst : int array;
-  value : float array;
-  col_src : int array array;
-  col_value : float array array;
+(* The entries in row-major order.  Never mutated once gathered, so
+   copies share it. *)
+type rows = { src : int array; dst : int array; value : float array }
+
+type t = {
+  n : int;
+  len : int array;  (* column t's entry count *)
+  col_src : int array array;  (* column t's sources, ascending, in [0, len.(t)) *)
+  col_value : float array array;  (* and their demands *)
+  rows : rows option Atomic.t;
+      (* The gather, once an enumeration has built it.  Domains may
+         enumerate one matrix at once: each reads it atomically, and
+         one that finds none builds and publishes its own, equal to any
+         other's. *)
 }
-
-type repr =
-  | Dense of float array  (* n * n, row-major *)
-  | Sparse of (int, float) Hashtbl.t array * sorted option Atomic.t
-      (* cols.(t) : src -> demand, and the sorted entries once an
-         enumeration has built them.  Domains may enumerate one matrix
-         at once: each reads the cache atomically, and one that finds
-         none builds and publishes its own, equal to any other's. *)
-
-type t = { n : int; repr : repr }
 
 let create n =
   if n <= 0 then invalid_arg "Matrix.create: size must be positive";
-  { n; repr = Dense (Array.make (n * n) 0.) }
-
-let create_sparse n =
-  if n <= 0 then invalid_arg "Matrix.create_sparse: size must be positive";
-  { n; repr = Sparse (Array.init n (fun _ -> Hashtbl.create 8), Atomic.make None) }
-
-let is_sparse m = match m.repr with Dense _ -> false | Sparse _ -> true
+  {
+    n;
+    len = Array.make n 0;
+    col_src = Array.make n [||];
+    col_value = Array.make n [||];
+    rows = Atomic.make None;
+  }
 
 let size m = m.n
 
@@ -50,200 +41,186 @@ let check m s t =
   if s < 0 || s >= m.n || t < 0 || t >= m.n then
     invalid_arg "Matrix: index out of range"
 
+(* Where source [s] stands in column [t]: the first entry whose source
+   is not below [s], the column's length when every one is (as for a
+   source written in order). *)
+let position m t s =
+  let k = m.len.(t) and srcs = m.col_src.(t) in
+  if k = 0 || srcs.(k - 1) < s then k
+  else begin
+    let lo = ref 0 and hi = ref (k - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if srcs.(mid) < s then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  end
+
 let get m s t =
   check m s t;
-  match m.repr with
-  | Dense data -> data.((s * m.n) + t)
-  | Sparse (cols, _) -> (
-      match Hashtbl.find_opt cols.(t) s with Some v -> v | None -> 0.)
+  let i = position m t s in
+  if i < m.len.(t) && m.col_src.(t).(i) = s then m.col_value.(t).(i) else 0.
 
-(* Every stored demand is finite and non-negative, so a sparse store
-   holds exactly the positive entries the enumerations visit. *)
+(* Every stored demand is finite and positive: a zero removes the
+   entry, so the columns hold exactly the entries the enumerations
+   visit. *)
 let set m s t v =
   check m s t;
   if s = t then invalid_arg "Matrix.set: diagonal must stay zero";
   if not (Float.is_finite v) then invalid_arg "Matrix.set: demand must be finite";
   if v < 0. then invalid_arg "Matrix.set: negative demand";
-  match m.repr with
-  | Dense data -> data.((s * m.n) + t) <- v
-  | Sparse (cols, sorted) ->
-      if v = 0. then Hashtbl.remove cols.(t) s else Hashtbl.replace cols.(t) s v;
-      Atomic.set sorted None
+  let k = m.len.(t) and i = position m t s in
+  let srcs = m.col_src.(t) and values = m.col_value.(t) in
+  if i < k && srcs.(i) = s then begin
+    if v > 0. then values.(i) <- v
+    else begin
+      Array.blit srcs (i + 1) srcs i (k - i - 1);
+      Array.blit values (i + 1) values i (k - i - 1);
+      m.len.(t) <- k - 1
+    end
+  end
+  else if v > 0. then begin
+    if k = Array.length srcs then begin
+      let grown = max 4 (2 * k) in
+      m.col_src.(t) <- Array.make grown 0;
+      m.col_value.(t) <- Array.make grown 0.;
+      Array.blit srcs 0 m.col_src.(t) 0 i;
+      Array.blit values 0 m.col_value.(t) 0 i
+    end;
+    Array.blit srcs i m.col_src.(t) (i + 1) (k - i);
+    Array.blit values i m.col_value.(t) (i + 1) (k - i);
+    m.col_src.(t).(i) <- s;
+    m.col_value.(t).(i) <- v;
+    m.len.(t) <- k + 1
+  end;
+  Atomic.set m.rows None
 
 let add m s t v = set m s t (get m s t +. v)
 
-(* Each column's sources sorted ascending, then the row-major arrays by
-   a counting sort on the source: visiting the columns in ascending
-   order appends each row's entries in ascending destination.  Empty
-   columns, most of a large network's, share one empty array. *)
-let sort_entries n cols =
-  let col_src =
-    Array.map
-      (fun col ->
-        if Hashtbl.length col = 0 then [||]
-        else begin
-          let srcs = Array.make (Hashtbl.length col) 0 and i = ref 0 in
-          Hashtbl.iter
-            (fun s _ ->
-              srcs.(!i) <- s;
-              incr i)
-            col;
-          Array.sort Int.compare srcs;
-          srcs
-        end)
-      cols
-  in
-  let col_value =
-    Array.mapi
-      (fun t srcs -> if Array.length srcs = 0 then [||] else Array.map (Hashtbl.find cols.(t)) srcs)
-      col_src
-  in
-  let next = Array.make (n + 1) 0 in
-  Array.iter (Array.iter (fun s -> next.(s + 1) <- next.(s + 1) + 1)) col_src;
-  for s = 1 to n do
+(* A counting sort on the source: visiting the columns in ascending
+   order appends each row's entries in ascending destination. *)
+let gather m =
+  let next = Array.make (m.n + 1) 0 in
+  for t = 0 to m.n - 1 do
+    let srcs = m.col_src.(t) in
+    for i = 0 to m.len.(t) - 1 do
+      next.(srcs.(i) + 1) <- next.(srcs.(i) + 1) + 1
+    done
+  done;
+  for s = 1 to m.n do
     next.(s) <- next.(s) + next.(s - 1)
   done;
-  let entries = next.(n) in
+  let entries = next.(m.n) in
   let src = Array.make entries 0 and dst = Array.make entries 0 in
   let value = Array.make entries 0. in
-  Array.iteri
-    (fun t srcs ->
-      Array.iteri
-        (fun i s ->
-          let j = next.(s) in
-          next.(s) <- j + 1;
-          src.(j) <- s;
-          dst.(j) <- t;
-          value.(j) <- col_value.(t).(i))
-        srcs)
-    col_src;
-  { src; dst; value; col_src; col_value }
+  for t = 0 to m.n - 1 do
+    let srcs = m.col_src.(t) and values = m.col_value.(t) in
+    for i = 0 to m.len.(t) - 1 do
+      let s = srcs.(i) in
+      let j = next.(s) in
+      next.(s) <- j + 1;
+      src.(j) <- s;
+      dst.(j) <- t;
+      value.(j) <- values.(i)
+    done
+  done;
+  { src; dst; value }
 
-let sorted m cols cache =
-  match Atomic.get cache with
-  | Some s -> s
+let rows m =
+  match Atomic.get m.rows with
+  | Some r -> r
   | None ->
-      let s = sort_entries m.n cols in
-      Atomic.set cache (Some s);
-      s
+      let r = gather m in
+      Atomic.set m.rows (Some r);
+      r
 
-let total m =
-  match m.repr with
-  | Dense data -> Array.fold_left ( +. ) 0. data
-  | Sparse (cols, cache) ->
-      (* Row-major accumulation over positive entries: the same partial
-         sums a dense fold over the padded array would produce (adding
-         zeros is exact). *)
-      Array.fold_left ( +. ) 0. (sorted m cols cache).value
+(* Row-major accumulation over the positive entries: the partial sums
+   of a fold over all n² entries, zeros included (adding zero is
+   exact). *)
+let total m = Array.fold_left ( +. ) 0. (rows m).value
 
-(* A scaled demand is held to [set]'s rule (a zero stays zero), and a
-   sparse store drops the entries that scale to zero.  When [m]'s
-   entries are sorted already and none scales to zero, the scaled
-   matrix holds the same entries in the same order: it takes [m]'s
-   positions ([src], [dst], [col_src]) with the values scaled, instead
-   of sorting its entries again. *)
+(* Fresh columns of [m]'s entries through [f], trimmed to their
+   lengths, dropping the entries [f] maps to zero; and whether none
+   was dropped. *)
+let map_columns m f =
+  let len = Array.make m.n 0 in
+  let col_src = Array.make m.n [||] and col_value = Array.make m.n [||] in
+  let kept = ref true in
+  for t = 0 to m.n - 1 do
+    let k = m.len.(t) in
+    if k > 0 then begin
+      let srcs = Array.make k 0 and values = Array.make k 0. and j = ref 0 in
+      for i = 0 to k - 1 do
+        let x = f m.col_value.(t).(i) in
+        if x > 0. then begin
+          srcs.(!j) <- m.col_src.(t).(i);
+          values.(!j) <- x;
+          incr j
+        end
+        else kept := false
+      done;
+      len.(t) <- !j;
+      col_src.(t) <- srcs;
+      col_value.(t) <- values
+    end
+  done;
+  ({ n = m.n; len; col_src; col_value; rows = Atomic.make None }, !kept)
+
+(* A scaled demand is held to [set]'s rule, and an entry that scales to
+   zero is dropped.  When [m]'s entries are gathered already and none
+   scales to zero, the scaled matrix holds the same entries in the same
+   order: it takes [m]'s gather with the values scaled, instead of
+   gathering again. *)
 let scale m f =
   if f < 0. then invalid_arg "Matrix.scale: negative factor";
   let scaled v =
-    if v = 0. then 0.
-    else begin
-      let x = v *. f in
-      if not (Float.is_finite x) then invalid_arg "Matrix.scale: demand must stay finite";
-      x
-    end
+    let x = v *. f in
+    if not (Float.is_finite x) then invalid_arg "Matrix.scale: demand must stay finite";
+    x
   in
-  match m.repr with
-  | Dense data -> { n = m.n; repr = Dense (Array.map scaled data) }
-  | Sparse (cols, cache) ->
-      let kept = ref true in
-      let cols =
-        Array.map
-          (fun col ->
-            let c = Hashtbl.create (Hashtbl.length col) in
-            Hashtbl.iter
-              (fun s v ->
-                let x = scaled v in
-                if x > 0. then Hashtbl.replace c s x else kept := false)
-              col;
-            c)
-          cols
-      in
-      let sorted =
-        match Atomic.get cache with
-        | Some e when !kept ->
-            let scale_all vs = if Array.length vs = 0 then vs else Array.map scaled vs in
-            Some
-              {
-                e with
-                value = Array.map scaled e.value;
-                col_value = Array.map scale_all e.col_value;
-              }
-        | _ -> None
-      in
-      { n = m.n; repr = Sparse (cols, Atomic.make sorted) }
+  let r, kept = map_columns m scaled in
+  (match Atomic.get m.rows with
+  | Some e when kept -> Atomic.set r.rows (Some { e with value = Array.map scaled e.value })
+  | _ -> ());
+  r
 
 let copy m =
-  match m.repr with
-  | Dense data -> { n = m.n; repr = Dense (Array.copy data) }
-  | Sparse (cols, cache) ->
-      { n = m.n; repr = Sparse (Array.map Hashtbl.copy cols, Atomic.make (Atomic.get cache)) }
+  let r, _ = map_columns m Fun.id in
+  Atomic.set r.rows (Atomic.get m.rows);
+  r
 
 let iter m f =
-  match m.repr with
-  | Dense data ->
-      for s = 0 to m.n - 1 do
-        for t = 0 to m.n - 1 do
-          let v = data.((s * m.n) + t) in
-          if v > 0. then f s t v
-        done
-      done
-  | Sparse (cols, cache) ->
-      let e = sorted m cols cache in
-      for i = 0 to Array.length e.src - 1 do
-        f e.src.(i) e.dst.(i) e.value.(i)
-      done
+  let r = rows m in
+  for i = 0 to Array.length r.src - 1 do
+    f r.src.(i) r.dst.(i) r.value.(i)
+  done
 
 let iter_col m t f =
   if t < 0 || t >= m.n then invalid_arg "Matrix.iter_col: index out of range";
-  match m.repr with
-  | Dense data ->
-      for s = 0 to m.n - 1 do
-        let v = data.((s * m.n) + t) in
-        if v > 0. then f s v
-      done
-  | Sparse (cols, cache) ->
-      let e = sorted m cols cache in
-      let srcs = e.col_src.(t) and values = e.col_value.(t) in
-      for i = 0 to Array.length srcs - 1 do
-        f srcs.(i) values.(i)
-      done
+  let srcs = m.col_src.(t) and values = m.col_value.(t) in
+  for i = 0 to m.len.(t) - 1 do
+    f srcs.(i) values.(i)
+  done
 
 let pairs m =
   let acc = ref [] in
   iter m (fun s t v -> acc := (s, t, v) :: !acc);
   List.rev !acc
 
-let pair_count m =
-  match m.repr with
-  | Dense _ ->
-      let c = ref 0 in
-      iter m (fun _ _ _ -> incr c);
-      !c
-  | Sparse (cols, cache) -> Array.length (sorted m cols cache).src
+let pair_count m = Array.length (rows m).src
 
 (* Pointwise over all off-diagonal pairs (including zeros — [f] may
-   map 0,0 somewhere else).  O(n^2) even for sparse operands, so keep
-   it off the large-scale hot paths; the result uses the left
-   operand's representation. *)
+   map 0,0 somewhere else).  O(n² log n), so keep it off the
+   large-scale hot paths. *)
 let map2 a b f =
   if a.n <> b.n then invalid_arg "Matrix.map2: size mismatch";
-  let r = if is_sparse a then create_sparse a.n else create a.n in
+  let r = create a.n in
   for s = 0 to a.n - 1 do
     for t = 0 to a.n - 1 do
       if s <> t then begin
         let v = f (get a s t) (get b s t) in
         if v < 0. then invalid_arg "Matrix.map2: negative result";
-        if v <> 0. || not (is_sparse a) then set r s t v
+        set r s t v
       end
     done
   done;

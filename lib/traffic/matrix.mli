@@ -4,35 +4,31 @@
 type t
 
 val create : int -> t
-(** All-zero [n × n] matrix, dense storage.
+(** All-zero [n × n] matrix.  One store serves every shape, from the
+    paper's all-pairs gravity matrices to PoP demand on 10k nodes:
+    each destination column holds its positive entries as two
+    parallel arrays, sources ascending and their demands, so memory is
+    O(n + entries); {!map2}/{!equal} remain O(n²).
+
+    {!iter_col} reads a column directly, in O(column entries).  The
+    row-major enumerations ({!iter}, {!pairs}, {!pair_count},
+    {!total}) read the entries gathered once, by a counting sort over
+    the columns: the first enumeration after the matrix is built or
+    {!set} gathers them, in O(n + entries); every later one is
+    O(entries), and [pair_count] O(1).  A {!copy} shares the gather
+    until its own [set].  Domains may enumerate one matrix at once
+    (each sees a complete gather), but not while another [set]s it.
     @raise Invalid_argument if [n <= 0]. *)
-
-val create_sparse : int -> t
-(** All-zero [n × n] matrix with column-major sparse storage — for
-    real-ISP scale instances where demand touches a small fraction of
-    the n² pairs.  Observationally identical to {!create} (every
-    enumeration is emitted in sorted row-major order), with O(entries)
-    memory; {!map2}/{!equal} remain O(n²).
-
-    Enumerations ({!iter}, {!iter_col}, {!pairs}, {!pair_count},
-    {!total}) read the positive entries sorted once into row-major
-    arrays and per-column arrays.  The first enumeration after the
-    matrix is built or {!set} builds them, in O(n + entries log entries);
-    every later one is O(entries), [iter_col] O(column entries) and
-    [pair_count] O(1).  A {!copy} shares them until its own [set].
-    Domains may enumerate one matrix at once (each sees a complete
-    set), but not while another [set]s it.
-    @raise Invalid_argument if [n <= 0]. *)
-
-val is_sparse : t -> bool
 
 val size : t -> int
 
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
-(** On a sparse matrix a [set] drops the sorted entries, and a zero
-    removes the entry.
+(** A [set] drops the gathered entries, and a zero removes the entry.
+    A source written above every one its column holds, as every
+    generator writes them, is an append; any other is a binary search
+    and a shift of the column's later entries.
     @raise Invalid_argument on the diagonal, a demand that is negative
     or not finite (NaN, [±∞]), or an index out of range. *)
 
@@ -44,11 +40,11 @@ val total : t -> float
 
 val scale : t -> float -> t
 (** Fresh matrix with every entry multiplied by a non-negative factor
-    (a zero entry stays zero whatever the factor; a sparse store drops
-    an entry that scales to zero).  A sparse matrix whose entries are
-    sorted already hands them to the scaled one, values scaled, when no
-    entry scales to zero, so the scaled matrix's enumerations do not
-    sort again; otherwise its first enumeration sorts them.
+    (a zero entry stays zero whatever the factor, and an entry that
+    scales to zero is dropped).  A matrix whose entries are gathered
+    already hands them to the scaled one, values scaled, when no entry
+    scales to zero, so the scaled matrix's enumerations do not gather
+    again; otherwise its first enumeration gathers them.
     @raise Invalid_argument on a negative factor, or a product that is
     not finite. *)
 
@@ -58,16 +54,14 @@ val pairs : t -> (int * int * float) list
 (** All [(s, t, demand)] with positive demand, in row-major order. *)
 
 val pair_count : t -> int
-(** Number of positive entries: O(n²) on a dense matrix, O(1) on a
-    sparse one once sorted. *)
+(** Number of positive entries: O(1) once gathered. *)
 
 val iter : t -> (int -> int -> float -> unit) -> unit
 (** Iterate positive entries in row-major order. *)
 
 val iter_col : t -> int -> (int -> float -> unit) -> unit
 (** [iter_col m t f] iterates the positive entries of destination
-    column [t] in ascending source order — O(column entries) on a
-    sparse matrix instead of O(n) probes.
+    column [t] in ascending source order, in O(column entries).
     @raise Invalid_argument if [t] is out of range. *)
 
 val map2 : t -> t -> (float -> float -> float) -> t

@@ -239,7 +239,7 @@ let stubbed_core ~stub =
         if v = first then (i / stub, v) else (first + ((v - first - 1) / 2), v))
   in
   let g = Graph.build ~n (List.concat_map link (core_links @ stubs)) in
-  let th = Matrix.create_sparse n and tl = Matrix.create_sparse n in
+  let th = Matrix.create n and tl = Matrix.create n in
   for s = 0 to 7 do
     for t = 0 to 7 do
       if s <> t then begin

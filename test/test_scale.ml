@@ -2,9 +2,10 @@
    CSR flat-array graph core against a naive adjacency reference
    (including parallel links and disconnected graphs), reusable
    Dijkstra/SPF workspaces, arena load projection, demand-only
-   evaluation contexts, sparse traffic matrices, the O(links) BA
-   sampler, the large presets, and the searches' incremental ranking
-   and memo keys against their references. *)
+   evaluation contexts, the traffic matrix store against the dense
+   reference, the O(links) BA sampler, the large presets, and the
+   searches' incremental ranking and memo keys against their
+   references. *)
 
 module Graph = Dtr_graph.Graph
 module Dijkstra = Dtr_graph.Dijkstra
@@ -23,6 +24,7 @@ module Sla = Dtr_cost.Sla
 module Ref_evaluate = Dtr_oracle.Ref_evaluate
 module Ref_loads = Dtr_oracle.Ref_loads
 module Ref_failure = Dtr_oracle.Ref_failure
+module Ref_matrix = Dtr_oracle.Ref_matrix
 
 let mkarc ?(capacity = 1.) ?(delay = 1.) src dst =
   { Graph.src; dst; capacity; delay }
@@ -302,7 +304,7 @@ let prop_spread_demand_fresh =
    with it on the core. *)
 
 let random_sparse_matrix rng ~n ~pairs =
-  let m = Matrix.create_sparse n in
+  let m = Matrix.create n in
   for _ = 1 to pairs do
     let s = Prng.int rng n and t = Prng.int rng n in
     if s <> t then Matrix.set m s t (1. +. Prng.float rng 40.)
@@ -528,7 +530,7 @@ let test_demand_mode_disconnected () =
   in
   let g = Graph.build ~n:6 (tri 0 @ tri 3) in
   let m = Graph.arc_count g in
-  let th = Matrix.create_sparse 6 and tl = Matrix.create_sparse 6 in
+  let th = Matrix.create 6 and tl = Matrix.create 6 in
   Matrix.set th 0 2 10.;
   Matrix.set tl 4 3 25.;
   Matrix.set tl 1 2 5.;
@@ -610,7 +612,7 @@ let core_instance seed =
   let high = if List.length high < 2 then [ List.nth low 0; List.nth low 1 ] else high in
   (* Each endpoint sends to the next one, plus a few more pairs. *)
   let matrix ends scale =
-    let m = Matrix.create_sparse n and ends = Array.of_list ends in
+    let m = Matrix.create n and ends = Array.of_list ends in
     let demand () = scale *. (1. +. Prng.float rng 4.) in
     Array.iteri
       (fun i s -> Matrix.set m s ends.((i + 1) mod Array.length ends) (demand ()))
@@ -712,8 +714,8 @@ let test_demand_core =
         |] )
 
 (* ------------------------------------------------------------------ *)
-(* Sparse matrices: observationally identical to dense under the same
-   mutation sequence. *)
+(* The column store against the dense reference (Ref_matrix) under the
+   same mutation sequence. *)
 
 let matrix_ops_gen =
   QCheck.Gen.(
@@ -723,45 +725,49 @@ let matrix_ops_gen =
     return (n, ops, seed))
 
 (* Every enumeration of a matrix, with each demand as its bit pattern. *)
-let enumerations m =
+let enumerations ~size ~iter ~iter_col ~pairs ~pair_count ~total m =
   let bits = Int64.bits_of_float in
   let rows = ref [] and cols = ref [] in
-  Matrix.iter m (fun s t v -> rows := (s, t, bits v) :: !rows);
-  for t = 0 to Matrix.size m - 1 do
-    Matrix.iter_col m t (fun s v -> cols := (s, t, bits v) :: !cols)
+  iter m (fun s t v -> rows := (s, t, bits v) :: !rows);
+  for t = 0 to size m - 1 do
+    iter_col m t (fun s v -> cols := (s, t, bits v) :: !cols)
   done;
   ( List.rev !rows,
     List.rev !cols,
-    List.map (fun (s, t, v) -> (s, t, bits v)) (Matrix.pairs m),
-    Matrix.pair_count m,
-    bits (Matrix.total m) )
+    List.map (fun (s, t, v) -> (s, t, bits v)) (pairs m),
+    pair_count m,
+    bits (total m) )
 
-(* A sparse matrix sorts its entries on its first enumeration and
-   drops them on a [set], so the enumerations are compared between
-   mutations too (twice: the second read is the sorted entries the
-   first built), then on a copy that shares them until its own [set],
+let same d s =
+  Ref_matrix.(enumerations ~size ~iter ~iter_col ~pairs ~pair_count ~total d)
+  = Matrix.(enumerations ~size ~iter ~iter_col ~pairs ~pair_count ~total s)
+
+(* The store gathers its row-major entries on its first enumeration
+   and drops them on a [set], so the enumerations are compared between
+   mutations too (twice: the second read is the gather the first
+   built), then on a copy that shares the gather until its own [set],
    and on scaled matrices. *)
 let prop_sparse_matrix_identical =
-  QCheck.Test.make ~name:"sparse matrix = dense matrix (same op sequence)"
+  QCheck.Test.make
+    ~name:"sparse matrix = dense matrix reference (Ref_matrix, same op sequence)"
     ~count:300 (QCheck.make matrix_ops_gen) (fun (n, ops, seed) ->
       let rng = Prng.create seed in
-      let d = Matrix.create n and s = Matrix.create_sparse n in
-      let same d s = enumerations d = enumerations s in
-      let ok = ref (Matrix.is_sparse s && not (Matrix.is_sparse d)) in
+      let d = Ref_matrix.create n and s = Matrix.create n in
+      let ok = ref true in
       let mutate d s =
         let i = Prng.int rng n and j = Prng.int rng n in
         if i <> j then begin
           match Prng.int rng 3 with
           | 0 ->
               let v = Prng.float rng 50. in
-              Matrix.set d i j v;
+              Ref_matrix.set d i j v;
               Matrix.set s i j v
           | 1 ->
               let v = Prng.float rng 10. in
-              Matrix.add d i j v;
+              Ref_matrix.add d i j v;
               Matrix.add s i j v
           | _ ->
-              Matrix.set d i j 0.;
+              Ref_matrix.set d i j 0.;
               Matrix.set s i j 0.
         end
       in
@@ -769,26 +775,26 @@ let prop_sparse_matrix_identical =
         mutate d s;
         if Prng.bool rng then ok := !ok && same d s && same d s
       done;
-      ok := !ok && same d s && Matrix.equal ~eps:0. d s;
+      ok := !ok && same d s;
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
-          ok := !ok && Matrix.get d i j = Matrix.get s i j
+          ok := !ok && Ref_matrix.get d i j = Matrix.get s i j
         done
       done;
-      let d' = Matrix.copy d and s' = Matrix.copy s in
+      let d' = Ref_matrix.copy d and s' = Matrix.copy s in
       ok := !ok && same d' s';
       mutate d' s';
       ok := !ok && same d' s' && same d s;
       let f = if Prng.bool rng then 0. else Prng.float rng 3. in
-      ok := !ok && same (Matrix.scale d f) (Matrix.scale s f);
+      ok := !ok && same (Ref_matrix.scale d f) (Matrix.scale s f);
       (* A factor that underflows one entry to zero and keeps the
-         others: the sparse store drops that entry, so the sorted
-         entries the enumerations just built must not be handed to the
-         scaled matrix. *)
+         others: the store drops that entry, so the gather the
+         enumerations just built must not be handed to the scaled
+         matrix. *)
       if n >= 2 then begin
-        Matrix.set d 0 1 1e-300;
+        Ref_matrix.set d 0 1 1e-300;
         Matrix.set s 0 1 1e-300;
-        ok := !ok && same d s && same (Matrix.scale d 1e-100) (Matrix.scale s 1e-100)
+        ok := !ok && same d s && same (Ref_matrix.scale d 1e-100) (Matrix.scale s 1e-100)
       end;
       !ok)
 
@@ -868,7 +874,6 @@ let test_gravity_pop () =
   let n = Graph.node_count g in
   let tm = Gravity.generate_pop (Prng.create 5) ~n ~pops Gravity.default in
   let k = Array.length pops in
-  Alcotest.(check bool) "sparse" true (Matrix.is_sparse tm);
   Alcotest.(check int) "PoP pair count" (k * (k - 1)) (Matrix.pair_count tm);
   let is_pop = Array.make n false in
   Array.iter (fun v -> is_pop.(v) <- true) pops;
@@ -893,7 +898,7 @@ let test_demand_mode_ts1k () =
   let n = Graph.node_count g in
   let pops = Large.pop_nodes g p in
   let tl = Gravity.generate_pop traffic_rng ~n ~pops Gravity.default in
-  let th = Matrix.create_sparse n in
+  let th = Matrix.create n in
   Matrix.iter tl (fun s t v ->
       if Prng.float traffic_rng 1.0 < 0.10 then Matrix.set th s t (0.30 *. v));
   let wh = Weights.random weight_rng g in
