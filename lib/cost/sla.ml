@@ -14,8 +14,13 @@ let link_delay p ~capacity ~phi_h ~prop_delay =
   let transmission_ms = p.packet_size_bits /. (capacity *. 1000.) in
   (transmission_ms *. ((phi_h /. capacity) +. 1.)) +. prop_delay
 
+(* A severed pair's infinite delay costs [infinity] whatever [b] is:
+   [b = 0] would make the formula NaN, and a NaN Λ must never win a
+   comparison. *)
 let penalty p ~delay =
-  if delay <= p.theta then 0. else p.a +. (p.b *. (delay -. p.theta))
+  if delay <= p.theta then 0.
+  else if delay = Float.infinity then Float.infinity
+  else p.a +. (p.b *. (delay -. p.theta))
 
 let violated p ~delay = delay > p.theta
 

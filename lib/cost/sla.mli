@@ -22,7 +22,9 @@ val link_delay :
     @raise Invalid_argument on a non-positive capacity. *)
 
 val penalty : params -> delay:float -> float
-(** Eq. (4): [0] when [delay <= theta], else [a + b⋅(delay − theta)]. *)
+(** Eq. (4): [0] when [delay <= theta], else [a + b⋅(delay − theta)];
+    [infinity] for an infinite delay (a severed pair), whatever [b]
+    is. *)
 
 val violated : params -> delay:float -> bool
 (** True when the delay exceeds the bound. *)

@@ -150,6 +150,17 @@ let test_sla_penalty_formula () =
   (* a + b * excess = 100 + 1 * 5 *)
   checkf "violation" 105. (Sla.penalty p ~delay:30.)
 
+(* A severed pair's infinite delay is an infinite penalty for every
+   [b], [b = 0] included, where the formula alone gives NaN. *)
+let test_sla_penalty_infinite_delay () =
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (Printf.sprintf "b = %g" b)
+        true
+        (Sla.penalty { Sla.default with Sla.b } ~delay:Float.infinity = Float.infinity))
+    [ 0.; 1.; 2.5 ]
+
 let test_sla_violated () =
   let p = Sla.default in
   Alcotest.(check bool) "at bound" false (Sla.violated p ~delay:25.);
@@ -290,6 +301,8 @@ let () =
           Alcotest.test_case "no penalty within bound" `Quick
             test_sla_penalty_zero_within_bound;
           Alcotest.test_case "penalty formula" `Quick test_sla_penalty_formula;
+          Alcotest.test_case "infinite delay, infinite penalty" `Quick
+            test_sla_penalty_infinite_delay;
           Alcotest.test_case "violated" `Quick test_sla_violated;
           Alcotest.test_case "idle link delay" `Quick test_sla_link_delay_idle;
           Alcotest.test_case "delay grows with phi" `Quick

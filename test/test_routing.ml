@@ -460,7 +460,8 @@ let test_evaluate_saturated_monotone () =
 
 let test_evaluate_sla_unreachable () =
   (* A severed high-priority pair is reported (infinite Λ, counted)
-     rather than raised — failure sweeps evaluate cut topologies. *)
+     rather than raised — failure sweeps evaluate cut topologies — and
+     Λ stays infinite when the penalty has no per-ms term ([b = 0]). *)
   let g = Graph.build ~n:3 [ arc 2 0; arc 0 1; arc 1 0 ] in
   let w = Weights.uniform g 1 in
   let dags = Spf.all_destinations g ~weights:w in
@@ -468,15 +469,19 @@ let test_evaluate_sla_unreachable () =
   let h_loads = Ref_loads.of_matrix ~drop_unroutable:true g ~dags th in
   let l_loads = Array.make (Graph.arc_count g) 0. in
   let e = Ref_evaluate.assemble g ~h_loads ~l_loads in
-  let s =
-    Ref_evaluate.sla Sla.default g ~th ~dags_h:dags ~phi_h_per_arc:e.Evaluate.phi_h_per_arc
-  in
-  Alcotest.(check int) "one unreachable" 1 s.Evaluate.unreachable;
-  Alcotest.(check bool) "lambda infinite" true (s.Evaluate.lambda = Float.infinity);
-  Alcotest.(check bool) "lambda not nan" false (Float.is_nan s.Evaluate.lambda);
-  Alcotest.(check bool) "at least the severed violation" true
-    (s.Evaluate.violations >= 1);
-  checkf "worst delay infinite" Float.infinity s.Evaluate.worst_delay
+  List.iter
+    (fun params ->
+      let what = Printf.sprintf "b = %g: " params.Sla.b in
+      let s =
+        Ref_evaluate.sla params g ~th ~dags_h:dags ~phi_h_per_arc:e.Evaluate.phi_h_per_arc
+      in
+      Alcotest.(check int) (what ^ "one unreachable") 1 s.Evaluate.unreachable;
+      Alcotest.(check bool) (what ^ "lambda infinite") true (s.Evaluate.lambda = Float.infinity);
+      Alcotest.(check bool) (what ^ "lambda not nan") false (Float.is_nan s.Evaluate.lambda);
+      Alcotest.(check bool) (what ^ "at least the severed violation") true
+        (s.Evaluate.violations >= 1);
+      checkf (what ^ "worst delay infinite") Float.infinity s.Evaluate.worst_delay)
+    [ Sla.default; { Sla.default with Sla.b = 0. } ]
 
 (* One weight vector routes both classes once: in the oracle, one
    physical dag array; in the engine, one weight group whose dags every
