@@ -1,4 +1,5 @@
 module Prng = Dtr_util.Prng
+module Dist = Dtr_util.Dist
 module Lexico = Dtr_cost.Lexico
 
 type schedule = {
@@ -29,17 +30,18 @@ type report = {
 
 (* Propose one two-arc move on the context's current [cls] weights,
    ranked by the live cost rows (Problem.ctx_arc_cmp_h/_l: the
-   paper's per-link lexicographic costs), as a change list. *)
-let propose rng cfg problem ctx ~cls ~n_arcs =
+   paper's per-link lexicographic costs) through the phase's ranking
+   cache [rcache] (Ranking.arcs — bitwise the full sort), as a change
+   list.  [ht] is the run's heavy-tail table: with one-arc windows its
+   support is every rank. *)
+let propose ~ht ~rcache rng cfg problem ctx ~cls ~n_arcs =
   let cmp =
     match cls with
     | `H -> Problem.ctx_arc_cmp_h problem ctx
     | `L -> Problem.ctx_arc_cmp_l problem ctx
   in
-  let ranking = Neighborhood.rank_by_cost ~cmp n_arcs in
-  let a, b =
-    Neighborhood.candidate_sets rng ~tau:cfg.Search_config.tau ~m:1 ~ranking
-  in
+  let ranking = Ranking.arcs rcache ctx ~cmp n_arcs in
+  let a, b = Neighborhood.candidate_sets ht rng ~m:1 ~ranking in
   match Neighborhood.moves rng ~a ~b with
   | [] -> []
   | move :: _ ->
@@ -51,8 +53,9 @@ let propose rng cfg problem ctx ~cls ~n_arcs =
    move the current point and are offered to the best.  Returns the
    accepted-move count.  Each proposal is one [Anneal_step] event
    ([detail] = phase ordinal, [value] = current temperature). *)
-let anneal_phase inc ~detail rng cfg schedule problem ~cls ~energy =
+let anneal_phase inc ~detail ~ht rng cfg schedule problem ~cls ~energy =
   let n_arcs = Dtr_graph.Graph.arc_count problem.Problem.graph in
+  let rcache = Ranking.create () in
   (* The current point's energy is cached and refreshed only on
      acceptance (it was already computed as the candidate's energy
      then). *)
@@ -66,7 +69,9 @@ let anneal_phase inc ~detail rng cfg schedule problem ~cls ~energy =
     for _ = 1 to schedule.moves_per_temp do
       incr step;
       let prev = Incumbent.current inc in
-      let changes = propose rng cfg problem (Incumbent.ctx inc) ~cls ~n_arcs in
+      let changes =
+        propose ~ht ~rcache rng cfg problem (Incumbent.ctx inc) ~cls ~n_arcs
+      in
       let d = Incumbent.probe inc ~cls ~changes in
       let e_cand = energy (Problem.delta_objective d) in
       let delta = e_cand -. !e_cur in
@@ -94,10 +99,14 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
       { cfg with Search_config.robust = None }
       problem (Incumbent.Dtr w0)
   in
+  let ht =
+    Dist.heavy_tail ~tau:cfg.Search_config.tau
+      ~n:(Dtr_graph.Graph.arc_count problem.Problem.graph)
+  in
   (* Phase 1: anneal W_H against the primary cost, probing on the
      context the start's evaluation built. *)
   let acc1 =
-    anneal_phase inc ~detail:0 rng cfg schedule problem ~cls:`H
+    anneal_phase inc ~detail:0 ~ht rng cfg schedule problem ~cls:`H
       ~energy:(fun o -> o.Lexico.primary)
   in
   Incumbent.phase_done inc ~iteration:0 ~detail:0;
@@ -106,7 +115,7 @@ let run ?(schedule = default_schedule) ?w0 ?(trace = Trace.disabled) rng cfg
      weight pair: return to the best, whose context the run keeps. *)
   Incumbent.return_to_best inc;
   let acc2 =
-    anneal_phase inc ~detail:1 rng cfg schedule problem ~cls:`L
+    anneal_phase inc ~detail:1 ~ht rng cfg schedule problem ~cls:`L
       ~energy:(fun o -> o.Lexico.secondary)
   in
   Incumbent.phase_done inc ~iteration:0 ~detail:1;

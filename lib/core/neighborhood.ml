@@ -18,20 +18,13 @@ let rank_by_cost ~cmp n_arcs =
     ids;
   ids
 
-let candidate_sets ?ht rng ~tau ~m ~ranking =
+let candidate_sets ht rng ~m ~ranking =
   let n = Array.length ranking in
   if n = 0 then invalid_arg "Neighborhood.candidate_sets: empty ranking";
   if m < 1 then invalid_arg "Neighborhood.candidate_sets: m must be positive";
   let m = min m n in
-  let support = n - m + 1 in
-  let ht =
-    match ht with
-    | Some t ->
-        if Dist.heavy_tail_size t <> support then
-          invalid_arg "Neighborhood.candidate_sets: sampler size mismatch";
-        t
-    | None -> Dist.heavy_tail ~tau ~n:support
-  in
+  if Dist.heavy_tail_size ht <> n - m + 1 then
+    invalid_arg "Neighborhood.candidate_sets: sampler size mismatch";
   let k1 = Dist.heavy_tail_sample ht rng in
   let k2 = Dist.heavy_tail_sample ht rng in
   (* A: ranks k1 .. k1+m-1 (1-based from the top). *)
@@ -89,10 +82,7 @@ let scan_candidates samplers rng ~ranking w =
   !acc
 
 let move_candidates samplers rng cfg ~ranking w =
-  let a, b =
-    candidate_sets ~ht:samplers.window rng ~tau:cfg.Search_config.tau
-      ~m:Search_config.m ~ranking
-  in
+  let a, b = candidate_sets samplers.window rng ~m:Search_config.m ~ranking in
   List.map
     (fun move ->
       let step = Prng.int_incl rng 1 cfg.Search_config.max_step in

@@ -20,22 +20,20 @@ val rank_by_cost : cmp:(int -> int -> int) -> int -> int array
     [Array.stable_sort]). *)
 
 val candidate_sets :
-  ?ht:Dtr_util.Dist.heavy_tail ->
+  Dtr_util.Dist.heavy_tail ->
   Dtr_util.Prng.t ->
-  tau:float ->
   m:int ->
   ranking:int array ->
   int array * int array
-(** [(a, b)]: the high-cost window A ([m] consecutive ranks starting at
-    a heavy-tail-drawn rank [k1]) and the low-cost window B ([m]
-    consecutive ranks ending at a heavy-tail-drawn distance [k2] from
-    the bottom).  Both have length [min m n].  [ht], when given, must
-    be a heavy-tail sampler over exactly the window support
-    [n - min m n + 1] for the same [tau] — the tables are a pure
-    function of [(tau, n)], so hoisting one out of a loop is
-    draw-for-draw identical to rebuilding it here.
-    @raise Invalid_argument if the ranking is empty, [m < 1], or a
-    given [ht] has the wrong size. *)
+(** [candidate_sets ht rng ~m ~ranking] is [(a, b)]: the high-cost
+    window A ([m] consecutive ranks starting at a heavy-tail-drawn rank
+    [k1]) and the low-cost window B ([m] consecutive ranks ending at a
+    heavy-tail-drawn distance [k2] from the bottom).  Both have length
+    [min m n].  [ht] is the heavy-tail sampler over exactly the window
+    support [n - min m n + 1]: the tables are a pure function of
+    [(tau, n)], so a search builds its own once per run.
+    @raise Invalid_argument if the ranking is empty, [m < 1], or [ht]
+    has the wrong size. *)
 
 val moves :
   Dtr_util.Prng.t -> a:int array -> b:int array -> move list

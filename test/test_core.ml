@@ -3,6 +3,7 @@
    themselves (on small instances with small budgets). *)
 
 module Prng = Dtr_util.Prng
+module Dist = Dtr_util.Dist
 module Metrics = Dtr_util.Metrics
 module Graph = Dtr_graph.Graph
 module Matrix = Dtr_traffic.Matrix
@@ -101,8 +102,9 @@ let test_rank_by_cost_stable_ties () =
 let test_candidate_sets_shape () =
   let rng = Prng.create 1 in
   let ranking = Array.init 20 (fun i -> i) in
+  let ht = Dist.heavy_tail ~tau:1.5 ~n:16 in
   for _ = 1 to 100 do
-    let a, b = Neighborhood.candidate_sets rng ~tau:1.5 ~m:5 ~ranking in
+    let a, b = Neighborhood.candidate_sets ht rng ~m:5 ~ranking in
     Alcotest.(check int) "A size" 5 (Array.length a);
     Alcotest.(check int) "B size" 5 (Array.length b);
     Array.iter
@@ -116,17 +118,23 @@ let test_candidate_sets_shape () =
 let test_candidate_sets_small_ranking () =
   let rng = Prng.create 2 in
   let ranking = [| 0; 1; 2 |] in
-  let a, b = Neighborhood.candidate_sets rng ~tau:1.5 ~m:5 ~ranking in
+  let ht = Dist.heavy_tail ~tau:1.5 ~n:1 in
+  let a, b = Neighborhood.candidate_sets ht rng ~m:5 ~ranking in
   Alcotest.(check int) "clamped to n" 3 (Array.length a);
-  Alcotest.(check int) "clamped to n" 3 (Array.length b)
+  Alcotest.(check int) "clamped to n" 3 (Array.length b);
+  Alcotest.check_raises "table over another support"
+    (Invalid_argument "Neighborhood.candidate_sets: sampler size mismatch") (fun () ->
+      ignore
+        (Neighborhood.candidate_sets (Dist.heavy_tail ~tau:1.5 ~n:3) rng ~m:5 ~ranking))
 
 let test_candidate_sets_biased_to_extremes () =
   (* With tau large, A must start at rank 1 and B end at rank n. *)
   let rng = Prng.create 3 in
   let ranking = Array.init 10 (fun i -> 100 + i) in
+  let ht = Dist.heavy_tail ~tau:8. ~n:8 in
   let hits_top = ref 0 and hits_bottom = ref 0 in
   for _ = 1 to 200 do
-    let a, b = Neighborhood.candidate_sets rng ~tau:8. ~m:3 ~ranking in
+    let a, b = Neighborhood.candidate_sets ht rng ~m:3 ~ranking in
     if Array.mem 100 a then incr hits_top;
     if Array.mem 109 b then incr hits_bottom
   done;
