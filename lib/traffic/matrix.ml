@@ -3,8 +3,10 @@
    demands — a 10k-node dense matrix would be 800 MB of mostly-zero
    floats, while PoP-gravity demand touches a few thousand pairs.
    Columns are the natural axis: load projection consumes demand one
-   destination at a time ({!iter_col}), and every generator writes a
-   column's sources in ascending order, so a [set] is an append.
+   destination at a time ({!iter_col}).  A writer that goes row by row
+   (the all-pairs gravity model, a large preset's high class) hands
+   each column its sources in ascending order, so its [set]s are
+   appends.
 
    The row-major enumerations read the entries gathered once, by a
    counting sort over the columns, until a [set] drops the gather. *)
@@ -80,20 +82,26 @@ let set m s t v =
     end
   end
   else if v > 0. then begin
+    (* Doubling from 16 entries: a column of the paper's 16-50-node
+       all-pairs matrices takes one or two allocations. *)
     if k = Array.length srcs then begin
-      let grown = max 4 (2 * k) in
+      let grown = max 16 (2 * k) in
       m.col_src.(t) <- Array.make grown 0;
       m.col_value.(t) <- Array.make grown 0.;
       Array.blit srcs 0 m.col_src.(t) 0 i;
       Array.blit values 0 m.col_value.(t) 0 i
     end;
-    Array.blit srcs i m.col_src.(t) (i + 1) (k - i);
-    Array.blit values i m.col_value.(t) (i + 1) (k - i);
+    if i < k then begin
+      Array.blit srcs i m.col_src.(t) (i + 1) (k - i);
+      Array.blit values i m.col_value.(t) (i + 1) (k - i)
+    end;
     m.col_src.(t).(i) <- s;
     m.col_value.(t).(i) <- v;
     m.len.(t) <- k + 1
   end;
-  Atomic.set m.rows None
+  (* Only a gathered matrix pays the atomic write: a generator's
+     appends leave the gather absent. *)
+  if Option.is_some (Atomic.get m.rows) then Atomic.set m.rows None
 
 let add m s t v = set m s t (get m s t +. v)
 

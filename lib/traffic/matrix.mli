@@ -26,9 +26,9 @@ val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
 (** A [set] drops the gathered entries, and a zero removes the entry.
-    A source written above every one its column holds, as every
-    generator writes them, is an append; any other is a binary search
-    and a shift of the column's later entries.
+    A source written above every one its column holds, as a writer
+    that goes row by row writes them, is an append; any other is a
+    binary search and a shift of the column's later entries.
     @raise Invalid_argument on the diagonal, a demand that is negative
     or not finite (NaN, [±∞]), or an index out of range. *)
 
