@@ -8,7 +8,7 @@ val create : int -> t
     paper's all-pairs gravity matrices to PoP demand on 10k nodes:
     each destination column holds its positive entries as two
     parallel arrays, sources ascending and their demands, so memory is
-    O(n + entries); {!map2}/{!equal} remain O(n²).
+    O(n + entries); {!map2}/{!equal} remain O(n² log n).
 
     {!iter_col} reads a column directly, in O(column entries).  The
     row-major enumerations ({!iter}, {!pairs}, {!pair_count},

@@ -301,8 +301,6 @@ let () =
           Alcotest.test_case "no penalty within bound" `Quick
             test_sla_penalty_zero_within_bound;
           Alcotest.test_case "penalty formula" `Quick test_sla_penalty_formula;
-          Alcotest.test_case "infinite delay, infinite penalty" `Quick
-            test_sla_penalty_infinite_delay;
           Alcotest.test_case "violated" `Quick test_sla_violated;
           Alcotest.test_case "idle link delay" `Quick test_sla_link_delay_idle;
           Alcotest.test_case "delay grows with phi" `Quick
@@ -311,6 +309,8 @@ let () =
             test_sla_link_delay_rejects;
           Alcotest.test_case "relaxed bound" `Quick test_sla_relaxed_bound;
           qc prop_sla_penalty_monotone;
+          Alcotest.test_case "infinite delay, infinite penalty" `Quick
+            test_sla_penalty_infinite_delay;
         ] );
       ( "lexico",
         [
